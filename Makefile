@@ -4,15 +4,19 @@
 GO ?= go
 PSDNSLINT := bin/psdnslint
 
-.PHONY: all build test lint lint-fix fmt bench clean
+.PHONY: all build test lint lint-fix fmt bench loc clean
 
 all: build test lint
 
 build:
 	$(GO) build ./...
 
+# benchmark/ is a nested module, so ./... does not see it; vet and
+# smoke-test it against the tree so an engine refactor cannot silently
+# break the benchmark build.
 test:
 	$(GO) test ./...
+	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
 # lint = gofmt (fail on unformatted files) + go vet + the repo's own
 # psdnslint analyzer suite, plus staticcheck when it is installed
@@ -50,6 +54,13 @@ fmt:
 bench:
 	$(GO) run ./cmd/bench -quick -out /tmp/BENCH_step.json \
 		-baseline BENCH_step.json -check
+
+# loc prints non-blank, non-comment, non-test Go lines per internal
+# package — the unit the ROADMAP's "least code" items are stated in.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -vc '^\s*$$\|^\s*//')" "$${d%/}"; \
+	done
 
 clean:
 	rm -rf bin bench-out

@@ -138,17 +138,6 @@ func WithExchangeStrategy(s ExchangeStrategy) AsyncOption {
 	return func(o *AsyncOptions) { o.Exchange = s }
 }
 
-// WithDecomposition declares the engine's field decomposition. The
-// asynchronous pipeline is slab-only (its pencils are the within-slab
-// batching of Fig 3, not a process-grid axis), so anything but
-// DecompSlab panics at construction; the option exists so one
-// Decomposition value can thread through solver, async-engine and
-// transform construction uniformly. Pencil grids run through
-// NewTunedTransform.
-func WithDecomposition(d Decomposition) AsyncOption {
-	return func(o *AsyncOptions) { o.Decomp = d }
-}
-
 // WithBoundedStaleness runs the engine's transpose-exchanges in
 // asynchrony-tolerant mode: a rank proceeds on peers' latest
 // published slabs once they are within maxStale epochs, waiting at
@@ -237,8 +226,8 @@ func NewSlabTransform(c *Comm, n int) *pfft.SlabReal { return pfft.NewSlabReal(c
 
 // NewThreadedSlabTransform is the hybrid MPI+OpenMP-style transform
 // with a worker team per rank.
-func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabRealThreaded {
-	return pfft.NewSlabRealThreaded(c, n, threads)
+func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
+	return pfft.NewSlabRealWorkers(c, n, threads)
 }
 
 // NewTunedSlabTransform builds the host slab transform through the

@@ -375,7 +375,7 @@ func BenchmarkThreadedTransform(b *testing.B) {
 	for _, threads := range []int{1, 4} {
 		b.Run(fmt.Sprintf("threads%d", threads), func(b *testing.B) {
 			benchTransform(b, func(c *mpi.Comm) spectral.Transform {
-				return pfft.NewSlabRealThreaded(c, n, threads)
+				return pfft.NewSlabRealWorkers(c, n, threads)
 			}, n, ranks)
 		})
 	}

@@ -215,15 +215,10 @@ func buildSolver(c *mpi.Comm, cfg Config, n int) *spectral.Solver {
 			threads = 2
 		}
 		s := spectral.NewSolverWithTransform(c, scfg,
-			pfftThreaded(c, n, threads))
+			pfft.NewSlabRealWorkers(c, n, threads))
 		s.OwnTransform()
 		return s
 	default:
 		return spectral.NewSolver(c, scfg)
 	}
-}
-
-// pfftThreaded isolates the pfft import for the threaded engine.
-func pfftThreaded(c *mpi.Comm, n, threads int) spectral.Transform {
-	return pfft.NewSlabRealThreaded(c, n, threads)
 }

@@ -444,15 +444,13 @@ func runTransformDrive(dec tuning.Decomp, strategy exchange.Strategy, n, ranks, 
 		defer tr.Close()
 		root := c.Rank() == 0
 		if root {
-			switch e := tr.(type) {
-			case *pfft.PencilReal:
-				l := e.Layout()
-				fmt.Printf("decomposition: pencil %dx%d\n", l.Pr, l.Pc)
-				fmt.Printf("transpose-exchange strategies: yz=%s zy=%s\n", e.Strategy(), e.StrategyZY())
-			case *pfft.SlabReal:
-				fmt.Println("decomposition: slab")
-				fmt.Printf("transpose-exchange strategies: yz=%s zy=%s\n", e.Strategy(), e.StrategyZY())
+			layout := "slab"
+			if e, ok := tr.(*pfft.PencilReal); ok {
+				layout = fmt.Sprintf("pencil %dx%d", e.Layout().Pr, e.Layout().Pc)
 			}
+			pair := tr.StrategyPair()
+			fmt.Printf("decomposition: %s\n", layout)
+			fmt.Printf("transpose-exchange strategies: yz=%s zy=%s\n", pair.YZ, pair.ZY)
 		}
 		phys := make([]float64, tr.PhysicalLen())
 		orig := make([]float64, tr.PhysicalLen())

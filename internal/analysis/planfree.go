@@ -207,7 +207,10 @@ func fieldOf(info *types.Info, e ast.Expr) *types.Var {
 		case *ast.SelectorExpr:
 			if sel, ok := info.Selections[x]; ok && sel.Kind() == types.FieldVal {
 				if fv, ok := sel.Obj().(*types.Var); ok {
-					return fv
+					// A generic owner's field is a distinct Var per
+					// instantiation (each method's receiver is one);
+					// Origin is the declared field they all share.
+					return fv.Origin()
 				}
 			}
 			return nil

@@ -101,3 +101,25 @@ func (e *pencilEngineOK) Close() {
 	e.rowEx.Free()
 	e.colEx.Free()
 }
+
+// A generic owner constructed by a generic function and freed by a
+// method: the store and the Free see different instantiations of the
+// same field, which must still pair up.
+type stage[T any] struct {
+	buf   []T
+	plans [2]*mpi.ExchangePlan
+	a2a   *mpi.A2APlan
+}
+
+func newStage[T any](c *mpi.Comm, n int) *stage[T] {
+	s := &stage[T]{buf: make([]T, n)}
+	s.plans[0] = mpi.NewExchangePlan(c, n)
+	s.plans[1] = s.plans[0]
+	s.a2a = mpi.NewA2APlan(c, n) // want `plan stored in field stage\.a2a is never freed in this package`
+	return s
+}
+
+func (s *stage[T]) Close() {
+	s.plans[0].Free()
+	s.plans[1].Free()
+}

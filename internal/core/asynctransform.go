@@ -92,13 +92,6 @@ type Options struct {
 	// searches strategies × granularities at the option-given np,
 	// workers and precision).
 	TuneSpace *tuning.Space
-	// Decomp is the field decomposition. The asynchronous pipeline is
-	// built on the slab layout (its pencils are the within-slab batching
-	// of Fig 3, not a process-grid axis), so only tuning.DecompSlab —
-	// the zero value — is accepted; pencil grids and DecompAuto panic,
-	// pointing at pfft.NewRealTuned, the decomposition-generic
-	// constructor.
-	Decomp tuning.Decomp
 }
 
 // span is a half-open index range.
@@ -179,14 +172,20 @@ type AsyncSlabReal struct {
 	xr   []span // region y/z pencil x-ranges over nxh
 	zr   []span // region x pencil z-ranges over n
 
-	mid     []complex128 // [my][nz][nxh] intermediate slab
-	sendAll []complex128 // per-slab send buffer [P][·][·][nxh]
-	recvAll []complex128
-	sendP   [][]complex128 // per-pencil views into sendAll
-	recvP   [][]complex128
+	// xu are the exchange units over nxh — what one all-to-all carries:
+	// the pencils under PerPencil, the whole x range under PerSlab.
+	xu   []span
+	mid  []complex128 // [my][nz][nxh] intermediate slab
+	four []complex128 // Fourier slab the current z→y exchange lands in
+	// wire holds the staging buffers and the exchange stages, at the
+	// precision the exchange ships (Options.SingleComm): wireElem bytes
+	// per element.
+	wire     wire
+	wireElem int64
 
-	// team splits the host-side unpack kernels across workers; it is
-	// shared by both transposing regions and reused across steps.
+	// team splits the host-side unpack and gather kernels across
+	// workers; it is shared by both transposing regions and reused
+	// across steps.
 	team *par.Team
 	// Per-step pipeline state, hoisted to construction so the hot path
 	// does not allocate: one request slot, event record and op record
@@ -198,33 +197,9 @@ type AsyncSlabReal struct {
 	met    *asyncMetrics
 	closed bool
 
-	// Single-precision staging (Options.SingleComm).
-	single  bool
-	send32  []complex64
-	recv32  []complex64
-	sendP32 [][]complex64
-	recvP32 [][]complex64
-
-	// Pinned transpose-exchange strategy (never exchange.Auto) and the
-	// fused-exchange plans: one per pencil under PerPencil granularity,
-	// a single whole-slab plan under PerSlab. Only the precision
-	// matching a.single is populated.
-	strat  exchange.Strategy
-	exch   []*mpi.ExchangePlan[complex128]
-	exch32 []*mpi.ExchangePlan[complex64]
-	// Asynchrony-tolerant state (strat == exchange.AT only). The y→z
-	// and z→y exchanges are heterogeneous (different packing, opposite
-	// direction), so under AT each direction gets its own bounded
-	// plan(s) — exch/exch32 carry the y direction, exchZ/exchZ32 the z
-	// direction — and a stale slab is always an older publication of
-	// the same direction. atSite additionally labels each exchange with
-	// the caller's quantity index (SetATSite) so stale slabs only ever
-	// substitute for the same quantity.
-	exchZ      []*mpi.ExchangePlan[complex128]
-	exchZ32    []*mpi.ExchangePlan[complex64]
-	atSite     uint32
-	atStale    int
-	atDeadline time.Duration
+	// Pinned transpose-exchange strategy (never exchange.Auto), driving
+	// both directions.
+	strat exchange.Strategy
 }
 
 // NewAsyncSlabReal constructs the pipeline for an N³ real transform
@@ -232,9 +207,6 @@ type AsyncSlabReal struct {
 func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	if n%2 != 0 {
 		panic(fmt.Sprintf("core: N must be even, got %d", n))
-	}
-	if !opt.Decomp.IsSlab() {
-		panic(fmt.Sprintf("core: the asynchronous engine is slab-only, got decomposition %s; use pfft.NewRealTuned for pencil grids", opt.Decomp))
 	}
 	if opt.Autotune {
 		cfg := tuning.Config{}
@@ -271,6 +243,10 @@ func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		waitDeadline: opt.WaitDeadline,
 		xr:           splitRange(nxh, opt.NP),
 		zr:           splitRange(n, opt.NP),
+	}
+	a.xu = a.xr
+	if a.gran == PerSlab {
+		a.xu = []span{{0, nxh}}
 	}
 	mz, my := s.MZ(), s.MY()
 
@@ -338,92 +314,19 @@ func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 
 	a.mid = pool.GetComplex(my * n * nxh)
-	a.single = opt.SingleComm
-	p := comm.Size()
-	if a.single {
-		a.send32 = pool.GetComplex64(mz * n * nxh)
-		a.recv32 = pool.GetComplex64(mz * n * nxh)
-		a.sendP32 = make([][]complex64, a.np)
-		a.recvP32 = make([][]complex64, a.np)
-		off := 0
-		for ip, xs := range a.xr {
-			size := p * mz * my * xs.width()
-			a.sendP32[ip] = a.send32[off : off+size]
-			a.recvP32[ip] = a.recv32[off : off+size]
-			off += size
-		}
+	// The stages are registered unconditionally (registration is a cheap
+	// collective and every rank must stay in the same collective order
+	// regardless of the strategy each would pick). Under the asynchrony-
+	// tolerant strategy they are bounded: publication is epoch-tagged
+	// and gathers accept slabs up to ATMaxStale epochs old.
+	var bound *exchange.Bound
+	if opt.Exchange == exchange.AT {
+		bound = &exchange.Bound{MaxStale: opt.ATMaxStale, Deadline: opt.ATDeadline}
+	}
+	if opt.SingleComm {
+		a.wire, a.wireElem = newWire(a, bound, narrow2DAsync, transpose.WidenStrided), 8
 	} else {
-		a.sendAll = pool.GetComplex(mz * n * nxh)
-		a.recvAll = pool.GetComplex(mz * n * nxh)
-		a.sendP = make([][]complex128, a.np)
-		a.recvP = make([][]complex128, a.np)
-		off := 0
-		for ip, xs := range a.xr {
-			size := p * mz * my * xs.width()
-			a.sendP[ip] = a.sendAll[off : off+size]
-			a.recvP[ip] = a.recvAll[off : off+size]
-			off += size
-		}
-	}
-	// Fused-exchange plans, registered unconditionally (registration is
-	// a cheap collective and every rank must stay in the same collective
-	// order regardless of the strategy each would pick). Under the
-	// asynchrony-tolerant strategy the plans are bounded: publication is
-	// epoch-tagged and gathers accept slabs up to ATMaxStale epochs old.
-	at := opt.Exchange == exchange.AT
-	if at && opt.ATMaxStale < 0 {
-		panic(fmt.Sprintf("core: negative staleness bound %d", opt.ATMaxStale))
-	}
-	a.atStale, a.atDeadline = opt.ATMaxStale, opt.ATDeadline
-	newExch := func(size int) *mpi.ExchangePlan[complex128] {
-		if at {
-			return mpi.NewExchangePlanBounded[complex128](comm, size, opt.ATMaxStale, opt.ATDeadline)
-		}
-		return mpi.NewExchangePlan[complex128](comm, size)
-	}
-	newExch32 := func(size int) *mpi.ExchangePlan[complex64] {
-		if at {
-			return mpi.NewExchangePlanBounded[complex64](comm, size, opt.ATMaxStale, opt.ATDeadline)
-		}
-		return mpi.NewExchangePlan[complex64](comm, size)
-	}
-	if a.gran == PerPencil {
-		for _, xs := range a.xr {
-			size := p * mz * my * xs.width()
-			if a.single {
-				a.exch32 = append(a.exch32, newExch32(size))
-			} else {
-				a.exch = append(a.exch, newExch(size))
-			}
-		}
-	} else {
-		if a.single {
-			a.exch32 = append(a.exch32, newExch32(mz*n*nxh))
-		} else {
-			a.exch = append(a.exch, newExch(mz*n*nxh))
-		}
-	}
-	// Under AT the z-direction exchanges get their own epoch streams
-	// (same sizes and collective order on every rank); synchronous
-	// strategies share the plans above for both directions, which the
-	// barriers make safe.
-	if at {
-		if a.gran == PerPencil {
-			for _, xs := range a.xr {
-				size := p * mz * my * xs.width()
-				if a.single {
-					a.exchZ32 = append(a.exchZ32, newExch32(size))
-				} else {
-					a.exchZ = append(a.exchZ, newExch(size))
-				}
-			}
-		} else {
-			if a.single {
-				a.exchZ32 = append(a.exchZ32, newExch32(mz*n*nxh))
-			} else {
-				a.exchZ = append(a.exchZ, newExch(mz*n*nxh))
-			}
-		}
+		a.wire, a.wireElem = newWire(a, bound, cuda.Memcpy2DAsync[complex128], transpose.CopyStrided[complex128]), 16
 	}
 	st := opt.Exchange
 	if st == exchange.Auto {
@@ -458,29 +361,9 @@ func (a *AsyncSlabReal) Close() {
 		}
 	}
 	a.team.Close()
-	for _, pl := range a.exch {
-		pl.Free()
-	}
-	for _, pl := range a.exch32 {
-		pl.Free()
-	}
-	for _, pl := range a.exchZ {
-		pl.Free()
-	}
-	for _, pl := range a.exchZ32 {
-		pl.Free()
-	}
+	a.wire.close()
 	pool.PutComplex(a.mid)
 	a.mid = nil
-	if a.single {
-		pool.PutComplex64(a.send32)
-		pool.PutComplex64(a.recv32)
-		a.send32, a.recv32 = nil, nil
-	} else {
-		pool.PutComplex(a.sendAll)
-		pool.PutComplex(a.recvAll)
-		a.sendAll, a.recvAll = nil, nil
-	}
 }
 
 // Workers reports the per-rank worker-team size.
@@ -517,7 +400,7 @@ func (a *AsyncSlabReal) FourierToPhysical(phys []float64, four []complex128) {
 		panic(fmt.Sprintf("core: F2P wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
-	a.regionYTranspose(four)
+	a.regionTranspose(exchange.YZ, four, fft.Inverse)
 	a.regionZ(fft.Inverse)
 	a.regionXInverse(phys)
 }
@@ -533,7 +416,9 @@ func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
 	a.regionXForward(phys)
-	a.regionZTranspose(four)
+	a.four = four
+	a.regionTranspose(exchange.ZY, a.mid, fft.Forward)
+	a.four = nil
 	a.regionY(four, fft.Forward)
 }
 
@@ -565,332 +450,105 @@ func (a *AsyncSlabReal) regionY(four []complex128, dir fft.Direction) {
 	}, nil)
 }
 
-// regionYTranspose is the first dashed region of Fig 4: inverse y
-// transforms with the pack fused into the D2H as strided copies into
-// the send buffer, the all-to-all posted per pencil (PerPencil) or
-// once for the slab (PerSlab), and the received blocks unpacked into
-// the mid slab.
-func (a *AsyncSlabReal) regionYTranspose(four []complex128) {
-	n, nxh, mz, my, p := a.n, a.nxh, a.s.MZ(), a.s.MY(), a.comm.Size()
-	reqs := a.reqs
-	var afterD2H func(ip int)
-	// Fused strategies skip the wire entirely: no per-pencil all-to-all
-	// posts — the gather after the pipeline reads peer send buffers in
-	// place.
-	if a.gran == PerPencil && a.strat == exchange.Staged {
-		afterD2H = func(ip int) {
-			if a.single {
-				reqs[ip] = mpi.Ialltoall(a.comm, a.sendP32[ip], a.recvP32[ip])
-			} else {
-				reqs[ip] = mpi.Ialltoall(a.comm, a.sendP[ip], a.recvP[ip])
-			}
-		}
+// regionTranspose is a dashed region of Fig 4, in either direction. YZ
+// runs inverse y transforms on the Fourier slab in=[mz][ny][nxh] and
+// exchanges it into the mid slab; ZY runs forward z transforms on
+// in=a.mid=[my][nz][nxh] and exchanges it into a.four. The pack is fused
+// into the D2H as strided copies into the send buffer (narrowing to the
+// wire precision under SingleComm), split by destination along the
+// transformed axis. Under Staged the all-to-all is posted per pencil as
+// soon as its D2H completes (PerPencil) or once for the slab (PerSlab),
+// and the received blocks are unpacked; the zero-copy strategies skip
+// the wire entirely and gather from every peer's send buffer in place
+// through the exchange stages.
+func (a *AsyncSlabReal) regionTranspose(d exchange.Dir, in []complex128, fdir fft.Direction) {
+	n, nxh, p := a.n, a.nxh, a.comm.Size()
+	// ma planes are held locally; each is cut into p runs of mb rows.
+	ma, mb := a.s.MZ(), a.s.MY()
+	if d == exchange.ZY {
+		ma, mb = mb, ma
 	}
-	wireElem := int64(16)
-	if a.single {
-		wireElem = 8
+	var afterD2H func(ip int)
+	if a.gran == PerPencil && a.strat == exchange.Staged {
+		afterD2H = func(ip int) { a.reqs[ip] = a.wire.post(ip) }
 	}
 	stop := a.met.pipeline.Start()
 	a.pipeline(func(ip, g int) pencilOps {
-		full := a.xr[ip]
-		xs := subRange(full, g, len(a.gpus))
+		xs := subRange(a.xr[ip], g, len(a.gpus))
 		w := xs.width()
 		if w == 0 {
 			return pencilOps{}
 		}
+		u := ip
+		if a.gran == PerSlab {
+			u = 0
+		}
+		wp, off := a.xu[u].width(), xs.lo-a.xu[u].lo
 		ctx := a.gpus[g]
 		return pencilOps{
-			h2dBytes: int64(16 * w * mz * n),
-			d2hBytes: wireElem * int64(w*mz*n),
+			h2dBytes: int64(16 * w * ma * n),
+			d2hBytes: a.wireElem * int64(w*ma*n),
 			h2d: func(slot int) {
 				cuda.Memcpy2DAsync(ctx.transfer, ctx.slots[slot], w,
-					four[xs.lo:], nxh, w, mz*n)
+					in[xs.lo:], nxh, w, ma*n)
 			},
-			compute: a.lineFFT(ctx, w, mz, fft.Inverse),
+			compute: a.lineFFT(ctx, w, ma, fdir),
 			d2h: func(slot int) {
 				// Fused pack+D2H (§3.4): one strided copy per
-				// (destination, plane) — the call count grows with the
-				// rank count, the §5.2 effect. With SingleComm the copy
-				// also narrows to the wire precision.
+				// (destination, plane) into blocks [dst][ma][mb][wp] —
+				// the call count grows with the rank count, the §5.2
+				// effect.
 				buf := ctx.slots[slot]
-				for d := 0; d < p; d++ {
-					for iz := 0; iz < mz; iz++ {
-						src := buf[(iz*n+d*my)*w:]
-						switch {
-						case a.gran == PerPencil && a.single:
-							wp := full.width()
-							dst := a.sendP32[ip][d*mz*my*wp+iz*my*wp+(xs.lo-full.lo):]
-							narrow2DAsync(ctx.transfer, dst, wp, src, w, w, my)
-						case a.gran == PerPencil:
-							wp := full.width()
-							dst := a.sendP[ip][d*mz*my*wp+iz*my*wp+(xs.lo-full.lo):]
-							cuda.Memcpy2DAsync(ctx.transfer, dst, wp, src, w, w, my)
-						case a.single:
-							dst := a.send32[d*mz*my*nxh+iz*my*nxh+xs.lo:]
-							narrow2DAsync(ctx.transfer, dst, nxh, src, w, w, my)
-						default:
-							dst := a.sendAll[d*mz*my*nxh+iz*my*nxh+xs.lo:]
-							cuda.Memcpy2DAsync(ctx.transfer, dst, nxh, src, w, w, my)
-						}
+				for dst := 0; dst < p; dst++ {
+					for i := 0; i < ma; i++ {
+						a.wire.pack(ctx.transfer, u, (dst*ma+i)*mb*wp+off, wp,
+							buf[(i*n+dst*mb)*w:], w, w, mb)
 					}
 				}
 			},
 		}
 	}, afterD2H)
 	stop()
+	a.exchange(d, a.strat, afterD2H != nil)
+}
 
-	if a.strat != exchange.Staged {
-		stop = a.met.a2a.Start()
-		a.fusedExchangeY(a.strat == exchange.ChunkedFused)
-		stop()
+// exchange moves the packed send buffer(s) into the direction's
+// destination slab under st, outside the pipeline: this is both the
+// tail of a transposing region and the autotuners' trial body (buffer
+// contents are irrelevant to timing). posted says the staged requests
+// are already in flight from the pipeline's afterD2H hook and only need
+// waiting on. Collective.
+func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy, posted bool) {
+	if st != exchange.Staged {
+		a.wire.gather(d, st)
 		return
 	}
-	if a.gran == PerSlab {
-		stop = a.met.a2a.Start()
-		if a.single {
-			a.wait(mpi.Ialltoall(a.comm, a.send32, a.recv32))
-		} else {
-			a.wait(mpi.Ialltoall(a.comm, a.sendAll, a.recvAll))
+	reqs := a.reqs[:len(a.xu)]
+	stop := a.met.a2a.Start()
+	if !posted {
+		for u := range reqs {
+			reqs[u] = a.wire.post(u)
 		}
-		stop()
-		defer a.met.unpack.Start()()
-		a.unpackYPerSlab()
-		return
 	}
-	stop = a.met.a2a.Start()
 	a.waitAll(reqs)
 	stop()
 	defer a.met.unpack.Start()()
-	a.unpackYPerPencil()
-}
-
-// unpackYPerSlab scatters the whole-slab received blocks
-// [s][mz][my][nxh] into mid=[my][nz][nxh]. Each (s,iz) unit owns a
-// distinct set of destination rows, so the flattened loop splits
-// across the worker team conflict-free.
-func (a *AsyncSlabReal) unpackYPerSlab() {
-	n, nxh, mz, my, p := a.n, a.nxh, a.s.MZ(), a.s.MY(), a.comm.Size()
-	a.team.ForWorkers(p*mz, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			s, iz := u/mz, u%mz
-			if a.single {
-				widenStrided(a.mid[(s*mz+iz)*nxh:], n*nxh,
-					a.recv32[s*mz*my*nxh+iz*my*nxh:], nxh, nxh, my)
-			} else {
-				transpose.CopyStrided(a.mid[(s*mz+iz)*nxh:], n*nxh,
-					a.recvAll[s*mz*my*nxh+iz*my*nxh:], nxh, nxh, my)
-			}
-		}
-	})
-}
-
-// unpackYPerPencil scatters per-pencil blocks [s][mz][my][wp] into mid
-// (on real hardware this is the zero-copy scatter kernel of §4.2).
-func (a *AsyncSlabReal) unpackYPerPencil() {
-	n, nxh, mz, my, p := a.n, a.nxh, a.s.MZ(), a.s.MY(), a.comm.Size()
-	for ip, full := range a.xr {
-		ip, wp := ip, full.width()
-		base := full.lo
-		a.team.ForWorkers(p*mz, func(_, ulo, uhi int) {
-			for u := ulo; u < uhi; u++ {
-				s, iz := u/mz, u%mz
-				if a.single {
-					widenStrided(a.mid[(s*mz+iz)*nxh+base:], n*nxh,
-						a.recvP32[ip][s*mz*my*wp+iz*my*wp:], wp, wp, my)
-				} else {
-					transpose.CopyStrided(a.mid[(s*mz+iz)*nxh+base:], n*nxh,
-						a.recvP[ip][s*mz*my*wp+iz*my*wp:], wp, wp, my)
-				}
-			}
-		})
-	}
-}
-
-// gatherYBlocks is the fused y→z gather: every peer's packed send
-// block is read in place (srcs or srcs32, whichever precision the
-// engine stages) and scattered straight into mid — the wire copy and
-// the unpack of the staged path fused into one parallel pass. w is the
-// packed row width (nxh whole-slab, the pencil width per-pencil) and
-// base the x offset of the pencil in mid. chunked visits peers in
-// pairwise-exchange rounds (round r reads (me+r)%P) so each published
-// slab is read by one rank's team at a time; fused sweeps all peers in
-// one team dispatch.
-func (a *AsyncSlabReal) gatherYBlocks(srcs [][]complex128, srcs32 [][]complex64, w, base int, chunked bool) {
-	n, nxh, mz, my, p := a.n, a.nxh, a.s.MZ(), a.s.MY(), a.comm.Size()
-	me := a.comm.Rank()
-	blk := mz * my * w
-	unit := func(s, iz int) {
-		if srcs32 != nil {
-			widenStrided(a.mid[(s*mz+iz)*nxh+base:], n*nxh,
-				srcs32[s][me*blk+iz*my*w:], w, w, my)
-		} else {
-			transpose.CopyStrided(a.mid[(s*mz+iz)*nxh+base:], n*nxh,
-				srcs[s][me*blk+iz*my*w:], w, w, my)
-		}
-	}
-	if chunked {
-		for r := 0; r < p; r++ {
-			s := (me + r) % p
-			a.team.ForWorkers(mz, func(_, lo, hi int) {
-				for iz := lo; iz < hi; iz++ {
-					unit(s, iz)
-				}
-			})
-		}
-		return
-	}
-	a.team.ForWorkers(p*mz, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			unit(u/mz, u%mz)
-		}
-	})
-}
-
-// doExchY runs one y-direction exchange on plan ip: DoBounded on the
-// y-direction bounded plan under the asynchrony-tolerant strategy
-// (publication is a site-labeled ring copy, lagging peers are
-// tolerated up to the staleness bound), Do otherwise.
-func (a *AsyncSlabReal) doExchY(ip int, src []complex128, gather func([][]complex128)) {
-	if a.strat == exchange.AT {
-		pl := a.exch[ip]
-		pl.SetSite(a.atSite)
-		pl.DoBounded(src, gather, a.atStale)
-		return
-	}
-	a.exch[ip].Do(src, gather)
-}
-
-func (a *AsyncSlabReal) doExchY32(ip int, src []complex64, gather func([][]complex64)) {
-	if a.strat == exchange.AT {
-		pl := a.exch32[ip]
-		pl.SetSite(a.atSite)
-		pl.DoBounded(src, gather, a.atStale)
-		return
-	}
-	a.exch32[ip].Do(src, gather)
-}
-
-// doExchZ is the z-direction analogue: under AT it runs on the
-// dedicated z-direction plan so the two transpose directions never
-// share an epoch stream; synchronous strategies reuse the y plans
-// (their barriers serialize the directions anyway).
-func (a *AsyncSlabReal) doExchZ(ip int, src []complex128, gather func([][]complex128)) {
-	if a.strat == exchange.AT {
-		pl := a.exchZ[ip]
-		pl.SetSite(a.atSite)
-		pl.DoBounded(src, gather, a.atStale)
-		return
-	}
-	a.exch[ip].Do(src, gather)
-}
-
-func (a *AsyncSlabReal) doExchZ32(ip int, src []complex64, gather func([][]complex64)) {
-	if a.strat == exchange.AT {
-		pl := a.exchZ32[ip]
-		pl.SetSite(a.atSite)
-		pl.DoBounded(src, gather, a.atStale)
-		return
-	}
-	a.exch32[ip].Do(src, gather)
+	a.wire.unpack(d)
 }
 
 // SetATSite labels the quantity the next bounded exchanges carry (see
-// mpi.ExchangePlan.SetSite): callers interleaving several fields or
+// exchange.Stage.SetATSite): callers interleaving several fields or
 // stages through one engine set a collectively-consistent site index
 // before each transform call, so accepted stale slabs are always the
 // same quantity from whole steps earlier. No-op on non-AT engines.
-func (a *AsyncSlabReal) SetATSite(site uint32) { a.atSite = site }
+func (a *AsyncSlabReal) SetATSite(site uint32) { a.wire.setSite(site) }
 
 // TakeStaleness drains the asynchrony-tolerant staleness window across
-// every exchange plan (both directions, both precisions) since the
-// previous take: worst accepted slab age (in same-site cycles), summed
-// age, stale slab count and bounded-exchange count. All zeros on
-// non-AT engines.
+// every exchange stage since the previous take: worst accepted slab
+// age (in same-site cycles), summed age, stale slab count and bounded-
+// exchange count. All zeros on non-AT engines.
 func (a *AsyncSlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
-	for _, pl := range a.exch {
-		m, s, sl, cl := pl.TakeStaleness()
-		if m > max {
-			max = m
-		}
-		sum, slabs, calls = sum+s, slabs+sl, calls+cl
-	}
-	for _, pl := range a.exch32 {
-		m, s, sl, cl := pl.TakeStaleness()
-		if m > max {
-			max = m
-		}
-		sum, slabs, calls = sum+s, slabs+sl, calls+cl
-	}
-	for _, pl := range a.exchZ {
-		m, s, sl, cl := pl.TakeStaleness()
-		if m > max {
-			max = m
-		}
-		sum, slabs, calls = sum+s, slabs+sl, calls+cl
-	}
-	for _, pl := range a.exchZ32 {
-		m, s, sl, cl := pl.TakeStaleness()
-		if m > max {
-			max = m
-		}
-		sum, slabs, calls = sum+s, slabs+sl, calls+cl
-	}
-	return
-}
-
-// fusedExchangeY publishes the packed send buffer(s) through the
-// fused-exchange plan(s) and gathers peer blocks directly into mid.
-// Collective.
-func (a *AsyncSlabReal) fusedExchangeY(chunked bool) {
-	if a.gran == PerSlab {
-		if a.single {
-			a.doExchY32(0, a.send32, func(srcs [][]complex64) {
-				a.gatherYBlocks(nil, srcs, a.nxh, 0, chunked)
-			})
-		} else {
-			a.doExchY(0, a.sendAll, func(srcs [][]complex128) {
-				a.gatherYBlocks(srcs, nil, a.nxh, 0, chunked)
-			})
-		}
-		return
-	}
-	for ip, full := range a.xr {
-		wp, base := full.width(), full.lo
-		if a.single {
-			a.doExchY32(ip, a.sendP32[ip], func(srcs [][]complex64) {
-				a.gatherYBlocks(nil, srcs, wp, base, chunked)
-			})
-		} else {
-			a.doExchY(ip, a.sendP[ip], func(srcs [][]complex128) {
-				a.gatherYBlocks(srcs, nil, wp, base, chunked)
-			})
-		}
-	}
-}
-
-// stagedExchangeY runs the staged wire path outside the pipeline —
-// post the all-to-all(s), wait, unpack. This is the autotuner's staged
-// trial body; the transform path itself posts per-pencil requests from
-// the pipeline's afterD2H hook instead.
-func (a *AsyncSlabReal) stagedExchangeY() {
-	if a.gran == PerSlab {
-		if a.single {
-			a.wait(mpi.Ialltoall(a.comm, a.send32, a.recv32))
-		} else {
-			a.wait(mpi.Ialltoall(a.comm, a.sendAll, a.recvAll))
-		}
-		a.unpackYPerSlab()
-		return
-	}
-	for ip := range a.xr {
-		if a.single {
-			a.reqs[ip] = mpi.Ialltoall(a.comm, a.sendP32[ip], a.recvP32[ip])
-		} else {
-			a.reqs[ip] = mpi.Ialltoall(a.comm, a.sendP[ip], a.recvP[ip])
-		}
-	}
-	a.waitAll(a.reqs)
-	a.unpackYPerPencil()
+	return a.wire.takeStaleness()
 }
 
 // autotune times every concrete exchange strategy on the engine's
@@ -904,26 +562,10 @@ func (a *AsyncSlabReal) autotune() exchange.Strategy {
 	cands := exchange.Concrete
 	mine := make([]float64, len(cands))
 	for i, st := range cands {
-		st := st
-		mine[i] = tuning.TrialBest(a.comm, tuning.Trials, func() { a.runTrial(st) })
+		mine[i] = tuning.TrialBest(a.comm, tuning.Trials, func() { a.exchange(exchange.YZ, st, false) })
 	}
 	win, _ := tuning.ResolveTimes(a.comm, mine)
 	return cands[win]
-}
-
-// runTrial executes one y→z exchange under st over the engine's own
-// send/recv buffers — contents are irrelevant to timing. Collective;
-// this is the trial body both the strategy autotuner above and the
-// whole-step tuner (NewAsyncSlabRealTuned) time.
-func (a *AsyncSlabReal) runTrial(st exchange.Strategy) {
-	switch st {
-	case exchange.Staged:
-		a.stagedExchangeY()
-	case exchange.Fused:
-		a.fusedExchangeY(false)
-	default:
-		a.fusedExchangeY(true)
-	}
 }
 
 // regionZ streams x-split pencils of the mid slab [my][nz][nxh],
@@ -952,190 +594,6 @@ func (a *AsyncSlabReal) regionZ(dir fft.Direction) {
 			d2hBytes: int64(16 * w * my * n),
 		}
 	}, nil)
-}
-
-// regionZTranspose is the reverse-direction analogue of
-// regionYTranspose: forward z transforms on the mid slab with the
-// pack-by-destination-z fused into the D2H, the all-to-all, and the
-// unpack into the Fourier slab.
-func (a *AsyncSlabReal) regionZTranspose(four []complex128) {
-	n, nxh, mz, my, p := a.n, a.nxh, a.s.MZ(), a.s.MY(), a.comm.Size()
-	reqs := a.reqs
-	var afterD2H func(ip int)
-	if a.gran == PerPencil && a.strat == exchange.Staged {
-		afterD2H = func(ip int) {
-			if a.single {
-				reqs[ip] = mpi.Ialltoall(a.comm, a.sendP32[ip], a.recvP32[ip])
-			} else {
-				reqs[ip] = mpi.Ialltoall(a.comm, a.sendP[ip], a.recvP[ip])
-			}
-		}
-	}
-	wireElem := int64(16)
-	if a.single {
-		wireElem = 8
-	}
-	stop := a.met.pipeline.Start()
-	a.pipeline(func(ip, g int) pencilOps {
-		full := a.xr[ip]
-		xs := subRange(full, g, len(a.gpus))
-		w := xs.width()
-		if w == 0 {
-			return pencilOps{}
-		}
-		ctx := a.gpus[g]
-		return pencilOps{
-			h2dBytes: int64(16 * w * my * n),
-			d2hBytes: wireElem * int64(w*my*n),
-			h2d: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, ctx.slots[slot], w,
-					a.mid[xs.lo:], nxh, w, my*n)
-			},
-			compute: a.lineFFT(ctx, w, my, fft.Forward),
-			d2h: func(slot int) {
-				// Pack blocks [d][my][mz][·] by destination z range.
-				buf := ctx.slots[slot]
-				for d := 0; d < p; d++ {
-					for iy := 0; iy < my; iy++ {
-						src := buf[(iy*n+d*mz)*w:]
-						switch {
-						case a.gran == PerPencil && a.single:
-							wp := full.width()
-							dst := a.sendP32[ip][d*my*mz*wp+iy*mz*wp+(xs.lo-full.lo):]
-							narrow2DAsync(ctx.transfer, dst, wp, src, w, w, mz)
-						case a.gran == PerPencil:
-							wp := full.width()
-							dst := a.sendP[ip][d*my*mz*wp+iy*mz*wp+(xs.lo-full.lo):]
-							cuda.Memcpy2DAsync(ctx.transfer, dst, wp, src, w, w, mz)
-						case a.single:
-							dst := a.send32[d*my*mz*nxh+iy*mz*nxh+xs.lo:]
-							narrow2DAsync(ctx.transfer, dst, nxh, src, w, w, mz)
-						default:
-							dst := a.sendAll[d*my*mz*nxh+iy*mz*nxh+xs.lo:]
-							cuda.Memcpy2DAsync(ctx.transfer, dst, nxh, src, w, w, mz)
-						}
-					}
-				}
-			},
-		}
-	}, afterD2H)
-	stop()
-
-	if a.strat != exchange.Staged {
-		stop = a.met.a2a.Start()
-		a.fusedExchangeZ(four, a.strat == exchange.ChunkedFused)
-		stop()
-		return
-	}
-	if a.gran == PerSlab {
-		stop = a.met.a2a.Start()
-		if a.single {
-			a.wait(mpi.Ialltoall(a.comm, a.send32, a.recv32))
-		} else {
-			a.wait(mpi.Ialltoall(a.comm, a.sendAll, a.recvAll))
-		}
-		stop()
-		defer a.met.unpack.Start()()
-		// Each (s,iy) unit owns distinct rows of four: conflict-free
-		// split across the team, mirroring the y-region unpack.
-		a.team.ForWorkers(p*my, func(_, lo, hi int) {
-			for u := lo; u < hi; u++ {
-				s, iy := u/my, u%my
-				if a.single {
-					widenStrided(four[(s*my+iy)*nxh:], n*nxh,
-						a.recv32[s*my*mz*nxh+iy*mz*nxh:], nxh, nxh, mz)
-				} else {
-					transpose.CopyStrided(four[(s*my+iy)*nxh:], n*nxh,
-						a.recvAll[s*my*mz*nxh+iy*mz*nxh:], nxh, nxh, mz)
-				}
-			}
-		})
-		return
-	}
-	stop = a.met.a2a.Start()
-	a.waitAll(reqs)
-	stop()
-	defer a.met.unpack.Start()()
-	for ip, full := range a.xr {
-		ip, wp := ip, full.width()
-		base := full.lo
-		a.team.ForWorkers(p*my, func(_, ulo, uhi int) {
-			for u := ulo; u < uhi; u++ {
-				s, iy := u/my, u%my
-				if a.single {
-					widenStrided(four[(s*my+iy)*nxh+base:], n*nxh,
-						a.recvP32[ip][s*my*mz*wp+iy*mz*wp:], wp, wp, mz)
-				} else {
-					transpose.CopyStrided(four[(s*my+iy)*nxh+base:], n*nxh,
-						a.recvP[ip][s*my*mz*wp+iy*mz*wp:], wp, wp, mz)
-				}
-			}
-		})
-	}
-}
-
-// gatherZBlocks is the fused z→y gather of the reverse transpose:
-// peer packed blocks [d][my][mz][w] read in place and scattered into
-// the Fourier slab four=[mz][ny][nxh]. The exact mirror of
-// gatherYBlocks with the (iy, iz) roles swapped.
-func (a *AsyncSlabReal) gatherZBlocks(four []complex128, srcs [][]complex128, srcs32 [][]complex64, w, base int, chunked bool) {
-	n, nxh, mz, my, p := a.n, a.nxh, a.s.MZ(), a.s.MY(), a.comm.Size()
-	me := a.comm.Rank()
-	blk := my * mz * w
-	unit := func(s, iy int) {
-		if srcs32 != nil {
-			widenStrided(four[(s*my+iy)*nxh+base:], n*nxh,
-				srcs32[s][me*blk+iy*mz*w:], w, w, mz)
-		} else {
-			transpose.CopyStrided(four[(s*my+iy)*nxh+base:], n*nxh,
-				srcs[s][me*blk+iy*mz*w:], w, w, mz)
-		}
-	}
-	if chunked {
-		for r := 0; r < p; r++ {
-			s := (me + r) % p
-			a.team.ForWorkers(my, func(_, lo, hi int) {
-				for iy := lo; iy < hi; iy++ {
-					unit(s, iy)
-				}
-			})
-		}
-		return
-	}
-	a.team.ForWorkers(p*my, func(_, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			unit(u/my, u%my)
-		}
-	})
-}
-
-// fusedExchangeZ publishes the packed send buffer(s) and gathers peer
-// blocks directly into the Fourier slab. Collective.
-func (a *AsyncSlabReal) fusedExchangeZ(four []complex128, chunked bool) {
-	if a.gran == PerSlab {
-		if a.single {
-			a.doExchZ32(0, a.send32, func(srcs [][]complex64) {
-				a.gatherZBlocks(four, nil, srcs, a.nxh, 0, chunked)
-			})
-		} else {
-			a.doExchZ(0, a.sendAll, func(srcs [][]complex128) {
-				a.gatherZBlocks(four, srcs, nil, a.nxh, 0, chunked)
-			})
-		}
-		return
-	}
-	for ip, full := range a.xr {
-		wp, base := full.width(), full.lo
-		if a.single {
-			a.doExchZ32(ip, a.sendP32[ip], func(srcs [][]complex64) {
-				a.gatherZBlocks(four, nil, srcs, wp, base, chunked)
-			})
-		} else {
-			a.doExchZ(ip, a.sendP[ip], func(srcs [][]complex128) {
-				a.gatherZBlocks(four, srcs, nil, wp, base, chunked)
-			})
-		}
-	}
 }
 
 // regionXInverse streams z-split pencils of the mid slab through c2r

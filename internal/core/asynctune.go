@@ -81,14 +81,14 @@ func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config
 			}
 			to := applyPoint(opt, pt)
 			// Concrete placeholder: the trial engine must not recurse
-			// into the strategy autotuner; runTrial times each
+			// into the strategy autotuner; the trials time each
 			// strategy explicitly.
 			to.Exchange = exchange.Staged
 			eng = NewAsyncSlabReal(comm, n, to)
 			cur = pt
 		}
 		st := pt.Strategy
-		mine[i] = tuning.TrialBest(comm, tuning.Trials, func() { eng.runTrial(st) })
+		mine[i] = tuning.TrialBest(comm, tuning.Trials, func() { eng.exchange(exchange.YZ, st, false) })
 	}
 	if eng != nil {
 		eng.Close()

@@ -24,9 +24,3 @@ func narrow2DAsync(s *cuda.Stream, dst []complex64, dstStride int, src []complex
 		transpose.NarrowStrided(dst, dstStride, src, srcStride, rowLen, nrows)
 	})
 }
-
-// widenStrided performs the host-side unpack+convert (complex64 →
-// complex128), the zero-copy scatter of the single-precision path.
-func widenStrided(dst []complex128, dstStride int, src []complex64, srcStride, rowLen, nrows int) {
-	transpose.WidenStrided(dst, dstStride, src, srcStride, rowLen, nrows)
-}

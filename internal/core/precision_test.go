@@ -103,15 +103,13 @@ func TestSingleCommHalvesWireBytes(t *testing.T) {
 		sgl := NewAsyncSlabReal(c, 8, Options{NP: 2, SingleComm: true})
 		defer dbl.Close()
 		defer sgl.Close()
-		if len(sgl.send32) != len(dbl.sendAll) {
-			t.Fatalf("element counts differ: %d vs %d", len(sgl.send32), len(dbl.sendAll))
+		send32, sendAll := sgl.wire.(*wireBuf[complex64]).send, dbl.wire.(*wireBuf[complex128]).send
+		if len(send32) != len(sendAll) {
+			t.Fatalf("element counts differ: %d vs %d", len(send32), len(sendAll))
 		}
 		// complex64 = 8 bytes vs complex128 = 16.
-		if 8*len(sgl.send32) != 16*len(dbl.sendAll)/2 {
+		if 8*len(send32) != 16*len(sendAll)/2 {
 			t.Error("wire bytes not halved")
-		}
-		if dbl.send32 != nil || sgl.sendAll != nil {
-			t.Error("unused staging buffers allocated")
 		}
 	})
 }

@@ -1,6 +1,8 @@
-// Package exchange defines the transpose-exchange strategy space of
-// the fused engine and the plan-time autotuner that picks between its
-// points. The strategies are the software analogue of the paper's §4
+// Package exchange is the transpose-exchange of the code base: the
+// one Stage every transform engine runs its pack → all-to-all → unpack
+// through (stage.go), the strategy space a stage executes under, and
+// the resolve rule the plan-time autotuners pick between its points
+// with. The strategies are the software analogue of the paper's §4
 // data-movement variants:
 //
 //   - Staged: pack into per-destination blocks, exchange blocks
@@ -23,7 +25,10 @@
 // geometry at construction and pin the winner for the plan's lifetime.
 package exchange
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Strategy selects how a plan executes its transpose-exchange.
 type Strategy int
@@ -128,7 +133,7 @@ func (p Pair) String() string {
 // ParsePair maps a flag value to a Pair: either one strategy name for
 // both directions ("fused") or a "yz/zy" pair ("fused/staged").
 func ParsePair(s string) (Pair, error) {
-	yz, zy, ok := stringsCut(s, '/')
+	yz, zy, ok := strings.Cut(s, "/")
 	if !ok {
 		st, err := Parse(s)
 		return Both(st), err
@@ -142,16 +147,6 @@ func ParsePair(s string) (Pair, error) {
 		return Pair{}, err
 	}
 	return Pair{YZ: sy, ZY: sz}, nil
-}
-
-// stringsCut avoids importing strings for one call site.
-func stringsCut(s string, sep byte) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == sep {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }
 
 // Resolve picks the winner from trial times gathered across ranks.

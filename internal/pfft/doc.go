@@ -7,9 +7,15 @@
 //     conjugate-symmetric half-spectra in Fourier space, with the
 //     paper's y,z,x transform ordering so that nonlinear products are
 //     formed on unit-stride real data.
+//   - PencilReal: the same real transform on a Pr×Pc process grid,
+//     bitwise identical to SlabReal and free of its P ≤ N ceiling.
 //   - PencilC2C: complex transforms on the 2D pencil decomposition
 //     used by the synchronous CPU baseline of Yeung et al. (two
 //     all-to-alls, on row and column communicators).
+//
+// SlabReal and PencilReal are FFT passes around exchange.Stage, the one
+// transpose-exchange of the code base; the tuned constructors share one
+// trial loop (tunedReal).
 //
 // Layout conventions (x always fastest):
 //

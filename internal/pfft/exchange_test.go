@@ -10,62 +10,75 @@ import (
 	"repro/internal/mpi"
 )
 
-// The fused and chunked-fused exchanges must be bitwise identical to
-// the staged pack → all-to-all → unpack triple — for every rank count
-// and team size, on full forward+inverse transforms. n=28 is divisible
-// by every tested P.
+// Every concrete strategy pair must be bitwise identical to the staged
+// pack → all-to-all → unpack triple in both directions — for every rank
+// count and team size (7 workers outnumber the units at P=7), on full
+// forward+inverse transforms, on either wire precision: narrowing is
+// deterministic, so the single-precision paths must agree exactly with
+// each other too. The pairs are pinned through the in-package
+// constructor, so which complex64 strategy gets its output checked
+// never depends on what the autotuner picks on this machine. n=28 is
+// divisible by every tested P.
 func TestSlabRealExchangeStrategiesBitwiseIdentity(t *testing.T) {
 	const n = 28
-	for _, p := range []int{1, 2, 4, 7} {
-		p := p
-		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
-			if err := mpi.TryRun(p, func(c *mpi.Comm) {
-				ref := NewSlabRealStrategy(c, n, 1, exchange.Staged)
-				defer ref.Close()
-				fl, pl := ref.FourierLen(), ref.PhysicalLen()
+	for _, single := range []bool{false, true} {
+		for _, p := range []int{1, 2, 4, 7} {
+			t.Run(fmt.Sprintf("single=%v/p%d", single, p), func(t *testing.T) {
+				if err := mpi.TryRun(p, func(c *mpi.Comm) {
+					ref := newSlabReal(c, n, 1, exchange.Both(exchange.Staged), nil, single)
+					defer ref.Close()
+					fl, pl := ref.FourierLen(), ref.PhysicalLen()
 
-				rng := rand.New(rand.NewSource(int64(42 + c.Rank())))
-				physIn := make([]float64, pl)
-				for i := range physIn {
-					physIn[i] = rng.NormFloat64()
-				}
-				refFour := make([]complex128, fl)
-				refPhys := make([]float64, pl)
-				scratch := make([]float64, pl)
-				copy(scratch, physIn)
-				ref.PhysicalToFourier(refFour, scratch)
-				fourScratch := make([]complex128, fl)
-				copy(fourScratch, refFour)
-				ref.FourierToPhysical(refPhys, fourScratch)
-
-				for _, st := range []exchange.Strategy{exchange.Fused, exchange.ChunkedFused} {
-					for _, w := range []int{1, 2, 4, 7} {
-						f := NewSlabRealStrategy(c, n, w, st)
-						four := make([]complex128, fl)
-						phys := make([]float64, pl)
-						copy(phys, physIn)
-						f.PhysicalToFourier(four, phys)
-						for i := range four {
-							if four[i] != refFour[i] {
-								panic(fmt.Sprintf("rank %d %s workers=%d: forward differs at %d: %v vs %v",
-									c.Rank(), st, w, i, four[i], refFour[i]))
-							}
-						}
-						out := make([]float64, pl)
-						f.FourierToPhysical(out, four)
-						for i := range out {
-							if out[i] != refPhys[i] {
-								panic(fmt.Sprintf("rank %d %s workers=%d: inverse differs at %d: %v vs %v",
-									c.Rank(), st, w, i, out[i], refPhys[i]))
-							}
-						}
-						f.Close()
+					rng := rand.New(rand.NewSource(int64(42 + c.Rank())))
+					physIn := make([]float64, pl)
+					for i := range physIn {
+						physIn[i] = rng.NormFloat64()
 					}
+					refFour := make([]complex128, fl)
+					refPhys := make([]float64, pl)
+					scratch := make([]float64, pl)
+					copy(scratch, physIn)
+					ref.PhysicalToFourier(refFour, scratch)
+					fourScratch := make([]complex128, fl)
+					copy(fourScratch, refFour)
+					ref.FourierToPhysical(refPhys, fourScratch)
+
+					for _, zy := range exchange.Concrete {
+						for _, yz := range exchange.Concrete {
+							for _, w := range []int{1, 3, 7} {
+								pair := exchange.Pair{YZ: yz, ZY: zy}
+								f := newSlabReal(c, n, w, pair, nil, single)
+								if f.Single() != single || f.StrategyPair() != pair {
+									panic(fmt.Sprintf("engine reports single=%v pair=%s, built single=%v pair=%s",
+										f.Single(), f.StrategyPair(), single, pair))
+								}
+								four := make([]complex128, fl)
+								phys := make([]float64, pl)
+								copy(phys, physIn)
+								f.PhysicalToFourier(four, phys)
+								for i := range four {
+									if four[i] != refFour[i] {
+										panic(fmt.Sprintf("rank %d %s workers=%d: forward differs at %d: %v vs %v",
+											c.Rank(), pair, w, i, four[i], refFour[i]))
+									}
+								}
+								out := make([]float64, pl)
+								f.FourierToPhysical(out, four)
+								for i := range out {
+									if out[i] != refPhys[i] {
+										panic(fmt.Sprintf("rank %d %s workers=%d: inverse differs at %d: %v vs %v",
+											c.Rank(), pair, w, i, out[i], refPhys[i]))
+									}
+								}
+								f.Close()
+							}
+						}
+					}
+				}); err != nil {
+					t.Fatal(err)
 				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/fft"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/pool"
@@ -30,19 +31,19 @@ import (
 // makes the pencil transform bitwise identical to SlabReal for every
 // valid Pr×Pc — including 1×P and the P=1 degenerate grid.
 //
-// Each sub-exchange runs over its own per-communicator persistent
-// plans with the same three concrete strategies as the slab exchange
-// — Staged (pack → persistent all-to-all → unpack), Fused (zero-copy
-// peer-slab gather through an mpi.ExchangePlan) and ChunkedFused
-// (pairwise gather rounds) — pinned per transpose direction: stratYZ
-// drives both sub-exchanges of FourierToPhysical, stratZY both
+// Each sub-exchange is an exchange.Stage over its own communicator —
+// the same stage, strategies and plans as the slab exchange, with the
+// pencil layout kernels — pinned per transpose direction: pair.YZ
+// drives both sub-exchanges of FourierToPhysical, pair.ZY both
 // sub-exchanges of PhysicalToFourier. The steady-state transform path
 // performs zero heap allocations: all buffers come from the process
 // arena at plan time, worker bodies are precomputed closures, and the
 // plans are watchdog-visible and abortable like every mpi collective.
 //
-// The engine is double-precision only (no single-precision wire
-// pipeline) and has no asynchrony-tolerant mode; tuned construction
+// The engine is constructed double-precision and synchronous only: the
+// stage would carry the single-precision wire and the asynchrony-
+// tolerant exchange here as it does for the slab, but nothing can drive
+// them until the solver runs on pencils. Tuned construction
 // (NewRealTuned) accounts for both restrictions.
 type PencilReal struct {
 	commY *mpi.Comm // column communicator, size Pr: completes y, re-splits z
@@ -57,63 +58,35 @@ type PencilReal struct {
 
 	xspec []complex128 // [My][Mz][Nxh], padded to PadXLen for publication
 	layB  []complex128 // [My][Wc][Nz] z-complete intermediate
-	packC []complex128 // Pc·BlockC staged column blocks
-	recvC []complex128
-	packR []complex128 // Pr·BlockR staged row blocks
-	recvR []complex128
-	a2aC  *mpi.A2APlan[complex128]
-	a2aR  *mpi.A2APlan[complex128]
-	exchC *mpi.ExchangePlan[complex128]
-	exchR *mpi.ExchangePlan[complex128]
+	// col trades the z split for an x split over commZ (xspec ↔ layB),
+	// row trades the y split for a z re-split over commY (layB ↔ the
+	// caller's spectral pencil).
+	col *exchange.Stage[complex128]
+	row *exchange.Stage[complex128]
 
 	// Pinned concrete strategies, one per transpose direction (never
-	// Auto): stratYZ drives both FourierToPhysical sub-exchanges,
-	// stratZY both PhysicalToFourier sub-exchanges.
-	stratYZ exchange.Strategy
-	stratZY exchange.Strategy
-	met     *phaseMetrics
-	closed  bool
+	// Auto).
+	pair   exchange.Pair
+	fftT   *metrics.Histogram
+	closed bool
 
 	// Staging fields for the precomputed worker bodies (see SlabReal).
-	curFour    []complex128
-	curPhys    []float64
-	curSrcs    [][]complex128
-	curPeer    int
-	curPeerSrc []complex128
+	curFour []complex128
+	curPhys []float64
 
 	fwdXBody, invXBody func(w, lo, hi int) // over iy planes
 	fwdZBody, invZBody func(w, lo, hi int) // over iy planes
 	fwdYBody, invYBody func(w, lo, hi int) // over iz planes
-
-	packColFwdBody, unpColFwdBody func(w, lo, hi int) // over iy
-	packColInvBody, unpColInvBody func(w, lo, hi int) // over iy
-	packRowFwdBody                func(w, lo, hi int) // over iy
-	unpRowFwdBody                 func(w, lo, hi int) // over iz
-	packRowInvBody                func(w, lo, hi int) // over iz
-	unpRowInvBody                 func(w, lo, hi int) // over iy
-
-	gatherColFwdBody, gatherColInvBody func(w, lo, hi int)
-	gatherRowFwdBody, gatherRowInvBody func(w, lo, hi int)
-	gatherColFwdPeerBody               func(w, lo, hi int)
-	gatherColInvPeerBody               func(w, lo, hi int)
-	gatherRowFwdPeerBody               func(w, lo, hi int)
-	gatherRowInvPeerBody               func(w, lo, hi int)
-
-	fusedColFwdFn, fusedColInvFn     func(srcs [][]complex128)
-	fusedRowFwdFn, fusedRowInvFn     func(srcs [][]complex128)
-	chunkedColFwdFn, chunkedColInvFn func(srcs [][]complex128)
-	chunkedRowFwdFn, chunkedRowInvFn func(srcs [][]complex128)
 }
 
 // NewPencilReal builds the pencil transform over a process grid whose
 // column communicator commY has size Pr and row communicator commZ
 // size Pc (the caller typically obtains them from Comm.CartGrid).
-// Both strategies of pair must be concrete: the pencil engine has no
-// in-plan autotuner because trial resolution needs a communicator
-// spanning the whole grid — use NewRealTuned for tuned construction
-// (and for the slab-vs-pencil decomposition choice). Collective over
-// both communicators: every rank must construct the transform at the
-// same point in each sub-communicator's collective order.
+// Both strategies of pair must be concrete: trial resolution needs a
+// communicator spanning the whole grid, so tuned construction (and the
+// slab-vs-pencil decomposition choice) is NewRealTuned's. Collective
+// over both communicators: every rank must construct the transform at
+// the same point in each sub-communicator's collective order.
 func NewPencilReal(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair) *PencilReal {
 	for _, st := range [2]exchange.Strategy{pair.YZ, pair.ZY} {
 		switch st {
@@ -126,48 +99,100 @@ func NewPencilReal(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair) *
 	}
 	pr, pc := commY.Size(), commZ.Size()
 	l := transpose.NewPencilLayout(n, pr, pc, commY.Rank(), commZ.Rank())
+	// Sub-communicators share the world registry, so label metrics with
+	// the grid-global rank yG·Pc+zG (the parent comm's rank for
+	// CartGrid-derived communicators), not the colliding per-group
+	// sub-communicator rank.
+	reg, rank := commY.Metrics(), commY.Rank()*pc+commZ.Rank()
+	ph := exchange.NewPhases(reg, rank)
 	f := &PencilReal{
 		commY: commY, commZ: commZ,
 		n: n, nxh: l.Nxh, l: l,
 		team:  par.NewTeam(workers),
 		xspec: pool.GetComplex(l.PadXLen),
 		layB:  pool.GetComplex(l.BLen()),
-		packC: pool.GetComplex(pc * l.BlockC),
-		recvC: pool.GetComplex(pc * l.BlockC),
-		packR: pool.GetComplex(pr * l.BlockR),
-		recvR: pool.GetComplex(pr * l.BlockR),
-		// Sub-communicators share the world registry, so label phase
-		// metrics with the grid-global rank yG·Pc+zG (the parent comm's
-		// rank for CartGrid-derived communicators), not the colliding
-		// per-group sub-communicator rank.
-		met:     newPhaseMetricsAt(commY.Metrics(), commY.Rank()*pc+commZ.Rank()),
-		stratYZ: pair.YZ,
-		stratZY: pair.ZY,
+		fftT:  reg.HistogramRank("phase.fft", rank),
 	}
 	for w := 0; w < workers; w++ {
 		f.bx = append(f.bx, fft.NewRealBatch(n, l.Mz, 1, n, 1, l.Nxh))
 		f.bz = append(f.bz, fft.NewBatch(n, l.Wc, 1, n, 1, n))
 		f.by = append(f.by, fft.NewBatch(n, l.Wc, 1, n, 1, n))
 	}
-	// Per-communicator persistent plans. The column plan publishes the
-	// padded x-complete slab forward and the (shorter, per-rank
-	// varying) z-complete slab inverse; PadXLen is identical across
-	// the column group and divisible by Pc by construction. The row
-	// plan's two layouts have equal length (My == Mz2).
-	f.a2aC = mpi.NewA2APlan(commZ, f.packC, f.recvC)
-	f.a2aR = mpi.NewA2APlan(commY, f.packR, f.recvR)
-	f.exchC = mpi.NewExchangePlan[complex128](commZ, l.PadXLen)
-	f.exchR = mpi.NewExchangePlan[complex128](commY, l.BLen())
+	// The column stage publishes the padded x-complete slab forward and
+	// the (shorter, per-rank varying) z-complete slab inverse; PadXLen is
+	// identical across the column group and divisible by Pc by
+	// construction. The row stage's two layouts have equal length
+	// (My == Mz2).
+	f.col = exchange.NewStage(commZ, f.team, ph, pc*l.BlockC, l.PadXLen, nil, pencilColKernels[complex128](l))
+	f.row = exchange.NewStage(commY, f.team, ph, pr*l.BlockR, l.BLen(), nil, pencilRowKernels[complex128](l))
 	f.buildBodies()
-	f.setStrategyGauges()
+	f.setStrategies(pair)
 	return f
 }
 
-func (f *PencilReal) setStrategyGauges() {
-	r := f.commY.Metrics()
-	rank := f.commY.Rank()*f.l.Pc + f.commZ.Rank()
-	r.GaugeRank("exchange.strategy", rank).Set(f.stratYZ.Code())
-	r.GaugeRank("exchange.strategy.zy", rank).Set(f.stratZY.Code())
+// pencilColKernels describes the column exchange to a stage: YZ moves
+// the z-complete layout back into the x-complete slab (the inverse
+// transform's second exchange), ZY the x-complete slab into the
+// z-complete layout. Both sides split over iy.
+//
+//psdns:hotpath
+func pencilColKernels[T exchange.Elem](l *transpose.PencilLayout) [2]exchange.Kernels[T] {
+	return [2]exchange.Kernels[T]{
+		exchange.YZ: {
+			PackUnits: l.My, DstUnits: l.My, PeerUnits: l.My,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackColInvRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackColInvRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherColInvRange(l, dst, srcs, lo, hi) },
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.PencilGatherColInvPeer(l, dst, src, peer, lo, hi)
+			},
+		},
+		exchange.ZY: {
+			PackUnits: l.My, DstUnits: l.My, PeerUnits: l.My,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackColFwdRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackColFwdRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherColFwdRange(l, dst, srcs, lo, hi) },
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.PencilGatherColFwdPeer(l, dst, src, peer, lo, hi)
+			},
+		},
+	}
+}
+
+// pencilRowKernels describes the row exchange: YZ moves the y-complete
+// spectral pencil (split over iz) into the z-complete layout (split
+// over iy) — the inverse transform's first exchange — and ZY is the
+// mirror.
+//
+//psdns:hotpath
+func pencilRowKernels[T exchange.Elem](l *transpose.PencilLayout) [2]exchange.Kernels[T] {
+	return [2]exchange.Kernels[T]{
+		exchange.YZ: {
+			PackUnits: l.Mz2, DstUnits: l.My, PeerUnits: l.My,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackRowInvRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackRowInvRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherRowInvRange(l, dst, srcs, lo, hi) },
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.PencilGatherRowInvPeer(l, dst, src, peer, lo, hi)
+			},
+		},
+		exchange.ZY: {
+			PackUnits: l.My, DstUnits: l.Mz2, PeerUnits: l.Mz2,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackRowFwdRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackRowFwdRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherRowFwdRange(l, dst, srcs, lo, hi) },
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.PencilGatherRowFwdPeer(l, dst, src, peer, lo, hi)
+			},
+		},
+	}
+}
+
+// setStrategies pins the per-direction strategies and publishes them
+// under the grid-global rank.
+func (f *PencilReal) setStrategies(pair exchange.Pair) {
+	f.pair = pair
+	publishStrategies(f.commY.Metrics(), f.commY.Rank()*f.l.Pc+f.commZ.Rank(), pair)
 }
 
 // buildBodies precomputes the team worker closures once, so transform
@@ -211,113 +236,6 @@ func (f *PencilReal) buildBodies() {
 			f.by[w].Inverse(plane, plane)
 		}
 	}
-
-	f.packColFwdBody = func(_, lo, hi int) {
-		transpose.PencilPackColFwdRange(l, f.packC, f.xspec, lo, hi)
-	}
-	f.unpColFwdBody = func(_, lo, hi int) {
-		transpose.PencilUnpackColFwdRange(l, f.layB, f.recvC, lo, hi)
-	}
-	f.packColInvBody = func(_, lo, hi int) {
-		transpose.PencilPackColInvRange(l, f.packC, f.layB, lo, hi)
-	}
-	f.unpColInvBody = func(_, lo, hi int) {
-		transpose.PencilUnpackColInvRange(l, f.xspec, f.recvC, lo, hi)
-	}
-	f.packRowFwdBody = func(_, lo, hi int) {
-		transpose.PencilPackRowFwdRange(l, f.packR, f.layB, lo, hi)
-	}
-	f.unpRowFwdBody = func(_, lo, hi int) {
-		transpose.PencilUnpackRowFwdRange(l, f.curFour, f.recvR, lo, hi)
-	}
-	f.packRowInvBody = func(_, lo, hi int) {
-		transpose.PencilPackRowInvRange(l, f.packR, f.curFour, lo, hi)
-	}
-	f.unpRowInvBody = func(_, lo, hi int) {
-		transpose.PencilUnpackRowInvRange(l, f.layB, f.recvR, lo, hi)
-	}
-
-	f.gatherColFwdBody = func(_, lo, hi int) {
-		transpose.PencilGatherColFwdRange(l, f.layB, f.curSrcs, lo, hi)
-	}
-	f.gatherColInvBody = func(_, lo, hi int) {
-		transpose.PencilGatherColInvRange(l, f.xspec, f.curSrcs, lo, hi)
-	}
-	f.gatherRowFwdBody = func(_, lo, hi int) {
-		transpose.PencilGatherRowFwdRange(l, f.curFour, f.curSrcs, lo, hi)
-	}
-	f.gatherRowInvBody = func(_, lo, hi int) {
-		transpose.PencilGatherRowInvRange(l, f.layB, f.curSrcs, lo, hi)
-	}
-	f.gatherColFwdPeerBody = func(_, lo, hi int) {
-		transpose.PencilGatherColFwdPeer(l, f.layB, f.curPeerSrc, f.curPeer, lo, hi)
-	}
-	f.gatherColInvPeerBody = func(_, lo, hi int) {
-		transpose.PencilGatherColInvPeer(l, f.xspec, f.curPeerSrc, f.curPeer, lo, hi)
-	}
-	f.gatherRowFwdPeerBody = func(_, lo, hi int) {
-		transpose.PencilGatherRowFwdPeer(l, f.curFour, f.curPeerSrc, f.curPeer, lo, hi)
-	}
-	f.gatherRowInvPeerBody = func(_, lo, hi int) {
-		transpose.PencilGatherRowInvPeer(l, f.layB, f.curPeerSrc, f.curPeer, lo, hi)
-	}
-
-	f.fusedColFwdFn = func(srcs [][]complex128) {
-		f.curSrcs = srcs
-		f.team.ForWorkers(l.My, f.gatherColFwdBody)
-		f.curSrcs = nil
-	}
-	f.fusedColInvFn = func(srcs [][]complex128) {
-		f.curSrcs = srcs
-		f.team.ForWorkers(l.My, f.gatherColInvBody)
-		f.curSrcs = nil
-	}
-	f.fusedRowFwdFn = func(srcs [][]complex128) {
-		f.curSrcs = srcs
-		f.team.ForWorkers(l.Mz2, f.gatherRowFwdBody)
-		f.curSrcs = nil
-	}
-	f.fusedRowInvFn = func(srcs [][]complex128) {
-		f.curSrcs = srcs
-		f.team.ForWorkers(l.My, f.gatherRowInvBody)
-		f.curSrcs = nil
-	}
-	// Chunked rounds visit peers in pairwise-exchange order within the
-	// sub-communicator (round r gathers from (me+r)%P, round 0 the
-	// local slab), as the slab engine does.
-	meZ, meY := f.commZ.Rank(), f.commY.Rank()
-	f.chunkedColFwdFn = func(srcs [][]complex128) {
-		for r := 0; r < l.Pc; r++ {
-			f.curPeer = (meZ + r) % l.Pc
-			f.curPeerSrc = srcs[f.curPeer]
-			f.team.ForWorkers(l.My, f.gatherColFwdPeerBody)
-		}
-		f.curPeerSrc = nil
-	}
-	f.chunkedColInvFn = func(srcs [][]complex128) {
-		for r := 0; r < l.Pc; r++ {
-			f.curPeer = (meZ + r) % l.Pc
-			f.curPeerSrc = srcs[f.curPeer]
-			f.team.ForWorkers(l.My, f.gatherColInvPeerBody)
-		}
-		f.curPeerSrc = nil
-	}
-	f.chunkedRowFwdFn = func(srcs [][]complex128) {
-		for r := 0; r < l.Pr; r++ {
-			f.curPeer = (meY + r) % l.Pr
-			f.curPeerSrc = srcs[f.curPeer]
-			f.team.ForWorkers(l.Mz2, f.gatherRowFwdPeerBody)
-		}
-		f.curPeerSrc = nil
-	}
-	f.chunkedRowInvFn = func(srcs [][]complex128) {
-		for r := 0; r < l.Pr; r++ {
-			f.curPeer = (meY + r) % l.Pr
-			f.curPeerSrc = srcs[f.curPeer]
-			f.team.ForWorkers(l.My, f.gatherRowInvPeerBody)
-		}
-		f.curPeerSrc = nil
-	}
 }
 
 // Layout reports the pencil geometry.
@@ -335,27 +253,23 @@ func (f *PencilReal) Workers() int { return f.team.Size() }
 
 // Strategy reports the pinned FourierToPhysical-side strategy;
 // StrategyZY the PhysicalToFourier side.
-func (f *PencilReal) Strategy() exchange.Strategy   { return f.stratYZ }
-func (f *PencilReal) StrategyZY() exchange.Strategy { return f.stratZY }
+func (f *PencilReal) Strategy() exchange.Strategy   { return f.pair.YZ }
+func (f *PencilReal) StrategyZY() exchange.Strategy { return f.pair.ZY }
 
 // StrategyPair reports both pinned strategies as an exchange.Pair.
-func (f *PencilReal) StrategyPair() exchange.Pair {
-	return exchange.Pair{YZ: f.stratYZ, ZY: f.stratZY}
-}
+func (f *PencilReal) StrategyPair() exchange.Pair { return f.pair }
 
-// Close releases the worker team, the four persistent plans and every
-// pooled buffer back to the arena. The transform must not be used
-// afterwards. Collective in effect (plan frees), like SlabReal.Close.
+// Close releases the worker team, both stages and every pooled buffer
+// back to the arena. The transform must not be used afterwards.
+// Collective in effect (plan frees), like SlabReal.Close.
 func (f *PencilReal) Close() {
 	if f.closed {
 		return
 	}
 	f.closed = true
 	f.team.Close()
-	f.a2aC.Free()
-	f.a2aR.Free()
-	f.exchC.Free()
-	f.exchR.Free()
+	f.col.Close()
+	f.row.Close()
 	for w := range f.bx {
 		f.bx[w].Release()
 		f.bz[w].Release()
@@ -363,119 +277,7 @@ func (f *PencilReal) Close() {
 	}
 	pool.PutComplex(f.xspec)
 	pool.PutComplex(f.layB)
-	pool.PutComplex(f.packC)
-	pool.PutComplex(f.recvC)
-	pool.PutComplex(f.packR)
-	pool.PutComplex(f.recvR)
-	f.xspec, f.layB, f.packC, f.recvC, f.packR, f.recvR = nil, nil, nil, nil, nil, nil
-}
-
-// transposeColFwd moves the x-complete slab (f.xspec) into the
-// z-complete layout (f.layB) over the column communicator, under st.
-//
-//psdns:hotpath
-func (f *PencilReal) transposeColFwd(st exchange.Strategy) {
-	switch st {
-	case exchange.Staged:
-		t := time.Now()
-		f.team.ForWorkers(f.l.My, f.packColFwdBody)
-		f.met.pack.ObserveSince(t)
-		t = time.Now()
-		f.a2aC.Do()
-		f.met.a2a.ObserveSince(t)
-		t = time.Now()
-		f.team.ForWorkers(f.l.My, f.unpColFwdBody)
-		f.met.unpack.ObserveSince(t)
-	case exchange.Fused:
-		t := time.Now()
-		f.exchC.Do(f.xspec, f.fusedColFwdFn)
-		f.met.a2a.ObserveSince(t)
-	default: // exchange.ChunkedFused
-		t := time.Now()
-		f.exchC.Do(f.xspec, f.chunkedColFwdFn)
-		f.met.a2a.ObserveSince(t)
-	}
-}
-
-// transposeColInv moves the z-complete layout back into the
-// x-complete slab.
-//
-//psdns:hotpath
-func (f *PencilReal) transposeColInv(st exchange.Strategy) {
-	switch st {
-	case exchange.Staged:
-		t := time.Now()
-		f.team.ForWorkers(f.l.My, f.packColInvBody)
-		f.met.pack.ObserveSince(t)
-		t = time.Now()
-		f.a2aC.Do()
-		f.met.a2a.ObserveSince(t)
-		t = time.Now()
-		f.team.ForWorkers(f.l.My, f.unpColInvBody)
-		f.met.unpack.ObserveSince(t)
-	case exchange.Fused:
-		t := time.Now()
-		f.exchC.Do(f.layB, f.fusedColInvFn)
-		f.met.a2a.ObserveSince(t)
-	default:
-		t := time.Now()
-		f.exchC.Do(f.layB, f.chunkedColInvFn)
-		f.met.a2a.ObserveSince(t)
-	}
-}
-
-// transposeRowFwd moves the z-complete layout into the y-complete
-// spectral slab (f.curFour) over the row communicator, under st.
-//
-//psdns:hotpath
-func (f *PencilReal) transposeRowFwd(st exchange.Strategy) {
-	switch st {
-	case exchange.Staged:
-		t := time.Now()
-		f.team.ForWorkers(f.l.My, f.packRowFwdBody)
-		f.met.pack.ObserveSince(t)
-		t = time.Now()
-		f.a2aR.Do()
-		f.met.a2a.ObserveSince(t)
-		t = time.Now()
-		f.team.ForWorkers(f.l.Mz2, f.unpRowFwdBody)
-		f.met.unpack.ObserveSince(t)
-	case exchange.Fused:
-		t := time.Now()
-		f.exchR.Do(f.layB, f.fusedRowFwdFn)
-		f.met.a2a.ObserveSince(t)
-	default:
-		t := time.Now()
-		f.exchR.Do(f.layB, f.chunkedRowFwdFn)
-		f.met.a2a.ObserveSince(t)
-	}
-}
-
-// transposeRowInv moves the y-complete spectral slab back into the
-// z-complete layout.
-//
-//psdns:hotpath
-func (f *PencilReal) transposeRowInv(st exchange.Strategy) {
-	switch st {
-	case exchange.Staged:
-		t := time.Now()
-		f.team.ForWorkers(f.l.Mz2, f.packRowInvBody)
-		f.met.pack.ObserveSince(t)
-		t = time.Now()
-		f.a2aR.Do()
-		f.met.a2a.ObserveSince(t)
-		t = time.Now()
-		f.team.ForWorkers(f.l.My, f.unpRowInvBody)
-		f.met.unpack.ObserveSince(t)
-	case exchange.Fused:
-		t := time.Now()
-		f.exchR.Do(f.curFour, f.fusedRowInvFn)
-		f.met.a2a.ObserveSince(t)
-	default:
-		t := time.Now()
-		f.exchR.Do(f.curFour, f.chunkedRowInvFn)
-		f.met.a2a.ObserveSince(t)
-	}
+	f.xspec, f.layB = nil, nil
 }
 
 // FourierToPhysical transforms four=[mz2][wc][ny] (complex) into
@@ -484,22 +286,19 @@ func (f *PencilReal) transposeRowInv(st exchange.Strategy) {
 //
 //psdns:hotpath
 func (f *PencilReal) FourierToPhysical(phys []float64, four []complex128) {
-	if len(four) != f.FourierLen() || len(phys) != f.PhysicalLen() {
-		panic(fmt.Sprintf("pfft: pencil transform wants four %d phys %d, got %d %d",
-			f.FourierLen(), f.PhysicalLen(), len(four), len(phys)))
-	}
+	f.checkLen(phys, four)
 	f.curFour, f.curPhys = four, phys
 	t := time.Now()
 	f.team.ForWorkers(f.l.Mz2, f.invYBody)
-	f.met.fft.ObserveSince(t)
-	f.transposeRowInv(f.stratYZ)
+	f.fftT.ObserveSince(t)
+	f.row.Run(exchange.YZ, f.pair.YZ, four, f.layB)
 	t = time.Now()
 	f.team.ForWorkers(f.l.My, f.invZBody)
-	f.met.fft.ObserveSince(t)
-	f.transposeColInv(f.stratYZ)
+	f.fftT.ObserveSince(t)
+	f.col.Run(exchange.YZ, f.pair.YZ, f.layB, f.xspec)
 	t = time.Now()
 	f.team.ForWorkers(f.l.My, f.invXBody)
-	f.met.fft.ObserveSince(t)
+	f.fftT.ObserveSince(t)
 	f.curFour, f.curPhys = nil, nil
 }
 
@@ -509,43 +308,39 @@ func (f *PencilReal) FourierToPhysical(phys []float64, four []complex128) {
 //
 //psdns:hotpath
 func (f *PencilReal) PhysicalToFourier(four []complex128, phys []float64) {
+	f.checkLen(phys, four)
+	f.curFour, f.curPhys = four, phys
+	t := time.Now()
+	f.team.ForWorkers(f.l.My, f.fwdXBody)
+	f.fftT.ObserveSince(t)
+	f.col.Run(exchange.ZY, f.pair.ZY, f.xspec, f.layB)
+	t = time.Now()
+	f.team.ForWorkers(f.l.My, f.fwdZBody)
+	f.fftT.ObserveSince(t)
+	f.row.Run(exchange.ZY, f.pair.ZY, f.layB, four)
+	t = time.Now()
+	f.team.ForWorkers(f.l.Mz2, f.fwdYBody)
+	f.fftT.ObserveSince(t)
+	f.curFour, f.curPhys = nil, nil
+}
+
+func (f *PencilReal) checkLen(phys []float64, four []complex128) {
 	if len(four) != f.FourierLen() || len(phys) != f.PhysicalLen() {
 		panic(fmt.Sprintf("pfft: pencil transform wants four %d phys %d, got %d %d",
 			f.FourierLen(), f.PhysicalLen(), len(four), len(phys)))
 	}
-	f.curFour, f.curPhys = four, phys
-	t := time.Now()
-	f.team.ForWorkers(f.l.My, f.fwdXBody)
-	f.met.fft.ObserveSince(t)
-	f.transposeColFwd(f.stratZY)
-	t = time.Now()
-	f.team.ForWorkers(f.l.My, f.fwdZBody)
-	f.met.fft.ObserveSince(t)
-	f.transposeRowFwd(f.stratZY)
-	t = time.Now()
-	f.team.ForWorkers(f.l.Mz2, f.fwdYBody)
-	f.met.fft.ObserveSince(t)
-	f.curFour, f.curPhys = nil, nil
 }
 
-// runTrialYZ executes the FourierToPhysical direction's two
-// sub-exchanges (row inverse, then column inverse) under st, without
-// FFT stages: exchange-only trials compare decompositions fairly
-// because the per-rank FFT line count is decomposition-invariant.
-// Collective over both sub-communicators.
-func (f *PencilReal) runTrialYZ(st exchange.Strategy, four []complex128) {
-	f.curFour = four
-	f.transposeRowInv(st)
-	f.transposeColInv(st)
-	f.curFour = nil
-}
-
-// runTrialZY executes the PhysicalToFourier direction's two
-// sub-exchanges (column forward, then row forward) under st.
-// Collective over both sub-communicators.
-func (f *PencilReal) runTrialZY(st exchange.Strategy, four []complex128) {
-	f.curFour = four
-	f.transposeColFwd(st)
-	f.transposeRowFwd(st)
-	f.curFour = nil
+// runTrial executes direction d's two sub-exchanges under st on the
+// trial pencil, without FFT stages: exchange-only trials compare
+// decompositions fairly because the per-rank FFT line count is
+// decomposition-invariant. Collective over both sub-communicators.
+func (f *PencilReal) runTrial(d exchange.Dir, st exchange.Strategy, four []complex128) {
+	if d == exchange.YZ {
+		f.row.Run(d, st, four, f.layB)
+		f.col.Run(d, st, f.layB, f.xspec)
+	} else {
+		f.col.Run(d, st, f.xspec, f.layB)
+		f.row.Run(d, st, f.layB, four)
+	}
 }

@@ -3,6 +3,7 @@ package pfft
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/exchange"
 	"repro/internal/hw"
@@ -21,38 +22,37 @@ type Real interface {
 	FourierLen() int
 	PhysicalLen() int
 	Workers() int
+	StrategyPair() exchange.Pair
 	Close()
 }
 
-// trialRunner is the tuned constructor's view of a candidate engine:
-// one collective exchange trial per transpose direction.
-type trialRunner interface {
-	runTrialYZ(st exchange.Strategy, four []complex128)
-	runTrialZY(st exchange.Strategy, four []complex128)
-	FourierLen() int
-	Close()
+// trialEngine is the tuner's view of a candidate engine: one collective
+// exchange-only trial of a direction under a strategy, and the pin that
+// makes the winner's strategies the engine's own.
+type trialEngine interface {
+	Real
+	runTrial(d exchange.Dir, st exchange.Strategy, four []complex128)
+	setStrategies(pair exchange.Pair)
 }
 
-// runTrialYZ adapts SlabReal's y→z trial to the trialRunner interface.
-func (f *SlabReal) runTrialYZ(st exchange.Strategy, four []complex128) { f.runTrial(st, four) }
-
-// setStrategies pins the per-direction winners on a trial engine.
-func (f *SlabReal) setStrategies(yz, zy exchange.Strategy) {
-	f.stratYZ, f.stratZY = yz, zy
-	f.setStrategyGauges()
-}
-
-func (f *PencilReal) setStrategies(yz, zy exchange.Strategy) {
-	f.stratYZ, f.stratZY = yz, zy
-	f.setStrategyGauges()
+// NewSlabRealTuned builds the slab transform by searching cfg.Space —
+// the whole-step tune space over (y→z strategy × z→y strategy ×
+// workers × wire precision; the slab engine has no pencils, so the NP,
+// PerSlab and decomposition dimensions collapse) — under the "slab"
+// cache key: NewRealTuned with the decomposition fixed. The cached
+// point pins every searched dimension, including the worker-team size;
+// workers is only the default substituted into an empty Workers
+// dimension. Collective.
+func NewSlabRealTuned(comm *mpi.Comm, n, workers int, cfg tuning.Config) *SlabReal {
+	return tunedReal(comm, n, workers, "slab", []tuning.Decomp{tuning.DecompSlab}, cfg).(*SlabReal)
 }
 
 // NewRealTuned builds the DNS transform for decomposition d, searching
 // cfg.Space with the whole-step trial protocol and persisting the
 // winner in the tuning cache:
 //
-//   - d slab (the zero value): exactly NewSlabRealTuned — strategy ×
-//     workers × wire-precision search under the "slab" cache key.
+//   - d slab (the zero value): NewSlabRealTuned — strategy × workers ×
+//     wire-precision search under the "slab" cache key.
 //   - d an explicit Pr×Pc pencil: the grid is fixed, the strategy and
 //     worker dimensions are searched, under a per-grid cache key
 //     ("pencil-PRxPC").
@@ -101,21 +101,16 @@ func expandDecomps(ds []tuning.Decomp, n, p int) []tuning.Decomp {
 	if len(ds) == 0 {
 		return tuning.Decompositions(n, p)
 	}
-	seen := map[tuning.Decomp]bool{}
 	var out []tuning.Decomp
-	add := func(d tuning.Decomp) {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
 	for _, d := range ds {
+		cands := []tuning.Decomp{d}
 		if d.IsAuto() {
-			for _, e := range tuning.Decompositions(n, p) {
-				add(e)
+			cands = tuning.Decompositions(n, p)
+		}
+		for _, e := range cands {
+			if e.Valid(n, p) && !slices.Contains(out, e) {
+				out = append(out, e)
 			}
-		} else if d.Valid(n, p) {
-			add(d)
 		}
 	}
 	return out
@@ -127,55 +122,45 @@ func expandDecomps(ds []tuning.Decomp, n, p int) []tuning.Decomp {
 // engine is double-precision only). Space tie-break order is kept.
 func realPoints(space tuning.Space, workers int, decomps []tuning.Decomp) []tuning.Point {
 	space.Decomps = decomps
-	type rk struct {
-		pr, pc   int
-		st, stZY exchange.Strategy
-		workers  int
-		single   bool
-	}
-	seen := map[rk]bool{}
+	seen := map[tuning.Point]bool{}
 	var out []tuning.Point
 	for _, pt := range space.Points(0, workers) {
 		pt.NP, pt.PerSlab = 0, false
 		if pt.Decomp().IsPencil() {
 			pt.Single = false
 		}
-		k := rk{pt.Pr, pt.Pc, pt.Strategy, pt.StrategyZY, pt.Workers, pt.Single}
-		if seen[k] {
-			continue
+		if !seen[pt] {
+			seen[pt] = true
+			out = append(out, pt)
 		}
-		seen[k] = true
-		out = append(out, pt)
 	}
 	return out
 }
 
-// realFromPoint constructs the engine a tuned point describes, with
-// its per-direction strategies pinned — the zero-trial cache-hit path.
-func realFromPoint(comm *mpi.Comm, n int, pt tuning.Point) Real {
-	if d := pt.Decomp(); d.IsPencil() {
-		commY, commZ := gridComms(comm, d)
-		return NewPencilReal(commY, commZ, n, pt.Workers, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
+// newEngine constructs the engine of decomposition d with pair pinned.
+// Collective.
+func newEngine(comm *mpi.Comm, n int, d tuning.Decomp, workers int, single bool, pair exchange.Pair) trialEngine {
+	if d.IsPencil() {
+		row, col := comm.CartGrid(d.Pr, d.Pc)
+		return NewPencilReal(col, row, n, workers, pair)
 	}
-	eng := newSlabReal(comm, n, pt.Workers, pt.Strategy, 0, 0, pt.Single)
-	eng.stratZY = pt.StrategyZY
-	eng.setStrategyGauges()
-	return eng
+	return newSlabReal(comm, n, workers, pair, nil, single)
 }
 
-// gridComms splits comm into the Pr-rank column (commY) and Pc-rank
-// row (commZ) communicators of a Pr×Pc grid. Collective.
-func gridComms(comm *mpi.Comm, d tuning.Decomp) (commY, commZ *mpi.Comm) {
-	row, col := comm.CartGrid(d.Pr, d.Pc)
-	return col, row
-}
-
-// tunedReal runs the decomposition × strategy × workers search under
+// tunedReal is the one strategy search of the package: the
+// decomposition × strategy × workers × wire-precision trial loop under
 // the given cache key. Every rank enumerates the same candidate list,
 // builds trial engines lazily in candidate order (keeping the
-// collective construction sequence symmetric), memoizes one trial per
-// (engine, direction, strategy), and resolves the sum-of-directions
-// cost table through the max-over-ranks protocol. Collective.
+// collective construction sequence symmetric), times each (engine,
+// direction, strategy) once with the barrier-fenced best-of-k protocol
+// and scores a candidate pair as the sum of its two direction times —
+// so the y→z × z→y cross-product costs 2×|strategies| trial runs per
+// engine, not |strategies|² — and resolves the table through the
+// max-over-ranks protocol (ties to the earlier candidate, so
+// slab/Staged/Staged is never beaten by a statistical wash). A cache
+// hit constructs the cached point directly with zero trial exchanges;
+// a hit whose decomposition is foreign to this key is a miss.
+// Collective.
 func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tuning.Decomp, cfg tuning.Config) Real {
 	key := tuning.Key{
 		Engine:   engineKey,
@@ -184,8 +169,8 @@ func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tunin
 		Maxprocs: runtime.GOMAXPROCS(0),
 		Machine:  hw.Fingerprint(),
 	}
-	if pt, ok := cfg.Lookup(comm, key); ok {
-		return realFromPoint(comm, n, pt)
+	if pt, ok := cfg.Lookup(comm, key); ok && slices.Contains(decomps, pt.Decomp()) {
+		return newEngine(comm, n, pt.Decomp(), pt.Workers, pt.Single, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
 	}
 	pts := realPoints(cfg.Space, workers, decomps)
 	type group struct {
@@ -193,59 +178,41 @@ func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tunin
 		workers int
 		single  bool
 	}
-	type dirKey struct {
+	type trialKey struct {
 		g  group
+		d  exchange.Dir
 		st exchange.Strategy
-		zy bool
 	}
-	engines := map[group]trialRunner{}
+	engines := map[group]trialEngine{}
 	trials := map[group][]complex128{}
-	times := map[dirKey]float64{}
+	times := map[trialKey]float64{}
 	mine := make([]float64, len(pts))
 	for i, pt := range pts {
 		g := group{pt.Decomp(), pt.Workers, pt.Single}
 		eng := engines[g]
 		if eng == nil {
-			if g.d.IsPencil() {
-				commY, commZ := gridComms(comm, g.d)
-				eng = NewPencilReal(commY, commZ, n, g.workers, exchange.Both(exchange.Staged))
-			} else {
-				eng = newSlabReal(comm, n, g.workers, exchange.Staged, 0, 0, g.single)
-			}
+			eng = newEngine(comm, n, g.d, g.workers, g.single, exchange.Both(exchange.Staged))
 			engines[g] = eng
 			trials[g] = pool.GetComplex(eng.FourierLen())
 		}
-		trial := trials[g]
-		kyz := dirKey{g, pt.Strategy, false}
-		if _, ok := times[kyz]; !ok {
-			st := pt.Strategy
-			times[kyz] = tuning.TrialBest(comm, tuning.Trials, func() { eng.runTrialYZ(st, trial) })
+		for d, st := range [2]exchange.Strategy{exchange.YZ: pt.Strategy, exchange.ZY: pt.StrategyZY} {
+			k := trialKey{g, exchange.Dir(d), st}
+			if _, ok := times[k]; !ok {
+				times[k] = tuning.TrialBest(comm, tuning.Trials, func() { eng.runTrial(k.d, st, trials[g]) })
+			}
+			mine[i] += times[k]
 		}
-		kzy := dirKey{g, pt.StrategyZY, true}
-		if _, ok := times[kzy]; !ok {
-			st := pt.StrategyZY
-			times[kzy] = tuning.TrialBest(comm, tuning.Trials, func() { eng.runTrialZY(st, trial) })
-		}
-		mine[i] = times[kyz] + times[kzy]
 	}
 	win, cost := tuning.ResolveTimes(comm, mine)
 	pt := pts[win]
 	cfg.Store(comm, key, pt, cost)
-	winner := group{pt.Decomp(), pt.Workers, pt.Single}
-	keep := engines[winner]
+	keep := engines[group{pt.Decomp(), pt.Workers, pt.Single}]
 	for g, e := range engines {
 		pool.PutComplex(trials[g])
 		if e != keep {
 			e.Close()
 		}
 	}
-	switch eng := keep.(type) {
-	case *SlabReal:
-		eng.setStrategies(pt.Strategy, pt.StrategyZY)
-		return eng
-	default:
-		peng := keep.(*PencilReal)
-		peng.setStrategies(pt.Strategy, pt.StrategyZY)
-		return peng
-	}
+	keep.setStrategies(exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
+	return keep
 }

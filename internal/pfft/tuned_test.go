@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/exchange"
+	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/tuning"
@@ -213,26 +216,55 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 	}
 }
 
-// A corrupted cache file must fall back to live trials, not crash or
-// replay garbage.
+// A corrupted cache file — unreadable, or well-formed but holding a
+// point out of range for the key — must fall back to live trials, not
+// crash or replay garbage, and leave a valid entry behind.
 func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 	const n, p = 24, 2
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "tuning.json"), []byte("\x00 not json"), 0o644); err != nil {
-		t.Fatal(err)
+	// entry renders a schema-current cache file whose one entry, keyed
+	// for this run, holds the given point fields.
+	entry := func(point string) []byte {
+		return []byte(fmt.Sprintf(`{"schema": %d, "entries": [{"key": {"engine": "slab", "n": %d, "p": %d, "maxprocs": %d, "machine": %q}, "point": {%s}, "cost_seconds": 1}]}`,
+			tuning.SchemaVersion, n, p, runtime.GOMAXPROCS(0), hw.Fingerprint(), point))
 	}
-	reg := metrics.NewRegistry()
-	reg.SetOn(true)
-	if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
-		cfg := tuning.Config{Cache: tuning.Open(dir)}
-		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
-		f := NewSlabRealTuned(c, n, 1, cfg)
-		defer f.Close()
-		if trials.Value() == 0 {
-			panic(fmt.Sprintf("rank %d: corrupt cache did not fall back to live trials", c.Rank()))
-		}
-	}); err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"garbage":       []byte("\x00 not json"),
+		"workers_zero":  entry(`"strategy": 2, "strategy_zy": 2, "workers": 0`),
+		"strategy_auto": entry(`"strategy": 0, "strategy_zy": 2, "workers": 1`),
+		"strategy_junk": entry(`"strategy": 4, "strategy_zy": 9, "workers": 1`),
+		"grid_not_p":    entry(`"strategy": 2, "strategy_zy": 2, "workers": 1, "pr": 3, "pc": 2`),
+		"pencil_point":  entry(`"strategy": 2, "strategy_zy": 2, "workers": 1, "pr": 1, "pc": 2`),
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "tuning.json"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := metrics.NewRegistry()
+			reg.SetOn(true)
+			if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
+				cfg := tuning.Config{Cache: tuning.Open(dir)}
+				trials := c.Metrics().CounterRank("tune.trials", c.Rank())
+				f := NewSlabRealTuned(c, n, 1, cfg)
+				defer f.Close()
+				if trials.Value() == 0 {
+					panic(fmt.Sprintf("rank %d: corrupt cache did not fall back to live trials", c.Rank()))
+				}
+				if !slices.Contains(exchange.Concrete, f.Strategy()) || !slices.Contains(exchange.Concrete, f.StrategyZY()) || f.Workers() != 1 {
+					panic(fmt.Sprintf("rank %d: rebuilt engine pins %s on %d workers", c.Rank(), f.StrategyPair(), f.Workers()))
+				}
+				// The trials rewrote the entry: a second construction
+				// is a warm hit on it.
+				after := trials.Value()
+				NewSlabRealTuned(c, n, 1, cfg).Close()
+				if got := trials.Value(); got != after {
+					panic(fmt.Sprintf("rank %d: rewritten entry missed: %d more trials", c.Rank(), got-after))
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/pfft"
-	"repro/internal/tuning"
 )
 
 // Option configures New. The zero configuration is an inviscid,
@@ -27,8 +26,6 @@ type solverOptions struct {
 	// nonlinear correction in the stepper.
 	atStale    int
 	atDeadline time.Duration
-
-	decomp tuning.Decomp
 }
 
 // DefaultATDeadline is the soft wait used by asynchrony-tolerant
@@ -134,19 +131,6 @@ func WithBandForcing(kf int) Option {
 	return func(o *solverOptions) { o.cfg.Forcing = NewForcing(kf) }
 }
 
-// WithDecomposition declares the field decomposition the solver runs
-// on. The solver's own state — fields, wavenumber grids, diagnostics —
-// lives on the slab layout, so only tuning.DecompSlab (the zero value,
-// also what DecompAuto collapses to here) is accepted; a pencil grid
-// panics at construction, pointing at the transform API
-// (pfft.NewRealTuned / repro.NewTunedTransform), where pencil
-// decompositions and P > N runs are supported today. The option exists
-// so callers can thread one Decomp value through solver and transform
-// construction uniformly.
-func WithDecomposition(d tuning.Decomp) Option {
-	return func(o *solverOptions) { o.decomp = d }
-}
-
 // WithAsyncTolerance enables asynchrony-tolerant stepping with the
 // given staleness bound (in exchange epochs, not time steps): the
 // distributed transposes run through bounded exchanges
@@ -206,9 +190,6 @@ func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
 	o.cfg.N = n
 	for _, opt := range opts {
 		opt(o)
-	}
-	if o.decomp.IsPencil() {
-		panic(fmt.Sprintf("spectral: the solver runs on the slab layout; pencil decomposition %s is a transform-level feature (pfft.NewRealTuned / repro.NewTunedTransform)", o.decomp))
 	}
 	o.spec.Nu = o.cfg.Nu
 	sys := o.sys

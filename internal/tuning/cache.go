@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/exchange"
 	"repro/internal/mpi"
@@ -57,9 +58,10 @@ type cacheFile struct {
 
 // Cache is a persistent tuning cache: one JSON file of (Key → Point)
 // decisions under a cache directory. Every read error — missing file,
-// truncated write, corrupted JSON, foreign schema — degrades to a
-// cache miss, never an error: the worst a broken cache can do is cost
-// one live trial run.
+// truncated write, corrupted JSON, foreign schema, a well-formed entry
+// whose point no engine could be built from — degrades to a cache
+// miss, never an error: the worst a broken cache can do is cost one
+// live trial run.
 type Cache struct {
 	path string
 }
@@ -105,17 +107,34 @@ func (c *Cache) load() cacheFile {
 	}
 }
 
-// Lookup returns the persisted winner for key, if any.
+// Lookup returns the persisted winner for key, if any. An entry whose
+// point is out of range for the key is a miss: the file is input from
+// outside the program, and a tuned constructor replays a hit without
+// trials, so nothing downstream would catch it.
 func (c *Cache) Lookup(key Key) (Point, bool) {
 	if c == nil {
 		return Point{}, false
 	}
 	for _, e := range c.load().Entries {
 		if e.Key == key {
-			return e.Point, true
+			return e.Point, e.Point.validFor(key)
 		}
 	}
 	return Point{}, false
+}
+
+// validFor reports whether an engine keyed by key can be constructed
+// from pt: concrete strategies in both directions, a worker team, a
+// decomposition that lays out N over P, and — for the batched engine,
+// the only one with pencils — a pencil count the slab can be cut into.
+func (pt Point) validFor(key Key) bool {
+	ok := slices.Contains(exchange.Concrete, pt.Strategy) &&
+		slices.Contains(exchange.Concrete, pt.StrategyZY) &&
+		pt.Workers >= 1 && pt.Decomp().Valid(key.N, key.P)
+	if key.Engine == "async" {
+		ok = ok && pt.NP >= 1 && pt.NP <= key.N/2+1
+	}
+	return ok
 }
 
 // Store persists pt as the winner for key, replacing any previous
@@ -202,8 +221,12 @@ func decodePoint(enc []float64) (Point, bool) {
 
 // Lookup consults the cache for key and broadcasts rank 0's answer so
 // every rank applies the same decision (or agrees to run live trials).
-// Collective; a nil cache is a guaranteed miss on every rank.
+// Collective; a nil cache (on every rank: a Config is a collective
+// argument) is a miss without communication.
 func (cfg Config) Lookup(c *mpi.Comm, key Key) (Point, bool) {
+	if cfg.Cache == nil {
+		return Point{}, false
+	}
 	var mine [encLen]float64
 	if c.Rank() == 0 {
 		if pt, ok := cfg.Cache.Lookup(key); ok {

@@ -22,7 +22,7 @@ func TestCacheRoundtrip(t *testing.T) {
 	if _, ok := c.Lookup(key); ok {
 		t.Fatal("lookup hit on an empty cache")
 	}
-	pt := Point{Strategy: exchange.ChunkedFused, PerSlab: true, NP: 3, Workers: 2, Single: true}
+	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Staged, PerSlab: true, NP: 3, Workers: 2, Single: true}
 	c.Store(key, pt, 0.25)
 	// A fresh handle must see the persisted decision through the file.
 	got, ok := Open(dir).Lookup(key)
@@ -50,8 +50,8 @@ func TestCacheReplacesSameKey(t *testing.T) {
 	dir := t.TempDir()
 	c := Open(dir)
 	key := testKey()
-	c.Store(key, Point{Strategy: exchange.Staged, Workers: 1}, 1.0)
-	c.Store(key, Point{Strategy: exchange.Fused, Workers: 2}, 0.5)
+	c.Store(key, Point{Strategy: exchange.Staged, StrategyZY: exchange.Staged, Workers: 1}, 1.0)
+	c.Store(key, Point{Strategy: exchange.Fused, StrategyZY: exchange.Fused, Workers: 2}, 0.5)
 	got, ok := c.Lookup(key)
 	if !ok || got.Strategy != exchange.Fused || got.Workers != 2 {
 		t.Fatalf("lookup = %+v ok=%v, want the replacing entry", got, ok)
@@ -69,12 +69,33 @@ func TestCacheReplacesSameKey(t *testing.T) {
 	}
 }
 
-// Every way a cache file can be unreadable must degrade to a miss,
-// and the next Store must recover the file.
+// Every way a cache file can be unreadable — or readable but holding a
+// point no engine could be built from — must degrade to a miss, and
+// the next Store must recover the file.
 func TestCacheCorruptionDegradesToMiss(t *testing.T) {
+	// The async key has every range check a point can fail, NP included.
 	key := testKey()
-	pt := Point{Strategy: exchange.Fused, Workers: 2}
+	key.Engine = "async"
+	pt := Point{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused, NP: 3, Workers: 2}
+	// rewrite replaces the stored point of a well-formed file.
+	rewrite := func(edit func(*Point)) func(path string) {
+		return func(path string) {
+			data, _ := os.ReadFile(path)
+			var f cacheFile
+			json.Unmarshal(data, &f)
+			edit(&f.Entries[0].Point)
+			out, _ := json.Marshal(f)
+			os.WriteFile(path, out, 0o644)
+		}
+	}
 	cases := map[string]func(path string){
+		"workers_zero":     rewrite(func(p *Point) { p.Workers = 0 }),
+		"strategy_auto":    rewrite(func(p *Point) { p.Strategy = exchange.Auto }),
+		"strategy_at":      rewrite(func(p *Point) { p.Strategy = exchange.AT }),
+		"strategy_zy_junk": rewrite(func(p *Point) { p.StrategyZY = 9 }),
+		"grid_not_p":       rewrite(func(p *Point) { p.Pr, p.Pc = 2, 4 }),
+		"np_zero":          rewrite(func(p *Point) { p.NP = 0 }),
+		"np_past_nxh":      rewrite(func(p *Point) { p.NP = key.N/2 + 2 }),
 		"garbage": func(path string) {
 			os.WriteFile(path, []byte("\x00\xffnot json at all"), 0o644)
 		},
@@ -191,7 +212,7 @@ func TestCollectiveLookupBroadcastsRank0(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
 	key.P = p
-	pt := Point{Strategy: exchange.ChunkedFused, NP: 2, Workers: 3}
+	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused, NP: 2, Workers: 3}
 	Open(dir).Store(key, pt, 0.1)
 	cfg := Config{Cache: Open(dir)}
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {

@@ -136,7 +136,7 @@ func TestCacheSchema1Fallback(t *testing.T) {
 	// dropping the migrated entry.
 	key2 := key
 	key2.N = 128
-	pt2 := Point{Strategy: exchange.Staged, StrategyZY: exchange.ChunkedFused, Pr: 2, Pc: 4}
+	pt2 := Point{Strategy: exchange.Staged, StrategyZY: exchange.ChunkedFused, Workers: 1, Pr: 2, Pc: 2}
 	Open(dir).Store(key2, pt2, 0.1)
 	data, err = os.ReadFile(filepath.Join(dir, "tuning.json"))
 	if err != nil {
@@ -161,6 +161,7 @@ func TestCacheSchema1Fallback(t *testing.T) {
 func TestCachePencilPointRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
+	key.P = 32
 	pt := Point{
 		Strategy: exchange.Fused, StrategyZY: exchange.Staged,
 		Workers: 2, Pr: 4, Pc: 8,
