@@ -18,13 +18,17 @@ test:
 	$(GO) test ./...
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
 
-# lint = gofmt (fail on unformatted files) + go vet + the repo's own
-# psdnslint analyzer suite, plus staticcheck when it is installed
-# (local toolchains may not have it; CI installs it and makes it
-# blocking).
+# lint = gofmt (fail on unformatted files) + no Deprecated: marker
+# anywhere (superseded surface is deleted, not kept; benchmark/ and
+# testdata/ are exempt) + go vet + the repo's own psdnslint analyzer
+# suite, plus staticcheck when it is installed (local toolchains may
+# not have it; CI installs it and makes it blocking).
 lint: $(PSDNSLINT)
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
+	@out=$$(grep -rn 'Deprecated:' --include='*.go' . | grep -v '^\./benchmark/\|/testdata/'); \
+		if [ -n "$$out" ]; then \
+		echo "deprecated surface is removed, not kept:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -vettool=$$PWD/$(PSDNSLINT) ./... ./examples/...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -56,11 +60,16 @@ bench:
 		-baseline BENCH_step.json -check
 
 # loc prints non-blank, non-comment, non-test Go lines per internal
-# package — the unit the ROADMAP's "least code" items are stated in.
+# package — the unit the ROADMAP's "least code" items are stated in —
+# and the same count over the whole tree (root, cmd/ and examples/
+# included; benchmark/, .bench_build/ and testdata/ excluded).
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs cat | grep -vc '^\s*$$\|^\s*//')" "$${d%/}"; \
 	done
+	@printf '%6d  total\n' "$$(find . -name '*.go' ! -name '*_test.go' \
+		! -path './benchmark/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
+		| xargs cat | grep -vc '^\s*$$\|^\s*//')"
 
 clean:
 	rm -rf bin bench-out

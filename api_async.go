@@ -13,9 +13,8 @@ import (
 // --- The paper's asynchronous engine ---------------------------------------
 
 // AsyncOptions configures the batched asynchronous pipeline (pencil
-// count, exchange granularity, devices per rank). It remains the
-// struct-literal form of configuration; NewAsync with functional
-// options is the preferred surface.
+// count, exchange granularity, devices per rank); AsyncOption values
+// fill it in for NewAsync and NewTunedAsync.
 type AsyncOptions = core.Options
 
 // AsyncTransform is the Fig 4 batched asynchronous out-of-core engine.
@@ -161,40 +160,9 @@ func WithBoundedStaleness(maxStale int, deadline time.Duration) AsyncOption {
 // pencil counts × worker-team sizes × wire precision. Empty dimensions
 // default to numerics-preserving singletons (the engine's own
 // configuration), so the default search only changes the data path,
-// never the answer.
+// never the answer. Listing the precision dimension explicitly is how
+// single-precision exchanges enter the search.
 type TuneSpace = tuning.Space
-
-// WithAutotune runs the whole-step autotuner at construction: every
-// candidate in the tune space is timed with the collective
-// barrier-fenced best-of-k trial protocol and the max-over-ranks
-// winner is constructed. Without WithTuningCache the trials rerun on
-// every construction.
-func WithAutotune() AsyncOption {
-	return func(o *AsyncOptions) { o.Autotune = true }
-}
-
-// WithTuningCache enables whole-step autotuning backed by a
-// persistent JSON cache under dir (empty means artifacts/cache): a
-// warm cache keyed by (N, P, GOMAXPROCS, machine) skips the trials
-// entirely, so production restarts construct the previously-agreed
-// winner with zero trial exchanges.
-func WithTuningCache(dir string) AsyncOption {
-	return func(o *AsyncOptions) {
-		o.Autotune = true
-		o.TuneCacheDir = dir
-	}
-}
-
-// WithTuneSpace overrides the autotuner's default candidate space
-// (implies WithAutotune). Listing the precision dimension explicitly
-// is how single-precision exchanges enter the search — the default
-// space never trades accuracy for speed behind the caller's back.
-func WithTuneSpace(s TuneSpace) AsyncOption {
-	return func(o *AsyncOptions) {
-		o.Autotune = true
-		o.TuneSpace = &s
-	}
-}
 
 // NewAsync builds the asynchronous engine for an N³ transform,
 // configured by functional options:
@@ -205,17 +173,41 @@ func WithTuneSpace(s TuneSpace) AsyncOption {
 //	    repro.WithDevices(2),
 //	)
 func NewAsync(c *Comm, n int, opts ...AsyncOption) *AsyncTransform {
+	return core.NewAsyncSlabReal(c, n, asyncOptions(opts))
+}
+
+func asyncOptions(opts []AsyncOption) AsyncOptions {
 	var o AsyncOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return core.NewAsyncSlabReal(c, n, o)
+	return o
 }
 
-// NewAsyncTransform builds the asynchronous engine from an options
-// struct (the pre-options API, kept for compatibility).
-func NewAsyncTransform(c *Comm, n int, opt AsyncOptions) *AsyncTransform {
-	return core.NewAsyncSlabReal(c, n, opt)
+// tuneConfig is the tuned constructors' shared argument convention: a
+// non-empty cacheDir persists the winner, a nil space searches the
+// numerics-preserving default.
+func tuneConfig(cacheDir string, space *TuneSpace) tuning.Config {
+	var cfg tuning.Config
+	if space != nil {
+		cfg.Space = *space
+	}
+	if cacheDir != "" {
+		cfg.Cache = tuning.Open(cacheDir)
+	}
+	return cfg
+}
+
+// NewTunedAsync builds the asynchronous engine through the whole-step
+// autotuner, the opts giving the configuration the search starts from
+// (and keeps on every dimension the space does not list): every
+// candidate is timed with the collective barrier-fenced best-of-k
+// trial protocol and the max-over-ranks winner is constructed. A
+// non-empty cacheDir persists the winner so later constructions with
+// the same (N, P, GOMAXPROCS, machine) key skip the trials; a nil
+// space searches exchange strategies × both granularities. Collective.
+func NewTunedAsync(c *Comm, n int, cacheDir string, space *TuneSpace, opts ...AsyncOption) *AsyncTransform {
+	return core.NewAsyncSlabRealTuned(c, n, asyncOptions(opts), tuneConfig(cacheDir, space))
 }
 
 // NewSyncGPUTransform is the Fig 2 synchronous baseline (NP=1).
@@ -237,14 +229,7 @@ func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
 // numerics-preserving default (concrete exchange strategies at the
 // given worker count). Collective.
 func NewTunedSlabTransform(c *Comm, n, workers int, cacheDir string, space *TuneSpace) *pfft.SlabReal {
-	var cfg tuning.Config
-	if space != nil {
-		cfg.Space = *space
-	}
-	if cacheDir != "" {
-		cfg.Cache = tuning.Open(cacheDir)
-	}
-	return pfft.NewSlabRealTuned(c, n, workers, cfg)
+	return pfft.NewSlabRealTuned(c, n, workers, tuneConfig(cacheDir, space))
 }
 
 // RealTransform is the decomposition-generic view of the distributed
@@ -264,14 +249,7 @@ type RealTransform = pfft.Real
 // (engine, N, P, GOMAXPROCS, machine) key skip the trials; a nil space
 // searches the numerics-preserving default. Collective.
 func NewTunedTransform(c *Comm, n, workers int, d Decomposition, cacheDir string, space *TuneSpace) RealTransform {
-	var cfg tuning.Config
-	if space != nil {
-		cfg.Space = *space
-	}
-	if cacheDir != "" {
-		cfg.Cache = tuning.Open(cacheDir)
-	}
-	return pfft.NewRealTuned(c, n, workers, d, cfg)
+	return pfft.NewRealTuned(c, n, workers, d, tuneConfig(cacheDir, space))
 }
 
 // NewSingleCommSlabTransform is the host slab transform with

@@ -8,30 +8,9 @@ import (
 
 // --- Solver ---------------------------------------------------------------
 
-// SolverConfig configures a simulation (grid size, viscosity, scheme,
-// dealiasing, optional forcing).
-//
-// Deprecated: configure through NewSolver's functional options
-// instead.
-type SolverConfig = spectral.Config
-
 // Solver advances one equation set (a System) pseudo-spectrally on a
 // slab-decomposed periodic cube.
 type Solver = spectral.Solver
-
-// Scalar is a passive scalar advected by the solver's velocity field
-// through the legacy coupled StepWithScalar path.
-//
-// Deprecated: use WithScalars, which advances scalars inside Step as
-// extra fields of the "rotating-scalar" system.
-type Scalar = spectral.Scalar
-
-// Forcing sustains statistically stationary turbulence by freezing
-// low-wavenumber shell energies.
-//
-// Deprecated: use WithForcing, which selects the "forced-ns" system
-// with allocation-free energy-injection-rate control.
-type Forcing = spectral.Forcing
 
 // Stats bundles single-time turbulence statistics.
 type Stats = spectral.Stats
@@ -178,7 +157,7 @@ func WithAsyncTolerance(maxStale int) SolverOption { return spectral.WithAsyncTo
 // bound). Only meaningful together with WithAsyncTolerance.
 func WithAsyncDeadline(d time.Duration) SolverOption { return spectral.WithAsyncDeadline(d) }
 
-// --- Constructors ---------------------------------------------------------
+// --- Constructor ----------------------------------------------------------
 
 // NewSolver builds a solver for an n³ grid with functional options:
 //
@@ -195,24 +174,6 @@ func WithAsyncDeadline(d time.Duration) SolverOption { return spectral.WithAsync
 func NewSolver(c *Comm, n int, opts ...SolverOption) *Solver {
 	return spectral.New(c, n, opts...)
 }
-
-// NewSolverConfig builds a solver from a positional config struct on
-// the synchronous reference transform.
-//
-// Deprecated: use NewSolver with functional options.
-func NewSolverConfig(c *Comm, cfg SolverConfig) *Solver { return spectral.NewSolver(c, cfg) }
-
-// NewSolverWithTransform builds a solver on a caller-chosen engine.
-//
-// Deprecated: use NewSolver with WithTransform.
-func NewSolverWithTransform(c *Comm, cfg SolverConfig, tr Transform) *Solver {
-	return spectral.NewSolverWithTransform(c, cfg, tr)
-}
-
-// NewForcing creates low-wavenumber band forcing over shells 1…kf.
-//
-// Deprecated: use NewSolver with WithForcing.
-func NewForcing(kf int) *Forcing { return spectral.NewForcing(kf) }
 
 // Regrid spectrally transfers src's velocity field onto dst (larger or
 // smaller grid, same communicator).

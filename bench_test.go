@@ -261,7 +261,7 @@ func BenchmarkDistributed3DFFT(b *testing.B) {
 func BenchmarkRK2Step(b *testing.B) {
 	const n, ranks = 32, 2
 	mpi.Run(ranks, func(c *mpi.Comm) {
-		s := spectral.NewSolver(c, spectral.Config{N: n, Nu: 0.01, Scheme: spectral.RK2, Dealias: spectral.Dealias23})
+		s := spectral.New(c, n, spectral.WithNu(0.01), spectral.WithScheme(spectral.RK2), spectral.WithDealias(spectral.Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 1)
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -331,21 +331,21 @@ func BenchmarkBestConfigAutotune(b *testing.B) {
 	}
 }
 
-// BenchmarkRK2StepWithScalar times the coupled velocity+scalar step
-// (the paper's turbulent-mixing companion workload).
-func BenchmarkRK2StepWithScalar(b *testing.B) {
+// BenchmarkRK2StepScalar times the velocity+scalar step (the paper's
+// turbulent-mixing companion workload).
+func BenchmarkRK2StepScalar(b *testing.B) {
 	const n, ranks = 32, 2
 	mpi.Run(ranks, func(c *mpi.Comm) {
-		s := spectral.NewSolver(c, spectral.Config{N: n, Nu: 0.01, Scheme: spectral.RK2, Dealias: spectral.Dealias23})
+		s := spectral.New(c, n, spectral.WithNu(0.01), spectral.WithScheme(spectral.RK2), spectral.WithDealias(spectral.Dealias23),
+			spectral.WithScalars(1))
 		s.SetRandomIsotropic(3, 0.5, 1)
-		sc := s.NewScalar(0.01)
-		s.SetScalarBlob(sc, 3, 0.5, 2)
+		s.SetFieldBlob(3, 3, 0.5, 2)
 		c.Barrier()
 		if c.Rank() == 0 {
 			b.ResetTimer()
 		}
 		for i := 0; i < b.N; i++ {
-			s.StepWithScalar(sc, 1e-4)
+			s.Step(1e-4)
 		}
 	})
 }
@@ -353,7 +353,7 @@ func BenchmarkRK2StepWithScalar(b *testing.B) {
 // BenchmarkCheckpointWrite measures checkpoint serialization.
 func BenchmarkCheckpointWrite(b *testing.B) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := spectral.NewSolver(c, spectral.Config{N: 32, Nu: 0.01})
+		s := spectral.New(c, 32, spectral.WithNu(0.01))
 		s.SetRandomIsotropic(3, 0.5, 1)
 		var buf bytes.Buffer
 		b.ResetTimer()
@@ -399,7 +399,7 @@ func BenchmarkSingleCommTransform(b *testing.B) {
 // BenchmarkParticleStep measures Lagrangian tracking per step.
 func BenchmarkParticleStep(b *testing.B) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := spectral.NewSolver(c, spectral.Config{N: 32, Nu: 0.01})
+		s := spectral.New(c, 32, spectral.WithNu(0.01))
 		s.SetRandomIsotropic(3, 0.5, 1)
 		parts := s.NewParticles(1024, 7)
 		c.Barrier()

@@ -314,39 +314,11 @@ func slabTransformWith(p int, build func(c *mpi.Comm, workers int) *pfft.SlabRea
 	}
 }
 
-func dnsStep(n, p int) func(iters, workers int) sample {
-	return func(iters, workers int) sample {
-		var s sample
-		mpi.Run(p, func(c *mpi.Comm) {
-			tr := pfft.NewSlabRealWorkers(c, n, workers)
-			defer tr.Close()
-			sol := spectral.NewSolverWithTransform(c, spectral.Config{
-				N: n, Nu: 0.01, Scheme: spectral.RK2, Dealias: spectral.Dealias23,
-			}, tr)
-			defer sol.Close()
-			sol.SetRandomIsotropic(3, 0.5, 1)
-			step := func() { sol.Step(1e-4) }
-			c.Barrier()
-			if c.Rank() == 0 {
-				s = timeLoop(iters, 2, step)
-			} else {
-				for i := 0; i < iters+2; i++ {
-					step()
-				}
-			}
-			// Hold every rank until measurement ends so teardown
-			// allocations can't publish into the window's profile flush.
-			c.Barrier()
-		})
-		return s
-	}
-}
-
-// dnsStepOpts measures one step of an options-constructed solver, so
-// the registry's richer equation sets (forcing controller, scalar
-// advection, Coriolis) are pinned against allocation and time
-// regressions just like the plain NS step.
-func dnsStepOpts(n, p int, opts ...spectral.Option) func(iters, workers int) sample {
+// dnsStep measures one RK2 step of the solver the options select
+// (plain NS with none), so the registry's richer equation sets (forcing
+// controller, scalar advection, Coriolis) are pinned against allocation
+// and time regressions just like the plain NS step.
+func dnsStep(n, p int, opts ...spectral.Option) func(iters, workers int) sample {
 	return func(iters, workers int) sample {
 		var s sample
 		mpi.Run(p, func(c *mpi.Comm) {
@@ -505,9 +477,9 @@ var workloads = []workload{
 	{"slab_fwd_inv_n64_p4", 40, 8, true, slabTransform(64, 4)},
 	{"slab_fwd_inv_n128_p4", 10, 2, true, slabTransform(128, 4)},
 	{"dns_rk2_step_n32_p2", 30, 6, true, dnsStep(32, 2)},
-	{"step_forced_n64", 10, 2, true, dnsStepOpts(64, 4,
+	{"step_forced_n64", 10, 2, true, dnsStep(64, 4,
 		spectral.WithForcing(2, 0.05), spectral.WithForcingNoise(0.5, 3))},
-	{"step_scalar_n64", 8, 2, true, dnsStepOpts(64, 4,
+	{"step_scalar_n64", 8, 2, true, dnsStep(64, 4,
 		spectral.WithRotation(2.0), spectral.WithScalars(2, 1.0, 0.7), spectral.WithScalarGradient(1.0))},
 	{"mailbox_fanin_p8", 2000, 400, false, mailboxFanIn(8, 128)},
 	{"pack_unpack_yz", 4000, 800, true, packUnpack(33, 64, 16, 4)},

@@ -3,7 +3,9 @@
 // continue — the workflow behind record-resolution runs like the
 // paper's 18432³, which are seeded from smaller developed fields. Each
 // stage can add a passive scalar, Lagrangian particles, checkpoints
-// and slice images.
+// and slice images. forcingShells forces the large scales (the
+// forced-ns system); a scalar stage runs the rotating-scalar system,
+// which carries no forcing.
 //
 // Example config:
 //
@@ -39,7 +41,7 @@ type Stage struct {
 	Steps      int     `json:"steps"`
 	CFL        float64 `json:"cfl"`        // target Courant number (0 → fixed dt)
 	Dt         float64 `json:"dt"`         // fixed step when CFL is 0
-	Scalar     bool    `json:"scalar"`     // co-advance a passive scalar (mean gradient 1)
+	Scalar     bool    `json:"scalar"`     // carry a passive scalar (Sc 1, mean gradient 1) on rotating-scalar
 	Particles  int     `json:"particles"`  // Lagrangian tracer count (0 = none)
 	Checkpoint string  `json:"checkpoint"` // directory to write at stage end
 	PNG        string  `json:"png"`        // z-midplane image of u at stage end
@@ -57,8 +59,10 @@ type Config struct {
 	Gran          string  `json:"gran"` // pencil | slab
 	SingleComm    bool    `json:"singleComm"`
 	Threads       int     `json:"threads"`
-	ForcingShells int     `json:"forcingShells"`
+	ForcingShells int     `json:"forcingShells"` // highest forced shell (0 = decaying)
 	Stages        []Stage `json:"stages"`
+
+	gran core.Granularity // Gran parsed by validate
 }
 
 func main() {
@@ -76,8 +80,8 @@ func main() {
 	if err := json.Unmarshal(raw, &cfg); err != nil {
 		log.Fatalf("config: %v", err)
 	}
-	if cfg.Ranks < 1 || len(cfg.Stages) == 0 {
-		log.Fatal("config needs ranks ≥ 1 and at least one stage")
+	if err := cfg.validate(); err != nil {
+		log.Fatalf("config: %v", err)
 	}
 	fmt.Printf("campaign: %d stages on %d ranks, ν=%g, engine=%s\n",
 		len(cfg.Stages), cfg.Ranks, cfg.Nu, cfg.Engine)
@@ -86,7 +90,10 @@ func main() {
 		root := c.Rank() == 0
 		var prev *spectral.Solver
 		for si, st := range cfg.Stages {
-			solver := buildSolver(c, cfg, st.N)
+			solver := buildSolver(c, cfg, st)
+			if root {
+				fmt.Printf("stage %d: equation set %s\n", si, solver.System().Name())
+			}
 			if prev == nil {
 				solver.SetRandomIsotropic(cfg.K0, cfg.E0, cfg.Seed)
 			} else {
@@ -100,11 +107,6 @@ func main() {
 				// The coarse stage's state now lives in the new
 				// solver; release the old engine's plans (collective).
 				prev.Close()
-			}
-			var th *spectral.Scalar
-			if st.Scalar {
-				th = solver.NewScalar(cfg.Nu)
-				th.MeanGrad = 1
 			}
 			var parts *spectral.Particles
 			if st.Particles > 0 {
@@ -124,41 +126,29 @@ func main() {
 				if parts != nil {
 					solver.StepParticles(parts, dt)
 				}
-				if th != nil {
-					solver.StepWithScalar(th, dt)
-				} else {
-					solver.Step(dt)
-				}
+				solver.Step(dt)
 				timer.End()
 			}
 			stt := solver.Statistics()
 			div := solver.DivergenceMax()
+			var thVar, thChi float64
+			if st.Scalar {
+				thVar, thChi = solver.FieldVariance(3), solver.FieldDissipation(3)
+			}
 			if root {
 				fmt.Printf("stage %d done: %d³, %d steps, t=%.4f, %.3fs/step\n",
 					si, st.N, st.Steps, solver.Time(), timer.MeanMax())
 				fmt.Printf("  E=%.5f ε=%.5f Re_λ=%.1f kmaxη=%.2f div=%.1e\n",
 					stt.Energy, stt.Dissipation, stt.ReLambda, stt.KMaxEta, div)
-				if th != nil {
-					fmt.Printf("  scalar ⟨θ²⟩=%.5g χ=%.5g\n",
-						solver.ScalarVariance(th), solver.ScalarDissipation(th))
+				if st.Scalar {
+					fmt.Printf("  scalar ⟨θ²⟩=%.5g χ=%.5g\n", thVar, thChi)
 				}
 				if parts != nil {
 					fmt.Printf("  particle dispersion %.5g\n", parts.Dispersion())
 				}
-			} else {
-				if th != nil {
-					solver.ScalarVariance(th)
-					solver.ScalarDissipation(th)
-				}
 			}
 			if st.Checkpoint != "" {
-				var err error
-				if th != nil {
-					err = solver.SaveCheckpoint(st.Checkpoint, th)
-				} else {
-					err = solver.SaveCheckpoint(st.Checkpoint)
-				}
-				if err != nil {
+				if err := solver.SaveCheckpoint(st.Checkpoint); err != nil {
 					log.Fatalf("rank %d: checkpoint: %v", c.Rank(), err)
 				}
 				if root {
@@ -187,38 +177,62 @@ func main() {
 	})
 }
 
-// buildSolver assembles the configured transform engine and solver.
-func buildSolver(c *mpi.Comm, cfg Config, n int) *spectral.Solver {
-	scfg := spectral.Config{N: n, Nu: cfg.Nu, Scheme: spectral.RK2, Dealias: spectral.Dealias23}
-	if cfg.ForcingShells > 0 {
-		scfg.Forcing = spectral.NewForcing(cfg.ForcingShells)
+// validate rejects a config the campaign cannot run as written — in
+// particular an engine or granularity name that would otherwise fall
+// through to a default — and fills in the defaults of omitted fields.
+func (cfg *Config) validate() error {
+	if cfg.Ranks < 1 || len(cfg.Stages) == 0 {
+		return fmt.Errorf("need ranks ≥ 1 and at least one stage")
+	}
+	switch cfg.Engine {
+	case "":
+		cfg.Engine = "sync"
+	case "sync", "async", "threaded":
+	default:
+		return fmt.Errorf("unknown engine %q (want sync, async or threaded)", cfg.Engine)
+	}
+	if cfg.Gran == "" {
+		cfg.Gran = "slab"
+	}
+	var err error
+	if cfg.gran, err = core.ParseGranularity(cfg.Gran); err != nil {
+		return fmt.Errorf("gran: %v", err)
+	}
+	return nil
+}
+
+// buildSolver assembles the configured transform engine and the
+// stage's equation set: rotating-scalar with one Sc = 1 scalar under a
+// unit mean gradient for a scalar stage, otherwise forced-ns when
+// forcingShells is set, otherwise decaying ns. cfg must have passed
+// validate.
+func buildSolver(c *mpi.Comm, cfg Config, st Stage) *spectral.Solver {
+	opts := []spectral.Option{
+		spectral.WithNu(cfg.Nu), spectral.WithScheme(spectral.RK2), spectral.WithDealias(spectral.Dealias23),
+	}
+	switch {
+	case st.Scalar:
+		opts = append(opts, spectral.WithScalars(1), spectral.WithScalarGradient(1))
+	case cfg.ForcingShells > 0:
+		opts = append(opts, spectral.WithForcing(cfg.ForcingShells, spectral.DefaultForcingEps))
 	}
 	switch cfg.Engine {
 	case "async":
-		gran := core.PerSlab
-		if cfg.Gran == "pencil" {
-			gran = core.PerPencil
-		}
 		np := cfg.NP
 		if np == 0 {
 			np = 3
 		}
-		tr := core.NewAsyncSlabReal(c, n, core.Options{
-			NP: np, Granularity: gran, SingleComm: cfg.SingleComm,
-		})
-		s := spectral.NewSolverWithTransform(c, scfg, tr)
-		s.OwnTransform()
-		return s
+		opts = append(opts, spectral.WithTransform(core.NewAsyncSlabReal(c, st.N, core.Options{
+			NP: np, Granularity: cfg.gran, SingleComm: cfg.SingleComm,
+		})))
 	case "threaded":
 		threads := cfg.Threads
 		if threads == 0 {
 			threads = 2
 		}
-		s := spectral.NewSolverWithTransform(c, scfg,
-			pfft.NewSlabRealWorkers(c, n, threads))
-		s.OwnTransform()
-		return s
-	default:
-		return spectral.NewSolver(c, scfg)
+		opts = append(opts, spectral.WithTransform(pfft.NewSlabRealWorkers(c, st.N, threads)))
 	}
+	s := spectral.New(c, st.N, opts...)
+	s.OwnTransform() // any engine above was built for this solver alone
+	return s
 }

@@ -10,7 +10,7 @@
 //
 // The equation set is pluggable: -system picks a registered system by
 // name (ns, forced-ns, rotating-scalar), or is inferred from -forced,
-// -force-eps and -rotation.
+// -force-eps, -rotation and -scalar.
 package main
 
 import (
@@ -61,7 +61,7 @@ func main() {
 		k0       = flag.Float64("k0", 3, "initial spectrum peak wavenumber")
 		e0       = flag.Float64("e0", 0.5, "initial kinetic energy")
 		seed     = flag.Int64("seed", 2025, "initial condition seed")
-		scalar   = flag.Bool("scalar", false, "co-advance a passive scalar with mean gradient")
+		scalar   = flag.Bool("scalar", false, "carry a passive scalar with unit mean gradient (rotating-scalar system)")
 		schmidt  = flag.Float64("sc", 1.0, "Schmidt number ν/κ for -scalar")
 		pngOut   = flag.String("png", "", "write a z-midplane PNG of u to this path at the end")
 		ckptDir  = flag.String("ckpt", "", "write a checkpoint directory at the end (for cmd/postproc)")
@@ -98,15 +98,25 @@ func main() {
 			*system, strings.Join(spectral.Systems(), ", "))
 	}
 	if *forced && *forceEps == 0 {
-		*forceEps = 0.1
+		*forceEps = spectral.DefaultForcingEps
 	}
-	sch := spectral.RK2
-	if *scheme == "rk4" {
-		sch = spectral.RK4
+	if *scalar && *forceEps > 0 {
+		log.Fatalf("-scalar runs the rotating-scalar system, which carries no forcing; drop -forced/-force-eps")
 	}
-	granularity := core.PerSlab
-	if *gran == "pencil" {
-		granularity = core.PerPencil
+	if *scalar && *system != "" && *system != "rotating-scalar" {
+		log.Fatalf("-scalar runs the rotating-scalar system, not -system %s", *system)
+	}
+	sch, err := spectral.ParseScheme(*scheme)
+	if err != nil {
+		log.Fatalf("-scheme: %v", err)
+	}
+	async, err := parseEngine(*engine)
+	if err != nil {
+		log.Fatalf("-engine: %v", err)
+	}
+	granularity, err := core.ParseGranularity(*gran)
+	if err != nil {
+		log.Fatalf("-gran: %v", err)
 	}
 	strategy, err := exchange.Parse(*exch)
 	if err != nil {
@@ -157,7 +167,7 @@ func main() {
 		// solver's state lives on the slab layout, so -decomp pencil/auto
 		// drives the tuned transform directly — one forward+inverse pair
 		// per step — which is also the only mode that runs at ranks > N.
-		if *engine == "async" {
+		if async {
 			log.Fatalf("-decomp %s: the asynchronous engine is slab-only; drop -engine async", dec)
 		}
 		if strategy == exchange.AT {
@@ -191,24 +201,35 @@ func main() {
 		if *rotation != 0 {
 			opts = append(opts, spectral.WithRotation(*rotation))
 		}
+		if *scalar {
+			opts = append(opts, spectral.WithScalars(1, *schmidt), spectral.WithScalarGradient(1))
+		}
 		if *system != "" {
 			opts = append(opts, spectral.WithSystem(*system))
 		}
 		if strategy == exchange.AT {
 			opts = append(opts, spectral.WithAsyncTolerance(*atStale), spectral.WithAsyncDeadline(*atDL))
 		}
+		var tune tuning.Config
+		if *tuneDir != "" {
+			tune.Cache = tuning.Open(*tuneDir)
+		}
 		var pinned exchange.Strategy
-		if *engine == "async" {
-			tr := core.NewAsyncSlabReal(c, *n, core.Options{
+		if async {
+			aopt := core.Options{
 				NP: *np, Granularity: granularity, NGPU: *ngpu,
 				Workers:      *workers,
 				WaitDeadline: *waitDeadline,
 				Exchange:     strategy,
 				ATMaxStale:   max(*atStale, 0),
 				ATDeadline:   *atDL,
-				Autotune:     *autotune,
-				TuneCacheDir: *tuneDir,
-			})
+			}
+			var tr *core.AsyncSlabReal
+			if *autotune {
+				tr = core.NewAsyncSlabRealTuned(c, *n, aopt, tune)
+			} else {
+				tr = core.NewAsyncSlabReal(c, *n, aopt)
+			}
 			defer tr.Close()
 			pinned = tr.Strategy()
 			opts = append(opts, spectral.WithTransform(tr))
@@ -218,11 +239,7 @@ func main() {
 			pinned = tr.Strategy()
 			opts = append(opts, spectral.WithTransform(tr))
 		} else if *autotune {
-			var cfg tuning.Config
-			if *tuneDir != "" {
-				cfg.Cache = tuning.Open(*tuneDir)
-			}
-			tr := pfft.NewSlabRealTuned(c, *n, *workers, cfg)
+			tr := pfft.NewSlabRealTuned(c, *n, *workers, tune)
 			defer tr.Close()
 			pinned = tr.Strategy()
 			opts = append(opts, spectral.WithTransform(tr))
@@ -239,14 +256,6 @@ func main() {
 			fmt.Printf("equation set: %s (%d fields)\n", solver.System().Name(), solver.Fields())
 		}
 		solver.SetRandomIsotropic(*k0, *e0, *seed)
-		var th *spectral.Scalar
-		if *scalar {
-			if solver.Fields() != 3 {
-				log.Fatalf("-scalar uses the legacy coupled stepper and needs a 3-field system; use -system rotating-scalar (WithScalars) instead")
-			}
-			th = solver.NewScalar(*nu / *schmidt)
-			th.MeanGrad = 1.0
-		}
 
 		timer := stats.NewStepTimer(c)
 		root := c.Rank() == 0
@@ -272,11 +281,7 @@ func main() {
 		}
 		for i := 0; i < *steps; i++ {
 			timer.Begin()
-			if th != nil {
-				solver.StepWithScalar(th, *dt)
-			} else {
-				solver.Step(*dt)
-			}
+			solver.Step(*dt)
 			wall := timer.End()
 			e := solver.Energy()
 			if root {
@@ -316,21 +321,15 @@ func main() {
 				fmt.Printf("  %-18s %.6g\n", d.Name, d.Value)
 			}
 		}
-		if th != nil {
-			v := solver.ScalarVariance(th)
-			chi := solver.ScalarDissipation(th)
+		if *scalar {
+			v := solver.FieldVariance(3)
+			chi := solver.FieldDissipation(3)
 			if root {
 				fmt.Printf("scalar: ⟨θ²⟩=%.5g  χ=%.5g  (Sc=%g)\n", v, chi, *schmidt)
 			}
 		}
 		if *ckptDir != "" {
-			var err error
-			if th != nil {
-				err = solver.SaveCheckpoint(*ckptDir, th)
-			} else {
-				err = solver.SaveCheckpoint(*ckptDir)
-			}
-			if err != nil {
+			if err := solver.SaveCheckpoint(*ckptDir); err != nil {
 				log.Fatalf("rank %d: checkpoint: %v", c.Rank(), err)
 			}
 			if root {
@@ -384,6 +383,18 @@ func main() {
 		}
 	}
 	os.Exit(0)
+}
+
+// parseEngine maps the -engine flag to whether the batched
+// asynchronous pipeline runs the transforms.
+func parseEngine(s string) (async bool, err error) {
+	switch s {
+	case "sync":
+		return false, nil
+	case "async":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown engine %q (want sync or async)", s)
 }
 
 // phaseLeaves are the disjoint wall sections of one time step: the

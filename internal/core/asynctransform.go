@@ -28,6 +28,18 @@ const (
 	PerSlab
 )
 
+// ParseGranularity maps a flag or config value ("pencil" or "slab") to
+// a Granularity.
+func ParseGranularity(s string) (Granularity, error) {
+	switch s {
+	case "pencil":
+		return PerPencil, nil
+	case "slab":
+		return PerSlab, nil
+	}
+	return PerSlab, fmt.Errorf("core: unknown granularity %q (want pencil or slab)", s)
+}
+
 // Options configures the asynchronous pipeline.
 type Options struct {
 	// NP is the number of pencils each slab is divided into (Fig 3);
@@ -64,11 +76,12 @@ type Options struct {
 	// the paper's staged variant), Fused and ChunkedFused gather
 	// directly from every peer's packed send buffer into the local
 	// destination layout through an mpi.ExchangePlan (the zero-copy
-	// variant), and Auto (the zero value) microbenchmarks all three at
-	// plan time and pins the collectively-agreed winner. AT runs the
-	// fused gather through bounded-staleness plans (DoBounded) and must
-	// be selected explicitly — it changes the answer, so the autotuner
-	// never picks it.
+	// variant), and Auto (the zero value) times all three at plan time
+	// through NewAsyncSlabRealTuned — a strategy-only search on this
+	// engine configuration, no cache — and pins the collectively-agreed
+	// winner. AT runs the fused gather through bounded-staleness plans
+	// (DoBounded) and must be selected explicitly — it changes the
+	// answer, so the autotuner never picks it.
 	Exchange exchange.Strategy
 	// ATMaxStale bounds, in exchange epochs, how far behind a peer's
 	// published slab may be when Exchange is AT. Zero keeps every
@@ -79,19 +92,6 @@ type Options struct {
 	// reach the current epoch before accepting their latest published
 	// slabs; ≤ 0 never waits past the hard staleness bound.
 	ATDeadline time.Duration
-	// Autotune expands plan-time autotuning from the exchange strategy
-	// alone to the whole-step tune space (strategy × granularity × np ×
-	// workers × precision, per TuneSpace): construction delegates to
-	// NewAsyncSlabRealTuned, consulting the persistent tuning cache in
-	// TuneCacheDir first and persisting the winner after live trials.
-	Autotune bool
-	// TuneCacheDir is the tuning-cache directory Autotune uses; empty
-	// means no persistence (live trials on every construction).
-	TuneCacheDir string
-	// TuneSpace overrides the default whole-step search space (nil
-	// searches strategies × granularities at the option-given np,
-	// workers and precision).
-	TuneSpace *tuning.Space
 }
 
 // span is a half-open index range.
@@ -144,6 +144,7 @@ type asyncMetrics struct {
 	unpack   *metrics.Histogram
 	h2d      *metrics.Counter
 	d2h      *metrics.Counter
+	strategy *metrics.Gauge
 }
 
 func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
@@ -153,6 +154,7 @@ func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 		unpack:   reg.HistogramRank("phase.unpack", rank),
 		h2d:      reg.CounterRank("gpu.h2d.bytes", rank),
 		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
+		strategy: reg.GaugeRank("exchange.strategy", rank),
 	}
 }
 
@@ -205,19 +207,22 @@ type AsyncSlabReal struct {
 // NewAsyncSlabReal constructs the pipeline for an N³ real transform
 // over the ranks of comm.
 func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
+	if opt.Exchange == exchange.Auto {
+		// Strategy-only search: every other dimension stays pinned to
+		// the option values (np, workers and precision by the tuner's
+		// own defaults, granularity here).
+		return NewAsyncSlabRealTuned(comm, n, opt, tuning.Config{
+			Space: tuning.Space{PerSlab: []bool{opt.Granularity == PerSlab}},
+		})
+	}
+	return newAsyncSlabReal(comm, n, opt)
+}
+
+// newAsyncSlabReal builds the engine with opt.Exchange already
+// concrete (or AT).
+func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	if n%2 != 0 {
 		panic(fmt.Sprintf("core: N must be even, got %d", n))
-	}
-	if opt.Autotune {
-		cfg := tuning.Config{}
-		if opt.TuneSpace != nil {
-			cfg.Space = *opt.TuneSpace
-		}
-		if opt.TuneCacheDir != "" {
-			cfg.Cache = tuning.Open(opt.TuneCacheDir)
-		}
-		opt.Autotune = false
-		return NewAsyncSlabRealTuned(comm, n, opt, cfg)
 	}
 	if opt.NP == 0 {
 		opt.NP = 3
@@ -328,13 +333,15 @@ func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	} else {
 		a.wire, a.wireElem = newWire(a, bound, cuda.Memcpy2DAsync[complex128], transpose.CopyStrided[complex128]), 16
 	}
-	st := opt.Exchange
-	if st == exchange.Auto {
-		st = a.autotune()
-	}
-	a.strat = st
-	reg.GaugeRank("exchange.strategy", comm.Rank()).Set(st.Code())
+	a.setStrategy(opt.Exchange)
 	return a
+}
+
+// setStrategy pins the transpose-exchange strategy of both directions
+// and publishes it on the exchange.strategy gauge.
+func (a *AsyncSlabReal) setStrategy(st exchange.Strategy) {
+	a.strat = st
+	a.met.strategy.Set(st.Code())
 }
 
 // Strategy reports the pinned transpose-exchange strategy (never
@@ -514,7 +521,7 @@ func (a *AsyncSlabReal) regionTranspose(d exchange.Dir, in []complex128, fdir ff
 
 // exchange moves the packed send buffer(s) into the direction's
 // destination slab under st, outside the pipeline: this is both the
-// tail of a transposing region and the autotuners' trial body (buffer
+// tail of a transposing region and the tuner's trial body (buffer
 // contents are irrelevant to timing). posted says the staged requests
 // are already in flight from the pipeline's afterD2H hook and only need
 // waiting on. Collective.
@@ -549,23 +556,6 @@ func (a *AsyncSlabReal) SetATSite(site uint32) { a.wire.setSite(site) }
 // exchange count. All zeros on non-AT engines.
 func (a *AsyncSlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
 	return a.wire.takeStaleness()
-}
-
-// autotune times every concrete exchange strategy on the engine's
-// actual geometry, granularity and team through the shared trial
-// protocol (tuning.TrialBest / tuning.ResolveTimes), and returns the
-// collectively-agreed winner: per-rank best-of-k times are allgathered
-// and the strategy whose slowest rank is fastest wins (ties to the
-// earlier candidate, so Staged never loses to a wash). Collective;
-// plan-time only.
-func (a *AsyncSlabReal) autotune() exchange.Strategy {
-	cands := exchange.Concrete
-	mine := make([]float64, len(cands))
-	for i, st := range cands {
-		mine[i] = tuning.TrialBest(a.comm, tuning.Trials, func() { a.exchange(exchange.YZ, st, false) })
-	}
-	win, _ := tuning.ResolveTimes(a.comm, mine)
-	return cands[win]
 }
 
 // regionZ streams x-split pencils of the mid slab [my][nz][nxh],

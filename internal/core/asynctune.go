@@ -10,18 +10,18 @@ import (
 	"repro/internal/tuning"
 )
 
-// Whole-step autotuning for the asynchronous engine. The strategy
-// autotuner (autotune in asynctransform.go) answers one question —
-// which exchange strategy — on a fixed engine; the whole-step tuner
-// searches every knob the paper's production runs tune together:
+// Whole-step autotuning for the asynchronous engine: the tuner
+// searches every knob the paper's production runs tune together —
 // exchange strategy, transfer granularity (configuration A/B vs C),
-// pencil count, worker-team size and wire precision. Each distinct
-// (granularity, np, workers, precision) group needs its own engine
-// (buffers and plans differ), so the tuner walks the candidate list in
-// space order — strategies varying fastest — building one trial engine
-// per group, timing its strategies with the shared barrier-fenced
-// best-of-k protocol, and closing it before the next group claims the
-// pooled buffers.
+// pencil count, worker-team size and wire precision. Exchange:
+// exchange.Auto is the same search with every dimension but the
+// strategy pinned. Each distinct (granularity, np, workers, precision)
+// group needs its own engine (buffers and plans differ), so the tuner
+// walks the candidate list in space order — strategies varying fastest
+// — building one trial engine per group, timing its strategies with
+// the shared barrier-fenced best-of-k protocol, and closing it before
+// the next group claims the pooled buffers. A winner in the last group
+// keeps that group's engine.
 
 // NewAsyncSlabRealTuned builds the asynchronous engine by searching
 // cfg.Space with the collective trial protocol and constructing the
@@ -34,7 +34,6 @@ import (
 // the default search never changes the numerics, only the data path.
 // Collective.
 func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config) *AsyncSlabReal {
-	opt.Autotune = false
 	if opt.Exchange == exchange.AT {
 		panic("core: the asynchrony-tolerant exchange is never autotuned; pin Options explicitly")
 	}
@@ -54,7 +53,7 @@ func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config
 		Machine:  hw.Fingerprint(),
 	}
 	if pt, ok := cfg.Lookup(comm, key); ok {
-		return NewAsyncSlabReal(comm, n, applyPoint(opt, pt))
+		return newAsyncSlabReal(comm, n, applyPoint(opt, pt))
 	}
 	space := cfg.Space
 	if len(space.PerSlab) == 0 {
@@ -79,24 +78,21 @@ func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config
 			if eng != nil {
 				eng.Close()
 			}
-			to := applyPoint(opt, pt)
-			// Concrete placeholder: the trial engine must not recurse
-			// into the strategy autotuner; the trials time each
-			// strategy explicitly.
-			to.Exchange = exchange.Staged
-			eng = NewAsyncSlabReal(comm, n, to)
+			eng = newAsyncSlabReal(comm, n, applyPoint(opt, pt))
 			cur = pt
 		}
 		st := pt.Strategy
 		mine[i] = tuning.TrialBest(comm, tuning.Trials, func() { eng.exchange(exchange.YZ, st, false) })
 	}
-	if eng != nil {
-		eng.Close()
-	}
 	win, cost := tuning.ResolveTimes(comm, mine)
 	pt := pts[win]
 	cfg.Store(comm, key, pt, cost)
-	return NewAsyncSlabReal(comm, n, applyPoint(opt, pt))
+	if sameEngineGroup(cur, pt) {
+		eng.setStrategy(pt.Strategy)
+		return eng
+	}
+	eng.Close()
+	return newAsyncSlabReal(comm, n, applyPoint(opt, pt))
 }
 
 // asyncPoints enumerates the async engine's sub-space. The engine has
@@ -138,7 +134,6 @@ func applyPoint(opt Options, pt tuning.Point) Options {
 	opt.NP = pt.NP
 	opt.Workers = pt.Workers
 	opt.SingleComm = pt.Single
-	opt.Autotune = false
 	return opt
 }
 

@@ -47,16 +47,20 @@ func TestAsyncTunedBitwiseIdentity(t *testing.T) {
 	}
 }
 
-// Options.Autotune routes through the whole-step tuner and must agree
-// on one concrete strategy across ranks.
-func TestAsyncAutotuneOptionPinsConcrete(t *testing.T) {
+// Exchange: exchange.Auto routes through the tuner's strategy-only
+// search and must agree on one concrete strategy across ranks, leaving
+// the option-given granularity alone.
+func TestAsyncAutoExchangePinsConcrete(t *testing.T) {
 	const n, p = 16, 4
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		tr := NewAsyncSlabReal(c, n, Options{NP: 2, Granularity: PerPencil, Autotune: true})
+		tr := NewAsyncSlabReal(c, n, Options{NP: 2, Granularity: PerPencil, Exchange: exchange.Auto})
 		defer tr.Close()
 		st := tr.Strategy()
 		if st == exchange.Auto || st == exchange.AT {
-			panic(fmt.Sprintf("autotune pinned %v", st))
+			panic(fmt.Sprintf("auto pinned %v", st))
+		}
+		if tr.gran != PerPencil || tr.NP() != 2 {
+			panic(fmt.Sprintf("auto changed the engine: gran=%v np=%d", tr.gran, tr.NP()))
 		}
 		codes := make([]float64, p)
 		mpi.Allgather(c, []float64{st.Code()}, codes)

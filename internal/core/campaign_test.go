@@ -12,7 +12,7 @@ import (
 // the paper's code exists for, at laptop scale, on the asynchronous
 // engine with the single-precision wire format:
 //
-//  1. spin up turbulence at 16³ on the async engine,
+//  1. spin up forced turbulence at 16³ on the async engine,
 //  2. checkpoint, restart into fresh objects,
 //  3. spectrally regrid onto 32³ (the record-resolution seeding move),
 //  4. continue with a passive scalar and Lagrangian particles,
@@ -23,9 +23,13 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		// Stage 1: develop at low resolution on the async pipeline.
 		trSmall := NewAsyncSlabReal(c, 16, Options{NP: 3, Granularity: PerPencil, SingleComm: true})
 		defer trSmall.Close()
-		cfgSmall := spectral.Config{N: 16, Nu: 0.02, Scheme: spectral.RK2,
-			Dealias: spectral.Dealias23, Forcing: spectral.NewForcing(2)}
-		s1 := spectral.NewSolverWithTransform(c, cfgSmall, trSmall)
+		opts := func(extra ...spectral.Option) []spectral.Option {
+			return append([]spectral.Option{spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2),
+				spectral.WithDealias(spectral.Dealias23)}, extra...)
+		}
+		forcing := spectral.WithForcing(2, spectral.DefaultForcingEps)
+		s1 := spectral.New(c, 16, opts(forcing, spectral.WithTransform(trSmall))...)
+		defer s1.Close()
 		s1.SetRandomIsotropic(2.5, 0.5, 2024)
 		for i := 0; i < 6; i++ {
 			s1.Step(0.004)
@@ -38,7 +42,8 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		if err := s1.SaveCheckpoint(dir); err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
-		s2 := spectral.NewSolver(c, cfgSmall) // restart on the sync engine: engines interoperate
+		s2 := spectral.New(c, 16, opts(forcing)...) // restart on the sync engine: engines interoperate
+		defer s2.Close()
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Fatalf("restart: %v", err)
 		}
@@ -52,17 +57,15 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		// Stage 3: regrid to the production resolution.
 		trBig := NewAsyncSlabReal(c, 32, Options{NP: 4, Granularity: PerSlab})
 		defer trBig.Close()
-		cfgBig := spectral.Config{N: 32, Nu: 0.02, Scheme: spectral.RK2,
-			Dealias: spectral.Dealias23, Forcing: spectral.NewForcing(2)}
-		s3 := spectral.NewSolverWithTransform(c, cfgBig, trBig)
+		scalar, grad := spectral.WithScalars(1), spectral.WithScalarGradient(1)
+		s3 := spectral.New(c, 32, opts(scalar, grad, spectral.WithTransform(trBig))...)
 		spectral.Regrid(s3, s2)
 		if math.Abs(s3.Energy()-s2.Energy()) > 1e-9 {
 			t.Fatalf("regrid energy %g vs %g", s3.Energy(), s2.Energy())
 		}
 
-		// Stage 4: production segment with scalar and particles.
-		th := s3.NewScalar(0.02)
-		th.MeanGrad = 1
+		// Stage 4: production segment with scalar and particles (the
+		// regridded scalar starts from zero; the mean gradient feeds it).
 		parts := s3.NewParticles(16, 9)
 		dt := s3.SuggestDt(0.3)
 		if dt <= 0 || math.IsInf(dt, 1) {
@@ -70,14 +73,14 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			s3.StepParticles(parts, dt)
-			s3.StepWithScalar(th, dt)
+			s3.Step(dt)
 		}
 
 		// Stage 5: invariants and diagnostics all sane.
 		if d := s3.DivergenceMax(); d > 1e-9 {
 			t.Errorf("final divergence %g", d)
 		}
-		if v := s3.ScalarVariance(th); v <= 0 || math.IsNaN(v) {
+		if v := s3.FieldVariance(3); v <= 0 || math.IsNaN(v) {
 			t.Errorf("scalar variance %g", v)
 		}
 		if disp := parts.Dispersion(); disp <= 0 {
@@ -95,9 +98,18 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		if math.Abs(tot-st.Energy) > 1e-9*st.Energy {
 			t.Errorf("ΣE(k)=%g vs E=%g", tot, st.Energy)
 		}
-		// Final checkpoint including the scalar.
-		if err := s3.SaveCheckpoint(dir+"/final", th); err != nil {
+		// Final checkpoint including the scalar, restorable into a
+		// fresh solver of the same system.
+		if err := s3.SaveCheckpoint(dir + "/final"); err != nil {
 			t.Errorf("final checkpoint: %v", err)
+		}
+		s4 := spectral.New(c, 32, opts(scalar, grad)...)
+		defer s4.Close()
+		if err := s4.LoadCheckpoint(dir + "/final"); err != nil {
+			t.Errorf("final restart: %v", err)
+		}
+		if a, b := s4.FieldVariance(3), s3.FieldVariance(3); a != b {
+			t.Errorf("restored scalar variance %g vs %g", a, b)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,7 +17,6 @@ import (
 // synchronous reference path or the batched asynchronous GPU pipeline.
 func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 	n, p := 16, 2
-	cfg := spectral.Config{N: n, Nu: 0.02, Scheme: spectral.RK2, Dealias: spectral.Dealias23}
 
 	type result struct {
 		uh     []complex128
@@ -27,14 +27,13 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 
 	run := func(label string, gran Granularity, useAsync bool) {
 		mpi.Run(p, func(c *mpi.Comm) {
-			var s *spectral.Solver
+			opts := []spectral.Option{spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2), spectral.WithDealias(spectral.Dealias23)}
 			if useAsync {
 				tr := NewAsyncSlabReal(c, n, Options{NP: 4, Granularity: gran})
 				defer tr.Close()
-				s = spectral.NewSolverWithTransform(c, cfg, tr)
-			} else {
-				s = spectral.NewSolver(c, cfg)
+				opts = append(opts, spectral.WithTransform(tr))
 			}
+			s := spectral.New(c, n, opts...)
 			s.SetRandomIsotropic(3, 0.5, 77)
 			for i := 0; i < 3; i++ {
 				s.Step(0.004)
@@ -67,6 +66,37 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 		}
 		if d > 1e-9 {
 			t.Errorf("%s: max field difference %g after 3 RK2 steps", label, d)
+		}
+	}
+}
+
+// The drivers' enum-valued flags and config strings are rejected with
+// the accepted values listed, never mapped to a silent default.
+func TestParseEnumsRejectUnknown(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Granularity
+		ok   bool
+	}{{"pencil", PerPencil, true}, {"slab", PerSlab, true}, {"pencils", 0, false}, {"", 0, false}} {
+		got, err := ParseGranularity(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseGranularity(%q) = %v, %v", tc.in, got, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "pencil or slab") {
+			t.Errorf("ParseGranularity(%q) error does not list the accepted values: %v", tc.in, err)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want spectral.Scheme
+		ok   bool
+	}{{"rk2", spectral.RK2, true}, {"rk4", spectral.RK4, true}, {"rk3", 0, false}, {"", 0, false}} {
+		got, err := spectral.ParseScheme(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseScheme(%q) = %v, %v", tc.in, got, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "rk2 or rk4") {
+			t.Errorf("ParseScheme(%q) error does not list the accepted values: %v", tc.in, err)
 		}
 	}
 }

@@ -80,9 +80,8 @@ func TestSingleCommDNSRunsStably(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		tr := NewAsyncSlabReal(c, 16, Options{NP: 3, Granularity: PerSlab, SingleComm: true})
 		defer tr.Close()
-		s := spectral.NewSolverWithTransform(c, spectral.Config{
-			N: 16, Nu: 0.02, Scheme: spectral.RK2, Dealias: spectral.Dealias23,
-		}, tr)
+		s := spectral.New(c, 16, spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2),
+			spectral.WithDealias(spectral.Dealias23), spectral.WithTransform(tr))
 		s.SetRandomIsotropic(3, 0.5, 13)
 		e0 := s.Energy()
 		for i := 0; i < 5; i++ {

@@ -12,7 +12,7 @@ func TestABCFlowFieldValues(t *testing.T) {
 	n := 16
 	a, b, c := 1.0, 0.7, 0.4
 	mpi.Run(2, func(cm *mpi.Comm) {
-		s := NewSolver(cm, Config{N: n, Nu: 0})
+		s := New(cm, n, WithNu(0))
 		s.SetABCFlow(a, b, c)
 		s.syncPhysical()
 		h := 2 * math.Pi / float64(n)
@@ -43,7 +43,7 @@ func TestABCFlowFieldValues(t *testing.T) {
 func TestABCFlowIsBeltrami(t *testing.T) {
 	// ω = u for the unit-wavenumber ABC field: H = 2E and Ω = E.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		s.SetABCFlow(1, 0.8, 0.6)
 		e := s.Energy()
 		hel := s.Helicity()
@@ -69,7 +69,7 @@ func TestABCFlowExactNavierStokesDecay(t *testing.T) {
 	// projection and time stepping end to end at finite amplitude.
 	nu := 0.05
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: nu, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(nu), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetABCFlow(1, 0.9, 0.8)
 		e0 := s.Energy()
 		dt := 0.01
@@ -94,7 +94,7 @@ func TestABCFlowDecayOnAsyncEngineMatches(t *testing.T) {
 	// run via the public Transform seam used by the DNS benchmarks.
 	nu := 0.05
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: nu, Scheme: RK4, Dealias: Dealias23})
+		s := New(c, 16, WithNu(nu), WithScheme(RK4), WithDealias(Dealias23))
 		s.SetABCFlow(0.5, 0.5, 0.5)
 		e0 := s.Energy()
 		for i := 0; i < 10; i++ {
@@ -109,7 +109,7 @@ func TestABCFlowDecayOnAsyncEngineMatches(t *testing.T) {
 
 func TestHelicitySpectrumSumsToHelicity(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		s.SetRandomIsotropic(3, 0.5, 91)
 		spec := s.HelicitySpectrum()
 		var sum float64
@@ -131,7 +131,7 @@ func TestHelicitySpectrumSumsToHelicity(t *testing.T) {
 
 func TestTaylorGreenHasZeroHelicity(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		s.SetTaylorGreen()
 		if h := s.Helicity(); math.Abs(h) > 1e-13 {
 			t.Errorf("TG helicity %g, want 0 (mirror-symmetric flow)", h)

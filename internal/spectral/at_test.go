@@ -246,7 +246,7 @@ func TestSolverATFirstOrderStalenessErrorAndCorrection(t *testing.T) {
 		steps = 6
 		dt    = 0.004
 	)
-	cfg := Config{N: n, Nu: 0.02, Scheme: RK2, Dealias: Dealias23}
+	cfg := config{N: n, Nu: 0.02, Scheme: RK2, Dealias: Dealias23}
 
 	run := func(lag int, correct bool) []complex128 {
 		var out []complex128
@@ -262,7 +262,7 @@ func TestSolverATFirstOrderStalenessErrorAndCorrection(t *testing.T) {
 				// the drained weight w = sum/(calls·(P−1)) matches.
 				tr = &scriptedStaleness{Transform: tr, sum: int64(lag), calls: 2}
 			}
-			s := newSolverAT(c, cfg, tr, sys, correct)
+			s := newSolver(c, cfg, tr, sys, correct)
 			s.SetRandomIsotropic(3, 0.5, 33)
 			for i := 0; i < steps; i++ {
 				s.Step(dt)

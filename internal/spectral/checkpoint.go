@@ -42,7 +42,7 @@ type ckptHeader struct {
 	Step    uint64
 	Time    float64
 	Nu      float64
-	Fields  uint64 // system fields + optional legacy scalars
+	Fields  uint64 // the system's field count
 }
 
 // ckptForcing is the serialized StochasticForcing controller state.
@@ -59,9 +59,8 @@ type forcingHolder interface {
 	Forcing() *StochasticForcing
 }
 
-// WriteCheckpointTo serializes this rank's state to w. scalars may be
-// empty.
-func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
+// WriteCheckpointTo serializes this rank's state to w.
+func (s *Solver) WriteCheckpointTo(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
 	out := io.MultiWriter(bw, crc)
@@ -74,7 +73,7 @@ func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
 		Step:    uint64(s.step),
 		Time:    s.time,
 		Nu:      s.cfg.Nu,
-		Fields:  uint64(s.nf + len(scalars)),
+		Fields:  uint64(s.nf),
 	}
 	if err := binary.Write(out, binary.LittleEndian, &hdr); err != nil {
 		return fmt.Errorf("checkpoint header: %w", err)
@@ -106,66 +105,100 @@ func (s *Solver) WriteCheckpointTo(w io.Writer, scalars ...*Scalar) error {
 			return fmt.Errorf("checkpoint field %d: %w", c, err)
 		}
 	}
-	for i, sc := range scalars {
-		if err := binary.Write(out, binary.LittleEndian, complex(sc.kappa, sc.MeanGrad)); err != nil {
-			return fmt.Errorf("checkpoint scalar %d params: %w", i, err)
-		}
-		if err := binary.Write(out, binary.LittleEndian, sc.Th); err != nil {
-			return fmt.Errorf("checkpoint scalar %d: %w", i, err)
-		}
-	}
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
 		return fmt.Errorf("checkpoint crc: %w", err)
 	}
 	return bw.Flush()
 }
 
-// ReadCheckpointFrom restores this rank's state from r, validating
-// geometry, rank identity and the CRC. The solver must already be
-// constructed with a matching configuration; scalars must match the
-// count written.
-func (s *Solver) ReadCheckpointFrom(r io.Reader, scalars ...*Scalar) error {
-	crc := crc32.NewIEEE()
-	in := io.TeeReader(bufio.NewReader(r), crc)
+// readCkptHead reads the part of a checkpoint that describes the run
+// rather than this solver: the fixed header (magic and version
+// validated) and the name of the system that wrote it — "ns" for
+// version-1 files, which carry no system identity and were all written
+// under the pre-registry 3-velocity layout.
+func readCkptHead(in io.Reader) (ckptHeader, string, error) {
 	var hdr ckptHeader
 	if err := binary.Read(in, binary.LittleEndian, &hdr); err != nil {
-		return fmt.Errorf("checkpoint header: %w", err)
+		return hdr, "", fmt.Errorf("checkpoint header: %w", err)
 	}
 	switch {
 	case hdr.Magic != ckptMagic:
-		return fmt.Errorf("checkpoint: bad magic %#x", hdr.Magic)
-	case hdr.Version != 1 && hdr.Version != ckptVersion:
-		return fmt.Errorf("checkpoint: unsupported version %d", hdr.Version)
+		return hdr, "", fmt.Errorf("checkpoint: bad magic %#x", hdr.Magic)
+	case hdr.Version == 1:
+		return hdr, "ns", nil
+	case hdr.Version != ckptVersion:
+		return hdr, "", fmt.Errorf("checkpoint: unsupported version %d", hdr.Version)
+	}
+	var nlen uint32
+	if err := binary.Read(in, binary.LittleEndian, &nlen); err != nil {
+		return hdr, "", fmt.Errorf("checkpoint system name: %w", err)
+	}
+	if nlen > 256 {
+		return hdr, "", fmt.Errorf("checkpoint: implausible system-name length %d (corrupted file)", nlen)
+	}
+	name := make([]byte, nlen)
+	if _, err := io.ReadFull(in, name); err != nil {
+		return hdr, "", fmt.Errorf("checkpoint system name: %w", err)
+	}
+	return hdr, string(name), nil
+}
+
+// CheckpointInfo is what a checkpoint says about the run that wrote
+// it — enough to construct the matching solver before restoring.
+type CheckpointInfo struct {
+	N      int     // grid points per direction
+	Ranks  int     // rank count it was written on
+	Nu     float64 // kinematic viscosity
+	System string  // equation-set name ("ns" for version-1 files)
+	Fields int     // spectral fields stored (3 velocity + system extras)
+}
+
+// PeekCheckpoint reads the header of rank 0's file under dir without
+// touching the field data: the CRC is not checked (LoadCheckpoint does
+// that), only that the header describes a constructible solver.
+func PeekCheckpoint(dir string) (CheckpointInfo, error) {
+	f, err := os.Open(ckptPath(dir, 0))
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	defer f.Close()
+	hdr, name, err := readCkptHead(f)
+	if err != nil {
+		return CheckpointInfo{}, err
+	}
+	if hdr.N < 4 || hdr.N%2 != 0 || hdr.Ranks < 1 || hdr.N%hdr.Ranks != 0 || hdr.Fields < 3 {
+		return CheckpointInfo{}, fmt.Errorf("checkpoint: implausible header N=%d ranks=%d fields=%d (corrupted file)", hdr.N, hdr.Ranks, hdr.Fields)
+	}
+	return CheckpointInfo{
+		N: int(hdr.N), Ranks: int(hdr.Ranks), Nu: hdr.Nu,
+		System: name, Fields: int(hdr.Fields),
+	}, nil
+}
+
+// ReadCheckpointFrom restores this rank's state from r, validating
+// geometry, rank identity, system identity and the CRC. The solver
+// must already be constructed with a matching configuration.
+func (s *Solver) ReadCheckpointFrom(r io.Reader) error {
+	crc := crc32.NewIEEE()
+	in := io.TeeReader(bufio.NewReader(r), crc)
+	hdr, name, err := readCkptHead(in)
+	switch {
+	case err != nil:
+		return err
 	case hdr.N != uint64(s.cfg.N):
 		return fmt.Errorf("checkpoint: N=%d, solver has %d", hdr.N, s.cfg.N)
 	case hdr.Ranks != uint64(s.comm.Size()):
 		return fmt.Errorf("checkpoint: written on %d ranks, running on %d", hdr.Ranks, s.comm.Size())
 	case hdr.Rank != uint64(s.slab.Rank):
 		return fmt.Errorf("checkpoint: file is rank %d, this is rank %d", hdr.Rank, s.slab.Rank)
+	case hdr.Version == 1 && s.sys.Name() != name:
+		// Restoring a v1 file into any richer system would misattribute
+		// state positionally.
+		return fmt.Errorf("checkpoint: version-1 file carries no system identity; solver runs %q (only plain \"ns\" restores v1 files)", s.sys.Name())
+	case s.sys.Name() != name:
+		return fmt.Errorf("checkpoint: written by system %q, solver runs %q (construct the solver with the matching system before restoring)", name, s.sys.Name())
 	}
-	nf := 3 // version-1 layout: exactly the three velocity components
-	if hdr.Version == 1 {
-		// v1 files carry no system identity and were all written under
-		// the pre-registry 3-velocity layout; restoring them into any
-		// richer system would misattribute state positionally.
-		if s.sys.Name() != "ns" {
-			return fmt.Errorf("checkpoint: version-1 file carries no system identity; solver runs %q (only plain \"ns\" restores v1 files)", s.sys.Name())
-		}
-	} else {
-		var nlen uint32
-		if err := binary.Read(in, binary.LittleEndian, &nlen); err != nil {
-			return fmt.Errorf("checkpoint system name: %w", err)
-		}
-		if nlen > 256 {
-			return fmt.Errorf("checkpoint: implausible system-name length %d (corrupted file)", nlen)
-		}
-		name := make([]byte, nlen)
-		if _, err := io.ReadFull(in, name); err != nil {
-			return fmt.Errorf("checkpoint system name: %w", err)
-		}
-		if string(name) != s.sys.Name() {
-			return fmt.Errorf("checkpoint: written by system %q, solver runs %q (construct the solver with the matching system before restoring)", name, s.sys.Name())
-		}
+	if hdr.Version != 1 {
 		var present uint32
 		if err := binary.Read(in, binary.LittleEndian, &present); err != nil {
 			return fmt.Errorf("checkpoint forcing flag: %w", err)
@@ -182,24 +215,13 @@ func (s *Solver) ReadCheckpointFrom(r io.Reader, scalars ...*Scalar) error {
 			f := fh.Forcing()
 			f.KF, f.Eps, f.TCorr, f.Seed = int(fstate.KF), fstate.Eps, fstate.TCorr, fstate.Seed
 		}
-		nf = s.nf
 	}
-	if hdr.Fields != uint64(nf+len(scalars)) {
-		return fmt.Errorf("checkpoint: %d fields written, %d expected", hdr.Fields, nf+len(scalars))
+	if hdr.Fields != uint64(s.nf) {
+		return fmt.Errorf("checkpoint: %d fields written, %d expected", hdr.Fields, s.nf)
 	}
-	for c := 0; c < nf; c++ {
+	for c := 0; c < s.nf; c++ {
 		if err := binary.Read(in, binary.LittleEndian, s.state[c]); err != nil {
 			return fmt.Errorf("checkpoint field %d: %w", c, err)
-		}
-	}
-	for i, sc := range scalars {
-		var params complex128
-		if err := binary.Read(in, binary.LittleEndian, &params); err != nil {
-			return fmt.Errorf("checkpoint scalar %d params: %w", i, err)
-		}
-		sc.kappa, sc.MeanGrad = real(params), imag(params)
-		if err := binary.Read(in, binary.LittleEndian, sc.Th); err != nil {
-			return fmt.Errorf("checkpoint scalar %d: %w", i, err)
 		}
 	}
 	// Snapshot the digest of the payload, then read the trailer (the
@@ -224,7 +246,7 @@ func ckptPath(dir string, rank int) string {
 
 // SaveCheckpoint writes one file per rank under dir (collective: every
 // rank must call it; dir is created if needed).
-func (s *Solver) SaveCheckpoint(dir string, scalars ...*Scalar) error {
+func (s *Solver) SaveCheckpoint(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -232,7 +254,7 @@ func (s *Solver) SaveCheckpoint(dir string, scalars ...*Scalar) error {
 	if err != nil {
 		return err
 	}
-	werr := s.WriteCheckpointTo(f, scalars...)
+	werr := s.WriteCheckpointTo(f)
 	cerr := f.Close()
 	s.comm.Barrier() // checkpoint is complete only when every rank is done
 	if werr != nil {
@@ -242,13 +264,13 @@ func (s *Solver) SaveCheckpoint(dir string, scalars ...*Scalar) error {
 }
 
 // LoadCheckpoint restores this rank's state from dir (collective).
-func (s *Solver) LoadCheckpoint(dir string, scalars ...*Scalar) error {
+func (s *Solver) LoadCheckpoint(dir string) error {
 	f, err := os.Open(ckptPath(dir, s.slab.Rank))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	rerr := s.ReadCheckpointFrom(f, scalars...)
+	rerr := s.ReadCheckpointFrom(f)
 	s.comm.Barrier()
 	return rerr
 }

@@ -15,7 +15,7 @@ import (
 
 func TestCheckpointRoundTripInMemory(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 1)
 		for i := 0; i < 2; i++ {
 			s.Step(0.004)
@@ -24,7 +24,7 @@ func TestCheckpointRoundTripInMemory(t *testing.T) {
 		if err := s.WriteCheckpointTo(&buf); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		s2 := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s2 := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		if err := s2.ReadCheckpointFrom(&buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -46,10 +46,10 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	// restore into a fresh solver, 3 more. Same fields (bitwise).
 	dir := t.TempDir()
 	n := 16
-	cfg := Config{N: n, Nu: 0.02, Scheme: RK2, Dealias: Dealias23}
+	opts := []Option{WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23)}
 	var straight []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, cfg)
+		s := New(c, n, opts...)
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 6; i++ {
 			s.Step(0.004)
@@ -60,7 +60,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	})
 	var restarted []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, cfg)
+		s := New(c, n, opts...)
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 3; i++ {
 			s.Step(0.004)
@@ -68,7 +68,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 		if err := s.SaveCheckpoint(dir); err != nil {
 			t.Errorf("save: %v", err)
 		}
-		s2 := NewSolver(c, cfg)
+		s2 := New(c, n, opts...)
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Errorf("load: %v", err)
 		}
@@ -89,28 +89,41 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	}
 }
 
+// A 3+2-field rotating-scalar state round-trips bitwise through the
+// generic field serialisation, and the header peek describes it.
 func TestCheckpointWithScalars(t *testing.T) {
+	dir := t.TempDir()
+	opts := []Option{WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23),
+		WithScalars(2, 1, 0.7), WithScalarGradient(2.5)}
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 8, opts...)
 		s.SetRandomIsotropic(2, 0.4, 3)
-		sc := s.NewScalar(0.07)
-		sc.MeanGrad = 2.5
-		s.SetScalarBlob(sc, 2, 0.3, 5)
-		var buf bytes.Buffer
-		if err := s.WriteCheckpointTo(&buf, sc); err != nil {
-			t.Fatalf("write: %v", err)
+		s.SetFieldBlob(3, 2, 0.3, 5)
+		s.SetFieldBlob(4, 2.5, 0.2, 6)
+		s.Step(0.004)
+		if err := s.SaveCheckpoint(dir); err != nil {
+			t.Fatalf("save: %v", err)
 		}
-		s2 := NewSolver(c, Config{N: 8, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
-		sc2 := s2.NewScalar(0)
-		if err := s2.ReadCheckpointFrom(&buf, sc2); err != nil {
-			t.Fatalf("read: %v", err)
+		info, err := PeekCheckpoint(dir)
+		if err != nil {
+			t.Fatalf("peek: %v", err)
 		}
-		if sc2.kappa != 0.07 || sc2.MeanGrad != 2.5 {
-			t.Errorf("scalar params: κ=%g G=%g", sc2.kappa, sc2.MeanGrad)
+		if want := (CheckpointInfo{N: 8, Ranks: 2, Nu: 0.02, System: "rotating-scalar", Fields: 5}); info != want {
+			t.Errorf("peek: %+v, want %+v", info, want)
 		}
-		for i := range sc.Th {
-			if sc.Th[i] != sc2.Th[i] {
-				t.Fatalf("scalar element %d differs", i)
+		s2 := New(c, 8, opts...)
+		if err := s2.LoadCheckpoint(dir); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		if s2.StepCount() != 1 {
+			t.Errorf("step count %d", s2.StepCount())
+		}
+		for f := 0; f < s.Fields(); f++ {
+			a, b := s.Field(f), s2.Field(f)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("field %d element %d differs", f, i)
+				}
 			}
 		}
 	})
@@ -118,7 +131,7 @@ func TestCheckpointWithScalars(t *testing.T) {
 
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		s.SetRandomIsotropic(2, 0.4, 3)
 		var buf bytes.Buffer
 		if err := s.WriteCheckpointTo(&buf); err != nil {
@@ -126,7 +139,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 		data := buf.Bytes()
 		data[len(data)/2] ^= 0xFF // flip a payload bit
-		s2 := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s2 := New(c, 8, WithNu(0.02))
 		err := s2.ReadCheckpointFrom(bytes.NewReader(data))
 		if err == nil || !strings.Contains(err.Error(), "crc") {
 			t.Errorf("corruption not detected: %v", err)
@@ -137,7 +150,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	var blob []byte
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		var buf bytes.Buffer
 		if err := s.WriteCheckpointTo(&buf); err != nil {
 			t.Fatal(err)
@@ -145,7 +158,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 		blob = buf.Bytes()
 	})
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		err := s.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil || !strings.Contains(err.Error(), "N=8") {
 			t.Errorf("geometry mismatch not detected: %v", err)
@@ -153,7 +166,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	})
 	// Wrong rank count.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		err := s.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil {
 			t.Error("rank-count mismatch not detected")
@@ -163,7 +176,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 
 func TestCheckpointRejectsBadMagic(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.02})
+		s := New(c, 8, WithNu(0.02))
 		err := s.ReadCheckpointFrom(bytes.NewReader(make([]byte, 128)))
 		if err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Errorf("bad magic not detected: %v", err)
@@ -175,13 +188,13 @@ func TestCheckpointEnergyPreserved(t *testing.T) {
 	dir := t.TempDir()
 	var e1, e2 float64
 	mpi.Run(4, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 77)
 		e := s.Energy()
 		if err := s.SaveCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
-		s2 := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s2 := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -332,10 +345,40 @@ func TestCheckpointV1Compat(t *testing.T) {
 			}
 		}
 
+		// The header peek names the system a v1 file implies.
+		if c.Rank() == 0 {
+			dir := t.TempDir()
+			if err := os.WriteFile(ckptPath(dir, 0), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			info, err := PeekCheckpoint(dir)
+			if want := (CheckpointInfo{N: 8, Ranks: 2, Nu: 0.02, System: "ns", Fields: 3}); err != nil || info != want {
+				t.Errorf("v1 peek: %+v, %v; want %+v", info, err, want)
+			}
+		}
+
 		forced := New(c, 8, WithNu(0.02), WithForcing(2, 0.1))
 		err := forced.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil || !strings.Contains(err.Error(), "version-1") {
 			t.Errorf("v1 into forced-ns not rejected: %v", err)
 		}
 	})
+}
+
+// The peek validates what a driver is about to construct a solver
+// from: a header no solver could have written is an error, as is a
+// directory with no rank-0 file.
+func TestPeekCheckpointRejectsImplausibleHeader(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := PeekCheckpoint(dir); err == nil {
+		t.Error("empty directory peeked without error")
+	}
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, &ckptHeader{Magic: ckptMagic, Version: 1, N: 16, Ranks: 0, Fields: 3})
+	if err := os.WriteFile(ckptPath(dir, 0), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PeekCheckpoint(dir); err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Errorf("zero-rank header not rejected: %v", err)
+	}
 }

@@ -90,7 +90,7 @@ func (s *Solver) FieldVariance(c int) float64 {
 
 // FieldDissipation returns the diffusive destruction rate of field c,
 // χ = 2κ_c·Σ k²·E_f(k) (so for a scalar, d⟨θ²⟩/dt = −2χ in pure
-// decay, matching ScalarDissipation's convention; collective).
+// decay; collective).
 func (s *Solver) FieldDissipation(c int) float64 {
 	kappa := s.sys.Diffusivity(c)
 	return kappa * s.fieldModeSum(s.state[c], func(k2 float64) float64 { return k2 })
@@ -107,10 +107,16 @@ func (s *Solver) Enstrophy() float64 {
 	return 0.5 * s.modeSum(func(k2 float64) float64 { return k2 })
 }
 
-// Spectrum returns the shell-summed energy spectrum E(k) for integer
-// shells k = 0…N/2, with shell k collecting modes with |k| in
-// [k−½, k+½) (collective).
-func (s *Solver) Spectrum() []float64 {
+// Spectrum returns the shell-summed spectrum ½Σ|f̂|² of the listed
+// fields for integer shells k, shell k collecting modes with |k| in
+// [k−½, k+½). With no argument it is the kinetic energy spectrum E(k)
+// of the three velocity components (ΣE(k) = Energy); Spectrum(c) is
+// the spectrum of one field, e.g. a scalar's E_θ(k) with
+// ΣE_θ(k) = ⟨θ²⟩/2 (collective).
+func (s *Solver) Spectrum(fields ...int) []float64 {
+	if len(fields) == 0 {
+		fields = []int{0, 1, 2}
+	}
 	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
 	n3 := float64(n) * float64(n) * float64(n)
 	inv := 1 / (n3 * n3)
@@ -127,8 +133,8 @@ func (s *Solver) Spectrum() []float64 {
 				shell := int(k + 0.5)
 				if shell < len(spec) {
 					var e float64
-					for c := 0; c < 3; c++ {
-						v := s.Uh[c][idx]
+					for _, c := range fields {
+						v := s.state[c][idx]
 						e += real(v)*real(v) + imag(v)*imag(v)
 					}
 					spec[shell] += 0.5 * specWeight(ix, n) * e * inv
@@ -201,7 +207,8 @@ func (s *Solver) CFL(dt float64) float64 {
 // Galerkin-truncated system this is zero to round-off — the invariant
 // tested by the energy-conservation tests (collective).
 func (s *Solver) NonlinearEnergyTransfer() float64 {
-	s.nonlinear(&s.Uh)
+	s.velocityProducts(s.state, s.nl)
+	s.projectAndDealias(s.nl)
 	n := s.cfg.N
 	n3 := float64(n) * float64(n) * float64(n)
 	inv := 1 / (n3 * n3)

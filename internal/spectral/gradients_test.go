@@ -11,7 +11,7 @@ func TestGradientOfSingleModeIsExact(t *testing.T) {
 	// u = a·sin(2x)·… for mode k=(2,0,0): ∂u/∂x has variance
 	// kx²·⟨u²⟩ and zero skewness (sinusoid).
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		amp := 0.4
 		s.SetSingleMode(2, 0, 0, [3]complex128{0, complex(amp, 0), 0})
 		u := s.VelocityMoments(1)
@@ -32,7 +32,7 @@ func TestGradientOfSingleModeIsExact(t *testing.T) {
 func TestGradientMeanIsZero(t *testing.T) {
 	// Periodic fields have exactly zero mean gradient.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		s.SetRandomIsotropic(3, 0.5, 19)
 		for comp := 0; comp < 3; comp++ {
 			g := s.LongitudinalGradientStats(comp)
@@ -48,8 +48,8 @@ func TestDevelopedTurbulenceHasNegativeSkewness(t *testing.T) {
 	// longitudinal gradients are negatively skewed (≈ −0.3…−0.6) and
 	// the flatness exceeds the Gaussian value 3 (intermittency).
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 32, Nu: 0.01, Scheme: RK2, Dealias: Dealias23,
-			Forcing: NewForcing(2)})
+		s := New(c, 32, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23),
+			WithForcing(2, DefaultForcingEps))
 		s.SetRandomIsotropic(2.5, 0.6, 4)
 		for i := 0; i < 40; i++ {
 			s.Step(0.004)
@@ -75,7 +75,7 @@ func TestTaylorScaleCrossCheck(t *testing.T) {
 	// λ from gradients must agree with the spectral estimate for
 	// isotropic fields within statistical isotropy error.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 32, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 32, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 8)
 		for i := 0; i < 5; i++ {
 			s.Step(0.004)
@@ -92,7 +92,7 @@ func TestGradientStatsRankIndependent(t *testing.T) {
 	get := func(p int) GradientStats {
 		var out GradientStats
 		mpi.Run(p, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: 16, Nu: 0.02})
+			s := New(c, 16, WithNu(0.02))
 			s.SetRandomIsotropic(3, 0.5, 31)
 			g := s.LongitudinalGradientStats(0)
 			if c.Rank() == 0 {

@@ -11,16 +11,6 @@ import (
 // variable counting behind the paper's D ≈ 25 memory estimate.
 var prodPairs = [6][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 
-// nonlinear evaluates the dealiased, projected divergence-form
-// velocity nonlinear term into s.nl[0:3] — the legacy 3-field entry
-// point kept for the coupled-scalar step and diagnostics. Systems
-// compose velocityProducts/addCoriolis/projectAndDealias directly.
-func (s *Solver) nonlinear(u *[3][]complex128) {
-	s.wrap3[0], s.wrap3[1], s.wrap3[2] = u[0], u[1], u[2]
-	s.velocityProducts(s.wrap3, s.nl)
-	s.projectAndDealias(s.nl)
-}
-
 // velocityProducts evaluates the divergence-form nonlinear term
 // N̂_i = −ik_j·FFT{u_iu_j} of the velocity (state[0:3], code units)
 // into rhs[0:3], leaving projection and dealiasing to the caller so

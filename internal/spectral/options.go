@@ -10,11 +10,11 @@ import (
 
 // Option configures New. The zero configuration is an inviscid,
 // undealiased RK2 decaying-NS solver on the synchronous slab
-// transform — the same defaults as the zero Config.
+// transform.
 type Option func(*solverOptions)
 
 type solverOptions struct {
-	cfg     Config
+	cfg     config
 	tr      Transform
 	sys     System
 	sysName string
@@ -122,15 +122,6 @@ func WithRotation(omega float64) Option {
 	return func(o *solverOptions) { o.spec.Omega = omega }
 }
 
-// WithBandForcing attaches the legacy deterministic band forcing
-// (freeze shells 1…kf at their initial energies) as a post-step hook.
-//
-// Deprecated: use WithForcing, whose controller is allocation-free and
-// injects at a prescribed rate.
-func WithBandForcing(kf int) Option {
-	return func(o *solverOptions) { o.cfg.Forcing = NewForcing(kf) }
-}
-
 // WithAsyncTolerance enables asynchrony-tolerant stepping with the
 // given staleness bound (in exchange epochs, not time steps): the
 // distributed transposes run through bounded exchanges
@@ -178,7 +169,7 @@ func WithAsyncDeadline(d time.Duration) Option {
 }
 
 // New allocates a solver for an n³ grid with functional options — the
-// registry-aware constructor. The equation set is chosen by
+// only constructor. The equation set is chosen by
 // WithSystem/WithSystemInstance, or inferred from the physics options:
 // scalars or rotation select "rotating-scalar", forcing selects
 // "forced-ns", and the default is plain decaying "ns".
@@ -186,6 +177,9 @@ func WithAsyncDeadline(d time.Duration) Option {
 // All ranks must construct the solver collectively with identical
 // options.
 func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
+	if n < 4 || n%2 != 0 {
+		panic(fmt.Sprintf("spectral: N must be even and ≥4, got %d", n))
+	}
 	o := &solverOptions{atStale: -1, atDeadline: DefaultATDeadline}
 	o.cfg.N = n
 	for _, opt := range opts {
@@ -214,9 +208,6 @@ func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
 	tr := o.tr
 	ownTr := false
 	if tr == nil {
-		if n < 4 || n%2 != 0 {
-			panic(fmt.Sprintf("spectral: N must be even and ≥4, got %d", n))
-		}
 		if o.atStale >= 0 {
 			tr = pfft.NewSlabRealAT(comm, n, 1, o.atStale, o.atDeadline)
 		} else {
@@ -224,7 +215,7 @@ func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
 		}
 		ownTr = true
 	}
-	s := newSolverAT(comm, o.cfg, tr, sys, o.atStale >= 0)
+	s := newSolver(comm, o.cfg, tr, sys, o.atStale >= 0)
 	s.ownTr = ownTr
 	return s
 }

@@ -24,7 +24,7 @@ func setUniformFlow(s *Solver, u, v, w float64) {
 
 func TestParticlesUniformAdvectionExact(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0})
+		s := New(c, 8, WithNu(0))
 		setUniformFlow(s, 0.3, -0.2, 0.1)
 		p := s.NewParticles(10, 5)
 		x0 := append([][3]float64(nil), p.X...)
@@ -59,7 +59,7 @@ func TestParticleVelocityInterpolationAtNodes(t *testing.T) {
 	// A particle exactly on a grid node must get the nodal velocity.
 	mpi.Run(2, func(c *mpi.Comm) {
 		n := 8
-		s := NewSolver(c, Config{N: n, Nu: 0})
+		s := New(c, n, WithNu(0))
 		s.SetTaylorGreen()
 		s.syncPhysical()
 		p := s.NewParticles(4, 1)
@@ -85,7 +85,7 @@ func TestParticlesAtTGStagnationPointStay(t *testing.T) {
 	// (0,0,0) is a stagnation point of the Taylor–Green field: u=v=w=0
 	// (sin(0)=0 for u; sin(0)=0 for v's y factor; w≡0).
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		s.SetTaylorGreen()
 		p := s.NewParticles(1, 1)
 		p.X[0] = [3]float64{0, 0, 0}
@@ -104,7 +104,7 @@ func TestParticlesRankCountIndependent(t *testing.T) {
 	for _, ranks := range []int{1, 2, 4} {
 		ranks := ranks
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+			s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 			s.SetRandomIsotropic(3, 0.5, 83)
 			p := s.NewParticles(5, 7)
 			for i := 0; i < 3; i++ {
@@ -128,8 +128,8 @@ func TestParticlesRankCountIndependent(t *testing.T) {
 
 func TestParticleDispersionGrowsInTurbulence(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23,
-			Forcing: NewForcing(2)})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23),
+			WithForcing(2, DefaultForcingEps))
 		s.SetRandomIsotropic(2.5, 0.5, 89)
 		p := s.NewParticles(32, 11)
 		var prev float64

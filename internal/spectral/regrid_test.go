@@ -12,9 +12,9 @@ func TestRegridUpsamplePreservesField(t *testing.T) {
 	// upsampled field evaluated at the coarse grid points... more
 	// strongly, energy, dissipation and the spectrum are preserved.
 	mpi.Run(2, func(c *mpi.Comm) {
-		small := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		small := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		small.SetRandomIsotropic(3, 0.5, 17)
-		big := NewSolver(c, Config{N: 32, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		big := New(c, 32, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		Regrid(big, small)
 		if math.Abs(big.Energy()-small.Energy()) > 1e-10 {
 			t.Errorf("energy changed: %g vs %g", big.Energy(), small.Energy())
@@ -40,9 +40,9 @@ func TestRegridPhysicalValuesMatchOnCommonPoints(t *testing.T) {
 	// the upsampled physical field must take the same values there.
 	n1, n2, p := 8, 16, 2
 	mpi.Run(p, func(c *mpi.Comm) {
-		small := NewSolver(c, Config{N: n1, Nu: 0})
+		small := New(c, n1, WithNu(0))
 		small.SetTaylorGreen()
-		big := NewSolver(c, Config{N: n2, Nu: 0})
+		big := New(c, n2, WithNu(0))
 		Regrid(big, small)
 		// Evaluate both in physical space; gather z-slabs... simpler:
 		// compare via the analytic TG formula on the fine grid.
@@ -70,9 +70,9 @@ func TestRegridPhysicalValuesMatchOnCommonPoints(t *testing.T) {
 
 func TestRegridDownsampleTruncates(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		big := NewSolver(c, Config{N: 32, Nu: 0.01})
+		big := New(c, 32, WithNu(0.01))
 		big.SetRandomIsotropic(3, 0.5, 23)
-		small := NewSolver(c, Config{N: 16, Nu: 0.01})
+		small := New(c, 16, WithNu(0.01))
 		Regrid(small, big)
 		// Energy of the small grid equals the big grid's energy in the
 		// retained band |k_i| < 8.
@@ -99,9 +99,9 @@ func TestRegridDownsampleTruncates(t *testing.T) {
 
 func TestRegridSameSizeIsCopy(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		a := NewSolver(c, Config{N: 16, Nu: 0.01})
+		a := New(c, 16, WithNu(0.01))
 		a.SetRandomIsotropic(3, 0.5, 29)
-		b := NewSolver(c, Config{N: 16, Nu: 0.01})
+		b := New(c, 16, WithNu(0.01))
 		Regrid(b, a)
 		for cc := 0; cc < 3; cc++ {
 			for i := range a.Uh[cc] {
@@ -118,12 +118,12 @@ func TestRegridThenContinueIsStable(t *testing.T) {
 	// integrating. Energy must evolve smoothly (no blow-up from bad
 	// mode placement).
 	mpi.Run(2, func(c *mpi.Comm) {
-		small := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		small := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		small.SetRandomIsotropic(3, 0.5, 41)
 		for i := 0; i < 5; i++ {
 			small.Step(0.004)
 		}
-		big := NewSolver(c, Config{N: 32, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		big := New(c, 32, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		Regrid(big, small)
 		e0 := big.Energy()
 		for i := 0; i < 5; i++ {
@@ -141,7 +141,7 @@ func TestRegridThenContinueIsStable(t *testing.T) {
 
 func TestVorticityEnstrophyConsistency(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		s.SetRandomIsotropic(3, 0.5, 47)
 		omega := s.Enstrophy()
 		check := s.VorticityEnstrophyCheck()
@@ -157,7 +157,7 @@ func TestVorticityOfTaylorGreen(t *testing.T) {
 	// Known result: Ω = 3/8 for the TG field above… verify against
 	// spectral enstrophy instead of hand algebra.
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		s.SetTaylorGreen()
 		// k²=3 for every TG mode ⇒ Ω = k²·E = 3·0.125 = 0.375.
 		if math.Abs(s.Enstrophy()-0.375) > 1e-12 {
@@ -171,7 +171,7 @@ func TestVorticityOfTaylorGreen(t *testing.T) {
 
 func TestSuggestDt(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.01})
+		s := New(c, 16, WithNu(0.01))
 		s.SetTaylorGreen() // u_max = 1
 		dt := s.SuggestDt(0.5)
 		// CFL = u_max·dt/Δx = dt/(2π/16) = 0.5 ⇒ dt = π/16.

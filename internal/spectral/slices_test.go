@@ -12,7 +12,7 @@ import (
 func TestSliceZMatchesAnalyticTG(t *testing.T) {
 	n, p := 16, 4
 	mpi.Run(p, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: n, Nu: 0})
+		s := New(c, n, WithNu(0))
 		s.SetTaylorGreen()
 		iz := 3
 		plane := s.SliceZ(0, iz) // u component
@@ -39,7 +39,7 @@ func TestSliceYMatchesAnalyticTG(t *testing.T) {
 	n, p := 16, 4
 	for _, iy := range []int{0, 5, 15} { // different owning ranks
 		mpi.Run(p, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: n, Nu: 0})
+			s := New(c, n, WithNu(0))
 			s.SetTaylorGreen()
 			plane := s.SliceY(1, iy) // v component, layout [nz][nx]
 			if c.Rank() != 0 {

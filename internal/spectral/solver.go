@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/pfft"
 )
 
 // Scheme selects the explicit time integrator for the nonlinear term.
@@ -21,6 +20,17 @@ const (
 	// per step with a small amount of extra storage (§2 of the paper).
 	RK4
 )
+
+// ParseScheme maps a flag value ("rk2" or "rk4") to a Scheme.
+func ParseScheme(s string) (Scheme, error) {
+	switch s {
+	case "rk2":
+		return RK2, nil
+	case "rk4":
+		return RK4, nil
+	}
+	return RK2, fmt.Errorf("spectral: unknown scheme %q (want rk2 or rk4)", s)
+}
 
 // Dealias selects the aliasing control applied to nonlinear products.
 type Dealias int
@@ -36,21 +46,13 @@ const (
 	Dealias23Shift
 )
 
-// Config describes one simulation.
-type Config struct {
+// config is the numerics of one simulation, filled in by New's
+// options.
+type config struct {
 	N       int     // grid points per direction (even)
 	Nu      float64 // kinematic viscosity
 	Scheme  Scheme
 	Dealias Dealias
-	// Forcing, when non-nil, is applied after each step to sustain
-	// stationary turbulence.
-	//
-	// Deprecated: the legacy deterministic band forcing allocates per
-	// step and freezes shell energies rather than controlling the
-	// injection rate. New code should select the "forced-ns" system
-	// (New with WithForcing), whose StochasticForcing controller is
-	// allocation-free and injects at a prescribed rate.
-	Forcing *Forcing
 }
 
 // Transform is the distributed 3D transform pair the solver advances
@@ -88,7 +90,7 @@ type difGroup struct {
 // incompressible Navier–Stokes.
 type Solver struct {
 	comm *mpi.Comm
-	cfg  Config
+	cfg  config
 	slab grid.Slab
 	tr   Transform
 	nxh  int
@@ -98,8 +100,8 @@ type Solver struct {
 
 	// state holds all nf spectral fields, each [mz][ny][nxh] in code
 	// units (N³·û). The first three entries are the solenoidal
-	// velocity; Uh aliases them so velocity-specific diagnostics and
-	// pre-registry callers keep their familiar handle.
+	// velocity; Uh aliases them for the velocity-specific diagnostics
+	// and initial conditions.
 	state [][]complex128
 	Uh    [3][]complex128
 
@@ -110,7 +112,6 @@ type Solver struct {
 	work  []complex128
 	save  [][]complex128 // RK substage storage
 	acc   [][]complex128 // RK4 accumulator
-	wrap3 [][]complex128 // header scratch for the legacy 3-field entry points
 	// RK4 stage storage, hoisted out of the step loop (allocated once
 	// at construction when the scheme needs it, never per step):
 	// rk1..rk3 hold k1, k2 and E½·k3; rku holds the stage state the
@@ -155,8 +156,8 @@ type Solver struct {
 	// slab's age a whole number of time steps.
 	atSite uint32
 
-	// ownTr records that the solver built its transform itself (New /
-	// NewSolver without WithTransform) and therefore closes it; a
+	// ownTr records that the solver built its transform itself (New
+	// without WithTransform) and therefore closes it; a
 	// caller-supplied engine stays the caller's to close. closed makes
 	// Close idempotent.
 	ownTr  bool
@@ -203,48 +204,13 @@ type stalenessReporter interface {
 	TakeStaleness() (max int, sum, slabs, calls int64)
 }
 
-// NewSolver allocates a solver using the synchronous slab transform
-// and the default decaying Navier–Stokes system.
-//
-// Deprecated: use New with functional options (WithNu, WithScheme,
-// WithSystem, …), which also selects among registered equation sets.
-func NewSolver(comm *mpi.Comm, cfg Config) *Solver {
-	if cfg.N < 4 || cfg.N%2 != 0 {
-		panic(fmt.Sprintf("spectral: N must be even and ≥4, got %d", cfg.N))
-	}
-	s := NewSolverWithTransform(comm, cfg, pfft.NewSlabReal(comm, cfg.N))
-	s.ownTr = true
-	return s
-}
-
-// NewSolverWithTransform allocates a solver running on a caller-chosen
-// transform engine (e.g. the batched asynchronous GPU pipeline) with
-// the default decaying Navier–Stokes system.
-//
-// Deprecated: use New with WithTransform.
-func NewSolverWithTransform(comm *mpi.Comm, cfg Config, tr Transform) *Solver {
-	return newSolver(comm, cfg, tr, nil)
-}
-
-// newSolver is the common construction path. A nil sys selects the
-// default decaying Navier–Stokes system built from cfg.Nu.
-func newSolver(comm *mpi.Comm, cfg Config, tr Transform, sys System) *Solver {
-	return newSolverAT(comm, cfg, tr, sys, false)
-}
-
-// newSolverAT additionally arms the asynchrony-tolerant correction:
-// the transform must report staleness (see stalenessReporter) and the
-// stepper gains the prevNl storage the first-order correction
-// extrapolates from.
-func newSolverAT(comm *mpi.Comm, cfg Config, tr Transform, sys System, at bool) *Solver {
-	if cfg.N < 4 || cfg.N%2 != 0 {
-		panic(fmt.Sprintf("spectral: N must be even and ≥4, got %d", cfg.N))
-	}
+// newSolver is the construction path behind New. at arms the
+// asynchrony-tolerant correction: the transform must then report
+// staleness (see stalenessReporter) and the stepper gains the prevNl
+// storage the first-order correction extrapolates from.
+func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *Solver {
 	if cfg.Nu < 0 {
 		panic(fmt.Sprintf("spectral: negative viscosity %g", cfg.Nu))
-	}
-	if sys == nil {
-		sys = newNavierStokes(SystemSpec{Nu: cfg.Nu})
 	}
 	nf := sys.Fields()
 	if nf < 3 {
@@ -279,7 +245,6 @@ func newSolverAT(comm *mpi.Comm, cfg Config, tr Transform, sys System, at bool) 
 	}
 	s.prod = make([]float64, pl)
 	s.work = make([]complex128, fl)
-	s.wrap3 = make([][]complex128, 3)
 	if cfg.Scheme == RK4 {
 		s.rk1 = make([][]complex128, nf)
 		s.rk2 = make([][]complex128, nf)
@@ -480,9 +445,6 @@ func (s *Solver) stepInner(dt float64) {
 		panic(fmt.Sprintf("spectral: unknown scheme %d", s.cfg.Scheme))
 	}
 	s.sys.PostStep(s, dt)
-	if s.cfg.Forcing != nil {
-		s.cfg.Forcing.apply(s)
-	}
 	s.step++
 	s.time += dt
 }

@@ -11,7 +11,7 @@ import (
 func TestTaylorGreenFieldInPhysicalSpace(t *testing.T) {
 	n, p := 16, 2
 	mpi.Run(p, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: n, Nu: 0.1})
+		s := New(c, n, WithNu(0.1))
 		s.SetTaylorGreen()
 		// Transform to physical space and compare pointwise.
 		h := 2 * math.Pi / float64(n)
@@ -47,7 +47,7 @@ func TestTaylorGreenFieldInPhysicalSpace(t *testing.T) {
 func TestTaylorGreenEnergy(t *testing.T) {
 	// ⟨u²⟩ = ⟨v²⟩ = 1/8 each ⇒ E = ½(1/8+1/8) = 1/8.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		s.SetTaylorGreen()
 		if e := s.Energy(); math.Abs(e-0.125) > 1e-12 {
 			t.Errorf("TG energy %g want 0.125", e)
@@ -61,7 +61,7 @@ func TestSingleModeViscousDecayIsExact(t *testing.T) {
 	n := 8
 	nu := 0.05
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: n, Nu: nu, Scheme: RK2, Dealias: DealiasNone})
+		s := New(c, n, WithNu(nu), WithScheme(RK2), WithDealias(DealiasNone))
 		amp := 1e-6
 		// k = (1,2,1); amplitude ⊥ k: a = (2,-1,0).
 		s.SetSingleMode(1, 2, 1, [3]complex128{complex(2*amp, 0), complex(-amp, 0), 0})
@@ -82,7 +82,7 @@ func TestSingleModeViscousDecayIsExact(t *testing.T) {
 
 func TestDivergenceFreeInvariant(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 42)
 		if d := s.DivergenceMax(); d > 1e-12 {
 			t.Fatalf("initial divergence %g", d)
@@ -100,7 +100,7 @@ func TestNonlinearTermConservesEnergy(t *testing.T) {
 	// The projected, dealiased convolution satisfies Σ Re(û*·N̂) = 0:
 	// the nonlinear term only transfers energy between scales.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.01, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 1.0, 7)
 		tr := s.NonlinearEnergyTransfer()
 		e := s.Energy()
@@ -113,7 +113,7 @@ func TestNonlinearTermConservesEnergy(t *testing.T) {
 func TestEnergyBalance(t *testing.T) {
 	// Unforced: dE/dt = −ε. Integrate a short step and compare.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.05, Scheme: RK4, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.05), WithScheme(RK4), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 11)
 		e0 := s.Energy()
 		eps0 := s.Dissipation()
@@ -136,7 +136,7 @@ func TestRankCountIndependence(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		p := p
 		mpi.Run(p, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: n, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+			s := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 			s.SetRandomIsotropic(3, 0.5, 99)
 			for i := 0; i < 3; i++ {
 				s.Step(0.005)
@@ -163,7 +163,7 @@ func TestRK4MoreAccurateThanRK2(t *testing.T) {
 	run := func(scheme Scheme, dt float64, steps int) float64 {
 		var e float64
 		mpi.Run(1, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: n, Nu: 0.05, Scheme: scheme, Dealias: Dealias23})
+			s := New(c, n, WithNu(0.05), WithScheme(scheme), WithDealias(Dealias23))
 			s.SetTaylorGreen()
 			for i := 0; i < steps; i++ {
 				s.Step(dt)
@@ -188,7 +188,7 @@ func TestRK2SecondOrderConvergence(t *testing.T) {
 	run := func(dt float64, steps int) float64 {
 		var e float64
 		mpi.Run(1, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: n, Nu: 0.05, Scheme: RK2, Dealias: Dealias23})
+			s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23))
 			s.SetTaylorGreen()
 			for i := 0; i < steps; i++ {
 				s.Step(dt)
@@ -209,10 +209,11 @@ func TestRK2SecondOrderConvergence(t *testing.T) {
 
 func TestForcingSustainsEnergy(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		f := NewForcing(2)
-		s := NewSolver(c, Config{N: 16, Nu: 0.08, Scheme: RK2, Dealias: Dealias23, Forcing: f})
+		s := New(c, 16, WithNu(0.08), WithScheme(RK2), WithDealias(Dealias23), WithForcing(2, 0))
+		defer s.Close()
 		s.SetRandomIsotropic(2, 0.5, 5)
-		s.Step(0.002) // captures targets
+		// Inject what viscosity removes.
+		s.System().(*ForcedNS).Forcing().Eps = s.Dissipation()
 		e1 := s.Energy()
 		for i := 0; i < 10; i++ {
 			s.Step(0.002)
@@ -228,7 +229,7 @@ func TestForcingSustainsEnergy(t *testing.T) {
 
 func TestUnforcedDecays(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.08, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.08), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(2, 0.5, 5)
 		e1 := s.Energy()
 		for i := 0; i < 10; i++ {
@@ -242,7 +243,7 @@ func TestUnforcedDecays(t *testing.T) {
 
 func TestSpectrumSingleShell(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		amp := 0.3
 		s.SetSingleMode(3, 0, 0, [3]complex128{0, complex(amp, 0), 0})
 		spec := s.Spectrum()
@@ -265,7 +266,7 @@ func TestSpectrumSingleShell(t *testing.T) {
 
 func TestStatisticsConsistency(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.03})
+		s := New(c, 16, WithNu(0.03))
 		s.SetRandomIsotropic(3, 0.6, 21)
 		st := s.Statistics()
 		if math.Abs(st.Energy-0.6) > 1e-9 {
@@ -295,7 +296,7 @@ func TestPhaseShiftDealiasCloseToTruncation(t *testing.T) {
 	run := func(d Dealias) float64 {
 		var e float64
 		mpi.Run(2, func(c *mpi.Comm) {
-			s := NewSolver(c, Config{N: n, Nu: 0.03, Scheme: RK2, Dealias: d})
+			s := New(c, n, WithNu(0.03), WithScheme(RK2), WithDealias(d))
 			s.SetRandomIsotropic(2.5, 0.4, 13)
 			for i := 0; i < 4; i++ {
 				s.Step(0.004)
@@ -316,7 +317,7 @@ func TestPhaseShiftDealiasCloseToTruncation(t *testing.T) {
 
 func TestCFLPositive(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 8, Nu: 0.01})
+		s := New(c, 8, WithNu(0.01))
 		s.SetTaylorGreen()
 		cfl := s.CFL(0.01)
 		// u_max = 1 for TG, Δx = 2π/8 ⇒ CFL = 0.01/(2π/8).
@@ -334,6 +335,6 @@ func TestSolverPanicsOnOddN(t *testing.T) {
 		}
 	}()
 	mpi.Run(1, func(c *mpi.Comm) {
-		NewSolver(c, Config{N: 7, Nu: 0.1})
+		New(c, 7, WithNu(0.1))
 	})
 }

@@ -33,7 +33,7 @@ func TestStepAnnotatesStall(t *testing.T) {
 			Exchange: exchange.Staged,
 		})
 		defer eng.Close()
-		s := NewSolverWithTransform(c, Config{N: n, Nu: 0.05, Scheme: RK2, Dealias: Dealias23}, eng)
+		s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23), WithTransform(eng))
 		s.SetTaylorGreen()
 		s.Step(0.005)
 	},

@@ -19,6 +19,11 @@ type ForcedNS struct {
 	forcing *StochasticForcing
 }
 
+// DefaultForcingEps is the energy injection rate the drivers use when
+// forcing is requested without a rate (cmd/dns -forced, cmd/campaign
+// forcingShells).
+const DefaultForcingEps = 0.1
+
 func init() {
 	RegisterSystem("forced-ns", newForcedNS)
 }

@@ -29,31 +29,21 @@ func TestDecayingNSBitwiseGolden(t *testing.T) {
 	for _, scheme := range []Scheme{RK2, RK4} {
 		for _, p := range []int{1, 2, 4} {
 			want := golden[scheme][p]
-			// Old deprecated constructor and the new options one must
-			// both reproduce the pre-refactor sequence exactly.
-			for _, mode := range []string{"config", "options"} {
-				mode := mode
-				mpi.Run(p, func(c *mpi.Comm) {
-					var s *Solver
-					if mode == "config" {
-						s = NewSolver(c, Config{N: 32, Nu: 0.02, Scheme: scheme, Dealias: Dealias23})
-					} else {
-						s = New(c, 32, WithNu(0.02), WithScheme(scheme), WithDealias(Dealias23))
+			mpi.Run(p, func(c *mpi.Comm) {
+				s := New(c, 32, WithNu(0.02), WithScheme(scheme), WithDealias(Dealias23))
+				s.SetRandomIsotropic(3, 0.5, 424242)
+				e0 := s.Energy()
+				for i := 0; i < 5; i++ {
+					s.Step(0.004)
+				}
+				e5 := s.Energy()
+				if c.Rank() == 0 {
+					if e0 != want[0] || e5 != want[1] {
+						t.Errorf("scheme=%v p=%d: e0=%.17g e5=%.17g, want %.17g %.17g",
+							scheme, p, e0, e5, want[0], want[1])
 					}
-					s.SetRandomIsotropic(3, 0.5, 424242)
-					e0 := s.Energy()
-					for i := 0; i < 5; i++ {
-						s.Step(0.004)
-					}
-					e5 := s.Energy()
-					if c.Rank() == 0 {
-						if e0 != want[0] || e5 != want[1] {
-							t.Errorf("%v scheme=%v p=%d: e0=%.17g e5=%.17g, want %.17g %.17g",
-								mode, scheme, p, e0, e5, want[0], want[1])
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -185,11 +175,10 @@ func TestForcedNSRankCountIndependence(t *testing.T) {
 	}
 }
 
-// TestScalarVarianceBudget advances a decaying passive scalar inside
+// TestScalarDissipationBudget advances a decaying passive scalar inside
 // the rotating-scalar system and checks the variance budget
-// d⟨θ²⟩/dt = −2χ over a step (trapezoid in time), plus that the
-// in-system scalar matches the physics of the legacy coupled path.
-func TestScalarVarianceBudget(t *testing.T) {
+// d⟨θ²⟩/dt = −2χ over a step (trapezoid in time).
+func TestScalarDissipationBudget(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			s := New(c, 32,
@@ -327,17 +316,4 @@ func TestSystemGauge(t *testing.T) {
 			t.Errorf("solver.system gauge = %v, want %d", g, SystemCode("rotating-scalar"))
 		}
 	})
-}
-
-// TestStepWithScalarRejectsWideSystems pins the guard: the legacy
-// coupled path is only valid for 3-field systems.
-func TestStepWithScalarRejectsWideSystems(t *testing.T) {
-	err := mpi.TryRun(1, func(c *mpi.Comm) {
-		s := New(c, 16, WithNu(0.01), WithScalars(1))
-		sc := s.NewScalar(0.01)
-		s.StepWithScalar(sc, 0.01)
-	})
-	if err == nil {
-		t.Fatal("expected panic for StepWithScalar on a 4-field system")
-	}
 }

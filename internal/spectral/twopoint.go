@@ -119,7 +119,8 @@ func (s *Solver) StructureFunction3() []float64 {
 // transfer ΣT(k) vanishes for the dealiased Galerkin system
 // (collective; evaluates the nonlinear term: 9 transforms).
 func (s *Solver) TransferSpectrum() []float64 {
-	s.nonlinear(&s.Uh)
+	s.velocityProducts(s.state, s.nl)
+	s.projectAndDealias(s.nl)
 	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
 	n3 := float64(n) * float64(n) * float64(n)
 	inv := 1 / (n3 * n3)

@@ -9,7 +9,7 @@ import (
 
 func TestCorrelationAtZeroIsVariance(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		s.SetRandomIsotropic(3, 0.5, 61)
 		rr := s.LongitudinalCorrelation()
 		u := s.VelocityMoments(0)
@@ -22,7 +22,7 @@ func TestCorrelationAtZeroIsVariance(t *testing.T) {
 func TestCorrelationOfSingleModeIsCosine(t *testing.T) {
 	// u ∝ cos-mode at kx=2: R(r) = ⟨u²⟩·cos(2·r·Δx).
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0})
+		s := New(c, 16, WithNu(0))
 		s.SetSingleMode(2, 0, 0, [3]complex128{0, complex(0.3, 0), 0})
 		// The mode is in component 1; rotate it into component 0 by
 		// using a mode with u₀ amplitude: k=(0,2,0), amp in x.
@@ -52,7 +52,7 @@ func TestCorrelationOfSingleModeIsCosine(t *testing.T) {
 
 func TestStructureFunction2FromCorrelation(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02})
+		s := New(c, 16, WithNu(0.02))
 		s.SetRandomIsotropic(3, 0.5, 67)
 		s2 := s.StructureFunction2()
 		if s2[0] != 0 {
@@ -89,8 +89,8 @@ func TestStructureFunction3CascadeDirection(t *testing.T) {
 	// value, regardless of the (finite-sample skewed) initial
 	// realization — the scale-space face of the 4/5 law's sign.
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 32, Nu: 0.01, Scheme: RK2, Dealias: Dealias23,
-			Forcing: NewForcing(2)})
+		s := New(c, 32, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23),
+			WithForcing(2, DefaultForcingEps))
 		s.SetRandomIsotropic(2.5, 0.6, 71)
 		r := 2
 		skew := func() float64 {
@@ -126,7 +126,7 @@ func TestStructureFunction3CascadeDirection(t *testing.T) {
 
 func TestTransferSpectrumSumsToZero(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 16, Nu: 0.02, Scheme: RK2, Dealias: Dealias23})
+		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
 		s.SetRandomIsotropic(3, 0.5, 73)
 		tr := s.TransferSpectrum()
 		var sum, absSum float64
@@ -145,7 +145,7 @@ func TestTransferSpectrumSumsToZero(t *testing.T) {
 
 func TestIntegralScalePositiveAndBounded(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		s := NewSolver(c, Config{N: 32, Nu: 0.01})
+		s := New(c, 32, WithNu(0.01))
 		s.SetRandomIsotropic(3, 0.5, 79)
 		l := s.IntegralScale()
 		if l <= 0 || l >= math.Pi {

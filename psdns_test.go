@@ -14,9 +14,7 @@ import (
 // end, exactly as the package doc comment advertises.
 func TestPublicAPIQuickstart(t *testing.T) {
 	repro.Run(2, func(c *repro.Comm) {
-		tr := repro.NewAsyncTransform(c, 16, repro.AsyncOptions{
-			NP: 3, Granularity: repro.PerPencil,
-		})
+		tr := repro.NewAsync(c, 16, repro.WithNP(3), repro.WithGranularity(repro.PerPencil))
 		defer tr.Close()
 		s := repro.NewSolver(c, 16,
 			repro.WithNu(0.02),
@@ -152,4 +150,24 @@ func TestPublicAPIWatchdogDeadlock(t *testing.T) {
 	if st.Rank != 0 || st.Op != "barrier" || !st.Deadlock {
 		t.Fatalf("StallError = %+v", st)
 	}
+}
+
+// TestNewTunedAsync: the tuned constructor keeps the option-given
+// configuration on the dimensions the space pins, agrees on a concrete
+// strategy, and rebuilds the same engine from a warm cache.
+func TestNewTunedAsync(t *testing.T) {
+	dir := t.TempDir()
+	space := &repro.TuneSpace{PerSlab: []bool{false}}
+	repro.Run(2, func(c *repro.Comm) {
+		cold := repro.NewTunedAsync(c, 16, dir, space, repro.WithNP(2))
+		defer cold.Close()
+		warm := repro.NewTunedAsync(c, 16, dir, space, repro.WithNP(2))
+		defer warm.Close()
+		if st := cold.Strategy(); st == repro.ExchangeAuto || st == repro.ExchangeAT || warm.Strategy() != st {
+			t.Errorf("rank %d: cold pinned %v, warm %v", c.Rank(), st, warm.Strategy())
+		}
+		if cold.NP() != 2 || warm.NP() != 2 {
+			t.Errorf("rank %d: np %d/%d, want 2", c.Rank(), cold.NP(), warm.NP())
+		}
+	})
 }
