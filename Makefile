@@ -4,7 +4,7 @@
 GO ?= go
 PSDNSLINT := bin/psdnslint
 
-.PHONY: all build test lint lint-fix fmt bench loc clean
+.PHONY: all build test fuzz lint lint-fix fmt bench loc clean
 
 all: build test lint
 
@@ -17,6 +17,11 @@ build:
 test:
 	$(GO) test ./...
 	$(GO) vet -C benchmark . && $(GO) test -C benchmark .
+
+# fuzz runs the tree's native fuzz targets for a few seconds each from
+# their committed seed corpora (testdata/fuzz); new crashers land there.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzBatchLayout -fuzztime 10s ./internal/fft
 
 # lint = gofmt (fail on unformatted files) + no Deprecated: marker
 # anywhere (superseded surface is deleted, not kept; benchmark/ and

@@ -31,7 +31,12 @@
 //   - pencil_fwd_inv_n64_p4 / p8: the forward+inverse transform on the
 //     2D pencil engine (2×2 and 2×4 process grids), pinning the
 //     two-transpose dataflow — column and row exchanges through
-//     per-sub-communicator plans — allocation-free at steady state.
+//     per-sub-communicator plans — allocation-free at steady state;
+//   - fft_c2c_strided_n48 / n64, fft_c2c_contig_n128, fft_r2c_n48 /
+//     n64: the 1-D kernels alone, one plane of lines per op — complex
+//     lines strided by N/2+1 (the y and z passes, plane form), unit-
+//     stride complex lines (the pencil engine's passes, line form) and
+//     real lines — with GFlop/s at the nominal 5·n·log₂n per line.
 //
 // Besides the -baseline/-check gate, `bench -compare old.json
 // new.json` diffs two measurement files row by row (speedup per
@@ -47,12 +52,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/fft"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
@@ -67,6 +74,7 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	GFlops      float64 `json:"gflops,omitempty"` // kernel rows only
 }
 
 // File is the BENCH_step.json schema.
@@ -84,6 +92,7 @@ type sample struct {
 	ns     int64
 	allocs int64
 	bytes  int64
+	flop   float64 // nominal flop count of the timed window; 0 = not a kernel row
 }
 
 func init() {
@@ -158,7 +167,7 @@ func profDelta(pre, post []runtime.MemProfileRecord) (objs, bytes int64) {
 	for k, c := range acc(post) {
 		b := base[k]
 		if d := c.objs - b.objs; d > 0 {
-			if runtimeOnlyStack(k) {
+			if runtimeHousekeeping(k) {
 				// Background runtime housekeeping (e.g. the scavenger
 				// growing its timer heap) — not attributable to any
 				// workload code.
@@ -186,23 +195,32 @@ func profDelta(pre, post []runtime.MemProfileRecord) (objs, bytes int64) {
 	return objs, bytes
 }
 
-// runtimeOnlyStack reports whether every frame of a profile stack is a
-// runtime-internal function: an allocation by one of the runtime's own
-// background goroutines rather than by workload code (which always has
-// at least one non-runtime frame on its stack).
-func runtimeOnlyStack(k [32]uintptr) bool {
+// runtimeHousekeeping reports whether a profile stack is the runtime's
+// own housekeeping rather than an allocation by workload code: either
+// every frame is a runtime-internal function (one of the runtime's
+// background goroutines; workload code always has a non-runtime frame
+// on its stack), or the allocation is a refill of the per-P sudog
+// cache — the forced GCs fencing the window empty that cache, so the
+// first goroutine to block in a barrier afterwards allocates a sudog
+// whichever workload is running (on a 2-CPU box with 4–8 ranks that
+// hit some row of nearly every run).
+func runtimeHousekeeping(k [32]uintptr) bool {
 	n := 0
 	for n < len(k) && k[n] != 0 {
 		n++
 	}
 	frames := runtime.CallersFrames(k[:n])
+	only := true
 	for {
 		fr, more := frames.Next()
+		if fr.Function == "runtime.acquireSudog" {
+			return true
+		}
 		if fr.Function != "" && !strings.HasPrefix(fr.Function, "runtime.") {
-			return false
+			only = false
 		}
 		if !more {
-			return true
+			return only
 		}
 	}
 }
@@ -473,6 +491,60 @@ func packUnpack(nxh, ny, mz, p int) func(iters, workers int) sample {
 	}
 }
 
+// fftKernel times alternating fwd and inv ops, each one plane of
+// `lines` 1-D transforms of length n. Alternating keeps the data from
+// overflowing or decaying into denormals: a forward-only or
+// inverse-only loop ends up timing the FPU's slow path, not the
+// kernel. The flop count is the nominal 5·n·log₂n per line, real lines
+// included.
+func fftKernel(iters, n, lines int, fwd, inv func()) sample {
+	forward := true
+	s := timeLoop(iters, 2, func() {
+		if forward {
+			fwd()
+		} else {
+			inv()
+		}
+		forward = !forward
+	})
+	s.flop = float64(iters) * float64(lines) * 5 * float64(n) * math.Log2(float64(n))
+	return s
+}
+
+// fftC2C is fftKernel on the nxh = n/2+1 complex lines of one
+// half-spectrum plane, in place: strided by nxh with the lines adjacent
+// (the y and z passes of the slab engines, plane form) or back to back
+// at unit stride (the pencil engine's passes, line form).
+func fftC2C(n int, strided bool) func(iters, workers int) sample {
+	return func(iters, _ int) sample {
+		nxh := n/2 + 1
+		b := fft.NewContiguousBatch(n, nxh)
+		if strided {
+			b = fft.NewBatch(n, nxh, nxh, 1, nxh, 1)
+		}
+		defer b.Release()
+		buf := make([]complex128, n*nxh)
+		for i := range buf {
+			buf[i] = complex(float64(i%13), float64(i%7))
+		}
+		return fftKernel(iters, n, nxh, func() { b.Forward(buf, buf) }, func() { b.Inverse(buf, buf) })
+	}
+}
+
+// fftR2C is fftKernel on the n real x-lines of one physical plane.
+func fftR2C(n int) func(iters, workers int) sample {
+	return func(iters, _ int) sample {
+		nxh := n/2 + 1
+		b := fft.NewRealBatch(n, n, 1, n, 1, nxh)
+		defer b.Release()
+		phys, spec := make([]float64, n*n), make([]complex128, n*nxh)
+		for i := range phys {
+			phys[i] = float64(i % 11)
+		}
+		return fftKernel(iters, n, n, func() { b.Forward(spec, phys) }, func() { b.Inverse(phys, spec) })
+	}
+}
+
 var workloads = []workload{
 	{"slab_fwd_inv_n64_p4", 40, 8, true, slabTransform(64, 4)},
 	{"slab_fwd_inv_n128_p4", 10, 2, true, slabTransform(128, 4)},
@@ -496,6 +568,11 @@ var workloads = []workload{
 	{"slab_tuned_n64_p4", 40, 8, true, slabTransformTuned(64, 4)},
 	{"pencil_fwd_inv_n64_p4", 40, 8, true, pencilTransform(64, 2, 2)},
 	{"pencil_fwd_inv_n64_p8", 20, 4, true, pencilTransform(64, 2, 4)},
+	{"fft_c2c_strided_n48", 20000, 4000, true, fftC2C(48, true)},
+	{"fft_c2c_strided_n64", 20000, 4000, true, fftC2C(64, true)},
+	{"fft_c2c_contig_n128", 10000, 2000, true, fftC2C(128, false)},
+	{"fft_r2c_n48", 10000, 2000, true, fftR2C(48)},
+	{"fft_r2c_n64", 10000, 2000, true, fftR2C(64)},
 }
 
 func main() {
@@ -543,10 +620,15 @@ func main() {
 			NsPerOp:     float64(s.ns) / float64(iters),
 			AllocsPerOp: float64(s.allocs) / float64(iters),
 			BytesPerOp:  float64(s.bytes) / float64(iters),
+			GFlops:      s.flop / float64(s.ns),
 		}
 		f.Results = append(f.Results, r)
-		fmt.Printf("%-22s %10d iters %14.0f ns/op %10.1f allocs/op %12.0f B/op\n",
+		fmt.Printf("%-22s %10d iters %14.0f ns/op %10.1f allocs/op %12.0f B/op",
 			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		if r.GFlops > 0 {
+			fmt.Printf(" %8.2f GFlop/s", r.GFlops)
+		}
+		fmt.Println()
 	}
 
 	data, err := json.MarshalIndent(&f, "", "  ")

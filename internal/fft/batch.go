@@ -16,32 +16,48 @@ type Batch struct {
 	howmany        int
 	istride, idist int
 	ostride, odist int
-	in, out        []complex128
+	rows           []complex128 // plane form: the program's block, n rows of tile width
+	tiles          int          // plane form: number of column tiles; 0 selects line form
 }
+
+// planeBlock bounds the plane form's block, n rows of one tile of
+// adjacent lines, to 256 KiB of complex128: a fraction of any L2 cache,
+// yet wide enough that a whole N ≤ 128 half-spectrum plane is one tile
+// (measured: wider tiles are faster up to there and within noise
+// beyond). Tiles never get narrower than minTile lines.
+const (
+	planeBlock = 1 << 14
+	minTile    = 8
+)
 
 // NewBatch creates a batched plan of howmany length-n transforms with
 // the given input/output strides and distances.
 func NewBatch(n, howmany, istride, idist, ostride, odist int) *Batch {
-	if howmany < 0 || istride < 1 || ostride < 1 {
-		panic(fmt.Sprintf("fft: invalid batch layout howmany=%d istride=%d ostride=%d", howmany, istride, ostride))
+	if howmany < 0 || istride < 1 || ostride < 1 || idist < 0 || odist < 0 {
+		panic(fmt.Sprintf("fft: invalid batch layout howmany=%d istride=%d idist=%d ostride=%d odist=%d", howmany, istride, idist, ostride, odist))
 	}
-	return &Batch{
+	b := &Batch{
 		p:       NewPlan(n),
 		howmany: howmany,
 		istride: istride, idist: idist,
 		ostride: ostride, odist: odist,
-		in:  pool.GetComplex(n),
-		out: pool.GetComplex(n),
 	}
+	// The batch dimension is the contiguous one: run whole rows of
+	// adjacent lines through each butterfly instead of line by line.
+	if idist == 1 && odist == 1 && howmany > 1 && b.p.prog != nil {
+		tile := max(planeBlock/n, minTile)
+		b.tiles = (howmany + tile - 1) / tile
+		b.rows = pool.GetComplex(n * ((howmany + b.tiles - 1) / b.tiles))
+	}
+	return b
 }
 
 // Release returns the batch's scratch (and its plan's) to the process
 // buffer arena. The batch must not be used afterwards.
 func (b *Batch) Release() {
 	b.p.Release()
-	pool.PutComplex(b.in)
-	pool.PutComplex(b.out)
-	b.in, b.out = nil, nil
+	pool.PutComplex(b.rows)
+	b.rows = nil
 }
 
 // NewContiguousBatch is shorthand for howmany back-to-back unit-stride
@@ -62,18 +78,32 @@ func (b *Batch) Forward(dst, src []complex128) { b.exec(dst, src, Forward) }
 // Inverse runs all inverse transforms (each scaled by 1/n).
 func (b *Batch) Inverse(dst, src []complex128) { b.exec(dst, src, Inverse) }
 
+// checkSpan panics unless a buffer of have elements holds howmany lines
+// of n elements laid out at (stride, dist), so that a short buffer is
+// refused here and not by an index panic inside a kernel.
+func checkSpan(what string, have, n, howmany, stride, dist int) {
+	if need := (howmany-1)*dist + (n-1)*stride + 1; howmany > 0 && have < need {
+		panic(fmt.Sprintf("fft: batch layout spans %d elements of %s, got %d", need, what, have))
+	}
+}
+
+//psdns:hotpath
 func (b *Batch) exec(dst, src []complex128, dir Direction) {
 	n := b.p.Len()
-	for t := 0; t < b.howmany; t++ {
-		ibase := t * b.idist
-		for j := 0; j < n; j++ {
-			b.in[j] = src[ibase+j*b.istride]
+	checkSpan("src", len(src), n, b.howmany, b.istride, b.idist)
+	checkSpan("dst", len(dst), n, b.howmany, b.ostride, b.odist)
+	transforms.Add(int64(b.howmany))
+	if b.tiles == 0 {
+		for t := 0; t < b.howmany; t++ {
+			b.p.line(dst[t*b.odist:], b.ostride, src[t*b.idist:], b.istride, dir)
 		}
-		b.p.run(b.out, b.in, dir)
-		obase := t * b.odist
-		for k := 0; k < n; k++ {
-			dst[obase+k*b.ostride] = b.out[k]
-		}
+		return
+	}
+	// Tiles of near-equal width, so no tile degenerates to a single line.
+	for i, t0 := 0, 0; i < b.tiles; i++ {
+		t1 := (i + 1) * b.howmany / b.tiles
+		b.p.prog.run(dst[t0:], b.ostride, src[t0:], b.istride, b.rows, b.p.gen, t1-t0, dir)
+		t0 = t1
 	}
 }
 
@@ -87,64 +117,52 @@ type RealBatch struct {
 	howmany        int
 	rstride, rdist int
 	cstride, cdist int
-	rbuf           []float64
-	cbuf           []complex128
 }
 
 // NewRealBatch creates a batched real-transform plan.
 func NewRealBatch(n, howmany, rstride, rdist, cstride, cdist int) *RealBatch {
-	if howmany < 0 || rstride < 1 || cstride < 1 {
-		panic(fmt.Sprintf("fft: invalid real batch layout howmany=%d rstride=%d cstride=%d", howmany, rstride, cstride))
+	if howmany < 0 || rstride < 1 || cstride < 1 || rdist < 0 || cdist < 0 {
+		panic(fmt.Sprintf("fft: invalid real batch layout howmany=%d rstride=%d rdist=%d cstride=%d cdist=%d", howmany, rstride, rdist, cstride, cdist))
 	}
 	return &RealBatch{
 		p:       NewRealPlan(n),
 		howmany: howmany,
 		rstride: rstride, rdist: rdist,
 		cstride: cstride, cdist: cdist,
-		rbuf: pool.GetFloat(n),
-		cbuf: pool.GetComplex(n/2 + 1),
 	}
 }
 
-// Release returns the batch's scratch (and its plan's) to the process
-// buffer arena. The batch must not be used afterwards.
-func (b *RealBatch) Release() {
-	b.p.Release()
-	pool.PutFloat(b.rbuf)
-	pool.PutComplex(b.cbuf)
-	b.rbuf, b.cbuf = nil, nil
+// Release returns the plan's scratch to the process buffer arena. The
+// batch must not be used afterwards.
+func (b *RealBatch) Release() { b.p.Release() }
+
+// check panics unless the real side holds nr and the complex side nc
+// elements' worth of the batch layout.
+func (b *RealBatch) check(nr, nc int) {
+	checkSpan("real data", nr, b.p.Len(), b.howmany, b.rstride, b.rdist)
+	checkSpan("half-spectrum", nc, b.p.HalfLen(), b.howmany, b.cstride, b.cdist)
 }
 
 // Forward transforms howmany real sequences from src into half-spectra
 // in dst.
+//
+//psdns:hotpath
 func (b *RealBatch) Forward(dst []complex128, src []float64) {
-	n, h := b.p.Len(), b.p.HalfLen()
+	b.check(len(src), len(dst))
+	b.p.count(b.howmany)
 	for t := 0; t < b.howmany; t++ {
-		rbase := t * b.rdist
-		for j := 0; j < n; j++ {
-			b.rbuf[j] = src[rbase+j*b.rstride]
-		}
-		b.p.Forward(b.cbuf, b.rbuf)
-		cbase := t * b.cdist
-		for k := 0; k < h; k++ {
-			dst[cbase+k*b.cstride] = b.cbuf[k]
-		}
+		b.p.forward(dst[t*b.cdist:], b.cstride, src[t*b.rdist:], b.rstride)
 	}
 }
 
 // Inverse transforms howmany half-spectra from src into real sequences
 // in dst (each scaled by 1/n).
+//
+//psdns:hotpath
 func (b *RealBatch) Inverse(dst []float64, src []complex128) {
-	n, h := b.p.Len(), b.p.HalfLen()
+	b.check(len(dst), len(src))
+	b.p.count(b.howmany)
 	for t := 0; t < b.howmany; t++ {
-		cbase := t * b.cdist
-		for k := 0; k < h; k++ {
-			b.cbuf[k] = src[cbase+k*b.cstride]
-		}
-		b.p.Inverse(b.rbuf, b.cbuf)
-		rbase := t * b.rdist
-		for j := 0; j < n; j++ {
-			dst[rbase+j*b.rstride] = b.rbuf[j]
-		}
+		b.p.inverse(dst[t*b.rdist:], b.rstride, src[t*b.cdist:], b.cstride)
 	}
 }

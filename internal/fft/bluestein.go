@@ -41,12 +41,12 @@ func (b *bluestein) release() {
 	b.ax, b.conv = nil, nil
 }
 
-// transform computes the unnormalized DFT of src into dst; the caller
-// applies the 1/n factor for inverse transforms. dst and src may alias.
-func (b *bluestein) transform(dst, src []complex128, dir Direction) {
+// transform computes the DFT of src[0], src[is], … into dst[0], dst[os],
+// …, including the 1/n factor of the inverse. dst and src may alias.
+func (b *bluestein) transform(dst []complex128, os int, src []complex128, is int, dir Direction) {
 	n, m := b.n, b.m
 	for j := 0; j < n; j++ {
-		x := src[j]
+		x := src[j*is]
 		if dir == Inverse {
 			x = cmplx.Conj(x)
 		}
@@ -60,11 +60,12 @@ func (b *bluestein) transform(dst, src []complex128, dir Direction) {
 		b.conv[j] *= b.fb[j]
 	}
 	b.pm.Inverse(b.ax, b.conv)
+	sc := complex(1/float64(n), 0)
 	for k := 0; k < n; k++ {
 		y := b.ax[k] * b.w[k]
 		if dir == Inverse {
-			y = cmplx.Conj(y)
+			y = cmplx.Conj(y) * sc
 		}
-		dst[k] = y
+		dst[k*os] = y
 	}
 }

@@ -1,20 +1,11 @@
 package fft
 
-// Small-radix base-case codelets. The recursion's leaves dominate the
-// short line transforms of the DNS (a 64³ grid runs thousands of
-// length-64 y/z lines per slab, each decomposing into sixteen length-4
-// leaves): without codelets every leaf costs r recursive calls into
-// the n==1 base case plus a combine pass with twiddle-table lookups
-// whose exponents are all trivial (W⁰=1, W_4=−i, W_8=√2/2·(1−i)).
-// The codelets compute the length-2/4/8 DFTs of the strided input
-// directly — no recursion, no table lookups, exact ±1/±i/√2⁄2
-// arithmetic — and recurse dispatches them before looking at the
-// factor list. Batched callers reach them through BatchCache → Batch →
-// Plan.run → recurse, so every short y/z line in the hot loops lands
-// here. Bluestein lengths never reach recurse, and any composite with
-// 2 | n has factors drawn from {4, 2} ∪ odd, so n ∈ {2, 4, 8} is
-// always a pure power of two here — the codelets are complete DFTs,
-// not one factor's butterfly.
+// Leaf codelets: the length-2/4/8 DFTs of a strided input, computed
+// directly — no twiddle table, exact ±1/±i/√2⁄2 arithmetic — on the
+// shared butterfly bodies. They are the first pass of every stage
+// program whose length has a power-of-two remainder (program.go):
+// dft2/dft4/dft8 in line form, rows2leaf/rows4leaf/rows8leaf across a
+// row of w adjacent lines in plane form, writing rows w apart.
 
 // dft2 is the length-2 DFT of x[0], x[s] into out[0:2]. The single
 // twiddle is W⁰ = 1 in both directions.
@@ -24,49 +15,53 @@ func dft2(out, x []complex128, s int) {
 	out[1] = a - b
 }
 
-// dft4 is the length-4 DFT of x[0], x[s], x[2s], x[3s] into out[0:4]:
-// two length-2 even/odd halves combined with W_4 = ∓i applied as an
-// exact component swap instead of a complex multiply.
-func dft4(out, x []complex128, s int, dir Direction) {
-	e0, e1 := x[0]+x[2*s], x[0]-x[2*s] // DFT2 of even samples
-	o0, o1 := x[s]+x[3*s], x[s]-x[3*s] // DFT2 of odd samples
-	var jo complex128                  // W_4¹·o1 = ∓i·o1
-	if dir == Forward {
-		jo = complex(imag(o1), -real(o1))
-	} else {
-		jo = complex(-imag(o1), real(o1))
+func rows2leaf(out, x []complex128, s, w int) {
+	x0, x1 := x[:w], x[s:][:w]
+	o0, o1 := out[:w], out[w:][:w]
+	for t := range x0 {
+		a, b := x0[t], x1[t]
+		o0[t], o1[t] = a+b, a-b
 	}
-	out[0] = e0 + o0
-	out[1] = e1 + jo
-	out[2] = e0 - o0
-	out[3] = e1 - jo
 }
 
-// sqrt1_2 is √2/2, the real (and negated imaginary) part of W_8.
-const sqrt1_2 = 0.70710678118654752440
+// dft4 is the length-4 DFT of x[0], x[s], x[2s], x[3s] into out[0:4].
+func dft4(out, x []complex128, s int, dir Direction) {
+	out[0], out[1], out[2], out[3] = bf4(x[0], x[s], x[2*s], x[3*s], dir == Forward)
+}
+
+func rows4leaf(out, x []complex128, s, w int, fwd bool) {
+	x0, x1, x2, x3 := x[:w], x[s:][:w], x[2*s:][:w], x[3*s:][:w]
+	o0, o1, o2, o3 := out[:w], out[w:][:w], out[2*w:][:w], out[3*w:][:w]
+	for t := range x0 {
+		o0[t], o1[t], o2[t], o3[t] = bf4(x0[t], x1[t], x2[t], x3[t], fwd)
+	}
+}
 
 // dft8 is the length-8 DFT of x[0], x[s], … x[7s] into out[0:8]: two
-// length-4 even/odd codelets combined radix-2 with the exact eighth
-// roots W_8^k ∈ {1, √2/2·(1∓i), ∓i, −√2/2·(1±i)}.
+// length-4 even/odd halves combined radix-2 with the exact eighth
+// roots.
 func dft8(out, x []complex128, s int, dir Direction) {
-	var e, o [4]complex128
-	dft4(e[:], x, 2*s, dir)
-	dft4(o[:], x[s:], 2*s, dir)
-	sgn := 1.0
-	if dir == Inverse {
-		sgn = -1.0
+	e0, e1, e2, e3 := bf4(x[0], x[2*s], x[4*s], x[6*s], dir == Forward)
+	o0, o1, o2, o3 := bf4(x[s], x[3*s], x[5*s], x[7*s], dir == Forward)
+	t1, t2, t3 := tw8(o1, o2, o3, float64(-dir))
+	out[0], out[4] = e0+o0, e0-o0
+	out[1], out[5] = e1+t1, e1-t1
+	out[2], out[6] = e2+t2, e2-t2
+	out[3], out[7] = e3+t3, e3-t3
+}
+
+func rows8leaf(out, x []complex128, s, w int, fwd bool, sgn float64) {
+	x0, x1, x2, x3 := x[:w], x[s:][:w], x[2*s:][:w], x[3*s:][:w]
+	x4, x5, x6, x7 := x[4*s:][:w], x[5*s:][:w], x[6*s:][:w], x[7*s:][:w]
+	y0, y1, y2, y3 := out[:w], out[w:][:w], out[2*w:][:w], out[3*w:][:w]
+	y4, y5, y6, y7 := out[4*w:][:w], out[5*w:][:w], out[6*w:][:w], out[7*w:][:w]
+	for t := range x0 {
+		e0, e1, e2, e3 := bf4(x0[t], x2[t], x4[t], x6[t], fwd)
+		o0, o1, o2, o3 := bf4(x1[t], x3[t], x5[t], x7[t], fwd)
+		t1, t2, t3 := tw8(o1, o2, o3, sgn)
+		y0[t], y4[t] = e0+o0, e0-o0
+		y1[t], y5[t] = e1+t1, e1-t1
+		y2[t], y6[t] = e2+t2, e2-t2
+		y3[t], y7[t] = e3+t3, e3-t3
 	}
-	// t_k = W_8^k · o[k]; W_8^k = exp(∓2πik/8).
-	t0 := o[0]
-	t1 := complex(sqrt1_2, 0) * complex(real(o[1])+sgn*imag(o[1]), imag(o[1])-sgn*real(o[1]))
-	t2 := complex(sgn*imag(o[2]), -sgn*real(o[2]))
-	t3 := complex(sqrt1_2, 0) * complex(sgn*imag(o[3])-real(o[3]), -sgn*real(o[3])-imag(o[3]))
-	out[0] = e[0] + t0
-	out[1] = e[1] + t1
-	out[2] = e[2] + t2
-	out[3] = e[3] + t3
-	out[4] = e[0] - t0
-	out[5] = e[1] - t1
-	out[6] = e[2] - t2
-	out[7] = e[3] - t3
 }

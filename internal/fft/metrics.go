@@ -9,9 +9,11 @@ import (
 // Package-level instrumentation. The fft package sits under every
 // layer of the stack and its plans are owned by individual worker
 // goroutines, so rather than threading a registry into each plan, hot
-// counts accumulate into package atomics (an atomic add is noise next
-// to even the smallest transform) and PublishMetrics copies the totals
-// into a registry at reporting time.
+// counts accumulate into package atomics and PublishMetrics copies the
+// totals into a registry at reporting time. Every rank adds to the same
+// cache line, and a contended atomic add is not noise next to a 0.3 µs
+// line transform: batches add their whole line count once per
+// execution, never once per line.
 var (
 	plansCreated   atomic.Int64 // NewPlan calls (complex twiddle/factorization setup)
 	transforms     atomic.Int64 // complex plan executions (Forward+Inverse)

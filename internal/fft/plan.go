@@ -2,7 +2,6 @@ package fft
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"repro/internal/pool"
 )
@@ -21,19 +20,17 @@ const (
 // O(r²) butterfly; larger primes fall back to Bluestein's algorithm.
 const maxDirectPrime = 61
 
-// Plan holds precomputed twiddle factors and the factorization of a
-// fixed transform length. A Plan carries internal scratch, so a single
-// Plan must not be used concurrently; allocate one Plan per goroutine
-// (as the per-worker plan maps in pfft and core do).
+// Plan holds the compiled stage program of a fixed transform length.
+// A Plan carries internal scratch, so a single Plan must not be used
+// concurrently; allocate one Plan per goroutine (as the per-worker
+// plan maps in pfft and core do).
 type Plan struct {
-	n         int
-	factors   []int
-	w         []complex128 // w[j] = exp(−2πi·j/n)
-	blue      *bluestein   // non-nil when a prime factor exceeds maxDirectPrime
-	scratch   []complex128
-	scratch2  []complex128
-	gen       []complex128 // generic-radix butterfly gather buffer
-	needsBlue bool
+	n    int
+	w    []complex128 // shared: w[j] = exp(−2πi·j/n)
+	prog *program     // nil on the Bluestein path
+	blue *bluestein   // non-nil when a prime factor exceeds maxDirectPrime
+	work []complex128 // the program's block of n elements
+	gen  []complex128 // generic-radix butterfly gather buffer
 }
 
 // NewPlan creates a plan for complex transforms of length n (n ≥ 1).
@@ -43,25 +40,18 @@ func NewPlan(n int) *Plan {
 	}
 	plansCreated.Add(1)
 	p := &Plan{n: n}
-	p.factors = factorize(n)
-	for _, f := range p.factors {
-		if f > maxDirectPrime {
-			p.needsBlue = true
-		}
+	factors := factorize(n)
+	maxF := 0
+	for _, f := range factors {
+		maxF = max(maxF, f)
 	}
-	if p.needsBlue {
+	if maxF > maxDirectPrime {
 		p.blue = newBluestein(n)
 		return p
 	}
 	p.w = twiddles(n)
-	p.scratch = pool.GetComplex(n)
-	p.scratch2 = pool.GetComplex(n)
-	maxF := 0
-	for _, f := range p.factors {
-		if f > maxF {
-			maxF = f
-		}
-	}
+	p.prog = compile(n, factors, p.w)
+	p.work = pool.GetComplex(n)
 	p.gen = pool.GetComplex(maxF)
 	return p
 }
@@ -74,10 +64,9 @@ func (p *Plan) Release() {
 		p.blue.release()
 		p.blue = nil
 	}
-	pool.PutComplex(p.scratch)
-	pool.PutComplex(p.scratch2)
+	pool.PutComplex(p.work)
 	pool.PutComplex(p.gen)
-	p.scratch, p.scratch2, p.gen = nil, nil, nil
+	p.work, p.gen = nil, nil
 }
 
 // Len reports the transform length of the plan.
@@ -96,86 +85,20 @@ func (p *Plan) run(dst, src []complex128, dir Direction) {
 		panic(fmt.Sprintf("fft: plan length %d, got dst %d src %d", p.n, len(dst), len(src)))
 	}
 	transforms.Add(1)
-	if p.n == 1 {
-		dst[0] = src[0]
-		return
-	}
-	if p.needsBlue {
-		p.blue.transform(dst, src, dir)
-		if dir == Inverse {
-			scale(dst, 1/float64(p.n))
-		}
-		return
-	}
-	// Work out-of-place into scratch to permit aliasing, then copy.
-	work := p.scratch
-	copy(p.scratch2, src)
-	p.recurse(work, p.scratch2, p.n, 1, dir, p.factors)
-	copy(dst, work)
-	if dir == Inverse {
-		scale(dst, 1/float64(p.n))
-	}
+	p.line(dst, 1, src, 1, dir)
 }
 
-// recurse computes the length-n DFT of x[0], x[s], … x[(n−1)·s] into
-// out[0:n] by decimation in time over the remaining factors. Short
-// power-of-two lengths dispatch to the direct codelets (codelet.go)
-// before factor decomposition: at those lengths the remaining factors
-// are exactly {4}, {4,2} or {2}, so the codelet computes the same DFT
-// without the per-leaf recursion and twiddle-table traffic.
-func (p *Plan) recurse(out, x []complex128, n, s int, dir Direction, factors []int) {
-	switch n {
-	case 1:
-		out[0] = x[0]
-		return
-	case 2:
-		dft2(out, x, s)
-		return
-	case 4:
-		dft4(out, x, s, dir)
-		return
-	case 8:
-		dft8(out, x, s, dir)
+// line transforms the one line src[0], src[is], … into dst[0],
+// dst[os], …, uncounted: Batch and RealBatch count their lines once
+// per execution.
+//
+//psdns:hotpath
+func (p *Plan) line(dst []complex128, os int, src []complex128, is int, dir Direction) {
+	if p.blue != nil {
+		p.blue.transform(dst, os, src, is, dir)
 		return
 	}
-	r := factors[0]
-	m := n / r
-	// Sub-transforms: F_q = DFT of x[q·s], x[q·s+r·s], … (length m).
-	for q := 0; q < r; q++ {
-		p.recurse(out[q*m:(q+1)*m], x[q*s:], m, s*r, dir, factors[1:])
-	}
-	// Combine: X[k1 + m·k2] = Σ_q W_n^{q·k1}·W_r^{q·k2}·F_q[k1].
-	// Twiddle stride into the global table: ws = N/n.
-	ws := p.n / n
-	switch r {
-	case 2:
-		p.combine2(out, m, ws, dir)
-	case 3:
-		p.combine3(out, m, ws, dir)
-	case 4:
-		p.combine4(out, m, ws, dir)
-	case 5:
-		p.combine5(out, m, ws, dir)
-	default:
-		p.combineGeneric(out, r, m, ws, dir)
-	}
-}
-
-// tw returns W_n^j for the plan-global table with the requested
-// direction (conjugated for inverse transforms).
-func (p *Plan) tw(idx int, dir Direction) complex128 {
-	w := p.w[idx%p.n]
-	if dir == Inverse {
-		return cmplx.Conj(w)
-	}
-	return w
-}
-
-func scale(v []complex128, a float64) {
-	c := complex(a, 0)
-	for i := range v {
-		v[i] *= c
-	}
+	p.prog.run(dst, os, src, is, p.work, p.gen, 1, dir)
 }
 
 // factorize returns the prime factorization of n in ascending order,

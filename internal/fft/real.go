@@ -16,8 +16,7 @@ type RealPlan struct {
 	half *Plan        // length n/2 complex plan (even n)
 	full *Plan        // length n complex plan (odd n fallback)
 	wr   []complex128 // wr[k] = exp(−2πi·k/n), k < n/2
-	zs   []complex128
-	zs2  []complex128
+	z    []complex128 // the packed half-length (or full-length) line
 }
 
 // NewRealPlan creates a real-transform plan for length n ≥ 1.
@@ -26,18 +25,16 @@ func NewRealPlan(n int) *RealPlan {
 		panic(fmt.Sprintf("fft: invalid real length %d", n))
 	}
 	p := &RealPlan{n: n}
-	if n == 1 || n%2 == 1 {
+	if n%2 == 1 {
 		p.full = NewPlan(n)
-		p.zs = pool.GetComplex(n)
-		p.zs2 = pool.GetComplex(n)
+		p.z = pool.GetComplex(n)
 		return p
 	}
 	p.half = NewPlan(n / 2)
 	// wr[k] = exp(−2πi·k/n) for k < n/2 is a prefix of the shared
 	// length-n twiddle table.
 	p.wr = twiddles(n)[:n/2]
-	p.zs = pool.GetComplex(n / 2)
-	p.zs2 = pool.GetComplex(n / 2)
+	p.z = pool.GetComplex(n / 2)
 	return p
 }
 
@@ -50,9 +47,8 @@ func (p *RealPlan) Release() {
 	if p.half != nil {
 		p.half.Release()
 	}
-	pool.PutComplex(p.zs)
-	pool.PutComplex(p.zs2)
-	p.zs, p.zs2 = nil, nil
+	pool.PutComplex(p.z)
+	p.z = nil
 }
 
 // Len reports the real length n of the plan.
@@ -64,32 +60,11 @@ func (p *RealPlan) HalfLen() int { return p.n/2 + 1 }
 // Forward computes the forward transform of the real sequence src
 // (length n) into dst (length n/2+1), unnormalized.
 func (p *RealPlan) Forward(dst []complex128, src []float64) {
-	n := p.n
-	if len(src) != n || len(dst) != p.HalfLen() {
-		panic(fmt.Sprintf("fft: real plan n=%d, got src %d dst %d", n, len(src), len(dst)))
+	if len(src) != p.n || len(dst) != p.HalfLen() {
+		panic(fmt.Sprintf("fft: real plan n=%d, got src %d dst %d", p.n, len(src), len(dst)))
 	}
-	realTransforms.Add(1)
-	if p.full != nil {
-		for j, v := range src {
-			p.zs[j] = complex(v, 0)
-		}
-		p.full.Forward(p.zs2, p.zs)
-		copy(dst, p.zs2[:p.HalfLen()])
-		return
-	}
-	h := n / 2
-	for j := 0; j < h; j++ {
-		p.zs[j] = complex(src[2*j], src[2*j+1])
-	}
-	p.half.Forward(p.zs2, p.zs)
-	z := p.zs2
-	for k := 0; k <= h; k++ {
-		zk := z[k%h]
-		zc := cmplx.Conj(z[(h-k)%h])
-		xe := (zk + zc) * 0.5
-		xo := (zk - zc) * complex(0, -0.5)
-		dst[k] = xe + p.wrAt(k)*xo
-	}
+	p.count(1)
+	p.forward(dst, 1, src, 1)
 }
 
 // Inverse computes the inverse transform (including the 1/n factor) of
@@ -97,43 +72,90 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) {
 // (length n). The k=0 and k=n/2 inputs should have zero imaginary part;
 // any residual imaginary part is ignored, matching conjugate symmetry.
 func (p *RealPlan) Inverse(dst []float64, src []complex128) {
-	n := p.n
-	if len(dst) != n || len(src) != p.HalfLen() {
-		panic(fmt.Sprintf("fft: real plan n=%d, got dst %d src %d", n, len(dst), len(src)))
+	if len(dst) != p.n || len(src) != p.HalfLen() {
+		panic(fmt.Sprintf("fft: real plan n=%d, got dst %d src %d", p.n, len(dst), len(src)))
 	}
-	realTransforms.Add(1)
+	p.count(1)
+	p.inverse(dst, 1, src, 1)
+}
+
+// count records lines real transforms, each of which runs one complex
+// transform of the half (or full) length.
+func (p *RealPlan) count(lines int) {
+	realTransforms.Add(int64(lines))
+	transforms.Add(int64(lines))
+}
+
+// forward transforms the real line src[0], src[rs], … into the
+// half-spectrum dst[0], dst[cs], …: the samples are packed in pairs
+// straight from src into one complex line of half the length, that line
+// is transformed in place, and the post-pass that separates the even-
+// and odd-sample spectra stores straight to dst.
+//
+//psdns:hotpath
+func (p *RealPlan) forward(dst []complex128, cs int, src []float64, rs int) {
+	z := p.z
 	if p.full != nil {
-		p.zs[0] = complex(real(src[0]), 0)
-		for k := 1; k < p.HalfLen(); k++ {
-			p.zs[k] = src[k]
-			p.zs[n-k] = cmplx.Conj(src[k])
+		for j := range z {
+			z[j] = complex(src[j*rs], 0)
 		}
-		p.full.Inverse(p.zs2, p.zs)
-		for j := range dst {
-			dst[j] = real(p.zs2[j])
+		p.full.line(z, 1, z, 1, Forward)
+		for k := 0; k < p.HalfLen(); k++ {
+			dst[k*cs] = z[k]
+		}
+		return
+	}
+	h := p.n / 2
+	for j := range z {
+		z[j] = complex(src[2*j*rs], src[(2*j+1)*rs])
+	}
+	p.half.line(z, 1, z, 1, Forward)
+	// X[k] = E[k] + W_n^k·O[k] with E, O the spectra of the even and odd
+	// samples, recovered from Z = E + i·O by conjugate symmetry. Bins 0
+	// and h both pair z[0] with itself; W_n^h = −1.
+	zc := cmplx.Conj(z[0])
+	xe := (z[0] + zc) * 0.5
+	xo := (z[0] - zc) * complex(0, -0.5)
+	dst[0] = xe + p.wr[0]*xo
+	dst[h*cs] = xe + complex(-1, 0)*xo
+	for k := 1; k < h; k++ {
+		zk := z[k]
+		zc := cmplx.Conj(z[h-k])
+		xe := (zk + zc) * 0.5
+		xo := (zk - zc) * complex(0, -0.5)
+		dst[k*cs] = xe + p.wr[k]*xo
+	}
+}
+
+// inverse is the reverse of forward: half-spectrum src[0], src[cs], …
+// to the real line dst[0], dst[rs], …, scaled by 1/n.
+//
+//psdns:hotpath
+func (p *RealPlan) inverse(dst []float64, rs int, src []complex128, cs int) {
+	n, z := p.n, p.z
+	if p.full != nil {
+		z[0] = complex(real(src[0]), 0)
+		for k := 1; k < p.HalfLen(); k++ {
+			z[k] = src[k*cs]
+			z[n-k] = cmplx.Conj(src[k*cs])
+		}
+		p.full.line(z, 1, z, 1, Inverse)
+		for j := range z {
+			dst[j*rs] = real(z[j])
 		}
 		return
 	}
 	h := n / 2
-	for k := 0; k < h; k++ {
-		xk := src[k]
-		xc := cmplx.Conj(src[h-k])
+	for k := range z {
+		xk := src[k*cs]
+		xc := cmplx.Conj(src[(h-k)*cs])
 		xe := (xk + xc) * 0.5
-		xo := (xk - xc) * 0.5 * cmplx.Conj(p.wrAt(k))
-		p.zs[k] = xe + complex(0, 1)*xo
+		xo := (xk - xc) * 0.5 * cmplx.Conj(p.wr[k])
+		z[k] = xe + complex(0, 1)*xo
 	}
-	p.half.Inverse(p.zs2, p.zs)
-	for j := 0; j < h; j++ {
-		dst[2*j] = real(p.zs2[j])
-		dst[2*j+1] = imag(p.zs2[j])
+	p.half.line(z, 1, z, 1, Inverse)
+	for j, v := range z {
+		dst[2*j*rs] = real(v)
+		dst[(2*j+1)*rs] = imag(v)
 	}
-}
-
-func (p *RealPlan) wrAt(k int) complex128 {
-	h := p.n / 2
-	if k < h {
-		return p.wr[k]
-	}
-	// k == h: exp(−iπ) = −1.
-	return complex(-1, 0)
 }

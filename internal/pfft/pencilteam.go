@@ -26,10 +26,12 @@ import (
 // instead of one (see transpose.PencilLayout): the column exchange
 // over the Pc-rank column communicator trades the z split for an x
 // split, the row exchange over the Pr-rank row communicator trades
-// the y split for a z re-split. Because fft.Batch gathers every line
-// into contiguous scratch before transforming, identical axis order
-// makes the pencil transform bitwise identical to SlabReal for every
-// valid Pr×Pc — including 1×P and the P=1 degenerate grid.
+// the y split for a z re-split. Because fft.Batch evaluates the same
+// expression tree per output element whatever the layout — its line
+// form (the unit-stride lines here) and its plane form (the slab's
+// strided y and z passes) share one set of butterfly bodies — identical
+// axis order makes the pencil transform bitwise identical to SlabReal
+// for every valid Pr×Pc, including 1×P and the P=1 degenerate grid.
 //
 // Each sub-exchange is an exchange.Stage over its own communicator —
 // the same stage, strategies and plans as the slab exchange, with the
