@@ -48,8 +48,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if e, ok := snap.Get("phase.pipeline", r); !ok || e.Count == 0 {
 			t.Errorf("rank %d: no pipeline phase samples recorded", r)
 		}
-		if e, ok := snap.Get("gpu.h2d.bytes", r); !ok || e.Value == 0 {
-			t.Errorf("rank %d: no host-to-device bytes recorded", r)
+		if e, ok := snap.Get("gpu.d2h.bytes", r); !ok || e.Value == 0 {
+			t.Errorf("rank %d: no packed device-to-host bytes recorded", r)
 		}
 	}
 	// The paper's reduction: one row per metric, max over ranks.

@@ -58,6 +58,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/mpi"
@@ -241,7 +242,7 @@ type workload struct {
 // run the same collective loop (their allocations are part of the
 // process-wide measurement, which at steady state is zero anyway).
 func slabTransform(n, p int) func(iters, workers int) sample {
-	return slabTransformWith(p, func(c *mpi.Comm, workers int) *pfft.SlabReal {
+	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
 		return pfft.NewSlabRealWorkers(c, n, workers)
 	})
 }
@@ -249,7 +250,7 @@ func slabTransform(n, p int) func(iters, workers int) sample {
 // slabTransformSingle is slabTransform on the single-precision-wire
 // engine: FFTs in float64, transpose-exchanges through complex64.
 func slabTransformSingle(n, p int) func(iters, workers int) sample {
-	return slabTransformWith(p, func(c *mpi.Comm, workers int) *pfft.SlabReal {
+	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
 		return pfft.NewSlabRealSingle(c, n, workers)
 	})
 }
@@ -259,7 +260,7 @@ func slabTransformSingle(n, p int) func(iters, workers int) sample {
 // cache). The trials run at construction, outside the timed window;
 // the row pins the tuned configuration's steady state.
 func slabTransformTuned(n, p int) func(iters, workers int) sample {
-	return slabTransformWith(p, func(c *mpi.Comm, workers int) *pfft.SlabReal {
+	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
 		return pfft.NewSlabRealTuned(c, n, workers, tuning.Config{})
 	})
 }
@@ -270,38 +271,41 @@ func slabTransformTuned(n, p int) func(iters, workers int) sample {
 // exchanges both on the chunked zero-copy gather). Rank 0 samples;
 // peers run the same collective loop.
 func pencilTransform(n, pr, pc int) func(iters, workers int) sample {
-	return func(iters, workers int) sample {
-		var s sample
-		mpi.Run(pr*pc, func(c *mpi.Comm) {
-			row, col := c.CartGrid(pr, pc)
-			f := pfft.NewPencilReal(col, row, n, workers, exchange.Both(exchange.ChunkedFused))
-			defer f.Close()
-			four := make([]complex128, f.FourierLen())
-			phys := make([]float64, f.PhysicalLen())
-			for i := range phys {
-				phys[i] = float64(i%17) * 0.5
-			}
-			cycle := func() {
-				f.PhysicalToFourier(four, phys)
-				f.FourierToPhysical(phys, four)
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				s = timeLoop(iters, 2, cycle)
-			} else {
-				for i := 0; i < iters+2; i++ {
-					cycle()
-				}
-			}
-			// Hold every rank until measurement ends so teardown
-			// allocations can't publish into the window's profile flush.
-			c.Barrier()
-		})
-		return s
-	}
+	return transformPair(pr*pc, func(c *mpi.Comm, workers int) pairEngine {
+		row, col := c.CartGrid(pr, pc)
+		return pfft.NewPencilReal(col, row, n, workers, exchange.Both(exchange.ChunkedFused))
+	})
 }
 
-func slabTransformWith(p int, build func(c *mpi.Comm, workers int) *pfft.SlabReal) func(iters, workers int) sample {
+// asyncTransform is the same cycle on the paper's batched asynchronous
+// engine.
+func asyncTransform(n, p, np int) func(iters, workers int) sample {
+	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
+		return newBenchAsync(c, n, np, workers)
+	})
+}
+
+// newBenchAsync builds the asynchronous engine in the repository
+// benchmark's configuration: np pencils, per-pencil granularity, one
+// device, the chunked zero-copy gather.
+func newBenchAsync(c *mpi.Comm, n, np, workers int) *core.AsyncSlabReal {
+	return core.NewAsyncSlabReal(c, n, core.Options{
+		NP: np, Granularity: core.PerPencil, Workers: workers, Exchange: exchange.ChunkedFused,
+	})
+}
+
+// pairEngine is what a transform-pair row needs of an engine.
+type pairEngine interface {
+	PhysicalToFourier(four []complex128, phys []float64)
+	FourierToPhysical(phys []float64, four []complex128)
+	FourierLen() int
+	PhysicalLen() int
+	Close()
+}
+
+// transformPair times one forward+inverse cycle of the engine build
+// constructs on every rank.
+func transformPair(p int, build func(c *mpi.Comm, workers int) pairEngine) func(iters, workers int) sample {
 	return func(iters, workers int) sample {
 		var s sample
 		mpi.Run(p, func(c *mpi.Comm) {
@@ -337,10 +341,31 @@ func slabTransformWith(p int, build func(c *mpi.Comm, workers int) *pfft.SlabRea
 // controller, scalar advection, Coriolis) are pinned against allocation
 // and time regressions just like the plain NS step.
 func dnsStep(n, p int, opts ...spectral.Option) func(iters, workers int) sample {
+	return dnsStepOn(func(c *mpi.Comm, workers int) stepEngine {
+		return pfft.NewSlabRealWorkers(c, n, workers)
+	}, n, p, opts...)
+}
+
+// asyncStep is dnsStep with the batched asynchronous engine under the
+// solver, in the repository benchmark's configuration.
+func asyncStep(n, p, np int) func(iters, workers int) sample {
+	return dnsStepOn(func(c *mpi.Comm, workers int) stepEngine {
+		return newBenchAsync(c, n, np, workers)
+	}, n, p)
+}
+
+// stepEngine is a transform the solver can step on and the row can
+// close.
+type stepEngine interface {
+	spectral.Transform
+	Close()
+}
+
+func dnsStepOn(build func(c *mpi.Comm, workers int) stepEngine, n, p int, opts ...spectral.Option) func(iters, workers int) sample {
 	return func(iters, workers int) sample {
 		var s sample
 		mpi.Run(p, func(c *mpi.Comm) {
-			tr := pfft.NewSlabRealWorkers(c, n, workers)
+			tr := build(c, workers)
 			defer tr.Close()
 			all := append([]spectral.Option{
 				spectral.WithNu(0.01),
@@ -568,6 +593,8 @@ var workloads = []workload{
 	{"slab_tuned_n64_p4", 40, 8, true, slabTransformTuned(64, 4)},
 	{"pencil_fwd_inv_n64_p4", 40, 8, true, pencilTransform(64, 2, 2)},
 	{"pencil_fwd_inv_n64_p8", 20, 4, true, pencilTransform(64, 2, 4)},
+	{"async_fwd_inv_n64_p2", 40, 8, true, asyncTransform(64, 2, 4)},
+	{"step_async_n64", 10, 2, true, asyncStep(64, 2, 4)},
 	{"fft_c2c_strided_n48", 20000, 4000, true, fftC2C(48, true)},
 	{"fft_c2c_strided_n64", 20000, 4000, true, fftC2C(64, true)},
 	{"fft_c2c_contig_n128", 10000, 2000, true, fftC2C(128, false)},

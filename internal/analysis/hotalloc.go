@@ -13,13 +13,15 @@ import (
 //
 // Flagged: make, new, append (may grow its backing array), map and
 // slice literals, &composite literals (escape to the heap under
-// aliasing), and implicit interface conversions of non-pointer-shaped
-// values (boxing). The check propagates one level into same-package
-// callees, including through interface dispatch: a call to an
-// interface method (the System plug-in pattern — a hot stepper
-// invoking sys.Nonlinear) propagates into every same-package concrete
-// method implementing it, since any of them can be the one on the hot
-// path at runtime. Panic subtrees and guard clauses that end in panic
+// aliasing), implicit interface conversions of non-pointer-shaped
+// values (boxing), and func literals passed as call arguments that
+// capture a variable (a closure built per call; one assigned or
+// returned is staged at plan time and is not flagged). The check
+// propagates one level into same-package callees, including through
+// interface dispatch: a call to an interface method (the System plug-in
+// pattern — a hot stepper invoking sys.Nonlinear) propagates into every
+// same-package concrete method implementing it, since any of them can
+// be the one on the hot path at runtime. Panic subtrees and guard clauses that end in panic
 // are skipped: those are cold abort paths, not steady-state work.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
@@ -318,8 +320,31 @@ func (h *hotChecker) call(call *ast.CallExpr) {
 
 	h.expr(call.Fun)
 	for _, a := range call.Args {
+		if lit, ok := ast.Unparen(a).(*ast.FuncLit); ok && h.captures(lit) {
+			h.report(lit.Pos(), "func literal passed as an argument builds a closure per call; stage it at plan time")
+		}
 		h.expr(a)
 	}
+}
+
+// captures reports whether lit refers to a variable declared outside it
+// other than a package-level one: such a literal needs a closure object,
+// which escapes whenever the callee retains it.
+func (h *hotChecker) captures(lit *ast.FuncLit) bool {
+	found := false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok || found {
+			return !found
+		}
+		v, ok := h.pass.Info.Uses[id].(*types.Var)
+		if ok && !v.IsField() && v.Parent() != h.pass.Pkg.Scope() &&
+			(v.Pos() < lit.Pos() || v.Pos() >= lit.End()) {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // checkArgs flags arguments boxed into interface-typed parameters,

@@ -125,3 +125,23 @@ func (unrelated) rhs() []float64 { return make([]float64, 1) }
 func dispatch(eq equation, dst []float64) {
 	eq.rhs(dst)
 }
+
+func each(n int, body func(i int)) {
+	for i := 0; i < n; i++ {
+		body(i)
+	}
+}
+
+// perCall hands a capturing func literal to a callee on every call —
+// the closure-per-op pattern a replayed op program exists to avoid. A
+// literal that captures nothing is a static function value, and one
+// staged into a field is built once; neither is flagged.
+//
+//psdns:hotpath
+func perCall(s *state, dst []float64) {
+	each(len(dst), func(i int) { dst[i] = 0 }) // want `func literal passed as an argument builds a closure per call`
+	each(len(dst), func(i int) {})
+	body := func(i int) { dst[i] = 1 }
+	each(len(dst), body)
+	s.stage = func() { each(len(dst), body) }
+}

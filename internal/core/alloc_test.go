@@ -1,0 +1,98 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/exchange"
+	"repro/internal/mpi"
+)
+
+// allocsPerPair measures the heap allocations of one steady-state
+// forward+inverse pair. Rank 0 measures; peers execute the same
+// collective sequence runs+1 times to match AllocsPerRun's count.
+func allocsPerPair(n, p int, opt Options) float64 {
+	const runs = 20
+	var avg float64
+	mpi.Run(p, func(c *mpi.Comm) {
+		a := NewAsyncSlabReal(c, n, opt)
+		defer a.Close()
+		four := make([]complex128, a.FourierLen())
+		phys := make([]float64, a.PhysicalLen())
+		for i := range phys {
+			phys[i] = float64(i%13) * 0.25
+		}
+		cycle := func() {
+			a.PhysicalToFourier(four, phys)
+			a.FourierToPhysical(phys, four)
+		}
+		for i := 0; i < 3; i++ {
+			cycle() // warm up: metric handles, watchdog freelist, map growth
+		}
+		if c.Rank() == 0 {
+			avg = testing.AllocsPerRun(runs, cycle)
+		} else {
+			for i := 0; i < runs+1; i++ {
+				cycle()
+			}
+		}
+	})
+	return avg
+}
+
+// wireAllocs measures what one bare mailbox all-to-all costs the whole
+// world in heap allocations (per-destination block copies, their
+// boxing, the request and its drain goroutine) — nothing the engine can
+// take out of the staged path without also taking it out of reach of
+// fault injection, which is what the chaos tests drive.
+func wireAllocs(p int) float64 {
+	const runs = 20
+	var avg float64
+	mpi.Run(p, func(c *mpi.Comm) {
+		send, recv := make([]complex128, 64*p), make([]complex128, 64*p)
+		once := func() { mpi.Ialltoall(c, send, recv).Wait() }
+		once()
+		if c.Rank() == 0 {
+			avg = testing.AllocsPerRun(runs, once)
+		} else {
+			for i := 0; i < runs+1; i++ {
+				once()
+			}
+		}
+	})
+	return avg
+}
+
+// The replayed op program allocates nothing: a steady-state
+// forward+inverse pair performs 0 heap allocations under the zero-copy
+// strategies, for either granularity, one or two devices and either
+// wire precision. Under Staged the engine adds nothing to what its
+// all-to-alls allocate inside the mailbox layer (2·units of them per
+// pair, with a quarter of slack for waiter records that depend on
+// arrival order).
+func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
+	const n, p, np = 16, 2, 3
+	wire := wireAllocs(p)
+	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+		for _, gran := range []Granularity{PerPencil, PerSlab} {
+			for _, ngpu := range []int{1, 2} {
+				for _, single := range []bool{false, true} {
+					avg := allocsPerPair(n, p, Options{
+						NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st,
+					})
+					limit := 0.0
+					if st == exchange.Staged {
+						units := np
+						if gran == PerSlab {
+							units = 1
+						}
+						limit = 1.25 * wire * float64(2*units)
+					}
+					if avg > limit {
+						t.Errorf("%s gran=%d ngpu=%d single=%v: %.1f allocs per forward+inverse pair, want ≤ %.1f",
+							st, gran, ngpu, single, avg, limit)
+					}
+				}
+			}
+		}
+	}
+}

@@ -118,17 +118,15 @@ func splitRange(total, n int) []span {
 // gpuCtx is the per-device execution context: one compute stream and
 // one transfer stream (§3.4: a single transfer stream keeps host
 // memory traffic unidirectional), plus the plan cache serving the
-// device's batched FFTs (the cufftPlanMany handles of §4.1).
+// device's batched FFTs (the cufftPlanMany handles of §4.1). There are
+// no device buffers: device memory is host memory on this backend, so
+// every kernel works on the host slab in place (§4.2's zero-copy).
 type gpuCtx struct {
 	dev      *cuda.Device
 	transfer *cuda.Stream
 	compute  *cuda.Stream
-	// Triple-buffered device slots (§3.5's factor of 3 on buffers),
-	// checked out of the process buffer arena at construction.
-	slots  [3][]complex128
-	rslots [3][]float64
 	// team splits the batched FFT loops inside this device's compute
-	// launches; plans[w] is worker w's plan cache (plans carry scratch
+	// kernels; plans[w] is worker w's plan cache (plans carry scratch
 	// and are not concurrency-safe, so each worker owns a full set).
 	team  *par.Team
 	plans []*fft.BatchCache
@@ -137,12 +135,12 @@ type gpuCtx struct {
 // asyncMetrics are the per-rank instrumentation handles of the
 // asynchronous engine: the three disjoint wall sections of each
 // transposing transform (device pipeline, exposed all-to-all,
-// host-side unpack) and direction-labelled transfer bytes.
+// host-side unpack) and the bytes the pack kernels write out of the
+// device pipeline (the only transfer left: nothing is staged in).
 type asyncMetrics struct {
 	pipeline *metrics.Histogram
 	a2a      *metrics.Histogram
 	unpack   *metrics.Histogram
-	h2d      *metrics.Counter
 	d2h      *metrics.Counter
 	strategy *metrics.Gauge
 }
@@ -152,7 +150,6 @@ func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 		pipeline: reg.HistogramRank("phase.pipeline", rank),
 		a2a:      reg.HistogramRank("phase.a2a", rank),
 		unpack:   reg.HistogramRank("phase.unpack", rank),
-		h2d:      reg.CounterRank("gpu.h2d.bytes", rank),
 		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
 		strategy: reg.GaugeRank("exchange.strategy", rank),
 	}
@@ -160,6 +157,13 @@ func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 
 // AsyncSlabReal is the batched asynchronous transform engine of Fig 4.
 // It implements spectral.Transform. Not safe for concurrent use.
+//
+// The engine is compiled once: construction turns each of the six
+// region passes into a flat op program — one prebuilt compute kernel,
+// pack kernel and pair of reusable events per (pencil, device) cell —
+// and a transform replays those programs through the streams. The
+// per-call slabs reach the kernels through the four and phys fields, so
+// the steady state builds no closure and allocates nothing.
 type AsyncSlabReal struct {
 	comm *mpi.Comm
 	s    grid.Slab
@@ -176,25 +180,28 @@ type AsyncSlabReal struct {
 
 	// xu are the exchange units over nxh — what one all-to-all carries:
 	// the pencils under PerPencil, the whole x range under PerSlab.
-	xu   []span
-	mid  []complex128 // [my][nz][nxh] intermediate slab
-	four []complex128 // Fourier slab the current z→y exchange lands in
-	// wire holds the staging buffers and the exchange stages, at the
-	// precision the exchange ships (Options.SingleComm): wireElem bytes
-	// per element.
-	wire     wire
-	wireElem int64
+	xu  []span
+	mid []complex128 // [my][nz][nxh] intermediate slab
+	// four and phys are the caller's Fourier and physical slabs for the
+	// duration of one transform call; the compiled kernels and the
+	// exchange kernels address them through these fields.
+	four []complex128
+	phys []float64
+	// wire holds the staging buffers, the pack kernels and the exchange
+	// stages, at the precision the exchange ships (Options.SingleComm).
+	wire wire
 
 	// team splits the host-side unpack and gather kernels across
 	// workers; it is shared by both transposing regions and reused
 	// across steps.
 	team *par.Team
-	// Per-step pipeline state, hoisted to construction so the hot path
-	// does not allocate: one request slot, event record and op record
-	// per (pencil, device).
-	reqs   []*mpi.Request
-	pstate [][]pencilEvs
-	pops   [][]pencilOps
+	reqs []*mpi.Request // one request slot per exchange unit
+
+	// The compiled regions: the transposing y and z passes by exchange
+	// direction, the in-place y and z passes, the x passes by direction.
+	regT             [2]region
+	regY, regZ       region
+	regXFwd, regXInv region
 
 	met    *asyncMetrics
 	closed bool
@@ -253,19 +260,12 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	if a.gran == PerSlab {
 		a.xu = []span{{0, nxh}}
 	}
-	mz, my := s.MZ(), s.MY()
 
 	reg := opt.Metrics
 	if reg == nil {
 		reg = comm.Metrics()
 	}
 	a.met = newAsyncMetrics(reg, comm.Rank())
-
-	// Device slot sizing: the largest pencil seen by any region.
-	wmax := a.xr[0].width()
-	zmax := a.zr[0].width()
-	slotC := max(mz*n*wmax, max(my*n*wmax, my*zmax*nxh))
-	slotR := my * zmax * n
 
 	for g := 0; g < opt.NGPU; g++ {
 		dev := cuda.NewDevice(g)
@@ -280,45 +280,12 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		for w := range ctx.plans {
 			ctx.plans[w] = fft.NewBatchCache()
 		}
-		for i := range ctx.slots {
-			ctx.slots[i] = pool.GetComplex(slotC)
-			ctx.rslots[i] = pool.GetFloat(slotR)
-		}
 		a.gpus = append(a.gpus, ctx)
 	}
 	a.team = par.NewTeam(opt.Workers)
-	a.reqs = make([]*mpi.Request, a.np)
-	a.pstate = make([][]pencilEvs, a.np)
-	a.pops = make([][]pencilOps, a.np)
-	for ip := range a.pstate {
-		a.pstate[ip] = make([]pencilEvs, opt.NGPU)
-		a.pops[ip] = make([]pencilOps, opt.NGPU)
-	}
-	// Pre-build plans for every width that can occur, including the
-	// vertical GPU sub-splits of Fig 5, so plan construction stays out
-	// of the timed regions (runtime lookups are then all cache hits).
-	// Every worker's cache gets the full set: which planes a worker
-	// draws depends only on the chunking, but the widths are shared.
-	for _, ctx := range a.gpus {
-		for _, cache := range ctx.plans {
-			for _, xs := range a.xr {
-				for _, sub := range splitRange(xs.width(), opt.NGPU) {
-					if w := sub.width(); w > 0 {
-						cache.Batch(n, w, w, 1, w, 1)
-					}
-				}
-			}
-			for _, zs := range a.zr {
-				for _, sub := range splitRange(zs.width(), opt.NGPU) {
-					if zw := sub.width(); zw > 0 {
-						cache.RealBatch(n, zw, 1, n, 1, nxh)
-					}
-				}
-			}
-		}
-	}
+	a.reqs = make([]*mpi.Request, len(a.xu))
 
-	a.mid = pool.GetComplex(my * n * nxh)
+	a.mid = pool.GetComplex(s.MY() * n * nxh)
 	// The stages are registered unconditionally (registration is a cheap
 	// collective and every rank must stay in the same collective order
 	// regardless of the strategy each would pick). Under the asynchrony-
@@ -329,10 +296,11 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		bound = &exchange.Bound{MaxStale: opt.ATMaxStale, Deadline: opt.ATDeadline}
 	}
 	if opt.SingleComm {
-		a.wire, a.wireElem = newWire(a, bound, narrow2DAsync, transpose.WidenStrided), 8
+		a.wire = newWire(a, bound, transpose.NarrowStrided, transpose.WidenStrided)
 	} else {
-		a.wire, a.wireElem = newWire(a, bound, cuda.Memcpy2DAsync[complex128], transpose.CopyStrided[complex128]), 16
+		a.wire = newWire(a, bound, transpose.CopyStrided[complex128], transpose.CopyStrided[complex128])
 	}
+	a.compile()
 	a.setStrategy(opt.Exchange)
 	return a
 }
@@ -360,11 +328,6 @@ func (a *AsyncSlabReal) Close() {
 		g.team.Close()
 		for _, cache := range g.plans {
 			cache.Release()
-		}
-		for i := range g.slots {
-			pool.PutComplex(g.slots[i])
-			pool.PutFloat(g.rslots[i])
-			g.slots[i], g.rslots[i] = nil, nil
 		}
 	}
 	a.team.Close()
@@ -398,6 +361,131 @@ func subRange(xs span, g, ngpu int) span {
 	return span{xs.lo + subs[g].lo, xs.lo + subs[g].hi}
 }
 
+// cell is one (pencil, device) entry of a region's op program. A
+// zero-width sub-pencil leaves compute.Run nil; only transposing
+// regions carry a pack kernel and the two events that order it: compute
+// → pack across the device's streams, pack → host for the per-pencil
+// all-to-all.
+type cell struct {
+	compute, pack    cuda.Op
+	computed, packed *cuda.Event
+}
+
+// region is one compiled pass of Fig 4: np rows of one cell per device.
+// A transposing region packs, in direction dir; under PerPencil its
+// unit exchanges are started from inside the pipeline.
+type region struct {
+	cells []cell
+	dir   exchange.Dir
+	packs bool
+	units bool
+}
+
+// compile builds the six op programs. Every plan the kernels run is
+// looked up here, one per worker and width including the vertical GPU
+// sub-splits of Fig 5, so neither plan construction nor a cache lookup
+// is left in the timed regions.
+func (a *AsyncSlabReal) compile() {
+	n, nxh, mz, my, ngpu := a.n, a.nxh, a.s.MZ(), a.s.MY(), len(a.gpus)
+	// line compiles an FFT pass along the middle axis of slab =
+	// [ma][n][nxh] over the x-split pencils: each kernel transforms its
+	// pencil's columns in place, at the slab's own stride. A packing
+	// region transposes: a pack kernel per cell moves the pencil into
+	// its unit's send blocks, mb rows per destination and plane.
+	line := func(slab *[]complex128, ma, mb int, exec func(*fft.Batch, []complex128, []complex128), dir exchange.Dir, packs bool) region {
+		r := region{cells: make([]cell, a.np*ngpu), dir: dir, packs: packs, units: packs && a.gran == PerPencil}
+		for ip, xp := range a.xr {
+			for g, ctx := range a.gpus {
+				xs := subRange(xp, g, ngpu)
+				w := xs.width()
+				if w == 0 {
+					continue
+				}
+				plans := make([]*fft.Batch, len(ctx.plans))
+				for wk, cache := range ctx.plans {
+					plans[wk] = cache.Batch(n, w, nxh, 1, nxh, 1)
+				}
+				c := &r.cells[ip*ngpu+g]
+				c.compute = cuda.Op{Kind: "fft-line", Run: lineKernel(ctx.team, plans, exec, slab, ma, n*nxh, xs.lo)}
+				if !packs {
+					continue
+				}
+				u := ip
+				if a.gran == PerSlab {
+					u = 0
+				}
+				run, bytes := a.wire.packKernel(slab, u, xs, ma, mb)
+				c.pack = cuda.Op{Kind: "zerocopy-pack", Run: run, Bytes: bytes}
+				c.computed, c.packed = cuda.NewEvent(), cuda.NewEvent()
+			}
+		}
+		return r
+	}
+	a.regT[exchange.YZ] = line(&a.four, mz, my, (*fft.Batch).Inverse, exchange.YZ, true)
+	a.regT[exchange.ZY] = line(&a.mid, my, mz, (*fft.Batch).Forward, exchange.ZY, true)
+	a.regY = line(&a.four, mz, my, (*fft.Batch).Forward, 0, false)
+	a.regZ = line(&a.mid, my, mz, (*fft.Batch).Inverse, 0, false)
+	// The x passes run r2c/c2r over the z-split pencils straight
+	// between the physical slab [my][nz][nx] and the mid slab.
+	for _, r := range []*region{&a.regXFwd, &a.regXInv} {
+		r.cells = make([]cell, a.np*ngpu)
+		for ip, zp := range a.zr {
+			for g, ctx := range a.gpus {
+				zs := subRange(zp, g, ngpu)
+				if zs.width() == 0 {
+					continue
+				}
+				plans := make([]*fft.RealBatch, len(ctx.plans))
+				for wk, cache := range ctx.plans {
+					plans[wk] = cache.RealBatch(n, zs.width(), 1, n, 1, nxh)
+				}
+				r.cells[ip*ngpu+g].compute = cuda.Op{Kind: "fft-x", Run: a.realKernel(ctx.team, plans, zs, r == &a.regXFwd)}
+			}
+		}
+	}
+}
+
+// lineKernel is the compute kernel of one cell of a y or z pass: the
+// team's workers split the slab's planes (plane elements apart, the
+// pencil's columns starting at element off of each) and run the batch
+// in place. Planes are independent and every worker runs an identical
+// plan, so the output is bitwise invariant under the team size. Built
+// at plan time; the body is the hot path.
+//
+//psdns:hotpath
+func lineKernel(team *par.Team, plans []*fft.Batch, exec func(*fft.Batch, []complex128, []complex128),
+	slab *[]complex128, nplanes, plane, off int) func() {
+	body := func(wk, lo, hi int) {
+		buf := *slab
+		for pl := lo; pl < hi; pl++ {
+			cols := buf[pl*plane+off : (pl+1)*plane]
+			exec(plans[wk], cols, cols)
+		}
+	}
+	return func() { team.ForWorkers(nplanes, body) }
+}
+
+// realKernel is the compute kernel of one cell of an x pass: rows
+// zs of every y plane, r2c from the physical slab into the mid slab
+// (forward) or c2r back.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) realKernel(team *par.Team, plans []*fft.RealBatch, zs span, forward bool) func() {
+	n, nxh := a.n, a.nxh
+	body := func(wk, lo, hi int) {
+		for iy := lo; iy < hi; iy++ {
+			re := a.phys[(iy*n+zs.lo)*n : (iy*n+zs.hi)*n]
+			sp := a.mid[(iy*n+zs.lo)*nxh : (iy*n+zs.hi)*nxh]
+			if forward {
+				plans[wk].Forward(sp, re)
+			} else {
+				plans[wk].Inverse(re, sp)
+			}
+		}
+	}
+	return func() { team.ForWorkers(a.s.MY(), body) }
+}
+
 // FourierToPhysical runs the Fig 4 pipeline: the y region with fused
 // pack + all-to-all, then the z and x regions. four is consumed.
 //
@@ -407,14 +495,16 @@ func (a *AsyncSlabReal) FourierToPhysical(phys []float64, four []complex128) {
 		panic(fmt.Sprintf("core: F2P wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
-	a.regionTranspose(exchange.YZ, four, fft.Inverse)
-	a.regionZ(fft.Inverse)
-	a.regionXInverse(phys)
+	a.four, a.phys = four, phys
+	a.transpose(exchange.YZ)
+	a.pipeline(&a.regZ)
+	a.pipeline(&a.regXInv)
+	a.four, a.phys = nil, nil
 }
 
-// PhysicalToFourier runs the reverse pipeline: the x (r2c) and z
-// regions, the reverse all-to-all fused into the z region's D2H, then
-// the y region.
+// PhysicalToFourier runs the reverse pipeline: the x (r2c) region, the
+// z region with the reverse all-to-all fused behind its pack, then the
+// y region. phys is left untouched.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
@@ -422,125 +512,155 @@ func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 		panic(fmt.Sprintf("core: P2F wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
-	a.regionXForward(phys)
-	a.four = four
-	a.regionTranspose(exchange.ZY, a.mid, fft.Forward)
-	a.four = nil
-	a.regionY(four, fft.Forward)
+	a.four, a.phys = four, phys
+	a.pipeline(&a.regXFwd)
+	a.transpose(exchange.ZY)
+	a.pipeline(&a.regY)
+	a.four, a.phys = nil, nil
 }
 
-// regionY streams x-split pencils of the Fourier slab [mz][ny][nxh]
-// through the devices, transforming along y in place (no transpose).
-func (a *AsyncSlabReal) regionY(four []complex128, dir fft.Direction) {
-	n, nxh, mz := a.n, a.nxh, a.s.MZ()
-	defer a.met.pipeline.Start()()
-	a.pipeline(func(ip, g int) pencilOps {
-		xs := subRange(a.xr[ip], g, len(a.gpus))
-		w := xs.width()
-		if w == 0 {
-			return pencilOps{}
-		}
-		ctx := a.gpus[g]
-		return pencilOps{
-			h2d: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, ctx.slots[slot], w,
-					four[xs.lo:], nxh, w, mz*n)
-			},
-			compute: a.lineFFT(ctx, w, mz, dir),
-			d2h: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, four[xs.lo:], nxh,
-					ctx.slots[slot], w, w, mz*n)
-			},
-			h2dBytes: int64(16 * w * mz * n),
-			d2hBytes: int64(16 * w * mz * n),
-		}
-	}, nil)
+// transpose is a dashed region of Fig 4, in either direction. YZ runs
+// inverse y transforms on the Fourier slab [mz][ny][nxh] and exchanges
+// it into the mid slab; ZY runs forward z transforms on the mid slab
+// [my][nz][nxh] and exchanges it into the Fourier slab. The pack is the
+// one copy of the region: a zero-copy kernel per (pencil, device) that
+// reads the transformed pencil out of the host slab and writes it, at
+// wire precision, into the send blocks [dst][ma][mb][wp] (§4.2). Under
+// PerPencil each unit's exchange starts from inside the pipeline as
+// soon as its pack completes, overlapping the later pencils' compute:
+// Staged posts the all-to-all there and unpacks the received blocks
+// once all have arrived, the zero-copy strategies skip the wire and
+// gather the unit from every peer's send buffer in place through its
+// exchange stage. Under PerSlab the one exchange follows the pipeline.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) transpose(d exchange.Dir) {
+	a.pipeline(&a.regT[d])
+	a.exchange(d, a.strat, a.regT[d].units)
 }
 
-// regionTranspose is a dashed region of Fig 4, in either direction. YZ
-// runs inverse y transforms on the Fourier slab in=[mz][ny][nxh] and
-// exchanges it into the mid slab; ZY runs forward z transforms on
-// in=a.mid=[my][nz][nxh] and exchanges it into a.four. The pack is fused
-// into the D2H as strided copies into the send buffer (narrowing to the
-// wire precision under SingleComm), split by destination along the
-// transformed axis. Under Staged the all-to-all is posted per pencil as
-// soon as its D2H completes (PerPencil) or once for the slab (PerSlab),
-// and the received blocks are unpacked; the zero-copy strategies skip
-// the wire entirely and gather from every peer's send buffer in place
-// through the exchange stages.
-func (a *AsyncSlabReal) regionTranspose(d exchange.Dir, in []complex128, fdir fft.Direction) {
-	n, nxh, p := a.n, a.nxh, a.comm.Size()
-	// ma planes are held locally; each is cut into p runs of mb rows.
-	ma, mb := a.s.MZ(), a.s.MY()
-	if d == exchange.ZY {
-		ma, mb = mb, ma
+// pipeline replays a region's op program with the Fig 4 launch order:
+// the pack of the previous pencil first (prioritizing copies out of
+// the device so exchanges can start early), then the compute of the
+// current pencil, with an event ordering each pack behind its compute
+// across the two streams. In a region with units, unit ip's exchange
+// is started from the host once pencil ip's pack has completed on
+// every device — two pencils behind the launch frontier, the (ip−2)
+// rule of Fig 4. Time a zero-copy gather spends there is the exchange
+// stage's (phase.a2a), not the pipeline's.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) pipeline(r *region) {
+	t0 := time.Now()
+	var gathering time.Duration
+	ngpu := len(a.gpus)
+	for ip := 0; ip < a.np; ip++ {
+		if ip > 0 {
+			a.launchPacks(r, ip-1)
+		}
+		for g, ctx := range a.gpus {
+			c := &r.cells[ip*ngpu+g]
+			if c.compute.Run == nil {
+				continue
+			}
+			ctx.compute.Enqueue(&c.compute)
+			if r.packs {
+				ctx.compute.RecordEvent(c.computed)
+			}
+		}
+		if r.units && ip >= 2 {
+			gathering += a.packedUnit(r, ip-2)
+		}
 	}
-	var afterD2H func(ip int)
-	if a.gran == PerPencil && a.strat == exchange.Staged {
-		afterD2H = func(ip int) { a.reqs[ip] = a.wire.post(ip) }
+	a.launchPacks(r, a.np-1)
+	for ip := max(0, a.np-2); r.units && ip < a.np; ip++ {
+		gathering += a.packedUnit(r, ip)
 	}
-	stop := a.met.pipeline.Start()
-	a.pipeline(func(ip, g int) pencilOps {
-		xs := subRange(a.xr[ip], g, len(a.gpus))
-		w := xs.width()
-		if w == 0 {
-			return pencilOps{}
+	// A region ends when every stream it used has drained.
+	for _, g := range a.gpus {
+		if r.packs {
+			g.transfer.Synchronize()
 		}
-		u := ip
-		if a.gran == PerSlab {
-			u = 0
-		}
-		wp, off := a.xu[u].width(), xs.lo-a.xu[u].lo
-		ctx := a.gpus[g]
-		return pencilOps{
-			h2dBytes: int64(16 * w * ma * n),
-			d2hBytes: a.wireElem * int64(w*ma*n),
-			h2d: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, ctx.slots[slot], w,
-					in[xs.lo:], nxh, w, ma*n)
-			},
-			compute: a.lineFFT(ctx, w, ma, fdir),
-			d2h: func(slot int) {
-				// Fused pack+D2H (§3.4): one strided copy per
-				// (destination, plane) into blocks [dst][ma][mb][wp] —
-				// the call count grows with the rank count, the §5.2
-				// effect.
-				buf := ctx.slots[slot]
-				for dst := 0; dst < p; dst++ {
-					for i := 0; i < ma; i++ {
-						a.wire.pack(ctx.transfer, u, (dst*ma+i)*mb*wp+off, wp,
-							buf[(i*n+dst*mb)*w:], w, w, mb)
-					}
-				}
-			},
-		}
-	}, afterD2H)
-	stop()
-	a.exchange(d, a.strat, afterD2H != nil)
+		g.compute.Synchronize()
+	}
+	if a.met.pipeline.Enabled() {
+		a.met.pipeline.Observe((time.Since(t0) - gathering).Seconds())
+	}
 }
 
-// exchange moves the packed send buffer(s) into the direction's
-// destination slab under st, outside the pipeline: this is both the
-// tail of a transposing region and the tuner's trial body (buffer
-// contents are irrelevant to timing). posted says the staged requests
-// are already in flight from the pipeline's afterD2H hook and only need
-// waiting on. Collective.
-func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy, posted bool) {
-	if st != exchange.Staged {
-		a.wire.gather(d, st)
+// launchPacks enqueues pencil ip's pack kernels on the transfer
+// streams, each behind its compute; the packed event is recorded only
+// when the host will wait on it.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) launchPacks(r *region, ip int) {
+	for g, ctx := range a.gpus {
+		c := &r.cells[ip*len(a.gpus)+g]
+		if c.pack.Run == nil {
+			continue
+		}
+		ctx.transfer.Wait(c.computed)
+		ctx.transfer.Enqueue(&c.pack)
+		a.met.d2h.Add(c.pack.Bytes)
+		if r.units {
+			ctx.transfer.RecordEvent(c.packed)
+		}
+	}
+}
+
+// packedUnit waits for pencil ip's pack on every device and starts its
+// exchange, reporting the time a zero-copy gather took.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) packedUnit(r *region, ip int) time.Duration {
+	for g := range a.gpus {
+		if c := &r.cells[ip*len(a.gpus)+g]; c.pack.Run != nil {
+			c.packed.Synchronize()
+		}
+	}
+	t0 := time.Now()
+	a.startUnit(r.dir, a.strat, ip)
+	if a.strat == exchange.Staged {
+		return 0
+	}
+	return time.Since(t0)
+}
+
+// startUnit starts unit u's exchange under st: the staged all-to-all
+// is posted, a zero-copy gather runs to completion. Collective.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
+	if st == exchange.Staged {
+		a.reqs[u] = a.wire.post(u)
 		return
 	}
-	reqs := a.reqs[:len(a.xu)]
-	stop := a.met.a2a.Start()
-	if !posted {
-		for u := range reqs {
-			reqs[u] = a.wire.post(u)
+	a.wire.gather(d, st, u)
+}
+
+// exchange completes direction d's exchange under st, outside the
+// pipeline: the tail of a transposing region and, with nothing started,
+// the tuner's whole trial body (buffer contents are irrelevant to
+// timing). started says every unit's exchange was started from the
+// pipeline, which leaves only the staged requests to wait on and
+// unpack. Collective.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy, started bool) {
+	t0 := time.Now()
+	if !started {
+		for u := range a.xu {
+			a.startUnit(d, st, u)
 		}
 	}
-	a.waitAll(reqs)
-	stop()
-	defer a.met.unpack.Start()()
+	if st != exchange.Staged {
+		return
+	}
+	a.waitAll(a.reqs)
+	a.met.a2a.ObserveSince(t0)
+	t0 = time.Now()
 	a.wire.unpack(d)
+	a.met.unpack.ObserveSince(t0)
 }
 
 // SetATSite labels the quantity the next bounded exchanges carry (see
@@ -556,236 +676,6 @@ func (a *AsyncSlabReal) SetATSite(site uint32) { a.wire.setSite(site) }
 // exchange count. All zeros on non-AT engines.
 func (a *AsyncSlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
 	return a.wire.takeStaleness()
-}
-
-// regionZ streams x-split pencils of the mid slab [my][nz][nxh],
-// transforming along z in place.
-func (a *AsyncSlabReal) regionZ(dir fft.Direction) {
-	n, nxh, my := a.n, a.nxh, a.s.MY()
-	defer a.met.pipeline.Start()()
-	a.pipeline(func(ip, g int) pencilOps {
-		xs := subRange(a.xr[ip], g, len(a.gpus))
-		w := xs.width()
-		if w == 0 {
-			return pencilOps{}
-		}
-		ctx := a.gpus[g]
-		return pencilOps{
-			h2d: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, ctx.slots[slot], w,
-					a.mid[xs.lo:], nxh, w, my*n)
-			},
-			compute: a.lineFFT(ctx, w, my, dir),
-			d2h: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, a.mid[xs.lo:], nxh,
-					ctx.slots[slot], w, w, my*n)
-			},
-			h2dBytes: int64(16 * w * my * n),
-			d2hBytes: int64(16 * w * my * n),
-		}
-	}, nil)
-}
-
-// regionXInverse streams z-split pencils of the mid slab through c2r
-// transforms along x into the physical slab [my][nz][nx].
-func (a *AsyncSlabReal) regionXInverse(phys []float64) {
-	n, nxh, my := a.n, a.nxh, a.s.MY()
-	defer a.met.pipeline.Start()()
-	a.pipeline(func(ip, g int) pencilOps {
-		zs := subRange(a.zr[ip], g, len(a.gpus))
-		zw := zs.width()
-		if zw == 0 {
-			return pencilOps{}
-		}
-		ctx := a.gpus[g]
-		return pencilOps{
-			h2d: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, ctx.slots[slot], zw*nxh,
-					a.mid[zs.lo*nxh:], n*nxh, zw*nxh, my)
-			},
-			compute: func(slot int) {
-				cbuf, rbuf := ctx.slots[slot], ctx.rslots[slot]
-				ctx.compute.Launch("fftx-c2r", func() {
-					ctx.team.ForWorkers(my, func(wk, lo, hi int) {
-						plan := ctx.plans[wk].RealBatch(n, zw, 1, n, 1, nxh)
-						for iy := lo; iy < hi; iy++ {
-							plan.Inverse(rbuf[iy*zw*n:(iy+1)*zw*n], cbuf[iy*zw*nxh:(iy+1)*zw*nxh])
-						}
-					})
-				})
-			},
-			d2h: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, phys[zs.lo*n:], n*n,
-					ctx.rslots[slot], zw*n, zw*n, my)
-			},
-			h2dBytes: int64(16 * my * zw * nxh),
-			d2hBytes: int64(8 * my * zw * n),
-		}
-	}, nil)
-}
-
-// regionXForward streams z-split pencils of the physical slab through
-// r2c transforms along x into the mid slab.
-func (a *AsyncSlabReal) regionXForward(phys []float64) {
-	n, nxh, my := a.n, a.nxh, a.s.MY()
-	defer a.met.pipeline.Start()()
-	a.pipeline(func(ip, g int) pencilOps {
-		zs := subRange(a.zr[ip], g, len(a.gpus))
-		zw := zs.width()
-		if zw == 0 {
-			return pencilOps{}
-		}
-		ctx := a.gpus[g]
-		return pencilOps{
-			h2d: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, ctx.rslots[slot], zw*n,
-					phys[zs.lo*n:], n*n, zw*n, my)
-			},
-			compute: func(slot int) {
-				cbuf, rbuf := ctx.slots[slot], ctx.rslots[slot]
-				ctx.compute.Launch("fftx-r2c", func() {
-					ctx.team.ForWorkers(my, func(wk, lo, hi int) {
-						plan := ctx.plans[wk].RealBatch(n, zw, 1, n, 1, nxh)
-						for iy := lo; iy < hi; iy++ {
-							plan.Forward(cbuf[iy*zw*nxh:(iy+1)*zw*nxh], rbuf[iy*zw*n:(iy+1)*zw*n])
-						}
-					})
-				})
-			},
-			d2h: func(slot int) {
-				cuda.Memcpy2DAsync(ctx.transfer, a.mid[zs.lo*nxh:], n*nxh,
-					ctx.slots[slot], zw*nxh, zw*nxh, my)
-			},
-			h2dBytes: int64(8 * my * zw * n),
-			d2hBytes: int64(16 * my * zw * nxh),
-		}
-	}, nil)
-}
-
-// lineFFT returns a compute launcher running nplanes strided line
-// transforms of width w on the slot buffer, split across the device's
-// worker team (the hybrid MPI+OpenMP batch loop). Planes are
-// independent and every worker runs an identical plan, so the output
-// is bitwise invariant under the team size.
-func (a *AsyncSlabReal) lineFFT(ctx *gpuCtx, w, nplanes int, dir fft.Direction) func(slot int) {
-	n := a.n
-	return func(slot int) {
-		buf := ctx.slots[slot]
-		ctx.compute.Launch("fft-line", func() {
-			ctx.team.ForWorkers(nplanes, func(wk, lo, hi int) {
-				plan := ctx.plans[wk].Batch(n, w, w, 1, w, 1)
-				for pl := lo; pl < hi; pl++ {
-					plane := buf[pl*n*w : (pl+1)*n*w]
-					if dir == fft.Forward {
-						plan.Forward(plane, plane)
-					} else {
-						plan.Inverse(plane, plane)
-					}
-				}
-			})
-		})
-	}
-}
-
-// pencilOps are the three per-pencil stages a region supplies; any may
-// be nil (zero-width sub-pencil on this device). The byte fields carry
-// the wire size each transfer stage moves, for direction-labelled
-// accounting (gpu.h2d.bytes / gpu.d2h.bytes).
-type pencilOps struct {
-	h2d      func(slot int)
-	compute  func(slot int)
-	d2h      func(slot int)
-	h2dBytes int64
-	d2hBytes int64
-}
-
-// pencilEvs are the inter-stream ordering events of one (pencil,
-// device) cell of the pipeline; the matrix is hoisted to construction
-// and zeroed per region so the hot path does not allocate.
-type pencilEvs struct{ h2d, comp, d2h *cuda.Event }
-
-// pipeline drives np pencils through every device with the Fig 4
-// launch order: D2H of the previous pencil first (prioritizing copies
-// out of the GPU so exchanges can start early), then compute of the
-// current pencil, then H2D of the next, with events ordering across
-// the two streams and three rotating device slots. afterD2H, when
-// non-nil, is invoked on the host once pencil ip's D2H has completed
-// on every device — two pencils behind the launch frontier, the
-// (ip−2) rule of Fig 4 — and is the hook that posts the per-pencil
-// MPI_IALLTOALL.
-//
-//psdns:hotpath
-func (a *AsyncSlabReal) pipeline(ops func(ip, g int) pencilOps, afterD2H func(ip int)) {
-	ngpu := len(a.gpus)
-	state, pops := a.pstate, a.pops
-	for ip := 0; ip < a.np; ip++ {
-		for g := 0; g < ngpu; g++ {
-			state[ip][g] = pencilEvs{}
-			pops[ip][g] = ops(ip, g)
-		}
-	}
-	launchH2D := func(ip int) {
-		for g := 0; g < ngpu; g++ {
-			if pops[ip][g].h2d == nil {
-				continue
-			}
-			pops[ip][g].h2d(ip % 3)
-			a.met.h2d.Add(pops[ip][g].h2dBytes)
-			state[ip][g].h2d = a.gpus[g].transfer.Record()
-		}
-	}
-	launchD2H := func(ip int) {
-		for g := 0; g < ngpu; g++ {
-			if pops[ip][g].d2h == nil {
-				continue
-			}
-			a.gpus[g].transfer.Wait(state[ip][g].comp)
-			pops[ip][g].d2h(ip % 3)
-			a.met.d2h.Add(pops[ip][g].d2hBytes)
-			state[ip][g].d2h = a.gpus[g].transfer.Record()
-		}
-	}
-	waitD2H := func(ip int) {
-		for g := 0; g < ngpu; g++ {
-			if ev := state[ip][g].d2h; ev != nil {
-				ev.Synchronize()
-			}
-		}
-	}
-
-	launchH2D(0)
-	for ip := 0; ip < a.np; ip++ {
-		if ip > 0 {
-			launchD2H(ip - 1)
-		}
-		for g := 0; g < ngpu; g++ {
-			if pops[ip][g].compute == nil {
-				continue
-			}
-			a.gpus[g].compute.Wait(state[ip][g].h2d)
-			pops[ip][g].compute(ip % 3)
-			state[ip][g].comp = a.gpus[g].compute.Record()
-		}
-		if ip+1 < a.np {
-			launchH2D(ip + 1)
-		}
-		if afterD2H != nil && ip >= 2 {
-			waitD2H(ip - 2)
-			afterD2H(ip - 2)
-		}
-	}
-	launchD2H(a.np - 1)
-	for ip := max(0, a.np-2); ip < a.np; ip++ {
-		waitD2H(ip)
-		if afterD2H != nil {
-			afterD2H(ip)
-		}
-	}
-	// A region ends when both streams of every device have drained.
-	for _, g := range a.gpus {
-		g.transfer.Synchronize()
-		g.compute.Synchronize()
-	}
 }
 
 // wait blocks on one all-to-all request, bounding the block by the

@@ -1,21 +1,30 @@
 // Package core implements the paper's primary contribution: the
 // batched asynchronous out-of-core GPU algorithm for slab-decomposed
-// 3D transforms (Fig 4). Each rank's slab is cycled through limited
-// device memory in np pencils on two CUDA streams — one for compute,
-// one for transfers — with events enforcing the per-pencil
-// H2D → FFT → packed-D2H → all-to-all chain and triple-buffered device
-// slots providing the overlap. Three region passes per direction
-// mirror the paper's y, z, x transform ordering:
+// 3D transforms (Fig 4). Each rank's slab is worked through in np
+// pencils on two CUDA streams — one for compute, one for transfers —
+// with events enforcing the per-pencil FFT → pack → all-to-all chain.
+// The device of internal/cuda executes on host memory, so every kernel
+// is the zero-copy kernel of §4.2: the FFT batches run in place on the
+// host slab and the one copy left is the pack into the send buffer;
+// there is no H2D stage and there are no device slots (the simulated
+// performance model keeps charging for both). Construction compiles
+// each region pass into a flat op program — prebuilt kernels and
+// reusable events per (pencil, device) — and a transform replays it
+// without allocating. Three region passes per direction mirror the
+// paper's y, z, x transform ordering:
 //
 //	Fourier→physical: [y FFTs on x-split pencils] → pack/A2A/unpack →
 //	                  [z FFTs on x-split pencils] →
 //	                  [c2r x FFTs on z-split pencils]
 //
 // and the reverse for physical→Fourier. The all-to-all granularity is
-// selectable: PerPencil posts a non-blocking MPI_IALLTOALL as soon as
-// each pencil's packed D2H completes (configurations A and B of the
-// paper), PerSlab waits for the whole slab and posts one large
-// blocking exchange (configuration C, the winner at scale).
+// selectable: PerPencil starts a pencil's exchange as soon as its pack
+// completes, two pencils behind the launch frontier — a non-blocking
+// MPI_IALLTOALL on the staged wire, the unit's in-place gather under
+// the zero-copy strategies — overlapping the later pencils' compute
+// (configurations A and B of the paper); PerSlab waits for the whole
+// slab and runs one large blocking exchange (configuration C, the
+// winner at scale).
 //
 // AsyncSlabReal implements spectral.Transform, so the full DNS can run
 // on the asynchronous pipeline; its results are bit-compatible with

@@ -7,6 +7,14 @@
 // of CUDA, which is what the batched asynchronous algorithm (Fig 4)
 // actually depends on. A separate cost model (cost.go) carries the
 // performance characteristics of the real hardware for the simulator.
+//
+// Because device memory is host memory here, every kernel is the
+// zero-copy kernel of §4.2: it reads and writes the host slab in place,
+// and the only bytes a stream moves are the ones an op really copies
+// (Op.Bytes). Work that is the same every step is described once by
+// prebuilt Op values and reusable Events and replayed with Enqueue,
+// RecordEvent and Wait, none of which allocates — the CUDA-graph idea;
+// Launch and Record remain for one-off work.
 package cuda
 
 import (
@@ -75,7 +83,7 @@ func (d *Device) ID() int { return d.id }
 
 // NewStream creates an asynchronous in-order work queue on the device.
 func (d *Device) NewStream(name string) *Stream {
-	s := &Stream{name: name, dev: d, ops: make(chan streamOp, 1024)}
+	s := &Stream{name: name, dev: d, ring: make(chan entry, ringSize), drained: NewEvent()}
 	s.wg.Add(1)
 	go s.run()
 	d.mu.Lock()
@@ -95,72 +103,108 @@ func (d *Device) Synchronize() {
 	}
 }
 
-// Close shuts down all stream workers. The device must not be used
-// afterwards.
+// Close shuts down all stream workers once their queues have drained.
+// The device must not be used afterwards.
 func (d *Device) Close() {
 	d.mu.Lock()
-	streams := append([]*Stream(nil), d.streams...)
+	streams := d.streams
 	d.streams = nil
 	d.mu.Unlock()
 	for _, s := range streams {
-		close(s.ops)
+		close(s.ring)
 		s.wg.Wait()
 	}
 }
 
-// streamOp is one queue entry; control ops (event records, sync
-// markers) execute even after a device error so the host never hangs.
-type streamOp struct {
-	fn      func()
-	control bool
+// Op is a prebuilt data operation — a kernel or a copy — described once
+// at plan time and enqueued any number of times. Kind labels it (the
+// name a device error is reported under), Run is its body, and Bytes is
+// what it copies, charged to cuda.xfer.bytes per enqueue; a kernel that
+// works on the host slab in place moves none.
+type Op struct {
+	Kind  string
+	Run   func()
+	Bytes int64
 }
 
-// Stream is an in-order asynchronous work queue (cudaStream_t).
+// entry is one slot of a stream's ring: a data op (run set), or a
+// control op on ev — a record completing generation gen, or a wait for
+// it. Control ops execute even after a device error so neither the host
+// nor another stream ever hangs on a poisoned one.
+type entry struct {
+	kind   string
+	run    func()
+	ev     *Event
+	gen    uint64
+	record bool
+	t0     time.Time // record entries: enqueue time, when latency is observed
+}
+
+// ringSize bounds how far the host may run ahead of a stream: deep
+// enough that a region's whole program (three entries per pencil and
+// device) is enqueued without the host ever blocking on a full ring.
+const ringSize = 1024
+
+// Stream is an in-order asynchronous work queue (cudaStream_t): a ring
+// of entries (a buffered channel) drained by one worker goroutine. The worker parks only on
+// an empty ring or an incomplete event, and the host wakes it only
+// then, so a replayed program costs one wake-up per dependency edge
+// rather than one per op.
 type Stream struct {
 	name string
 	dev  *Device
-	ops  chan streamOp
+	ring chan entry
 	wg   sync.WaitGroup
 
-	mu  sync.Mutex
-	err any // sticky device error (a panicking kernel), as on real CUDA
+	mu      sync.Mutex
+	err     any // sticky device error (a panicking kernel), as on real CUDA
+	errKind string
+
+	failed  atomic.Bool // err != nil, readable without mu
+	drained *Event      // Synchronize's reusable marker
 }
 
 func (s *Stream) run() {
 	defer s.wg.Done()
-	for op := range s.ops {
-		if s.failed() && !op.control {
-			// A sticky error poisons the stream: remaining data work
-			// is drained without executing, like a device in error
-			// state; control ops still fire so waiters unblock.
-			continue
-		}
-		func() {
-			defer func() {
-				if e := recover(); e != nil {
-					s.mu.Lock()
-					s.err = e
-					s.mu.Unlock()
-				}
-			}()
-			// Control ops (event records, sync markers) are queue
-			// plumbing, not device work: excluded from busy time.
-			if m := s.dev.m(); !op.control && m.busy.Enabled() {
-				t0 := time.Now()
-				op.fn()
-				m.busy.Observe(time.Since(t0).Seconds())
-				m.ops.Inc()
-			} else {
-				op.fn()
-			}
-		}()
+	for e := range s.ring {
+		s.exec(&e)
 	}
 }
 
-func (s *Stream) failed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err != nil
+// exec runs one entry on the worker.
+func (s *Stream) exec(e *entry) {
+	switch {
+	case e.run == nil && e.record:
+		if !e.t0.IsZero() {
+			s.dev.m().evLat.ObserveSince(e.t0)
+		}
+		e.ev.complete(e.gen)
+	case e.run == nil:
+		e.ev.wait(e.gen)
+	case s.failed.Load():
+		// A sticky error poisons the stream: remaining data work is
+		// drained without executing, like a device in error state.
+	default:
+		defer s.poison(e)
+		if m := s.dev.m(); m.busy.Enabled() {
+			t0 := time.Now()
+			e.run()
+			m.busy.ObserveSince(t0)
+			m.ops.Inc()
+			return
+		}
+		e.run()
+	}
+}
+
+// poison records a panicking op as the stream's sticky error.
+func (s *Stream) poison(e *entry) {
+	if r := recover(); r != nil {
+		s.mu.Lock()
+		s.err, s.errKind = r, e.kind
+		s.mu.Unlock()
+		s.failed.Store(true)
+	}
 }
 
 // Err reports the sticky device error, if any (cudaGetLastError).
@@ -173,75 +217,118 @@ func (s *Stream) Err() any {
 // Name reports the stream label.
 func (s *Stream) Name() string { return s.name }
 
-// Launch enqueues fn on the stream and returns immediately; fn runs
-// after all previously enqueued work (kernel-launch semantics).
+// Launch enqueues fn on the stream under the label name and returns
+// immediately; fn runs after all previously enqueued work (kernel-
+// launch semantics). The closure is the caller's allocation: work that
+// repeats every step is described by an Op instead.
 func (s *Stream) Launch(name string, fn func()) {
-	_ = name
-	s.ops <- streamOp{fn: fn}
+	s.ring <- entry{kind: name, run: fn}
 }
 
-// Record enqueues an event into the stream and returns it; the event
-// completes when the stream reaches it (cudaEventRecord). The latency
-// from record to completion — how far the host runs ahead of the
-// device — is observed into cuda.event.latency when metrics are on.
-func (s *Stream) Record() *Event {
-	ev := &Event{done: make(chan struct{})}
-	if m := s.dev.m(); m.evLat.Enabled() {
-		t0 := time.Now()
-		s.ops <- streamOp{fn: func() {
-			m.evLat.Observe(time.Since(t0).Seconds())
-			close(ev.done)
-		}, control: true}
-		return ev
+// Enqueue is Launch for a prebuilt op: nothing is allocated.
+//
+//psdns:hotpath
+func (s *Stream) Enqueue(op *Op) {
+	if op.Bytes != 0 {
+		s.dev.m().bytes.Add(op.Bytes)
 	}
-	s.ops <- streamOp{fn: func() { close(ev.done) }, control: true}
+	s.ring <- entry{kind: op.Kind, run: op.Run}
+}
+
+// Record enqueues a fresh event into the stream and returns it; the
+// event completes when the stream reaches it (cudaEventRecord).
+func (s *Stream) Record() *Event {
+	ev := NewEvent()
+	s.RecordEvent(ev)
 	return ev
 }
 
-// Wait makes subsequent work on this stream wait until ev completes
-// (cudaStreamWaitEvent): the wait occupies the stream, not the host.
+// RecordEvent re-records a reusable event: ev then stands for this
+// point of the stream, and completes when the stream reaches it. The
+// latency from record to completion — how far the host runs ahead of
+// the device — is observed into cuda.event.latency when metrics are on.
+//
+//psdns:hotpath
+func (s *Stream) RecordEvent(ev *Event) {
+	e := entry{ev: ev, gen: ev.recorded.Add(1), record: true}
+	if s.dev.m().evLat.Enabled() {
+		e.t0 = time.Now()
+	}
+	s.ring <- e
+}
+
+// Wait makes subsequent work on this stream wait until ev's latest
+// record completes (cudaStreamWaitEvent): the wait occupies the stream,
+// not the host.
+//
+//psdns:hotpath
 func (s *Stream) Wait(ev *Event) {
-	s.ops <- streamOp{fn: func() { <-ev.done }, control: true}
+	s.ring <- entry{ev: ev, gen: ev.recorded.Load()}
 }
 
 // Synchronize blocks the host until all currently enqueued work has
 // executed (cudaStreamSynchronize). It panics with the sticky device
 // error if a kernel failed, so failures surface at the next host
 // synchronization point exactly as CUDA error checking does.
+//
+//psdns:hotpath
 func (s *Stream) Synchronize() {
-	done := make(chan struct{})
-	s.ops <- streamOp{fn: func() { close(done) }, control: true}
-	<-done
-	if e := s.Err(); e != nil {
-		panic(fmt.Sprintf("cuda: device error on stream %s: %v", s.name, e))
+	s.RecordEvent(s.drained)
+	s.drained.Synchronize()
+	if s.failed.Load() {
+		s.mu.Lock()
+		err, kind := s.err, s.errKind
+		s.mu.Unlock()
+		panic(fmt.Sprintf("cuda: device error on stream %s in %s: %v", s.name, kind, err))
 	}
 }
 
-// Event marks a point in a stream (cudaEvent_t).
+// Event marks a point in a stream (cudaEvent_t). It is a pair of
+// generation numbers — records issued, records completed — so one event
+// is re-recorded every step without being reallocated; an event never
+// recorded is complete.
 type Event struct {
-	done chan struct{}
+	recorded atomic.Uint64
+	done     atomic.Uint64
+	mu       sync.Mutex
+	cv       sync.Cond
 }
 
-// Synchronize blocks the host until the event completes.
-func (e *Event) Synchronize() { <-e.done }
-
-// Query reports whether the event has completed without blocking.
-func (e *Event) Query() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
+// NewEvent returns a reusable event (cudaEventCreate).
+func NewEvent() *Event {
+	e := &Event{}
+	e.cv.L = &e.mu
+	return e
 }
 
 // CompletedEvent returns an event that is already complete, useful as
 // the dependency of the first pipeline stage.
-func CompletedEvent() *Event {
-	e := &Event{done: make(chan struct{})}
-	close(e.done)
-	return e
+func CompletedEvent() *Event { return NewEvent() }
+
+func (e *Event) complete(gen uint64) {
+	e.mu.Lock()
+	e.done.Store(gen)
+	e.mu.Unlock()
+	e.cv.Broadcast()
 }
+
+func (e *Event) wait(gen uint64) {
+	if e.done.Load() >= gen {
+		return
+	}
+	e.mu.Lock()
+	for e.done.Load() < gen {
+		e.cv.Wait()
+	}
+	e.mu.Unlock()
+}
+
+// Synchronize blocks the host until the event's latest record
+// completes.
+func (e *Event) Synchronize() { e.wait(e.recorded.Load()) }
+
+// Query reports whether the event has completed without blocking.
+func (e *Event) Query() bool { return e.done.Load() >= e.recorded.Load() }
 
 // MemcpyAsync enqueues a contiguous copy on the stream
 // (cudaMemcpyAsync on pinned memory).
