@@ -36,7 +36,13 @@
 //     n64: the 1-D kernels alone, one plane of lines per op — complex
 //     lines strided by N/2+1 (the y and z passes, plane form), unit-
 //     stride complex lines (the pencil engine's passes, line form) and
-//     real lines — with GFlop/s at the nominal 5·n·log₂n per line.
+//     real lines — with GFlop/s at the nominal 5·n·log₂n per line;
+//   - rhs_ns_n64_p2: one full NS RK2 step on a transform stub that only
+//     copies, so what is timed is the solver's own arithmetic — products,
+//     divergence accumulation, projection, stage sweeps — and
+//     if_sweep_n64: one RK2 stage sweep alone. Both report GB/s per rank
+//     against the bytes the arithmetic must move, and that rate as a
+//     fraction of a contiguous copy measured in the same run.
 //
 // Besides the -baseline/-check gate, `bench -compare old.json
 // new.json` diffs two measurement files row by row (speedup per
@@ -76,6 +82,12 @@ type Result struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	GFlops      float64 `json:"gflops,omitempty"` // kernel rows only
+	// Bandwidth rows only: nominal bytes read plus written per second
+	// per rank, and that rate over what the same run's contiguous copy
+	// reads plus writes (above 1 = the working set is cache-resident
+	// where the 64 MiB copy is not).
+	GBPerS       float64 `json:"gb_per_s,omitempty"`
+	FracOfMemcpy float64 `json:"frac_of_memcpy,omitempty"`
 }
 
 // File is the BENCH_step.json schema.
@@ -94,6 +106,7 @@ type sample struct {
 	allocs int64
 	bytes  int64
 	flop   float64 // nominal flop count of the timed window; 0 = not a kernel row
+	moved  float64 // nominal bytes one rank moves in the timed window; 0 = not a bandwidth row
 }
 
 func init() {
@@ -362,6 +375,12 @@ type stepEngine interface {
 }
 
 func dnsStepOn(build func(c *mpi.Comm, workers int) stepEngine, n, p int, opts ...spectral.Option) func(iters, workers int) sample {
+	return solverOp(build, (*spectral.Solver).Step, n, p, opts...)
+}
+
+// solverOp times op(solver, 1e-4) — a step, or a piece of one — on an
+// RK2 solver over the engine build constructs.
+func solverOp(build func(c *mpi.Comm, workers int) stepEngine, op func(*spectral.Solver, float64), n, p int, opts ...spectral.Option) func(iters, workers int) sample {
 	return func(iters, workers int) sample {
 		var s sample
 		mpi.Run(p, func(c *mpi.Comm) {
@@ -379,7 +398,7 @@ func dnsStepOn(build func(c *mpi.Comm, workers int) stepEngine, n, p int, opts .
 			for f := 3; f < sol.Fields(); f++ {
 				sol.SetFieldBlob(f, 2.5, 0.5, int64(40+f))
 			}
-			step := func() { sol.Step(1e-4) }
+			step := func() { op(sol, 1e-4) }
 			c.Barrier()
 			if c.Rank() == 0 {
 				s = timeLoop(iters, 2, step)
@@ -570,6 +589,76 @@ func fftR2C(n int) func(iters, workers int) sample {
 	}
 }
 
+// copyTransform stands in for the distributed transform under a
+// solver: the slab engine's geometry, but each direction only copies
+// (the inverse with the 1/N³ the real one applies, so an iterated state
+// stays finite). A step on it is the solver's arithmetic plus 9 copies
+// per evaluation, with no FFT and no exchange.
+type copyTransform struct {
+	*pfft.SlabReal
+	scale float64
+}
+
+func (t copyTransform) FourierToPhysical(phys []float64, four []complex128) {
+	for i := 0; i < len(phys)/2; i++ {
+		phys[2*i], phys[2*i+1] = real(four[i])*t.scale, imag(four[i])*t.scale
+	}
+}
+
+func (t copyTransform) PhysicalToFourier(four []complex128, phys []float64) {
+	half := len(phys) / 2
+	for i := 0; i < half; i++ {
+		four[i] = complex(phys[2*i], phys[2*i+1])
+	}
+	clear(four[half:])
+}
+
+// solverArithmetic times op — one full NS RK2 step, or one stage sweep —
+// on a copyTransform, crediting it with passes(C, R) bytes per rank per
+// call, C and R being the bytes of one spectral and one physical array
+// (a read-modify-write is two passes).
+func solverArithmetic(n, p int, op func(*spectral.Solver, float64), passes func(c, r float64) float64) func(iters, workers int) sample {
+	run := solverOp(func(c *mpi.Comm, workers int) stepEngine {
+		return copyTransform{pfft.NewSlabRealWorkers(c, n, workers), 1 / (float64(n) * float64(n) * float64(n))}
+	}, op, n, p)
+	plane := float64(n / p * n)
+	return func(iters, workers int) sample {
+		s := run(iters, workers)
+		s.moved = float64(iters) * passes(16*plane*float64(n/2+1), 8*plane*float64(n))
+		return s
+	}
+}
+
+// stepPasses is the traffic of one NS RK2 step on a copyTransform. An
+// evaluation: 3 copies into work (6C), 3 + 6 stub copies (9C + 9R), 6
+// products (18R), 6 reads of work feeding 3 stores and 6 updates of the
+// divergence (21C), projection (6C) — 42C + 27R. Two of those, the
+// stage sweep between them and the final combination (reads save, acc,
+// N, writes u: 12C).
+func stepPasses(c, r float64) float64 { return 2*(42*c+27*r) + sweepPasses(c, r) + 12*c }
+
+// sweepPasses is the RK2 stage sweep: per field reads u, N and writes
+// save, u, acc.
+func sweepPasses(c, _ float64) float64 { return 15 * c }
+
+// memcpyGBs is the contiguous-copy rate of this machine, this run: the
+// best of three copies between two 64 MiB arrays (the ceiling the
+// benchmark's hw.memcpy_gb_s reports, measured the same way).
+func memcpyGBs() float64 {
+	const elems = 4 << 20
+	src, dst := make([]complex128, elems), make([]complex128, elems)
+	for i := range src {
+		src[i] = complex(float64(i), 0)
+	}
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		copy(dst, src)
+		best = min(best, time.Since(t0).Seconds())
+	}
+	return 16 * elems / 1e9 / best
+}
+
 var workloads = []workload{
 	{"slab_fwd_inv_n64_p4", 40, 8, true, slabTransform(64, 4)},
 	{"slab_fwd_inv_n128_p4", 10, 2, true, slabTransform(128, 4)},
@@ -600,6 +689,8 @@ var workloads = []workload{
 	{"fft_c2c_contig_n128", 10000, 2000, true, fftC2C(128, false)},
 	{"fft_r2c_n48", 10000, 2000, true, fftR2C(48)},
 	{"fft_r2c_n64", 10000, 2000, true, fftR2C(64)},
+	{"rhs_ns_n64_p2", 40, 8, true, solverArithmetic(64, 2, (*spectral.Solver).Step, stepPasses)},
+	{"if_sweep_n64", 400, 80, true, solverArithmetic(64, 2, (*spectral.Solver).StageSweep, sweepPasses)},
 }
 
 func main() {
@@ -632,6 +723,7 @@ func main() {
 	}
 
 	f := File{Schema: 1, GoVersion: runtime.Version(), Quick: *quick, Workers: *workers}
+	memcpy := 0.0 // measured when the first bandwidth row needs it
 	for _, w := range workloads {
 		if *only != "" && w.name != *only {
 			continue
@@ -648,12 +740,24 @@ func main() {
 			AllocsPerOp: float64(s.allocs) / float64(iters),
 			BytesPerOp:  float64(s.bytes) / float64(iters),
 			GFlops:      s.flop / float64(s.ns),
+			GBPerS:      s.moved / float64(s.ns),
+		}
+		if r.GBPerS > 0 {
+			if memcpy == 0 {
+				memcpy = memcpyGBs()
+			}
+			// A copy reads and writes every byte it is credited with, so
+			// the ceiling for counted traffic is twice the copy rate.
+			r.FracOfMemcpy = r.GBPerS / (2 * memcpy)
 		}
 		f.Results = append(f.Results, r)
 		fmt.Printf("%-22s %10d iters %14.0f ns/op %10.1f allocs/op %12.0f B/op",
 			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 		if r.GFlops > 0 {
 			fmt.Printf(" %8.2f GFlop/s", r.GFlops)
+		}
+		if r.GBPerS > 0 {
+			fmt.Printf(" %8.2f GB/s = %.2f of memcpy (%.2f GB/s copied)", r.GBPerS, r.FracOfMemcpy, memcpy)
 		}
 		fmt.Println()
 	}

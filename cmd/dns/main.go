@@ -106,6 +106,11 @@ func main() {
 	if *scalar && *system != "" && *system != "rotating-scalar" {
 		log.Fatalf("-scalar runs the rotating-scalar system, not -system %s", *system)
 	}
+	if *scalar {
+		if err := (spectral.SystemSpec{Scalars: []spectral.ScalarSpec{{Schmidt: *schmidt}}}).Validate(); err != nil {
+			log.Fatalf("-sc: %v", err)
+		}
+	}
 	sch, err := spectral.ParseScheme(*scheme)
 	if err != nil {
 		log.Fatalf("-scheme: %v", err)

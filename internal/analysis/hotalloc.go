@@ -16,8 +16,11 @@ import (
 // aliasing), implicit interface conversions of non-pointer-shaped
 // values (boxing), and func literals passed as call arguments that
 // capture a variable (a closure built per call; one assigned or
-// returned is staged at plan time and is not flagged). The check
-// propagates one level into same-package callees, including through
+// returned is staged at plan time and is not flagged). One
+// non-allocation rides along because it costs the same paths the same
+// way: an array literal inside a loop, rebuilt per iteration (the
+// `[3]float64{kx, ky, kz}[comp]` per mode the flux kernels once carried).
+// The check propagates one level into same-package callees, including through
 // interface dispatch: a call to an interface method (the System plug-in
 // pattern — a hot stepper invoking sys.Nonlinear) propagates into every
 // same-package concrete method implementing it, since any of them can
@@ -94,6 +97,7 @@ type hotChecker struct {
 	root         string // the //psdns:hotpath function this check is rooted at
 	callee       string // non-empty when checking a propagated callee
 	collect      bool   // gather same-package callees for propagation
+	loops        int    // enclosing for/range depth of the node being checked
 	callees      []*types.Func
 	ifaceCallees []*types.Func // interface methods called (dispatch targets unknown statically)
 }
@@ -146,11 +150,15 @@ func (h *hotChecker) stmt(s ast.Stmt, sig *types.Signature) {
 	case *ast.ForStmt:
 		h.stmt(s.Init, sig)
 		h.expr(s.Cond)
+		h.loops++
 		h.stmt(s.Post, sig)
 		h.stmt(s.Body, sig)
+		h.loops--
 	case *ast.RangeStmt:
 		h.expr(s.X)
+		h.loops++
 		h.stmt(s.Body, sig)
+		h.loops--
 	case *ast.SwitchStmt:
 		h.stmt(s.Init, sig)
 		h.expr(s.Tag)
@@ -394,9 +402,10 @@ func (h *hotChecker) checkBox(e ast.Expr, target types.Type) {
 	h.report(e.Pos(), "interface conversion of "+types.TypeString(src, types.RelativeTo(h.pass.Pkg))+" allocates (boxing)")
 }
 
-// composite flags map and slice literals (always heap-backed) and
-// address-taken composite literals (escape under aliasing). Plain
-// struct and array value literals are stack objects and pass.
+// composite flags map and slice literals (always heap-backed),
+// address-taken composite literals (escape under aliasing) and array
+// literals inside a loop. Plain struct literals, and array literals
+// outside loops, are stack objects and pass.
 func (h *hotChecker) composite(cl *ast.CompositeLit, addressed bool) {
 	t := h.pass.Info.TypeOf(cl)
 	if t != nil {
@@ -406,8 +415,15 @@ func (h *hotChecker) composite(cl *ast.CompositeLit, addressed bool) {
 		case *types.Slice:
 			h.report(cl.Pos(), "slice literal allocates")
 		default:
-			if addressed {
+			_, array := t.Underlying().(*types.Array)
+			switch {
+			case addressed:
 				h.report(cl.Pos(), "&composite literal escapes to the heap")
+			case array && h.loops > 0:
+				// Not an allocation, but a loop body on these paths runs
+				// per mode: the array is rebuilt (and, indexed dynamically,
+				// spilled to the stack) every iteration.
+				h.report(cl.Pos(), "array literal in a loop is rebuilt every iteration; hoist it or select the element directly")
 			}
 		}
 	}

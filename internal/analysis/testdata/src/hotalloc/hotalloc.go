@@ -145,3 +145,19 @@ func perCall(s *state, dst []float64) {
 	each(len(dst), body)
 	s.stage = func() { each(len(dst), body) }
 }
+
+// perMode rebuilds a wavenumber triple for every element to pick one
+// entry of it — the loop-invariant selection the flux kernels hoisted.
+// The same literal outside the loop is a one-time stack value and
+// passes.
+//
+//psdns:hotpath
+func perMode(dst, kx []float64, ky, kz float64, comp int) {
+	for i := range dst {
+		dst[i] *= [3]float64{kx[i], ky, kz}[comp] // want `array literal in a loop is rebuilt every iteration`
+	}
+	k := [3]float64{0, ky, kz}[comp]
+	for i := range dst {
+		dst[i] += k
+	}
+}

@@ -33,17 +33,12 @@ func (s *Solver) velocityProducts(state, rhs [][]complex128) {
 		s.tr.FourierToPhysical(s.physU[c], s.work)
 	}
 
-	for c := 0; c < 3; c++ {
-		zero(rhs[c])
-	}
-
-	// Products back to Fourier space, accumulating the divergence.
+	// Products back to Fourier space, accumulating the divergence. The
+	// pair order gives every rhs[c] its k_x term first, which is the
+	// term accumulateFlux stores rather than adds — no clearing pass.
 	for _, pair := range prodPairs {
 		i, j := pair[0], pair[1]
-		ui, uj := s.physU[i], s.physU[j]
-		for m := range s.prod {
-			s.prod[m] = ui[m] * uj[m]
-		}
+		mulTo(s.prod, s.physU[i], s.physU[j])
 		s.tr.PhysicalToFourier(s.work, s.prod)
 		if shift {
 			s.applyShift(s.work, -1)
@@ -51,31 +46,74 @@ func (s *Solver) velocityProducts(state, rhs [][]complex128) {
 		// Code-unit bookkeeping: the product of two physical fields,
 		// forward transformed, is N³·(û_i⋆û_j)_math — already in code
 		// units; no extra scaling needed.
-		s.accumulateDivergence(rhs, i, j)
+		if i == j {
+			s.accumulateFlux(rhs[i], j, nil, 0)
+		} else {
+			s.accumulateFlux(rhs[i], j, rhs[j], i)
+		}
 	}
 }
 
-// accumulateDivergence adds −i·k_j·ŝ to rhs[i] (and −i·k_i·ŝ to rhs[j]
-// when i≠j), where ŝ is the spectral product currently in s.work.
+// mulTo computes the physical-space product dst = a·b.
 //
 //psdns:hotpath
-func (s *Solver) accumulateDivergence(rhs [][]complex128, i, j int) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz := s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky := s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				kvec := [3]float64{s.kxs[ix], ky, kz}
-				v := s.work[idx]
-				// −i·k·v = complex(k·imag, −k·real).
-				rhs[i][idx] += complex(kvec[j]*imag(v), -kvec[j]*real(v))
-				if i != j {
-					rhs[j][idx] += complex(kvec[i]*imag(v), -kvec[i]*real(v))
-				}
-				idx++
+func mulTo(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for m := range dst {
+		dst[m] = a[m] * b[m]
+	}
+}
+
+// accumulateFlux accumulates −i·k_comp·ŝ into dst, where ŝ is the
+// spectral product currently in s.work — one term of a divergence
+// −i(k_x·ŝ_x + k_y·ŝ_y + k_z·ŝ_z). Callers issue the x term first, so
+// comp 0 stores 0 + term (the bits a cleared destination would hold
+// after its first add) and comp 1, 2 add; k_x streams from kxs, k_y and
+// k_z are constant along an x-row. A non-nil dst2 receives the comp2
+// term of the same ŝ in the same pass (an off-diagonal product u_iu_j
+// feeds two components; dst then takes a y or z term).
+//
+//psdns:hotpath
+func (s *Solver) accumulateFlux(dst []complex128, comp int, dst2 []complex128, comp2 int) {
+	nxh := s.nxh
+	kxs := s.kxs[:nxh]
+	lo := 0
+	for _, kz := range s.kzs {
+		for _, ky := range s.kys {
+			w, d := s.work[lo:lo+nxh], dst[lo:lo+nxh]
+			k := ky // comp 1; unused by the comp 0 store
+			if comp == 2 {
+				k = kz
 			}
+			// −i·k·v = complex(k·imag, −k·real) throughout.
+			switch {
+			case dst2 == nil && comp == 0:
+				for i, v := range w {
+					kx := kxs[i]
+					d[i] = 0 + complex(kx*imag(v), -kx*real(v))
+				}
+			case dst2 == nil:
+				for i, v := range w {
+					d[i] += complex(k*imag(v), -k*real(v))
+				}
+			case comp2 == 0:
+				d2 := dst2[lo : lo+nxh]
+				for i, v := range w {
+					kx := kxs[i]
+					d[i] += complex(k*imag(v), -k*real(v))
+					d2[i] = 0 + complex(kx*imag(v), -kx*real(v))
+				}
+			default:
+				d2, k2 := dst2[lo:lo+nxh], ky
+				if comp2 == 2 {
+					k2 = kz
+				}
+				for i, v := range w {
+					d[i] += complex(k*imag(v), -k*real(v))
+					d2[i] += complex(k2*imag(v), -k2*real(v))
+				}
+			}
+			lo += nxh
 		}
 	}
 }
@@ -90,8 +128,8 @@ func (s *Solver) accumulateDivergence(rhs [][]complex128, i, j int) {
 //psdns:hotpath
 func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 	two := complex(2*omega, 0)
-	ux, uy := state[0], state[1]
-	rx, ry := rhs[0], rhs[1]
+	rx := rhs[0]
+	ry, ux, uy := rhs[1][:len(rx)], state[0][:len(rx)], state[1][:len(rx)]
 	for i := range rx {
 		rx[i] += two * uy[i]
 		ry[i] -= two * ux[i]
@@ -103,31 +141,28 @@ func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 //
 //psdns:hotpath
 func (s *Solver) projectAndDealias(rhs [][]complex128) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	r0, r1, r2 := rhs[0], rhs[1], rhs[2]
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz := s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky := s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				kx := s.kxs[ix]
-				k2 := kx*kx + ky*ky + kz*kz
-				if k2 == 0 || !s.mask[idx] {
-					r0[idx] = 0
-					r1[idx] = 0
-					r2[idx] = 0
-					idx++
+	nxh := s.nxh
+	kxs := s.kxs[:nxh]
+	lo := 0
+	for _, kz := range s.kzs {
+		for _, ky := range s.kys {
+			r0, r1, r2 := rhs[0][lo:lo+nxh], rhs[1][lo:lo+nxh], rhs[2][lo:lo+nxh]
+			mask := s.mask[lo : lo+nxh]
+			kyz2 := ky*ky + kz*kz
+			cky, ckz := complex(ky, 0), complex(kz, 0)
+			for ix, kx := range kxs {
+				k2 := kx*kx + kyz2
+				if k2 == 0 || !mask[ix] {
+					r0[ix], r1[ix], r2[ix] = 0, 0, 0
 					continue
 				}
-				dot := (complex(kx, 0)*r0[idx] +
-					complex(ky, 0)*r1[idx] +
-					complex(kz, 0)*r2[idx]) / complex(k2, 0)
-				r0[idx] -= complex(kx, 0) * dot
-				r1[idx] -= complex(ky, 0) * dot
-				r2[idx] -= complex(kz, 0) * dot
-				idx++
+				ckx := complex(kx, 0)
+				dot := (ckx*r0[ix] + cky*r1[ix] + ckz*r2[ix]) / complex(k2, 0)
+				r0[ix] -= ckx * dot
+				r1[ix] -= cky * dot
+				r2[ix] -= ckz * dot
 			}
+			lo += nxh
 		}
 	}
 }

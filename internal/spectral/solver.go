@@ -72,11 +72,18 @@ type Transform interface {
 }
 
 // difGroup is a run of consecutive fields sharing one diffusion
-// coefficient, precomputed so the integrating factor evaluates one
-// exponential per mode per distinct ν rather than per field.
+// coefficient, with the group's integrating factor exp(−ν·k²·dt)
+// tabulated by the integer k² = kx²+ky²+kz² ≤ 3(N/2)²: slot 0 holds the
+// full step dt, slot 1 (RK4 only) the half step. A slot is refilled in
+// place when its dt changes, so a fixed-dt run evaluates no exponential
+// after the first step and an adaptive one 3(N/2)²+1 per slot per step.
+// Inviscid groups (ν = 0) carry no tables: their factor is the
+// identity and the stage sweeps skip the multiply.
 type difGroup struct {
 	nu     float64
 	lo, hi int // fields [lo, hi)
+	tab    [2][]float64
+	tabDt  [2]float64 // dt each slot was filled for (0 = never)
 }
 
 // Solver advances one equation set (a System) on one MPI rank of a
@@ -110,25 +117,32 @@ type Solver struct {
 	prod  []float64      // one product field at a time
 	nl    [][]complex128 // per-field right-hand side
 	work  []complex128
-	save  [][]complex128 // RK substage storage
-	acc   [][]complex128 // RK4 accumulator
-	// RK4 stage storage, hoisted out of the step loop (allocated once
-	// at construction when the scheme needs it, never per step):
-	// rk1..rk3 hold k1, k2 and E½·k3; rku holds the stage state the
-	// next nonlinear term is evaluated at.
-	rk1 [][]complex128
+	// RK2 stage storage: save = E·uⁿ, acc = E·N(uⁿ).
+	save [][]complex128
+	acc  [][]complex128
+	// RK4 stage storage (nl holds k1): rk2, rk4 receive k2, k4 straight
+	// from the system, rk3 holds k3 and then E½·k3; rku is the stage
+	// state the next nonlinear term is evaluated at.
 	rk2 [][]complex128
 	rk3 [][]complex128
+	rk4 [][]complex128
 	rku [][]complex128
 
-	// difGroups are the distinct-diffusivity field runs the integrating
-	// factor iterates over (empty for the inviscid case).
+	// difGroups partition the fields into runs of equal diffusivity,
+	// each with its integrating-factor tables; ifPlane is the factor of
+	// one Fourier plane gathered from a table (slot-indexed like the
+	// tables).
 	difGroups []difGroup
+	ifPlane   [2][]float64
 
-	// Wavenumber tables for the local Fourier slab.
+	// Wavenumber tables for the local Fourier slab, and their integer
+	// squares (the index into a difGroup table is k2x+k2y+k2z).
 	kxs []float64 // length nxh
 	kys []float64 // length n
 	kzs []float64 // length mz (global z = zLo+iz)
+	k2x []int
+	k2y []int
+	k2z []int
 
 	mask []bool // dealias mask over the local slab (true = keep)
 
@@ -229,33 +243,26 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	// hands back the unwrapped engine.
 	s.tr = &timedTransform{inner: tr, secs: &s.trSecs}
 	fl, pl := tr.FourierLen(), tr.PhysicalLen()
-	s.state = make([][]complex128, nf)
-	s.nl = make([][]complex128, nf)
-	s.save = make([][]complex128, nf)
-	s.acc = make([][]complex128, nf)
-	for c := 0; c < nf; c++ {
-		s.state[c] = make([]complex128, fl)
-		s.nl[c] = make([]complex128, fl)
-		s.save[c] = make([]complex128, fl)
-		s.acc[c] = make([]complex128, fl)
+	fields := func() [][]complex128 {
+		f := make([][]complex128, nf)
+		for c := range f {
+			f[c] = make([]complex128, fl)
+		}
+		return f
 	}
+	s.state, s.nl = fields(), fields()
 	for c := 0; c < 3; c++ {
 		s.Uh[c] = s.state[c]
 		s.physU[c] = make([]float64, pl)
 	}
 	s.prod = make([]float64, pl)
 	s.work = make([]complex128, fl)
+	slots := 1 // integrating-factor slots: dt, and dt/2 for RK4
 	if cfg.Scheme == RK4 {
-		s.rk1 = make([][]complex128, nf)
-		s.rk2 = make([][]complex128, nf)
-		s.rk3 = make([][]complex128, nf)
-		s.rku = make([][]complex128, nf)
-		for c := 0; c < nf; c++ {
-			s.rk1[c] = make([]complex128, fl)
-			s.rk2[c] = make([]complex128, fl)
-			s.rk3[c] = make([]complex128, fl)
-			s.rku[c] = make([]complex128, fl)
-		}
+		s.rk2, s.rk3, s.rk4, s.rku = fields(), fields(), fields(), fields()
+		slots = 2
+	} else {
+		s.save, s.acc = fields(), fields()
 	}
 	if at {
 		src, ok := tr.(stalenessReporter)
@@ -264,10 +271,7 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		}
 		s.atCorr = true
 		s.atSrc = src
-		s.atPrevNl = make([][]complex128, nf)
-		for c := 0; c < nf; c++ {
-			s.atPrevNl[c] = make([]complex128, fl)
-		}
+		s.atPrevNl = fields()
 		// Engines that accept quantity labels get every transform call
 		// stamped with the within-step call index, so their bounded
 		// exchanges only substitute stale slabs of the same quantity.
@@ -290,6 +294,14 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	for i := range s.kzs {
 		s.kzs[i] = float64(grid.Wavenumber(s.slab.ZLo()+i, n))
 	}
+	squares := func(ks []float64) []int {
+		k2 := make([]int, len(ks))
+		for i, k := range ks {
+			k2[i] = int(k * k)
+		}
+		return k2
+	}
+	s.k2x, s.k2y, s.k2z = squares(s.kxs), squares(s.kys), squares(s.kzs)
 
 	s.mask = make([]bool, fl)
 	cut := grid.DealiasCutoff(n)
@@ -311,9 +323,11 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		}
 	}
 
-	// Fold per-field diffusivities into runs of equal ν so applyIF
-	// computes one exponential per mode per run; ν=0 runs are dropped
-	// (the integrating factor is the identity there).
+	// Fold per-field diffusivities into runs of equal ν, one set of
+	// integrating-factor tables per diffusive run.
+	for i := 0; i < slots; i++ {
+		s.ifPlane[i] = make([]float64, n*s.nxh)
+	}
 	for c := 0; c < nf; {
 		nu := sys.Diffusivity(c)
 		if nu < 0 {
@@ -323,9 +337,11 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		for hi < nf && sys.Diffusivity(hi) == nu {
 			hi++
 		}
-		if nu != 0 {
-			s.difGroups = append(s.difGroups, difGroup{nu: nu, lo: c, hi: hi})
+		g := difGroup{nu: nu, lo: c, hi: hi}
+		for i := 0; nu != 0 && i < slots; i++ {
+			g.tab[i] = make([]float64, 3*(n/2)*(n/2)+1)
 		}
+		s.difGroups = append(s.difGroups, g)
 		c = hi
 	}
 
@@ -455,32 +471,19 @@ func (s *Solver) stepInner(dt float64) {
 //	u*      = E(dt)·(uⁿ + dt·N(uⁿ))
 //	uⁿ⁺¹    = E(dt)·uⁿ + dt/2·(E(dt)·N(uⁿ) + N(u*))
 //
-// where E(dt) = exp(−ν_c·k²·dt) per field.
+// where E(dt) = exp(−ν_c·k²·dt) per field. Each array is touched once
+// between the two evaluations (stageSweep) and once after the second.
 //
 //psdns:hotpath
 func (s *Solver) stepRK2(dt float64) {
 	s.sys.Nonlinear(s, s.state, s.nl)
 	s.atCorrect()
-	for c := 0; c < s.nf; c++ {
-		copy(s.save[c], s.state[c])
-	}
-	s.applyIF(s.save, dt) // save = E·uⁿ
-	for c := 0; c < s.nf; c++ {
-		u, nl := s.state[c], s.nl[c]
-		for i := range u {
-			u[i] += complex(dt, 0) * nl[i]
-		}
-	}
-	s.applyIF(s.state, dt) // state = E·(uⁿ + dt·N(uⁿ)) = u*
-	s.applyIF(s.nl, dt)    // nl = E·N(uⁿ)
-	// Second stage: evaluate N at u*.
-	for c := 0; c < s.nf; c++ {
-		s.acc[c], s.nl[c] = s.nl[c], s.acc[c] // keep E·N(uⁿ) in acc
-	}
+	s.stageSweep(sweepRK2, dt) // save = E·uⁿ, state = u*, acc = E·N(uⁿ)
 	s.sys.Nonlinear(s, s.state, s.nl)
 	half := complex(dt/2, 0)
 	for c := 0; c < s.nf; c++ {
-		u, sv, ac, nl := s.state[c], s.save[c], s.acc[c], s.nl[c]
+		u := s.state[c]
+		sv, ac, nl := s.save[c][:len(u)], s.acc[c][:len(u)], s.nl[c][:len(u)]
 		for i := range u {
 			u[i] = sv[i] + half*(ac[i]+nl[i])
 		}
@@ -496,42 +499,206 @@ func (s *Solver) stepRK2(dt float64) {
 //	k4 = N(E·uⁿ + dt·E½·k3)
 //	uⁿ⁺¹ = E·uⁿ + dt/6·(E·k1 + 2·E½·k2 + 2·E½·k3 + k4)
 //
+// uⁿ stays in state until the final sweep and every k is evaluated
+// straight into its own buffer, so a stage costs one sweep and no copy.
+//
 //psdns:hotpath
 func (s *Solver) stepRK4(dt float64) {
-	h := dt
-	copyFields(s.save, s.state) // uⁿ
-	// Stage 1: k1 = N(uⁿ).
-	s.sys.Nonlinear(s, s.state, s.nl)
+	s.sys.Nonlinear(s, s.state, s.nl) // k1
 	s.atCorrect()
-	copyFields(s.rk1, s.nl)
-	copyFields(s.rku, s.save)
-	addScaled(s.rku, s.rk1, h/2)
-	s.applyIF(s.rku, h/2)
-	// Stage 2: k2 = N(E½·(uⁿ + h/2·k1)).
-	s.sys.Nonlinear(s, s.rku, s.nl)
-	copyFields(s.rk2, s.nl)
-	copyFields(s.rku, s.save)
-	s.applyIF(s.rku, h/2)
-	addScaled(s.rku, s.rk2, h/2)
-	// Stage 3: k3 = N(E½·uⁿ + h/2·k2).
-	s.sys.Nonlinear(s, s.rku, s.nl)
-	copyFields(s.rk3, s.nl) // k3, folded to E½·k3 below
-	copyFields(s.rku, s.save)
-	s.applyIF(s.rku, h)
-	s.applyIF(s.rk3, h/2) // E½·k3
-	addScaled(s.rku, s.rk3, h)
-	// Stage 4: k4 = N(E·uⁿ + h·E½·k3).
-	s.sys.Nonlinear(s, s.rku, s.nl)
-	// Assemble: uⁿ⁺¹ = E·uⁿ + h/6·(E·k1 + 2E½·k2 + 2E½·k3 + k4).
-	s.applyIF(s.save, h) // E·uⁿ
-	s.applyIF(s.rk1, h)  // E·k1
-	s.applyIF(s.rk2, h/2)
-	sixth := complex(h/6, 0)
-	for c := 0; c < s.nf; c++ {
-		u, sv, k1, k2, k3, k4 := s.state[c], s.save[c], s.rk1[c], s.rk2[c], s.rk3[c], s.nl[c]
-		for i := range u {
-			u[i] = sv[i] + sixth*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+	s.stageSweep(sweepRK4a, dt) // rku = E½·(uⁿ + dt/2·k1)
+	s.sys.Nonlinear(s, s.rku, s.rk2)
+	s.stageSweep(sweepRK4b, dt) // rku = E½·uⁿ + dt/2·k2
+	s.sys.Nonlinear(s, s.rku, s.rk3)
+	s.stageSweep(sweepRK4c, dt) // rk3 = E½·k3, rku = E·uⁿ + dt·rk3
+	s.sys.Nonlinear(s, s.rku, s.rk4)
+	s.stageSweep(sweepRK4end, dt)
+}
+
+// sweep names the pointwise update between two nonlinear evaluations.
+type sweep int
+
+const (
+	sweepRK2 sweep = iota
+	sweepRK4a
+	sweepRK4b
+	sweepRK4c
+	sweepRK4end
+)
+
+// stageSweep runs one stage's pointwise update over every field, plane
+// by plane: the group's integrating factor is gathered from its k²
+// table once per plane and shared by the group's fields. Every output
+// element is the expression the unfused copy/axpy/factor passes
+// produced, operation for operation, so results are bitwise unchanged;
+// a group whose factor is the identity (ν = 0, or dt = 0) passes nil
+// factors and the kernels take their multiply-free loop — multiplying
+// by complex(1, 0) is not neutral at signed zeros.
+//
+//psdns:hotpath
+func (s *Solver) stageSweep(sw sweep, dt float64) {
+	pl := s.cfg.N * s.nxh
+	cdt, half, sixth := complex(dt, 0), complex(dt/2, 0), complex(dt/6, 0)
+	for gi := range s.difGroups {
+		g := &s.difGroups[gi]
+		viscous := g.nu != 0 && dt != 0
+		var e, eh []float64
+		for iz, lo := 0, 0; iz < s.slab.MZ(); iz, lo = iz+1, lo+pl {
+			hi := lo + pl
+			if viscous {
+				// The first two RK4 stages use the half-step factor only.
+				if sw != sweepRK4a && sw != sweepRK4b {
+					e = s.ifGather(g, 0, dt, iz)
+				}
+				if sw != sweepRK2 {
+					eh = s.ifGather(g, 1, dt/2, iz)
+				}
+			}
+			for c := g.lo; c < g.hi; c++ {
+				u := s.state[c][lo:hi]
+				switch sw {
+				case sweepRK2:
+					rk2Stage(e, cdt, u, s.nl[c][lo:hi], s.save[c][lo:hi], s.acc[c][lo:hi])
+				case sweepRK4a:
+					rk4StageA(eh, half, s.rku[c][lo:hi], u, s.nl[c][lo:hi])
+				case sweepRK4b:
+					rk4StageB(eh, half, s.rku[c][lo:hi], u, s.rk2[c][lo:hi])
+				case sweepRK4c:
+					rk4StageC(e, eh, cdt, s.rku[c][lo:hi], u, s.rk3[c][lo:hi])
+				case sweepRK4end:
+					rk4Assemble(e, eh, sixth, u, s.nl[c][lo:hi], s.rk2[c][lo:hi], s.rk3[c][lo:hi], s.rk4[c][lo:hi])
+				}
+			}
 		}
+	}
+}
+
+// StageSweep runs the scheme's first stage sweep alone, over whatever
+// the state and right-hand-side buffers hold — the arithmetic Step
+// performs between its first two evaluations, exposed so cmd/bench can
+// time one sweep against the bytes it moves.
+func (s *Solver) StageSweep(dt float64) {
+	if s.cfg.Scheme == RK4 {
+		s.stageSweep(sweepRK4a, dt)
+		return
+	}
+	s.stageSweep(sweepRK2, dt)
+}
+
+// ifGather returns plane iz of g's integrating factor exp(−ν·k²·dt),
+// gathered from the slot's table into the slot's plane buffer. The
+// table is refilled first if the slot last held another dt; its entries
+// are the per-mode expression exactly, k² being an exact integer.
+//
+//psdns:hotpath
+func (s *Solver) ifGather(g *difGroup, slot int, dt float64, iz int) []float64 {
+	tab := g.tab[slot]
+	if g.tabDt[slot] != dt {
+		for k2 := range tab {
+			tab[k2] = math.Exp(-g.nu * float64(k2) * dt)
+		}
+		g.tabDt[slot] = dt
+	}
+	dst, nxh := s.ifPlane[slot], s.nxh
+	for iy, ky2 := range s.k2y {
+		row, t := dst[iy*nxh:(iy+1)*nxh], tab[s.k2z[iz]+ky2:]
+		for ix, kx2 := range s.k2x {
+			row[ix] = t[kx2]
+		}
+	}
+	return dst
+}
+
+// rk2Stage: sv = E·u, u = E·(u + dt·n), ac = E·n (e == nil: E = 1).
+//
+//psdns:hotpath
+func rk2Stage(e []float64, cdt complex128, u, n, sv, ac []complex128) {
+	n, sv, ac = n[:len(u)], sv[:len(u)], ac[:len(u)]
+	if e == nil {
+		copy(sv, u)
+		axpyTo(u, u, cdt, n)
+		copy(ac, n)
+		return
+	}
+	e = e[:len(u)]
+	for i, ui := range u {
+		ei, ni := complex(e[i], 0), n[i]
+		sv[i] = ui * ei
+		u[i] = (ui + cdt*ni) * ei
+		ac[i] = ni * ei
+	}
+}
+
+// rk4StageA: dst = E½·(u + a·k).
+//
+//psdns:hotpath
+func rk4StageA(eh []float64, a complex128, dst, u, k []complex128) {
+	if eh == nil {
+		axpyTo(dst, u, a, k)
+		return
+	}
+	eh, u, k = eh[:len(dst)], u[:len(dst)], k[:len(dst)]
+	for i := range dst {
+		dst[i] = (u[i] + a*k[i]) * complex(eh[i], 0)
+	}
+}
+
+// rk4StageB: dst = E½·u + a·k.
+//
+//psdns:hotpath
+func rk4StageB(eh []float64, a complex128, dst, u, k []complex128) {
+	if eh == nil {
+		axpyTo(dst, u, a, k)
+		return
+	}
+	eh, u, k = eh[:len(dst)], u[:len(dst)], k[:len(dst)]
+	for i := range dst {
+		dst[i] = u[i]*complex(eh[i], 0) + a*k[i]
+	}
+}
+
+// rk4StageC: k = E½·k, dst = E·u + a·k.
+//
+//psdns:hotpath
+func rk4StageC(e, eh []float64, a complex128, dst, u, k []complex128) {
+	if e == nil {
+		axpyTo(dst, u, a, k)
+		return
+	}
+	e, eh, u, k = e[:len(dst)], eh[:len(dst)], u[:len(dst)], k[:len(dst)]
+	for i := range dst {
+		ki := k[i] * complex(eh[i], 0)
+		k[i] = ki
+		dst[i] = u[i]*complex(e[i], 0) + a*ki
+	}
+}
+
+// rk4Assemble: u = E·u + sixth·(E·k1 + 2·E½·k2 + 2·k3 + k4), k3 already
+// carrying its E½.
+//
+//psdns:hotpath
+func rk4Assemble(e, eh []float64, sixth complex128, u, k1, k2, k3, k4 []complex128) {
+	k1, k2, k3, k4 = k1[:len(u)], k2[:len(u)], k3[:len(u)], k4[:len(u)]
+	if e == nil {
+		for i := range u {
+			u[i] = u[i] + sixth*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+		}
+		return
+	}
+	e, eh = e[:len(u)], eh[:len(u)]
+	for i := range u {
+		ei, ehi := complex(e[i], 0), complex(eh[i], 0)
+		u[i] = u[i]*ei + sixth*(k1[i]*ei+2*(k2[i]*ehi)+2*k3[i]+k4[i])
+	}
+}
+
+// axpyTo computes dst = u + a·k (dst may alias u).
+//
+//psdns:hotpath
+func axpyTo(dst []complex128, u []complex128, a complex128, k []complex128) {
+	u, k = u[:len(dst)], k[:len(dst)]
+	for i := range dst {
+		dst[i] = u[i] + a*k[i]
 	}
 }
 
@@ -574,7 +741,9 @@ func (s *Solver) atCorrect() {
 		}
 	}
 	if w == 0 || !s.atHave {
-		copyFields(s.atPrevNl, s.nl)
+		for c := range s.nl {
+			copy(s.atPrevNl[c], s.nl[c])
+		}
 		s.atHave = true
 		return
 	}
@@ -595,56 +764,6 @@ func (s *Solver) atCorrect() {
 // WithAsyncTolerance is off or no exchange ever gathered stale
 // slabs).
 func (s *Solver) ATCorrections() int { return s.atSteps }
-
-// copyFields copies every component of src into the preallocated dst
-// (the zero-allocation replacement of the old per-stage clones).
-func copyFields(dst, src [][]complex128) {
-	for c := range dst {
-		copy(dst[c], src[c])
-	}
-}
-
-// addScaled computes dst += a·src elementwise on all components.
-func addScaled(dst, src [][]complex128, a float64) {
-	ca := complex(a, 0)
-	for c := range dst {
-		d, s := dst[c], src[c]
-		for i := range d {
-			d[i] += ca * s[i]
-		}
-	}
-}
-
-// applyIF multiplies each mode of every diffusive field by its
-// integrating factor exp(−ν_c·k²·dt). Fields sharing a diffusivity
-// share one exponential per mode (for plain NS: one exp, three
-// fields — the pre-registry arithmetic exactly).
-//
-//psdns:hotpath
-func (s *Solver) applyIF(f [][]complex128, dt float64) {
-	if dt == 0 || len(s.difGroups) == 0 {
-		return
-	}
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	for _, g := range s.difGroups {
-		nu := g.nu
-		idx := 0
-		for iz := 0; iz < mz; iz++ {
-			kz2 := s.kzs[iz] * s.kzs[iz]
-			for iy := 0; iy < n; iy++ {
-				ky2 := s.kys[iy] * s.kys[iy]
-				for ix := 0; ix < nxh; ix++ {
-					k2 := s.kxs[ix]*s.kxs[ix] + ky2 + kz2
-					e := complex(math.Exp(-nu*k2*dt), 0)
-					for c := g.lo; c < g.hi; c++ {
-						f[c][idx] *= e
-					}
-					idx++
-				}
-			}
-		}
-	}
-}
 
 // stepShift derives a deterministic pseudo-random phase shift for the
 // given step, identical across ranks; shifts are in grid units of the

@@ -108,3 +108,50 @@ func TestStepSystemsZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStepAdaptiveDtZeroAllocs is the adaptive-CFL case: a new dt from
+// SuggestDt every step refills the integrating-factor tables in place.
+// SuggestDt's own reduction allocates (it is a diagnostic, off the step
+// path), so the step's share is measured by difference: SuggestDt plus
+// Step must allocate exactly what SuggestDt alone does.
+func TestStepAdaptiveDtZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-step DNS loop in -short mode")
+	}
+	for _, tc := range []struct {
+		name string
+		sch  Scheme
+	}{{"rk2", RK2}, {"rk4", RK4}} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			const runs = 10
+			mpi.Run(2, func(c *mpi.Comm) {
+				s := New(c, 16, WithNu(0.01), WithScheme(tc.sch), WithDealias(Dealias23))
+				defer s.Close()
+				s.SetRandomIsotropic(2.5, 0.3, 17)
+				suggest := func() { s.SuggestDt(0.4) }
+				adaptive := func() { s.Step(s.SuggestDt(0.4)) }
+				for i := 0; i < 3; i++ {
+					adaptive()
+				}
+				if c.Rank() != 0 {
+					for i := 0; i < runs+1; i++ {
+						suggest()
+					}
+					for i := 0; i < runs+1; i++ {
+						adaptive()
+					}
+					return
+				}
+				filledFor := s.difGroups[0].tabDt[0]
+				base := testing.AllocsPerRun(runs, suggest)
+				if got := testing.AllocsPerRun(runs, adaptive); got != base {
+					t.Errorf("adaptive %s step allocates %.2f per call beyond SuggestDt's %.2f", tc.name, got-base, base)
+				}
+				if s.difGroups[0].tabDt[0] == filledFor {
+					t.Error("dt never changed: the tables were not refilled")
+				}
+			})
+		})
+	}
+}

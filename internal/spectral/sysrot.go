@@ -38,7 +38,7 @@ func init() {
 func newRotatingScalarNS(spec SystemSpec) System {
 	y := &RotatingScalarNS{nu: spec.Nu, omega: spec.Omega}
 	for _, sp := range spec.Scalars {
-		kappa := spec.Nu
+		kappa := spec.Nu // Sc = 0: the default Sc = 1 (Validate has rejected Sc < 0 and NaN)
 		if sp.Schmidt > 0 {
 			kappa = spec.Nu / sp.Schmidt
 		}
@@ -99,30 +99,33 @@ func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128,
 	}
 	s.tr.FourierToPhysical(y.physTh, s.work)
 
-	zero(rhs[c])
 	for comp := 0; comp < 3; comp++ {
-		u := s.physU[comp]
-		for m := range s.prod {
-			s.prod[m] = u[m] * y.physTh[m]
-		}
+		mulTo(s.prod, s.physU[comp], y.physTh)
 		s.tr.PhysicalToFourier(s.work, s.prod)
 		if shift {
 			s.applyShift(s.work, -1)
 		}
-		s.accumulateGradientFlux(rhs[c], comp)
+		s.accumulateFlux(rhs[c], comp, nil, 0)
 	}
 
-	// Mean-gradient production −G·û_y and dealiasing.
+	// Dealiasing, and the mean-gradient production −G·û_y if any.
+	r := rhs[c]
+	mask, uy := s.mask[:len(r)], state[1][:len(r)]
 	g := y.scalars[c-3].meanGrad
-	gc := complex(g, 0)
-	r, uy := rhs[c], state[1]
-	for i := range r {
-		if !s.mask[i] {
-			r[i] = 0
-			continue
+	if g == 0 {
+		for i, keep := range mask {
+			if !keep {
+				r[i] = 0
+			}
 		}
-		if g != 0 {
+		return
+	}
+	gc := complex(g, 0)
+	for i, keep := range mask {
+		if keep {
 			r[i] -= gc * uy[i]
+		} else {
+			r[i] = 0
 		}
 	}
 }
@@ -149,26 +152,4 @@ func (y *RotatingScalarNS) Diagnostics(s *Solver) []Diagnostic {
 		d = append(d, Diagnostic{Name: "scalar.variance", Value: s.FieldVariance(3 + i)})
 	}
 	return d
-}
-
-// accumulateGradientFlux adds −i·k_comp·ŝ to dst, where ŝ is the
-// spectral flux component currently in s.work.
-//
-//psdns:hotpath
-func (s *Solver) accumulateGradientFlux(dst []complex128, comp int) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz := s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky := s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := [3]float64{s.kxs[ix], ky, kz}[comp]
-				v := s.work[idx]
-				// −i·k·v = complex(k·imag, −k·real).
-				dst[idx] += complex(k*imag(v), -k*real(v))
-				idx++
-			}
-		}
-	}
 }

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -56,9 +57,10 @@ type Diagnostic struct {
 }
 
 // ScalarSpec configures one passive scalar of a system: its Schmidt
-// number Sc = ν/κ and the imposed uniform mean gradient G·ŷ (the
-// production device for statistically stationary mixing; zero means
-// pure decay).
+// number Sc = ν/κ (0 selects the default Sc = 1, +Inf a non-diffusive
+// scalar; negative or NaN is rejected by SystemSpec.Validate) and the
+// imposed uniform mean gradient G·ŷ (the production device for
+// statistically stationary mixing; zero means pure decay).
 type ScalarSpec struct {
 	Schmidt  float64
 	MeanGrad float64
@@ -83,6 +85,19 @@ type SystemSpec struct {
 	Forcing ForcingSpec  // large-scale forcing (forced systems)
 	Scalars []ScalarSpec // passive scalars (scalar-carrying systems)
 	Omega   float64      // rotation rate about ẑ (rotating systems)
+}
+
+// Validate rejects parameters no system can run as asked, naming the
+// offender: NewNamedSystem (and so New) applies it before any factory
+// sees the spec, and the drivers apply it to flag and config values so
+// the error surfaces before ranks are launched.
+func (spec SystemSpec) Validate() error {
+	for i, sp := range spec.Scalars {
+		if sp.Schmidt < 0 || math.IsNaN(sp.Schmidt) {
+			return fmt.Errorf("spectral: scalar %d: Schmidt number %g must be ≥ 0 (0 = default Sc 1, +Inf = non-diffusive)", i, sp.Schmidt)
+		}
+	}
+	return nil
 }
 
 // SystemFactory builds a fresh System instance from a spec. Each call
@@ -144,6 +159,9 @@ func NewNamedSystem(name string, spec SystemSpec) (System, error) {
 	systemsMu.Unlock()
 	if f == nil {
 		return nil, fmt.Errorf("spectral: unknown system %q (registered: %v)", name, Systems())
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	return f(spec), nil
 }
