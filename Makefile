@@ -22,6 +22,7 @@ test:
 # their committed seed corpora (testdata/fuzz); new crashers land there.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchLayout -fuzztime 10s ./internal/fft
+	$(GO) test -run '^$$' -fuzz FuzzPencilColumnBijective -fuzztime 10s ./internal/transpose
 
 # lint = gofmt (fail on unformatted files) + no Deprecated: marker
 # anywhere (superseded surface is deleted, not kept; benchmark/ and

@@ -229,15 +229,15 @@ func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
 // numerics-preserving default (concrete exchange strategies at the
 // given worker count). Collective.
 func NewTunedSlabTransform(c *Comm, n, workers int, cacheDir string, space *TuneSpace) *pfft.SlabReal {
-	return pfft.NewSlabRealTuned(c, n, workers, tuneConfig(cacheDir, space))
+	return pfft.NewRealTuned(c, n, workers, DecompSlab, tuneConfig(cacheDir, space))
 }
 
-// RealTransform is the decomposition-generic view of the distributed
-// real-field transforms: real physical fields in, conjugate-symmetric
-// half-spectra out, 1/N³ normalization on the inverse. SlabReal and
-// the pencil engine implement it with bitwise-identical results for
-// every valid decomposition.
-type RealTransform = pfft.Real
+// RealTransform is the distributed real-field transform engine on any
+// decomposition: real physical fields in, conjugate-symmetric
+// half-spectra out, 1/N³ normalization on the inverse, with
+// bitwise-identical results for every valid Pr×Pc grid (the slab being
+// the one-column grid).
+type RealTransform = *pfft.Engine
 
 // NewTunedTransform builds the real-field transform for decomposition
 // d through the whole-step autotuner: DecompSlab searches exchange

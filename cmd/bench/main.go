@@ -28,14 +28,17 @@
 //   - slab_tuned_n64_p4: the slab transform constructed through the
 //     whole-step autotuner (trials at construction, outside the timed
 //     window), pinning the tuned configuration allocation-free;
-//   - pencil_fwd_inv_n64_p4 / p8: the forward+inverse transform on the
-//     2D pencil engine (2×2 and 2×4 process grids), pinning the
-//     two-transpose dataflow — column and row exchanges through
-//     per-sub-communicator plans — allocation-free at steady state;
+//   - pencil_fwd_inv_n64_p4 / p8, pencil_fwd_inv_n128_p4: the
+//     forward+inverse transform on 2×2 and 2×4 process grids (the last
+//     is the repository benchmark's xform_pencil_n128 geometry),
+//     pinning the two-transpose dataflow — column and row exchanges
+//     through per-sub-communicator plans — allocation-free at steady
+//     state; read n64_p4 against slab_fwd_inv_n64_p4 for what the
+//     second exchange costs;
 //   - fft_c2c_strided_n48 / n64, fft_c2c_contig_n128, fft_r2c_n48 /
 //     n64: the 1-D kernels alone, one plane of lines per op — complex
 //     lines strided by N/2+1 (the y and z passes, plane form), unit-
-//     stride complex lines (the pencil engine's passes, line form) and
+//     stride complex lines (line form; PencilC2C's passes) and
 //     real lines — with GFlop/s at the nominal 5·n·log₂n per line;
 //   - rhs_ns_n64_p2: one full NS RK2 step on a transform stub that only
 //     copies, so what is timed is the solver's own arithmetic — products,
@@ -274,12 +277,12 @@ func slabTransformSingle(n, p int) func(iters, workers int) sample {
 // the row pins the tuned configuration's steady state.
 func slabTransformTuned(n, p int) func(iters, workers int) sample {
 	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
-		return pfft.NewSlabRealTuned(c, n, workers, tuning.Config{})
+		return pfft.NewRealTuned(c, n, workers, tuning.DecompSlab, tuning.Config{})
 	})
 }
 
-// pencilTransform measures one forward+inverse cycle of the pencil
-// transform engine at fixed N over a Pr×Pc process grid, pinning the
+// pencilTransform measures one forward+inverse cycle of the transform
+// engine at fixed N over a Pr×Pc process grid, pinning the
 // steady state of the two-transpose dataflow (column and row
 // exchanges both on the chunked zero-copy gather). Rank 0 samples;
 // peers run the same collective loop.
@@ -557,8 +560,8 @@ func fftKernel(iters, n, lines int, fwd, inv func()) sample {
 
 // fftC2C is fftKernel on the nxh = n/2+1 complex lines of one
 // half-spectrum plane, in place: strided by nxh with the lines adjacent
-// (the y and z passes of the slab engines, plane form) or back to back
-// at unit stride (the pencil engine's passes, line form).
+// (the y and z passes of every engine, plane form) or back to back at
+// unit stride (line form, the complex PencilC2C reference's passes).
 func fftC2C(n int, strided bool) func(iters, workers int) sample {
 	return func(iters, _ int) sample {
 		nxh := n/2 + 1
@@ -682,6 +685,7 @@ var workloads = []workload{
 	{"slab_tuned_n64_p4", 40, 8, true, slabTransformTuned(64, 4)},
 	{"pencil_fwd_inv_n64_p4", 40, 8, true, pencilTransform(64, 2, 2)},
 	{"pencil_fwd_inv_n64_p8", 20, 4, true, pencilTransform(64, 2, 4)},
+	{"pencil_fwd_inv_n128_p4", 10, 2, true, pencilTransform(128, 2, 2)},
 	{"async_fwd_inv_n64_p2", 40, 8, true, asyncTransform(64, 2, 4)},
 	{"step_async_n64", 10, 2, true, asyncStep(64, 2, 4)},
 	{"fft_c2c_strided_n48", 20000, 4000, true, fftC2C(48, true)},

@@ -46,7 +46,7 @@ func main() {
 		np       = flag.Int("np", 3, "pencils per slab (async engine)")
 		gran     = flag.String("gran", "slab", "all-to-all granularity: pencil or slab (async)")
 		exch     = flag.String("exchange", "auto", "transpose-exchange strategy: auto, staged, fused, chunked or at (auto microbenchmarks at startup and pins the winner; at needs -at-stale)")
-		decomp   = flag.String("decomp", "slab", "field decomposition: slab, auto, or a PRxPC pencil grid such as 2x4 (non-slab selects the transform drive loop — one forward+inverse transform pair per step — which also runs at ranks > N, past the slab scaling wall)")
+		decomp   = flag.String("decomp", "slab", "field decomposition of the one transform engine: slab (the ranks x 1 grid), a PRxPC pencil grid such as 2x4, or auto (times every grid that fits N and ranks and pins the fastest); non-slab selects the transform drive loop — one forward+inverse transform pair per step — which also runs at ranks > N, past the slab scaling wall")
 		autotune = flag.Bool("autotune", false, "whole-step autotuning: search exchange strategy and engine knobs together at startup and pin the collectively-agreed winner")
 		tuneDir  = flag.String("tunecache", "", "persist autotuner decisions as JSON under this directory (implies -autotune; a warm cache skips the startup trials)")
 		atStale  = flag.Int("at-stale", -1, "asynchrony-tolerant stepping: bounded-staleness exchanges with this staleness bound in exchange epochs (-1 = off; implies -exchange at)")
@@ -87,11 +87,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("-decomp: %v", err)
 	}
-	if dec.IsSlab() && *n%*ranks != 0 {
-		log.Fatalf("ranks must divide N: %d %% %d != 0 (a pencil -decomp lifts this constraint)", *n, *ranks)
-	}
-	if dec.IsPencil() && !dec.Valid(*n, *ranks) {
-		log.Fatalf("-decomp %s invalid for N=%d ranks=%d (need Pr·Pc=ranks, Pr|N, Pc|N, Pc ≤ N/2+1)", dec, *n, *ranks)
+	if err := checkDecomp(dec, *n, *ranks); err != nil {
+		log.Fatal(err)
 	}
 	if *system != "" && spectral.SystemCode(*system) < 0 {
 		log.Fatalf("-system: unknown equation set %q; registered systems: %s",
@@ -244,7 +241,7 @@ func main() {
 			pinned = tr.Strategy()
 			opts = append(opts, spectral.WithTransform(tr))
 		} else if *autotune {
-			tr := pfft.NewSlabRealTuned(c, *n, *workers, tune)
+			tr := pfft.NewRealTuned(c, *n, *workers, tuning.DecompSlab, tune)
 			defer tr.Close()
 			pinned = tr.Strategy()
 			opts = append(opts, spectral.WithTransform(tr))
@@ -402,6 +399,20 @@ func parseEngine(s string) (async bool, err error) {
 	return false, fmt.Errorf("unknown engine %q (want sync or async)", s)
 }
 
+// checkDecomp rejects, before any rank starts, a decomposition that
+// cannot lay an N³ field out over ranks ranks.
+func checkDecomp(dec tuning.Decomp, n, ranks int) error {
+	switch {
+	case dec.IsSlab() && n%ranks != 0:
+		return fmt.Errorf("ranks must divide N: %d %% %d != 0 (a pencil -decomp lifts this constraint)", n, ranks)
+	case dec.IsPencil() && !dec.Valid(n, ranks):
+		return fmt.Errorf("-decomp %s invalid for N=%d ranks=%d (need Pr·Pc=ranks, Pr|N, Pc|N, Pc ≤ N/2+1)", dec, n, ranks)
+	case dec.IsAuto() && len(tuning.Decompositions(n, ranks)) == 0:
+		return fmt.Errorf("-decomp auto: no decomposition fits N=%d ranks=%d (need ranks|N, or Pr·Pc=ranks with Pr|N, Pc|N, Pc ≤ N/2+1)", n, ranks)
+	}
+	return nil
+}
+
 // phaseLeaves are the disjoint wall sections of one time step: the
 // solver's own arithmetic plus the transform engine's phases (the
 // synchronous slab records fft/pack/a2a/unpack; the asynchronous
@@ -461,8 +472,8 @@ func runTransformDrive(dec tuning.Decomp, strategy exchange.Strategy, n, ranks, 
 		root := c.Rank() == 0
 		if root {
 			layout := "slab"
-			if e, ok := tr.(*pfft.PencilReal); ok {
-				layout = fmt.Sprintf("pencil %dx%d", e.Layout().Pr, e.Layout().Pc)
+			if l := tr.Layout(); l.Pc > 1 {
+				layout = fmt.Sprintf("pencil %dx%d", l.Pr, l.Pc)
 			}
 			pair := tr.StrategyPair()
 			fmt.Printf("decomposition: %s\n", layout)

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/tuning"
+)
 
 func TestParseEngine(t *testing.T) {
 	for _, tc := range []struct {
@@ -16,6 +21,32 @@ func TestParseEngine(t *testing.T) {
 		async, err := parseEngine(tc.in)
 		if (err == nil) != tc.ok || async != tc.async {
 			t.Errorf("parseEngine(%q) = %v, %v", tc.in, async, err)
+		}
+	}
+}
+
+// A rank count no decomposition fits must be rejected up front for
+// every -decomp form, -decomp auto included (it used to reach the ranks
+// and die as a pfft panic).
+func TestCheckDecomp(t *testing.T) {
+	for _, tc := range []struct {
+		dec      tuning.Decomp
+		n, ranks int
+		want     string // substring of the error; "" = accepted
+	}{
+		{tuning.DecompSlab, 16, 4, ""},
+		{tuning.DecompSlab, 16, 5, "ranks must divide N"},
+		{tuning.Pencil(2, 4), 16, 8, ""},
+		{tuning.Pencil(3, 2), 16, 6, "invalid for N=16 ranks=6"},
+		{tuning.DecompAuto, 16, 32, ""},
+		{tuning.DecompAuto, 16, 5, "no decomposition fits N=16 ranks=5"},
+	} {
+		err := checkDecomp(tc.dec, tc.n, tc.ranks)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("checkDecomp(%s, %d, %d) = %v, want accepted", tc.dec, tc.n, tc.ranks, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("checkDecomp(%s, %d, %d) = %v, want error containing %q", tc.dec, tc.n, tc.ranks, err, tc.want)
 		}
 	}
 }

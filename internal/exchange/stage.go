@@ -102,8 +102,8 @@ type Bound struct {
 // persistent mpi.A2APlan, the zero-copy mpi.ExchangePlans, the
 // asynchrony-tolerant site label and staleness window, the phase
 // timers — and the single switch that executes a direction under a
-// strategy. Engines (pfft.SlabReal, pfft.PencilReal,
-// core.AsyncSlabReal) are FFT passes and scheduling around stages.
+// strategy. Engines (pfft.Engine, core.AsyncSlabReal) are FFT passes
+// and scheduling around stages.
 //
 // Plan ownership: a synchronous stage registers one ExchangePlan and
 // serves both directions from it (the plan's barriers serialize them).

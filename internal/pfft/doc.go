@@ -1,27 +1,31 @@
 // Package pfft implements the distributed three-dimensional Fourier
 // transforms of the paper on top of the in-process MPI runtime:
 //
-//   - SlabC2C: complex transforms on the 1D slab decomposition the new
-//     GPU code adopts (one all-to-all per 3D transform).
-//   - SlabReal: the DNS variant — real fields in physical space,
+//   - Engine: the DNS transform — real fields in physical space,
 //     conjugate-symmetric half-spectra in Fourier space, with the
 //     paper's y,z,x transform ordering so that nonlinear products are
-//     formed on unit-stride real data.
-//   - PencilReal: the same real transform on a Pr×Pc process grid,
-//     bitwise identical to SlabReal and free of its P ≤ N ceiling.
+//     formed on unit-stride real data — on a Pr×Pc process grid. The
+//     1D slab decomposition the new GPU code adopts is its one-column
+//     grid (one all-to-all per transform; the type's other name is
+//     SlabReal); Pc > 1 adds the second, column exchange and lifts the
+//     slab's P ≤ N ceiling. Every grid is bitwise identical.
+//   - SlabC2C: complex transforms on the 1D slab decomposition.
 //   - PencilC2C: complex transforms on the 2D pencil decomposition
 //     used by the synchronous CPU baseline of Yeung et al. (two
 //     all-to-alls, on row and column communicators).
 //
-// SlabReal and PencilReal are FFT passes around exchange.Stage, the one
-// transpose-exchange of the code base; the tuned constructors share one
-// trial loop (tunedReal).
+// Engine is FFT passes around exchange.Stage, the one transpose-exchange
+// of the code base; NewRealTuned is the one tuned constructor
+// (decomposition × strategy × workers × wire precision).
 //
 // Layout conventions (x always fastest):
 //
-//	slab Fourier side:    [mz][ny][nx or nxh], z-distributed
-//	slab physical side:   [my][nz][nx],        y-distributed
-//	pencil layout A:      [mz][my][nx]  x complete (physical)
-//	pencil layout B:      [mz][mx][ny]  y complete, y fastest
-//	pencil layout C:      [my2][mx][nz] z complete, z fastest (Fourier)
+//	engine physical:      [my][mz][nx]   real, x complete
+//	engine X:             [my][mz][nxh]  x complete
+//	engine B:             [my][nz][wc]   z complete (= X when Pc = 1)
+//	engine C (Fourier):   [mz2][ny][wc]  y complete
+//	slab (Pc = 1):        [mz][ny][nxh] Fourier, [my][nz][nx] physical
+//	PencilC2C layout A:   [mz][my][nx]  x complete (physical)
+//	PencilC2C layout B:   [mz][mx][ny]  y complete, y fastest
+//	PencilC2C layout C:   [my2][mx][nz] z complete, z fastest (Fourier)
 package pfft

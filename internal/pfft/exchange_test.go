@@ -25,7 +25,7 @@ func TestSlabRealExchangeStrategiesBitwiseIdentity(t *testing.T) {
 		for _, p := range []int{1, 2, 4, 7} {
 			t.Run(fmt.Sprintf("single=%v/p%d", single, p), func(t *testing.T) {
 				if err := mpi.TryRun(p, func(c *mpi.Comm) {
-					ref := newSlabReal(c, n, 1, exchange.Both(exchange.Staged), nil, single)
+					ref := newEngine(c, nil, n, 1, exchange.Both(exchange.Staged), nil, single)
 					defer ref.Close()
 					fl, pl := ref.FourierLen(), ref.PhysicalLen()
 
@@ -47,7 +47,7 @@ func TestSlabRealExchangeStrategiesBitwiseIdentity(t *testing.T) {
 						for _, yz := range exchange.Concrete {
 							for _, w := range []int{1, 3, 7} {
 								pair := exchange.Pair{YZ: yz, ZY: zy}
-								f := newSlabReal(c, n, w, pair, nil, single)
+								f := newEngine(c, nil, n, w, pair, nil, single)
 								if f.Single() != single || f.StrategyPair() != pair {
 									panic(fmt.Sprintf("engine reports single=%v pair=%s, built single=%v pair=%s",
 										f.Single(), f.StrategyPair(), single, pair))

@@ -1,0 +1,172 @@
+package pfft
+
+import (
+	"fmt"
+	"math"
+	"math/cmplx"
+	"testing"
+
+	"repro/internal/exchange"
+	"repro/internal/mpi"
+	"repro/internal/tuning"
+)
+
+// The bitwise-identity tests prove the grids agree with each other, not
+// that they are right: every grid shares the fft kernels. This oracle
+// shares nothing with them — a direct O(N⁶) evaluation of the 3-D DFT
+// sums with math.Sincos twiddles, no internal/fft import.
+
+// oracle holds a global test field and its naive transforms.
+type oracle struct {
+	n    int
+	phys []float64    // u(x,y,z) at (gy·N+gz)·N+gx
+	spec []complex128 // Σ u·e^{-2πi k·x/N}, unnormalized, at (gz·N+gy)·Nxh+gx
+	back []float64    // (1/N³) Σ_k spec·e^{+2πi k·x/N} over the full spectrum
+}
+
+func naiveOracle(n int) *oracle {
+	nxh := n/2 + 1
+	o := &oracle{n: n, phys: make([]float64, n*n*n), spec: make([]complex128, n*n*nxh), back: make([]float64, n*n*n)}
+	for gy := 0; gy < n; gy++ {
+		for gz := 0; gz < n; gz++ {
+			for gx := 0; gx < n; gx++ {
+				o.phys[(gy*n+gz)*n+gx] = pencilField(n, gx, gy, gz)
+			}
+		}
+	}
+	w := make([]complex128, n) // e^{-2πi j/N}
+	for j := range w {
+		s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
+		w[j] = complex(c, s)
+	}
+	for kz := 0; kz < n; kz++ {
+		for ky := 0; ky < n; ky++ {
+			for kx := 0; kx < nxh; kx++ {
+				var sum complex128
+				for y := 0; y < n; y++ {
+					for z := 0; z < n; z++ {
+						for x := 0; x < n; x++ {
+							sum += complex(o.phys[(y*n+z)*n+x], 0) * w[(kx*x+ky*y+kz*z)%n]
+						}
+					}
+				}
+				o.spec[(kz*n+ky)*nxh+kx] = sum
+			}
+		}
+	}
+	// Inverse over the full spectrum, the kx > N/2 half by conjugate
+	// symmetry û(−k) = conj û(k).
+	full := func(kx, ky, kz int) complex128 {
+		if kx < nxh {
+			return o.spec[(kz*n+ky)*nxh+kx]
+		}
+		return cmplx.Conj(o.spec[(((n-kz)%n)*n+(n-ky)%n)*nxh+n-kx])
+	}
+	for y := 0; y < n; y++ {
+		for z := 0; z < n; z++ {
+			for x := 0; x < n; x++ {
+				var sum complex128
+				for kz := 0; kz < n; kz++ {
+					for ky := 0; ky < n; ky++ {
+						for kx := 0; kx < n; kx++ {
+							sum += full(kx, ky, kz) * cmplx.Conj(w[(kx*x+ky*y+kz*z)%n])
+						}
+					}
+				}
+				o.back[(y*n+z)*n+x] = real(sum) / float64(n*n*n)
+			}
+		}
+	}
+	return o
+}
+
+// checkAgainstOracle runs build's engine on p ranks and compares its
+// forward spectrum and its inverse of the oracle's spectrum with the
+// naive sums, to tol relative to the largest magnitude of each.
+func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64, build func(c *mpi.Comm) *Engine) {
+	t.Helper()
+	n := o.n
+	var specMax float64
+	for _, v := range o.spec {
+		specMax = math.Max(specMax, cmplx.Abs(v))
+	}
+	if err := mpi.TryRun(p, func(c *mpi.Comm) {
+		f := build(c)
+		defer f.Close()
+		l := f.Layout()
+		phys := make([]float64, f.PhysicalLen())
+		for iy := 0; iy < l.My; iy++ {
+			for iz := 0; iz < l.Mz; iz++ {
+				copy(phys[(iy*l.Mz+iz)*n:][:n], o.phys[((l.YRank*l.My+iy)*n+l.ZRank*l.Mz+iz)*n:])
+			}
+		}
+		four := make([]complex128, f.FourierLen())
+		f.PhysicalToFourier(four, phys)
+		for iz := 0; iz < l.Mz2; iz++ {
+			for gy := 0; gy < n; gy++ {
+				for ix := 0; ix < l.Wc; ix++ {
+					i := (iz*n+gy)*l.Wc + ix
+					want := o.spec[((l.YRank*l.Mz2+iz)*n+gy)*l.Nxh+l.XLo+ix]
+					if d := cmplx.Abs(four[i] - want); d > tol*specMax {
+						panic(fmt.Sprintf("rank %d: forward k=(%d,%d,%d) = %v, oracle %v (|Δ| %.3g)",
+							c.Rank(), l.XLo+ix, gy, l.YRank*l.Mz2+iz, four[i], want, d))
+					}
+					four[i] = want
+				}
+			}
+		}
+		f.FourierToPhysical(phys, four)
+		for iy := 0; iy < l.My; iy++ {
+			for iz := 0; iz < l.Mz; iz++ {
+				for ix := 0; ix < n; ix++ {
+					gy, gz := l.YRank*l.My+iy, l.ZRank*l.Mz+iz
+					got, want := phys[(iy*l.Mz+iz)*n+ix], o.back[(gy*n+gz)*n+ix]
+					if d := math.Abs(got - want); d > tol {
+						panic(fmt.Sprintf("rank %d: inverse (%d,%d,%d) = %v, oracle %v (|Δ| %.3g)",
+							c.Rank(), ix, gy, gz, got, want, d))
+					}
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+}
+
+// The one engine against the naive DFT on every valid grid of
+// P ∈ {1, 2, 4, 8} — P×1 and 1×P included — under every concrete
+// strategy and two team sizes, plus the single-precision wire where it
+// runs (Pc = 1).
+func TestEngineMatchesNaiveDFT(t *testing.T) {
+	for _, n := range []int{8, 12} {
+		o := naiveOracle(n)
+		// The inverse oracle of the forward oracle is the field itself:
+		// the naive sums are self-consistent before any engine runs.
+		for i, v := range o.back {
+			if math.Abs(v-o.phys[i]) > 1e-12 {
+				t.Fatalf("N=%d: naive inverse∘forward differs from the field at %d: %v vs %v", n, i, v, o.phys[i])
+			}
+		}
+		for _, p := range []int{1, 2, 4, 8} {
+			for _, d := range tuning.Decompositions(n, p) {
+				if !d.IsPencil() {
+					continue
+				}
+				for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+					for _, workers := range []int{1, 3} {
+						tag := fmt.Sprintf("N=%d %s %s workers=%d", n, d, st, workers)
+						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) *Engine {
+							row, col := c.CartGrid(d.Pr, d.Pc)
+							return NewPencilReal(col, row, n, workers, exchange.Both(st))
+						})
+					}
+					if d.Pc == 1 {
+						checkAgainstOracle(t, fmt.Sprintf("N=%d %s %s f32 wire", n, d, st), o, p, 1e-5, func(c *mpi.Comm) *Engine {
+							return newEngine(c, nil, n, 2, exchange.Both(st), nil, true)
+						})
+					}
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,7 +84,7 @@ func checkPencilMatchesSlab(t *testing.T, n, pr, pc, workers int, pair exchange.
 			for ix := 0; ix < l.Wc; ix++ {
 				gx := l.XLo + ix
 				for gy := 0; gy < n; gy++ {
-					got := four[(iz*l.Wc+ix)*n+gy]
+					got := four[(iz*n+gy)*l.Wc+ix]
 					want := refFour[(gz*n+gy)*l.Nxh+gx]
 					if got != want {
 						panic(fmt.Sprintf("%s rank %d: forward differs from slab at k=(%d,%d,%d): %v vs %v",
@@ -137,6 +138,51 @@ func TestPencilSlabBitwiseIdentity(t *testing.T) {
 				}
 			}
 		}
+		// The slab is the one-column grid: the P×1 grid built through
+		// NewPencilReal and the slab built through NewSlabRealStrategy
+		// return bit-equal local arrays — the same layout, not just the
+		// same values somewhere.
+		if err := mpi.TryRun(p, func(c *mpi.Comm) {
+			row, col := c.CartGrid(p, 1)
+			engines := [2]*Engine{
+				NewPencilReal(col, row, n, 2, exchange.Both(exchange.ChunkedFused)),
+				NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused),
+			}
+			var four [2][]complex128
+			var out [2][]float64
+			for i, f := range engines {
+				defer f.Close()
+				phys := make([]float64, f.PhysicalLen())
+				for j := range phys {
+					gy, gz := c.Rank()*(n/p)+j/(n*n), j/n%n
+					phys[j] = pencilField(n, j%n, gy, gz)
+				}
+				four[i] = make([]complex128, f.FourierLen())
+				f.PhysicalToFourier(four[i], phys)
+				out[i] = make([]float64, f.PhysicalLen())
+				f.FourierToPhysical(out[i], append([]complex128(nil), four[i]...))
+			}
+			if !slices.Equal(four[0], four[1]) || !slices.Equal(out[0], out[1]) {
+				panic(fmt.Sprintf("rank %d: %dx1 grid and slab local arrays differ", c.Rank(), p))
+			}
+		}); err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+	}
+}
+
+// The solver's state lives on the slab layout. Asking a Pc > 1 grid
+// for slab geometry must fail with the slab-only message, not hand the
+// solver a geometry its fields do not have.
+func TestSlabOnPencilGridPanics(t *testing.T) {
+	err := mpi.TryRun(4, func(c *mpi.Comm) {
+		row, col := c.CartGrid(2, 2)
+		f := NewPencilReal(col, row, 16, 1, exchange.Both(exchange.Staged))
+		defer f.Close()
+		f.Slab()
+	})
+	if err == nil || !strings.Contains(err.Error(), "the solver is slab-only") {
+		t.Fatalf("Slab() on a 2x2 grid: error = %v, want the slab-only panic", err)
 	}
 }
 
@@ -221,8 +267,9 @@ func TestRealTunedAutoWarmCacheSkipsTrials(t *testing.T) {
 		if got := trials.Value(); got != after {
 			panic(fmt.Sprintf("rank %d: warm construction ran %d trial exchanges, want 0", c.Rank(), got-after))
 		}
-		if fmt.Sprintf("%T", warm) != fmt.Sprintf("%T", cold) {
-			panic(fmt.Sprintf("rank %d: warm engine %T differs from trial-selected %T", c.Rank(), warm, cold))
+		if lw, lc := warm.Layout(), cold.Layout(); lw.Pr != lc.Pr || lw.Pc != lc.Pc {
+			panic(fmt.Sprintf("rank %d: warm engine on %dx%d differs from trial-selected %dx%d",
+				c.Rank(), lw.Pr, lw.Pc, lc.Pr, lc.Pc))
 		}
 
 		phys := make([]float64, cold.PhysicalLen())
@@ -256,11 +303,7 @@ func TestRealTunedExplicitPencil(t *testing.T) {
 		cfg := tuning.Config{Cache: tuning.Open(dir)}
 		for _, label := range []string{"cold", "warm"} {
 			tr := NewRealTuned(c, n, 1, tuning.Pencil(2, 2), cfg)
-			eng, ok := tr.(*PencilReal)
-			if !ok {
-				panic(fmt.Sprintf("rank %d: %s explicit-pencil engine is %T, want *PencilReal", c.Rank(), label, tr))
-			}
-			if l := eng.Layout(); l.Pr != 2 || l.Pc != 2 {
+			if l := tr.Layout(); l.Pr != 2 || l.Pc != 2 {
 				panic(fmt.Sprintf("rank %d: %s engine on %dx%d grid, want 2x2", c.Rank(), label, l.Pr, l.Pc))
 			}
 			tr.Close()

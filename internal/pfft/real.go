@@ -12,47 +12,14 @@ import (
 	"repro/internal/tuning"
 )
 
-// Real is the interface of the distributed real-field DNS transforms:
-// real physical fields, conjugate-symmetric half-spectra, 1/N³
-// normalization on the inverse. SlabReal and PencilReal implement it
-// with bitwise-identical results for every valid decomposition.
-type Real interface {
-	FourierToPhysical(phys []float64, four []complex128)
-	PhysicalToFourier(four []complex128, phys []float64)
-	FourierLen() int
-	PhysicalLen() int
-	Workers() int
-	StrategyPair() exchange.Pair
-	Close()
-}
-
-// trialEngine is the tuner's view of a candidate engine: one collective
-// exchange-only trial of a direction under a strategy, and the pin that
-// makes the winner's strategies the engine's own.
-type trialEngine interface {
-	Real
-	runTrial(d exchange.Dir, st exchange.Strategy, four []complex128)
-	setStrategies(pair exchange.Pair)
-}
-
-// NewSlabRealTuned builds the slab transform by searching cfg.Space —
-// the whole-step tune space over (y→z strategy × z→y strategy ×
-// workers × wire precision; the slab engine has no pencils, so the NP,
-// PerSlab and decomposition dimensions collapse) — under the "slab"
-// cache key: NewRealTuned with the decomposition fixed. The cached
-// point pins every searched dimension, including the worker-team size;
-// workers is only the default substituted into an empty Workers
-// dimension. Collective.
-func NewSlabRealTuned(comm *mpi.Comm, n, workers int, cfg tuning.Config) *SlabReal {
-	return tunedReal(comm, n, workers, "slab", []tuning.Decomp{tuning.DecompSlab}, cfg).(*SlabReal)
-}
-
 // NewRealTuned builds the DNS transform for decomposition d, searching
 // cfg.Space with the whole-step trial protocol and persisting the
 // winner in the tuning cache:
 //
-//   - d slab (the zero value): NewSlabRealTuned — strategy × workers ×
-//     wire-precision search under the "slab" cache key.
+//   - d slab (the zero value): strategy × workers × wire-precision
+//     search under the "slab" cache key. The cached point pins every
+//     searched dimension, including the worker-team size; workers is
+//     only the default substituted into an empty Workers dimension.
 //   - d an explicit Pr×Pc pencil: the grid is fixed, the strategy and
 //     worker dimensions are searched, under a per-grid cache key
 //     ("pencil-PRxPC").
@@ -69,14 +36,14 @@ func NewSlabRealTuned(comm *mpi.Comm, n, workers int, cfg tuning.Config) *SlabRe
 // decompositions), timed per transpose direction and memoized per
 // (engine, direction, strategy), so a candidate pair costs two trial
 // runs, not four. A cache hit constructs the cached point directly
-// with zero trial exchanges. The pencil engine is double-precision
-// only, so pencil candidates ignore the wire-precision dimension.
+// with zero trial exchanges. The single-precision wire runs on the
+// slab only, so pencil candidates ignore the wire-precision dimension.
 // Collective.
-func NewRealTuned(comm *mpi.Comm, n, workers int, d tuning.Decomp, cfg tuning.Config) Real {
+func NewRealTuned(comm *mpi.Comm, n, workers int, d tuning.Decomp, cfg tuning.Config) *Engine {
 	p := comm.Size()
 	switch {
 	case d.IsSlab():
-		return NewSlabRealTuned(comm, n, workers, cfg)
+		return tunedReal(comm, n, workers, "slab", []tuning.Decomp{d}, cfg)
 	case d.IsPencil():
 		if !d.Valid(n, p) {
 			panic(fmt.Sprintf("pfft: decomposition %s invalid for N=%d P=%d (Pr·Pc=P, Pr|N, Pc|N, Pc ≤ N/2+1)",
@@ -118,8 +85,9 @@ func expandDecomps(ds []tuning.Decomp, n, p int) []tuning.Decomp {
 
 // realPoints enumerates cfg.Space over an explicit decomposition list:
 // NP and PerSlab are foreign dimensions here (canonicalized away), and
-// pencil points collapse the wire-precision dimension (the pencil
-// engine is double-precision only). Space tie-break order is kept.
+// pencil points collapse the wire-precision dimension (the
+// single-precision wire runs on the slab only). Space tie-break order
+// is kept.
 func realPoints(space tuning.Space, workers int, decomps []tuning.Decomp) []tuning.Point {
 	space.Decomps = decomps
 	seen := map[tuning.Point]bool{}
@@ -137,14 +105,15 @@ func realPoints(space tuning.Space, workers int, decomps []tuning.Decomp) []tuni
 	return out
 }
 
-// newEngine constructs the engine of decomposition d with pair pinned.
-// Collective.
-func newEngine(comm *mpi.Comm, n int, d tuning.Decomp, workers int, single bool, pair exchange.Pair) trialEngine {
+// newGridEngine constructs the engine on decomposition d of comm with
+// pair pinned: the slab is comm itself as the one column, a pencil grid
+// its CartGrid communicators. Collective.
+func newGridEngine(comm *mpi.Comm, n int, d tuning.Decomp, workers int, single bool, pair exchange.Pair) *Engine {
+	commY, commZ := comm, (*mpi.Comm)(nil)
 	if d.IsPencil() {
-		row, col := comm.CartGrid(d.Pr, d.Pc)
-		return NewPencilReal(col, row, n, workers, pair)
+		commZ, commY = comm.CartGrid(d.Pr, d.Pc)
 	}
-	return newSlabReal(comm, n, workers, pair, nil, single)
+	return newEngine(commY, commZ, n, workers, pair, nil, single)
 }
 
 // tunedReal is the one strategy search of the package: the
@@ -161,7 +130,7 @@ func newEngine(comm *mpi.Comm, n int, d tuning.Decomp, workers int, single bool,
 // hit constructs the cached point directly with zero trial exchanges;
 // a hit whose decomposition is foreign to this key is a miss.
 // Collective.
-func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tuning.Decomp, cfg tuning.Config) Real {
+func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tuning.Decomp, cfg tuning.Config) *Engine {
 	key := tuning.Key{
 		Engine:   engineKey,
 		N:        n,
@@ -170,7 +139,7 @@ func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tunin
 		Machine:  hw.Fingerprint(),
 	}
 	if pt, ok := cfg.Lookup(comm, key); ok && slices.Contains(decomps, pt.Decomp()) {
-		return newEngine(comm, n, pt.Decomp(), pt.Workers, pt.Single, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
+		return newGridEngine(comm, n, pt.Decomp(), pt.Workers, pt.Single, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
 	}
 	pts := realPoints(cfg.Space, workers, decomps)
 	type group struct {
@@ -183,7 +152,7 @@ func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tunin
 		d  exchange.Dir
 		st exchange.Strategy
 	}
-	engines := map[group]trialEngine{}
+	engines := map[group]*Engine{}
 	trials := map[group][]complex128{}
 	times := map[trialKey]float64{}
 	mine := make([]float64, len(pts))
@@ -191,7 +160,7 @@ func tunedReal(comm *mpi.Comm, n, workers int, engineKey string, decomps []tunin
 		g := group{pt.Decomp(), pt.Workers, pt.Single}
 		eng := engines[g]
 		if eng == nil {
-			eng = newEngine(comm, n, g.d, g.workers, g.single, exchange.Both(exchange.Staged))
+			eng = newGridEngine(comm, n, g.d, g.workers, g.single, exchange.Both(exchange.Staged))
 			engines[g] = eng
 			trials[g] = pool.GetComplex(eng.FourierLen())
 		}

@@ -117,7 +117,7 @@ func TestSlabRealTunedBitwiseIdentity(t *testing.T) {
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		ref := NewSlabRealStrategy(c, n, 2, exchange.Staged)
 		defer ref.Close()
-		tuned := NewSlabRealTuned(c, n, 2, tuning.Config{})
+		tuned := NewRealTuned(c, n, 2, tuning.DecompSlab, tuning.Config{})
 		defer tuned.Close()
 		if tuned.Single() {
 			panic("default tune space searched precision")
@@ -170,7 +170,7 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 		cfg := tuning.Config{Cache: tuning.Open(dir)}
 		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
 
-		cold := NewSlabRealTuned(c, n, 2, cfg)
+		cold := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg)
 		defer cold.Close()
 		after := trials.Value()
 		if after == 0 {
@@ -182,7 +182,7 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 			}
 		}
 
-		warm := NewSlabRealTuned(c, n, 2, cfg)
+		warm := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg)
 		defer warm.Close()
 		if got := trials.Value(); got != after {
 			panic(fmt.Sprintf("rank %d: warm construction ran %d trial exchanges, want 0", c.Rank(), got-after))
@@ -246,7 +246,7 @@ func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 			if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
 				cfg := tuning.Config{Cache: tuning.Open(dir)}
 				trials := c.Metrics().CounterRank("tune.trials", c.Rank())
-				f := NewSlabRealTuned(c, n, 1, cfg)
+				f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
 				defer f.Close()
 				if trials.Value() == 0 {
 					panic(fmt.Sprintf("rank %d: corrupt cache did not fall back to live trials", c.Rank()))
@@ -257,7 +257,7 @@ func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 				// The trials rewrote the entry: a second construction
 				// is a warm hit on it.
 				after := trials.Value()
-				NewSlabRealTuned(c, n, 1, cfg).Close()
+				NewRealTuned(c, n, 1, tuning.DecompSlab, cfg).Close()
 				if got := trials.Value(); got != after {
 					panic(fmt.Sprintf("rank %d: rewritten entry missed: %d more trials", c.Rank(), got-after))
 				}
@@ -274,7 +274,7 @@ func TestSlabRealTunedPrecisionSearch(t *testing.T) {
 	const n, p = 24, 2
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		cfg := tuning.Config{Space: tuning.Space{Single: []bool{false, true}}}
-		f := NewSlabRealTuned(c, n, 1, cfg)
+		f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
 		defer f.Close()
 		pl, fl := f.PhysicalLen(), f.FourierLen()
 		physIn := make([]float64, pl)

@@ -1,6 +1,6 @@
 package transpose
 
-// Pencil-decomposition layouts and transpose kernels.
+// Pencil-decomposition layouts and the column transpose kernels.
 //
 // A pencil decomposition distributes the N³ field over a Pr×Pc
 // process grid: rank (yG, zG) owns the y range [yG·My, (yG+1)·My) and
@@ -10,25 +10,21 @@ package transpose
 //
 // The distributed transform then needs two transpose-exchanges instead
 // of the slab's one, each over a sub-communicator of the process grid
-// and each expressible as the same staged Pack/A2A/Unpack triple or
-// fused zero-copy gather as the slab exchange:
+// and each the same staged Pack/A2A/Unpack triple or fused zero-copy
+// gather. x stays the fastest axis of every layout, so both exchanges
+// move whole x-rows with copy and every FFT pass runs in plane form:
 //
 //   - the column exchange (within a column group of Pc ranks sharing
 //     yG) trades the local z chunk for a full z extent by splitting
 //     the Hermitian-reduced x axis over the group — x-complete
-//     XSpec = [My][Mz][Nxh] ↔ z-complete B = [My][Wc][Nz];
+//     X = [My][Mz][Nxh] ↔ z-complete B = [My][Nz][Wc]. Its kernels are
+//     below; at Pc = 1 it is the identity and the engine builds none.
 //   - the row exchange (within a row group of Pr ranks sharing zG)
-//     trades the local y chunk for a full y extent by splitting the
-//     (already column-split) z axis over the group — z-complete
-//     B = [My][Wc][Nz] ↔ y-complete C = [Mz2][Wc][Ny].
-//
-// The forward per-axis FFT order is therefore x (r2c, on the pencil),
-// z (after the column exchange), y (after the row exchange) — exactly
-// the slab engine's order, which is what makes the pencil transform
-// bitwise-identical to the slab transform: the fft batches gather
-// every line into contiguous scratch, so per-line results do not
-// depend on the memory layout the line was read from, and identical
-// axis order means identical per-line inputs.
+//     trades the local y chunk for a full y extent by re-splitting z
+//     over the group — z-complete B = [My][Nz][Wc] ↔ y-complete
+//     C = [Mz2][Ny][Wc]. That is the slab transpose with Nxh := Wc:
+//     NewSlabLayout(Wc, N, Mz2, Pr) and the slab kernels of layout.go
+//     and gather.go move it.
 //
 // Nxh = N/2+1 is in general not divisible by Pc, so the x axis splits
 // unevenly: SplitSpan gives the first Nxh%Pc column groups one extra
@@ -83,13 +79,12 @@ type PencilLayout struct {
 	XSpans  []Span
 	Wc, XLo int
 	WcMax   int
-	// BlockC and BlockR are the per-peer staged block sizes of the
-	// column and row exchanges. BlockC is padded to WcMax so the
-	// column all-to-all keeps even blocks despite the uneven x split;
-	// only the leading My·Mz·width(peer) elements of each block are
-	// meaningful.
-	BlockC, BlockR int
-	// PadXLen is len(XSpec) rounded up to a multiple of Pc: My·Mz·Nxh
+	// BlockC is the per-peer staged block size of the column exchange,
+	// padded to WcMax so the column all-to-all keeps even blocks
+	// despite the uneven x split; only the leading My·Mz·width(peer)
+	// elements of each block are meaningful.
+	BlockC int
+	// PadXLen is len(X) rounded up to a multiple of Pc: My·Mz·Nxh
 	// need not divide evenly by the column group size, and the fused
 	// exchange plans require a group-divisible published length. The
 	// padding tail is never read.
@@ -125,7 +120,6 @@ func NewPencilLayout(n, pr, pc, yRank, zRank int) *PencilLayout {
 	l.XLo = l.XSpans[zRank].Lo
 	l.WcMax = l.XSpans[0].Width()
 	l.BlockC = l.My * l.Mz * l.WcMax
-	l.BlockR = l.My * l.Wc * l.Mz2
 	xlen := l.My * l.Mz * l.Nxh
 	l.PadXLen = (xlen + pc - 1) / pc * pc
 	return l
@@ -134,72 +128,35 @@ func NewPencilLayout(n, pr, pc, yRank, zRank int) *PencilLayout {
 // XSpecLen, BLen and CLen are the (unpadded) element counts of the
 // three exchange layouts.
 func (l *PencilLayout) XSpecLen() int { return l.My * l.Mz * l.Nxh }
-func (l *PencilLayout) BLen() int     { return l.My * l.Wc * l.N }
-func (l *PencilLayout) CLen() int     { return l.Mz2 * l.Wc * l.N }
+func (l *PencilLayout) BLen() int     { return l.My * l.N * l.Wc }
+func (l *PencilLayout) CLen() int     { return l.Mz2 * l.N * l.Wc }
 
 // --- column exchange (x-complete ↔ z-complete, within a column group) ----
+//
+// Every kernel is one shape of copy: for each y-plane of a range, the
+// Mz z-rows one peer exchanges with this rank, each a run of
+// consecutive x elements. Only the offsets and strides of the two
+// sides differ — X rows are Nxh apart; a w-wide rank's B rows are w
+// apart with peer s's z chunk starting at row s·Mz; the staged block
+// between two ranks is [My][Mz][w] with w the x width of the
+// z-complete side — so copyRuns is the one loop and each kernel names
+// its two geometries. Where both sides hold the Mz rows back to back
+// (B ↔ staged block) the plane moves as a single run. Distinct y
+// ranges write disjoint destination elements, so a worker team may
+// split any kernel over a partition of [0, My).
 
-// PencilGatherColFwdRange gathers y-planes [iyLo,iyHi) of the
-// z-complete layout dst=[My][Wc][Nz] directly from every column-group
-// peer's x-complete layout srcs[s]=[My][Mz][Nxh] (padded): peer s's z
-// chunk lands in dst's z range [s·Mz,(s+1)·Mz), and dst keeps only
-// this rank's x span. Distinct iy ranges write disjoint dst elements.
+// copyRuns copies, for every unit in [lo,hi) and each of rows rows,
+// the w-long run at src[sOff+unit·sUnit+row·sRow:] to
+// dst[dOff+unit·dUnit+row·dRow:].
 //
 //psdns:hotpath
-func PencilGatherColFwdRange[T any](l *PencilLayout, dst []T, srcs [][]T, iyLo, iyHi int) {
-	for s := 0; s < l.Pc; s++ {
-		PencilGatherColFwdPeer(l, dst, srcs[s], s, iyLo, iyHi)
-	}
-}
-
-// PencilGatherColFwdPeer gathers peer s's contribution to y-planes
-// [iyLo,iyHi) of the z-complete layout.
-//
-//psdns:hotpath
-func PencilGatherColFwdPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi int) {
-	n, nxh, mz, wc, xlo := l.N, l.Nxh, l.Mz, l.Wc, l.XLo
-	for iy := iyLo; iy < iyHi; iy++ {
-		for ix := 0; ix < wc; ix++ {
-			srcOff := (iy*mz)*nxh + xlo + ix
-			dstOff := (iy*wc+ix)*n + s*mz
-			for iz := 0; iz < mz; iz++ {
-				dst[dstOff+iz] = src[srcOff]
-				srcOff += nxh
-			}
-		}
-	}
-}
-
-// PencilGatherColInvRange gathers y-planes [iyLo,iyHi) of the
-// x-complete layout dst=[My][Mz][Nxh] from every column-group peer's
-// z-complete layout srcs[s]=[My][Wc(s)][Nz]: peer s contributes x span
-// XSpans[s], and only this rank's z chunk [ZRank·Mz, …) is read from
-// each peer. Distinct iy ranges write disjoint dst elements.
-//
-//psdns:hotpath
-func PencilGatherColInvRange[T any](l *PencilLayout, dst []T, srcs [][]T, iyLo, iyHi int) {
-	for s := 0; s < l.Pc; s++ {
-		PencilGatherColInvPeer(l, dst, srcs[s], s, iyLo, iyHi)
-	}
-}
-
-// PencilGatherColInvPeer gathers peer s's x span into y-planes
-// [iyLo,iyHi) of the x-complete layout.
-//
-//psdns:hotpath
-func PencilGatherColInvPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi int) {
-	n, nxh, mz := l.N, l.Nxh, l.Mz
-	sp := l.XSpans[s]
-	ws := sp.Width()
-	zBase := l.ZRank * mz
-	for iy := iyLo; iy < iyHi; iy++ {
-		for iz := 0; iz < mz; iz++ {
-			srcOff := (iy*ws)*n + zBase + iz
-			dstOff := (iy*mz+iz)*nxh + sp.Lo
-			for ix := 0; ix < ws; ix++ {
-				dst[dstOff+ix] = src[srcOff]
-				srcOff += n
-			}
+func copyRuns[T any](dst []T, dOff, dUnit, dRow int, src []T, sOff, sUnit, sRow, w, rows, lo, hi int) {
+	for u := lo; u < hi; u++ {
+		d, s := dOff+u*dUnit, sOff+u*sUnit
+		for r := 0; r < rows; r++ {
+			copy(dst[d:d+w], src[s:s+w])
+			d += dRow
+			s += sRow
 		}
 	}
 }
@@ -207,242 +164,93 @@ func PencilGatherColInvPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi 
 // PencilPackColFwdRange packs y-planes [iyLo,iyHi) of the x-complete
 // layout src=[My][Mz][Nxh] into per-destination blocks: block d holds
 // [My][Mz][Width(d)] — destination d's x span, row by row — padded to
-// BlockC. Distinct iy ranges write disjoint pack elements.
+// BlockC.
 //
 //psdns:hotpath
 func PencilPackColFwdRange[T any](l *PencilLayout, pack, src []T, iyLo, iyHi int) {
-	nxh, mz := l.Nxh, l.Mz
-	for d := 0; d < l.Pc; d++ {
-		sp := l.XSpans[d]
+	for d, sp := range l.XSpans {
 		wd := sp.Width()
-		base := d * l.BlockC
-		for iy := iyLo; iy < iyHi; iy++ {
-			for iz := 0; iz < mz; iz++ {
-				row := (iy*mz + iz)
-				copy(pack[base+row*wd:base+(row+1)*wd], src[row*nxh+sp.Lo:row*nxh+sp.Hi])
-			}
-		}
+		copyRuns(pack, d*l.BlockC, l.Mz*wd, wd, src, sp.Lo, l.Mz*l.Nxh, l.Nxh, wd, l.Mz, iyLo, iyHi)
 	}
 }
 
-// PencilUnpackColFwdRange unpacks received column blocks into
-// y-planes [iyLo,iyHi) of the z-complete layout dst=[My][Wc][Nz]:
-// recv block s (layout [My][Mz][Wc], padded to BlockC) carries peer
-// s's z chunk of this rank's x span.
+// PencilUnpackColFwdRange unpacks received column blocks into y-planes
+// [iyLo,iyHi) of the z-complete layout dst=[My][Nz][Wc]: recv block s
+// ([My][Mz][Wc], padded to BlockC) is peer s's z chunk of this rank's
+// x span.
 //
 //psdns:hotpath
 func PencilUnpackColFwdRange[T any](l *PencilLayout, dst, recv []T, iyLo, iyHi int) {
-	n, mz, wc := l.N, l.Mz, l.Wc
+	run := l.Mz * l.Wc
 	for s := 0; s < l.Pc; s++ {
-		base := s * l.BlockC
-		for iy := iyLo; iy < iyHi; iy++ {
-			for ix := 0; ix < wc; ix++ {
-				srcOff := base + (iy*mz)*wc + ix
-				dstOff := (iy*wc+ix)*n + s*mz
-				for iz := 0; iz < mz; iz++ {
-					dst[dstOff+iz] = recv[srcOff]
-					srcOff += wc
-				}
-			}
-		}
+		copyRuns(dst, s*run, l.N*l.Wc, 0, recv, s*l.BlockC, run, 0, run, 1, iyLo, iyHi)
+	}
+}
+
+// PencilGatherColFwdPeer gathers peer s's contribution to y-planes
+// [iyLo,iyHi) of the z-complete layout dst=[My][Nz][Wc] directly from
+// its x-complete layout src=[My][Mz][Nxh] (padded): peer s's z chunk
+// lands in dst's z range [s·Mz,(s+1)·Mz), and dst keeps only this
+// rank's x span.
+//
+//psdns:hotpath
+func PencilGatherColFwdPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi int) {
+	copyRuns(dst, s*l.Mz*l.Wc, l.N*l.Wc, l.Wc, src, l.XLo, l.Mz*l.Nxh, l.Nxh, l.Wc, l.Mz, iyLo, iyHi)
+}
+
+// PencilGatherColFwdRange is PencilGatherColFwdPeer over every
+// column-group peer: the fused form of pack, all-to-all and unpack.
+//
+//psdns:hotpath
+func PencilGatherColFwdRange[T any](l *PencilLayout, dst []T, srcs [][]T, iyLo, iyHi int) {
+	for s, src := range srcs {
+		PencilGatherColFwdPeer(l, dst, src, s, iyLo, iyHi)
 	}
 }
 
 // PencilPackColInvRange packs y-planes [iyLo,iyHi) of the z-complete
-// layout src=[My][Wc][Nz] into per-destination blocks: block d holds
-// [My][Wc][Mz] — destination d's z chunk, contiguous per (iy, ix) —
-// padded to BlockC. Distinct iy ranges write disjoint pack elements.
+// layout src=[My][Nz][Wc] into per-destination blocks: block d holds
+// [My][Mz][Wc] — destination d's z chunk — padded to BlockC.
 //
 //psdns:hotpath
 func PencilPackColInvRange[T any](l *PencilLayout, pack, src []T, iyLo, iyHi int) {
-	n, mz, wc := l.N, l.Mz, l.Wc
+	run := l.Mz * l.Wc
 	for d := 0; d < l.Pc; d++ {
-		base := d * l.BlockC
-		for iy := iyLo; iy < iyHi; iy++ {
-			for ix := 0; ix < wc; ix++ {
-				srcOff := (iy*wc+ix)*n + d*mz
-				dstOff := base + (iy*wc+ix)*mz
-				copy(pack[dstOff:dstOff+mz], src[srcOff:srcOff+mz])
-			}
-		}
+		copyRuns(pack, d*l.BlockC, run, 0, src, d*run, l.N*l.Wc, 0, run, 1, iyLo, iyHi)
 	}
 }
 
-// PencilUnpackColInvRange unpacks received column blocks into
-// y-planes [iyLo,iyHi) of the x-complete layout dst=[My][Mz][Nxh]:
-// recv block s (layout [My][Width(s)][Mz], padded to BlockC) carries
-// peer s's x span of this rank's z chunk.
+// PencilUnpackColInvRange unpacks received column blocks into y-planes
+// [iyLo,iyHi) of the x-complete layout dst=[My][Mz][Nxh]: recv block s
+// ([My][Mz][Width(s)], padded to BlockC) is peer s's x span of this
+// rank's z chunk.
 //
 //psdns:hotpath
 func PencilUnpackColInvRange[T any](l *PencilLayout, dst, recv []T, iyLo, iyHi int) {
-	nxh, mz := l.Nxh, l.Mz
-	for s := 0; s < l.Pc; s++ {
-		sp := l.XSpans[s]
+	for s, sp := range l.XSpans {
 		ws := sp.Width()
-		base := s * l.BlockC
-		for iy := iyLo; iy < iyHi; iy++ {
-			for iz := 0; iz < mz; iz++ {
-				srcOff := base + (iy*ws)*mz + iz
-				dstOff := (iy*mz+iz)*nxh + sp.Lo
-				for ix := 0; ix < ws; ix++ {
-					dst[dstOff+ix] = recv[srcOff]
-					srcOff += mz
-				}
-			}
-		}
+		copyRuns(dst, sp.Lo, l.Mz*l.Nxh, l.Nxh, recv, s*l.BlockC, l.Mz*ws, ws, ws, l.Mz, iyLo, iyHi)
 	}
 }
 
-// --- row exchange (z-complete ↔ y-complete, within a row group) ----------
-
-// PencilGatherRowFwdRange gathers z-planes [izLo,izHi) of the
-// y-complete layout dst=[Mz2][Wc][Ny] directly from every row-group
-// peer's z-complete layout srcs[s]=[My][Wc][Nz]: peer s's y chunk
-// lands in dst's y range [s·My,(s+1)·My), and only this rank's
-// re-split z chunk [YRank·Mz2, …) is read from each peer. Distinct iz
-// ranges write disjoint dst elements.
+// PencilGatherColInvPeer gathers peer s's x span into y-planes
+// [iyLo,iyHi) of the x-complete layout dst=[My][Mz][Nxh] directly from
+// its z-complete layout src=[My][Nz][Width(s)], of which only this
+// rank's z chunk [ZRank·Mz, …) is read.
 //
 //psdns:hotpath
-func PencilGatherRowFwdRange[T any](l *PencilLayout, dst []T, srcs [][]T, izLo, izHi int) {
-	for s := 0; s < l.Pr; s++ {
-		PencilGatherRowFwdPeer(l, dst, srcs[s], s, izLo, izHi)
-	}
+func PencilGatherColInvPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi int) {
+	sp := l.XSpans[s]
+	ws := sp.Width()
+	copyRuns(dst, sp.Lo, l.Mz*l.Nxh, l.Nxh, src, l.ZRank*l.Mz*ws, l.N*ws, ws, ws, l.Mz, iyLo, iyHi)
 }
 
-// PencilGatherRowFwdPeer gathers peer s's contribution to z-planes
-// [izLo,izHi) of the y-complete layout.
+// PencilGatherColInvRange is PencilGatherColInvPeer over every
+// column-group peer.
 //
 //psdns:hotpath
-func PencilGatherRowFwdPeer[T any](l *PencilLayout, dst, src []T, s, izLo, izHi int) {
-	n, my, mz2, wc := l.N, l.My, l.Mz2, l.Wc
-	zBase := l.YRank * mz2
-	for iz := izLo; iz < izHi; iz++ {
-		for ix := 0; ix < wc; ix++ {
-			srcOff := ix*n + zBase + iz
-			dstOff := (iz*wc+ix)*n + s*my
-			for iy := 0; iy < my; iy++ {
-				dst[dstOff+iy] = src[srcOff]
-				srcOff += wc * n
-			}
-		}
-	}
-}
-
-// PencilGatherRowInvRange gathers y-planes [iyLo,iyHi) of the
-// z-complete layout dst=[My][Wc][Nz] from every row-group peer's
-// y-complete layout srcs[s]=[Mz2][Wc][Ny]: peer s's z chunk lands in
-// dst's z range [s·Mz2,(s+1)·Mz2), and only this rank's y chunk
-// [YRank·My, …) is read from each peer. Distinct iy ranges write
-// disjoint dst elements.
-//
-//psdns:hotpath
-func PencilGatherRowInvRange[T any](l *PencilLayout, dst []T, srcs [][]T, iyLo, iyHi int) {
-	for s := 0; s < l.Pr; s++ {
-		PencilGatherRowInvPeer(l, dst, srcs[s], s, iyLo, iyHi)
-	}
-}
-
-// PencilGatherRowInvPeer gathers peer s's contribution to y-planes
-// [iyLo,iyHi) of the z-complete layout.
-//
-//psdns:hotpath
-func PencilGatherRowInvPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi int) {
-	n, my, mz2, wc := l.N, l.My, l.Mz2, l.Wc
-	yBase := l.YRank * my
-	for iy := iyLo; iy < iyHi; iy++ {
-		for ix := 0; ix < wc; ix++ {
-			srcOff := ix*n + yBase + iy
-			dstOff := (iy*wc+ix)*n + s*mz2
-			for iz := 0; iz < mz2; iz++ {
-				dst[dstOff+iz] = src[srcOff]
-				srcOff += wc * n
-			}
-		}
-	}
-}
-
-// PencilPackRowFwdRange packs y-planes [iyLo,iyHi) of the z-complete
-// layout src=[My][Wc][Nz] into per-destination blocks: block d holds
-// [My][Wc][Mz2] — destination d's re-split z chunk, contiguous per
-// (iy, ix). Distinct iy ranges write disjoint pack elements.
-//
-//psdns:hotpath
-func PencilPackRowFwdRange[T any](l *PencilLayout, pack, src []T, iyLo, iyHi int) {
-	n, mz2, wc := l.N, l.Mz2, l.Wc
-	for d := 0; d < l.Pr; d++ {
-		base := d * l.BlockR
-		for iy := iyLo; iy < iyHi; iy++ {
-			for ix := 0; ix < wc; ix++ {
-				srcOff := (iy*wc+ix)*n + d*mz2
-				dstOff := base + (iy*wc+ix)*mz2
-				copy(pack[dstOff:dstOff+mz2], src[srcOff:srcOff+mz2])
-			}
-		}
-	}
-}
-
-// PencilUnpackRowFwdRange unpacks received row blocks into z-planes
-// [izLo,izHi) of the y-complete layout dst=[Mz2][Wc][Ny]: recv block s
-// (layout [My][Wc][Mz2]) carries peer s's y chunk of this rank's
-// re-split z chunk.
-//
-//psdns:hotpath
-func PencilUnpackRowFwdRange[T any](l *PencilLayout, dst, recv []T, izLo, izHi int) {
-	n, my, mz2, wc := l.N, l.My, l.Mz2, l.Wc
-	for s := 0; s < l.Pr; s++ {
-		base := s * l.BlockR
-		for iz := izLo; iz < izHi; iz++ {
-			for ix := 0; ix < wc; ix++ {
-				srcOff := base + ix*mz2 + iz
-				dstOff := (iz*wc+ix)*n + s*my
-				for iy := 0; iy < my; iy++ {
-					dst[dstOff+iy] = recv[srcOff]
-					srcOff += wc * mz2
-				}
-			}
-		}
-	}
-}
-
-// PencilPackRowInvRange packs z-planes [izLo,izHi) of the y-complete
-// layout src=[Mz2][Wc][Ny] into per-destination blocks: block d holds
-// [Mz2][Wc][My] — destination d's y chunk, contiguous per (iz, ix).
-// Distinct iz ranges write disjoint pack elements.
-//
-//psdns:hotpath
-func PencilPackRowInvRange[T any](l *PencilLayout, pack, src []T, izLo, izHi int) {
-	n, my, wc := l.N, l.My, l.Wc
-	for d := 0; d < l.Pr; d++ {
-		base := d * l.BlockR
-		for iz := izLo; iz < izHi; iz++ {
-			for ix := 0; ix < wc; ix++ {
-				srcOff := (iz*wc+ix)*n + d*my
-				dstOff := base + (iz*wc+ix)*my
-				copy(pack[dstOff:dstOff+my], src[srcOff:srcOff+my])
-			}
-		}
-	}
-}
-
-// PencilUnpackRowInvRange unpacks received row blocks into y-planes
-// [iyLo,iyHi) of the z-complete layout dst=[My][Wc][Nz]: recv block s
-// (layout [Mz2][Wc][My]) carries peer s's re-split z chunk of this
-// rank's y chunk.
-//
-//psdns:hotpath
-func PencilUnpackRowInvRange[T any](l *PencilLayout, dst, recv []T, iyLo, iyHi int) {
-	n, my, mz2, wc := l.N, l.My, l.Mz2, l.Wc
-	for s := 0; s < l.Pr; s++ {
-		base := s * l.BlockR
-		for iy := iyLo; iy < iyHi; iy++ {
-			for ix := 0; ix < wc; ix++ {
-				srcOff := base + ix*my + iy
-				dstOff := (iy*wc+ix)*n + s*mz2
-				for iz := 0; iz < mz2; iz++ {
-					dst[dstOff+iz] = recv[srcOff]
-					srcOff += wc * my
-				}
-			}
-		}
+func PencilGatherColInvRange[T any](l *PencilLayout, dst []T, srcs [][]T, iyLo, iyHi int) {
+	for s, src := range srcs {
+		PencilGatherColInvPeer(l, dst, src, s, iyLo, iyHi)
 	}
 }

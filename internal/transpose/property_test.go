@@ -93,7 +93,8 @@ func TestPackIsPermutationProperty(t *testing.T) {
 }
 
 // Property: the row/column pencil transposes are mutual inverses for
-// random 2D-decomposition geometry.
+// random 2D-decomposition geometry — the complex reference's AB
+// kernels, then the real engine's column kernels.
 func TestPencilTransposeRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -139,6 +140,32 @@ func TestPencilTransposeRoundTripProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	// The column exchange of the real-transform engine: forward along
+	// one path then inverse along another is the identity on X, for
+	// random grids whose x split is mostly uneven (Nxh % Pc ≠ 0).
+	col := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 * (1 + rng.Intn(10))
+		pc := 1 + rng.Intn(n/2+1)
+		for n%pc != 0 {
+			pc--
+		}
+		g := newColGroup(n, 1, pc, 0)
+		const sentinel = complex(-1, -1)
+		b := g.run(true, colPaths[rng.Intn(len(colPaths))], g.x, 0, n, sentinel)
+		back := g.run(false, colPaths[rng.Intn(len(colPaths))], b, 0, n, sentinel)
+		for zG, l := range g.lays {
+			for i := 0; i < l.XSpecLen(); i++ {
+				if back[zG][i] != g.x[zG][i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(col, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

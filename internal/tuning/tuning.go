@@ -13,7 +13,7 @@
 // its enumeration (Space, Point), the collective trial protocol
 // (TrialBest, ResolveTimes) with its trial-count metric, and the
 // persistent cache with its collective lookup (Config.Lookup/Store).
-// The engines (pfft.NewSlabRealTuned, core.NewAsyncSlabRealTuned) own
+// The engines (pfft.NewRealTuned, core.NewAsyncSlabRealTuned) own
 // the trial bodies, because only they know how to run one exchange of
 // a given configuration.
 package tuning
