@@ -22,7 +22,10 @@ type GradientStats = spectral.GradientStats
 type Particles = spectral.Particles
 
 // Transform is the distributed 3D FFT engine contract; both the
-// synchronous reference and the asynchronous pipeline satisfy it.
+// synchronous reference and the asynchronous pipeline satisfy it. Its
+// Truncate method is how a dealiased solver tells the engine its 2/3
+// band, so the y and z passes skip the lines that are zero by
+// construction; NewSolver calls it, callers need not.
 type Transform = spectral.Transform
 
 // StepStallError is a communication stall annotated with the solver

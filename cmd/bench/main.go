@@ -35,6 +35,14 @@
 //     through per-sub-communicator plans — allocation-free at steady
 //     state; read n64_p4 against slab_fwd_inv_n64_p4 for what the
 //     second exchange costs;
+//   - slab_band_fwd_inv_n64_p2 / async_band_fwd_inv_n64_p2: the
+//     forward+inverse pair band-limited to the 2/3 rule
+//     (Truncate(21)) as every dealiased step runs it, on the
+//     synchronous and the batched engine at the repository
+//     benchmark's geometry (P = 2, chunked gather; np = 4 pencils) —
+//     read against slab_fwd_inv_n64_p2 / async_fwd_inv_n64_p2, the
+//     full pair at the same geometry, for what the skipped y and z
+//     lines are worth;
 //   - fft_c2c_strided_n48 / n64, fft_c2c_contig_n128, fft_r2c_n48 /
 //     n64: the 1-D kernels alone, one plane of lines per op — complex
 //     lines strided by N/2+1 (the y and z passes, plane form), unit-
@@ -70,6 +78,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/fft"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
@@ -293,11 +302,24 @@ func pencilTransform(n, pr, pc int) func(iters, workers int) sample {
 	})
 }
 
-// asyncTransform is the same cycle on the paper's batched asynchronous
-// engine.
-func asyncTransform(n, p, np int) func(iters, workers int) sample {
+// slabBand is the slab cycle on the chunked zero-copy gather (the
+// strategy the repository benchmark pins), band-limited to kmax: −1 is
+// the full transform, the row a band row is read against.
+func slabBand(n, p, kmax int) func(iters, workers int) sample {
 	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
-		return newBenchAsync(c, n, np, workers)
+		f := pfft.NewSlabRealStrategy(c, n, workers, exchange.ChunkedFused)
+		f.Truncate(kmax)
+		return f
+	})
+}
+
+// asyncBand is the same cycle on the paper's batched asynchronous
+// engine, band-limited to kmax (−1: full).
+func asyncBand(n, p, np, kmax int) func(iters, workers int) sample {
+	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
+		a := newBenchAsync(c, n, np, workers)
+		a.Truncate(kmax)
+		return a
 	})
 }
 
@@ -686,7 +708,10 @@ var workloads = []workload{
 	{"pencil_fwd_inv_n64_p4", 40, 8, true, pencilTransform(64, 2, 2)},
 	{"pencil_fwd_inv_n64_p8", 20, 4, true, pencilTransform(64, 2, 4)},
 	{"pencil_fwd_inv_n128_p4", 10, 2, true, pencilTransform(128, 2, 2)},
-	{"async_fwd_inv_n64_p2", 40, 8, true, asyncTransform(64, 2, 4)},
+	{"async_fwd_inv_n64_p2", 40, 8, true, asyncBand(64, 2, 4, -1)},
+	{"async_band_fwd_inv_n64_p2", 40, 8, true, asyncBand(64, 2, 4, grid.DealiasKmax(64))},
+	{"slab_fwd_inv_n64_p2", 40, 8, true, slabBand(64, 2, -1)},
+	{"slab_band_fwd_inv_n64_p2", 40, 8, true, slabBand(64, 2, grid.DealiasKmax(64))},
 	{"step_async_n64", 10, 2, true, asyncStep(64, 2, 4)},
 	{"fft_c2c_strided_n48", 20000, 4000, true, fftC2C(48, true)},
 	{"fft_c2c_strided_n64", 20000, 4000, true, fftC2C(64, true)},

@@ -256,6 +256,7 @@ func main() {
 		if c.Rank() == 0 {
 			fmt.Printf("transpose-exchange strategy: %s\n", pinned)
 			fmt.Printf("equation set: %s (%d fields)\n", solver.System().Name(), solver.Fields())
+			fmt.Printf("transform band: |k_i| ≤ %d of %d\n", solver.Kmax(), *n/2)
 		}
 		solver.SetRandomIsotropic(*k0, *e0, *seed)
 
@@ -274,10 +275,11 @@ func main() {
 			// measure steps rather than setup and diagnostics.
 			c.Barrier()
 			metrics.Enable()
-			// The engine pins its strategy gauge and the solver its
-			// system gauge at construction, while the registry is still
-			// off; restate both now that it is on.
+			// The engine pins its strategy and band gauges and the
+			// solver its system gauge at construction, while the registry
+			// is still off; restate them now that it is on.
 			c.Metrics().GaugeRank("exchange.strategy", c.Rank()).Set(pinned.Code())
+			c.Metrics().GaugeRank("transform.kmax", c.Rank()).Set(float64(solver.Kmax()))
 			c.Metrics().GaugeRank("solver.system", c.Rank()).
 				Set(float64(spectral.SystemCode(solver.System().Name())))
 		}

@@ -8,14 +8,16 @@ import (
 )
 
 // allocsPerPair measures the heap allocations of one steady-state
-// forward+inverse pair. Rank 0 measures; peers execute the same
-// collective sequence runs+1 times to match AllocsPerRun's count.
-func allocsPerPair(n, p int, opt Options) float64 {
+// forward+inverse pair on an engine truncated to kmax (−1: full). Rank
+// 0 measures; peers execute the same collective sequence runs+1 times
+// to match AllocsPerRun's count.
+func allocsPerPair(n, p, kmax int, opt Options) float64 {
 	const runs = 20
 	var avg float64
 	mpi.Run(p, func(c *mpi.Comm) {
 		a := NewAsyncSlabReal(c, n, opt)
 		defer a.Close()
+		a.Truncate(kmax)
 		four := make([]complex128, a.FourierLen())
 		phys := make([]float64, a.PhysicalLen())
 		for i := range phys {
@@ -35,6 +37,7 @@ func allocsPerPair(n, p int, opt Options) float64 {
 				cycle()
 			}
 		}
+		c.Barrier() // peers close (and allocate) only after rank 0 has read its counters
 	})
 	return avg
 }
@@ -76,20 +79,22 @@ func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
 		for _, gran := range []Granularity{PerPencil, PerSlab} {
 			for _, ngpu := range []int{1, 2} {
 				for _, single := range []bool{false, true} {
-					avg := allocsPerPair(n, p, Options{
-						NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st,
-					})
-					limit := 0.0
-					if st == exchange.Staged {
-						units := np
-						if gran == PerSlab {
-							units = 1
+					for _, kmax := range []int{-1, n / 3} { // full, the 2/3 band
+						avg := allocsPerPair(n, p, kmax, Options{
+							NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st,
+						})
+						limit := 0.0
+						if st == exchange.Staged {
+							units := np
+							if gran == PerSlab {
+								units = 1
+							}
+							limit = 1.25 * wire * float64(2*units)
 						}
-						limit = 1.25 * wire * float64(2*units)
-					}
-					if avg > limit {
-						t.Errorf("%s gran=%d ngpu=%d single=%v: %.1f allocs per forward+inverse pair, want ≤ %.1f",
-							st, gran, ngpu, single, avg, limit)
+						if avg > limit {
+							t.Errorf("%s gran=%d ngpu=%d single=%v kmax=%d: %.1f allocs per forward+inverse pair, want ≤ %.1f",
+								st, gran, ngpu, single, kmax, avg, limit)
+						}
 					}
 				}
 			}

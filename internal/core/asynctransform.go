@@ -143,6 +143,7 @@ type asyncMetrics struct {
 	unpack   *metrics.Histogram
 	d2h      *metrics.Counter
 	strategy *metrics.Gauge
+	kmax     *metrics.Gauge
 }
 
 func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
@@ -152,6 +153,7 @@ func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 		unpack:   reg.HistogramRank("phase.unpack", rank),
 		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
 		strategy: reg.GaugeRank("exchange.strategy", rank),
+		kmax:     reg.GaugeRank("transform.kmax", rank),
 	}
 }
 
@@ -202,6 +204,10 @@ type AsyncSlabReal struct {
 	regT             [2]region
 	regY, regZ       region
 	regXFwd, regXInv region
+
+	// band is what the y and z line kernels are compiled for
+	// (Truncate; full at construction).
+	band grid.Band
 
 	met    *asyncMetrics
 	closed bool
@@ -300,9 +306,25 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	} else {
 		a.wire = newWire(a, bound, transpose.CopyStrided[complex128], transpose.CopyStrided[complex128])
 	}
-	a.compile()
+	a.Truncate(-1)
 	a.setStrategy(opt.Exchange)
 	return a
+}
+
+// Truncate band-limits the transform pair to the modes with every
+// |k_i| ≤ kmax (kmax < 0 or ≥ N/2: all of them, the state at
+// construction) by recompiling the op programs for that band — see
+// spectral.Transform.Truncate for the contract and compile for what
+// the kernels skip. Plan time; every rank truncates to the same band
+// between the same transforms. The per-worker plan caches keep the
+// plans of earlier bands.
+func (a *AsyncSlabReal) Truncate(kmax int) {
+	if a.closed {
+		return
+	}
+	a.band = grid.NewBand(a.n, kmax)
+	a.compile()
+	a.met.kmax.Set(float64(a.band.Kmax))
 }
 
 // setStrategy pins the transpose-exchange strategy of both directions
@@ -381,18 +403,33 @@ type region struct {
 	units bool
 }
 
-// compile builds the six op programs. Every plan the kernels run is
-// looked up here, one per worker and width including the vertical GPU
-// sub-splits of Fig 5, so neither plan construction nor a cache lookup
-// is left in the timed regions.
+// compile builds the six op programs for a.band. Every plan the kernels
+// run is looked up here, one per worker and width including the
+// vertical GPU sub-splits of Fig 5, so neither plan construction nor a
+// cache lookup is left in the timed regions.
+//
+// The band reaches the y and z passes only: each (pencil, device) line
+// kernel transforms the kb of its columns whose kx is inside it — a
+// cell left with none keeps its kernel, so the launch and event order
+// of Fig 4 does not depend on the band — and the y kernels, which see
+// the y-complete Fourier slab, also skip its out-of-band z-planes and
+// store the band's zeros (before the inverse's lines, after the
+// forward's). The pack kernels, the exchanges and the x passes move and
+// transform whole pencils as they always did.
 func (a *AsyncSlabReal) compile() {
 	n, nxh, mz, my, ngpu := a.n, a.nxh, a.s.MZ(), a.s.MY(), len(a.gpus)
+	zIn := make([]bool, mz)
+	for iz := range zIn {
+		zIn[iz] = a.band.Has(a.s.ZLo() + iz)
+	}
 	// line compiles an FFT pass along the middle axis of slab =
 	// [ma][n][nxh] over the x-split pencils: each kernel transforms its
-	// pencil's columns in place, at the slab's own stride. A packing
-	// region transposes: a pack kernel per cell moves the pencil into
-	// its unit's send blocks, mb rows per destination and plane.
-	line := func(slab *[]complex128, ma, mb int, exec func(*fft.Batch, []complex128, []complex128), dir exchange.Dir, packs bool) region {
+	// pencil's in-band columns in place, at the slab's own stride; planes
+	// is the z-plane table of a y pass, nil for a z pass (whose planes
+	// are physical y). A packing region transposes: a pack kernel per
+	// cell moves the pencil into its unit's send blocks, mb rows per
+	// destination and plane.
+	line := func(slab *[]complex128, ma, mb int, planes []bool, fwd bool, dir exchange.Dir, packs bool) region {
 		r := region{cells: make([]cell, a.np*ngpu), dir: dir, packs: packs, units: packs && a.gran == PerPencil}
 		for ip, xp := range a.xr {
 			for g, ctx := range a.gpus {
@@ -401,12 +438,15 @@ func (a *AsyncSlabReal) compile() {
 				if w == 0 {
 					continue
 				}
-				plans := make([]*fft.Batch, len(ctx.plans))
-				for wk, cache := range ctx.plans {
-					plans[wk] = cache.Batch(n, w, nxh, 1, nxh, 1)
+				k := &lineKernel{team: ctx.team, slab: slab, planes: planes, fwd: fwd,
+					nplanes: ma, n: n, nxh: nxh, off: xs.lo, w: w, kb: a.band.Width(xs.lo, xs.hi)}
+				k.gapLo, k.gapHi = a.band.Gap()
+				for _, cache := range ctx.plans {
+					k.plans = append(k.plans, cache.Batch(n, k.kb, nxh, 1, nxh, 1))
 				}
+				k.each = k.body
 				c := &r.cells[ip*ngpu+g]
-				c.compute = cuda.Op{Kind: "fft-line", Run: lineKernel(ctx.team, plans, exec, slab, ma, n*nxh, xs.lo)}
+				c.compute = cuda.Op{Kind: "fft-line", Run: k.run}
 				if !packs {
 					continue
 				}
@@ -421,10 +461,10 @@ func (a *AsyncSlabReal) compile() {
 		}
 		return r
 	}
-	a.regT[exchange.YZ] = line(&a.four, mz, my, (*fft.Batch).Inverse, exchange.YZ, true)
-	a.regT[exchange.ZY] = line(&a.mid, my, mz, (*fft.Batch).Forward, exchange.ZY, true)
-	a.regY = line(&a.four, mz, my, (*fft.Batch).Forward, 0, false)
-	a.regZ = line(&a.mid, my, mz, (*fft.Batch).Inverse, 0, false)
+	a.regT[exchange.YZ] = line(&a.four, mz, my, zIn, false, exchange.YZ, true)
+	a.regT[exchange.ZY] = line(&a.mid, my, mz, nil, true, exchange.ZY, true)
+	a.regY = line(&a.four, mz, my, zIn, true, 0, false)
+	a.regZ = line(&a.mid, my, mz, nil, false, 0, false)
 	// The x passes run r2c/c2r over the z-split pencils straight
 	// between the physical slab [my][nz][nx] and the mid slab.
 	for _, r := range []*region{&a.regXFwd, &a.regXInv} {
@@ -446,23 +486,52 @@ func (a *AsyncSlabReal) compile() {
 }
 
 // lineKernel is the compute kernel of one cell of a y or z pass: the
-// team's workers split the slab's planes (plane elements apart, the
-// pencil's columns starting at element off of each) and run the batch
-// in place. Planes are independent and every worker runs an identical
-// plan, so the output is bitwise invariant under the team size. Built
-// at plan time; the body is the hot path.
-//
+// team's workers split the slab's planes ([n][nxh] each, the cell's w
+// columns starting at element off of each) and run the kb-wide batch in
+// place. Planes are independent and every worker runs an identical
+// plan, so the output is bitwise invariant under the team size. A y
+// pass (planes non-nil: which of the slab's z-planes are in the band)
+// also stores the band's zeros over its columns — the whole span on an
+// out-of-band plane, else the rows and column tails outside the band,
+// ahead of the inverse lines and behind the forward ones. A z pass
+// needs none: inverse, the zeros arrive through the exchange; forward,
+// the y pass behind the exchange stores them. Built at plan time.
+type lineKernel struct {
+	team         *par.Team
+	plans        []*fft.Batch
+	slab         *[]complex128
+	planes       []bool
+	fwd          bool
+	nplanes      int
+	n, nxh       int
+	off, w, kb   int
+	gapLo, gapHi int
+	each         func(wk, lo, hi int) // body, bound once: the replay path builds no closure
+}
+
 //psdns:hotpath
-func lineKernel(team *par.Team, plans []*fft.Batch, exec func(*fft.Batch, []complex128, []complex128),
-	slab *[]complex128, nplanes, plane, off int) func() {
-	body := func(wk, lo, hi int) {
-		buf := *slab
-		for pl := lo; pl < hi; pl++ {
-			cols := buf[pl*plane+off : (pl+1)*plane]
-			exec(plans[wk], cols, cols)
+func (k *lineKernel) run() { k.team.ForWorkers(k.nplanes, k.each) }
+
+//psdns:hotpath
+func (k *lineKernel) body(wk, lo, hi int) {
+	buf, plane := *k.slab, k.n*k.nxh
+	for pl := lo; pl < hi; pl++ {
+		cols := buf[pl*plane+k.off : (pl+1)*plane]
+		switch {
+		case k.planes == nil && k.fwd:
+			k.plans[wk].Forward(cols, cols)
+		case k.planes == nil:
+			k.plans[wk].Inverse(cols, cols)
+		case !k.planes[pl]:
+			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, 0, 0, 0)
+		case k.fwd:
+			k.plans[wk].Forward(cols, cols)
+			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, k.kb, k.gapLo, k.gapHi)
+		default:
+			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, k.kb, k.gapLo, k.gapHi)
+			k.plans[wk].Inverse(cols, cols)
 		}
 	}
-	return func() { team.ForWorkers(nplanes, body) }
 }
 
 // realKernel is the compute kernel of one cell of an x pass: rows

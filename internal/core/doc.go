@@ -26,6 +26,14 @@
 // slab and runs one large blocking exchange (configuration C, the
 // winner at scale).
 //
+// Truncate band-limits the pair to |k_i| ≤ kmax (a dealiased solver
+// calls it with the 2/3 rule) by recompiling the y and z regions: each
+// (pencil, device) line kernel runs only its in-band columns, the y
+// kernels skip out-of-band z-planes and store the band's zeros, and a
+// cell left with no column keeps its (now empty) kernel so the Fig 4
+// launch and event order is independent of the band. Packs, exchanges
+// and the x regions still handle whole pencils.
+//
 // AsyncSlabReal implements spectral.Transform, so the full DNS can run
 // on the asynchronous pipeline; its results are bit-compatible with
 // the synchronous pfft.SlabReal reference. The companion performance

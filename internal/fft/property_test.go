@@ -158,3 +158,30 @@ func TestBatchEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The stage programs map an all-(+0) line to an all-(+0) line, in both
+// directions and both forms: the first input of every butterfly enters
+// untwiddled, so each output is (+0) ± (±0). The band-limited engines
+// rest on it — the lines they skip are lines whose result is known to
+// the bit (DESIGN §9). Bluestein lengths make no such promise.
+func TestZeroLineStaysPlusZero(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 8, 12, 16, 22, 26, 48, 60, 64, 70, 122, 128} {
+		for _, howmany := range []int{1, 7} { // line form, plane form
+			b := NewBatch(n, howmany, howmany, 1, howmany, 1)
+			if b.p.prog == nil {
+				t.Fatalf("n=%d is not a stage-program length", n)
+			}
+			for _, dir := range []Direction{Forward, Inverse} {
+				buf := make([]complex128, n*howmany)
+				b.exec(buf, buf, dir)
+				for i, v := range buf {
+					if math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0 {
+						t.Fatalf("n=%d howmany=%d dir=%d: element %d of a zero line is %v (sign bits %v, %v)",
+							n, howmany, dir, i, v, math.Signbit(real(v)), math.Signbit(imag(v)))
+					}
+				}
+			}
+			b.Release()
+		}
+	}
+}

@@ -137,5 +137,47 @@ func Wavenumber(i, n int) int {
 func MaxRealizableK(n int) int { return n / 2 }
 
 // DealiasCutoff is the 2/3-rule truncation radius: modes with any
-// |k| > N/3 are zeroed when forming nonlinear products.
+// |k| > N/3 are zeroed when forming nonlinear products. The modes kept
+// are those with every |k_i| ≤ DealiasKmax(n).
 func DealiasCutoff(n int) float64 { return float64(n) / 3.0 }
+
+// DealiasKmax is the 2/3-rule band as an integer: the largest |k_i| a
+// dealiased run retains, ⌊N/3⌋ (an integer k exceeds N/3 exactly when
+// it exceeds ⌊N/3⌋). The solver's mask, the random initial spectrum
+// and the band the solver hands its transform engine all come from
+// here.
+func DealiasKmax(n int) int { return n / 3 }
+
+// Band is the set of modes a band-limited transform retains on an
+// N-point grid: every |k_i| ≤ Kmax. Kmax = N/2 retains everything.
+type Band struct{ N, Kmax int }
+
+// NewBand returns the band |k_i| ≤ kmax; kmax < 0 or ≥ N/2 is the full
+// band.
+func NewBand(n, kmax int) Band {
+	if kmax < 0 || kmax > n/2 {
+		kmax = n / 2
+	}
+	return Band{N: n, Kmax: kmax}
+}
+
+// Has reports whether storage index i of a full (y or z) axis is in
+// the band.
+func (b Band) Has(i int) bool {
+	k := Wavenumber(i, b.N)
+	return -b.Kmax <= k && k <= b.Kmax
+}
+
+// Gap returns the storage indices [lo, hi) of a full axis that lie
+// outside the band — one contiguous run around the Nyquist index,
+// lo == hi when the band is full.
+func (b Band) Gap() (lo, hi int) {
+	lo = b.Kmax + 1
+	return lo, max(lo, b.N-b.Kmax)
+}
+
+// Width is the number of in-band indices in the span [lo, hi) of the
+// half-spectrum x axis (whose storage index is its wavenumber).
+func (b Band) Width(lo, hi int) int {
+	return max(0, min(hi, b.Kmax+1)-lo)
+}

@@ -149,3 +149,50 @@ func TestPaperGeometry18432(t *testing.T) {
 		t.Errorf("nyp=%d want 4608", b.NYP())
 	}
 }
+
+func TestDealiasKmaxAndBand(t *testing.T) {
+	for _, c := range []struct{ n, kmax int }{{12, 4}, {16, 5}, {48, 16}, {64, 21}} {
+		if got := DealiasKmax(c.n); got != c.kmax {
+			t.Errorf("DealiasKmax(%d) = %d, want %d", c.n, got, c.kmax)
+		}
+		// ⌊N/3⌋ is the float rule: k is kept exactly when k ≤ N/3.
+		for k := 0; k <= c.n/2; k++ {
+			if (float64(k) <= DealiasCutoff(c.n)) != (k <= c.kmax) {
+				t.Errorf("N=%d k=%d: float and integer cutoffs disagree", c.n, k)
+			}
+		}
+	}
+	const n = 16
+	for _, kmax := range []int{-3, -1, 8, 9, 100} {
+		if b := NewBand(n, kmax); b.Kmax != n/2 {
+			t.Errorf("NewBand(%d, %d).Kmax = %d, want the full band %d", n, kmax, b.Kmax, n/2)
+		}
+	}
+	for kmax := 0; kmax <= n/2; kmax++ {
+		b := NewBand(n, kmax)
+		lo, hi := b.Gap()
+		for i := 0; i < n; i++ {
+			k := Wavenumber(i, n)
+			in := -kmax <= k && k <= kmax
+			if b.Has(i) != in {
+				t.Errorf("kmax=%d: Has(%d) = %v, |k| = |%d|", kmax, i, b.Has(i), k)
+			}
+			if (lo <= i && i < hi) == in {
+				t.Errorf("kmax=%d: index %d (k=%d) in band %v but gap is [%d,%d)", kmax, i, k, in, lo, hi)
+			}
+		}
+		for xlo := 0; xlo <= n/2+1; xlo++ {
+			for xhi := xlo; xhi <= n/2+1; xhi++ {
+				want := 0
+				for x := xlo; x < xhi; x++ {
+					if x <= kmax {
+						want++
+					}
+				}
+				if got := b.Width(xlo, xhi); got != want {
+					t.Errorf("kmax=%d: Width(%d,%d) = %d, want %d", kmax, xlo, xhi, got, want)
+				}
+			}
+		}
+	}
+}

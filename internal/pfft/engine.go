@@ -55,8 +55,17 @@ type Engine struct {
 	n    int
 	team *par.Team
 	// Per-worker plans (plans carry scratch and are not concurrency-safe).
-	byz []*fft.Batch     // y lines of a C z-plane, z lines of a B y-plane: [N][Wc]
+	byz []*fft.Batch     // y lines of a C z-plane, z lines of a B y-plane: the kb in-band columns of [N][Wc]
 	bx  []*fft.RealBatch // the Mz half-spectrum ↔ real x lines of a y-plane
+
+	// The band the y and z passes transform (Truncate; full at
+	// construction): kb of this rank's Wc columns hold a kx inside it,
+	// zIn marks C's z-planes whose kz is, [gapLo, gapHi) are the ky
+	// storage rows that are not.
+	kb           int
+	zIn          []bool
+	gapLo, gapHi int
+	kmax         *metrics.Gauge // transform.kmax
 
 	x   []complex128 // X, padded to PadXLen for publication
 	mid []complex128 // B; the same buffer as x when Pc = 1
@@ -209,11 +218,15 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 
 		stratYZ: reg.GaugeRank("exchange.strategy", rank),
 		stratZY: reg.GaugeRank("exchange.strategy.zy", rank),
+		kmax:    reg.GaugeRank("transform.kmax", rank),
+
+		byz: make([]*fft.Batch, workers),
+		zIn: make([]bool, l.Mz2),
 	}
 	for w := 0; w < workers; w++ {
-		f.byz = append(f.byz, fft.NewBatch(n, l.Wc, l.Wc, 1, l.Wc, 1))
 		f.bx = append(f.bx, fft.NewRealBatch(n, l.Mz, 1, n, 1, l.Nxh))
 	}
+	f.Truncate(-1)
 	// The row stage is the slab transpose of [Mz2][Ny][Wc]. Staging
 	// slabs and the stage exist only in the precision the exchange ships.
 	rl := transpose.NewSlabLayout(l.Wc, n, l.Mz2, l.Pr)
@@ -319,16 +332,31 @@ func (f *Engine) buildBodies() {
 	l := f.l
 	cp := f.n * l.Wc               // one z-plane of C, one y-plane of B
 	xp, pp := l.Mz*l.Nxh, l.Mz*f.n // one y-plane of X, of the physical pencil
+	// The y pass owns the band's zeros: the inverse stores them over
+	// whatever the caller left outside the band before its lines run
+	// (they reach B through the exchange, where the z lines and the x
+	// pass read them), the forward over the untransformed remainder
+	// after. A plane whose kz is outside the band is all zeros.
 	f.invYBody = func(w, lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
 			plane := f.curFour[iz*cp : (iz+1)*cp]
+			if !f.zIn[iz] {
+				clear(plane)
+				continue
+			}
+			transpose.ZeroOutOfBand(plane, f.n, l.Wc, l.Wc, f.kb, f.gapLo, f.gapHi)
 			f.byz[w].Inverse(plane, plane)
 		}
 	}
 	f.fwdYBody = func(w, lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
 			plane := f.curFour[iz*cp : (iz+1)*cp]
+			if !f.zIn[iz] {
+				clear(plane)
+				continue
+			}
 			f.byz[w].Forward(plane, plane)
+			transpose.ZeroOutOfBand(plane, f.n, l.Wc, l.Wc, f.kb, f.gapLo, f.gapHi)
 		}
 	}
 	if f.col == nil {
@@ -389,6 +417,42 @@ func (f *Engine) buildBodies() {
 	f.widenMidBody = func(_, lo, hi int) {
 		transpose.WidenStrided(f.mid[lo*cp:], cp, f.mid32[lo*cp:], cp, cp, hi-lo)
 	}
+}
+
+// Truncate band-limits the transform pair to the modes with every
+// |k_i| ≤ kmax (kmax < 0 or ≥ N/2: all of them, the state at
+// construction). Afterwards FourierToPhysical takes every mode outside
+// the band as zero without reading it, and PhysicalToFourier returns
+// exactly +0 there; inside the band both produce, bit for bit, what
+// the full transform produces from a spectrum that is +0 outside it
+// (the stage programs of internal/fft map an all-(+0) line to an
+// all-(+0) line, so the lines skipped are lines whose result is known).
+//
+// The saving is in the y and z passes, which run only the lines whose
+// other two wavenumbers are in the band: the per-worker y/z batch is
+// rebuilt at this rank's in-band width kb = |[XLo, XLo+Wc) ∩ [0, kmax]|
+// (stride still Wc; the old plans are released), and the y pass skips
+// C's out-of-band z-planes. The x pass and the exchanges are untouched
+// — the exchanges still move whole slabs, which is how the zeros the
+// inverse needs reach B. Plan time, not hot path; every rank of the
+// grid must truncate to the same band between the same transforms.
+func (f *Engine) Truncate(kmax int) {
+	if f.closed {
+		return
+	}
+	l, band := f.l, grid.NewBand(f.n, kmax)
+	f.kb = band.Width(l.XLo, l.XLo+l.Wc)
+	f.gapLo, f.gapHi = band.Gap()
+	for iz := range f.zIn {
+		f.zIn[iz] = band.Has(l.YRank*l.Mz2 + iz)
+	}
+	for w, b := range f.byz {
+		if b != nil {
+			b.Release()
+		}
+		f.byz[w] = fft.NewBatch(f.n, f.kb, l.Wc, 1, l.Wc, 1)
+	}
+	f.kmax.Set(float64(band.Kmax))
 }
 
 // Layout reports the grid geometry.

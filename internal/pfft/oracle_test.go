@@ -54,8 +54,19 @@ func naiveOracle(n int) *oracle {
 			}
 		}
 	}
-	// Inverse over the full spectrum, the kx > N/2 half by conjugate
-	// symmetry û(−k) = conj û(k).
+	o.invert()
+	return o
+}
+
+// invert fills back with the naive inverse of spec over the full
+// spectrum, the kx > N/2 half by conjugate symmetry û(−k) = conj û(k).
+func (o *oracle) invert() {
+	n, nxh := o.n, o.n/2+1
+	w := make([]complex128, n) // e^{+2πi j/N}
+	for j := range w {
+		s, c := math.Sincos(2 * math.Pi * float64(j) / float64(n))
+		w[j] = complex(c, s)
+	}
 	full := func(kx, ky, kz int) complex128 {
 		if kx < nxh {
 			return o.spec[(kz*n+ky)*nxh+kx]
@@ -69,7 +80,7 @@ func naiveOracle(n int) *oracle {
 				for kz := 0; kz < n; kz++ {
 					for ky := 0; ky < n; ky++ {
 						for kx := 0; kx < n; kx++ {
-							sum += full(kx, ky, kz) * cmplx.Conj(w[(kx*x+ky*y+kz*z)%n])
+							sum += full(kx, ky, kz) * w[(kx*x+ky*y+kz*z)%n]
 						}
 					}
 				}
@@ -77,7 +88,22 @@ func naiveOracle(n int) *oracle {
 			}
 		}
 	}
-	return o
+}
+
+// masked is the oracle of the transform band-limited to |k_i| ≤ kmax:
+// the same field, its spectrum zeroed outside the band, and the naive
+// inverse of that.
+func (o *oracle) masked(kmax int) *oracle {
+	n, nxh := o.n, o.n/2+1
+	m := &oracle{n: n, phys: o.phys, spec: make([]complex128, len(o.spec)), back: make([]float64, len(o.back))}
+	out := func(i int) bool { return min(i, n-i) > kmax }
+	for i, v := range o.spec {
+		if !out(i%nxh) && !out(i/nxh%n) && !out(i/nxh/n) {
+			m.spec[i] = v
+		}
+	}
+	m.invert()
+	return m
 }
 
 // checkAgainstOracle runs build's engine on p ranks and compares its
@@ -168,5 +194,14 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 				}
 			}
 		}
+		// One band-limited case per size, against the masked sums: the
+		// 2/3 band on a grid with both exchanges.
+		kmax := n / 3
+		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax), 4, 1e-12, func(c *mpi.Comm) *Engine {
+			row, col := c.CartGrid(2, 2)
+			f := NewPencilReal(col, row, n, 3, exchange.Both(exchange.ChunkedFused))
+			f.Truncate(kmax)
+			return f
+		})
 	}
 }

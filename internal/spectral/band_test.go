@@ -1,0 +1,187 @@
+package spectral
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exchange"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+	"repro/internal/pfft"
+)
+
+// The solver's mask, the band it hands its engine and grid.DealiasKmax
+// are one definition: mask ≡ {every |k_i| ≤ DealiasKmax}, which is also
+// the float compare k > N/3 the mask used to be built from. N = 48
+// keeps k = 16 = N/3 exactly (the pinned scalar_rk4_n48 golden depends
+// on it); without dealiasing the mask keeps everything.
+func TestDealiasMaskIsTheBand(t *testing.T) {
+	for _, n := range []int{12, 16, 48, 64} {
+		kmax := grid.DealiasKmax(n)
+		if kmax != n/3 {
+			t.Fatalf("DealiasKmax(%d) = %d", n, kmax)
+		}
+		for _, da := range []Dealias{DealiasNone, Dealias23, Dealias23Shift} {
+			mpi.Run(2, func(c *mpi.Comm) {
+				s := New(c, n, WithDealias(da))
+				defer s.Close()
+				idx := 0
+				for _, kz := range s.kzs {
+					for _, ky := range s.kys {
+						for _, kx := range s.kxs {
+							in := math.Abs(kx) <= float64(kmax) && math.Abs(ky) <= float64(kmax) && math.Abs(kz) <= float64(kmax)
+							if old := !(kx > float64(n)/3 || math.Abs(ky) > float64(n)/3 || math.Abs(kz) > float64(n)/3); old != in {
+								t.Errorf("N=%d k=(%g,%g,%g): |k_i| ≤ %d is %v, the float compare %v", n, kx, ky, kz, kmax, in, old)
+							}
+							if want := in || da == DealiasNone; s.mask[idx] != want {
+								t.Errorf("N=%d dealias %d k=(%g,%g,%g): mask %v, want %v", n, da, kx, ky, kz, s.mask[idx], want)
+							}
+							idx++
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// bandEngines are the two solver-capable engines, built with pinned
+// strategies so construction runs no trials.
+var bandEngines = []struct {
+	name  string
+	build func(c *mpi.Comm, n int) Transform
+}{
+	{"pfft", func(c *mpi.Comm, n int) Transform {
+		return pfft.NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused)
+	}},
+	{"async", func(c *mpi.Comm, n int) Transform {
+		return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Workers: 2, Exchange: exchange.ChunkedFused})
+	}},
+}
+
+// fullTransform is an engine that ignores the band: the solver on it
+// runs every line of every transform, as before the band existed.
+type fullTransform struct{ Transform }
+
+func (fullTransform) Truncate(int) {}
+
+// Telling the engine the band changes no bit of a step: the same state
+// stepped on an engine and on that engine's twin with Truncate disabled
+// agrees in every field after each of three steps of changing dt, signs
+// of zero included. The negated Taylor–Green start holds most in-band
+// modes, and a whole component, at −0.
+func TestTruncatedStepMatchesFullBitwise(t *testing.T) {
+	const n = 16
+	dts := []float64{4e-3, 2.5e-3, 3.1e-3}
+	for _, sys := range refSystems {
+		if sys.name == "mixed-kappa" {
+			continue
+		}
+		for _, sch := range []Scheme{RK2, RK4} {
+			for _, da := range []Dealias{Dealias23, Dealias23Shift} {
+				for _, p := range []int{1, 2, 4} {
+					for _, eng := range bandEngines {
+						for _, ic := range []string{"random", "neg-taylor-green"} {
+							name := fmt.Sprintf("%s/scheme%d/dealias%d/p%d/%s/%s", sys.name, sch, da, p, eng.name, ic)
+							opts := func(tr Transform) []Option {
+								return append([]Option{WithNu(0.01), WithScheme(sch), WithDealias(da), WithTransform(tr)}, sys.opts(0.01)...)
+							}
+							mpi.Run(p, func(c *mpi.Comm) {
+								trBand, trFull := eng.build(c, n), eng.build(c, n)
+								defer trBand.(interface{ Close() }).Close()
+								defer trFull.(interface{ Close() }).Close()
+								banded, full := New(c, n, opts(trBand)...), New(c, n, opts(fullTransform{trFull})...)
+								defer banded.Close()
+								defer full.Close()
+								for _, s := range []*Solver{banded, full} {
+									for f := 3; f < s.Fields(); f++ {
+										s.SetFieldBlob(f, 2.5, 0.5, int64(40+f))
+									}
+									if ic == "random" {
+										s.SetRandomIsotropic(2.5, 0.3, 17)
+										continue
+									}
+									s.SetTaylorGreen()
+									for _, u := range s.state {
+										for i := range u {
+											u[i] = -u[i]
+										}
+									}
+								}
+								for step, dt := range dts {
+									banded.Step(dt)
+									full.Step(dt)
+									// No early return: a rank that stopped stepping
+									// would hang its peers' collectives.
+									sameBits(t, name, c.Rank(), step, "field", banded.state, full.state)
+								}
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// State outside the band is inert: one extra mode beyond N/3 — in x, in
+// y or in z — leaves every other mode of a three-step run bit for bit
+// what it is without it, and itself only decays, by the integrating
+// factor exp(−ν·k²·dt) per step. (On a full transform it would enter
+// every product and alias back into the band.)
+func TestOutOfBandStateIsInert(t *testing.T) {
+	const (
+		n  = 16
+		nu = 0.01
+	)
+	dts := []float64{4e-3, 2.5e-3, 3.1e-3}
+	extra := complex(0.3*float64(n*n*n), -0.2*float64(n*n*n)) // O(1) in math units
+	for _, k := range [][3]int{{7, 1, 2}, {2, 7, 1}, {1, 2, -6}, {6, -8, 3}} {
+		for _, sch := range []Scheme{RK2, RK4} {
+			for _, eng := range bandEngines {
+				name := fmt.Sprintf("k=%v/scheme%d/%s", k, sch, eng.name)
+				mpi.Run(2, func(c *mpi.Comm) {
+					trA, trB := eng.build(c, n), eng.build(c, n)
+					defer trA.(interface{ Close() }).Close()
+					defer trB.(interface{ Close() }).Close()
+					opts := func(tr Transform) []Option {
+						return []Option{WithNu(nu), WithScheme(sch), WithDealias(Dealias23), WithTransform(tr)}
+					}
+					clean, dirty := New(c, n, opts(trA)...), New(c, n, opts(trB)...)
+					defer clean.Close()
+					defer dirty.Close()
+					clean.SetRandomIsotropic(2.5, 0.3, 17)
+					dirty.SetRandomIsotropic(2.5, 0.3, 17)
+					// The extra mode, where this rank owns it (kx > 0: no
+					// conjugate partner in the stored half-spectrum).
+					at := -1
+					if gz := (k[2] + n) % n; dirty.slab.ZOwner(gz) == c.Rank() {
+						at = ((gz-dirty.slab.ZLo())*n+(k[1]+n)%n)*dirty.nxh + k[0]
+						if dirty.mask[at] || dirty.Uh[1][at] != 0 {
+							t.Errorf("%s: mode %d is not an empty out-of-band mode", name, at)
+						}
+						dirty.Uh[1][at] = extra
+					}
+					want := extra
+					for step, dt := range dts {
+						clean.Step(dt)
+						dirty.Step(dt)
+						want *= complex(math.Exp(-nu*float64(k[0]*k[0]+k[1]*k[1]+k[2]*k[2])*dt), 0)
+						if at >= 0 {
+							if got := dirty.Uh[1][at]; got != want {
+								t.Errorf("%s: rank %d step %d: the extra mode is %v, its viscous decay %v", name, c.Rank(), step, got, want)
+							}
+							dirty.Uh[1][at] = 0 // compare the rest, put it back after
+						}
+						sameBits(t, name, c.Rank(), step, "field", dirty.state, clean.state)
+						if at >= 0 {
+							dirty.Uh[1][at] = want
+						}
+					}
+				})
+			}
+		}
+	}
+}

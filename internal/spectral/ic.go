@@ -120,7 +120,7 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 	}
 	k := math.Sqrt(k2)
 	// Keep the spectrum inside the dealiased band.
-	if kx > float64(n)/3 || math.Abs(ky) > float64(n)/3 || math.Abs(kz) > float64(n)/3 {
+	if band := grid.NewBand(n, grid.DealiasKmax(n)); !band.Has(ix) || !band.Has(iy) || !band.Has(gz) {
 		return v
 	}
 	rng := rand.New(rand.NewSource(seed ^ int64(((gz*n)+iy)*(n/2+1)+ix)*2654435761))

@@ -77,7 +77,8 @@ func (t *timedTransform) PhysicalToFourier(four []complex128, phys []float64) {
 	*t.secs += time.Since(t0).Seconds()
 }
 
-func (t *timedTransform) Slab() grid.Slab  { return t.inner.Slab() }
-func (t *timedTransform) NXH() int         { return t.inner.NXH() }
-func (t *timedTransform) FourierLen() int  { return t.inner.FourierLen() }
-func (t *timedTransform) PhysicalLen() int { return t.inner.PhysicalLen() }
+func (t *timedTransform) Truncate(kmax int) { t.inner.Truncate(kmax) }
+func (t *timedTransform) Slab() grid.Slab   { return t.inner.Slab() }
+func (t *timedTransform) NXH() int          { return t.inner.NXH() }
+func (t *timedTransform) FourierLen() int   { return t.inner.FourierLen() }
+func (t *timedTransform) PhysicalLen() int  { return t.inner.PhysicalLen() }

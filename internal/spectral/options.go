@@ -52,7 +52,10 @@ func WithDealias(d Dealias) Option {
 
 // WithTransform runs the solver on a caller-chosen transform engine
 // (e.g. the batched asynchronous pipeline of internal/core) instead of
-// the synchronous slab default.
+// the synchronous slab default. The solver truncates the engine to its
+// dealiasing band (Transform.Truncate) and Close restores the full
+// transform, so solvers sharing one engine must share one Dealias
+// setting.
 func WithTransform(tr Transform) Option {
 	return func(o *solverOptions) { o.tr = tr }
 }

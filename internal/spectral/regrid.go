@@ -25,6 +25,10 @@ type regridPacket struct {
 // smaller) grid size. Modes representable on both grids are copied
 // (with the code-unit rescaling (N2/N1)³); Nyquist planes of the
 // smaller grid are dropped, the standard band-limited convention.
+// Regridding down keeps what the smaller grid can represent, which is
+// more than its 2/3 band: a dealiased dst carries the modes between
+// N2/3 and N2/2 as inert state (see Dealias23) — they decay and count
+// in the spectral diagnostics but enter no product.
 // Collective on the shared communicator.
 func Regrid(dst, src *Solver) {
 	if dst.comm != src.comm {

@@ -39,7 +39,17 @@ const (
 	// DealiasNone applies no truncation (only for analytic tests whose
 	// spectra vanish well below the grid cutoff).
 	DealiasNone Dealias = iota
-	// Dealias23 zeroes every mode with |k_i| > N/3 (2/3-rule).
+	// Dealias23 zeroes every mode with |k_i| > N/3 (2/3-rule) in each
+	// nonlinear term, and tells the transform engine so
+	// (Transform.Truncate at grid.DealiasKmax): the engine neither
+	// computes the coefficients the mask would overwrite nor reads the
+	// factors' modes outside the band. The rule assumes band-limited
+	// factors, and a state the solver itself produced is — so stepping
+	// is bit for bit what it is on a full transform. State put outside
+	// the band by hand (writing Uh, SetFieldSingleMode beyond N/3,
+	// Regrid onto a smaller grid) is inert: it decays by its
+	// integrating factor and shows in the spectral diagnostics, but
+	// never enters a product.
 	Dealias23
 	// Dealias23Shift combines 2/3 truncation with grid phase shifting,
 	// the Rogallo treatment referenced in §2.
@@ -65,6 +75,15 @@ type Transform interface {
 	FourierToPhysical(phys []float64, four []complex128)
 	// PhysicalToFourier is the unnormalized adjoint direction.
 	PhysicalToFourier(four []complex128, phys []float64)
+	// Truncate band-limits both directions to the modes with every
+	// |k_i| ≤ kmax; kmax < 0 or ≥ N/2 is the full transform. After it
+	// FourierToPhysical does not read the modes outside the band (they
+	// are taken as zero) and PhysicalToFourier returns exactly +0
+	// there, while every mode inside is, bit for bit, what the full
+	// transform gives for a spectrum that is +0 outside — so an engine
+	// may skip the y and z lines that are zero by construction. Plan
+	// time; every rank truncates to the same band.
+	Truncate(kmax int)
 	Slab() grid.Slab
 	NXH() int
 	FourierLen() int
@@ -145,6 +164,7 @@ type Solver struct {
 	k2z []int
 
 	mask []bool // dealias mask over the local slab (true = keep)
+	kmax int    // the mask's band, which the transform is truncated to
 
 	step  int
 	time  float64
@@ -197,7 +217,9 @@ func (s *Solver) Close() {
 		if c, ok := s.Transform().(interface{ Close() }); ok {
 			c.Close()
 		}
+		return
 	}
+	s.tr.Truncate(-1) // the caller's engine goes back as it came: full
 }
 
 // OwnTransform transfers ownership of a caller-supplied transform to
@@ -242,6 +264,15 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	// Wrap the engine so transform time is attributable; Transform()
 	// hands back the unwrapped engine.
 	s.tr = &timedTransform{inner: tr, secs: &s.trSecs}
+	// The band every product is dealiased to is the band the engine
+	// needs to transform.
+	kmax := -1 // DealiasNone: every mode
+	if cfg.Dealias != DealiasNone {
+		kmax = grid.DealiasKmax(cfg.N)
+	}
+	band := grid.NewBand(cfg.N, kmax)
+	s.kmax = band.Kmax
+	s.tr.Truncate(s.kmax)
 	fl, pl := tr.FourierLen(), tr.PhysicalLen()
 	fields := func() [][]complex128 {
 		f := make([][]complex128, nf)
@@ -304,20 +335,11 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	s.k2x, s.k2y, s.k2z = squares(s.kxs), squares(s.kys), squares(s.kzs)
 
 	s.mask = make([]bool, fl)
-	cut := grid.DealiasCutoff(n)
 	idx := 0
 	for iz := 0; iz < mz; iz++ {
-		kz := math.Abs(s.kzs[iz])
 		for iy := 0; iy < n; iy++ {
-			ky := math.Abs(s.kys[iy])
 			for ix := 0; ix < s.nxh; ix++ {
-				keep := true
-				if cfg.Dealias != DealiasNone {
-					if s.kxs[ix] > cut || ky > cut || kz > cut {
-						keep = false
-					}
-				}
-				s.mask[idx] = keep
+				s.mask[idx] = band.Has(s.slab.ZLo()+iz) && band.Has(iy) && band.Has(ix)
 				idx++
 			}
 		}
@@ -355,6 +377,12 @@ func (s *Solver) N() int { return s.cfg.N }
 
 // Slab reports the decomposition geometry of this rank.
 func (s *Solver) Slab() grid.Slab { return s.slab }
+
+// Kmax reports the band the solver transforms: every product is
+// dealiased to, and the engine truncated to, the modes with all
+// |k_i| ≤ Kmax — grid.DealiasKmax(N) under the 2/3 rule, N/2 (every
+// mode) without dealiasing.
+func (s *Solver) Kmax() int { return s.kmax }
 
 // Time reports the current simulation time.
 func (s *Solver) Time() float64 { return s.time }

@@ -37,6 +37,28 @@ func CopyStrided[T any](dst []T, dstStride int, src []T, srcStride, rowLen, nrow
 	}
 }
 
+// ZeroOutOfBand stores +0 over what a band-limited transform drops
+// from the w columns of a y-complete plane [n][stride] (rows are ky
+// storage indices, plane[0] is the first of the w columns): all w
+// columns of the rows [gapLo, gapHi) outside the band, and the columns
+// [kb, w) past the band's x width in every other row. kb = 0 clears the
+// columns outright (a plane whose kz is outside the band); kb = w with
+// an empty gap — the full band — touches nothing.
+//
+//psdns:hotpath
+func ZeroOutOfBand(plane []complex128, n, stride, w, kb, gapLo, gapHi int) {
+	if kb == w && gapLo >= gapHi {
+		return
+	}
+	for r, off := 0, 0; r < n; r, off = r+1, off+stride {
+		row := plane[off : off+w]
+		if r < gapLo || r >= gapHi {
+			row = row[kb:]
+		}
+		clear(row)
+	}
+}
+
 // --- Slab transposes (1D decomposition) -------------------------------
 //
 // Fourier-side layout:  [mz][ny][nxh]  (x fastest, z-distributed)

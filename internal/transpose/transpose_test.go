@@ -1,6 +1,7 @@
 package transpose
 
 import (
+	"math"
 	"testing"
 )
 
@@ -365,4 +366,31 @@ func TestPackPanicsOnShortBuffer(t *testing.T) {
 		}
 	}()
 	PackYZ(make([]complex128, 3), make([]complex128, 100), 2, 10, 5, 2)
+}
+
+func TestZeroOutOfBand(t *testing.T) {
+	const n, stride, off, w = 8, 7, 2, 4
+	for _, c := range []struct{ kb, gapLo, gapHi int }{
+		{4, 5, 5}, // the full band: nothing cleared
+		{4, 3, 6}, // rows only
+		{1, 9, 9}, // column tails only
+		{2, 3, 6},
+		{0, 0, 0}, // an out-of-band plane: the whole span
+	} {
+		plane := make([]complex128, n*stride)
+		for i := range plane {
+			plane[i] = complex(float64(i+1), -1)
+		}
+		ZeroOutOfBand(plane[off:], n, stride, w, c.kb, c.gapLo, c.gapHi)
+		for i, v := range plane {
+			r, x := i/stride, i%stride-off
+			cleared := x >= 0 && x < w && (x >= c.kb || (r >= c.gapLo && r < c.gapHi))
+			if cleared && (math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0) {
+				t.Errorf("%+v: row %d column %d not +0: %v", c, r, x, v)
+			}
+			if !cleared && v != complex(float64(i+1), -1) {
+				t.Errorf("%+v: row %d column %d overwritten: %v", c, r, x, v)
+			}
+		}
+	}
 }
