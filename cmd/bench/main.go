@@ -15,6 +15,15 @@
 //     with rotation (the registry's non-trivial equation sets);
 //   - mailbox_fanin_p8: point-to-point fan-in through the in-process
 //     runtime's mailboxes;
+//   - barrier_skew_p2 / barrier_skew_p4: a barrier between unequal
+//     shares of real work — every rank sweeps a 1 MiB array, rank 1
+//     thirty percent more of it, then all meet; ns/op on the slow rank.
+//     What a waiting rank pays to get going again shows up here as time
+//     above the sweep (the benchmark's mpi.barrier_us, a tight loop of
+//     empty barriers, cannot see it: there the idle processor is still
+//     spinning in the scheduler when the release comes). At P = 2 on two
+//     threads the ranks poll for each other; at P = 4 they outnumber
+//     the threads and park;
 //   - pack_unpack_yz: the host transpose pack/unpack kernel pair;
 //   - exchange_{staged,fused,chunked}_n{64,128}: the isolated y→z
 //     transpose-exchange at P=4 under each pinned strategy (staged
@@ -507,6 +516,45 @@ func mailboxFanIn(p, words int) func(iters, workers int) sample {
 	}
 }
 
+// barrierSkew measures a barrier that ranks reach at different times
+// because they did different amounts of work, as the exchanges of a
+// step do: every rank sweeps a 1 MiB array (the work has to touch
+// memory — a peer that only spins on the clock leaves the waiting
+// rank's processor warm and hides most of the wake-up), rank 1 sweeps
+// 30 % more, then all meet. Rank 1 samples: it never waits for lack of
+// work, so every nanosecond above its own sweep is a peer that was
+// released late from the barrier before and so arrived late at this one.
+func barrierSkew(p int) func(iters, workers int) sample {
+	return func(iters, _ int) sample {
+		var s sample
+		mpi.Run(p, func(c *mpi.Comm) {
+			buf := make([]float64, 1<<17)
+			n := len(buf)
+			if c.Rank() == 1 {
+				n += n * 3 / 10
+			}
+			op := func() {
+				for j := 0; j < n; j++ {
+					buf[j&(len(buf)-1)] += 1
+				}
+				c.Barrier()
+			}
+			c.Barrier()
+			if c.Rank() == 1 {
+				s = timeLoop(iters, 2, op)
+			} else {
+				for i := 0; i < iters+2; i++ {
+					op()
+				}
+			}
+			// Hold every rank until measurement ends so teardown
+			// allocations can't publish into the window's profile flush.
+			c.Barrier()
+		})
+		return s
+	}
+}
+
 // exchangeYZ measures the isolated y→z transpose-exchange of one
 // Fourier slab under a pinned strategy: staged is the pack →
 // persistent all-to-all → unpack triple, fused and chunked go through
@@ -693,6 +741,8 @@ var workloads = []workload{
 	{"step_scalar_n64", 8, 2, true, dnsStep(64, 4,
 		spectral.WithRotation(2.0), spectral.WithScalars(2, 1.0, 0.7), spectral.WithScalarGradient(1.0))},
 	{"mailbox_fanin_p8", 2000, 400, false, mailboxFanIn(8, 128)},
+	{"barrier_skew_p2", 4000, 800, true, barrierSkew(2)},
+	{"barrier_skew_p4", 4000, 800, true, barrierSkew(4)},
 	{"pack_unpack_yz", 4000, 800, true, packUnpack(33, 64, 16, 4)},
 	{"exchange_staged_n64", 400, 80, true, exchangeYZ(64, 4, exchange.Staged)},
 	{"exchange_fused_n64", 400, 80, true, exchangeYZ(64, 4, exchange.Fused)},

@@ -2,9 +2,11 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -18,6 +20,17 @@ type world struct {
 	boxes   []*mailbox // boxes[src*size+dst]
 	barrier *barrier
 	reg     *metrics.Registry
+
+	// poll is the world's wait policy, derived once by run from what the
+	// runtime can observe and handed unchanged to Split sub-worlds: true
+	// when every rank goroutine can hold a processor for the whole run,
+	// so a rank that reaches a barrier early polls for its peers the way
+	// an MPI rank does; false when ranks outnumber processors and a
+	// waiting rank must give its thread away (see barrier.wait).
+	poll bool
+	// waits are the per-rank wait-accounting handles, fetched here so a
+	// barrier with metrics off costs one atomic load.
+	waits []waitMetrics
 
 	// watch is the stall watchdog's bookkeeping; nil on unmonitored
 	// worlds. Split sub-worlds run their own watchState under the
@@ -61,6 +74,15 @@ type world struct {
 func newWorld(p int, reg *metrics.Registry, f *faultState) *world {
 	w := &world{size: p, reg: reg, faults: f}
 	w.barrier = newBarrier(p)
+	w.waits = make([]waitMetrics, p)
+	for r := range w.waits {
+		w.waits[r] = waitMetrics{
+			polled: reg.CounterRank("mpi.wait.polled", r),
+			parked: reg.CounterRank("mpi.wait.parked", r),
+			wake:   reg.HistogramRank("mpi.wait.wake.ns", r),
+			policy: reg.GaugeRank("mpi.wait.policy", r),
+		}
+	}
 	w.boxes = make([]*mailbox, p*p)
 	for src := 0; src < p; src++ {
 		for dst := 0; dst < p; dst++ {
@@ -205,8 +227,9 @@ type commMetrics struct {
 	a2aWait              *metrics.Histogram
 	barrierWait          *metrics.Histogram
 	// exchGather records the wall time of each fused-exchange gather
-	// pass in nanoseconds (see ExchangePlan.Do).
-	exchGather *metrics.Histogram
+	// pass in nanoseconds, exchEntry and exchExit the time in the
+	// barrier before and after it (see ExchangePlan.Do).
+	exchGather, exchEntry, exchExit *metrics.Histogram
 	// staleness records the per-peer epoch lag each DoBounded gather
 	// observed (zero when the peer had published the current epoch);
 	// staleSlabs counts the peer slabs accepted with lag > 0.
@@ -230,6 +253,8 @@ func (c *Comm) m() *commMetrics {
 			a2aWait:     r.HistogramRank("mpi.a2a.wait", c.rank),
 			barrierWait: r.HistogramRank("mpi.barrier.wait", c.rank),
 			exchGather:  r.HistogramRank("exchange.gather.ns", c.rank),
+			exchEntry:   r.HistogramRank("exchange.wait.entry.ns", c.rank),
+			exchExit:    r.HistogramRank("exchange.wait.exit.ns", c.rank),
 			staleness:   r.HistogramRank("exchange.staleness", c.rank),
 			staleSlabs:  r.CounterRank("exchange.stale.slabs", c.rank),
 		}
@@ -344,7 +369,10 @@ func run(p int, fn func(*Comm), reg *metrics.Registry, opts []RunOption) error {
 	if err != nil {
 		return err
 	}
+	// Ranks poll for their peers only while each can keep a processor
+	// for the whole run; oversubscribed ranks must yield their thread.
 	w := newWorld(p, cfg.reg, fs)
+	w.poll = p <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	if !cfg.wd.Off {
 		w.wd, w.wdOn = cfg.wd.withDefaults(), true
 		w.watch = newWatchState(w.wd, p)
@@ -398,14 +426,52 @@ func panicErr(e any) error {
 	return fmt.Errorf("%v", e)
 }
 
-// barrier is a reusable counting barrier that can be aborted.
+// pollFor is how long a rank of a polling world polls for its peers
+// before it parks. It has to outlast an ordinary wait (≈ 0.45 ms on the
+// N = 64 slab step), not merely a wake-up: a budget that often lapses
+// pays for the spin and the park both (EXPERIMENTS.md "Polling waits"
+// has the sweep — 50 µs ties with no polling at all, 200 µs wins only
+// while the machine is quiet, 1 and 5 ms win alike).
+const pollFor = time.Millisecond
+
+// waitMetrics are one rank's wait-accounting handles: how its
+// non-last barrier arrivals ended (inside the poll budget, or parked),
+// how long a parked one took to resume once released, and which policy
+// the world runs. Nil-safe like every metrics handle.
+type waitMetrics struct {
+	polled, parked *metrics.Counter
+	wake           *metrics.Histogram // release → resume of a parked wait, ns
+	policy         *metrics.Gauge     // 1 poll, 0 park
+}
+
+// count records one finished wait and restates the policy gauge: one
+// set at world construction would be dropped by a registry that is
+// enabled later, as cmd/dns does around its step loop.
+func (m *waitMetrics) count(c *metrics.Counter, poll bool) {
+	if m.wake.Enabled() {
+		c.Inc()
+		policy := 0.0
+		if poll {
+			policy = 1
+		}
+		m.policy.Set(policy)
+	}
+}
+
+// barrier is a reusable counting barrier that can be aborted. phase
+// and aborted are written under mu (the parked path's cond needs that
+// to lose no wake-up) and are atomics so a polling rank can watch them
+// without it.
 type barrier struct {
 	mu      sync.Mutex
 	cv      *sync.Cond
 	n       int
 	count   int
-	phase   int
-	aborted bool
+	phase   atomic.Int64
+	aborted atomic.Bool
+	// releasedAt is when the last arriver released the current phase,
+	// stamped only while metrics are on; zero otherwise.
+	releasedAt time.Time
 }
 
 func newBarrier(n int) *barrier {
@@ -414,20 +480,47 @@ func newBarrier(n int) *barrier {
 	return b
 }
 
+// wait blocks until all n ranks have entered the barrier's current
+// phase. The last arriver releases the rest; how the rest wait is the
+// world's policy. In a polling world each rank owns a processor, so an
+// early rank polls the phase for up to pollFor — what an MPI rank does
+// inside MPI_Alltoall or MPI_Wait — and is running again the moment its
+// peer releases it, instead of ≈ 165 µs later when the scheduler and
+// the kernel have woken a parked goroutine's thread. Past the budget,
+// and always in a parking world (ranks outnumber processors, so a
+// waiting rank must hand its thread to a peer), it parks on the cond
+// and registers with the watchdog.
+//
+//psdns:hotpath
 func (b *barrier) wait(w *world, rank int) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
+	if b.aborted.Load() {
+		b.mu.Unlock()
 		panic(errAborted)
 	}
-	phase := b.phase
+	m := &w.waits[rank]
+	phase := b.phase.Load()
 	b.count++
 	if b.count == b.n {
 		b.count = 0
-		b.phase++
+		b.releasedAt = time.Time{}
+		if m.wake.Enabled() {
+			b.releasedAt = time.Now()
+		}
+		b.phase.Store(phase + 1)
 		b.cv.Broadcast()
+		b.mu.Unlock()
 		return
 	}
+	if w.poll {
+		b.mu.Unlock()
+		if b.pollPhase(phase) {
+			m.count(m.polled, true)
+			return
+		}
+		b.mu.Lock()
+	}
+	defer b.mu.Unlock()
 	var tok *blockedOp
 	defer func() {
 		if tok != nil {
@@ -435,17 +528,41 @@ func (b *barrier) wait(w *world, rank int) {
 		}
 	}()
 	tok = w.watchEnter(rank, opBarrier, -1, 0, true, false)
-	for b.phase == phase {
-		if b.aborted {
+	for b.phase.Load() == phase {
+		if b.aborted.Load() {
 			panic(errAborted)
 		}
 		b.cv.Wait()
 	}
+	m.count(m.parked, w.poll)
+	if !b.releasedAt.IsZero() {
+		m.wake.Observe(float64(time.Since(b.releasedAt).Nanoseconds()))
+	}
+}
+
+// pollPhase polls until the barrier leaves phase (true) or pollFor has
+// passed (false), yielding between loads so the worker-team and stream
+// goroutines that share the rank's processor still run. An abort
+// reaches the poller on its next load, not at the end of its budget.
+//
+//psdns:hotpath
+func (b *barrier) pollPhase(phase int64) bool {
+	t0 := time.Now()
+	for b.phase.Load() == phase {
+		if b.aborted.Load() {
+			panic(errAborted)
+		}
+		if time.Since(t0) >= pollFor {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 func (b *barrier) abort() {
 	b.mu.Lock()
-	b.aborted = true
+	b.aborted.Store(true)
 	b.mu.Unlock()
 	b.cv.Broadcast()
 }
@@ -505,7 +622,10 @@ func (c *Comm) Split(color, key int) *Comm {
 		for i, e := range group {
 			parentRanks[i] = e.rank
 		}
+		// The sub-world waits as its parent does: a 2-rank column of a
+		// 4-rank world on 2 threads is still oversubscribed.
 		nw = newWorld(len(group), c.w.reg, c.w.faults.forSubgroup(parentRanks))
+		nw.poll = c.w.poll
 		nw.fromParent = make(map[int]int, len(parentRanks))
 		for sub, pr := range parentRanks {
 			nw.fromParent[pr] = sub

@@ -11,6 +11,22 @@
 // rank of a communicator, and non-blocking collectives complete only
 // when their Request is waited on.
 //
+// # Waiting
+//
+// How a rank waits in a barrier — the world's, or the entry and exit
+// barrier of an ExchangePlan or A2APlan — follows from what the runtime
+// can observe when the world is built, not from a setting. While every
+// rank can hold a processor for the whole run (size ≤ min(GOMAXPROCS,
+// NumCPU)) an early rank polls for its peers, yielding between loads so
+// worker-team and stream goroutines still run, as an MPI rank spins
+// inside MPI_ALLTOALL; after 1 ms it parks. When ranks outnumber
+// processors a waiting rank parks at once, since spinning would hold
+// the thread a peer needs. Split sub-communicators wait as their parent
+// does. Per rank, mpi.wait.polled and mpi.wait.parked count how waits
+// ended, mpi.wait.wake.ns is the release → resume time of the parked
+// ones, and the gauge mpi.wait.policy says which kind of world it was
+// (1 poll, 0 park). Only parked waits are registered with the watchdog.
+//
 // # Byte accounting convention
 //
 // Every operation charges sender-side wire bytes: the bytes a rank

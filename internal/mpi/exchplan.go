@@ -185,8 +185,10 @@ func newExchangePlan[T any](c *Comm, slabLen int, at bool, maxStale int, deadlin
 // unpack triple would have produced — in one pass instead of three.
 //
 // Collective and allocation-free. The gather wall time is recorded in
-// exchange.gather.ns (nanoseconds) and wire-equivalent remote-read
-// bytes in exchange.bytes / calls in exchange.calls.
+// exchange.gather.ns and the time inside the two barriers around it in
+// exchange.wait.entry.ns / exchange.wait.exit.ns (all nanoseconds),
+// wire-equivalent remote-read bytes in exchange.bytes and calls in
+// exchange.calls.
 //
 //psdns:hotpath
 func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
@@ -204,19 +206,27 @@ func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
 	// Publish, then the entry barrier: every rank's slab is visible
 	// (and no rank still reads last cycle's table) before any gather.
 	pl.sh.srcs[c.rank] = src
-	pl.sh.bar.wait(c.w, c.rank)
 	enabled := m.exchGather.Enabled()
-	var t0 time.Time
+	var t0, t1, t2 time.Time
 	if enabled {
 		t0 = time.Now()
 	}
+	pl.sh.bar.wait(c.w, c.rank)
+	if enabled {
+		t1 = time.Now()
+	}
 	gather(pl.sh.srcs)
 	if enabled {
-		m.exchGather.Observe(float64(time.Since(t0).Nanoseconds()))
+		t2 = time.Now()
 	}
 	// Exit barrier: every rank is done reading peer slabs, so callers
 	// may overwrite their source the moment Do returns.
 	pl.sh.bar.wait(c.w, c.rank)
+	if enabled {
+		m.exchEntry.Observe(float64(t1.Sub(t0).Nanoseconds()))
+		m.exchGather.Observe(float64(t2.Sub(t1).Nanoseconds()))
+		m.exchExit.Observe(float64(time.Since(t2).Nanoseconds()))
+	}
 	// Plan exchanges bypass mailboxes; mark progress so the deadlock
 	// detector's quiescence window stays honest (as A2APlan does).
 	c.w.progress.Add(1)

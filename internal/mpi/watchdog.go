@@ -152,6 +152,17 @@ func newWatchState(cfg Watchdog, p int) *watchState {
 	for i := range ws.live {
 		ws.live[i] = true
 	}
+	// One token per rank up front, and the op set's first bucket: a rank
+	// blocks in one operation at a time, so rank-level enter never
+	// allocates — not the first time every rank is blocked at once, and
+	// not at the first park of a polling world, which can come at any
+	// step (a map allocates its first bucket on the first insert).
+	toks := make([]blockedOp, p)
+	for i := range toks {
+		ws.free = append(ws.free, &toks[i])
+	}
+	ws.ops[&toks[0]] = struct{}{}
+	delete(ws.ops, &toks[0])
 	return ws
 }
 

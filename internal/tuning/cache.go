@@ -10,14 +10,12 @@ import (
 	"repro/internal/mpi"
 )
 
-// SchemaVersion is the tuning-cache file schema. Schema 1 (one
-// strategy for both transpose directions, no decomposition) is read
-// with an explicit backward-compatible decode — StrategyZY = Strategy,
-// slab decomposition — so PR-8 caches keep their warm restarts. A file
-// carrying any other foreign version is ignored wholesale (treated as
-// all-miss and rewritten on the next Store), so an unknown schema can
-// never replay a decision recorded under different semantics.
-const SchemaVersion = 2
+// SchemaVersion is the tuning-cache file schema. A file carrying any
+// other version is ignored wholesale (treated as all-miss and rewritten
+// on the next Store), so a decision recorded under different semantics
+// — or, up to schema 2, timed under barriers that always parked, which
+// shifts every trial that exchanges — is never replayed.
+const SchemaVersion = 3
 
 // DefaultDir is where tuned constructors persist their winners unless
 // pointed elsewhere.
@@ -76,35 +74,14 @@ func Open(dir string) *Cache {
 }
 
 // load reads the cache file, returning an empty file on any error or
-// foreign schema. Schema-1 files are upgraded in memory: their single
-// strategy applied to both directions, decomposition slab.
+// foreign schema.
 func (c *Cache) load() cacheFile {
 	var f cacheFile
 	data, err := os.ReadFile(c.path)
-	if err != nil {
+	if err != nil || json.Unmarshal(data, &f) != nil || f.Schema != SchemaVersion {
 		return cacheFile{Schema: SchemaVersion}
 	}
-	if json.Unmarshal(data, &f) != nil {
-		return cacheFile{Schema: SchemaVersion}
-	}
-	switch f.Schema {
-	case SchemaVersion:
-		return f
-	case 1:
-		// Schema 1 predates strategy_zy/pr/pc: absent JSON fields
-		// decode to zero, which is already the slab decomposition but
-		// the wrong zy strategy (Staged regardless of the winner).
-		// Mirror the recorded strategy into both directions.
-		for i := range f.Entries {
-			f.Entries[i].Point.StrategyZY = f.Entries[i].Point.Strategy
-			f.Entries[i].Point.Pr = 0
-			f.Entries[i].Point.Pc = 0
-		}
-		f.Schema = SchemaVersion
-		return f
-	default:
-		return cacheFile{Schema: SchemaVersion}
-	}
+	return f
 }
 
 // Lookup returns the persisted winner for key, if any. An entry whose

@@ -95,65 +95,56 @@ func TestDecompositionsEnumeration(t *testing.T) {
 	}
 }
 
-// A schema-1 cache file (PR 8) must keep its warm restarts: the single
-// recorded strategy decodes into both directions with a slab layout.
+// Cache files of an earlier schema read as all-miss — schema 1 lacks the
+// per-direction strategies and the decomposition, and both it and
+// schema 2 hold winners timed under barriers that always parked — and
+// the next Store rewrites the file at the current schema.
 func TestCacheSchema1Fallback(t *testing.T) {
-	dir := t.TempDir()
 	key := testKey()
-	v1 := map[string]any{
-		"schema": 1,
-		"entries": []map[string]any{{
-			"key": key,
-			"point": map[string]any{
-				"strategy": int(exchange.Fused),
-				"per_slab": true,
-				"np":       3,
-				"workers":  2,
-				"single":   false,
-			},
-			"cost_seconds": 0.5,
-		}},
-	}
-	data, err := json.Marshal(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "tuning.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := Open(dir).Lookup(key)
-	if !ok {
-		t.Fatal("schema-1 cache missed; want backward-compatible hit")
-	}
-	want := Point{
-		Strategy: exchange.Fused, StrategyZY: exchange.Fused,
-		PerSlab: true, NP: 3, Workers: 2,
-	}
-	if got != want {
-		t.Fatalf("schema-1 decode = %+v, want %+v", got, want)
-	}
-	// A store on top upgrades the file to the current schema without
-	// dropping the migrated entry.
-	key2 := key
-	key2.N = 128
-	pt2 := Point{Strategy: exchange.Staged, StrategyZY: exchange.ChunkedFused, Workers: 1, Pr: 2, Pc: 2}
-	Open(dir).Store(key2, pt2, 0.1)
-	data, err = os.ReadFile(filepath.Join(dir, "tuning.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f cacheFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != SchemaVersion {
-		t.Fatalf("rewritten schema = %d, want %d", f.Schema, SchemaVersion)
-	}
-	if got, ok := Open(dir).Lookup(key); !ok || got != want {
-		t.Fatalf("migrated entry after store = %+v ok=%v, want %+v", got, ok, want)
-	}
-	if got, ok := Open(dir).Lookup(key2); !ok || got != pt2 {
-		t.Fatalf("new entry = %+v ok=%v, want %+v", got, ok, pt2)
+	for _, schema := range []int{1, 2} {
+		dir := t.TempDir()
+		old := map[string]any{
+			"schema": schema,
+			"entries": []map[string]any{{
+				"key": key,
+				"point": map[string]any{
+					"strategy":    int(exchange.Fused),
+					"strategy_zy": int(exchange.Fused),
+					"per_slab":    true,
+					"np":          3,
+					"workers":     2,
+					"single":      false,
+				},
+				"cost_seconds": 0.5,
+			}},
+		}
+		data, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "tuning.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := Open(dir).Lookup(key); ok {
+			t.Fatalf("schema-%d cache hit with %+v; want a miss", schema, got)
+		}
+		pt := Point{Strategy: exchange.Staged, StrategyZY: exchange.ChunkedFused, Workers: 1}
+		Open(dir).Store(key, pt, 0.1)
+		data, err = os.ReadFile(filepath.Join(dir, "tuning.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f cacheFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Schema != SchemaVersion || len(f.Entries) != 1 {
+			t.Fatalf("after a store on a schema-%d file: schema %d with %d entries, want schema %d with 1",
+				schema, f.Schema, len(f.Entries), SchemaVersion)
+		}
+		if got, ok := Open(dir).Lookup(key); !ok || got != pt {
+			t.Fatalf("new entry = %+v ok=%v, want %+v", got, ok, pt)
+		}
 	}
 }
 

@@ -32,9 +32,7 @@ type Point struct {
 	Strategy exchange.Strategy `json:"strategy"`
 	// StrategyZY is the strategy for the zy (physical→Fourier)
 	// direction. The two transposes move the same bytes through
-	// different access patterns, so their winners can differ; schema-1
-	// caches recorded one strategy for both and decode with
-	// StrategyZY = Strategy.
+	// different access patterns, so their winners can differ.
 	StrategyZY exchange.Strategy `json:"strategy_zy"`
 	// PerSlab selects one whole-slab exchange over per-pencil
 	// exchanges (the async engine's Granularity).
