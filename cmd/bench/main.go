@@ -918,17 +918,9 @@ func compareFiles(oldPath, newPath string, tol float64) (failed, missing bool) {
 			continue
 		}
 		delete(old, r.Name)
-		speedup := b.NsPerOp / r.NsPerOp
-		verdict := "ok"
-		if r.NsPerOp > b.NsPerOp*(1+tol) {
-			verdict = fmt.Sprintf("FAIL ns/op regression %.0f%% > %.0f%%", (r.NsPerOp/b.NsPerOp-1)*100, tol*100)
-			failed = true
-		}
-		if r.AllocsPerOp > b.AllocsPerOp+allocSlack {
-			verdict = fmt.Sprintf("FAIL allocs/op grew %.1f -> %.1f", b.AllocsPerOp, r.AllocsPerOp)
-			failed = true
-		}
-		fmt.Printf("%-26s %9.2fx %14.0f %14.0f  %s\n", r.Name, speedup, b.NsPerOp, r.NsPerOp, verdict)
+		v, bad := verdict(r, b, tol)
+		failed = failed || bad
+		fmt.Printf("%-26s %9.2fx %14.0f %14.0f  %s\n", r.Name, b.NsPerOp/r.NsPerOp, b.NsPerOp, r.NsPerOp, v)
 	}
 	for name := range old {
 		r := old[name]
@@ -961,9 +953,21 @@ func loadBaseline(path string) (map[string]Result, error) {
 // workload that allocates anything at all is a real regression.
 const allocSlack = 0
 
+// verdict is the gate's one rule for a row against its baseline, shared
+// by -baseline and -compare: it fails on ns/op beyond the tolerance, or
+// on allocs/op growing by more than the absolute slack.
+func verdict(r, b Result, tol float64) (string, bool) {
+	if r.AllocsPerOp > b.AllocsPerOp+allocSlack {
+		return fmt.Sprintf("FAIL allocs/op grew %.1f -> %.1f", b.AllocsPerOp, r.AllocsPerOp), true
+	}
+	if ratio := r.NsPerOp / b.NsPerOp; ratio > 1+tol {
+		return fmt.Sprintf("FAIL ns/op regression %.0f%% > %.0f%%", (ratio-1)*100, tol*100), true
+	}
+	return "ok", false
+}
+
 // compare prints a verdict per workload and reports whether any failed
-// the gate: ns/op beyond the tolerance, or allocs/op growing by more
-// than the absolute slack.
+// the gate.
 func compare(results []Result, base map[string]Result, tol float64) bool {
 	failed := false
 	for _, r := range results {
@@ -972,17 +976,9 @@ func compare(results []Result, base map[string]Result, tol float64) bool {
 			fmt.Printf("%-22s no baseline entry (new workload)\n", r.Name)
 			continue
 		}
-		ratio := r.NsPerOp / b.NsPerOp
-		verdict := "ok"
-		if ratio > 1+tol {
-			verdict = fmt.Sprintf("FAIL ns/op regression %.0f%% > %.0f%%", (ratio-1)*100, tol*100)
-			failed = true
-		}
-		if r.AllocsPerOp > b.AllocsPerOp+allocSlack {
-			verdict = fmt.Sprintf("FAIL allocs/op grew %.1f -> %.1f", b.AllocsPerOp, r.AllocsPerOp)
-			failed = true
-		}
-		fmt.Printf("%-22s %6.2fx vs baseline  %s\n", r.Name, ratio, verdict)
+		v, bad := verdict(r, b, tol)
+		failed = failed || bad
+		fmt.Printf("%-22s %6.2fx vs baseline  %s\n", r.Name, r.NsPerOp/b.NsPerOp, v)
 	}
 	return failed
 }

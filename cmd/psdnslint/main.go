@@ -1,6 +1,6 @@
 // Command psdnslint runs the internal/analysis suite (hotalloc,
-// poolpair, mpireq, lockorder, metricname, collsym, planfree,
-// atsite) over Go packages.
+// poolpair, mpireq, lockorder, metricname, collsym, planfree)
+// over Go packages.
 //
 // It speaks cmd/go's vettool protocol, so the canonical invocation is
 //

@@ -1,7 +1,8 @@
-// Package analysis implements the psdnslint analyzer suite: eight
+// Package analysis implements the psdnslint analyzer suite: seven
 // static analyzers that enforce the invariants the runtime design
-// depends on and that so far were only guarded by AllocsPerRun tests
-// and the runtime watchdog:
+// depends on and that tests and the runtime watchdog only sample. Each
+// is kept because it catches a seeded mutation of the real tree (see
+// DESIGN §7):
 //
 //   - hotalloc:   no heap allocations in //psdns:hotpath functions,
 //     with propagation one level into same-package callees;
@@ -17,9 +18,7 @@
 //     collective sequence on every arm (CFG + within-package
 //     summaries; see cfg.go and summary.go);
 //   - planfree:   constructed mpi plans reach Free/Close on all
-//     paths, with field-escaped plans checked at their owner's Close;
-//   - atsite:     DoBounded only on bounded-constructed, SetSite
-//     labeled plans, and exchange.AT never enters candidate sets.
+//     paths, with field-escaped plans checked at their owner's Close.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: the repository
@@ -86,7 +85,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full psdnslint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, PoolPair, MPIReq, LockOrder, MetricName, CollSym, PlanFree, ATSite}
+	return []*Analyzer{HotAlloc, PoolPair, MPIReq, LockOrder, MetricName, CollSym, PlanFree}
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult
@@ -298,10 +297,11 @@ func matchAllow(allows []allowDirective, spans map[string][]stmtSpan, posn token
 }
 
 // calleeFunc resolves a call to the declared function or method it
-// invokes, or nil for builtins, conversions, and dynamic calls
+// invokes — f(…), x.f(…), or either with explicit type arguments
+// (f[T](…)) — or nil for builtins, conversions, and dynamic calls
 // through function values.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := calleeExpr(call).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
 			return f
@@ -312,6 +312,20 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// calleeExpr is the call's function expression with parentheses and
+// explicit type arguments stripped: the identifier or selector that
+// names the callee.
+func calleeExpr(call *ast.CallExpr) ast.Expr {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.IndexExpr:
+		return ast.Unparen(fun.X)
+	case *ast.IndexListExpr:
+		return ast.Unparen(fun.X)
+	default:
+		return fun
+	}
 }
 
 // isBuiltin reports whether the call invokes the named builtin.

@@ -35,10 +35,6 @@ func TestPlanFree(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.PlanFree, "planfree")
 }
 
-func TestATSite(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.ATSite, "atsite")
-}
-
 // TestSuppressEdgeCases drives the directive edge cases through a
 // real analyzer: multi-line statement coverage, unknown analyzer
 // names, and reason-less directives.

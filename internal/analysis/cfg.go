@@ -6,13 +6,13 @@ import (
 )
 
 // This file is the shared control-flow-graph infrastructure the
-// interprocedural analyzers (collsym, planfree via the tracker,
-// atsite) build on. Like the rest of the package it is stdlib-only:
-// a deliberately small structured-CFG builder over go/ast, not a
-// general-purpose one — it models exactly the control flow the
-// analyzers reason about (branches, loops, switches, early returns,
-// breaks/continues, panic/fatal terminators) and treats everything
-// else as straight-line code.
+// interprocedural analyzers (collsym, planfree via the tracker) build
+// on. Like the rest of the package it is stdlib-only: a deliberately
+// small structured-CFG builder over go/ast, not a general-purpose one
+// — it models exactly the control flow the analyzers reason about
+// (branches, loops, switches, early returns, breaks/continues,
+// panic/fatal terminators) and treats everything else as
+// straight-line code.
 //
 // Blocks hold the statements and header expressions evaluated in
 // them, in source order. A block that ends in a multi-way branch

@@ -8,11 +8,11 @@ import (
 
 // MPIReq enforces the runtime's nonblocking-communication contract:
 //
-//  1. every *mpi.Request produced by a nonblocking call (Ialltoall,
-//     IAlltoallv, ...) must reach Wait, WaitWithin or Test on every
-//     path, or be handed off (stored, returned, passed to WaitAll);
-//     a dropped request leaks its drain goroutine and leaves the
-//     watchdog counting a phantom pending operation;
+//  1. every *mpi.Request produced by a nonblocking call (Ialltoall)
+//     must reach Wait or WaitWithin on every path, or be handed off
+//     (stored, returned, passed to another function); a dropped
+//     request leaks its drain goroutine and leaves the watchdog
+//     counting a phantom pending operation;
 //  2. tag arguments of mpi point-to-point and collective calls must
 //     be named constants. A raw literal tag is how two call sites
 //     silently collide in the per-(src,dst) mailbox key space.
@@ -29,16 +29,14 @@ func returnsRequest(info *types.Info, call *ast.CallExpr) bool {
 	return t != nil && isNamed(t, "mpi", "Request")
 }
 
-// isRequestCompletion reports whether the call is obj.Wait(),
-// obj.WaitWithin(...) or obj.Test().
+// isRequestCompletion reports whether the call is obj.Wait() or
+// obj.WaitWithin(...).
 func isRequestCompletion(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	switch sel.Sel.Name {
-	case "Wait", "WaitWithin", "Test":
-	default:
+	if name := sel.Sel.Name; name != "Wait" && name != "WaitWithin" {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
@@ -62,7 +60,7 @@ func runMPIReq(pass *Pass) {
 		},
 		leak: func(desc, where string) string {
 			return "request from " + desc + " may not reach Wait/WaitWithin on " + where +
-				"; complete it, or hand it to WaitAll"
+				"; complete it, or hand it off"
 		},
 	}
 	for _, f := range pass.Files {
@@ -85,8 +83,8 @@ func runMPIReq(pass *Pass) {
 }
 
 // checkRawTags flags integer literals passed to tag parameters of
-// mpi functions. The parameter names (tag, dtag, stag) come from the
-// mpi package's signatures, so the check tracks the real API.
+// mpi functions. The parameter name (tag) comes from the mpi
+// package's signatures, so the check tracks the real API.
 func checkRawTags(pass *Pass) {
 	if pass.Pkg != nil && pass.Pkg.Name() == "mpi" {
 		return // the runtime's own internals define the tag spaces
@@ -107,12 +105,9 @@ func checkRawTags(pass *Pass) {
 			}
 			params := sig.Params()
 			for i := 0; i < params.Len() && i < len(call.Args); i++ {
-				switch params.At(i).Name() {
-				case "tag", "dtag", "stag":
-					if lit := intLiteral(call.Args[i]); lit != nil {
-						pass.Reportf(lit.Pos(), "raw tag literal %s in call to mpi.%s; use a named constant",
-							lit.Value, fn.Name())
-					}
+				if lit := intLiteral(call.Args[i]); lit != nil && params.At(i).Name() == "tag" {
+					pass.Reportf(lit.Pos(), "raw tag literal %s in call to mpi.%s; use a named constant",
+						lit.Value, fn.Name())
 				}
 			}
 			return true

@@ -68,7 +68,7 @@ func planFactoryDesc(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	name := ""
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := calleeExpr(call).(type) {
 	case *ast.Ident:
 		name = fun.Name
 	case *ast.SelectorExpr:

@@ -18,10 +18,9 @@ import (
 // collective over the communicator: every rank must call them in the
 // same order or ranks deadlock in mismatched barriers/mailbox waits.
 var collectiveFuncs = map[string]bool{
-	"Bcast": true, "Allgather": true, "Alltoall": true, "Ialltoall": true,
-	"Alltoallv": true, "IAlltoallv": true, "AllreduceSum": true,
-	"AllreduceMax": true, "ReduceSum": true, "Gather": true, "Scatter": true,
-	"ExScan": true, "NewExchangePlan": true, "NewExchangePlanBounded": true,
+	"Allgather": true, "Alltoall": true, "Ialltoall": true, "Alltoallv": true,
+	"AllreduceSum": true, "AllreduceMax": true, "Gather": true,
+	"NewExchangePlan": true, "NewExchangePlanBounded": true,
 	"NewA2APlan": true, "NewReducePlan": true,
 }
 

@@ -101,6 +101,23 @@ func badConditionalFree(c *mpi.Comm, p *mpi.ExchangePlan) {
 	}
 }
 
+// Plan construction is a collective: building a plan on one rank only
+// diverges the schedule, with the constructor's type argument inferred
+// or spelled out.
+func badConditionalPlan(c *mpi.Comm, buf []complex128) (p *mpi.A2APlan) {
+	if c.Rank() == 0 { // want `rank-dependent branch diverges in collective sequence`
+		p = mpi.NewA2APlan(c, buf, buf)
+	}
+	return p
+}
+
+func badConditionalPlanExplicit(c *mpi.Comm, buf []complex128) (p *mpi.A2APlan) {
+	if c.Rank() == 0 { // want `rank-dependent branch diverges in collective sequence`
+		p = mpi.NewA2APlan[complex128](c, buf, buf)
+	}
+	return p
+}
+
 // Suppressed finding: a deliberately rank-gated collective with a
 // reasoned allow directive stays quiet.
 func allowedConditional(c *mpi.Comm) {

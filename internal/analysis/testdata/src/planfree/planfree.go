@@ -31,9 +31,17 @@ func goodDeferredFree(c *mpi.Comm, fail bool) error {
 	return nil
 }
 
+// Local all-to-all plans never freed, the constructor's type argument
+// inferred and spelled out: both calls construct a plan.
+func badA2ALeak(c *mpi.Comm, buf []complex128) {
+	p := mpi.NewA2APlan(c, buf, buf)             // want `plan from NewA2APlan may not reach Free on function exit`
+	q := mpi.NewA2APlan[complex128](c, buf, buf) // want `plan from NewA2APlan may not reach Free on function exit`
+	_, _ = p, q
+}
+
 // Clean: returning the plan hands ownership to the caller.
-func goodReturned(c *mpi.Comm) *mpi.A2APlan {
-	p := mpi.NewA2APlan(c, 4)
+func goodReturned(c *mpi.Comm, buf []complex128) *mpi.A2APlan {
+	p := mpi.NewA2APlan(c, buf, buf)
 	return p
 }
 
@@ -52,11 +60,11 @@ type engine struct {
 	a2as []*mpi.A2APlan
 }
 
-func (e *engine) setup(c *mpi.Comm) {
+func (e *engine) setup(c *mpi.Comm, buf []complex128) {
 	e.ex = mpi.NewExchangePlan(c, 8)
 	e.red = mpi.NewReducePlan(c, 1) // want `plan stored in field engine\.red is never freed in this package`
 	for i := 0; i < 2; i++ {
-		e.a2as = append(e.a2as, mpi.NewA2APlan(c, 4))
+		e.a2as = append(e.a2as, mpi.NewA2APlan(c, buf, buf))
 	}
 }
 
@@ -115,7 +123,7 @@ func newStage[T any](c *mpi.Comm, n int) *stage[T] {
 	s := &stage[T]{buf: make([]T, n)}
 	s.plans[0] = mpi.NewExchangePlan(c, n)
 	s.plans[1] = s.plans[0]
-	s.a2a = mpi.NewA2APlan(c, n) // want `plan stored in field stage\.a2a is never freed in this package`
+	s.a2a = mpi.NewA2APlan[T](c, s.buf, s.buf) // want `plan stored in field stage\.a2a is never freed in this package`
 	return s
 }
 

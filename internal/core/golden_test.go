@@ -17,7 +17,7 @@ import (
 // a FourierToPhysical, hashed over every rank in rank order. The hashes
 // were recorded on the engine as it stood before the pipeline became a
 // replayed op program (commit 46643ae: staged through device slots by
-// copies, one Memcpy2DAsync per packed row block), so "bitwise
+// copies, one strided copy per packed row block), so "bitwise
 // unchanged" is checked against that engine and not only against
 // itself. The double-wire hash of a case is independent of strategy,
 // granularity and worker count; the single-precision wire quantises

@@ -1,6 +1,6 @@
 // Package cuda is a software model of the CUDA execution constructs
 // the paper's algorithm is built from: devices, in-order streams,
-// events, asynchronous 1D/2D memory copies and kernel launches. The
+// events, and kernels and copies described once as prebuilt ops. The
 // "device" executes on host memory, but the concurrency semantics —
 // in-order execution within a stream, overlap between streams, event
 // ordering across streams, host asynchrony of every launch — are those
@@ -13,8 +13,7 @@
 // and the only bytes a stream moves are the ones an op really copies
 // (Op.Bytes). Work that is the same every step is described once by
 // prebuilt Op values and reusable Events and replayed with Enqueue,
-// RecordEvent and Wait, none of which allocates — the CUDA-graph idea;
-// Launch and Record remain for one-off work.
+// RecordEvent and Wait, none of which allocates — the CUDA-graph idea.
 package cuda
 
 import (
@@ -22,10 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/metrics"
-	"repro/internal/transpose"
 )
 
 // Device owns a set of streams, mirroring one GPU.
@@ -70,13 +67,6 @@ func (d *Device) SetMetrics(reg *metrics.Registry, rank int) {
 }
 
 func (d *Device) m() *devMetrics { return d.met.Load() }
-
-// xferBytes reports the wire size of n elements of T for transfer
-// accounting.
-func xferBytes[T any](n int) int64 {
-	var z T
-	return int64(n) * int64(unsafe.Sizeof(z))
-}
 
 // ID reports the device ordinal.
 func (d *Device) ID() int { return d.id }
@@ -217,15 +207,9 @@ func (s *Stream) Err() any {
 // Name reports the stream label.
 func (s *Stream) Name() string { return s.name }
 
-// Launch enqueues fn on the stream under the label name and returns
-// immediately; fn runs after all previously enqueued work (kernel-
-// launch semantics). The closure is the caller's allocation: work that
-// repeats every step is described by an Op instead.
-func (s *Stream) Launch(name string, fn func()) {
-	s.ring <- entry{kind: name, run: fn}
-}
-
-// Enqueue is Launch for a prebuilt op: nothing is allocated.
+// Enqueue enqueues a prebuilt op on the stream and returns
+// immediately; the op runs after all previously enqueued work
+// (kernel-launch semantics). Nothing is allocated.
 //
 //psdns:hotpath
 func (s *Stream) Enqueue(op *Op) {
@@ -233,14 +217,6 @@ func (s *Stream) Enqueue(op *Op) {
 		s.dev.m().bytes.Add(op.Bytes)
 	}
 	s.ring <- entry{kind: op.Kind, run: op.Run}
-}
-
-// Record enqueues a fresh event into the stream and returns it; the
-// event completes when the stream reaches it (cudaEventRecord).
-func (s *Stream) Record() *Event {
-	ev := NewEvent()
-	s.RecordEvent(ev)
-	return ev
 }
 
 // RecordEvent re-records a reusable event: ev then stands for this
@@ -301,10 +277,6 @@ func NewEvent() *Event {
 	return e
 }
 
-// CompletedEvent returns an event that is already complete, useful as
-// the dependency of the first pipeline stage.
-func CompletedEvent() *Event { return NewEvent() }
-
 func (e *Event) complete(gen uint64) {
 	e.mu.Lock()
 	e.done.Store(gen)
@@ -326,53 +298,3 @@ func (e *Event) wait(gen uint64) {
 // Synchronize blocks the host until the event's latest record
 // completes.
 func (e *Event) Synchronize() { e.wait(e.recorded.Load()) }
-
-// Query reports whether the event has completed without blocking.
-func (e *Event) Query() bool { return e.done.Load() >= e.recorded.Load() }
-
-// MemcpyAsync enqueues a contiguous copy on the stream
-// (cudaMemcpyAsync on pinned memory).
-func MemcpyAsync[T any](s *Stream, dst, src []T) {
-	if len(dst) < len(src) {
-		panic(fmt.Sprintf("cuda: memcpy dst %d < src %d", len(dst), len(src)))
-	}
-	n := len(src)
-	s.dev.m().bytes.Add(xferBytes[T](n))
-	s.Launch("memcpy", func() { copy(dst[:n], src[:n]) })
-}
-
-// Memcpy2DAsync enqueues a strided copy on the stream: nrows rows of
-// rowLen elements, with independent destination and source strides —
-// the cudaMemcpy2DAsync call of §4.2, executed by the copy engine (no
-// SMs consumed on real hardware).
-func Memcpy2DAsync[T any](s *Stream, dst []T, dstStride int, src []T, srcStride, rowLen, nrows int) {
-	s.dev.m().bytes.Add(xferBytes[T](rowLen * nrows))
-	s.Launch("memcpy2d", func() {
-		transpose.CopyStrided(dst, dstStride, src, srcStride, rowLen, nrows)
-	})
-}
-
-// ZeroCopyGather enqueues a custom zero-copy kernel performing an
-// arbitrary gather: dst[i] = src[idx[i]]. On real hardware this runs
-// on SM threads reading pinned host memory directly (§4.2); here it
-// executes the same access pattern.
-func ZeroCopyGather[T any](s *Stream, dst []T, src []T, idx []int) {
-	s.dev.m().bytes.Add(xferBytes[T](len(idx)))
-	s.Launch("zerocopy-gather", func() {
-		for i, j := range idx {
-			dst[i] = src[j]
-		}
-	})
-}
-
-// ZeroCopyScatter enqueues the inverse pattern: dst[idx[i]] = src[i],
-// used for unpacking received all-to-all blocks into non-contiguous
-// locations.
-func ZeroCopyScatter[T any](s *Stream, dst []T, src []T, idx []int) {
-	s.dev.m().bytes.Add(xferBytes[T](len(idx)))
-	s.Launch("zerocopy-scatter", func() {
-		for i, j := range idx {
-			dst[j] = src[i]
-		}
-	})
-}

@@ -110,3 +110,68 @@ func TestStageStrategiesAgree(t *testing.T) {
 		testStage(t, func(x float64) complex64 { return complex(float32(x), float32(-x)) })
 	})
 }
+
+// A bounded stage must forward its site label to the plan: two sites
+// alternate through one direction while rank 1 is held exactly one
+// exchange behind rank 0, so rank 0's freshest slab from rank 1 is
+// always the other site's. With the label forwarded, rank 0 falls back
+// to rank 1's previous same-site slab; without it every publication
+// reads as site 0 and the other site's content is gathered.
+func TestBoundedStageForwardsSite(t *testing.T) {
+	const p, blk, rounds = 2, 3, 12
+	var done [p][rounds + 1]chan struct{}
+	for r := range done {
+		for k := range done[r] {
+			done[r][k] = make(chan struct{})
+		}
+	}
+	// The schedule does not depend on what is gathered, so a wrong slab
+	// is recorded, not raised: both ranks still finish every exchange.
+	var wrong [p]string
+	if err := mpi.TryRun(p, func(c *mpi.Comm) {
+		me := c.Rank()
+		team := par.NewTeam(1)
+		defer team.Close()
+		k := blockKernels[complex128](me, p, blk, false)
+		s := NewStage(c, team, Phases{}, 0, p*blk, &Bound{MaxStale: 2}, [2]Kernels[complex128]{k, k})
+		defer s.Close()
+		src := make([]complex128, p*blk)
+		dst := make([]complex128, p*blk)
+		for e := 1; e <= rounds; e++ {
+			// Exchanges 1 and 2 run in step; from 3 on, rank 0 starts
+			// exchange e once rank 1 finished e−1, and rank 1 starts e
+			// once rank 0 finished e.
+			if e > 2 {
+				peer, at := 1, e-1
+				if me == 1 {
+					peer, at = 0, e
+				}
+				select {
+				case <-done[peer][at]:
+				case <-time.After(10 * time.Second):
+					panic(fmt.Sprintf("rank %d: rank %d never finished exchange %d", me, peer, at))
+				}
+			}
+			site := uint32(e % 2)
+			for i := range src {
+				src[i] = complex(float64(site), float64(e))
+			}
+			s.SetATSite(site)
+			s.Run(YZ, AT, src, dst)
+			close(done[me][e])
+			for i, v := range dst {
+				if got := uint32(real(v)); got != site && wrong[me] == "" {
+					wrong[me] = fmt.Sprintf("rank %d exchange %d (site %d): dst[%d] = %v carries site %d's content",
+						me, e, site, i, v, got)
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range wrong {
+		if w != "" {
+			t.Error(w)
+		}
+	}
+}

@@ -25,10 +25,7 @@
 // geometry at construction and pin the winner for the plan's lifetime.
 package exchange
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Strategy selects how a plan executes its transpose-exchange.
 type Strategy int
@@ -130,53 +127,21 @@ func (p Pair) String() string {
 	return p.YZ.String() + "/" + p.ZY.String()
 }
 
-// ParsePair maps a flag value to a Pair: either one strategy name for
-// both directions ("fused") or a "yz/zy" pair ("fused/staged").
-func ParsePair(s string) (Pair, error) {
-	yz, zy, ok := strings.Cut(s, "/")
-	if !ok {
-		st, err := Parse(s)
-		return Both(st), err
-	}
-	sy, err := Parse(yz)
-	if err != nil {
-		return Pair{}, err
-	}
-	sz, err := Parse(zy)
-	if err != nil {
-		return Pair{}, err
-	}
-	return Pair{YZ: sy, ZY: sz}, nil
-}
-
-// Resolve picks the winner from trial times gathered across ranks.
-// perRank[r][i] is rank r's best wall time (seconds) for candidate
-// cands[i]. A collective exchange completes when its slowest rank
-// does, so each candidate's cost is its max over ranks, and the
-// winner is the candidate with the smallest cost; ties break toward
-// the earlier candidate, so every rank resolves the same winner from
-// the same gathered table. Non-positive times (a rank that could not
-// measure) disqualify a candidate.
+// ResolveIndex picks the winner from trial times gathered across
+// ranks: perRank[r][i] is rank r's best wall time (seconds) for
+// candidate i of ncands of any kind (exchange strategies, whole-step
+// tuning points, …). A collective exchange completes when its slowest
+// rank does, so each candidate's cost is its max over ranks, and the
+// winner is the index whose cost is smallest, returned with that cost;
+// ties break toward the earlier candidate, so every rank resolves the
+// same index from the same gathered table. Non-positive times (a rank
+// that could not measure) disqualify a candidate. The returned cost is
+// -1 when every candidate was disqualified (the winner then defaults
+// to index 0).
 //
 // The argmin over a table that includes Staged is what makes the
 // autotuner safe by construction: it can never pin a strategy that
 // measured slower than the staged baseline on the benchmarked plan.
-func Resolve(cands []Strategy, perRank [][]float64) Strategy {
-	if len(cands) == 0 {
-		panic("exchange: Resolve with no candidates")
-	}
-	i, _ := ResolveIndex(len(cands), perRank)
-	return cands[i]
-}
-
-// ResolveIndex is the candidate-agnostic core of Resolve: given each
-// rank's best wall times for ncands candidates of any kind (exchange
-// strategies, whole-step tuning points, …), it returns the index of
-// the candidate whose max-over-ranks cost is smallest, together with
-// that cost, applying the same tie-break-to-earlier and non-positive-
-// time disqualification rules. Every rank resolves the same index from
-// the same gathered table. The returned cost is -1 when every
-// candidate was disqualified (the winner then defaults to index 0).
 func ResolveIndex(ncands int, perRank [][]float64) (int, float64) {
 	if ncands == 0 {
 		panic("exchange: ResolveIndex with no candidates")

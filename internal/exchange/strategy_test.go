@@ -23,38 +23,39 @@ func TestCodes(t *testing.T) {
 	}
 }
 
-// Resolve must minimize the max-over-ranks cost, so a strategy that is
+// ResolveIndex must minimize the max-over-ranks cost, so a strategy that is
 // fastest on one rank but pathological on another loses to a uniform
 // one — and a table that includes Staged can never resolve to a
 // strategy slower than Staged.
 func TestResolveMaxOverRanks(t *testing.T) {
-	cands := []Strategy{Staged, Fused, ChunkedFused}
 	perRank := [][]float64{
 		{3.0, 1.0, 2.0}, // rank 0: fused fastest
 		{3.0, 9.0, 2.5}, // rank 1: fused pathological
 	}
-	if got := Resolve(cands, perRank); got != ChunkedFused {
-		t.Fatalf("Resolve = %v, want ChunkedFused (min of max)", got)
+	if got, cost := ResolveIndex(len(Concrete), perRank); Concrete[got] != ChunkedFused || cost != 2.5 {
+		t.Fatalf("ResolveIndex = %v (cost %v), want ChunkedFused at 2.5 (min of max)", Concrete[got], cost)
 	}
 }
 
 func TestResolveNeverRegressesStaged(t *testing.T) {
-	cands := []Strategy{Staged, Fused, ChunkedFused}
 	perRank := [][]float64{{1.0, 5.0, 7.0}, {1.2, 4.0, 9.0}}
-	if got := Resolve(cands, perRank); got != Staged {
-		t.Fatalf("Resolve = %v, want Staged when it measured fastest", got)
+	if got, _ := ResolveIndex(len(Concrete), perRank); Concrete[got] != Staged {
+		t.Fatalf("ResolveIndex = %v, want Staged when it measured fastest", Concrete[got])
 	}
 }
 
 func TestResolveTiesAndInvalid(t *testing.T) {
-	cands := []Strategy{Staged, Fused}
 	// Exact tie breaks toward the earlier candidate on every rank.
-	if got := Resolve(cands, [][]float64{{2, 2}}); got != Staged {
-		t.Fatalf("tie broke to %v, want Staged", got)
+	if got, _ := ResolveIndex(2, [][]float64{{2, 2}}); got != 0 {
+		t.Fatalf("tie broke to %d, want 0", got)
 	}
 	// A rank that failed to measure (non-positive) disqualifies the
-	// candidate everywhere.
-	if got := Resolve(cands, [][]float64{{5, 0}, {5, 1}}); got != Staged {
-		t.Fatalf("invalid measurement resolved to %v, want Staged", got)
+	// candidate everywhere; with every candidate disqualified the
+	// winner defaults to 0 at cost -1.
+	if got, _ := ResolveIndex(2, [][]float64{{5, 0}, {5, 1}}); got != 0 {
+		t.Fatalf("invalid measurement resolved to %d, want 0", got)
+	}
+	if got, cost := ResolveIndex(2, [][]float64{{0, 1}, {1, -1}}); got != 0 || cost != -1 {
+		t.Fatalf("all-invalid table resolved to %d at cost %v, want 0 at -1", got, cost)
 	}
 }

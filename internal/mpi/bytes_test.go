@@ -19,10 +19,8 @@ func TestSenderSideByteConvention(t *testing.T) {
 		buf := make([]float64, words)
 		all := make([]float64, p*words)
 
-		Bcast(c, 0, buf)                           // root 0: (p-1)*blk; others: 0
 		Allgather(c, buf, all)                     // every rank: (p-1)*blk
 		Gather(c, 0, buf, all)                     // non-root: blk; root: 0
-		Scatter(c, 0, all, buf)                    // root: (p-1)*blk; others: 0
 		Alltoall(c, all, make([]float64, p*words)) // every rank: (p-1)*blk
 
 		counts := make([]int, p)
@@ -48,11 +46,11 @@ func TestSenderSideByteConvention(t *testing.T) {
 	snap := reg.Snapshot()
 
 	wantColl := func(r int) float64 {
-		// Bcast + Allgather + Gather + Scatter contributions.
+		// Allgather + Gather contributions.
 		if r == 0 {
-			return float64((p-1)*blk + (p-1)*blk + 0 + (p-1)*blk)
+			return float64((p-1)*blk + 0)
 		}
-		return float64(0 + (p-1)*blk + blk + 0)
+		return float64((p-1)*blk + blk)
 	}
 	for r := 0; r < p; r++ {
 		if e, _ := snap.Get("mpi.coll.bytes", r); e.Value != wantColl(r) {

@@ -46,35 +46,6 @@ func Recv[T any](c *Comm, src, tag int, buf []T) int {
 	return len(data)
 }
 
-// Sendrecv performs a simultaneous exchange with a peer.
-func Sendrecv[T any](c *Comm, dst, dtag int, sendbuf []T, src, stag int, recvbuf []T) int {
-	Send(c, dst, dtag, sendbuf)
-	return Recv(c, src, stag, recvbuf)
-}
-
-// Bcast copies buf from root to every rank (collective). The root is
-// charged (Size-1)×len wire bytes: one copy per remote rank.
-func Bcast[T any](c *Comm, root int, buf []T) {
-	c.maybeCrash()
-	seq := c.nextSeq()
-	key := matchKey{tag: seq, coll: true}
-	m := c.m()
-	m.collMsgs.Inc()
-	if c.rank == root {
-		m.collBytes.Add(sliceBytes[T](len(buf)) * int64(c.Size()-1))
-		cp := make([]T, len(buf))
-		copy(cp, buf)
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				c.box(c.rank, r).put(message{key: key, data: cp, bytes: sliceBytes[T](len(cp))})
-			}
-		}
-		return
-	}
-	data := c.box(root, c.rank).get(key, false).([]T)
-	copy(buf, data)
-}
-
 // Allgather concatenates each rank's equally-sized send block into
 // recv on every rank: recv[r*len(send):(r+1)*len(send)] holds rank r's
 // contribution. Each rank is charged (Size-1)×len wire bytes; the
@@ -99,6 +70,37 @@ func Allgather[T any](c *Comm, send []T, recv []T) {
 	n := len(send)
 	for r := 0; r < p; r++ {
 		data := c.box(r, c.rank).get(key, false).([]T)
+		copy(recv[r*n:(r+1)*n], data)
+	}
+}
+
+// Gather collects each rank's equally-sized block at root:
+// on root, recv[r*len(send):(r+1)*len(send)] holds rank r's block;
+// on other ranks recv is ignored and may be nil (collective). Each
+// non-root rank is charged len(send) wire bytes; the root's loopback
+// contribution is free.
+func Gather[T any](c *Comm, root int, send []T, recv []T) {
+	c.maybeCrash()
+	seq := c.nextSeq()
+	key := matchKey{tag: seq, coll: true}
+	m := c.m()
+	m.collMsgs.Inc()
+	if c.rank != root {
+		m.collBytes.Add(sliceBytes[T](len(send)))
+	}
+	cp := make([]T, len(send))
+	copy(cp, send)
+	c.box(c.rank, root).put(message{key: key, data: cp, bytes: sliceBytes[T](len(cp))})
+	if c.rank != root {
+		return
+	}
+	p := c.Size()
+	if len(recv) != p*len(send) {
+		panic(fmt.Sprintf("mpi: rank %d: gather recv length %d != %d", c.rank, len(recv), p*len(send)))
+	}
+	n := len(send)
+	for r := 0; r < p; r++ {
+		data := c.box(r, root).get(key, false).([]T)
 		copy(recv[r*n:(r+1)*n], data)
 	}
 }
@@ -297,22 +299,5 @@ func (r *Request) WaitWithin(d time.Duration) {
 		r.w.watchExit(tok)
 		stop()
 		panic(&StallError{Rank: r.rank, Op: opWait, Peer: -1, Tag: r.tag, Coll: true, Waited: d})
-	}
-}
-
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() bool {
-	select {
-	case <-r.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// WaitAll waits on every request in order.
-func WaitAll(reqs []*Request) {
-	for _, r := range reqs {
-		r.Wait()
 	}
 }

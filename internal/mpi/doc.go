@@ -34,13 +34,11 @@
 // Concretely, for a communicator of P ranks:
 //
 //   - Send charges len(buf) to the sender, except self-sends (0).
-//   - Bcast charges the root (P-1)×len; non-roots charge 0.
 //   - Allgather charges every rank (P-1)×len(send).
 //   - Gather charges each non-root rank len(send); the root charges 0.
-//   - Scatter charges the root (P-1)×len(recv); non-roots charge 0.
 //   - Alltoall/Ialltoall charge each rank len(send)-len(send)/P: all
 //     blocks except its own diagonal block.
-//   - Alltoallv/IAlltoallv charge Σ sendcounts minus sendcounts[self].
+//   - Alltoallv charges Σ sendcounts minus sendcounts[self].
 //
 // Summing a counter over ranks therefore gives total traffic offered
 // to the interconnect, with no double counting and no phantom loopback

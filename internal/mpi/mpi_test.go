@@ -102,21 +102,6 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	Run(5, func(c *Comm) {
-		buf := make([]int, 4)
-		if c.rank == 2 {
-			buf = []int{9, 8, 7, 6}
-		}
-		Bcast(c, 2, buf)
-		for i, v := range []int{9, 8, 7, 6} {
-			if buf[i] != v {
-				t.Errorf("rank %d: bcast[%d]=%d", c.rank, i, buf[i])
-			}
-		}
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	p := 4
 	Run(p, func(c *Comm) {
@@ -126,6 +111,25 @@ func TestAllgather(t *testing.T) {
 		for r := 0; r < p; r++ {
 			if recv[2*r] != r*10 || recv[2*r+1] != r*10+1 {
 				t.Errorf("rank %d: allgather %v", c.rank, recv)
+			}
+		}
+	})
+}
+
+func TestGatherAtRoot(t *testing.T) {
+	p := 4
+	Run(p, func(c *Comm) {
+		send := []int{c.rank * 2, c.rank*2 + 1}
+		var recv []int
+		if c.rank == 1 {
+			recv = make([]int, p*2)
+		}
+		Gather(c, 1, send, recv)
+		if c.rank == 1 {
+			for i := 0; i < p*2; i++ {
+				if recv[i] != i {
+					t.Errorf("gather[%d] = %d", i, recv[i])
+				}
 			}
 		}
 	})
@@ -209,9 +213,6 @@ func TestIalltoallOverlap(t *testing.T) {
 			acc += i
 		}
 		req.Wait()
-		if !req.Test() {
-			t.Error("Test() false after Wait()")
-		}
 		for src := 0; src < p; src++ {
 			for j := 0; j < bs; j++ {
 				want := src*100 + c.rank*bs + j
@@ -242,7 +243,9 @@ func TestIalltoallMultipleInFlight(t *testing.T) {
 			recvs[op] = make([]int, p*bs)
 			reqs[op] = Ialltoall(c, sends[op], recvs[op])
 		}
-		WaitAll(reqs)
+		for _, req := range reqs {
+			req.Wait()
+		}
 		for op := 0; op < k; op++ {
 			for src := 0; src < p; src++ {
 				want := op*10000 + src*100 + c.rank

@@ -72,28 +72,3 @@ func TestDoubleWaitAfterAbort(t *testing.T) {
 		t.Fatalf("second Wait re-panicked with %v, want silent return", second)
 	}
 }
-
-// TestAbortDuringInFlightIAlltoallv: a peer dying while a non-blocking
-// variable-count exchange is in flight must surface as that peer's
-// RankError, not hang the waiting rank or crash the drain goroutine.
-func TestAbortDuringInFlightIAlltoallv(t *testing.T) {
-	cause := errors.New("mid-flight failure")
-	err := TryRun(2, func(c *Comm) {
-		if c.Rank() == 1 {
-			panic(cause)
-		}
-		counts := []int{2, 2}
-		displs := []int{0, 2}
-		send := make([]float64, 4)
-		recv := make([]float64, 4)
-		req := IAlltoallv(c, send, counts, displs, recv, counts, displs)
-		req.Wait() // peer never participates; abort must wake this
-	})
-	var re *RankError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %T (%v) is not *RankError", err, err)
-	}
-	if re.Rank != 1 || !errors.Is(err, cause) {
-		t.Fatalf("err = %v, want rank 1's original panic", err)
-	}
-}

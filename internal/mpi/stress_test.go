@@ -75,23 +75,25 @@ func TestRandomCollectiveSequences(t *testing.T) {
 						}
 						return true
 					})
-				case 4: // bcast from a rotating root
-					root := i % p
-					buf := make([]int, n)
-					if c.Rank() == root {
-						for j := range buf {
-							buf[j] = i*10 + j
-						}
+				case 4: // allgather
+					send := make([]int, n)
+					for j := range send {
+						send[j] = i*100 + c.Rank()*10 + j
 					}
-					Bcast(c, root, buf)
-					for j := range buf {
-						if buf[j] != i*10+j {
-							ok = false
+					recv := make([]int, p*n)
+					Allgather(c, send, recv)
+					for s := 0; s < p; s++ {
+						for j := 0; j < n; j++ {
+							if recv[s*n+j] != i*100+s*10+j {
+								ok = false
+							}
 						}
 					}
 				}
 			}
-			WaitAll(pending)
+			for _, req := range pending {
+				req.Wait()
+			}
 			for _, chk := range pendingChecks {
 				if !chk() {
 					ok = false

@@ -1,3 +1,10 @@
+// Package par provides the OpenMP-style intra-rank worker-thread
+// parallelism of the paper's hybrid MPI+OpenMP design (§1, §3.4): with
+// 2 MPI tasks per node, "OpenMP threads can be used to launch
+// operations to the 3 GPUs per socket" and to parallelize the host
+// loops (FFT batches, packing) across cores. Ranks are goroutines
+// here, so threads are a persistent team of further goroutines inside
+// a rank.
 package par
 
 import (
@@ -43,11 +50,10 @@ func PublishMetrics(reg *metrics.Registry) {
 // Team is a persistent worker team: n−1 long-lived helper goroutines
 // plus the caller, dispatched per parallel region with no goroutine
 // churn — the analogue of an OMP thread team that outlives individual
-// "omp parallel for" regions, which Pool (one goroutine spawn per
-// region) is not. Engines hold one Team across their whole lifetime so
-// steady-state dispatch performs zero allocations: the region body is
-// handed over through a field write and a channel signal, and workers
-// park on their channels between regions.
+// "omp parallel for" regions. Engines hold one Team across their whole
+// lifetime so steady-state dispatch performs zero allocations: the
+// region body is handed over through a field write and a channel
+// signal, and workers park on their channels between regions.
 //
 // A Team serializes its regions with an internal mutex, so concurrent
 // dispatch from different goroutines is safe (regions simply queue);

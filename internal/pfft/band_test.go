@@ -9,7 +9,6 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/tuning"
 )
 
 // sameBits reports whether two spectra (or, through complex(v, 0), two
@@ -98,10 +97,7 @@ func checkBandOracle(f *Engine, kmaxes []int) {
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
 		for _, p := range []int{1, 2, 4, 8} {
-			for _, d := range tuning.Decompositions(n, p) {
-				if !d.IsPencil() {
-					continue
-				}
+			for _, d := range grids(n, p) {
 				run := func(tag string, build func(c *mpi.Comm) *Engine) {
 					if err := mpi.TryRun(p, func(c *mpi.Comm) {
 						f := build(c)

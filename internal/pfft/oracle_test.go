@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/mpi"
-	"repro/internal/tuning"
 )
 
 // The bitwise-identity tests prove the grids agree with each other, not
@@ -174,10 +173,7 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 			}
 		}
 		for _, p := range []int{1, 2, 4, 8} {
-			for _, d := range tuning.Decompositions(n, p) {
-				if !d.IsPencil() {
-					continue
-				}
+			for _, d := range grids(n, p) {
 				for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
 					for _, workers := range []int{1, 3} {
 						tag := fmt.Sprintf("N=%d %s %s workers=%d", n, d, st, workers)

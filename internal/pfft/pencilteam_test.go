@@ -114,6 +114,19 @@ func checkPencilMatchesSlab(t *testing.T, n, pr, pc, workers int, pair exchange.
 	}
 }
 
+// grids lists every valid Pr×Pc grid of an n³ field on p ranks, the
+// slab as its P×1 grid (tuning.Decompositions lists that engine once,
+// as slab).
+func grids(n, p int) []tuning.Decomp {
+	ds := tuning.Decompositions(n, p)
+	for i, d := range ds {
+		if d.IsSlab() {
+			ds[i] = tuning.Pencil(p, 1)
+		}
+	}
+	return ds
+}
+
 // The pencil engine must be bitwise identical to the slab engine for
 // every factorization of every rank count, every worker-team size and
 // both exchange-strategy families — forward and inverse. The per-axis
@@ -128,10 +141,7 @@ func TestPencilSlabBitwiseIdentity(t *testing.T) {
 		{YZ: exchange.ChunkedFused, ZY: exchange.Fused},
 	}
 	for _, p := range []int{1, 2, 4, 8} {
-		for _, d := range tuning.Decompositions(n, p) {
-			if !d.IsPencil() {
-				continue
-			}
+		for _, d := range grids(n, p) {
 			for _, workers := range []int{1, 4} {
 				for _, pair := range pairs {
 					checkPencilMatchesSlab(t, n, d.Pr, d.Pc, workers, pair, refFour, refPhys)

@@ -143,7 +143,7 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 
 // The zero space searches exactly the concrete strategies per
 // direction at the engine defaults, yz strategies varying fastest,
-// Staged/Staged first — the ordering the Resolve tie-break depends on.
+// Staged/Staged first — the ordering the ResolveIndex tie-break depends on.
 func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 	var s Space
 	pts := s.Points(3, 2)

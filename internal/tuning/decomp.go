@@ -87,17 +87,20 @@ func (d Decomp) Valid(n, p int) bool {
 	}
 }
 
-// Decompositions enumerates every decomposition valid for an n³ field
-// over p ranks, slab first (when valid) and pencil grids in ascending
-// Pr. The ordering is deterministic and identical on every rank, and
-// Resolve ties break toward earlier entries, so slab — the simpler,
-// single-exchange layout — wins a statistical wash.
+// Decompositions enumerates every distinct decomposition valid for an
+// n³ field over p ranks, slab first (when valid) and pencil grids with
+// Pc > 1 in ascending Pr. The P×1 grid is left out: it is valid exactly
+// when slab is, and it builds the same one-column engine, so listing it
+// would make an autotuner construct and trial that engine twice. The
+// ordering is deterministic and identical on every rank, and
+// ResolveIndex ties break toward earlier entries, so slab — the
+// simpler, single-exchange layout — wins a statistical wash.
 func Decompositions(n, p int) []Decomp {
 	var ds []Decomp
 	if (DecompSlab).Valid(n, p) {
 		ds = append(ds, DecompSlab)
 	}
-	for pr := 1; pr <= p; pr++ {
+	for pr := 1; pr < p; pr++ {
 		if p%pr != 0 {
 			continue
 		}

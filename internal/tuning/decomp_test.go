@@ -65,9 +65,10 @@ func TestDecompValid(t *testing.T) {
 }
 
 func TestDecompositionsEnumeration(t *testing.T) {
-	// P ≤ N with p | n: slab first, then pencils ascending in Pr.
+	// P ≤ N with p | n: slab first, then pencils ascending in Pr. The
+	// 8×1 grid is the slab's engine, so it is not listed a second time.
 	got := Decompositions(16, 8)
-	want := []Decomp{DecompSlab, Pencil(1, 8), Pencil(2, 4), Pencil(4, 2), Pencil(8, 1)}
+	want := []Decomp{DecompSlab, Pencil(1, 8), Pencil(2, 4), Pencil(4, 2)}
 	if len(got) != len(want) {
 		t.Fatalf("Decompositions(16, 8) = %v, want %v", got, want)
 	}
@@ -91,6 +92,17 @@ func TestDecompositionsEnumeration(t *testing.T) {
 	for _, d := range got {
 		if !d.Valid(16, 32) {
 			t.Fatalf("enumerated decomposition %v is not valid", d)
+		}
+	}
+	// Two ranks: slab and 1×2 only. An explicit 2×1 stays a valid
+	// request — exactly when slab is.
+	got = Decompositions(64, 2)
+	if len(got) != 2 || got[0] != DecompSlab || got[1] != Pencil(1, 2) {
+		t.Fatalf("Decompositions(64, 2) = %v, want [slab 1x2]", got)
+	}
+	for _, c := range [][2]int{{64, 2}, {16, 8}, {12, 5}, {16, 32}} {
+		if n, p := c[0], c[1]; Pencil(p, 1).Valid(n, p) != DecompSlab.Valid(n, p) {
+			t.Fatalf("N=%d P=%d: %dx1 validity differs from slab's", n, p, p)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // the paper's production runs tune together — exchange strategy,
 // transfer granularity (per-pencil vs per-slab), pencil count, worker
 // team size and wire precision — using the same barrier-fenced
-// best-of-k, max-over-ranks Resolve protocol the strategy autotuner
+// best-of-k, max-over-ranks resolve protocol the strategy autotuner
 // already uses (exchange.ResolveIndex), and persists the winner in a
 // JSON tuning cache keyed by (N, P, GOMAXPROCS, machine fingerprint)
 // so production restarts skip the trials entirely.
@@ -106,7 +106,7 @@ func (s Space) withDefaults(np, workers int) Space {
 
 // Points enumerates the space in deterministic order, yz strategies
 // varying fastest, then zy strategies, with decompositions slowest.
-// Resolve ties break toward the earlier point, so listing the safe
+// ResolveIndex ties break toward the earlier point, so listing the safe
 // defaults first (slab, Staged, double precision) keeps the tuner
 // conservative under a statistical wash, exactly as the strategy
 // autotuner is. np and workers are the engine defaults substituted
