@@ -205,8 +205,8 @@ type AsyncSlabReal struct {
 	regY, regZ       region
 	regXFwd, regXInv region
 
-	// band is what the y and z line kernels are compiled for
-	// (Truncate; full at construction).
+	// band is what the line and x kernels are compiled for (Truncate;
+	// full at construction).
 	band grid.Band
 
 	met    *asyncMetrics
@@ -408,14 +408,16 @@ type region struct {
 // vertical GPU sub-splits of Fig 5, so neither plan construction nor a
 // cache lookup is left in the timed regions.
 //
-// The band reaches the y and z passes only: each (pencil, device) line
-// kernel transforms the kb of its columns whose kx is inside it — a
-// cell left with none keeps its kernel, so the launch and event order
-// of Fig 4 does not depend on the band — and the y kernels, which see
-// the y-complete Fourier slab, also skip its out-of-band z-planes and
-// store the band's zeros (before the inverse's lines, after the
-// forward's). The pack kernels, the exchanges and the x passes move and
-// transform whole pencils as they always did.
+// The band reaches every pass: each (pencil, device) line kernel of the
+// y and z passes transforms the kb of its columns whose kx is inside it
+// — a cell left with none keeps its kernel, so the launch and event
+// order of Fig 4 does not depend on the band — and the y kernels, which
+// see the y-complete Fourier slab, also skip its out-of-band z-planes
+// and store the band's zeros (before the inverse's lines, after the
+// forward's). The x kernels take their real batches at the band's
+// width of the half-spectrum, so the r2c stores and the c2r loads stop
+// at the last in-band bin of each mid-slab row. The pack kernels and
+// the exchanges move whole pencils as they always did.
 func (a *AsyncSlabReal) compile() {
 	n, nxh, mz, my, ngpu := a.n, a.nxh, a.s.MZ(), a.s.MY(), len(a.gpus)
 	zIn := make([]bool, mz)
@@ -466,7 +468,9 @@ func (a *AsyncSlabReal) compile() {
 	a.regY = line(&a.four, mz, my, zIn, true, 0, false)
 	a.regZ = line(&a.mid, my, mz, nil, false, 0, false)
 	// The x passes run r2c/c2r over the z-split pencils straight
-	// between the physical slab [my][nz][nx] and the mid slab.
+	// between the physical slab [my][nz][nx] and the mid slab's in-band
+	// bins.
+	kx := a.band.Width(0, nxh)
 	for _, r := range []*region{&a.regXFwd, &a.regXInv} {
 		r.cells = make([]cell, a.np*ngpu)
 		for ip, zp := range a.zr {
@@ -477,7 +481,7 @@ func (a *AsyncSlabReal) compile() {
 				}
 				plans := make([]*fft.RealBatch, len(ctx.plans))
 				for wk, cache := range ctx.plans {
-					plans[wk] = cache.RealBatch(n, zs.width(), 1, n, 1, nxh)
+					plans[wk] = cache.RealBatch(n, kx, zs.width(), 1, n, 1, nxh)
 				}
 				r.cells[ip*ngpu+g].compute = cuda.Op{Kind: "fft-x", Run: a.realKernel(ctx.team, plans, zs, r == &a.regXFwd)}
 			}

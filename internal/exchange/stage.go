@@ -225,6 +225,9 @@ func (s *Stage[T]) Run(d Dir, st Strategy, src, dst []T) {
 	t := time.Now()
 	switch st {
 	case Staged:
+		if s.a2a == nil {
+			panic("exchange: Stage.Run(Staged) on a stage without staged blocks: NewStage allocates the pack and recv blocks only for stagedLen > 0")
+		}
 		s.team.ForWorkers(b.PackUnits, b.pack)
 		s.ph.Pack.ObserveSince(t)
 		t = time.Now()

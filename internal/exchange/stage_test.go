@@ -2,6 +2,7 @@ package exchange
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +102,26 @@ func testStage[T Elem](t *testing.T, conv func(float64) T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// A stage built without staged blocks (stagedLen 0) runs the zero-copy
+// strategies and refuses Staged with a message naming the constructor
+// argument, on every rank alike, instead of dereferencing a nil plan.
+func TestStagedRunNeedsBlocks(t *testing.T) {
+	const p, blk = 2, 3
+	err := mpi.TryRun(p, func(c *mpi.Comm) {
+		team := par.NewTeam(1)
+		defer team.Close()
+		k := blockKernels[complex128](c.Rank(), p, blk, false)
+		s := NewStage(c, team, Phases{}, 0, p*blk, nil, [2]Kernels[complex128]{k, k})
+		defer s.Close()
+		src, dst := make([]complex128, p*blk), make([]complex128, p*blk)
+		s.Run(YZ, ChunkedFused, src, dst)
+		s.Run(ZY, Staged, src, dst)
+	})
+	if err == nil || !strings.Contains(err.Error(), "NewStage allocates the pack and recv blocks only for stagedLen > 0") {
+		t.Fatalf("Staged on a stage without blocks: %v", err)
 	}
 }
 

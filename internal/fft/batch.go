@@ -112,21 +112,38 @@ func (b *Batch) exec(dst, src []complex128, dir Direction) {
 // domain, not the call direction: (rstride, rdist) address the real
 // sequences and (cstride, cdist) the half-spectra, in both Forward and
 // Inverse, so one plan serves the DNS's r2c and c2r x-transforms.
+//
+// A batch may be band-limited to the first kb bins of every
+// half-spectrum (NewBandRealBatch): Forward then stores bins [0, kb)
+// and leaves the rest of each line as it was, and Inverse reads bins
+// [0, kb) and takes the rest as +0 — bit for bit the full plan's result
+// for a spectrum that is +0 there. Odd lengths ignore the band.
 type RealBatch struct {
 	p              *RealPlan
-	howmany        int
+	howmany, kb    int
 	rstride, rdist int
 	cstride, cdist int
 }
 
-// NewRealBatch creates a batched real-transform plan.
+// NewRealBatch creates a batched real-transform plan over whole
+// half-spectra.
 func NewRealBatch(n, howmany, rstride, rdist, cstride, cdist int) *RealBatch {
+	return NewBandRealBatch(n, n/2+1, howmany, rstride, rdist, cstride, cdist)
+}
+
+// NewBandRealBatch creates a batched real-transform plan whose
+// half-spectra are band-limited to their first kb bins, 1 ≤ kb ≤ n/2+1
+// (n/2+1 is NewRealBatch's full band).
+func NewBandRealBatch(n, kb, howmany, rstride, rdist, cstride, cdist int) *RealBatch {
 	if howmany < 0 || rstride < 1 || cstride < 1 || rdist < 0 || cdist < 0 {
 		panic(fmt.Sprintf("fft: invalid real batch layout howmany=%d rstride=%d rdist=%d cstride=%d cdist=%d", howmany, rstride, rdist, cstride, cdist))
 	}
+	if kb < 1 || kb > n/2+1 {
+		panic(fmt.Sprintf("fft: real batch band kb=%d outside [1, %d] for n=%d", kb, n/2+1, n))
+	}
 	return &RealBatch{
 		p:       NewRealPlan(n),
-		howmany: howmany,
+		howmany: howmany, kb: kb,
 		rstride: rstride, rdist: rdist,
 		cstride: cstride, cdist: cdist,
 	}
@@ -144,25 +161,25 @@ func (b *RealBatch) check(nr, nc int) {
 }
 
 // Forward transforms howmany real sequences from src into half-spectra
-// in dst.
+// in dst (bins [0, kb) of each).
 //
 //psdns:hotpath
 func (b *RealBatch) Forward(dst []complex128, src []float64) {
 	b.check(len(src), len(dst))
 	b.p.count(b.howmany)
 	for t := 0; t < b.howmany; t++ {
-		b.p.forward(dst[t*b.cdist:], b.cstride, src[t*b.rdist:], b.rstride)
+		b.p.forward(dst[t*b.cdist:], b.cstride, src[t*b.rdist:], b.rstride, b.kb)
 	}
 }
 
-// Inverse transforms howmany half-spectra from src into real sequences
-// in dst (each scaled by 1/n).
+// Inverse transforms howmany half-spectra from src (bins [0, kb) of
+// each) into real sequences in dst (each scaled by 1/n).
 //
 //psdns:hotpath
 func (b *RealBatch) Inverse(dst []float64, src []complex128) {
 	b.check(len(dst), len(src))
 	b.p.count(b.howmany)
 	for t := 0; t < b.howmany; t++ {
-		b.p.inverse(dst[t*b.rdist:], b.rstride, src[t*b.cdist:], b.cstride)
+		b.p.inverse(dst[t*b.rdist:], b.rstride, src[t*b.cdist:], b.cstride, b.kb)
 	}
 }

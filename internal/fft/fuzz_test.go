@@ -69,13 +69,17 @@ func mustPanicFFT(t *testing.T, what string, f func()) {
 // FuzzBatchLayout checks any batch layout against the oracle: every
 // line of the output within 1e-12·n·‖x‖ of the definition, and a
 // buffer one element short of the layout rejected by the package's own
-// check instead of an index panic inside a kernel. The seed corpus is
+// check instead of an index panic inside a kernel. The same layout, as
+// the real and half-spectrum sides of a real batch band-limited to kb
+// bins, runs through checkBandRealLayout. The seed corpus is
 // testdata/fuzz/FuzzBatchLayout.
 func FuzzBatchLayout(f *testing.F) {
-	f.Fuzz(func(t *testing.T, n, howmany, istride, idist, ostride, odist int, inverse, inPlace bool, seed int64) {
+	f.Fuzz(func(t *testing.T, n, howmany, istride, idist, ostride, odist int, inverse, inPlace bool, seed int64, kb int) {
 		n, howmany = into(n, 1, 130), into(howmany, 0, 40)
 		istride, idist = into(istride, 1, 12), into(idist, 0, 64)
-		ostride, odist = disjoint(n, howmany, into(ostride, 1, 12), into(odist, 0, 64))
+		ostride, odist = into(ostride, 1, 12), into(odist, 0, 64)
+		checkBandRealLayout(t, n, into(kb, 1, n/2+1), howmany, istride, idist, ostride, odist, inverse, seed)
+		ostride, odist = disjoint(n, howmany, ostride, odist)
 		if inPlace {
 			istride, idist = ostride, odist
 		}
@@ -124,4 +128,85 @@ func FuzzBatchLayout(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkBandRealLayout checks a real batch band-limited to kb bins on the
+// layout (rstride, rdist) × (cstride, cdist), each widened to disjoint
+// lines, against the O(n²) oracle. Forward: bins below kb within
+// 1e-12·n·‖x‖ of the definition, every other element of dst untouched.
+// Inverse: a Hermitian spectrum holding NaN past the band transforms to
+// the oracle's inverse of that spectrum with zeros there. Odd n ignores
+// the band. A buffer one element short is rejected by the package.
+func checkBandRealLayout(t *testing.T, n, kb, howmany, rstride, rdist, cstride, cdist int, inverse bool, seed int64) {
+	h := n/2 + 1
+	if n%2 == 1 {
+		kb = h
+	}
+	rstride, rdist = disjoint(n, howmany, rstride, rdist)
+	cstride, cdist = disjoint(h, howmany, cstride, cdist)
+	rlen, clen := 0, 0
+	if howmany > 0 {
+		rlen, clen = lineSpan(howmany, n, rstride, rdist), lineSpan(howmany, h, cstride, cdist)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	re, sp := make([]float64, rlen), make([]complex128, clen)
+	b := NewBandRealBatch(n, kb, howmany, rstride, rdist, cstride, cdist)
+	defer b.Release()
+	if howmany > 0 {
+		mustPanicFFT(t, "short real side", func() { b.Forward(sp, re[:rlen-1]) })
+		mustPanicFFT(t, "short half-spectrum", func() { b.Inverse(re, sp[:clen-1]) })
+	}
+	line := make([]complex128, n)
+	if !inverse {
+		for i := range re {
+			re[i] = rng.NormFloat64()
+		}
+		for i := range sp {
+			sp[i] = sentinel
+		}
+		b.Forward(sp, re)
+		for l := 0; l < howmany; l++ {
+			norm := 0.0
+			for j := range line {
+				v := re[l*rdist+j*rstride]
+				line[j], norm = complex(v, 0), norm+v*v
+			}
+			want, tol := dftOracle(line, Forward), 1e-12*float64(n)*math.Sqrt(norm)
+			for k := 0; k < h; k++ {
+				got := sp[l*cdist+k*cstride]
+				if k < kb && !(cmplx.Abs(got-want[k]) <= tol) || k >= kb && !bitsEqual(got, sentinel) {
+					t.Fatalf("real n=%d kb=%d howmany=%d real (%d,%d) spectrum (%d,%d) forward: line %d bin %d: got %v, oracle %v (tol %g)",
+						n, kb, howmany, rstride, rdist, cstride, cdist, l, k, got, want[k], tol)
+				}
+			}
+		}
+		return
+	}
+	for i := range sp {
+		sp[i] = complex(math.NaN(), math.NaN())
+	}
+	want, tol := make([][]complex128, howmany), make([]float64, howmany)
+	for l := range want {
+		clear(line)
+		norm := 0.0
+		for k := 0; k < kb; k++ {
+			v := complex(rng.NormFloat64(), rng.NormFloat64())
+			if k == 0 || 2*k == n {
+				v = complex(real(v), 0)
+			}
+			sp[l*cdist+k*cstride] = v
+			line[k], line[(n-k)%n] = v, cmplx.Conj(v)
+			norm += real(v)*real(v) + imag(v)*imag(v)
+		}
+		want[l], tol[l] = dftOracle(line, Inverse), 1e-12*float64(n)*math.Sqrt(norm)
+	}
+	b.Inverse(re, sp)
+	for l := range want {
+		for j, w := range want[l] {
+			if got := re[l*rdist+j*rstride]; !(math.Abs(got-real(w)) <= tol[l]) {
+				t.Fatalf("real n=%d kb=%d howmany=%d real (%d,%d) spectrum (%d,%d) inverse: line %d sample %d: got %v, oracle %v (tol %g)",
+					n, kb, howmany, rstride, rdist, cstride, cdist, l, j, got, real(w), tol[l])
+			}
+		}
+	}
 }

@@ -37,9 +37,9 @@ func PublishMetrics(reg *metrics.Registry) {
 
 // batchKey identifies one advanced-layout batch configuration; for
 // real batches the stride fields carry (rstride, rdist, cstride,
-// cdist).
+// cdist) and kb the band (0 for complex batches).
 type batchKey struct {
-	n, howmany     int
+	n, howmany, kb int
 	istride, idist int
 	ostride, odist int
 }
@@ -66,7 +66,7 @@ func NewBatchCache() *BatchCache {
 // Batch returns the cached batch plan for the given layout, creating
 // it on first use.
 func (bc *BatchCache) Batch(n, howmany, istride, idist, ostride, odist int) *Batch {
-	k := batchKey{n, howmany, istride, idist, ostride, odist}
+	k := batchKey{n, howmany, 0, istride, idist, ostride, odist}
 	if b := bc.batches[k]; b != nil {
 		cacheHits.Add(1)
 		return b
@@ -83,16 +83,16 @@ func (bc *BatchCache) ContiguousBatch(n, howmany int) *Batch {
 	return bc.Batch(n, howmany, 1, n, 1, n)
 }
 
-// RealBatch returns the cached real batch plan for the given layout,
-// creating it on first use.
-func (bc *BatchCache) RealBatch(n, howmany, rstride, rdist, cstride, cdist int) *RealBatch {
-	k := batchKey{n, howmany, rstride, rdist, cstride, cdist}
+// RealBatch returns the cached real batch plan for the given layout and
+// band kb (see NewBandRealBatch), creating it on first use.
+func (bc *BatchCache) RealBatch(n, kb, howmany, rstride, rdist, cstride, cdist int) *RealBatch {
+	k := batchKey{n, howmany, kb, rstride, rdist, cstride, cdist}
 	if b := bc.reals[k]; b != nil {
 		cacheHits.Add(1)
 		return b
 	}
 	cacheMisses.Add(1)
-	b := NewRealBatch(n, howmany, rstride, rdist, cstride, cdist)
+	b := NewBandRealBatch(n, kb, howmany, rstride, rdist, cstride, cdist)
 	bc.reals[k] = b
 	return b
 }

@@ -56,7 +56,7 @@ type Engine struct {
 	team *par.Team
 	// Per-worker plans (plans carry scratch and are not concurrency-safe).
 	byz []*fft.Batch     // y lines of a C z-plane, z lines of a B y-plane: the kb in-band columns of [N][Wc]
-	bx  []*fft.RealBatch // the Mz half-spectrum ↔ real x lines of a y-plane
+	bx  []*fft.RealBatch // the Mz half-spectrum ↔ real x lines of a y-plane, band-limited to the in-band bins
 
 	// The band the y and z passes transform (Truncate; full at
 	// construction): kb of this rank's Wc columns hold a kx inside it,
@@ -180,9 +180,9 @@ func NewPencilReal(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair) *
 
 // newEngine is the one constructor: the grid is commY × commZ (a nil
 // commZ is the one-column grid of the slab constructors), pair is
-// pinned — both concrete, or both AT with a bound. single and bound are
-// identical on every rank, so the collective registration order stays
-// uniform.
+// pinned — both concrete, or both AT with a bound. pair, single and
+// bound are identical on every rank, so the collective registration
+// order stays uniform.
 func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound *exchange.Bound, single bool) *Engine {
 	pc, zRank := 1, 0
 	if commZ != nil {
@@ -221,21 +221,25 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 		kmax:    reg.GaugeRank("transform.kmax", rank),
 
 		byz: make([]*fft.Batch, workers),
+		bx:  make([]*fft.RealBatch, workers),
 		zIn: make([]bool, l.Mz2),
-	}
-	for w := 0; w < workers; w++ {
-		f.bx = append(f.bx, fft.NewRealBatch(n, l.Mz, 1, n, 1, l.Nxh))
 	}
 	f.Truncate(-1)
 	// The row stage is the slab transpose of [Mz2][Ny][Wc]. Staging
-	// slabs and the stage exist only in the precision the exchange ships.
+	// slabs and the stage exist only in the precision the exchange ships,
+	// and a stage's pack and recv blocks only when a pinned direction is
+	// Staged — the only strategy that touches them.
 	rl := transpose.NewSlabLayout(l.Wc, n, l.Mz2, l.Pr)
+	rowBlocks, colBlocks := 0, 0
+	if pair.YZ == exchange.Staged || pair.ZY == exchange.Staged {
+		rowBlocks, colBlocks = rl.Total, pc*l.BlockC
+	}
 	if single {
 		f.four32 = pool.GetComplex64(rl.Total)
 		f.mid32 = pool.GetComplex64(rl.Total)
-		f.wire = exchange.NewStage(commY, f.team, f.ph, rl.Total, rl.Total, nil, slabKernels[complex64](&rl, commY.Rank()))
+		f.wire = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, nil, slabKernels[complex64](&rl, commY.Rank()))
 	} else {
-		f.row = exchange.NewStage(commY, f.team, f.ph, rl.Total, rl.Total, bound, slabKernels[complex128](&rl, commY.Rank()))
+		f.row = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, bound, slabKernels[complex128](&rl, commY.Rank()))
 	}
 	f.mid = f.x
 	if pc > 1 {
@@ -243,7 +247,7 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 		// (shorter, per-rank varying) B inverse; PadXLen is identical
 		// across the column group and divisible by Pc by construction.
 		f.mid = pool.GetComplex(l.BLen())
-		f.col = exchange.NewStage(commZ, f.team, f.ph, pc*l.BlockC, l.PadXLen, nil, colKernels[complex128](l))
+		f.col = exchange.NewStage(commZ, f.team, f.ph, colBlocks, l.PadXLen, nil, colKernels[complex128](l))
 	}
 	f.buildBodies()
 	f.setStrategies(pair)
@@ -334,9 +338,10 @@ func (f *Engine) buildBodies() {
 	xp, pp := l.Mz*l.Nxh, l.Mz*f.n // one y-plane of X, of the physical pencil
 	// The y pass owns the band's zeros: the inverse stores them over
 	// whatever the caller left outside the band before its lines run
-	// (they reach B through the exchange, where the z lines and the x
-	// pass read them), the forward over the untransformed remainder
-	// after. A plane whose kz is outside the band is all zeros.
+	// (they reach B through the exchange, where the z lines read them;
+	// the x pass reads only in-band bins), the forward over the
+	// untransformed remainder after. A plane whose kz is outside the
+	// band is all zeros.
 	f.invYBody = func(w, lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
 			plane := f.curFour[iz*cp : (iz+1)*cp]
@@ -428,14 +433,17 @@ func (f *Engine) buildBodies() {
 // (the stage programs of internal/fft map an all-(+0) line to an
 // all-(+0) line, so the lines skipped are lines whose result is known).
 //
-// The saving is in the y and z passes, which run only the lines whose
-// other two wavenumbers are in the band: the per-worker y/z batch is
-// rebuilt at this rank's in-band width kb = |[XLo, XLo+Wc) ∩ [0, kmax]|
-// (stride still Wc; the old plans are released), and the y pass skips
-// C's out-of-band z-planes. The x pass and the exchanges are untouched
-// — the exchanges still move whole slabs, which is how the zeros the
-// inverse needs reach B. Plan time, not hot path; every rank of the
-// grid must truncate to the same band between the same transforms.
+// The saving is in all three passes. The y and z passes run only the
+// lines whose other two wavenumbers are in the band: the per-worker y/z
+// batch is rebuilt at this rank's in-band width kb = |[XLo, XLo+Wc) ∩
+// [0, kmax]| (stride still Wc; the old plans are released), and the y
+// pass skips C's out-of-band z-planes. The x pass is rebuilt at the
+// band's width of the whole half-spectrum, band.Width(0, Nxh): its r2c
+// stores and its c2r loads stop at that bin. The exchanges still move
+// whole slabs, which is how the zeros the inverse's z lines read reach
+// B; the x bins past the band are never read. Plan time, not hot path;
+// every rank of the grid must truncate to the same band between the
+// same transforms.
 func (f *Engine) Truncate(kmax int) {
 	if f.closed {
 		return
@@ -446,11 +454,14 @@ func (f *Engine) Truncate(kmax int) {
 	for iz := range f.zIn {
 		f.zIn[iz] = band.Has(l.YRank*l.Mz2 + iz)
 	}
-	for w, b := range f.byz {
-		if b != nil {
-			b.Release()
+	kx := band.Width(0, l.Nxh)
+	for w := range f.byz {
+		if f.byz[w] != nil {
+			f.byz[w].Release()
+			f.bx[w].Release()
 		}
 		f.byz[w] = fft.NewBatch(f.n, f.kb, l.Wc, 1, l.Wc, 1)
+		f.bx[w] = fft.NewBandRealBatch(f.n, kx, l.Mz, 1, f.n, 1, l.Nxh)
 	}
 	f.kmax.Set(float64(band.Kmax))
 }

@@ -3,7 +3,9 @@ package pfft
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/metrics"
@@ -153,6 +155,47 @@ func TestSlabRealFusedSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// Only Staged touches a stage's pack and recv blocks, so an engine
+// pinned to a zero-copy strategy or to AT is built without them and its
+// stages refuse a Staged exchange, while an engine with a Staged
+// direction carries them and runs Staged both ways. ZY runs first so a
+// pencil grid reaches its column stage before the row stage.
+func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
+	const n = 16
+	pencil := func(pair exchange.Pair) func(c *mpi.Comm) *Engine {
+		return func(c *mpi.Comm) *Engine {
+			row, col := c.CartGrid(2, 2)
+			return NewPencilReal(col, row, n, 1, pair)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		p      int
+		build  func(c *mpi.Comm) *Engine
+		blocks bool
+	}{
+		{"slab fused", 2, func(c *mpi.Comm) *Engine { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
+		{"slab chunked", 2, func(c *mpi.Comm) *Engine { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
+		{"slab at", 2, func(c *mpi.Comm) *Engine { return NewSlabRealAT(c, n, 1, 0, time.Second) }, false},
+		{"pencil 2x2 chunked", 4, pencil(exchange.Both(exchange.ChunkedFused)), false},
+		{"slab staged", 2, func(c *mpi.Comm) *Engine { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
+		{"pencil 2x2 staged/fused", 4, pencil(exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}), true},
+	} {
+		err := mpi.TryRun(tc.p, func(c *mpi.Comm) {
+			f := tc.build(c)
+			defer f.Close()
+			four := make([]complex128, f.FourierLen())
+			for _, d := range []exchange.Dir{exchange.ZY, exchange.YZ} {
+				f.runTrial(d, exchange.Staged, four)
+			}
+		})
+		refused := err != nil && strings.Contains(err.Error(), "NewStage allocates the pack and recv blocks only for stagedLen > 0")
+		if tc.blocks && err != nil || !tc.blocks && !refused {
+			t.Errorf("%s (blocks expected: %v): a Staged exchange returned %v", tc.name, tc.blocks, err)
+		}
 	}
 }
 

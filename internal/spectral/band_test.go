@@ -12,11 +12,22 @@ import (
 	"repro/internal/pfft"
 )
 
-// The solver's mask, the band it hands its engine and grid.DealiasKmax
-// are one definition: mask ≡ {every |k_i| ≤ DealiasKmax}, which is also
-// the float compare k > N/3 the mask used to be built from. N = 48
-// keeps k = 16 = N/3 exactly (the pinned scalar_rk4_n48 golden depends
-// on it); without dealiasing the mask keeps everything.
+// inBand reports whether storage index idx of a local Fourier field is
+// inside the solver's band, as its row description says: the z-plane's
+// kz is in, the ky row is outside the gap, and the mode is among the
+// row's first kb.
+func inBand(s *Solver, idx int) bool {
+	ix, iy, iz := idx%s.nxh, idx/s.nxh%s.cfg.N, idx/s.nxh/s.cfg.N
+	return s.zIn[iz] && (iy < s.gapLo || iy >= s.gapHi) && ix < s.kb
+}
+
+// The solver's band, the band it hands its engine and grid.DealiasKmax
+// are one definition: the row description (z-plane table, ky gap, x
+// prefix kb) holds exactly the modes with every |k_i| ≤ DealiasKmax,
+// which is also the float compare k > N/3 the dealias mask used to be
+// built from. N = 48 keeps k = 16 = N/3 exactly (the pinned
+// scalar_rk4_n48 golden depends on it); without dealiasing the band
+// holds everything.
 func TestDealiasMaskIsTheBand(t *testing.T) {
 	for _, n := range []int{12, 16, 48, 64} {
 		kmax := grid.DealiasKmax(n)
@@ -35,8 +46,8 @@ func TestDealiasMaskIsTheBand(t *testing.T) {
 							if old := !(kx > float64(n)/3 || math.Abs(ky) > float64(n)/3 || math.Abs(kz) > float64(n)/3); old != in {
 								t.Errorf("N=%d k=(%g,%g,%g): |k_i| ≤ %d is %v, the float compare %v", n, kx, ky, kz, kmax, in, old)
 							}
-							if want := in || da == DealiasNone; s.mask[idx] != want {
-								t.Errorf("N=%d dealias %d k=(%g,%g,%g): mask %v, want %v", n, da, kx, ky, kz, s.mask[idx], want)
+							if want := in || da == DealiasNone; inBand(s, idx) != want {
+								t.Errorf("N=%d dealias %d k=(%g,%g,%g): in the band %v, want %v", n, da, kx, ky, kz, inBand(s, idx), want)
 							}
 							idx++
 						}
@@ -126,6 +137,108 @@ func TestTruncatedStepMatchesFullBitwise(t *testing.T) {
 	}
 }
 
+// poisonedSystem wraps a system so that every nonlinear evaluation
+// starts from NaN in each out-of-band entry of its right-hand side and
+// must leave exactly +0 there; bad records the first entry that did
+// not.
+type poisonedSystem struct {
+	System
+	bad string
+}
+
+func (y *poisonedSystem) Nonlinear(s *Solver, state, rhs [][]complex128) {
+	poisonOutOfBand(s, rhs)
+	y.System.Nonlinear(s, state, rhs)
+	for c, f := range rhs {
+		for i, v := range f {
+			if !inBand(s, i) && (math.Float64bits(real(v)) != 0 || math.Float64bits(imag(v)) != 0) && y.bad == "" {
+				y.bad = fmt.Sprintf("field %d mode %d = %v after Nonlinear, want +0", c, i, v)
+			}
+		}
+	}
+}
+
+// Close forwards to the wrapped system's (the forced systems free a
+// collective plan there).
+func (y *poisonedSystem) Close() {
+	if c, ok := y.System.(interface{ Close() }); ok {
+		c.Close()
+	}
+}
+
+// poisonOutOfBand stores NaN over every out-of-band entry of fields.
+func poisonOutOfBand(s *Solver, fields [][]complex128) {
+	for _, f := range fields {
+		for i := range f {
+			if !inBand(s, i) {
+				f[i] = complex(math.NaN(), math.NaN())
+			}
+		}
+	}
+}
+
+// Out-of-band right-hand-side entries are written, never read: with NaN
+// stored over them in every right-hand-side buffer (nl, and rk2–rk4
+// under RK4) before each step, and in the buffer each nonlinear
+// evaluation writes before it runs, every registered system steps bit
+// for bit as it does on clean buffers, and every evaluation leaves
+// exactly +0 there — the value the stage sweeps then carry into the
+// out-of-band state's decay. The spec holds every physics parameter, so
+// each system runs all of its terms (forcing, rotation, two scalars with
+// and without a mean gradient).
+func TestPoisonedRHSStepsBitwise(t *testing.T) {
+	const n = 16
+	dts := []float64{4e-3, 2.5e-3, 3.1e-3}
+	spec := SystemSpec{
+		Nu:      0.01,
+		Forcing: ForcingSpec{KF: 2, Eps: 0.05, TCorr: 0.5, Seed: 3},
+		Scalars: []ScalarSpec{{Schmidt: 1, MeanGrad: 1}, {Schmidt: 0.7}},
+		Omega:   2,
+	}
+	for _, name := range Systems() {
+		for _, sch := range []Scheme{RK2, RK4} {
+			for _, da := range []Dealias{Dealias23, Dealias23Shift} {
+				for _, p := range []int{1, 2} {
+					tag := fmt.Sprintf("%s/scheme%d/dealias%d/p%d", name, sch, da, p)
+					mpi.Run(p, func(c *mpi.Comm) {
+						sys := func() System {
+							y, err := NewNamedSystem(name, spec)
+							if err != nil {
+								panic(err)
+							}
+							return y
+						}
+						dirtySys := &poisonedSystem{System: sys()}
+						opts := []Option{WithNu(spec.Nu), WithScheme(sch), WithDealias(da)}
+						clean := New(c, n, append(opts, WithSystemInstance(sys()))...)
+						dirty := New(c, n, append(opts, WithSystemInstance(dirtySys))...)
+						defer clean.Close()
+						defer dirty.Close()
+						for _, s := range []*Solver{clean, dirty} {
+							s.SetRandomIsotropic(2.5, 0.3, 17)
+							for f := 3; f < s.Fields(); f++ {
+								s.SetFieldBlob(f, 2.5, 0.5, int64(40+f))
+							}
+						}
+						for step, dt := range dts {
+							for _, buf := range [][][]complex128{dirty.nl, dirty.rk2, dirty.rk3, dirty.rk4} {
+								poisonOutOfBand(dirty, buf)
+							}
+							clean.Step(dt)
+							dirty.Step(dt)
+							if dirtySys.bad != "" {
+								t.Errorf("%s: rank %d step %d: %s", tag, c.Rank(), step, dirtySys.bad)
+								dirtySys.bad = ""
+							}
+							sameBits(t, tag, c.Rank(), step, "field", dirty.state, clean.state)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // State outside the band is inert: one extra mode beyond N/3 — in x, in
 // y or in z — leaves every other mode of a three-step run bit for bit
 // what it is without it, and itself only decays, by the integrating
@@ -159,7 +272,7 @@ func TestOutOfBandStateIsInert(t *testing.T) {
 					at := -1
 					if gz := (k[2] + n) % n; dirty.slab.ZOwner(gz) == c.Rank() {
 						at = ((gz-dirty.slab.ZLo())*n+(k[1]+n)%n)*dirty.nxh + k[0]
-						if dirty.mask[at] || dirty.Uh[1][at] != 0 {
+						if inBand(dirty, at) || dirty.Uh[1][at] != 0 {
 							t.Errorf("%s: mode %d is not an empty out-of-band mode", name, at)
 						}
 						dirty.Uh[1][at] = extra

@@ -64,123 +64,185 @@ func mulTo(dst, a, b []float64) {
 	}
 }
 
-// accumulateFlux accumulates −i·k_comp·ŝ into dst, where ŝ is the
-// spectral product currently in s.work — one term of a divergence
-// −i(k_x·ŝ_x + k_y·ŝ_y + k_z·ŝ_z). Callers issue the x term first, so
-// comp 0 stores 0 + term (the bits a cleared destination would hold
-// after its first add) and comp 1, 2 add; k_x streams from kxs, k_y and
-// k_z are constant along an x-row. A non-nil dst2 receives the comp2
-// term of the same ŝ in the same pass (an off-diagonal product u_iu_j
-// feeds two components; dst then takes a y or z term).
+// yRuns are the ky storage rows of a z-plane inside the band: [0, gapLo)
+// and [gapHi, N), the second empty when the band keeps only ky = 0. The
+// right-hand-side loops visit these rows of the in-band z-planes, and the
+// first kb modes of each.
+func (s *Solver) yRuns() [2][2]int { return [2][2]int{{0, s.gapLo}, {s.gapHi, s.cfg.N}} }
+
+// clearOutOfBandRows stores +0 over the rows of z-plane iz of f that lie
+// outside the band — every row when kz is outside it, else the gap rows
+// — and reports whether the plane has in-band rows left, whose tails
+// past kb are the caller's to clear.
+func (s *Solver) clearOutOfBandRows(f []complex128, iz int) bool {
+	pl := s.cfg.N * s.nxh
+	plane := f[iz*pl : (iz+1)*pl]
+	if !s.zIn[iz] {
+		clear(plane)
+		return false
+	}
+	clear(plane[s.gapLo*s.nxh : s.gapHi*s.nxh])
+	return true
+}
+
+// accumulateFlux accumulates −i·k_comp·ŝ into the in-band modes of dst,
+// where ŝ is the spectral product currently in s.work — one term of a
+// divergence −i(k_x·ŝ_x + k_y·ŝ_y + k_z·ŝ_z). Callers issue the x term
+// first, so comp 0 stores 0 + term (the bits a cleared destination
+// would hold after its first add) and comp 1, 2 add; k_x streams from
+// kxs, k_y and k_z are constant along an x-row. A non-nil dst2 receives
+// the comp2 term of the same ŝ in the same pass (an off-diagonal product
+// u_iu_j feeds two components; dst then takes a y or z term). Modes
+// outside the band are neither read nor written: the dealias loop that
+// follows stores their +0.
 //
 //psdns:hotpath
 func (s *Solver) accumulateFlux(dst []complex128, comp int, dst2 []complex128, comp2 int) {
-	nxh := s.nxh
-	kxs := s.kxs[:nxh]
-	lo := 0
-	for _, kz := range s.kzs {
-		for _, ky := range s.kys {
-			w, d := s.work[lo:lo+nxh], dst[lo:lo+nxh]
-			k := ky // comp 1; unused by the comp 0 store
-			if comp == 2 {
-				k = kz
+	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	kxs := s.kxs[:kb]
+	ys := s.yRuns()
+	for iz, kz := range s.kzs {
+		if !s.zIn[iz] {
+			continue
+		}
+		for _, yr := range ys {
+			for iy := yr[0]; iy < yr[1]; iy++ {
+				lo, ky := iz*pl+iy*nxh, s.kys[iy]
+				w, d := s.work[lo:lo+kb], dst[lo:lo+kb]
+				k := ky // comp 1; unused by the comp 0 store
+				if comp == 2 {
+					k = kz
+				}
+				// −i·k·v = complex(k·imag, −k·real) throughout.
+				switch {
+				case dst2 == nil && comp == 0:
+					for i, v := range w {
+						kx := kxs[i]
+						d[i] = 0 + complex(kx*imag(v), -kx*real(v))
+					}
+				case dst2 == nil:
+					for i, v := range w {
+						d[i] += complex(k*imag(v), -k*real(v))
+					}
+				case comp2 == 0:
+					d2 := dst2[lo : lo+kb]
+					for i, v := range w {
+						kx := kxs[i]
+						d[i] += complex(k*imag(v), -k*real(v))
+						d2[i] = 0 + complex(kx*imag(v), -kx*real(v))
+					}
+				default:
+					d2, k2 := dst2[lo:lo+kb], ky
+					if comp2 == 2 {
+						k2 = kz
+					}
+					for i, v := range w {
+						d[i] += complex(k*imag(v), -k*real(v))
+						d2[i] += complex(k2*imag(v), -k2*real(v))
+					}
+				}
 			}
-			// −i·k·v = complex(k·imag, −k·real) throughout.
-			switch {
-			case dst2 == nil && comp == 0:
-				for i, v := range w {
-					kx := kxs[i]
-					d[i] = 0 + complex(kx*imag(v), -kx*real(v))
-				}
-			case dst2 == nil:
-				for i, v := range w {
-					d[i] += complex(k*imag(v), -k*real(v))
-				}
-			case comp2 == 0:
-				d2 := dst2[lo : lo+nxh]
-				for i, v := range w {
-					kx := kxs[i]
-					d[i] += complex(k*imag(v), -k*real(v))
-					d2[i] = 0 + complex(kx*imag(v), -kx*real(v))
-				}
-			default:
-				d2, k2 := dst2[lo:lo+nxh], ky
-				if comp2 == 2 {
-					k2 = kz
-				}
-				for i, v := range w {
-					d[i] += complex(k*imag(v), -k*real(v))
-					d2[i] += complex(k2*imag(v), -k2*real(v))
-				}
-			}
-			lo += nxh
 		}
 	}
 }
 
 // addCoriolis adds the Coriolis acceleration −2Ω·ẑ×u =
-// (2Ω·u_y, −2Ω·u_x, 0) to rhs[0:2]. It must run before the solenoidal
-// projection (the projection removes the gradient part that feeds the
-// geostrophic pressure); the term does no work, so inviscid energy is
-// conserved to scheme accuracy — the validation invariant of the
-// rotating system.
+// (2Ω·u_y, −2Ω·u_x, 0) to the in-band modes of rhs[0:2]. It must run
+// before the solenoidal projection (the projection removes the gradient
+// part that feeds the geostrophic pressure, and stores the band's
+// zeros); the term does no work, so inviscid energy is conserved to
+// scheme accuracy — the validation invariant of the rotating system.
 //
 //psdns:hotpath
 func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 	two := complex(2*omega, 0)
-	rx := rhs[0]
-	ry, ux, uy := rhs[1][:len(rx)], state[0][:len(rx)], state[1][:len(rx)]
-	for i := range rx {
-		rx[i] += two * uy[i]
-		ry[i] -= two * ux[i]
-	}
-}
-
-// projectAndDealias applies the solenoidal projection
-// N̂_⊥ = N̂ − k(k·N̂)/k² and the dealias mask to rhs[0:3].
-//
-//psdns:hotpath
-func (s *Solver) projectAndDealias(rhs [][]complex128) {
-	nxh := s.nxh
-	kxs := s.kxs[:nxh]
-	lo := 0
-	for _, kz := range s.kzs {
-		for _, ky := range s.kys {
-			r0, r1, r2 := rhs[0][lo:lo+nxh], rhs[1][lo:lo+nxh], rhs[2][lo:lo+nxh]
-			mask := s.mask[lo : lo+nxh]
-			kyz2 := ky*ky + kz*kz
-			cky, ckz := complex(ky, 0), complex(kz, 0)
-			for ix, kx := range kxs {
-				k2 := kx*kx + kyz2
-				if k2 == 0 || !mask[ix] {
-					r0[ix], r1[ix], r2[ix] = 0, 0, 0
-					continue
+	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	ys := s.yRuns()
+	for iz, in := range s.zIn {
+		if !in {
+			continue
+		}
+		for _, yr := range ys {
+			for iy := yr[0]; iy < yr[1]; iy++ {
+				lo := iz*pl + iy*nxh
+				rx := rhs[0][lo : lo+kb]
+				ry, ux, uy := rhs[1][lo:lo+kb], state[0][lo:lo+kb], state[1][lo:lo+kb]
+				for i := range rx {
+					rx[i] += two * uy[i]
+					ry[i] -= two * ux[i]
 				}
-				ckx := complex(kx, 0)
-				dot := (ckx*r0[ix] + cky*r1[ix] + ckz*r2[ix]) / complex(k2, 0)
-				r0[ix] -= ckx * dot
-				r1[ix] -= cky * dot
-				r2[ix] -= ckz * dot
 			}
-			lo += nxh
 		}
 	}
 }
 
-// applyShift multiplies every mode by exp(sign·i·k·Δ) for the current
-// step's phase shift Δ (Rogallo phase shifting).
+// projectAndDealias applies the solenoidal projection
+// N̂_⊥ = N̂ − k(k·N̂)/k² to the in-band modes of rhs[0:3] and stores +0
+// over every other mode, the 2/3 rule's truncation.
+//
+//psdns:hotpath
+func (s *Solver) projectAndDealias(rhs [][]complex128) {
+	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	kxs := s.kxs[:kb]
+	ys := s.yRuns()
+	for iz, kz := range s.kzs {
+		in := s.clearOutOfBandRows(rhs[0], iz)
+		s.clearOutOfBandRows(rhs[1], iz)
+		s.clearOutOfBandRows(rhs[2], iz)
+		if !in {
+			continue
+		}
+		for _, yr := range ys {
+			for iy := yr[0]; iy < yr[1]; iy++ {
+				lo, ky := iz*pl+iy*nxh, s.kys[iy]
+				r0, r1, r2 := rhs[0][lo:lo+nxh], rhs[1][lo:lo+nxh], rhs[2][lo:lo+nxh]
+				kyz2 := ky*ky + kz*kz
+				cky, ckz := complex(ky, 0), complex(kz, 0)
+				for ix, kx := range kxs {
+					k2 := kx*kx + kyz2
+					if k2 == 0 {
+						r0[ix], r1[ix], r2[ix] = 0, 0, 0
+						continue
+					}
+					ckx := complex(kx, 0)
+					dot := (ckx*r0[ix] + cky*r1[ix] + ckz*r2[ix]) / complex(k2, 0)
+					r0[ix] -= ckx * dot
+					r1[ix] -= cky * dot
+					r2[ix] -= ckz * dot
+				}
+				clear(r0[kb:])
+				clear(r1[kb:])
+				clear(r2[kb:])
+			}
+		}
+	}
+}
+
+// applyShift multiplies every in-band mode by exp(sign·i·k·Δ) for the
+// current step's phase shift Δ (Rogallo phase shifting). The modes
+// outside the band are left alone: the truncated transform neither
+// reads them nor returns anything but +0 there, and no right-hand-side
+// loop reads them.
+//
+//psdns:hotpath
 func (s *Solver) applyShift(f []complex128, sign float64) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
+	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
 	dx, dy, dz := s.shift[0], s.shift[1], s.shift[2]
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		pz := s.kzs[iz] * dz
-		for iy := 0; iy < n; iy++ {
-			py := s.kys[iy] * dy
-			for ix := 0; ix < nxh; ix++ {
-				ph := sign * (s.kxs[ix]*dx + py + pz)
-				f[idx] *= cmplx.Exp(complex(0, ph))
-				idx++
+	kxs := s.kxs[:kb]
+	ys := s.yRuns()
+	for iz, kz := range s.kzs {
+		if !s.zIn[iz] {
+			continue
+		}
+		pz := kz * dz
+		for _, yr := range ys {
+			for iy := yr[0]; iy < yr[1]; iy++ {
+				lo, py := iz*pl+iy*nxh, s.kys[iy]*dy
+				row := f[lo : lo+kb]
+				for ix, kx := range kxs {
+					ph := sign * (kx*dx + py + pz)
+					row[ix] *= cmplx.Exp(complex(0, ph))
+				}
 			}
 		}
 	}

@@ -3,8 +3,10 @@ package spectral
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/mpi"
 )
 
@@ -13,10 +15,13 @@ import (
 // verbatim, moved here as the oracle the fused arithmetic is compared
 // against bit for bit. It advances s.state using s.nl and its own
 // stage buffers, and evaluates the shipped systems' nonlinear terms
-// through the old clear-then-accumulate kernels.
+// through the old clear-then-accumulate kernels, the old per-mode
+// dealias mask (built here from the solver's band) and the old
+// every-mode phase shift.
 type refStepper struct {
 	s         *Solver
 	difGroups []difGroup // ν ≠ 0 runs only, as the old constructor kept them
+	mask      []bool     // dealias mask over the local slab (true = keep)
 	save, acc [][]complex128
 	rk1, rk2  [][]complex128
 	rk3, rku  [][]complex128
@@ -33,6 +38,14 @@ func newRefStepper(s *Solver) *refStepper {
 	}
 	r.save, r.acc = bufs(), bufs()
 	r.rk1, r.rk2, r.rk3, r.rku = bufs(), bufs(), bufs(), bufs()
+	band := grid.NewBand(s.cfg.N, s.kmax)
+	for iz := 0; iz < s.slab.MZ(); iz++ {
+		for iy := 0; iy < s.cfg.N; iy++ {
+			for ix := 0; ix < s.nxh; ix++ {
+				r.mask = append(r.mask, band.Has(s.slab.ZLo()+iz) && band.Has(iy) && band.Has(ix))
+			}
+		}
+	}
 	for c := 0; c < s.nf; {
 		nu := s.sys.Diffusivity(c)
 		hi := c + 1
@@ -204,7 +217,7 @@ func (r *refStepper) velocityProducts(state, rhs [][]complex128) {
 	for c := 0; c < 3; c++ {
 		copy(s.work, state[c])
 		if shift {
-			s.applyShift(s.work, +1)
+			r.applyShift(s.work, +1)
 		}
 		s.tr.FourierToPhysical(s.physU[c], s.work)
 	}
@@ -222,9 +235,27 @@ func (r *refStepper) velocityProducts(state, rhs [][]complex128) {
 		}
 		s.tr.PhysicalToFourier(s.work, s.prod)
 		if shift {
-			s.applyShift(s.work, -1)
+			r.applyShift(s.work, -1)
 		}
 		r.accumulateDivergence(rhs, i, j)
+	}
+}
+
+func (r *refStepper) applyShift(f []complex128, sign float64) {
+	s := r.s
+	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
+	dx, dy, dz := s.shift[0], s.shift[1], s.shift[2]
+	idx := 0
+	for iz := 0; iz < mz; iz++ {
+		pz := s.kzs[iz] * dz
+		for iy := 0; iy < n; iy++ {
+			py := s.kys[iy] * dy
+			for ix := 0; ix < nxh; ix++ {
+				ph := sign * (s.kxs[ix]*dx + py + pz)
+				f[idx] *= cmplx.Exp(complex(0, ph))
+				idx++
+			}
+		}
 	}
 }
 
@@ -272,7 +303,7 @@ func (r *refStepper) projectAndDealias(rhs [][]complex128) {
 			for ix := 0; ix < nxh; ix++ {
 				kx := s.kxs[ix]
 				k2 := kx*kx + ky*ky + kz*kz
-				if k2 == 0 || !s.mask[idx] {
+				if k2 == 0 || !r.mask[idx] {
 					r0[idx] = 0
 					r1[idx] = 0
 					r2[idx] = 0
@@ -296,7 +327,7 @@ func (r *refStepper) scalarAdvection(y *RotatingScalarNS, state, rhs [][]complex
 	shift := s.cfg.Dealias == Dealias23Shift
 	copy(s.work, state[c])
 	if shift {
-		s.applyShift(s.work, +1)
+		r.applyShift(s.work, +1)
 	}
 	s.tr.FourierToPhysical(y.physTh, s.work)
 
@@ -308,7 +339,7 @@ func (r *refStepper) scalarAdvection(y *RotatingScalarNS, state, rhs [][]complex
 		}
 		s.tr.PhysicalToFourier(s.work, s.prod)
 		if shift {
-			s.applyShift(s.work, -1)
+			r.applyShift(s.work, -1)
 		}
 		r.accumulateGradientFlux(rhs[c], comp)
 	}
@@ -318,7 +349,7 @@ func (r *refStepper) scalarAdvection(y *RotatingScalarNS, state, rhs [][]complex
 	gc := complex(g, 0)
 	rc, uy := rhs[c], state[1]
 	for i := range rc {
-		if !s.mask[i] {
+		if !r.mask[i] {
 			rc[i] = 0
 			continue
 		}

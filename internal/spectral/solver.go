@@ -41,13 +41,15 @@ const (
 	DealiasNone Dealias = iota
 	// Dealias23 zeroes every mode with |k_i| > N/3 (2/3-rule) in each
 	// nonlinear term, and tells the transform engine so
-	// (Transform.Truncate at grid.DealiasKmax): the engine neither
-	// computes the coefficients the mask would overwrite nor reads the
-	// factors' modes outside the band. The rule assumes band-limited
-	// factors, and a state the solver itself produced is — so stepping
-	// is bit for bit what it is on a full transform. State put outside
-	// the band by hand (writing Uh, SetFieldSingleMode beyond N/3,
-	// Regrid onto a smaller grid) is inert: it decays by its
+	// (Transform.Truncate at grid.DealiasKmax): no pass of the engine
+	// computes a coefficient the truncation would overwrite or reads a
+	// factor's mode outside the band, and the solver's flux, Coriolis,
+	// projection and phase-shift loops visit only the in-band modes,
+	// storing +0 over the rest of each right-hand side. The rule assumes
+	// band-limited factors, and a state the solver itself produced is —
+	// so stepping is bit for bit what it is on a full transform. State
+	// put outside the band by hand (writing Uh, SetFieldSingleMode beyond
+	// N/3, Regrid onto a smaller grid) is inert: it decays by its
 	// integrating factor and shows in the spectral diagnostics, but
 	// never enters a product.
 	Dealias23
@@ -81,8 +83,9 @@ type Transform interface {
 	// are taken as zero) and PhysicalToFourier returns exactly +0
 	// there, while every mode inside is, bit for bit, what the full
 	// transform gives for a spectrum that is +0 outside — so an engine
-	// may skip the y and z lines that are zero by construction. Plan
-	// time; every rank truncates to the same band.
+	// may skip the y and z lines that are zero by construction and stop
+	// its x lines' r2c stores and c2r loads at the last in-band bin.
+	// Plan time; every rank truncates to the same band.
 	Truncate(kmax int)
 	Slab() grid.Slab
 	NXH() int
@@ -111,7 +114,7 @@ type difGroup struct {
 // same order.
 //
 // The Solver owns the numerics — field storage, RK stage buffers,
-// wavenumber tables, the dealias mask, distributed transforms — and
+// wavenumber tables, the dealias band, distributed transforms — and
 // delegates the physics to its System. The default System is decaying
 // incompressible Navier–Stokes.
 type Solver struct {
@@ -163,8 +166,16 @@ type Solver struct {
 	k2y []int
 	k2z []int
 
-	mask []bool // dealias mask over the local slab (true = keep)
-	kmax int    // the mask's band, which the transform is truncated to
+	// The band every nonlinear term is dealiased to and the transform is
+	// truncated to, |k_i| ≤ kmax, as the row description pfft.Engine
+	// uses: zIn marks the local z-planes whose kz is in it, [gapLo, gapHi)
+	// are the ky storage rows that are not, and the in-band modes of every
+	// other row are its first kb. The right-hand-side loops visit those
+	// rows and prefixes only.
+	zIn          []bool
+	gapLo, gapHi int
+	kb           int
+	kmax         int
 
 	step  int
 	time  float64
@@ -334,16 +345,12 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	}
 	s.k2x, s.k2y, s.k2z = squares(s.kxs), squares(s.kys), squares(s.kzs)
 
-	s.mask = make([]bool, fl)
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < s.nxh; ix++ {
-				s.mask[idx] = band.Has(s.slab.ZLo()+iz) && band.Has(iy) && band.Has(ix)
-				idx++
-			}
-		}
+	s.zIn = make([]bool, mz)
+	for iz := range s.zIn {
+		s.zIn[iz] = band.Has(s.slab.ZLo() + iz)
 	}
+	s.gapLo, s.gapHi = band.Gap()
+	s.kb = band.Width(0, s.nxh)
 
 	// Fold per-field diffusivities into runs of equal ν, one set of
 	// integrating-factor tables per diffusive run.

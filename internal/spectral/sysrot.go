@@ -108,24 +108,29 @@ func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128,
 		s.accumulateFlux(rhs[c], comp, nil, 0)
 	}
 
-	// Dealiasing, and the mean-gradient production −G·û_y if any.
-	r := rhs[c]
-	mask, uy := s.mask[:len(r)], state[1][:len(r)]
+	// Dealiasing, and the mean-gradient production −G·û_y if any, on the
+	// in-band modes.
+	r, uy := rhs[c], state[1]
 	g := y.scalars[c-3].meanGrad
-	if g == 0 {
-		for i, keep := range mask {
-			if !keep {
-				r[i] = 0
-			}
-		}
-		return
-	}
 	gc := complex(g, 0)
-	for i, keep := range mask {
-		if keep {
-			r[i] -= gc * uy[i]
-		} else {
-			r[i] = 0
+	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	ys := s.yRuns()
+	for iz := range s.zIn {
+		if !s.clearOutOfBandRows(r, iz) {
+			continue
+		}
+		for _, yr := range ys {
+			for iy := yr[0]; iy < yr[1]; iy++ {
+				lo := iz*pl + iy*nxh
+				row := r[lo : lo+nxh]
+				if g != 0 {
+					u := uy[lo : lo+kb]
+					for i := range u {
+						row[i] -= gc * u[i]
+					}
+				}
+				clear(row[kb:])
+			}
 		}
 	}
 }

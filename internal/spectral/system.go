@@ -15,7 +15,7 @@ import (
 // al.: HD, MHD, Boussinesq, rotation from one code base).
 //
 // A System owns the physics, the Solver owns the numerics: field
-// storage, RK stage buffers, wavenumber tables, the dealias mask and
+// storage, RK stage buffers, wavenumber tables, the dealias band and
 // the distributed transforms. The contract:
 //
 //   - Fields() reports the number of spectral fields advanced
