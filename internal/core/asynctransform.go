@@ -205,9 +205,12 @@ type AsyncSlabReal struct {
 	regY, regZ       region
 	regXFwd, regXInv region
 
-	// band is what the line and x kernels are compiled for (Truncate;
-	// full at construction).
-	band grid.Band
+	// band is what the kernels are compiled for (Truncate; full at
+	// construction). The wire's kernels read it on every call, with
+	// unitKB[u], the in-band columns of exchange unit u — a unit with
+	// none is not exchanged.
+	band   grid.Band
+	unitKB []int
 
 	met    *asyncMetrics
 	closed bool
@@ -290,6 +293,7 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 	a.team = par.NewTeam(opt.Workers)
 	a.reqs = make([]*mpi.Request, len(a.xu))
+	a.unitKB = make([]int, len(a.xu))
 
 	a.mid = pool.GetComplex(s.MY() * n * nxh)
 	// The stages are registered unconditionally (registration is a cheap
@@ -408,18 +412,27 @@ type region struct {
 // vertical GPU sub-splits of Fig 5, so neither plan construction nor a
 // cache lookup is left in the timed regions.
 //
-// The band reaches every pass: each (pencil, device) line kernel of the
-// y and z passes transforms the kb of its columns whose kx is inside it
-// — a cell left with none keeps its kernel, so the launch and event
-// order of Fig 4 does not depend on the band — and the y kernels, which
-// see the y-complete Fourier slab, also skip its out-of-band z-planes
-// and store the band's zeros (before the inverse's lines, after the
-// forward's). The x kernels take their real batches at the band's
-// width of the half-spectrum, so the r2c stores and the c2r loads stop
-// at the last in-band bin of each mid-slab row. The pack kernels and
-// the exchanges move whole pencils as they always did.
+// The band reaches every pass and every exchange: each (pencil, device)
+// line kernel of the y and z passes transforms the kb of its columns
+// whose kx is inside it — a cell left with none keeps its kernel, so
+// the launch and event order of Fig 4 does not depend on the band — and
+// the y kernels, which see the y-complete Fourier slab, also skip its
+// out-of-band z-planes (the inverse's, wholly: the exchange reads none
+// of them) and store the band's zeros after the forward's lines. The x
+// kernels take their real batches at the band's width of the
+// half-spectrum, so the r2c stores and the c2r loads stop at the last
+// in-band bin of each mid-slab row. Each cell's pack kernel and each
+// unit's scatters move the kb columns of the in-band kz rows and
+// nothing else, the YZ scatters storing +0 over the same columns of the
+// out-of-band rows of mid, and a unit with no in-band column (at
+// N = 64, np = 4, the last of four) skips its exchange on every rank
+// while its cells are still launched.
 func (a *AsyncSlabReal) compile() {
 	n, nxh, mz, my, ngpu := a.n, a.nxh, a.s.MZ(), a.s.MY(), len(a.gpus)
+	for u, xs := range a.xu {
+		a.unitKB[u] = a.band.Width(xs.lo, xs.hi)
+	}
+	a.wire.setBand()
 	zIn := make([]bool, mz)
 	for iz := range zIn {
 		zIn[iz] = a.band.Has(a.s.ZLo() + iz)
@@ -456,7 +469,7 @@ func (a *AsyncSlabReal) compile() {
 				if a.gran == PerSlab {
 					u = 0
 				}
-				run, bytes := a.wire.packKernel(slab, u, xs, ma, mb)
+				run, bytes := a.wire.packKernel(slab, dir, u, xs, ma, mb)
 				c.pack = cuda.Op{Kind: "zerocopy-pack", Run: run, Bytes: bytes}
 				c.computed, c.packed = cuda.NewEvent(), cuda.NewEvent()
 			}
@@ -495,11 +508,14 @@ func (a *AsyncSlabReal) compile() {
 // place. Planes are independent and every worker runs an identical
 // plan, so the output is bitwise invariant under the team size. A y
 // pass (planes non-nil: which of the slab's z-planes are in the band)
-// also stores the band's zeros over its columns — the whole span on an
-// out-of-band plane, else the rows and column tails outside the band,
-// ahead of the inverse lines and behind the forward ones. A z pass
-// needs none: inverse, the zeros arrive through the exchange; forward,
-// the y pass behind the exchange stores them. Built at plan time.
+// also handles the band's zeros over its columns. Forward, it stores
+// them behind its lines: the whole span of an out-of-band plane, else
+// the gap rows and the column tails. Inverse, it skips out-of-band
+// planes and stores +0 only over the gap rows of its kb columns, which
+// its lines read; nothing else of the plane is read by the exchange. A
+// z pass needs no zeros: inverse, the exchange's receiving side stores
+// them; forward, the y pass behind the exchange does. Built at plan
+// time.
 type lineKernel struct {
 	team         *par.Team
 	plans        []*fft.Batch
@@ -526,13 +542,14 @@ func (k *lineKernel) body(wk, lo, hi int) {
 			k.plans[wk].Forward(cols, cols)
 		case k.planes == nil:
 			k.plans[wk].Inverse(cols, cols)
-		case !k.planes[pl]:
+		case !k.planes[pl] && k.fwd:
 			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, 0, 0, 0)
+		case !k.planes[pl]: // the inverse's exchange reads no out-of-band plane
 		case k.fwd:
 			k.plans[wk].Forward(cols, cols)
 			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, k.kb, k.gapLo, k.gapHi)
 		default:
-			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, k.kb, k.gapLo, k.gapHi)
+			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.kb, k.kb, k.gapLo, k.gapHi)
 			k.plans[wk].Inverse(cols, cols)
 		}
 	}
@@ -700,15 +717,29 @@ func (a *AsyncSlabReal) packedUnit(r *region, ip int) time.Duration {
 }
 
 // startUnit starts unit u's exchange under st: the staged all-to-all
-// is posted, a zero-copy gather runs to completion. Collective.
+// is posted, a zero-copy gather runs to completion. A unit with no
+// in-band column has nothing to move, on every rank alike (they share
+// the band), and is skipped. Collective.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
-	if st == exchange.Staged {
+	switch {
+	case a.unitKB[u] == 0:
+		a.reqs[u] = nil
+	case st == exchange.Staged:
 		a.reqs[u] = a.wire.post(u)
-		return
+	default:
+		a.wire.gather(d, st, u)
 	}
-	a.wire.gather(d, st, u)
+}
+
+// zRuns splits [lo, hi) into its in-band global kz rows, the two runs
+// either side of the band's gap, clamped, either possibly empty.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) zRuns(lo, hi int) [2]span {
+	gapLo, gapHi := a.band.Gap()
+	return [2]span{{lo, max(lo, min(hi, gapLo))}, {min(hi, max(lo, gapHi)), hi}}
 }
 
 // exchange completes direction d's exchange under st, outside the
@@ -763,12 +794,14 @@ func (a *AsyncSlabReal) wait(r *mpi.Request) {
 	r.Wait()
 }
 
-// waitAll waits on every per-pencil request in order, each under the
-// engine's wait deadline.
+// waitAll waits on every posted per-pencil request in order (a
+// skipped unit has none), each under the engine's wait deadline.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) waitAll(reqs []*mpi.Request) {
 	for _, r := range reqs {
-		a.wait(r)
+		if r != nil {
+			a.wait(r)
+		}
 	}
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/exchange"
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -15,12 +17,38 @@ func sameBits(a, b complex128) bool {
 		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
+// poisonEngine stores NaN over every element of the engine's mid slab
+// and of the wire's send and recv buffers, none of which a transform
+// may read before writing.
+func poisonEngine(a *AsyncSlabReal) {
+	fill := func(buf []complex128) {
+		for i := range buf {
+			buf[i] = cmplx.NaN()
+		}
+	}
+	fill(a.mid)
+	switch w := a.wire.(type) {
+	case *wireBuf[complex128]:
+		fill(w.send)
+		fill(w.recv)
+	case *wireBuf[complex64]:
+		for _, buf := range [][]complex64{w.send, w.recv} {
+			for i := range buf {
+				buf[i] = complex64(cmplx.NaN())
+			}
+		}
+	}
+}
+
 // checkBandOracle is pfft's band oracle on the batched engine: on one
 // rank of a freshly built (full) engine, for each kmax in turn, with F
 // the full forward spectrum of a test field, M its copy with +0
 // outside the band and B the full inverse of M — the truncated forward
 // is M, the truncated inverse of M and of F itself is B, and
-// Truncate(N/2) restores F, all bit for bit.
+// Truncate(N/2) restores F, all bit for bit. Before every truncated
+// transform NaN is stored over the engine's buffers (poisonEngine), and
+// over all of the output spectrum before the forward and the
+// out-of-band modes of the input spectrum before each inverse.
 func checkBandOracle(a *AsyncSlabReal, kmaxes []int) {
 	n, s, nxh := a.n, a.Slab(), a.NXH()
 	fl, pl := a.FourierLen(), a.PhysicalLen()
@@ -33,9 +61,12 @@ func checkBandOracle(a *AsyncSlabReal, kmaxes []int) {
 	a.PhysicalToFourier(full, phys0)
 	for _, kmax := range kmaxes {
 		band := grid.NewBand(n, kmax)
+		inBand := func(i int) bool {
+			return band.Has(i%nxh) && band.Has(i/nxh%n) && band.Has(s.ZLo()+i/nxh/n)
+		}
 		for i, v := range full {
 			masked[i] = 0
-			if band.Has(i%nxh) && band.Has(i/nxh%n) && band.Has(s.ZLo()+i/nxh/n) {
+			if inBand(i) {
 				masked[i] = v
 			}
 		}
@@ -43,6 +74,10 @@ func checkBandOracle(a *AsyncSlabReal, kmaxes []int) {
 		a.FourierToPhysical(back, four)
 
 		a.Truncate(kmax)
+		poisonEngine(a)
+		for i := range four {
+			four[i] = cmplx.NaN()
+		}
 		a.PhysicalToFourier(four, phys0)
 		for i, v := range four {
 			if !sameBits(v, masked[i]) {
@@ -51,6 +86,12 @@ func checkBandOracle(a *AsyncSlabReal, kmaxes []int) {
 		}
 		for _, src := range [][]complex128{masked, full} {
 			copy(four, src)
+			poisonEngine(a)
+			for i := range four {
+				if !inBand(i) {
+					four[i] = cmplx.NaN()
+				}
+			}
 			a.FourierToPhysical(phys, four)
 			for i, v := range phys {
 				if math.Float64bits(v) != math.Float64bits(back[i]) {
@@ -69,10 +110,10 @@ func checkBandOracle(a *AsyncSlabReal, kmaxes []int) {
 	}
 }
 
-// The band oracle for the batched engine: pencil counts that leave
-// whole pencils outside the band (and, at two devices, sub-pencils of
-// width one), both granularities and wire precisions, a staged and a
-// zero-copy strategy.
+// The band oracle for the batched engine, its buffers poisoned: pencil
+// counts that leave whole pencils outside the band (and, at two
+// devices, sub-pencils of width one), both granularities and wire
+// precisions, a staged and a zero-copy strategy.
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
 		kmaxes := []int{0, 1, grid.DealiasKmax(n), n/2 - 1, n / 2}
@@ -96,6 +137,123 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// Every byte counter of the batched engine charges what moves, and a
+// unit with nothing in band is not exchanged. Per transform and rank,
+// computed here from grid.Band and the pencil geometry alone:
+//
+//   - exchange.calls grows by the units with an in-band column (kb_u > 0);
+//   - exchange.bytes by what those units' gathers read from the other
+//     ranks, kb_u columns of each row: YZ, every peer's in-band kz
+//     planes, my rows each; ZY, this rank's in-band planes, my rows from
+//     each peer;
+//   - every pack op's Bytes is what it writes, the cell's kb columns of
+//     the in-band kz rows (YZ: every row of the in-band planes; ZY:
+//     every plane's in-band kz rows), and cuda.xfer.bytes grows by their
+//     sum.
+//
+// At the full band each count is what the engine charged before the
+// band reached its exchanges: whole units and whole pencils.
+func TestExchangeBytesAreInBand(t *testing.T) {
+	for _, n := range []int{12, 16} {
+		for _, p := range []int{1, 2, 4} {
+			for _, np := range []int{1, 3, 4} {
+				for _, gran := range []Granularity{PerPencil, PerSlab} {
+					for _, single := range []bool{false, true} {
+						for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+							opt := Options{NP: np, Granularity: gran, NGPU: 1 + (np+p)%2, SingleComm: single, Exchange: exchange.ChunkedFused}
+							if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+								checkAsyncBytes(c, n, kmax, opt)
+							}); err != nil {
+								t.Fatalf("N=%d P=%d kmax=%d %+v: %v", n, p, kmax, opt, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkAsyncBytes is one rank of TestExchangeBytesAreInBand.
+func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
+	a := NewAsyncSlabReal(c, n, opt)
+	defer a.Close()
+	a.Truncate(kmax)
+	p, me, nxh, m := c.Size(), c.Rank(), n/2+1, n/c.Size()
+	elem := int64(16)
+	if opt.SingleComm {
+		elem = 8
+	}
+	band := grid.NewBand(n, kmax)
+	inPlanes := func(lo, hi int) (k int) {
+		for z := lo; z < hi; z++ {
+			if band.Has(z) {
+				k++
+			}
+		}
+		return k
+	}
+	mine, all := inPlanes(me*m, (me+1)*m), inPlanes(0, n)
+	units := splitRange(nxh, opt.NP)
+	if opt.Granularity == PerSlab {
+		units = []span{{0, nxh}}
+	}
+	var want [2]int64
+	calls := int64(0)
+	for _, u := range units {
+		kb := int64(band.Width(u.lo, u.hi))
+		if kb > 0 {
+			calls++
+		}
+		yz, zy := int64((all-mine)*m)*kb*elem, int64((p-1)*mine*m)*kb*elem
+		if size := int64(p * m * m * u.width()); kmax < 0 && (yz != (size-size/int64(p))*elem || zy != yz) {
+			panic(fmt.Sprintf("full band: unit %v charges %d/%d, the whole unit's share is %d", u, yz, zy, (size-size/int64(p))*elem))
+		}
+		want[exchange.YZ] += yz
+		want[exchange.ZY] += zy
+	}
+	var xfer [2]int64
+	for d := range a.regT {
+		for i, cl := range a.regT[d].cells {
+			xs := subRange(a.xr[i/opt.NGPU], i%opt.NGPU, opt.NGPU)
+			kb := int64(band.Width(xs.lo, xs.hi))
+			rows := int64(m * all) // ZY: every plane's in-band kz rows
+			if exchange.Dir(d) == exchange.YZ {
+				rows = int64(mine * n) // YZ: every row of the in-band planes
+			}
+			if kmax < 0 && rows*kb != int64(xs.width()*m*n) {
+				panic(fmt.Sprintf("full band: cell %d writes %d elements, the whole pencil has %d", i, rows*kb, xs.width()*m*n))
+			}
+			if cl.pack.Bytes != rows*kb*elem {
+				panic(fmt.Sprintf("dir %d cell %d: pack op charges %d bytes, writes %d", d, i, cl.pack.Bytes, rows*kb*elem))
+			}
+			xfer[d] += rows * kb * elem
+		}
+	}
+	reg := c.Metrics()
+	counters := []*metrics.Counter{
+		reg.CounterRank("exchange.calls", me), reg.CounterRank("exchange.bytes", me), reg.CounterRank("cuda.xfer.bytes", me),
+	}
+	four := make([]complex128, a.FourierLen())
+	phys := make([]float64, a.PhysicalLen())
+	for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+		var before [3]int64
+		for i, ctr := range counters {
+			before[i] = ctr.Value()
+		}
+		if d == exchange.YZ {
+			a.FourierToPhysical(phys, four)
+		} else {
+			a.PhysicalToFourier(four, phys)
+		}
+		for i, expect := range []int64{calls, want[d], xfer[d]} {
+			if delta := counters[i].Value() - before[i]; delta != expect {
+				panic(fmt.Sprintf("dir %d: counter %d grew %d, want %d", d, i, delta, expect))
 			}
 		}
 	}

@@ -27,12 +27,14 @@
 // winner at scale).
 //
 // Truncate band-limits the pair to |k_i| ≤ kmax (a dealiased solver
-// calls it with the 2/3 rule) by recompiling the y and z regions: each
+// calls it with the 2/3 rule) by recompiling the regions: each
 // (pencil, device) line kernel runs only its in-band columns, the y
-// kernels skip out-of-band z-planes and store the band's zeros, and a
-// cell left with no column keeps its (now empty) kernel so the Fig 4
-// launch and event order is independent of the band. Packs, exchanges
-// and the x regions still handle whole pencils.
+// kernels skip out-of-band z-planes and the forward's store the band's
+// zeros, the x regions stop at the band's last bin, and the packs and
+// exchange units move the in-band columns of the in-band kz rows only.
+// A cell left with no column keeps its (now empty) kernels so the Fig 4
+// launch and event order is independent of the band; a unit left with
+// none is not exchanged at all.
 //
 // AsyncSlabReal implements spectral.Transform, so the full DNS can run
 // on the asynchronous pipeline; its results are bit-compatible with

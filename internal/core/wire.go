@@ -20,12 +20,16 @@ import (
 // kernels live in transpose (NarrowStrided/WidenStrided), shared with
 // the synchronous slab engine's float32 pipeline.
 type wire interface {
-	// packKernel builds the pack kernel of one (pencil, device) cell
-	// and reports the bytes it writes: columns xs of every plane of
-	// slab = [ma][n][nxh] go to unit u's send blocks [dst][ma][mb][wp],
-	// narrowed to the wire precision — the fused pack+D2H of §3.4 as
-	// the single zero-copy kernel of §4.2.
-	packKernel(slab *[]complex128, u int, xs span, ma, mb int) (run func(), bytes int64)
+	// packKernel builds the pack kernel of one (pencil, device) cell of
+	// direction d's transposing region and reports the bytes it writes:
+	// the in-band part of columns xs of every plane of slab =
+	// [ma][n][nxh] goes to unit u's send blocks [dst][ma][mb][wp],
+	// narrowed to the wire precision — the fused pack+D2H of §3.4 as the
+	// single zero-copy kernel of §4.2.
+	packKernel(slab *[]complex128, d exchange.Dir, u int, xs span, ma, mb int) (run func(), bytes int64)
+	// setBand charges every unit's stage what its gathers read of the
+	// engine's band (compile).
+	setBand()
 	// post starts unit u's all-to-all on the staged wire path.
 	post(u int) *mpi.Request
 	// unpack scatters every unit's received blocks into direction d's
@@ -76,12 +80,12 @@ func newWire[T exchange.Elem](a *AsyncSlabReal, bound *exchange.Bound,
 		get:         get,
 	}
 	off := 0
-	for _, xs := range a.xu {
+	for u, xs := range a.xu {
 		size := p * mz * my * xs.width()
 		send, recv := wb.send[off:off+size], wb.recv[off:off+size]
 		wb.sendU, wb.recvU = append(wb.sendU, send), append(wb.recvU, recv)
 		off += size
-		dirs := [2]exchange.Kernels[T]{wb.kernels(&a.mid, xs, mz, my), wb.kernels(&a.four, xs, my, mz)}
+		dirs := [2]exchange.Kernels[T]{wb.kernels(exchange.YZ, u), wb.kernels(exchange.ZY, u)}
 		for d, k := range dirs {
 			wb.unpackers[d] = append(wb.unpackers[d], unpacker(k, recv))
 		}
@@ -91,37 +95,68 @@ func newWire[T exchange.Elem](a *AsyncSlabReal, bound *exchange.Bound,
 	return wb
 }
 
-// kernels builds one unit's layout kernels for one direction over
-// scatter, which lands block b of a unit buffer (a recv buffer, or a
-// peer's send buffer): dst is the slab [·][n][nxh] whose plane (s·ma+i)
-// receives, at the unit's x offset, the mb rows of width w that rank s
-// packed for this rank's plane i. Each (s,i) owns distinct destination
-// rows, so any split across the team is conflict-free.
+// kernels builds unit u's layout kernels for direction d over scatter.
+// A kernel unit (s, i) — rank s's source plane i — owns distinct
+// destination rows, so any split across the team is conflict-free.
 //
 //psdns:hotpath
-func (wb *wireBuf[T]) kernels(dst *[]complex128, xs span, ma, mb int) exchange.Kernels[T] {
-	n, nxh, me := wb.a.n, wb.a.nxh, wb.a.comm.Rank()
-	w, blk := xs.width(), ma*mb*xs.width()
-	scatter := func(src []T, b, s, i int) {
-		wb.get((*dst)[(s*ma+i)*nxh+xs.lo:], n*nxh, src[b*blk+i*mb*w:], w, w, mb)
+func (wb *wireBuf[T]) kernels(d exchange.Dir, u int) exchange.Kernels[T] {
+	me, ma := wb.a.comm.Rank(), wb.a.s.MZ()
+	if d == exchange.ZY {
+		ma = wb.a.s.MY()
 	}
 	return exchange.Kernels[T]{
 		DstUnits: wb.a.comm.Size() * ma, PeerUnits: ma,
 		Unpack: func(_, recv []T, lo, hi int) {
-			for u := lo; u < hi; u++ {
-				scatter(recv, u/ma, u/ma, u%ma)
+			for v := lo; v < hi; v++ {
+				wb.scatter(d, u, recv, v/ma, v/ma, v%ma)
 			}
 		},
 		Gather: func(_ []T, srcs [][]T, lo, hi int) {
-			for u := lo; u < hi; u++ {
-				scatter(srcs[u/ma], me, u/ma, u%ma)
+			for v := lo; v < hi; v++ {
+				wb.scatter(d, u, srcs[v/ma], me, v/ma, v%ma)
 			}
 		},
 		GatherPeer: func(_, src []T, s, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				scatter(src, me, s, i)
+				wb.scatter(d, u, src, me, s, i)
 			}
 		},
+	}
+}
+
+// scatter lands block b of a unit-u buffer src (a recv buffer, or a
+// peer's send buffer) — the rows rank s packed from its plane i for
+// this rank, at the unit's width w — in direction d's destination
+// slab, the band's kb_u columns of each at the unit's x offset. YZ:
+// plane i of rank s is kz = s·mz+i, which lands in that row of every
+// y-plane of mid, or, outside the band, gets +0 there (the z lines
+// read it). ZY: y-plane i of rank s lands in row s·my+i of this
+// rank's in-band kz planes of four; the out-of-band ones are left to
+// the y pass.
+//
+//psdns:hotpath
+func (wb *wireBuf[T]) scatter(d exchange.Dir, u int, src []T, b, s, i int) {
+	a := wb.a
+	n, nxh, mz, my := a.n, a.nxh, a.s.MZ(), a.s.MY()
+	xs, kb := a.xu[u], a.unitKB[u]
+	w, stride := xs.width(), n*nxh
+	if d == exchange.YZ {
+		row := (s*mz+i)*nxh + xs.lo
+		if a.band.Has(s*mz + i) {
+			wb.get(a.mid[row:], stride, src[(b*mz+i)*my*w:], w, kb, my)
+			return
+		}
+		for r := 0; r < my; r++ {
+			clear(a.mid[row+r*stride : row+r*stride+kb])
+		}
+		return
+	}
+	row, blk, zLo := (s*my+i)*nxh+xs.lo, src[(b*my+i)*mz*w:], a.s.ZLo()
+	for _, r := range a.zRuns(zLo, zLo+mz) {
+		if j := r.lo - zLo; r.lo < r.hi {
+			wb.get(a.four[j*stride+row:], stride, blk[j*w:], w, kb, r.width())
+		}
 	}
 }
 
@@ -135,22 +170,60 @@ func unpacker[T exchange.Elem](k exchange.Kernels[T], recv []T) func(w, lo, hi i
 // The kernel walks each source plane once, top to bottom, so the slab
 // is read sequentially; the call count still grows with the rank count
 // (one strided copy per destination and plane, the §5.2 effect), but
-// inside one launch.
+// inside one launch. It moves the band the scatters read and no more:
+// the cell's kb in-band columns of the in-band kz rows — YZ, the
+// planes of four whose kz is in band (every y row); ZY, the in-band kz
+// rows of each mid plane. A cell with kb = 0 writes nothing, but is
+// still launched, so the Fig 4 order does not depend on the band.
 //
 //psdns:hotpath
-func (wb *wireBuf[T]) packKernel(slab *[]complex128, u int, xs span, ma, mb int) (func(), int64) {
-	n, nxh, p := wb.a.n, wb.a.nxh, wb.a.comm.Size()
-	w, wp := xs.width(), wb.a.xu[u].width()
-	send := wb.sendU[u][xs.lo-wb.a.xu[u].lo:]
+func (wb *wireBuf[T]) packKernel(slab *[]complex128, d exchange.Dir, u int, xs span, ma, mb int) (func(), int64) {
+	a := wb.a
+	n, nxh, p, zLo := a.n, a.nxh, a.comm.Size(), a.s.ZLo()
+	kb, wp := a.band.Width(xs.lo, xs.hi), a.xu[u].width()
+	send := wb.sendU[u][xs.lo-a.xu[u].lo:]
 	run := func() {
+		if kb == 0 {
+			return
+		}
 		src := (*slab)[xs.lo:]
 		for i := 0; i < ma; i++ {
+			if d == exchange.YZ && !a.band.Has(zLo+i) {
+				continue
+			}
 			for dst := 0; dst < p; dst++ {
-				wb.put(send[(dst*ma+i)*mb*wp:], wp, src[(i*n+dst*mb)*nxh:], nxh, w, mb)
+				at, row := (dst*ma+i)*mb*wp, (i*n+dst*mb)*nxh
+				if d == exchange.YZ {
+					wb.put(send[at:], wp, src[row:], nxh, kb, mb)
+					continue
+				}
+				for _, r := range a.zRuns(dst*mb, (dst+1)*mb) {
+					if j := r.lo - dst*mb; r.lo < r.hi {
+						wb.put(send[at+j*wp:], wp, src[row+j*nxh:], nxh, kb, r.width())
+					}
+				}
 			}
 		}
 	}
-	return run, int64(unsafe.Sizeof(send[0])) * int64(w*ma*n)
+	rows := ma * a.band.Count(0, n) // ZY: every plane's in-band kz rows
+	if d == exchange.YZ {
+		rows = a.band.Count(zLo, zLo+ma) * n // YZ: every row of the in-band planes
+	}
+	return run, int64(unsafe.Sizeof(send[0])) * int64(rows*kb)
+}
+
+// setBand charges each unit's stage the remote elements its gathers
+// read, kb_u columns of each row: YZ, every peer's in-band planes, my
+// rows each; ZY, this rank's in-band planes, my rows from each peer.
+func (wb *wireBuf[T]) setBand() {
+	a := wb.a
+	mz, my, p, zLo := a.s.MZ(), a.s.MY(), a.comm.Size(), a.s.ZLo()
+	mine := a.band.Count(zLo, zLo+mz)
+	yz, zy := (a.band.Count(0, a.n)-mine)*my, (p-1)*mine*my
+	for u, st := range wb.stages {
+		st.SetWireElems(exchange.YZ, yz*a.unitKB[u])
+		st.SetWireElems(exchange.ZY, zy*a.unitKB[u])
+	}
 }
 
 func (wb *wireBuf[T]) post(u int) *mpi.Request {
@@ -158,8 +231,10 @@ func (wb *wireBuf[T]) post(u int) *mpi.Request {
 }
 
 func (wb *wireBuf[T]) unpack(d exchange.Dir) {
-	for _, body := range wb.unpackers[d] {
-		wb.a.team.ForWorkers(wb.unpackUnits[d], body)
+	for u, body := range wb.unpackers[d] {
+		if wb.a.unitKB[u] > 0 {
+			wb.a.team.ForWorkers(wb.unpackUnits[d], body)
+		}
 	}
 }
 

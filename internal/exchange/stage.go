@@ -125,6 +125,9 @@ type Stage[T Elem] struct {
 	// plans[d] serves direction d; both entries are the same plan on a
 	// synchronous stage.
 	plans [2]*mpi.ExchangePlan[T]
+	// wire[d] is what one zero-copy exchange in direction d reads from
+	// remote slabs, in elements (SetWireElems).
+	wire  [2]int
 	bound *Bound
 	site  uint32
 	dirs  [2]dirBodies[T]
@@ -172,9 +175,18 @@ func NewStage[T Elem](comm *mpi.Comm, team *par.Team, ph Phases, stagedLen, slab
 		s.plans[YZ] = mpi.NewExchangePlan[T](comm, slabLen)
 		s.plans[ZY] = s.plans[YZ]
 	}
+	remote := slabLen - slabLen/comm.Size()
+	s.wire = [2]int{remote, remote}
 	s.build(comm.Rank(), comm.Size(), dirs)
 	return s
 }
+
+// SetWireElems sets what one zero-copy exchange in direction d charges
+// to exchange.bytes: n elements of T read from remote slabs. NewStage
+// starts both directions at the whole slab's off-diagonal share; an
+// engine whose kernels move a band sets the band's count whenever the
+// band changes (plan time).
+func (s *Stage[T]) SetWireElems(d Dir, n int) { s.wire[d] = n }
 
 // build precomputes the team bodies and gather callbacks once, so Run
 // dispatches them with zero allocations. The closure bodies are the
@@ -237,12 +249,15 @@ func (s *Stage[T]) Run(d Dir, st Strategy, src, dst []T) {
 		s.team.ForWorkers(b.DstUnits, b.unpack)
 		s.ph.Unpack.ObserveSince(t)
 	case Fused:
+		s.plans[d].SetWire(s.wire[d])
 		s.plans[d].Do(src, b.fused)
 		s.ph.A2A.ObserveSince(t)
 	case ChunkedFused:
+		s.plans[d].SetWire(s.wire[d])
 		s.plans[d].Do(src, b.chunked)
 		s.ph.A2A.ObserveSince(t)
 	case AT:
+		s.plans[d].SetWire(s.wire[d])
 		s.plans[d].SetSite(s.site)
 		s.plans[d].DoBounded(src, b.fused, s.bound.MaxStale)
 		s.ph.A2A.ObserveSince(t)

@@ -176,6 +176,13 @@ func (b Band) Gap() (lo, hi int) {
 	return lo, max(lo, b.N-b.Kmax)
 }
 
+// Count is the number of in-band storage indices in the span [lo, hi)
+// of a full (y or z) axis, 0 ≤ lo ≤ hi ≤ N.
+func (b Band) Count(lo, hi int) int {
+	gapLo, gapHi := b.Gap()
+	return hi - lo - max(0, min(hi, gapHi)-max(lo, gapLo))
+}
+
 // Width is the number of in-band indices in the span [lo, hi) of the
 // half-spectrum x axis (whose storage index is its wavenumber).
 func (b Band) Width(lo, hi int) int {

@@ -194,5 +194,18 @@ func TestDealiasKmaxAndBand(t *testing.T) {
 				}
 			}
 		}
+		for lo := 0; lo <= n; lo++ {
+			for hi := lo; hi <= n; hi++ {
+				want := 0
+				for i := lo; i < hi; i++ {
+					if b.Has(i) {
+						want++
+					}
+				}
+				if got := b.Count(lo, hi); got != want {
+					t.Errorf("kmax=%d: Count(%d,%d) = %d, want %d", kmax, lo, hi, got, want)
+				}
+			}
+		}
 	}
 }

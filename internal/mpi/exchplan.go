@@ -40,7 +40,7 @@ import (
 type ExchangePlan[T any] struct {
 	c    *Comm
 	sh   *exchShared[T]
-	wire int64 // wire bytes charged per Do: everything but the local slab's share
+	wire int64 // wire bytes charged per Do (SetWire): by default everything but the local slab's share
 	free bool
 
 	// Asynchrony-tolerant per-handle state (DoBounded only).
@@ -92,8 +92,8 @@ type exchShared[T any] struct {
 // the element count of the slab each rank will publish; the rank is
 // charged slabLen·(P−1)/P elements of wire traffic per Do (everything
 // a zero-copy gather reads from remote slabs — the same accounting
-// convention as A2APlan's off-diagonal blocks). Collective: blocks
-// until every rank has registered.
+// convention as A2APlan's off-diagonal blocks) until SetWire says
+// otherwise. Collective: blocks until every rank has registered.
 func NewExchangePlan[T any](c *Comm, slabLen int) *ExchangePlan[T] {
 	return newExchangePlan[T](c, slabLen, false, 0, 0)
 }
@@ -176,6 +176,13 @@ func newExchangePlan[T any](c *Comm, slabLen int, at bool, maxStale int, deadlin
 	sh.bar.wait(w, c.rank)
 	return pl
 }
+
+// SetWire sets the wire traffic each later Do or DoBounded charges to
+// exchange.bytes: elems elements of T, what the caller's gather reads
+// from remote slabs. A plan starts at slabLen·(P−1)/P; a gather that
+// reads only part of each slab (a band) says how much. A plan serving
+// several gathers of different reach is set before each.
+func (pl *ExchangePlan[T]) SetWire(elems int) { pl.wire = sliceBytes[T](elems) }
 
 // Do executes one fused exchange: src is published as this rank's
 // source slab, and once every rank has published, gather runs with

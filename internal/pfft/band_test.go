@@ -3,12 +3,17 @@ package pfft
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/par"
+	"repro/internal/transpose"
 )
 
 // sameBits reports whether two spectra (or, through complex(v, 0), two
@@ -22,6 +27,22 @@ func sameBits(a, b complex128) bool {
 // one mode, the 2/3 rule, everything but the Nyquist planes, full.
 func bandKmaxes(n int) []int { return []int{0, 1, grid.DealiasKmax(n), n/2 - 1, n / 2} }
 
+// poisonEngine stores NaN over every element of the engine's own
+// buffers — X, B and the single-precision wire's narrowed slabs — none
+// of which a transform may read before writing.
+func poisonEngine(f *Engine) {
+	for _, buf := range [][]complex128{f.x, f.mid} {
+		for i := range buf {
+			buf[i] = cmplx.NaN()
+		}
+	}
+	for _, buf := range [][]complex64{f.four32, f.mid32} {
+		for i := range buf {
+			buf[i] = complex64(cmplx.NaN())
+		}
+	}
+}
+
 // checkBandOracle is the band contract on one rank of a freshly built
 // (so: full) engine, for each kmax in turn. With F the full forward
 // spectrum of the test field, M its copy with +0 outside the band and
@@ -32,8 +53,14 @@ func bandKmaxes(n int) []int { return []int{0, 1, grid.DealiasKmax(n), n/2 - 1, 
 //     inverse of F itself, whose out-of-band modes must not be read,
 //   - Truncate(N/2) afterwards restores F everywhere,
 //
-// all bit for bit. Panics (inside a TryRun body) on the first mismatch.
-func checkBandOracle(f *Engine, kmaxes []int) {
+// all bit for bit. With poison, NaN is stored over the engine's buffers
+// (poisonEngine) before every truncated transform, over all of the
+// output spectrum before the forward and over the out-of-band modes of
+// the input spectrum before each inverse: a band exchange that left a
+// destination it should have written, or read what it should not, turns
+// the answer into NaN. Panics (inside a TryRun body) on the first
+// mismatch.
+func checkBandOracle(f *Engine, kmaxes []int, poison bool) {
 	n, l := f.n, f.Layout()
 	phys0 := make([]float64, f.PhysicalLen())
 	for iy := 0; iy < l.My; iy++ {
@@ -63,6 +90,12 @@ func checkBandOracle(f *Engine, kmaxes []int) {
 		f.FourierToPhysical(back, four)
 
 		f.Truncate(kmax)
+		if poison {
+			poisonEngine(f)
+			for i := range four {
+				four[i] = cmplx.NaN()
+			}
+		}
 		f.PhysicalToFourier(four, phys0)
 		for i, v := range four {
 			if !sameBits(v, masked[i]) {
@@ -71,6 +104,14 @@ func checkBandOracle(f *Engine, kmaxes []int) {
 		}
 		for _, src := range [][]complex128{masked, full} {
 			copy(four, src)
+			if poison {
+				poisonEngine(f)
+				for i := range four {
+					if !inBand(i) {
+						four[i] = cmplx.NaN()
+					}
+				}
+			}
 			f.FourierToPhysical(phys, four)
 			for i, v := range phys {
 				if math.Float64bits(v) != math.Float64bits(back[i]) {
@@ -89,11 +130,11 @@ func checkBandOracle(f *Engine, kmaxes []int) {
 	}
 }
 
-// The band oracle for the synchronous engine: every valid Pr×Pc of
-// P ∈ {1, 2, 4, 8} under every concrete strategy and two team sizes —
-// pencil ranks whose whole x span lies outside the band (kb = 0)
-// included — plus the single-precision wire and the asynchrony-tolerant
-// exchange at staleness 0 where they run (Pc = 1).
+// The band oracle for the synchronous engine, its buffers poisoned:
+// every valid Pr×Pc of P ∈ {1, 2, 4, 8} under every concrete strategy
+// and two team sizes — pencil ranks whose whole x span lies outside the
+// band (kb = 0) included — plus the single-precision wire and the
+// asynchrony-tolerant exchange at staleness 0 where they run (Pc = 1).
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
 		for _, p := range []int{1, 2, 4, 8} {
@@ -102,7 +143,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 					if err := mpi.TryRun(p, func(c *mpi.Comm) {
 						f := build(c)
 						defer f.Close()
-						checkBandOracle(f, bandKmaxes(n))
+						checkBandOracle(f, bandKmaxes(n), true)
 					}); err != nil {
 						t.Fatalf("N=%d %s %s: %v", n, d, tag, err)
 					}
@@ -133,9 +174,15 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 // kmax from −1 to past N/2: the truncated forward is the masked full
 // forward bit for bit, the truncated inverse reads nothing outside the
 // band, Truncate(N/2) restores the full transform (checkBandOracle),
-// and a band-limited field survives the truncated round trip.
+// and a band-limited field survives the truncated round trip. The last
+// argument is the poison axis: its low bit poisons the engine's buffers
+// and the spectra's out-of-band modes around every truncated transform,
+// and the next bits pick the exchange behind them on a one-column grid
+// — the pinned strategy at double precision, the single-precision wire
+// (whose narrowed slabs are poisoned too) or the asynchrony-tolerant
+// stage at staleness 0.
 func FuzzTruncateBand(f *testing.F) {
-	f.Fuzz(func(t *testing.T, half, prSel, pcSel, kSel, w uint8) {
+	f.Fuzz(func(t *testing.T, half, prSel, pcSel, kSel, w, poison uint8) {
 		n := 2 * (1 + int(half)%8)
 		var prs, pcs []int
 		for d := 1; d <= n; d++ {
@@ -153,11 +200,23 @@ func FuzzTruncateBand(f *testing.F) {
 		kmax := int(kSel)%(n/2+3) - 1
 		workers := 1 + int(w)%3
 		st := []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused}[int(w)/3%3]
+		wire := "f64"
+		if pc == 1 {
+			wire = []string{"f64", "f32", "at"}[int(poison)>>1%3]
+		}
 		if err := mpi.TryRun(pr*pc, func(c *mpi.Comm) {
-			row, col := c.CartGrid(pr, pc)
-			e := NewPencilReal(col, row, n, workers, exchange.Both(st))
+			var e *Engine
+			switch wire {
+			case "f32":
+				e = newEngine(c, nil, n, workers, exchange.Both(st), nil, true)
+			case "at":
+				e = NewSlabRealAT(c, n, workers, 0, 2*time.Second)
+			default:
+				row, col := c.CartGrid(pr, pc)
+				e = NewPencilReal(col, row, n, workers, exchange.Both(st))
+			}
 			defer e.Close()
-			checkBandOracle(e, []int{kmax})
+			checkBandOracle(e, []int{kmax}, poison&1 == 1)
 
 			e.Truncate(kmax)
 			l := e.Layout()
@@ -171,13 +230,278 @@ func FuzzTruncateBand(f *testing.F) {
 			e.FourierToPhysical(limited, four)
 			e.PhysicalToFourier(four, limited)
 			e.FourierToPhysical(back, four)
+			tol := 1e-12
+			if wire == "f32" {
+				tol = 1e-5 // two narrowings per transform, ~1e-7 relative each
+			}
 			for i, v := range back {
-				if math.Abs(v-limited[i]) > 1e-12 {
+				if math.Abs(v-limited[i]) > tol {
 					panic(fmt.Sprintf("round trip of the band-limited field at %d: %v, was %v", i, v, limited[i]))
 				}
 			}
 		}); err != nil {
-			t.Fatalf("N=%d %dx%d kmax=%d workers=%d %s: %v", n, pr, pc, kmax, workers, st, err)
+			t.Fatalf("N=%d %dx%d kmax=%d workers=%d %s wire=%s poison=%v: %v", n, pr, pc, kmax, workers, st, wire, poison&1 == 1, err)
+		}
+	})
+}
+
+// sentinel is a NaN whose payload no kernel produces: an entry that
+// still holds it was neither written nor cleared.
+func sentinel[T exchange.Elem]() T {
+	var v T
+	switch p := any(&v).(type) {
+	case *complex64:
+		x := math.Float32frombits(0x7fc0beef)
+		*p = complex(x, x)
+	case *complex128:
+		x := math.Float64frombits(0x7ff80000deadbeef)
+		*p = complex(x, x)
+	}
+	return v
+}
+
+// bitsOf is the bit pattern of both parts of v.
+func bitsOf[T exchange.Elem](v T) [2]uint64 {
+	switch x := any(v).(type) {
+	case complex64:
+		return [2]uint64{uint64(math.Float32bits(real(x))), uint64(math.Float32bits(imag(x)))}
+	case complex128:
+		return [2]uint64{math.Float64bits(real(x)), math.Float64bits(imag(x))}
+	}
+	panic("unreachable")
+}
+
+// checkBandGather drives the row stage's kernels (slabKernels) over one
+// slab layout under every strategy, in both directions, at wire type T:
+// first at the full band on source data that is +0 outside the band —
+// the kb-prefix of the rows whose kz is in it — the reference — then at the
+// band, with the sentinel stored over the source's out-of-band entries
+// and over the whole destination. In-band destination entries must carry
+// the reference's bits; YZ must store +0 over the kb-prefix of the
+// out-of-band kz rows of B (the z lines read them), ZY must leave C's
+// out-of-band planes alone; every other destination entry and every
+// source sentinel must be untouched.
+func checkBandGather[T exchange.Elem](c *mpi.Comm, n, kmax int) {
+	p, me := c.Size(), c.Rank()
+	wc := n/2 + 1
+	band := grid.NewBand(n, kmax)
+	kb := band.Width(0, wc)
+	l := transpose.NewSlabLayout(wc, n, n/p, p)
+	team := par.NewTeam(2)
+	defer team.Close()
+	nan := sentinel[T]()
+	// Where an index of C = [Mz][Ny][Wc] (this rank's planes) and of
+	// B = [My][Nz][Wc] sits: its global kz and its column.
+	atC := func(i int) (kz, x int) { return me*l.Mz + i/wc/n, i % wc }
+	atB := func(i int) (kz, x int) { return i / wc % n, i % wc }
+	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused, exchange.AT} {
+		staged, bound := 0, (*exchange.Bound)(nil)
+		switch st {
+		case exchange.Staged:
+			staged = l.Total
+		case exchange.AT:
+			bound = &exchange.Bound{Deadline: time.Second}
+		}
+		stage := exchange.NewStage(c, team, exchange.Phases{}, staged, l.Total, bound, slabKernels[T](&l, me))
+		for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+			srcAt, dstAt := atC, atB
+			if d == exchange.ZY {
+				srcAt, dstAt = atB, atC
+			}
+			clean, poisoned := make([]T, l.Total), make([]T, l.Total)
+			for i := range clean {
+				poisoned[i] = nan
+				if kz, x := srcAt(i); band.Has(kz) && x < kb {
+					clean[i] = T(complex(float64(me*l.Total+i)+0.5, -float64(i)))
+					poisoned[i] = clean[i]
+				}
+			}
+			want, got := make([]T, l.Total), make([]T, l.Total)
+			l.SetBand(wc, grid.NewBand(n, -1))
+			stage.Run(d, st, clean, want)
+			for i := range got {
+				got[i] = nan
+			}
+			l.SetBand(kb, band)
+			stage.Run(d, st, poisoned, got)
+			for i, v := range got {
+				kz, x := dstAt(i)
+				var expect T
+				switch {
+				case x < kb && band.Has(kz):
+					expect = want[i]
+				case x < kb && d == exchange.YZ:
+				default:
+					expect = nan
+				}
+				if bitsOf(v) != bitsOf(expect) {
+					panic(fmt.Sprintf("%s dir %d kb=%d: destination [%d] (kz %d, x %d) = %v, want %v", st, d, kb, i, kz, x, v, expect))
+				}
+			}
+			for i, v := range poisoned {
+				if kz, x := srcAt(i); !(band.Has(kz) && x < kb) && bitsOf(v) != bitsOf(nan) {
+					panic(fmt.Sprintf("%s dir %d: source sentinel [%d] overwritten with %v", st, d, i, v))
+				}
+			}
+		}
+		stage.Close()
+	}
+}
+
+// The band gathers against the full ones, kernel by kernel: the row
+// stage's pack/unpack, fused and chunked gathers and the bounded gather
+// move exactly the band and store exactly the zeros the receiving side
+// owes (checkBandGather), at both wire types, for every band of the
+// oracle and every rank count that divides N.
+func TestBandGatherMatchesFull(t *testing.T) {
+	for _, n := range []int{12, 16} {
+		for _, p := range []int{1, 2, 3, 4} {
+			if n%p != 0 {
+				continue
+			}
+			for _, kmax := range bandKmaxes(n) {
+				if err := mpi.TryRun(p, func(c *mpi.Comm) {
+					checkBandGather[complex128](c, n, kmax)
+					checkBandGather[complex64](c, n, kmax)
+				}); err != nil {
+					t.Fatalf("N=%d P=%d kmax=%d: %v", n, p, kmax, err)
+				}
+			}
+		}
+	}
+}
+
+// Every rank's exchange.bytes grows by what its exchanges read from
+// remote ranks, and on a truncated engine that is the band. The row
+// exchange of rank yG reads kb columns of each of its My rows from every
+// in-band kz plane a peer holds (YZ, the inverse) and kb columns of a
+// peer's My rows into each in-band plane it holds (ZY, the forward) —
+// computed here from grid.Band and the grid's x spans alone, at the wire
+// precision; a column group with kb = 0 exchanges nothing. The column
+// exchange of a Pc > 1 grid still charges whole pencils (at kmax = 1
+// the second column group of every 2×2 grid holds no in-band column).
+// At the full band the counts are the off-diagonal share of whole
+// slabs, as before the band reached the exchanges. On a one-column
+// grid the counter of every rank is checked, on a pencil grid (whose
+// sub-communicators share rank labels) the total.
+func TestExchangeBytesAreInBand(t *testing.T) {
+	type engine struct {
+		name   string
+		pr, pc int
+		elem   int64 // bytes per wire element
+		build  func(c *mpi.Comm, n int) *Engine
+	}
+	for _, n := range []int{12, 16, 48} {
+		for _, p := range []int{1, 2, 3, 4} {
+			if n%p != 0 {
+				continue
+			}
+			engines := []engine{
+				{"chunked", p, 1, 16, func(c *mpi.Comm, n int) *Engine {
+					return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused)
+				}},
+				{"f32 fused", p, 1, 8, func(c *mpi.Comm, n int) *Engine {
+					return newEngine(c, nil, n, 1, exchange.Both(exchange.Fused), nil, true)
+				}},
+				{"at", p, 1, 16, func(c *mpi.Comm, n int) *Engine {
+					return NewSlabRealAT(c, n, 1, 0, time.Second)
+				}},
+			}
+			if p == 4 {
+				engines = append(engines, engine{"2x2 chunked", 2, 2, 16, func(c *mpi.Comm, n int) *Engine {
+					row, col := c.CartGrid(2, 2)
+					return NewPencilReal(col, row, n, 1, exchange.Both(exchange.ChunkedFused))
+				}})
+			}
+			for _, e := range engines {
+				for _, kmax := range []int{-1, 1, grid.DealiasKmax(n)} {
+					if err := checkExchangeBytes(n, kmax, e.pr, e.pc, e.elem, e.build); err != nil {
+						t.Fatalf("N=%d %s %dx%d kmax=%d: %v", n, e.name, e.pr, e.pc, kmax, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkExchangeBytes runs one inverse and one forward on a world of
+// pr·pc ranks and compares each one's exchange.bytes growth with the
+// band's count (see TestExchangeBytesAreInBand).
+func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm, n int) *Engine) error {
+	reg := metrics.NewRegistry()
+	var want [2]atomic.Int64 // per direction, summed over the grid
+	var got [2]int64
+	total := func() (v int64) {
+		for _, e := range reg.Snapshot().Entries {
+			if e.Name == "exchange.bytes" {
+				v += int64(e.Value)
+			}
+		}
+		return v
+	}
+	return mpi.RunWith(pr*pc, reg, func(c *mpi.Comm) {
+		f := build(c, n)
+		defer f.Close()
+		f.Truncate(kmax)
+		l, band := f.Layout(), grid.NewBand(n, kmax)
+		kb := int64(band.Width(l.XLo, l.XLo+l.Wc))
+		inPlanes := func(yg int) (k int64) {
+			for iz := 0; iz < l.Mz2; iz++ {
+				if band.Has(yg*l.Mz2 + iz) {
+					k++
+				}
+			}
+			return k
+		}
+		var remote int64
+		for yg := 0; yg < pr; yg++ {
+			if yg != l.YRank {
+				remote += inPlanes(yg)
+			}
+		}
+		rowYZ, rowZY := remote*int64(l.My)*kb*elem, int64(pr-1)*inPlanes(l.YRank)*int64(l.My)*kb*elem
+		col := int64(0)
+		if pc > 1 {
+			col = int64(l.PadXLen-l.PadXLen/pc) * 16
+		}
+		if kmax < 0 && pc == 1 {
+			// The full band charges what the parent engine charged.
+			old := int64(l.CLen()-l.CLen()/pr) * elem
+			if rowYZ != old || rowZY != old {
+				panic(fmt.Sprintf("full-band count %d/%d, the whole slab's share %d", rowYZ, rowZY, old))
+			}
+		}
+		want[exchange.YZ].Add(rowYZ + col)
+		want[exchange.ZY].Add(rowZY + col)
+		four := make([]complex128, f.FourierLen())
+		phys := make([]float64, f.PhysicalLen())
+		own := reg.CounterRank("exchange.bytes", c.Rank())
+		for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+			c.Barrier()
+			before, mine := total(), own.Value()
+			c.Barrier()
+			if d == exchange.YZ {
+				f.FourierToPhysical(phys, four)
+			} else {
+				f.PhysicalToFourier(four, phys)
+			}
+			if pc == 1 {
+				expect := rowYZ
+				if d == exchange.ZY {
+					expect = rowZY
+				}
+				if delta := own.Value() - mine; delta != expect {
+					panic(fmt.Sprintf("rank %d dir %d: exchange.bytes grew %d, the band's remote bytes are %d", c.Rank(), d, delta, expect))
+				}
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				got[d] = total() - before
+			}
+			c.Barrier()
+			if c.Rank() == 0 && got[d] != want[d].Load() {
+				panic(fmt.Sprintf("dir %d: exchange.bytes grew %d over the grid, the band's remote bytes are %d", d, got[d], want[d].Load()))
+			}
 		}
 	})
 }

@@ -19,12 +19,14 @@
 // (decomposition × strategy × workers × wire precision).
 //
 // Engine.Truncate band-limits the pair to |k_i| ≤ kmax, which is how a
-// dealiased solver's 2/3 rule reaches the FFT passes: the y and z
-// batches run at the rank's in-band width kb and the y pass skips C's
-// out-of-band z-planes, storing +0 where the band ends; the x pass and
-// the exchanges (whole slabs, zeros included) are untouched, and the
-// full transform is the band with kb = Wc. Inside the band the output
-// is bitwise the full transform's on a spectrum that is +0 outside.
+// dealiased solver's 2/3 rule reaches the FFT passes and the row
+// exchange: the y and z batches run at the rank's in-band width kb,
+// the y pass skips C's out-of-band z-planes and the forward's stores +0
+// where the band ends, the x pass stops at the band's last bin, and the
+// row exchange moves the kb columns of the in-band kz rows, its
+// receiving side storing the zeros the z lines read. The full
+// transform is the band with kb = Wc. Inside the band the output is
+// bitwise the full transform's on a spectrum that is +0 outside.
 //
 // Layout conventions (x always fastest):
 //

@@ -58,13 +58,15 @@ type Engine struct {
 	byz []*fft.Batch     // y lines of a C z-plane, z lines of a B y-plane: the kb in-band columns of [N][Wc]
 	bx  []*fft.RealBatch // the Mz half-spectrum ↔ real x lines of a y-plane, band-limited to the in-band bins
 
-	// The band the y and z passes transform (Truncate; full at
-	// construction): kb of this rank's Wc columns hold a kx inside it,
-	// zIn marks C's z-planes whose kz is, [gapLo, gapHi) are the ky
-	// storage rows that are not.
+	// The band the passes transform and the row stage moves (Truncate;
+	// full at construction): kb of this rank's Wc columns hold a kx
+	// inside it, zIn marks C's z-planes whose kz is, [gapLo, gapHi) are
+	// the ky (and kz) storage rows that are not. rl is the row stage's
+	// layout, which carries the same band to its kernels.
 	kb           int
 	zIn          []bool
 	gapLo, gapHi int
+	rl           transpose.SlabLayout
 	kmax         *metrics.Gauge // transform.kmax
 
 	x   []complex128 // X, padded to PadXLen for publication
@@ -223,13 +225,13 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 		byz: make([]*fft.Batch, workers),
 		bx:  make([]*fft.RealBatch, workers),
 		zIn: make([]bool, l.Mz2),
+		// The row stage is the slab transpose of [Mz2][Ny][Wc].
+		rl: transpose.NewSlabLayout(l.Wc, n, l.Mz2, l.Pr),
 	}
-	f.Truncate(-1)
-	// The row stage is the slab transpose of [Mz2][Ny][Wc]. Staging
-	// slabs and the stage exist only in the precision the exchange ships,
-	// and a stage's pack and recv blocks only when a pinned direction is
-	// Staged — the only strategy that touches them.
-	rl := transpose.NewSlabLayout(l.Wc, n, l.Mz2, l.Pr)
+	// Staging slabs and the stage exist only in the precision the
+	// exchange ships, and a stage's pack and recv blocks only when a
+	// pinned direction is Staged — the only strategy that touches them.
+	rl := &f.rl
 	rowBlocks, colBlocks := 0, 0
 	if pair.YZ == exchange.Staged || pair.ZY == exchange.Staged {
 		rowBlocks, colBlocks = rl.Total, pc*l.BlockC
@@ -237,9 +239,9 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 	if single {
 		f.four32 = pool.GetComplex64(rl.Total)
 		f.mid32 = pool.GetComplex64(rl.Total)
-		f.wire = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, nil, slabKernels[complex64](&rl, commY.Rank()))
+		f.wire = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, nil, slabKernels[complex64](rl, commY.Rank()))
 	} else {
-		f.row = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, bound, slabKernels[complex128](&rl, commY.Rank()))
+		f.row = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, bound, slabKernels[complex128](rl, commY.Rank()))
 	}
 	f.mid = f.x
 	if pc > 1 {
@@ -249,6 +251,7 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 		f.mid = pool.GetComplex(l.BLen())
 		f.col = exchange.NewStage(commZ, f.team, f.ph, colBlocks, l.PadXLen, nil, colKernels[complex128](l))
 	}
+	f.Truncate(-1)
 	f.buildBodies()
 	f.setStrategies(pair)
 	return f
@@ -259,7 +262,9 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 // the source side, iy on the destination side), ZY is the mirror. All
 // gathers run the cache-blocked variants (bitwise-identical, tiled
 // traversal) so the strided side stops thrashing at N ≥ 128. The
-// kernels are generic, so the same code moves both wire precisions.
+// kernels are generic, so the same code moves both wire precisions,
+// and read the band from l on every call, so Truncate reaches them
+// without rebuilding anything.
 //
 //psdns:hotpath
 func slabKernels[T exchange.Elem](l *transpose.SlabLayout, me int) [2]exchange.Kernels[T] {
@@ -267,7 +272,7 @@ func slabKernels[T exchange.Elem](l *transpose.SlabLayout, me int) [2]exchange.K
 	return [2]exchange.Kernels[T]{
 		exchange.YZ: {
 			PackUnits: l.Mz, DstUnits: l.My, PeerUnits: l.My,
-			Pack:   func(pack, src []T, lo, hi int) { transpose.PackYZRange(l, pack, src, lo, hi) },
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PackYZRange(l, pack, src, me, lo, hi) },
 			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackYZRange(l, dst, recv, lo, hi) },
 			Gather: func(dst []T, srcs [][]T, lo, hi int) {
 				transpose.GatherYZRangeBlocked(l, dst, srcs, me, lo, hi, tile)
@@ -279,7 +284,7 @@ func slabKernels[T exchange.Elem](l *transpose.SlabLayout, me int) [2]exchange.K
 		exchange.ZY: {
 			PackUnits: l.My, DstUnits: l.Mz, PeerUnits: l.Mz,
 			Pack:   func(pack, src []T, lo, hi int) { transpose.PackZYRange(l, pack, src, lo, hi) },
-			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackZYRange(l, dst, recv, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackZYRange(l, dst, recv, me, lo, hi) },
 			Gather: func(dst []T, srcs [][]T, lo, hi int) {
 				transpose.GatherZYRangeBlocked(l, dst, srcs, me, lo, hi, tile)
 			},
@@ -336,20 +341,20 @@ func (f *Engine) buildBodies() {
 	l := f.l
 	cp := f.n * l.Wc               // one z-plane of C, one y-plane of B
 	xp, pp := l.Mz*l.Nxh, l.Mz*f.n // one y-plane of X, of the physical pencil
-	// The y pass owns the band's zeros: the inverse stores them over
-	// whatever the caller left outside the band before its lines run
-	// (they reach B through the exchange, where the z lines read them;
-	// the x pass reads only in-band bins), the forward over the
-	// untransformed remainder after. A plane whose kz is outside the
-	// band is all zeros.
+	// The inverse reads only what its lines and the row exchange read:
+	// the kb columns of C's in-band z-planes, with +0 stored over the
+	// gap rows of those columns first, since the lines take them as
+	// input (the receiving side of the exchange stores the zeros of the
+	// out-of-band planes in B). The forward stores the band's zeros over
+	// everything else after its lines: the exchange filled the kb
+	// columns of the in-band planes and nothing more.
 	f.invYBody = func(w, lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
-			plane := f.curFour[iz*cp : (iz+1)*cp]
 			if !f.zIn[iz] {
-				clear(plane)
 				continue
 			}
-			transpose.ZeroOutOfBand(plane, f.n, l.Wc, l.Wc, f.kb, f.gapLo, f.gapHi)
+			plane := f.curFour[iz*cp : (iz+1)*cp]
+			transpose.ZeroOutOfBand(plane, f.n, l.Wc, f.kb, f.kb, f.gapLo, f.gapHi)
 			f.byz[w].Inverse(plane, plane)
 		}
 	}
@@ -409,18 +414,34 @@ func (f *Engine) buildBodies() {
 		return
 	}
 	// Strided narrow/widen passes bracketing the single-precision
-	// stage, a plane of C or of B per unit.
+	// stage, a plane of C or of B per unit, converting what the band's
+	// gathers move: the kb columns of C's in-band z-planes (every row),
+	// and of B's in-band kz rows — on the widen side every kz row of B,
+	// since the YZ gather stores the zeros of the others, which the z
+	// lines read.
 	f.narrowFourBody = func(_, lo, hi int) {
-		transpose.NarrowStrided(f.four32[lo*cp:], cp, f.curFour[lo*cp:], cp, cp, hi-lo)
+		for iz := lo; iz < hi; iz++ {
+			if f.zIn[iz] {
+				transpose.NarrowStrided(f.four32[iz*cp:], l.Wc, f.curFour[iz*cp:], l.Wc, f.kb, f.n)
+			}
+		}
 	}
 	f.widenFourBody = func(_, lo, hi int) {
-		transpose.WidenStrided(f.curFour[lo*cp:], cp, f.four32[lo*cp:], cp, cp, hi-lo)
+		for iz := lo; iz < hi; iz++ {
+			if f.zIn[iz] {
+				transpose.WidenStrided(f.curFour[iz*cp:], l.Wc, f.four32[iz*cp:], l.Wc, f.kb, f.n)
+			}
+		}
 	}
 	f.narrowMidBody = func(_, lo, hi int) {
-		transpose.NarrowStrided(f.mid32[lo*cp:], cp, f.mid[lo*cp:], cp, cp, hi-lo)
+		for iy := lo; iy < hi; iy++ {
+			at, past := iy*cp, iy*cp+f.gapHi*l.Wc
+			transpose.NarrowStrided(f.mid32[at:], l.Wc, f.mid[at:], l.Wc, f.kb, f.gapLo)
+			transpose.NarrowStrided(f.mid32[past:], l.Wc, f.mid[past:], l.Wc, f.kb, f.n-f.gapHi)
+		}
 	}
 	f.widenMidBody = func(_, lo, hi int) {
-		transpose.WidenStrided(f.mid[lo*cp:], cp, f.mid32[lo*cp:], cp, cp, hi-lo)
+		transpose.WidenStrided(f.mid[lo*cp:], l.Wc, f.mid32[lo*cp:], l.Wc, f.kb, (hi-lo)*f.n)
 	}
 }
 
@@ -433,17 +454,21 @@ func (f *Engine) buildBodies() {
 // (the stage programs of internal/fft map an all-(+0) line to an
 // all-(+0) line, so the lines skipped are lines whose result is known).
 //
-// The saving is in all three passes. The y and z passes run only the
-// lines whose other two wavenumbers are in the band: the per-worker y/z
-// batch is rebuilt at this rank's in-band width kb = |[XLo, XLo+Wc) ∩
-// [0, kmax]| (stride still Wc; the old plans are released), and the y
-// pass skips C's out-of-band z-planes. The x pass is rebuilt at the
-// band's width of the whole half-spectrum, band.Width(0, Nxh): its r2c
-// stores and its c2r loads stop at that bin. The exchanges still move
-// whole slabs, which is how the zeros the inverse's z lines read reach
-// B; the x bins past the band are never read. Plan time, not hot path;
-// every rank of the grid must truncate to the same band between the
-// same transforms.
+// The saving is in all three passes and the row exchange. The y and z
+// passes run only the lines whose other two wavenumbers are in the
+// band: the per-worker y/z batch is rebuilt at this rank's in-band
+// width kb = |[XLo, XLo+Wc) ∩ [0, kmax]| (stride still Wc; the old
+// plans are released), and the y pass skips C's out-of-band z-planes.
+// The x pass is rebuilt at the band's width of the whole half-spectrum,
+// band.Width(0, Nxh): its r2c stores and its c2r loads stop at that
+// bin. The row exchange moves the kb columns of the in-band kz rows —
+// its gathers, packs and the single-precision wire's conversions, under
+// every strategy — stores the zeros the inverse's z lines read in B on
+// the receiving side, and charges exchange.bytes what it moves; a
+// column group with kb = 0 skips it. The column exchange (Pc > 1) still
+// moves whole pencils; the x bins past the band are never read. Plan
+// time, not hot path; every rank of the grid must truncate to the same
+// band between the same transforms.
 func (f *Engine) Truncate(kmax int) {
 	if f.closed {
 		return
@@ -453,6 +478,15 @@ func (f *Engine) Truncate(kmax int) {
 	f.gapLo, f.gapHi = band.Gap()
 	for iz := range f.zIn {
 		f.zIn[iz] = band.Has(l.YRank*l.Mz2 + iz)
+	}
+	f.rl.SetBand(f.kb, band)
+	yz, zy := f.rl.RemoteElems(l.YRank)
+	if f.wire != nil {
+		f.wire.SetWireElems(exchange.YZ, yz)
+		f.wire.SetWireElems(exchange.ZY, zy)
+	} else {
+		f.row.SetWireElems(exchange.YZ, yz)
+		f.row.SetWireElems(exchange.ZY, zy)
 	}
 	kx := band.Width(0, l.Nxh)
 	for w := range f.byz {
@@ -583,12 +617,15 @@ func (f *Engine) checkLen(phys []float64, four []complex128) {
 // rowExchange runs the row stage under st: YZ moves the y-transformed
 // C (f.curFour) into B, ZY moves B back into f.curFour. On the
 // single-precision wire the source is narrowed first (timed as pack)
-// and the destination widened after (timed as unpack).
+// and the destination widened after (timed as unpack). A column group
+// with no in-band column (kb = 0, the same on every rank of the row
+// stage) has nothing to move and skips the exchange.
 //
 //psdns:hotpath
 func (f *Engine) rowExchange(d exchange.Dir, st exchange.Strategy) {
 	mz2, my := f.l.Mz2, f.l.My
 	switch {
+	case f.kb == 0:
 	case f.wire == nil && d == exchange.YZ:
 		f.row.Run(d, st, f.curFour, f.mid)
 	case f.wire == nil:

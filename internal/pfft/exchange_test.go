@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
@@ -17,69 +18,83 @@ import (
 // count and team size (7 workers outnumber the units at P=7), on full
 // forward+inverse transforms, on either wire precision: narrowing is
 // deterministic, so the single-precision paths must agree exactly with
-// each other too. The pairs are pinned through the in-package
-// constructor, so which complex64 strategy gets its output checked
-// never depends on what the autotuner picks on this machine. n=28 is
-// divisible by every tested P.
+// each other too, on the full engine and on one truncated to the 2/3
+// band (whose narrow and widen passes convert only the band). The pairs
+// are pinned through the in-package constructor, so which complex64
+// strategy gets its output checked never depends on what the autotuner
+// picks on this machine. n=28 is divisible by every tested P.
 func TestSlabRealExchangeStrategiesBitwiseIdentity(t *testing.T) {
 	const n = 28
 	for _, single := range []bool{false, true} {
 		for _, p := range []int{1, 2, 4, 7} {
+			kmaxes := []int{-1}
+			if single {
+				kmaxes = append(kmaxes, grid.DealiasKmax(n))
+			}
 			t.Run(fmt.Sprintf("single=%v/p%d", single, p), func(t *testing.T) {
-				if err := mpi.TryRun(p, func(c *mpi.Comm) {
-					ref := newEngine(c, nil, n, 1, exchange.Both(exchange.Staged), nil, single)
-					defer ref.Close()
-					fl, pl := ref.FourierLen(), ref.PhysicalLen()
-
-					rng := rand.New(rand.NewSource(int64(42 + c.Rank())))
-					physIn := make([]float64, pl)
-					for i := range physIn {
-						physIn[i] = rng.NormFloat64()
+				for _, kmax := range kmaxes {
+					if err := mpi.TryRun(p, func(c *mpi.Comm) { checkStrategiesBitwise(c, n, kmax, single) }); err != nil {
+						t.Fatalf("kmax=%d: %v", kmax, err)
 					}
-					refFour := make([]complex128, fl)
-					refPhys := make([]float64, pl)
-					scratch := make([]float64, pl)
-					copy(scratch, physIn)
-					ref.PhysicalToFourier(refFour, scratch)
-					fourScratch := make([]complex128, fl)
-					copy(fourScratch, refFour)
-					ref.FourierToPhysical(refPhys, fourScratch)
-
-					for _, zy := range exchange.Concrete {
-						for _, yz := range exchange.Concrete {
-							for _, w := range []int{1, 3, 7} {
-								pair := exchange.Pair{YZ: yz, ZY: zy}
-								f := newEngine(c, nil, n, w, pair, nil, single)
-								if f.Single() != single || f.StrategyPair() != pair {
-									panic(fmt.Sprintf("engine reports single=%v pair=%s, built single=%v pair=%s",
-										f.Single(), f.StrategyPair(), single, pair))
-								}
-								four := make([]complex128, fl)
-								phys := make([]float64, pl)
-								copy(phys, physIn)
-								f.PhysicalToFourier(four, phys)
-								for i := range four {
-									if four[i] != refFour[i] {
-										panic(fmt.Sprintf("rank %d %s workers=%d: forward differs at %d: %v vs %v",
-											c.Rank(), pair, w, i, four[i], refFour[i]))
-									}
-								}
-								out := make([]float64, pl)
-								f.FourierToPhysical(out, four)
-								for i := range out {
-									if out[i] != refPhys[i] {
-										panic(fmt.Sprintf("rank %d %s workers=%d: inverse differs at %d: %v vs %v",
-											c.Rank(), pair, w, i, out[i], refPhys[i]))
-									}
-								}
-								f.Close()
-							}
-						}
-					}
-				}); err != nil {
-					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// checkStrategiesBitwise is one rank of one case of
+// TestSlabRealExchangeStrategiesBitwiseIdentity: every strategy pair
+// and team size against staged/staged, all truncated to kmax.
+func checkStrategiesBitwise(c *mpi.Comm, n, kmax int, single bool) {
+	ref := newEngine(c, nil, n, 1, exchange.Both(exchange.Staged), nil, single)
+	defer ref.Close()
+	ref.Truncate(kmax)
+	fl, pl := ref.FourierLen(), ref.PhysicalLen()
+
+	rng := rand.New(rand.NewSource(int64(42 + c.Rank())))
+	physIn := make([]float64, pl)
+	for i := range physIn {
+		physIn[i] = rng.NormFloat64()
+	}
+	refFour := make([]complex128, fl)
+	refPhys := make([]float64, pl)
+	scratch := make([]float64, pl)
+	copy(scratch, physIn)
+	ref.PhysicalToFourier(refFour, scratch)
+	fourScratch := make([]complex128, fl)
+	copy(fourScratch, refFour)
+	ref.FourierToPhysical(refPhys, fourScratch)
+
+	for _, zy := range exchange.Concrete {
+		for _, yz := range exchange.Concrete {
+			for _, w := range []int{1, 3, 7} {
+				pair := exchange.Pair{YZ: yz, ZY: zy}
+				f := newEngine(c, nil, n, w, pair, nil, single)
+				f.Truncate(kmax)
+				if f.Single() != single || f.StrategyPair() != pair {
+					panic(fmt.Sprintf("engine reports single=%v pair=%s, built single=%v pair=%s",
+						f.Single(), f.StrategyPair(), single, pair))
+				}
+				four := make([]complex128, fl)
+				phys := make([]float64, pl)
+				copy(phys, physIn)
+				f.PhysicalToFourier(four, phys)
+				for i := range four {
+					if four[i] != refFour[i] {
+						panic(fmt.Sprintf("rank %d %s workers=%d: forward differs at %d: %v vs %v",
+							c.Rank(), pair, w, i, four[i], refFour[i]))
+					}
+				}
+				out := make([]float64, pl)
+				f.FourierToPhysical(out, four)
+				for i := range out {
+					if out[i] != refPhys[i] {
+						panic(fmt.Sprintf("rank %d %s workers=%d: inverse differs at %d: %v vs %v",
+							c.Rank(), pair, w, i, out[i], refPhys[i]))
+					}
+				}
+				f.Close()
+			}
 		}
 	}
 }

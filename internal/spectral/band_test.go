@@ -3,6 +3,7 @@ package spectral
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -13,19 +14,19 @@ import (
 )
 
 // inBand reports whether storage index idx of a local Fourier field is
-// inside the solver's band, as its row description says: the z-plane's
-// kz is in, the ky row is outside the gap, and the mode is among the
-// row's first kb.
+// inside the solver's band, as its row list says: the x-row is in the
+// list and the mode is among the row's first kb.
 func inBand(s *Solver, idx int) bool {
-	ix, iy, iz := idx%s.nxh, idx/s.nxh%s.cfg.N, idx/s.nxh/s.cfg.N
-	return s.zIn[iz] && (iy < s.gapLo || iy >= s.gapHi) && ix < s.kb
+	off := idx - idx%s.nxh
+	i := sort.Search(len(s.rows), func(i int) bool { return s.rows[i].off >= off })
+	return i < len(s.rows) && s.rows[i].off == off && idx%s.nxh < s.kb
 }
 
 // The solver's band, the band it hands its engine and grid.DealiasKmax
-// are one definition: the row description (z-plane table, ky gap, x
-// prefix kb) holds exactly the modes with every |k_i| ≤ DealiasKmax,
-// which is also the float compare k > N/3 the dealias mask used to be
-// built from. N = 48 keeps k = 16 = N/3 exactly (the pinned
+// are one definition: the row list (x-rows whose kz and ky are in, and
+// the x prefix kb of each) holds exactly the modes with every
+// |k_i| ≤ DealiasKmax, which is also the float compare k > N/3 the
+// dealias mask used to be built from. N = 48 keeps k = 16 = N/3 exactly (the pinned
 // scalar_rk4_n48 golden depends on it); without dealiasing the band
 // holds everything.
 func TestDealiasMaskIsTheBand(t *testing.T) {

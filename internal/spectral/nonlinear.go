@@ -64,25 +64,17 @@ func mulTo(dst, a, b []float64) {
 	}
 }
 
-// yRuns are the ky storage rows of a z-plane inside the band: [0, gapLo)
-// and [gapHi, N), the second empty when the band keeps only ky = 0. The
-// right-hand-side loops visit these rows of the in-band z-planes, and the
-// first kb modes of each.
-func (s *Solver) yRuns() [2][2]int { return [2][2]int{{0, s.gapLo}, {s.gapHi, s.cfg.N}} }
-
-// clearOutOfBandRows stores +0 over the rows of z-plane iz of f that lie
-// outside the band — every row when kz is outside it, else the gap rows
-// — and reports whether the plane has in-band rows left, whose tails
-// past kb are the caller's to clear.
-func (s *Solver) clearOutOfBandRows(f []complex128, iz int) bool {
-	pl := s.cfg.N * s.nxh
-	plane := f[iz*pl : (iz+1)*pl]
-	if !s.zIn[iz] {
-		clear(plane)
-		return false
+// clearOutOfBand stores +0 over every entry of f outside the band:
+// everything but the first kb modes of each row in s.rows.
+//
+//psdns:hotpath
+func (s *Solver) clearOutOfBand(f []complex128) {
+	next := 0
+	for _, r := range s.rows {
+		clear(f[next:r.off])
+		next = r.off + s.kb
 	}
-	clear(plane[s.gapLo*s.nxh : s.gapHi*s.nxh])
-	return true
+	clear(f[next:])
 }
 
 // accumulateFlux accumulates −i·k_comp·ŝ into the in-band modes of dst,
@@ -98,49 +90,41 @@ func (s *Solver) clearOutOfBandRows(f []complex128, iz int) bool {
 //
 //psdns:hotpath
 func (s *Solver) accumulateFlux(dst []complex128, comp int, dst2 []complex128, comp2 int) {
-	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	kb := s.kb
 	kxs := s.kxs[:kb]
-	ys := s.yRuns()
-	for iz, kz := range s.kzs {
-		if !s.zIn[iz] {
-			continue
+	for _, r := range s.rows {
+		lo, ky, kz := r.off, s.kys[r.iy], s.kzs[r.iz]
+		w, d := s.work[lo:lo+kb], dst[lo:lo+kb]
+		k := ky // comp 1; unused by the comp 0 store
+		if comp == 2 {
+			k = kz
 		}
-		for _, yr := range ys {
-			for iy := yr[0]; iy < yr[1]; iy++ {
-				lo, ky := iz*pl+iy*nxh, s.kys[iy]
-				w, d := s.work[lo:lo+kb], dst[lo:lo+kb]
-				k := ky // comp 1; unused by the comp 0 store
-				if comp == 2 {
-					k = kz
-				}
-				// −i·k·v = complex(k·imag, −k·real) throughout.
-				switch {
-				case dst2 == nil && comp == 0:
-					for i, v := range w {
-						kx := kxs[i]
-						d[i] = 0 + complex(kx*imag(v), -kx*real(v))
-					}
-				case dst2 == nil:
-					for i, v := range w {
-						d[i] += complex(k*imag(v), -k*real(v))
-					}
-				case comp2 == 0:
-					d2 := dst2[lo : lo+kb]
-					for i, v := range w {
-						kx := kxs[i]
-						d[i] += complex(k*imag(v), -k*real(v))
-						d2[i] = 0 + complex(kx*imag(v), -kx*real(v))
-					}
-				default:
-					d2, k2 := dst2[lo:lo+kb], ky
-					if comp2 == 2 {
-						k2 = kz
-					}
-					for i, v := range w {
-						d[i] += complex(k*imag(v), -k*real(v))
-						d2[i] += complex(k2*imag(v), -k2*real(v))
-					}
-				}
+		// −i·k·v = complex(k·imag, −k·real) throughout.
+		switch {
+		case dst2 == nil && comp == 0:
+			for i, v := range w {
+				kx := kxs[i]
+				d[i] = 0 + complex(kx*imag(v), -kx*real(v))
+			}
+		case dst2 == nil:
+			for i, v := range w {
+				d[i] += complex(k*imag(v), -k*real(v))
+			}
+		case comp2 == 0:
+			d2 := dst2[lo : lo+kb]
+			for i, v := range w {
+				kx := kxs[i]
+				d[i] += complex(k*imag(v), -k*real(v))
+				d2[i] = 0 + complex(kx*imag(v), -kx*real(v))
+			}
+		default:
+			d2, k2 := dst2[lo:lo+kb], ky
+			if comp2 == 2 {
+				k2 = kz
+			}
+			for i, v := range w {
+				d[i] += complex(k*imag(v), -k*real(v))
+				d2[i] += complex(k2*imag(v), -k2*real(v))
 			}
 		}
 	}
@@ -156,22 +140,14 @@ func (s *Solver) accumulateFlux(dst []complex128, comp int, dst2 []complex128, c
 //psdns:hotpath
 func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 	two := complex(2*omega, 0)
-	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
-	ys := s.yRuns()
-	for iz, in := range s.zIn {
-		if !in {
-			continue
-		}
-		for _, yr := range ys {
-			for iy := yr[0]; iy < yr[1]; iy++ {
-				lo := iz*pl + iy*nxh
-				rx := rhs[0][lo : lo+kb]
-				ry, ux, uy := rhs[1][lo:lo+kb], state[0][lo:lo+kb], state[1][lo:lo+kb]
-				for i := range rx {
-					rx[i] += two * uy[i]
-					ry[i] -= two * ux[i]
-				}
-			}
+	kb := s.kb
+	for _, r := range s.rows {
+		lo := r.off
+		rx := rhs[0][lo : lo+kb]
+		ry, ux, uy := rhs[1][lo:lo+kb], state[0][lo:lo+kb], state[1][lo:lo+kb]
+		for i := range rx {
+			rx[i] += two * uy[i]
+			ry[i] -= two * ux[i]
 		}
 	}
 }
@@ -182,40 +158,29 @@ func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 //
 //psdns:hotpath
 func (s *Solver) projectAndDealias(rhs [][]complex128) {
-	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	kb := s.kb
 	kxs := s.kxs[:kb]
-	ys := s.yRuns()
-	for iz, kz := range s.kzs {
-		in := s.clearOutOfBandRows(rhs[0], iz)
-		s.clearOutOfBandRows(rhs[1], iz)
-		s.clearOutOfBandRows(rhs[2], iz)
-		if !in {
-			continue
-		}
-		for _, yr := range ys {
-			for iy := yr[0]; iy < yr[1]; iy++ {
-				lo, ky := iz*pl+iy*nxh, s.kys[iy]
-				r0, r1, r2 := rhs[0][lo:lo+nxh], rhs[1][lo:lo+nxh], rhs[2][lo:lo+nxh]
-				kyz2 := ky*ky + kz*kz
-				cky, ckz := complex(ky, 0), complex(kz, 0)
-				for ix, kx := range kxs {
-					k2 := kx*kx + kyz2
-					if k2 == 0 {
-						r0[ix], r1[ix], r2[ix] = 0, 0, 0
-						continue
-					}
-					ckx := complex(kx, 0)
-					dot := (ckx*r0[ix] + cky*r1[ix] + ckz*r2[ix]) / complex(k2, 0)
-					r0[ix] -= ckx * dot
-					r1[ix] -= cky * dot
-					r2[ix] -= ckz * dot
-				}
-				clear(r0[kb:])
-				clear(r1[kb:])
-				clear(r2[kb:])
+	for _, r := range s.rows {
+		lo, ky, kz := r.off, s.kys[r.iy], s.kzs[r.iz]
+		r0, r1, r2 := rhs[0][lo:lo+kb], rhs[1][lo:lo+kb], rhs[2][lo:lo+kb]
+		kyz2 := ky*ky + kz*kz
+		cky, ckz := complex(ky, 0), complex(kz, 0)
+		for ix, kx := range kxs {
+			k2 := kx*kx + kyz2
+			if k2 == 0 {
+				r0[ix], r1[ix], r2[ix] = 0, 0, 0
+				continue
 			}
+			ckx := complex(kx, 0)
+			dot := (ckx*r0[ix] + cky*r1[ix] + ckz*r2[ix]) / complex(k2, 0)
+			r0[ix] -= ckx * dot
+			r1[ix] -= cky * dot
+			r2[ix] -= ckz * dot
 		}
 	}
+	s.clearOutOfBand(rhs[0])
+	s.clearOutOfBand(rhs[1])
+	s.clearOutOfBand(rhs[2])
 }
 
 // applyShift multiplies every in-band mode by exp(sign·i·k·Δ) for the
@@ -226,24 +191,15 @@ func (s *Solver) projectAndDealias(rhs [][]complex128) {
 //
 //psdns:hotpath
 func (s *Solver) applyShift(f []complex128, sign float64) {
-	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
+	kb := s.kb
 	dx, dy, dz := s.shift[0], s.shift[1], s.shift[2]
 	kxs := s.kxs[:kb]
-	ys := s.yRuns()
-	for iz, kz := range s.kzs {
-		if !s.zIn[iz] {
-			continue
-		}
-		pz := kz * dz
-		for _, yr := range ys {
-			for iy := yr[0]; iy < yr[1]; iy++ {
-				lo, py := iz*pl+iy*nxh, s.kys[iy]*dy
-				row := f[lo : lo+kb]
-				for ix, kx := range kxs {
-					ph := sign * (kx*dx + py + pz)
-					row[ix] *= cmplx.Exp(complex(0, ph))
-				}
-			}
+	for _, r := range s.rows {
+		py, pz := s.kys[r.iy]*dy, s.kzs[r.iz]*dz
+		row := f[r.off : r.off+kb]
+		for ix, kx := range kxs {
+			ph := sign * (kx*dx + py + pz)
+			row[ix] *= cmplx.Exp(complex(0, ph))
 		}
 	}
 }

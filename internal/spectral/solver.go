@@ -80,17 +80,26 @@ type Transform interface {
 	// Truncate band-limits both directions to the modes with every
 	// |k_i| ≤ kmax; kmax < 0 or ≥ N/2 is the full transform. After it
 	// FourierToPhysical does not read the modes outside the band (they
-	// are taken as zero) and PhysicalToFourier returns exactly +0
-	// there, while every mode inside is, bit for bit, what the full
-	// transform gives for a spectrum that is +0 outside — so an engine
-	// may skip the y and z lines that are zero by construction and stop
-	// its x lines' r2c stores and c2r loads at the last in-band bin.
-	// Plan time; every rank truncates to the same band.
+	// are taken as zero; nor does it write them, the input being
+	// scratch) and PhysicalToFourier returns exactly +0 there, while
+	// every mode inside is, bit for bit, what the full transform gives
+	// for a spectrum that is +0 outside — so an engine may skip the y
+	// and z lines that are zero by construction, stop its x lines' r2c
+	// stores and c2r loads at the last in-band bin, and exchange only
+	// the in-band part of each slab. Plan time; every rank truncates to
+	// the same band.
 	Truncate(kmax int)
 	Slab() grid.Slab
 	NXH() int
 	FourierLen() int
 	PhysicalLen() int
+}
+
+// bandRow is one x-row of the local Fourier slab inside the band: its
+// storage offset, z-plane and ky storage row.
+type bandRow struct {
+	off    int
+	iz, iy int32
 }
 
 // difGroup is a run of consecutive fields sharing one diffusion
@@ -167,15 +176,14 @@ type Solver struct {
 	k2z []int
 
 	// The band every nonlinear term is dealiased to and the transform is
-	// truncated to, |k_i| ≤ kmax, as the row description pfft.Engine
-	// uses: zIn marks the local z-planes whose kz is in it, [gapLo, gapHi)
-	// are the ky storage rows that are not, and the in-band modes of every
-	// other row are its first kb. The right-hand-side loops visit those
-	// rows and prefixes only.
-	zIn          []bool
-	gapLo, gapHi int
-	kb           int
-	kmax         int
+	// truncated to, |k_i| ≤ kmax, as a row list: rows are the x-rows of
+	// the local Fourier slab whose kz and ky are in it, in storage order,
+	// and the in-band modes of each are its first kb. The right-hand-side
+	// loops visit those prefixes only; the dealias loops store +0 over
+	// everything else (clearOutOfBand).
+	rows []bandRow
+	kb   int
+	kmax int
 
 	step  int
 	time  float64
@@ -345,11 +353,23 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	}
 	s.k2x, s.k2y, s.k2z = squares(s.kxs), squares(s.kys), squares(s.kzs)
 
-	s.zIn = make([]bool, mz)
-	for iz := range s.zIn {
-		s.zIn[iz] = band.Has(s.slab.ZLo() + iz)
+	var zs, ys []int // the local z-planes and the ky rows inside the band
+	for iz := 0; iz < mz; iz++ {
+		if band.Has(s.slab.ZLo() + iz) {
+			zs = append(zs, iz)
+		}
 	}
-	s.gapLo, s.gapHi = band.Gap()
+	for iy := 0; iy < n; iy++ {
+		if band.Has(iy) {
+			ys = append(ys, iy)
+		}
+	}
+	s.rows = make([]bandRow, 0, len(zs)*len(ys))
+	for _, iz := range zs {
+		for _, iy := range ys {
+			s.rows = append(s.rows, bandRow{off: (iz*n + iy) * s.nxh, iz: int32(iz), iy: int32(iy)})
+		}
+	}
 	s.kb = band.Width(0, s.nxh)
 
 	// Fold per-field diffusivities into runs of equal ν, one set of

@@ -108,31 +108,19 @@ func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128,
 		s.accumulateFlux(rhs[c], comp, nil, 0)
 	}
 
-	// Dealiasing, and the mean-gradient production −G·û_y if any, on the
-	// in-band modes.
+	// The mean-gradient production −G·û_y, if any, on the in-band modes,
+	// and dealiasing.
 	r, uy := rhs[c], state[1]
-	g := y.scalars[c-3].meanGrad
-	gc := complex(g, 0)
-	nxh, kb, pl := s.nxh, s.kb, s.cfg.N*s.nxh
-	ys := s.yRuns()
-	for iz := range s.zIn {
-		if !s.clearOutOfBandRows(r, iz) {
-			continue
-		}
-		for _, yr := range ys {
-			for iy := yr[0]; iy < yr[1]; iy++ {
-				lo := iz*pl + iy*nxh
-				row := r[lo : lo+nxh]
-				if g != 0 {
-					u := uy[lo : lo+kb]
-					for i := range u {
-						row[i] -= gc * u[i]
-					}
-				}
-				clear(row[kb:])
+	if g := y.scalars[c-3].meanGrad; g != 0 {
+		gc, kb := complex(g, 0), s.kb
+		for _, row := range s.rows {
+			d, u := r[row.off:row.off+kb], uy[row.off:row.off+kb]
+			for i := range u {
+				d[i] -= gc * u[i]
 			}
 		}
 	}
+	s.clearOutOfBand(r)
 }
 
 // PostStep implements System.

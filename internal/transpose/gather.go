@@ -34,17 +34,23 @@ func GatherYZRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, iyLo, iyHi int
 
 // GatherYZPeer gathers peer s's contribution to y-rows [iyLo,iyHi) of
 // the physical-side slab: src is rank s's Fourier-side slab, whose
-// z-planes land in dst's z range [s·Mz,(s+1)·Mz).
+// z-planes land in dst's z range [s·Mz,(s+1)·Mz) — KB elements of each
+// in-band row, +0 over the KB-prefix of the others (see SlabLayout).
 //
 //psdns:hotpath
 func GatherYZPeer[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi int) {
-	nxh, ny, nz, my, mz := l.Nxh, l.Ny, l.Nz, l.My, l.Mz
+	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
 	yBase := me * my
 	for iz := 0; iz < mz; iz++ {
+		in := l.Band.Has(s*mz + iz)
 		srcOff := (iz*ny + yBase + iyLo) * nxh
 		dstOff := (iyLo*nz + s*mz + iz) * nxh
 		for iy := iyLo; iy < iyHi; iy++ {
-			copy(dst[dstOff:dstOff+nxh], src[srcOff:srcOff+nxh])
+			if in {
+				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
+			} else {
+				clear(dst[dstOff : dstOff+kb])
+			}
 			srcOff += nxh
 			dstOff += nz * nxh
 		}
@@ -66,17 +72,20 @@ func GatherZYRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, izHi int
 
 // GatherZYPeer gathers peer s's contribution to z-planes [izLo,izHi)
 // of the Fourier-side slab: src is rank s's physical-side slab, whose
-// y-rows land in dst's y range [s·My,(s+1)·My).
+// y-rows land in dst's y range [s·My,(s+1)·My) of the in-band planes,
+// KB elements each (see SlabLayout).
 //
 //psdns:hotpath
 func GatherZYPeer[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi int) {
-	nxh, ny, nz, my, mz := l.Nxh, l.Ny, l.Nz, l.My, l.Mz
+	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
 	zBase := me * mz
 	for iy := 0; iy < my; iy++ {
 		srcOff := (iy*nz + zBase + izLo) * nxh
 		dstOff := (izLo*ny + s*my + iy) * nxh
 		for iz := izLo; iz < izHi; iz++ {
-			copy(dst[dstOff:dstOff+nxh], src[srcOff:srcOff+nxh])
+			if l.Band.Has(zBase + iz) {
+				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
+			}
 			srcOff += nxh
 			dstOff += ny * nxh
 		}
@@ -122,7 +131,7 @@ func GatherYZRangeBlocked[T any](l *SlabLayout, dst []T, srcs [][]T, me, iyLo, i
 //
 //psdns:hotpath
 func GatherYZPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi, tile int) {
-	nxh, ny, nz, my, mz := l.Nxh, l.Ny, l.Nz, l.My, l.Mz
+	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
 	if tile <= 0 {
 		tile = mz
 	}
@@ -133,7 +142,11 @@ func GatherYZPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi, 
 			srcOff := (izLo*ny + yBase + iy) * nxh
 			dstOff := (iy*nz + s*mz + izLo) * nxh
 			for iz := izLo; iz < izHi; iz++ {
-				copy(dst[dstOff:dstOff+nxh], src[srcOff:srcOff+nxh])
+				if l.Band.Has(s*mz + iz) {
+					copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
+				} else {
+					clear(dst[dstOff : dstOff+kb])
+				}
 				srcOff += ny * nxh
 				dstOff += nxh
 			}
@@ -157,7 +170,7 @@ func GatherZYRangeBlocked[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, i
 //
 //psdns:hotpath
 func GatherZYPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi, tile int) {
-	nxh, ny, nz, my, mz := l.Nxh, l.Ny, l.Nz, l.My, l.Mz
+	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
 	if tile <= 0 {
 		tile = my
 	}
@@ -165,10 +178,13 @@ func GatherZYPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi, 
 	for iyLo := 0; iyLo < my; iyLo += tile {
 		iyHi := min(iyLo+tile, my)
 		for iz := izLo; iz < izHi; iz++ {
+			if !l.Band.Has(zBase + iz) {
+				continue
+			}
 			srcOff := (iyLo*nz + zBase + iz) * nxh
 			dstOff := (iz*ny + s*my + iyLo) * nxh
 			for iy := iyLo; iy < iyHi; iy++ {
-				copy(dst[dstOff:dstOff+nxh], src[srcOff:srcOff+nxh])
+				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
 				srcOff += nz * nxh
 				dstOff += nxh
 			}

@@ -18,15 +18,18 @@ func TestSlabRangePartitionEquivalence(t *testing.T) {
 	}
 
 	type rangeFn func(l *SlabLayout, dst, src []complex128, lo, hi int)
+	onRank0 := func(fn func(l *SlabLayout, dst, src []complex128, me, lo, hi int)) rangeFn {
+		return func(l *SlabLayout, dst, src []complex128, lo, hi int) { fn(l, dst, src, 0, lo, hi) }
+	}
 	cases := []struct {
 		name  string
 		outer int // iteration count of the partitionable loop
 		fn    rangeFn
 	}{
-		{"PackYZ", l.Mz, PackYZRange[complex128]},
+		{"PackYZ", l.Mz, onRank0(PackYZRange[complex128])},
 		{"UnpackYZ", l.My, UnpackYZRange[complex128]},
 		{"PackZY", l.My, PackZYRange[complex128]},
-		{"UnpackZY", l.Mz, UnpackZYRange[complex128]},
+		{"UnpackZY", l.Mz, onRank0(UnpackZYRange[complex128])},
 	}
 	for _, c := range cases {
 		want := make([]complex128, l.Total)
@@ -64,12 +67,12 @@ func TestSlabLayoutRoundTrip(t *testing.T) {
 	phys := make([]complex128, l.Total)
 	packed2 := make([]complex128, l.Total)
 	back := make([]complex128, l.Total)
-	PackYZRange(&l, packed, src, 0, l.Mz)
+	PackYZRange(&l, packed, src, 0, 0, l.Mz)
 	// In-process "exchange": with one rank per block the alltoall is the
 	// identity on block order for self-consistency of the layout.
 	UnpackYZRange(&l, phys, packed, 0, l.My)
 	PackZYRange(&l, packed2, phys, 0, l.My)
-	UnpackZYRange(&l, back, packed2, 0, l.Mz)
+	UnpackZYRange(&l, back, packed2, 0, 0, l.Mz)
 	for i := range back {
 		if back[i] != src[i] {
 			t.Fatalf("round trip differs at %d: %v vs %v", i, back[i], src[i])

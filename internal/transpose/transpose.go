@@ -42,20 +42,22 @@ func CopyStrided[T any](dst []T, dstStride int, src []T, srcStride, rowLen, nrow
 // storage indices, plane[0] is the first of the w columns): all w
 // columns of the rows [gapLo, gapHi) outside the band, and the columns
 // [kb, w) past the band's x width in every other row. kb = 0 clears the
-// columns outright (a plane whose kz is outside the band); kb = w with
-// an empty gap — the full band — touches nothing.
+// columns outright (a plane whose kz is outside the band); kb = w
+// clears the gap rows only (w = kb of a wider plane: their in-band
+// prefix), and with an empty gap — the full band — touches nothing.
 //
 //psdns:hotpath
 func ZeroOutOfBand(plane []complex128, n, stride, w, kb, gapLo, gapHi int) {
-	if kb == w && gapLo >= gapHi {
+	for off := gapLo * stride; off < gapHi*stride; off += stride {
+		clear(plane[off : off+w])
+	}
+	if kb == w {
 		return
 	}
 	for r, off := 0, 0; r < n; r, off = r+1, off+stride {
-		row := plane[off : off+w]
 		if r < gapLo || r >= gapHi {
-			row = row[kb:]
+			clear(plane[off+kb : off+w])
 		}
-		clear(row)
 	}
 }
 
@@ -71,7 +73,7 @@ func ZeroOutOfBand(plane []complex128, n, stride, w, kb, gapLo, gapHi int) {
 func PackYZ[T any](dst, src []T, nxh, ny, mz, p int) {
 	l := NewSlabLayout(nxh, ny, mz, p)
 	l.check("PackYZ", len(dst), len(src))
-	PackYZRange(&l, dst, src, 0, mz)
+	PackYZRange(&l, dst, src, 0, 0, mz)
 }
 
 // UnpackYZ scatters the received blocks (block s = [mz][my][nxh] from
@@ -95,7 +97,7 @@ func PackZY[T any](dst, src []T, nxh, nz, my, p int) {
 func UnpackZY[T any](dst, src []T, nxh, ny, mz, p int) {
 	l := NewSlabLayout(nxh, ny, mz, p)
 	l.check("UnpackZY", len(dst), len(src))
-	UnpackZYRange(&l, dst, src, 0, mz)
+	UnpackZYRange(&l, dst, src, 0, 0, mz)
 }
 
 // PackYZPencil packs only y indices [yLo,yHi) of the Fourier-side slab
