@@ -123,13 +123,6 @@ func WithMetrics(reg *MetricsRegistry) AsyncOption {
 	return func(o *AsyncOptions) { o.Metrics = reg }
 }
 
-// WithWaitDeadline bounds each wait on an all-to-all request: a
-// fragment that fails to arrive within d aborts the world with a typed
-// *StallError instead of hanging the pipeline. Zero waits forever.
-func WithWaitDeadline(d time.Duration) AsyncOption {
-	return func(o *AsyncOptions) { o.WaitDeadline = d }
-}
-
 // WithExchangeStrategy pins the transpose-exchange strategy instead of
 // autotuning it at plan construction. Fused strategies are bitwise
 // identical to staged; only the data path differs.

@@ -29,8 +29,8 @@ type Particles = spectral.Particles
 type Transform = spectral.Transform
 
 // StepStallError is a communication stall annotated with the solver
-// step and simulation time at which it fired; it wraps the underlying
-// *StallError and surfaces through TryRun.
+// step and simulation time at which it fired, on every engine; it
+// wraps the underlying *StallError and surfaces through TryRun.
 type StepStallError = spectral.StepStallError
 
 // Time-integration schemes.

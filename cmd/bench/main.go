@@ -55,7 +55,7 @@
 //   - fft_c2c_strided_n48 / n64, fft_c2c_contig_n128, fft_r2c_n48 /
 //     n64: the 1-D kernels alone, one plane of lines per op — complex
 //     lines strided by N/2+1 (the y and z passes, plane form), unit-
-//     stride complex lines (line form; PencilC2C's passes) and
+//     stride complex lines (line form) and
 //     real lines — with GFlop/s at the nominal 5·n·log₂n per line;
 //   - rhs_ns_n64_p2: one full NS RK2 step on a transform stub that only
 //     copies, so what is timed is the solver's own arithmetic — products,
@@ -631,7 +631,7 @@ func fftKernel(iters, n, lines int, fwd, inv func()) sample {
 // fftC2C is fftKernel on the nxh = n/2+1 complex lines of one
 // half-spectrum plane, in place: strided by nxh with the lines adjacent
 // (the y and z passes of every engine, plane form) or back to back at
-// unit stride (line form, the complex PencilC2C reference's passes).
+// unit stride (line form).
 func fftC2C(n int, strided bool) func(iters, workers int) sample {
 	return func(iters, _ int) sample {
 		nxh := n/2 + 1

@@ -68,15 +68,14 @@ func main() {
 		metOn    = flag.Bool("metrics", false, "record runtime metrics over the step loop and print the per-phase breakdown")
 		metJSON  = flag.String("metrics-json", "", "also dump the full metrics snapshot as JSON to this path (implies -metrics)")
 
-		watchOn      = flag.Bool("watchdog", true, "run the MPI stall watchdog (deadlock detection)")
-		deadlockWin  = flag.Duration("deadlock-after", 0, "declare a deadlock after this quiescent window (0 = runtime default 2s)")
-		opDeadline   = flag.Duration("op-deadline", 0, "abort if any single blocking MPI operation exceeds this (0 = off)")
-		waitDeadline = flag.Duration("wait-deadline", 0, "async engine: bound each all-to-all wait; blown deadline aborts with a StallError (0 = off)")
-		faultSeed    = flag.Int64("fault-seed", 1, "fault injection: RNG seed (deterministic per seed)")
-		faultDrop    = flag.Float64("fault-drop", 0, "fault injection: per-message drop probability in [0,1]")
-		faultDup     = flag.Float64("fault-dup", 0, "fault injection: per-message duplication probability in [0,1]")
-		faultDelay   = flag.Duration("fault-delay", 0, "fault injection: fixed extra latency per message")
-		faultCrash   = flag.String("fault-crash", "", "fault injection: crash schedule as rank:op (1-based operation index)")
+		watchOn     = flag.Bool("watchdog", true, "run the MPI stall watchdog (deadlock detection)")
+		deadlockWin = flag.Duration("deadlock-after", 0, "declare a deadlock after this quiescent window (0 = runtime default 2s)")
+		opDeadline  = flag.Duration("op-deadline", 0, "abort when a rank stays blocked in one MPI operation longer than this; on every engine a blown deadline prints \"stall during time stepping\" with the step number (0 = off)")
+		faultSeed   = flag.Int64("fault-seed", 1, "fault injection: RNG seed (deterministic per seed)")
+		faultDrop   = flag.Float64("fault-drop", 0, "fault injection: per-message drop probability in [0,1]")
+		faultDup    = flag.Float64("fault-dup", 0, "fault injection: per-message duplication probability in [0,1]")
+		faultDelay  = flag.Duration("fault-delay", 0, "fault injection: fixed extra latency per message")
+		faultCrash  = flag.String("fault-crash", "", "fault injection: crash schedule as rank:op (1-based operation index)")
 	)
 	flag.Parse()
 	if *metJSON != "" {
@@ -88,6 +87,9 @@ func main() {
 		log.Fatalf("-decomp: %v", err)
 	}
 	if err := checkDecomp(dec, *n, *ranks); err != nil {
+		log.Fatal(err)
+	}
+	if err := checkWatchdog(*watchOn, *opDeadline, *deadlockWin); err != nil {
 		log.Fatal(err)
 	}
 	if *system != "" && spectral.SystemCode(*system) < 0 {
@@ -220,11 +222,10 @@ func main() {
 		if async {
 			aopt := core.Options{
 				NP: *np, Granularity: granularity, NGPU: *ngpu,
-				Workers:      *workers,
-				WaitDeadline: *waitDeadline,
-				Exchange:     strategy,
-				ATMaxStale:   max(*atStale, 0),
-				ATDeadline:   *atDL,
+				Workers:    *workers,
+				Exchange:   strategy,
+				ATMaxStale: max(*atStale, 0),
+				ATDeadline: *atDL,
 			}
 			var tr *core.AsyncSlabReal
 			if *autotune {
@@ -411,6 +412,21 @@ func checkDecomp(dec tuning.Decomp, n, ranks int) error {
 		return fmt.Errorf("-decomp %s invalid for N=%d ranks=%d (need Pr·Pc=ranks, Pr|N, Pc|N, Pc ≤ N/2+1)", dec, n, ranks)
 	case dec.IsAuto() && len(tuning.Decompositions(n, ranks)) == 0:
 		return fmt.Errorf("-decomp auto: no decomposition fits N=%d ranks=%d (need ranks|N, or Pr·Pc=ranks with Pr|N, Pc|N, Pc ≤ N/2+1)", n, ranks)
+	}
+	return nil
+}
+
+// checkWatchdog rejects a stall bound the run would drop: with
+// -watchdog=false no monitor runs, and the watchdog is the only thing
+// that bounds a wait.
+func checkWatchdog(on bool, opDeadline, deadlockAfter time.Duration) error {
+	switch {
+	case on:
+		return nil
+	case opDeadline != 0:
+		return fmt.Errorf("-op-deadline %v needs the watchdog: drop -watchdog=false or -op-deadline", opDeadline)
+	case deadlockAfter != 0:
+		return fmt.Errorf("-deadlock-after %v needs the watchdog: drop -watchdog=false or -deadlock-after", deadlockAfter)
 	}
 	return nil
 }

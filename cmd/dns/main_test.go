@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/tuning"
 )
@@ -28,6 +29,31 @@ func TestParseEngine(t *testing.T) {
 // A rank count no decomposition fits must be rejected up front for
 // every -decomp form, -decomp auto included (it used to reach the ranks
 // and die as a pfft panic).
+// -op-deadline and -deadlock-after with the watchdog off would be
+// dropped silently; the combination is fatal instead.
+func TestCheckWatchdog(t *testing.T) {
+	for _, tc := range []struct {
+		on                 bool
+		deadline, deadlock time.Duration
+		want               string // substring of the error; "" = accepted
+	}{
+		{true, 0, 0, ""},
+		{true, time.Second, 3 * time.Second, ""},
+		{false, 0, 0, ""},
+		{false, time.Second, 0, "-op-deadline 1s needs the watchdog"},
+		{false, 0, 3 * time.Second, "-deadlock-after 3s needs the watchdog"},
+		{false, time.Second, 3 * time.Second, "-op-deadline 1s needs the watchdog"},
+	} {
+		err := checkWatchdog(tc.on, tc.deadline, tc.deadlock)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("checkWatchdog(%v, %v, %v) = %v, want accepted", tc.on, tc.deadline, tc.deadlock, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("checkWatchdog(%v, %v, %v) = %v, want error containing %q", tc.on, tc.deadline, tc.deadlock, err, tc.want)
+		}
+	}
+}
+
 func TestCheckDecomp(t *testing.T) {
 	for _, tc := range []struct {
 		dec      tuning.Decomp

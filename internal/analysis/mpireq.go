@@ -9,7 +9,7 @@ import (
 // MPIReq enforces the runtime's nonblocking-communication contract:
 //
 //  1. every *mpi.Request produced by a nonblocking call (Ialltoall)
-//     must reach Wait or WaitWithin on every path, or be handed off
+//     must reach Wait on every path, or be handed off
 //     (stored, returned, passed to another function); a dropped
 //     request leaks its drain goroutine and leaves the watchdog
 //     counting a phantom pending operation;
@@ -29,14 +29,13 @@ func returnsRequest(info *types.Info, call *ast.CallExpr) bool {
 	return t != nil && isNamed(t, "mpi", "Request")
 }
 
-// isRequestCompletion reports whether the call is obj.Wait() or
-// obj.WaitWithin(...).
+// isRequestCompletion reports whether the call is obj.Wait().
 func isRequestCompletion(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	if name := sel.Sel.Name; name != "Wait" && name != "WaitWithin" {
+	if sel.Sel.Name != "Wait" {
 		return false
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
@@ -59,7 +58,7 @@ func runMPIReq(pass *Pass) {
 			return isRequestCompletion(pass.Info, call, obj)
 		},
 		leak: func(desc, where string) string {
-			return "request from " + desc + " may not reach Wait/WaitWithin on " + where +
+			return "request from " + desc + " may not reach Wait on " + where +
 				"; complete it, or hand it off"
 		},
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // PlanFree enforces the plan lifecycle: every
-// NewExchangePlan*/NewA2APlan/NewReducePlan value must reach a
+// NewExchangePlan*/NewReducePlan value must reach a
 // Free/Close on all paths. A freed plan deregisters its barrier on
 // every rank; a leaked one leaves phantom participants that deadlock
 // the next collective — the PR-7 leak class.

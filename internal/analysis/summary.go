@@ -21,7 +21,7 @@ var collectiveFuncs = map[string]bool{
 	"Allgather": true, "Alltoall": true, "Ialltoall": true, "Alltoallv": true,
 	"AllreduceSum": true, "AllreduceMax": true, "Gather": true,
 	"NewExchangePlan": true, "NewExchangePlanBounded": true,
-	"NewA2APlan": true, "NewReducePlan": true,
+	"NewReducePlan": true,
 }
 
 // collectiveMethods maps mpi receiver types to their collective
@@ -30,7 +30,6 @@ var collectiveFuncs = map[string]bool{
 var collectiveMethods = map[string]map[string]bool{
 	"Comm":         {"Barrier": true, "Split": true, "CartGrid": true},
 	"ExchangePlan": {"Do": true, "DoBounded": true, "Free": true},
-	"A2APlan":      {"Do": true, "Free": true},
 	"ReducePlan":   {"Sum": true, "Max": true, "Free": true},
 }
 
@@ -62,14 +61,14 @@ func collectiveLabel(info *types.Info, call *ast.CallExpr) string {
 }
 
 // planTypeName reports the mpi plan type a value is ((pointer to)
-// ExchangePlan/A2APlan/ReducePlan), or "".
+// ExchangePlan/ReducePlan), or "".
 func planTypeName(t types.Type) string {
 	n := namedType(t)
 	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Name() != "mpi" {
 		return ""
 	}
 	switch n.Obj().Name() {
-	case "ExchangePlan", "A2APlan", "ReducePlan":
+	case "ExchangePlan", "ReducePlan":
 		return n.Obj().Name()
 	}
 	return ""

@@ -102,18 +102,18 @@ func badConditionalFree(c *mpi.Comm, p *mpi.ExchangePlan) {
 }
 
 // Plan construction is a collective: building a plan on one rank only
-// diverges the schedule, with the constructor's type argument inferred
-// or spelled out.
-func badConditionalPlan(c *mpi.Comm, buf []complex128) (p *mpi.A2APlan) {
+// diverges the schedule, from a plain constructor or from the generic
+// one with its type argument spelled out.
+func badConditionalPlan(c *mpi.Comm) (p *mpi.ReducePlan) {
 	if c.Rank() == 0 { // want `rank-dependent branch diverges in collective sequence`
-		p = mpi.NewA2APlan(c, buf, buf)
+		p = mpi.NewReducePlan(c, 1)
 	}
 	return p
 }
 
-func badConditionalPlanExplicit(c *mpi.Comm, buf []complex128) (p *mpi.A2APlan) {
+func badConditionalPlanExplicit(c *mpi.Comm) (p *mpi.ExchangePlan) {
 	if c.Rank() == 0 { // want `rank-dependent branch diverges in collective sequence`
-		p = mpi.NewA2APlan[complex128](c, buf, buf)
+		p = mpi.NewExchangePlan[complex128](c, 8)
 	}
 	return p
 }
@@ -132,8 +132,8 @@ func allowedConditional(c *mpi.Comm) {
 // grid coordinate stalls the whole column of the process grid.
 func badRowGatedPencilExchange(c *mpi.Comm, buf []complex128, gather func([][]complex128)) {
 	row, col := c.CartGrid(2, 2)
-	rowEx := mpi.NewExchangePlan(row, 8)
-	colEx := mpi.NewExchangePlan(col, 8)
+	rowEx := mpi.NewExchangePlan[complex128](row, 8)
+	colEx := mpi.NewExchangePlan[complex128](col, 8)
 	colEx.Do(buf, gather)
 	if c.Rank()/2 == 0 { // want `rank-dependent branch diverges in collective sequence`
 		rowEx.Do(buf, gather)
@@ -147,8 +147,8 @@ func badRowGatedPencilExchange(c *mpi.Comm, buf []complex128, gather func([][]co
 // the grid coordinate.
 func goodPencilExchangePair(c *mpi.Comm, buf []complex128, gather func([][]complex128), pack func()) {
 	row, col := c.CartGrid(2, 2)
-	rowEx := mpi.NewExchangePlan(row, 8)
-	colEx := mpi.NewExchangePlan(col, 8)
+	rowEx := mpi.NewExchangePlan[complex128](row, 8)
+	colEx := mpi.NewExchangePlan[complex128](col, 8)
 	if c.Rank()/2 == 0 {
 		pack()
 	}

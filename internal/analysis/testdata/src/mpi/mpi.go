@@ -1,7 +1,7 @@
 // Package mpi is a fixture stub with the runtime API shape the
-// analyzers match on: package name "mpi", a Request type with
-// Wait/WaitWithin, a nonblocking constructor, point-to-point calls
-// whose tag parameter is named tag, and the persistent plans.
+// analyzers match on: package name "mpi", a Request type with Wait, a
+// nonblocking constructor, point-to-point calls whose tag parameter is
+// named tag, and the persistent plans.
 package mpi
 
 type Comm struct{ rank int }
@@ -21,20 +21,20 @@ func Allgather(c *Comm, send, recv []float64) {}
 type Request struct{ done chan struct{} }
 
 func (r *Request) Wait()                                  {}
-func (r *Request) WaitWithin(ns int64) error              { return nil }
 func Ialltoall(c *Comm, send, recv []complex128) *Request { return &Request{} }
 
 func Send(c *Comm, dst, tag int, buf []float64) {}
 func Recv(c *Comm, src, tag int, buf []float64) {}
 
-// ExchangePlan mirrors the persistent fused-exchange plan: its Do and
+// ExchangePlan mirrors the persistent exchange plan: its Do and
 // DoBounded entry points are collectives that complete before
 // returning (no request to leak) and take no tag — DoBounded's
 // trailing int is a staleness bound, which the analyzer must not
-// mistake for a tag.
+// mistake for a tag. NewExchangePlan is generic like the real
+// constructor, so fixtures spell its type argument, NewExchangePlan[T].
 type ExchangePlan struct{}
 
-func NewExchangePlan(c *Comm, slabLen int) *ExchangePlan { return &ExchangePlan{} }
+func NewExchangePlan[T any](c *Comm, slabLen int) *ExchangePlan { return &ExchangePlan{} }
 func NewExchangePlanBounded(c *Comm, slabLen, maxStale int, deadlineNs int64) *ExchangePlan {
 	return &ExchangePlan{}
 }
@@ -43,16 +43,8 @@ func (p *ExchangePlan) DoBounded(src []complex128, gather func([][]complex128), 
 func (p *ExchangePlan) SetSite(site string)                                                {}
 func (p *ExchangePlan) Free()                                                              {}
 
-// A2APlan and ReducePlan mirror the persistent all-to-all and
-// reduction plans for the planfree/collsym fixtures. NewA2APlan is
-// generic like the real constructor, so fixtures can spell a call
-// with its type argument inferred or explicit.
-type A2APlan struct{}
-
-func NewA2APlan[T any](c *Comm, send, recv []T) *A2APlan { return &A2APlan{} }
-func (p *A2APlan) Do()                                   {}
-func (p *A2APlan) Free()                                 {}
-
+// ReducePlan mirrors the persistent reduction plan, a non-generic
+// constructor beside NewExchangePlan[T].
 type ReducePlan struct{ pl *ExchangePlan }
 
 func NewReducePlan(c *Comm, n int) *ReducePlan { return &ReducePlan{} }

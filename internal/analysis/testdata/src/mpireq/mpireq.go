@@ -1,6 +1,6 @@
 // Package mpireq exercises the mpireq analyzer: dropped nonblocking
-// requests, early-return paths that skip Wait, completion via
-// Wait/WaitWithin or a hand-off, and raw tag literals.
+// requests, early-return paths that skip Wait, completion via Wait or a
+// hand-off, and raw tag literals.
 package mpireq
 
 import "mpi"
@@ -9,13 +9,13 @@ const evTag = 11
 
 // forget drops the request entirely.
 func forget(c *mpi.Comm, send, recv []complex128) {
-	req := mpi.Ialltoall(c, send, recv) // want `request from mpi.Ialltoall may not reach Wait/WaitWithin`
+	req := mpi.Ialltoall(c, send, recv) // want `request from mpi.Ialltoall may not reach Wait on function exit`
 	_ = req
 }
 
 // early skips Wait on the guard path.
 func early(c *mpi.Comm, send, recv []complex128, cond bool) {
-	req := mpi.Ialltoall(c, send, recv) // want `request from mpi.Ialltoall may not reach Wait/WaitWithin on this return path`
+	req := mpi.Ialltoall(c, send, recv) // want `request from mpi.Ialltoall may not reach Wait on this return path`
 	if cond {
 		return
 	}
@@ -26,12 +26,6 @@ func early(c *mpi.Comm, send, recv []complex128, cond bool) {
 func waited(c *mpi.Comm, send, recv []complex128) {
 	req := mpi.Ialltoall(c, send, recv)
 	defer req.Wait()
-}
-
-// within uses the watchdog-friendly bounded wait.
-func within(c *mpi.Comm, send, recv []complex128) error {
-	req := mpi.Ialltoall(c, send, recv)
-	return req.WaitWithin(1 << 30)
 }
 
 // fanout hands both requests to a helper: passing a request on is a
@@ -69,7 +63,7 @@ func planExchange(c *mpi.Comm, src []complex128) {
 	defer pl.Free()
 	pl.Do(src, func([][]complex128) {})
 	pl.DoBounded(src, func([][]complex128) {}, 2)
-	sync := mpi.NewExchangePlan(c, len(src))
+	sync := mpi.NewExchangePlan[complex128](c, len(src))
 	defer sync.Free()
 	sync.Do(src, func([][]complex128) {})
 }

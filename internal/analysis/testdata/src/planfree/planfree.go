@@ -7,13 +7,13 @@ import "mpi"
 
 // Local plan never freed.
 func badLocalLeak(c *mpi.Comm) {
-	p := mpi.NewExchangePlan(c, 8) // want `plan from NewExchangePlan may not reach Free on function exit`
+	p := mpi.NewExchangePlan[complex128](c, 8) // want `plan from NewExchangePlan may not reach Free on function exit`
 	_ = p
 }
 
 // Freed on the happy path only: the error return leaks it.
 func badLeakOnReturn(c *mpi.Comm, fail bool) error {
-	p := mpi.NewExchangePlan(c, 8) // want `plan from NewExchangePlan may not reach Free on this return path`
+	p := mpi.NewExchangePlan[complex128](c, 8) // want `plan from NewExchangePlan may not reach Free on this return path`
 	if fail {
 		return errFixture
 	}
@@ -23,7 +23,7 @@ func badLeakOnReturn(c *mpi.Comm, fail bool) error {
 
 // Clean twin: deferred Free covers every path.
 func goodDeferredFree(c *mpi.Comm, fail bool) error {
-	p := mpi.NewExchangePlan(c, 8)
+	p := mpi.NewExchangePlan[complex128](c, 8)
 	defer p.Free()
 	if fail {
 		return errFixture
@@ -31,17 +31,18 @@ func goodDeferredFree(c *mpi.Comm, fail bool) error {
 	return nil
 }
 
-// Local all-to-all plans never freed, the constructor's type argument
-// inferred and spelled out: both calls construct a plan.
-func badA2ALeak(c *mpi.Comm, buf []complex128) {
-	p := mpi.NewA2APlan(c, buf, buf)             // want `plan from NewA2APlan may not reach Free on function exit`
-	q := mpi.NewA2APlan[complex128](c, buf, buf) // want `plan from NewA2APlan may not reach Free on function exit`
+// Local plans never freed, from a plain constructor and from the
+// generic one with its type argument spelled out: both calls construct
+// a plan.
+func badPlanLeak(c *mpi.Comm) {
+	p := mpi.NewReducePlan(c, 1)            // want `plan from NewReducePlan may not reach Free on function exit`
+	q := mpi.NewExchangePlan[float64](c, 8) // want `plan from NewExchangePlan may not reach Free on function exit`
 	_, _ = p, q
 }
 
 // Clean: returning the plan hands ownership to the caller.
-func goodReturned(c *mpi.Comm, buf []complex128) *mpi.A2APlan {
-	p := mpi.NewA2APlan(c, buf, buf)
+func goodReturned(c *mpi.Comm) *mpi.ExchangePlan {
+	p := mpi.NewExchangePlan[complex128](c, 8)
 	return p
 }
 
@@ -55,22 +56,22 @@ var errFixture error = fixtureErr{}
 // package level: every field a plan is stored into must be freed
 // somewhere (directly, through an index, or element-wise in a range).
 type engine struct {
-	ex   *mpi.ExchangePlan
-	red  *mpi.ReducePlan
-	a2as []*mpi.A2APlan
+	ex  *mpi.ExchangePlan
+	red *mpi.ReducePlan
+	exs []*mpi.ExchangePlan
 }
 
-func (e *engine) setup(c *mpi.Comm, buf []complex128) {
-	e.ex = mpi.NewExchangePlan(c, 8)
+func (e *engine) setup(c *mpi.Comm) {
+	e.ex = mpi.NewExchangePlan[complex128](c, 8)
 	e.red = mpi.NewReducePlan(c, 1) // want `plan stored in field engine\.red is never freed in this package`
 	for i := 0; i < 2; i++ {
-		e.a2as = append(e.a2as, mpi.NewA2APlan(c, buf, buf))
+		e.exs = append(e.exs, mpi.NewExchangePlan[complex128](c, 8))
 	}
 }
 
 func (e *engine) Close() {
 	e.ex.Free()
-	for _, pl := range e.a2as {
+	for _, pl := range e.exs {
 		pl.Free()
 	}
 }
@@ -85,8 +86,8 @@ type pencilEngine struct {
 
 func (e *pencilEngine) setup(c *mpi.Comm) {
 	row, col := c.CartGrid(2, 2)
-	e.rowEx = mpi.NewExchangePlan(row, 8)
-	e.colEx = mpi.NewExchangePlan(col, 8) // want `plan stored in field pencilEngine\.colEx is never freed in this package`
+	e.rowEx = mpi.NewExchangePlan[complex128](row, 8)
+	e.colEx = mpi.NewExchangePlan[complex128](col, 8) // want `plan stored in field pencilEngine\.colEx is never freed in this package`
 }
 
 func (e *pencilEngine) Close() {
@@ -101,8 +102,8 @@ type pencilEngineOK struct {
 
 func (e *pencilEngineOK) setup(c *mpi.Comm) {
 	row, col := c.CartGrid(2, 2)
-	e.rowEx = mpi.NewExchangePlan(row, 8)
-	e.colEx = mpi.NewExchangePlan(col, 8)
+	e.rowEx = mpi.NewExchangePlan[complex128](row, 8)
+	e.colEx = mpi.NewExchangePlan[complex128](col, 8)
 }
 
 func (e *pencilEngineOK) Close() {
@@ -116,14 +117,14 @@ func (e *pencilEngineOK) Close() {
 type stage[T any] struct {
 	buf   []T
 	plans [2]*mpi.ExchangePlan
-	a2a   *mpi.A2APlan
+	spare *mpi.ExchangePlan
 }
 
 func newStage[T any](c *mpi.Comm, n int) *stage[T] {
 	s := &stage[T]{buf: make([]T, n)}
-	s.plans[0] = mpi.NewExchangePlan(c, n)
+	s.plans[0] = mpi.NewExchangePlan[T](c, n)
 	s.plans[1] = s.plans[0]
-	s.a2a = mpi.NewA2APlan[T](c, s.buf, s.buf) // want `plan stored in field stage\.a2a is never freed in this package`
+	s.spare = mpi.NewExchangePlan[T](c, n) // want `plan stored in field stage\.spare is never freed in this package`
 	return s
 }
 

@@ -65,12 +65,6 @@ type Options struct {
 	// (the one Run/TryRun installed), so instrumentation follows the
 	// world by default.
 	Metrics *metrics.Registry
-	// WaitDeadline, when positive, bounds each wait on a per-pencil
-	// all-to-all request: a fragment that fails to arrive within the
-	// deadline aborts the world with a typed mpi.StallError instead of
-	// hanging the pipeline (the engine-level analogue of the runtime's
-	// stall watchdog). Zero waits indefinitely.
-	WaitDeadline time.Duration
 	// Exchange selects the transpose-exchange strategy: Staged posts
 	// MPI all-to-alls and unpacks the received blocks (the wire path of
 	// the paper's staged variant), Fused and ChunkedFused gather
@@ -173,8 +167,6 @@ type AsyncSlabReal struct {
 	nxh  int
 	np   int
 	gran Granularity
-	// waitDeadline bounds each all-to-all wait (Options.WaitDeadline).
-	waitDeadline time.Duration
 
 	gpus []*gpuCtx
 	xr   []span // region y/z pencil x-ranges over nxh
@@ -255,15 +247,14 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 	s := grid.NewSlab(n, comm.Size(), comm.Rank())
 	a := &AsyncSlabReal{
-		comm:         comm,
-		s:            s,
-		n:            n,
-		nxh:          nxh,
-		np:           opt.NP,
-		gran:         opt.Granularity,
-		waitDeadline: opt.WaitDeadline,
-		xr:           splitRange(nxh, opt.NP),
-		zr:           splitRange(n, opt.NP),
+		comm: comm,
+		s:    s,
+		n:    n,
+		nxh:  nxh,
+		np:   opt.NP,
+		gran: opt.Granularity,
+		xr:   splitRange(nxh, opt.NP),
+		zr:   splitRange(n, opt.NP),
 	}
 	a.xu = a.xr
 	if a.gran == PerSlab {
@@ -782,26 +773,14 @@ func (a *AsyncSlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
 	return a.wire.takeStaleness()
 }
 
-// wait blocks on one all-to-all request, bounding the block by the
-// engine's wait deadline when one is configured.
-//
-//psdns:hotpath
-func (a *AsyncSlabReal) wait(r *mpi.Request) {
-	if a.waitDeadline > 0 {
-		r.WaitWithin(a.waitDeadline)
-		return
-	}
-	r.Wait()
-}
-
 // waitAll waits on every posted per-pencil request in order (a
-// skipped unit has none), each under the engine's wait deadline.
+// skipped unit has none).
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) waitAll(reqs []*mpi.Request) {
 	for _, r := range reqs {
 		if r != nil {
-			a.wait(r)
+			r.Wait()
 		}
 	}
 }

@@ -68,9 +68,9 @@ func TestTransformBitwiseCorrectUnderDelays(t *testing.T) {
 }
 
 // TestWaitDeadlineSurfacesStallError: a dropped bulk all-to-all
-// fragment would hang the pipeline forever; with Options.WaitDeadline
-// the engine's bounded Wait aborts the world and TryRun surfaces a
-// typed StallError instead.
+// fragment would hang the pipeline forever; with the watchdog's
+// per-operation deadline the engine's Wait raises a typed StallError
+// on the rank it names instead.
 func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	const n, p = 16, 2
 	// Drop only bulk engine fragments: small control collectives (and
@@ -82,16 +82,14 @@ func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	}
 	start := time.Now()
 	err := mpi.TryRun(p, func(c *mpi.Comm) {
-		a := NewAsyncSlabReal(c, n, Options{
-			NP: 3, Granularity: PerPencil, WaitDeadline: 200 * time.Millisecond,
-		})
+		a := NewAsyncSlabReal(c, n, Options{NP: 3, Granularity: PerPencil})
 		defer a.Close()
 		phys := make([]float64, a.PhysicalLen())
 		four := make([]complex128, a.FourierLen())
 		a.PhysicalToFourier(four, phys)
 	},
 		mpi.WithFaults(&mpi.Faults{Rules: []mpi.FaultRule{drop}}),
-		mpi.WithWatchdog(mpi.Watchdog{Off: true}), // the engine deadline must act alone
+		mpi.WithWatchdog(mpi.Watchdog{Deadline: time.Second, DeadlockAfter: time.Hour}),
 	)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("bounded wait took %v to fail", elapsed)
@@ -100,7 +98,11 @@ func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	if !errors.As(err, &st) {
 		t.Fatalf("error %T (%v) does not wrap *mpi.StallError", err, err)
 	}
-	if st.Rank != 0 || st.Op != "wait" || !st.Coll {
-		t.Fatalf("StallError = %+v, want rank 0 stuck in a collective wait", st)
+	if st.Rank != 0 || st.Op != "wait" || !st.Coll || st.Deadlock {
+		t.Fatalf("StallError = %+v, want rank 0's deadline in a collective wait", st)
+	}
+	var re *mpi.RankError
+	if !errors.As(err, &re) || re.Rank != 0 {
+		t.Fatalf("error %v: the stall was not raised by rank 0's wait", err)
 	}
 }

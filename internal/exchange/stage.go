@@ -98,16 +98,19 @@ type Bound struct {
 // Stage is the one transpose-exchange of the code base: pack,
 // all-to-all, unpack over one communicator, in either direction, under
 // any Strategy, at wire precision T. It owns everything an exchange
-// needs besides the data — the staged pack/recv blocks and their
-// persistent mpi.A2APlan, the zero-copy mpi.ExchangePlans, the
+// needs besides the data — the staged pack/recv blocks, the
+// mpi.ExchangePlans every strategy runs through, the
 // asynchrony-tolerant site label and staleness window, the phase
 // timers — and the single switch that executes a direction under a
 // strategy. Engines (pfft.Engine, core.AsyncSlabReal) are FFT passes
 // and scheduling around stages.
 //
 // Plan ownership: a synchronous stage registers one ExchangePlan and
-// serves both directions from it (the plan's barriers serialize them).
-// A bounded stage registers one plan per direction, because the two
+// serves both directions and every strategy from it (the plan's
+// barriers serialize them): Staged publishes the pack blocks and
+// gathers them by block copy, the zero-copy strategies publish the
+// source slab and gather it in place. A bounded stage registers one
+// plan per direction, because the two
 // directions are heterogeneous exchanges: with separate epoch streams a
 // stale slab is always an older publication of the same direction,
 // never the other direction's slab read in the wrong layout.
@@ -121,16 +124,20 @@ type Stage[T Elem] struct {
 	ph   Phases
 	pack []T
 	recv []T
-	a2a  *mpi.A2APlan[T]
 	// plans[d] serves direction d; both entries are the same plan on a
 	// synchronous stage.
 	plans [2]*mpi.ExchangePlan[T]
 	// wire[d] is what one zero-copy exchange in direction d reads from
-	// remote slabs, in elements (SetWireElems).
-	wire  [2]int
-	bound *Bound
-	site  uint32
-	dirs  [2]dirBodies[T]
+	// remote slabs, in elements (SetWireElems); staged is what the block
+	// copy reads, every block but the rank's own.
+	wire   [2]int
+	staged int
+	bound  *Bound
+	site   uint32
+	dirs   [2]dirBodies[T]
+	// copyBlocks is the staged gather: recv block s ← block me of rank
+	// s's published pack buffer.
+	copyBlocks func(srcs [][]T)
 
 	// Staging fields: Run publishes the current operands here for the
 	// prebuilt bodies; the gather callbacks add the peer slab table and
@@ -156,14 +163,17 @@ type dirBodies[T Elem] struct {
 // and may be zero for an engine that posts its own all-to-alls and only
 // runs the zero-copy strategies here. slabLen is the element count of
 // the slab each rank publishes to the zero-copy strategies. A non-nil
-// bound makes the stage asynchrony-tolerant: its zero-copy path is then
-// exchange.AT only. Collective: every rank must construct the stage at
-// the same point in comm's collective order.
+// bound makes the stage asynchrony-tolerant: it runs exchange.AT only,
+// so it takes no staging buffers. Collective: every rank must construct
+// the stage at the same point in comm's collective order.
 func NewStage[T Elem](comm *mpi.Comm, team *par.Team, ph Phases, stagedLen, slabLen int, bound *Bound, dirs [2]Kernels[T]) *Stage[T] {
-	s := &Stage[T]{team: team, ph: ph, bound: bound}
+	p := comm.Size()
+	if stagedLen%p != 0 || (bound != nil && stagedLen > 0) {
+		panic(fmt.Sprintf("exchange: %d staging elements invalid for %d ranks (a bounded stage takes none)", stagedLen, p))
+	}
+	s := &Stage[T]{team: team, ph: ph, bound: bound, staged: stagedLen - stagedLen/p}
 	if stagedLen > 0 {
 		s.pack, s.recv = Alloc[T](stagedLen), Alloc[T](stagedLen)
-		s.a2a = mpi.NewA2APlan(comm, s.pack, s.recv)
 	}
 	if bound != nil {
 		if bound.MaxStale < 0 {
@@ -175,9 +185,9 @@ func NewStage[T Elem](comm *mpi.Comm, team *par.Team, ph Phases, stagedLen, slab
 		s.plans[YZ] = mpi.NewExchangePlan[T](comm, slabLen)
 		s.plans[ZY] = s.plans[YZ]
 	}
-	remote := slabLen - slabLen/comm.Size()
+	remote := slabLen - slabLen/p
 	s.wire = [2]int{remote, remote}
-	s.build(comm.Rank(), comm.Size(), dirs)
+	s.build(comm.Rank(), p, dirs)
 	return s
 }
 
@@ -195,6 +205,12 @@ func (s *Stage[T]) SetWireElems(d Dir, n int) { s.wire[d] = n }
 //
 //psdns:hotpath
 func (s *Stage[T]) build(me, p int, dirs [2]Kernels[T]) {
+	bs := len(s.pack) / p
+	s.copyBlocks = func(srcs [][]T) {
+		for r, src := range srcs {
+			copy(s.recv[r*bs:(r+1)*bs], src[me*bs:(me+1)*bs])
+		}
+	}
 	for d := range dirs {
 		b := &s.dirs[d]
 		b.Kernels = dirs[d]
@@ -237,13 +253,14 @@ func (s *Stage[T]) Run(d Dir, st Strategy, src, dst []T) {
 	t := time.Now()
 	switch st {
 	case Staged:
-		if s.a2a == nil {
+		if s.pack == nil {
 			panic("exchange: Stage.Run(Staged) on a stage without staged blocks: NewStage allocates the pack and recv blocks only for stagedLen > 0")
 		}
 		s.team.ForWorkers(b.PackUnits, b.pack)
 		s.ph.Pack.ObserveSince(t)
 		t = time.Now()
-		s.a2a.Do()
+		s.plans[d].SetWire(s.staged)
+		s.plans[d].Do(s.pack, s.copyBlocks)
 		s.ph.A2A.ObserveSince(t)
 		t = time.Now()
 		s.team.ForWorkers(b.DstUnits, b.unpack)
@@ -296,8 +313,7 @@ func (s *Stage[T]) TakeStaleness() (max int, sum, slabs, calls int64) {
 // Close frees the plans and returns the staging buffers to the arena.
 // The stage must not be used afterwards.
 func (s *Stage[T]) Close() {
-	if s.a2a != nil {
-		s.a2a.Free()
+	if s.pack != nil {
 		Release(s.pack)
 		Release(s.recv)
 		s.pack, s.recv = nil, nil

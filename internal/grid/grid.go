@@ -1,7 +1,7 @@
 // Package grid describes the domain decompositions of the paper: the
-// 1D slab decomposition adopted by the new GPU code (Fig 1 left), the
-// 2D pencil decomposition of the CPU baseline (Fig 1 right), the
-// division of a slab into np pencils for out-of-core GPU batching
+// 1D slab decomposition adopted by the new GPU code (Fig 1 left; the
+// 2D pencil decomposition of Fig 1 right is transpose.PencilLayout),
+// the division of a slab into np pencils for out-of-core GPU batching
 // (Fig 3), and the further vertical split across the GPUs of one MPI
 // rank (Fig 5). It also provides the wavenumber bookkeeping of the
 // spectral method.
@@ -47,40 +47,6 @@ func (s Slab) ZOwner(iz int) int { return iz / s.MZ() }
 
 // YOwner reports which rank owns global y index iy in physical space.
 func (s Slab) YOwner(iy int) int { return iy / s.MY() }
-
-// Pencil2D is the 2D decomposition of the CPU baseline: a Pr×Pc
-// process grid with y distributed over the Pr y-groups and z over the
-// Pc z-groups in the x-pencil layout.
-type Pencil2D struct {
-	N      int
-	Pr, Pc int
-	YRank  int // this rank's y-group index, in [0, Pr)
-	ZRank  int // this rank's z-group index, in [0, Pc)
-}
-
-// NewPencil2D validates that both grid dimensions divide N and that
-// the group indices are in range.
-func NewPencil2D(n, pr, pc, yRank, zRank int) Pencil2D {
-	if pr < 1 || pc < 1 || n%pr != 0 || n%pc != 0 {
-		panic(fmt.Sprintf("grid: pencil requires Pr|N and Pc|N, got N=%d Pr=%d Pc=%d", n, pr, pc))
-	}
-	if yRank < 0 || yRank >= pr || zRank < 0 || zRank >= pc {
-		panic(fmt.Sprintf("grid: pencil group (%d,%d) out of %dx%d", yRank, zRank, pr, pc))
-	}
-	return Pencil2D{N: n, Pr: pr, Pc: pc, YRank: yRank, ZRank: zRank}
-}
-
-// MY is the local y extent in the x-pencil layout, N/Pr.
-func (p Pencil2D) MY() int { return p.N / p.Pr }
-
-// MZ is the local z extent in the x-pencil layout, N/Pc.
-func (p Pencil2D) MZ() int { return p.N / p.Pc }
-
-// MX is the local x extent after the row transpose, N/Pr.
-func (p Pencil2D) MX() int { return p.N / p.Pr }
-
-// MY2 is the local y extent after the column transpose, N/Pc.
-func (p Pencil2D) MY2() int { return p.N / p.Pc }
 
 // PencilBatch describes how one rank's slab is divided into np pencils
 // that are cycled through GPU memory (Fig 3): pencil ip covers y

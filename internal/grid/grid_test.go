@@ -59,13 +59,6 @@ func TestSlabPanicsOnIndivisible(t *testing.T) {
 	NewSlab(10, 3, 0)
 }
 
-func TestPencil2DExtents(t *testing.T) {
-	p := NewPencil2D(24, 2, 4, 1, 0)
-	if p.MY() != 12 || p.MZ() != 6 || p.MX() != 12 || p.MY2() != 6 {
-		t.Errorf("extents %d %d %d %d", p.MY(), p.MZ(), p.MX(), p.MY2())
-	}
-}
-
 func TestPencilBatchGeometry(t *testing.T) {
 	s := NewSlab(16, 4, 1)
 	b := NewPencilBatch(s, 4)

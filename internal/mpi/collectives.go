@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/metrics"
@@ -176,8 +175,8 @@ func Ialltoall[T any](c *Comm, send, recv []T) *Request {
 	go func() {
 		defer close(req.done)
 		defer func() {
-			// An aborted world must surface on the rank that Waits,
-			// not crash the helper goroutine.
+			// An aborted world must surface on the rank that Waits
+			// (with the cause, see Wait), not crash the helper goroutine.
 			if e := recover(); e != nil {
 				if e == any(errAborted) {
 					req.aborted = true
@@ -235,8 +234,8 @@ type Request struct {
 	wait *metrics.Histogram
 
 	// waited makes Wait idempotent: only the first Wait records a
-	// histogram sample and re-raises an abort; later calls return
-	// silently once the operation is done.
+	// histogram sample and raises an abort; later calls return silently
+	// once the operation is done.
 	waited atomic.Bool
 
 	// Identity for watchdog registration and StallError attribution.
@@ -249,8 +248,10 @@ func newRequest(c *Comm, tag int, wait *metrics.Histogram) *Request {
 	return &Request{done: make(chan struct{}), wait: wait, w: c.w, rank: c.rank, tag: tag}
 }
 
-// Wait blocks until the operation completes (MPI_WAIT). It panics with
-// the abort sentinel if the world was aborted while in flight. Wait is
+// Wait blocks until the operation completes (MPI_WAIT). It panics if
+// the world was aborted while in flight: with the watchdog's
+// *StallError when that names this rank (a Wait blocked past
+// Watchdog.Deadline), with the abort sentinel otherwise. Wait is
 // idempotent: calling it again after it has returned (or panicked) is a
 // no-op that records no extra histogram sample and does not re-panic.
 //
@@ -266,38 +267,6 @@ func (r *Request) Wait() {
 	r.w.watchExit(tok)
 	stop()
 	if r.aborted {
-		panic(errAborted)
-	}
-}
-
-// WaitWithin is Wait with a deadline: if the operation has not
-// completed after d, the world is aborted and the call panics with a
-// *StallError naming the blocked rank and collective, which TryRun
-// recovers into its error return (wrapped in a *RankError). A
-// non-positive d means no deadline. Like Wait, it is idempotent.
-func (r *Request) WaitWithin(d time.Duration) {
-	if d <= 0 {
-		r.Wait()
-		return
-	}
-	if r.waited.Swap(true) {
-		<-r.done
-		return
-	}
-	stop := r.wait.Start()
-	tok := r.w.watchEnter(r.rank, opWait, -1, r.tag, true, false)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.done:
-		r.w.watchExit(tok)
-		stop()
-		if r.aborted {
-			panic(errAborted)
-		}
-	case <-t.C:
-		r.w.watchExit(tok)
-		stop()
-		panic(&StallError{Rank: r.rank, Op: opWait, Peer: -1, Tag: r.tag, Coll: true, Waited: d})
+		panic(r.w.abortCause(r.rank))
 	}
 }

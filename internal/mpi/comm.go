@@ -62,7 +62,7 @@ type world struct {
 	children []*world // sub-communicators created by Split
 	aborted  bool
 	// plans maps a collective sequence number to the shared state of a
-	// persistent collective (see A2APlan); planBars maps the same
+	// persistent collective (see ExchangePlan); planBars maps the same
 	// sequence number to the plan's private barrier, kept separately so
 	// abortAll can wake it. Both entries are removed when the plan's
 	// last reference is Freed, so long-running worlds that build and
@@ -93,7 +93,8 @@ func newWorld(p int, reg *metrics.Registry, f *faultState) *world {
 }
 
 // abortAll wakes every blocked rank of this world and of every
-// sub-communicator derived from it; they panic with errAborted.
+// sub-communicator derived from it; they panic with errAborted, or
+// with the watchdog's StallError on the rank it names (abortCause).
 func (w *world) abortAll() {
 	w.mu.Lock()
 	if w.aborted {
@@ -332,7 +333,7 @@ func WithFaults(f *Faults) RunOption {
 // (blocked peers are woken, as with MPI_Abort) and is re-raised on the
 // caller with the rank attached, so test failures point at the rank
 // that misbehaved rather than deadlocking. A detected deadlock or
-// stall likewise aborts the world and re-raises as the watchdog's
+// stall likewise aborts the world and re-raises with the watchdog's
 // StallError message. Use TryRun to receive the failure as an error
 // instead of a panic.
 func Run(p int, fn func(*Comm), opts ...RunOption) {
@@ -344,9 +345,10 @@ func Run(p int, fn func(*Comm), opts ...RunOption) {
 // TryRun is Run with an error contract: a panic on any rank is
 // recovered into a *RankError naming the first rank that misbehaved
 // (cascade casualties are not reported), instead of crashing the
-// calling process. A watchdog-detected deadlock or stall is returned
-// as a *StallError naming the blocked rank, peer and tag. A clean run
-// returns nil.
+// calling process. A watchdog-detected deadlock or stall is raised by
+// the blocked rank it names, so it arrives as that rank's *RankError
+// wrapping a *StallError (the bare *StallError when that rank had left
+// the wait before the abort reached it). A clean run returns nil.
 func TryRun(p int, fn func(*Comm), opts ...RunOption) error {
 	return run(p, fn, metrics.Default(), opts)
 }
@@ -496,7 +498,7 @@ func (b *barrier) wait(w *world, rank int) {
 	b.mu.Lock()
 	if b.aborted.Load() {
 		b.mu.Unlock()
-		panic(errAborted)
+		panic(w.abortCause(rank))
 	}
 	m := &w.waits[rank]
 	phase := b.phase.Load()
@@ -514,7 +516,7 @@ func (b *barrier) wait(w *world, rank int) {
 	}
 	if w.poll {
 		b.mu.Unlock()
-		if b.pollPhase(phase) {
+		if b.pollPhase(w, rank, phase) {
 			m.count(m.polled, true)
 			return
 		}
@@ -530,7 +532,7 @@ func (b *barrier) wait(w *world, rank int) {
 	tok = w.watchEnter(rank, opBarrier, -1, 0, true, false)
 	for b.phase.Load() == phase {
 		if b.aborted.Load() {
-			panic(errAborted)
+			panic(w.abortCause(rank))
 		}
 		b.cv.Wait()
 	}
@@ -546,11 +548,11 @@ func (b *barrier) wait(w *world, rank int) {
 // reaches the poller on its next load, not at the end of its budget.
 //
 //psdns:hotpath
-func (b *barrier) pollPhase(phase int64) bool {
+func (b *barrier) pollPhase(w *world, rank int, phase int64) bool {
 	t0 := time.Now()
 	for b.phase.Load() == phase {
 		if b.aborted.Load() {
-			panic(errAborted)
+			panic(w.abortCause(rank))
 		}
 		if time.Since(t0) >= pollFor {
 			return false

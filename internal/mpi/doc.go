@@ -14,7 +14,7 @@
 // # Waiting
 //
 // How a rank waits in a barrier — the world's, or the entry and exit
-// barrier of an ExchangePlan or A2APlan — follows from what the runtime
+// barrier of an ExchangePlan — follows from what the runtime
 // can observe when the world is built, not from a setting. While every
 // rank can hold a processor for the whole run (size ≤ min(GOMAXPROCS,
 // NumCPU)) an early rank polls for its peers, yielding between loads so
@@ -39,6 +39,11 @@
 //   - Alltoall/Ialltoall charge each rank len(send)-len(send)/P: all
 //     blocks except its own diagonal block.
 //   - Alltoallv charges Σ sendcounts minus sendcounts[self].
+//   - An ExchangePlan charges what its gather reads from remote slabs
+//     (SetWire; by default the off-diagonal blocks), under
+//     exchange.bytes and exchange.calls rather than mpi.a2a.*: the
+//     staged all-to-all of exchange.Stage and ReducePlan ((P−1)·n) are
+//     plan exchanges too.
 //
 // Summing a counter over ranks therefore gives total traffic offered
 // to the interconnect, with no double counting and no phantom loopback
@@ -47,18 +52,21 @@
 //
 // # Failure model
 //
-// Three failure shapes surface through TryRun as typed errors:
+// Two failure shapes surface through TryRun as typed errors:
 //
 //   - A rank panic (its own bug, or an injected *CrashError) aborts
 //     the world — every blocked peer is woken, as with MPI_Abort — and
 //     returns a *RankError naming the first rank that misbehaved.
 //   - A stall or deadlock detected by the watchdog (see Watchdog)
-//     aborts the world and returns a *StallError naming the blocked
-//     rank, operation, peer and tag. The watchdog is on by default
-//     with deadlock detection only; WithWatchdog configures deadlines
-//     or disables it.
-//   - Request.WaitWithin bounds a single wait; on timeout it panics
-//     with a *StallError, which arrives wrapped in a *RankError.
+//     aborts the world with a *StallError naming the blocked rank,
+//     operation, peer and tag. That rank raises it from the wait it is
+//     blocked in — a barrier, a receive, Request.Wait or a bounded
+//     exchange — so it arrives wrapped in the rank's *RankError and
+//     code above the runtime on that rank sees it unwind (the solver
+//     annotates it with its step). The watchdog is on by default with
+//     deadlock detection only; WithWatchdog sets the per-operation
+//     Deadline, the one bound on how long a rank may wait, or disables
+//     it.
 //
 // WithFaults injects deterministic message pathologies (drop,
 // duplicate, delay, rank crashes) for chaos testing; see Faults.

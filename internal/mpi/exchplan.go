@@ -6,17 +6,20 @@ import (
 	"time"
 )
 
-// ExchangePlan is the zero-copy fused transpose-exchange: the
-// persistent-collective frame of A2APlan with the data path deleted.
-// Where A2APlan moves registered blocks between staging buffers (one
-// peer block copy per rank, bracketed by the caller's pack and unpack
-// passes), an ExchangePlan moves nothing itself — each Do publishes
+// ExchangePlan is the runtime's persistent collective: the software
+// analogue of the MPI_Alltoall_init family and of the paper's
+// pre-registered communication buffers (§3.5 allocates every wire
+// buffer once at startup and reuses it every step). Each Do publishes
 // the rank's current source slab and then runs a caller-supplied
 // gather that reads **directly from every peer's published slab**
-// into the local destination layout. Pack, wire copy and unpack fuse
-// into one parallel pass (the in-process analogue of the paper's §4
-// zero-copy strided kernels reading pinned host memory in place);
-// see transpose.GatherYZRange and friends for the kernels.
+// (ranks are goroutines in one address space). What the exchange
+// moves is the gather's business: the staged all-to-all of
+// exchange.Stage copies registered blocks into a receive buffer,
+// ReducePlan folds every rank's vector, and the fused transpose lands
+// strided rows straight in the destination layout — pack, wire copy
+// and unpack in one parallel pass (the in-process analogue of the
+// paper's §4 zero-copy strided kernels reading pinned host memory in
+// place; see transpose.GatherYZRange and friends).
 //
 // Synchronization contract: the entry barrier orders every rank's
 // publication before any rank's gather (and keeps a rank from
@@ -24,14 +27,13 @@ import (
 // previous one); the exit barrier orders every gather before any rank
 // returns, so callers may overwrite their source slab the moment Do
 // returns. Both barriers are the plan's own, registered with the
-// world like A2APlan's: they are watchdog-visible (stall and deadlock
-// detection see ranks blocked in them), abortable (a peer's panic or
-// a scheduled crash wakes them through the abort cascade), and the
-// operation counter advances on every Do so crash schedules fire
-// inside fused exchanges exactly as they do for staged ones. Because
-// gathered data never crosses the mailbox layer, per-message fault
-// injection (drops, duplicates, delays) does not apply — the same
-// exemption A2APlan documents.
+// world: they are watchdog-visible (stall and deadlock detection see
+// ranks blocked in them), abortable (a peer's panic or a scheduled
+// crash wakes them through the abort cascade), and the operation
+// counter advances on every Do so crash schedules fire inside plan
+// exchanges. Because gathered data never crosses the mailbox layer,
+// per-message fault injection (drops, duplicates, delays) does not
+// apply.
 //
 // Collective contract (as for MPI persistent collectives): every rank
 // constructs the plan at the same point in its collective order and
@@ -88,12 +90,12 @@ type exchShared[T any] struct {
 	sites [][]uint32
 }
 
-// NewExchangePlan registers a fused-exchange plan over c. slabLen is
-// the element count of the slab each rank will publish; the rank is
-// charged slabLen·(P−1)/P elements of wire traffic per Do (everything
-// a zero-copy gather reads from remote slabs — the same accounting
-// convention as A2APlan's off-diagonal blocks) until SetWire says
-// otherwise. Collective: blocks until every rank has registered.
+// NewExchangePlan registers an exchange plan over c. slabLen is the
+// element count of the slab each rank will publish; the rank is
+// charged slabLen − ⌊slabLen/P⌋ elements of wire traffic per Do
+// (everything a transpose gather reads from remote slabs: the
+// off-diagonal blocks) until SetWire says otherwise. Collective: blocks
+// until every rank has registered.
 func NewExchangePlan[T any](c *Comm, slabLen int) *ExchangePlan[T] {
 	return newExchangePlan[T](c, slabLen, false, 0, 0)
 }
@@ -116,9 +118,8 @@ func NewExchangePlanBounded[T any](c *Comm, slabLen, maxStale int, deadline time
 
 func newExchangePlan[T any](c *Comm, slabLen int, at bool, maxStale int, deadline time.Duration) *ExchangePlan[T] {
 	p := c.Size()
-	if slabLen < 0 || slabLen%p != 0 {
-		panic(fmt.Sprintf("mpi: rank %d: exchange plan slab length %d invalid for %d ranks",
-			c.rank, slabLen, p))
+	if slabLen < 0 {
+		panic(fmt.Sprintf("mpi: rank %d: negative exchange plan slab length %d", c.rank, slabLen))
 	}
 	seq := c.nextSeq()
 	w := c.w
@@ -235,7 +236,7 @@ func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
 		m.exchExit.Observe(float64(time.Since(t2).Nanoseconds()))
 	}
 	// Plan exchanges bypass mailboxes; mark progress so the deadlock
-	// detector's quiescence window stays honest (as A2APlan does).
+	// detector's quiescence window stays honest.
 	c.w.progress.Add(1)
 }
 
@@ -437,7 +438,7 @@ func (pl *ExchangePlan[T]) waitPeers(lo, target int64) {
 		tok = w.watchEnter(c.rank, opBounded, -1, sh.seq, true, false)
 		for pl.minEpoch() < lo {
 			if w.isAborted() {
-				panic(errAborted)
+				panic(w.abortCause(c.rank))
 			}
 			time.Sleep(boundedPoll)
 		}
@@ -450,7 +451,7 @@ func (pl *ExchangePlan[T]) waitPeers(lo, target int64) {
 	deadline := time.Now().Add(sh.deadline)
 	for pl.minEpoch() < target {
 		if w.isAborted() {
-			panic(errAborted)
+			panic(w.abortCause(c.rank))
 		}
 		if !time.Now().Before(deadline) {
 			return
@@ -487,7 +488,7 @@ func (pl *ExchangePlan[T]) waitSiteMatch(r int, e int64) int64 {
 			return pe
 		}
 		if w.isAborted() {
-			panic(errAborted)
+			panic(w.abortCause(c.rank))
 		}
 		time.Sleep(boundedPoll)
 	}

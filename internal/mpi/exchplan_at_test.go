@@ -186,14 +186,14 @@ func TestPlanRegistriesBoundedAcrossFree(t *testing.T) {
 	const p, rounds = 2, 50
 	TryRunOrFatal(t, p, func(c *Comm) {
 		src := make([]int, p)
-		recv := make([]int, p)
+		v := make([]float64, 1)
 		for i := 0; i < rounds; i++ {
 			ep := NewExchangePlan[int](c, p)
 			ep.Do(src, func([][]int) {})
 			ep.Free()
-			ap := NewA2APlan(c, src, recv)
-			ap.Do()
-			ap.Free()
+			rp := NewReducePlan(c, len(v))
+			rp.Sum(v)
+			rp.Free()
 			bp := NewExchangePlanBounded[int](c, p, 1, time.Second)
 			bp.DoBounded(src, func([][]int) {}, 1)
 			bp.Free()

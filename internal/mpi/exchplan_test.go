@@ -114,8 +114,8 @@ func TestExchangePlanZeroAllocSteadyState(t *testing.T) {
 }
 
 // Wire accounting: each Do charges the remote-read share of the slab
-// (everything but the local 1/P), mirroring A2APlan's off-diagonal
-// convention, plus one exchange.calls tick.
+// (everything but the local 1/P), the off-diagonal convention of
+// Alltoall, plus one exchange.calls tick.
 func TestExchangePlanWireAccounting(t *testing.T) {
 	const p, slab = 4, 64
 	reg := metrics.NewRegistry()

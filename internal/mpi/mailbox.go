@@ -23,9 +23,10 @@ type message struct {
 }
 
 // errAborted is the sentinel panic raised by blocking operations when
-// the world has been aborted by a panic on another rank (the MPI_Abort
-// analogue). Run treats ranks that die with this value as secondary
-// casualties and reports the original panic instead.
+// the world has been aborted by a panic on another rank or by the
+// watchdog (the MPI_Abort analogue). Run treats ranks that die with
+// this value as secondary casualties and reports the original panic
+// instead.
 type abortError struct{}
 
 func (abortError) Error() string { return "mpi: world aborted by a rank panic" }
@@ -120,8 +121,9 @@ func (m *mailbox) deliver(msg message) {
 // get blocks until a message with the given key is available, removes
 // the first such message and returns its payload. helper marks the
 // drain goroutines of non-blocking collectives, whose blocking must
-// not count the rank itself as blocked. It panics with errAborted if
-// the world is aborted while waiting.
+// not count the rank itself as blocked. It panics if the world is
+// aborted while waiting: a helper with errAborted, the rank itself
+// with its abortCause.
 func (m *mailbox) get(key matchKey, helper bool) any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -147,7 +149,10 @@ func (m *mailbox) get(key matchKey, helper bool) any {
 			}
 		}
 		if m.aborted {
-			panic(errAborted)
+			if helper {
+				panic(errAborted)
+			}
+			panic(m.w.abortCause(m.dst))
 		}
 		if tok == nil {
 			tok = m.w.watchEnter(m.dst, opRecv, m.src, key.tag, key.coll, helper)

@@ -4,36 +4,55 @@ import "fmt"
 
 // ReducePlan is a persistent allreduce for short float64 vectors: the
 // zero-allocation counterpart of AllreduceSum/AllreduceMax, built on a
-// registered A2APlan. Per-step physics controllers (band forcing's
+// registered ExchangePlan. Per-step physics controllers (band forcing's
 // shell energies, injection-rate accounting) sit inside the solver's
 // hot loop, where the one-shot allreduce's fresh gather buffer and
 // mailbox traffic would show up as per-step allocations; a plan
-// registers everything once at construction and each Sum/Max is then
-// barrier → direct peer copies → local fold, allocation-free.
+// registers everything once at construction and each Sum/Max then
+// publishes the caller's vector and folds every rank's into a
+// plan-owned buffer between the plan's two barriers, allocation-free.
 //
 // Contract: collective construction (every rank, same point in the
 // collective order, same n), collective Sum/Max calls in the same
-// order, and Free when done. The reduction folds rank blocks in rank
-// order, so the result is bitwise-identical on every rank and across
-// repeated runs (the same guarantee allreduce gives).
+// order, and Free when done. The fold visits ranks in rank order, so
+// the result is bitwise-identical on every rank and across repeated
+// runs (the same guarantee allreduce gives).
 type ReducePlan struct {
-	pl *A2APlan[float64]
-	n  int
-	p  int
+	pl  *ExchangePlan[float64]
+	acc []float64
+	// sum and max are the prebuilt fold gathers: acc ← srcs[0], then
+	// each later rank's vector folded in.
+	sum, max func(srcs [][]float64)
 }
 
 // NewReducePlan registers a persistent allreduce of n-element float64
-// vectors over c (collective).
+// vectors over c (collective). Each call is charged (P−1)·n elements
+// of wire traffic: every peer's vector.
 func NewReducePlan(c *Comm, n int) *ReducePlan {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpi: rank %d: reduce plan needs n > 0, got %d", c.rank, n))
 	}
-	p := c.Size()
-	return &ReducePlan{
-		pl: NewA2APlan(c, make([]float64, p*n), make([]float64, p*n)),
-		n:  n,
-		p:  p,
+	r := &ReducePlan{pl: NewExchangePlan[float64](c, n), acc: make([]float64, n)}
+	r.pl.SetWire((c.Size() - 1) * n)
+	r.sum = func(srcs [][]float64) {
+		copy(r.acc, srcs[0])
+		for _, src := range srcs[1:] {
+			for i, x := range src {
+				r.acc[i] += x
+			}
+		}
 	}
+	r.max = func(srcs [][]float64) {
+		copy(r.acc, srcs[0])
+		for _, src := range srcs[1:] {
+			for i, x := range src {
+				if x > r.acc[i] {
+					r.acc[i] = x
+				}
+			}
+		}
+	}
+	return r
 }
 
 // Sum replaces each element of v by its sum over all ranks, in place
@@ -41,50 +60,25 @@ func NewReducePlan(c *Comm, n int) *ReducePlan {
 // plan's registered length.
 //
 //psdns:hotpath
-func (r *ReducePlan) Sum(v []float64) {
-	r.exchange(v)
-	recv := r.pl.Recv()
-	copy(v, recv[:r.n])
-	for src := 1; src < r.p; src++ {
-		blk := recv[src*r.n : (src+1)*r.n]
-		for i, x := range blk {
-			v[i] += x
-		}
-	}
-}
+func (r *ReducePlan) Sum(v []float64) { r.reduce(v, r.sum) }
 
 // Max replaces each element of v by its maximum over all ranks, in
 // place on every rank (collective, allocation-free).
 //
 //psdns:hotpath
-func (r *ReducePlan) Max(v []float64) {
-	r.exchange(v)
-	recv := r.pl.Recv()
-	copy(v, recv[:r.n])
-	for src := 1; src < r.p; src++ {
-		blk := recv[src*r.n : (src+1)*r.n]
-		for i, x := range blk {
-			if x > v[i] {
-				v[i] = x
-			}
-		}
-	}
-}
+func (r *ReducePlan) Max(v []float64) { r.reduce(v, r.max) }
 
-// exchange replicates v into every destination block and runs the
-// underlying all-to-all, after which recv holds rank i's vector in
-// block i.
+// reduce publishes v and runs fold over every rank's vector. Peers
+// read v until the plan's exit barrier, so the result lands in v only
+// after Do returns.
 //
 //psdns:hotpath
-func (r *ReducePlan) exchange(v []float64) {
-	if len(v) != r.n {
-		panic(fmt.Sprintf("mpi: reduce plan registered for %d elements, got %d", r.n, len(v)))
+func (r *ReducePlan) reduce(v []float64, fold func(srcs [][]float64)) {
+	if len(v) != len(r.acc) {
+		panic(fmt.Sprintf("mpi: reduce plan registered for %d elements, got %d", len(r.acc), len(v)))
 	}
-	send := r.pl.Send()
-	for dst := 0; dst < r.p; dst++ {
-		copy(send[dst*r.n:(dst+1)*r.n], v)
-	}
-	r.pl.Do()
+	r.pl.Do(v, fold)
+	copy(v, r.acc)
 }
 
 // Free releases the plan (collective).

@@ -151,7 +151,7 @@ func TestWaitPolicyFollowsProcessors(t *testing.T) {
 }
 
 // TestAbortReachesPollingRank: a rank panics while its peer polls in
-// the world barrier, in an ExchangePlan.Do and in an A2APlan.Do. The
+// the world barrier, in an ExchangePlan.Do and in a block-copy Do. The
 // poller must see the abort on its next load — a poll loop that waited
 // out its budget first would leave ≈ pollFor later — and TryRun must
 // return the original panic with no goroutine left behind.
@@ -168,8 +168,10 @@ func TestAbortReachesPollingRank(t *testing.T) {
 			return func() { pl.Do(src, func([][]float64) {}) }
 		}},
 		{"A2APlanDo", func(c *Comm) func() {
-			pl := NewA2APlan(c, make([]float64, 2), make([]float64, 2))
-			return pl.Do
+			pl := NewExchangePlan[float64](c, 2)
+			send, recv := make([]float64, 2), make([]float64, 2)
+			gather := blockCopy(recv, c.Rank(), 1)
+			return func() { pl.Do(send, gather) }
 		}},
 	}
 	for _, op := range ops {

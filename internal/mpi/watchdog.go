@@ -15,19 +15,27 @@ import (
 //     began, and no fault-delayed message is still in flight. Nothing
 //     can ever make progress again, so the world is aborted after
 //     DeadlockAfter with a StallError (Deadlock=true).
-//   - Per-operation stall: any single blocking operation has been
-//     blocked longer than Deadline. This catches stragglers even while
-//     the rest of the world is making progress (Deadlock=false).
+//   - Per-operation stall: a rank has been blocked in one operation
+//     longer than Deadline. This catches stragglers even while the rest
+//     of the world is making progress (Deadlock=false).
+//
+// Either way the world is aborted, and the rank the StallError names
+// raises it from the wait it is blocked in, where layers above can
+// annotate it (spectral.Solver.Step does); every other rank unwinds
+// with the plain abort.
 //
 // The zero value is the default configuration: deadlock detection on
 // with a 2s quiescence window, no per-operation deadline.
 type Watchdog struct {
 	// Off disables monitoring entirely (no monitor goroutine).
 	Off bool
-	// Deadline, when positive, bounds how long any single blocking
-	// operation (Recv, a collective's receive leg, Request.Wait,
-	// Barrier) may stay blocked before the world is aborted with a
-	// StallError. Zero disables the per-operation deadline.
+	// Deadline, when positive, bounds how long a rank may stay blocked
+	// in one operation (Recv, a collective's receive leg, Request.Wait,
+	// a barrier, a bounded exchange's wait) before the world is aborted
+	// with a StallError. The drain goroutines of non-blocking
+	// collectives are not bounded: their rank may be computing while
+	// they wait, and its own Request.Wait is. Zero disables the
+	// per-operation deadline.
 	Deadline time.Duration
 	// DeadlockAfter is how long the world must stay globally quiescent
 	// before a deadlock is declared. Zero means 2s.
@@ -62,10 +70,11 @@ const (
 	opBounded = "bounded-wait"
 )
 
-// StallError is the typed failure the watchdog (or a deadline-aware
-// Request.WaitWithin) surfaces through TryRun when the world stops
-// making progress: the blocked rank, the operation it is stuck in, the
-// peer and tag it is waiting on, and how long it waited.
+// StallError is the typed failure the watchdog surfaces when the world
+// stops making progress: the blocked rank, the operation it is stuck
+// in, the peer and tag it is waiting on, and how long it waited. The
+// named rank panics with it, so TryRun returns it wrapped in that
+// rank's *RankError (errors.As extracts it).
 type StallError struct {
 	Rank int    // the blocked rank
 	Op   string // "recv", "wait", "barrier" or "bounded-wait"
@@ -99,9 +108,10 @@ func (e *StallError) Error() string {
 }
 
 // blockedOp is one goroutine blocked in a receive, wait or barrier.
-// Helper ops (the drain goroutines of non-blocking collectives) are
-// tracked for deadline purposes but do not count a rank as blocked:
-// the rank's own goroutine may still be computing.
+// Helper ops (the drain goroutines of non-blocking collectives) do not
+// count a rank as blocked and are not held to the deadline: the rank's
+// own goroutine may still be computing. They are blamed only for a
+// deadlock in which no rank-level op is left.
 type blockedOp struct {
 	rank      int
 	op        string
@@ -261,14 +271,13 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	if ws.stall != nil {
 		return nil
 	}
-	// Per-operation deadline: any op blocked too long, even while the
-	// rest of the world makes progress.
-	if d := ws.cfg.Deadline; d > 0 {
-		for b := range ws.ops {
-			if wt := now.Sub(b.since); wt >= d {
-				ws.stall = stallFrom(b, wt, false)
-				return ws.stall
-			}
+	// Per-operation deadline: the longest-blocked rank-level op, even
+	// while the rest of the world makes progress.
+	oldest := ws.oldest(false)
+	if d := ws.cfg.Deadline; d > 0 && oldest != nil {
+		if wt := now.Sub(oldest.since); wt >= d {
+			ws.stall = stallFrom(oldest, wt, false)
+			return ws.stall
 		}
 	}
 	// Global quiescence: every live rank blocked in a non-helper op,
@@ -296,21 +305,8 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 		return nil
 	}
 	// Blame the longest-blocked rank-level op (helpers as fallback).
-	var oldest *blockedOp
-	for b := range ws.ops {
-		if b.helper {
-			continue
-		}
-		if oldest == nil || b.since.Before(oldest.since) {
-			oldest = b
-		}
-	}
 	if oldest == nil {
-		for b := range ws.ops {
-			if oldest == nil || b.since.Before(oldest.since) {
-				oldest = b
-			}
-		}
+		oldest = ws.oldest(true)
 	}
 	if oldest == nil {
 		ws.quiet = false // raced with the last exit; re-arm
@@ -318,6 +314,18 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	}
 	ws.stall = stallFrom(oldest, now.Sub(oldest.since), true)
 	return ws.stall
+}
+
+// oldest returns the longest-blocked op, among rank-level ops only
+// unless helpers is set; nil when there is none. Callers hold ws.mu.
+func (ws *watchState) oldest(helpers bool) *blockedOp {
+	var o *blockedOp
+	for b := range ws.ops {
+		if (helpers || !b.helper) && (o == nil || b.since.Before(o.since)) {
+			o = b
+		}
+	}
+	return o
 }
 
 func stallFrom(b *blockedOp, waited time.Duration, deadlock bool) *StallError {
@@ -348,4 +356,14 @@ func (w *world) stallErr() *StallError {
 		return nil
 	}
 	return w.watch.stalled()
+}
+
+// abortCause is what a wait of rank raises once the world is aborted:
+// the watchdog's *StallError when it names rank, so the stalled rank
+// unwinds with the typed cause, and errAborted on every other rank.
+func (w *world) abortCause(rank int) error {
+	if st := w.stallErr(); st != nil && st.Rank == rank {
+		return st
+	}
+	return errAborted
 }

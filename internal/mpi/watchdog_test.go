@@ -134,3 +134,79 @@ func TestWatchdogOff(t *testing.T) {
 		t.Fatalf("clean run with watchdog off reported %v", err)
 	}
 }
+
+// TestDeadlineDeliversStallToBlockedRank: the rank the per-op deadline
+// names raises the *StallError from the wait it is blocked in — every
+// kind of wait — so TryRun returns it wrapped in that rank's
+// *RankError, and the rank's own code sees it unwind.
+func TestDeadlineDeliversStallToBlockedRank(t *testing.T) {
+	sites := []struct {
+		op    string
+		setup func(c *Comm) func() // collective plan build; returns rank 0's blocking wait
+	}{
+		{opRecv, func(c *Comm) func() {
+			return func() { Recv(c, 1, 4, make([]int, 1)) }
+		}},
+		{opWait, func(c *Comm) func() {
+			send, recv := make([]int, 2), make([]int, 2)
+			return func() { Ialltoall(c, send, recv).Wait() }
+		}},
+		{opBarrier, func(c *Comm) func() { return c.Barrier }},
+		{opBarrier, func(c *Comm) func() {
+			pl := NewExchangePlan[int](c, 2)
+			src := make([]int, 2)
+			return func() { pl.Do(src, func([][]int) {}) }
+		}},
+		{opBounded, func(c *Comm) func() {
+			pl := NewExchangePlanBounded[int](c, 2, 0, 0)
+			src := make([]int, 2)
+			return func() { pl.DoBounded(src, func([][]int) {}, 0) }
+		}},
+	}
+	for _, site := range sites {
+		var raised any
+		err := TryRun(2, func(c *Comm) {
+			wait := site.setup(c)
+			if c.Rank() == 1 {
+				time.Sleep(600 * time.Millisecond) // alive, computing, never arriving in time
+				return
+			}
+			defer func() {
+				raised = recover()
+				panic(raised)
+			}()
+			wait()
+		}, WithWatchdog(Watchdog{Deadline: 150 * time.Millisecond, DeadlockAfter: time.Hour, Poll: 5 * time.Millisecond}))
+		var re *RankError
+		var st *StallError
+		if !errors.As(err, &re) || re.Rank != 0 || !errors.As(err, &st) {
+			t.Fatalf("%s: error %T (%v), want rank 0's *RankError wrapping a *StallError", site.op, err, err)
+		}
+		if st.Rank != 0 || st.Op != site.op || st.Deadlock {
+			t.Fatalf("%s: StallError = %+v, want rank 0's deadline in %s", site.op, st, site.op)
+		}
+		if raised != any(st) {
+			t.Fatalf("%s: rank 0's wait raised %v, want the StallError", site.op, raised)
+		}
+	}
+}
+
+// TestDeadlineSkipsDrainGoroutine: a non-blocking collective's drain
+// goroutine waits past the deadline while its rank computes; the rank's
+// own Wait then finds the data there, so nothing stalled.
+func TestDeadlineSkipsDrainGoroutine(t *testing.T) {
+	err := TryRun(2, func(c *Comm) {
+		send, recv := make([]float64, 2), make([]float64, 2)
+		if c.Rank() == 1 {
+			time.Sleep(300 * time.Millisecond) // rank 0's drain waits for this post
+		}
+		req := Ialltoall(c, send, recv)
+		if c.Rank() == 0 {
+			time.Sleep(600 * time.Millisecond) // overlapped compute past the deadline
+		}
+		req.Wait()
+	}, WithWatchdog(Watchdog{Deadline: 100 * time.Millisecond, Poll: 5 * time.Millisecond}))
+	if err != nil {
+		t.Fatalf("a drain goroutine blocked while its rank computes tripped the deadline: %v", err)
+	}
+}

@@ -171,33 +171,3 @@ func (t *Team) ForWorkers(n int, body func(w, lo, hi int)) {
 	t.body = nil
 	t.mu.Unlock()
 }
-
-// For executes body(i) for i in [0, n) across the team ("omp parallel
-// for" with static chunking). Iterations must be independent. The
-// inner closure wrapping body is created per call; for zero-alloc hot
-// paths use ForWorkers with a precomputed body.
-func (t *Team) For(n int, body func(i int)) {
-	if t.n == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	t.ForWorkers(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// ForChunked executes body(lo, hi) over static contiguous chunks of
-// [0, n), one per worker.
-func (t *Team) ForChunked(n int, body func(lo, hi int)) {
-	if t.n == 1 || n <= 1 {
-		if n > 0 {
-			body(0, n)
-		}
-		return
-	}
-	t.ForWorkers(n, func(_, lo, hi int) { body(lo, hi) })
-}

@@ -7,13 +7,23 @@ import (
 	"testing/quick"
 )
 
-// For runs every iteration exactly once for any team and trip count.
+// forEach runs body(i) for every i in [0, n) over the team's chunks.
+func forEach(tm *Team, n int, body func(i int)) {
+	tm.ForWorkers(n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+	})
+}
+
+// ForWorkers runs every iteration exactly once for any team and trip
+// count.
 func TestForCoversAllIterations(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		tm := NewTeam(workers)
 		for _, n := range []int{0, 1, 3, 10, 100} {
 			hits := make([]int32, n)
-			tm.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			forEach(tm, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Errorf("workers=%d n=%d: iteration %d ran %d times", workers, n, i, h)
@@ -24,12 +34,13 @@ func TestForCoversAllIterations(t *testing.T) {
 	}
 }
 
-// A one-worker team keeps serial iteration order.
+// A one-worker team runs the region as one chunk on the caller, in
+// serial iteration order.
 func TestSerialPoolNoGoroutines(t *testing.T) {
 	tm := NewTeam(1)
 	defer tm.Close()
 	var order []int
-	tm.For(5, func(i int) { order = append(order, i) })
+	forEach(tm, 5, func(i int) { order = append(order, i) })
 	if len(order) != 5 {
 		t.Fatalf("ran %d iterations, want 5", len(order))
 	}
@@ -40,13 +51,14 @@ func TestSerialPoolNoGoroutines(t *testing.T) {
 	}
 }
 
+// ForWorkers' static chunks partition [0, n) for any team size.
 func TestForChunkedPartitions(t *testing.T) {
 	f := func(seedN uint8, seedW uint8) bool {
 		n := int(seedN%50) + 1
 		tm := NewTeam(int(seedW%6) + 1)
 		defer tm.Close()
 		covered := make([]int32, n)
-		tm.ForChunked(n, func(lo, hi int) {
+		tm.ForWorkers(n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&covered[i], 1)
 			}
@@ -126,7 +138,7 @@ func TestTeamForMatchesSerial(t *testing.T) {
 	defer tm.Close()
 	const n = 257
 	out := make([]float64, n)
-	tm.For(n, func(i int) { out[i] = float64(i * i) })
+	forEach(tm, n, func(i int) { out[i] = float64(i * i) })
 	for i := range out {
 		if out[i] != float64(i*i) {
 			t.Fatalf("out[%d] = %v", i, out[i])

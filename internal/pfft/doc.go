@@ -9,10 +9,6 @@
 //     grid (one all-to-all per transform; the type's other name is
 //     SlabReal); Pc > 1 adds the second, column exchange and lifts the
 //     slab's P ≤ N ceiling. Every grid is bitwise identical.
-//   - SlabC2C: complex transforms on the 1D slab decomposition.
-//   - PencilC2C: complex transforms on the 2D pencil decomposition
-//     used by the synchronous CPU baseline of Yeung et al. (two
-//     all-to-alls, on row and column communicators).
 //
 // Engine is FFT passes around exchange.Stage, the one transpose-exchange
 // of the code base; NewRealTuned is the one tuned constructor
@@ -35,7 +31,4 @@
 //	engine B:             [my][nz][wc]   z complete (= X when Pc = 1)
 //	engine C (Fourier):   [mz2][ny][wc]  y complete
 //	slab (Pc = 1):        [mz][ny][nxh] Fourier, [my][nz][nx] physical
-//	PencilC2C layout A:   [mz][my][nx]  x complete (physical)
-//	PencilC2C layout B:   [mz][mx][ny]  y complete, y fastest
-//	PencilC2C layout C:   [my2][mx][nz] z complete, z fastest (Fourier)
 package pfft

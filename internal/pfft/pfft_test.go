@@ -7,86 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/mpi"
 )
-
-// globalField builds a deterministic global complex field indexed
-// [(iz*n+iy)*n+ix].
-func globalField(n int, seed int64) []complex128 {
-	rng := rand.New(rand.NewSource(seed))
-	f := make([]complex128, n*n*n)
-	for i := range f {
-		f[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	return f
-}
-
-func TestSlabC2CMatchesLocalPlan3D(t *testing.T) {
-	n, p := 8, 4
-	global := globalField(n, 1)
-	// Reference: full inverse 3D transform (Fourier→physical).
-	ref := make([]complex128, len(global))
-	fft.NewPlan3D(n, n, n).Inverse(ref, global)
-
-	mz, my := n/p, n/p
-	var mu sync.Mutex
-	results := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
-		four := make([]complex128, f.LocalLen())
-		// Load the rank's z-slab from the global field.
-		for iz := 0; iz < mz; iz++ {
-			gz := c.Rank()*mz + iz
-			copy(four[iz*n*n:(iz+1)*n*n], global[gz*n*n:(gz+1)*n*n])
-		}
-		phys := make([]complex128, f.LocalLen())
-		f.FourierToPhysical(phys, four)
-		mu.Lock()
-		cp := make([]complex128, len(phys))
-		copy(cp, phys)
-		results[c.Rank()] = cp
-		mu.Unlock()
-	})
-	for r := 0; r < p; r++ {
-		phys := results[r]
-		for iy := 0; iy < my; iy++ {
-			gy := r*my + iy
-			for iz := 0; iz < n; iz++ {
-				for ix := 0; ix < n; ix++ {
-					want := ref[(iz*n+gy)*n+ix]
-					got := phys[(iy*n+iz)*n+ix]
-					if cmplx.Abs(got-want) > 1e-10 {
-						t.Fatalf("rank %d (x=%d y=%d z=%d): got %v want %v", r, ix, gy, iz, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSlabC2CRoundTrip(t *testing.T) {
-	n, p := 12, 3
-	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 5))
-		orig := make([]complex128, f.LocalLen())
-		for i := range orig {
-			orig[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		four := make([]complex128, f.LocalLen())
-		copy(four, orig)
-		phys := make([]complex128, f.LocalLen())
-		f.FourierToPhysical(phys, four)
-		back := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(back, phys)
-		for i := range back {
-			if cmplx.Abs(back[i]-orig[i]) > 1e-9 {
-				t.Fatalf("rank %d element %d: %v vs %v", c.Rank(), i, back[i], orig[i])
-			}
-		}
-	})
-}
 
 func TestSlabRealRoundTrip(t *testing.T) {
 	n, p := 8, 2
@@ -111,77 +35,43 @@ func TestSlabRealRoundTrip(t *testing.T) {
 	})
 }
 
+// The half-spectrum of SlabReal must equal the first nxh x-bins of the
+// full complex spectrum of the same real field — here the naive DFT
+// sums of the oracle, which share no code with internal/fft — and its
+// inverse must return the oracle's inverse of that spectrum.
 func TestSlabRealMatchesComplexTransform(t *testing.T) {
-	// The half-spectrum of SlabReal must equal the first nxh x-bins of
-	// the full complex spectrum of the same real field.
-	n, p := 8, 2
-	nxh := n/2 + 1
-	mz := n / p
-	var mu sync.Mutex
-	fourHalf := make(map[int][]complex128)
-	fourFull := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 3))
-		fr := NewSlabReal(c, n)
-		phys := make([]float64, fr.PhysicalLen())
-		for i := range phys {
-			phys[i] = rng.NormFloat64()
-		}
-		fourR := make([]complex128, fr.FourierLen())
-		fr.PhysicalToFourier(fourR, phys)
-
-		fc := NewSlabC2C(c, n)
-		physC := make([]complex128, fc.LocalLen())
-		for i, v := range phys {
-			physC[i] = complex(v, 0)
-		}
-		fourC := make([]complex128, fc.LocalLen())
-		fc.PhysicalToFourier(fourC, physC)
-
-		mu.Lock()
-		h := make([]complex128, len(fourR))
-		copy(h, fourR)
-		fourHalf[c.Rank()] = h
-		fl := make([]complex128, len(fourC))
-		copy(fl, fourC)
-		fourFull[c.Rank()] = fl
-		mu.Unlock()
+	const n, p = 8, 2
+	checkAgainstOracle(t, "slab P=2", naiveOracle(n), p, 1e-12, func(c *mpi.Comm) *Engine {
+		return NewSlabReal(c, n)
 	})
-	for r := 0; r < p; r++ {
-		for iz := 0; iz < mz; iz++ {
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < nxh; ix++ {
-					want := fourFull[r][(iz*n+iy)*n+ix]
-					got := fourHalf[r][(iz*n+iy)*nxh+ix]
-					if cmplx.Abs(got-want) > 1e-9 {
-						t.Fatalf("rank %d z=%d y=%d x=%d: %v vs %v", r, iz, iy, ix, got, want)
-					}
-				}
-			}
-		}
-	}
 }
 
+// Physical-space energy equals (1/N³)·Σ|û|² over the full spectrum,
+// with û from the unnormalized forward transform — checked with a
+// distributed sum over the half-spectrum, each kx with 0 < kx < N/2
+// weighted twice for its conjugate twin at −kx.
 func TestSlabParsevalAcrossRanks(t *testing.T) {
-	// Physical-space energy equals (1/N³)·Σ|û|² with û from the
-	// unnormalized forward transform — checked with a distributed sum.
 	n, p := 8, 4
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
+		f := NewSlabReal(c, n)
+		defer f.Close()
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 17))
-		phys := make([]complex128, f.LocalLen())
-		for i := range phys {
-			phys[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
+		phys := make([]float64, f.PhysicalLen())
 		var ePhys float64
-		for _, v := range phys {
-			ePhys += real(v)*real(v) + imag(v)*imag(v)
+		for i := range phys {
+			phys[i] = rng.NormFloat64()
+			ePhys += phys[i] * phys[i]
 		}
-		four := make([]complex128, f.LocalLen())
+		four := make([]complex128, f.FourierLen())
 		f.PhysicalToFourier(four, phys)
+		nxh := n/2 + 1
 		var eFour float64
-		for _, v := range four {
-			eFour += real(v)*real(v) + imag(v)*imag(v)
+		for i, v := range four {
+			w := 2.0
+			if kx := i % nxh; kx == 0 || kx == n/2 {
+				w = 1
+			}
+			eFour += w * (real(v)*real(v) + imag(v)*imag(v))
 		}
 		sums := []float64{ePhys, eFour}
 		mpi.AllreduceSum(c, sums)
@@ -192,133 +82,65 @@ func TestSlabParsevalAcrossRanks(t *testing.T) {
 	})
 }
 
-func TestPencilC2CMatchesLocalPlan3D(t *testing.T) {
-	n := 8
-	pr, pc := 2, 2
-	p := pr * pc
-	global := globalField(n, 2)
-	ref := make([]complex128, len(global))
-	fft.NewPlan3D(n, n, n).Forward(ref, global)
-
-	my, mz := n/pr, n/pc
-	mx, my2 := n/pr, n/pc
+// forwardGlobal runs build's engine on p ranks over the real field
+// pencilField and gathers its forward spectrum, indexed
+// (gz·N + gy)·Nxh + gx.
+func forwardGlobal(t *testing.T, n, p int, build func(c *mpi.Comm) *Engine) []complex128 {
+	t.Helper()
+	nxh := n/2 + 1
+	out := make([]complex128, n*n*nxh)
 	var mu sync.Mutex
-	results := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		// rank = yGroup*pc + zGroup; commY groups equal zGroup.
-		yG := c.Rank() / pc
-		zG := c.Rank() % pc
-		commY := c.Split(zG, yG)
-		commZ := c.Split(pc+yG, zG)
-		f := NewPencilC2C(commY, commZ, n)
-		in := make([]complex128, f.LocalLen())
-		// Layout A: [mz][my][nx]; global y = yG*my+iy, z = zG*mz+iz.
-		for iz := 0; iz < mz; iz++ {
-			for iy := 0; iy < my; iy++ {
-				gz, gy := zG*mz+iz, yG*my+iy
-				copy(in[(iz*my+iy)*n:(iz*my+iy)*n+n], global[(gz*n+gy)*n:(gz*n+gy)*n+n])
-			}
+	if err := mpi.TryRun(p, func(c *mpi.Comm) {
+		f := build(c)
+		defer f.Close()
+		l := f.Layout()
+		phys := make([]float64, f.PhysicalLen())
+		for i := range phys {
+			phys[i] = pencilField(n, i%n, l.YRank*l.My+i/n/l.Mz, l.ZRank*l.Mz+i/n%l.Mz)
 		}
-		out := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(out, in)
+		four := make([]complex128, f.FourierLen())
+		f.PhysicalToFourier(four, phys)
 		mu.Lock()
-		cp := make([]complex128, len(out))
-		copy(cp, out)
-		results[c.Rank()] = cp
-		mu.Unlock()
-	})
-	for r := 0; r < p; r++ {
-		yG, zG := r/pc, r%pc
-		out := results[r]
-		// Layout C: [my2][mx][nz]; global x = yG... x is distributed
-		// over the row communicator: gx = commY.Rank()*mx + ixl = yG*mx+ixl;
-		// global y = zG*my2 + iyl (distributed over commZ after BC).
-		for iyl := 0; iyl < my2; iyl++ {
-			for ixl := 0; ixl < mx; ixl++ {
-				for iz := 0; iz < n; iz++ {
-					gx, gy := yG*mx+ixl, zG*my2+iyl
-					want := ref[(iz*n+gy)*n+gx]
-					got := out[(iyl*mx+ixl)*n+iz]
-					if cmplx.Abs(got-want) > 1e-9 {
-						t.Fatalf("rank %d x=%d y=%d z=%d: got %v want %v", r, gx, gy, iz, got, want)
-					}
-				}
+		defer mu.Unlock()
+		for i, v := range four {
+			iz, gy, ix := i/l.Wc/n, i/l.Wc%n, i%l.Wc
+			out[((l.YRank*l.Mz2+iz)*n+gy)*nxh+l.XLo+ix] = v
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The same global field transformed by the slab engine on 2 ranks and
+// the pencil engine on a 2×2 grid must give identical spectra, and
+// both the local complex 3-D plan's.
+func TestSlabAndPencilAgree(t *testing.T) {
+	const n = 8
+	nxh := n/2 + 1
+	global := make([]complex128, n*n*n)
+	for iz := 0; iz < n; iz++ {
+		for iy := 0; iy < n; iy++ {
+			for ix := 0; ix < n; ix++ {
+				global[(iz*n+iy)*n+ix] = complex(pencilField(n, ix, iy, iz), 0)
 			}
 		}
 	}
-}
-
-func TestPencilC2CRoundTrip(t *testing.T) {
-	n := 12
-	pr, pc := 3, 2
-	mpi.Run(pr*pc, func(c *mpi.Comm) {
-		yG := c.Rank() / pc
-		zG := c.Rank() % pc
-		commY := c.Split(zG, yG)
-		commZ := c.Split(pc+yG, zG)
-		f := NewPencilC2C(commY, commZ, n)
-		rng := rand.New(rand.NewSource(int64(c.Rank()) + 31))
-		orig := make([]complex128, f.LocalLen())
-		for i := range orig {
-			orig[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		in := make([]complex128, f.LocalLen())
-		copy(in, orig)
-		four := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(four, in)
-		back := make([]complex128, f.LocalLen())
-		f.FourierToPhysical(back, four)
-		for i := range back {
-			if cmplx.Abs(back[i]-orig[i]) > 1e-9 {
-				t.Fatalf("rank %d element %d not restored", c.Rank(), i)
-			}
-		}
-	})
-}
-
-func TestSlabAndPencilAgree(t *testing.T) {
-	// The same global field transformed by the slab code on 2 ranks and
-	// the pencil code on 4 ranks must give identical spectra.
-	n := 8
-	global := globalField(n, 7)
 	ref := make([]complex128, len(global))
 	fft.NewPlan3D(n, n, n).Forward(ref, global)
 
-	// Slab physical layout: [my][nz][nx] with y-distributed physical
-	// space; PhysicalToFourier → [mz][ny][nx].
-	p := 2
-	mz, my := n/p, n/p
-	var mu sync.Mutex
-	slabOut := make(map[int][]complex128)
-	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabC2C(c, n)
-		phys := make([]complex128, f.LocalLen())
-		for iy := 0; iy < my; iy++ {
-			gy := c.Rank()*my + iy
-			for iz := 0; iz < n; iz++ {
-				copy(phys[(iy*n+iz)*n:(iy*n+iz)*n+n], global[(iz*n+gy)*n:(iz*n+gy)*n+n])
-			}
-		}
-		four := make([]complex128, f.LocalLen())
-		f.PhysicalToFourier(four, phys)
-		mu.Lock()
-		cp := make([]complex128, len(four))
-		copy(cp, four)
-		slabOut[c.Rank()] = cp
-		mu.Unlock()
+	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) *Engine { return NewSlabReal(c, n) })
+	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) *Engine {
+		row, col := c.CartGrid(2, 2)
+		return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
 	})
-	for r := 0; r < p; r++ {
-		for iz := 0; iz < mz; iz++ {
-			gz := r*mz + iz
-			for iy := 0; iy < n; iy++ {
-				for ix := 0; ix < n; ix++ {
-					want := ref[(gz*n+iy)*n+ix]
-					got := slabOut[r][(iz*n+iy)*n+ix]
-					if cmplx.Abs(got-want) > 1e-9 {
-						t.Fatalf("slab rank %d: mismatch at x=%d y=%d z=%d", r, ix, iy, gz)
-					}
-				}
-			}
+	for i := range slab {
+		gz, gy, gx := i/nxh/n, i/nxh%n, i%nxh
+		if slab[i] != pencil[i] {
+			t.Fatalf("x=%d y=%d z=%d: slab %v, pencil %v", gx, gy, gz, slab[i], pencil[i])
+		}
+		if want := ref[(gz*n+gy)*n+gx]; cmplx.Abs(slab[i]-want) > 1e-9 {
+			t.Fatalf("x=%d y=%d z=%d: engines %v, local plan %v", gx, gy, gz, slab[i], want)
 		}
 	}
 }

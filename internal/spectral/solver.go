@@ -446,11 +446,12 @@ func (s *Solver) Transform() Transform {
 }
 
 // StepStallError is a communication stall annotated with where the
-// simulation was when it fired: a deadline-bounded transform wait (see
-// core.Options.WaitDeadline) blew its budget during this step. It
+// simulation was when it fired: the watchdog (mpi.Watchdog) declared
+// a stall during this step and named this rank, which was waiting
+// inside a transform's exchange — on every engine and strategy. It
 // reaches the caller through mpi.TryRun wrapped in a *mpi.RankError;
 // errors.As extracts it, and Unwrap exposes the underlying
-// *mpi.StallError naming the blocked rank and collective.
+// *mpi.StallError naming the blocked rank and operation.
 type StepStallError struct {
 	Step int     // completed-step count when the stall fired
 	Time float64 // simulation time at the start of the failed step

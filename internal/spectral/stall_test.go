@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 )
 
 // TestStepAnnotatesStall: a bulk all-to-all fragment dropped during a
@@ -29,16 +30,22 @@ func TestStepAnnotatesStall(t *testing.T) {
 		// staged trials at construction and stall there under the
 		// 100%-drop rule, before Step gets to wrap the error.
 		eng := core.NewAsyncSlabReal(c, n, core.Options{
-			NP: 3, Granularity: core.PerPencil, WaitDeadline: 200 * time.Millisecond,
-			Exchange: exchange.Staged,
+			NP: 3, Granularity: core.PerPencil, Exchange: exchange.Staged,
 		})
 		defer eng.Close()
 		s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23), WithTransform(eng))
 		s.SetTaylorGreen()
+		if c.Rank() == 1 {
+			// Rank 1 finishes the first transform (only its fragments are
+			// dropped) and then waits forever in the second. Starting it
+			// late keeps rank 0's wait the older one however the
+			// scheduler treats rank 0.
+			time.Sleep(300 * time.Millisecond)
+		}
 		s.Step(0.005)
 	},
 		mpi.WithFaults(&mpi.Faults{Rules: []mpi.FaultRule{drop}}),
-		mpi.WithWatchdog(mpi.Watchdog{Off: true}), // only the engine deadline may fire
+		mpi.WithWatchdog(mpi.Watchdog{Deadline: time.Second, DeadlockAfter: time.Hour}),
 	)
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
 		t.Fatalf("stalled step took %v to fail", elapsed)
@@ -56,5 +63,83 @@ func TestStepAnnotatesStall(t *testing.T) {
 	}
 	if st.Rank != 0 || st.Op != "wait" {
 		t.Fatalf("StallError = %+v, want rank 0 blocked in a collective wait", st)
+	}
+}
+
+// lateTransform holds its rank out of the next transform for delay
+// once armed, as a straggler does: the peers reach that transform's
+// exchange first and wait there.
+type lateTransform struct {
+	Transform
+	delay time.Duration
+}
+
+func (t *lateTransform) hold() {
+	time.Sleep(t.delay)
+	t.delay = 0
+}
+
+func (t *lateTransform) FourierToPhysical(phys []float64, four []complex128) {
+	t.hold()
+	t.Transform.FourierToPhysical(phys, four)
+}
+
+func (t *lateTransform) PhysicalToFourier(four []complex128, phys []float64) {
+	t.hold()
+	t.Transform.PhysicalToFourier(four, phys)
+}
+
+// TestStallAnnotatedOnEveryEngine: with the watchdog's per-operation
+// Deadline the only stall bound, a rank that waits past it inside any
+// engine's exchange raises the StallError from that wait, so Step
+// annotates it with its step and time — on the slab engine under every
+// strategy and on the batched engine under the staged all-to-all at
+// both granularities and under the chunked gather.
+func TestStallAnnotatedOnEveryEngine(t *testing.T) {
+	const n, p, dt = 16, 2, 0.005
+	engines := []struct {
+		name  string
+		build func(c *mpi.Comm) Transform
+	}{
+		{"slab/fused", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.Fused) }},
+		{"slab/chunked", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }},
+		{"slab/staged", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.Staged) }},
+		{"batched/staged/perpencil", func(c *mpi.Comm) Transform {
+			return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Granularity: core.PerPencil, Exchange: exchange.Staged})
+		}},
+		{"batched/staged/perslab", func(c *mpi.Comm) Transform {
+			return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Granularity: core.PerSlab, Exchange: exchange.Staged})
+		}},
+		{"batched/chunked", func(c *mpi.Comm) Transform {
+			return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Granularity: core.PerPencil, Exchange: exchange.ChunkedFused})
+		}},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			err := mpi.TryRun(p, func(c *mpi.Comm) {
+				eng := e.build(c)
+				defer eng.(interface{ Close() }).Close()
+				tr := &lateTransform{Transform: eng}
+				s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23), WithTransform(tr))
+				s.SetTaylorGreen()
+				s.Step(dt)
+				if c.Rank() == 1 {
+					tr.delay = 1500 * time.Millisecond // alive, but far past the deadline
+				}
+				s.Step(dt)
+			}, mpi.WithWatchdog(mpi.Watchdog{Deadline: 500 * time.Millisecond, Poll: 5 * time.Millisecond}))
+			var se *StepStallError
+			if !errors.As(err, &se) {
+				t.Fatalf("error %T (%v) does not wrap *StepStallError", err, err)
+			}
+			if se.Step != 1 || se.Time != dt {
+				t.Fatalf("StepStallError = %+v, want the second step at t=%g", se, dt)
+			}
+			st := se.Err
+			if st.Rank != 0 || st.Deadlock || (st.Op != "barrier" && st.Op != "wait") {
+				t.Fatalf("StallError = %+v, want rank 0's deadline in a barrier or wait", st)
+			}
+			t.Logf("%v", se)
+		})
 	}
 }

@@ -21,8 +21,8 @@ package transpose
 
 // GatherYZRange gathers y-rows [iyLo,iyHi) of the physical-side slab
 // dst=[My][Nz][Nxh] directly from every peer's Fourier-side slab
-// srcs[s]=[Mz][Ny][Nxh]. Equivalent to PackYZ on every rank, the
-// all-to-all, and UnpackYZRange over the same rows — fused into one
+// srcs[s]=[Mz][Ny][Nxh]. Equivalent to PackYZRange on every rank,
+// the all-to-all, and UnpackYZRange over the same rows — fused into one
 // pass. Distinct iy ranges write disjoint dst elements.
 //
 //psdns:hotpath
@@ -59,7 +59,7 @@ func GatherYZPeer[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi int) {
 
 // GatherZYRange gathers z-planes [izLo,izHi) of the Fourier-side slab
 // dst=[Mz][Ny][Nxh] directly from every peer's physical-side slab
-// srcs[s]=[My][Nz][Nxh]. Equivalent to PackZY on every rank, the
+// srcs[s]=[My][Nz][Nxh]. Equivalent to PackZYRange on every rank, the
 // all-to-all, and UnpackZYRange over the same planes. Distinct iz
 // ranges write disjoint dst elements.
 //

@@ -29,19 +29,11 @@ func TestGatherYZMatchesStagedTriple(t *testing.T) {
 		srcs := buildFourierSlabs(&l)
 
 		// Staged reference: every rank packs, blocks are exchanged
-		// (block d of rank s becomes block s at rank d), rank me unpacks.
-		packs := make([][]complex128, p)
-		for s := range packs {
-			packs[s] = make([]complex128, l.Total)
-			PackYZ(packs[s], srcs[s], nxh, ny, mz, p)
-		}
+		// (block d of rank s becomes block s at rank d), every rank
+		// unpacks.
+		staged := slabExchange(&l, srcs, true)
 		for me := 0; me < p; me++ {
-			recv := make([]complex128, l.Total)
-			for s := 0; s < p; s++ {
-				copy(recv[s*l.Block:(s+1)*l.Block], packs[s][me*l.Block:(me+1)*l.Block])
-			}
-			want := make([]complex128, l.Total)
-			UnpackYZ(want, recv, nxh, l.Nz, l.My, p)
+			want := staged[me]
 
 			got := make([]complex128, l.Total)
 			GatherYZRange(&l, got, srcs, me, 0, l.My)
@@ -83,18 +75,9 @@ func TestGatherZYMatchesStagedTriple(t *testing.T) {
 				srcs[s][i] = complex(float64(s*l.Total+i), -float64(s))
 			}
 		}
-		packs := make([][]complex128, p)
-		for s := range packs {
-			packs[s] = make([]complex128, l.Total)
-			PackZY(packs[s], srcs[s], nxh, l.Nz, l.My, p)
-		}
+		staged := slabExchange(&l, srcs, false)
 		for me := 0; me < p; me++ {
-			recv := make([]complex128, l.Total)
-			for s := 0; s < p; s++ {
-				copy(recv[s*l.Block:(s+1)*l.Block], packs[s][me*l.Block:(me+1)*l.Block])
-			}
-			want := make([]complex128, l.Total)
-			UnpackZY(want, recv, nxh, ny, mz, p)
+			want := staged[me]
 
 			got := make([]complex128, l.Total)
 			GatherZYRange(&l, got, srcs, me, 0, l.Mz)

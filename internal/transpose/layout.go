@@ -172,27 +172,3 @@ func UnpackZYRange[T any](l *SlabLayout, dst, src []T, me, izLo, izHi int) {
 		}
 	}
 }
-
-// PackYZPencilInto is PackYZPencil writing the per-destination counts
-// into the caller-provided slice (length ≥ p) instead of allocating —
-// the steady-state form for the async engine's per-pencil exchanges.
-func PackYZPencilInto[T any](counts []int, dst, src []T, nxh, ny, mz, p, yLo, yHi int) {
-	my := ny / p
-	off := 0
-	for d := 0; d < p; d++ {
-		counts[d] = 0
-		lo := max(yLo, d*my)
-		hi := min(yHi, (d+1)*my)
-		if lo >= hi {
-			continue
-		}
-		for iz := 0; iz < mz; iz++ {
-			for iy := lo; iy < hi; iy++ {
-				srcOff := (iz*ny + iy) * nxh
-				copy(dst[off:off+nxh], src[srcOff:srcOff+nxh])
-				off += nxh
-			}
-		}
-		counts[d] = mz * (hi - lo) * nxh
-	}
-}

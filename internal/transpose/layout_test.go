@@ -1,8 +1,11 @@
 package transpose
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/grid"
 )
 
 // Partitioned Range calls must reproduce the full-range kernels exactly
@@ -53,9 +56,9 @@ func TestSlabRangePartitionEquivalence(t *testing.T) {
 	}
 }
 
-// The layout-based wrappers must match a pack→unpack round trip: the
-// physical slab recovered from PackYZ+UnpackYZ must invert through
-// PackZY+UnpackZY.
+// The layout-based kernels must match a pack→unpack round trip: the
+// physical slab recovered from PackYZRange+UnpackYZRange must invert
+// through PackZYRange+UnpackZYRange.
 func TestSlabLayoutRoundTrip(t *testing.T) {
 	const nxh, ny, mz, p = 3, 8, 4, 2
 	l := NewSlabLayout(nxh, ny, mz, p)
@@ -80,26 +83,116 @@ func TestSlabLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPackYZPencilIntoMatchesAlloc(t *testing.T) {
-	const nxh, ny, mz, p = 4, 12, 3, 3
-	src := make([]float64, mz*ny*nxh)
-	for i := range src {
-		src[i] = float64(i * 7 % 13)
+// FuzzSlabLayout drives the slab kernels over fuzzed geometry, band,
+// gather tile and wire type, in both directions: the staged path
+// (Pack*Range, the staged stage's block copy, Unpack*Range), the
+// blocked gather and the plain gather must each land, bit for bit,
+// exactly what the band says — in-band elements from their global
+// source position, +0 over the KB-prefix of YZ's out-of-band z rows —
+// while every other destination element keeps its NaN sentinel and the
+// out-of-band source entries, poisoned with a second NaN, are never
+// read.
+func FuzzSlabLayout(f *testing.F) {
+	f.Fuzz(func(t *testing.T, pSel, mySel, mzSel, nxhSel, kmaxSel, kbSel, tile uint8, single bool) {
+		p := 1 + int(pSel)%4
+		l := NewSlabLayout(1+int(nxhSel)%6, (1+int(mySel)%3)*p, 1+int(mzSel)%3, p)
+		band := grid.NewBand(l.Nz, int(kmaxSel)%(l.Nz/2+2)-1)
+		l.SetBand(int(kbSel)%(l.Nxh+1), band)
+		if single {
+			checkSlabLayout[complex64](t, &l, int(tile)%(l.Mz+2))
+		} else {
+			checkSlabLayout[complex128](t, &l, int(tile)%(l.Mz+2))
+		}
+	})
+}
+
+// checkSlabLayout is FuzzSlabLayout's check at element type T.
+func checkSlabLayout[T complex64 | complex128](t *testing.T, l *SlabLayout, tile int) {
+	nan, poison := T(complex(math.NaN(), math.NaN())), T(complex(math.NaN(), 1))
+	same := func(a, b T) bool {
+		x, y := complex128(a), complex128(b)
+		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
+			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
 	}
-	for _, yr := range [][2]int{{0, 12}, {2, 9}, {4, 4}, {11, 12}} {
-		d1 := make([]float64, len(src))
-		d2 := make([]float64, len(src))
-		counts1 := PackYZPencil(d1, src, nxh, ny, mz, p, yr[0], yr[1])
-		counts2 := make([]int, p)
-		PackYZPencilInto(counts2, d2, src, nxh, ny, mz, p, yr[0], yr[1])
-		for d := 0; d < p; d++ {
-			if counts1[d] != counts2[d] {
-				t.Fatalf("y=%v counts differ at %d: %d vs %d", yr, d, counts1[d], counts2[d])
+	// Index maps of the two sides: C = [Mz][Ny][Nxh] on rank r holds
+	// global z r·Mz+iz; B = [My][Nz][Nxh] on rank r holds global y r·My+iy.
+	atC := func(r, i int) (gz, gy, x int) {
+		return r*l.Mz + i/l.Nxh/l.Ny, i / l.Nxh % l.Ny, i % l.Nxh
+	}
+	atB := func(r, i int) (gz, gy, x int) {
+		return i / l.Nxh % l.Nz, r*l.My + i/l.Nxh/l.Nz, i % l.Nxh
+	}
+	for _, yz := range []bool{true, false} {
+		srcAt, dstAt := atC, atB
+		if !yz {
+			srcAt, dstAt = atB, atC
+		}
+		// Every rank's source: unique in-band values, NaN elsewhere;
+		// global[(gz, gy, x)] names the value wherever it lives.
+		global := map[[3]int]T{}
+		srcs := make([][]T, l.P)
+		for r := range srcs {
+			srcs[r] = make([]T, l.Total)
+			for i := range srcs[r] {
+				srcs[r][i] = poison
+				if gz, gy, x := srcAt(r, i); l.Band.Has(gz) && x < l.KB {
+					srcs[r][i] = T(complex(float64(r*l.Total+i)+0.5, -float64(i)))
+					global[[3]int{gz, gy, x}] = srcs[r][i]
+				}
 			}
 		}
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Fatalf("y=%v data differs at %d", yr, i)
+		poisoned := func() []T {
+			buf := make([]T, l.Total)
+			for i := range buf {
+				buf[i] = nan
+			}
+			return buf
+		}
+		packs := make([][]T, l.P)
+		for r := range packs {
+			packs[r] = poisoned()
+			if yz {
+				PackYZRange(l, packs[r], srcs[r], r, 0, l.Mz)
+			} else {
+				PackZYRange(l, packs[r], srcs[r], 0, l.My)
+			}
+		}
+		for me := 0; me < l.P; me++ {
+			staged, blocked, plain, recv := poisoned(), poisoned(), poisoned(), make([]T, l.Total)
+			for s, pack := range packs {
+				copy(recv[s*l.Block:(s+1)*l.Block], pack[me*l.Block:(me+1)*l.Block])
+			}
+			if yz {
+				UnpackYZRange(l, staged, recv, 0, l.My)
+				GatherYZRangeBlocked(l, blocked, srcs, me, 0, l.My, tile)
+				GatherYZRange(l, plain, srcs, me, 0, l.My)
+			} else {
+				UnpackZYRange(l, staged, recv, me, 0, l.Mz)
+				GatherZYRangeBlocked(l, blocked, srcs, me, 0, l.Mz, tile)
+				GatherZYRange(l, plain, srcs, me, 0, l.Mz)
+			}
+			for i := range staged {
+				gz, gy, x := dstAt(me, i)
+				want := nan
+				switch {
+				case x < l.KB && l.Band.Has(gz):
+					want = global[[3]int{gz, gy, x}]
+				case x < l.KB && yz:
+					want = 0
+				}
+				for path, got := range map[string]T{"staged": staged[i], "blocked": blocked[i], "plain": plain[i]} {
+					if !same(got, want) {
+						t.Fatalf("%+v tile %d yz=%v rank %d %s: dst[%d] (z %d, y %d, x %d) = %v, want %v",
+							*l, tile, yz, me, path, i, gz, gy, x, got, want)
+					}
+				}
+			}
+		}
+		for r := range srcs {
+			for i, v := range srcs[r] {
+				if gz, _, x := srcAt(r, i); !(l.Band.Has(gz) && x < l.KB) && !same(v, poison) {
+					t.Fatalf("yz=%v rank %d: source sentinel [%d] overwritten with %v", yz, r, i, v)
+				}
 			}
 		}
 	}

@@ -12,40 +12,18 @@ func TestSlabTransposeRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(5)
-		my := 1 + rng.Intn(4)
-		mz := 1 + rng.Intn(4)
-		ny := my * p
-		nz := mz * p
-		nxh := 1 + rng.Intn(6)
-		bs := mz * my * nxh
-
+		l := NewSlabLayout(1+rng.Intn(6), (1+rng.Intn(4))*p, 1+rng.Intn(4), p)
 		orig := make([][]complex128, p)
-		send := make([][]complex128, p)
-		for r := 0; r < p; r++ {
-			slab := make([]complex128, mz*ny*nxh)
-			for i := range slab {
-				slab[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		for r := range orig {
+			orig[r] = make([]complex128, l.Total)
+			for i := range orig[r] {
+				orig[r][i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
-			orig[r] = slab
-			packed := make([]complex128, len(slab))
-			PackYZ(packed, slab, nxh, ny, mz, p)
-			send[r] = packed
 		}
-		recv := exchange(send, p, bs)
-		back := make([][]complex128, p)
-		for r := 0; r < p; r++ {
-			phys := make([]complex128, my*nz*nxh)
-			UnpackYZ(phys, recv[r], nxh, nz, my, p)
-			packed := make([]complex128, len(phys))
-			PackZY(packed, phys, nxh, nz, my, p)
-			back[r] = packed
-		}
-		recv2 := exchange(back, p, bs)
-		for r := 0; r < p; r++ {
-			dst := make([]complex128, mz*ny*nxh)
-			UnpackZY(dst, recv2[r], nxh, ny, mz, p)
-			for i := range dst {
-				if dst[i] != orig[r][i] {
+		back := slabExchange(&l, slabExchange(&l, orig, true), false)
+		for r := range back {
+			for i := range back[r] {
+				if back[r][i] != orig[r][i] {
 					return false
 				}
 			}
@@ -93,53 +71,38 @@ func TestPackIsPermutationProperty(t *testing.T) {
 }
 
 // Property: the row/column pencil transposes are mutual inverses for
-// random 2D-decomposition geometry — the complex reference's AB
-// kernels, then the real engine's column kernels.
+// random 2D-decomposition geometry — the row exchange as the slab
+// transpose at Nxh := Wc, then the column kernels.
 func TestPencilTransposeRoundTripProperty(t *testing.T) {
-	f := func(seed int64) bool {
+	row := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		pr := 1 + rng.Intn(4)
-		mx := 1 + rng.Intn(3)
-		my := mx // row transpose requires nx/pr == mx with nx = mx·pr and my = ny/pr
-		nx := mx * pr
-		ny := my * pr
-		mz := 1 + rng.Intn(3)
-		bs := mz * my * mx
-
+		n := 2 * (1 + rng.Intn(8))
+		pr, pc := 1+rng.Intn(n), 1+rng.Intn(n/2+1)
+		for n%pr != 0 {
+			pr--
+		}
+		for n%pc != 0 {
+			pc--
+		}
+		_, rl := rowGroup(n, pr, pc, rng.Intn(pc))
 		orig := make([][]complex128, pr)
-		send := make([][]complex128, pr)
-		for r := 0; r < pr; r++ {
-			a := make([]complex128, mz*my*nx)
-			for i := range a {
-				a[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		for r := range orig {
+			orig[r] = make([]complex128, rl.Total)
+			for i := range orig[r] {
+				orig[r][i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			}
-			orig[r] = a
-			packed := make([]complex128, len(a))
-			PackRowAB(packed, a, nx, my, mz, pr)
-			send[r] = packed
 		}
-		recv := exchange(send, pr, bs)
-		back := make([][]complex128, pr)
-		for r := 0; r < pr; r++ {
-			b := make([]complex128, mz*mx*ny)
-			UnpackRowAB(b, recv[r], ny, mx, mz, pr)
-			packed := make([]complex128, len(b))
-			PackRowBA(packed, b, ny, mx, mz, pr)
-			back[r] = packed
-		}
-		recv2 := exchange(back, pr, bs)
-		for r := 0; r < pr; r++ {
-			a := make([]complex128, mz*my*nx)
-			UnpackRowBA(a, recv2[r], nx, my, mz, pr)
-			for i := range a {
-				if a[i] != orig[r][i] {
+		back := slabExchange(&rl, slabExchange(&rl, orig, false), true)
+		for r := range back {
+			for i := range back[r] {
+				if back[r][i] != orig[r][i] {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(row, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 	// The column exchange of the real-transform engine: forward along

@@ -61,172 +61,75 @@ func TestSlabTransposeGlobalPlacement(t *testing.T) {
 	}
 }
 
+// slabExchange runs the staged slab transpose of l across its P local
+// ranks: every rank packs its slab (Fourier side for yz, physical side
+// otherwise), the blocks are exchanged, every rank unpacks.
+func slabExchange(l *SlabLayout, srcs [][]complex128, yz bool) [][]complex128 {
+	send := make([][]complex128, l.P)
+	for r, src := range srcs {
+		send[r] = make([]complex128, l.Total)
+		if yz {
+			PackYZRange(l, send[r], src, r, 0, l.Mz)
+		} else {
+			PackZYRange(l, send[r], src, 0, l.My)
+		}
+	}
+	recv := exchange(send, l.P, l.Block)
+	out := make([][]complex128, l.P)
+	for r := range out {
+		out[r] = make([]complex128, l.Total)
+		if yz {
+			UnpackYZRange(l, out[r], recv[r], 0, l.My)
+		} else {
+			UnpackZYRange(l, out[r], recv[r], r, 0, l.Mz)
+		}
+	}
+	return out
+}
+
 func TestSlabTransposeRoundTrip(t *testing.T) {
-	nxh, ny, nz, p := 5, 12, 6, 3
-	mz, my := nz/p, ny/p
-	bs := mz * my * nxh
-
-	orig := make([][]complex128, p)
-	send := make([][]complex128, p)
-	for r := 0; r < p; r++ {
-		slab := make([]complex128, mz*ny*nxh)
-		for i := range slab {
-			slab[i] = complex(float64(r*100000+i), float64(i))
+	l := NewSlabLayout(5, 12, 2, 3)
+	orig := make([][]complex128, l.P)
+	for r := range orig {
+		orig[r] = make([]complex128, l.Total)
+		for i := range orig[r] {
+			orig[r][i] = complex(float64(r*100000+i), float64(i))
 		}
-		orig[r] = slab
-		packed := make([]complex128, len(slab))
-		PackYZ(packed, slab, nxh, ny, mz, p)
-		send[r] = packed
 	}
-	recv := exchange(send, p, bs)
-
-	// Reverse: pack z→y, exchange, unpack, compare to original.
-	back := make([][]complex128, p)
-	for r := 0; r < p; r++ {
-		phys := make([]complex128, my*nz*nxh)
-		UnpackYZ(phys, recv[r], nxh, nz, my, p)
-		packed := make([]complex128, len(phys))
-		PackZY(packed, phys, nxh, nz, my, p)
-		back[r] = packed
-	}
-	recv2 := exchange(back, p, bs)
-	for r := 0; r < p; r++ {
-		dst := make([]complex128, mz*ny*nxh)
-		UnpackZY(dst, recv2[r], nxh, ny, mz, p)
-		for i := range dst {
-			if dst[i] != orig[r][i] {
-				t.Fatalf("rank %d element %d not restored: %v vs %v", r, i, dst[i], orig[r][i])
+	// Forward y→z, then back z→y: every rank's slab is restored.
+	back := slabExchange(&l, slabExchange(&l, orig, true), false)
+	for r := range back {
+		for i := range back[r] {
+			if back[r][i] != orig[r][i] {
+				t.Fatalf("rank %d element %d not restored: %v vs %v", r, i, back[r][i], orig[r][i])
 			}
 		}
 	}
 }
 
-func TestPencilBatchedPackEqualsFullPack(t *testing.T) {
-	// Packing np pencils one at a time and concatenating the pieces per
-	// destination must move exactly the same data as PackYZ of the full
-	// slab (configuration B vs C of the paper carry identical bytes).
-	nxh, ny, mz, p, np := 2, 12, 3, 3, 4
-	my := ny / p
-	src := make([]complex128, mz*ny*nxh)
-	for i := range src {
-		src[i] = complex(float64(i), -float64(i))
-	}
-	full := make([]complex128, len(src))
-	PackYZ(full, src, nxh, ny, mz, p)
-
-	nyp := ny / np
-	// Gather per-destination data from the pencil packs.
-	var perDst [][]complex128 = make([][]complex128, p)
-	for ip := 0; ip < np; ip++ {
-		buf := make([]complex128, mz*nyp*nxh)
-		counts := PackYZPencil(buf, src, nxh, ny, mz, p, ip*nyp, (ip+1)*nyp)
-		off := 0
-		for d := 0; d < p; d++ {
-			perDst[d] = append(perDst[d], buf[off:off+counts[d]]...)
-			off += counts[d]
-		}
-	}
-	// Config B (per-pencil messages) delivers the same data per
-	// destination as config C (whole-slab messages), in a permuted
-	// order the receiver's unpack accounts for. Compare as sets.
-	bs := mz * my * nxh
-	for d := 0; d < p; d++ {
-		if len(perDst[d]) != bs {
-			t.Fatalf("dest %d: pencil packs total %d want %d", d, len(perDst[d]), bs)
-		}
-		want := map[complex128]int{}
-		got := map[complex128]int{}
-		for i := 0; i < bs; i++ {
-			want[full[d*bs+i]]++
-			got[perDst[d][i]]++
-		}
-		for v, n := range want {
-			if got[v] != n {
-				t.Fatalf("dest %d: value %v count %d want %d", d, v, got[v], n)
-			}
-		}
-	}
-}
-
-func TestPencilBatchedUnpackPlacement(t *testing.T) {
-	nxh, ny, nz, p, np := 2, 8, 4, 2, 4
-	my, mz := ny/p, nz/p
-	nyp := ny / np
-	// Build global field, pack pencil-by-pencil on each source rank,
-	// exchange per pencil, unpack per pencil; verify final placement.
-	for r := 0; r < p; r++ {
-		dst := make([]complex128, my*nz*nxh)
-		for ip := 0; ip < np; ip++ {
-			yLo, yHi := ip*nyp, (ip+1)*nyp
-			// Only sources contribute; each source packs its pencil.
-			recvBuf := make([]complex128, 0, p*mz*nyp*nxh)
-			for s := 0; s < p; s++ {
-				slab := make([]complex128, mz*ny*nxh)
-				for iz := 0; iz < mz; iz++ {
-					for iy := 0; iy < ny; iy++ {
-						for ix := 0; ix < nxh; ix++ {
-							slab[(iz*ny+iy)*nxh+ix] = encode(ix, iy, s*mz+iz)
-						}
-					}
-				}
-				buf := make([]complex128, mz*nyp*nxh)
-				counts := PackYZPencil(buf, slab, nxh, ny, mz, p, yLo, yHi)
-				// Extract the piece destined for rank r.
-				off := 0
-				for d := 0; d < p; d++ {
-					if d == r {
-						recvBuf = append(recvBuf, buf[off:off+counts[d]]...)
-					}
-					off += counts[d]
-				}
-			}
-			UnpackYZPencil(dst, recvBuf, nxh, nz, my, p, r*my, yLo, yHi)
-		}
-		for iy := 0; iy < my; iy++ {
-			for iz := 0; iz < nz; iz++ {
-				for ix := 0; ix < nxh; ix++ {
-					want := encode(ix, r*my+iy, iz)
-					if got := dst[(iy*nz+iz)*nxh+ix]; got != want {
-						t.Fatalf("rank %d y=%d z=%d x=%d: got %v want %v", r, r*my+iy, iz, ix, got, want)
-					}
-				}
-			}
-		}
-	}
+// rowGroup is the Pr ranks of one row group (sharing zG) of an n³
+// pencil grid: its row exchange is the slab transpose with Nxh := Wc
+// between the z-complete B = [My][Nz][Wc] and the y-complete
+// C = [Mz2][Ny][Wc] (see pencil.go).
+func rowGroup(n, pr, pc, zG int) (*PencilLayout, SlabLayout) {
+	l := NewPencilLayout(n, pr, pc, 0, zG)
+	return l, NewSlabLayout(l.Wc, n, l.Mz2, pr)
 }
 
 func TestRowTransposeRoundTrip(t *testing.T) {
-	nx, ny, mz, pr := 8, 6, 2, 2
-	my, mx := ny/pr, nx/pr
-	bs := mz * my * mx
-
-	orig := make([][]complex128, pr)
-	send := make([][]complex128, pr)
-	for r := 0; r < pr; r++ {
-		a := make([]complex128, mz*my*nx)
-		for i := range a {
-			a[i] = complex(float64(r*1000+i), 0)
+	_, rl := rowGroup(12, 3, 2, 1)
+	orig := make([][]complex128, rl.P)
+	for r := range orig {
+		orig[r] = make([]complex128, rl.Total)
+		for i := range orig[r] {
+			orig[r][i] = complex(float64(r*1000+i), 0)
 		}
-		orig[r] = a
-		packed := make([]complex128, len(a))
-		PackRowAB(packed, a, nx, my, mz, pr)
-		send[r] = packed
 	}
-	recv := exchange(send, pr, bs)
-	backSend := make([][]complex128, pr)
-	for r := 0; r < pr; r++ {
-		b := make([]complex128, mz*mx*ny)
-		UnpackRowAB(b, recv[r], ny, mx, mz, pr)
-		packed := make([]complex128, len(b))
-		PackRowBA(packed, b, ny, mx, mz, pr)
-		backSend[r] = packed
-	}
-	recv2 := exchange(backSend, pr, bs)
-	for r := 0; r < pr; r++ {
-		a := make([]complex128, mz*my*nx)
-		UnpackRowBA(a, recv2[r], nx, my, mz, pr)
-		for i := range a {
-			if a[i] != orig[r][i] {
+	// B → C (the forward's row exchange), then C → B.
+	back := slabExchange(&rl, slabExchange(&rl, orig, false), true)
+	for r := range back {
+		for i := range back[r] {
+			if back[r][i] != orig[r][i] {
 				t.Fatalf("rank %d element %d not restored", r, i)
 			}
 		}
@@ -234,33 +137,27 @@ func TestRowTransposeRoundTrip(t *testing.T) {
 }
 
 func TestRowTransposeGlobalPlacement(t *testing.T) {
-	nx, ny, mz, pr := 6, 4, 1, 2
-	my, mx := ny/pr, nx/pr
-	bs := mz * my * mx
-	send := make([][]complex128, pr)
-	for r := 0; r < pr; r++ {
-		a := make([]complex128, mz*my*nx)
-		for iz := 0; iz < mz; iz++ {
-			for iy := 0; iy < my; iy++ {
-				for ix := 0; ix < nx; ix++ {
-					a[(iz*my+iy)*nx+ix] = encode(ix, r*my+iy, iz)
+	const n, pr, pc, zG = 12, 3, 2, 1
+	l, rl := rowGroup(n, pr, pc, zG)
+	// B on row rank yG: its y range, every z, this column group's x span.
+	bs := make([][]complex128, pr)
+	for yG := range bs {
+		bs[yG] = make([]complex128, rl.Total)
+		for iy := 0; iy < l.My; iy++ {
+			for gz := 0; gz < n; gz++ {
+				for ix := 0; ix < l.Wc; ix++ {
+					bs[yG][(iy*n+gz)*l.Wc+ix] = encode(l.XLo+ix, yG*l.My+iy, gz)
 				}
 			}
 		}
-		packed := make([]complex128, len(a))
-		PackRowAB(packed, a, nx, my, mz, pr)
-		send[r] = packed
 	}
-	recv := exchange(send, pr, bs)
-	for r := 0; r < pr; r++ {
-		b := make([]complex128, mz*mx*ny)
-		UnpackRowAB(b, recv[r], ny, mx, mz, pr)
-		for iz := 0; iz < mz; iz++ {
-			for ix := 0; ix < mx; ix++ {
-				for iy := 0; iy < ny; iy++ {
-					want := encode(r*mx+ix, iy, iz)
-					if got := b[(iz*mx+ix)*ny+iy]; got != want {
-						t.Fatalf("rank %d x=%d y=%d: got %v want %v", r, r*mx+ix, iy, got, want)
+	for yG, c := range slabExchange(&rl, bs, false) {
+		for iz := 0; iz < l.Mz2; iz++ {
+			for gy := 0; gy < n; gy++ {
+				for ix := 0; ix < l.Wc; ix++ {
+					want := encode(l.XLo+ix, gy, yG*l.Mz2+iz)
+					if got := c[(iz*n+gy)*l.Wc+ix]; got != want {
+						t.Fatalf("row rank %d x=%d y=%d z=%d: got %v want %v", yG, l.XLo+ix, gy, yG*l.Mz2+iz, got, want)
 					}
 				}
 			}
@@ -268,77 +165,30 @@ func TestRowTransposeGlobalPlacement(t *testing.T) {
 	}
 }
 
+// The column exchange's staged path — pack, all-to-all, unpack —
+// forward then inverse restores X.
 func TestColTransposeRoundTrip(t *testing.T) {
-	ny, nz, mx, pc := 6, 4, 3, 2
-	my2, mz := ny/pc, nz/pc
-	bs := mz * mx * my2
-
-	orig := make([][]complex128, pc)
-	send := make([][]complex128, pc)
-	for r := 0; r < pc; r++ {
-		b := make([]complex128, mz*mx*ny)
-		for i := range b {
-			b[i] = complex(float64(r*777+i), float64(i%7))
-		}
-		orig[r] = b
-		packed := make([]complex128, len(b))
-		PackColBC(packed, b, ny, mx, mz, pc)
-		send[r] = packed
-	}
-	recv := exchange(send, pc, bs)
-	backSend := make([][]complex128, pc)
-	for r := 0; r < pc; r++ {
-		cArr := make([]complex128, my2*mx*nz)
-		UnpackColBC(cArr, recv[r], nz, mx, my2, pc)
-		packed := make([]complex128, len(cArr))
-		PackColCB(packed, cArr, nz, mx, my2, pc)
-		backSend[r] = packed
-	}
-	recv2 := exchange(backSend, pc, bs)
-	for r := 0; r < pc; r++ {
-		b := make([]complex128, mz*mx*ny)
-		UnpackColCB(b, recv2[r], ny, mx, mz, pc)
-		for i := range b {
-			if b[i] != orig[r][i] {
-				t.Fatalf("rank %d element %d not restored", r, i)
-			}
+	const sentinel = complex(-1, -1)
+	for yG := 0; yG < 2; yG++ {
+		g := newColGroup(12, 2, 4, yG)
+		my := g.lays[0].My
+		b := g.run(true, "staged", g.x, 0, my, sentinel)
+		for zG, got := range g.run(false, "staged", b, 0, my, sentinel) {
+			l := g.lays[zG]
+			checkPlanes(t, "col round trip", got, g.x[zG], l.Mz*l.Nxh, my, 0, my, sentinel)
 		}
 	}
 }
 
+// The column exchange's staged path places every element of X at its
+// global coordinates in B.
 func TestColTransposeGlobalPlacement(t *testing.T) {
-	ny, nz, mx, pc := 4, 6, 2, 2
-	my2, mz := ny/pc, nz/pc
-	bs := mz * mx * my2
-	send := make([][]complex128, pc)
-	for r := 0; r < pc; r++ {
-		// Layout B on rank r: [mz][mx][ny], z range [r·mz,(r+1)·mz).
-		b := make([]complex128, mz*mx*ny)
-		for iz := 0; iz < mz; iz++ {
-			for ix := 0; ix < mx; ix++ {
-				for iy := 0; iy < ny; iy++ {
-					b[(iz*mx+ix)*ny+iy] = encode(ix, iy, r*mz+iz)
-				}
-			}
-		}
-		packed := make([]complex128, len(b))
-		PackColBC(packed, b, ny, mx, mz, pc)
-		send[r] = packed
-	}
-	recv := exchange(send, pc, bs)
-	for r := 0; r < pc; r++ {
-		cArr := make([]complex128, my2*mx*nz)
-		UnpackColBC(cArr, recv[r], nz, mx, my2, pc)
-		for iy := 0; iy < my2; iy++ {
-			for ix := 0; ix < mx; ix++ {
-				for iz := 0; iz < nz; iz++ {
-					want := encode(ix, r*my2+iy, iz)
-					if got := cArr[(iy*mx+ix)*nz+iz]; got != want {
-						t.Fatalf("rank %d y=%d z=%d: got %v want %v", r, r*my2+iy, iz, got, want)
-					}
-				}
-			}
-		}
+	const sentinel = complex(-1, -1)
+	g := newColGroup(12, 3, 2, 1)
+	my := g.lays[0].My
+	for zG, got := range g.run(true, "staged", g.x, 0, my, sentinel) {
+		l := g.lays[zG]
+		checkPlanes(t, "col placement", got, g.wantB(zG), l.N*l.Wc, my, 0, my, sentinel)
 	}
 }
 

@@ -62,8 +62,9 @@ type RankError = mpi.RankError
 
 // StallError reports a watchdog-detected deadlock or stall: the
 // blocked rank, the operation it was stuck in, and the peer and tag it
-// was waiting on. TryRun returns it when the world stops making
-// progress instead of hanging forever.
+// was waiting on. The blocked rank raises it, so TryRun returns it
+// inside that rank's *RankError (errors.As extracts it) when the world
+// stops making progress instead of hanging forever.
 type StallError = mpi.StallError
 
 // CrashError is the typed panic value of a scheduled rank crash
@@ -99,8 +100,9 @@ const (
 // injection).
 type RunOption = mpi.RunOption
 
-// WithWatchdog customizes the world's stall watchdog: per-operation
-// deadlines, the deadlock quiescence window, or Off to disable it.
+// WithWatchdog customizes the world's stall watchdog: the
+// per-operation deadline (the one bound on how long a rank may wait),
+// the deadlock quiescence window, or Off to disable it.
 func WithWatchdog(wd Watchdog) RunOption { return mpi.WithWatchdog(wd) }
 
 // WithFaults installs a deterministic fault-injection plan on the
@@ -114,6 +116,7 @@ func Run(p int, fn func(*Comm), opts ...RunOption) { mpi.Run(p, fn, opts...) }
 
 // TryRun executes fn on p in-process ranks, recovering a panic on any
 // rank into a *RankError naming the rank that misbehaved. A
-// watchdog-detected deadlock or stall is returned as a *StallError
-// naming the blocked rank, peer and tag. A clean run returns nil.
+// watchdog-detected deadlock or stall is a *StallError naming the
+// blocked rank, peer and tag, raised by that rank and so wrapped in its
+// *RankError. A clean run returns nil.
 func TryRun(p int, fn func(*Comm), opts ...RunOption) error { return mpi.TryRun(p, fn, opts...) }

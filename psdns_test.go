@@ -94,9 +94,9 @@ func TestPublicAPIRegridAndSlices(t *testing.T) {
 }
 
 // TestPublicAPIChaos exercises the robustness surface end to end from
-// the facade: fault injection and the watchdog through TryRun options,
-// the engine wait deadline through NewAsync options, and the typed
-// error chain StepStallError → StallError through errors.As.
+// the facade: fault injection and the watchdog's per-operation
+// deadline through TryRun options, and the typed error chain
+// StepStallError → StallError through errors.As.
 func TestPublicAPIChaos(t *testing.T) {
 	drop := repro.FaultRule{
 		Src: 1, Dst: 0, Tag: repro.AnyTag,
@@ -109,7 +109,6 @@ func TestPublicAPIChaos(t *testing.T) {
 		tr := repro.NewAsync(c, 16,
 			repro.WithNP(3),
 			repro.WithGranularity(repro.PerPencil),
-			repro.WithWaitDeadline(200*time.Millisecond),
 			repro.WithExchangeStrategy(repro.ExchangeStaged),
 		)
 		defer tr.Close()
@@ -120,17 +119,22 @@ func TestPublicAPIChaos(t *testing.T) {
 			repro.WithTransform(tr),
 		)
 		s.SetTaylorGreen()
+		if c.Rank() == 1 {
+			// Rank 1 finishes the first transform and then waits forever
+			// in the second; starting it late keeps rank 0's wait older.
+			time.Sleep(300 * time.Millisecond)
+		}
 		s.Step(0.004)
 	},
 		repro.WithFaults(&repro.Faults{Rules: []repro.FaultRule{drop}}),
-		repro.WithWatchdog(repro.Watchdog{Off: true}),
+		repro.WithWatchdog(repro.Watchdog{Deadline: time.Second}),
 	)
 	var se *repro.StepStallError
 	if !errors.As(err, &se) {
 		t.Fatalf("error %T (%v) does not wrap *StepStallError", err, err)
 	}
 	var st *repro.StallError
-	if !errors.As(err, &st) || st.Rank != 0 {
+	if !errors.As(err, &st) || st.Rank != 0 || st.Op != "wait" {
 		t.Fatalf("underlying StallError not reachable or wrong: %v", err)
 	}
 }
