@@ -25,6 +25,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPencilColumnBijective -fuzztime 10s ./internal/transpose
 	$(GO) test -run '^$$' -fuzz FuzzSlabLayout -fuzztime 10s ./internal/transpose
 	$(GO) test -run '^$$' -fuzz FuzzTruncateBand -fuzztime 10s ./internal/pfft
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s .
 
 # lint = gofmt (fail on unformatted files) + no Deprecated: marker
 # anywhere (superseded surface is deleted, not kept; benchmark/ and

@@ -1,10 +1,6 @@
 package fft
 
-import (
-	"fmt"
-
-	"repro/internal/pool"
-)
+import "fmt"
 
 // Batch executes many transforms of the same length over strided data,
 // mirroring the cufftPlanMany advanced-layout semantics the paper's GPU
@@ -16,19 +12,39 @@ type Batch struct {
 	howmany        int
 	istride, idist int
 	ostride, odist int
-	rows           []complex128 // plane form: the program's block, n rows of tile width
-	tiles          int          // plane form: number of column tiles; 0 selects line form
+	tiles          int // plane form: number of column tiles; 0 selects line form
 }
 
-// planeBlock bounds the plane form's block, n rows of one tile of
-// adjacent lines, to 256 KiB of complex128: a fraction of any L2 cache,
-// yet wide enough that a whole N ≤ 128 half-spectrum plane is one tile
-// (measured: wider tiles are faster up to there and within noise
-// beyond). Tiles never get narrower than minTile lines.
+// Plane-form blocks. planeBlock bounds the complex batch's block, n
+// rows of one tile of adjacent lines, to 256 KiB of complex128: a
+// fraction of any L2 cache, yet wide enough that a whole N ≤ 128
+// half-spectrum plane is one tile (measured: wider tiles are faster up
+// to there and within noise beyond). realBlock bounds the real batch's
+// packed tile, n/2 rows of adjacent lines, to 32 KiB of complex128 (the
+// program's block beside it is as large): a slab y-plane's whole x pass
+// is one tile at N ≤ 64, and N = 128 runs two 32-line tiles (measured
+// there per line forward against line by line: 32-line tiles −15 %, one
+// 64-line tile +5 %). Tiles never get narrower than minTile lines.
 const (
 	planeBlock = 1 << 14
+	realBlock  = 1 << 11
 	minTile    = 8
 )
+
+// split divides howmany lines into the fewest tiles of at most tile
+// lines, and reports how many and the widest one's width; tile i spans
+// lines [i·howmany/tiles, (i+1)·howmany/tiles), so widths differ by at
+// most one.
+func split(howmany, tile int) (tiles, width int) {
+	if howmany == 0 {
+		return 0, 1
+	}
+	tiles = (howmany + tile - 1) / tile
+	return tiles, (howmany + tiles - 1) / tiles
+}
+
+// realTile is the real batch's widest tile at length n, in lines.
+func realTile(n int) int { return max(realBlock/max(n/2, 1), minTile) }
 
 // NewBatch creates a batched plan of howmany length-n transforms with
 // the given input/output strides and distances.
@@ -37,28 +53,26 @@ func NewBatch(n, howmany, istride, idist, ostride, odist int) *Batch {
 		panic(fmt.Sprintf("fft: invalid batch layout howmany=%d istride=%d idist=%d ostride=%d odist=%d", howmany, istride, idist, ostride, odist))
 	}
 	b := &Batch{
-		p:       NewPlan(n),
 		howmany: howmany,
 		istride: istride, idist: idist,
 		ostride: ostride, odist: odist,
 	}
 	// The batch dimension is the contiguous one: run whole rows of
 	// adjacent lines through each butterfly instead of line by line.
-	if idist == 1 && odist == 1 && howmany > 1 && b.p.prog != nil {
-		tile := max(planeBlock/n, minTile)
-		b.tiles = (howmany + tile - 1) / tile
-		b.rows = pool.GetComplex(n * ((howmany + b.tiles - 1) / b.tiles))
+	width := 1
+	if idist == 1 && odist == 1 && howmany > 1 {
+		b.tiles, width = split(howmany, max(planeBlock/n, minTile))
+	}
+	b.p = newPlan(n, width)
+	if b.p.prog == nil {
+		b.tiles = 0
 	}
 	return b
 }
 
-// Release returns the batch's scratch (and its plan's) to the process
-// buffer arena. The batch must not be used afterwards.
-func (b *Batch) Release() {
-	b.p.Release()
-	pool.PutComplex(b.rows)
-	b.rows = nil
-}
+// Release returns the batch's scratch to the process buffer arena. The
+// batch must not be used afterwards.
+func (b *Batch) Release() { b.p.Release() }
 
 // NewContiguousBatch is shorthand for howmany back-to-back unit-stride
 // transforms.
@@ -99,10 +113,9 @@ func (b *Batch) exec(dst, src []complex128, dir Direction) {
 		}
 		return
 	}
-	// Tiles of near-equal width, so no tile degenerates to a single line.
 	for i, t0 := 0, 0; i < b.tiles; i++ {
 		t1 := (i + 1) * b.howmany / b.tiles
-		b.p.prog.run(dst[t0:], b.ostride, src[t0:], b.istride, b.rows, b.p.gen, t1-t0, dir)
+		b.p.prog.run(dst[t0:], b.ostride, src[t0:], b.istride, b.p.work, b.p.gen, t1-t0, dir)
 		t0 = t1
 	}
 }
@@ -118,9 +131,14 @@ func (b *Batch) exec(dst, src []complex128, dir Direction) {
 // and leaves the rest of each line as it was, and Inverse reads bins
 // [0, kb) and takes the rest as +0 — bit for bit the full plan's result
 // for a spectrum that is +0 there. Odd lengths ignore the band.
+//
+// An even length runs its lines in plane form, a tile of adjacent lines
+// at a time (RealPlan.forward), at any layout; the batch holds the
+// tile's two blocks, which Release returns to the arena.
 type RealBatch struct {
 	p              *RealPlan
 	howmany, kb    int
+	tiles          int
 	rstride, rdist int
 	cstride, cdist int
 }
@@ -141,9 +159,10 @@ func NewBandRealBatch(n, kb, howmany, rstride, rdist, cstride, cdist int) *RealB
 	if kb < 1 || kb > n/2+1 {
 		panic(fmt.Sprintf("fft: real batch band kb=%d outside [1, %d] for n=%d", kb, n/2+1, n))
 	}
+	tiles, width := split(howmany, realTile(n))
 	return &RealBatch{
-		p:       NewRealPlan(n),
-		howmany: howmany, kb: kb,
+		p:       newRealPlan(n, width),
+		howmany: howmany, kb: kb, tiles: tiles,
 		rstride: rstride, rdist: rdist,
 		cstride: cstride, cdist: cdist,
 	}
@@ -167,8 +186,10 @@ func (b *RealBatch) check(nr, nc int) {
 func (b *RealBatch) Forward(dst []complex128, src []float64) {
 	b.check(len(src), len(dst))
 	b.p.count(b.howmany)
-	for t := 0; t < b.howmany; t++ {
-		b.p.forward(dst[t*b.cdist:], b.cstride, src[t*b.rdist:], b.rstride, b.kb)
+	for i, t0 := 0, 0; i < b.tiles; i++ {
+		t1 := (i + 1) * b.howmany / b.tiles
+		b.p.forward(dst[t0*b.cdist:], b.cstride, b.cdist, src[t0*b.rdist:], b.rstride, b.rdist, b.kb, t1-t0)
+		t0 = t1
 	}
 }
 
@@ -179,7 +200,9 @@ func (b *RealBatch) Forward(dst []complex128, src []float64) {
 func (b *RealBatch) Inverse(dst []float64, src []complex128) {
 	b.check(len(dst), len(src))
 	b.p.count(b.howmany)
-	for t := 0; t < b.howmany; t++ {
-		b.p.inverse(dst[t*b.rdist:], b.rstride, src[t*b.cdist:], b.cstride, b.kb)
+	for i, t0 := 0, 0; i < b.tiles; i++ {
+		t1 := (i + 1) * b.howmany / b.tiles
+		b.p.inverse(dst[t0*b.rdist:], b.rstride, b.rdist, src[t0*b.cdist:], b.cstride, b.cdist, b.kb, t1-t0)
+		t0 = t1
 	}
 }

@@ -6,7 +6,8 @@
 // symmetry, and batched strided plans mirroring the plan semantics of
 // cuFFT that the paper's GPU kernels rely on. Each plan compiles to a
 // flat stage program (program.go) that a batch runs line by line or,
-// when its lines are adjacent in memory, a plane of lines at a time.
+// when its lines are adjacent in memory, a plane of lines at a time; a
+// real batch packs its lines into such a plane whatever their layout.
 //
 // Conventions: the forward transform computes
 //

@@ -241,6 +241,40 @@ func TestRealPlanConjugateSymmetryHandling(t *testing.T) {
 	}
 }
 
+// The inverse's contract for an imaginary part where a real signal has
+// none: odd n ignores it in X[0]; even n adds −(b+d)/n to every even
+// sample and (b−d)/n to every odd one for imaginary parts b of X[0] and
+// d of X[n/2].
+func TestRealInverseImaginaryDCAndNyquist(t *testing.T) {
+	for _, n := range []int{7, 8, 48} {
+		rp := NewRealPlan(n)
+		spec := make([]complex128, rp.HalfLen())
+		spec[1] = 1
+		clean, dirty := make([]float64, n), make([]float64, n)
+		rp.Inverse(clean, spec)
+		b, d := 0.5, 0.25
+		spec[0] = complex(0, b)
+		if n%2 == 0 {
+			spec[n/2] = complex(0, d)
+		}
+		rp.Inverse(dirty, spec)
+		for j := range dirty {
+			shift := 0.0
+			switch {
+			case n%2 == 1:
+			case j%2 == 0:
+				shift = -(b + d) / float64(n)
+			default:
+				shift = (b - d) / float64(n)
+			}
+			if math.Abs(dirty[j]-clean[j]-shift) > 1e-15 {
+				t.Errorf("n=%d sample %d: moved by %g, want %g", n, j, dirty[j]-clean[j], shift)
+			}
+		}
+		rp.Release()
+	}
+}
+
 func TestBatchStridedLayouts(t *testing.T) {
 	// Transform along the "y" axis of an nx×ny row-major array
 	// (x fastest), the exact layout of the DNS y-direction FFTs.

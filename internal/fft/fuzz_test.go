@@ -75,7 +75,9 @@ func mustPanicFFT(t *testing.T, what string, f func()) {
 // testdata/fuzz/FuzzBatchLayout.
 func FuzzBatchLayout(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n, howmany, istride, idist, ostride, odist int, inverse, inPlace bool, seed int64, kb int) {
-		n, howmany = into(n, 1, 130), into(howmany, 0, 40)
+		// Lengths reach the real batch's Bluestein halves (134, 146) and
+		// widths its two-tile N = 128 x pass.
+		n, howmany = into(n, 1, 150), into(howmany, 0, 80)
 		istride, idist = into(istride, 1, 12), into(idist, 0, 64)
 		ostride, odist = into(ostride, 1, 12), into(odist, 0, 64)
 		checkBandRealLayout(t, n, into(kb, 1, n/2+1), howmany, istride, idist, ostride, odist, inverse, seed)

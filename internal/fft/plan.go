@@ -29,12 +29,16 @@ type Plan struct {
 	w    []complex128 // shared: w[j] = exp(−2πi·j/n)
 	prog *program     // nil on the Bluestein path
 	blue *bluestein   // non-nil when a prime factor exceeds maxDirectPrime
-	work []complex128 // the program's block of n elements
+	work []complex128 // the program's block: n rows of the plan's width
 	gen  []complex128 // generic-radix butterfly gather buffer
 }
 
 // NewPlan creates a plan for complex transforms of length n (n ≥ 1).
-func NewPlan(n int) *Plan {
+func NewPlan(n int) *Plan { return newPlan(n, 1) }
+
+// newPlan creates a plan whose program block holds n rows of w lines,
+// room for plane form at any width up to w.
+func newPlan(n, w int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
@@ -51,9 +55,25 @@ func NewPlan(n int) *Plan {
 	}
 	p.w = twiddles(n)
 	p.prog = compile(n, factors, p.w)
-	p.work = pool.GetComplex(n)
+	p.work = pool.GetComplex(n * w)
 	p.gen = pool.GetComplex(maxF)
 	return p
+}
+
+// rows transforms, in place, the w lines of a block of n rows of w:
+// element j of line t is z[j·w + t]. The program runs them as one plane
+// (w = 1 is its line form); a Bluestein length transforms the block's
+// columns one at a time at stride w. w must not exceed the plan's width.
+//
+//psdns:hotpath
+func (p *Plan) rows(z []complex128, w int, dir Direction) {
+	if p.blue == nil {
+		p.prog.run(z, w, z, w, p.work, p.gen, w, dir)
+		return
+	}
+	for t := 0; t < w; t++ {
+		p.line(z[t:], w, z[t:], w, dir)
+	}
 }
 
 // Release returns the plan's scratch buffers to the process buffer

@@ -23,7 +23,8 @@ import (
 // every butterfly's inner loop runs along the row, and one twiddle
 // load serves the whole row. Batch takes it whenever the batch
 // dimension is the contiguous one — the y and z passes of the slab
-// engines — where line form would gather and scatter at a stride.
+// engines — where line form would gather and scatter at a stride, and
+// RealBatch always, on a block its pack transposes the lines into.
 
 // stage is one radix-r combine pass over sub-transforms of length m.
 type stage struct {

@@ -13,14 +13,18 @@ import (
 // symmetry the DNS uses for its complex-to-real x-direction transforms.
 type RealPlan struct {
 	n    int
-	half *Plan        // length n/2 complex plan (even n)
+	half *Plan        // length n/2 complex plan, its block n/2 rows of the tile width (even n)
 	full *Plan        // length n complex plan (odd n fallback)
 	wr   []complex128 // wr[k] = exp(−2πi·k/n), k < n/2
-	z    []complex128 // the packed half-length (or full-length) line
+	z    []complex128 // the packed tile, n/2 rows of the tile width (even n); one line (odd n)
 }
 
 // NewRealPlan creates a real-transform plan for length n ≥ 1.
-func NewRealPlan(n int) *RealPlan {
+func NewRealPlan(n int) *RealPlan { return newRealPlan(n, 1) }
+
+// newRealPlan creates a real-transform plan that runs tiles of up to w
+// lines (even n; odd n runs one line at a time).
+func newRealPlan(n, w int) *RealPlan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid real length %d", n))
 	}
@@ -30,11 +34,11 @@ func NewRealPlan(n int) *RealPlan {
 		p.z = pool.GetComplex(n)
 		return p
 	}
-	p.half = NewPlan(n / 2)
+	p.half = newPlan(n/2, w)
 	// wr[k] = exp(−2πi·k/n) for k < n/2 is a prefix of the shared
 	// length-n twiddle table.
 	p.wr = twiddles(n)[:n/2]
-	p.z = pool.GetComplex(n / 2)
+	p.z = pool.GetComplex(n / 2 * w)
 	return p
 }
 
@@ -64,19 +68,23 @@ func (p *RealPlan) Forward(dst []complex128, src []float64) {
 		panic(fmt.Sprintf("fft: real plan n=%d, got src %d dst %d", p.n, len(src), len(dst)))
 	}
 	p.count(1)
-	p.forward(dst, 1, src, 1, p.HalfLen())
+	p.forward(dst, 1, 0, src, 1, 0, p.HalfLen(), 1)
 }
 
 // Inverse computes the inverse transform (including the 1/n factor) of
 // the half-spectrum src (length n/2+1) into the real sequence dst
-// (length n). The k=0 and k=n/2 inputs should have zero imaginary part;
-// any residual imaginary part is ignored, matching conjugate symmetry.
+// (length n). A real signal's X[0], and X[n/2] on an even n, are real.
+// What happens to an imaginary part there depends on the parity. Odd n
+// ignores the imaginary part of X[0] (and has no bin n/2). Even n does
+// not: the pre-pass folds X[0] and X[n/2] into one complex value, so
+// imaginary parts b of X[0] and d of X[n/2] add −(b+d)/n to every even
+// sample and (b−d)/n to every odd one.
 func (p *RealPlan) Inverse(dst []float64, src []complex128) {
 	if len(dst) != p.n || len(src) != p.HalfLen() {
 		panic(fmt.Sprintf("fft: real plan n=%d, got dst %d src %d", p.n, len(dst), len(src)))
 	}
 	p.count(1)
-	p.inverse(dst, 1, src, 1, p.HalfLen())
+	p.inverse(dst, 1, 0, src, 1, 0, p.HalfLen(), 1)
 }
 
 // count records lines real transforms, each of which runs one complex
@@ -86,104 +94,133 @@ func (p *RealPlan) count(lines int) {
 	transforms.Add(int64(lines))
 }
 
-// forward transforms the real line src[0], src[rs], … into the
-// half-spectrum dst[0], dst[cs], …: the samples are packed in pairs
-// straight from src into one complex line of half the length, that line
-// is transformed in place, and the post-pass that separates the even-
-// and odd-sample spectra stores straight to dst. Only the bins below kb
-// (1 ≤ kb ≤ n/2+1) are formed and stored on an even length; the rest of
-// dst is left as it was. Odd lengths store every bin.
+// forward transforms the w real lines src[t·rd + j·rs] into the
+// half-spectra dst[t·cd + k·cs], t < w, w at most the plan's tile width.
+// An even length runs the tile in plane form: the pack gathers sample
+// pair (2j, 2j+1) of every line t into row j of the block, z[j·w + t],
+// as one complex value; the half-length program transforms the block's
+// h = n/2 rows of w in place; and the post-pass that separates the
+// even- and odd-sample spectra walks it a row pair at a time, storing
+// bins [0, kb) (1 ≤ kb ≤ h+1) of every line straight to dst and leaving
+// the rest as it was. w = 1 is the single line. An odd length transforms
+// line by line at full length and stores every bin.
 //
 //psdns:hotpath
-func (p *RealPlan) forward(dst []complex128, cs int, src []float64, rs, kb int) {
-	z := p.z
+func (p *RealPlan) forward(dst []complex128, cs, cd int, src []float64, rs, rd, kb, w int) {
 	if p.full != nil {
-		for j := range z {
-			z[j] = complex(src[j*rs], 0)
-		}
-		p.full.line(z, 1, z, 1, Forward)
-		for k := 0; k < p.HalfLen(); k++ {
-			dst[k*cs] = z[k]
+		z := p.z
+		for t := 0; t < w; t++ {
+			d, s := dst[t*cd:], src[t*rd:]
+			for j := range z {
+				z[j] = complex(s[j*rs], 0)
+			}
+			p.full.line(z, 1, z, 1, Forward)
+			for k := 0; k < p.HalfLen(); k++ {
+				d[k*cs] = z[k]
+			}
 		}
 		return
 	}
 	h := p.n / 2
-	for j := range z {
-		z[j] = complex(src[2*j*rs], src[(2*j+1)*rs])
+	z := p.z[:h*w]
+	// Line by line: the caller's samples arrive in address order, which
+	// out of cache beats a row-at-a-time walk of w streams (N = 64 r2c
+	// 305 → 248 ns per line over a cold slab, 2-vCPU x86).
+	for t := 0; t < w; t++ {
+		s := src[t*rd:]
+		for j := 0; j < h; j++ {
+			z[j*w+t] = complex(s[2*j*rs], s[(2*j+1)*rs])
+		}
 	}
-	p.half.line(z, 1, z, 1, Forward)
+	p.half.rows(z, w, Forward)
 	// X[k] = E[k] + W_n^k·O[k] with E, O the spectra of the even and odd
 	// samples, recovered from Z = E + i·O by conjugate symmetry. Bins 0
-	// and h both pair z[0] with itself; W_n^h = −1.
-	zc := cmplx.Conj(z[0])
-	xe := (z[0] + zc) * 0.5
-	xo := (z[0] - zc) * complex(0, -0.5)
-	dst[0] = xe + p.wr[0]*xo
-	if kb > h {
-		dst[h*cs] = xe + complex(-1, 0)*xo
+	// and h both pair row 0 with itself; W_n^h = −1.
+	for t, z0 := range z[:w] {
+		zc := cmplx.Conj(z0)
+		xe := (z0 + zc) * 0.5
+		xo := (z0 - zc) * complex(0, -0.5)
+		dst[t*cd] = xe + p.wr[0]*xo
+		if kb > h {
+			dst[t*cd+h*cs] = xe + complex(-1, 0)*xo
+		}
 	}
 	for k, end := 1, min(kb, h); k < end; k++ {
-		zk := z[k]
-		zc := cmplx.Conj(z[h-k])
-		xe := (zk + zc) * 0.5
-		xo := (zk - zc) * complex(0, -0.5)
-		dst[k*cs] = xe + p.wr[k]*xo
+		wk, zk, zh := p.wr[k], z[k*w:][:w], z[(h-k)*w:][:w]
+		for t := range zk {
+			zc := cmplx.Conj(zh[t])
+			xe := (zk[t] + zc) * 0.5
+			xo := (zk[t] - zc) * complex(0, -0.5)
+			dst[t*cd+k*cs] = xe + wk*xo
+		}
 	}
 }
 
 // unfold is one bin of the inverse pre-pass: the half-length line's
-// entry k from the half-spectrum bins xk = X[k] and xh = X[h−k], the
-// exact reverse of forward's post-pass.
-func (p *RealPlan) unfold(xk, xh complex128, k int) complex128 {
+// entry k from the half-spectrum bins xk = X[k] and xh = X[h−k] and the
+// conjugate twiddle wc = conj(W_n^k), the exact reverse of forward's
+// post-pass.
+func unfold(xk, xh, wc complex128) complex128 {
 	xc := cmplx.Conj(xh)
 	xe := (xk + xc) * 0.5
-	xo := (xk - xc) * 0.5 * cmplx.Conj(p.wr[k])
+	xo := (xk - xc) * 0.5 * wc
 	return xe + complex(0, 1)*xo
 }
 
-// inverse is the reverse of forward: half-spectrum src[0], src[cs], …
-// to the real line dst[0], dst[rs], …, scaled by 1/n. On an even length
-// only the bins below kb are read; the rest count as +0. The pre-pass
-// is split where its two operands X[k] and X[h−k] leave the band rather
-// than tested per bin: [0, lo) has X[h−k] outside, [hi, h) has X[k]
-// outside, and between them both are inside (kb > h+1−kb) or both are
-// outside, where the bin is +0 — unfold(0, 0, k) is +0 for every
-// twiddle. The full band (kb = h+1) gives lo = 0 and hi = h: one loop
-// with both operands read.
+// inverse is the reverse of forward: the w half-spectra src[t·cd + k·cs]
+// to the real lines dst[t·rd + j·rs], scaled by 1/n. On an even length
+// only the bins below kb are read and the rest count as +0: row k of the
+// pre-pass reads X[k] if k < kb and X[h−k] if h−k < kb, and a row with
+// both outside is +0 — unfold(0, 0, wc) is +0 for every twiddle. The full
+// band (kb = h+1) reads both operands on every row.
 //
 //psdns:hotpath
-func (p *RealPlan) inverse(dst []float64, rs int, src []complex128, cs, kb int) {
-	n, z := p.n, p.z
+func (p *RealPlan) inverse(dst []float64, rs, rd int, src []complex128, cs, cd, kb, w int) {
+	n := p.n
 	if p.full != nil {
-		z[0] = complex(real(src[0]), 0)
-		for k := 1; k < p.HalfLen(); k++ {
-			z[k] = src[k*cs]
-			z[n-k] = cmplx.Conj(src[k*cs])
-		}
-		p.full.line(z, 1, z, 1, Inverse)
-		for j := range z {
-			dst[j*rs] = real(z[j])
+		z := p.z
+		for t := 0; t < w; t++ {
+			d, s := dst[t*rd:], src[t*cd:]
+			z[0] = complex(real(s[0]), 0)
+			for k := 1; k < p.HalfLen(); k++ {
+				z[k] = s[k*cs]
+				z[n-k] = cmplx.Conj(s[k*cs])
+			}
+			p.full.line(z, 1, z, 1, Inverse)
+			for j := range z {
+				d[j*rs] = real(z[j])
+			}
 		}
 		return
 	}
 	h := n / 2
-	lo, hi := min(kb, h+1-kb), min(h, max(kb, h+1-kb))
-	for k := 0; k < lo; k++ {
-		z[k] = p.unfold(src[k*cs], 0, k)
-	}
-	if kb > h+1-kb {
-		for k := lo; k < hi; k++ {
-			z[k] = p.unfold(src[k*cs], src[(h-k)*cs], k)
+	z := p.z[:h*w]
+	for k := 0; k < h; k++ {
+		zk, xk, xh, wc := z[k*w:][:w], src[k*cs:], src[(h-k)*cs:], cmplx.Conj(p.wr[k])
+		switch inK, inH := k < kb, h-k < kb; {
+		case inK && inH:
+			for t := range zk {
+				zk[t] = unfold(xk[t*cd], xh[t*cd], wc)
+			}
+		case inK:
+			for t := range zk {
+				zk[t] = unfold(xk[t*cd], 0, wc)
+			}
+		case inH:
+			for t := range zk {
+				zk[t] = unfold(0, xh[t*cd], wc)
+			}
+		default:
+			clear(zk)
 		}
-	} else {
-		clear(z[lo:hi])
 	}
-	for k := hi; k < h; k++ {
-		z[k] = p.unfold(0, src[(h-k)*cs], k)
-	}
-	p.half.line(z, 1, z, 1, Inverse)
-	for j, v := range z {
-		dst[2*j*rs] = real(v)
-		dst[(2*j+1)*rs] = imag(v)
+	p.half.rows(z, w, Inverse)
+	for t := 0; t < w; t++ {
+		d := dst[t*rd:]
+		for j := 0; j < h; j++ {
+			v := z[j*w+t]
+			d[2*j*rs] = real(v)
+			d[(2*j+1)*rs] = imag(v)
+		}
 	}
 }
