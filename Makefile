@@ -29,7 +29,8 @@ fuzz:
 
 # lint = gofmt (fail on unformatted files) + no Deprecated: marker
 # anywhere (superseded surface is deleted, not kept; benchmark/ and
-# testdata/ are exempt) + go vet + the repo's own psdnslint analyzer
+# testdata/ are exempt) + no hand-written Fourier slab walk (idx++) in
+# internal/spectral outside modes.go + go vet + the repo's own psdnslint analyzer
 # suite, plus staticcheck when it is installed (local toolchains may
 # not have it; CI installs it and makes it blocking).
 lint: $(PSDNSLINT)
@@ -38,6 +39,9 @@ lint: $(PSDNSLINT)
 	@out=$$(grep -rn 'Deprecated:' --include='*.go' . | grep -v '^\./benchmark/\|/testdata/'); \
 		if [ -n "$$out" ]; then \
 		echo "deprecated surface is removed, not kept:" >&2; echo "$$out" >&2; exit 1; fi
+	@out=$$(grep -n 'idx++' internal/spectral/*.go | grep -v '_test\.go:\|/modes\.go:'); \
+		if [ -n "$$out" ]; then \
+		echo "walk the Fourier slab with walkRows (internal/spectral/modes.go):" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -vettool=$$PWD/$(PSDNSLINT) ./... ./examples/...
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -308,12 +308,6 @@ type runConfig struct {
 // RunOption customizes Run/TryRun.
 type RunOption func(*runConfig)
 
-// WithRegistry directs the world's traffic accounting into an explicit
-// metrics registry (nil disables instrumentation).
-func WithRegistry(reg *metrics.Registry) RunOption {
-	return func(c *runConfig) { c.reg = reg }
-}
-
 // WithWatchdog customizes the world's stall watchdog (deadlock window,
 // per-operation deadline, poll period, or Off to disable). The
 // watchdog runs by default with deadlock detection only.

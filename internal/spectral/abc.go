@@ -1,10 +1,6 @@
 package spectral
 
-import (
-	"math"
-
-	"repro/internal/mpi"
-)
+import "repro/internal/mpi"
 
 // SetABCFlow initializes the Arnold–Beltrami–Childress flow
 //
@@ -22,21 +18,12 @@ func (s *Solver) SetABCFlow(a, b, c float64) {
 	for comp := 0; comp < 3; comp++ {
 		zero(s.Uh[comp])
 	}
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
+	n3 := complex(s.codeScale(), 0)
 	// Coefficients of e^{ikx}: sin t = ∓i/2 at k=±1; cos t = 1/2 at k=±1.
 	put := func(comp, kx, ky, kz int, v complex128) {
-		gy := (ky + n) % n
-		gz := (kz + n) % n
-		if s.slab.ZOwner(gz) != s.slab.Rank {
-			return
+		if rank, idx := s.modeIndex(kx, ky, kz); rank == s.slab.Rank {
+			s.Uh[comp][idx] += v * n3
 		}
-		iz := gz - s.slab.ZLo()
-		if kx < 0 {
-			// Stored via conjugate symmetry: û(−kx,−ky,−kz) = conj.
-			return
-		}
-		s.Uh[comp][(iz*n+gy)*s.nxh+kx] += v * complex(n3, 0)
 	}
 	// u = A sin z + C cos y: modes (0,0,±1) and (0,±1,0) — kx = 0
 	// plane, so both signs must be stored explicitly.
@@ -59,54 +46,22 @@ func (s *Solver) SetABCFlow(a, b, c float64) {
 // (collective). Beltrami fields with curl eigenvalue k have H = 2k·E.
 func (s *Solver) Helicity() float64 {
 	w := s.Vorticity()
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	var sum float64
-	idx := 0
-	for iz := 0; iz < s.slab.MZ(); iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < s.nxh; ix++ {
-				wt := specWeight(ix, n)
-				for c := 0; c < 3; c++ {
-					u := s.Uh[c][idx]
-					o := w[c][idx]
-					sum += wt * (real(u)*real(o) + imag(u)*imag(o)) * inv
-				}
-				idx++
-			}
-		}
-	}
-	out := []float64{sum}
-	mpi.AllreduceSum(s.comm, out)
-	return out[0]
+	return s.dotSum(s.Uh[:], w[:])
 }
 
 // HelicitySpectrum returns the shell-summed helicity spectrum H(k)
 // with ΣH(k) = ⟨u·ω⟩ (collective).
 func (s *Solver) HelicitySpectrum() []float64 {
 	w := s.Vorticity()
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	spec := make([]float64, int(math.Sqrt(3)*float64(n)/2)+2)
-	idx := 0
-	for iz := 0; iz < s.slab.MZ(); iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < s.nxh; ix++ {
-				k := math.Sqrt(s.kxs[ix]*s.kxs[ix] + ky2 + kz2)
-				shell := int(k + 0.5)
-				if shell < len(spec) {
-					wt := specWeight(ix, n)
-					for c := 0; c < 3; c++ {
-						u := s.Uh[c][idx]
-						o := w[c][idx]
-						spec[shell] += wt * (real(u)*real(o) + imag(u)*imag(o)) * inv
-					}
-				}
-				idx++
+	nxh, inv := s.nxh, s.modeNorm()
+	spec := s.newSpectrum()
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < nxh; ix++ {
+			k2, wt := r.bin(ix)
+			sh := shell(k2)
+			for c := 0; c < 3; c++ {
+				u, o := s.Uh[c][r.off+ix], w[c][r.off+ix]
+				spec[sh] += wt * (real(u)*real(o) + imag(u)*imag(o)) * inv
 			}
 		}
 	}

@@ -214,6 +214,7 @@ func (s *Solver) ReadCheckpointFrom(r io.Reader) error {
 			}
 			f := fh.Forcing()
 			f.KF, f.Eps, f.TCorr, f.Seed = int(fstate.KF), fstate.Eps, fstate.TCorr, fstate.Seed
+			f.selectModes(s)
 		}
 	}
 	if hdr.Fields != uint64(s.nf) {

@@ -6,105 +6,86 @@ import (
 	"repro/internal/mpi"
 )
 
-// specWeight is the conjugate-symmetry weight of an x bin in the half
-// spectrum: interior bins represent two modes (±kx), the kx=0 and
-// kx=N/2 planes one each.
-func specWeight(ix, n int) float64 {
-	if ix == 0 || ix == n/2 {
-		return 1
-	}
-	return 2
-}
-
-// modeSum accumulates w(k)·f(k²)·|û|²_math over the local slab for all
-// three components and reduces over ranks.
-func (s *Solver) modeSum(f func(k2 float64) float64) float64 {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	var sum float64
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k2 := s.kxs[ix]*s.kxs[ix] + ky2 + kz2
-				w := specWeight(ix, n)
-				var e float64
-				for c := 0; c < 3; c++ {
-					v := s.Uh[c][idx]
-					e += real(v)*real(v) + imag(v)*imag(v)
-				}
-				sum += w * f(k2) * e * inv
-				idx++
+// modeSum accumulates Σ w(k)·|f̂|²_math and Σ w(k)·k²·|f̂|²_math
+// over the listed spectral fields on the local slab and reduces both
+// over ranks in one collective.
+func (s *Solver) modeSum(fields [][]complex128) (e, k2e float64) {
+	nxh, inv := s.nxh, s.modeNorm()
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < nxh; ix++ {
+			k2, w := r.bin(ix)
+			var m float64
+			for _, f := range fields {
+				v := f[r.off+ix]
+				m += real(v)*real(v) + imag(v)*imag(v)
 			}
+			e += w * m * inv
+			k2e += w * k2 * m * inv
 		}
 	}
-	out := []float64{sum}
+	out := []float64{e, k2e}
 	mpi.AllreduceSum(s.comm, out)
-	return out[0]
-}
-
-// fieldModeSum accumulates w(k)·f(k²)·|v̂|²_math over one spectral
-// field and reduces over ranks (collective).
-func (s *Solver) fieldModeSum(v []complex128, f func(k2 float64) float64) float64 {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	var sum float64
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k2 := s.kxs[ix]*s.kxs[ix] + ky2 + kz2
-				e := real(v[idx])*real(v[idx]) + imag(v[idx])*imag(v[idx])
-				sum += specWeight(ix, n) * f(k2) * e * inv
-				idx++
-			}
-		}
-	}
-	out := []float64{sum}
-	mpi.AllreduceSum(s.comm, out)
-	return out[0]
+	return out[0], out[1]
 }
 
 // Energy returns the total kinetic energy ½⟨u·u⟩ (collective).
 func (s *Solver) Energy() float64 {
-	return 0.5 * s.modeSum(func(float64) float64 { return 1 })
+	e, _ := s.modeSum(s.Uh[:])
+	return 0.5 * e
 }
 
 // ComponentEnergy returns ½⟨u_c²⟩ of one velocity component, the
 // ingredient of the rotation anisotropy diagnostic (collective).
 func (s *Solver) ComponentEnergy(c int) float64 {
-	return 0.5 * s.fieldModeSum(s.state[c], func(float64) float64 { return 1 })
+	e, _ := s.modeSum(s.state[c : c+1])
+	return 0.5 * e
 }
 
 // FieldVariance returns ⟨f²⟩ of spectral field c (collective). For
 // scalar-carrying systems, fields 3… are the scalars.
 func (s *Solver) FieldVariance(c int) float64 {
-	return s.fieldModeSum(s.state[c], func(float64) float64 { return 1 })
+	e, _ := s.modeSum(s.state[c : c+1])
+	return e
 }
 
 // FieldDissipation returns the diffusive destruction rate of field c,
 // χ = 2κ_c·Σ k²·E_f(k) (so for a scalar, d⟨θ²⟩/dt = −2χ in pure
 // decay; collective).
 func (s *Solver) FieldDissipation(c int) float64 {
-	kappa := s.sys.Diffusivity(c)
-	return kappa * s.fieldModeSum(s.state[c], func(k2 float64) float64 { return k2 })
+	_, k2e := s.modeSum(s.state[c : c+1])
+	return s.sys.Diffusivity(c) * k2e
 }
 
 // Dissipation returns ε = 2ν·Σ k²·E(k) = ν⟨|∇u|²⟩ for solenoidal
 // fields (collective).
 func (s *Solver) Dissipation() float64 {
-	return s.cfg.Nu * s.modeSum(func(k2 float64) float64 { return k2 })
+	_, k2e := s.modeSum(s.Uh[:])
+	return s.cfg.Nu * k2e
 }
 
 // Enstrophy returns Ω = ½⟨ω·ω⟩ = Σ k²·E(k) (collective).
 func (s *Solver) Enstrophy() float64 {
-	return 0.5 * s.modeSum(func(k2 float64) float64 { return k2 })
+	_, k2e := s.modeSum(s.Uh[:])
+	return 0.5 * k2e
+}
+
+// dotSum returns Σ w(k)·Re(a·b̄)_math over the components of a and b
+// (collective).
+func (s *Solver) dotSum(a, b [][]complex128) float64 {
+	nxh, inv := s.nxh, s.modeNorm()
+	var sum float64
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < nxh; ix++ {
+			_, w := r.bin(ix)
+			for c := range a {
+				u, v := a[c][r.off+ix], b[c][r.off+ix]
+				sum += w * (real(u)*real(v) + imag(u)*imag(v)) * inv
+			}
+		}
+	}
+	out := []float64{sum}
+	mpi.AllreduceSum(s.comm, out)
+	return out[0]
 }
 
 // Spectrum returns the shell-summed spectrum ½Σ|f̂|² of the listed
@@ -117,30 +98,17 @@ func (s *Solver) Spectrum(fields ...int) []float64 {
 	if len(fields) == 0 {
 		fields = []int{0, 1, 2}
 	}
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	// Shells extend to the corner of the wavenumber cube (√3·N/2) so
-	// that ΣE(k) equals the total exactly.
-	spec := make([]float64, int(math.Sqrt(3)*float64(n)/2)+2)
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := math.Sqrt(s.kxs[ix]*s.kxs[ix] + ky2 + kz2)
-				shell := int(k + 0.5)
-				if shell < len(spec) {
-					var e float64
-					for _, c := range fields {
-						v := s.state[c][idx]
-						e += real(v)*real(v) + imag(v)*imag(v)
-					}
-					spec[shell] += 0.5 * specWeight(ix, n) * e * inv
-				}
-				idx++
+	nxh, inv := s.nxh, s.modeNorm()
+	spec := s.newSpectrum()
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < nxh; ix++ {
+			k2, w := r.bin(ix)
+			var e float64
+			for _, c := range fields {
+				v := s.state[c][r.off+ix]
+				e += real(v)*real(v) + imag(v)*imag(v)
 			}
+			spec[shell(k2)] += 0.5 * w * e * inv
 		}
 	}
 	mpi.AllreduceSum(s.comm, spec)
@@ -163,10 +131,9 @@ type Stats struct {
 // Statistics computes the bundle (collective). With zero dissipation
 // the Reynolds-number entries are NaN, as in post-processing practice.
 func (s *Solver) Statistics() Stats {
-	e := s.Energy()
-	eps := s.Dissipation()
-	omega := s.Enstrophy()
+	sum, k2sum := s.modeSum(s.Uh[:])
 	nu := s.cfg.Nu
+	e, eps, omega := 0.5*sum, nu*k2sum, 0.5*k2sum
 	urms := math.Sqrt(2.0 * e / 3.0)
 	lambda := urms * math.Sqrt(15*nu/eps)
 	var st Stats
@@ -209,26 +176,5 @@ func (s *Solver) CFL(dt float64) float64 {
 func (s *Solver) NonlinearEnergyTransfer() float64 {
 	s.velocityProducts(s.state, s.nl)
 	s.projectAndDealias(s.nl)
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	var sum float64
-	idx := 0
-	nxh := s.nxh
-	for iz := 0; iz < s.slab.MZ(); iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < nxh; ix++ {
-				w := specWeight(ix, n)
-				for c := 0; c < 3; c++ {
-					u := s.Uh[c][idx]
-					f := s.nl[c][idx]
-					sum += w * (real(u)*real(f) + imag(u)*imag(f)) * inv
-				}
-				idx++
-			}
-		}
-	}
-	out := []float64{sum}
-	mpi.AllreduceSum(s.comm, out)
-	return out[0]
+	return s.dotSum(s.Uh[:], s.nl[:3])
 }

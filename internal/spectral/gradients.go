@@ -33,22 +33,13 @@ func (s *Solver) TransverseGradientStats(c, d int) GradientStats {
 	return s.physMoments()
 }
 
-// gradientField places ∂u_c/∂x_d into s.physU[0]'s storage... more
-// precisely into s.prod via s.work: ŵ = i·k_d·û_c, then F2P.
+// gradientField places ∂u_c/∂x_d into s.prod: ŵ = i·k_d·û_c in
+// s.work, then one inverse transform.
 func (s *Solver) gradientField(c, d int) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz := s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky := s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := [3]float64{s.kxs[ix], ky, kz}[d]
-				v := s.Uh[c][idx]
-				// i·k·v = complex(−k·imag, k·real)
-				s.work[idx] = complex(-k*imag(v), k*real(v))
-				idx++
-			}
+	for r := s.walkRows(); r.next(); {
+		for ix, v := range s.Uh[c][r.off : r.off+s.nxh] {
+			k := [3]float64{s.kxs[ix], r.ky, r.kz}[d]
+			s.work[r.off+ix] = mulIK(k, v)
 		}
 	}
 	s.tr.FourierToPhysical(s.prod, s.work)

@@ -21,16 +21,11 @@ func (s *Solver) SetTaylorGreen() {
 	for c := 0; c < 3; c++ {
 		zero(s.Uh[c])
 	}
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
+	n3 := complex(s.codeScale(), 0)
 	set := func(c, ix, ky, kz int, v complex128) {
-		gy := (ky + n) % n
-		gz := (kz + n) % n
-		if s.slab.ZOwner(gz) != s.slab.Rank {
-			return
+		if rank, idx := s.modeIndex(ix, ky, kz); rank == s.slab.Rank {
+			s.Uh[c][idx] = v * n3
 		}
-		iz := gz - s.slab.ZLo()
-		s.Uh[c][(iz*n+gy)*s.nxh+ix] = v * complex(n3, 0)
 	}
 	for _, ky := range []int{1, -1} {
 		for _, kz := range []int{1, -1} {
@@ -42,12 +37,6 @@ func (s *Solver) SetTaylorGreen() {
 	}
 }
 
-// conjPairIndex maps a (y,z) index pair to its conjugate partner
-// ((n−iy) mod n, (n−iz) mod n) in the kx=0 / kx=N/2 planes.
-func conjPairIndex(iy, iz, n int) (int, int) {
-	return (n - iy) % n, (n - iz) % n
-}
-
 // SetRandomIsotropic initializes a solenoidal Gaussian random field
 // whose energy spectrum follows E(k) ∝ k⁴·exp(−2(k/k0)²), normalized
 // to total energy e0. The construction is deterministic in seed and
@@ -56,54 +45,53 @@ func conjPairIndex(iy, iz, n int) (int, int) {
 // planes is enforced by deriving the non-canonical partner of each
 // pair from the canonical one.
 func (s *Solver) SetRandomIsotropic(k0, e0 float64, seed int64) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		gz := s.slab.ZLo() + iz
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < nxh; ix++ {
-				v := s.modeIC(ix, iy, gz, k0, seed)
-				s.Uh[0][idx], s.Uh[1][idx], s.Uh[2][idx] = v[0], v[1], v[2]
-				idx++
-			}
-		}
-	}
+	s.setRandom(k0, seed, s.Uh[:]...)
 	// Rescale to the requested energy (collective).
-	e := s.Energy()
-	if e > 0 {
-		scale := complex(math.Sqrt(e0/e), 0)
-		for c := 0; c < 3; c++ {
-			for i := range s.Uh[c] {
-				s.Uh[c][i] *= scale
+	s.rescale(s.Uh[:], e0, s.Energy())
+}
+
+// setRandom stores component c of every local mode's solenoidal random
+// initial value in dst[c].
+func (s *Solver) setRandom(k0 float64, seed int64, dst ...[]complex128) {
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < s.nxh; ix++ {
+			v := s.modeIC(ix, r.iy, r.gz, k0, seed)
+			for c, f := range dst {
+				f[r.off+ix] = v[c]
 			}
 		}
 	}
 }
 
-// modeIC returns the solenoidal random initial value of global mode
-// (ix, iy, gz), respecting conjugate symmetry.
-func (s *Solver) modeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128 {
-	n := s.cfg.N
-	if ix == 0 || ix == n/2 {
-		py, pz := conjPairIndex(iy, gz, n)
-		if py == iy && pz == gz {
-			// Self-conjugate mode: must be real.
-			v := s.rawModeIC(ix, iy, gz, k0, seed)
-			for c := range v {
-				v[c] = complex(real(v[c]), 0)
-			}
-			return v
-		}
-		// Canonical representative: lexicographically smaller (gz, iy).
-		if gz > pz || (gz == pz && iy > py) {
-			v := s.rawModeIC(ix, py, pz, k0, seed)
-			for c := range v {
-				v[c] = cmplx.Conj(v[c])
-			}
-			return v
+// rescale multiplies the fields by √(want/got), a no-op unless got > 0.
+func (s *Solver) rescale(fields [][]complex128, want, got float64) {
+	if got <= 0 {
+		return
+	}
+	sf := complex(math.Sqrt(want/got), 0)
+	for _, f := range fields {
+		for i := range f {
+			f[i] *= sf
 		}
 	}
-	return s.rawModeIC(ix, iy, gz, k0, seed)
+}
+
+// modeIC returns the solenoidal random initial value of global mode
+// (ix, iy, gz), respecting conjugate symmetry: a mode takes the values
+// its pair's canonical mode draws, conjugated for the partner and real
+// for a self-conjugate mode.
+func (s *Solver) modeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128 {
+	cy, cz, rel := canonical(ix, iy, gz, s.cfg.N)
+	v := s.rawModeIC(ix, cy, cz, k0, seed)
+	for c := range v {
+		switch rel {
+		case 0:
+			v[c] = complex(real(v[c]), 0)
+		case -1:
+			v[c] = cmplx.Conj(v[c])
+		}
+	}
+	return v
 }
 
 // rawModeIC generates the unsymmetrized solenoidal random value of a
@@ -123,7 +111,7 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 	if band := grid.NewBand(n, grid.DealiasKmax(n)); !band.Has(ix) || !band.Has(iy) || !band.Has(gz) {
 		return v
 	}
-	rng := rand.New(rand.NewSource(seed ^ int64(((gz*n)+iy)*(n/2+1)+ix)*2654435761))
+	rng := rand.New(rand.NewSource(seed ^ int64(s.modeGID(ix, iy, gz))*2654435761))
 	amp := k * k * math.Exp(-(k/k0)*(k/k0))
 	for c := 0; c < 3; c++ {
 		ph := 2 * math.Pi * rng.Float64()
@@ -141,22 +129,19 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 // conjugate symmetry on the kx ∈ {0, N/2} planes.
 func (s *Solver) SetFieldSingleMode(c, kx, ky, kz int, amp complex128) {
 	zero(s.state[c])
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
-	gy := (ky + n) % n
-	gz := (kz + n) % n
-	put := func(gy, gz int, v complex128) {
-		if s.slab.ZOwner(gz) != s.slab.Rank {
-			return
+	n3 := complex(s.codeScale(), 0)
+	put := func(rank, idx int, v complex128) {
+		if rank == s.slab.Rank {
+			s.state[c][idx] = v * n3
 		}
-		iz := gz - s.slab.ZLo()
-		s.state[c][(iz*n+gy)*s.nxh+kx] = v * complex(n3, 0)
 	}
-	put(gy, gz, amp)
-	if kx == 0 || kx == n/2 {
-		py, pz := conjPairIndex(gy, gz, n)
-		if py != gy || pz != gz {
-			put(py, pz, complex(real(amp), -imag(amp)))
+	rank, idx := s.modeIndex(kx, ky, kz)
+	put(rank, idx, amp)
+	// On the kx ∈ {0, N/2} planes the half spectrum also stores the partner
+	// (−ky, −kz), unless the mode is its own partner.
+	if kx == 0 || kx == s.cfg.N/2 {
+		if pr, pi := s.modeIndex(kx, -ky, -kz); pr != rank || pi != idx {
+			put(pr, pi, complex(real(amp), -imag(amp)))
 		}
 	}
 }
@@ -166,25 +151,8 @@ func (s *Solver) SetFieldSingleMode(c, kx, ky, kz int, amp complex128) {
 // velocity-IC construction, rank-count invariant), variance normalized
 // to v0.
 func (s *Solver) SetFieldBlob(c int, k0, v0 float64, seed int64) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		gz := s.slab.ZLo() + iz
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < nxh; ix++ {
-				v := s.modeIC(ix, iy, gz, k0, seed)
-				s.state[c][idx] = v[0]
-				idx++
-			}
-		}
-	}
-	va := s.FieldVariance(c)
-	if va > 0 {
-		sf := complex(math.Sqrt(v0/va), 0)
-		for i := range s.state[c] {
-			s.state[c][i] *= sf
-		}
-	}
+	s.setRandom(k0, seed, s.state[c])
+	s.rescale(s.state[c:c+1], v0, s.FieldVariance(c))
 }
 
 // SetSingleMode places one solenoidal Fourier mode with the given
@@ -193,31 +161,6 @@ func (s *Solver) SetFieldBlob(c int, k0, v0 float64, seed int64) {
 // Conjugate symmetry on the kx=0 plane is enforced automatically.
 func (s *Solver) SetSingleMode(kx, ky, kz int, amp [3]complex128) {
 	for c := 0; c < 3; c++ {
-		zero(s.Uh[c])
-	}
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
-	put := func(ix, gy, gz int, v [3]complex128) {
-		if s.slab.ZOwner(gz) != s.slab.Rank {
-			return
-		}
-		iz := gz - s.slab.ZLo()
-		idx := (iz*n+gy)*s.nxh + ix
-		for c := 0; c < 3; c++ {
-			s.Uh[c][idx] = v[c] * complex(n3, 0)
-		}
-	}
-	gy := (ky + n) % n
-	gz := (kz + n) % n
-	put(kx, gy, gz, amp)
-	if kx == 0 || kx == n/2 {
-		py, pz := conjPairIndex(gy, gz, n)
-		if py != gy || pz != gz {
-			var conj [3]complex128
-			for c := 0; c < 3; c++ {
-				conj[c] = cmplx.Conj(amp[c])
-			}
-			put(kx, py, pz, conj)
-		}
+		s.SetFieldSingleMode(c, kx, ky, kz, amp[c])
 	}
 }

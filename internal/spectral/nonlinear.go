@@ -213,21 +213,16 @@ func zero(v []complex128) {
 // DivergenceMax returns the global maximum of |k·û| over all modes, a
 // direct measure of the mass-conservation invariant (collective).
 func (s *Solver) DivergenceMax() float64 {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
+	n := s.cfg.N
 	var m float64
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz := s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky := s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				div := complex(s.kxs[ix], 0)*s.Uh[0][idx] +
-					complex(ky, 0)*s.Uh[1][idx] +
-					complex(kz, 0)*s.Uh[2][idx]
-				if a := cmplx.Abs(div); a > m {
-					m = a
-				}
-				idx++
+	for r := s.walkRows(); r.next(); {
+		for ix, kx := range s.kxs {
+			i := r.off + ix
+			div := complex(kx, 0)*s.Uh[0][i] +
+				complex(r.ky, 0)*s.Uh[1][i] +
+				complex(r.kz, 0)*s.Uh[2][i]
+			if a := cmplx.Abs(div); a > m {
+				m = a
 			}
 		}
 	}

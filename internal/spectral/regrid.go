@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/grid"
 	"repro/internal/mpi"
 )
 
@@ -51,33 +50,19 @@ func Regrid(dst, src *Solver) {
 
 	// Walk local source modes, bin packets per destination rank.
 	sendBufs := make([][]regridPacket, p)
-	nxh1 := src.nxh
-	mz1 := src.slab.MZ()
 	kmax := min(n1, n2) / 2 // modes with any |k| ≥ kmax are dropped
-	dstSlab := grid.NewSlab(n2, p, 0)
 	for c := 0; c < 3; c++ {
-		idx := 0
-		for iz := 0; iz < mz1; iz++ {
-			kz := grid.Wavenumber(src.slab.ZLo()+iz, n1)
-			for iy := 0; iy < n1; iy++ {
-				ky := grid.Wavenumber(iy, n1)
-				for ix := 0; ix < nxh1; ix++ {
-					v := src.Uh[c][idx]
-					idx++
-					if v == 0 {
-						continue
-					}
-					if ix >= kmax || abs(ky) >= kmax || abs(kz) >= kmax {
-						continue
-					}
-					gy2 := (ky + n2) % n2
-					gz2 := (kz + n2) % n2
-					owner := dstSlab.ZOwner(gz2)
-					iz2 := gz2 - owner*dstSlab.MZ()
-					localIdx := (iz2*n2+gy2)*dst.nxh + ix
-					sendBufs[owner] = append(sendBufs[owner],
-						regridPacket{Idx: c*dst.tr.FourierLen() + localIdx, V: v * scale})
+		for r := src.walkRows(); r.next(); {
+			if math.Abs(r.ky) >= float64(kmax) || math.Abs(r.kz) >= float64(kmax) {
+				continue
+			}
+			for ix, v := range src.Uh[c][r.off : r.off+kmax] {
+				if v == 0 {
+					continue
 				}
+				owner, idx := dst.modeIndex(ix, int(r.ky), int(r.kz))
+				sendBufs[owner] = append(sendBufs[owner],
+					regridPacket{Idx: c*dst.tr.FourierLen() + idx, V: v * scale})
 			}
 		}
 	}
@@ -118,13 +103,6 @@ func Regrid(dst, src *Solver) {
 	dst.step = src.step
 }
 
-func abs(i int) int {
-	if i < 0 {
-		return -i
-	}
-	return i
-}
-
 // Vorticity computes ω̂ = ik×û into three freshly allocated arrays in
 // code units (local; no communication).
 func (s *Solver) Vorticity() [3][]complex128 {
@@ -132,21 +110,15 @@ func (s *Solver) Vorticity() [3][]complex128 {
 	for c := 0; c < 3; c++ {
 		w[c] = make([]complex128, s.tr.FourierLen())
 	}
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz := s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky := s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				kx := s.kxs[ix]
-				u, v, ww := s.Uh[0][idx], s.Uh[1][idx], s.Uh[2][idx]
-				// ω = i·k × u.
-				w[0][idx] = mulIK(ky, ww) - mulIK(kz, v)
-				w[1][idx] = mulIK(kz, u) - mulIK(kx, ww)
-				w[2][idx] = mulIK(kx, v) - mulIK(ky, u)
-				idx++
-			}
+	for r := s.walkRows(); r.next(); {
+		ky, kz := r.ky, r.kz
+		for ix, kx := range s.kxs {
+			i := r.off + ix
+			u, v, ww := s.Uh[0][i], s.Uh[1][i], s.Uh[2][i]
+			// ω = i·k × u.
+			w[0][i] = mulIK(ky, ww) - mulIK(kz, v)
+			w[1][i] = mulIK(kz, u) - mulIK(kx, ww)
+			w[2][i] = mulIK(kx, v) - mulIK(ky, u)
 		}
 	}
 	return w
@@ -162,26 +134,7 @@ func mulIK(k float64, v complex128) complex128 {
 // (collective).
 func (s *Solver) VorticityEnstrophyCheck() float64 {
 	w := s.Vorticity()
-	n := s.cfg.N
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	var sum float64
-	idx := 0
-	for iz := 0; iz < s.slab.MZ(); iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < s.nxh; ix++ {
-				wt := specWeight(ix, n)
-				for c := 0; c < 3; c++ {
-					v := w[c][idx]
-					sum += wt * (real(v)*real(v) + imag(v)*imag(v)) * inv
-				}
-				idx++
-			}
-		}
-	}
-	out := []float64{0.5 * sum}
-	mpi.AllreduceSum(s.comm, out)
-	return out[0]
+	return 0.5 * s.dotSum(w[:], w[:])
 }
 
 // SuggestDt returns the time step that attains the target advective

@@ -95,13 +95,6 @@ type Transform interface {
 	PhysicalLen() int
 }
 
-// bandRow is one x-row of the local Fourier slab inside the band: its
-// storage offset, z-plane and ky storage row.
-type bandRow struct {
-	off    int
-	iz, iy int32
-}
-
 // difGroup is a run of consecutive fields sharing one diffusion
 // coefficient, with the group's integrating factor exp(−ν·k²·dt)
 // tabulated by the integer k² = kx²+ky²+kz² ≤ 3(N/2)²: slot 0 holds the
@@ -331,46 +324,8 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		}
 	}
 
-	n, mz := cfg.N, s.slab.MZ()
-	s.kxs = make([]float64, s.nxh)
-	for i := range s.kxs {
-		s.kxs[i] = float64(i)
-	}
-	s.kys = make([]float64, n)
-	for i := range s.kys {
-		s.kys[i] = float64(grid.Wavenumber(i, n))
-	}
-	s.kzs = make([]float64, mz)
-	for i := range s.kzs {
-		s.kzs[i] = float64(grid.Wavenumber(s.slab.ZLo()+i, n))
-	}
-	squares := func(ks []float64) []int {
-		k2 := make([]int, len(ks))
-		for i, k := range ks {
-			k2[i] = int(k * k)
-		}
-		return k2
-	}
-	s.k2x, s.k2y, s.k2z = squares(s.kxs), squares(s.kys), squares(s.kzs)
-
-	var zs, ys []int // the local z-planes and the ky rows inside the band
-	for iz := 0; iz < mz; iz++ {
-		if band.Has(s.slab.ZLo() + iz) {
-			zs = append(zs, iz)
-		}
-	}
-	for iy := 0; iy < n; iy++ {
-		if band.Has(iy) {
-			ys = append(ys, iy)
-		}
-	}
-	s.rows = make([]bandRow, 0, len(zs)*len(ys))
-	for _, iz := range zs {
-		for _, iy := range ys {
-			s.rows = append(s.rows, bandRow{off: (iz*n + iy) * s.nxh, iz: int32(iz), iy: int32(iy)})
-		}
-	}
-	s.kb = band.Width(0, s.nxh)
+	s.initModes(band)
+	n := cfg.N
 
 	// Fold per-field diffusivities into runs of equal ν, one set of
 	// integrating-factor tables per diffusive run.

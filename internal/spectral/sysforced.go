@@ -99,15 +99,21 @@ func (y *ForcedNS) Close() { y.forcing.Close() }
 // (seed, step, global mode index), making trajectories independent of
 // the rank count — the same device the random initial condition uses.
 // All per-step work is allocation-free: the band-energy reduction runs
-// over a persistent mpi.ReducePlan registered at Setup.
+// over a persistent mpi.ReducePlan registered at Setup, and the sweeps
+// visit a list of the band's modes selected there.
+//
+// KF takes effect when the solver sets the system up and when
+// LoadCheckpoint restores it: those are the two places the band is
+// selected, so assigning KF on a running solver does not move it.
 type StochasticForcing struct {
 	KF    int     // highest forced shell
 	Eps   float64 // energy injection rate
 	TCorr float64 // phase decorrelation time (0 = frozen phases)
 	Seed  int64
 
-	red *mpi.ReducePlan
-	buf []float64
+	red   *mpi.ReducePlan
+	buf   []float64
+	modes []forcedMode // the forced band, selected for KF
 }
 
 // NewStochasticForcing builds the controller from a spec. KF defaults
@@ -129,10 +135,12 @@ func NewStochasticForcing(spec ForcingSpec) *StochasticForcing {
 	return &StochasticForcing{KF: kf, Eps: spec.Eps, TCorr: spec.TCorr, Seed: spec.Seed}
 }
 
-// setup registers the persistent band-energy reduction (collective).
+// setup registers the persistent band-energy reduction and selects
+// the forced modes (collective).
 func (f *StochasticForcing) setup(s *Solver) {
 	f.red = mpi.NewReducePlan(s.comm, 1)
 	f.buf = make([]float64, 1)
+	f.selectModes(s)
 }
 
 // Close frees the persistent band-energy reduction plan (collective;
@@ -152,33 +160,48 @@ func (f *StochasticForcing) BandEnergy(s *Solver) float64 {
 	return f.buf[0]
 }
 
+// forcedMode is one stored mode of the forced band 1 ≤ shell ≤ KF: its
+// storage index and Hermitian weight, and the draw its phase walk takes
+// — the global id of its pair's canonical mode and the relation to it
+// (+1 the mode itself, −1 the conjugate partner, which rotates the
+// opposite way, 0 self-conjugate, which stays real).
+type forcedMode struct {
+	idx int
+	w   float64
+	gid uint64
+	rel float64
+}
+
+// selectModes lists the forced band's local modes in storage order.
+// It runs at Setup and when LoadCheckpoint restores KF.
+func (f *StochasticForcing) selectModes(s *Solver) {
+	f.modes = f.modes[:0]
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < s.nxh; ix++ {
+			k2, w := r.bin(ix)
+			if sh := shell(k2); sh < 1 || sh > f.KF {
+				continue
+			}
+			cy, cz, rel := canonical(ix, r.iy, r.gz, s.cfg.N)
+			f.modes = append(f.modes, forcedMode{idx: r.off + ix, w: w,
+				gid: s.modeGID(ix, cy, cz), rel: float64(rel)})
+		}
+	}
+}
+
 // localBandEnergy sums this rank's contribution to the band energy.
 //
 //psdns:hotpath
 func (f *StochasticForcing) localBandEnergy(s *Solver) float64 {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
+	inv := s.modeNorm()
 	var sum float64
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := math.Sqrt(s.kxs[ix]*s.kxs[ix] + ky2 + kz2)
-				shell := int(k + 0.5)
-				if shell >= 1 && shell <= f.KF {
-					var e float64
-					for c := 0; c < 3; c++ {
-						v := s.Uh[c][idx]
-						e += real(v)*real(v) + imag(v)*imag(v)
-					}
-					sum += 0.5 * specWeight(ix, n) * e * inv
-				}
-				idx++
-			}
+	for _, m := range f.modes {
+		var e float64
+		for c := 0; c < 3; c++ {
+			v := s.Uh[c][m.idx]
+			e += real(v)*real(v) + imag(v)*imag(v)
 		}
+		sum += 0.5 * m.w * e * inv
 	}
 	return sum
 }
@@ -195,24 +218,10 @@ func (f *StochasticForcing) apply(s *Solver, dt float64) {
 		return
 	}
 	g := complex(math.Sqrt(1+f.Eps*dt/ef), 0)
-
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := math.Sqrt(s.kxs[ix]*s.kxs[ix] + ky2 + kz2)
-				shell := int(k + 0.5)
-				if shell >= 1 && shell <= f.KF {
-					s.Uh[0][idx] *= g
-					s.Uh[1][idx] *= g
-					s.Uh[2][idx] *= g
-				}
-				idx++
-			}
-		}
+	for _, m := range f.modes {
+		s.Uh[0][m.idx] *= g
+		s.Uh[1][m.idx] *= g
+		s.Uh[2][m.idx] *= g
 	}
 	if f.TCorr > 0 {
 		f.diffusePhases(s, dt)
@@ -226,53 +235,18 @@ func (f *StochasticForcing) apply(s *Solver, dt float64) {
 //
 //psdns:hotpath
 func (f *StochasticForcing) diffusePhases(s *Solver, dt float64) {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
 	sd := math.Sqrt(2 * dt / f.TCorr)
-	step := s.step
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		gz := s.slab.ZLo() + iz
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := math.Sqrt(s.kxs[ix]*s.kxs[ix] + ky2 + kz2)
-				shell := int(k + 0.5)
-				if shell < 1 || shell > f.KF {
-					idx++
-					continue
-				}
-				var theta float64
-				if ix == 0 || ix == n/2 {
-					py, pz := conjPairIndex(iy, gz, n)
-					switch {
-					case py == iy && pz == gz:
-						// Self-conjugate: must remain real.
-						theta = 0
-					case gz > pz || (gz == pz && iy > py):
-						// Non-canonical partner: opposite rotation.
-						theta = -sd * gaussPhase(f.Seed, step, modeGID(ix, py, pz, n, nxh))
-					default:
-						theta = sd * gaussPhase(f.Seed, step, modeGID(ix, iy, gz, n, nxh))
-					}
-				} else {
-					theta = sd * gaussPhase(f.Seed, step, modeGID(ix, iy, gz, n, nxh))
-				}
-				if theta != 0 {
-					rot := cmplx.Rect(1, theta)
-					s.Uh[0][idx] *= rot
-					s.Uh[1][idx] *= rot
-					s.Uh[2][idx] *= rot
-				}
-				idx++
-			}
+	for _, m := range f.modes {
+		if m.rel == 0 {
+			continue
+		}
+		if theta := m.rel * sd * gaussPhase(f.Seed, s.step, m.gid); theta != 0 {
+			rot := cmplx.Rect(1, theta)
+			s.Uh[0][m.idx] *= rot
+			s.Uh[1][m.idx] *= rot
+			s.Uh[2][m.idx] *= rot
 		}
 	}
-}
-
-// modeGID is the global linear index of a mode, rank-count invariant.
-func modeGID(ix, iy, gz, n, nxh int) uint64 {
-	return uint64((gz*n+iy)*nxh + ix)
 }
 
 // splitmix is the SplitMix64 finalizer, the allocation-free hash

@@ -14,23 +14,17 @@ import (
 // x-component at grid separations r = 0…N/2, computed in spectral
 // space: R(r) = Σ_k |û|²·cos(k_x·r·Δx) (collective, no transforms).
 func (s *Solver) LongitudinalCorrelation() []float64 {
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
+	n, nxh, inv := s.cfg.N, s.nxh, s.modeNorm()
 	nr := n/2 + 1
 	out := make([]float64, nr)
 	dx := 2 * math.Pi / float64(n)
 	// Accumulate the x-wavenumber marginal of |û₀|² first (cheap), then
 	// do the cosine sum once per separation.
 	marg := make([]float64, nxh)
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		for iy := 0; iy < n; iy++ {
-			for ix := 0; ix < nxh; ix++ {
-				v := s.Uh[0][idx]
-				marg[ix] += specWeight(ix, n) * (real(v)*real(v) + imag(v)*imag(v)) * inv
-				idx++
-			}
+	for r := s.walkRows(); r.next(); {
+		for ix, v := range s.Uh[0][r.off : r.off+nxh] {
+			_, w := r.bin(ix)
+			marg[ix] += w * (real(v)*real(v) + imag(v)*imag(v)) * inv
 		}
 	}
 	mpi.AllreduceSum(s.comm, marg)
@@ -121,30 +115,17 @@ func (s *Solver) StructureFunction3() []float64 {
 func (s *Solver) TransferSpectrum() []float64 {
 	s.velocityProducts(s.state, s.nl)
 	s.projectAndDealias(s.nl)
-	n, mz, nxh := s.cfg.N, s.slab.MZ(), s.nxh
-	n3 := float64(n) * float64(n) * float64(n)
-	inv := 1 / (n3 * n3)
-	spec := make([]float64, int(math.Sqrt(3)*float64(n)/2)+2)
-	idx := 0
-	for iz := 0; iz < mz; iz++ {
-		kz2 := s.kzs[iz] * s.kzs[iz]
-		for iy := 0; iy < n; iy++ {
-			ky2 := s.kys[iy] * s.kys[iy]
-			for ix := 0; ix < nxh; ix++ {
-				k := math.Sqrt(s.kxs[ix]*s.kxs[ix] + ky2 + kz2)
-				shell := int(k + 0.5)
-				if shell < len(spec) {
-					w := specWeight(ix, n)
-					var tr float64
-					for c := 0; c < 3; c++ {
-						u := s.Uh[c][idx]
-						f := s.nl[c][idx]
-						tr += real(u)*real(f) + imag(u)*imag(f)
-					}
-					spec[shell] += w * tr * inv
-				}
-				idx++
+	nxh, inv := s.nxh, s.modeNorm()
+	spec := s.newSpectrum()
+	for r := s.walkRows(); r.next(); {
+		for ix := 0; ix < nxh; ix++ {
+			k2, w := r.bin(ix)
+			var tr float64
+			for c := 0; c < 3; c++ {
+				u, f := s.Uh[c][r.off+ix], s.nl[c][r.off+ix]
+				tr += real(u)*real(f) + imag(u)*imag(f)
 			}
+			spec[shell(k2)] += w * tr * inv
 		}
 	}
 	mpi.AllreduceSum(s.comm, spec)

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/metrics"
-	"repro/internal/sched"
 )
 
 // chromeEvent is one entry of the Chrome tracing "traceEvents" format
@@ -102,7 +101,3 @@ func buildChromeFile(tls []Timeline) *chromeFile {
 	}
 	return f
 }
-
-// SpansFromResult adapts a schedule to the renderers (re-exported
-// convenience for callers holding raw spans).
-func SpansFromResult(spans []sched.Span) []sched.Span { return spans }
