@@ -215,16 +215,6 @@ func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
 	return pfft.NewSlabRealWorkers(c, n, threads)
 }
 
-// NewTunedSlabTransform builds the host slab transform through the
-// whole-step autotuner. A non-empty cacheDir persists the winning
-// configuration so later constructions with the same (N, P,
-// GOMAXPROCS, machine) key skip the trials; a nil space searches the
-// numerics-preserving default (concrete exchange strategies at the
-// given worker count). Collective.
-func NewTunedSlabTransform(c *Comm, n, workers int, cacheDir string, space *TuneSpace) *pfft.SlabReal {
-	return pfft.NewRealTuned(c, n, workers, DecompSlab, tuneConfig(cacheDir, space))
-}
-
 // RealTransform is the distributed real-field transform engine on any
 // decomposition: real physical fields in, conjugate-symmetric
 // half-spectra out, 1/N³ normalization on the inverse, with
@@ -243,15 +233,6 @@ type RealTransform = *pfft.Engine
 // searches the numerics-preserving default. Collective.
 func NewTunedTransform(c *Comm, n, workers int, d Decomposition, cacheDir string, space *TuneSpace) RealTransform {
 	return pfft.NewRealTuned(c, n, workers, d, tuneConfig(cacheDir, space))
-}
-
-// NewSingleCommSlabTransform is the host slab transform with
-// single-precision transpose-exchanges: FFTs stay float64 while the
-// all-to-all wire format narrows to complex64, halving exchanged
-// bytes for ~1e-7 relative rounding per transform (the paper's
-// asynchronous-engine wire format, on the synchronous engine).
-func NewSingleCommSlabTransform(c *Comm, n, workers int) *pfft.SlabReal {
-	return pfft.NewSlabRealSingle(c, n, workers)
 }
 
 // Slab describes a rank's 1D-decomposition geometry.

@@ -247,14 +247,15 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 	s := grid.NewSlab(n, comm.Size(), comm.Rank())
 	a := &AsyncSlabReal{
-		comm: comm,
-		s:    s,
-		n:    n,
-		nxh:  nxh,
-		np:   opt.NP,
-		gran: opt.Granularity,
-		xr:   splitRange(nxh, opt.NP),
-		zr:   splitRange(n, opt.NP),
+		comm:  comm,
+		s:     s,
+		n:     n,
+		nxh:   nxh,
+		np:    opt.NP,
+		gran:  opt.Granularity,
+		strat: opt.Exchange,
+		xr:    splitRange(nxh, opt.NP),
+		zr:    splitRange(n, opt.NP),
 	}
 	a.xu = a.xr
 	if a.gran == PerSlab {
@@ -302,7 +303,7 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		a.wire = newWire(a, bound, transpose.CopyStrided[complex128], transpose.CopyStrided[complex128])
 	}
 	a.Truncate(-1)
-	a.setStrategy(opt.Exchange)
+	a.met.strategy.Set(a.strat.Code())
 	return a
 }
 
@@ -320,13 +321,6 @@ func (a *AsyncSlabReal) Truncate(kmax int) {
 	a.band = grid.NewBand(a.n, kmax)
 	a.compile()
 	a.met.kmax.Set(float64(a.band.Kmax))
-}
-
-// setStrategy pins the transpose-exchange strategy of both directions
-// and publishes it on the exchange.strategy gauge.
-func (a *AsyncSlabReal) setStrategy(st exchange.Strategy) {
-	a.strat = st
-	a.met.strategy.Set(st.Code())
 }
 
 // Strategy reports the pinned transpose-exchange strategy (never

@@ -134,3 +134,44 @@ func TestAsyncTunedRejectsAT(t *testing.T) {
 		NewAsyncSlabRealTuned(c, 8, Options{NP: 1, Exchange: exchange.AT}, tuning.Config{})
 	})
 }
+
+// The whole-slab recv buffer exists only when the engine pins Staged,
+// the one strategy that posts an all-to-all into it — plain, f32-wire
+// and tuned engines alike (the tuner builds its winner from the point,
+// not from a Staged trial engine).
+func TestAsyncRecvOnlyUnderStaged(t *testing.T) {
+	const n, p = 16, 2
+	chunked := tuning.Config{Space: tuning.Space{Strategies: []exchange.Strategy{exchange.ChunkedFused}}}
+	if err := mpi.TryRun(p, func(c *mpi.Comm) {
+		for _, tc := range []struct {
+			name  string
+			build func() *AsyncSlabReal
+			recv  bool
+		}{
+			{"staged", func() *AsyncSlabReal { return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Staged}) }, true},
+			{"staged f32", func() *AsyncSlabReal {
+				return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Staged, SingleComm: true})
+			}, true},
+			{"chunked", func() *AsyncSlabReal { return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.ChunkedFused}) }, false},
+			{"fused f32", func() *AsyncSlabReal {
+				return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Fused, SingleComm: true})
+			}, false},
+			{"tuned chunked", func() *AsyncSlabReal { return NewAsyncSlabRealTuned(c, n, Options{NP: 2}, chunked) }, false},
+		} {
+			a := tc.build()
+			var recv bool
+			switch w := a.wire.(type) {
+			case *wireBuf[complex128]:
+				recv = w.recv != nil
+			case *wireBuf[complex64]:
+				recv = w.recv != nil
+			}
+			a.Close()
+			if recv != tc.recv {
+				panic(fmt.Sprintf("%s engine (pins %s): recv buffer held %v, want %v", tc.name, a.Strategy(), recv, tc.recv))
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

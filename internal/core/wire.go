@@ -43,12 +43,13 @@ type wire interface {
 	close()
 }
 
-// wireBuf implements wire at element type T: one whole-slab send and
-// recv buffer cut into a view per exchange unit (a.xu), and one
-// exchange.Stage per unit serving the zero-copy strategies. The staged
-// path stays the engine's own — posting an MPI all-to-all per pencil
-// from inside the pipeline is scheduling policy — so the stages are
-// built without staging buffers of their own.
+// wireBuf implements wire at element type T: one whole-slab send
+// buffer — and, when the engine pins Staged, recv buffer — cut into a
+// view per exchange unit (a.xu), and one exchange.Stage per unit
+// serving the zero-copy strategies. The staged path stays the engine's
+// own — posting an MPI all-to-all per pencil from inside the pipeline
+// is scheduling policy — so the stages are built without staging
+// buffers of their own.
 type wireBuf[T exchange.Elem] struct {
 	a            *AsyncSlabReal
 	send, recv   []T
@@ -63,10 +64,11 @@ type wireBuf[T exchange.Elem] struct {
 	get         func(dst []complex128, dstStride int, src []T, srcStride, rowLen, nrows int)
 }
 
-// newWire allocates the staging buffers and registers the stages. put
-// and get are the copy kernels into and out of the wire precision:
-// plain strided copies at complex128, narrowing and widening ones at
-// complex64. Collective.
+// newWire allocates the staging buffers and registers the stages. The
+// recv buffer exists only under a pinned Staged strategy, the one path
+// that posts an all-to-all into it. put and get are the copy kernels
+// into and out of the wire precision: plain strided copies at
+// complex128, narrowing and widening ones at complex64. Collective.
 func newWire[T exchange.Elem](a *AsyncSlabReal, bound *exchange.Bound,
 	put func(dst []T, dstStride int, src []complex128, srcStride, rowLen, nrows int),
 	get func(dst []complex128, dstStride int, src []T, srcStride, rowLen, nrows int)) *wireBuf[T] {
@@ -74,16 +76,21 @@ func newWire[T exchange.Elem](a *AsyncSlabReal, bound *exchange.Bound,
 	wb := &wireBuf[T]{
 		a:           a,
 		send:        exchange.Alloc[T](mz * n * nxh),
-		recv:        exchange.Alloc[T](mz * n * nxh),
 		unpackUnits: [2]int{p * mz, p * my},
 		put:         put,
 		get:         get,
 	}
+	if a.strat == exchange.Staged {
+		wb.recv = exchange.Alloc[T](mz * n * nxh)
+	}
 	off := 0
 	for u, xs := range a.xu {
 		size := p * mz * my * xs.width()
-		send, recv := wb.send[off:off+size], wb.recv[off:off+size]
-		wb.sendU, wb.recvU = append(wb.sendU, send), append(wb.recvU, recv)
+		var recv []T
+		if wb.recv != nil {
+			recv = wb.recv[off : off+size]
+		}
+		wb.sendU, wb.recvU = append(wb.sendU, wb.send[off:off+size]), append(wb.recvU, recv)
 		off += size
 		dirs := [2]exchange.Kernels[T]{wb.kernels(exchange.YZ, u), wb.kernels(exchange.ZY, u)}
 		for d, k := range dirs {

@@ -1,9 +1,9 @@
 // Package exchange is the transpose-exchange of the code base: the
 // one Stage every transform engine runs its pack → all-to-all → unpack
-// through (stage.go), the strategy space a stage executes under, and
-// the resolve rule the plan-time autotuners pick between its points
-// with. The strategies are the software analogue of the paper's §4
-// data-movement variants:
+// through (stage.go) and the strategy space a stage executes under
+// (the tuner that picks between its points is internal/tuning's). The
+// strategies are the software analogue of the paper's §4 data-movement
+// variants:
 //
 //   - Staged: pack into per-destination blocks, exchange blocks
 //     through the persistent all-to-all, unpack into the destination
@@ -125,46 +125,4 @@ func (p Pair) String() string {
 		return p.YZ.String()
 	}
 	return p.YZ.String() + "/" + p.ZY.String()
-}
-
-// ResolveIndex picks the winner from trial times gathered across
-// ranks: perRank[r][i] is rank r's best wall time (seconds) for
-// candidate i of ncands of any kind (exchange strategies, whole-step
-// tuning points, …). A collective exchange completes when its slowest
-// rank does, so each candidate's cost is its max over ranks, and the
-// winner is the index whose cost is smallest, returned with that cost;
-// ties break toward the earlier candidate, so every rank resolves the
-// same index from the same gathered table. Non-positive times (a rank
-// that could not measure) disqualify a candidate. The returned cost is
-// -1 when every candidate was disqualified (the winner then defaults
-// to index 0).
-//
-// The argmin over a table that includes Staged is what makes the
-// autotuner safe by construction: it can never pin a strategy that
-// measured slower than the staged baseline on the benchmarked plan.
-func ResolveIndex(ncands int, perRank [][]float64) (int, float64) {
-	if ncands == 0 {
-		panic("exchange: ResolveIndex with no candidates")
-	}
-	best, bestCost := 0, -1.0
-	for i := 0; i < ncands; i++ {
-		cost, ok := 0.0, true
-		for _, times := range perRank {
-			t := times[i]
-			if t <= 0 {
-				ok = false
-				break
-			}
-			if t > cost {
-				cost = t
-			}
-		}
-		if !ok {
-			continue
-		}
-		if bestCost < 0 || cost < bestCost {
-			best, bestCost = i, cost
-		}
-	}
-	return best, bestCost
 }

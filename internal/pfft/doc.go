@@ -11,8 +11,10 @@
 //     slab's P ≤ N ceiling. Every grid is bitwise identical.
 //
 // Engine is FFT passes around exchange.Stage, the one transpose-exchange
-// of the code base; NewRealTuned is the one tuned constructor
-// (decomposition × strategy × workers × wire precision).
+// of the code base. NewRealTuned is its tuned constructor (decomposition
+// × strategy × workers × wire precision): a build closure, runTrial as
+// the exchange-only trial body and a collapse rule, handed to
+// tuning.Tune, the trial loop it shares with the batched engine.
 //
 // Engine.Truncate band-limits the pair to |k_i| ≤ kmax, which is how a
 // dealiased solver's 2/3 rule reaches the FFT passes and the row

@@ -87,11 +87,10 @@ type Engine struct {
 	// The pinned concrete strategies (never Auto), one per transpose
 	// direction: the two stream mirrored access patterns, so the tuner
 	// measures and pins them independently.
-	pair             exchange.Pair
-	stratYZ, stratZY *metrics.Gauge // exchange.strategy, exchange.strategy.zy
-	fftT             *metrics.Histogram
-	ph               exchange.Phases
-	closed           bool
+	pair   exchange.Pair
+	fftT   *metrics.Histogram
+	ph     exchange.Phases
+	closed bool
 
 	// Staging fields for the precomputed worker bodies: the transform
 	// entry points publish the current operand slices here so the team
@@ -218,9 +217,8 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 		fftT: reg.HistogramRank("phase.fft", rank),
 		ph:   exchange.NewPhases(reg, rank),
 
-		stratYZ: reg.GaugeRank("exchange.strategy", rank),
-		stratZY: reg.GaugeRank("exchange.strategy.zy", rank),
-		kmax:    reg.GaugeRank("transform.kmax", rank),
+		pair: pair,
+		kmax: reg.GaugeRank("transform.kmax", rank),
 
 		byz: make([]*fft.Batch, workers),
 		bx:  make([]*fft.RealBatch, workers),
@@ -253,7 +251,8 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 	}
 	f.Truncate(-1)
 	f.buildBodies()
-	f.setStrategies(pair)
+	reg.GaugeRank("exchange.strategy", rank).Set(pair.YZ.Code())
+	reg.GaugeRank("exchange.strategy.zy", rank).Set(pair.ZY.Code())
 	return f
 }
 
@@ -321,14 +320,6 @@ func colKernels[T exchange.Elem](l *transpose.PencilLayout) [2]exchange.Kernels[
 			},
 		},
 	}
-}
-
-// setStrategies pins the per-direction strategies and publishes their
-// codes in the two gauges.
-func (f *Engine) setStrategies(pair exchange.Pair) {
-	f.pair = pair
-	f.stratYZ.Set(pair.YZ.Code())
-	f.stratZY.Set(pair.ZY.Code())
 }
 
 // buildBodies precomputes the team worker closures once, so transform

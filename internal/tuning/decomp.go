@@ -93,7 +93,7 @@ func (d Decomp) Valid(n, p int) bool {
 // when slab is, and it builds the same one-column engine, so listing it
 // would make an autotuner construct and trial that engine twice. The
 // ordering is deterministic and identical on every rank, and
-// ResolveIndex ties break toward earlier entries, so slab — the
+// the resolve breaks ties toward earlier entries, so slab — the
 // simpler, single-exchange layout — wins a statistical wash.
 func Decompositions(n, p int) []Decomp {
 	var ds []Decomp

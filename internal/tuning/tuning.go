@@ -1,21 +1,20 @@
-// Package tuning generalizes the plan-time exchange autotuner into a
-// whole-step autotuner: instead of timing only the transpose-exchange
-// strategy, a tuned constructor searches a TuneSpace over every knob
-// the paper's production runs tune together — exchange strategy,
-// transfer granularity (per-pencil vs per-slab), pencil count, worker
-// team size and wire precision — using the same barrier-fenced
-// best-of-k, max-over-ranks resolve protocol the strategy autotuner
-// already uses (exchange.ResolveIndex), and persists the winner in a
-// JSON tuning cache keyed by (N, P, GOMAXPROCS, machine fingerprint)
-// so production restarts skip the trials entirely.
+// Package tuning is the whole-step autotuner: instead of timing only
+// the transpose-exchange strategy, a tuned constructor searches a Space
+// over every knob the paper's production runs tune together — exchange
+// strategy, transfer granularity (per-pencil vs per-slab), pencil count,
+// worker team size, wire precision and decomposition — with a
+// barrier-fenced best-of-k, max-over-ranks resolve protocol, and
+// persists the winner in a JSON tuning cache keyed by (engine, N, P,
+// GOMAXPROCS, machine fingerprint) so production restarts skip the
+// trials entirely.
 //
-// The package holds the engine-agnostic pieces: the search space and
-// its enumeration (Space, Point), the collective trial protocol
-// (TrialBest, ResolveTimes) with its trial-count metric, and the
-// persistent cache with its collective lookup (Config.Lookup/Store).
-// The engines (pfft.NewRealTuned, core.NewAsyncSlabRealTuned) own
-// the trial bodies, because only they know how to run one exchange of
-// a given configuration.
+// Tune is the one trial loop, for every engine: the key and collective
+// cache lookup, enumeration, the trial engines, the timing, the
+// resolve, the store and the construction of the winner. An engine
+// (pfft.NewRealTuned, core.NewAsyncSlabRealTuned) hands it a Target:
+// its constructor, an exchange-only trial body and the rule that
+// collapses a Point onto its sub-space. The package also holds the
+// search space (Space, Point, Decomp) and the persistent cache.
 package tuning
 
 import "repro/internal/exchange"
@@ -106,11 +105,10 @@ func (s Space) withDefaults(np, workers int) Space {
 
 // Points enumerates the space in deterministic order, yz strategies
 // varying fastest, then zy strategies, with decompositions slowest.
-// ResolveIndex ties break toward the earlier point, so listing the safe
+// The resolve breaks ties toward the earlier point, so listing the safe
 // defaults first (slab, Staged, double precision) keeps the tuner
-// conservative under a statistical wash, exactly as the strategy
-// autotuner is. np and workers are the engine defaults substituted
-// into empty dimensions.
+// conservative under a statistical wash. np and workers are the engine
+// defaults substituted into empty dimensions.
 func (s Space) Points(np, workers int) []Point {
 	s = s.withDefaults(np, workers)
 	var pts []Point
