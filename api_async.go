@@ -86,7 +86,9 @@ func ParseDecomposition(s string) (Decomposition, error) {
 // AsyncOption customizes NewAsync.
 type AsyncOption func(*AsyncOptions)
 
-// WithNP sets the number of pencils each slab is divided into (Fig 3).
+// WithNP sets the number of pencils each slab is divided into (Fig 3):
+// groups of the slab's N/P planes, each the unit one per-pencil
+// exchange carries. Pencils past N/P are empty and never exchanged.
 func WithNP(n int) AsyncOption {
 	return func(o *AsyncOptions) { o.NP = n }
 }

@@ -13,25 +13,16 @@ import (
 // explicit registry and checks that the runtime recorded real traffic:
 // non-zero all-to-all bytes on every rank and per-phase step timings
 // (the measurement the paper's Table 3 / Fig 10 reporting rests on).
+// Packed device-to-host bytes are recorded exactly where a pack runs:
+// under Staged and on the single-precision wire, whose pack narrows;
+// a double-precision zero-copy engine's peers read its slab in place
+// and it records none.
 func TestMetricsEndToEnd(t *testing.T) {
 	const p = 2
-	const n = 16
 	reg := repro.NewMetricsRegistry()
+	var strategy repro.ExchangeStrategy
 	err := repro.RunWithMetrics(p, reg, func(c *repro.Comm) {
-		tr := repro.NewAsync(c, n,
-			repro.WithNP(2),
-			repro.WithGranularity(repro.PerPencil),
-			repro.WithMetrics(reg),
-		)
-		defer tr.Close()
-		s := repro.NewSolver(c, n,
-			repro.WithNu(0.02),
-			repro.WithScheme(repro.RK2),
-			repro.WithDealias(repro.Dealias23),
-			repro.WithTransform(tr),
-		)
-		s.SetTaylorGreen()
-		s.Step(0.004)
+		strategy = asyncStep(c, reg)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +39,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if e, ok := snap.Get("phase.pipeline", r); !ok || e.Count == 0 {
 			t.Errorf("rank %d: no pipeline phase samples recorded", r)
 		}
-		if e, ok := snap.Get("gpu.d2h.bytes", r); !ok || e.Value == 0 {
-			t.Errorf("rank %d: no packed device-to-host bytes recorded", r)
+		if e, _ := snap.Get("gpu.d2h.bytes", r); (e.Value > 0) != (strategy == repro.ExchangeStaged) {
+			t.Errorf("rank %d: %v packed device-to-host bytes on the %s engine", r, e.Value, strategy)
 		}
 	}
 	// The paper's reduction: one row per metric, max over ranks.
@@ -69,6 +60,49 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("chrome trace missing %q", want)
 		}
 	}
+
+	for _, tc := range []struct {
+		name string
+		opts []repro.AsyncOption
+		pack bool
+	}{
+		{"staged", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeStaged)}, true},
+		{"chunked", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeChunked)}, false},
+		{"chunked f32", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeChunked), repro.WithSingleComm()}, true},
+	} {
+		reg := repro.NewMetricsRegistry()
+		if err := repro.RunWithMetrics(p, reg, func(c *repro.Comm) { asyncStep(c, reg, tc.opts...) }); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		for r := 0; r < p; r++ {
+			if e, _ := snap.Get("gpu.d2h.bytes", r); (e.Value > 0) != tc.pack {
+				t.Errorf("%s engine, rank %d: %v packed device-to-host bytes, want some: %v", tc.name, r, e.Value, tc.pack)
+			}
+		}
+	}
+}
+
+// asyncStep runs one dealiased RK2 step of Taylor–Green on a batched
+// engine (np = 2, per pencil) recording into reg, and reports the
+// engine's strategy.
+func asyncStep(c *repro.Comm, reg *repro.MetricsRegistry, opts ...repro.AsyncOption) repro.ExchangeStrategy {
+	const n = 16
+	tr := repro.NewAsync(c, n, append([]repro.AsyncOption{
+		repro.WithNP(2),
+		repro.WithGranularity(repro.PerPencil),
+		repro.WithMetrics(reg),
+	}, opts...)...)
+	defer tr.Close()
+	s := repro.NewSolver(c, n,
+		repro.WithNu(0.02),
+		repro.WithScheme(repro.RK2),
+		repro.WithDealias(repro.Dealias23),
+		repro.WithTransform(tr),
+	)
+	s.SetTaylorGreen()
+	s.Step(0.004)
+	return tr.Strategy()
 }
 
 // TestTryRunSurfacesRankError checks the public error contract: a

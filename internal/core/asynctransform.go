@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/par"
+	"repro/internal/pfft"
 	"repro/internal/pool"
 	"repro/internal/transpose"
 	"repro/internal/tuning"
@@ -42,13 +43,17 @@ func ParseGranularity(s string) (Granularity, error) {
 
 // Options configures the asynchronous pipeline.
 type Options struct {
-	// NP is the number of pencils each slab is divided into (Fig 3);
-	// it must satisfy 1 ≤ NP ≤ N/2+1. Zero means 3, the Table 1 value.
+	// NP is the number of pencils each slab is divided into (Fig 3):
+	// plane groups, splitRange(N/P, NP) of the z-planes of the Fourier
+	// slab and of the y-planes of the intermediate one, each complete
+	// along the axes its passes transform. It must satisfy 1 ≤ NP ≤
+	// N/2+1; groups past N/P planes are empty (launched, never
+	// exchanged). Zero means 3, the Table 1 value.
 	NP int
 	// Granularity selects per-pencil (A/B) or per-slab (C) exchanges.
 	Granularity Granularity
-	// NGPU is the number of devices per MPI rank (Fig 5); each pencil
-	// is split vertically across them. Zero means 1.
+	// NGPU is the number of devices per MPI rank (Fig 5); each plane
+	// group's planes are split across them. Zero means 1.
 	NGPU int
 	// Workers is the per-rank worker-team size (the paper's OpenMP
 	// threads per rank): the batched FFT loops inside each device's
@@ -67,8 +72,9 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Exchange selects the transpose-exchange strategy: Staged posts
 	// MPI all-to-alls and unpacks the received blocks (the wire path of
-	// the paper's staged variant), Fused and ChunkedFused gather
-	// directly from every peer's packed send buffer into the local
+	// the paper's staged variant), Fused and ChunkedFused gather each
+	// plane group straight from every peer's slab (or, on the
+	// single-precision wire, its narrowed copy) into the local
 	// destination layout through an mpi.ExchangePlan (the zero-copy
 	// variant), and Auto (the zero value) times all three at plan time
 	// through NewAsyncSlabRealTuned — a strategy-only search on this
@@ -109,28 +115,33 @@ func splitRange(total, n int) []span {
 	return out
 }
 
-// gpuCtx is the per-device execution context: one compute stream and
-// one transfer stream (§3.4: a single transfer stream keeps host
-// memory traffic unidirectional), plus the plan cache serving the
-// device's batched FFTs (the cufftPlanMany handles of §4.1). There are
-// no device buffers: device memory is host memory on this backend, so
-// every kernel works on the host slab in place (§4.2's zero-copy).
+// gpuCtx is the per-device execution context: one compute stream and,
+// where the wire packs, one transfer stream (§3.4: a single transfer
+// stream keeps host memory traffic unidirectional), plus the plan cache
+// serving the device's batched FFTs (the cufftPlanMany handles of
+// §4.1). There are no device buffers: device memory is host memory on
+// this backend, so every kernel works on the host slab in place (§4.2's
+// zero-copy), and on the double-precision zero-copy wire, where peers
+// read the slab itself, nothing is left to transfer.
 type gpuCtx struct {
 	dev      *cuda.Device
-	transfer *cuda.Stream
+	transfer *cuda.Stream // nil when the wire packs nothing
 	compute  *cuda.Stream
-	// team splits the batched FFT loops inside this device's compute
-	// kernels; plans[w] is worker w's plan cache (plans carry scratch
-	// and are not concurrency-safe, so each worker owns a full set).
+	// team splits the plane loops inside this device's compute kernels;
+	// plans[w] is worker w's plan cache (plans carry scratch and are not
+	// concurrency-safe, so each worker owns a full set), and ps the
+	// plane passes over the current band's plans from them.
 	team  *par.Team
 	plans []*fft.BatchCache
+	ps    pfft.Passes
 }
 
 // asyncMetrics are the per-rank instrumentation handles of the
 // asynchronous engine: the three disjoint wall sections of each
 // transposing transform (device pipeline, exposed all-to-all,
 // host-side unpack) and the bytes the pack kernels write out of the
-// device pipeline (the only transfer left: nothing is staged in).
+// device pipeline (the only transfer left, and only where the wire
+// packs: nothing is staged in).
 type asyncMetrics struct {
 	pipeline *metrics.Histogram
 	a2a      *metrics.Histogram
@@ -154,12 +165,13 @@ func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 // AsyncSlabReal is the batched asynchronous transform engine of Fig 4.
 // It implements spectral.Transform. Not safe for concurrent use.
 //
-// The engine is compiled once: construction turns each of the six
+// The engine is compiled once: construction turns each of its four
 // region passes into a flat op program — one prebuilt compute kernel,
-// pack kernel and pair of reusable events per (pencil, device) cell —
-// and a transform replays those programs through the streams. The
-// per-call slabs reach the kernels through the four and phys fields, so
-// the steady state builds no closure and allocates nothing.
+// and where the wire packs a pack kernel and its events, per (plane
+// group, device) cell — and a transform replays those programs through
+// the streams. The per-call slabs reach the kernels through the four
+// and phys fields, so the steady state builds no closure and allocates
+// nothing.
 type AsyncSlabReal struct {
 	comm *mpi.Comm
 	s    grid.Slab
@@ -169,13 +181,13 @@ type AsyncSlabReal struct {
 	gran Granularity
 
 	gpus []*gpuCtx
-	xr   []span // region y/z pencil x-ranges over nxh
-	zr   []span // region x pencil z-ranges over n
-
-	// xu are the exchange units over nxh — what one all-to-all carries:
-	// the pencils under PerPencil, the whole x range under PerSlab.
-	xu  []span
-	mid []complex128 // [my][nz][nxh] intermediate slab
+	// groups are the np plane groups of the local slabs (Fig 3's
+	// pencils), splitRange(N/P, np) of the z-planes of four and the
+	// y-planes of mid alike; a group past N/P planes is empty. units are
+	// what one exchange carries: the groups under PerPencil, every plane
+	// under PerSlab.
+	groups, units []span
+	mid           []complex128 // [my][nz][nxh] intermediate slab
 	// four and phys are the caller's Fourier and physical slabs for the
 	// duration of one transform call; the compiled kernels and the
 	// exchange kernels address them through these fields.
@@ -191,18 +203,18 @@ type AsyncSlabReal struct {
 	team *par.Team
 	reqs []*mpi.Request // one request slot per exchange unit
 
-	// The compiled regions: the transposing y and z passes by exchange
-	// direction, the in-place y and z passes, the x passes by direction.
-	regT             [2]region
-	regY, regZ       region
-	regXFwd, regXInv region
+	// The compiled regions by exchange direction: regT[d] runs in front
+	// of d's exchange and feeds it, regM[d] behind it. YZ: the y inverse
+	// on z-plane groups of four, then the z inverse and c2r per y-plane
+	// of mid. ZY: r2c and the z forward per y-plane of mid, then the y
+	// forward on z-plane groups of four.
+	regT, regM [2]region
 
 	// band is what the kernels are compiled for (Truncate; full at
-	// construction). The wire's kernels read it on every call, with
-	// unitKB[u], the in-band columns of exchange unit u — a unit with
-	// none is not exchanged.
-	band   grid.Band
-	unitKB []int
+	// construction); kb = band.Width(0, nxh) is the width of every
+	// batch and of every row the wire moves.
+	band grid.Band
+	kb   int
 
 	met    *asyncMetrics
 	closed bool
@@ -247,19 +259,18 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 	s := grid.NewSlab(n, comm.Size(), comm.Rank())
 	a := &AsyncSlabReal{
-		comm:  comm,
-		s:     s,
-		n:     n,
-		nxh:   nxh,
-		np:    opt.NP,
-		gran:  opt.Granularity,
-		strat: opt.Exchange,
-		xr:    splitRange(nxh, opt.NP),
-		zr:    splitRange(n, opt.NP),
+		comm:   comm,
+		s:      s,
+		n:      n,
+		nxh:    nxh,
+		np:     opt.NP,
+		gran:   opt.Granularity,
+		strat:  opt.Exchange,
+		groups: splitRange(s.MZ(), opt.NP),
 	}
-	a.xu = a.xr
+	a.units = a.groups
 	if a.gran == PerSlab {
-		a.xu = []span{{0, nxh}}
+		a.units = []span{{0, s.MZ()}}
 	}
 
 	reg := opt.Metrics
@@ -267,26 +278,8 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		reg = comm.Metrics()
 	}
 	a.met = newAsyncMetrics(reg, comm.Rank())
-
-	for g := 0; g < opt.NGPU; g++ {
-		dev := cuda.NewDevice(g)
-		dev.SetMetrics(reg, comm.Rank())
-		ctx := &gpuCtx{
-			dev:      dev,
-			transfer: dev.NewStream(fmt.Sprintf("gpu%d/transfer", g)),
-			compute:  dev.NewStream(fmt.Sprintf("gpu%d/compute", g)),
-			team:     par.NewTeam(opt.Workers),
-			plans:    make([]*fft.BatchCache, opt.Workers),
-		}
-		for w := range ctx.plans {
-			ctx.plans[w] = fft.NewBatchCache()
-		}
-		a.gpus = append(a.gpus, ctx)
-	}
 	a.team = par.NewTeam(opt.Workers)
-	a.reqs = make([]*mpi.Request, len(a.xu))
-	a.unitKB = make([]int, len(a.xu))
-
+	a.reqs = make([]*mpi.Request, len(a.units))
 	a.mid = pool.GetComplex(s.MY() * n * nxh)
 	// The stages are registered unconditionally (registration is a cheap
 	// collective and every rank must stay in the same collective order
@@ -301,6 +294,26 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		a.wire = newWire(a, bound, transpose.NarrowStrided, transpose.WidenStrided)
 	} else {
 		a.wire = newWire(a, bound, transpose.CopyStrided[complex128], transpose.CopyStrided[complex128])
+	}
+
+	for g := 0; g < opt.NGPU; g++ {
+		dev := cuda.NewDevice(g)
+		dev.SetMetrics(reg, comm.Rank())
+		ctx := &gpuCtx{
+			dev:     dev,
+			compute: dev.NewStream(fmt.Sprintf("gpu%d/compute", g)),
+			team:    par.NewTeam(opt.Workers),
+			plans:   make([]*fft.BatchCache, opt.Workers),
+			ps: pfft.Passes{N: n, Stride: nxh, ZIn: make([]bool, s.MZ()),
+				Y: make([]*fft.Batch, opt.Workers), X: make([]*fft.RealBatch, opt.Workers)},
+		}
+		if a.wire.packs() {
+			ctx.transfer = dev.NewStream(fmt.Sprintf("gpu%d/transfer", g))
+		}
+		for w := range ctx.plans {
+			ctx.plans[w] = fft.NewBatchCache()
+		}
+		a.gpus = append(a.gpus, ctx)
 	}
 	a.Truncate(-1)
 	a.met.strategy.Set(a.strat.Code())
@@ -365,26 +378,28 @@ func (a *AsyncSlabReal) PhysicalLen() int { return a.s.MY() * a.n * a.n }
 // NP reports the pencil count per slab.
 func (a *AsyncSlabReal) NP() int { return a.np }
 
-// subRange returns device g's share of a pencil's range (Fig 5
-// vertical split).
+// subRange returns device g's share of a plane group (Fig 5 split).
 func subRange(xs span, g, ngpu int) span {
 	subs := splitRange(xs.width(), ngpu)
 	return span{xs.lo + subs[g].lo, xs.lo + subs[g].hi}
 }
 
-// cell is one (pencil, device) entry of a region's op program. A
-// zero-width sub-pencil leaves compute.Run nil; only transposing
-// regions carry a pack kernel and the two events that order it: compute
-// → pack across the device's streams, pack → host for the per-pencil
-// all-to-all.
+// cell is one (plane group, device) entry of a region's op program.
+// Every cell is launched, an empty share of a group included, so the
+// launch and event order of Fig 4 depends on neither the geometry nor
+// the band. Only a transposing region's cells carry events: computed
+// orders the pack behind the compute across the device's streams or,
+// where nothing packs, the unit's exchange behind the compute; packed
+// orders the per-pencil exchange behind the pack.
 type cell struct {
 	compute, pack    cuda.Op
 	computed, packed *cuda.Event
 }
 
 // region is one compiled pass of Fig 4: np rows of one cell per device.
-// A transposing region packs, in direction dir; under PerPencil its
-// unit exchanges are started from inside the pipeline.
+// A transposing region feeds direction dir's exchange: packs says its
+// cells carry the wire's pack op, units that its unit exchanges are
+// started from inside the pipeline (PerPencil).
 type region struct {
 	cells []cell
 	dir   exchange.Dir
@@ -392,177 +407,75 @@ type region struct {
 	units bool
 }
 
-// compile builds the six op programs for a.band. Every plan the kernels
-// run is looked up here, one per worker and width including the
-// vertical GPU sub-splits of Fig 5, so neither plan construction nor a
-// cache lookup is left in the timed regions.
+// compile builds the four op programs for a.band. Every plan the
+// kernels run is looked up here, one per worker and device, so neither
+// plan construction nor a cache lookup is left in the timed regions.
 //
-// The band reaches every pass and every exchange: each (pencil, device)
-// line kernel of the y and z passes transforms the kb of its columns
-// whose kx is inside it — a cell left with none keeps its kernel, so
-// the launch and event order of Fig 4 does not depend on the band — and
-// the y kernels, which see the y-complete Fourier slab, also skip its
-// out-of-band z-planes (the inverse's, wholly: the exchange reads none
-// of them) and store the band's zeros after the forward's lines. The x
-// kernels take their real batches at the band's width of the
-// half-spectrum, so the r2c stores and the c2r loads stop at the last
-// in-band bin of each mid-slab row. Each cell's pack kernel and each
-// unit's scatters move the kb columns of the in-band kz rows and
-// nothing else, the YZ scatters storing +0 over the same columns of the
-// out-of-band rows of mid, and a unit with no in-band column (at
-// N = 64, np = 4, the last of four) skips its exchange on every rank
-// while its cells are still launched.
+// A plane group is a valid Fig 3 pencil of each pass it runs: z-planes
+// of four are complete in y, y-planes of mid complete in z and x. So
+// every batch runs the band's full width kb of in-band columns, and the
+// z and x passes of a y-plane run back to back while it is in cache:
+// the cells run the bodies of pfft.Passes, the slab engine's own, over
+// their share of a group. The band reaches every pass (see
+// pfft.Passes) and every exchange: each pack and gather moves the kb
+// columns of the in-band kz rows, the YZ gathers storing +0 over the
+// same columns of the out-of-band rows of mid, which the z lines read.
 func (a *AsyncSlabReal) compile() {
-	n, nxh, mz, my, ngpu := a.n, a.nxh, a.s.MZ(), a.s.MY(), len(a.gpus)
-	for u, xs := range a.xu {
-		a.unitKB[u] = a.band.Width(xs.lo, xs.hi)
+	a.kb = a.band.Width(0, a.nxh)
+	gapLo, gapHi := a.band.Gap()
+	for _, ctx := range a.gpus {
+		ps := &ctx.ps
+		ps.KB, ps.GapLo, ps.GapHi = a.kb, gapLo, gapHi
+		for iz := range ps.ZIn {
+			ps.ZIn[iz] = a.band.Has(a.s.ZLo() + iz)
+		}
+		for w, cache := range ctx.plans {
+			ps.Y[w] = cache.Batch(a.n, a.kb, a.nxh, 1, a.nxh, 1)
+			ps.X[w] = cache.RealBatch(a.n, a.kb, a.n, 1, a.n, 1, a.nxh)
+		}
 	}
 	a.wire.setBand()
-	zIn := make([]bool, mz)
-	for iz := range zIn {
-		zIn[iz] = a.band.Has(a.s.ZLo() + iz)
+	a.regT[exchange.YZ] = a.region(exchange.YZ, true, func(ps *pfft.Passes, w, lo, hi int) { ps.InvY(w, a.four, lo, hi) })
+	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *pfft.Passes, w, lo, hi int) { ps.InvZX(w, a.phys, a.mid, lo, hi) })
+	a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *pfft.Passes, w, lo, hi int) { ps.FwdXZ(w, a.mid, a.phys, lo, hi) })
+	a.regM[exchange.ZY] = a.region(exchange.ZY, false, func(ps *pfft.Passes, w, lo, hi int) { ps.FwdY(w, a.four, lo, hi) })
+}
+
+// region compiles one pass: a cell per (group, device) whose kernel
+// runs pass over the device's share of the group's planes, split
+// across the device's team. A transposing region's cells also carry the
+// wire's pack kernel of their planes, if it has one, and the events of
+// their Fig 4 edges.
+func (a *AsyncSlabReal) region(d exchange.Dir, transposing bool, pass func(ps *pfft.Passes, w, lo, hi int)) region {
+	ngpu := len(a.gpus)
+	r := region{cells: make([]cell, a.np*ngpu), dir: d}
+	if transposing {
+		r.packs, r.units = a.wire.packs(), a.gran == PerPencil
 	}
-	// line compiles an FFT pass along the middle axis of slab =
-	// [ma][n][nxh] over the x-split pencils: each kernel transforms its
-	// pencil's in-band columns in place, at the slab's own stride; planes
-	// is the z-plane table of a y pass, nil for a z pass (whose planes
-	// are physical y). A packing region transposes: a pack kernel per
-	// cell moves the pencil into its unit's send blocks, mb rows per
-	// destination and plane.
-	line := func(slab *[]complex128, ma, mb int, planes []bool, fwd bool, dir exchange.Dir, packs bool) region {
-		r := region{cells: make([]cell, a.np*ngpu), dir: dir, packs: packs, units: packs && a.gran == PerPencil}
-		for ip, xp := range a.xr {
-			for g, ctx := range a.gpus {
-				xs := subRange(xp, g, ngpu)
-				w := xs.width()
-				if w == 0 {
-					continue
-				}
-				k := &lineKernel{team: ctx.team, slab: slab, planes: planes, fwd: fwd,
-					nplanes: ma, n: n, nxh: nxh, off: xs.lo, w: w, kb: a.band.Width(xs.lo, xs.hi)}
-				k.gapLo, k.gapHi = a.band.Gap()
-				for _, cache := range ctx.plans {
-					k.plans = append(k.plans, cache.Batch(n, k.kb, nxh, 1, nxh, 1))
-				}
-				k.each = k.body
-				c := &r.cells[ip*ngpu+g]
-				c.compute = cuda.Op{Kind: "fft-line", Run: k.run}
-				if !packs {
-					continue
-				}
-				u := ip
-				if a.gran == PerSlab {
-					u = 0
-				}
-				run, bytes := a.wire.packKernel(slab, dir, u, xs, ma, mb)
-				c.pack = cuda.Op{Kind: "zerocopy-pack", Run: run, Bytes: bytes}
-				c.computed, c.packed = cuda.NewEvent(), cuda.NewEvent()
-			}
+	for ip, gs := range a.groups {
+		u := ip
+		if a.gran == PerSlab {
+			u = 0
 		}
-		return r
-	}
-	a.regT[exchange.YZ] = line(&a.four, mz, my, zIn, false, exchange.YZ, true)
-	a.regT[exchange.ZY] = line(&a.mid, my, mz, nil, true, exchange.ZY, true)
-	a.regY = line(&a.four, mz, my, zIn, true, 0, false)
-	a.regZ = line(&a.mid, my, mz, nil, false, 0, false)
-	// The x passes run r2c/c2r over the z-split pencils straight
-	// between the physical slab [my][nz][nx] and the mid slab's in-band
-	// bins.
-	kx := a.band.Width(0, nxh)
-	for _, r := range []*region{&a.regXFwd, &a.regXInv} {
-		r.cells = make([]cell, a.np*ngpu)
-		for ip, zp := range a.zr {
-			for g, ctx := range a.gpus {
-				zs := subRange(zp, g, ngpu)
-				if zs.width() == 0 {
-					continue
-				}
-				plans := make([]*fft.RealBatch, len(ctx.plans))
-				for wk, cache := range ctx.plans {
-					plans[wk] = cache.RealBatch(n, kx, zs.width(), 1, n, 1, nxh)
-				}
-				r.cells[ip*ngpu+g].compute = cuda.Op{Kind: "fft-x", Run: a.realKernel(ctx.team, plans, zs, r == &a.regXFwd)}
+		for g, ctx := range a.gpus {
+			c, sp, ps, team := &r.cells[ip*ngpu+g], subRange(gs, g, ngpu), &ctx.ps, ctx.team
+			body := func(w, lo, hi int) { pass(ps, w, sp.lo+lo, sp.lo+hi) }
+			c.compute = cuda.Op{Kind: "fft-planes", Run: func() { team.ForWorkers(sp.width(), body) }}
+			if r.packs || r.units {
+				c.computed = cuda.NewEvent()
+			}
+			if r.packs {
+				run, bytes := a.wire.packKernel(d, u, sp)
+				c.pack = cuda.Op{Kind: "pack", Run: run, Bytes: bytes}
+				c.packed = cuda.NewEvent()
 			}
 		}
 	}
+	return r
 }
 
-// lineKernel is the compute kernel of one cell of a y or z pass: the
-// team's workers split the slab's planes ([n][nxh] each, the cell's w
-// columns starting at element off of each) and run the kb-wide batch in
-// place. Planes are independent and every worker runs an identical
-// plan, so the output is bitwise invariant under the team size. A y
-// pass (planes non-nil: which of the slab's z-planes are in the band)
-// also handles the band's zeros over its columns. Forward, it stores
-// them behind its lines: the whole span of an out-of-band plane, else
-// the gap rows and the column tails. Inverse, it skips out-of-band
-// planes and stores +0 only over the gap rows of its kb columns, which
-// its lines read; nothing else of the plane is read by the exchange. A
-// z pass needs no zeros: inverse, the exchange's receiving side stores
-// them; forward, the y pass behind the exchange does. Built at plan
-// time.
-type lineKernel struct {
-	team         *par.Team
-	plans        []*fft.Batch
-	slab         *[]complex128
-	planes       []bool
-	fwd          bool
-	nplanes      int
-	n, nxh       int
-	off, w, kb   int
-	gapLo, gapHi int
-	each         func(wk, lo, hi int) // body, bound once: the replay path builds no closure
-}
-
-//psdns:hotpath
-func (k *lineKernel) run() { k.team.ForWorkers(k.nplanes, k.each) }
-
-//psdns:hotpath
-func (k *lineKernel) body(wk, lo, hi int) {
-	buf, plane := *k.slab, k.n*k.nxh
-	for pl := lo; pl < hi; pl++ {
-		cols := buf[pl*plane+k.off : (pl+1)*plane]
-		switch {
-		case k.planes == nil && k.fwd:
-			k.plans[wk].Forward(cols, cols)
-		case k.planes == nil:
-			k.plans[wk].Inverse(cols, cols)
-		case !k.planes[pl] && k.fwd:
-			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, 0, 0, 0)
-		case !k.planes[pl]: // the inverse's exchange reads no out-of-band plane
-		case k.fwd:
-			k.plans[wk].Forward(cols, cols)
-			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.w, k.kb, k.gapLo, k.gapHi)
-		default:
-			transpose.ZeroOutOfBand(cols, k.n, k.nxh, k.kb, k.kb, k.gapLo, k.gapHi)
-			k.plans[wk].Inverse(cols, cols)
-		}
-	}
-}
-
-// realKernel is the compute kernel of one cell of an x pass: rows
-// zs of every y plane, r2c from the physical slab into the mid slab
-// (forward) or c2r back.
-//
-//psdns:hotpath
-func (a *AsyncSlabReal) realKernel(team *par.Team, plans []*fft.RealBatch, zs span, forward bool) func() {
-	n, nxh := a.n, a.nxh
-	body := func(wk, lo, hi int) {
-		for iy := lo; iy < hi; iy++ {
-			re := a.phys[(iy*n+zs.lo)*n : (iy*n+zs.hi)*n]
-			sp := a.mid[(iy*n+zs.lo)*nxh : (iy*n+zs.hi)*nxh]
-			if forward {
-				plans[wk].Forward(sp, re)
-			} else {
-				plans[wk].Inverse(re, sp)
-			}
-		}
-	}
-	return func() { team.ForWorkers(a.s.MY(), body) }
-}
-
-// FourierToPhysical runs the Fig 4 pipeline: the y region with fused
-// pack + all-to-all, then the z and x regions. four is consumed.
+// FourierToPhysical runs the Fig 4 pipeline: the y region with its
+// exchange fused in, then the z+x region. four is consumed.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) FourierToPhysical(phys []float64, four []complex128) {
@@ -571,15 +484,13 @@ func (a *AsyncSlabReal) FourierToPhysical(phys []float64, four []complex128) {
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
 	a.four, a.phys = four, phys
-	a.transpose(exchange.YZ)
-	a.pipeline(&a.regZ)
-	a.pipeline(&a.regXInv)
+	a.transform(exchange.YZ)
 	a.four, a.phys = nil, nil
 }
 
-// PhysicalToFourier runs the reverse pipeline: the x (r2c) region, the
-// z region with the reverse all-to-all fused behind its pack, then the
-// y region. phys is left untouched.
+// PhysicalToFourier runs the reverse pipeline: the x+z (r2c) region
+// with the reverse exchange fused in, then the y region. phys is left
+// untouched.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
@@ -588,41 +499,38 @@ func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
 	a.four, a.phys = four, phys
-	a.pipeline(&a.regXFwd)
-	a.transpose(exchange.ZY)
-	a.pipeline(&a.regY)
+	a.transform(exchange.ZY)
 	a.four, a.phys = nil, nil
 }
 
-// transpose is a dashed region of Fig 4, in either direction. YZ runs
-// inverse y transforms on the Fourier slab [mz][ny][nxh] and exchanges
-// it into the mid slab; ZY runs forward z transforms on the mid slab
-// [my][nz][nxh] and exchanges it into the Fourier slab. The pack is the
-// one copy of the region: a zero-copy kernel per (pencil, device) that
-// reads the transformed pencil out of the host slab and writes it, at
-// wire precision, into the send blocks [dst][ma][mb][wp] (§4.2). Under
-// PerPencil each unit's exchange starts from inside the pipeline as
-// soon as its pack completes, overlapping the later pencils' compute:
-// Staged posts the all-to-all there and unpacks the received blocks
-// once all have arrived, the zero-copy strategies skip the wire and
-// gather the unit from every peer's send buffer in place through its
-// exchange stage. Under PerSlab the one exchange follows the pipeline.
+// transform is one direction of Fig 4: the dashed transposing region,
+// its exchange, and the region behind it. Unit u of the exchange is
+// plane group u: under PerPencil it starts from inside the pipeline as
+// soon as the group is ready on every device, overlapping the later
+// groups' compute. The zero-copy strategies publish the group's planes
+// and every peer gathers them in place into its destination slab —
+// straight from the slab on the double-precision wire, where the
+// region packs nothing, from the planes the pack narrowed on the f32
+// wire. Staged packs each cell into the unit's send blocks, posts the
+// all-to-all there and unpacks the received blocks once all have
+// arrived. Under PerSlab the one exchange follows the region.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) transpose(d exchange.Dir) {
+func (a *AsyncSlabReal) transform(d exchange.Dir) {
 	a.pipeline(&a.regT[d])
 	a.exchange(d, a.strat, a.regT[d].units)
+	a.pipeline(&a.regM[d])
 }
 
 // pipeline replays a region's op program with the Fig 4 launch order:
-// the pack of the previous pencil first (prioritizing copies out of
-// the device so exchanges can start early), then the compute of the
-// current pencil, with an event ordering each pack behind its compute
-// across the two streams. In a region with units, unit ip's exchange
-// is started from the host once pencil ip's pack has completed on
-// every device — two pencils behind the launch frontier, the (ip−2)
-// rule of Fig 4. Time a zero-copy gather spends there is the exchange
-// stage's (phase.a2a), not the pipeline's.
+// the pack of the previous group first (prioritizing copies out of the
+// device so exchanges can start early), then the compute of the
+// current group, with an event ordering each pack behind its compute
+// across the two streams. In a region with units, unit ip's exchange is
+// started from the host once group ip is ready on every device — two
+// groups behind the launch frontier, the (ip−2) rule of Fig 4. Time a
+// zero-copy gather spends there is the exchange stage's (phase.a2a),
+// not the pipeline's.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) pipeline(r *region) {
@@ -635,21 +543,18 @@ func (a *AsyncSlabReal) pipeline(r *region) {
 		}
 		for g, ctx := range a.gpus {
 			c := &r.cells[ip*ngpu+g]
-			if c.compute.Run == nil {
-				continue
-			}
 			ctx.compute.Enqueue(&c.compute)
-			if r.packs {
+			if c.computed != nil {
 				ctx.compute.RecordEvent(c.computed)
 			}
 		}
 		if r.units && ip >= 2 {
-			gathering += a.packedUnit(r, ip-2)
+			gathering += a.readyUnit(r, ip-2)
 		}
 	}
 	a.launchPacks(r, a.np-1)
 	for ip := max(0, a.np-2); r.units && ip < a.np; ip++ {
-		gathering += a.packedUnit(r, ip)
+		gathering += a.readyUnit(r, ip)
 	}
 	// A region ends when every stream it used has drained.
 	for _, g := range a.gpus {
@@ -663,17 +568,17 @@ func (a *AsyncSlabReal) pipeline(r *region) {
 	}
 }
 
-// launchPacks enqueues pencil ip's pack kernels on the transfer
+// launchPacks enqueues group ip's pack kernels on the transfer
 // streams, each behind its compute; the packed event is recorded only
 // when the host will wait on it.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) launchPacks(r *region, ip int) {
+	if !r.packs {
+		return
+	}
 	for g, ctx := range a.gpus {
 		c := &r.cells[ip*len(a.gpus)+g]
-		if c.pack.Run == nil {
-			continue
-		}
 		ctx.transfer.Wait(c.computed)
 		ctx.transfer.Enqueue(&c.pack)
 		a.met.d2h.Add(c.pack.Bytes)
@@ -683,14 +588,18 @@ func (a *AsyncSlabReal) launchPacks(r *region, ip int) {
 	}
 }
 
-// packedUnit waits for pencil ip's pack on every device and starts its
-// exchange, reporting the time a zero-copy gather took.
+// readyUnit waits for group ip's last op on every device — its pack,
+// or its compute where nothing packs — and starts unit ip's exchange,
+// reporting the time a zero-copy gather took.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) packedUnit(r *region, ip int) time.Duration {
+func (a *AsyncSlabReal) readyUnit(r *region, ip int) time.Duration {
 	for g := range a.gpus {
-		if c := &r.cells[ip*len(a.gpus)+g]; c.pack.Run != nil {
+		c := &r.cells[ip*len(a.gpus)+g]
+		if r.packs {
 			c.packed.Synchronize()
+		} else {
+			c.computed.Synchronize()
 		}
 	}
 	t0 := time.Now()
@@ -702,14 +611,14 @@ func (a *AsyncSlabReal) packedUnit(r *region, ip int) time.Duration {
 }
 
 // startUnit starts unit u's exchange under st: the staged all-to-all
-// is posted, a zero-copy gather runs to completion. A unit with no
-// in-band column has nothing to move, on every rank alike (they share
-// the band), and is skipped. Collective.
+// is posted, a zero-copy gather runs to completion. An empty unit (a
+// group past N/P planes) has nothing to move, on every rank alike, and
+// is skipped. Collective.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
 	switch {
-	case a.unitKB[u] == 0:
+	case a.units[u].width() == 0:
 		a.reqs[u] = nil
 	case st == exchange.Staged:
 		a.reqs[u] = a.wire.post(u)
@@ -738,7 +647,7 @@ func (a *AsyncSlabReal) zRuns(lo, hi int) [2]span {
 func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy, started bool) {
 	t0 := time.Now()
 	if !started {
-		for u := range a.xu {
+		for u := range a.units {
 			a.startUnit(d, st, u)
 		}
 	}

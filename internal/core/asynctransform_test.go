@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/exchange"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 )
@@ -95,7 +98,8 @@ func TestAsyncMatchesSyncPerPencil(t *testing.T) {
 }
 
 func TestAsyncManyPencilCounts(t *testing.T) {
-	// nxh = 9 for n=16: exercise uneven x splits including np∤nxh.
+	// N/P = 8 for n=16: exercise uneven plane groups including np∤N/P
+	// and np > N/P (an empty group).
 	for _, np := range []int{1, 2, 3, 5, 7, 9} {
 		for _, gran := range []Granularity{PerPencil, PerSlab} {
 			d, _ := runBoth(t, 16, 2, Options{NP: np, Granularity: gran})
@@ -236,4 +240,63 @@ func TestOptionsValidation(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		NewAsyncSlabReal(c, 8, Options{NP: 100})
 	})
+}
+
+// A double-precision zero-copy engine moves nothing but its gathers:
+// each unit publishes its plane range of the slab itself, so the engine
+// holds no send, recv or narrowed buffer, no transposing cell carries a
+// pack op, and no device has a transfer stream. Over a transform pair
+// the devices execute the compute ops alone — four regions of np cells
+// per device — and count no transfer or packed bytes. Every zero-copy
+// strategy, both granularities, one or two devices, and a pencil count
+// past N/P.
+func TestZeroCopyEngineHoldsNoSendBuffer(t *testing.T) {
+	const n, p = 16, 2 // N/P = 8
+	for _, st := range []exchange.Strategy{exchange.Fused, exchange.ChunkedFused, exchange.AT} {
+		for _, gran := range []Granularity{PerPencil, PerSlab} {
+			for _, ngpu := range []int{1, 2} {
+				for _, np := range []int{3, 9} {
+					opt := Options{NP: np, Granularity: gran, NGPU: ngpu, Exchange: st, ATMaxStale: 1}
+					if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+						a := NewAsyncSlabReal(c, n, opt)
+						defer a.Close()
+						w := a.wire.(*wireBuf[complex128])
+						if w.send != nil || w.recv != nil || w.narrow != nil {
+							panic(fmt.Sprintf("wire buffers held: send %d recv %d narrow %d", len(w.send), len(w.recv), len(w.narrow)))
+						}
+						for g, ctx := range a.gpus {
+							if ctx.transfer != nil {
+								panic(fmt.Sprintf("device %d has a transfer stream", g))
+							}
+						}
+						for d := range a.regT {
+							for i, cl := range a.regT[d].cells {
+								if cl.pack.Run != nil || cl.packed != nil {
+									panic(fmt.Sprintf("dir %d cell %d carries a pack op", d, i))
+								}
+							}
+						}
+						reg, me := c.Metrics(), c.Rank()
+						counters := []*metrics.Counter{reg.CounterRank("cuda.stream.ops", me),
+							reg.CounterRank("cuda.xfer.bytes", me), reg.CounterRank("gpu.d2h.bytes", me)}
+						var before [3]int64
+						for i, ctr := range counters {
+							before[i] = ctr.Value()
+						}
+						four := make([]complex128, a.FourierLen())
+						phys := make([]float64, a.PhysicalLen())
+						a.PhysicalToFourier(four, phys)
+						a.FourierToPhysical(phys, four)
+						for i, want := range []int64{int64(4 * np * ngpu), 0, 0} {
+							if got := counters[i].Value() - before[i]; got != want {
+								panic(fmt.Sprintf("counter %d grew %d over a pair, want %d", i, got, want))
+							}
+						}
+					}); err != nil {
+						t.Fatalf("%+v: %v", opt, err)
+					}
+				}
+			}
+		}
+	}
 }

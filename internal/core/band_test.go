@@ -18,21 +18,21 @@ func sameBits(a, b complex128) bool {
 }
 
 // poisonEngine stores NaN over every element of the engine's mid slab
-// and of the wire's send and recv buffers, none of which a transform
-// may read before writing.
+// and of the wire's send, recv and narrow buffers, none of which a
+// transform may read before writing.
 func poisonEngine(a *AsyncSlabReal) {
-	fill := func(buf []complex128) {
-		for i := range buf {
-			buf[i] = cmplx.NaN()
-		}
-	}
-	fill(a.mid)
 	switch w := a.wire.(type) {
 	case *wireBuf[complex128]:
-		fill(w.send)
-		fill(w.recv)
+		for _, buf := range [][]complex128{a.mid, w.send, w.recv, w.narrow} {
+			for i := range buf {
+				buf[i] = cmplx.NaN()
+			}
+		}
 	case *wireBuf[complex64]:
-		for _, buf := range [][]complex64{w.send, w.recv} {
+		for i := range a.mid {
+			a.mid[i] = cmplx.NaN()
+		}
+		for _, buf := range [][]complex64{w.send, w.recv, w.narrow} {
 			for i := range buf {
 				buf[i] = complex64(cmplx.NaN())
 			}
@@ -142,34 +142,38 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 	}
 }
 
-// Every byte counter of the batched engine charges what moves, and a
-// unit with nothing in band is not exchanged. Per transform and rank,
-// computed here from grid.Band and the pencil geometry alone:
+// Every byte counter of the batched engine charges what moves, and an
+// empty unit is not exchanged. Per transform and rank, computed here
+// from grid.Band and the plane-group geometry alone:
 //
-//   - exchange.calls grows by the units with an in-band column (kb_u > 0);
+//   - exchange.calls grows by the units holding a plane, under a
+//     zero-copy strategy (Staged posts its own all-to-alls instead);
 //   - exchange.bytes by what those units' gathers read from the other
-//     ranks, kb_u columns of each row: YZ, every peer's in-band kz
-//     planes, my rows each; ZY, this rank's in-band planes, my rows from
-//     each peer;
-//   - every pack op's Bytes is what it writes, the cell's kb columns of
-//     the in-band kz rows (YZ: every row of the in-band planes; ZY:
-//     every plane's in-band kz rows), and cuda.xfer.bytes grows by their
-//     sum.
+//     ranks, kb columns of each row: YZ, every peer's in-band kz planes
+//     of the unit's range, my rows each; ZY, this rank's in-band planes,
+//     the unit's rows from each peer;
+//   - a pack op exists only where the wire packs — a staged cell, or
+//     the f32 wire's narrow — and its Bytes is what it writes, the kb
+//     columns of the cell's in-band kz rows (YZ: every row of its
+//     in-band planes; ZY: every plane's in-band kz rows); cuda.xfer.bytes
+//     grows by their sum, by nothing on the f64 zero-copy wire.
 //
-// At the full band each count is what the engine charged before the
-// band reached its exchanges: whole units and whole pencils.
+// At the full band each count is the whole unit's and the whole
+// group's share. Pencil counts past N/P leave empty groups.
 func TestExchangeBytesAreInBand(t *testing.T) {
 	for _, n := range []int{12, 16} {
 		for _, p := range []int{1, 2, 4} {
-			for _, np := range []int{1, 3, 4} {
+			for _, np := range []int{1, 3, 4, 5} {
 				for _, gran := range []Granularity{PerPencil, PerSlab} {
 					for _, single := range []bool{false, true} {
-						for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
-							opt := Options{NP: np, Granularity: gran, NGPU: 1 + (np+p)%2, SingleComm: single, Exchange: exchange.ChunkedFused}
-							if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
-								checkAsyncBytes(c, n, kmax, opt)
-							}); err != nil {
-								t.Fatalf("N=%d P=%d kmax=%d %+v: %v", n, p, kmax, opt, err)
+						for _, st := range []exchange.Strategy{exchange.ChunkedFused, exchange.Staged} {
+							for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+								opt := Options{NP: np, Granularity: gran, NGPU: 1 + (np+p)%2, SingleComm: single, Exchange: st}
+								if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+									checkAsyncBytes(c, n, kmax, opt)
+								}); err != nil {
+									t.Fatalf("N=%d P=%d kmax=%d %+v: %v", n, p, kmax, opt, err)
+								}
 							}
 						}
 					}
@@ -198,38 +202,52 @@ func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
 		}
 		return k
 	}
-	mine, all := inPlanes(me*m, (me+1)*m), inPlanes(0, n)
-	units := splitRange(nxh, opt.NP)
+	mine, all, kb := inPlanes(me*m, (me+1)*m), inPlanes(0, n), int64(band.Width(0, nxh))
+	groups := splitRange(m, opt.NP)
+	units := groups
 	if opt.Granularity == PerSlab {
-		units = []span{{0, nxh}}
+		units = []span{{0, m}}
 	}
 	var want [2]int64
 	calls := int64(0)
 	for _, u := range units {
-		kb := int64(band.Width(u.lo, u.hi))
-		if kb > 0 {
+		if u.width() > 0 && opt.Exchange != exchange.Staged {
 			calls++
 		}
-		yz, zy := int64((all-mine)*m)*kb*elem, int64((p-1)*mine*m)*kb*elem
-		if size := int64(p * m * m * u.width()); kmax < 0 && (yz != (size-size/int64(p))*elem || zy != yz) {
+		theirs := 0
+		for s := 0; s < p; s++ {
+			if s != me {
+				theirs += inPlanes(s*m+u.lo, s*m+u.hi)
+			}
+		}
+		yz, zy := int64(theirs*m)*kb*elem, int64((p-1)*mine*u.width())*kb*elem
+		if size := int64(u.width() * n * nxh); kmax < 0 && (yz != (size-size/int64(p))*elem || zy != yz) {
 			panic(fmt.Sprintf("full band: unit %v charges %d/%d, the whole unit's share is %d", u, yz, zy, (size-size/int64(p))*elem))
 		}
-		want[exchange.YZ] += yz
-		want[exchange.ZY] += zy
+		if opt.Exchange != exchange.Staged {
+			want[exchange.YZ] += yz
+			want[exchange.ZY] += zy
+		}
 	}
+	packs := opt.SingleComm || opt.Exchange == exchange.Staged
 	var xfer [2]int64
 	for d := range a.regT {
 		for i, cl := range a.regT[d].cells {
-			xs := subRange(a.xr[i/opt.NGPU], i%opt.NGPU, opt.NGPU)
-			kb := int64(band.Width(xs.lo, xs.hi))
-			rows := int64(m * all) // ZY: every plane's in-band kz rows
+			if !packs {
+				if cl.pack.Run != nil || cl.pack.Bytes != 0 {
+					panic(fmt.Sprintf("dir %d cell %d: a pack op on the f64 zero-copy wire", d, i))
+				}
+				continue
+			}
+			sp := subRange(groups[i/opt.NGPU], i%opt.NGPU, opt.NGPU)
+			rows := int64(sp.width() * all) // ZY: every plane's in-band kz rows
 			if exchange.Dir(d) == exchange.YZ {
-				rows = int64(mine * n) // YZ: every row of the in-band planes
+				rows = int64(inPlanes(me*m+sp.lo, me*m+sp.hi) * n) // YZ: every row of the in-band planes
 			}
-			if kmax < 0 && rows*kb != int64(xs.width()*m*n) {
-				panic(fmt.Sprintf("full band: cell %d writes %d elements, the whole pencil has %d", i, rows*kb, xs.width()*m*n))
+			if kmax < 0 && rows*kb != int64(sp.width()*n*nxh) {
+				panic(fmt.Sprintf("full band: cell %d writes %d elements, its planes hold %d", i, rows*kb, sp.width()*n*nxh))
 			}
-			if cl.pack.Bytes != rows*kb*elem {
+			if cl.pack.Run == nil || cl.pack.Bytes != rows*kb*elem {
 				panic(fmt.Sprintf("dir %d cell %d: pack op charges %d bytes, writes %d", d, i, cl.pack.Bytes, rows*kb*elem))
 			}
 			xfer[d] += rows * kb * elem

@@ -5,36 +5,44 @@
 // with events enforcing the per-pencil FFT → pack → all-to-all chain.
 // The device of internal/cuda executes on host memory, so every kernel
 // is the zero-copy kernel of §4.2: the FFT batches run in place on the
-// host slab and the one copy left is the pack into the send buffer;
-// there is no H2D stage and there are no device slots (the simulated
-// performance model keeps charging for both). Construction compiles
-// each region pass into a flat op program — prebuilt kernels and
-// reusable events per (pencil, device) — and a transform replays it
-// without allocating. Three region passes per direction mirror the
-// paper's y, z, x transform ordering:
+// host slab, there is no H2D stage and there are no device slots (the
+// simulated performance model keeps charging for both). Construction
+// compiles each region pass into a flat op program — prebuilt kernels
+// and reusable events per (pencil, device) — and a transform replays
+// it without allocating.
 //
-//	Fourier→physical: [y FFTs on x-split pencils] → pack/A2A/unpack →
-//	                  [z FFTs on x-split pencils] →
-//	                  [c2r x FFTs on z-split pencils]
+// A pencil is a plane group, splitRange(N/P, np): it only has to be
+// complete along the axes its region transforms, and a z-plane of the
+// Fourier slab holds whole y lines, a y-plane of the intermediate slab
+// whole z and x lines. So two region passes per direction mirror the
+// paper's y, z, x transform ordering, each running the slab engine's
+// own plane passes (pfft.Passes) over its groups at the band's full
+// width:
 //
-// and the reverse for physical→Fourier. The all-to-all granularity is
-// selectable: PerPencil starts a pencil's exchange as soon as its pack
-// completes, two pencils behind the launch frontier — a non-blocking
-// MPI_IALLTOALL on the staged wire, the unit's in-place gather under
-// the zero-copy strategies — overlapping the later pencils' compute
-// (configurations A and B of the paper); PerSlab waits for the whole
-// slab and runs one large blocking exchange (configuration C, the
-// winner at scale).
+//	Fourier→physical: [y FFTs on z-plane groups] → A2A →
+//	                  [z FFT + c2r x FFT per y-plane, on y-plane groups]
+//
+// and the reverse for physical→Fourier. Exchange unit u is plane group
+// u. Under the zero-copy strategies it publishes the group's planes and
+// every peer gathers them in place into its destination slab: straight
+// from the slab on the double-precision wire, which packs nothing and
+// leaves the transfer stream idle, from the planes a pack narrowed on
+// the single-precision wire. Staged packs each (group, device) cell
+// into the unit's send blocks and posts an all-to-all. The all-to-all
+// granularity is selectable: PerPencil starts a group's exchange as
+// soon as it is ready, two groups behind the launch frontier,
+// overlapping the later groups' compute (configurations A and B of the
+// paper); PerSlab waits for the whole slab and runs one large blocking
+// exchange (configuration C, the winner at scale).
 //
 // Truncate band-limits the pair to |k_i| ≤ kmax (a dealiased solver
-// calls it with the 2/3 rule) by recompiling the regions: each
-// (pencil, device) line kernel runs only its in-band columns, the y
-// kernels skip out-of-band z-planes and the forward's store the band's
-// zeros, the x regions stop at the band's last bin, and the packs and
-// exchange units move the in-band columns of the in-band kz rows only.
-// A cell left with no column keeps its (now empty) kernels so the Fig 4
-// launch and event order is independent of the band; a unit left with
-// none is not exchanged at all.
+// calls it with the 2/3 rule) by recompiling the regions: every batch
+// runs the in-band columns only, the y passes skip out-of-band z-planes
+// and the forward's store the band's zeros, the x passes stop at the
+// band's last bin, and the packs and exchange units move the in-band
+// columns of the in-band kz rows only. Every cell is launched whatever
+// the band and the geometry, so the Fig 4 launch and event order is
+// independent of both; only an empty unit (np > N/P) is not exchanged.
 //
 // AsyncSlabReal implements spectral.Transform, so the full DNS can run
 // on the asynchronous pipeline; its results are bit-compatible with

@@ -54,20 +54,17 @@ type Engine struct {
 	l    *transpose.PencilLayout
 	n    int
 	team *par.Team
-	// Per-worker plans (plans carry scratch and are not concurrency-safe).
-	byz []*fft.Batch     // y lines of a C z-plane, z lines of a B y-plane: the kb in-band columns of [N][Wc]
-	bx  []*fft.RealBatch // the Mz half-spectrum ↔ real x lines of a y-plane, band-limited to the in-band bins
-
-	// The band the passes transform and the row stage moves (Truncate;
-	// full at construction): kb of this rank's Wc columns hold a kx
-	// inside it, zIn marks C's z-planes whose kz is, [gapLo, gapHi) are
-	// the ky (and kz) storage rows that are not. rl is the row stage's
+	// ps holds the per-worker plans and the band the passes transform
+	// and the row stage moves (Truncate; full at construction): ps.KB of
+	// this rank's Wc columns hold a kx inside it, ps.ZIn marks C's
+	// z-planes whose kz is, [ps.GapLo, ps.GapHi) are the ky (and kz)
+	// storage rows that are not. Its Y plans run the y lines of a C
+	// z-plane and the z lines of a B y-plane, its X plans the Mz
+	// half-spectrum ↔ real x lines of a y-plane. rl is the row stage's
 	// layout, which carries the same band to its kernels.
-	kb           int
-	zIn          []bool
-	gapLo, gapHi int
-	rl           transpose.SlabLayout
-	kmax         *metrics.Gauge // transform.kmax
+	ps   Passes
+	rl   transpose.SlabLayout
+	kmax *metrics.Gauge // transform.kmax
 
 	x   []complex128 // X, padded to PadXLen for publication
 	mid []complex128 // B; the same buffer as x when Pc = 1
@@ -220,9 +217,8 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 		pair: pair,
 		kmax: reg.GaugeRank("transform.kmax", rank),
 
-		byz: make([]*fft.Batch, workers),
-		bx:  make([]*fft.RealBatch, workers),
-		zIn: make([]bool, l.Mz2),
+		ps: Passes{N: n, Stride: l.Wc, ZIn: make([]bool, l.Mz2),
+			Y: make([]*fft.Batch, workers), X: make([]*fft.RealBatch, workers)},
 		// The row stage is the slab transpose of [Mz2][Ny][Wc].
 		rl: transpose.NewSlabLayout(l.Wc, n, l.Mz2, l.Pr),
 	}
@@ -329,75 +325,37 @@ func colKernels[T exchange.Elem](l *transpose.PencilLayout) [2]exchange.Kernels[
 //
 //psdns:hotpath
 func (f *Engine) buildBodies() {
-	l := f.l
+	l, ps := f.l, &f.ps
 	cp := f.n * l.Wc               // one z-plane of C, one y-plane of B
 	xp, pp := l.Mz*l.Nxh, l.Mz*f.n // one y-plane of X, of the physical pencil
-	// The inverse reads only what its lines and the row exchange read:
-	// the kb columns of C's in-band z-planes, with +0 stored over the
-	// gap rows of those columns first, since the lines take them as
-	// input (the receiving side of the exchange stores the zeros of the
-	// out-of-band planes in B). The forward stores the band's zeros over
-	// everything else after its lines: the exchange filled the kb
-	// columns of the in-band planes and nothing more.
-	f.invYBody = func(w, lo, hi int) {
-		for iz := lo; iz < hi; iz++ {
-			if !f.zIn[iz] {
-				continue
-			}
-			plane := f.curFour[iz*cp : (iz+1)*cp]
-			transpose.ZeroOutOfBand(plane, f.n, l.Wc, f.kb, f.kb, f.gapLo, f.gapHi)
-			f.byz[w].Inverse(plane, plane)
-		}
-	}
-	f.fwdYBody = func(w, lo, hi int) {
-		for iz := lo; iz < hi; iz++ {
-			plane := f.curFour[iz*cp : (iz+1)*cp]
-			if !f.zIn[iz] {
-				clear(plane)
-				continue
-			}
-			f.byz[w].Forward(plane, plane)
-			transpose.ZeroOutOfBand(plane, f.n, l.Wc, l.Wc, f.kb, f.gapLo, f.gapHi)
-		}
-	}
+	f.invYBody = func(w, lo, hi int) { ps.InvY(w, f.curFour, lo, hi) }
+	f.fwdYBody = func(w, lo, hi int) { ps.FwdY(w, f.curFour, lo, hi) }
 	if f.col == nil {
 		// One column: B is X, so a y-plane takes its z pass and its
 		// complex-to-real x pass ([Nz][Nxh] ↔ [Nz][Nx]) back to back.
-		f.invZXBody = func(w, lo, hi int) {
-			for iy := lo; iy < hi; iy++ {
-				plane := f.x[iy*xp : (iy+1)*xp]
-				f.byz[w].Inverse(plane, plane)
-				f.bx[w].Inverse(f.curPhys[iy*pp:(iy+1)*pp], plane)
-			}
-		}
-		f.fwdXZBody = func(w, lo, hi int) {
-			for iy := lo; iy < hi; iy++ {
-				plane := f.x[iy*xp : (iy+1)*xp]
-				f.bx[w].Forward(plane, f.curPhys[iy*pp:(iy+1)*pp])
-				f.byz[w].Forward(plane, plane)
-			}
-		}
+		f.invZXBody = func(w, lo, hi int) { ps.InvZX(w, f.curPhys, f.x, lo, hi) }
+		f.fwdXZBody = func(w, lo, hi int) { ps.FwdXZ(w, f.x, f.curPhys, lo, hi) }
 	} else {
 		f.invZBody = func(w, lo, hi int) {
 			for iy := lo; iy < hi; iy++ {
 				plane := f.mid[iy*cp : (iy+1)*cp]
-				f.byz[w].Inverse(plane, plane)
+				ps.Y[w].Inverse(plane, plane)
 			}
 		}
 		f.fwdZBody = func(w, lo, hi int) {
 			for iy := lo; iy < hi; iy++ {
 				plane := f.mid[iy*cp : (iy+1)*cp]
-				f.byz[w].Forward(plane, plane)
+				ps.Y[w].Forward(plane, plane)
 			}
 		}
 		f.invXBody = func(w, lo, hi int) {
 			for iy := lo; iy < hi; iy++ {
-				f.bx[w].Inverse(f.curPhys[iy*pp:(iy+1)*pp], f.x[iy*xp:(iy+1)*xp])
+				ps.X[w].Inverse(f.curPhys[iy*pp:(iy+1)*pp], f.x[iy*xp:(iy+1)*xp])
 			}
 		}
 		f.fwdXBody = func(w, lo, hi int) {
 			for iy := lo; iy < hi; iy++ {
-				f.bx[w].Forward(f.x[iy*xp:(iy+1)*xp], f.curPhys[iy*pp:(iy+1)*pp])
+				ps.X[w].Forward(f.x[iy*xp:(iy+1)*xp], f.curPhys[iy*pp:(iy+1)*pp])
 			}
 		}
 	}
@@ -412,27 +370,27 @@ func (f *Engine) buildBodies() {
 	// lines read.
 	f.narrowFourBody = func(_, lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
-			if f.zIn[iz] {
-				transpose.NarrowStrided(f.four32[iz*cp:], l.Wc, f.curFour[iz*cp:], l.Wc, f.kb, f.n)
+			if ps.ZIn[iz] {
+				transpose.NarrowStrided(f.four32[iz*cp:], l.Wc, f.curFour[iz*cp:], l.Wc, ps.KB, f.n)
 			}
 		}
 	}
 	f.widenFourBody = func(_, lo, hi int) {
 		for iz := lo; iz < hi; iz++ {
-			if f.zIn[iz] {
-				transpose.WidenStrided(f.curFour[iz*cp:], l.Wc, f.four32[iz*cp:], l.Wc, f.kb, f.n)
+			if ps.ZIn[iz] {
+				transpose.WidenStrided(f.curFour[iz*cp:], l.Wc, f.four32[iz*cp:], l.Wc, ps.KB, f.n)
 			}
 		}
 	}
 	f.narrowMidBody = func(_, lo, hi int) {
 		for iy := lo; iy < hi; iy++ {
-			at, past := iy*cp, iy*cp+f.gapHi*l.Wc
-			transpose.NarrowStrided(f.mid32[at:], l.Wc, f.mid[at:], l.Wc, f.kb, f.gapLo)
-			transpose.NarrowStrided(f.mid32[past:], l.Wc, f.mid[past:], l.Wc, f.kb, f.n-f.gapHi)
+			at, past := iy*cp, iy*cp+ps.GapHi*l.Wc
+			transpose.NarrowStrided(f.mid32[at:], l.Wc, f.mid[at:], l.Wc, ps.KB, ps.GapLo)
+			transpose.NarrowStrided(f.mid32[past:], l.Wc, f.mid[past:], l.Wc, ps.KB, f.n-ps.GapHi)
 		}
 	}
 	f.widenMidBody = func(_, lo, hi int) {
-		transpose.WidenStrided(f.mid[lo*cp:], l.Wc, f.mid32[lo*cp:], l.Wc, f.kb, (hi-lo)*f.n)
+		transpose.WidenStrided(f.mid[lo*cp:], l.Wc, f.mid32[lo*cp:], l.Wc, ps.KB, (hi-lo)*f.n)
 	}
 }
 
@@ -465,12 +423,13 @@ func (f *Engine) Truncate(kmax int) {
 		return
 	}
 	l, band := f.l, grid.NewBand(f.n, kmax)
-	f.kb = band.Width(l.XLo, l.XLo+l.Wc)
-	f.gapLo, f.gapHi = band.Gap()
-	for iz := range f.zIn {
-		f.zIn[iz] = band.Has(l.YRank*l.Mz2 + iz)
+	ps := &f.ps
+	ps.KB = band.Width(l.XLo, l.XLo+l.Wc)
+	ps.GapLo, ps.GapHi = band.Gap()
+	for iz := range ps.ZIn {
+		ps.ZIn[iz] = band.Has(l.YRank*l.Mz2 + iz)
 	}
-	f.rl.SetBand(f.kb, band)
+	f.rl.SetBand(ps.KB, band)
 	yz, zy := f.rl.RemoteElems(l.YRank)
 	if f.wire != nil {
 		f.wire.SetWireElems(exchange.YZ, yz)
@@ -480,13 +439,13 @@ func (f *Engine) Truncate(kmax int) {
 		f.row.SetWireElems(exchange.ZY, zy)
 	}
 	kx := band.Width(0, l.Nxh)
-	for w := range f.byz {
-		if f.byz[w] != nil {
-			f.byz[w].Release()
-			f.bx[w].Release()
+	for w := range ps.Y {
+		if ps.Y[w] != nil {
+			ps.Y[w].Release()
+			ps.X[w].Release()
 		}
-		f.byz[w] = fft.NewBatch(f.n, f.kb, l.Wc, 1, l.Wc, 1)
-		f.bx[w] = fft.NewBandRealBatch(f.n, kx, l.Mz, 1, f.n, 1, l.Nxh)
+		ps.Y[w] = fft.NewBatch(f.n, ps.KB, l.Wc, 1, l.Wc, 1)
+		ps.X[w] = fft.NewBandRealBatch(f.n, kx, l.Mz, 1, f.n, 1, l.Nxh)
 	}
 	f.kmax.Set(float64(band.Kmax))
 }
@@ -529,9 +488,9 @@ func (f *Engine) Close() {
 	}
 	f.closed = true
 	f.team.Close()
-	for w := range f.byz {
-		f.byz[w].Release()
-		f.bx[w].Release()
+	for w := range f.ps.Y {
+		f.ps.Y[w].Release()
+		f.ps.X[w].Release()
 	}
 	if f.wire != nil {
 		f.wire.Close()
@@ -616,7 +575,7 @@ func (f *Engine) checkLen(phys []float64, four []complex128) {
 func (f *Engine) rowExchange(d exchange.Dir, st exchange.Strategy) {
 	mz2, my := f.l.Mz2, f.l.My
 	switch {
-	case f.kb == 0:
+	case f.ps.KB == 0:
 	case f.wire == nil && d == exchange.YZ:
 		f.row.Run(d, st, f.curFour, f.mid)
 	case f.wire == nil:
