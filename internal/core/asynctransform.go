@@ -187,14 +187,23 @@ type AsyncSlabReal struct {
 	// what one exchange carries: the groups under PerPencil, every plane
 	// under PerSlab.
 	groups, units []span
-	mid           []complex128 // [my][nz][nxh] intermediate slab
+	// lays[u] is the slab transpose over unit u's planes at the band
+	// (transpose.SlabLayout.Range): its exchange kernels, staged blocks
+	// and byte counts.
+	lays []transpose.SlabLayout
+	mid  []complex128 // [my][nz][nxh] intermediate slab
+	// four32 and mid32 are the single-precision wire's copies of four
+	// and mid (nil on the double-precision wire): a transposing cell
+	// narrows its planes into one, the exchange lands in the other, and
+	// the mirror region's cells widen their planes out of it.
+	four32, mid32 []complex64
 	// four and phys are the caller's Fourier and physical slabs for the
 	// duration of one transform call; the compiled kernels and the
 	// exchange kernels address them through these fields.
 	four []complex128
 	phys []float64
-	// wire holds the staging buffers, the pack kernels and the exchange
-	// stages, at the precision the exchange ships (Options.SingleComm).
+	// wire holds the staging buffers and the exchange stages, at the
+	// precision the exchange ships (Options.SingleComm).
 	wire wire
 
 	// team splits the host-side unpack and gather kernels across
@@ -209,12 +218,6 @@ type AsyncSlabReal struct {
 	// of mid. ZY: r2c and the z forward per y-plane of mid, then the y
 	// forward on z-plane groups of four.
 	regT, regM [2]region
-
-	// band is what the kernels are compiled for (Truncate; full at
-	// construction); kb = band.Width(0, nxh) is the width of every
-	// batch and of every row the wire moves.
-	band grid.Band
-	kb   int
 
 	met    *asyncMetrics
 	closed bool
@@ -281,6 +284,10 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	a.team = par.NewTeam(opt.Workers)
 	a.reqs = make([]*mpi.Request, len(a.units))
 	a.mid = pool.GetComplex(s.MY() * n * nxh)
+	full := transpose.NewSlabLayout(nxh, n, s.MZ(), comm.Size())
+	for _, us := range a.units {
+		a.lays = append(a.lays, full.Range(us.lo, us.hi))
+	}
 	// The stages are registered unconditionally (registration is a cheap
 	// collective and every rank must stay in the same collective order
 	// regardless of the strategy each would pick). Under the asynchrony-
@@ -291,9 +298,10 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		bound = &exchange.Bound{MaxStale: opt.ATMaxStale, Deadline: opt.ATDeadline}
 	}
 	if opt.SingleComm {
-		a.wire = newWire(a, bound, transpose.NarrowStrided, transpose.WidenStrided)
+		a.four32, a.mid32 = pool.GetComplex64(a.FourierLen()), pool.GetComplex64(a.FourierLen())
+		a.wire = newWire[complex64](a, bound)
 	} else {
-		a.wire = newWire(a, bound, transpose.CopyStrided[complex128], transpose.CopyStrided[complex128])
+		a.wire = newWire[complex128](a, bound)
 	}
 
 	for g := 0; g < opt.NGPU; g++ {
@@ -307,7 +315,7 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 			ps: pfft.Passes{N: n, Stride: nxh, ZIn: make([]bool, s.MZ()),
 				Y: make([]*fft.Batch, opt.Workers), X: make([]*fft.RealBatch, opt.Workers)},
 		}
-		if a.wire.packs() {
+		if a.packs() {
 			ctx.transfer = dev.NewStream(fmt.Sprintf("gpu%d/transfer", g))
 		}
 		for w := range ctx.plans {
@@ -331,9 +339,9 @@ func (a *AsyncSlabReal) Truncate(kmax int) {
 	if a.closed {
 		return
 	}
-	a.band = grid.NewBand(a.n, kmax)
-	a.compile()
-	a.met.kmax.Set(float64(a.band.Kmax))
+	band := grid.NewBand(a.n, kmax)
+	a.compile(band)
+	a.met.kmax.Set(float64(band.Kmax))
 }
 
 // Strategy reports the pinned transpose-exchange strategy (never
@@ -357,7 +365,9 @@ func (a *AsyncSlabReal) Close() {
 	a.team.Close()
 	a.wire.close()
 	pool.PutComplex(a.mid)
-	a.mid = nil
+	pool.PutComplex64(a.four32)
+	pool.PutComplex64(a.mid32)
+	a.mid, a.four32, a.mid32 = nil, nil, nil
 }
 
 // Workers reports the per-rank worker-team size.
@@ -374,6 +384,11 @@ func (a *AsyncSlabReal) FourierLen() int { return a.s.MZ() * a.n * a.nxh }
 
 // PhysicalLen is the real element count of the local physical slab.
 func (a *AsyncSlabReal) PhysicalLen() int { return a.s.MY() * a.n * a.n }
+
+// packs reports whether the transposing cells carry a pack op (packOp):
+// under Staged, and on the single-precision wire. The double-precision
+// zero-copy strategies publish the slab itself.
+func (a *AsyncSlabReal) packs() bool { return a.strat == exchange.Staged || a.four32 != nil }
 
 // NP reports the pencil count per slab.
 func (a *AsyncSlabReal) NP() int { return a.np }
@@ -407,9 +422,11 @@ type region struct {
 	units bool
 }
 
-// compile builds the four op programs for a.band. Every plan the
-// kernels run is looked up here, one per worker and device, so neither
-// plan construction nor a cache lookup is left in the timed regions.
+// compile builds the four op programs for band: kb = band.Width(0,
+// nxh) is the width of every batch and of every row the exchanges
+// move. Every plan the kernels run is looked up here, one per worker
+// and device, so neither plan construction nor a cache lookup is left
+// in the timed regions.
 //
 // A plane group is a valid Fig 3 pencil of each pass it runs: z-planes
 // of four are complete in y, y-planes of mid complete in z and x. So
@@ -417,40 +434,54 @@ type region struct {
 // z and x passes of a y-plane run back to back while it is in cache:
 // the cells run the bodies of pfft.Passes, the slab engine's own, over
 // their share of a group. The band reaches every pass (see
-// pfft.Passes) and every exchange: each pack and gather moves the kb
-// columns of the in-band kz rows, the YZ gathers storing +0 over the
-// same columns of the out-of-band rows of mid, which the z lines read.
-func (a *AsyncSlabReal) compile() {
-	a.kb = a.band.Width(0, a.nxh)
-	gapLo, gapHi := a.band.Gap()
+// pfft.Passes) and every exchange through the units' layouts: each
+// pack and gather moves the kb columns of the in-band kz rows, the YZ
+// gathers storing +0 over the same columns of the out-of-band rows of
+// mid, which the z lines read. On the single-precision wire the mirror
+// region's cells widen their planes before their pass.
+func (a *AsyncSlabReal) compile(band grid.Band) {
+	kb := band.Width(0, a.nxh)
+	gapLo, gapHi := band.Gap()
 	for _, ctx := range a.gpus {
 		ps := &ctx.ps
-		ps.KB, ps.GapLo, ps.GapHi = a.kb, gapLo, gapHi
+		ps.KB, ps.GapLo, ps.GapHi = kb, gapLo, gapHi
 		for iz := range ps.ZIn {
-			ps.ZIn[iz] = a.band.Has(a.s.ZLo() + iz)
+			ps.ZIn[iz] = band.Has(a.s.ZLo() + iz)
 		}
 		for w, cache := range ctx.plans {
-			ps.Y[w] = cache.Batch(a.n, a.kb, a.nxh, 1, a.nxh, 1)
-			ps.X[w] = cache.RealBatch(a.n, a.kb, a.n, 1, a.n, 1, a.nxh)
+			ps.Y[w] = cache.Batch(a.n, kb, a.nxh, 1, a.nxh, 1)
+			ps.X[w] = cache.RealBatch(a.n, kb, a.n, 1, a.n, 1, a.nxh)
 		}
 	}
-	a.wire.setBand()
+	for u := range a.lays {
+		a.lays[u].SetBand(kb, band)
+	}
 	a.regT[exchange.YZ] = a.region(exchange.YZ, true, func(ps *pfft.Passes, w, lo, hi int) { ps.InvY(w, a.four, lo, hi) })
-	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *pfft.Passes, w, lo, hi int) { ps.InvZX(w, a.phys, a.mid, lo, hi) })
+	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *pfft.Passes, w, lo, hi int) {
+		if a.mid32 != nil {
+			ps.WidenB(a.mid, a.mid32, lo, hi)
+		}
+		ps.InvZX(w, a.phys, a.mid, lo, hi)
+	})
 	a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *pfft.Passes, w, lo, hi int) { ps.FwdXZ(w, a.mid, a.phys, lo, hi) })
-	a.regM[exchange.ZY] = a.region(exchange.ZY, false, func(ps *pfft.Passes, w, lo, hi int) { ps.FwdY(w, a.four, lo, hi) })
+	a.regM[exchange.ZY] = a.region(exchange.ZY, false, func(ps *pfft.Passes, w, lo, hi int) {
+		if a.four32 != nil {
+			ps.WidenC(a.four, a.four32, lo, hi)
+		}
+		ps.FwdY(w, a.four, lo, hi)
+	})
 }
 
 // region compiles one pass: a cell per (group, device) whose kernel
 // runs pass over the device's share of the group's planes, split
 // across the device's team. A transposing region's cells also carry the
-// wire's pack kernel of their planes, if it has one, and the events of
-// their Fig 4 edges.
+// pack op of their planes where the wire packs (packOp), and the events
+// of their Fig 4 edges.
 func (a *AsyncSlabReal) region(d exchange.Dir, transposing bool, pass func(ps *pfft.Passes, w, lo, hi int)) region {
 	ngpu := len(a.gpus)
 	r := region{cells: make([]cell, a.np*ngpu), dir: d}
 	if transposing {
-		r.packs, r.units = a.wire.packs(), a.gran == PerPencil
+		r.packs, r.units = a.packs(), a.gran == PerPencil
 	}
 	for ip, gs := range a.groups {
 		u := ip
@@ -465,13 +496,42 @@ func (a *AsyncSlabReal) region(d exchange.Dir, transposing bool, pass func(ps *p
 				c.computed = cuda.NewEvent()
 			}
 			if r.packs {
-				run, bytes := a.wire.packKernel(d, u, sp)
-				c.pack = cuda.Op{Kind: "pack", Run: run, Bytes: bytes}
+				c.pack = a.packOp(d, u, sp, ps)
 				c.packed = cuda.NewEvent()
 			}
 		}
 	}
 	return r
+}
+
+// packOp is the pack op of the cell running planes sp of unit u in
+// direction d's transposing region — the fused pack+D2H of §3.4 as the
+// single zero-copy kernel of §4.2. On the single-precision wire it
+// narrows the planes into four32 (YZ) or mid32 (ZY), what the unit
+// publishes; under Staged it then packs them into the unit's send
+// blocks. Bytes is what reaches the wire, the band's part of the
+// planes at the wire precision. A cell with no in-band row writes
+// nothing, but is still launched, so the Fig 4 order does not depend
+// on the band.
+//
+//psdns:hotpath
+func (a *AsyncSlabReal) packOp(d exchange.Dir, u int, sp span, ps *pfft.Passes) cuda.Op {
+	pack, cl, size := a.wire.packer(d, u, sp.lo, sp.hi), a.lays[u].Range(sp.lo, sp.hi), int64(16)
+	if a.four32 != nil {
+		size = 8
+	}
+	return cuda.Op{Kind: "pack", Bytes: size * int64(cl.PackElems(a.comm.Rank(), d == exchange.YZ)), Run: func() {
+		switch {
+		case a.four32 == nil:
+		case d == exchange.YZ:
+			ps.NarrowC(a.four32, a.four, sp.lo, sp.hi)
+		default:
+			ps.NarrowB(a.mid32, a.mid, sp.lo, sp.hi)
+		}
+		if pack != nil {
+			pack()
+		}
+	}}
 }
 
 // FourierToPhysical runs the Fig 4 pipeline: the y region with its
@@ -627,15 +687,6 @@ func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
 	}
 }
 
-// zRuns splits [lo, hi) into its in-band global kz rows, the two runs
-// either side of the band's gap, clamped, either possibly empty.
-//
-//psdns:hotpath
-func (a *AsyncSlabReal) zRuns(lo, hi int) [2]span {
-	gapLo, gapHi := a.band.Gap()
-	return [2]span{{lo, max(lo, min(hi, gapLo))}, {min(hi, max(lo, gapHi)), hi}}
-}
-
 // exchange completes direction d's exchange under st, outside the
 // pipeline: the tail of a transposing region and, with nothing started,
 // the tuner's whole trial body (buffer contents are irrelevant to
@@ -654,7 +705,11 @@ func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy, started b
 	if st != exchange.Staged {
 		return
 	}
-	a.waitAll(a.reqs)
+	for _, r := range a.reqs {
+		if r != nil { // a skipped unit has none
+			r.Wait()
+		}
+	}
 	a.met.a2a.ObserveSince(t0)
 	t0 = time.Now()
 	a.wire.unpack(d)
@@ -674,16 +729,4 @@ func (a *AsyncSlabReal) SetATSite(site uint32) { a.wire.setSite(site) }
 // exchange count. All zeros on non-AT engines.
 func (a *AsyncSlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
 	return a.wire.takeStaleness()
-}
-
-// waitAll waits on every posted per-pencil request in order (a
-// skipped unit has none).
-//
-//psdns:hotpath
-func (a *AsyncSlabReal) waitAll(reqs []*mpi.Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
 }

@@ -261,8 +261,8 @@ func TestZeroCopyEngineHoldsNoSendBuffer(t *testing.T) {
 						a := NewAsyncSlabReal(c, n, opt)
 						defer a.Close()
 						w := a.wire.(*wireBuf[complex128])
-						if w.send != nil || w.recv != nil || w.narrow != nil {
-							panic(fmt.Sprintf("wire buffers held: send %d recv %d narrow %d", len(w.send), len(w.recv), len(w.narrow)))
+						if w.send != nil || w.recv != nil || a.four32 != nil || a.mid32 != nil {
+							panic(fmt.Sprintf("wire buffers held: send %d recv %d narrowed %d+%d", len(w.send), len(w.recv), len(a.four32), len(a.mid32)))
 						}
 						for g, ctx := range a.gpus {
 							if ctx.transfer != nil {

@@ -18,12 +18,12 @@ func sameBits(a, b complex128) bool {
 }
 
 // poisonEngine stores NaN over every element of the engine's mid slab
-// and of the wire's send, recv and narrow buffers, none of which a
-// transform may read before writing.
+// and of the wire's send, recv and narrowed (four32, mid32) buffers,
+// none of which a transform may read before writing.
 func poisonEngine(a *AsyncSlabReal) {
 	switch w := a.wire.(type) {
 	case *wireBuf[complex128]:
-		for _, buf := range [][]complex128{a.mid, w.send, w.recv, w.narrow} {
+		for _, buf := range [][]complex128{a.mid, w.send, w.recv} {
 			for i := range buf {
 				buf[i] = cmplx.NaN()
 			}
@@ -32,7 +32,7 @@ func poisonEngine(a *AsyncSlabReal) {
 		for i := range a.mid {
 			a.mid[i] = cmplx.NaN()
 		}
-		for _, buf := range [][]complex64{w.send, w.recv, w.narrow} {
+		for _, buf := range [][]complex64{w.send, w.recv, a.four32, a.mid32} {
 			for i := range buf {
 				buf[i] = complex64(cmplx.NaN())
 			}

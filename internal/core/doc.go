@@ -23,12 +23,16 @@
 //	                  [z FFT + c2r x FFT per y-plane, on y-plane groups]
 //
 // and the reverse for physical→Fourier. Exchange unit u is plane group
-// u. Under the zero-copy strategies it publishes the group's planes and
-// every peer gathers them in place into its destination slab: straight
-// from the slab on the double-precision wire, which packs nothing and
-// leaves the transfer stream idle, from the planes a pack narrowed on
-// the single-precision wire. Staged packs each (group, device) cell
-// into the unit's send blocks and posts an all-to-all. The all-to-all
+// u, and its exchange is the slab engine's own transpose over the
+// group's planes: a transpose.SlabLayout Range under
+// exchange.SlabKernels, one stage per unit. Under the zero-copy
+// strategies it publishes the group's planes and every peer gathers
+// them in place into its destination slab: straight from the slab on
+// the double-precision wire, which packs nothing and leaves the
+// transfer stream idle, from the planes a pack narrowed (pfft.Passes'
+// f32 bracket, widened again by the cells behind the exchange) on the
+// single-precision wire. Staged packs each (group, device) cell into
+// the unit's compact send blocks and posts an all-to-all. The all-to-all
 // granularity is selectable: PerPencil starts a group's exchange as
 // soon as it is ready, two groups behind the launch frontier,
 // overlapping the later groups' compute (configurations A and B of the

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/exchange"
+	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -130,5 +132,64 @@ func TestAsyncAutotuneAgreesAcrossRanks(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A staged exchange posts the band's compact blocks: per direction,
+// every unit's all-to-all charges mpi.a2a.bytes (P−1)·w·My·KB elements
+// at the wire precision — w the unit's planes (none for a group past
+// N/P), KB the band's x width. pfft's TestStagedChargesBandBlocks pins
+// the same count on the slab engine, whose one unit is the whole slab.
+func TestStagedChargesBandBlocks(t *testing.T) {
+	const n = 16
+	for _, p := range []int{1, 2, 4} {
+		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+			for _, np := range []int{3, 5} {
+				for _, gran := range []Granularity{PerPencil, PerSlab} {
+					for _, single := range []bool{false, true} {
+						opt := Options{NP: np, Granularity: gran, Exchange: exchange.Staged, SingleComm: single}
+						if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+							checkStagedBytes(c, n, kmax, opt)
+						}); err != nil {
+							t.Fatalf("P=%d kmax=%d %+v: %v", p, kmax, opt, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkStagedBytes is one rank of TestStagedChargesBandBlocks.
+func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
+	a := NewAsyncSlabReal(c, n, opt)
+	defer a.Close()
+	a.Truncate(kmax)
+	p, my := c.Size(), n/c.Size()
+	kb, elem := int64(grid.NewBand(n, kmax).Width(0, n/2+1)), int64(16)
+	if opt.SingleComm {
+		elem = 8
+	}
+	units := splitRange(my, opt.NP)
+	if opt.Granularity == PerSlab {
+		units = []span{{0, my}}
+	}
+	want := int64(0)
+	for _, u := range units {
+		want += int64((p-1)*u.width()*my) * kb * elem
+	}
+	ctr := c.Metrics().CounterRank("mpi.a2a.bytes", c.Rank())
+	four := make([]complex128, a.FourierLen())
+	phys := make([]float64, a.PhysicalLen())
+	for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+		before := ctr.Value()
+		if d == exchange.YZ {
+			a.FourierToPhysical(phys, four)
+		} else {
+			a.PhysicalToFourier(four, phys)
+		}
+		if got := ctr.Value() - before; got != want {
+			panic(fmt.Sprintf("dir %d: mpi.a2a.bytes grew %d, the band's blocks are %d", d, got, want))
+		}
 	}
 }

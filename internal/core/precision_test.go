@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"repro/internal/exchange"
+	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
@@ -94,21 +98,85 @@ func TestSingleCommDNSRunsStably(t *testing.T) {
 	})
 }
 
+// The single-precision wire charges exactly half of what the
+// double-precision one charges, per pinned strategy over a transform
+// pair: the staged all-to-alls in mpi.a2a.bytes, the zero-copy gathers
+// in exchange.bytes. Both counts must be nonzero, so the comparison
+// cannot hold as 0 = 0.
 func TestSingleCommHalvesWireBytes(t *testing.T) {
-	// Structural check: staging buffers are complex64, i.e. half the
-	// footprint of the double-precision path.
-	mpi.Run(1, func(c *mpi.Comm) {
-		dbl := NewAsyncSlabReal(c, 8, Options{NP: 2})
-		sgl := NewAsyncSlabReal(c, 8, Options{NP: 2, SingleComm: true})
-		defer dbl.Close()
-		defer sgl.Close()
-		send32, sendAll := sgl.wire.(*wireBuf[complex64]).send, dbl.wire.(*wireBuf[complex128]).send
-		if len(send32) != len(sendAll) {
-			t.Fatalf("element counts differ: %d vs %d", len(send32), len(sendAll))
+	const n, p = 16, 2
+	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+		counter := "exchange.bytes"
+		if st == exchange.Staged {
+			counter = "mpi.a2a.bytes"
 		}
-		// complex64 = 8 bytes vs complex128 = 16.
-		if 8*len(send32) != 16*len(sendAll)/2 {
-			t.Error("wire bytes not halved")
+		var charged [2]int64 // f64, f32
+		for i, single := range []bool{false, true} {
+			reg := metrics.NewRegistry()
+			if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
+				a := NewAsyncSlabReal(c, n, Options{NP: 3, Exchange: st, SingleComm: single})
+				defer a.Close()
+				four := make([]complex128, a.FourierLen())
+				phys := make([]float64, a.PhysicalLen())
+				a.PhysicalToFourier(four, phys)
+				a.FourierToPhysical(phys, four)
+			}); err != nil {
+				t.Fatalf("%s single=%v: %v", st, single, err)
+			}
+			for _, e := range reg.Snapshot().Entries {
+				if e.Name == counter {
+					charged[i] += int64(e.Value)
+				}
+			}
 		}
-	})
+		if charged[1] == 0 || 2*charged[1] != charged[0] {
+			t.Errorf("%s: %s f64 %d, f32 %d: want f32 nonzero and exactly half", st, counter, charged[0], charged[1])
+		}
+	}
+}
+
+// The batched engine's single-precision wire is the slab engine's: the
+// same narrow and widen bodies (pfft.Passes) around the same slab
+// kernels, so AsyncSlabReal{SingleComm} and pfft.NewSlabRealSingle
+// agree bit for bit through a forward+inverse pair — staged and
+// chunked, at the full and the 2/3 band, on 1, 2 and 4 ranks.
+func TestSingleCommMatchesSlabSingle(t *testing.T) {
+	const n = 16
+	for _, p := range []int{1, 2, 4} {
+		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+			for _, st := range []exchange.Strategy{exchange.Staged, exchange.ChunkedFused} {
+				if err := mpi.TryRun(p, func(c *mpi.Comm) {
+					ref := pfft.NewSlabRealSingle(c, n, 1)
+					defer ref.Close()
+					a := NewAsyncSlabReal(c, n, Options{NP: 3, Exchange: st, SingleComm: true})
+					defer a.Close()
+					ref.Truncate(kmax)
+					a.Truncate(kmax)
+					rng := rand.New(rand.NewSource(int64(11 + c.Rank())))
+					phys := make([]float64, a.PhysicalLen())
+					for i := range phys {
+						phys[i] = rng.NormFloat64()
+					}
+					want, got := make([]complex128, a.FourierLen()), make([]complex128, a.FourierLen())
+					ref.PhysicalToFourier(want, phys)
+					a.PhysicalToFourier(got, phys)
+					for i := range want {
+						if !sameBits(got[i], want[i]) {
+							panic(fmt.Sprintf("forward [%d] = %v, slab engine %v", i, got[i], want[i]))
+						}
+					}
+					back, ours := make([]float64, a.PhysicalLen()), make([]float64, a.PhysicalLen())
+					ref.FourierToPhysical(back, want)
+					a.FourierToPhysical(ours, got)
+					for i := range back {
+						if math.Float64bits(ours[i]) != math.Float64bits(back[i]) {
+							panic(fmt.Sprintf("inverse [%d] = %v, slab engine %v", i, ours[i], back[i]))
+						}
+					}
+				}); err != nil {
+					t.Fatalf("P=%d kmax=%d %s: %v", p, kmax, st, err)
+				}
+			}
+		}
+	}
 }

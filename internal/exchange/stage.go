@@ -8,6 +8,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/par"
 	"repro/internal/pool"
+	"repro/internal/transpose"
 )
 
 // Elem is the element type a transpose-exchange moves: complex128 on
@@ -85,6 +86,54 @@ type Kernels[T Elem] struct {
 	// GatherPeer reads one peer's (ChunkedFused rounds).
 	Gather     func(dst []T, srcs [][]T, lo, hi int)
 	GatherPeer func(dst, src []T, peer, lo, hi int)
+	// Sizes, when set, reports what one exchange moves under the
+	// kernels' current layout: remote, the elements a zero-copy gather
+	// reads from the other ranks' slabs, and block, the elements of one
+	// staged block. Nil is the whole published slab's off-diagonal share
+	// and stagedLen/P.
+	Sizes func() (remote, block int)
+}
+
+// SlabKernels describes the slab transpose over l to a stage: YZ moves
+// the Fourier-side slab into the physical-side layout (split over iz on
+// the source side, iy on the destination side), ZY is the mirror. It is
+// the one description of that transpose: pfft's row stage runs it over
+// the whole slab, core's batched engine once per plane group, l being
+// the group's Range. All gathers run the cache-blocked variants
+// (bitwise-identical, tiled traversal) so the strided side stops
+// thrashing at N ≥ 128. The kernels are generic, so the same code moves
+// both wire precisions, and read the band from l on every call — their
+// Sizes too — so a SetBand reaches them without rebuilding anything.
+//
+//psdns:hotpath
+func SlabKernels[T Elem](l *transpose.SlabLayout, me int) [2]Kernels[T] {
+	const tile = transpose.DefaultGatherTile
+	return [2]Kernels[T]{
+		YZ: {
+			PackUnits: l.Planes(true), DstUnits: l.My, PeerUnits: l.My,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PackYZRange(l, pack, src, me, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackYZRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) {
+				transpose.GatherYZRangeBlocked(l, dst, srcs, me, lo, hi, tile)
+			},
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.GatherYZPeerBlocked(l, dst, src, me, peer, lo, hi, tile)
+			},
+			Sizes: func() (int, int) { return l.RemoteElems(me, true), l.BlockLen(true) },
+		},
+		ZY: {
+			PackUnits: l.Planes(false), DstUnits: l.Mz, PeerUnits: l.Mz,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PackZYRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackZYRange(l, dst, recv, me, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) {
+				transpose.GatherZYRangeBlocked(l, dst, srcs, me, lo, hi, tile)
+			},
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.GatherZYPeerBlocked(l, dst, src, me, peer, lo, hi, tile)
+			},
+			Sizes: func() (int, int) { return l.RemoteElems(me, false), l.BlockLen(false) },
+		},
+	}
 }
 
 // Bound makes a stage asynchrony-tolerant: every exchange runs through
@@ -127,26 +176,26 @@ type Stage[T Elem] struct {
 	// plans[d] serves direction d; both entries are the same plan on a
 	// synchronous stage.
 	plans [2]*mpi.ExchangePlan[T]
-	// wire[d] is what one zero-copy exchange in direction d reads from
-	// remote slabs, in elements (SetWireElems); staged is what the block
-	// copy reads, every block but the rank's own.
-	wire   [2]int
-	staged int
-	bound  *Bound
-	site   uint32
-	dirs   [2]dirBodies[T]
+	// p is the communicator size; remote and block are what an exchange
+	// moves when its kernels carry no Sizes: the whole published slab's
+	// off-diagonal share, and a staged block of stagedLen/P.
+	p, remote, block int
+	bound            *Bound
+	site             uint32
+	dirs             [2]dirBodies[T]
 	// copyBlocks is the staged gather: recv block s ← block me of rank
-	// s's published pack buffer.
+	// s's published pack buffer, blk elements each.
 	copyBlocks func(srcs [][]T)
 
 	// Staging fields: Run publishes the current operands here for the
-	// prebuilt bodies; the gather callbacks add the peer slab table and
-	// the peer of a chunked round.
+	// prebuilt bodies — the staged block size included; the gather
+	// callbacks add the peer slab table and the peer of a chunked round.
 	src     []T
 	dst     []T
 	srcs    [][]T
 	peer    int
 	peerSrc []T
+	blk     int
 }
 
 // dirBodies are one direction's kernels wrapped as team bodies, plus
@@ -159,8 +208,9 @@ type dirBodies[T Elem] struct {
 
 // NewStage registers a stage over comm whose kernels run on team (the
 // stage borrows the team; the engine closes it). stagedLen is the
-// element count of the pack and recv staging buffers — P equal blocks —
-// and may be zero for an engine that posts its own all-to-alls and only
+// element count of the pack and recv staging buffers — P equal blocks,
+// or room for the P blocks of the kernels' largest Sizes — and may be
+// zero for an engine that posts its own all-to-alls and only
 // runs the zero-copy strategies here. slabLen is the element count of
 // the slab each rank publishes to the zero-copy strategies. A non-nil
 // bound makes the stage asynchrony-tolerant: it runs exchange.AT only,
@@ -171,7 +221,7 @@ func NewStage[T Elem](comm *mpi.Comm, team *par.Team, ph Phases, stagedLen, slab
 	if stagedLen%p != 0 || (bound != nil && stagedLen > 0) {
 		panic(fmt.Sprintf("exchange: %d staging elements invalid for %d ranks (a bounded stage takes none)", stagedLen, p))
 	}
-	s := &Stage[T]{team: team, ph: ph, bound: bound, staged: stagedLen - stagedLen/p}
+	s := &Stage[T]{team: team, ph: ph, bound: bound, p: p, remote: slabLen - slabLen/p, block: stagedLen / p}
 	if stagedLen > 0 {
 		s.pack, s.recv = Alloc[T](stagedLen), Alloc[T](stagedLen)
 	}
@@ -185,18 +235,9 @@ func NewStage[T Elem](comm *mpi.Comm, team *par.Team, ph Phases, stagedLen, slab
 		s.plans[YZ] = mpi.NewExchangePlan[T](comm, slabLen)
 		s.plans[ZY] = s.plans[YZ]
 	}
-	remote := slabLen - slabLen/p
-	s.wire = [2]int{remote, remote}
 	s.build(comm.Rank(), p, dirs)
 	return s
 }
-
-// SetWireElems sets what one zero-copy exchange in direction d charges
-// to exchange.bytes: n elements of T read from remote slabs. NewStage
-// starts both directions at the whole slab's off-diagonal share; an
-// engine whose kernels move a band sets the band's count whenever the
-// band changes (plan time).
-func (s *Stage[T]) SetWireElems(d Dir, n int) { s.wire[d] = n }
 
 // build precomputes the team bodies and gather callbacks once, so Run
 // dispatches them with zero allocations. The closure bodies are the
@@ -205,8 +246,8 @@ func (s *Stage[T]) SetWireElems(d Dir, n int) { s.wire[d] = n }
 //
 //psdns:hotpath
 func (s *Stage[T]) build(me, p int, dirs [2]Kernels[T]) {
-	bs := len(s.pack) / p
 	s.copyBlocks = func(srcs [][]T) {
+		bs := s.blk
 		for r, src := range srcs {
 			copy(s.recv[r*bs:(r+1)*bs], src[me*bs:(me+1)*bs])
 		}
@@ -243,13 +284,19 @@ func (s *Stage[T]) build(me, p int, dirs [2]Kernels[T]) {
 // kernels land it in dst. Staged times pack, all-to-all and unpack
 // separately; a zero-copy exchange lands wholly in the a2a phase (its
 // gather time is additionally recorded by the plan in
-// exchange.gather.ns). This is the only place a Strategy selects code.
-// Collective.
+// exchange.gather.ns). Each charges exchange.bytes what it reads from
+// other ranks (the kernels' Sizes): a zero-copy gather its remote
+// elements, the staged block copy every block but the rank's own. This
+// is the only place a Strategy selects code. Collective.
 //
 //psdns:hotpath
 func (s *Stage[T]) Run(d Dir, st Strategy, src, dst []T) {
 	b := &s.dirs[d]
 	s.src, s.dst = src, dst
+	remote, block := s.remote, s.block
+	if b.Sizes != nil {
+		remote, block = b.Sizes()
+	}
 	t := time.Now()
 	switch st {
 	case Staged:
@@ -259,22 +306,23 @@ func (s *Stage[T]) Run(d Dir, st Strategy, src, dst []T) {
 		s.team.ForWorkers(b.PackUnits, b.pack)
 		s.ph.Pack.ObserveSince(t)
 		t = time.Now()
-		s.plans[d].SetWire(s.staged)
+		s.blk = block
+		s.plans[d].SetWire((s.p - 1) * block)
 		s.plans[d].Do(s.pack, s.copyBlocks)
 		s.ph.A2A.ObserveSince(t)
 		t = time.Now()
 		s.team.ForWorkers(b.DstUnits, b.unpack)
 		s.ph.Unpack.ObserveSince(t)
 	case Fused:
-		s.plans[d].SetWire(s.wire[d])
+		s.plans[d].SetWire(remote)
 		s.plans[d].Do(src, b.fused)
 		s.ph.A2A.ObserveSince(t)
 	case ChunkedFused:
-		s.plans[d].SetWire(s.wire[d])
+		s.plans[d].SetWire(remote)
 		s.plans[d].Do(src, b.chunked)
 		s.ph.A2A.ObserveSince(t)
 	case AT:
-		s.plans[d].SetWire(s.wire[d])
+		s.plans[d].SetWire(remote)
 		s.plans[d].SetSite(s.site)
 		s.plans[d].DoBounded(src, b.fused, s.bound.MaxStale)
 		s.ph.A2A.ObserveSince(t)

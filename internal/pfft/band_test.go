@@ -271,7 +271,7 @@ func bitsOf[T exchange.Elem](v T) [2]uint64 {
 	panic("unreachable")
 }
 
-// checkBandGather drives the row stage's kernels (slabKernels) over one
+// checkBandGather drives the row stage's kernels (exchange.SlabKernels) over one
 // slab layout under every strategy, in both directions, at wire type T:
 // first at the full band on source data that is +0 outside the band —
 // the kb-prefix of the rows whose kz is in it — the reference — then at the
@@ -302,7 +302,7 @@ func checkBandGather[T exchange.Elem](c *mpi.Comm, n, kmax int) {
 		case exchange.AT:
 			bound = &exchange.Bound{Deadline: time.Second}
 		}
-		stage := exchange.NewStage(c, team, exchange.Phases{}, staged, l.Total, bound, slabKernels[T](&l, me))
+		stage := exchange.NewStage(c, team, exchange.Phases{}, staged, l.Total, bound, exchange.SlabKernels[T](&l, me))
 		for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
 			srcAt, dstAt := atC, atB
 			if d == exchange.ZY {

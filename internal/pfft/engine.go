@@ -233,9 +233,9 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 	if single {
 		f.four32 = pool.GetComplex64(rl.Total)
 		f.mid32 = pool.GetComplex64(rl.Total)
-		f.wire = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, nil, slabKernels[complex64](rl, commY.Rank()))
+		f.wire = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, nil, exchange.SlabKernels[complex64](rl, commY.Rank()))
 	} else {
-		f.row = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, bound, slabKernels[complex128](rl, commY.Rank()))
+		f.row = exchange.NewStage(commY, f.team, f.ph, rowBlocks, rl.Total, bound, exchange.SlabKernels[complex128](rl, commY.Rank()))
 	}
 	f.mid = f.x
 	if pc > 1 {
@@ -250,44 +250,6 @@ func newEngine(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair, bound
 	reg.GaugeRank("exchange.strategy", rank).Set(pair.YZ.Code())
 	reg.GaugeRank("exchange.strategy.zy", rank).Set(pair.ZY.Code())
 	return f
-}
-
-// slabKernels describes the slab transpose to a stage: YZ moves the
-// Fourier-side slab into the physical-side layout (split over iz on
-// the source side, iy on the destination side), ZY is the mirror. All
-// gathers run the cache-blocked variants (bitwise-identical, tiled
-// traversal) so the strided side stops thrashing at N ≥ 128. The
-// kernels are generic, so the same code moves both wire precisions,
-// and read the band from l on every call, so Truncate reaches them
-// without rebuilding anything.
-//
-//psdns:hotpath
-func slabKernels[T exchange.Elem](l *transpose.SlabLayout, me int) [2]exchange.Kernels[T] {
-	const tile = transpose.DefaultGatherTile
-	return [2]exchange.Kernels[T]{
-		exchange.YZ: {
-			PackUnits: l.Mz, DstUnits: l.My, PeerUnits: l.My,
-			Pack:   func(pack, src []T, lo, hi int) { transpose.PackYZRange(l, pack, src, me, lo, hi) },
-			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackYZRange(l, dst, recv, lo, hi) },
-			Gather: func(dst []T, srcs [][]T, lo, hi int) {
-				transpose.GatherYZRangeBlocked(l, dst, srcs, me, lo, hi, tile)
-			},
-			GatherPeer: func(dst, src []T, peer, lo, hi int) {
-				transpose.GatherYZPeerBlocked(l, dst, src, me, peer, lo, hi, tile)
-			},
-		},
-		exchange.ZY: {
-			PackUnits: l.My, DstUnits: l.Mz, PeerUnits: l.Mz,
-			Pack:   func(pack, src []T, lo, hi int) { transpose.PackZYRange(l, pack, src, lo, hi) },
-			Unpack: func(dst, recv []T, lo, hi int) { transpose.UnpackZYRange(l, dst, recv, me, lo, hi) },
-			Gather: func(dst []T, srcs [][]T, lo, hi int) {
-				transpose.GatherZYRangeBlocked(l, dst, srcs, me, lo, hi, tile)
-			},
-			GatherPeer: func(dst, src []T, peer, lo, hi int) {
-				transpose.GatherZYPeerBlocked(l, dst, src, me, peer, lo, hi, tile)
-			},
-		},
-	}
 }
 
 // colKernels describes the column exchange to a stage: YZ moves the
@@ -362,36 +324,12 @@ func (f *Engine) buildBodies() {
 	if f.wire == nil {
 		return
 	}
-	// Strided narrow/widen passes bracketing the single-precision
-	// stage, a plane of C or of B per unit, converting what the band's
-	// gathers move: the kb columns of C's in-band z-planes (every row),
-	// and of B's in-band kz rows — on the widen side every kz row of B,
-	// since the YZ gather stores the zeros of the others, which the z
-	// lines read.
-	f.narrowFourBody = func(_, lo, hi int) {
-		for iz := lo; iz < hi; iz++ {
-			if ps.ZIn[iz] {
-				transpose.NarrowStrided(f.four32[iz*cp:], l.Wc, f.curFour[iz*cp:], l.Wc, ps.KB, f.n)
-			}
-		}
-	}
-	f.widenFourBody = func(_, lo, hi int) {
-		for iz := lo; iz < hi; iz++ {
-			if ps.ZIn[iz] {
-				transpose.WidenStrided(f.curFour[iz*cp:], l.Wc, f.four32[iz*cp:], l.Wc, ps.KB, f.n)
-			}
-		}
-	}
-	f.narrowMidBody = func(_, lo, hi int) {
-		for iy := lo; iy < hi; iy++ {
-			at, past := iy*cp, iy*cp+ps.GapHi*l.Wc
-			transpose.NarrowStrided(f.mid32[at:], l.Wc, f.mid[at:], l.Wc, ps.KB, ps.GapLo)
-			transpose.NarrowStrided(f.mid32[past:], l.Wc, f.mid[past:], l.Wc, ps.KB, f.n-ps.GapHi)
-		}
-	}
-	f.widenMidBody = func(_, lo, hi int) {
-		transpose.WidenStrided(f.mid[lo*cp:], l.Wc, f.mid32[lo*cp:], l.Wc, ps.KB, (hi-lo)*f.n)
-	}
+	// The narrow/widen passes bracketing the single-precision stage, a
+	// plane of C or of B per unit (see Passes.NarrowC).
+	f.narrowFourBody = func(_, lo, hi int) { ps.NarrowC(f.four32, f.curFour, lo, hi) }
+	f.widenFourBody = func(_, lo, hi int) { ps.WidenC(f.curFour, f.four32, lo, hi) }
+	f.narrowMidBody = func(_, lo, hi int) { ps.NarrowB(f.mid32, f.mid, lo, hi) }
+	f.widenMidBody = func(_, lo, hi int) { ps.WidenB(f.mid, f.mid32, lo, hi) }
 }
 
 // Truncate band-limits the transform pair to the modes with every
@@ -430,14 +368,6 @@ func (f *Engine) Truncate(kmax int) {
 		ps.ZIn[iz] = band.Has(l.YRank*l.Mz2 + iz)
 	}
 	f.rl.SetBand(ps.KB, band)
-	yz, zy := f.rl.RemoteElems(l.YRank)
-	if f.wire != nil {
-		f.wire.SetWireElems(exchange.YZ, yz)
-		f.wire.SetWireElems(exchange.ZY, zy)
-	} else {
-		f.row.SetWireElems(exchange.YZ, yz)
-		f.row.SetWireElems(exchange.ZY, zy)
-	}
 	kx := band.Width(0, l.Nxh)
 	for w := range ps.Y {
 		if ps.Y[w] != nil {

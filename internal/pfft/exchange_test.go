@@ -245,3 +245,43 @@ func TestExchangeYZStrategyIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A staged row exchange moves the band's compact blocks: per direction
+// it charges exchange.bytes (P−1)·Mz·My·KB elements at the wire
+// precision, KB the band's x width — the slab as one unit of core's
+// TestStagedChargesBandBlocks — not whole Mz·My·Nxh blocks.
+func TestStagedChargesBandBlocks(t *testing.T) {
+	const n = 16
+	for _, p := range []int{1, 2, 4} {
+		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+			for _, single := range []bool{false, true} {
+				if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+					f := newEngine(c, nil, n, 1, exchange.Both(exchange.Staged), nil, single)
+					defer f.Close()
+					f.Truncate(kmax)
+					m, kb, elem := int64(n/p), int64(grid.NewBand(n, kmax).Width(0, n/2+1)), int64(16)
+					if single {
+						elem = 8
+					}
+					want := int64(p-1) * m * m * kb * elem
+					ctr := c.Metrics().CounterRank("exchange.bytes", c.Rank())
+					four := make([]complex128, f.FourierLen())
+					phys := make([]float64, f.PhysicalLen())
+					for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+						before := ctr.Value()
+						if d == exchange.YZ {
+							f.FourierToPhysical(phys, four)
+						} else {
+							f.PhysicalToFourier(four, phys)
+						}
+						if got := ctr.Value() - before; got != want {
+							panic(fmt.Sprintf("dir %d: exchange.bytes grew %d, the band's blocks are %d", d, got, want))
+						}
+					}
+				}); err != nil {
+					t.Fatalf("P=%d kmax=%d single=%v: %v", p, kmax, single, err)
+				}
+			}
+		}
+	}
+}

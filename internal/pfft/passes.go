@@ -95,3 +95,54 @@ func (p *Passes) FwdXZ(w int, mid []complex128, phys []float64, lo, hi int) {
 		p.Y[w].Forward(plane, plane)
 	}
 }
+
+// NarrowC converts C's z-planes [lo, hi) to the single-precision wire's
+// copy dst, what the band's exchange moves of them: the KB columns of
+// every row of the in-band planes. With WidenC, NarrowB and WidenB it
+// is the one f32 bracket of both engines' exchanges.
+//
+//psdns:hotpath
+func (p *Passes) NarrowC(dst []complex64, four []complex128, lo, hi int) {
+	cp := p.N * p.Stride
+	for iz := lo; iz < hi; iz++ {
+		if p.ZIn[iz] {
+			transpose.NarrowStrided(dst[iz*cp:], p.Stride, four[iz*cp:], p.Stride, p.KB, p.N)
+		}
+	}
+}
+
+// WidenC converts the KB columns of C's in-band z-planes [lo, hi) back
+// from the wire's copy src, where the ZY exchange landed them.
+//
+//psdns:hotpath
+func (p *Passes) WidenC(four []complex128, src []complex64, lo, hi int) {
+	cp := p.N * p.Stride
+	for iz := lo; iz < hi; iz++ {
+		if p.ZIn[iz] {
+			transpose.WidenStrided(four[iz*cp:], p.Stride, src[iz*cp:], p.Stride, p.KB, p.N)
+		}
+	}
+}
+
+// NarrowB converts B's y-planes [lo, hi) to the wire's copy dst, the
+// KB columns of their in-band kz rows.
+//
+//psdns:hotpath
+func (p *Passes) NarrowB(dst []complex64, mid []complex128, lo, hi int) {
+	bp := p.N * p.Stride
+	for iy := lo; iy < hi; iy++ {
+		at, past := iy*bp, iy*bp+p.GapHi*p.Stride
+		transpose.NarrowStrided(dst[at:], p.Stride, mid[at:], p.Stride, p.KB, p.GapLo)
+		transpose.NarrowStrided(dst[past:], p.Stride, mid[past:], p.Stride, p.KB, p.N-p.GapHi)
+	}
+}
+
+// WidenB converts the KB columns of every kz row of B's y-planes
+// [lo, hi) back from the wire's copy src: the YZ exchange stored the
+// zeros of the out-of-band rows there, which the z lines read.
+//
+//psdns:hotpath
+func (p *Passes) WidenB(mid []complex128, src []complex64, lo, hi int) {
+	bp := p.N * p.Stride
+	transpose.WidenStrided(mid[lo*bp:], p.Stride, src[lo*bp:], p.Stride, p.KB, (hi-lo)*p.N)
+}

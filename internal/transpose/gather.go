@@ -9,7 +9,8 @@ package transpose
 // through staging buffers. One parallel pass replaces three.
 //
 // srcs[s] is rank s's published source slab (see mpi.ExchangePlan for
-// the publication protocol); me is the gathering rank. Each kernel
+// the publication protocol) from the layout's plane Lo on, the planes
+// its range moves (see SlabLayout); me is the gathering rank. Each kernel
 // writes only the dst elements owned by its outer-index range, so a
 // worker team can split a kernel over a partition of that range
 // without write conflicts, exactly as with the staged *Range kernels.
@@ -34,17 +35,18 @@ func GatherYZRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, iyLo, iyHi int
 
 // GatherYZPeer gathers peer s's contribution to y-rows [iyLo,iyHi) of
 // the physical-side slab: src is rank s's Fourier-side slab, whose
-// z-planes land in dst's z range [s·Mz,(s+1)·Mz) — KB elements of each
-// in-band row, +0 over the KB-prefix of the others (see SlabLayout).
+// z-planes of the range land in dst's z rows s·Mz+Lo… — KB elements of
+// each in-band row, +0 over the KB-prefix of the others (see
+// SlabLayout).
 //
 //psdns:hotpath
 func GatherYZPeer[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi int) {
-	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
-	yBase := me * my
-	for iz := 0; iz < mz; iz++ {
-		in := l.Band.Has(s*mz + iz)
+	nxh, ny, nz, kb, n := l.Nxh, l.Ny, l.Nz, l.KB, l.Planes(true)
+	yBase, zBase := me*l.My, s*l.Mz+l.Lo
+	for iz := 0; iz < n; iz++ {
+		in := l.Band.Has(zBase + iz)
 		srcOff := (iz*ny + yBase + iyLo) * nxh
-		dstOff := (iyLo*nz + s*mz + iz) * nxh
+		dstOff := (iyLo*nz + zBase + iz) * nxh
 		for iy := iyLo; iy < iyHi; iy++ {
 			if in {
 				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
@@ -72,16 +74,16 @@ func GatherZYRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, izHi int
 
 // GatherZYPeer gathers peer s's contribution to z-planes [izLo,izHi)
 // of the Fourier-side slab: src is rank s's physical-side slab, whose
-// y-rows land in dst's y range [s·My,(s+1)·My) of the in-band planes,
-// KB elements each (see SlabLayout).
+// y-planes of the range land in dst's y rows s·My+Lo… of the in-band
+// planes, KB elements each (see SlabLayout).
 //
 //psdns:hotpath
 func GatherZYPeer[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi int) {
-	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
-	zBase := me * mz
-	for iy := 0; iy < my; iy++ {
+	nxh, ny, nz, kb, n := l.Nxh, l.Ny, l.Nz, l.KB, l.Planes(false)
+	zBase, yBase := me*l.Mz, s*l.My+l.Lo
+	for iy := 0; iy < n; iy++ {
 		srcOff := (iy*nz + zBase + izLo) * nxh
-		dstOff := (izLo*ny + s*my + iy) * nxh
+		dstOff := (izLo*ny + yBase + iy) * nxh
 		for iz := izLo; iz < izHi; iz++ {
 			if l.Band.Has(zBase + iz) {
 				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
@@ -131,18 +133,18 @@ func GatherYZRangeBlocked[T any](l *SlabLayout, dst []T, srcs [][]T, me, iyLo, i
 //
 //psdns:hotpath
 func GatherYZPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi, tile int) {
-	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
+	nxh, ny, nz, kb, n := l.Nxh, l.Ny, l.Nz, l.KB, l.Planes(true)
 	if tile <= 0 {
-		tile = mz
+		tile = n
 	}
-	yBase := me * my
-	for izLo := 0; izLo < mz; izLo += tile {
-		izHi := min(izLo+tile, mz)
+	yBase, zBase := me*l.My, s*l.Mz+l.Lo
+	for izLo := 0; izLo < n; izLo += tile {
+		izHi := min(izLo+tile, n)
 		for iy := iyLo; iy < iyHi; iy++ {
 			srcOff := (izLo*ny + yBase + iy) * nxh
-			dstOff := (iy*nz + s*mz + izLo) * nxh
+			dstOff := (iy*nz + zBase + izLo) * nxh
 			for iz := izLo; iz < izHi; iz++ {
-				if l.Band.Has(s*mz + iz) {
+				if l.Band.Has(zBase + iz) {
 					copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
 				} else {
 					clear(dst[dstOff : dstOff+kb])
@@ -170,19 +172,19 @@ func GatherZYRangeBlocked[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, i
 //
 //psdns:hotpath
 func GatherZYPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi, tile int) {
-	nxh, ny, nz, my, mz, kb := l.Nxh, l.Ny, l.Nz, l.My, l.Mz, l.KB
+	nxh, ny, nz, kb, n := l.Nxh, l.Ny, l.Nz, l.KB, l.Planes(false)
 	if tile <= 0 {
-		tile = my
+		tile = n
 	}
-	zBase := me * mz
-	for iyLo := 0; iyLo < my; iyLo += tile {
-		iyHi := min(iyLo+tile, my)
+	zBase, yBase := me*l.Mz, s*l.My+l.Lo
+	for iyLo := 0; iyLo < n; iyLo += tile {
+		iyHi := min(iyLo+tile, n)
 		for iz := izLo; iz < izHi; iz++ {
 			if !l.Band.Has(zBase + iz) {
 				continue
 			}
 			srcOff := (iyLo*nz + zBase + iz) * nxh
-			dstOff := (iz*ny + s*my + iyLo) * nxh
+			dstOff := (iz*ny + yBase + iyLo) * nxh
 			for iy := iyLo; iy < iyHi; iy++ {
 				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
 				srcOff += nz * nxh

@@ -84,20 +84,23 @@ func TestSlabLayoutRoundTrip(t *testing.T) {
 }
 
 // FuzzSlabLayout drives the slab kernels over fuzzed geometry, band,
-// gather tile and wire type, in both directions: the staged path
-// (Pack*Range, the staged stage's block copy, Unpack*Range), the
-// blocked gather and the plain gather must each land, bit for bit,
-// exactly what the band says — in-band elements from their global
-// source position, +0 over the KB-prefix of YZ's out-of-band z rows —
-// while every other destination element keeps its NaN sentinel and the
-// out-of-band source entries, poisoned with a second NaN, are never
-// read.
+// gather tile, source plane range and wire type, in both directions:
+// the staged path (Pack*Range into compact blocks, the staged stage's
+// block copy, Unpack*Range), the blocked gather and the plain gather
+// must each land, bit for bit, exactly what the band and the range say
+// — in-band elements of the range's planes from their global source
+// position, +0 over the KB-prefix of YZ's out-of-band z rows of the
+// range — while every other destination element, the planes outside
+// the range included, keeps its NaN sentinel and the out-of-band
+// source entries, poisoned with a second NaN, are never read.
 func FuzzSlabLayout(f *testing.F) {
-	f.Fuzz(func(t *testing.T, pSel, mySel, mzSel, nxhSel, kmaxSel, kbSel, tile uint8, single bool) {
+	f.Fuzz(func(t *testing.T, pSel, mySel, mzSel, nxhSel, kmaxSel, kbSel, tile, loSel, hiSel uint8, single bool) {
 		p := 1 + int(pSel)%4
 		l := NewSlabLayout(1+int(nxhSel)%6, (1+int(mySel)%3)*p, 1+int(mzSel)%3, p)
 		band := grid.NewBand(l.Nz, int(kmaxSel)%(l.Nz/2+2)-1)
 		l.SetBand(int(kbSel)%(l.Nxh+1), band)
+		lo := int(loSel) % (l.Hi + 1)
+		l = l.Range(lo, l.Hi-int(hiSel)%(l.Hi-lo+1))
 		if single {
 			checkSlabLayout[complex64](t, &l, int(tile)%(l.Mz+2))
 		} else {
@@ -124,13 +127,22 @@ func checkSlabLayout[T complex64 | complex128](t *testing.T, l *SlabLayout, tile
 	}
 	for _, yz := range []bool{true, false} {
 		srcAt, dstAt := atC, atB
+		// moved reports whether the range carries global (gz, gy): its
+		// source plane is a z-plane of C (YZ) or a y-plane of B (ZY).
+		plane := func(gz, gy int) int { return gz % l.Mz }
 		if !yz {
 			srcAt, dstAt = atB, atC
+			plane = func(gz, gy int) int { return gy % l.My }
+		}
+		moved := func(gz, gy int) bool {
+			ip := plane(gz, gy)
+			return ip >= l.Lo && ip < l.Lo+l.Planes(yz)
 		}
 		// Every rank's source: unique in-band values, NaN elsewhere;
-		// global[(gz, gy, x)] names the value wherever it lives.
+		// global[(gz, gy, x)] names the value wherever it lives. pub[r]
+		// is what rank r publishes: its slab from plane Lo.
 		global := map[[3]int]T{}
-		srcs := make([][]T, l.P)
+		srcs, pub := make([][]T, l.P), make([][]T, l.P)
 		for r := range srcs {
 			srcs[r] = make([]T, l.Total)
 			for i := range srcs[r] {
@@ -140,6 +152,7 @@ func checkSlabLayout[T complex64 | complex128](t *testing.T, l *SlabLayout, tile
 					global[[3]int{gz, gy, x}] = srcs[r][i]
 				}
 			}
+			pub[r] = Source(l, srcs[r], yz)
 		}
 		poisoned := func() []T {
 			buf := make([]T, l.Total)
@@ -152,29 +165,31 @@ func checkSlabLayout[T complex64 | complex128](t *testing.T, l *SlabLayout, tile
 		for r := range packs {
 			packs[r] = poisoned()
 			if yz {
-				PackYZRange(l, packs[r], srcs[r], r, 0, l.Mz)
+				PackYZRange(l, packs[r], pub[r], r, 0, l.Planes(yz))
 			} else {
-				PackZYRange(l, packs[r], srcs[r], 0, l.My)
+				PackZYRange(l, packs[r], pub[r], 0, l.Planes(yz))
 			}
 		}
+		bl := l.BlockLen(yz)
 		for me := 0; me < l.P; me++ {
 			staged, blocked, plain, recv := poisoned(), poisoned(), poisoned(), make([]T, l.Total)
 			for s, pack := range packs {
-				copy(recv[s*l.Block:(s+1)*l.Block], pack[me*l.Block:(me+1)*l.Block])
+				copy(recv[s*bl:(s+1)*bl], pack[me*bl:(me+1)*bl])
 			}
 			if yz {
 				UnpackYZRange(l, staged, recv, 0, l.My)
-				GatherYZRangeBlocked(l, blocked, srcs, me, 0, l.My, tile)
-				GatherYZRange(l, plain, srcs, me, 0, l.My)
+				GatherYZRangeBlocked(l, blocked, pub, me, 0, l.My, tile)
+				GatherYZRange(l, plain, pub, me, 0, l.My)
 			} else {
 				UnpackZYRange(l, staged, recv, me, 0, l.Mz)
-				GatherZYRangeBlocked(l, blocked, srcs, me, 0, l.Mz, tile)
-				GatherZYRange(l, plain, srcs, me, 0, l.Mz)
+				GatherZYRangeBlocked(l, blocked, pub, me, 0, l.Mz, tile)
+				GatherZYRange(l, plain, pub, me, 0, l.Mz)
 			}
 			for i := range staged {
 				gz, gy, x := dstAt(me, i)
 				want := nan
 				switch {
+				case !moved(gz, gy):
 				case x < l.KB && l.Band.Has(gz):
 					want = global[[3]int{gz, gy, x}]
 				case x < l.KB && yz:
