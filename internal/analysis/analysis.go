@@ -8,8 +8,7 @@
 //     with propagation one level into same-package callees;
 //   - poolpair:   pool checkouts are released on every path or happen
 //     at plan/constructor time;
-//   - mpireq:     nonblocking requests reach Wait on every path, and
-//     collective tags are named constants;
+//   - mpireq:     mpi tags are named constants;
 //   - lockorder:  no mailbox entry points, channel sends, or nested
 //     cond.Wait while holding a mutex inside internal/mpi;
 //   - metricname: metric names are constants following the

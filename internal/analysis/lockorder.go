@@ -17,8 +17,8 @@ import (
 //   - call cond.Wait with a second mutex held — Wait releases only
 //     its own mutex, so the other one is held across the sleep.
 //
-// Function literals are separate goroutine bodies (time.AfterFunc,
-// drain goroutines) and start with no locks held.
+// Function literals are separate goroutine bodies (time.AfterFunc
+// callbacks) and start with no locks held.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "no mailbox entry points, channel sends, or nested cond.Wait while holding a mutex in internal/mpi",

@@ -6,79 +6,14 @@ import (
 	"go/types"
 )
 
-// MPIReq enforces the runtime's nonblocking-communication contract:
-//
-//  1. every *mpi.Request produced by a nonblocking call (Ialltoall)
-//     must reach Wait on every path, or be handed off
-//     (stored, returned, passed to another function); a dropped
-//     request leaks its drain goroutine and leaves the watchdog
-//     counting a phantom pending operation;
-//  2. tag arguments of mpi point-to-point and collective calls must
-//     be named constants. A raw literal tag is how two call sites
-//     silently collide in the per-(src,dst) mailbox key space.
+// MPIReq enforces the runtime's tag contract: tag arguments of mpi
+// point-to-point and collective calls must be named constants. A raw
+// literal tag is how two call sites silently collide in the
+// per-(src,dst) mailbox key space.
 var MPIReq = &Analyzer{
 	Name: "mpireq",
-	Doc:  "nonblocking mpi requests must reach Wait on all paths; tags must be named constants",
-	Run:  runMPIReq,
-}
-
-// returnsRequest reports whether the call's single result is (a
-// pointer to) mpi.Request.
-func returnsRequest(info *types.Info, call *ast.CallExpr) bool {
-	t := info.TypeOf(call)
-	return t != nil && isNamed(t, "mpi", "Request")
-}
-
-// isRequestCompletion reports whether the call is obj.Wait().
-func isRequestCompletion(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if sel.Sel.Name != "Wait" {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && info.Uses[id] == obj
-}
-
-func runMPIReq(pass *Pass) {
-	tr := &tracker{
-		pass: pass,
-		isAcquire: func(call *ast.CallExpr) string {
-			if !returnsRequest(pass.Info, call) {
-				return ""
-			}
-			if f := calleeFunc(pass.Info, call); f != nil {
-				return "mpi." + f.Name()
-			}
-			return "a nonblocking call"
-		},
-		isRelease: func(call *ast.CallExpr, obj types.Object) bool {
-			return isRequestCompletion(pass.Info, call, obj)
-		},
-		leak: func(desc, where string) string {
-			return "request from " + desc + " may not reach Wait on " + where +
-				"; complete it, or hand it off"
-		},
-	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			tr.run(fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					tr.run(lit.Body)
-				}
-				return true
-			})
-		}
-	}
-
-	checkRawTags(pass)
+	Doc:  "tags of mpi calls must be named constants",
+	Run:  checkRawTags,
 }
 
 // checkRawTags flags integer literals passed to tag parameters of

@@ -18,7 +18,7 @@ import (
 // collective over the communicator: every rank must call them in the
 // same order or ranks deadlock in mismatched barriers/mailbox waits.
 var collectiveFuncs = map[string]bool{
-	"Allgather": true, "Alltoall": true, "Ialltoall": true, "Alltoallv": true,
+	"Allgather": true, "Alltoall": true, "Alltoallv": true,
 	"AllreduceSum": true, "AllreduceMax": true, "Gather": true,
 	"NewExchangePlan": true, "NewExchangePlanBounded": true,
 	"NewReducePlan": true,

@@ -7,7 +7,7 @@ import (
 )
 
 // tracker is a lenient path-sensitive resource tracker shared by
-// poolpair and mpireq. A resource is born when an acquire call is
+// poolpair and planfree. A resource is born when an acquire call is
 // bound to a local variable, and dies when it is released, when
 // ownership escapes (the variable is passed to a call, returned,
 // stored, or aliased), or when the path ends in panic. A resource

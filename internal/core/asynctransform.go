@@ -21,11 +21,11 @@ import (
 type Granularity int
 
 const (
-	// PerPencil posts one non-blocking all-to-all per pencil as soon
-	// as its packed D2H completes (paper configurations A and B).
+	// PerPencil starts one exchange per pencil as soon as the pencil
+	// is ready on every device (paper configurations A and B).
 	PerPencil Granularity = iota
-	// PerSlab waits for every pencil and posts one large blocking
-	// all-to-all for the whole slab (paper configuration C).
+	// PerSlab waits for every pencil and runs one exchange for the
+	// whole slab (paper configuration C).
 	PerSlab
 )
 
@@ -70,13 +70,13 @@ type Options struct {
 	// (the one Run/TryRun installed), so instrumentation follows the
 	// world by default.
 	Metrics *metrics.Registry
-	// Exchange selects the transpose-exchange strategy: Staged posts
-	// MPI all-to-alls and unpacks the received blocks (the wire path of
-	// the paper's staged variant), Fused and ChunkedFused gather each
-	// plane group straight from every peer's slab (or, on the
-	// single-precision wire, its narrowed copy) into the local
-	// destination layout through an mpi.ExchangePlan (the zero-copy
-	// variant), and Auto (the zero value) times all three at plan time
+	// Exchange selects the transpose-exchange strategy: Staged packs
+	// each exchange unit into staged blocks, exchanges the blocks and
+	// unpacks them (the paper's staged variant), Fused and ChunkedFused
+	// gather each plane group straight from every peer's slab (or, on
+	// the single-precision wire, its narrowed copy) into the local
+	// destination layout (the zero-copy variant) — every one through
+	// an mpi.ExchangePlan — and Auto (the zero value) times all three at plan time
 	// through NewAsyncSlabRealTuned — a strategy-only search on this
 	// engine configuration, no cache — and pins the collectively-agreed
 	// winner. AT runs the fused gather through bounded-staleness plans
@@ -137,15 +137,14 @@ type gpuCtx struct {
 }
 
 // asyncMetrics are the per-rank instrumentation handles of the
-// asynchronous engine: the three disjoint wall sections of each
-// transposing transform (device pipeline, exposed all-to-all,
-// host-side unpack) and the bytes the pack kernels write out of the
+// asynchronous engine: the disjoint wall sections of each transposing
+// transform (device pipeline, and the unit stages' pack, exchange and
+// unpack phases) and the bytes the pack kernels write out of the
 // device pipeline (the only transfer left, and only where the wire
 // packs: nothing is staged in).
 type asyncMetrics struct {
 	pipeline *metrics.Histogram
-	a2a      *metrics.Histogram
-	unpack   *metrics.Histogram
+	ph       exchange.Phases
 	d2h      *metrics.Counter
 	strategy *metrics.Gauge
 	kmax     *metrics.Gauge
@@ -154,8 +153,7 @@ type asyncMetrics struct {
 func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 	return &asyncMetrics{
 		pipeline: reg.HistogramRank("phase.pipeline", rank),
-		a2a:      reg.HistogramRank("phase.a2a", rank),
-		unpack:   reg.HistogramRank("phase.unpack", rank),
+		ph:       exchange.NewPhases(reg, rank),
 		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
 		strategy: reg.GaugeRank("exchange.strategy", rank),
 		kmax:     reg.GaugeRank("transform.kmax", rank),
@@ -206,11 +204,10 @@ type AsyncSlabReal struct {
 	// precision the exchange ships (Options.SingleComm).
 	wire wire
 
-	// team splits the host-side unpack and gather kernels across
-	// workers; it is shared by both transposing regions and reused
-	// across steps.
+	// team splits the exchange stages' pack, gather and unpack kernels
+	// across workers; it is shared by both transposing regions and
+	// reused across steps.
 	team *par.Team
-	reqs []*mpi.Request // one request slot per exchange unit
 
 	// The compiled regions by exchange direction: regT[d] runs in front
 	// of d's exchange and feeds it, regM[d] behind it. YZ: the y inverse
@@ -282,7 +279,6 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 	a.met = newAsyncMetrics(reg, comm.Rank())
 	a.team = par.NewTeam(opt.Workers)
-	a.reqs = make([]*mpi.Request, len(a.units))
 	a.mid = pool.GetComplex(s.MY() * n * nxh)
 	full := transpose.NewSlabLayout(nxh, n, s.MZ(), comm.Size())
 	for _, us := range a.units {
@@ -386,9 +382,10 @@ func (a *AsyncSlabReal) FourierLen() int { return a.s.MZ() * a.n * a.nxh }
 func (a *AsyncSlabReal) PhysicalLen() int { return a.s.MY() * a.n * a.n }
 
 // packs reports whether the transposing cells carry a pack op (packOp):
-// under Staged, and on the single-precision wire. The double-precision
-// zero-copy strategies publish the slab itself.
-func (a *AsyncSlabReal) packs() bool { return a.strat == exchange.Staged || a.four32 != nil }
+// on the single-precision wire, where it narrows. On the
+// double-precision wire every unit publishes its planes of the slab
+// itself.
+func (a *AsyncSlabReal) packs() bool { return a.four32 != nil }
 
 // NP reports the pencil count per slab.
 func (a *AsyncSlabReal) NP() int { return a.np }
@@ -505,31 +502,21 @@ func (a *AsyncSlabReal) region(d exchange.Dir, transposing bool, pass func(ps *p
 }
 
 // packOp is the pack op of the cell running planes sp of unit u in
-// direction d's transposing region — the fused pack+D2H of §3.4 as the
-// single zero-copy kernel of §4.2. On the single-precision wire it
+// direction d's transposing region on the single-precision wire — the
+// fused pack+D2H of §3.4 as the single zero-copy kernel of §4.2: it
 // narrows the planes into four32 (YZ) or mid32 (ZY), what the unit
-// publishes; under Staged it then packs them into the unit's send
-// blocks. Bytes is what reaches the wire, the band's part of the
-// planes at the wire precision. A cell with no in-band row writes
-// nothing, but is still launched, so the Fig 4 order does not depend
-// on the band.
+// publishes. Bytes is what reaches the wire, the band's part of the
+// planes. A cell with no in-band row writes nothing, but is still
+// launched, so the Fig 4 order does not depend on the band.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) packOp(d exchange.Dir, u int, sp span, ps *pfft.Passes) cuda.Op {
-	pack, cl, size := a.wire.packer(d, u, sp.lo, sp.hi), a.lays[u].Range(sp.lo, sp.hi), int64(16)
-	if a.four32 != nil {
-		size = 8
-	}
-	return cuda.Op{Kind: "pack", Bytes: size * int64(cl.PackElems(a.comm.Rank(), d == exchange.YZ)), Run: func() {
-		switch {
-		case a.four32 == nil:
-		case d == exchange.YZ:
+	cl := a.lays[u].Range(sp.lo, sp.hi)
+	return cuda.Op{Kind: "pack", Bytes: 8 * int64(cl.PackElems(a.comm.Rank(), d == exchange.YZ)), Run: func() {
+		if d == exchange.YZ {
 			ps.NarrowC(a.four32, a.four, sp.lo, sp.hi)
-		default:
+		} else {
 			ps.NarrowB(a.mid32, a.mid, sp.lo, sp.hi)
-		}
-		if pack != nil {
-			pack()
 		}
 	}}
 }
@@ -567,18 +554,21 @@ func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 // its exchange, and the region behind it. Unit u of the exchange is
 // plane group u: under PerPencil it starts from inside the pipeline as
 // soon as the group is ready on every device, overlapping the later
-// groups' compute. The zero-copy strategies publish the group's planes
-// and every peer gathers them in place into its destination slab —
+// groups' compute. Every strategy runs a unit through the unit's
+// exchange.Stage: the zero-copy ones publish the group's planes and
+// every peer gathers them in place into its destination slab —
 // straight from the slab on the double-precision wire, where the
 // region packs nothing, from the planes the pack narrowed on the f32
-// wire. Staged packs each cell into the unit's send blocks, posts the
-// all-to-all there and unpacks the received blocks once all have
-// arrived. Under PerSlab the one exchange follows the region.
+// wire — and Staged packs the planes into staged blocks, exchanges the
+// blocks and unpacks them. Under PerSlab the one exchange follows the
+// region.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) transform(d exchange.Dir) {
 	a.pipeline(&a.regT[d])
-	a.exchange(d, a.strat, a.regT[d].units)
+	if !a.regT[d].units {
+		a.exchange(d, a.strat)
+	}
 	a.pipeline(&a.regM[d])
 }
 
@@ -588,9 +578,9 @@ func (a *AsyncSlabReal) transform(d exchange.Dir) {
 // current group, with an event ordering each pack behind its compute
 // across the two streams. In a region with units, unit ip's exchange is
 // started from the host once group ip is ready on every device — two
-// groups behind the launch frontier, the (ip−2) rule of Fig 4. Time a
-// zero-copy gather spends there is the exchange stage's (phase.a2a),
-// not the pipeline's.
+// groups behind the launch frontier, the (ip−2) rule of Fig 4. Time an
+// exchange spends there is the exchange stage's (phase.pack, phase.a2a,
+// phase.unpack), not the pipeline's.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) pipeline(r *region) {
@@ -649,8 +639,8 @@ func (a *AsyncSlabReal) launchPacks(r *region, ip int) {
 }
 
 // readyUnit waits for group ip's last op on every device — its pack,
-// or its compute where nothing packs — and starts unit ip's exchange,
-// reporting the time a zero-copy gather took.
+// or its compute where nothing packs — and runs unit ip's exchange,
+// reporting the time it took.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) readyUnit(r *region, ip int) time.Duration {
@@ -664,56 +654,30 @@ func (a *AsyncSlabReal) readyUnit(r *region, ip int) time.Duration {
 	}
 	t0 := time.Now()
 	a.startUnit(r.dir, a.strat, ip)
-	if a.strat == exchange.Staged {
-		return 0
-	}
 	return time.Since(t0)
 }
 
-// startUnit starts unit u's exchange under st: the staged all-to-all
-// is posted, a zero-copy gather runs to completion. An empty unit (a
-// group past N/P planes) has nothing to move, on every rank alike, and
-// is skipped. Collective.
+// startUnit runs unit u's exchange under st to completion through the
+// unit's stage. An empty unit (a group past N/P planes) has nothing to
+// move, on every rank alike, and is skipped. Collective.
 //
 //psdns:hotpath
 func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
-	switch {
-	case a.units[u].width() == 0:
-		a.reqs[u] = nil
-	case st == exchange.Staged:
-		a.reqs[u] = a.wire.post(u)
-	default:
-		a.wire.gather(d, st, u)
+	if a.units[u].width() > 0 {
+		a.wire.run(d, st, u)
 	}
 }
 
-// exchange completes direction d's exchange under st, outside the
-// pipeline: the tail of a transposing region and, with nothing started,
-// the tuner's whole trial body (buffer contents are irrelevant to
-// timing). started says every unit's exchange was started from the
-// pipeline, which leaves only the staged requests to wait on and
-// unpack. Collective.
+// exchange runs direction d's exchange under st outside the pipeline,
+// every unit in turn: the one unit behind a PerSlab region and the
+// tuner's whole trial body (buffer contents are irrelevant to timing).
+// Collective.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy, started bool) {
-	t0 := time.Now()
-	if !started {
-		for u := range a.units {
-			a.startUnit(d, st, u)
-		}
+func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy) {
+	for u := range a.units {
+		a.startUnit(d, st, u)
 	}
-	if st != exchange.Staged {
-		return
-	}
-	for _, r := range a.reqs {
-		if r != nil { // a skipped unit has none
-			r.Wait()
-		}
-	}
-	a.met.a2a.ObserveSince(t0)
-	t0 = time.Now()
-	a.wire.unpack(d)
-	a.met.unpack.ObserveSince(t0)
 }
 
 // SetATSite labels the quantity the next bounded exchanges carry (see

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -242,9 +243,29 @@ func TestOptionsValidation(t *testing.T) {
 	})
 }
 
+// holdsStagingBlocks reports whether a's unit stages carry staged pack
+// and recv blocks: it runs a Staged exchange through them, which a
+// stage without blocks refuses before it communicates, on every rank
+// alike. Collective.
+func holdsStagingBlocks(a *AsyncSlabReal) (held bool) {
+	defer func() {
+		if e := recover(); e != nil {
+			if msg, _ := e.(string); !strings.Contains(msg, "without staged blocks") {
+				panic(e)
+			}
+			held = false
+		}
+	}()
+	a.four = make([]complex128, a.FourierLen())
+	defer func() { a.four = nil }()
+	a.exchange(exchange.ZY, exchange.Staged)
+	return true
+}
+
 // A double-precision zero-copy engine moves nothing but its gathers:
-// each unit publishes its plane range of the slab itself, so the engine
-// holds no send, recv or narrowed buffer, no transposing cell carries a
+// each unit publishes its plane range of the slab itself, so no unit
+// stage holds staged blocks, the engine holds no narrowed buffer, no
+// transposing cell carries a
 // pack op, and no device has a transfer stream. Over a transform pair
 // the devices execute the compute ops alone — four regions of np cells
 // per device — and count no transfer or packed bytes. Every zero-copy
@@ -260,9 +281,8 @@ func TestZeroCopyEngineHoldsNoSendBuffer(t *testing.T) {
 					if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
 						a := NewAsyncSlabReal(c, n, opt)
 						defer a.Close()
-						w := a.wire.(*wireBuf[complex128])
-						if w.send != nil || w.recv != nil || a.four32 != nil || a.mid32 != nil {
-							panic(fmt.Sprintf("wire buffers held: send %d recv %d narrowed %d+%d", len(w.send), len(w.recv), len(a.four32), len(a.mid32)))
+						if blocks := holdsStagingBlocks(a); blocks || a.four32 != nil || a.mid32 != nil {
+							panic(fmt.Sprintf("wire buffers held: staged blocks %v, narrowed %d+%d", blocks, len(a.four32), len(a.mid32)))
 						}
 						for g, ctx := range a.gpus {
 							if ctx.transfer != nil {

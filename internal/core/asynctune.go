@@ -68,7 +68,7 @@ func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config
 		},
 		Trial: func(a *AsyncSlabReal, d exchange.Dir, st exchange.Strategy, four []complex128) {
 			a.four = four
-			a.exchange(d, st, false)
+			a.exchange(d, st)
 			a.four = nil
 		},
 	})

@@ -18,25 +18,26 @@ func sameBits(a, b complex128) bool {
 }
 
 // poisonEngine stores NaN over every element of the engine's mid slab
-// and of the wire's send, recv and narrowed (four32, mid32) buffers,
-// none of which a transform may read before writing.
+// and narrowed (four32, mid32) buffers and, under Staged, over the unit
+// stages' staged blocks, none of which a transform may read before
+// writing. The blocks are the stages' own, so they are poisoned the
+// way a transform fills them: by a ZY exchange of the NaN mid (or
+// mid32), which packs NaN into every block the band uses and lands it
+// in the recv blocks and a scratch Fourier slab (four32 on the f32
+// wire, which stays NaN). Collective.
 func poisonEngine(a *AsyncSlabReal) {
-	switch w := a.wire.(type) {
-	case *wireBuf[complex128]:
-		for _, buf := range [][]complex128{a.mid, w.send, w.recv} {
-			for i := range buf {
-				buf[i] = cmplx.NaN()
-			}
+	for i := range a.mid {
+		a.mid[i] = cmplx.NaN()
+	}
+	for _, buf := range [][]complex64{a.four32, a.mid32} {
+		for i := range buf {
+			buf[i] = complex64(cmplx.NaN())
 		}
-	case *wireBuf[complex64]:
-		for i := range a.mid {
-			a.mid[i] = cmplx.NaN()
-		}
-		for _, buf := range [][]complex64{w.send, w.recv, a.four32, a.mid32} {
-			for i := range buf {
-				buf[i] = complex64(cmplx.NaN())
-			}
-		}
+	}
+	if a.strat == exchange.Staged {
+		a.four = make([]complex128, a.FourierLen())
+		a.exchange(exchange.ZY, exchange.Staged)
+		a.four = nil
 	}
 }
 
@@ -146,17 +147,18 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 // empty unit is not exchanged. Per transform and rank, computed here
 // from grid.Band and the plane-group geometry alone:
 //
-//   - exchange.calls grows by the units holding a plane, under a
-//     zero-copy strategy (Staged posts its own all-to-alls instead);
+//   - exchange.calls grows by the units holding a plane, under every
+//     strategy;
 //   - exchange.bytes by what those units' gathers read from the other
 //     ranks, kb columns of each row: YZ, every peer's in-band kz planes
 //     of the unit's range, my rows each; ZY, this rank's in-band planes,
-//     the unit's rows from each peer;
-//   - a pack op exists only where the wire packs — a staged cell, or
-//     the f32 wire's narrow — and its Bytes is what it writes, the kb
+//     the unit's rows from each peer; under Staged by the P−1 remote
+//     staged blocks, every plane of the unit's range with my rows each;
+//   - a pack op exists only where the wire packs — the f32 wire's
+//     narrow — and its Bytes is what it writes, the kb
 //     columns of the cell's in-band kz rows (YZ: every row of its
 //     in-band planes; ZY: every plane's in-band kz rows); cuda.xfer.bytes
-//     grows by their sum, by nothing on the f64 zero-copy wire.
+//     grows by their sum, by nothing on the f64 wire.
 //
 // At the full band each count is the whole unit's and the whole
 // group's share. Pencil counts past N/P leave empty groups.
@@ -211,7 +213,7 @@ func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
 	var want [2]int64
 	calls := int64(0)
 	for _, u := range units {
-		if u.width() > 0 && opt.Exchange != exchange.Staged {
+		if u.width() > 0 {
 			calls++
 		}
 		theirs := 0
@@ -224,18 +226,20 @@ func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
 		if size := int64(u.width() * n * nxh); kmax < 0 && (yz != (size-size/int64(p))*elem || zy != yz) {
 			panic(fmt.Sprintf("full band: unit %v charges %d/%d, the whole unit's share is %d", u, yz, zy, (size-size/int64(p))*elem))
 		}
-		if opt.Exchange != exchange.Staged {
-			want[exchange.YZ] += yz
-			want[exchange.ZY] += zy
+		if opt.Exchange == exchange.Staged {
+			yz = int64((p-1)*u.width()*m) * kb * elem
+			zy = yz
 		}
+		want[exchange.YZ] += yz
+		want[exchange.ZY] += zy
 	}
-	packs := opt.SingleComm || opt.Exchange == exchange.Staged
+	packs := opt.SingleComm
 	var xfer [2]int64
 	for d := range a.regT {
 		for i, cl := range a.regT[d].cells {
 			if !packs {
 				if cl.pack.Run != nil || cl.pack.Bytes != 0 {
-					panic(fmt.Sprintf("dir %d cell %d: a pack op on the f64 zero-copy wire", d, i))
+					panic(fmt.Sprintf("dir %d cell %d: a pack op on the f64 wire", d, i))
 				}
 				continue
 			}

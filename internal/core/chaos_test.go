@@ -40,48 +40,50 @@ func transformOnce(t *testing.T, n, p int, opt Options, out [][]complex128, runO
 
 // TestTransformBitwiseCorrectUnderDelays injects multi-window delivery
 // delays into every collective fragment and checks the async engine
-// still produces bit-identical spectra: delayed messages reorder the
-// unpack schedule but must never corrupt it. The engine pins Staged,
-// so the delays land in the transform's own per-pencil all-to-alls,
-// not in a tuner's trials.
+// still produces bit-identical spectra: delayed slabs reorder the
+// exchange schedule but must never corrupt it. The engine pins each
+// concrete strategy in turn, so the delays land in the transform's own
+// unit exchanges, not in a tuner's trials.
 func TestTransformBitwiseCorrectUnderDelays(t *testing.T) {
 	const n, p = 16, 4
 	delayRule := mpi.FaultRule{
 		Src: mpi.AnyRank, Dst: mpi.AnyRank, Tag: mpi.AnyTag,
 		Scope: mpi.ScopeColl, Delay: 2 * time.Millisecond,
 	}
-	for _, gran := range []Granularity{PerPencil, PerSlab} {
-		opt := Options{NP: 3, Granularity: gran, Exchange: exchange.Staged}
-		clean := make([][]complex128, p)
-		transformOnce(t, n, p, opt, clean)
-		faulty := make([][]complex128, p)
-		transformOnce(t, n, p, opt, faulty,
-			mpi.WithFaults(&mpi.Faults{Seed: 7, Rules: []mpi.FaultRule{delayRule}}),
-			mpi.WithWatchdog(mpi.Watchdog{DeadlockAfter: time.Second, Poll: 5 * time.Millisecond}),
-		)
-		for r := 0; r < p; r++ {
-			for i := range clean[r] {
-				if clean[r][i] != faulty[r][i] {
-					t.Fatalf("gran=%d rank %d: delayed run differs at %d: %v vs %v (|Δ|=%g)",
-						gran, r, i, clean[r][i], faulty[r][i], cmplx.Abs(clean[r][i]-faulty[r][i]))
+	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+		for _, gran := range []Granularity{PerPencil, PerSlab} {
+			opt := Options{NP: 3, Granularity: gran, Exchange: st}
+			clean := make([][]complex128, p)
+			transformOnce(t, n, p, opt, clean)
+			faulty := make([][]complex128, p)
+			transformOnce(t, n, p, opt, faulty,
+				mpi.WithFaults(&mpi.Faults{Seed: 7, Rules: []mpi.FaultRule{delayRule}}),
+				mpi.WithWatchdog(mpi.Watchdog{DeadlockAfter: time.Second, Poll: 5 * time.Millisecond}),
+			)
+			for r := 0; r < p; r++ {
+				for i := range clean[r] {
+					if clean[r][i] != faulty[r][i] {
+						t.Fatalf("%s gran=%d rank %d: delayed run differs at %d: %v vs %v (|Δ|=%g)",
+							st, gran, r, i, clean[r][i], faulty[r][i], cmplx.Abs(clean[r][i]-faulty[r][i]))
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestWaitDeadlineSurfacesStallError: a dropped bulk all-to-all
-// fragment would hang the pipeline forever; with the watchdog's
-// per-operation deadline the engine's Wait raises a typed StallError
-// on the rank it names instead. Pinned Staged, the drop reaches the
-// transform's own all-to-all; under Auto it lands in the tuner's
-// Staged trial first, and all that is asserted there is that the stall
-// still comes back typed.
+// TestWaitDeadlineSurfacesStallError: a dropped bulk slab would hang
+// the pipeline forever; with the watchdog's per-operation deadline the
+// reader's wait raises a typed StallError on the rank it names
+// instead. Pinned to each concrete strategy, the drop reaches the
+// transform's own unit exchange; under Auto it lands in the tuner's
+// first trial, and all that is asserted there is that the stall still
+// comes back typed.
 func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	const n, p = 16, 2
-	// Drop only bulk engine fragments: small control collectives (and
-	// the P2P layer) stay functional so the failure is isolated to the
-	// transform's all-to-all.
+	// Drop only bulk engine slabs: small control collectives (and the
+	// P2P layer) stay functional so the failure is isolated to the
+	// transform's exchange.
 	drop := mpi.FaultRule{
 		Src: 1, Dst: 0, Tag: mpi.AnyTag,
 		Scope: mpi.ScopeColl, MinBytes: 1024, DropProb: 1,
@@ -107,13 +109,15 @@ func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 		}
 		return se, err
 	}
-	st, err := stall(exchange.Staged)
-	if st.Rank != 0 || st.Op != "wait" || !st.Coll || st.Deadlock {
-		t.Fatalf("StallError = %+v, want rank 0's deadline in a collective wait", st)
-	}
-	var re *mpi.RankError
-	if !errors.As(err, &re) || re.Rank != 0 {
-		t.Fatalf("error %v: the stall was not raised by rank 0's wait", err)
+	for _, pinned := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+		st, err := stall(pinned)
+		if st.Rank != 0 || st.Op != "wait" || !st.Coll || st.Deadlock {
+			t.Fatalf("%s: StallError = %+v, want rank 0's deadline in a collective wait", pinned, st)
+		}
+		var re *mpi.RankError
+		if !errors.As(err, &re) || re.Rank != 0 {
+			t.Fatalf("%s: error %v: the stall was not raised by rank 0's wait", pinned, err)
+		}
 	}
 	stall(exchange.Auto)
 }

@@ -31,9 +31,11 @@
 // the double-precision wire, which packs nothing and leaves the
 // transfer stream idle, from the planes a pack narrowed (pfft.Passes'
 // f32 bracket, widened again by the cells behind the exchange) on the
-// single-precision wire. Staged packs each (group, device) cell into
-// the unit's compact send blocks and posts an all-to-all. The all-to-all
-// granularity is selectable: PerPencil starts a group's exchange as
+// single-precision wire. Staged runs the unit's stage with staged
+// blocks: it packs the group's planes into compact blocks, exchanges
+// the blocks and unpacks them. Every strategy so runs through one
+// exchange.Stage.Run and one mpi.ExchangePlan.Do, where message fault
+// injection reaches it. The all-to-all granularity is selectable: PerPencil starts a group's exchange as
 // soon as it is ready, two groups behind the launch frontier,
 // overlapping the later groups' compute (configurations A and B of the
 // paper); PerSlab waits for the whole slab and runs one large blocking

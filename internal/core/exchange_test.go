@@ -135,8 +135,8 @@ func TestAsyncAutotuneAgreesAcrossRanks(t *testing.T) {
 	}
 }
 
-// A staged exchange posts the band's compact blocks: per direction,
-// every unit's all-to-all charges mpi.a2a.bytes (P−1)·w·My·KB elements
+// A staged exchange moves the band's compact blocks: per direction,
+// every unit's exchange charges exchange.bytes (P−1)·w·My·KB elements
 // at the wire precision — w the unit's planes (none for a group past
 // N/P), KB the band's x width. pfft's TestStagedChargesBandBlocks pins
 // the same count on the slab engine, whose one unit is the whole slab.
@@ -178,7 +178,7 @@ func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
 	for _, u := range units {
 		want += int64((p-1)*u.width()*my) * kb * elem
 	}
-	ctr := c.Metrics().CounterRank("mpi.a2a.bytes", c.Rank())
+	ctr := c.Metrics().CounterRank("exchange.bytes", c.Rank())
 	four := make([]complex128, a.FourierLen())
 	phys := make([]float64, a.PhysicalLen())
 	for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
@@ -189,7 +189,7 @@ func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
 			a.PhysicalToFourier(four, phys)
 		}
 		if got := ctr.Value() - before; got != want {
-			panic(fmt.Sprintf("dir %d: mpi.a2a.bytes grew %d, the band's blocks are %d", d, got, want))
+			panic(fmt.Sprintf("dir %d: exchange.bytes grew %d, the band's blocks are %d", d, got, want))
 		}
 	}
 }

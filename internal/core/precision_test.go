@@ -99,17 +99,13 @@ func TestSingleCommDNSRunsStably(t *testing.T) {
 }
 
 // The single-precision wire charges exactly half of what the
-// double-precision one charges, per pinned strategy over a transform
-// pair: the staged all-to-alls in mpi.a2a.bytes, the zero-copy gathers
-// in exchange.bytes. Both counts must be nonzero, so the comparison
-// cannot hold as 0 = 0.
+// double-precision one charges in exchange.bytes, per pinned strategy
+// over a transform pair. Both counts must be nonzero, so the
+// comparison cannot hold as 0 = 0.
 func TestSingleCommHalvesWireBytes(t *testing.T) {
 	const n, p = 16, 2
 	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
-		counter := "exchange.bytes"
-		if st == exchange.Staged {
-			counter = "mpi.a2a.bytes"
-		}
+		const counter = "exchange.bytes"
 		var charged [2]int64 // f64, f32
 		for i, single := range []bool{false, true} {
 			reg := metrics.NewRegistry()

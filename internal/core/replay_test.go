@@ -52,22 +52,17 @@ type loggedWire struct {
 	l *replayLog
 }
 
-func (w loggedWire) post(u int) *mpi.Request {
+func (w loggedWire) run(d exchange.Dir, st exchange.Strategy, u int) {
 	w.l.add("unit", u, 0)
-	return w.wire.post(u)
-}
-
-func (w loggedWire) gather(d exchange.Dir, st exchange.Strategy, u int) {
-	w.l.add("unit", u, 0)
-	w.wire.gather(d, st, u)
+	w.wire.run(d, st, u)
 }
 
 // The Fig 4 edges of a transposing region must hold under any
 // interleaving of the host and the stream workers. Where the wire packs
-// (Staged, the f32 wire) pack(ip, g) runs after compute(ip, g) and unit
-// ip's exchange (a posted all-to-all or a zero-copy gather) starts
-// after every device's pack(ip); on the f64 zero-copy wire no pack runs
-// at all and unit ip starts after every device's compute(ip). Under
+// (the f32 wire, whose pack narrows) pack(ip, g) runs after
+// compute(ip, g) and unit ip's exchange starts after every device's
+// pack(ip); on the f64 wire no pack runs at all and unit ip starts
+// after every device's compute(ip), under Staged too. Under
 // PerSlab the one unit waits for every cell of the slab, and a unit
 // past N/P planes is never started.
 func TestReplayOrderHoldsUnderScheduleJitter(t *testing.T) {
@@ -78,7 +73,7 @@ func TestReplayOrderHoldsUnderScheduleJitter(t *testing.T) {
 				for _, single := range []bool{false, true} {
 					for _, gran := range []Granularity{PerPencil, PerSlab} {
 						name := fmt.Sprintf("ngpu%d_np%d_%s_single%v_gran%d", ngpu, np, st, single, gran)
-						packs := st == exchange.Staged || single
+						packs := single
 						if err := mpi.TryRun(p, func(c *mpi.Comm) {
 							a := NewAsyncSlabReal(c, n, Options{NP: np, NGPU: ngpu, Granularity: gran, Exchange: st, SingleComm: single})
 							defer a.Close()

@@ -209,9 +209,8 @@ type dirBodies[T Elem] struct {
 // NewStage registers a stage over comm whose kernels run on team (the
 // stage borrows the team; the engine closes it). stagedLen is the
 // element count of the pack and recv staging buffers — P equal blocks,
-// or room for the P blocks of the kernels' largest Sizes — and may be
-// zero for an engine that posts its own all-to-alls and only
-// runs the zero-copy strategies here. slabLen is the element count of
+// or room for the P blocks of the kernels' largest Sizes — and is zero
+// for a stage that runs only the zero-copy strategies. slabLen is the element count of
 // the slab each rank publishes to the zero-copy strategies. A non-nil
 // bound makes the stage asynchrony-tolerant: it runs exchange.AT only,
 // so it takes no staging buffers. Collective: every rank must construct

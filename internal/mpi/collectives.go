@@ -2,10 +2,7 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
-
-	"repro/internal/metrics"
 )
 
 // sliceBytes reports the wire size of n elements of T, the quantity
@@ -36,7 +33,7 @@ func Send[T any](c *Comm, dst, tag int, buf []T) {
 // copies it into buf, returning the element count received.
 func Recv[T any](c *Comm, src, tag int, buf []T) int {
 	c.maybeCrash()
-	data := c.box(src, c.rank).get(matchKey{tag: tag}, false).([]T)
+	data := c.box(src, c.rank).get(matchKey{tag: tag}).([]T)
 	if len(data) > len(buf) {
 		panic(fmt.Sprintf("mpi: rank %d: recv from %d (tag %d): buffer too small: %d < %d",
 			c.rank, src, tag, len(buf), len(data)))
@@ -68,7 +65,7 @@ func Allgather[T any](c *Comm, send []T, recv []T) {
 	}
 	n := len(send)
 	for r := 0; r < p; r++ {
-		data := c.box(r, c.rank).get(key, false).([]T)
+		data := c.box(r, c.rank).get(key).([]T)
 		copy(recv[r*n:(r+1)*n], data)
 	}
 }
@@ -99,7 +96,7 @@ func Gather[T any](c *Comm, root int, send []T, recv []T) {
 	}
 	n := len(send)
 	for r := 0; r < p; r++ {
-		data := c.box(r, root).get(key, false).([]T)
+		data := c.box(r, root).get(key).([]T)
 		copy(recv[r*n:(r+1)*n], data)
 	}
 }
@@ -138,59 +135,18 @@ func allreduce(c *Comm, v []float64, op func(a, b float64) float64) {
 // communicator: the block send[dst*bs:(dst+1)*bs] lands at
 // recv[src*bs:(src+1)*bs] on rank dst, where bs = len(send)/P. This is
 // the MPI_ALLTOALL at the heart of every distributed transpose in the
-// paper. send and recv must not alias.
+// paper: Alltoallv with every count bs. send and recv must not alias.
 func Alltoall[T any](c *Comm, send, recv []T) {
-	req := Ialltoall(c, send, recv)
-	req.Wait()
-}
-
-// Ialltoall starts a non-blocking all-to-all (MPI_IALLTOALL) and
-// returns a Request. The exchange makes progress on a background
-// goroutine; recv must not be read, nor send overwritten, until Wait
-// returns. Matching follows initiation order, so ranks must initiate
-// collectives in the same order even when some are non-blocking. The
-// rank is charged len(send)-bs elements of wire bytes: everything but
-// its own diagonal block.
-func Ialltoall[T any](c *Comm, send, recv []T) *Request {
-	c.maybeCrash()
 	p := c.Size()
 	if len(send)%p != 0 || len(recv) != len(send) {
 		panic(fmt.Sprintf("mpi: rank %d: alltoall buffer sizes %d/%d invalid for %d ranks",
 			c.rank, len(send), len(recv), p))
 	}
-	bs := len(send) / p
-	m := c.m()
-	m.a2aMsgs.Inc()
-	m.a2aBytes.Add(sliceBytes[T](len(send) - bs))
-	seq := c.nextSeq()
-	key := matchKey{tag: seq, coll: true}
-	// Post all sends eagerly on the caller goroutine so buffered-send
-	// semantics hold even if Wait is deferred for a long time.
-	for dst := 0; dst < p; dst++ {
-		blk := make([]T, bs)
-		copy(blk, send[dst*bs:(dst+1)*bs])
-		c.box(c.rank, dst).put(message{key: key, data: blk, bytes: sliceBytes[T](bs)})
+	counts, displs := make([]int, p), make([]int, p)
+	for r := range counts {
+		counts[r], displs[r] = len(send)/p, r*len(send)/p
 	}
-	req := newRequest(c, seq, m.a2aWait)
-	go func() {
-		defer close(req.done)
-		defer func() {
-			// An aborted world must surface on the rank that Waits
-			// (with the cause, see Wait), not crash the helper goroutine.
-			if e := recover(); e != nil {
-				if e == any(errAborted) {
-					req.aborted = true
-					return
-				}
-				panic(e)
-			}
-		}()
-		for src := 0; src < p; src++ {
-			data := c.box(src, c.rank).get(key, true).([]T)
-			copy(recv[src*bs:(src+1)*bs], data)
-		}
-	}()
-	return req
+	Alltoallv(c, send, counts, displs, recv, counts, displs)
 }
 
 // Alltoallv is the varying-counts all-to-all: sendcounts[dst] elements
@@ -214,7 +170,7 @@ func Alltoallv[T any](c *Comm, send []T, sendcounts, senddispls []int, recv []T,
 	m.a2aBytes.Add(sliceBytes[T](total - sendcounts[c.rank]))
 	stop := m.a2aWait.Start()
 	for src := 0; src < p; src++ {
-		data := c.box(src, c.rank).get(key, false).([]T)
+		data := c.box(src, c.rank).get(key).([]T)
 		if len(data) != recvcounts[src] {
 			panic(fmt.Sprintf("mpi: rank %d: alltoallv count mismatch from %d: got %d want %d",
 				c.rank, src, len(data), recvcounts[src]))
@@ -222,51 +178,4 @@ func Alltoallv[T any](c *Comm, send []T, sendcounts, senddispls []int, recv []T,
 		copy(recv[recvdispls[src]:recvdispls[src]+recvcounts[src]], data)
 	}
 	stop()
-}
-
-// Request tracks a non-blocking operation, as MPI_Request does.
-type Request struct {
-	done    chan struct{}
-	aborted bool
-	// wait, when recording, observes the seconds the caller spends
-	// blocked inside Wait — the exposed (non-overlapped) communication
-	// time of the asynchronous pipeline.
-	wait *metrics.Histogram
-
-	// waited makes Wait idempotent: only the first Wait records a
-	// histogram sample and raises an abort; later calls return silently
-	// once the operation is done.
-	waited atomic.Bool
-
-	// Identity for watchdog registration and StallError attribution.
-	w    *world
-	rank int
-	tag  int
-}
-
-func newRequest(c *Comm, tag int, wait *metrics.Histogram) *Request {
-	return &Request{done: make(chan struct{}), wait: wait, w: c.w, rank: c.rank, tag: tag}
-}
-
-// Wait blocks until the operation completes (MPI_WAIT). It panics if
-// the world was aborted while in flight: with the watchdog's
-// *StallError when that names this rank (a Wait blocked past
-// Watchdog.Deadline), with the abort sentinel otherwise. Wait is
-// idempotent: calling it again after it has returned (or panicked) is a
-// no-op that records no extra histogram sample and does not re-panic.
-//
-//psdns:hotpath
-func (r *Request) Wait() {
-	if r.waited.Swap(true) {
-		<-r.done
-		return
-	}
-	stop := r.wait.Start()
-	tok := r.w.watchEnter(r.rank, opWait, -1, r.tag, true, false)
-	<-r.done
-	r.w.watchExit(tok)
-	stop()
-	if r.aborted {
-		panic(r.w.abortCause(r.rank))
-	}
 }

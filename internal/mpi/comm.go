@@ -48,7 +48,8 @@ type world struct {
 	// progress counts mailbox deliveries and removals; the deadlock
 	// detector uses it as a quiescence marker.
 	progress atomic.Int64
-	// pending counts fault-delayed messages still on a timer.
+	// pending counts fault-delayed messages still on a timer and
+	// fault-delayed plan slabs a reader is still waiting out.
 	pending atomic.Int64
 
 	// fromParent maps a parent-world rank to this sub-world's rank for
@@ -198,8 +199,7 @@ func (w *world) adoptChild(c *world) {
 
 // Comm is one rank's handle on a communicator, analogous to an
 // MPI_Comm plus the implicit rank of MPI_Comm_rank. A Comm is used by
-// exactly one goroutine at a time, except that non-blocking collective
-// Requests may drain it from their own goroutine until waited on.
+// exactly one goroutine at a time.
 type Comm struct {
 	w    *world
 	rank int
@@ -523,7 +523,7 @@ func (b *barrier) wait(w *world, rank int) {
 			w.watchExit(tok)
 		}
 	}()
-	tok = w.watchEnter(rank, opBarrier, -1, 0, true, false)
+	tok = w.watchEnter(rank, opBarrier, -1, 0, true, time.Now())
 	for b.phase.Load() == phase {
 		if b.aborted.Load() {
 			panic(w.abortCause(rank))
@@ -584,7 +584,7 @@ func (c *Comm) Barrier() {
 // crash follows it into every communicator it joins; the operation
 // index counts per communicator, since each Comm keeps its own
 // counter). Message-level fault rules stay with the parent world's
-// mailboxes: the sub-communicator's traffic is new traffic.
+// mailboxes and plans: the sub-communicator's traffic is new traffic.
 func (c *Comm) Split(color, key int) *Comm {
 	type entry struct{ color, key, rank int }
 	mine := entry{color, key, c.rank}

@@ -2,14 +2,15 @@
 // for IBM Spectrum MPI in the paper's code: ranks are goroutines,
 // communicators can be split into the row/column communicators of a 2D
 // process grid, and the collective set covers exactly what the DNS
-// needs — barriers, reductions, gathers, and blocking (MPI_ALLTOALL)
-// and non-blocking (MPI_IALLTOALL + MPI_WAIT) all-to-all exchanges.
+// needs — barriers, reductions, gathers, blocking all-to-alls
+// (MPI_ALLTOALL, MPI_ALLTOALLV), and the persistent exchange and
+// reduction plans (ExchangePlan, ReducePlan) every transform engine
+// exchanges through.
 //
 // Semantics follow MPI where it matters to the algorithms under test:
 // sends are buffered (a rank may send before the peer has posted its
-// receive), collectives must be initiated in the same order on every
-// rank of a communicator, and non-blocking collectives complete only
-// when their Request is waited on.
+// receive), and collectives must be initiated in the same order on
+// every rank of a communicator.
 //
 // # Waiting
 //
@@ -36,8 +37,8 @@
 //   - Send charges len(buf) to the sender, except self-sends (0).
 //   - Allgather charges every rank (P-1)×len(send).
 //   - Gather charges each non-root rank len(send); the root charges 0.
-//   - Alltoall/Ialltoall charge each rank len(send)-len(send)/P: all
-//     blocks except its own diagonal block.
+//   - Alltoall charges each rank len(send)-len(send)/P: all blocks
+//     except its own diagonal block.
 //   - Alltoallv charges Σ sendcounts minus sendcounts[self].
 //   - An ExchangePlan charges what its gather reads from remote slabs
 //     (SetWire; by default the off-diagonal blocks), under
@@ -60,19 +61,22 @@
 //   - A stall or deadlock detected by the watchdog (see Watchdog)
 //     aborts the world with a *StallError naming the blocked rank,
 //     operation, peer and tag. That rank raises it from the wait it is
-//     blocked in — a barrier, a receive, Request.Wait or a bounded
-//     exchange — so it arrives wrapped in the rank's *RankError and
-//     code above the runtime on that rank sees it unwind (the solver
-//     annotates it with its step). The watchdog is on by default with
-//     deadlock detection only; WithWatchdog sets the per-operation
-//     Deadline, the one bound on how long a rank may wait, or disables
-//     it.
+//     blocked in — a barrier, a receive, an exchange's wait for a
+//     peer's slab or a bounded exchange — so it arrives wrapped in the
+//     rank's *RankError and code above the runtime on that rank sees
+//     it unwind (the solver annotates it with its step). The watchdog
+//     is on by default with deadlock detection only; WithWatchdog sets
+//     the per-operation Deadline, the one bound on how long a rank may
+//     wait, or disables it.
 //
 // WithFaults injects deterministic message pathologies (drop,
-// duplicate, delay, rank crashes) for chaos testing; see Faults.
-// Sub-communicators created by Split share the parent's abort cascade,
-// run their own watchdog under the parent's configuration, and inherit
-// the fault plan's crash schedules (re-keyed to the sub-communicator's
-// ranks, operation counts per communicator); message-level fault rules
-// apply to the parent world's mailboxes only.
+// duplicate, delay, rank crashes) for chaos testing; see Faults. The
+// message rules reach the mailbox collectives and every
+// ExchangePlan.Do, the exchange path of every transform strategy but
+// the asynchrony-tolerant one. Sub-communicators created by Split
+// share the parent's abort cascade, run their own watchdog under the
+// parent's configuration, and inherit the fault plan's crash schedules
+// (re-keyed to the sub-communicator's ranks, operation counts per
+// communicator); message-level fault rules apply to the parent world
+// only.
 package mpi

@@ -31,9 +31,12 @@ import (
 // ranks blocked in them), abortable (a peer's panic or a scheduled
 // crash wakes them through the abort cascade), and the operation
 // counter advances on every Do so crash schedules fire inside plan
-// exchanges. Because gathered data never crosses the mailbox layer,
-// per-message fault injection (drops, duplicates, delays) does not
-// apply.
+// exchanges.
+//
+// Do takes the world's message faults (see Faults) as well: each
+// published slab is one message per reader, which the fault rules may
+// delay or drop (a duplicate is counted and has no effect — a shared
+// slab read twice is the same read). DoBounded does not take them.
 //
 // Collective contract (as for MPI persistent collectives): every rank
 // constructs the plan at the same point in its collective order and
@@ -88,6 +91,20 @@ type exchShared[T any] struct {
 	// release store, read after a peer's acquire load — same discipline
 	// and same slot-retention argument as the rings themselves.
 	sites [][]uint32
+
+	// fates[src*P+dst] is how src's slab of the current Do reaches
+	// reader dst under the world's message fault rules; nil when the
+	// world has none (and on bounded plans). Written by src before the
+	// entry barrier, read by dst after it, rewritten only once dst has
+	// left the exit barrier — the discipline of srcs itself.
+	fates []slabFate
+}
+
+// slabFate is one published slab's delivery to one reader: visible
+// from at on, or never.
+type slabFate struct {
+	at      time.Time
+	dropped bool
 }
 
 // NewExchangePlan registers an exchange plan over c. slabLen is the
@@ -143,6 +160,9 @@ func newExchangePlan[T any](c *Comm, slabLen int, at bool, maxStale int, deadlin
 	} else {
 		sh = &exchShared[T]{srcs: make([][]T, p), bar: newBarrier(p), seq: seq,
 			at: at, maxStale: maxStale, deadline: deadline, slabLen: slabLen}
+		if !at && w.faults != nil && w.faults.rules != nil {
+			sh.fates = make([]slabFate, p*p)
+		}
 		if at {
 			slots := 2*maxStale + 2
 			sh.rings = make([][][]T, p)
@@ -191,6 +211,8 @@ func (pl *ExchangePlan[T]) SetWire(elems int) { pl.wire = sliceBytes[T](elems) }
 // local strided gathers. After Do returns on every rank, each rank's
 // destination holds exactly what the staged pack → all-to-all →
 // unpack triple would have produced — in one pass instead of three.
+// Under message faults the gather first waits until every peer's slab
+// is visible to this rank (awaitFates).
 //
 // Collective and allocation-free. The gather wall time is recorded in
 // exchange.gather.ns and the time inside the two barriers around it in
@@ -211,6 +233,12 @@ func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
 	m := c.m()
 	m.exchCalls.Inc()
 	m.exchBytes.Add(pl.wire)
+	faulty := pl.sh.fates != nil
+	var entered time.Time
+	if faulty {
+		entered = time.Now()
+		pl.drawFates(entered)
+	}
 	// Publish, then the entry barrier: every rank's slab is visible
 	// (and no rank still reads last cycle's table) before any gather.
 	pl.sh.srcs[c.rank] = src
@@ -220,6 +248,9 @@ func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
 		t0 = time.Now()
 	}
 	pl.sh.bar.wait(c.w, c.rank)
+	if faulty {
+		pl.awaitFates(entered)
+	}
 	if enabled {
 		t1 = time.Now()
 	}
@@ -238,6 +269,68 @@ func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
 	// Plan exchanges bypass mailboxes; mark progress so the deadlock
 	// detector's quiescence window stays honest.
 	c.w.progress.Add(1)
+}
+
+// drawFates draws, as this rank publishes, how its slab reaches each
+// reader: one outcome per peer from the (src, dst) stream the mailbox
+// draws from, keyed by the plan's sequence number in the collective
+// tag space and sized by the reader's share of what the gather reads.
+// The draws run on the publishing rank's goroutine in program order,
+// so a seed fixes every fate.
+func (pl *ExchangePlan[T]) drawFates(now time.Time) {
+	c, sh := pl.c, pl.sh
+	f, p, me := c.w.faults, c.Size(), c.rank
+	key := matchKey{tag: sh.seq, coll: true}
+	bytes := pl.wire / int64(max(p-1, 1))
+	for dst := 0; dst < p; dst++ {
+		if dst == me {
+			continue
+		}
+		drop, dup, delay := f.outcome(me, dst, key, bytes)
+		if drop {
+			f.drops[me].Inc()
+		}
+		if dup {
+			f.dups[me].Inc()
+		}
+		if delay > 0 {
+			f.delays[me].Inc()
+		}
+		sh.fates[me*p+dst] = slabFate{at: now.Add(delay), dropped: drop}
+	}
+}
+
+// awaitFates holds this rank's gather until every peer's slab is
+// visible to it. A delayed slab is a bounded sleep, counted as pending
+// like a timer-held message so the deadlock detector never mistakes it
+// for quiescence. A dropped slab never arrives: the rank blocks in a
+// watchdog-registered wait for that peer until the world is aborted,
+// and raises its abort cause. The wait is dated from the rank's entry
+// into Do, so the peers that did get their slabs — parked in the exit
+// barrier after their own gathers — are younger, and the watchdog
+// blames the starved reader.
+func (pl *ExchangePlan[T]) awaitFates(entered time.Time) {
+	c, sh := pl.c, pl.sh
+	w, p, me := c.w, c.Size(), c.rank
+	for src := 0; src < p; src++ {
+		if src == me {
+			continue
+		}
+		fate := sh.fates[src*p+me]
+		if fate.dropped {
+			tok := w.watchEnter(me, opWait, src, sh.seq, true, entered)
+			for !w.isAborted() {
+				time.Sleep(boundedPoll)
+			}
+			w.watchExit(tok)
+			panic(w.abortCause(me))
+		}
+		if d := time.Until(fate.at); d > 0 {
+			w.pending.Add(1)
+			time.Sleep(d)
+			w.pending.Add(-1)
+		}
+	}
 }
 
 // Free releases the plan (collective in effect: after every rank has
@@ -435,7 +528,7 @@ func (pl *ExchangePlan[T]) waitPeers(lo, target int64) {
 		}
 	}()
 	if pl.minEpoch() < lo {
-		tok = w.watchEnter(c.rank, opBounded, -1, sh.seq, true, false)
+		tok = w.watchEnter(c.rank, opBounded, -1, sh.seq, true, time.Now())
 		for pl.minEpoch() < lo {
 			if w.isAborted() {
 				panic(w.abortCause(c.rank))
@@ -477,7 +570,7 @@ func (pl *ExchangePlan[T]) waitSiteMatch(r int, e int64) int64 {
 	c, sh := pl.c, pl.sh
 	w := c.w
 	slots := int64(len(sh.rings[r]))
-	tok := w.watchEnter(c.rank, opBounded, r, sh.seq, true, false)
+	tok := w.watchEnter(c.rank, opBounded, r, sh.seq, true, time.Now())
 	defer w.watchExit(tok)
 	for {
 		pe := sh.epochs[r].Load()

@@ -5,13 +5,110 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// Chaos coverage for the fused exchange: gathered data bypasses the
-// mailbox layer entirely, so the failure model must ride on the
-// plan's barriers and the operation counter. These tests pin that the
-// watchdog and crash-schedule paths fire inside ExchangePlan.Do just
-// as they do for staged exchanges.
+// Chaos coverage for the plan exchange: gathered data bypasses the
+// mailbox layer entirely, so the failure model rides on the plan's
+// barriers, the operation counter and the fault draw on publish. These
+// tests pin that message faults, the watchdog and crash schedules all
+// fire inside ExchangePlan.Do.
+
+// Message faults reach Do. Each publication is one message per reader,
+// drawn from the seeded (src, dst) streams, so two runs with one seed
+// count the same faults on every rank, and delayed slabs still gather
+// the right data. Delays adding up to several deadlock windows, while
+// the ranks that are not delayed park in the exit barrier, are not a
+// deadlock. A dropped slab never arrives: the reader's own Do raises
+// the per-operation deadline's StallError, dated from its entry into Do
+// and so older than the exit-barrier waits of the peers that gathered.
+func TestPlanFaultsReachDo(t *testing.T) {
+	const p, calls = 3, 12
+	// Reader 0 is delayed 15 ms by every peer on every call: 180 ms
+	// in all against a 40 ms deadlock window. Every other slab is
+	// duplicated with probability one half, which has no effect.
+	rules := []FaultRule{
+		{Src: AnyRank, Dst: 0, Tag: AnyTag, Delay: 15 * time.Millisecond},
+		{Src: AnyRank, Dst: AnyRank, Tag: AnyTag, DupProb: 0.5},
+	}
+	faultCounts := func() map[string][p]float64 {
+		reg := metrics.NewRegistry()
+		err := RunWith(p, reg, func(c *Comm) {
+			pl := NewExchangePlan[int](c, p)
+			defer pl.Free()
+			src := make([]int, p)
+			for i := 0; i < calls; i++ {
+				for j := range src {
+					src[j] = 100*i + 10*c.Rank() + j
+				}
+				pl.Do(src, func(srcs [][]int) {
+					for r, s := range srcs {
+						if s[c.Rank()] != 100*i+10*r+c.Rank() {
+							panic("a faulted exchange gathered the wrong data")
+						}
+					}
+				})
+			}
+		},
+			WithFaults(&Faults{Seed: 5, Rules: rules}),
+			WithWatchdog(Watchdog{DeadlockAfter: 40 * time.Millisecond, Poll: 5 * time.Millisecond}),
+		)
+		if err != nil {
+			t.Fatalf("delayed plan exchanges failed: %v", err)
+		}
+		counts := map[string][p]float64{}
+		snap := reg.Snapshot()
+		for _, name := range []string{"mpi.fault.drop", "mpi.fault.dup", "mpi.fault.delay"} {
+			var per [p]float64
+			for r := range per {
+				e, _ := snap.Get(name, r)
+				per[r] = e.Value
+			}
+			counts[name] = per
+		}
+		return counts
+	}
+	first, second := faultCounts(), faultCounts()
+	for name, per := range first {
+		if per != second[name] {
+			t.Fatalf("%s per rank: %v, then %v under the same seed", name, per, second[name])
+		}
+	}
+	if d := first["mpi.fault.delay"]; d != [p]float64{0, calls, calls} {
+		t.Fatalf("mpi.fault.delay per rank = %v, want every peer's slab to reader 0 delayed", d)
+	}
+	if dups := first["mpi.fault.dup"]; dups[0] == 0 || dups[0] == 2*calls {
+		t.Fatalf("mpi.fault.dup per rank = %v: DupProb 0.5 is not drawn per slab", dups)
+	}
+
+	var raised any
+	err := TryRun(p, func(c *Comm) {
+		pl := NewExchangePlan[int](c, p)
+		defer pl.Free()
+		defer func() {
+			if c.Rank() == 2 {
+				raised = recover()
+				panic(raised)
+			}
+		}()
+		pl.Do(make([]int, p), func([][]int) {})
+	},
+		WithFaults(&Faults{Rules: []FaultRule{DropAll(1, 2, AnyTag)}}),
+		WithWatchdog(Watchdog{Deadline: 150 * time.Millisecond, DeadlockAfter: time.Hour, Poll: 5 * time.Millisecond}),
+	)
+	var re *RankError
+	var st *StallError
+	if !errors.As(err, &re) || re.Rank != 2 || !errors.As(err, &st) {
+		t.Fatalf("error %T (%v), want reader 2's *RankError wrapping a *StallError", err, err)
+	}
+	if st.Rank != 2 || st.Op != opWait || st.Peer != 1 || !st.Coll || st.Deadlock {
+		t.Fatalf("StallError = %+v, want reader 2's deadline in a collective wait for peer 1", st)
+	}
+	if raised != any(st) {
+		t.Fatalf("reader 2's Do raised %v, want the StallError", raised)
+	}
+}
 
 // A scheduled rank crash whose operation index lands on a fused Do
 // must surface as a typed CrashError, with every peer woken out of

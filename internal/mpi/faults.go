@@ -100,10 +100,12 @@ func (r *FaultRule) matches(src, dst int, key matchKey, bytes int64) bool {
 
 // Faults is a deterministic fault-injection plan for one world: given
 // the same Seed and the same program, the same messages are dropped,
-// duplicated and delayed on every run (random draws are made from a
-// dedicated stream per (src,dst) mailbox, whose delivery order is
-// fixed by the sending rank's program order). Injected events are
-// counted into the world's metrics registry as mpi.fault.drop/dup/
+// duplicated and delayed on every run. A message is a mailbox delivery
+// or one ExchangePlan.Do slab publication to one reader (see
+// ExchangePlan). Random draws are made from a dedicated stream per
+// (src,dst) pair, shared by that pair's mailbox and every plan, and
+// drawn on rank src's goroutine in its program order. Injected events
+// are counted into the world's metrics registry as mpi.fault.drop/dup/
 // delay, labelled by the sending rank.
 type Faults struct {
 	Seed  int64
@@ -132,9 +134,9 @@ type faultState struct {
 	p     int
 	rules []FaultRule
 	crash map[int]int
-	// rngs[src*p+dst] is drawn only while delivering messages from src
-	// to dst; each mailbox's put calls come exclusively from rank
-	// src's goroutine, so the streams need no locking and stay
+	// rngs[src*p+dst] is drawn only while rank src sends to dst —
+	// mailbox puts and plan publications alike, both on src's
+	// goroutine — so the streams need no locking and stay
 	// deterministic under goroutine interleaving.
 	rngs []*rand.Rand
 
@@ -198,7 +200,8 @@ func compileFaults(f *Faults, p int, reg *metrics.Registry) (*faultState, error)
 // crash schedules follow each rank into the sub-communicator (the
 // crash map is re-keyed to the sub-world's ranks; the operation index
 // counts per communicator because every Comm keeps its own counter),
-// while message rules stay with the parent world's mailboxes. Returns
+// while message rules stay with the parent world's mailboxes and
+// plans. Returns
 // nil when no group member has a scheduled crash, so rule-only fault
 // plans add no per-message overhead to sub-communicators.
 func (fs *faultState) forSubgroup(parentRanks []int) *faultState {

@@ -119,12 +119,9 @@ func (m *mailbox) deliver(msg message) {
 }
 
 // get blocks until a message with the given key is available, removes
-// the first such message and returns its payload. helper marks the
-// drain goroutines of non-blocking collectives, whose blocking must
-// not count the rank itself as blocked. It panics if the world is
-// aborted while waiting: a helper with errAborted, the rank itself
-// with its abortCause.
-func (m *mailbox) get(key matchKey, helper bool) any {
+// the first such message and returns its payload. It panics with the
+// receiving rank's abortCause if the world is aborted while waiting.
+func (m *mailbox) get(key matchKey) any {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var tok *blockedOp
@@ -149,13 +146,10 @@ func (m *mailbox) get(key matchKey, helper bool) any {
 			}
 		}
 		if m.aborted {
-			if helper {
-				panic(errAborted)
-			}
 			panic(m.w.abortCause(m.dst))
 		}
 		if tok == nil {
-			tok = m.w.watchEnter(m.dst, opRecv, m.src, key.tag, key.coll, helper)
+			tok = m.w.watchEnter(m.dst, opRecv, m.src, key.tag, key.coll, time.Now())
 		} else {
 			spuriousWakeups.Add(1)
 		}

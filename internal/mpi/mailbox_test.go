@@ -22,7 +22,7 @@ func TestGetClearsDeliveredSlot(t *testing.T) {
 	// stays observable after the queue shrinks.
 	backing := m.q[:2]
 
-	got := m.get(matchKey{tag: 1}, false)
+	got := m.get(matchKey{tag: 1})
 	if &got.([]float64)[0] != &first[0] {
 		t.Fatal("get returned the wrong message")
 	}
@@ -53,7 +53,7 @@ func TestDeliverWakesOnlyMatchingWaiter(t *testing.T) {
 		wg.Add(1)
 		go func(tag int) {
 			defer wg.Done()
-			results[tag] = m.get(matchKey{tag: tag}, false)
+			results[tag] = m.get(matchKey{tag: tag})
 		}(i)
 	}
 	// Wait until every consumer has parked on its own condition
@@ -99,7 +99,7 @@ func BenchmarkMailboxFanIn(b *testing.B) {
 		go func(tag int) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				m.get(matchKey{tag: tag}, false)
+				m.get(matchKey{tag: tag})
 			}
 		}(i)
 	}

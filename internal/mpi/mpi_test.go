@@ -197,66 +197,6 @@ func TestAlltoallIsSelfInverse(t *testing.T) {
 	})
 }
 
-func TestIalltoallOverlap(t *testing.T) {
-	p := 4
-	bs := 2
-	Run(p, func(c *Comm) {
-		send := make([]int, p*bs)
-		for i := range send {
-			send[i] = c.rank*100 + i
-		}
-		recv := make([]int, p*bs)
-		req := Ialltoall(c, send, recv)
-		// Do unrelated work while the exchange progresses.
-		acc := 0
-		for i := 0; i < 1000; i++ {
-			acc += i
-		}
-		req.Wait()
-		for src := 0; src < p; src++ {
-			for j := 0; j < bs; j++ {
-				want := src*100 + c.rank*bs + j
-				if recv[src*bs+j] != want {
-					t.Errorf("rank %d: got %d want %d", c.rank, recv[src*bs+j], want)
-				}
-			}
-		}
-		_ = acc
-	})
-}
-
-func TestIalltoallMultipleInFlight(t *testing.T) {
-	// Several non-blocking all-to-alls initiated before any completes
-	// must not cross-deliver (seq-based matching).
-	p := 3
-	bs := 1
-	Run(p, func(c *Comm) {
-		const k = 5
-		sends := make([][]int, k)
-		recvs := make([][]int, k)
-		reqs := make([]*Request, k)
-		for op := 0; op < k; op++ {
-			sends[op] = make([]int, p*bs)
-			for dst := 0; dst < p; dst++ {
-				sends[op][dst] = op*10000 + c.rank*100 + dst
-			}
-			recvs[op] = make([]int, p*bs)
-			reqs[op] = Ialltoall(c, sends[op], recvs[op])
-		}
-		for _, req := range reqs {
-			req.Wait()
-		}
-		for op := 0; op < k; op++ {
-			for src := 0; src < p; src++ {
-				want := op*10000 + src*100 + c.rank
-				if recvs[op][src] != want {
-					t.Errorf("rank %d op %d: got %d want %d", c.rank, op, recvs[op][src], want)
-				}
-			}
-		}
-	})
-}
-
 func TestAlltoallv(t *testing.T) {
 	p := 3
 	Run(p, func(c *Comm) {

@@ -9,7 +9,7 @@ import (
 // TestRandomCollectiveSequences drives every rank through the same
 // randomly generated program of collectives and checks each result —
 // the property that matters for the DNS: any same-order mixture of
-// blocking and non-blocking operations delivers the right data.
+// collectives delivers the right data.
 func TestRandomCollectiveSequences(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -23,8 +23,6 @@ func TestRandomCollectiveSequences(t *testing.T) {
 		}
 		ok := true
 		Run(p, func(c *Comm) {
-			var pending []*Request
-			var pendingChecks []func() bool
 			for i, op := range ops {
 				n := sizes[i]
 				switch op {
@@ -58,23 +56,31 @@ func TestRandomCollectiveSequences(t *testing.T) {
 							}
 						}
 					}
-				case 3: // non-blocking alltoall, deferred wait
-					send := make([]int, p*n)
+				case 3: // varying-counts alltoall: n+d elements to rank d
+					counts, displs := make([]int, p), make([]int, p)
+					rcounts, rdispls := make([]int, p), make([]int, p)
 					for d := 0; d < p; d++ {
-						send[d*n] = i*100 + c.Rank()
+						counts[d], rcounts[d] = n+d, n+c.Rank()
+						if d > 0 {
+							displs[d] = displs[d-1] + counts[d-1]
+							rdispls[d] = rdispls[d-1] + rcounts[d-1]
+						}
 					}
-					recv := make([]int, p*n)
-					req := Ialltoall(c, send, recv)
-					pending = append(pending, req)
-					i := i
-					pendingChecks = append(pendingChecks, func() bool {
-						for s := 0; s < p; s++ {
-							if recv[s*n] != i*100+s {
-								return false
+					send := make([]int, displs[p-1]+counts[p-1])
+					for d := 0; d < p; d++ {
+						for j := 0; j < counts[d]; j++ {
+							send[displs[d]+j] = i*100 + c.Rank()*10 + d
+						}
+					}
+					recv := make([]int, rdispls[p-1]+rcounts[p-1])
+					Alltoallv(c, send, counts, displs, recv, rcounts, rdispls)
+					for s := 0; s < p; s++ {
+						for j := 0; j < rcounts[s]; j++ {
+							if recv[rdispls[s]+j] != i*100+s*10+c.Rank() {
+								ok = false
 							}
 						}
-						return true
-					})
+					}
 				case 4: // allgather
 					send := make([]int, n)
 					for j := range send {
@@ -89,14 +95,6 @@ func TestRandomCollectiveSequences(t *testing.T) {
 							}
 						}
 					}
-				}
-			}
-			for _, req := range pending {
-				req.Wait()
-			}
-			for _, chk := range pendingChecks {
-				if !chk() {
-					ok = false
 				}
 			}
 		})
@@ -131,32 +129,4 @@ func TestManyConcurrentWorlds(t *testing.T) {
 			t.Error("cross-world interference")
 		}
 	}
-}
-
-// TestDeepNonblockingPipelining issues a long chain of Ialltoalls
-// before waiting on any — the config-B pattern with many pencils.
-func TestDeepNonblockingPipelining(t *testing.T) {
-	const depth = 32
-	Run(4, func(c *Comm) {
-		sends := make([][]int, depth)
-		recvs := make([][]int, depth)
-		reqs := make([]*Request, depth)
-		for i := 0; i < depth; i++ {
-			sends[i] = make([]int, 4)
-			for d := 0; d < 4; d++ {
-				sends[i][d] = i*1000 + c.Rank()*10 + d
-			}
-			recvs[i] = make([]int, 4)
-			reqs[i] = Ialltoall(c, sends[i], recvs[i])
-		}
-		// Wait in reverse order to stress out-of-order completion.
-		for i := depth - 1; i >= 0; i-- {
-			reqs[i].Wait()
-			for s := 0; s < 4; s++ {
-				if recvs[i][s] != i*1000+s*10+c.Rank() {
-					t.Errorf("depth %d from %d: got %d", i, s, recvs[i][s])
-				}
-			}
-		}
-	})
 }

@@ -30,11 +30,9 @@ type Watchdog struct {
 	// Off disables monitoring entirely (no monitor goroutine).
 	Off bool
 	// Deadline, when positive, bounds how long a rank may stay blocked
-	// in one operation (Recv, a collective's receive leg, Request.Wait,
-	// a barrier, a bounded exchange's wait) before the world is aborted
-	// with a StallError. The drain goroutines of non-blocking
-	// collectives are not bounded: their rank may be computing while
-	// they wait, and its own Request.Wait is. Zero disables the
+	// in one operation (Recv, a collective's receive leg, a barrier, an
+	// exchange's wait for a peer's slab, a bounded exchange's wait)
+	// before the world is aborted with a StallError. Zero disables the
 	// per-operation deadline.
 	Deadline time.Duration
 	// DeadlockAfter is how long the world must stay globally quiescent
@@ -107,29 +105,25 @@ func (e *StallError) Error() string {
 		kind, e.Rank, e.Op, space, e.Tag, e.Waited.Round(time.Millisecond))
 }
 
-// blockedOp is one goroutine blocked in a receive, wait or barrier.
-// Helper ops (the drain goroutines of non-blocking collectives) do not
-// count a rank as blocked and are not held to the deadline: the rank's
-// own goroutine may still be computing. They are blamed only for a
-// deadlock in which no rank-level op is left.
+// blockedOp is one rank blocked in a receive, wait or barrier since
+// since.
 type blockedOp struct {
 	rank      int
 	op        string
 	peer, tag int
 	coll      bool
-	helper    bool
 	since     time.Time
 }
 
 // watchState is the bookkeeping behind one world's watchdog: the set
-// of currently blocked operations, per-rank non-helper blocked counts,
-// rank liveness, and the quiescence window.
+// of currently blocked operations, per-rank blocked counts, rank
+// liveness, and the quiescence window.
 type watchState struct {
 	cfg Watchdog
 
 	mu      sync.Mutex
 	ops     map[*blockedOp]struct{}
-	rankOps []int // non-helper blocked ops per rank
+	rankOps []int // blocked ops per rank
 	live    []bool
 	nlive   int
 	stall   *StallError
@@ -176,8 +170,7 @@ func newWatchState(cfg Watchdog, p int) *watchState {
 	return ws
 }
 
-func (ws *watchState) enter(rank int, op string, peer, tag int, coll, helper bool) *blockedOp {
-	now := time.Now()
+func (ws *watchState) enter(rank int, op string, peer, tag int, coll bool, since time.Time) *blockedOp {
 	ws.mu.Lock()
 	var b *blockedOp
 	if n := len(ws.free); n > 0 {
@@ -187,26 +180,22 @@ func (ws *watchState) enter(rank int, op string, peer, tag int, coll, helper boo
 	} else {
 		b = new(blockedOp)
 	}
-	*b = blockedOp{rank: rank, op: op, peer: peer, tag: tag, coll: coll, helper: helper, since: now}
+	*b = blockedOp{rank: rank, op: op, peer: peer, tag: tag, coll: coll, since: since}
 	ws.ops[b] = struct{}{}
-	if !helper {
-		ws.rankOps[rank]++
-	}
+	ws.rankOps[rank]++
 	ws.mu.Unlock()
 	return b
 }
 
 // maxFreeOps bounds the token freelist; beyond it exited tokens fall to
 // the GC. The bound only needs to cover the peak number of concurrently
-// blocked ops, which is O(ranks + in-flight requests).
+// blocked ops, which is one per rank.
 const maxFreeOps = 1024
 
 func (ws *watchState) exit(b *blockedOp) {
 	ws.mu.Lock()
 	delete(ws.ops, b)
-	if !b.helper {
-		ws.rankOps[b.rank]--
-	}
+	ws.rankOps[b.rank]--
 	// A stall verdict may hold a pointer into b (stallFrom copies, so
 	// only the ops map references it); safe to recycle once delisted.
 	if len(ws.free) < maxFreeOps {
@@ -271,18 +260,18 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	if ws.stall != nil {
 		return nil
 	}
-	// Per-operation deadline: the longest-blocked rank-level op, even
-	// while the rest of the world makes progress.
-	oldest := ws.oldest(false)
+	// Per-operation deadline: the longest-blocked op, even while the
+	// rest of the world makes progress.
+	oldest := ws.oldest()
 	if d := ws.cfg.Deadline; d > 0 && oldest != nil {
 		if wt := now.Sub(oldest.since); wt >= d {
 			ws.stall = stallFrom(oldest, wt, false)
 			return ws.stall
 		}
 	}
-	// Global quiescence: every live rank blocked in a non-helper op,
-	// nothing delivered since the window began, nothing still in
-	// flight on a fault-injection timer. Under the one-goroutine-per-
+	// Global quiescence: every live rank blocked, nothing delivered
+	// since the window began, nothing still in flight on a
+	// fault-injection delay. Under the one-goroutine-per-
 	// rank contract no future delivery is possible in that state.
 	allBlocked := ws.nlive > 0
 	for r, lv := range ws.live {
@@ -304,10 +293,7 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	if now.Sub(ws.quietAt) < ws.cfg.DeadlockAfter {
 		return nil
 	}
-	// Blame the longest-blocked rank-level op (helpers as fallback).
-	if oldest == nil {
-		oldest = ws.oldest(true)
-	}
+	// Blame the longest-blocked op.
 	if oldest == nil {
 		ws.quiet = false // raced with the last exit; re-arm
 		return nil
@@ -316,12 +302,12 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	return ws.stall
 }
 
-// oldest returns the longest-blocked op, among rank-level ops only
-// unless helpers is set; nil when there is none. Callers hold ws.mu.
-func (ws *watchState) oldest(helpers bool) *blockedOp {
+// oldest returns the longest-blocked op, nil when there is none.
+// Callers hold ws.mu.
+func (ws *watchState) oldest() *blockedOp {
 	var o *blockedOp
 	for b := range ws.ops {
-		if (helpers || !b.helper) && (o == nil || b.since.Before(o.since)) {
+		if o == nil || b.since.Before(o.since) {
 			o = b
 		}
 	}
@@ -337,11 +323,14 @@ func stallFrom(b *blockedOp, waited time.Duration, deadlock bool) *StallError {
 
 // --- nil-safe world-level hooks -----------------------------------------
 
-func (w *world) watchEnter(rank int, op string, peer, tag int, coll, helper bool) *blockedOp {
+// watchEnter registers rank as blocked in op since the given time:
+// when its wait began, or earlier when the wait belongs to an
+// operation entered before it (see ExchangePlan.Do).
+func (w *world) watchEnter(rank int, op string, peer, tag int, coll bool, since time.Time) *blockedOp {
 	if w == nil || w.watch == nil {
 		return nil
 	}
-	return w.watch.enter(rank, op, peer, tag, coll, helper)
+	return w.watch.enter(rank, op, peer, tag, coll, since)
 }
 
 func (w *world) watchExit(tok *blockedOp) {

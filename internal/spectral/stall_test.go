@@ -11,8 +11,8 @@ import (
 	"repro/internal/pfft"
 )
 
-// TestStepAnnotatesStall: a bulk all-to-all fragment dropped during a
-// time step must surface as a *StepStallError carrying the solver's
+// TestStepAnnotatesStall: a bulk exchange slab dropped during a time
+// step must surface as a *StepStallError carrying the solver's
 // step counter and clock, with the underlying *mpi.StallError still
 // reachable through errors.As — not hang the step forever.
 func TestStepAnnotatesStall(t *testing.T) {
@@ -36,9 +36,9 @@ func TestStepAnnotatesStall(t *testing.T) {
 		s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23), WithTransform(eng))
 		s.SetTaylorGreen()
 		if c.Rank() == 1 {
-			// Rank 1 finishes the first transform (only its fragments are
-			// dropped) and then waits forever in the second. Starting it
-			// late keeps rank 0's wait the older one however the
+			// Rank 1 gathers rank 0's slab (only its own are dropped) and
+			// then waits in the exchange's exit barrier forever. Starting
+			// it late keeps rank 0's wait the older one however the
 			// scheduler treats rank 0.
 			time.Sleep(300 * time.Millisecond)
 		}

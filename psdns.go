@@ -53,9 +53,6 @@ import (
 // Comm is one rank's communicator handle; ranks are goroutines.
 type Comm = mpi.Comm
 
-// Request tracks a non-blocking collective.
-type Request = mpi.Request
-
 // RankError reports the first rank whose function panicked under
 // TryRun, with the recovered value as the wrapped cause.
 type RankError = mpi.RankError

@@ -120,8 +120,8 @@ func TestPublicAPIChaos(t *testing.T) {
 		)
 		s.SetTaylorGreen()
 		if c.Rank() == 1 {
-			// Rank 1 finishes the first transform and then waits forever
-			// in the second; starting it late keeps rank 0's wait older.
+			// Rank 1 gathers and then waits in the exchange's exit
+			// barrier forever; starting it late keeps rank 0's wait older.
 			time.Sleep(300 * time.Millisecond)
 		}
 		s.Step(0.004)
