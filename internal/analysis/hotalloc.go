@@ -16,7 +16,8 @@ import (
 // aliasing), implicit interface conversions of non-pointer-shaped
 // values (boxing), and func literals passed as call arguments that
 // capture a variable (a closure built per call; one assigned or
-// returned is staged at plan time and is not flagged). One
+// returned is staged at plan time and is not flagged), and math/rand's
+// generator constructors (allocCtors). One
 // non-allocation rides along because it costs the same paths the same
 // way: an array literal inside a loop, rebuilt per iteration (the
 // `[3]float64{kx, ky, kz}[comp]` per mode the flux kernels once carried).
@@ -303,6 +304,10 @@ func (h *hotChecker) call(call *ast.CallExpr) {
 		h.report(call.Pos(), "append may grow its backing array and allocate")
 	}
 
+	if f := calleeFunc(h.pass.Info, call); f != nil && allocCtors[f.FullName()] {
+		h.report(call.Pos(), "call to "+f.Pkg().Name()+"."+f.Name()+" allocates")
+	}
+
 	// Conversion to an interface type boxes the operand.
 	if tv, ok := h.pass.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		h.checkBox(call.Args[0], tv.Type)
@@ -334,6 +339,12 @@ func (h *hotChecker) call(call *ast.CallExpr) {
 		h.expr(a)
 	}
 }
+
+// allocCtors are functions of other packages, by full name, that
+// always allocate and that a per-mode loop has reached for: a random
+// generator built per mode is a state of several kilobytes, seeded by
+// thousands of steps, to draw a handful of values.
+var allocCtors = map[string]bool{"math/rand.New": true, "math/rand.NewSource": true}
 
 // captures reports whether lit refers to a variable declared outside it
 // other than a package-level one: such a literal needs a closure object,

@@ -3,6 +3,8 @@
 // panic-guard skipping, and the //psdns:allow suppression path.
 package hotalloc
 
+import "math/rand"
+
 type state struct {
 	buf   []float64
 	sink  any
@@ -160,4 +162,14 @@ func perMode(dst, kx []float64, ky, kz float64, comp int) {
 	for i := range dst {
 		dst[i] += k
 	}
+}
+
+// perModeGenerator builds a generator for every call, the per-mode
+// cost random initial conditions once paid; drawing from one passed in
+// allocates nothing.
+//
+//psdns:hotpath
+func perModeGenerator(seed int64, shared *rand.Rand) float64 {
+	r := rand.New(rand.NewSource(seed)) // want `call to rand.New allocates` `call to rand.NewSource allocates`
+	return r.Float64() + shared.Float64()
 }

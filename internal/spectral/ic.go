@@ -3,7 +3,6 @@ package spectral
 import (
 	"math"
 	"math/cmplx"
-	"math/rand"
 
 	"repro/internal/grid"
 )
@@ -52,6 +51,8 @@ func (s *Solver) SetRandomIsotropic(k0, e0 float64, seed int64) {
 
 // setRandom stores component c of every local mode's solenoidal random
 // initial value in dst[c].
+//
+//psdns:hotpath
 func (s *Solver) setRandom(k0 float64, seed int64, dst ...[]complex128) {
 	for r := s.walkRows(); r.next(); {
 		for ix := 0; ix < s.nxh; ix++ {
@@ -80,6 +81,8 @@ func (s *Solver) rescale(fields [][]complex128, want, got float64) {
 // (ix, iy, gz), respecting conjugate symmetry: a mode takes the values
 // its pair's canonical mode draws, conjugated for the partner and real
 // for a self-conjugate mode.
+//
+//psdns:hotpath
 func (s *Solver) modeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128 {
 	cy, cz, rel := canonical(ix, iy, gz, s.cfg.N)
 	v := s.rawModeIC(ix, cy, cz, k0, seed)
@@ -95,7 +98,10 @@ func (s *Solver) modeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128 {
 }
 
 // rawModeIC generates the unsymmetrized solenoidal random value of a
-// global mode from its own deterministic RNG stream.
+// global mode from the first six draws of its own math/rand stream,
+// keyed by the global mode id and evaluated by jump-ahead (draws.go).
+//
+//psdns:hotpath
 func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128 {
 	n := s.cfg.N
 	kx := float64(ix)
@@ -111,11 +117,12 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 	if band := grid.NewBand(n, grid.DealiasKmax(n)); !band.Has(ix) || !band.Has(iy) || !band.Has(gz) {
 		return v
 	}
-	rng := rand.New(rand.NewSource(seed ^ int64(s.modeGID(ix, iy, gz))*2654435761))
+	var u [2 * len(v)]float64
+	seededDraws(seed^int64(s.modeGID(ix, iy, gz))*2654435761, u[:])
 	amp := k * k * math.Exp(-(k/k0)*(k/k0))
 	for c := 0; c < 3; c++ {
-		ph := 2 * math.Pi * rng.Float64()
-		v[c] = cmplx.Rect(amp*(0.5+rng.Float64()), ph)
+		ph := 2 * math.Pi * u[2*c]
+		v[c] = cmplx.Rect(amp*(0.5+u[2*c+1]), ph)
 	}
 	dot := (complex(kx, 0)*v[0] + complex(ky, 0)*v[1] + complex(kz, 0)*v[2]) / complex(k2, 0)
 	v[0] -= complex(kx, 0) * dot
