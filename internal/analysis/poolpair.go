@@ -10,7 +10,7 @@ import (
 // a Get* call is either released with a Put* call on every path,
 // handed off (stored in a plan struct, returned, passed on), or
 // checked out in a function that only runs at plan/constructor time.
-// The arena reuses buffers by size class; a leaked checkout is a
+// The arena reuses buffers by length; a leaked checkout is a
 // permanent miss that silently re-grows the very allocations the
 // pool exists to amortize.
 var PoolPair = &Analyzer{

@@ -1,5 +1,5 @@
 // Package pool is the per-process buffer arena of the hot path:
-// size-classed freelists of []complex128, []float64 and []complex64
+// exact-length freelists of []complex128, []float64 and []complex64
 // slices that the transform engines (internal/fft plans, the transpose
 // pack/unpack staging, the pfft and core pipeline buffers) check out at
 // plan time and recycle across cycles instead of allocating afresh.
@@ -8,15 +8,18 @@
 // staging and wire buffer is carved out of arenas sized at start-up
 // (§3.5 triple-buffering). This package is the software analogue for
 // the Go port: steady-state transform and step execution performs zero
-// heap allocations because every transient buffer comes from (and
-// returns to) a freelist.
+// heap allocations because every buffer is checked out at plan time
+// and returned when its engine or plan closes.
 //
-// Buffers are grouped in power-of-two size classes. Get returns a
-// slice of exactly the requested length backed by a class-sized
-// capacity; the memory is NOT zeroed — callers are expected to
-// overwrite it fully, as every pack/transform kernel in this codebase
-// does. Put recycles a slice; per-class retention is bounded so a
-// burst cannot pin memory forever.
+// Freelists are keyed by exact length. Get returns a slice whose
+// capacity is its length, so a buffer costs only what it holds — every
+// Get happens at plan time and no step takes a buffer, so rounding up
+// would recycle nothing. A released buffer serves only requests of its
+// own length, which is what rebuilding an engine of the same shape
+// (the tuner's trial engines) asks for. The memory is NOT zeroed —
+// callers are expected to overwrite it fully, as every pack/transform
+// kernel in this codebase does. Put recycles a slice; per-length
+// retention is bounded so a burst cannot pin memory forever.
 //
 // Hits and misses accumulate in package atomics (the same pattern as
 // internal/fft's counters) and PublishMetrics copies them into a
@@ -25,93 +28,59 @@
 package pool
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/metrics"
 )
 
-// maxPerClass bounds how many free buffers one size class retains;
-// beyond it Put drops the buffer for the GC to take.
-const maxPerClass = 64
-
-// minClassBits is the smallest class (2^6 = 64 elements); requests
-// below it share the 64-element class so tiny scratch lines still
-// recycle.
-const minClassBits = 6
-
-// nClasses covers lengths up to 2^34 elements, far beyond any slab.
-const nClasses = 35 - minClassBits
+// maxPerLen bounds how many free buffers of one length a freelist
+// retains; beyond it Put drops the buffer for the GC to take.
+const maxPerLen = 64
 
 var (
 	hits   atomic.Int64 // Gets served from a freelist
 	misses atomic.Int64 // Gets that fell through to make
 )
 
-// classFor returns the class index whose buffers have capacity
-// ≥ n, i.e. the ceiling power-of-two class.
-func classFor(n int) int {
-	if n <= 1<<minClassBits {
-		return 0
-	}
-	c := bits.Len(uint(n-1)) - minClassBits
-	if c >= nClasses {
-		return -1 // oversize: unpooled
-	}
-	return c
-}
-
-// classSize is the capacity of buffers in class c.
-func classSize(c int) int { return 1 << (c + minClassBits) }
-
-// freelist is one element type's set of size-classed stacks.
+// freelist is one element type's stacks of free buffers, keyed by
+// length.
 type freelist[T any] struct {
-	mu      sync.Mutex
-	classes [nClasses][][]T
+	mu   sync.Mutex
+	free map[int][][]T
 }
 
 func (f *freelist[T]) get(n int) []T {
 	if n == 0 {
 		return nil
 	}
-	c := classFor(n)
-	if c >= 0 {
-		f.mu.Lock()
-		if s := f.classes[c]; len(s) > 0 {
-			buf := s[len(s)-1]
-			s[len(s)-1] = nil
-			f.classes[c] = s[:len(s)-1]
-			f.mu.Unlock()
-			hits.Add(1)
-			return buf[:n]
-		}
+	f.mu.Lock()
+	if s := f.free[n]; len(s) > 0 {
+		buf := s[len(s)-1]
+		s[len(s)-1] = nil
+		f.free[n] = s[:len(s)-1]
 		f.mu.Unlock()
+		hits.Add(1)
+		return buf
 	}
+	f.mu.Unlock()
 	misses.Add(1)
-	if c >= 0 {
-		return make([]T, n, classSize(c))
-	}
 	return make([]T, n)
 }
 
 func (f *freelist[T]) put(buf []T) {
-	// File by the largest class the capacity fully covers, so a
-	// recycled buffer always satisfies any request routed to its class.
-	cp := cap(buf)
-	if cp < 1<<minClassBits {
+	// File by capacity: a buffer from get has cap == len, and one that
+	// was resliced shorter still serves requests of its full length.
+	n := cap(buf)
+	if n == 0 {
 		return
-	}
-	c := bits.Len(uint(cp)) - 1 - minClassBits // floor class
-	if c < 0 {
-		return
-	}
-	if c >= nClasses {
-		c = nClasses - 1
 	}
 	f.mu.Lock()
-	if len(f.classes[c]) < maxPerClass {
-		f.classes[c] = append(f.classes[c], buf[:0])
+	if f.free == nil {
+		f.free = make(map[int][][]T)
+	}
+	if s := f.free[n]; len(s) < maxPerLen {
+		f.free[n] = append(s, buf[:n])
 	}
 	f.mu.Unlock()
 }

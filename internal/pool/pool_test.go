@@ -5,30 +5,33 @@ import (
 	"testing"
 )
 
-func TestClassRouting(t *testing.T) {
-	cases := []struct{ n, class int }{
-		{1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2}, {1024, 4}, {1025, 5},
-	}
-	for _, c := range cases {
-		if got := classFor(c.n); got != c.class {
-			t.Errorf("classFor(%d) = %d, want %d", c.n, got, c.class)
+// Get hands out exactly the requested length: no buffer carries
+// capacity past what it holds, whatever the length.
+func TestGetExactCapacity(t *testing.T) {
+	var a Arena
+	for _, n := range []int{1, 63, 64, 65, 100, 128, 129, 1000, 1025} {
+		c, f, c64 := a.GetComplex(n), a.GetFloat(n), a.GetComplex64(n)
+		if len(c) != n || cap(c) != n || len(f) != n || cap(f) != n || len(c64) != n || cap(c64) != n {
+			t.Errorf("n=%d: len/cap %d/%d, %d/%d, %d/%d", n, len(c), cap(c), len(f), cap(f), len(c64), cap(c64))
 		}
-	}
-	if classSize(0) != 64 || classSize(3) != 512 {
-		t.Fatalf("classSize wrong: %d %d", classSize(0), classSize(3))
+		// Served from the freelist, the capacity is still exact.
+		a.PutComplex(c)
+		if r := a.GetComplex(n); cap(r) != n || &r[0] != &c[0] {
+			t.Errorf("n=%d: recycled cap %d, same backing %v", n, cap(r), &r[0] == &c[0])
+		}
 	}
 }
 
 func TestReuseSameBacking(t *testing.T) {
 	var a Arena
 	b1 := a.GetComplex(100)
-	if len(b1) != 100 || cap(b1) != 128 {
+	if len(b1) != 100 || cap(b1) != 100 {
 		t.Fatalf("len/cap = %d/%d", len(b1), cap(b1))
 	}
 	b1[0] = 7
 	a.PutComplex(b1)
-	b2 := a.GetComplex(120) // same class (128): must reuse b1's backing
-	if len(b2) != 120 {
+	b2 := a.GetComplex(100) // same length: must reuse b1's backing
+	if len(b2) != 100 {
 		t.Fatalf("len = %d", len(b2))
 	}
 	if &b1[0] != &b2[0] {
@@ -36,18 +39,20 @@ func TestReuseSameBacking(t *testing.T) {
 	}
 }
 
-func TestGetSmallerThanStored(t *testing.T) {
+// A released buffer serves only requests of its own length: neither a
+// shorter nor a longer request takes it, and it is still there for one
+// of its length afterwards.
+func TestNoCrossLengthReuse(t *testing.T) {
 	var a Arena
 	b1 := a.GetFloat(128)
 	a.PutFloat(b1)
-	// A 65-element request routes to the 128 class and must be served
-	// by the stored buffer.
-	b2 := a.GetFloat(65)
-	if cap(b2) < 65 {
-		t.Fatalf("cap %d too small", cap(b2))
+	for _, n := range []int{65, 127, 129, 256} {
+		if b := a.GetFloat(n); cap(b) != n || &b[0] == &b1[0] {
+			t.Fatalf("a %d-element request got cap %d, b1's backing %v", n, cap(b), &b[0] == &b1[0])
+		}
 	}
-	if &b1[0] != &b2[0] {
-		t.Fatal("expected recycled backing array")
+	if b := a.GetFloat(128); &b[0] != &b1[0] {
+		t.Fatal("expected the 128-element buffer back")
 	}
 }
 
@@ -71,19 +76,19 @@ func TestZeroLengthAndOversize(t *testing.T) {
 	if b := a.GetComplex(0); b != nil {
 		t.Fatal("zero-length get should be nil")
 	}
-	a.PutComplex(make([]complex128, 10)) // below min class: dropped, no panic
+	a.PutComplex(make([]complex128, 10)) // any length files, no panic
 }
 
 func TestRetentionBound(t *testing.T) {
 	var a Arena
-	for i := 0; i < 3*maxPerClass; i++ {
+	for i := 0; i < 3*maxPerLen; i++ {
 		a.PutFloat(make([]float64, 64))
 	}
 	a.f64.mu.Lock()
-	n := len(a.f64.classes[0])
+	n := len(a.f64.free[64])
 	a.f64.mu.Unlock()
-	if n > maxPerClass {
-		t.Fatalf("class retained %d > %d", n, maxPerClass)
+	if n != maxPerLen {
+		t.Fatalf("length 64 retained %d, want %d", n, maxPerLen)
 	}
 }
 

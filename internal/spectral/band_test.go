@@ -179,8 +179,8 @@ func poisonOutOfBand(s *Solver, fields [][]complex128) {
 }
 
 // Out-of-band right-hand-side entries are written, never read: with NaN
-// stored over them in every right-hand-side buffer (nl, and rk2–rk4
-// under RK4) before each step, and in the buffer each nonlinear
+// stored over them in every right-hand-side buffer (nl, and rk under
+// RK4) before each step, and in the buffer each nonlinear
 // evaluation writes before it runs, every registered system steps bit
 // for bit as it does on clean buffers, and every evaluation leaves
 // exactly +0 there — the value the stage sweeps then carry into the
@@ -222,7 +222,7 @@ func TestPoisonedRHSStepsBitwise(t *testing.T) {
 							}
 						}
 						for step, dt := range dts {
-							for _, buf := range [][][]complex128{dirty.nl, dirty.rk2, dirty.rk3, dirty.rk4} {
+							for _, buf := range [][][]complex128{dirty.nl, dirty.rk} {
 								poisonOutOfBand(dirty, buf)
 							}
 							clean.Step(dt)

@@ -16,8 +16,9 @@ const (
 	// RK2 is the second-order Runge–Kutta (Heun) scheme the paper
 	// reports timings for.
 	RK2 Scheme = iota
-	// RK4 is the classical fourth-order scheme; roughly twice the cost
-	// per step with a small amount of extra storage (§2 of the paper).
+	// RK4 is the classical fourth-order scheme (§2 of the paper):
+	// twice RK2's nonlinear evaluations per step in RK2's four field
+	// sets, plus the half-step integrating-factor table and its plane.
 	RK4
 )
 
@@ -144,12 +145,11 @@ type Solver struct {
 	// RK2 stage storage: save = E·uⁿ, acc = E·N(uⁿ).
 	save [][]complex128
 	acc  [][]complex128
-	// RK4 stage storage (nl holds k1): rk2, rk4 receive k2, k4 straight
-	// from the system, rk3 holds k3 and then E½·k3; rku is the stage
-	// state the next nonlinear term is evaluated at.
-	rk2 [][]complex128
-	rk3 [][]complex128
-	rk4 [][]complex128
+	// RK4 stage storage, as many field sets as RK2's: k2, k3 and k4
+	// take turns in rk, straight from the system; nl holds k1 and then
+	// the running sum the final sweep completes; rku is the stage state
+	// the next nonlinear term is evaluated at.
+	rk  [][]complex128
 	rku [][]complex128
 
 	// difGroups partition the fields into runs of equal diffusivity,
@@ -302,7 +302,7 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	s.work = make([]complex128, fl)
 	slots := 1 // integrating-factor slots: dt, and dt/2 for RK4
 	if cfg.Scheme == RK4 {
-		s.rk2, s.rk3, s.rk4, s.rku = fields(), fields(), fields(), fields()
+		s.rk, s.rku = fields(), fields()
 		slots = 2
 	} else {
 		s.save, s.acc = fields(), fields()
@@ -510,20 +510,24 @@ func (s *Solver) stepRK2(dt float64) {
 //	k4 = N(E·uⁿ + dt·E½·k3)
 //	uⁿ⁺¹ = E·uⁿ + dt/6·(E·k1 + 2·E½·k2 + 2·E½·k3 + k4)
 //
-// uⁿ stays in state until the final sweep and every k is evaluated
-// straight into its own buffer, so a stage costs one sweep and no copy.
+// in RK2's four field sets. uⁿ stays in state until the final sweep;
+// k2, k3 and k4 take turns in rk, each evaluated straight into it; nl
+// holds k1 and then the running prefix of the final bracket, E·k1 +
+// 2·E½·k2 after sweep b and + 2·E½·k3 after sweep c, each prefix rounded
+// where the whole left-to-right sum rounds it. A stage costs one sweep
+// and no copy.
 //
 //psdns:hotpath
 func (s *Solver) stepRK4(dt float64) {
 	s.sys.Nonlinear(s, s.state, s.nl) // k1
 	s.atCorrect()
 	s.stageSweep(sweepRK4a, dt) // rku = E½·(uⁿ + dt/2·k1)
-	s.sys.Nonlinear(s, s.rku, s.rk2)
-	s.stageSweep(sweepRK4b, dt) // rku = E½·uⁿ + dt/2·k2
-	s.sys.Nonlinear(s, s.rku, s.rk3)
-	s.stageSweep(sweepRK4c, dt) // rk3 = E½·k3, rku = E·uⁿ + dt·rk3
-	s.sys.Nonlinear(s, s.rku, s.rk4)
-	s.stageSweep(sweepRK4end, dt)
+	s.sys.Nonlinear(s, s.rku, s.rk)
+	s.stageSweep(sweepRK4b, dt) // rku = E½·uⁿ + dt/2·k2, nl = E·k1 + 2·E½·k2
+	s.sys.Nonlinear(s, s.rku, s.rk)
+	s.stageSweep(sweepRK4c, dt) // rku = E·uⁿ + dt·E½·k3, nl += 2·E½·k3
+	s.sys.Nonlinear(s, s.rku, s.rk)
+	s.stageSweep(sweepRK4end, dt) // uⁿ⁺¹ = E·uⁿ + dt/6·(nl + k4)
 }
 
 // sweep names the pointwise update between two nonlinear evaluations.
@@ -557,8 +561,8 @@ func (s *Solver) stageSweep(sw sweep, dt float64) {
 		for iz, lo := 0, 0; iz < s.slab.MZ(); iz, lo = iz+1, lo+pl {
 			hi := lo + pl
 			if viscous {
-				// The first two RK4 stages use the half-step factor only.
-				if sw != sweepRK4a && sw != sweepRK4b {
+				// The first RK4 stage uses the half-step factor only.
+				if sw != sweepRK4a {
 					e = s.ifGather(g, 0, dt, iz)
 				}
 				if sw != sweepRK2 {
@@ -573,11 +577,11 @@ func (s *Solver) stageSweep(sw sweep, dt float64) {
 				case sweepRK4a:
 					rk4StageA(eh, half, s.rku[c][lo:hi], u, s.nl[c][lo:hi])
 				case sweepRK4b:
-					rk4StageB(eh, half, s.rku[c][lo:hi], u, s.rk2[c][lo:hi])
+					rk4StageB(e, eh, half, s.rku[c][lo:hi], u, s.rk[c][lo:hi], s.nl[c][lo:hi])
 				case sweepRK4c:
-					rk4StageC(e, eh, cdt, s.rku[c][lo:hi], u, s.rk3[c][lo:hi])
+					rk4StageC(e, eh, cdt, s.rku[c][lo:hi], u, s.rk[c][lo:hi], s.nl[c][lo:hi])
 				case sweepRK4end:
-					rk4Assemble(e, eh, sixth, u, s.nl[c][lo:hi], s.rk2[c][lo:hi], s.rk3[c][lo:hi], s.rk4[c][lo:hi])
+					rk4Assemble(e, sixth, u, s.nl[c][lo:hi], s.rk[c][lo:hi])
 				}
 			}
 		}
@@ -654,52 +658,67 @@ func rk4StageA(eh []float64, a complex128, dst, u, k []complex128) {
 	}
 }
 
-// rk4StageB: dst = E½·u + a·k.
+// rk4StageB: dst = E½·u + a·k, acc = E·acc + 2·(E½·k) — acc holds k1
+// and leaves with the first two terms of rk4Assemble's bracket.
 //
 //psdns:hotpath
-func rk4StageB(eh []float64, a complex128, dst, u, k []complex128) {
+func rk4StageB(e, eh []float64, a complex128, dst, u, k, acc []complex128) {
 	if eh == nil {
-		axpyTo(dst, u, a, k)
+		rk4Inviscid(a, dst, u, k, acc)
 		return
 	}
-	eh, u, k = eh[:len(dst)], u[:len(dst)], k[:len(dst)]
+	e, eh, u, k, acc = e[:len(dst)], eh[:len(dst)], u[:len(dst)], k[:len(dst)], acc[:len(dst)]
 	for i := range dst {
-		dst[i] = u[i]*complex(eh[i], 0) + a*k[i]
+		ehi, ki := complex(eh[i], 0), k[i]
+		dst[i] = u[i]*ehi + a*ki
+		acc[i] = acc[i]*complex(e[i], 0) + 2*(ki*ehi)
 	}
 }
 
-// rk4StageC: k = E½·k, dst = E·u + a·k.
+// rk4StageC: dst = E·u + a·(E½·k), acc = acc + 2·(E½·k).
 //
 //psdns:hotpath
-func rk4StageC(e, eh []float64, a complex128, dst, u, k []complex128) {
+func rk4StageC(e, eh []float64, a complex128, dst, u, k, acc []complex128) {
 	if e == nil {
-		axpyTo(dst, u, a, k)
+		rk4Inviscid(a, dst, u, k, acc)
 		return
 	}
-	e, eh, u, k = e[:len(dst)], eh[:len(dst)], u[:len(dst)], k[:len(dst)]
+	e, eh, u, k, acc = e[:len(dst)], eh[:len(dst)], u[:len(dst)], k[:len(dst)], acc[:len(dst)]
 	for i := range dst {
 		ki := k[i] * complex(eh[i], 0)
-		k[i] = ki
 		dst[i] = u[i]*complex(e[i], 0) + a*ki
+		acc[i] = acc[i] + 2*ki
 	}
 }
 
-// rk4Assemble: u = E·u + sixth·(E·k1 + 2·E½·k2 + 2·k3 + k4), k3 already
-// carrying its E½.
+// rk4Inviscid is sweeps b and c under the identity factor: dst = u +
+// a·k, acc = acc + 2·k.
 //
 //psdns:hotpath
-func rk4Assemble(e, eh []float64, sixth complex128, u, k1, k2, k3, k4 []complex128) {
-	k1, k2, k3, k4 = k1[:len(u)], k2[:len(u)], k3[:len(u)], k4[:len(u)]
+func rk4Inviscid(a complex128, dst, u, k, acc []complex128) {
+	u, k, acc = u[:len(dst)], k[:len(dst)], acc[:len(dst)]
+	for i := range dst {
+		ki := k[i]
+		dst[i] = u[i] + a*ki
+		acc[i] = acc[i] + 2*ki
+	}
+}
+
+// rk4Assemble: u = E·u + sixth·(acc + k4), acc holding the bracket's
+// first three terms E·k1 + 2·E½·k2 + 2·E½·k3.
+//
+//psdns:hotpath
+func rk4Assemble(e []float64, sixth complex128, u, acc, k4 []complex128) {
+	acc, k4 = acc[:len(u)], k4[:len(u)]
 	if e == nil {
 		for i := range u {
-			u[i] = u[i] + sixth*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
+			u[i] = u[i] + sixth*(acc[i]+k4[i])
 		}
 		return
 	}
-	e, eh = e[:len(u)], eh[:len(u)]
+	e = e[:len(u)]
 	for i := range u {
-		ei, ehi := complex(e[i], 0), complex(eh[i], 0)
-		u[i] = u[i]*ei + sixth*(k1[i]*ei+2*(k2[i]*ehi)+2*k3[i]+k4[i])
+		u[i] = u[i]*complex(e[i], 0) + sixth*(acc[i]+k4[i])
 	}
 }
 
