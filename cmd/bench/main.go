@@ -687,32 +687,41 @@ func (t copyTransform) PhysicalToFourier(four []complex128, phys []float64) {
 }
 
 // solverArithmetic times op — one full NS RK2 step, or one stage sweep —
-// on a copyTransform, crediting it with passes(C, R) bytes per rank per
-// call, C and R being the bytes of one spectral and one physical array
-// (a read-modify-write is two passes).
-func solverArithmetic(n, p int, op func(*spectral.Solver, float64), passes func(c, r float64) float64) func(iters, workers int) sample {
+// on a copyTransform, crediting it with passes(C, B, R) bytes per rank
+// per call: C, B and R are the bytes of one spectral array, one band
+// field of the timed rank's solver (Solver.BandLen: the right-hand
+// sides and stage buffers hold the 2/3 band only) and one physical
+// array (a read-modify-write is two passes).
+func solverArithmetic(n, p int, op func(*spectral.Solver, float64), passes func(c, b, r float64) float64) func(iters, workers int) sample {
+	var band int // set by rank 0, the rank timeLoop times
 	run := solverOp(func(c *mpi.Comm, workers int) stepEngine {
 		return copyTransform{pfft.NewSlabRealWorkers(c, n, workers), 1 / (float64(n) * float64(n) * float64(n))}
-	}, op, n, p)
+	}, func(s *spectral.Solver, dt float64) {
+		if s.Comm().Rank() == 0 {
+			band = s.BandLen()
+		}
+		op(s, dt)
+	}, n, p)
 	plane := float64(n / p * n)
 	return func(iters, workers int) sample {
 		s := run(iters, workers)
-		s.moved = float64(iters) * passes(16*plane*float64(n/2+1), 8*plane*float64(n))
+		s.moved = float64(iters) * passes(16*plane*float64(n/2+1), 16*float64(band), 8*plane*float64(n))
 		return s
 	}
 }
 
 // stepPasses is the traffic of one NS RK2 step on a copyTransform. An
 // evaluation: 3 copies into work (6C), 3 + 6 stub copies (9C + 9R), 6
-// products (18R), 6 reads of work feeding 3 stores and 6 updates of the
-// divergence (21C), projection (6C) — 42C + 27R. Two of those, the
-// stage sweep between them and the final combination (reads save, acc,
-// N, writes u: 12C).
-func stepPasses(c, r float64) float64 { return 2*(42*c+27*r) + sweepPasses(c, r) + 12*c }
+// products (18R), 6 band reads of work feeding 3 stores and 6 updates
+// of the band right-hand side (21B), projection (6B) — 15C + 27B + 27R.
+// Two of those, the stage sweep between them and the final combination
+// (reads save, acc, N and writes the band of u: 12B).
+func stepPasses(c, b, r float64) float64 { return 2*(15*c+27*b+27*r) + sweepPasses(c, b, r) + 12*b }
 
-// sweepPasses is the RK2 stage sweep: per field reads u, N and writes
-// save, u, acc.
-func sweepPasses(c, _ float64) float64 { return 15 * c }
+// sweepPasses is the RK2 stage sweep: per field it reads and writes u
+// (its band rows take u*, the rest their end-of-step value), reads N
+// and writes save and acc on the band.
+func sweepPasses(c, b, _ float64) float64 { return 3 * (2*c + 3*b) }
 
 // memcpyGBs is the contiguous-copy rate of this machine, this run: the
 // best of three copies between two 64 MiB arrays (the ceiling the

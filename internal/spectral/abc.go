@@ -16,7 +16,7 @@ import "repro/internal/mpi"
 // solver, and the canonical maximal-helicity field.
 func (s *Solver) SetABCFlow(a, b, c float64) {
 	for comp := 0; comp < 3; comp++ {
-		zero(s.Uh[comp])
+		clear(s.Uh[comp])
 	}
 	n3 := complex(s.codeScale(), 0)
 	// Coefficients of e^{ikx}: sin t = ∓i/2 at k=±1; cos t = 1/2 at k=±1.

@@ -170,11 +170,24 @@ func (s *Solver) CFL(dt float64) float64 {
 }
 
 // NonlinearEnergyTransfer returns Σ Re(û*·N̂)_math, the rate of energy
-// change due to the nonlinear term alone. For the projected, dealiased
-// Galerkin-truncated system this is zero to round-off — the invariant
-// tested by the energy-conservation tests (collective).
+// change due to the nonlinear term alone, summed over the band where
+// N̂ lives. For the projected, dealiased Galerkin-truncated system this
+// is zero to round-off — the invariant tested by the
+// energy-conservation tests (collective).
 func (s *Solver) NonlinearEnergyTransfer() float64 {
 	s.velocityProducts(s.state, s.nl)
 	s.projectAndDealias(s.nl)
-	return s.dotSum(s.Uh[:], s.nl[:3])
+	sum, inv := 0.0, s.modeNorm()
+	for _, r := range s.rows {
+		for ix := 0; ix < s.kb; ix++ {
+			w := specWeight(ix, s.cfg.N)
+			for c := 0; c < 3; c++ {
+				u, v := s.Uh[c][r.off+ix], s.nl[c][r.boff+ix]
+				sum += w * (real(u)*real(v) + imag(u)*imag(v)) * inv
+			}
+		}
+	}
+	out := []float64{sum}
+	mpi.AllreduceSum(s.comm, out)
+	return out[0]
 }

@@ -63,3 +63,58 @@ func TestRK4HoldsRK2Storage(t *testing.T) {
 		})
 	}
 }
+
+// The stepper stores one field set in the slab layout and every other
+// one band-compact: for every registered system under each scheme at
+// N = 16, the field sets and integrating-factor tables of a dealiased
+// solver take less than one full field set, three band field sets and
+// the tables. What the solver holds besides — the scratch of its
+// transforms, its wavenumber tables, its system — is measured as the
+// construction heap of the same solver without dealiasing (where the
+// band is every mode) less its four full field sets and its tables.
+// Storing the right-hand sides and stage buffers in the slab layout
+// puts the dealiased solver three full field sets less three band field
+// sets over.
+func TestStageStorageIsBandCompact(t *testing.T) {
+	const n = 16
+	spec := SystemSpec{
+		Nu:      0.01,
+		Forcing: ForcingSpec{KF: 2, Eps: 0.05, TCorr: 0.5, Seed: 3},
+		Scalars: []ScalarSpec{{Schmidt: 1, MeanGrad: 1}, {Schmidt: 0.7}},
+		Omega:   2,
+	}
+	for _, name := range Systems() {
+		for _, sch := range []Scheme{RK2, RK4} {
+			mpi.Run(1, func(c *mpi.Comm) {
+				tr := pfft.NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused)
+				defer tr.Close()
+				var bytes [2]uint64
+				var nf, bl, tables int
+				for i, da := range []Dealias{DealiasNone, Dealias23} {
+					bytes[i] = constructionBytes(func() *Solver {
+						sys, err := NewNamedSystem(name, spec)
+						if err != nil {
+							panic(err)
+						}
+						s := New(c, n, WithNu(spec.Nu), WithScheme(sch), WithDealias(da), WithSystemInstance(sys), WithTransform(tr))
+						nf, bl, tables = s.Fields(), s.BandLen(), 0
+						for _, g := range s.difGroups {
+							tables += 8 * (len(g.tab[0]) + len(g.tab[1]))
+						}
+						for _, p := range s.ifPlane {
+							tables += 8 * len(p)
+						}
+						return s
+					})
+				}
+				full, band := uint64(nf*tr.FourierLen()*16), uint64(nf*bl*16)
+				besides := bytes[0] - 4*full - uint64(tables)
+				got, bound := bytes[1]-besides, full+3*band+uint64(tables)
+				t.Logf("%s/scheme%d: %d B constructed, %d B besides field sets and tables; one full set %d B, one band set %d B, tables %d B", name, sch, bytes[1], besides, full, band, tables)
+				if got >= bound {
+					t.Errorf("%s/scheme%d: field sets and tables take %d B, want under one full set + three band sets + tables = %d B", name, sch, got, bound)
+				}
+			})
+		}
+	}
+}

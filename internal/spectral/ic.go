@@ -18,7 +18,7 @@ import (
 // coefficients are in code units (N³·û_math).
 func (s *Solver) SetTaylorGreen() {
 	for c := 0; c < 3; c++ {
-		zero(s.Uh[c])
+		clear(s.Uh[c])
 	}
 	n3 := complex(s.codeScale(), 0)
 	set := func(c, ix, ky, kz int, v complex128) {
@@ -135,7 +135,7 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 // systems, fields 3… are the scalars) with one Fourier mode, enforcing
 // conjugate symmetry on the kx ∈ {0, N/2} planes.
 func (s *Solver) SetFieldSingleMode(c, kx, ky, kz int, amp complex128) {
-	zero(s.state[c])
+	clear(s.state[c])
 	n3 := complex(s.codeScale(), 0)
 	put := func(rank, idx int, v complex128) {
 		if rank == s.slab.Rank {

@@ -14,14 +14,19 @@ import (
 // the step kernels that knows it: the diagnostics, initial conditions,
 // forcing and regrid walk the local slab row by row with walkRows,
 // weigh a bin with bin, and address single modes with modeIndex and
-// modeGID. The step kernels walk the in-band row list s.rows built
-// here instead (see DESIGN §9).
+// modeGID. The step kernels and the band fields' readers walk the
+// in-band row list s.rows built here instead (see DESIGN §9).
 
 // bandRow is one x-row of the local Fourier slab inside the band: its
-// storage offset, z-plane and ky storage row.
+// storage offset in a slab field, its offset in a band field, z-plane
+// and ky storage row. A band field — a right-hand side or a stage
+// buffer — stores only the band: row ri of s.rows at boff = ri·kb, its
+// kb in-band modes contiguous, so it holds len(s.rows)·kb elements.
+// Without dealiasing the band is every mode and boff = off: the band
+// layout is the slab layout.
 type bandRow struct {
-	off    int
-	iz, iy int32
+	off, boff int
+	iz, iy    int32
 }
 
 // initModes builds the wavenumber tables of the local slab and the
@@ -49,24 +54,15 @@ func (s *Solver) initModes(band grid.Band) {
 	}
 	s.k2x, s.k2y, s.k2z = squares(s.kxs), squares(s.kys), squares(s.kzs)
 
-	var zs, ys []int // the local z-planes and the ky rows inside the band
-	for iz := 0; iz < mz; iz++ {
-		if band.Has(s.slab.ZLo() + iz) {
-			zs = append(zs, iz)
-		}
-	}
-	for iy := 0; iy < n; iy++ {
-		if band.Has(iy) {
-			ys = append(ys, iy)
-		}
-	}
-	s.rows = make([]bandRow, 0, len(zs)*len(ys))
-	for _, iz := range zs {
-		for _, iy := range ys {
-			s.rows = append(s.rows, bandRow{off: (iz*n + iy) * s.nxh, iz: int32(iz), iy: int32(iy)})
-		}
-	}
 	s.kb = band.Width(0, s.nxh)
+	s.rows = make([]bandRow, 0, band.Count(s.slab.ZLo(), s.slab.ZLo()+mz)*band.Count(0, n))
+	for iz := 0; iz < mz; iz++ {
+		for iy := 0; iy < n; iy++ {
+			if band.Has(s.slab.ZLo()+iz) && band.Has(iy) {
+				s.rows = append(s.rows, bandRow{off: (iz*n + iy) * s.nxh, boff: len(s.rows) * s.kb, iz: int32(iz), iy: int32(iy)})
+			}
+		}
+	}
 }
 
 // rowWalk visits the x-rows of the local slab in storage order:

@@ -13,8 +13,9 @@ var prodPairs = [6][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 
 // velocityProducts evaluates the divergence-form nonlinear term
 // N̂_i = −ik_j·FFT{u_iu_j} of the velocity (state[0:3], code units)
-// into rhs[0:3], leaving projection and dealiasing to the caller so
-// systems can add body forces (Coriolis, buoyancy) before projecting.
+// into the band fields rhs[0:3], leaving projection and dealiasing to
+// the caller so systems can add body forces (Coriolis, buoyancy) before
+// projecting.
 // It performs 3 inverse and 6 forward distributed 3D transforms,
 // exactly the transform traffic the paper's timings account for. As a
 // side effect s.physU holds the (shifted, under Dealias23Shift)
@@ -64,37 +65,23 @@ func mulTo(dst, a, b []float64) {
 	}
 }
 
-// clearOutOfBand stores +0 over every entry of f outside the band:
-// everything but the first kb modes of each row in s.rows.
-//
-//psdns:hotpath
-func (s *Solver) clearOutOfBand(f []complex128) {
-	next := 0
-	for _, r := range s.rows {
-		clear(f[next:r.off])
-		next = r.off + s.kb
-	}
-	clear(f[next:])
-}
-
-// accumulateFlux accumulates −i·k_comp·ŝ into the in-band modes of dst,
-// where ŝ is the spectral product currently in s.work — one term of a
+// accumulateFlux accumulates −i·k_comp·ŝ into the band field dst, where
+// ŝ is the spectral product currently in s.work — one term of a
 // divergence −i(k_x·ŝ_x + k_y·ŝ_y + k_z·ŝ_z). Callers issue the x term
 // first, so comp 0 stores 0 + term (the bits a cleared destination
 // would hold after its first add) and comp 1, 2 add; k_x streams from
 // kxs, k_y and k_z are constant along an x-row. A non-nil dst2 receives
 // the comp2 term of the same ŝ in the same pass (an off-diagonal product
-// u_iu_j feeds two components; dst then takes a y or z term). Modes
-// outside the band are neither read nor written: the dealias loop that
-// follows stores their +0.
+// u_iu_j feeds two components; dst then takes a y or z term). The modes
+// of s.work outside the band are not read.
 //
 //psdns:hotpath
 func (s *Solver) accumulateFlux(dst []complex128, comp int, dst2 []complex128, comp2 int) {
 	kb := s.kb
 	kxs := s.kxs[:kb]
 	for _, r := range s.rows {
-		lo, ky, kz := r.off, s.kys[r.iy], s.kzs[r.iz]
-		w, d := s.work[lo:lo+kb], dst[lo:lo+kb]
+		lo, ky, kz := r.boff, s.kys[r.iy], s.kzs[r.iz]
+		w, d := s.work[r.off:r.off+kb], dst[lo:lo+kb]
 		k := ky // comp 1; unused by the comp 0 store
 		if comp == 2 {
 			k = kz
@@ -131,20 +118,20 @@ func (s *Solver) accumulateFlux(dst []complex128, comp int, dst2 []complex128, c
 }
 
 // addCoriolis adds the Coriolis acceleration −2Ω·ẑ×u =
-// (2Ω·u_y, −2Ω·u_x, 0) to the in-band modes of rhs[0:2]. It must run
-// before the solenoidal projection (the projection removes the gradient
-// part that feeds the geostrophic pressure, and stores the band's
-// zeros); the term does no work, so inviscid energy is conserved to
-// scheme accuracy — the validation invariant of the rotating system.
+// (2Ω·u_y, −2Ω·u_x, 0) to the band fields rhs[0:2]. It must run before
+// the solenoidal projection (the projection removes the gradient part
+// that feeds the geostrophic pressure); the term does no work, so
+// inviscid energy is conserved to scheme accuracy — the validation
+// invariant of the rotating system.
 //
 //psdns:hotpath
 func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 	two := complex(2*omega, 0)
 	kb := s.kb
 	for _, r := range s.rows {
-		lo := r.off
-		rx := rhs[0][lo : lo+kb]
-		ry, ux, uy := rhs[1][lo:lo+kb], state[0][lo:lo+kb], state[1][lo:lo+kb]
+		lo, b := r.off, r.boff
+		rx := rhs[0][b : b+kb]
+		ry, ux, uy := rhs[1][b:b+kb], state[0][lo:lo+kb], state[1][lo:lo+kb]
 		for i := range rx {
 			rx[i] += two * uy[i]
 			ry[i] -= two * ux[i]
@@ -153,15 +140,15 @@ func (s *Solver) addCoriolis(state, rhs [][]complex128, omega float64) {
 }
 
 // projectAndDealias applies the solenoidal projection
-// N̂_⊥ = N̂ − k(k·N̂)/k² to the in-band modes of rhs[0:3] and stores +0
-// over every other mode, the 2/3 rule's truncation.
+// N̂_⊥ = N̂ − k(k·N̂)/k² to the band fields rhs[0:3]. Nothing outside
+// the band is stored, so the 2/3 rule's truncation needs no pass.
 //
 //psdns:hotpath
 func (s *Solver) projectAndDealias(rhs [][]complex128) {
 	kb := s.kb
 	kxs := s.kxs[:kb]
 	for _, r := range s.rows {
-		lo, ky, kz := r.off, s.kys[r.iy], s.kzs[r.iz]
+		lo, ky, kz := r.boff, s.kys[r.iy], s.kzs[r.iz]
 		r0, r1, r2 := rhs[0][lo:lo+kb], rhs[1][lo:lo+kb], rhs[2][lo:lo+kb]
 		kyz2 := ky*ky + kz*kz
 		cky, ckz := complex(ky, 0), complex(kz, 0)
@@ -178,9 +165,6 @@ func (s *Solver) projectAndDealias(rhs [][]complex128) {
 			r2[ix] -= ckz * dot
 		}
 	}
-	s.clearOutOfBand(rhs[0])
-	s.clearOutOfBand(rhs[1])
-	s.clearOutOfBand(rhs[2])
 }
 
 // applyShift multiplies every in-band mode by exp(sign·i·k·Δ) for the
@@ -201,12 +185,6 @@ func (s *Solver) applyShift(f []complex128, sign float64) {
 			ph := sign * (kx*dx + py + pz)
 			row[ix] *= cmplx.Exp(complex(0, ph))
 		}
-	}
-}
-
-func zero(v []complex128) {
-	for i := range v {
-		v[i] = 0
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // mode only), the one flow where particle advection is exact.
 func setUniformFlow(s *Solver, u, v, w float64) {
 	for c := 0; c < 3; c++ {
-		zero(s.Uh[c])
+		clear(s.Uh[c])
 	}
 	if s.slab.ZOwner(0) == s.slab.Rank {
 		n3 := float64(s.cfg.N)

@@ -13,11 +13,12 @@ import (
 // refStepper is the unfused stepper and right-hand side the solver ran
 // before the stage sweeps were fused — the bodies below are that code
 // verbatim, moved here as the oracle the fused arithmetic is compared
-// against bit for bit. It advances s.state using s.nl and its own
-// stage buffers, and evaluates the shipped systems' nonlinear terms
-// through the old clear-then-accumulate kernels, the old per-mode
-// dealias mask (built here from the solver's band) and the old
-// every-mode phase shift.
+// against bit for bit. It advances s.state using s.nl — replaced by
+// slab-layout buffers of its own, the layout the old right-hand sides
+// had — and its own stage buffers, and evaluates the shipped systems'
+// nonlinear terms through the old clear-then-accumulate kernels, the
+// old per-mode dealias mask (built here from the solver's band) and the
+// old every-mode phase shift.
 type refStepper struct {
 	s         *Solver
 	difGroups []difGroup // ν ≠ 0 runs only, as the old constructor kept them
@@ -38,6 +39,7 @@ func newRefStepper(s *Solver) *refStepper {
 	}
 	r.save, r.acc = bufs(), bufs()
 	r.rk1, r.rk2, r.rk3, r.rku = bufs(), bufs(), bufs(), bufs()
+	s.nl = bufs()
 	band := grid.NewBand(s.cfg.N, s.kmax)
 	for iz := 0; iz < s.slab.MZ(); iz++ {
 		for iy := 0; iy < s.cfg.N; iy++ {
@@ -164,6 +166,12 @@ func (r *refStepper) stepRK4(dt float64) {
 		for i := range u {
 			u[i] = sv[i] + sixth*(k1[i]+2*k2[i]+2*k3[i]+k4[i])
 		}
+	}
+}
+
+func zero(v []complex128) {
+	for i := range v {
+		v[i] = 0
 	}
 }
 
@@ -474,7 +482,7 @@ func TestFusedStepMatchesReferenceBitwise(t *testing.T) {
 								for step, dt := range dts {
 									fused.sys.Nonlinear(fused, fused.state, fused.nl)
 									ref.nonlinear(plain.state, plain.nl)
-									if !sameBits(t, name, c.Rank(), step, "rhs", fused.nl, plain.nl) {
+									if !sameBits(t, name, c.Rank(), step, "rhs", slabLayout(fused, fused.nl), plain.nl) {
 										return
 									}
 									fused.Step(dt)
@@ -490,6 +498,19 @@ func TestFusedStepMatchesReferenceBitwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// slabLayout expands band fields into the slab layout, +0 outside the
+// band.
+func slabLayout(s *Solver, band [][]complex128) [][]complex128 {
+	out := make([][]complex128, len(band))
+	for c, f := range band {
+		out[c] = make([]complex128, len(s.state[c]))
+		for _, r := range s.rows {
+			copy(out[c][r.off:r.off+s.kb], f[r.boff:r.boff+s.kb])
+		}
+	}
+	return out
 }
 
 // sameBits reports (and flags) the first mode at which two field sets

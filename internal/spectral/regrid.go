@@ -45,7 +45,7 @@ func Regrid(dst, src *Solver) {
 	scale = scale * scale * scale // code units carry N³
 
 	for c := 0; c < 3; c++ {
-		zero(dst.Uh[c])
+		clear(dst.Uh[c])
 	}
 
 	// Walk local source modes, bin packets per destination rank.

@@ -17,8 +17,9 @@ const (
 	// reports timings for.
 	RK2 Scheme = iota
 	// RK4 is the classical fourth-order scheme (§2 of the paper):
-	// twice RK2's nonlinear evaluations per step in RK2's four field
-	// sets, plus the half-step integrating-factor table and its plane.
+	// twice RK2's nonlinear evaluations per step in RK2's storage (the
+	// state and three band field sets), plus the half-step
+	// integrating-factor table and its plane.
 	RK4
 )
 
@@ -137,20 +138,24 @@ type Solver struct {
 	state [][]complex128
 	Uh    [3][]complex128
 
-	// Scratch for the pseudo-spectral nonlinear term.
+	// Scratch for the pseudo-spectral nonlinear term. The right-hand
+	// sides and the stage buffers below are band fields (see bandRow):
+	// a right-hand side is +0 outside the band, so only the band is
+	// stored, and state is the one field set in the slab layout.
 	physU [3][]float64   // velocity in physical space
 	prod  []float64      // one product field at a time
 	nl    [][]complex128 // per-field right-hand side
 	work  []complex128
+	zeros []complex128 // one plane of +0 right-hand side (see stageSweep)
 	// RK2 stage storage: save = E·uⁿ, acc = E·N(uⁿ).
 	save [][]complex128
 	acc  [][]complex128
-	// RK4 stage storage, as many field sets as RK2's: k2, k3 and k4
-	// take turns in rk, straight from the system; nl holds k1 and then
-	// the running sum the final sweep completes; rku is the stage state
-	// the next nonlinear term is evaluated at.
-	rk  [][]complex128
-	rku [][]complex128
+	// RK4 stage storage, as many field sets as RK2's: un is uⁿ while
+	// state carries the stage input; k2, k3 and k4 take turns in rk,
+	// straight from the system; nl holds k1 and then the running sum
+	// the final sweep completes.
+	un [][]complex128
+	rk [][]complex128
 
 	// difGroups partition the fields into runs of equal diffusivity,
 	// each with its integrating-factor tables; ifPlane is the factor of
@@ -172,8 +177,8 @@ type Solver struct {
 	// truncated to, |k_i| ≤ kmax, as a row list: rows are the x-rows of
 	// the local Fourier slab whose kz and ky are in it, in storage order,
 	// and the in-band modes of each are its first kb. The right-hand-side
-	// loops visit those prefixes only; the dealias loops store +0 over
-	// everything else (clearOutOfBand).
+	// loops visit those prefixes only, and the band fields store nothing
+	// else.
 	rows []bandRow
 	kb   int
 	kmax int
@@ -286,26 +291,27 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	s.kmax = band.Kmax
 	s.tr.Truncate(s.kmax)
 	fl, pl := tr.FourierLen(), tr.PhysicalLen()
-	fields := func() [][]complex128 {
+	fields := func(n int) [][]complex128 {
 		f := make([][]complex128, nf)
 		for c := range f {
-			f[c] = make([]complex128, fl)
+			f[c] = make([]complex128, n)
 		}
 		return f
 	}
-	s.state, s.nl = fields(), fields()
+	s.initModes(band)
+	s.state, s.nl = fields(fl), fields(s.BandLen())
 	for c := 0; c < 3; c++ {
 		s.Uh[c] = s.state[c]
 		s.physU[c] = make([]float64, pl)
 	}
 	s.prod = make([]float64, pl)
-	s.work = make([]complex128, fl)
+	s.work, s.zeros = make([]complex128, fl), make([]complex128, cfg.N*s.nxh)
 	slots := 1 // integrating-factor slots: dt, and dt/2 for RK4
 	if cfg.Scheme == RK4 {
-		s.rk, s.rku = fields(), fields()
+		s.un, s.rk = fields(s.BandLen()), fields(s.BandLen())
 		slots = 2
 	} else {
-		s.save, s.acc = fields(), fields()
+		s.save, s.acc = fields(s.BandLen()), fields(s.BandLen())
 	}
 	if at {
 		src, ok := tr.(stalenessReporter)
@@ -314,7 +320,7 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		}
 		s.atCorr = true
 		s.atSrc = src
-		s.atPrevNl = fields()
+		s.atPrevNl = fields(s.BandLen())
 		// Engines that accept quantity labels get every transform call
 		// stamped with the within-step call index, so their bounded
 		// exchanges only substitute stale slabs of the same quantity.
@@ -324,7 +330,6 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		}
 	}
 
-	s.initModes(band)
 	n := cfg.N
 
 	// Fold per-field diffusivities into runs of equal ν, one set of
@@ -482,8 +487,9 @@ func (s *Solver) stepInner(dt float64) {
 //	u*      = E(dt)·(uⁿ + dt·N(uⁿ))
 //	uⁿ⁺¹    = E(dt)·uⁿ + dt/2·(E(dt)·N(uⁿ) + N(u*))
 //
-// where E(dt) = exp(−ν_c·k²·dt) per field. Each array is touched once
-// between the two evaluations (stageSweep) and once after the second.
+// where E(dt) = exp(−ν_c·k²·dt) per field. The state is touched once
+// between the two evaluations (stageSweep) and its band once after the
+// second; save, acc and nl are band fields.
 //
 //psdns:hotpath
 func (s *Solver) stepRK2(dt float64) {
@@ -491,14 +497,7 @@ func (s *Solver) stepRK2(dt float64) {
 	s.atCorrect()
 	s.stageSweep(sweepRK2, dt) // save = E·uⁿ, state = u*, acc = E·N(uⁿ)
 	s.sys.Nonlinear(s, s.state, s.nl)
-	half := complex(dt/2, 0)
-	for c := 0; c < s.nf; c++ {
-		u := s.state[c]
-		sv, ac, nl := s.save[c][:len(u)], s.acc[c][:len(u)], s.nl[c][:len(u)]
-		for i := range u {
-			u[i] = sv[i] + half*(ac[i]+nl[i])
-		}
-	}
+	s.stageSweep(sweepRK2end, dt) // uⁿ⁺¹ = save + dt/2·(acc + N(u*))
 }
 
 // stepRK4 is the classical four-stage scheme with integrating factors
@@ -510,23 +509,23 @@ func (s *Solver) stepRK2(dt float64) {
 //	k4 = N(E·uⁿ + dt·E½·k3)
 //	uⁿ⁺¹ = E·uⁿ + dt/6·(E·k1 + 2·E½·k2 + 2·E½·k3 + k4)
 //
-// in RK2's four field sets. uⁿ stays in state until the final sweep;
-// k2, k3 and k4 take turns in rk, each evaluated straight into it; nl
-// holds k1 and then the running prefix of the final bracket, E·k1 +
-// 2·E½·k2 after sweep b and + 2·E½·k3 after sweep c, each prefix rounded
-// where the whole left-to-right sum rounds it. A stage costs one sweep
-// and no copy.
+// in RK2's storage. The first sweep copies the band of uⁿ into un, and
+// state carries each stage's input from then on; k2, k3 and k4 take
+// turns in rk, each evaluated straight into it; nl holds k1 and then
+// the running prefix of the final bracket, E·k1 + 2·E½·k2 after sweep b
+// and + 2·E½·k3 after sweep c, each prefix rounded where the whole
+// left-to-right sum rounds it. A stage costs one sweep and no copy.
 //
 //psdns:hotpath
 func (s *Solver) stepRK4(dt float64) {
 	s.sys.Nonlinear(s, s.state, s.nl) // k1
 	s.atCorrect()
-	s.stageSweep(sweepRK4a, dt) // rku = E½·(uⁿ + dt/2·k1)
-	s.sys.Nonlinear(s, s.rku, s.rk)
-	s.stageSweep(sweepRK4b, dt) // rku = E½·uⁿ + dt/2·k2, nl = E·k1 + 2·E½·k2
-	s.sys.Nonlinear(s, s.rku, s.rk)
-	s.stageSweep(sweepRK4c, dt) // rku = E·uⁿ + dt·E½·k3, nl += 2·E½·k3
-	s.sys.Nonlinear(s, s.rku, s.rk)
+	s.stageSweep(sweepRK4a, dt) // un = uⁿ, state = E½·(uⁿ + dt/2·k1)
+	s.sys.Nonlinear(s, s.state, s.rk)
+	s.stageSweep(sweepRK4b, dt) // state = E½·uⁿ + dt/2·k2, nl = E·k1 + 2·E½·k2
+	s.sys.Nonlinear(s, s.state, s.rk)
+	s.stageSweep(sweepRK4c, dt) // state = E·uⁿ + dt·E½·k3, nl += 2·E½·k3
+	s.sys.Nonlinear(s, s.state, s.rk)
 	s.stageSweep(sweepRK4end, dt) // uⁿ⁺¹ = E·uⁿ + dt/6·(nl + k4)
 }
 
@@ -535,6 +534,7 @@ type sweep int
 
 const (
 	sweepRK2 sweep = iota
+	sweepRK2end
 	sweepRK4a
 	sweepRK4b
 	sweepRK4c
@@ -542,46 +542,71 @@ const (
 )
 
 // stageSweep runs one stage's pointwise update over every field, plane
-// by plane: the group's integrating factor is gathered from its k²
-// table once per plane and shared by the group's fields. Every output
-// element is the expression the unfused copy/axpy/factor passes
-// produced, operation for operation, so results are bitwise unchanged;
-// a group whose factor is the identity (ν = 0, or dt = 0) passes nil
-// factors and the kernels take their multiply-free loop — multiplying
-// by complex(1, 0) is not neutral at signed zeros.
+// by plane: each group's integrating factor is gathered from its k²
+// table once per plane and shared by the group's fields. In the band
+// every output element is the expression the unfused copy/axpy/factor
+// passes produced, operation for operation, so results are bitwise
+// unchanged; a group whose factor is the identity (ν = 0, or dt = 0)
+// passes nil factors and the kernels take their multiply-free loop —
+// multiplying by complex(1, 0) is not neutral at signed zeros.
+//
+// Outside the band every right-hand side is +0, and so is every factor
+// times it (E is finite and non-negative), so a mode there ends the
+// step at the final combination's value with every right-hand-side
+// operand at +0: E·uⁿ + w·(+0 + +0), w = dt/2 (RK2) or dt/6 (RK4). The
+// first sweep of a step stores that value there, running the final
+// combination's kernel over zeros; the later ones visit only the band
+// rows, as nothing reads the state outside the band mid-step (the
+// transforms are truncated to it).
 //
 //psdns:hotpath
 func (s *Solver) stageSweep(sw sweep, dt float64) {
-	pl := s.cfg.N * s.nxh
+	pl, kb, rows := s.cfg.N*s.nxh, s.kb, s.rows
 	cdt, half, sixth := complex(dt, 0), complex(dt/2, 0), complex(dt/6, 0)
-	for gi := range s.difGroups {
-		g := &s.difGroups[gi]
-		viscous := g.nu != 0 && dt != 0
-		var e, eh []float64
-		for iz, lo := 0, 0; iz < s.slab.MZ(); iz, lo = iz+1, lo+pl {
-			hi := lo + pl
-			if viscous {
-				// The first RK4 stage uses the half-step factor only.
-				if sw != sweepRK4a {
-					e = s.ifGather(g, 0, dt, iz)
-				}
-				if sw != sweepRK2 {
+	first, w := sw == sweepRK2 || sw == sweepRK4a, [...]complex128{RK2: half, RK4: sixth}[s.cfg.Scheme]
+	for iz, lo := 0, 0; iz < s.slab.MZ(); iz, lo = iz+1, lo+pl {
+		nr := 0
+		for nr < len(rows) && int(rows[nr].iz) == iz {
+			nr++
+		}
+		plane := rows[:nr]
+		if rows = rows[nr:]; !first && nr == 0 {
+			continue
+		}
+		for gi := range s.difGroups {
+			g := &s.difGroups[gi]
+			var e, eh []float64 // the plane's factors at dt and dt/2
+			if g.nu != 0 && dt != 0 && sw != sweepRK2end {
+				e = s.ifGather(g, 0, dt, iz)
+				if sw > sweepRK2end {
 					eh = s.ifGather(g, 1, dt/2, iz)
 				}
 			}
 			for c := g.lo; c < g.hi; c++ {
-				u := s.state[c][lo:hi]
-				switch sw {
-				case sweepRK2:
-					rk2Stage(e, cdt, u, s.nl[c][lo:hi], s.save[c][lo:hi], s.acc[c][lo:hi])
-				case sweepRK4a:
-					rk4StageA(eh, half, s.rku[c][lo:hi], u, s.nl[c][lo:hi])
-				case sweepRK4b:
-					rk4StageB(e, eh, half, s.rku[c][lo:hi], u, s.rk[c][lo:hi], s.nl[c][lo:hi])
-				case sweepRK4c:
-					rk4StageC(e, eh, cdt, s.rku[c][lo:hi], u, s.rk[c][lo:hi], s.nl[c][lo:hi])
-				case sweepRK4end:
-					rk4Assemble(e, sixth, u, s.nl[c][lo:hi], s.rk[c][lo:hi])
+				u, next := s.state[c], lo
+				for _, r := range plane {
+					if first {
+						rk4Assemble(e, next-lo, w, u[next:r.off], u[next:r.off], s.zeros, s.zeros)
+						next = r.off + kb
+					}
+					ur, b, at, nl := u[r.off:r.off+kb], r.boff, r.off-lo, s.nl[c][r.boff:r.boff+kb]
+					switch sw {
+					case sweepRK2:
+						rk2Stage(e, at, cdt, ur, nl, s.save[c][b:b+kb], s.acc[c][b:b+kb])
+					case sweepRK2end:
+						rk4Assemble(nil, 0, half, ur, s.save[c][b:b+kb], s.acc[c][b:b+kb], nl)
+					case sweepRK4a:
+						rk4StageA(eh, at, half, ur, s.un[c][b:b+kb], nl)
+					case sweepRK4b:
+						rk4StageB(e, eh, at, half, ur, s.un[c][b:b+kb], s.rk[c][b:b+kb], nl)
+					case sweepRK4c:
+						rk4StageC(e, eh, at, cdt, ur, s.un[c][b:b+kb], s.rk[c][b:b+kb], nl)
+					case sweepRK4end:
+						rk4Assemble(e, at, sixth, ur, s.un[c][b:b+kb], nl, s.rk[c][b:b+kb])
+					}
+				}
+				if first {
+					rk4Assemble(e, next-lo, w, u[next:lo+pl], u[next:lo+pl], s.zeros, s.zeros)
 				}
 			}
 		}
@@ -599,6 +624,11 @@ func (s *Solver) StageSweep(dt float64) {
 	}
 	s.stageSweep(sweepRK2, dt)
 }
+
+// BandLen reports the elements of one band field — a right-hand side
+// or a stage buffer: the band's x-rows on this rank times their
+// in-band modes (FourierLen without dealiasing).
+func (s *Solver) BandLen() int { return len(s.rows) * s.kb }
 
 // ifGather returns plane iz of g's integrating factor exp(−ν·k²·dt),
 // gathered from the slot's table into the slot's plane buffer. The
@@ -624,10 +654,14 @@ func (s *Solver) ifGather(g *difGroup, slot int, dt float64, iz int) []float64 {
 	return dst
 }
 
-// rk2Stage: sv = E·u, u = E·(u + dt·n), ac = E·n (e == nil: E = 1).
+// The kernels below update the modes of one run of a plane; e and eh
+// are the plane's gathered factors, read from plane offset at, or nil
+// for the identity.
+
+// rk2Stage: sv = E·u, u = E·(u + dt·n), ac = E·n.
 //
 //psdns:hotpath
-func rk2Stage(e []float64, cdt complex128, u, n, sv, ac []complex128) {
+func rk2Stage(e []float64, at int, cdt complex128, u, n, sv, ac []complex128) {
 	n, sv, ac = n[:len(u)], sv[:len(u)], ac[:len(u)]
 	if e == nil {
 		copy(sv, u)
@@ -635,7 +669,7 @@ func rk2Stage(e []float64, cdt complex128, u, n, sv, ac []complex128) {
 		copy(ac, n)
 		return
 	}
-	e = e[:len(u)]
+	e = e[at : at+len(u)]
 	for i, ui := range u {
 		ei, ni := complex(e[i], 0), n[i]
 		sv[i] = ui * ei
@@ -644,17 +678,18 @@ func rk2Stage(e []float64, cdt complex128, u, n, sv, ac []complex128) {
 	}
 }
 
-// rk4StageA: dst = E½·(u + a·k).
+// rk4StageA: un = u, u = E½·(u + a·k).
 //
 //psdns:hotpath
-func rk4StageA(eh []float64, a complex128, dst, u, k []complex128) {
+func rk4StageA(eh []float64, at int, a complex128, u, un, k []complex128) {
+	copy(un, u)
 	if eh == nil {
-		axpyTo(dst, u, a, k)
+		axpyTo(u, u, a, k)
 		return
 	}
-	eh, u, k = eh[:len(dst)], u[:len(dst)], k[:len(dst)]
-	for i := range dst {
-		dst[i] = (u[i] + a*k[i]) * complex(eh[i], 0)
+	eh, k = eh[at:at+len(u)], k[:len(u)]
+	for i := range u {
+		u[i] = (u[i] + a*k[i]) * complex(eh[i], 0)
 	}
 }
 
@@ -662,12 +697,12 @@ func rk4StageA(eh []float64, a complex128, dst, u, k []complex128) {
 // and leaves with the first two terms of rk4Assemble's bracket.
 //
 //psdns:hotpath
-func rk4StageB(e, eh []float64, a complex128, dst, u, k, acc []complex128) {
+func rk4StageB(e, eh []float64, at int, a complex128, dst, u, k, acc []complex128) {
 	if eh == nil {
 		rk4Inviscid(a, dst, u, k, acc)
 		return
 	}
-	e, eh, u, k, acc = e[:len(dst)], eh[:len(dst)], u[:len(dst)], k[:len(dst)], acc[:len(dst)]
+	e, eh, u, k, acc = e[at:at+len(dst)], eh[at:at+len(dst)], u[:len(dst)], k[:len(dst)], acc[:len(dst)]
 	for i := range dst {
 		ehi, ki := complex(eh[i], 0), k[i]
 		dst[i] = u[i]*ehi + a*ki
@@ -678,12 +713,12 @@ func rk4StageB(e, eh []float64, a complex128, dst, u, k, acc []complex128) {
 // rk4StageC: dst = E·u + a·(E½·k), acc = acc + 2·(E½·k).
 //
 //psdns:hotpath
-func rk4StageC(e, eh []float64, a complex128, dst, u, k, acc []complex128) {
+func rk4StageC(e, eh []float64, at int, a complex128, dst, u, k, acc []complex128) {
 	if e == nil {
 		rk4Inviscid(a, dst, u, k, acc)
 		return
 	}
-	e, eh, u, k, acc = e[:len(dst)], eh[:len(dst)], u[:len(dst)], k[:len(dst)], acc[:len(dst)]
+	e, eh, u, k, acc = e[at:at+len(dst)], eh[at:at+len(dst)], u[:len(dst)], k[:len(dst)], acc[:len(dst)]
 	for i := range dst {
 		ki := k[i] * complex(eh[i], 0)
 		dst[i] = u[i]*complex(e[i], 0) + a*ki
@@ -704,21 +739,23 @@ func rk4Inviscid(a complex128, dst, u, k, acc []complex128) {
 	}
 }
 
-// rk4Assemble: u = E·u + sixth·(acc + k4), acc holding the bracket's
-// first three terms E·k1 + 2·E½·k2 + 2·E½·k3.
+// rk4Assemble: dst = E·u + w·(acc + k4), acc holding the bracket's
+// first three terms E·k1 + 2·E½·k2 + 2·E½·k3 and w = dt/6. With e nil
+// and w = dt/2 it is RK2's final combination, u = sv + dt/2·(ac + n);
+// over zeros it is either scheme's outside the band (dst may alias u).
 //
 //psdns:hotpath
-func rk4Assemble(e []float64, sixth complex128, u, acc, k4 []complex128) {
-	acc, k4 = acc[:len(u)], k4[:len(u)]
+func rk4Assemble(e []float64, at int, w complex128, dst, u, acc, k4 []complex128) {
+	u, acc, k4 = u[:len(dst)], acc[:len(dst)], k4[:len(dst)]
 	if e == nil {
-		for i := range u {
-			u[i] = u[i] + sixth*(acc[i]+k4[i])
+		for i := range dst {
+			dst[i] = u[i] + w*(acc[i]+k4[i])
 		}
 		return
 	}
-	e = e[:len(u)]
-	for i := range u {
-		u[i] = u[i]*complex(e[i], 0) + sixth*(acc[i]+k4[i])
+	e = e[at : at+len(dst)]
+	for i := range dst {
+		dst[i] = u[i]*complex(e[i], 0) + w*(acc[i]+k4[i])
 	}
 }
 

@@ -86,9 +86,9 @@ func (y *RotatingScalarNS) Nonlinear(s *Solver, state, rhs [][]complex128) {
 }
 
 // scalarAdvection evaluates −ik·FFT{u·θ} − G·û_y (dealiased) for field
-// c into rhs[c], reusing s.physU from the preceding velocityProducts
-// call (including its phase shift, so scalar products are dealiased on
-// the same shifted grid as the velocity's).
+// c into the band field rhs[c], reusing s.physU from the preceding
+// velocityProducts call (including its phase shift, so scalar products
+// are dealiased on the same shifted grid as the velocity's).
 //
 //psdns:hotpath
 func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128, c int) {
@@ -108,19 +108,17 @@ func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128,
 		s.accumulateFlux(rhs[c], comp, nil, 0)
 	}
 
-	// The mean-gradient production −G·û_y, if any, on the in-band modes,
-	// and dealiasing.
+	// The mean-gradient production −G·û_y, if any, on the band.
 	r, uy := rhs[c], state[1]
 	if g := y.scalars[c-3].meanGrad; g != 0 {
 		gc, kb := complex(g, 0), s.kb
 		for _, row := range s.rows {
-			d, u := r[row.off:row.off+kb], uy[row.off:row.off+kb]
+			d, u := r[row.boff:row.boff+kb], uy[row.off:row.off+kb]
 			for i := range u {
 				d[i] -= gc * u[i]
 			}
 		}
 	}
-	s.clearOutOfBand(r)
 }
 
 // PostStep implements System.

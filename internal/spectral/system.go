@@ -26,8 +26,14 @@ import (
 //   - Nonlinear evaluates the explicit right-hand side of every field
 //     of state into rhs. It is called once per RK stage with stage
 //     values, so it must not assume state aliases the solver's
-//     current fields. It runs on the step hot path: no allocations at
-//     steady state (all scratch is bound in Setup).
+//     current fields. state is in the slab layout ([mz][ny][nxh]);
+//     rhs holds the dealias band only — band row ri of the solver's
+//     row list at ri·kb, its kb in-band modes contiguous — because a
+//     right-hand side is +0 outside the band. Every element of every
+//     rhs[c] must be written; the buffer is not cleared first. Under
+//     DealiasNone the band is every mode and the band layout is the
+//     slab layout itself. It runs on the step hot path: no allocations
+//     at steady state (all scratch is bound in Setup).
 //   - Diffusivity(c) is field c's linear diffusion coefficient ν_c;
 //     the stepper integrates the ν_c·k² term exactly through the
 //     integrating factor exp(−ν_c·k²·dt).

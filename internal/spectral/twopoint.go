@@ -111,18 +111,19 @@ func (s *Solver) StructureFunction3() []float64 {
 // TransferSpectrum returns T(k), the shell-summed rate of energy
 // transfer into wavenumber shell k by the nonlinear term. The net
 // transfer ΣT(k) vanishes for the dealiased Galerkin system
-// (collective; evaluates the nonlinear term: 9 transforms).
+// (collective; evaluates the nonlinear term: 9 transforms). The sum
+// runs over the band, where the nonlinear term lives.
 func (s *Solver) TransferSpectrum() []float64 {
 	s.velocityProducts(s.state, s.nl)
 	s.projectAndDealias(s.nl)
-	nxh, inv := s.nxh, s.modeNorm()
-	spec := s.newSpectrum()
-	for r := s.walkRows(); r.next(); {
-		for ix := 0; ix < nxh; ix++ {
-			k2, w := r.bin(ix)
+	inv, spec := s.modeNorm(), s.newSpectrum()
+	for _, r := range s.rows {
+		ky, kz := s.kys[r.iy], s.kzs[r.iz]
+		for ix := 0; ix < s.kb; ix++ {
+			k2, w := float64(ix*ix)+(ky*ky+kz*kz), specWeight(ix, s.cfg.N)
 			var tr float64
 			for c := 0; c < 3; c++ {
-				u, f := s.Uh[c][r.off+ix], s.nl[c][r.off+ix]
+				u, f := s.Uh[c][r.off+ix], s.nl[c][r.boff+ix]
 				tr += real(u)*real(f) + imag(u)*imag(f)
 			}
 			spec[shell(k2)] += w * tr * inv
