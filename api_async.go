@@ -3,7 +3,6 @@ package repro
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/grid"
 	"repro/internal/pfft"
@@ -15,18 +14,20 @@ import (
 // AsyncOptions configures the batched asynchronous pipeline (pencil
 // count, exchange granularity, devices per rank); AsyncOption values
 // fill it in for NewAsync and NewTunedAsync.
-type AsyncOptions = core.Options
+type AsyncOptions = pfft.Options
 
-// AsyncTransform is the Fig 4 batched asynchronous out-of-core engine.
-type AsyncTransform = core.AsyncSlabReal
+// AsyncTransform is the Fig 4 batched asynchronous out-of-core engine:
+// the one slab engine, whose np = 1 case is the synchronous slab
+// transform (NewSlabTransform).
+type AsyncTransform = pfft.SlabReal
 
 // Granularity selects how much data each all-to-all exchange carries.
-type Granularity = core.Granularity
+type Granularity = pfft.Granularity
 
 // Exchange granularities (paper configurations A/B vs C).
 const (
-	PerPencil = core.PerPencil
-	PerSlab   = core.PerSlab
+	PerPencil = pfft.PerPencil
+	PerSlab   = pfft.PerSlab
 )
 
 // ExchangeStrategy selects how the y↔z transpose-exchange moves data:
@@ -119,12 +120,6 @@ func WithWorkers(n int) AsyncOption {
 	return func(o *AsyncOptions) { o.Workers = n }
 }
 
-// WithMetrics directs the engine's phase timings and transfer bytes
-// into reg instead of the communicator's registry.
-func WithMetrics(reg *MetricsRegistry) AsyncOption {
-	return func(o *AsyncOptions) { o.Metrics = reg }
-}
-
 // WithExchangeStrategy pins the transpose-exchange strategy instead of
 // autotuning it at plan construction. Fused strategies are bitwise
 // identical to staged; only the data path differs.
@@ -168,7 +163,7 @@ type TuneSpace = tuning.Space
 //	    repro.WithDevices(2),
 //	)
 func NewAsync(c *Comm, n int, opts ...AsyncOption) *AsyncTransform {
-	return core.NewAsyncSlabReal(c, n, asyncOptions(opts))
+	return pfft.NewAsyncSlabReal(c, n, asyncOptions(opts))
 }
 
 func asyncOptions(opts []AsyncOption) AsyncOptions {
@@ -202,13 +197,12 @@ func tuneConfig(cacheDir string, space *TuneSpace) tuning.Config {
 // the same (N, P, GOMAXPROCS, machine) key skip the trials; a nil
 // space searches exchange strategies × both granularities. Collective.
 func NewTunedAsync(c *Comm, n int, cacheDir string, space *TuneSpace, opts ...AsyncOption) *AsyncTransform {
-	return core.NewAsyncSlabRealTuned(c, n, asyncOptions(opts), tuneConfig(cacheDir, space))
+	return pfft.NewAsyncSlabRealTuned(c, n, asyncOptions(opts), tuneConfig(cacheDir, space))
 }
 
-// NewSyncGPUTransform is the Fig 2 synchronous baseline (NP=1).
-func NewSyncGPUTransform(c *Comm, n int) *AsyncTransform { return core.NewSyncGPU(c, n) }
-
-// NewSlabTransform is the plain synchronous host transform.
+// NewSlabTransform is the synchronous slab transform, the Fig 2
+// baseline: the one slab engine at np = 1, one exchange per slab, one
+// device.
 func NewSlabTransform(c *Comm, n int) *pfft.SlabReal { return pfft.NewSlabReal(c, n) }
 
 // NewThreadedSlabTransform is the hybrid MPI+OpenMP-style transform
@@ -217,12 +211,12 @@ func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
 	return pfft.NewSlabRealWorkers(c, n, threads)
 }
 
-// RealTransform is the distributed real-field transform engine on any
+// RealTransform is the distributed real-field transform pair on any
 // decomposition: real physical fields in, conjugate-symmetric
 // half-spectra out, 1/N³ normalization on the inverse, with
 // bitwise-identical results for every valid Pr×Pc grid (the slab being
-// the one-column grid).
-type RealTransform = *pfft.Engine
+// the one-column grid, built as the slab engine).
+type RealTransform = pfft.Real
 
 // NewTunedTransform builds the real-field transform for decomposition
 // d through the whole-step autotuner: DecompSlab searches exchange

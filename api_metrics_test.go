@@ -22,7 +22,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	reg := repro.NewMetricsRegistry()
 	var strategy repro.ExchangeStrategy
 	err := repro.RunWithMetrics(p, reg, func(c *repro.Comm) {
-		strategy = asyncStep(c, reg)
+		strategy = asyncStep(c)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{"chunked f32", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeChunked), repro.WithSingleComm()}, true},
 	} {
 		reg := repro.NewMetricsRegistry()
-		if err := repro.RunWithMetrics(p, reg, func(c *repro.Comm) { asyncStep(c, reg, tc.opts...) }); err != nil {
+		if err := repro.RunWithMetrics(p, reg, func(c *repro.Comm) { asyncStep(c, tc.opts...) }); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -85,14 +85,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 }
 
 // asyncStep runs one dealiased RK2 step of Taylor–Green on a batched
-// engine (np = 2, per pencil) recording into reg, and reports the
-// engine's strategy.
-func asyncStep(c *repro.Comm, reg *repro.MetricsRegistry, opts ...repro.AsyncOption) repro.ExchangeStrategy {
+// engine (np = 2, per pencil), which records into the world's registry,
+// and reports the engine's strategy.
+func asyncStep(c *repro.Comm, opts ...repro.AsyncOption) repro.ExchangeStrategy {
 	const n = 16
 	tr := repro.NewAsync(c, n, append([]repro.AsyncOption{
 		repro.WithNP(2),
 		repro.WithGranularity(repro.PerPencil),
-		repro.WithMetrics(reg),
 	}, opts...)...)
 	defer tr.Close()
 	s := repro.NewSolver(c, n,

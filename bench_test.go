@@ -246,12 +246,12 @@ func BenchmarkDistributed3DFFT(b *testing.B) {
 	})
 	b.Run("asyncPencil", func(b *testing.B) {
 		benchTransform(b, func(c *mpi.Comm) spectral.Transform {
-			return core.NewAsyncSlabReal(c, n, core.Options{NP: 4, Granularity: core.PerPencil})
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: pfft.PerPencil})
 		}, n, ranks)
 	})
 	b.Run("asyncSlab", func(b *testing.B) {
 		benchTransform(b, func(c *mpi.Comm) spectral.Transform {
-			return core.NewAsyncSlabReal(c, n, core.Options{NP: 4, Granularity: core.PerSlab})
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: pfft.PerSlab})
 		}, n, ranks)
 	})
 }
@@ -388,8 +388,8 @@ func BenchmarkSingleCommTransform(b *testing.B) {
 	for _, single := range []bool{false, true} {
 		b.Run(fmt.Sprintf("single=%v", single), func(b *testing.B) {
 			benchTransform(b, func(c *mpi.Comm) spectral.Transform {
-				return core.NewAsyncSlabReal(c, n, core.Options{
-					NP: 4, Granularity: core.PerSlab, SingleComm: single,
+				return pfft.NewAsyncSlabReal(c, n, pfft.Options{
+					NP: 4, Granularity: pfft.PerSlab, SingleComm: single,
 				})
 			}, n, ranks)
 		})

@@ -84,7 +84,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/grid"
@@ -335,9 +334,9 @@ func asyncBand(n, p, np, kmax int) func(iters, workers int) sample {
 // newBenchAsync builds the asynchronous engine in the repository
 // benchmark's configuration: np pencils, per-pencil granularity, one
 // device, the chunked zero-copy gather.
-func newBenchAsync(c *mpi.Comm, n, np, workers int) *core.AsyncSlabReal {
-	return core.NewAsyncSlabReal(c, n, core.Options{
-		NP: np, Granularity: core.PerPencil, Workers: workers, Exchange: exchange.ChunkedFused,
+func newBenchAsync(c *mpi.Comm, n, np, workers int) *pfft.SlabReal {
+	return pfft.NewAsyncSlabReal(c, n, pfft.Options{
+		NP: np, Granularity: pfft.PerPencil, Workers: workers, Exchange: exchange.ChunkedFused,
 	})
 }
 

@@ -28,7 +28,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
@@ -62,7 +61,7 @@ type Config struct {
 	ForcingShells int     `json:"forcingShells"` // highest forced shell (0 = decaying)
 	Stages        []Stage `json:"stages"`
 
-	gran core.Granularity // Gran parsed by validate
+	gran pfft.Granularity // Gran parsed by validate
 }
 
 func main() {
@@ -195,7 +194,7 @@ func (cfg *Config) validate() error {
 		cfg.Gran = "slab"
 	}
 	var err error
-	if cfg.gran, err = core.ParseGranularity(cfg.Gran); err != nil {
+	if cfg.gran, err = pfft.ParseGranularity(cfg.Gran); err != nil {
 		return fmt.Errorf("gran: %v", err)
 	}
 	return nil
@@ -222,7 +221,7 @@ func buildSolver(c *mpi.Comm, cfg Config, st Stage) *spectral.Solver {
 		if np == 0 {
 			np = 3
 		}
-		opts = append(opts, spectral.WithTransform(core.NewAsyncSlabReal(c, st.N, core.Options{
+		opts = append(opts, spectral.WithTransform(pfft.NewAsyncSlabReal(c, st.N, pfft.Options{
 			NP: np, Granularity: cfg.gran, SingleComm: cfg.SingleComm,
 		})))
 	case "threaded":

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/pfft"
 )
 
 func TestValidateRejectsUnknownNames(t *testing.T) {
@@ -14,11 +14,11 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 		cfg     Config
 		wantErr string // substring; empty = valid
 		engine  string
-		gran    core.Granularity
+		gran    pfft.Granularity
 	}{
-		{"defaults", Config{Ranks: 2, Stages: stages}, "", "sync", core.PerSlab},
-		{"async pencil", Config{Ranks: 2, Stages: stages, Engine: "async", Gran: "pencil"}, "", "async", core.PerPencil},
-		{"threaded", Config{Ranks: 2, Stages: stages, Engine: "threaded"}, "", "threaded", core.PerSlab},
+		{"defaults", Config{Ranks: 2, Stages: stages}, "", "sync", pfft.PerSlab},
+		{"async pencil", Config{Ranks: 2, Stages: stages, Engine: "async", Gran: "pencil"}, "", "async", pfft.PerPencil},
+		{"threaded", Config{Ranks: 2, Stages: stages, Engine: "threaded"}, "", "threaded", pfft.PerSlab},
 		{"engine typo", Config{Ranks: 2, Stages: stages, Engine: "asynch"}, "sync, async or threaded", "", 0},
 		{"gran typo", Config{Ranks: 2, Stages: stages, Gran: "pencils"}, "pencil or slab", "", 0},
 		{"no stages", Config{Ranks: 2}, "at least one stage", "", 0},

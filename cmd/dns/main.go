@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/metrics"
@@ -118,7 +117,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("-engine: %v", err)
 	}
-	granularity, err := core.ParseGranularity(*gran)
+	granularity, err := pfft.ParseGranularity(*gran)
 	if err != nil {
 		log.Fatalf("-gran: %v", err)
 	}
@@ -218,40 +217,27 @@ func main() {
 		if *tuneDir != "" {
 			tune.Cache = tuning.Open(*tuneDir)
 		}
-		var pinned exchange.Strategy
-		if async {
-			aopt := core.Options{
-				NP: *np, Granularity: granularity, NGPU: *ngpu,
-				Workers:    *workers,
-				Exchange:   strategy,
-				ATMaxStale: max(*atStale, 0),
-				ATDeadline: *atDL,
-			}
-			var tr *core.AsyncSlabReal
-			if *autotune {
-				tr = core.NewAsyncSlabRealTuned(c, *n, aopt, tune)
-			} else {
-				tr = core.NewAsyncSlabReal(c, *n, aopt)
-			}
-			defer tr.Close()
-			pinned = tr.Strategy()
-			opts = append(opts, spectral.WithTransform(tr))
-		} else if strategy == exchange.AT {
-			tr := pfft.NewSlabRealAT(c, *n, *workers, *atStale, *atDL)
-			defer tr.Close()
-			pinned = tr.Strategy()
-			opts = append(opts, spectral.WithTransform(tr))
-		} else if *autotune {
-			tr := pfft.NewRealTuned(c, *n, *workers, tuning.DecompSlab, tune)
-			defer tr.Close()
-			pinned = tr.Strategy()
-			opts = append(opts, spectral.WithTransform(tr))
-		} else {
-			tr := pfft.NewSlabRealStrategy(c, *n, *workers, strategy)
-			defer tr.Close()
-			pinned = tr.Strategy()
-			opts = append(opts, spectral.WithTransform(tr))
+		// -engine sync is the one slab engine at np 1, one exchange per
+		// slab, one device; -engine async takes the pipeline flags.
+		opt := pfft.Options{
+			NP: 1, Granularity: pfft.PerSlab, NGPU: 1,
+			Workers:    *workers,
+			Exchange:   strategy,
+			ATMaxStale: max(*atStale, 0),
+			ATDeadline: *atDL,
 		}
+		if async {
+			opt.NP, opt.Granularity, opt.NGPU = *np, granularity, *ngpu
+		}
+		var tr *pfft.SlabReal
+		if *autotune {
+			tr = pfft.NewAsyncSlabRealTuned(c, *n, opt, tune)
+		} else {
+			tr = pfft.NewAsyncSlabReal(c, *n, opt)
+		}
+		defer tr.Close()
+		pinned := tr.StrategyPair()
+		opts = append(opts, spectral.WithTransform(tr))
 		solver := spectral.New(c, *n, opts...)
 		defer solver.Close()
 		if c.Rank() == 0 {
@@ -279,7 +265,8 @@ func main() {
 			// The engine pins its strategy and band gauges and the
 			// solver its system gauge at construction, while the registry
 			// is still off; restate them now that it is on.
-			c.Metrics().GaugeRank("exchange.strategy", c.Rank()).Set(pinned.Code())
+			c.Metrics().GaugeRank("exchange.strategy", c.Rank()).Set(pinned.YZ.Code())
+			c.Metrics().GaugeRank("exchange.strategy.zy", c.Rank()).Set(pinned.ZY.Code())
 			c.Metrics().GaugeRank("transform.kmax", c.Rank()).Set(float64(solver.Kmax()))
 			c.Metrics().GaugeRank("solver.system", c.Rank()).
 				Set(float64(spectral.SystemCode(solver.System().Name())))
@@ -432,9 +419,9 @@ func checkWatchdog(on bool, opDeadline, deadlockAfter time.Duration) error {
 }
 
 // phaseLeaves are the disjoint wall sections of one time step: the
-// solver's own arithmetic plus the transform engine's phases (the
-// synchronous slab records fft/pack/a2a/unpack; the asynchronous
-// pipeline records pipeline/a2a/unpack).
+// solver's own arithmetic plus the transform engine's phases (the slab
+// engine records pipeline/pack/a2a/unpack; the pencil grid's transform
+// drive loop fft/pack/a2a/unpack).
 var phaseLeaves = []string{
 	"phase.fft", "phase.pack", "phase.a2a", "phase.unpack",
 	"phase.pipeline", "phase.compute",
@@ -490,8 +477,8 @@ func runTransformDrive(dec tuning.Decomp, strategy exchange.Strategy, n, ranks, 
 		root := c.Rank() == 0
 		if root {
 			layout := "slab"
-			if l := tr.Layout(); l.Pc > 1 {
-				layout = fmt.Sprintf("pencil %dx%d", l.Pr, l.Pc)
+			if d := tr.Decomp(); d.IsPencil() {
+				layout = "pencil " + d.String()
 			}
 			pair := tr.StrategyPair()
 			fmt.Printf("decomposition: %s\n", layout)

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cuda"
 	"repro/internal/hw"
+	"repro/internal/pfft"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
@@ -98,7 +99,7 @@ func printAblations() {
 	for _, cse := range []struct{ n, nodes int }{{3072, 16}, {6144, 128}, {12288, 1024}, {18432, 3072}} {
 		tpn, gran, tm := core.BestConfig(cse.n, cse.nodes)
 		g := "1 slab/A2A"
-		if gran == core.PerPencil {
+		if gran == pfft.PerPencil {
 			g = "1 pencil/A2A"
 		}
 		fmt.Printf("N=%-6d nodes=%-5d → %d tasks/node, %s  (%.2f s/step)\n", cse.n, cse.nodes, tpn, g, tm)

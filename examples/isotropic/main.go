@@ -11,8 +11,8 @@ import (
 	"math"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 	"repro/internal/spectral"
 )
 
@@ -30,7 +30,7 @@ func main() {
 	var st spectral.Stats
 	var eHist []float64
 	mpi.Run(ranks, func(c *mpi.Comm) {
-		tr := core.NewAsyncSlabReal(c, n, core.Options{NP: 4, Granularity: core.PerSlab})
+		tr := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: pfft.PerSlab})
 		defer tr.Close()
 		s := spectral.New(c, n,
 			spectral.WithNu(nu),

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 	"repro/internal/spectral"
 )
 
@@ -19,9 +19,9 @@ func main() {
 		// The paper's batched asynchronous transform engine: each
 		// rank's slab cycles through "GPU" memory in 4 pencils, with a
 		// non-blocking all-to-all per pencil.
-		tr := core.NewAsyncSlabReal(c, n, core.Options{
+		tr := pfft.NewAsyncSlabReal(c, n, pfft.Options{
 			NP:          4,
-			Granularity: core.PerPencil,
+			Granularity: pfft.PerPencil,
 		})
 		defer tr.Close()
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/pfft"
 	"repro/internal/simnet"
 	"repro/internal/spectral"
 	"repro/internal/trace"
@@ -30,7 +31,7 @@ func main() {
 	fmt.Print(core.FormatTable4(core.Table4()))
 
 	fmt.Println("\n=== where the time goes at 18432³ on 3072 nodes (cfg C) ===")
-	res := core.SimulateGPUStep(core.DefaultPerf(18432, 3072, 2, core.PerSlab))
+	res := core.SimulateGPUStep(core.DefaultPerf(18432, 3072, 2, pfft.PerSlab))
 	fmt.Printf("time/step %.2f s, MPI share %.0f%%\n", res.Time, 100*core.MPITimeShare(res))
 	fmt.Print(trace.Render(trace.Timeline{
 		Title: "18432³ / 3072 nodes / 2 tasks per node / 1 slab per A2A",
@@ -39,7 +40,7 @@ func main() {
 	fmt.Print(trace.ClassSummary(res.Spans))
 
 	fmt.Println("\n=== what-if: hardware levers at 18432³/3072 nodes (§6) ===")
-	base := core.DefaultPerf(18432, 3072, 2, core.PerSlab)
+	base := core.DefaultPerf(18432, 3072, 2, pfft.PerSlab)
 	baseT := core.SimulateGPUStep(base).Time
 	gpu2 := base
 	gpu2.Machine = gpu2.Machine.WithGPUScale(2).WithTransferScale(2)
@@ -61,7 +62,7 @@ func main() {
 		Scalars: []spectral.ScalarSpec{{Schmidt: 1}, {Schmidt: 0.7}},
 		Omega:   1,
 	}
-	baseRes := core.SimulateGPUStep(core.DefaultPerf(18432, 3072, 2, core.PerSlab))
+	baseRes := core.SimulateGPUStep(core.DefaultPerf(18432, 3072, 2, pfft.PerSlab))
 	fmt.Printf("%-16s %6s %18s %14s %22s\n", "system", "fields", "volumes/RHS", "rel. cost", "18432³ est. s/step")
 	for _, name := range spectral.Systems() {
 		sys, err := spectral.NewNamedSystem(name, spec)
@@ -79,7 +80,7 @@ func main() {
 
 	fmt.Println("\n=== what-if: pencil count sensitivity at 18432³ (ablation) ===")
 	for _, np := range []int{4, 6, 8, 12} {
-		cfg := core.DefaultPerf(18432, 3072, 2, core.PerSlab)
+		cfg := core.DefaultPerf(18432, 3072, 2, pfft.PerSlab)
 		cfg.NP = np
 		r := core.SimulateGPUStep(cfg)
 		fmt.Printf("np=%-3d time/step %.2f s\n", np, r.Time)

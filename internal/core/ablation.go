@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/pfft"
 	"repro/internal/sched"
 )
 
@@ -113,8 +114,8 @@ type DecompositionAblation struct {
 func AblateDecomposition() []DecompositionAblation {
 	out := make([]DecompositionAblation, 0, len(standardCases))
 	for _, cse := range standardCases {
-		slab := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, PerSlab)).Time
-		pencil := SimulateGPU2DPencilStep(DefaultPerf(cse.N, cse.Nodes, 6, PerSlab)).Time
+		slab := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, pfft.PerSlab)).Time
+		pencil := SimulateGPU2DPencilStep(DefaultPerf(cse.N, cse.Nodes, 6, pfft.PerSlab)).Time
 		out = append(out, DecompositionAblation{
 			Nodes: cse.Nodes, N: cse.N,
 			Slab1D: slab, Pencil2D: pencil,
@@ -127,13 +128,13 @@ func AblateDecomposition() []DecompositionAblation {
 // BestConfig evaluates the three MPI configurations of the paper at
 // one scale and returns the fastest (the per-size choice Table 4
 // makes).
-func BestConfig(n, nodes int) (tpn int, gran Granularity, time float64) {
+func BestConfig(n, nodes int) (tpn int, gran pfft.Granularity, time float64) {
 	type cand struct {
 		tpn  int
-		gran Granularity
+		gran pfft.Granularity
 	}
 	best := -1.0
-	for _, c := range []cand{{6, PerPencil}, {2, PerPencil}, {2, PerSlab}} {
+	for _, c := range []cand{{6, pfft.PerPencil}, {2, pfft.PerPencil}, {2, pfft.PerSlab}} {
 		t := SimulateGPUStep(DefaultPerf(n, nodes, c.tpn, c.gran)).Time
 		if best < 0 || t < best {
 			best, tpn, gran = t, c.tpn, c.gran
@@ -145,7 +146,7 @@ func BestConfig(n, nodes int) (tpn int, gran Granularity, time float64) {
 // AblateContention quantifies the §5.2 host-memory contention effect:
 // the config-B step time with and without the derating.
 func AblateContention(n, nodes int) (with, without float64) {
-	cfg := DefaultPerf(n, nodes, 2, PerPencil)
+	cfg := DefaultPerf(n, nodes, 2, pfft.PerPencil)
 	with = SimulateGPUStep(cfg).Time
 	cfg.Contention = 1
 	without = SimulateGPUStep(cfg).Time
@@ -158,7 +159,7 @@ func AblateContention(n, nodes int) (with, without float64) {
 func AblatePencilCount(n, nodes int, nps []int) []float64 {
 	out := make([]float64, 0, len(nps))
 	for _, np := range nps {
-		cfg := DefaultPerf(n, nodes, 2, PerSlab)
+		cfg := DefaultPerf(n, nodes, 2, pfft.PerSlab)
 		cfg.NP = np
 		out = append(out, SimulateGPUStep(cfg).Time)
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/pfft"
+)
 
 func TestSlabBeatsPencil2DEverywhere(t *testing.T) {
 	// §3.1: the 1D slab decomposition with few fat ranks beats the
@@ -22,13 +26,13 @@ func TestBestConfigMatchesTable4Choices(t *testing.T) {
 	// The autotuner must recover the paper's per-scale choices: B
 	// (2 tasks, per-pencil) at 16 nodes, C (2 tasks, per-slab) beyond.
 	tpn, gran, _ := BestConfig(3072, 16)
-	if tpn != 2 || gran != PerPencil {
-		t.Errorf("16 nodes: best = %d tasks/gran %d, want 2/PerPencil", tpn, gran)
+	if tpn != 2 || gran != pfft.PerPencil {
+		t.Errorf("16 nodes: best = %d tasks/gran %d, want 2/pfft.PerPencil", tpn, gran)
 	}
 	for _, cse := range []struct{ n, nodes int }{{6144, 128}, {12288, 1024}, {18432, 3072}} {
 		tpn, gran, _ := BestConfig(cse.n, cse.nodes)
-		if tpn != 2 || gran != PerSlab {
-			t.Errorf("%d nodes: best = %d tasks/gran %d, want 2/PerSlab", cse.nodes, tpn, gran)
+		if tpn != 2 || gran != pfft.PerSlab {
+			t.Errorf("%d nodes: best = %d tasks/gran %d, want 2/pfft.PerSlab", cse.nodes, tpn, gran)
 		}
 	}
 }
@@ -65,7 +69,7 @@ func TestPencilCountAblationMonotone(t *testing.T) {
 }
 
 func TestPencil2DModelProducesSpans(t *testing.T) {
-	res := SimulateGPU2DPencilStep(DefaultPerf(12288, 1024, 6, PerSlab))
+	res := SimulateGPU2DPencilStep(DefaultPerf(12288, 1024, 6, pfft.PerSlab))
 	classes := map[string]bool{}
 	for _, s := range res.Spans {
 		classes[s.Class] = true

@@ -5,17 +5,18 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 )
 
 // allocsPerPair measures the heap allocations of one steady-state
 // forward+inverse pair on an engine truncated to kmax (−1: full). Rank
 // 0 measures; peers execute the same collective sequence runs+1 times
 // to match AllocsPerRun's count.
-func allocsPerPair(n, p, kmax int, opt Options) float64 {
+func allocsPerPair(n, p, kmax int, opt pfft.Options) float64 {
 	const runs = 20
 	var avg float64
 	mpi.Run(p, func(c *mpi.Comm) {
-		a := NewAsyncSlabReal(c, n, opt)
+		a := pfft.NewAsyncSlabReal(c, n, opt)
 		defer a.Close()
 		a.Truncate(kmax)
 		four := make([]complex128, a.FourierLen())
@@ -49,11 +50,11 @@ func allocsPerPair(n, p, kmax int, opt Options) float64 {
 func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
 	const n, p, np = 16, 2, 3
 	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
-		for _, gran := range []Granularity{PerPencil, PerSlab} {
+		for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 			for _, ngpu := range []int{1, 2} {
 				for _, single := range []bool{false, true} {
 					for _, kmax := range []int{-1, n / 3} { // full, the 2/3 band
-						avg := allocsPerPair(n, p, kmax, Options{
+						avg := allocsPerPair(n, p, kmax, pfft.Options{
 							NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st,
 						})
 						if avg != 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/exchange"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 	"repro/internal/tuning"
 )
 
@@ -18,14 +19,14 @@ import (
 func TestAsyncTunedBitwiseIdentity(t *testing.T) {
 	const n, p = 16, 4
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		opt := Options{NP: 3, Granularity: PerSlab}
-		tuned := NewAsyncSlabRealTuned(c, n, opt, tuning.Config{})
+		opt := pfft.Options{NP: 3, Granularity: pfft.PerSlab}
+		tuned := pfft.NewAsyncSlabRealTuned(c, n, opt, tuning.Config{})
 		defer tuned.Close()
 
 		// The plain engine with the tuner's own pinned configuration.
 		pinned := opt
 		pinned.Exchange = tuned.Strategy()
-		ref := NewAsyncSlabReal(c, n, pinned)
+		ref := pfft.NewAsyncSlabReal(c, n, pinned)
 		defer ref.Close()
 
 		rng := rand.New(rand.NewSource(int64(23 + c.Rank())))
@@ -49,18 +50,25 @@ func TestAsyncTunedBitwiseIdentity(t *testing.T) {
 
 // Exchange: exchange.Auto routes through the tuner's strategy-only
 // search and must agree on one concrete strategy across ranks, leaving
-// the option-given granularity alone.
+// the option-given granularity alone: two non-empty pencils exchanged
+// one by one make two exchanges per direction.
 func TestAsyncAutoExchangePinsConcrete(t *testing.T) {
 	const n, p = 16, 4
-	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		tr := NewAsyncSlabReal(c, n, Options{NP: 2, Granularity: PerPencil, Exchange: exchange.Auto})
+	if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+		tr := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 2, Granularity: pfft.PerPencil, Exchange: exchange.Auto})
 		defer tr.Close()
 		st := tr.Strategy()
 		if st == exchange.Auto || st == exchange.AT {
 			panic(fmt.Sprintf("auto pinned %v", st))
 		}
-		if tr.gran != PerPencil || tr.NP() != 2 {
-			panic(fmt.Sprintf("auto changed the engine: gran=%v np=%d", tr.gran, tr.NP()))
+		calls := c.Metrics().CounterRank("exchange.calls", c.Rank())
+		before := calls.Value()
+		four := make([]complex128, tr.FourierLen())
+		phys := make([]float64, tr.PhysicalLen())
+		tr.PhysicalToFourier(four, phys)
+		tr.FourierToPhysical(phys, four)
+		if got := calls.Value() - before; got != 4 || tr.NP() != 2 {
+			panic(fmt.Sprintf("auto changed the engine: %d exchanges per pair, np=%d", got, tr.NP()))
 		}
 		codes := make([]float64, p)
 		mpi.Allgather(c, []float64{st.Code()}, codes)
@@ -83,16 +91,16 @@ func TestAsyncTunedWarmCacheSkipsTrials(t *testing.T) {
 	reg.SetOn(true)
 	if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
 		cfg := tuning.Config{Cache: tuning.Open(dir)}
-		opt := Options{NP: 2, Granularity: PerSlab}
+		opt := pfft.Options{NP: 2, Granularity: pfft.PerSlab}
 		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
 
-		cold := NewAsyncSlabRealTuned(c, n, opt, cfg)
+		cold := pfft.NewAsyncSlabRealTuned(c, n, opt, cfg)
 		after := trials.Value()
 		if after == 0 {
 			panic(fmt.Sprintf("rank %d: cold async tuning ran no trials", c.Rank()))
 		}
 
-		warm := NewAsyncSlabRealTuned(c, n, opt, cfg)
+		warm := pfft.NewAsyncSlabRealTuned(c, n, opt, cfg)
 		if got := trials.Value(); got != after {
 			panic(fmt.Sprintf("rank %d: warm async tuning ran %d trial exchanges, want 0", c.Rank(), got-after))
 		}
@@ -127,45 +135,10 @@ func TestAsyncTunedWarmCacheSkipsTrials(t *testing.T) {
 func TestAsyncTunedRejectsAT(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewAsyncSlabRealTuned accepted the AT exchange")
+			t.Fatal("pfft.NewAsyncSlabRealTuned accepted the AT exchange")
 		}
 	}()
 	mpi.Run(1, func(c *mpi.Comm) {
-		NewAsyncSlabRealTuned(c, 8, Options{NP: 1, Exchange: exchange.AT}, tuning.Config{})
+		pfft.NewAsyncSlabRealTuned(c, 8, pfft.Options{NP: 1, Exchange: exchange.AT}, tuning.Config{})
 	})
-}
-
-// The unit stages carry staged pack and recv blocks only when the
-// engine pins Staged, the one strategy that exchanges through them —
-// plain, f32-wire and tuned engines alike (the tuner builds its winner
-// from the point, not from a Staged trial engine).
-func TestAsyncRecvOnlyUnderStaged(t *testing.T) {
-	const n, p = 16, 2
-	chunked := tuning.Config{Space: tuning.Space{Strategies: []exchange.Strategy{exchange.ChunkedFused}}}
-	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		for _, tc := range []struct {
-			name   string
-			build  func() *AsyncSlabReal
-			blocks bool
-		}{
-			{"staged", func() *AsyncSlabReal { return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Staged}) }, true},
-			{"staged f32", func() *AsyncSlabReal {
-				return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Staged, SingleComm: true})
-			}, true},
-			{"chunked", func() *AsyncSlabReal { return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.ChunkedFused}) }, false},
-			{"fused f32", func() *AsyncSlabReal {
-				return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Fused, SingleComm: true})
-			}, false},
-			{"tuned chunked", func() *AsyncSlabReal { return NewAsyncSlabRealTuned(c, n, Options{NP: 2}, chunked) }, false},
-		} {
-			a := tc.build()
-			blocks := holdsStagingBlocks(a)
-			a.Close()
-			if blocks != tc.blocks {
-				panic(fmt.Sprintf("%s engine (pins %s): staged blocks held %v, want %v", tc.name, a.Strategy(), blocks, tc.blocks))
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
 }

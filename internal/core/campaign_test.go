@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 	"repro/internal/spectral"
 )
 
@@ -21,7 +22,7 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 	dir := t.TempDir()
 	mpi.Run(2, func(c *mpi.Comm) {
 		// Stage 1: develop at low resolution on the async pipeline.
-		trSmall := NewAsyncSlabReal(c, 16, Options{NP: 3, Granularity: PerPencil, SingleComm: true})
+		trSmall := pfft.NewAsyncSlabReal(c, 16, pfft.Options{NP: 3, Granularity: pfft.PerPencil, SingleComm: true})
 		defer trSmall.Close()
 		opts := func(extra ...spectral.Option) []spectral.Option {
 			return append([]spectral.Option{spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2),
@@ -55,7 +56,7 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		}
 
 		// Stage 3: regrid to the production resolution.
-		trBig := NewAsyncSlabReal(c, 32, Options{NP: 4, Granularity: PerSlab})
+		trBig := pfft.NewAsyncSlabReal(c, 32, pfft.Options{NP: 4, Granularity: pfft.PerSlab})
 		defer trBig.Close()
 		scalar, grad := spectral.WithScalars(1), spectral.WithScalarGradient(1)
 		s3 := spectral.New(c, 32, opts(scalar, grad, spectral.WithTransform(trBig))...)

@@ -10,17 +10,18 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 )
 
 // transformOnce runs one PhysicalToFourier through the async engine on
 // every rank and stores each rank's spectrum into out[rank]. The input
 // field is a fixed per-rank pseudo-random pattern so two runs are
 // comparable element by element.
-func transformOnce(t *testing.T, n, p int, opt Options, out [][]complex128, runOpts ...mpi.RunOption) {
+func transformOnce(t *testing.T, n, p int, opt pfft.Options, out [][]complex128, runOpts ...mpi.RunOption) {
 	t.Helper()
 	var mu sync.Mutex
 	err := mpi.TryRun(p, func(c *mpi.Comm) {
-		a := NewAsyncSlabReal(c, n, opt)
+		a := pfft.NewAsyncSlabReal(c, n, opt)
 		defer a.Close()
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 17))
 		phys := make([]float64, a.PhysicalLen())
@@ -51,8 +52,8 @@ func TestTransformBitwiseCorrectUnderDelays(t *testing.T) {
 		Scope: mpi.ScopeColl, Delay: 2 * time.Millisecond,
 	}
 	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
-		for _, gran := range []Granularity{PerPencil, PerSlab} {
-			opt := Options{NP: 3, Granularity: gran, Exchange: st}
+		for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
+			opt := pfft.Options{NP: 3, Granularity: gran, Exchange: st}
 			clean := make([][]complex128, p)
 			transformOnce(t, n, p, opt, clean)
 			faulty := make([][]complex128, p)
@@ -91,7 +92,7 @@ func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	stall := func(st exchange.Strategy) (*mpi.StallError, error) {
 		start := time.Now()
 		err := mpi.TryRun(p, func(c *mpi.Comm) {
-			a := NewAsyncSlabReal(c, n, Options{NP: 3, Granularity: PerPencil, Exchange: st})
+			a := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerPencil, Exchange: st})
 			defer a.Close()
 			phys := make([]float64, a.PhysicalLen())
 			four := make([]complex128, a.FourierLen())

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 	"repro/internal/spectral"
 )
 
@@ -25,11 +26,11 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 	var mu sync.Mutex
 	results := map[string]result{}
 
-	run := func(label string, gran Granularity, useAsync bool) {
+	run := func(label string, gran pfft.Granularity, useAsync bool) {
 		mpi.Run(p, func(c *mpi.Comm) {
 			opts := []spectral.Option{spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2), spectral.WithDealias(spectral.Dealias23)}
 			if useAsync {
-				tr := NewAsyncSlabReal(c, n, Options{NP: 4, Granularity: gran})
+				tr := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: gran})
 				defer tr.Close()
 				opts = append(opts, spectral.WithTransform(tr))
 			}
@@ -48,9 +49,9 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 			}
 		})
 	}
-	run("sync", PerSlab, false)
-	run("async-pencil", PerPencil, true)
-	run("async-slab", PerSlab, true)
+	run("sync", pfft.PerSlab, false)
+	run("async-pencil", pfft.PerPencil, true)
+	run("async-slab", pfft.PerSlab, true)
 
 	ref := results["sync"]
 	for _, label := range []string{"async-pencil", "async-slab"} {
@@ -75,15 +76,15 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 func TestParseEnumsRejectUnknown(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
-		want Granularity
+		want pfft.Granularity
 		ok   bool
-	}{{"pencil", PerPencil, true}, {"slab", PerSlab, true}, {"pencils", 0, false}, {"", 0, false}} {
-		got, err := ParseGranularity(tc.in)
+	}{{"pencil", pfft.PerPencil, true}, {"slab", pfft.PerSlab, true}, {"pencils", 0, false}, {"", 0, false}} {
+		got, err := pfft.ParseGranularity(tc.in)
 		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseGranularity(%q) = %v, %v", tc.in, got, err)
+			t.Errorf("pfft.ParseGranularity(%q) = %v, %v", tc.in, got, err)
 		}
 		if err != nil && !strings.Contains(err.Error(), "pencil or slab") {
-			t.Errorf("ParseGranularity(%q) error does not list the accepted values: %v", tc.in, err)
+			t.Errorf("pfft.ParseGranularity(%q) error does not list the accepted values: %v", tc.in, err)
 		}
 	}
 	for _, tc := range []struct {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 )
 
 // The fused and chunked-fused exchanges must be bitwise identical to
@@ -17,16 +18,16 @@ import (
 // have moved, so not a single bit may differ.
 func TestAsyncExchangeStrategiesBitwiseIdentity(t *testing.T) {
 	const n, p = 16, 4
-	for _, gran := range []Granularity{PerPencil, PerSlab} {
+	for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 		gran := gran
 		name := "perpencil"
-		if gran == PerSlab {
+		if gran == pfft.PerSlab {
 			name = "perslab"
 		}
 		t.Run(name, func(t *testing.T) {
 			if err := mpi.TryRun(p, func(c *mpi.Comm) {
-				mk := func(st exchange.Strategy) *AsyncSlabReal {
-					return NewAsyncSlabReal(c, n, Options{
+				mk := func(st exchange.Strategy) *pfft.SlabReal {
+					return pfft.NewAsyncSlabReal(c, n, pfft.Options{
 						NP: 3, Granularity: gran, Workers: 2, Exchange: st,
 					})
 				}
@@ -79,9 +80,9 @@ func TestAsyncExchangeStrategiesBitwiseIdentity(t *testing.T) {
 func TestAsyncExchangeFusedSingleCommIdentity(t *testing.T) {
 	const n, p = 16, 2
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		mk := func(st exchange.Strategy) *AsyncSlabReal {
-			return NewAsyncSlabReal(c, n, Options{
-				NP: 3, Granularity: PerPencil, SingleComm: true, Exchange: st,
+		mk := func(st exchange.Strategy) *pfft.SlabReal {
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{
+				NP: 3, Granularity: pfft.PerPencil, SingleComm: true, Exchange: st,
 			})
 		}
 		ref := mk(exchange.Staged)
@@ -116,7 +117,7 @@ func TestAsyncExchangeFusedSingleCommIdentity(t *testing.T) {
 func TestAsyncAutotuneAgreesAcrossRanks(t *testing.T) {
 	const n, p = 16, 4
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		a := NewAsyncSlabReal(c, n, Options{NP: 3, Granularity: PerSlab})
+		a := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerSlab})
 		defer a.Close()
 		st := a.Strategy()
 		if st == exchange.Auto {
@@ -135,19 +136,21 @@ func TestAsyncAutotuneAgreesAcrossRanks(t *testing.T) {
 	}
 }
 
-// A staged exchange moves the band's compact blocks: per direction,
-// every unit's exchange charges exchange.bytes (P−1)·w·My·KB elements
-// at the wire precision — w the unit's planes (none for a group past
-// N/P), KB the band's x width. pfft's TestStagedChargesBandBlocks pins
-// the same count on the slab engine, whose one unit is the whole slab.
+// A staged exchange of the batched pipeline charges the band's compact
+// blocks, as its exported counter shows: per direction, every unit's
+// exchange charges exchange.bytes (P−1)·w·My·KB elements at the wire
+// precision — w the unit's planes (none for a group past N/P), KB the
+// band's x width — not whole w·My·Nxh blocks, at two devices and two
+// workers. pfft's same-named test pins the count at one device, the
+// slab (np = 1) included.
 func TestStagedChargesBandBlocks(t *testing.T) {
 	const n = 16
 	for _, p := range []int{1, 2, 4} {
-		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+		for _, kmax := range []int{-1, 1, grid.DealiasKmax(n)} {
 			for _, np := range []int{3, 5} {
-				for _, gran := range []Granularity{PerPencil, PerSlab} {
+				for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 					for _, single := range []bool{false, true} {
-						opt := Options{NP: np, Granularity: gran, Exchange: exchange.Staged, SingleComm: single}
+						opt := pfft.Options{NP: np, Granularity: gran, NGPU: 2, Workers: 2, Exchange: exchange.Staged, SingleComm: single}
 						if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
 							checkStagedBytes(c, n, kmax, opt)
 						}); err != nil {
@@ -161,8 +164,8 @@ func TestStagedChargesBandBlocks(t *testing.T) {
 }
 
 // checkStagedBytes is one rank of TestStagedChargesBandBlocks.
-func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
-	a := NewAsyncSlabReal(c, n, opt)
+func checkStagedBytes(c *mpi.Comm, n, kmax int, opt pfft.Options) {
+	a := pfft.NewAsyncSlabReal(c, n, opt)
 	defer a.Close()
 	a.Truncate(kmax)
 	p, my := c.Size(), n/c.Size()
@@ -170,13 +173,9 @@ func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
 	if opt.SingleComm {
 		elem = 8
 	}
-	units := splitRange(my, opt.NP)
-	if opt.Granularity == PerSlab {
-		units = []span{{0, my}}
-	}
 	want := int64(0)
-	for _, u := range units {
-		want += int64((p-1)*u.width()*my) * kb * elem
+	for _, u := range exchangeUnits(my, opt) {
+		want += int64((p-1)*(u[1]-u[0])*my) * kb * elem
 	}
 	ctr := c.Metrics().CounterRank("exchange.bytes", c.Rank())
 	four := make([]complex128, a.FourierLen())

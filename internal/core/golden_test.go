@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/exchange"
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 )
 
 // engineGoldens pins the bits of a seeded PhysicalToFourier followed by
@@ -38,12 +39,12 @@ var engineGoldens = []struct {
 }
 
 // engineHash runs the seeded pair on every rank and hashes the outputs.
-func engineHash(t *testing.T, n, p int, opt Options) string {
+func engineHash(t *testing.T, n, p int, opt pfft.Options) string {
 	t.Helper()
 	four := make([][]complex128, p)
 	phys := make([][]float64, p)
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		a := NewAsyncSlabReal(c, n, opt)
+		a := pfft.NewAsyncSlabReal(c, n, opt)
 		defer a.Close()
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 2019))
 		in := make([]float64, a.PhysicalLen())
@@ -85,10 +86,10 @@ func TestEngineGoldenHashes(t *testing.T) {
 				want = g.single
 			}
 			for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
-				for _, gran := range []Granularity{PerPencil, PerSlab} {
+				for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 					for _, workers := range []int{1, 2} {
 						name := fmt.Sprintf("n%d_np%d_ngpu%d_single%v_%s_gran%d_w%d", g.n, g.np, g.ngpu, single, st, gran, workers)
-						got := engineHash(t, g.n, g.p, Options{
+						got := engineHash(t, g.n, g.p, pfft.Options{
 							NP: g.np, NGPU: g.ngpu, Granularity: gran, Workers: workers,
 							SingleComm: single, Exchange: st,
 						})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/hw"
+	"repro/internal/pfft"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 )
@@ -21,7 +22,7 @@ type PerfConfig struct {
 	Nodes int
 	TPN   int // MPI ranks per node (6 = cfg A, 2 = cfg B/C)
 	NP    int // pencils per slab
-	Gran  Granularity
+	Gran  pfft.Granularity
 
 	// NV is the number of variables moved per transpose group and
 	// Groups the number of transpose groups per RK2 step. The DNS
@@ -47,7 +48,7 @@ type PerfConfig struct {
 
 // DefaultPerf returns the calibrated configuration for one of the
 // paper's standard cases. tpn is 6 (cfg A) or 2 (cfg B/C).
-func DefaultPerf(n, nodes, tpn int, gran Granularity) PerfConfig {
+func DefaultPerf(n, nodes, tpn int, gran pfft.Granularity) PerfConfig {
 	m := hw.Summit()
 	return PerfConfig{
 		Machine:    m,
@@ -95,7 +96,7 @@ func (c PerfConfig) gpuRate() float64 {
 // p2pBytes is the point-to-point message size of one exchange at the
 // configured granularity.
 func (c PerfConfig) p2pBytes() float64 {
-	if c.Gran == PerSlab {
+	if c.Gran == pfft.PerSlab {
 		return simnet.P2PSlab(c.N, c.ranks(), c.NV)
 	}
 	return simnet.P2PPencil(c.N, c.ranks(), c.NV, c.NP)
@@ -120,12 +121,12 @@ const (
 // granularity, with the §5.2 adjustments for overlapped exchanges.
 func (c PerfConfig) a2aTime() float64 {
 	p2p := c.p2pBytes()
-	if c.Gran == PerPencil && c.TPN >= 6 {
+	if c.Gran == pfft.PerPencil && c.TPN >= 6 {
 		bw := overlap6Sat * p2p / (p2p + overlap6Half)
 		return 2 * p2p * float64(c.ranks()) * float64(c.TPN) / bw
 	}
 	t := c.Net.Time(p2p, c.ranks(), c.TPN, c.Nodes)
-	if c.Gran == PerPencil && p2p < contentionThreshold && c.Contention > 0 {
+	if c.Gran == pfft.PerPencil && p2p < contentionThreshold && c.Contention > 0 {
 		t /= c.Contention
 	}
 	return t
@@ -166,11 +167,11 @@ func SimulateGPUStep(c PerfConfig) StepResult {
 			prevComp = comp
 			d2h := sim.NewTask(fmt.Sprintf("g%d r1 pack:%d", g, ip), "d2h", xfer, packT, comp)
 			d2hs = append(d2hs, d2h)
-			if c.Gran == PerPencil {
+			if c.Gran == pfft.PerPencil {
 				a2as = append(a2as, sim.NewTask(fmt.Sprintf("g%d a2a:%d", g, ip), "a2a", net, c.a2aTime(), d2h))
 			}
 		}
-		if c.Gran == PerSlab {
+		if c.Gran == pfft.PerSlab {
 			a2as = append(a2as, sim.NewTask(fmt.Sprintf("g%d a2a", g), "a2a", net, c.a2aTime(), d2hs...))
 		}
 		// MPI_WAIT + zero-copy unpack gate region 2.
@@ -209,7 +210,7 @@ func SimulateMPIOnly(c PerfConfig) StepResult {
 	var prev *sched.Task
 	for g := 0; g < c.Groups; g++ {
 		nmsg := 1
-		if c.Gran == PerPencil {
+		if c.Gran == pfft.PerPencil {
 			nmsg = c.NP
 		}
 		for i := 0; i < nmsg; i++ {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pfft"
 	"repro/internal/trace"
 )
 
@@ -206,7 +207,7 @@ func TestFig10TimelinesRender(t *testing.T) {
 func TestFig10MPIDominatesRuntime(t *testing.T) {
 	// §5.2: "the MPI time is immediately seen to be the major user of
 	// runtime" at 12288³ on 1024 nodes for the 2-task configurations.
-	for _, gran := range []Granularity{PerPencil, PerSlab} {
+	for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 		res := SimulateGPUStep(DefaultPerf(12288, 1024, 2, gran))
 		if share := MPITimeShare(res); share < 0.5 {
 			t.Errorf("gran %d: MPI share %.0f%% not dominant", gran, share*100)
@@ -217,8 +218,8 @@ func TestFig10MPIDominatesRuntime(t *testing.T) {
 func TestFig10SlabTransposesFasterThanPencil(t *testing.T) {
 	// §5.2: "the same amount of data can be transposed faster when
 	// processed as one, larger, message" (timeline 3 vs timeline 2).
-	b := SimulateGPUStep(DefaultPerf(12288, 1024, 2, PerPencil))
-	c := SimulateGPUStep(DefaultPerf(12288, 1024, 2, PerSlab))
+	b := SimulateGPUStep(DefaultPerf(12288, 1024, 2, pfft.PerPencil))
+	c := SimulateGPUStep(DefaultPerf(12288, 1024, 2, pfft.PerSlab))
 	if ClassTime(c.Spans, "a2a") >= ClassTime(b.Spans, "a2a") {
 		t.Errorf("slab a2a %.2fs not faster than pencil a2a %.2fs",
 			ClassTime(c.Spans, "a2a"), ClassTime(b.Spans, "a2a"))
@@ -228,8 +229,8 @@ func TestFig10SlabTransposesFasterThanPencil(t *testing.T) {
 func TestFig10SixTaskPackingSlower(t *testing.T) {
 	// §5.2: the 6 tasks/node case spends longer in the D2H packing
 	// cudaMemcpy2DAsync section because the call count triples.
-	a := SimulateGPUStep(DefaultPerf(12288, 1024, 6, PerPencil))
-	b := SimulateGPUStep(DefaultPerf(12288, 1024, 2, PerPencil))
+	a := SimulateGPUStep(DefaultPerf(12288, 1024, 6, pfft.PerPencil))
+	b := SimulateGPUStep(DefaultPerf(12288, 1024, 2, pfft.PerPencil))
 	// Per-node packing time: config A's per-rank d2h×6 vs B's ×2.
 	packA := ClassTime(a.Spans, "d2h") * 6
 	packB := ClassTime(b.Spans, "d2h") * 2
@@ -254,7 +255,7 @@ func TestStrongScaling18432Direction(t *testing.T) {
 func TestMPIOnlyMatchesEq3Arithmetic(t *testing.T) {
 	// The MPI-only simulation of config C must equal Groups × the Eq 3
 	// exchange time exactly (no other tasks).
-	c := DefaultPerf(3072, 16, 2, PerSlab)
+	c := DefaultPerf(3072, 16, 2, pfft.PerSlab)
 	res := SimulateMPIOnly(c)
 	want := float64(c.Groups) * c.Net.Time(c.p2pBytes(), c.ranks(), c.TPN, c.Nodes)
 	if math.Abs(res.Time-want) > 1e-9 {

@@ -19,10 +19,10 @@ func TestSingleCommAccuracy(t *testing.T) {
 	// The single-precision wire format must agree with the float64
 	// reference to single-precision rounding (~1e-6 relative).
 	n, p := 16, 2
-	for _, gran := range []Granularity{PerPencil, PerSlab} {
+	for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			ref := pfft.NewSlabReal(c, n)
-			sgl := NewAsyncSlabReal(c, n, Options{NP: 4, Granularity: gran, SingleComm: true})
+			sgl := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: gran, SingleComm: true})
 			defer sgl.Close()
 
 			rng := rand.New(rand.NewSource(int64(c.Rank()) + 7))
@@ -54,7 +54,7 @@ func TestSingleCommAccuracy(t *testing.T) {
 
 func TestSingleCommRoundTripStable(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
-		a := NewAsyncSlabReal(c, 8, Options{NP: 3, Granularity: PerPencil, SingleComm: true})
+		a := pfft.NewAsyncSlabReal(c, 8, pfft.Options{NP: 3, Granularity: pfft.PerPencil, SingleComm: true})
 		defer a.Close()
 		rng := rand.New(rand.NewSource(3))
 		phys := make([]float64, a.PhysicalLen())
@@ -82,7 +82,7 @@ func TestSingleCommDNSRunsStably(t *testing.T) {
 	// The full solver on the single-precision wire stays stable and
 	// divergence-free to communication precision.
 	mpi.Run(2, func(c *mpi.Comm) {
-		tr := NewAsyncSlabReal(c, 16, Options{NP: 3, Granularity: PerSlab, SingleComm: true})
+		tr := pfft.NewAsyncSlabReal(c, 16, pfft.Options{NP: 3, Granularity: pfft.PerSlab, SingleComm: true})
 		defer tr.Close()
 		s := spectral.New(c, 16, spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2),
 			spectral.WithDealias(spectral.Dealias23), spectral.WithTransform(tr))
@@ -110,7 +110,7 @@ func TestSingleCommHalvesWireBytes(t *testing.T) {
 		for i, single := range []bool{false, true} {
 			reg := metrics.NewRegistry()
 			if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
-				a := NewAsyncSlabReal(c, n, Options{NP: 3, Exchange: st, SingleComm: single})
+				a := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Exchange: st, SingleComm: single})
 				defer a.Close()
 				four := make([]complex128, a.FourierLen())
 				phys := make([]float64, a.PhysicalLen())
@@ -131,11 +131,12 @@ func TestSingleCommHalvesWireBytes(t *testing.T) {
 	}
 }
 
-// The batched engine's single-precision wire is the slab engine's: the
-// same narrow and widen bodies (pfft.Passes) around the same slab
-// kernels, so AsyncSlabReal{SingleComm} and pfft.NewSlabRealSingle
-// agree bit for bit through a forward+inverse pair — staged and
-// chunked, at the full and the 2/3 band, on 1, 2 and 4 ranks.
+// The batched pipeline's single-precision wire is the slab's: one
+// engine, the same narrow and widen bodies (pfft.Passes) around the
+// same slab kernels, so pfft.Options{NP: 3, SingleComm} and
+// pfft.NewSlabRealSingle (np 1) agree bit for bit through a
+// forward+inverse pair — staged and chunked, at the full and the 2/3
+// band, on 1, 2 and 4 ranks.
 func TestSingleCommMatchesSlabSingle(t *testing.T) {
 	const n = 16
 	for _, p := range []int{1, 2, 4} {
@@ -144,7 +145,7 @@ func TestSingleCommMatchesSlabSingle(t *testing.T) {
 				if err := mpi.TryRun(p, func(c *mpi.Comm) {
 					ref := pfft.NewSlabRealSingle(c, n, 1)
 					defer ref.Close()
-					a := NewAsyncSlabReal(c, n, Options{NP: 3, Exchange: st, SingleComm: true})
+					a := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Exchange: st, SingleComm: true})
 					defer a.Close()
 					ref.Truncate(kmax)
 					a.Truncate(kmax)
@@ -175,4 +176,9 @@ func TestSingleCommMatchesSlabSingle(t *testing.T) {
 			}
 		}
 	}
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }

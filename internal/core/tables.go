@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/pfft"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -31,9 +32,9 @@ func Table3() []Table3Row {
 	rows := make([]Table3Row, 0, len(standardCases))
 	for _, cse := range standardCases {
 		cpu := SimulateCPUStep(DefaultCPUPerf(cse.N, cse.Nodes)).Time
-		a := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 6, PerPencil)).Time
-		b := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, PerPencil)).Time
-		cc := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, PerSlab)).Time
+		a := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 6, pfft.PerPencil)).Time
+		b := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, pfft.PerPencil)).Time
+		cc := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, pfft.PerSlab)).Time
 		rows = append(rows, Table3Row{
 			Nodes: cse.Nodes, N: cse.N,
 			CPU: cpu, A: a, B: b, C: cc,
@@ -60,9 +61,9 @@ func Table4() []Table4Row {
 	var t1 float64
 	var n1, m1 int
 	for i, cse := range standardCases {
-		b := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, PerPencil))
-		c := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, PerSlab))
-		np := DefaultPerf(cse.N, cse.Nodes, 2, PerSlab).NP
+		b := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, pfft.PerPencil))
+		c := SimulateGPUStep(DefaultPerf(cse.N, cse.Nodes, 2, pfft.PerSlab))
+		np := DefaultPerf(cse.N, cse.Nodes, 2, pfft.PerSlab).NP
 		best, pencils := c.Time, np
 		if b.Time < c.Time {
 			best, pencils = b.Time, 1
@@ -108,16 +109,16 @@ func Fig9() []Fig9Series {
 	}
 	return []Fig9Series{
 		mk("6 tasks/node, 1 pencil/A2A", func(n, nodes int) float64 {
-			return SimulateGPUStep(DefaultPerf(n, nodes, 6, PerPencil)).Time
+			return SimulateGPUStep(DefaultPerf(n, nodes, 6, pfft.PerPencil)).Time
 		}),
 		mk("2 tasks/node, 1 pencil/A2A", func(n, nodes int) float64 {
-			return SimulateGPUStep(DefaultPerf(n, nodes, 2, PerPencil)).Time
+			return SimulateGPUStep(DefaultPerf(n, nodes, 2, pfft.PerPencil)).Time
 		}),
 		mk("2 tasks/node, 1 slab/A2A", func(n, nodes int) float64 {
-			return SimulateGPUStep(DefaultPerf(n, nodes, 2, PerSlab)).Time
+			return SimulateGPUStep(DefaultPerf(n, nodes, 2, pfft.PerSlab)).Time
 		}),
 		mk("MPI only (no compute)", func(n, nodes int) float64 {
-			return SimulateMPIOnly(DefaultPerf(n, nodes, 2, PerSlab)).Time
+			return SimulateMPIOnly(DefaultPerf(n, nodes, 2, pfft.PerSlab)).Time
 		}),
 	}
 }
@@ -132,10 +133,10 @@ func Fig10() []trace.Timeline {
 		title string
 		res   StepResult
 	}{
-		{"MPI only (2 tasks/node, pencil granularity)", SimulateMPIOnly(DefaultPerf(n, nodes, 2, PerPencil))},
-		{"DNS, 2 tasks/node, 1 pencil/A2A (cfg B)", SimulateGPUStep(DefaultPerf(n, nodes, 2, PerPencil))},
-		{"DNS, 2 tasks/node, 1 slab/A2A (cfg C)", SimulateGPUStep(DefaultPerf(n, nodes, 2, PerSlab))},
-		{"DNS, 6 tasks/node, 1 pencil/A2A (cfg A)", SimulateGPUStep(DefaultPerf(n, nodes, 6, PerPencil))},
+		{"MPI only (2 tasks/node, pencil granularity)", SimulateMPIOnly(DefaultPerf(n, nodes, 2, pfft.PerPencil))},
+		{"DNS, 2 tasks/node, 1 pencil/A2A (cfg B)", SimulateGPUStep(DefaultPerf(n, nodes, 2, pfft.PerPencil))},
+		{"DNS, 2 tasks/node, 1 slab/A2A (cfg C)", SimulateGPUStep(DefaultPerf(n, nodes, 2, pfft.PerSlab))},
+		{"DNS, 6 tasks/node, 1 pencil/A2A (cfg A)", SimulateGPUStep(DefaultPerf(n, nodes, 6, pfft.PerPencil))},
 	}
 	out := make([]trace.Timeline, 0, len(cases))
 	for _, c := range cases {
@@ -149,8 +150,8 @@ func Fig10() []trace.Timeline {
 // the strong-scaling percentage 100·t(3072)·2/t(1536)⁻¹… i.e.
 // 100·(t1536/(2·t3072))⁻¹ as the paper reports ≈95.7%.
 func StrongScaling18432() (t1536, t3072, pct float64) {
-	t1536 = SimulateGPUStep(DefaultPerf(18432, 1536, 6, PerPencil)).Time
-	t3072 = SimulateGPUStep(DefaultPerf(18432, 3072, 6, PerPencil)).Time
+	t1536 = SimulateGPUStep(DefaultPerf(18432, 1536, 6, pfft.PerPencil)).Time
+	t3072 = SimulateGPUStep(DefaultPerf(18432, 3072, 6, pfft.PerPencil)).Time
 	pct = 100 * t1536 / (2 * t3072)
 	return t1536, t3072, pct
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/pfft"
 	"repro/internal/simnet"
 )
 
@@ -12,7 +13,7 @@ func TestFasterGPUsApproachButCannotBeatMPIOnly(t *testing.T) {
 	// Fig 9's argument: "Faster GPUs or optimization to the GPU kernels
 	// alone can at best approach the performance of the dotted green
 	// line."
-	base := DefaultPerf(18432, 3072, 2, PerSlab)
+	base := DefaultPerf(18432, 3072, 2, pfft.PerSlab)
 	mpiOnly := SimulateMPIOnly(base).Time
 	cfg := base
 	cfg.Machine = cfg.Machine.WithGPUScale(100).WithTransferScale(100)
@@ -33,7 +34,7 @@ func TestFasterGPUsApproachButCannotBeatMPIOnly(t *testing.T) {
 func TestFasterNetworkIsTheRealLever(t *testing.T) {
 	// §6: further gains depend on all-to-all improvements. A 2× network
 	// must cut the 18432³ step time far more than a 2× GPU.
-	base := DefaultPerf(18432, 3072, 2, PerSlab)
+	base := DefaultPerf(18432, 3072, 2, pfft.PerSlab)
 	baseTime := SimulateGPUStep(base).Time
 
 	gpu2 := base
@@ -58,7 +59,7 @@ func scaledNet(f float64) *simnet.A2AModel {
 func TestHostMemoryGatesTheProblemSize(t *testing.T) {
 	// §3.1's dense-node premise: halve the DDR and 18432³ no longer
 	// fits on 3072 nodes.
-	m := DefaultPerf(18432, 3072, 2, PerSlab).Machine
+	m := DefaultPerf(18432, 3072, 2, pfft.PerSlab).Machine
 	if err := m.CheckFit(18432, 3072, 4); err != nil {
 		t.Fatalf("baseline should fit: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/pfft"
 )
 
 // Worker-team parallelism inside the async engine must be bitwise
@@ -17,12 +18,12 @@ func TestAsyncWorkersBitwiseIdentity(t *testing.T) {
 	const n, p = 16, 2
 	configs := []struct {
 		name string
-		opt  Options
+		opt  pfft.Options
 	}{
-		{"per-pencil", Options{NP: 3, Granularity: PerPencil}},
-		{"per-slab", Options{NP: 3, Granularity: PerSlab}},
-		{"per-slab-single", Options{NP: 3, Granularity: PerSlab, SingleComm: true}},
-		{"per-pencil-2gpu", Options{NP: 3, Granularity: PerPencil, NGPU: 2}},
+		{"per-pencil", pfft.Options{NP: 3, Granularity: pfft.PerPencil}},
+		{"per-slab", pfft.Options{NP: 3, Granularity: pfft.PerSlab}},
+		{"per-slab-single", pfft.Options{NP: 3, Granularity: pfft.PerSlab, SingleComm: true}},
+		{"per-pencil-2gpu", pfft.Options{NP: 3, Granularity: pfft.PerPencil, NGPU: 2}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -30,7 +31,7 @@ func TestAsyncWorkersBitwiseIdentity(t *testing.T) {
 			mpi.Run(p, func(c *mpi.Comm) {
 				refOpt := cfg.opt
 				refOpt.Workers = 1
-				ref := NewAsyncSlabReal(c, n, refOpt)
+				ref := pfft.NewAsyncSlabReal(c, n, refOpt)
 				fl, pl := ref.FourierLen(), ref.PhysicalLen()
 
 				rng := rand.New(rand.NewSource(int64(500 + c.Rank())))
@@ -49,7 +50,7 @@ func TestAsyncWorkersBitwiseIdentity(t *testing.T) {
 				for _, w := range []int{1, 2, 4, 7} {
 					opt := cfg.opt
 					opt.Workers = w
-					eng := NewAsyncSlabReal(c, n, opt)
+					eng := pfft.NewAsyncSlabReal(c, n, opt)
 					four := make([]complex128, fl)
 					eng.PhysicalToFourier(four, physIn)
 					for i := range four {

@@ -151,7 +151,7 @@ type Bound struct {
 // mpi.ExchangePlans every strategy runs through, the
 // asynchrony-tolerant site label and staleness window, the phase
 // timers — and the single switch that executes a direction under a
-// strategy. Engines (pfft.Engine, core.AsyncSlabReal) are FFT passes
+// strategy. Engines (pfft.Engine, pfft.SlabReal) are FFT passes
 // and scheduling around stages.
 //
 // Plan ownership: a synchronous stage registers one ExchangePlan and

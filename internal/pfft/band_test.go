@@ -27,16 +27,52 @@ func sameBits(a, b complex128) bool {
 // one mode, the 2/3 rule, everything but the Nyquist planes, full.
 func bandKmaxes(n int) []int { return []int{0, 1, grid.DealiasKmax(n), n/2 - 1, n / 2} }
 
+// slabWith builds the one-column engine at the slab constructors'
+// options with pair pinned, on the single-precision wire if single.
+func slabWith(c *mpi.Comm, n, workers int, pair exchange.Pair, single bool) *SlabReal {
+	opt := slabOptions(workers)
+	opt.SingleComm = single
+	return newSlabReal(c, n, opt, pair)
+}
+
+// testLayout is e's local geometry as a pencil layout: the slab's is
+// the P×1 grid's, array for array.
+func testLayout(e Real) *transpose.PencilLayout {
+	if s, ok := e.(*SlabReal); ok {
+		return transpose.NewPencilLayout(s.n, s.comm.Size(), 1, s.comm.Rank(), 0)
+	}
+	return e.(*Engine).Layout()
+}
+
 // poisonEngine stores NaN over every element of the engine's own
-// buffers — X, B and the single-precision wire's narrowed slabs — none
-// of which a transform may read before writing.
-func poisonEngine(f *Engine) {
-	for _, buf := range [][]complex128{f.x, f.mid} {
+// buffers — the pencil grid's X and B; the slab engine's intermediate
+// slab, the single-precision wire's narrowed slabs and, under Staged,
+// its unit stages' staged blocks — none of which a transform may read
+// before writing. The blocks are the stages' own, so they are poisoned
+// the way a transform fills them: by a ZY exchange of the NaN mid (or
+// mid32), which packs NaN into every block the band uses and lands it
+// in the recv blocks and a scratch Fourier slab (four32 on the f32
+// wire, which stays NaN). Collective.
+func poisonEngine(e Real) {
+	var bufs [][]complex128
+	var bufs32 [][]complex64
+	switch f := e.(type) {
+	case *Engine:
+		bufs = [][]complex128{f.x, f.mid}
+	case *SlabReal:
+		bufs, bufs32 = [][]complex128{f.mid}, [][]complex64{f.four32, f.mid32}
+		defer func() {
+			if f.pair.ZY == exchange.Staged {
+				f.runTrial(exchange.ZY, exchange.Staged, make([]complex128, f.FourierLen()))
+			}
+		}()
+	}
+	for _, buf := range bufs {
 		for i := range buf {
 			buf[i] = cmplx.NaN()
 		}
 	}
-	for _, buf := range [][]complex64{f.four32, f.mid32} {
+	for _, buf := range bufs32 {
 		for i := range buf {
 			buf[i] = complex64(cmplx.NaN())
 		}
@@ -60,8 +96,9 @@ func poisonEngine(f *Engine) {
 // destination it should have written, or read what it should not, turns
 // the answer into NaN. Panics (inside a TryRun body) on the first
 // mismatch.
-func checkBandOracle(f *Engine, kmaxes []int, poison bool) {
-	n, l := f.n, f.Layout()
+func checkBandOracle(f Real, kmaxes []int, poison bool) {
+	l := testLayout(f)
+	n := l.N
 	phys0 := make([]float64, f.PhysicalLen())
 	for iy := 0; iy < l.My; iy++ {
 		for iz := 0; iz < l.Mz; iz++ {
@@ -130,39 +167,61 @@ func checkBandOracle(f *Engine, kmaxes []int, poison bool) {
 	}
 }
 
-// The band oracle for the synchronous engine, its buffers poisoned:
-// every valid Pr×Pc of P ∈ {1, 2, 4, 8} under every concrete strategy
-// and two team sizes — pencil ranks whose whole x span lies outside the
-// band (kb = 0) included — plus the single-precision wire and the
-// asynchrony-tolerant exchange at staleness 0 where they run (Pc = 1).
+// The band oracle on both engines, their buffers poisoned. The slab
+// and the pencil grids: every valid Pr×Pc of P ∈ {1, 2, 4, 8} under
+// every concrete strategy and two team sizes — pencil ranks whose whole
+// x span lies outside the band (kb = 0) included — plus the
+// single-precision wire and the asynchrony-tolerant exchange at
+// staleness 0 on the slab. The batched pipeline: pencil counts that
+// leave whole pencils outside the band (and, at two devices,
+// sub-pencils of width one), both granularities and wire precisions, a
+// staged and a zero-copy strategy.
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
+		run := func(p int, tag string, build func(c *mpi.Comm) Real) {
+			if err := mpi.TryRun(p, func(c *mpi.Comm) {
+				f := build(c)
+				defer f.Close()
+				checkBandOracle(f, bandKmaxes(n), true)
+			}); err != nil {
+				t.Fatalf("N=%d P=%d %s: %v", n, p, tag, err)
+			}
+		}
 		for _, p := range []int{1, 2, 4, 8} {
 			for _, d := range grids(n, p) {
-				run := func(tag string, build func(c *mpi.Comm) *Engine) {
-					if err := mpi.TryRun(p, func(c *mpi.Comm) {
-						f := build(c)
-						defer f.Close()
-						checkBandOracle(f, bandKmaxes(n), true)
-					}); err != nil {
-						t.Fatalf("N=%d %s %s: %v", n, d, tag, err)
-					}
-				}
 				for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
 					for _, workers := range []int{1, 3} {
-						run(fmt.Sprintf("%s workers=%d", st, workers), func(c *mpi.Comm) *Engine {
+						run(p, fmt.Sprintf("%s %s workers=%d", d, st, workers), func(c *mpi.Comm) Real {
+							if d.Pc == 1 {
+								return NewSlabRealStrategy(c, n, workers, st)
+							}
 							row, col := c.CartGrid(d.Pr, d.Pc)
 							return NewPencilReal(col, row, n, workers, exchange.Both(st))
 						})
 					}
 				}
-				if d.Pc == 1 {
-					run("f32 wire", func(c *mpi.Comm) *Engine {
-						return newEngine(c, nil, n, 2, exchange.Both(exchange.ChunkedFused), nil, true)
-					})
-					run("AT stale=0", func(c *mpi.Comm) *Engine {
-						return NewSlabRealAT(c, n, 2, 0, 2*time.Second)
-					})
+			}
+			if n%p != 0 {
+				continue
+			}
+			run(p, "slab f32 wire", func(c *mpi.Comm) Real {
+				return slabWith(c, n, 2, exchange.Both(exchange.ChunkedFused), true)
+			})
+			run(p, "slab AT stale=0", func(c *mpi.Comm) Real { return NewSlabRealAT(c, n, 2, 0, 2*time.Second) })
+		}
+		for _, p := range []int{1, 2, 4} {
+			for _, np := range []int{1, 3, 4, 5} {
+				for _, gran := range []Granularity{PerPencil, PerSlab} {
+					for _, ngpu := range []int{1, 2} {
+						for _, single := range []bool{false, true} {
+							st := exchange.ChunkedFused
+							if (np+ngpu)%2 == 0 {
+								st = exchange.Staged
+							}
+							opt := Options{NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st, Workers: 1 + np%2}
+							run(p, fmt.Sprintf("%+v", opt), func(c *mpi.Comm) Real { return NewAsyncSlabReal(c, n, opt) })
+						}
+					}
 				}
 			}
 		}
@@ -205,12 +264,14 @@ func FuzzTruncateBand(f *testing.F) {
 			wire = []string{"f64", "f32", "at"}[int(poison)>>1%3]
 		}
 		if err := mpi.TryRun(pr*pc, func(c *mpi.Comm) {
-			var e *Engine
-			switch wire {
-			case "f32":
-				e = newEngine(c, nil, n, workers, exchange.Both(st), nil, true)
-			case "at":
+			var e Real
+			switch {
+			case wire == "f32":
+				e = slabWith(c, n, workers, exchange.Both(st), true)
+			case wire == "at":
 				e = NewSlabRealAT(c, n, workers, 0, 2*time.Second)
+			case pc == 1:
+				e = NewSlabRealStrategy(c, n, workers, st)
 			default:
 				row, col := c.CartGrid(pr, pc)
 				e = NewPencilReal(col, row, n, workers, exchange.Both(st))
@@ -219,7 +280,7 @@ func FuzzTruncateBand(f *testing.F) {
 			checkBandOracle(e, []int{kmax}, poison&1 == 1)
 
 			e.Truncate(kmax)
-			l := e.Layout()
+			l := testLayout(e)
 			phys := make([]float64, e.PhysicalLen())
 			for i := range phys {
 				phys[i] = pencilField(n, i%n, l.YRank*l.My+i/n/l.Mz, l.ZRank*l.Mz+i/n%l.Mz)
@@ -384,12 +445,16 @@ func TestBandGatherMatchesFull(t *testing.T) {
 // slabs, as before the band reached the exchanges. On a one-column
 // grid the counter of every rank is checked, on a pencil grid (whose
 // sub-communicators share rank labels) the total.
+//
+// The batched pipeline's counts follow its plane groups (see
+// checkAsyncBytes), under pencil counts past N/P too, which leave empty
+// groups that are not exchanged.
 func TestExchangeBytesAreInBand(t *testing.T) {
 	type engine struct {
 		name   string
 		pr, pc int
 		elem   int64 // bytes per wire element
-		build  func(c *mpi.Comm, n int) *Engine
+		build  func(c *mpi.Comm, n int) Real
 	}
 	for _, n := range []int{12, 16, 48} {
 		for _, p := range []int{1, 2, 3, 4} {
@@ -397,18 +462,18 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 				continue
 			}
 			engines := []engine{
-				{"chunked", p, 1, 16, func(c *mpi.Comm, n int) *Engine {
+				{"chunked", p, 1, 16, func(c *mpi.Comm, n int) Real {
 					return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused)
 				}},
-				{"f32 fused", p, 1, 8, func(c *mpi.Comm, n int) *Engine {
-					return newEngine(c, nil, n, 1, exchange.Both(exchange.Fused), nil, true)
+				{"f32 fused", p, 1, 8, func(c *mpi.Comm, n int) Real {
+					return slabWith(c, n, 1, exchange.Both(exchange.Fused), true)
 				}},
-				{"at", p, 1, 16, func(c *mpi.Comm, n int) *Engine {
+				{"at", p, 1, 16, func(c *mpi.Comm, n int) Real {
 					return NewSlabRealAT(c, n, 1, 0, time.Second)
 				}},
 			}
 			if p == 4 {
-				engines = append(engines, engine{"2x2 chunked", 2, 2, 16, func(c *mpi.Comm, n int) *Engine {
+				engines = append(engines, engine{"2x2 chunked", 2, 2, 16, func(c *mpi.Comm, n int) Real {
 					row, col := c.CartGrid(2, 2)
 					return NewPencilReal(col, row, n, 1, exchange.Both(exchange.ChunkedFused))
 				}})
@@ -422,12 +487,32 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 			}
 		}
 	}
+	for _, n := range []int{12, 16} {
+		for _, p := range []int{1, 2, 4} {
+			for _, np := range []int{1, 3, 4, 5} {
+				for _, gran := range []Granularity{PerPencil, PerSlab} {
+					for _, single := range []bool{false, true} {
+						for _, st := range []exchange.Strategy{exchange.ChunkedFused, exchange.Staged} {
+							for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
+								opt := Options{NP: np, Granularity: gran, NGPU: 1 + (np+p)%2, SingleComm: single, Exchange: st}
+								if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+									checkAsyncBytes(c, n, kmax, opt)
+								}); err != nil {
+									t.Fatalf("N=%d P=%d kmax=%d %+v: %v", n, p, kmax, opt, err)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // checkExchangeBytes runs one inverse and one forward on a world of
 // pr·pc ranks and compares each one's exchange.bytes growth with the
 // band's count (see TestExchangeBytesAreInBand).
-func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm, n int) *Engine) error {
+func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm, n int) Real) error {
 	reg := metrics.NewRegistry()
 	var want [2]atomic.Int64 // per direction, summed over the grid
 	var got [2]int64
@@ -443,7 +528,7 @@ func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm,
 		f := build(c, n)
 		defer f.Close()
 		f.Truncate(kmax)
-		l, band := f.Layout(), grid.NewBand(n, kmax)
+		l, band := testLayout(f), grid.NewBand(n, kmax)
 		kb := int64(band.Width(l.XLo, l.XLo+l.Wc))
 		inPlanes := func(yg int) (k int64) {
 			for iz := 0; iz < l.Mz2; iz++ {
@@ -504,4 +589,100 @@ func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm,
 			}
 		}
 	})
+}
+
+// checkAsyncBytes is one rank of TestExchangeBytesAreInBand.
+func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
+	a := NewAsyncSlabReal(c, n, opt)
+	defer a.Close()
+	a.Truncate(kmax)
+	p, me, nxh, m := c.Size(), c.Rank(), n/2+1, n/c.Size()
+	elem := int64(16)
+	if opt.SingleComm {
+		elem = 8
+	}
+	band := grid.NewBand(n, kmax)
+	inPlanes := func(lo, hi int) (k int) {
+		for z := lo; z < hi; z++ {
+			if band.Has(z) {
+				k++
+			}
+		}
+		return k
+	}
+	mine, all, kb := inPlanes(me*m, (me+1)*m), inPlanes(0, n), int64(band.Width(0, nxh))
+	groups := splitRange(m, opt.NP)
+	units := groups
+	if opt.Granularity == PerSlab {
+		units = []span{{0, m}}
+	}
+	var want [2]int64
+	calls := int64(0)
+	for _, u := range units {
+		if u.width() > 0 {
+			calls++
+		}
+		theirs := 0
+		for s := 0; s < p; s++ {
+			if s != me {
+				theirs += inPlanes(s*m+u.lo, s*m+u.hi)
+			}
+		}
+		yz, zy := int64(theirs*m)*kb*elem, int64((p-1)*mine*u.width())*kb*elem
+		if size := int64(u.width() * n * nxh); kmax < 0 && (yz != (size-size/int64(p))*elem || zy != yz) {
+			panic(fmt.Sprintf("full band: unit %v charges %d/%d, the whole unit's share is %d", u, yz, zy, (size-size/int64(p))*elem))
+		}
+		if opt.Exchange == exchange.Staged {
+			yz = int64((p-1)*u.width()*m) * kb * elem
+			zy = yz
+		}
+		want[exchange.YZ] += yz
+		want[exchange.ZY] += zy
+	}
+	packs := opt.SingleComm
+	var xfer [2]int64
+	for d := range a.regT {
+		for i, cl := range a.regT[d].cells {
+			if !packs {
+				if cl.pack.Run != nil || cl.pack.Bytes != 0 {
+					panic(fmt.Sprintf("dir %d cell %d: a pack op on the f64 wire", d, i))
+				}
+				continue
+			}
+			sp := subRange(groups[i/opt.NGPU], i%opt.NGPU, opt.NGPU)
+			rows := int64(sp.width() * all) // ZY: every plane's in-band kz rows
+			if exchange.Dir(d) == exchange.YZ {
+				rows = int64(inPlanes(me*m+sp.lo, me*m+sp.hi) * n) // YZ: every row of the in-band planes
+			}
+			if kmax < 0 && rows*kb != int64(sp.width()*n*nxh) {
+				panic(fmt.Sprintf("full band: cell %d writes %d elements, its planes hold %d", i, rows*kb, sp.width()*n*nxh))
+			}
+			if cl.pack.Run == nil || cl.pack.Bytes != rows*kb*elem {
+				panic(fmt.Sprintf("dir %d cell %d: pack op charges %d bytes, writes %d", d, i, cl.pack.Bytes, rows*kb*elem))
+			}
+			xfer[d] += rows * kb * elem
+		}
+	}
+	reg := c.Metrics()
+	counters := []*metrics.Counter{
+		reg.CounterRank("exchange.calls", me), reg.CounterRank("exchange.bytes", me), reg.CounterRank("cuda.xfer.bytes", me),
+	}
+	four := make([]complex128, a.FourierLen())
+	phys := make([]float64, a.PhysicalLen())
+	for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+		var before [3]int64
+		for i, ctr := range counters {
+			before[i] = ctr.Value()
+		}
+		if d == exchange.YZ {
+			a.FourierToPhysical(phys, four)
+		} else {
+			a.PhysicalToFourier(four, phys)
+		}
+		for i, expect := range []int64{calls, want[d], xfer[d]} {
+			if delta := counters[i].Value() - before[i]; delta != expect {
+				panic(fmt.Sprintf("dir %d: counter %d grew %d, want %d", d, i, delta, expect))
+			}
+		}
+	}
 }

@@ -46,7 +46,7 @@ func TestSlabRealExchangeStrategiesBitwiseIdentity(t *testing.T) {
 // TestSlabRealExchangeStrategiesBitwiseIdentity: every strategy pair
 // and team size against staged/staged, all truncated to kmax.
 func checkStrategiesBitwise(c *mpi.Comm, n, kmax int, single bool) {
-	ref := newEngine(c, nil, n, 1, exchange.Both(exchange.Staged), nil, single)
+	ref := slabWith(c, n, 1, exchange.Both(exchange.Staged), single)
 	defer ref.Close()
 	ref.Truncate(kmax)
 	fl, pl := ref.FourierLen(), ref.PhysicalLen()
@@ -69,11 +69,11 @@ func checkStrategiesBitwise(c *mpi.Comm, n, kmax int, single bool) {
 		for _, yz := range exchange.Concrete {
 			for _, w := range []int{1, 3, 7} {
 				pair := exchange.Pair{YZ: yz, ZY: zy}
-				f := newEngine(c, nil, n, w, pair, nil, single)
+				f := slabWith(c, n, w, pair, single)
 				f.Truncate(kmax)
-				if f.Single() != single || f.StrategyPair() != pair {
-					panic(fmt.Sprintf("engine reports single=%v pair=%s, built single=%v pair=%s",
-						f.Single(), f.StrategyPair(), single, pair))
+				if (f.four32 != nil) != single || f.StrategyPair() != pair {
+					panic(fmt.Sprintf("engine holds f32 slabs %v, reports pair=%s, built single=%v pair=%s",
+						f.four32 != nil, f.StrategyPair(), single, pair))
 				}
 				four := make([]complex128, fl)
 				phys := make([]float64, pl)
@@ -180,8 +180,8 @@ func TestSlabRealFusedSteadyStateZeroAllocs(t *testing.T) {
 // pencil grid reaches its column stage before the row stage.
 func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
 	const n = 16
-	pencil := func(pair exchange.Pair) func(c *mpi.Comm) *Engine {
-		return func(c *mpi.Comm) *Engine {
+	pencil := func(pair exchange.Pair) func(c *mpi.Comm) Real {
+		return func(c *mpi.Comm) Real {
 			row, col := c.CartGrid(2, 2)
 			return NewPencilReal(col, row, n, 1, pair)
 		}
@@ -189,14 +189,17 @@ func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		p      int
-		build  func(c *mpi.Comm) *Engine
+		build  func(c *mpi.Comm) Real
 		blocks bool
 	}{
-		{"slab fused", 2, func(c *mpi.Comm) *Engine { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
-		{"slab chunked", 2, func(c *mpi.Comm) *Engine { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
-		{"slab at", 2, func(c *mpi.Comm) *Engine { return NewSlabRealAT(c, n, 1, 0, time.Second) }, false},
+		{"slab fused", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
+		{"slab chunked", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
+		{"slab at", 2, func(c *mpi.Comm) Real { return NewSlabRealAT(c, n, 1, 0, time.Second) }, false},
 		{"pencil 2x2 chunked", 4, pencil(exchange.Both(exchange.ChunkedFused)), false},
-		{"slab staged", 2, func(c *mpi.Comm) *Engine { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
+		{"slab staged", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
+		{"slab staged/fused", 2, func(c *mpi.Comm) Real {
+			return slabWith(c, n, 1, exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}, false)
+		}, true},
 		{"pencil 2x2 staged/fused", 4, pencil(exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}), true},
 	} {
 		err := mpi.TryRun(tc.p, func(c *mpi.Comm) {
@@ -246,42 +249,61 @@ func TestExchangeYZStrategyIdentity(t *testing.T) {
 	}
 }
 
-// A staged row exchange moves the band's compact blocks: per direction
-// it charges exchange.bytes (P−1)·Mz·My·KB elements at the wire
-// precision, KB the band's x width — the slab as one unit of core's
-// TestStagedChargesBandBlocks — not whole Mz·My·Nxh blocks.
+// A staged exchange moves the band's compact blocks: per direction,
+// every unit's exchange charges exchange.bytes (P−1)·w·My·KB elements
+// at the wire precision — w the unit's planes (none for a group past
+// N/P), KB the band's x width — not whole w·My·Nxh blocks. The slab is
+// the np = 1 case, its one unit the whole slab.
 func TestStagedChargesBandBlocks(t *testing.T) {
 	const n = 16
 	for _, p := range []int{1, 2, 4} {
 		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
-			for _, single := range []bool{false, true} {
-				if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
-					f := newEngine(c, nil, n, 1, exchange.Both(exchange.Staged), nil, single)
-					defer f.Close()
-					f.Truncate(kmax)
-					m, kb, elem := int64(n/p), int64(grid.NewBand(n, kmax).Width(0, n/2+1)), int64(16)
-					if single {
-						elem = 8
-					}
-					want := int64(p-1) * m * m * kb * elem
-					ctr := c.Metrics().CounterRank("exchange.bytes", c.Rank())
-					four := make([]complex128, f.FourierLen())
-					phys := make([]float64, f.PhysicalLen())
-					for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
-						before := ctr.Value()
-						if d == exchange.YZ {
-							f.FourierToPhysical(phys, four)
-						} else {
-							f.PhysicalToFourier(four, phys)
-						}
-						if got := ctr.Value() - before; got != want {
-							panic(fmt.Sprintf("dir %d: exchange.bytes grew %d, the band's blocks are %d", d, got, want))
+			for _, np := range []int{1, 3, 5} {
+				for _, gran := range []Granularity{PerPencil, PerSlab} {
+					for _, single := range []bool{false, true} {
+						opt := Options{NP: np, Granularity: gran, Exchange: exchange.Staged, SingleComm: single}
+						if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
+							checkStagedBytes(c, n, kmax, opt)
+						}); err != nil {
+							t.Fatalf("P=%d kmax=%d %+v: %v", p, kmax, opt, err)
 						}
 					}
-				}); err != nil {
-					t.Fatalf("P=%d kmax=%d single=%v: %v", p, kmax, single, err)
 				}
 			}
+		}
+	}
+}
+
+// checkStagedBytes is one rank of TestStagedChargesBandBlocks.
+func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
+	a := NewAsyncSlabReal(c, n, opt)
+	defer a.Close()
+	a.Truncate(kmax)
+	p, my := c.Size(), n/c.Size()
+	kb, elem := int64(grid.NewBand(n, kmax).Width(0, n/2+1)), int64(16)
+	if opt.SingleComm {
+		elem = 8
+	}
+	units := splitRange(my, opt.NP)
+	if opt.Granularity == PerSlab {
+		units = []span{{0, my}}
+	}
+	want := int64(0)
+	for _, u := range units {
+		want += int64((p-1)*u.width()*my) * kb * elem
+	}
+	ctr := c.Metrics().CounterRank("exchange.bytes", c.Rank())
+	four := make([]complex128, a.FourierLen())
+	phys := make([]float64, a.PhysicalLen())
+	for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
+		before := ctr.Value()
+		if d == exchange.YZ {
+			a.FourierToPhysical(phys, four)
+		} else {
+			a.PhysicalToFourier(four, phys)
+		}
+		if got := ctr.Value() - before; got != want {
+			panic(fmt.Sprintf("dir %d: exchange.bytes grew %d, the band's blocks are %d", d, got, want))
 		}
 	}
 }

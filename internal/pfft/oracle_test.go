@@ -108,7 +108,7 @@ func (o *oracle) masked(kmax int) *oracle {
 // checkAgainstOracle runs build's engine on p ranks and compares its
 // forward spectrum and its inverse of the oracle's spectrum with the
 // naive sums, to tol relative to the largest magnitude of each.
-func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64, build func(c *mpi.Comm) *Engine) {
+func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64, build func(c *mpi.Comm) Real) {
 	t.Helper()
 	n := o.n
 	var specMax float64
@@ -118,7 +118,7 @@ func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64,
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		f := build(c)
 		defer f.Close()
-		l := f.Layout()
+		l := testLayout(f)
 		phys := make([]float64, f.PhysicalLen())
 		for iy := 0; iy < l.My; iy++ {
 			for iz := 0; iz < l.Mz; iz++ {
@@ -158,11 +158,21 @@ func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64,
 	}
 }
 
-// The one engine against the naive DFT on every valid grid of
-// P ∈ {1, 2, 4, 8} — P×1 and 1×P included — under every concrete
-// strategy and two team sizes, plus the single-precision wire where it
-// runs (Pc = 1).
+// Both engines against the naive DFT, an oracle that shares no code
+// with internal/fft, for every P ∈ {1, 2, 4, 8}, every concrete
+// strategy and two team sizes: the pencil engine on every valid Pc > 1
+// grid (1×P included), and the slab engine as the slab (np 1, one
+// exchange per slab), as the batched pipeline (np 4, per-pencil
+// exchanges — pencils past N/P included) and on two devices. The
+// single-precision wire is checked against the same sums to 1e-5 of
+// the largest magnitude: it narrows twice per transform, ~1e-7
+// relative each.
 func TestEngineMatchesNaiveDFT(t *testing.T) {
+	slabs := []Options{
+		{NP: 1, Granularity: PerSlab, NGPU: 1},
+		{NP: 4, Granularity: PerPencil, NGPU: 1},
+		{NP: 4, Granularity: PerPencil, NGPU: 2},
+	}
 	for _, n := range []int{8, 12} {
 		o := naiveOracle(n)
 		// The inverse oracle of the forward oracle is the field itself:
@@ -173,27 +183,39 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 			}
 		}
 		for _, p := range []int{1, 2, 4, 8} {
-			for _, d := range grids(n, p) {
-				for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
-					for _, workers := range []int{1, 3} {
+			slabs := slabs
+			if n%p != 0 {
+				slabs = nil // no slab of N/P planes
+			}
+			for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+				for _, workers := range []int{1, 3} {
+					for _, d := range grids(n, p) {
+						if d.Pc == 1 {
+							continue
+						}
 						tag := fmt.Sprintf("N=%d %s %s workers=%d", n, d, st, workers)
-						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) *Engine {
+						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) Real {
 							row, col := c.CartGrid(d.Pr, d.Pc)
 							return NewPencilReal(col, row, n, workers, exchange.Both(st))
 						})
 					}
-					if d.Pc == 1 {
-						checkAgainstOracle(t, fmt.Sprintf("N=%d %s %s f32 wire", n, d, st), o, p, 1e-5, func(c *mpi.Comm) *Engine {
-							return newEngine(c, nil, n, 2, exchange.Both(st), nil, true)
-						})
+					for _, opt := range slabs {
+						opt.Workers, opt.Exchange = workers, st
+						tag := fmt.Sprintf("N=%d P=%d slab %+v", n, p, opt)
+						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) Real { return NewAsyncSlabReal(c, n, opt) })
 					}
+				}
+				for _, opt := range slabs {
+					opt.Workers, opt.Exchange, opt.SingleComm = 2, st, true
+					tag := fmt.Sprintf("N=%d P=%d slab %+v", n, p, opt)
+					checkAgainstOracle(t, tag, o, p, 1e-5, func(c *mpi.Comm) Real { return NewAsyncSlabReal(c, n, opt) })
 				}
 			}
 		}
 		// One band-limited case per size, against the masked sums: the
 		// 2/3 band on a grid with both exchanges.
 		kmax := n / 3
-		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax), 4, 1e-12, func(c *mpi.Comm) *Engine {
+		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax), 4, 1e-12, func(c *mpi.Comm) Real {
 			row, col := c.CartGrid(2, 2)
 			f := NewPencilReal(col, row, n, 3, exchange.Both(exchange.ChunkedFused))
 			f.Truncate(kmax)

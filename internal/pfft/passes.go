@@ -2,18 +2,19 @@ package pfft
 
 import (
 	"repro/internal/fft"
+	"repro/internal/grid"
 	"repro/internal/transpose"
 )
 
-// Passes are the per-plane FFT bodies of the one-column transform, as
-// functions of a plane range, so that both engines run one
-// implementation of each pass: Engine dispatches them over its whole
-// slab, core.AsyncSlabReal over one plane group per pipeline cell. A
-// plane is [N][Stride] complex — a z-plane of C, or a y-plane of B
-// (= X on one column) — or [N][N] real, a y-plane of physical space.
-// Planes are independent and every worker runs an identical plan, so
-// the output is bitwise invariant under how a range is split and
-// across which workers.
+// Passes are the per-plane FFT bodies of the transforms, as functions
+// of a plane range, so that both engines run one implementation of
+// each pass and one band setter: SlabReal runs them over one plane
+// group per pipeline cell, Engine its y and z passes over its whole
+// pencil. A plane is [N][Stride] complex — a z-plane of C, or a
+// y-plane of B (= X on one column) — or [N][N] real, a y-plane of
+// physical space. Planes are independent and every worker runs an
+// identical plan, so the output is bitwise invariant under how a range
+// is split and across which workers.
 type Passes struct {
 	N, Stride int
 	// The band: KB of each row's Stride columns hold an in-band kx,
@@ -27,6 +28,45 @@ type Passes struct {
 	// X a y-plane's N rows between the in-band bins and N real x lines.
 	Y []*fft.Batch
 	X []*fft.RealBatch
+}
+
+// newPasses returns the passes over planes of stride columns, for
+// planes z-planes of C and a team of workers; SetBand builds their
+// plans.
+func newPasses(n, stride, planes, workers int) Passes {
+	return Passes{N: n, Stride: stride, ZIn: make([]bool, planes),
+		Y: make([]*fft.Batch, workers), X: make([]*fft.RealBatch, workers)}
+}
+
+// SetBand points the passes at band and rebuilds every worker's plans
+// for it, releasing the previous band's: xlo is the kx of the first of
+// a row's Stride columns, zlo the kz of C's first z-plane, rows the x
+// lines of a y-plane. The Y plans run the KB in-band columns at stride
+// Stride; the X plans stop at the band's last bin of the whole
+// half-spectrum. Plan time, not hot path.
+func (p *Passes) SetBand(band grid.Band, xlo, zlo, rows int) {
+	nxh := p.N/2 + 1
+	p.KB = band.Width(xlo, xlo+p.Stride)
+	p.GapLo, p.GapHi = band.Gap()
+	for iz := range p.ZIn {
+		p.ZIn[iz] = band.Has(zlo + iz)
+	}
+	p.release()
+	for w := range p.Y {
+		p.Y[w] = fft.NewBatch(p.N, p.KB, p.Stride, 1, p.Stride, 1)
+		p.X[w] = fft.NewBandRealBatch(p.N, band.Width(0, nxh), rows, 1, p.N, 1, nxh)
+	}
+}
+
+// release returns every worker's plans to the arena.
+func (p *Passes) release() {
+	for w := range p.Y {
+		if p.Y[w] != nil {
+			p.Y[w].Release()
+			p.X[w].Release()
+			p.Y[w], p.X[w] = nil, nil
+		}
+	}
 }
 
 // InvY runs the inverse y lines of C's z-planes [lo, hi) in place on
@@ -99,7 +139,7 @@ func (p *Passes) FwdXZ(w int, mid []complex128, phys []float64, lo, hi int) {
 // NarrowC converts C's z-planes [lo, hi) to the single-precision wire's
 // copy dst, what the band's exchange moves of them: the KB columns of
 // every row of the in-band planes. With WidenC, NarrowB and WidenB it
-// is the one f32 bracket of both engines' exchanges.
+// is the f32 bracket of the one-column engine's exchanges.
 //
 //psdns:hotpath
 func (p *Passes) NarrowC(dst []complex64, four []complex128, lo, hi int) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,11 +62,21 @@ func slabGlobalReference(t *testing.T, n int) (refFour []complex128, refPhys []f
 func checkPencilMatchesSlab(t *testing.T, n, pr, pc, workers int, pair exchange.Pair, refFour []complex128, refPhys []float64) {
 	t.Helper()
 	tag := fmt.Sprintf("%dx%d workers=%d pair=%s/%s", pr, pc, workers, pair.YZ, pair.ZY)
-	if err := mpi.TryRun(pr*pc, func(c *mpi.Comm) {
+	checkMatchesSlab(t, tag, n, pr*pc, func(c *mpi.Comm) Real {
 		row, col := c.CartGrid(pr, pc)
-		f := NewPencilReal(col, row, n, workers, pair)
+		return NewPencilReal(col, row, n, workers, pair)
+	}, refFour, refPhys)
+}
+
+// checkMatchesSlab runs build's engine on p ranks and compares every
+// local element of the forward spectrum and of the inverse output
+// bitwise against the slab reference.
+func checkMatchesSlab(t *testing.T, tag string, n, p int, build func(c *mpi.Comm) Real, refFour []complex128, refPhys []float64) {
+	t.Helper()
+	if err := mpi.TryRun(p, func(c *mpi.Comm) {
+		f := build(c)
 		defer f.Close()
-		l := f.Layout()
+		l := testLayout(f)
 		phys := make([]float64, f.PhysicalLen())
 		for iy := 0; iy < l.My; iy++ {
 			for iz := 0; iz < l.Mz; iz++ {
@@ -127,12 +136,14 @@ func grids(n, p int) []tuning.Decomp {
 	return ds
 }
 
-// The pencil engine must be bitwise identical to the slab engine for
-// every factorization of every rank count, every worker-team size and
-// both exchange-strategy families — forward and inverse. The per-axis
-// FFT order (x, z, y forward; y, z, x inverse) matches the slab
-// engine's, and the fft batches are stride-invariant, so this is exact
-// equality, not a tolerance.
+// The two engines agree bit for bit: the pencil engine on every Pc > 1
+// factorization of every rank count, every worker-team size and both
+// exchange-strategy families — forward and inverse — reproduces the
+// slab engine at P = 1, and so does the slab engine itself on P ranks,
+// as the slab and as the batched pipeline. The per-axis FFT order (x,
+// z, y forward; y, z, x inverse) is the same on both, and the fft
+// batches are stride-invariant, so this is exact equality, not a
+// tolerance.
 func TestPencilSlabBitwiseIdentity(t *testing.T) {
 	const n = 16
 	refFour, refPhys := slabGlobalReference(t, n)
@@ -141,58 +152,35 @@ func TestPencilSlabBitwiseIdentity(t *testing.T) {
 		{YZ: exchange.ChunkedFused, ZY: exchange.Fused},
 	}
 	for _, p := range []int{1, 2, 4, 8} {
-		for _, d := range grids(n, p) {
-			for _, workers := range []int{1, 4} {
-				for _, pair := range pairs {
-					checkPencilMatchesSlab(t, n, d.Pr, d.Pc, workers, pair, refFour, refPhys)
+		for _, workers := range []int{1, 4} {
+			for _, pair := range pairs {
+				for _, d := range grids(n, p) {
+					if d.Pc > 1 {
+						checkPencilMatchesSlab(t, n, d.Pr, d.Pc, workers, pair, refFour, refPhys)
+					}
+				}
+				for _, opt := range []Options{
+					{NP: 1, Granularity: PerSlab, Workers: workers},
+					{NP: 3, Granularity: PerPencil, NGPU: 2, Workers: workers},
+				} {
+					checkMatchesSlab(t, fmt.Sprintf("P=%d slab %+v pair=%s", p, opt, pair), n, p, func(c *mpi.Comm) Real {
+						return newSlabReal(c, n, opt, pair)
+					}, refFour, refPhys)
 				}
 			}
-		}
-		// The slab is the one-column grid: the P×1 grid built through
-		// NewPencilReal and the slab built through NewSlabRealStrategy
-		// return bit-equal local arrays — the same layout, not just the
-		// same values somewhere.
-		if err := mpi.TryRun(p, func(c *mpi.Comm) {
-			row, col := c.CartGrid(p, 1)
-			engines := [2]*Engine{
-				NewPencilReal(col, row, n, 2, exchange.Both(exchange.ChunkedFused)),
-				NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused),
-			}
-			var four [2][]complex128
-			var out [2][]float64
-			for i, f := range engines {
-				defer f.Close()
-				phys := make([]float64, f.PhysicalLen())
-				for j := range phys {
-					gy, gz := c.Rank()*(n/p)+j/(n*n), j/n%n
-					phys[j] = pencilField(n, j%n, gy, gz)
-				}
-				four[i] = make([]complex128, f.FourierLen())
-				f.PhysicalToFourier(four[i], phys)
-				out[i] = make([]float64, f.PhysicalLen())
-				f.FourierToPhysical(out[i], append([]complex128(nil), four[i]...))
-			}
-			if !slices.Equal(four[0], four[1]) || !slices.Equal(out[0], out[1]) {
-				panic(fmt.Sprintf("rank %d: %dx1 grid and slab local arrays differ", c.Rank(), p))
-			}
-		}); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
 		}
 	}
 }
 
-// The solver's state lives on the slab layout. Asking a Pc > 1 grid
-// for slab geometry must fail with the slab-only message, not hand the
-// solver a geometry its fields do not have.
+// A one-column grid is the slab: NewPencilReal refuses it and names
+// the slab constructors, so no second one-column engine can be built.
 func TestSlabOnPencilGridPanics(t *testing.T) {
-	err := mpi.TryRun(4, func(c *mpi.Comm) {
-		row, col := c.CartGrid(2, 2)
-		f := NewPencilReal(col, row, 16, 1, exchange.Both(exchange.Staged))
-		defer f.Close()
-		f.Slab()
+	err := mpi.TryRun(2, func(c *mpi.Comm) {
+		row, col := c.CartGrid(2, 1)
+		NewPencilReal(col, row, 16, 1, exchange.Both(exchange.Staged)).Close()
 	})
-	if err == nil || !strings.Contains(err.Error(), "the solver is slab-only") {
-		t.Fatalf("Slab() on a 2x2 grid: error = %v, want the slab-only panic", err)
+	if err == nil || !strings.Contains(err.Error(), "is the slab: build it with NewSlabReal") {
+		t.Fatalf("NewPencilReal on a 2x1 grid: error = %v, want the one-column panic", err)
 	}
 }
 
@@ -287,9 +275,8 @@ func TestRealTunedAutoWarmCacheSkipsTrials(t *testing.T) {
 		if got := trials.Value(); got != after {
 			panic(fmt.Sprintf("rank %d: warm construction ran %d trial exchanges, want 0", c.Rank(), got-after))
 		}
-		if lw, lc := warm.Layout(), cold.Layout(); lw.Pr != lc.Pr || lw.Pc != lc.Pc {
-			panic(fmt.Sprintf("rank %d: warm engine on %dx%d differs from trial-selected %dx%d",
-				c.Rank(), lw.Pr, lw.Pc, lc.Pr, lc.Pc))
+		if dw, dc := warm.Decomp(), cold.Decomp(); dw != dc {
+			panic(fmt.Sprintf("rank %d: warm engine on %s differs from trial-selected %s", c.Rank(), dw, dc))
 		}
 
 		phys := make([]float64, cold.PhysicalLen())
@@ -323,8 +310,8 @@ func TestRealTunedExplicitPencil(t *testing.T) {
 		cfg := tuning.Config{Cache: tuning.Open(dir)}
 		for _, label := range []string{"cold", "warm"} {
 			tr := NewRealTuned(c, n, 1, tuning.Pencil(2, 2), cfg)
-			if l := tr.Layout(); l.Pr != 2 || l.Pc != 2 {
-				panic(fmt.Sprintf("rank %d: %s engine on %dx%d grid, want 2x2", c.Rank(), label, l.Pr, l.Pc))
+			if d := tr.Decomp(); d != tuning.Pencil(2, 2) {
+				panic(fmt.Sprintf("rank %d: %s engine on %s, want 2x2", c.Rank(), label, d))
 			}
 			tr.Close()
 		}

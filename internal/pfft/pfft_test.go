@@ -41,7 +41,7 @@ func TestSlabRealRoundTrip(t *testing.T) {
 // inverse must return the oracle's inverse of that spectrum.
 func TestSlabRealMatchesComplexTransform(t *testing.T) {
 	const n, p = 8, 2
-	checkAgainstOracle(t, "slab P=2", naiveOracle(n), p, 1e-12, func(c *mpi.Comm) *Engine {
+	checkAgainstOracle(t, "slab P=2", naiveOracle(n), p, 1e-12, func(c *mpi.Comm) Real {
 		return NewSlabReal(c, n)
 	})
 }
@@ -85,7 +85,7 @@ func TestSlabParsevalAcrossRanks(t *testing.T) {
 // forwardGlobal runs build's engine on p ranks over the real field
 // pencilField and gathers its forward spectrum, indexed
 // (gz·N + gy)·Nxh + gx.
-func forwardGlobal(t *testing.T, n, p int, build func(c *mpi.Comm) *Engine) []complex128 {
+func forwardGlobal(t *testing.T, n, p int, build func(c *mpi.Comm) Real) []complex128 {
 	t.Helper()
 	nxh := n/2 + 1
 	out := make([]complex128, n*n*nxh)
@@ -93,7 +93,7 @@ func forwardGlobal(t *testing.T, n, p int, build func(c *mpi.Comm) *Engine) []co
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		f := build(c)
 		defer f.Close()
-		l := f.Layout()
+		l := testLayout(f)
 		phys := make([]float64, f.PhysicalLen())
 		for i := range phys {
 			phys[i] = pencilField(n, i%n, l.YRank*l.My+i/n/l.Mz, l.ZRank*l.Mz+i/n%l.Mz)
@@ -129,8 +129,8 @@ func TestSlabAndPencilAgree(t *testing.T) {
 	ref := make([]complex128, len(global))
 	fft.NewPlan3D(n, n, n).Forward(ref, global)
 
-	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) *Engine { return NewSlabReal(c, n) })
-	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) *Engine {
+	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) Real { return NewSlabReal(c, n) })
+	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) Real {
 		row, col := c.CartGrid(2, 2)
 		return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
 	})

@@ -1,4 +1,4 @@
-package core
+package pfft
 
 import (
 	"fmt"
@@ -89,7 +89,7 @@ func TestReplayOrderHoldsUnderScheduleJitter(t *testing.T) {
 }
 
 // checkReplayOrder is one rank of TestReplayOrderHoldsUnderScheduleJitter.
-func checkReplayOrder(a *AsyncSlabReal, name string, packs bool, seed int64) {
+func checkReplayOrder(a *SlabReal, name string, packs bool, seed int64) {
 	ngpu := len(a.gpus)
 	l := &replayLog{rng: rand.New(rand.NewSource(seed))}
 	a.wire = loggedWire{a.wire, l}

@@ -1,4 +1,4 @@
-package core
+package pfft
 
 import (
 	"fmt"
@@ -6,12 +6,10 @@ import (
 
 	"repro/internal/cuda"
 	"repro/internal/exchange"
-	"repro/internal/fft"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/par"
-	"repro/internal/pfft"
 	"repro/internal/pool"
 	"repro/internal/transpose"
 	"repro/internal/tuning"
@@ -38,10 +36,13 @@ func ParseGranularity(s string) (Granularity, error) {
 	case "slab":
 		return PerSlab, nil
 	}
-	return PerSlab, fmt.Errorf("core: unknown granularity %q (want pencil or slab)", s)
+	return PerSlab, fmt.Errorf("pfft: unknown granularity %q (want pencil or slab)", s)
 }
 
-// Options configures the asynchronous pipeline.
+// Options configures the one-column engine's pipeline. The slab
+// constructors (NewSlabReal and its siblings) pin NP 1, PerSlab and one
+// device — the synchronous algorithm of Fig 2 — and NewAsyncSlabReal
+// takes the options of the batched pipeline of Fig 4.
 type Options struct {
 	// NP is the number of pencils each slab is divided into (Fig 3):
 	// plane groups, splitRange(N/P, NP) of the z-planes of the Fourier
@@ -65,21 +66,17 @@ type Options struct {
 	// matching the paper's single-precision wire format (half the
 	// bytes, ~1e-7 relative rounding per transform).
 	SingleComm bool
-	// Metrics selects the registry the pipeline records phase timings
-	// and transfer bytes into. Nil means the communicator's registry
-	// (the one Run/TryRun installed), so instrumentation follows the
-	// world by default.
-	Metrics *metrics.Registry
-	// Exchange selects the transpose-exchange strategy: Staged packs
-	// each exchange unit into staged blocks, exchanges the blocks and
-	// unpacks them (the paper's staged variant), Fused and ChunkedFused
-	// gather each plane group straight from every peer's slab (or, on
-	// the single-precision wire, its narrowed copy) into the local
-	// destination layout (the zero-copy variant) — every one through
-	// an mpi.ExchangePlan — and Auto (the zero value) times all three at plan time
-	// through NewAsyncSlabRealTuned — a strategy-only search on this
-	// engine configuration, no cache — and pins the collectively-agreed
-	// winner. AT runs the fused gather through bounded-staleness plans
+	// Exchange selects the transpose-exchange strategy of both
+	// directions: Staged packs each exchange unit into staged blocks,
+	// exchanges the blocks and unpacks them (the paper's staged
+	// variant), Fused and ChunkedFused gather each plane group straight
+	// from every peer's slab (or, on the single-precision wire, its
+	// narrowed copy) into the local destination layout (the zero-copy
+	// variant) — every one through an mpi.ExchangePlan — and Auto (the
+	// zero value) times all three per direction at plan time through
+	// NewAsyncSlabRealTuned — a strategy-only search on this engine
+	// configuration, no cache — and pins the collectively-agreed
+	// winners. AT runs the fused gather through bounded-staleness plans
 	// (DoBounded) and must be selected explicitly — it changes the
 	// answer, so the autotuner never picks it.
 	Exchange exchange.Strategy
@@ -92,6 +89,12 @@ type Options struct {
 	// reach the current epoch before accepting their latest published
 	// slabs; ≤ 0 never waits past the hard staleness bound.
 	ATDeadline time.Duration
+}
+
+// slabOptions are the options of the slab constructors: one plane
+// group, one exchange per slab, one device.
+func slabOptions(workers int) Options {
+	return Options{NP: 1, Granularity: PerSlab, NGPU: 1, Workers: workers}
 }
 
 // span is a half-open index range.
@@ -117,51 +120,45 @@ func splitRange(total, n int) []span {
 
 // gpuCtx is the per-device execution context: one compute stream and,
 // where the wire packs, one transfer stream (§3.4: a single transfer
-// stream keeps host memory traffic unidirectional), plus the plan cache
-// serving the device's batched FFTs (the cufftPlanMany handles of
-// §4.1). There are no device buffers: device memory is host memory on
-// this backend, so every kernel works on the host slab in place (§4.2's
-// zero-copy), and on the double-precision zero-copy wire, where peers
-// read the slab itself, nothing is left to transfer.
+// stream keeps host memory traffic unidirectional), plus the plane
+// passes whose per-worker plans serve the device's batched FFTs (the
+// cufftPlanMany handles of §4.1). There are no device buffers: device
+// memory is host memory on this backend, so every kernel works on the
+// host slab in place (§4.2's zero-copy), and on the double-precision
+// zero-copy wire, where peers read the slab itself, nothing is left to
+// transfer.
 type gpuCtx struct {
 	dev      *cuda.Device
 	transfer *cuda.Stream // nil when the wire packs nothing
 	compute  *cuda.Stream
 	// team splits the plane loops inside this device's compute kernels;
-	// plans[w] is worker w's plan cache (plans carry scratch and are not
-	// concurrency-safe, so each worker owns a full set), and ps the
-	// plane passes over the current band's plans from them.
-	team  *par.Team
-	plans []*fft.BatchCache
-	ps    pfft.Passes
+	// ps holds one plan set per worker (plans carry scratch and are not
+	// concurrency-safe) at the current band.
+	team *par.Team
+	ps   Passes
 }
 
-// asyncMetrics are the per-rank instrumentation handles of the
-// asynchronous engine: the disjoint wall sections of each transposing
+// slabMetrics are the per-rank instrumentation handles of the
+// one-column engine: the disjoint wall sections of each transposing
 // transform (device pipeline, and the unit stages' pack, exchange and
 // unpack phases) and the bytes the pack kernels write out of the
 // device pipeline (the only transfer left, and only where the wire
 // packs: nothing is staged in).
-type asyncMetrics struct {
+type slabMetrics struct {
 	pipeline *metrics.Histogram
 	ph       exchange.Phases
 	d2h      *metrics.Counter
-	strategy *metrics.Gauge
 	kmax     *metrics.Gauge
 }
 
-func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
-	return &asyncMetrics{
-		pipeline: reg.HistogramRank("phase.pipeline", rank),
-		ph:       exchange.NewPhases(reg, rank),
-		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
-		strategy: reg.GaugeRank("exchange.strategy", rank),
-		kmax:     reg.GaugeRank("transform.kmax", rank),
-	}
-}
-
-// AsyncSlabReal is the batched asynchronous transform engine of Fig 4.
-// It implements spectral.Transform. Not safe for concurrent use.
+// SlabReal is the one-column transform engine: the DNS transform pair
+// — real physical fields, conjugate-symmetric half-spectra (Nxh =
+// N/2+1 in x) in Fourier space — on the slab decomposition, run as the
+// batched asynchronous pipeline of Fig 4. The synchronous slab and the
+// paper's basic GPU algorithm of Fig 2 are its np = 1, one-exchange-
+// per-slab case (the slab constructors); NewAsyncSlabReal takes the
+// pencil count, granularity and devices of the batched pipeline. It
+// implements spectral.Transform. Not safe for concurrent use.
 //
 // The engine is compiled once: construction turns each of its four
 // region passes into a flat op program — one prebuilt compute kernel,
@@ -170,7 +167,7 @@ func newAsyncMetrics(reg *metrics.Registry, rank int) *asyncMetrics {
 // the streams. The per-call slabs reach the kernels through the four
 // and phys fields, so the steady state builds no closure and allocates
 // nothing.
-type AsyncSlabReal struct {
+type SlabReal struct {
 	comm *mpi.Comm
 	s    grid.Slab
 	n    int
@@ -216,17 +213,75 @@ type AsyncSlabReal struct {
 	// forward on z-plane groups of four.
 	regT, regM [2]region
 
-	met    *asyncMetrics
+	met    *slabMetrics
 	closed bool
 
-	// Pinned transpose-exchange strategy (never exchange.Auto), driving
-	// both directions.
-	strat exchange.Strategy
+	// The pinned concrete strategies (never Auto), one per transpose
+	// direction: the two stream mirrored access patterns, so the tuner
+	// measures and pins them independently.
+	pair exchange.Pair
 }
 
-// NewAsyncSlabReal constructs the pipeline for an N³ real transform
-// over the ranks of comm.
-func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
+// NewSlabReal builds the DNS transform for an N³ real field (even N)
+// on the slab decomposition with a single worker per rank.
+func NewSlabReal(comm *mpi.Comm, n int) *SlabReal {
+	return NewSlabRealWorkers(comm, n, 1)
+}
+
+// NewSlabRealWorkers builds the slab transform with a team of workers
+// per rank (workers ≥ 1) — the paper's hybrid MPI+OpenMP layer —
+// autotuning the transpose-exchange strategy at plan time. Collective:
+// every rank must construct the transform at the same point in its
+// collective order (the stages' persistent plans register state across
+// ranks, and the autotuner runs collective trials).
+func NewSlabRealWorkers(comm *mpi.Comm, n, workers int) *SlabReal {
+	return NewSlabRealStrategy(comm, n, workers, exchange.Auto)
+}
+
+// NewSlabRealStrategy builds the slab transform with an explicit
+// transpose-exchange strategy. exchange.Auto times every concrete
+// strategy per direction at the actual (N, P, workers) — the
+// NewRealTuned trial loop over the default space, with no cache — and
+// pins the collectively-agreed winners; a concrete strategy skips the
+// trials and pins that strategy on every rank. Collective.
+func NewSlabRealStrategy(comm *mpi.Comm, n, workers int, strat exchange.Strategy) *SlabReal {
+	if strat == exchange.Auto {
+		return NewAsyncSlabRealTuned(comm, n, slabOptions(workers), tuning.Config{})
+	}
+	return newSlabReal(comm, n, slabOptions(workers), exchange.Both(strat))
+}
+
+// NewSlabRealSingle builds the slab transform on the single-precision
+// wire: FFT stages compute in float64, but every transpose-exchange
+// narrows the moving slab to complex64 first — half the bytes through
+// pack/exchange/unpack for ~1e-7 relative rounding per transform, the
+// paper's production wire format. The exchange strategies are autotuned
+// over the complex64 path at plan time. Collective.
+func NewSlabRealSingle(comm *mpi.Comm, n, workers int) *SlabReal {
+	return NewAsyncSlabRealTuned(comm, n, slabOptions(workers), tuning.Config{Space: tuning.Space{Single: []bool{true}}})
+}
+
+// NewSlabRealAT builds the slab transform on the asynchrony-tolerant
+// exchange: each transpose direction runs through its own bounded plan
+// with the given staleness bound (in that plan's exchange epochs) and
+// per-plan deadline, so a straggling rank delays its peers by at most
+// the deadline once they are within maxStale epochs — and a stale slab
+// is always the same direction's (and, with SetATSite, the same
+// quantity's) publication from an earlier cycle. The observed staleness
+// is drained with TakeStaleness by scheme-correcting callers.
+// Collective.
+func NewSlabRealAT(comm *mpi.Comm, n, workers, maxStale int, deadline time.Duration) *SlabReal {
+	if maxStale < 0 {
+		panic(fmt.Sprintf("pfft: negative staleness bound %d", maxStale))
+	}
+	opt := slabOptions(workers)
+	opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, maxStale, deadline
+	return newSlabReal(comm, n, opt, exchange.Both(exchange.AT))
+}
+
+// NewAsyncSlabReal constructs the batched pipeline of Fig 4 for an N³
+// real transform over the ranks of comm.
+func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *SlabReal {
 	if opt.Exchange == exchange.Auto {
 		// Strategy-only search: every other dimension stays pinned to
 		// the option values (np, workers and precision by the tuner's
@@ -235,14 +290,19 @@ func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 			Space: tuning.Space{PerSlab: []bool{opt.Granularity == PerSlab}},
 		})
 	}
-	return newAsyncSlabReal(comm, n, opt)
+	return newSlabReal(comm, n, opt, exchange.Both(opt.Exchange))
 }
 
-// newAsyncSlabReal builds the engine with opt.Exchange already
-// concrete (or AT).
-func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
+// newSlabReal is the one constructor: pair is pinned — both concrete,
+// or both AT (with opt's bound) — and opt.Exchange is not read. pair
+// and opt are identical on every rank, so the collective registration
+// order stays uniform.
+func newSlabReal(comm *mpi.Comm, n int, opt Options, pair exchange.Pair) *SlabReal {
 	if n%2 != 0 {
-		panic(fmt.Sprintf("core: N must be even, got %d", n))
+		panic(fmt.Sprintf("pfft: N must be even, got %d", n))
+	}
+	if (pair.YZ == exchange.AT) != (pair.ZY == exchange.AT) || pair.YZ == exchange.Auto || pair.ZY == exchange.Auto {
+		panic(fmt.Sprintf("pfft: the engine needs concrete strategies or AT in both directions, got %s", pair))
 	}
 	if opt.NP == 0 {
 		opt.NP = 3
@@ -255,17 +315,17 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	}
 	nxh := n/2 + 1
 	if opt.NP < 1 || opt.NP > nxh || opt.NP > n {
-		panic(fmt.Sprintf("core: invalid pencil count %d for N=%d", opt.NP, n))
+		panic(fmt.Sprintf("pfft: invalid pencil count %d for N=%d", opt.NP, n))
 	}
 	s := grid.NewSlab(n, comm.Size(), comm.Rank())
-	a := &AsyncSlabReal{
+	a := &SlabReal{
 		comm:   comm,
 		s:      s,
 		n:      n,
 		nxh:    nxh,
 		np:     opt.NP,
 		gran:   opt.Granularity,
-		strat:  opt.Exchange,
+		pair:   pair,
 		groups: splitRange(s.MZ(), opt.NP),
 	}
 	a.units = a.groups
@@ -273,11 +333,13 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 		a.units = []span{{0, s.MZ()}}
 	}
 
-	reg := opt.Metrics
-	if reg == nil {
-		reg = comm.Metrics()
+	reg, rank := comm.Metrics(), comm.Rank()
+	a.met = &slabMetrics{
+		pipeline: reg.HistogramRank("phase.pipeline", rank),
+		ph:       exchange.NewPhases(reg, rank),
+		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
+		kmax:     reg.GaugeRank("transform.kmax", rank),
 	}
-	a.met = newAsyncMetrics(reg, comm.Rank())
 	a.team = par.NewTeam(opt.Workers)
 	a.mid = pool.GetComplex(s.MY() * n * nxh)
 	full := transpose.NewSlabLayout(nxh, n, s.MZ(), comm.Size())
@@ -290,7 +352,7 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 	// tolerant strategy they are bounded: publication is epoch-tagged
 	// and gathers accept slabs up to ATMaxStale epochs old.
 	var bound *exchange.Bound
-	if opt.Exchange == exchange.AT {
+	if pair.YZ == exchange.AT {
 		bound = &exchange.Bound{MaxStale: opt.ATMaxStale, Deadline: opt.ATDeadline}
 	}
 	if opt.SingleComm {
@@ -302,25 +364,21 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 
 	for g := 0; g < opt.NGPU; g++ {
 		dev := cuda.NewDevice(g)
-		dev.SetMetrics(reg, comm.Rank())
+		dev.SetMetrics(reg, rank)
 		ctx := &gpuCtx{
 			dev:     dev,
 			compute: dev.NewStream(fmt.Sprintf("gpu%d/compute", g)),
 			team:    par.NewTeam(opt.Workers),
-			plans:   make([]*fft.BatchCache, opt.Workers),
-			ps: pfft.Passes{N: n, Stride: nxh, ZIn: make([]bool, s.MZ()),
-				Y: make([]*fft.Batch, opt.Workers), X: make([]*fft.RealBatch, opt.Workers)},
+			ps:      newPasses(n, nxh, s.MZ(), opt.Workers),
 		}
-		if a.packs() {
+		if a.Single() {
 			ctx.transfer = dev.NewStream(fmt.Sprintf("gpu%d/transfer", g))
-		}
-		for w := range ctx.plans {
-			ctx.plans[w] = fft.NewBatchCache()
 		}
 		a.gpus = append(a.gpus, ctx)
 	}
 	a.Truncate(-1)
-	a.met.strategy.Set(a.strat.Code())
+	reg.GaugeRank("exchange.strategy", rank).Set(pair.YZ.Code())
+	reg.GaugeRank("exchange.strategy.zy", rank).Set(pair.ZY.Code())
 	return a
 }
 
@@ -329,9 +387,8 @@ func newAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *AsyncSlabReal {
 // construction) by recompiling the op programs for that band — see
 // spectral.Transform.Truncate for the contract and compile for what
 // the kernels skip. Plan time; every rank truncates to the same band
-// between the same transforms. The per-worker plan caches keep the
-// plans of earlier bands.
-func (a *AsyncSlabReal) Truncate(kmax int) {
+// between the same transforms.
+func (a *SlabReal) Truncate(kmax int) {
 	if a.closed {
 		return
 	}
@@ -340,13 +397,33 @@ func (a *AsyncSlabReal) Truncate(kmax int) {
 	a.met.kmax.Set(float64(band.Kmax))
 }
 
-// Strategy reports the pinned transpose-exchange strategy (never
-// exchange.Auto: autotuned engines report the winner).
-func (a *AsyncSlabReal) Strategy() exchange.Strategy { return a.strat }
+// Strategy reports the pinned FourierToPhysical-side (y→z)
+// transpose-exchange strategy (never exchange.Auto: autotuned engines
+// report the winner).
+func (a *SlabReal) Strategy() exchange.Strategy { return a.pair.YZ }
+
+// StrategyZY reports the pinned PhysicalToFourier-side (z→y) strategy;
+// it can differ from Strategy because the two directions stream
+// mirrored access patterns and are tuned independently.
+func (a *SlabReal) StrategyZY() exchange.Strategy { return a.pair.ZY }
+
+// StrategyPair reports both pinned strategies as an exchange.Pair.
+func (a *SlabReal) StrategyPair() exchange.Pair { return a.pair }
+
+// strategy is the pinned strategy of direction d.
+func (a *SlabReal) strategy(d exchange.Dir) exchange.Strategy {
+	if d == exchange.YZ {
+		return a.pair.YZ
+	}
+	return a.pair.ZY
+}
+
+// Decomp reports the decomposition: the slab.
+func (a *SlabReal) Decomp() tuning.Decomp { return tuning.DecompSlab }
 
 // Close releases the device worker goroutines, the worker teams, the
-// cached FFT plans and every arena-backed buffer. Idempotent.
-func (a *AsyncSlabReal) Close() {
+// FFT plans and every arena-backed buffer. Idempotent.
+func (a *SlabReal) Close() {
 	if a.closed {
 		return
 	}
@@ -354,9 +431,7 @@ func (a *AsyncSlabReal) Close() {
 	for _, g := range a.gpus {
 		g.dev.Close()
 		g.team.Close()
-		for _, cache := range g.plans {
-			cache.Release()
-		}
+		g.ps.release()
 	}
 	a.team.Close()
 	a.wire.close()
@@ -367,28 +442,28 @@ func (a *AsyncSlabReal) Close() {
 }
 
 // Workers reports the per-rank worker-team size.
-func (a *AsyncSlabReal) Workers() int { return a.team.Size() }
+func (a *SlabReal) Workers() int { return a.team.Size() }
 
 // Slab reports the decomposition geometry.
-func (a *AsyncSlabReal) Slab() grid.Slab { return a.s }
+func (a *SlabReal) Slab() grid.Slab { return a.s }
 
 // NXH is the stored x extent of the half-spectrum.
-func (a *AsyncSlabReal) NXH() int { return a.nxh }
+func (a *SlabReal) NXH() int { return a.nxh }
 
 // FourierLen is the complex element count of the local Fourier slab.
-func (a *AsyncSlabReal) FourierLen() int { return a.s.MZ() * a.n * a.nxh }
+func (a *SlabReal) FourierLen() int { return a.s.MZ() * a.n * a.nxh }
 
 // PhysicalLen is the real element count of the local physical slab.
-func (a *AsyncSlabReal) PhysicalLen() int { return a.s.MY() * a.n * a.n }
+func (a *SlabReal) PhysicalLen() int { return a.s.MY() * a.n * a.n }
 
-// packs reports whether the transposing cells carry a pack op (packOp):
-// on the single-precision wire, where it narrows. On the
-// double-precision wire every unit publishes its planes of the slab
-// itself.
-func (a *AsyncSlabReal) packs() bool { return a.four32 != nil }
+// Single reports whether the exchanges ship the single-precision wire.
+// The transposing cells carry a pack op (packOp) exactly there, where
+// it narrows; on the double-precision wire every unit publishes its
+// planes of the slab itself.
+func (a *SlabReal) Single() bool { return a.four32 != nil }
 
 // NP reports the pencil count per slab.
-func (a *AsyncSlabReal) NP() int { return a.np }
+func (a *SlabReal) NP() int { return a.np }
 
 // subRange returns device g's share of a plane group (Fig 5 split).
 func subRange(xs span, g, ngpu int) span {
@@ -421,47 +496,38 @@ type region struct {
 
 // compile builds the four op programs for band: kb = band.Width(0,
 // nxh) is the width of every batch and of every row the exchanges
-// move. Every plan the kernels run is looked up here, one per worker
-// and device, so neither plan construction nor a cache lookup is left
-// in the timed regions.
+// move. Every plan the kernels run is built here, one per worker and
+// device (the previous band's are released), so no plan construction
+// is left in the timed regions.
 //
 // A plane group is a valid Fig 3 pencil of each pass it runs: z-planes
 // of four are complete in y, y-planes of mid complete in z and x. So
 // every batch runs the band's full width kb of in-band columns, and the
 // z and x passes of a y-plane run back to back while it is in cache:
-// the cells run the bodies of pfft.Passes, the slab engine's own, over
-// their share of a group. The band reaches every pass (see
-// pfft.Passes) and every exchange through the units' layouts: each
-// pack and gather moves the kb columns of the in-band kz rows, the YZ
-// gathers storing +0 over the same columns of the out-of-band rows of
-// mid, which the z lines read. On the single-precision wire the mirror
-// region's cells widen their planes before their pass.
-func (a *AsyncSlabReal) compile(band grid.Band) {
-	kb := band.Width(0, a.nxh)
-	gapLo, gapHi := band.Gap()
+// the cells run the bodies of Passes over their share of a group. The
+// band reaches every pass (see Passes) and every exchange through the
+// units' layouts: each pack and gather moves the kb columns of the
+// in-band kz rows, the YZ gathers storing +0 over the same columns of
+// the out-of-band rows of mid, which the z lines read. On the
+// single-precision wire the mirror region's cells widen their planes
+// before their pass.
+func (a *SlabReal) compile(band grid.Band) {
 	for _, ctx := range a.gpus {
-		ps := &ctx.ps
-		ps.KB, ps.GapLo, ps.GapHi = kb, gapLo, gapHi
-		for iz := range ps.ZIn {
-			ps.ZIn[iz] = band.Has(a.s.ZLo() + iz)
-		}
-		for w, cache := range ctx.plans {
-			ps.Y[w] = cache.Batch(a.n, kb, a.nxh, 1, a.nxh, 1)
-			ps.X[w] = cache.RealBatch(a.n, kb, a.n, 1, a.n, 1, a.nxh)
-		}
+		ctx.ps.SetBand(band, 0, a.s.ZLo(), a.n)
 	}
+	kb := a.gpus[0].ps.KB
 	for u := range a.lays {
 		a.lays[u].SetBand(kb, band)
 	}
-	a.regT[exchange.YZ] = a.region(exchange.YZ, true, func(ps *pfft.Passes, w, lo, hi int) { ps.InvY(w, a.four, lo, hi) })
-	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *pfft.Passes, w, lo, hi int) {
+	a.regT[exchange.YZ] = a.region(exchange.YZ, true, func(ps *Passes, w, lo, hi int) { ps.InvY(w, a.four, lo, hi) })
+	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *Passes, w, lo, hi int) {
 		if a.mid32 != nil {
 			ps.WidenB(a.mid, a.mid32, lo, hi)
 		}
 		ps.InvZX(w, a.phys, a.mid, lo, hi)
 	})
-	a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *pfft.Passes, w, lo, hi int) { ps.FwdXZ(w, a.mid, a.phys, lo, hi) })
-	a.regM[exchange.ZY] = a.region(exchange.ZY, false, func(ps *pfft.Passes, w, lo, hi int) {
+	a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *Passes, w, lo, hi int) { ps.FwdXZ(w, a.mid, a.phys, lo, hi) })
+	a.regM[exchange.ZY] = a.region(exchange.ZY, false, func(ps *Passes, w, lo, hi int) {
 		if a.four32 != nil {
 			ps.WidenC(a.four, a.four32, lo, hi)
 		}
@@ -474,11 +540,11 @@ func (a *AsyncSlabReal) compile(band grid.Band) {
 // across the device's team. A transposing region's cells also carry the
 // pack op of their planes where the wire packs (packOp), and the events
 // of their Fig 4 edges.
-func (a *AsyncSlabReal) region(d exchange.Dir, transposing bool, pass func(ps *pfft.Passes, w, lo, hi int)) region {
+func (a *SlabReal) region(d exchange.Dir, transposing bool, pass func(ps *Passes, w, lo, hi int)) region {
 	ngpu := len(a.gpus)
 	r := region{cells: make([]cell, a.np*ngpu), dir: d}
 	if transposing {
-		r.packs, r.units = a.packs(), a.gran == PerPencil
+		r.packs, r.units = a.Single(), a.gran == PerPencil
 	}
 	for ip, gs := range a.groups {
 		u := ip
@@ -510,7 +576,7 @@ func (a *AsyncSlabReal) region(d exchange.Dir, transposing bool, pass func(ps *p
 // launched, so the Fig 4 order does not depend on the band.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) packOp(d exchange.Dir, u int, sp span, ps *pfft.Passes) cuda.Op {
+func (a *SlabReal) packOp(d exchange.Dir, u int, sp span, ps *Passes) cuda.Op {
 	cl := a.lays[u].Range(sp.lo, sp.hi)
 	return cuda.Op{Kind: "pack", Bytes: 8 * int64(cl.PackElems(a.comm.Rank(), d == exchange.YZ)), Run: func() {
 		if d == exchange.YZ {
@@ -525,9 +591,9 @@ func (a *AsyncSlabReal) packOp(d exchange.Dir, u int, sp span, ps *pfft.Passes) 
 // exchange fused in, then the z+x region. four is consumed.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) FourierToPhysical(phys []float64, four []complex128) {
+func (a *SlabReal) FourierToPhysical(phys []float64, four []complex128) {
 	if len(four) != a.FourierLen() || len(phys) != a.PhysicalLen() {
-		panic(fmt.Sprintf("core: F2P wants %d/%d, got %d/%d",
+		panic(fmt.Sprintf("pfft: F2P wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
 	a.four, a.phys = four, phys
@@ -540,9 +606,9 @@ func (a *AsyncSlabReal) FourierToPhysical(phys []float64, four []complex128) {
 // untouched.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
+func (a *SlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 	if len(four) != a.FourierLen() || len(phys) != a.PhysicalLen() {
-		panic(fmt.Sprintf("core: P2F wants %d/%d, got %d/%d",
+		panic(fmt.Sprintf("pfft: P2F wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
 	a.four, a.phys = four, phys
@@ -564,10 +630,10 @@ func (a *AsyncSlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 // region.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) transform(d exchange.Dir) {
+func (a *SlabReal) transform(d exchange.Dir) {
 	a.pipeline(&a.regT[d])
 	if !a.regT[d].units {
-		a.exchange(d, a.strat)
+		a.exchange(d, a.strategy(d))
 	}
 	a.pipeline(&a.regM[d])
 }
@@ -583,7 +649,7 @@ func (a *AsyncSlabReal) transform(d exchange.Dir) {
 // phase.unpack), not the pipeline's.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) pipeline(r *region) {
+func (a *SlabReal) pipeline(r *region) {
 	t0 := time.Now()
 	var gathering time.Duration
 	ngpu := len(a.gpus)
@@ -623,7 +689,7 @@ func (a *AsyncSlabReal) pipeline(r *region) {
 // when the host will wait on it.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) launchPacks(r *region, ip int) {
+func (a *SlabReal) launchPacks(r *region, ip int) {
 	if !r.packs {
 		return
 	}
@@ -643,7 +709,7 @@ func (a *AsyncSlabReal) launchPacks(r *region, ip int) {
 // reporting the time it took.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) readyUnit(r *region, ip int) time.Duration {
+func (a *SlabReal) readyUnit(r *region, ip int) time.Duration {
 	for g := range a.gpus {
 		c := &r.cells[ip*len(a.gpus)+g]
 		if r.packs {
@@ -653,7 +719,7 @@ func (a *AsyncSlabReal) readyUnit(r *region, ip int) time.Duration {
 		}
 	}
 	t0 := time.Now()
-	a.startUnit(r.dir, a.strat, ip)
+	a.startUnit(r.dir, a.strategy(r.dir), ip)
 	return time.Since(t0)
 }
 
@@ -662,7 +728,7 @@ func (a *AsyncSlabReal) readyUnit(r *region, ip int) time.Duration {
 // move, on every rank alike, and is skipped. Collective.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
+func (a *SlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
 	if a.units[u].width() > 0 {
 		a.wire.run(d, st, u)
 	}
@@ -674,10 +740,32 @@ func (a *AsyncSlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
 // Collective.
 //
 //psdns:hotpath
-func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy) {
+func (a *SlabReal) exchange(d exchange.Dir, st exchange.Strategy) {
 	for u := range a.units {
 		a.startUnit(d, st, u)
 	}
+}
+
+// runTrial runs direction d's exchange under st on the trial slab
+// four, without FFT passes: the tuner's trial body (buffer contents
+// are irrelevant to the timing). Collective.
+func (a *SlabReal) runTrial(d exchange.Dir, st exchange.Strategy, four []complex128) {
+	a.four = four
+	a.exchange(d, st)
+	a.four = nil
+}
+
+// ExchangeYZ performs only the transpose-exchange of FourierToPhysical
+// on four, into the internal intermediate slab, under the pinned
+// strategy: the isolated exchange kernel the bench harness times per
+// strategy. Collective.
+//
+//psdns:hotpath
+func (a *SlabReal) ExchangeYZ(four []complex128) {
+	if len(four) != a.FourierLen() {
+		panic(fmt.Sprintf("pfft: ExchangeYZ wants %d elements, got %d", a.FourierLen(), len(four)))
+	}
+	a.runTrial(exchange.YZ, a.pair.YZ, four)
 }
 
 // SetATSite labels the quantity the next bounded exchanges carry (see
@@ -685,12 +773,12 @@ func (a *AsyncSlabReal) exchange(d exchange.Dir, st exchange.Strategy) {
 // stages through one engine set a collectively-consistent site index
 // before each transform call, so accepted stale slabs are always the
 // same quantity from whole steps earlier. No-op on non-AT engines.
-func (a *AsyncSlabReal) SetATSite(site uint32) { a.wire.setSite(site) }
+func (a *SlabReal) SetATSite(site uint32) { a.wire.setSite(site) }
 
 // TakeStaleness drains the asynchrony-tolerant staleness window across
 // every exchange stage since the previous take: worst accepted slab
 // age (in same-site cycles), summed age, stale slab count and bounded-
 // exchange count. All zeros on non-AT engines.
-func (a *AsyncSlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
+func (a *SlabReal) TakeStaleness() (max int, sum, slabs, calls int64) {
 	return a.wire.takeStaleness()
 }

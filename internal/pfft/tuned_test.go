@@ -121,7 +121,7 @@ func TestSlabRealTunedBitwiseIdentity(t *testing.T) {
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		ref := NewSlabRealStrategy(c, n, 2, exchange.Staged)
 		defer ref.Close()
-		tuned := NewRealTuned(c, n, 2, tuning.DecompSlab, tuning.Config{})
+		tuned := NewRealTuned(c, n, 2, tuning.DecompSlab, tuning.Config{}).(*SlabReal)
 		defer tuned.Close()
 		if tuned.Single() {
 			panic("default tune space searched precision")
@@ -174,7 +174,7 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 		cfg := tuning.Config{Cache: tuning.Open(dir)}
 		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
 
-		cold := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg)
+		cold := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg).(*SlabReal)
 		defer cold.Close()
 		after := trials.Value()
 		if after == 0 {
@@ -186,7 +186,7 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 			}
 		}
 
-		warm := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg)
+		warm := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg).(*SlabReal)
 		defer warm.Close()
 		if got := trials.Value(); got != after {
 			panic(fmt.Sprintf("rank %d: warm construction ran %d trial exchanges, want 0", c.Rank(), got-after))
@@ -250,7 +250,7 @@ func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 			if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
 				cfg := tuning.Config{Cache: tuning.Open(dir)}
 				trials := c.Metrics().CounterRank("tune.trials", c.Rank())
-				f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
+				f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg).(*SlabReal)
 				defer f.Close()
 				if trials.Value() == 0 {
 					panic(fmt.Sprintf("rank %d: corrupt cache did not fall back to live trials", c.Rank()))
@@ -278,7 +278,7 @@ func TestSlabRealTunedPrecisionSearch(t *testing.T) {
 	const n, p = 24, 2
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		cfg := tuning.Config{Space: tuning.Space{Single: []bool{false, true}}}
-		f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
+		f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg).(*SlabReal)
 		defer f.Close()
 		pl, fl := f.PhysicalLen(), f.FourierLen()
 		physIn := make([]float64, pl)

@@ -1,4 +1,4 @@
-package core
+package pfft
 
 import (
 	"repro/internal/exchange"
@@ -10,10 +10,10 @@ import (
 // what crosses between ranks is wire-typed: the slabs themselves on the
 // double-precision wire, the engine's four32/mid32 on the paper's
 // single-precision one, which the transposing cells narrow their planes
-// into and the mirror region's cells widen theirs out of (pfft.Passes,
-// the slab engine's own bracket). Everything else — the layout of the
-// transpose, its kernels, its byte counts — is the engine's per-unit
-// transpose.SlabLayout and exchange.SlabKernels, the slab engine's own.
+// into and the mirror region's cells widen theirs out of (the f32
+// bracket of Passes). Everything else — the layout of the transpose,
+// its kernels, its byte counts — is the engine's per-unit
+// transpose.SlabLayout and exchange.SlabKernels.
 type wire interface {
 	// run runs unit u's exchange in direction d under st through the
 	// unit's stage: the unit's planes of d's source slab land in d's
@@ -29,7 +29,7 @@ type wire interface {
 // wireBuf implements wire at element type T: one exchange.Stage per
 // unit, built from the unit's slab kernels.
 type wireBuf[T exchange.Elem] struct {
-	a *AsyncSlabReal
+	a *SlabReal
 	// src[d] is the slab direction d's units publish planes of, dst[d]
 	// the one its exchange lands in: four and mid at complex128, four32
 	// and mid32 at complex64.
@@ -38,10 +38,10 @@ type wireBuf[T exchange.Elem] struct {
 }
 
 // newWire registers the unit stages. A unit stage carries staged pack
-// and recv blocks only when the engine pins Staged, sized as pfft's
-// row stage sizes its own: P blocks of the unit's whole-band planes,
-// the unit's slab. Collective.
-func newWire[T exchange.Elem](a *AsyncSlabReal, bound *exchange.Bound) *wireBuf[T] {
+// and recv blocks only when a pinned direction is Staged, sized as the
+// pencil grid's row stage sizes its own: P blocks of the unit's
+// whole-band planes, the unit's slab. Collective.
+func newWire[T exchange.Elem](a *SlabReal, bound *exchange.Bound) *wireBuf[T] {
 	wb := &wireBuf[T]{a: a}
 	// A wire of the slabs' own type publishes the slabs themselves.
 	four, ok := any(&a.four).(*[]T)
@@ -52,7 +52,7 @@ func newWire[T exchange.Elem](a *AsyncSlabReal, bound *exchange.Bound) *wireBuf[
 	wb.src, wb.dst = [2]*[]T{four, mid}, [2]*[]T{mid, four}
 	for u, us := range a.units {
 		slabLen, staged := us.width()*a.n*a.nxh, 0
-		if a.strat == exchange.Staged {
+		if a.pair.YZ == exchange.Staged || a.pair.ZY == exchange.Staged {
 			staged = slabLen
 		}
 		wb.stages = append(wb.stages, exchange.NewStage(a.comm, a.team, a.met.ph, staged, slabLen, bound,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
@@ -64,13 +63,13 @@ func TestSolverATZeroDelayBitwiseIdentityCoreEngine(t *testing.T) {
 			mpi.Run(p, func(c *mpi.Comm) {
 				base := []Option{WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23)}
 				ref := New(c, n, append(base[:len(base):len(base)], WithTransform(
-					core.NewAsyncSlabReal(c, n, core.Options{
-						NP: 2, Granularity: core.PerSlab, Exchange: exchange.Fused,
+					pfft.NewAsyncSlabReal(c, n, pfft.Options{
+						NP: 2, Granularity: pfft.PerSlab, Exchange: exchange.Fused,
 					})))...)
 				ref.SetRandomIsotropic(3, 0.5, 13)
 				at := New(c, n, append(base[:len(base):len(base)],
-					WithTransform(core.NewAsyncSlabReal(c, n, core.Options{
-						NP: 2, Granularity: core.PerSlab, Exchange: exchange.AT,
+					WithTransform(pfft.NewAsyncSlabReal(c, n, pfft.Options{
+						NP: 2, Granularity: pfft.PerSlab, Exchange: exchange.AT,
 						ATMaxStale: 1, ATDeadline: 2 * time.Second,
 					})),
 					WithAsyncTolerance(1))...)

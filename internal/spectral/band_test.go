@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -59,8 +58,13 @@ func TestDealiasMaskIsTheBand(t *testing.T) {
 	}
 }
 
-// bandEngines are the two solver-capable engines, built with pinned
-// strategies so construction runs no trials.
+// The solver is slab-only by type: the one-column engine is a
+// Transform and the pencil grid, which has no slab geometry, is not.
+var _ Transform = (*pfft.SlabReal)(nil)
+
+// bandEngines are the slab engine as the slab (np 1) and as the
+// batched pipeline, built with pinned strategies so construction runs
+// no trials.
 var bandEngines = []struct {
 	name  string
 	build func(c *mpi.Comm, n int) Transform
@@ -69,7 +73,7 @@ var bandEngines = []struct {
 		return pfft.NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused)
 	}},
 	{"async", func(c *mpi.Comm, n int) Transform {
-		return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Workers: 2, Exchange: exchange.ChunkedFused})
+		return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Workers: 2, Exchange: exchange.ChunkedFused})
 	}},
 }
 

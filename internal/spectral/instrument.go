@@ -32,7 +32,7 @@ func newSolverMetrics(c *mpi.Comm) *solverMetrics {
 
 // atSiteLabeler is implemented by asynchrony-tolerant transform
 // engines that accept quantity labels for their bounded exchanges
-// (pfft.SlabReal.SetATSite, core.AsyncSlabReal.SetATSite). The solver
+// (pfft.SlabReal.SetATSite). The solver
 // labels every transform call with its within-step index so a stale
 // slab is only ever the same quantity from whole steps earlier.
 type atSiteLabeler interface {

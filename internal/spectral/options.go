@@ -51,8 +51,8 @@ func WithDealias(d Dealias) Option {
 }
 
 // WithTransform runs the solver on a caller-chosen transform engine
-// (e.g. the batched asynchronous pipeline of internal/core) instead of
-// the synchronous slab default. The solver truncates the engine to its
+// (e.g. the batched asynchronous pipeline, pfft.NewAsyncSlabReal)
+// instead of the synchronous slab default. The solver truncates the engine to its
 // dealiasing band (Transform.Truncate) and Close restores the full
 // transform, so solvers sharing one engine must share one Dealias
 // setting.
@@ -149,7 +149,7 @@ func WithRotation(omega float64) Option {
 //
 // With no WithTransform the solver builds its slab transform with
 // pfft.NewSlabRealAT. A caller-supplied transform must itself be
-// asynchrony-tolerant (pfft.NewSlabRealAT or a core.AsyncSlabReal
+// asynchrony-tolerant (pfft.NewSlabRealAT, or pfft.NewAsyncSlabReal
 // with Exchange: exchange.AT) — construction panics if it cannot
 // report staleness.
 func WithAsyncTolerance(maxStale int) Option {

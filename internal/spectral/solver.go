@@ -70,9 +70,11 @@ type config struct {
 }
 
 // Transform is the distributed 3D transform pair the solver advances
-// fields through. pfft.SlabReal is the synchronous reference; the
-// batched asynchronous GPU pipeline of internal/core implements the
-// same contract, so the full DNS can run on either engine.
+// fields through, on the slab decomposition its state is laid out in.
+// pfft.SlabReal implements it in every configuration — the synchronous
+// slab (np = 1) and the batched asynchronous GPU pipeline alike — so
+// the full DNS runs on either. The pencil grid (pfft.Engine, Pc > 1)
+// has no slab geometry and does not implement it.
 type Transform interface {
 	// FourierToPhysical converts [mz][ny][nxh] complex (code units)
 	// into [my][nz][nx] real, applying 1/N³; the input is scratch.
@@ -247,8 +249,8 @@ func (s *Solver) Close() {
 func (s *Solver) OwnTransform() { s.ownTr = true }
 
 // stalenessReporter is the staleness-accounting contract an
-// asynchrony-tolerant transform engine exposes (pfft.SlabReal and
-// core.AsyncSlabReal both implement it): drain the window of bounded
+// asynchrony-tolerant transform engine exposes (pfft.SlabReal
+// implements it): drain the window of bounded
 // exchanges since the previous call, reporting the maximum per-slab
 // age, the summed age, the count of stale slabs gathered and the
 // count of bounded exchange calls. Ages are in same-site cycles —
@@ -316,7 +318,7 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	if at {
 		src, ok := tr.(stalenessReporter)
 		if !ok {
-			panic(fmt.Sprintf("spectral: WithAsyncTolerance needs an asynchrony-tolerant transform (pfft.NewSlabRealAT or core.Options with exchange.AT); %T cannot report staleness", tr))
+			panic(fmt.Sprintf("spectral: WithAsyncTolerance needs an asynchrony-tolerant transform (pfft.NewSlabRealAT, or pfft.Options with exchange.AT); %T cannot report staleness", tr))
 		}
 		s.atCorr = true
 		s.atSrc = src

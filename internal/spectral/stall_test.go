@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
@@ -29,8 +28,8 @@ func TestStepAnnotatesStall(t *testing.T) {
 		// Pin the staged wire path: the default autotuner would run
 		// staged trials at construction and stall there under the
 		// 100%-drop rule, before Step gets to wrap the error.
-		eng := core.NewAsyncSlabReal(c, n, core.Options{
-			NP: 3, Granularity: core.PerPencil, Exchange: exchange.Staged,
+		eng := pfft.NewAsyncSlabReal(c, n, pfft.Options{
+			NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.Staged,
 		})
 		defer eng.Close()
 		s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23), WithTransform(eng))
@@ -105,13 +104,13 @@ func TestStallAnnotatedOnEveryEngine(t *testing.T) {
 		{"slab/chunked", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }},
 		{"slab/staged", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.Staged) }},
 		{"batched/staged/perpencil", func(c *mpi.Comm) Transform {
-			return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Granularity: core.PerPencil, Exchange: exchange.Staged})
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.Staged})
 		}},
 		{"batched/staged/perslab", func(c *mpi.Comm) Transform {
-			return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Granularity: core.PerSlab, Exchange: exchange.Staged})
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerSlab, Exchange: exchange.Staged})
 		}},
 		{"batched/chunked", func(c *mpi.Comm) Transform {
-			return core.NewAsyncSlabReal(c, n, core.Options{NP: 3, Granularity: core.PerPencil, Exchange: exchange.ChunkedFused})
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.ChunkedFused})
 		}},
 	}
 	for _, e := range engines {

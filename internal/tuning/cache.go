@@ -13,9 +13,11 @@ import (
 // SchemaVersion is the tuning-cache file schema. A file carrying any
 // other version is ignored wholesale (treated as all-miss and rewritten
 // on the next Store), so a decision recorded under different semantics
-// — or, up to schema 2, timed under barriers that always parked, which
-// shifts every trial that exchanges — is never replayed.
-const SchemaVersion = 3
+// — up to schema 2, timed under barriers that always parked, which
+// shifts every trial that exchanges; up to schema 3, a slab point
+// without the slab's one plane group and one exchange per slab — is
+// never replayed.
+const SchemaVersion = 4
 
 // DefaultDir is where tuned constructors persist their winners unless
 // pointed elsewhere.

@@ -37,9 +37,9 @@ type Target[E engine] struct {
 	Engine      string
 	N           int
 	NP, Workers int
-	// Collapse maps an enumerated point onto the engine's sub-space,
-	// zeroing the dimensions the engine does not have. Points that
-	// collapse onto an earlier one are dropped.
+	// Collapse, when set, maps an enumerated point onto the engine's
+	// sub-space, zeroing the dimensions the engine does not have.
+	// Points that collapse onto an earlier one are dropped.
 	Collapse func(Point) Point
 	// Build constructs the engine pinned to every dimension of pt.
 	// Collective.
@@ -57,8 +57,8 @@ type Target[E engine] struct {
 //   - Key and lookup: (engine, N, P, GOMAXPROCS, machine fingerprint),
 //     looked up collectively. A hit whose decomposition no candidate
 //     has is a miss, so a pencil winner never replays under a slab key.
-//   - Candidates: cfg.Space.Points(t.NP, t.Workers) through t.Collapse,
-//     duplicates dropped, space order kept.
+//   - Candidates: cfg.Space.Points(t.NP, t.Workers), through t.Collapse
+//     where set, duplicates dropped, space order kept.
 //   - Trial engines: one live engine per contiguous group of points
 //     that differ only in their strategies, built pinned Staged in
 //     both directions — Staged is the one strategy with buffers of its
@@ -75,7 +75,10 @@ type Target[E engine] struct {
 func Tune[E engine](comm *mpi.Comm, cfg Config, t Target[E]) E {
 	var pts []Point
 	for _, pt := range cfg.Space.Points(t.NP, t.Workers) {
-		if pt = t.Collapse(pt); !slices.Contains(pts, pt) {
+		if t.Collapse != nil {
+			pt = t.Collapse(pt)
+		}
+		if !slices.Contains(pts, pt) {
 			pts = append(pts, pt)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
@@ -26,7 +25,7 @@ func TestTrialCountsPerRank(t *testing.T) {
 			return pfft.NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
 		}, 18},
 		{"async", func(c *mpi.Comm, cfg tuning.Config) interface{ Close() } {
-			return core.NewAsyncSlabRealTuned(c, n, core.Options{NP: 2}, cfg)
+			return pfft.NewAsyncSlabRealTuned(c, n, pfft.Options{NP: 2}, cfg)
 		}, 36},
 	} {
 		dir := t.TempDir()

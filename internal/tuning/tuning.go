@@ -10,19 +10,21 @@
 //
 // Tune is the one trial loop, for every engine: the key and collective
 // cache lookup, enumeration, the trial engines, the timing, the
-// resolve, the store and the construction of the winner. An engine
-// (pfft.NewRealTuned, core.NewAsyncSlabRealTuned) hands it a Target:
-// its constructor, an exchange-only trial body and the rule that
-// collapses a Point onto its sub-space. The package also holds the
-// search space (Space, Point, Decomp) and the persistent cache.
+// resolve, the store and the construction of the winner. A tuned
+// constructor (pfft.NewRealTuned, pfft.NewAsyncSlabRealTuned) hands it
+// a Target: its constructor, an exchange-only trial body and, where the
+// engine lacks dimensions, the rule that collapses a Point onto its
+// sub-space. The package also holds the search space (Space, Point,
+// Decomp) and the persistent cache.
 package tuning
 
 import "repro/internal/exchange"
 
 // Point is one configuration in the whole-step tune space. Engines
-// search the sub-space meaningful to them (the slab transform has no
-// pencils, so it ignores NP and PerSlab); the unused dimensions keep
-// their defaults and ride along unchanged.
+// search the sub-space meaningful to them (the pencil grid has no
+// plane groups, so it ignores NP and PerSlab; the slab pins them to one
+// group and one exchange); the unused dimensions keep their defaults
+// and ride along unchanged.
 type Point struct {
 	// Strategy is the transpose-exchange strategy for the yz
 	// (Fourier→physical) direction (always concrete: Auto is a
@@ -34,9 +36,9 @@ type Point struct {
 	// different access patterns, so their winners can differ.
 	StrategyZY exchange.Strategy `json:"strategy_zy"`
 	// PerSlab selects one whole-slab exchange over per-pencil
-	// exchanges (the async engine's Granularity).
+	// exchanges (the one-column engine's Granularity).
 	PerSlab bool `json:"per_slab"`
-	// NP is the pencil count per slab (async engine only).
+	// NP is the pencil count per slab (one-column engine only).
 	NP int `json:"np"`
 	// Workers is the per-rank worker-team size.
 	Workers int `json:"workers"`

@@ -3,14 +3,14 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exchange"
+	"repro/internal/pfft"
 	"repro/internal/spectral"
 	"repro/internal/tuning"
 )
 
 // FuzzParse drives every flag-value parser of a run description with any
-// string: exchange.Parse, spectral.ParseScheme, core.ParseGranularity and
+// string: exchange.Parse, spectral.ParseScheme, pfft.ParseGranularity and
 // tuning.ParseDecomp. No input panics; an accepted strategy or
 // decomposition parses back from its String() to itself; a scheme or a
 // granularity is accepted exactly when it is spelled as one of its
@@ -18,7 +18,7 @@ import (
 // testdata/fuzz/FuzzParse.
 func FuzzParse(f *testing.F) {
 	schemes := map[string]spectral.Scheme{"rk2": spectral.RK2, "rk4": spectral.RK4}
-	grans := map[string]core.Granularity{"pencil": core.PerPencil, "slab": core.PerSlab}
+	grans := map[string]pfft.Granularity{"pencil": pfft.PerPencil, "slab": pfft.PerSlab}
 	f.Fuzz(func(t *testing.T, s string) {
 		if v, err := exchange.Parse(s); err == nil {
 			if back, err := exchange.Parse(v.String()); err != nil || back != v {
@@ -34,9 +34,9 @@ func FuzzParse(f *testing.F) {
 		if want, ok := schemes[s]; ok != (err == nil) || ok && v != want {
 			t.Fatalf("spectral.ParseScheme(%q) = %v, %v; documented: %v", s, v, err, ok)
 		}
-		g, err := core.ParseGranularity(s)
+		g, err := pfft.ParseGranularity(s)
 		if want, ok := grans[s]; ok != (err == nil) || ok && g != want {
-			t.Fatalf("core.ParseGranularity(%q) = %v, %v; documented: %v", s, g, err, ok)
+			t.Fatalf("pfft.ParseGranularity(%q) = %v, %v; documented: %v", s, g, err, ok)
 		}
 	})
 }

@@ -42,7 +42,7 @@ func TestPublicAPIEngines(t *testing.T) {
 		var engines []repro.Transform
 		engines = append(engines, repro.NewSlabTransform(c, 8))
 		engines = append(engines, repro.NewThreadedSlabTransform(c, 8, 2))
-		engines = append(engines, repro.NewSyncGPUTransform(c, 8))
+		engines = append(engines, repro.NewAsync(c, 8, repro.WithExchangeStrategy(repro.ExchangeChunked)))
 		for i, tr := range engines {
 			if tr.NXH() != 5 || tr.Slab().N != 8 {
 				t.Errorf("engine %d geometry wrong", i)
