@@ -27,6 +27,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTruncateBand -fuzztime 10s ./internal/pfft
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzSeededDraws -fuzztime 10s ./internal/spectral
+	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime 10s ./internal/tuning
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime 100x ./internal/spectral
 
 # lint = gofmt (fail on unformatted files) + no Deprecated: marker

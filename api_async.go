@@ -214,9 +214,10 @@ func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
 // RealTransform is the distributed real-field transform pair on any
 // decomposition: real physical fields in, conjugate-symmetric
 // half-spectra out, 1/N³ normalization on the inverse, with
-// bitwise-identical results for every valid Pr×Pc grid (the slab being
-// the one-column grid, built as the slab engine).
-type RealTransform = pfft.Real
+// bitwise-identical results for every valid Pr×Pc grid. It is the one
+// transform engine, the plane-group program; the slab is its one-column
+// grid, the only one a solver runs on.
+type RealTransform = *pfft.SlabReal
 
 // NewTunedTransform builds the real-field transform for decomposition
 // d through the whole-step autotuner: DecompSlab searches exchange

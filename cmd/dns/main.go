@@ -419,11 +419,10 @@ func checkWatchdog(on bool, opDeadline, deadlockAfter time.Duration) error {
 }
 
 // phaseLeaves are the disjoint wall sections of one time step: the
-// solver's own arithmetic plus the transform engine's phases (the slab
-// engine records pipeline/pack/a2a/unpack; the pencil grid's transform
-// drive loop fft/pack/a2a/unpack).
+// solver's own arithmetic plus the transform engine's phases
+// (pipeline/pack/a2a/unpack, on every grid).
 var phaseLeaves = []string{
-	"phase.fft", "phase.pack", "phase.a2a", "phase.unpack",
+	"phase.pack", "phase.a2a", "phase.unpack",
 	"phase.pipeline", "phase.compute",
 }
 

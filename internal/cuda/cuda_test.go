@@ -10,7 +10,7 @@ import (
 func TestStreamExecutesInOrder(t *testing.T) {
 	d := NewDevice(0)
 	defer d.Close()
-	s := d.NewStream("compute")
+	s := d.NewStream("compute", 16)
 	var seq []int
 	for i := 0; i < 10; i++ {
 		s.Enqueue(&Op{Kind: "op", Run: func() { seq = append(seq, i) }})
@@ -26,7 +26,7 @@ func TestStreamExecutesInOrder(t *testing.T) {
 func TestLaunchIsAsynchronousToHost(t *testing.T) {
 	d := NewDevice(0)
 	defer d.Close()
-	s := d.NewStream("transfer")
+	s := d.NewStream("transfer", 16)
 	gate := make(chan struct{})
 	var ran atomic.Bool
 	s.Enqueue(&Op{Kind: "blocked", Run: func() { <-gate; ran.Store(true) }})
@@ -41,14 +41,41 @@ func TestLaunchIsAsynchronousToHost(t *testing.T) {
 	}
 }
 
+// A stream of depth d takes d entries behind a running op without the
+// host blocking: the ring, not the worker, absorbs a replayed program.
+func TestRingTakesDepthEntriesWithoutBlocking(t *testing.T) {
+	const depth = 5
+	d := NewDevice(0)
+	defer d.Close()
+	s := d.NewStream("compute", depth)
+	gate, running := make(chan struct{}), make(chan struct{})
+	s.Enqueue(&Op{Kind: "blocked", Run: func() { close(running); <-gate }})
+	<-running // the worker holds the op, so the ring is empty
+	enqueued := make(chan struct{})
+	go func() {
+		for i := 0; i < depth-1; i++ {
+			s.Enqueue(&Op{Kind: "op", Run: func() {}})
+		}
+		s.RecordEvent(NewEvent())
+		close(enqueued)
+	}()
+	select {
+	case <-enqueued:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("host blocked enqueueing %d entries on a depth-%d ring", depth, depth)
+	}
+	close(gate)
+	s.Synchronize()
+}
+
 func TestEventOrdersAcrossStreams(t *testing.T) {
 	// The Fig 4 pattern: compute on stream A must complete before the
 	// D2H copy on stream B touches the buffer. One event is re-recorded
 	// every iteration, as the replayed programs do.
 	d := NewDevice(0)
 	defer d.Close()
-	compute := d.NewStream("compute")
-	transfer := d.NewStream("transfer")
+	compute := d.NewStream("compute", 16)
+	transfer := d.NewStream("transfer", 16)
 	ev := NewEvent()
 	for iter := 0; iter < 50; iter++ {
 		buf := make([]int, 1)
@@ -72,7 +99,7 @@ func eventComplete(e *Event) bool { return e.done.Load() >= e.recorded.Load() }
 func TestEventQueryAndSynchronize(t *testing.T) {
 	d := NewDevice(0)
 	defer d.Close()
-	s := d.NewStream("s")
+	s := d.NewStream("s", 16)
 	ev := NewEvent()
 	gate := make(chan struct{})
 	s.Enqueue(&Op{Kind: "slow", Run: func() { <-gate }})
@@ -105,7 +132,7 @@ func TestDeviceSynchronizeDrainsAllStreams(t *testing.T) {
 	var count atomic.Int32
 	inc := &Op{Kind: "inc", Run: func() { count.Add(1) }}
 	for i := 0; i < 4; i++ {
-		s := d.NewStream("s")
+		s := d.NewStream("s", 16)
 		for j := 0; j < 5; j++ {
 			s.Enqueue(inc)
 		}
@@ -227,7 +254,7 @@ func TestFig7CoversPaperRange(t *testing.T) {
 func TestDeviceErrorIsStickyAndSurfacesAtSync(t *testing.T) {
 	d := NewDevice(0)
 	defer d.Close()
-	s := d.NewStream("compute")
+	s := d.NewStream("compute", 16)
 	var ranAfter atomic.Bool
 	s.Enqueue(&Op{Kind: "bad-kernel", Run: func() { panic("illegal memory access") }})
 	s.Enqueue(&Op{Kind: "subsequent", Run: func() { ranAfter.Store(true) }})
@@ -251,7 +278,7 @@ func TestDeviceErrorDoesNotHangEvents(t *testing.T) {
 	// cross-stream waiters and the host never deadlock.
 	d := NewDevice(0)
 	defer d.Close()
-	s := d.NewStream("compute")
+	s := d.NewStream("compute", 16)
 	s.Enqueue(&Op{Kind: "bad", Run: func() { panic("boom") }})
 	ev := NewEvent()
 	s.RecordEvent(ev)
@@ -267,7 +294,7 @@ func TestDeviceErrorDoesNotHangEvents(t *testing.T) {
 func TestHealthyStreamHasNoError(t *testing.T) {
 	d := NewDevice(0)
 	defer d.Close()
-	s := d.NewStream("ok")
+	s := d.NewStream("ok", 16)
 	s.Enqueue(&Op{Kind: "fine", Run: func() {}})
 	s.Synchronize()
 	if s.Err() != nil {

@@ -71,9 +71,14 @@ func (d *Device) m() *devMetrics { return d.met.Load() }
 // ID reports the device ordinal.
 func (d *Device) ID() int { return d.id }
 
-// NewStream creates an asynchronous in-order work queue on the device.
-func (d *Device) NewStream(name string) *Stream {
-	s := &Stream{name: name, dev: d, ring: make(chan entry, ringSize), drained: NewEvent()}
+// NewStream creates an asynchronous in-order work queue on the device
+// whose ring holds depth entries: how far the host may run ahead of
+// the stream before a launch blocks. A caller that replays a fixed
+// program sizes it to the most entries it enqueues between two
+// synchronizations, Synchronize's own marker included, so a program is
+// enqueued without the host ever blocking on a full ring.
+func (d *Device) NewStream(name string, depth int) *Stream {
+	s := &Stream{name: name, dev: d, ring: make(chan entry, depth), drained: NewEvent()}
 	s.wg.Add(1)
 	go s.run()
 	d.mu.Lock()
@@ -129,11 +134,6 @@ type entry struct {
 	record bool
 	t0     time.Time // record entries: enqueue time, when latency is observed
 }
-
-// ringSize bounds how far the host may run ahead of a stream: deep
-// enough that a region's whole program (three entries per pencil and
-// device) is enqueued without the host ever blocking on a full ring.
-const ringSize = 1024
 
 // Stream is an in-order asynchronous work queue (cudaStream_t): a ring
 // of entries (a buffered channel) drained by one worker goroutine. The worker parks only on

@@ -97,9 +97,9 @@ type Kernels[T Elem] struct {
 // SlabKernels describes the slab transpose over l to a stage: YZ moves
 // the Fourier-side slab into the physical-side layout (split over iz on
 // the source side, iy on the destination side), ZY is the mirror. It is
-// the one description of that transpose: pfft's row stage runs it over
-// the whole slab, core's batched engine once per plane group, l being
-// the group's Range. All gathers run the cache-blocked variants
+// the one description of that transpose: pfft's row exchange runs it
+// once per exchange unit, l being the unit's Range (the whole slab at
+// one exchange per slab). All gathers run the cache-blocked variants
 // (bitwise-identical, tiled traversal) so the strided side stops
 // thrashing at N ≥ 128. The kernels are generic, so the same code moves
 // both wire precisions, and read the band from l on every call — their
@@ -151,8 +151,9 @@ type Bound struct {
 // mpi.ExchangePlans every strategy runs through, the
 // asynchrony-tolerant site label and staleness window, the phase
 // timers — and the single switch that executes a direction under a
-// strategy. Engines (pfft.Engine, pfft.SlabReal) are FFT passes
-// and scheduling around stages.
+// strategy. The transform engine (pfft.SlabReal) is FFT passes and
+// scheduling around stages: one per plane-group unit of its row
+// exchange, and on a Pr×Pc grid one for its column exchange.
 //
 // Plan ownership: a synchronous stage registers one ExchangePlan and
 // serves both directions and every strategy from it (the plan's

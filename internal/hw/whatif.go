@@ -6,15 +6,6 @@ package hw
 // the all-to-all communication"): scale one subsystem and rerun the
 // step-time model.
 
-// WithNetworkScale returns a copy of the machine with every network
-// bandwidth multiplied by f (injection and per-socket NIC).
-func (m Machine) WithNetworkScale(f float64) Machine {
-	m2 := m
-	m2.NodeInjectionBW *= f
-	m2.NICPerSocket *= f
-	return m2
-}
-
 // WithGPUScale returns a copy with the GPU compute rates multiplied by
 // f (the "faster GPUs can at best approach the MPI-only line" argument
 // of Fig 9).

@@ -32,41 +32,29 @@ func bandKmaxes(n int) []int { return []int{0, 1, grid.DealiasKmax(n), n/2 - 1, 
 func slabWith(c *mpi.Comm, n, workers int, pair exchange.Pair, single bool) *SlabReal {
 	opt := slabOptions(workers)
 	opt.SingleComm = single
-	return newSlabReal(c, n, opt, pair)
+	return newSlabReal(c, nil, n, opt, pair)
 }
 
 // testLayout is e's local geometry as a pencil layout: the slab's is
 // the P×1 grid's, array for array.
-func testLayout(e Real) *transpose.PencilLayout {
-	if s, ok := e.(*SlabReal); ok {
-		return transpose.NewPencilLayout(s.n, s.comm.Size(), 1, s.comm.Rank(), 0)
-	}
-	return e.(*Engine).Layout()
-}
+func testLayout(e *SlabReal) *transpose.PencilLayout { return e.l }
 
 // poisonEngine stores NaN over every element of the engine's own
-// buffers — the pencil grid's X and B; the slab engine's intermediate
-// slab, the single-precision wire's narrowed slabs and, under Staged,
-// its unit stages' staged blocks — none of which a transform may read
-// before writing. The blocks are the stages' own, so they are poisoned
-// the way a transform fills them: by a ZY exchange of the NaN mid (or
-// mid32), which packs NaN into every block the band uses and lands it
-// in the recv blocks and a scratch Fourier slab (four32 on the f32
-// wire, which stays NaN). Collective.
-func poisonEngine(e Real) {
-	var bufs [][]complex128
-	var bufs32 [][]complex64
-	switch f := e.(type) {
-	case *Engine:
-		bufs = [][]complex128{f.x, f.mid}
-	case *SlabReal:
-		bufs, bufs32 = [][]complex128{f.mid}, [][]complex64{f.four32, f.mid32}
-		defer func() {
-			if f.pair.ZY == exchange.Staged {
-				f.runTrial(exchange.ZY, exchange.Staged, make([]complex128, f.FourierLen()))
-			}
-		}()
-	}
+// buffers — B and, on a grid with Pc > 1, X; the single-precision
+// wire's narrowed slabs and, under Staged, its unit stages' staged
+// blocks — none of which a transform may read before writing. The
+// blocks are the stages' own, so they are poisoned the way a transform
+// fills them: by a ZY exchange of the NaN mid (or mid32), which packs
+// NaN into every block the band uses and lands it in the recv blocks
+// and a scratch Fourier slab (four32 on the f32 wire, which stays NaN).
+// Collective.
+func poisonEngine(f *SlabReal) {
+	bufs, bufs32 := [][]complex128{f.mid, f.x}, [][]complex64{f.four32, f.mid32}
+	defer func() {
+		if f.pair.ZY == exchange.Staged {
+			f.runTrial(exchange.ZY, exchange.Staged, make([]complex128, f.FourierLen()))
+		}
+	}()
 	for _, buf := range bufs {
 		for i := range buf {
 			buf[i] = cmplx.NaN()
@@ -96,7 +84,7 @@ func poisonEngine(e Real) {
 // destination it should have written, or read what it should not, turns
 // the answer into NaN. Panics (inside a TryRun body) on the first
 // mismatch.
-func checkBandOracle(f Real, kmaxes []int, poison bool) {
+func checkBandOracle(f *SlabReal, kmaxes []int, poison bool) {
 	l := testLayout(f)
 	n := l.N
 	phys0 := make([]float64, f.PhysicalLen())
@@ -178,7 +166,7 @@ func checkBandOracle(f Real, kmaxes []int, poison bool) {
 // staged and a zero-copy strategy.
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
-		run := func(p int, tag string, build func(c *mpi.Comm) Real) {
+		run := func(p int, tag string, build func(c *mpi.Comm) *SlabReal) {
 			if err := mpi.TryRun(p, func(c *mpi.Comm) {
 				f := build(c)
 				defer f.Close()
@@ -191,7 +179,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 			for _, d := range grids(n, p) {
 				for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
 					for _, workers := range []int{1, 3} {
-						run(p, fmt.Sprintf("%s %s workers=%d", d, st, workers), func(c *mpi.Comm) Real {
+						run(p, fmt.Sprintf("%s %s workers=%d", d, st, workers), func(c *mpi.Comm) *SlabReal {
 							if d.Pc == 1 {
 								return NewSlabRealStrategy(c, n, workers, st)
 							}
@@ -204,10 +192,10 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 			if n%p != 0 {
 				continue
 			}
-			run(p, "slab f32 wire", func(c *mpi.Comm) Real {
+			run(p, "slab f32 wire", func(c *mpi.Comm) *SlabReal {
 				return slabWith(c, n, 2, exchange.Both(exchange.ChunkedFused), true)
 			})
-			run(p, "slab AT stale=0", func(c *mpi.Comm) Real { return NewSlabRealAT(c, n, 2, 0, 2*time.Second) })
+			run(p, "slab AT stale=0", func(c *mpi.Comm) *SlabReal { return NewSlabRealAT(c, n, 2, 0, 2*time.Second) })
 		}
 		for _, p := range []int{1, 2, 4} {
 			for _, np := range []int{1, 3, 4, 5} {
@@ -219,7 +207,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 								st = exchange.Staged
 							}
 							opt := Options{NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st, Workers: 1 + np%2}
-							run(p, fmt.Sprintf("%+v", opt), func(c *mpi.Comm) Real { return NewAsyncSlabReal(c, n, opt) })
+							run(p, fmt.Sprintf("%+v", opt), func(c *mpi.Comm) *SlabReal { return NewAsyncSlabReal(c, n, opt) })
 						}
 					}
 				}
@@ -264,7 +252,7 @@ func FuzzTruncateBand(f *testing.F) {
 			wire = []string{"f64", "f32", "at"}[int(poison)>>1%3]
 		}
 		if err := mpi.TryRun(pr*pc, func(c *mpi.Comm) {
-			var e Real
+			var e *SlabReal
 			switch {
 			case wire == "f32":
 				e = slabWith(c, n, workers, exchange.Both(st), true)
@@ -454,7 +442,7 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 		name   string
 		pr, pc int
 		elem   int64 // bytes per wire element
-		build  func(c *mpi.Comm, n int) Real
+		build  func(c *mpi.Comm, n int) *SlabReal
 	}
 	for _, n := range []int{12, 16, 48} {
 		for _, p := range []int{1, 2, 3, 4} {
@@ -462,18 +450,18 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 				continue
 			}
 			engines := []engine{
-				{"chunked", p, 1, 16, func(c *mpi.Comm, n int) Real {
+				{"chunked", p, 1, 16, func(c *mpi.Comm, n int) *SlabReal {
 					return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused)
 				}},
-				{"f32 fused", p, 1, 8, func(c *mpi.Comm, n int) Real {
+				{"f32 fused", p, 1, 8, func(c *mpi.Comm, n int) *SlabReal {
 					return slabWith(c, n, 1, exchange.Both(exchange.Fused), true)
 				}},
-				{"at", p, 1, 16, func(c *mpi.Comm, n int) Real {
+				{"at", p, 1, 16, func(c *mpi.Comm, n int) *SlabReal {
 					return NewSlabRealAT(c, n, 1, 0, time.Second)
 				}},
 			}
 			if p == 4 {
-				engines = append(engines, engine{"2x2 chunked", 2, 2, 16, func(c *mpi.Comm, n int) Real {
+				engines = append(engines, engine{"2x2 chunked", 2, 2, 16, func(c *mpi.Comm, n int) *SlabReal {
 					row, col := c.CartGrid(2, 2)
 					return NewPencilReal(col, row, n, 1, exchange.Both(exchange.ChunkedFused))
 				}})
@@ -512,7 +500,7 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 // checkExchangeBytes runs one inverse and one forward on a world of
 // pr·pc ranks and compares each one's exchange.bytes growth with the
 // band's count (see TestExchangeBytesAreInBand).
-func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm, n int) Real) error {
+func checkExchangeBytes(n, kmax, pr, pc int, elem int64, build func(c *mpi.Comm, n int) *SlabReal) error {
 	reg := metrics.NewRegistry()
 	var want [2]atomic.Int64 // per direction, summed over the grid
 	var got [2]int64
@@ -684,5 +672,47 @@ func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
 				panic(fmt.Sprintf("dir %d: counter %d grew %d, want %d", d, i, delta, expect))
 			}
 		}
+	}
+}
+
+// A column group whose whole x span lies outside the band (kb = 0) has
+// nothing to move in its row exchange and skips it, on every rank of
+// its row communicator alike; the column exchange still runs on every
+// rank. N = 16 on 2×2 at kmax 1: column group 1 holds kx 5–8, so a
+// transform pair runs 2 × (4 column + 2 row) exchange calls over the
+// grid, not 2 × 8.
+func TestEmptyColumnGroupSkipsRowExchange(t *testing.T) {
+	const n, kmax = 16, 1
+	reg := metrics.NewRegistry()
+	calls := func() (v int64) {
+		for _, e := range reg.Snapshot().Entries {
+			if e.Name == "exchange.calls" {
+				v += int64(e.Value)
+			}
+		}
+		return v
+	}
+	var got atomic.Int64
+	if err := mpi.RunWith(4, reg, func(c *mpi.Comm) {
+		row, col := c.CartGrid(2, 2)
+		f := NewPencilReal(col, row, n, 1, exchange.Both(exchange.ChunkedFused))
+		defer f.Close()
+		f.Truncate(kmax)
+		four := make([]complex128, f.FourierLen())
+		phys := make([]float64, f.PhysicalLen())
+		c.Barrier()
+		before := calls()
+		c.Barrier()
+		f.FourierToPhysical(phys, four)
+		f.PhysicalToFourier(four, phys)
+		c.Barrier()
+		if c.Rank() == 0 {
+			got.Store(calls() - before)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got.Load() != 12 {
+		t.Fatalf("a truncated 2x2 transform pair ran %d exchange calls over the grid, want 12", got.Load())
 	}
 }

@@ -180,8 +180,8 @@ func TestSlabRealFusedSteadyStateZeroAllocs(t *testing.T) {
 // pencil grid reaches its column stage before the row stage.
 func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
 	const n = 16
-	pencil := func(pair exchange.Pair) func(c *mpi.Comm) Real {
-		return func(c *mpi.Comm) Real {
+	pencil := func(pair exchange.Pair) func(c *mpi.Comm) *SlabReal {
+		return func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(2, 2)
 			return NewPencilReal(col, row, n, 1, pair)
 		}
@@ -189,15 +189,15 @@ func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		p      int
-		build  func(c *mpi.Comm) Real
+		build  func(c *mpi.Comm) *SlabReal
 		blocks bool
 	}{
-		{"slab fused", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
-		{"slab chunked", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
-		{"slab at", 2, func(c *mpi.Comm) Real { return NewSlabRealAT(c, n, 1, 0, time.Second) }, false},
+		{"slab fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
+		{"slab chunked", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
+		{"slab at", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealAT(c, n, 1, 0, time.Second) }, false},
 		{"pencil 2x2 chunked", 4, pencil(exchange.Both(exchange.ChunkedFused)), false},
-		{"slab staged", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
-		{"slab staged/fused", 2, func(c *mpi.Comm) Real {
+		{"slab staged", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
+		{"slab staged/fused", 2, func(c *mpi.Comm) *SlabReal {
 			return slabWith(c, n, 1, exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}, false)
 		}, true},
 		{"pencil 2x2 staged/fused", 4, pencil(exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}), true},

@@ -21,13 +21,13 @@ func TestEngineBuffersExactLength(t *testing.T) {
 	type engine struct {
 		name  string
 		ranks int
-		build func(c *mpi.Comm) Real
+		build func(c *mpi.Comm) *SlabReal
 	}
 	engines := []engine{
-		{"slab/fused", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused) }},
-		{"slab/staged", 2, func(c *mpi.Comm) Real { return NewSlabRealStrategy(c, n, 2, exchange.Staged) }},
-		{"slab/f32", 2, func(c *mpi.Comm) Real { return NewSlabRealSingle(c, n, 2) }},
-		{"pencil2x2/staged", 4, func(c *mpi.Comm) Real {
+		{"slab/fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused) }},
+		{"slab/staged", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.Staged) }},
+		{"slab/f32", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealSingle(c, n, 2) }},
+		{"pencil2x2/staged", 4, func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(2, 2)
 			return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
 		}},
@@ -36,7 +36,7 @@ func TestEngineBuffersExactLength(t *testing.T) {
 		for _, single := range []bool{false, true} {
 			for _, gran := range []Granularity{PerPencil, PerSlab} {
 				opt := Options{NP: 3, Granularity: gran, NGPU: 2, Workers: 2, SingleComm: single, Exchange: st}
-				engines = append(engines, engine{fmt.Sprintf("batched %+v", opt), 2, func(c *mpi.Comm) Real {
+				engines = append(engines, engine{fmt.Sprintf("batched %+v", opt), 2, func(c *mpi.Comm) *SlabReal {
 					return NewAsyncSlabReal(c, n, opt)
 				}})
 			}
@@ -46,7 +46,7 @@ func TestEngineBuffersExactLength(t *testing.T) {
 		// The walk reaches the world through the engine's communicator,
 		// so it runs once the world is quiescent, not beside a peer's
 		// collectives.
-		built := make([]Real, tc.ranks)
+		built := make([]*SlabReal, tc.ranks)
 		mpi.Run(tc.ranks, func(c *mpi.Comm) { built[c.Rank()] = tc.build(c) })
 		for r, e := range built {
 			bad, bufs := pooltest.Overheld(e)

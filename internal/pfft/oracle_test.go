@@ -108,7 +108,7 @@ func (o *oracle) masked(kmax int) *oracle {
 // checkAgainstOracle runs build's engine on p ranks and compares its
 // forward spectrum and its inverse of the oracle's spectrum with the
 // naive sums, to tol relative to the largest magnitude of each.
-func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64, build func(c *mpi.Comm) Real) {
+func checkAgainstOracle(t *testing.T, tag string, o *oracle, p int, tol float64, build func(c *mpi.Comm) *SlabReal) {
 	t.Helper()
 	n := o.n
 	var specMax float64
@@ -194,7 +194,7 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 							continue
 						}
 						tag := fmt.Sprintf("N=%d %s %s workers=%d", n, d, st, workers)
-						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) Real {
+						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) *SlabReal {
 							row, col := c.CartGrid(d.Pr, d.Pc)
 							return NewPencilReal(col, row, n, workers, exchange.Both(st))
 						})
@@ -202,20 +202,20 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 					for _, opt := range slabs {
 						opt.Workers, opt.Exchange = workers, st
 						tag := fmt.Sprintf("N=%d P=%d slab %+v", n, p, opt)
-						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) Real { return NewAsyncSlabReal(c, n, opt) })
+						checkAgainstOracle(t, tag, o, p, 1e-12, func(c *mpi.Comm) *SlabReal { return NewAsyncSlabReal(c, n, opt) })
 					}
 				}
 				for _, opt := range slabs {
 					opt.Workers, opt.Exchange, opt.SingleComm = 2, st, true
 					tag := fmt.Sprintf("N=%d P=%d slab %+v", n, p, opt)
-					checkAgainstOracle(t, tag, o, p, 1e-5, func(c *mpi.Comm) Real { return NewAsyncSlabReal(c, n, opt) })
+					checkAgainstOracle(t, tag, o, p, 1e-5, func(c *mpi.Comm) *SlabReal { return NewAsyncSlabReal(c, n, opt) })
 				}
 			}
 		}
 		// One band-limited case per size, against the masked sums: the
 		// 2/3 band on a grid with both exchanges.
 		kmax := n / 3
-		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax), 4, 1e-12, func(c *mpi.Comm) Real {
+		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax), 4, 1e-12, func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(2, 2)
 			f := NewPencilReal(col, row, n, 3, exchange.Both(exchange.ChunkedFused))
 			f.Truncate(kmax)

@@ -6,17 +6,18 @@ import (
 	"repro/internal/transpose"
 )
 
-// Passes are the per-plane FFT bodies of the transforms, as functions
-// of a plane range, so that both engines run one implementation of
-// each pass and one band setter: SlabReal runs them over one plane
-// group per pipeline cell, Engine its y and z passes over its whole
-// pencil. A plane is [N][Stride] complex — a z-plane of C, or a
-// y-plane of B (= X on one column) — or [N][N] real, a y-plane of
-// physical space. Planes are independent and every worker runs an
-// identical plan, so the output is bitwise invariant under how a range
-// is split and across which workers.
+// Passes are the per-plane FFT bodies of the transform, as functions
+// of a plane range, with one band setter: the program's cells run them
+// over their share of a plane group. A plane is [N][Stride] complex — a
+// z-plane of C, or a y-plane of B — [Rows][N/2+1] complex, a y-plane of
+// X (B itself on one column, where Rows = N and Stride = N/2+1), or
+// [Rows][N] real, a y-plane of physical space. Planes are independent
+// and every worker runs an identical plan, so the output is bitwise
+// invariant under how a range is split and across which workers.
 type Passes struct {
 	N, Stride int
+	// Rows is the number of x lines of a y-plane of X (SetBand).
+	Rows int
 	// The band: KB of each row's Stride columns hold an in-band kx,
 	// ZIn marks the z-planes of C whose kz is in band, and [GapLo,
 	// GapHi) are the rows (ky of C, kz of B) that are not.
@@ -25,7 +26,8 @@ type Passes struct {
 	// Per-worker plans (plans carry scratch and are not
 	// concurrency-safe): Y runs the KB in-band columns of a complex
 	// plane at stride Stride — the y lines of C, the z lines of B — and
-	// X a y-plane's N rows between the in-band bins and N real x lines.
+	// X a y-plane's Rows rows between the in-band bins and Rows real x
+	// lines.
 	Y []*fft.Batch
 	X []*fft.RealBatch
 }
@@ -46,6 +48,7 @@ func newPasses(n, stride, planes, workers int) Passes {
 // half-spectrum. Plan time, not hot path.
 func (p *Passes) SetBand(band grid.Band, xlo, zlo, rows int) {
 	nxh := p.N/2 + 1
+	p.Rows = rows
 	p.KB = band.Width(xlo, xlo+p.Stride)
 	p.GapLo, p.GapHi = band.Gap()
 	for iz := range p.ZIn {
@@ -108,38 +111,80 @@ func (p *Passes) FwdY(w int, four []complex128, lo, hi int) {
 	}
 }
 
-// InvZX runs y-planes [lo, hi) of B through the inverse z lines and the
-// complex-to-real x lines back to back, while each plane is in cache,
-// into the physical slab phys on worker w.
+// InvZ runs the inverse z lines of B's y-planes [lo, hi) in place on
+// worker w.
 //
 //psdns:hotpath
-func (p *Passes) InvZX(w int, phys []float64, mid []complex128, lo, hi int) {
-	bp, pp := p.N*p.Stride, p.N*p.N
+func (p *Passes) InvZ(w int, mid []complex128, lo, hi int) {
+	bp := p.N * p.Stride
 	for iy := lo; iy < hi; iy++ {
 		plane := mid[iy*bp : (iy+1)*bp]
 		p.Y[w].Inverse(plane, plane)
-		p.X[w].Inverse(phys[iy*pp:(iy+1)*pp], plane)
+	}
+}
+
+// FwdZ runs the forward z lines of B's y-planes [lo, hi) in place on
+// worker w.
+//
+//psdns:hotpath
+func (p *Passes) FwdZ(w int, mid []complex128, lo, hi int) {
+	bp := p.N * p.Stride
+	for iy := lo; iy < hi; iy++ {
+		plane := mid[iy*bp : (iy+1)*bp]
+		p.Y[w].Forward(plane, plane)
+	}
+}
+
+// InvX runs X's y-planes [lo, hi) through the complex-to-real x lines
+// into the physical pencil phys on worker w.
+//
+//psdns:hotpath
+func (p *Passes) InvX(w int, phys []float64, x []complex128, lo, hi int) {
+	xp, pp := p.Rows*(p.N/2+1), p.Rows*p.N
+	for iy := lo; iy < hi; iy++ {
+		p.X[w].Inverse(phys[iy*pp:(iy+1)*pp], x[iy*xp:(iy+1)*xp])
+	}
+}
+
+// FwdX runs the physical pencil's y-planes [lo, hi) through the
+// real-to-complex x lines into X on worker w.
+//
+//psdns:hotpath
+func (p *Passes) FwdX(w int, x []complex128, phys []float64, lo, hi int) {
+	xp, pp := p.Rows*(p.N/2+1), p.Rows*p.N
+	for iy := lo; iy < hi; iy++ {
+		p.X[w].Forward(x[iy*xp:(iy+1)*xp], phys[iy*pp:(iy+1)*pp])
+	}
+}
+
+// InvZX runs y-planes [lo, hi) of B through the inverse z lines and the
+// complex-to-real x lines back to back, while each plane is in cache,
+// into the physical slab phys on worker w: one column, where B is X.
+//
+//psdns:hotpath
+func (p *Passes) InvZX(w int, phys []float64, mid []complex128, lo, hi int) {
+	for iy := lo; iy < hi; iy++ {
+		p.InvZ(w, mid, iy, iy+1)
+		p.InvX(w, phys, mid, iy, iy+1)
 	}
 }
 
 // FwdXZ runs y-planes [lo, hi) of the physical slab through the
 // real-to-complex x lines and the forward z lines back to back into B
-// on worker w.
+// on worker w: one column, where B is X.
 //
 //psdns:hotpath
 func (p *Passes) FwdXZ(w int, mid []complex128, phys []float64, lo, hi int) {
-	bp, pp := p.N*p.Stride, p.N*p.N
 	for iy := lo; iy < hi; iy++ {
-		plane := mid[iy*bp : (iy+1)*bp]
-		p.X[w].Forward(plane, phys[iy*pp:(iy+1)*pp])
-		p.Y[w].Forward(plane, plane)
+		p.FwdX(w, mid, phys, iy, iy+1)
+		p.FwdZ(w, mid, iy, iy+1)
 	}
 }
 
 // NarrowC converts C's z-planes [lo, hi) to the single-precision wire's
 // copy dst, what the band's exchange moves of them: the KB columns of
 // every row of the in-band planes. With WidenC, NarrowB and WidenB it
-// is the f32 bracket of the one-column engine's exchanges.
+// is the f32 bracket of the row exchanges on one column.
 //
 //psdns:hotpath
 func (p *Passes) NarrowC(dst []complex64, four []complex128, lo, hi int) {

@@ -62,7 +62,7 @@ func slabGlobalReference(t *testing.T, n int) (refFour []complex128, refPhys []f
 func checkPencilMatchesSlab(t *testing.T, n, pr, pc, workers int, pair exchange.Pair, refFour []complex128, refPhys []float64) {
 	t.Helper()
 	tag := fmt.Sprintf("%dx%d workers=%d pair=%s/%s", pr, pc, workers, pair.YZ, pair.ZY)
-	checkMatchesSlab(t, tag, n, pr*pc, func(c *mpi.Comm) Real {
+	checkMatchesSlab(t, tag, n, pr*pc, func(c *mpi.Comm) *SlabReal {
 		row, col := c.CartGrid(pr, pc)
 		return NewPencilReal(col, row, n, workers, pair)
 	}, refFour, refPhys)
@@ -71,7 +71,7 @@ func checkPencilMatchesSlab(t *testing.T, n, pr, pc, workers int, pair exchange.
 // checkMatchesSlab runs build's engine on p ranks and compares every
 // local element of the forward spectrum and of the inverse output
 // bitwise against the slab reference.
-func checkMatchesSlab(t *testing.T, tag string, n, p int, build func(c *mpi.Comm) Real, refFour []complex128, refPhys []float64) {
+func checkMatchesSlab(t *testing.T, tag string, n, p int, build func(c *mpi.Comm) *SlabReal, refFour []complex128, refPhys []float64) {
 	t.Helper()
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		f := build(c)
@@ -136,14 +136,14 @@ func grids(n, p int) []tuning.Decomp {
 	return ds
 }
 
-// The two engines agree bit for bit: the pencil engine on every Pc > 1
-// factorization of every rank count, every worker-team size and both
-// exchange-strategy families — forward and inverse — reproduces the
-// slab engine at P = 1, and so does the slab engine itself on P ranks,
-// as the slab and as the batched pipeline. The per-axis FFT order (x,
-// z, y forward; y, z, x inverse) is the same on both, and the fft
-// batches are stride-invariant, so this is exact equality, not a
-// tolerance.
+// Every grid agrees bit for bit: the engine built by NewPencilReal on
+// every Pr×Pc factorization of every rank count (P×1 included), every
+// worker-team size and both exchange-strategy families — forward and
+// inverse — reproduces the slab at P = 1, and so does the slab on P
+// ranks as the batched pipeline, and the 2×2 grid as the batched
+// pipeline on two devices. The per-axis FFT order (x, z, y forward; y,
+// z, x inverse) is the same on every grid, and the fft batches are
+// stride-invariant, so this is exact equality, not a tolerance.
 func TestPencilSlabBitwiseIdentity(t *testing.T) {
 	const n = 16
 	refFour, refPhys := slabGlobalReference(t, n)
@@ -155,32 +155,25 @@ func TestPencilSlabBitwiseIdentity(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, pair := range pairs {
 				for _, d := range grids(n, p) {
-					if d.Pc > 1 {
-						checkPencilMatchesSlab(t, n, d.Pr, d.Pc, workers, pair, refFour, refPhys)
-					}
+					checkPencilMatchesSlab(t, n, d.Pr, d.Pc, workers, pair, refFour, refPhys)
 				}
 				for _, opt := range []Options{
 					{NP: 1, Granularity: PerSlab, Workers: workers},
 					{NP: 3, Granularity: PerPencil, NGPU: 2, Workers: workers},
 				} {
-					checkMatchesSlab(t, fmt.Sprintf("P=%d slab %+v pair=%s", p, opt, pair), n, p, func(c *mpi.Comm) Real {
-						return newSlabReal(c, n, opt, pair)
+					checkMatchesSlab(t, fmt.Sprintf("P=%d slab %+v pair=%s", p, opt, pair), n, p, func(c *mpi.Comm) *SlabReal {
+						return newSlabReal(c, nil, n, opt, pair)
+					}, refFour, refPhys)
+				}
+				if p == 4 {
+					opt := Options{NP: 3, Granularity: PerPencil, NGPU: 2, Workers: workers}
+					checkMatchesSlab(t, fmt.Sprintf("2x2 %+v pair=%s", opt, pair), n, p, func(c *mpi.Comm) *SlabReal {
+						row, col := c.CartGrid(2, 2)
+						return newSlabReal(col, row, n, opt, pair)
 					}, refFour, refPhys)
 				}
 			}
 		}
-	}
-}
-
-// A one-column grid is the slab: NewPencilReal refuses it and names
-// the slab constructors, so no second one-column engine can be built.
-func TestSlabOnPencilGridPanics(t *testing.T) {
-	err := mpi.TryRun(2, func(c *mpi.Comm) {
-		row, col := c.CartGrid(2, 1)
-		NewPencilReal(col, row, 16, 1, exchange.Both(exchange.Staged)).Close()
-	})
-	if err == nil || !strings.Contains(err.Error(), "is the slab: build it with NewSlabReal") {
-		t.Fatalf("NewPencilReal on a 2x1 grid: error = %v, want the one-column panic", err)
 	}
 }
 

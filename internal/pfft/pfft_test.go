@@ -41,7 +41,7 @@ func TestSlabRealRoundTrip(t *testing.T) {
 // inverse must return the oracle's inverse of that spectrum.
 func TestSlabRealMatchesComplexTransform(t *testing.T) {
 	const n, p = 8, 2
-	checkAgainstOracle(t, "slab P=2", naiveOracle(n), p, 1e-12, func(c *mpi.Comm) Real {
+	checkAgainstOracle(t, "slab P=2", naiveOracle(n), p, 1e-12, func(c *mpi.Comm) *SlabReal {
 		return NewSlabReal(c, n)
 	})
 }
@@ -85,7 +85,7 @@ func TestSlabParsevalAcrossRanks(t *testing.T) {
 // forwardGlobal runs build's engine on p ranks over the real field
 // pencilField and gathers its forward spectrum, indexed
 // (gz·N + gy)·Nxh + gx.
-func forwardGlobal(t *testing.T, n, p int, build func(c *mpi.Comm) Real) []complex128 {
+func forwardGlobal(t *testing.T, n, p int, build func(c *mpi.Comm) *SlabReal) []complex128 {
 	t.Helper()
 	nxh := n/2 + 1
 	out := make([]complex128, n*n*nxh)
@@ -129,8 +129,8 @@ func TestSlabAndPencilAgree(t *testing.T) {
 	ref := make([]complex128, len(global))
 	fft.NewPlan3D(n, n, n).Forward(ref, global)
 
-	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) Real { return NewSlabReal(c, n) })
-	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) Real {
+	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) *SlabReal { return NewSlabReal(c, n) })
+	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) *SlabReal {
 		row, col := c.CartGrid(2, 2)
 		return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
 	})

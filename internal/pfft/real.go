@@ -8,30 +8,6 @@ import (
 	"repro/internal/tuning"
 )
 
-// Real is a real-field transform pair on any decomposition, what
-// NewRealTuned returns: SlabReal on the slab (and on an explicit P×1
-// grid), Engine on a Pc > 1 pencil grid. Both produce bitwise-identical
-// results on the same field.
-type Real interface {
-	// FourierToPhysical is the inverse transform, 1/N³ normalized; four
-	// is consumed as scratch.
-	FourierToPhysical(phys []float64, four []complex128)
-	// PhysicalToFourier is the unnormalized forward transform.
-	PhysicalToFourier(four []complex128, phys []float64)
-	// Truncate band-limits the pair to |k_i| ≤ kmax (see
-	// spectral.Transform).
-	Truncate(kmax int)
-	FourierLen() int
-	PhysicalLen() int
-	// Decomp reports the decomposition the transform runs on.
-	Decomp() tuning.Decomp
-	// StrategyPair reports the pinned strategies of both directions.
-	StrategyPair() exchange.Pair
-	Close()
-	// runTrial is the tuner's exchange-only trial body.
-	runTrial(d exchange.Dir, st exchange.Strategy, four []complex128)
-}
-
 // NewRealTuned builds the DNS transform for decomposition d through
 // tuning.Tune, searching cfg.Space and persisting the winner in the
 // tuning cache:
@@ -54,14 +30,15 @@ type Real interface {
 //     wash; at P > N only pencil grids are valid and the search picks
 //     among them.
 //
-// A one-column candidate (the slab, or an explicit P×1) builds
-// SlabReal at np 1, one exchange per slab, one device; a Pc > 1
-// candidate builds Engine. A trial is the candidate's runTrial on the
-// tuner's pooled slab: exchange-only, since per-rank FFT work is
-// identical across decompositions. The single-precision wire runs on
-// one column only, so Pc > 1 candidates collapse the wire-precision
-// dimension. Collective.
-func NewRealTuned(comm *mpi.Comm, n, workers int, d tuning.Decomp, cfg tuning.Config) Real {
+// Every candidate builds the program at np 1, one exchange per slab,
+// one device: a one-column candidate (the slab, or an explicit P×1) over
+// comm, a Pc > 1 candidate over comm's CartGrid communicators. A trial
+// is the candidate's runTrial on the tuner's pooled slab: exchange-only,
+// since per-rank FFT work is identical across decompositions. The
+// single-precision wire runs on one column only, so Pc > 1 candidates
+// collapse the wire-precision dimension, and their points carry no
+// plane-group dimensions (NP 0). Collective.
+func NewRealTuned(comm *mpi.Comm, n, workers int, d tuning.Decomp, cfg tuning.Config) *SlabReal {
 	p := comm.Size()
 	engine := "real"
 	switch {
@@ -82,29 +59,14 @@ func NewRealTuned(comm *mpi.Comm, n, workers int, d tuning.Decomp, cfg tuning.Co
 		panic(fmt.Sprintf("pfft: malformed decomposition %+v", d))
 	}
 	pinSlab(&cfg)
-	slab := oneColumn(comm, n, engine, slabOptions(workers))
-	return tuning.Tune(comm, cfg, tuning.Target[Real]{
-		Engine:  engine,
-		N:       n,
-		NP:      slab.NP,
-		Workers: workers,
-		Collapse: func(pt tuning.Point) tuning.Point {
-			if pt.Pc > 1 {
-				pt.NP, pt.PerSlab, pt.Single = 0, false, false
-			}
-			return pt
-		},
-		// The one column is comm itself, a pencil grid its CartGrid
-		// communicators.
-		Build: func(pt tuning.Point) Real {
-			if pt.Pc <= 1 {
-				return slab.Build(pt)
-			}
-			commZ, commY := comm.CartGrid(pt.Pr, pt.Pc)
-			return newEngine(commY, commZ, n, pt.Workers, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
-		},
-		Trial: func(e Real, d exchange.Dir, st exchange.Strategy, four []complex128) { e.runTrial(d, st, four) },
-	})
+	t := target(comm, n, engine, slabOptions(workers))
+	t.Collapse = func(pt tuning.Point) tuning.Point {
+		if pt.Pc > 1 {
+			pt.NP, pt.PerSlab, pt.Single = 0, false, false
+		}
+		return pt
+	}
+	return tuning.Tune(comm, cfg, t)
 }
 
 // pinSlab pins the space's pencil dimensions to the slab's: one plane
@@ -164,15 +126,17 @@ func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config
 		// searched when the space asks for it explicitly.
 		cfg.Space.Single = []bool{opt.SingleComm}
 	}
-	return tuning.Tune(comm, cfg, oneColumn(comm, n, engine, opt))
+	return tuning.Tune(comm, cfg, target(comm, n, engine, opt))
 }
 
-// oneColumn is the tuning.Target of the one-column engine under cache
-// key engine: a point pins the strategy of each direction, the
-// granularity, pencil count, worker-team size and wire precision over
-// opt, which supplies the rest (devices) and the defaults of the
-// space's empty NP and Workers dimensions.
-func oneColumn(comm *mpi.Comm, n int, engine string, opt Options) tuning.Target[*SlabReal] {
+// target is the tuning.Target of the engine under cache key engine:
+// a point pins the strategy of each direction, the granularity, pencil
+// count, worker-team size and wire precision over opt, which supplies
+// the rest (devices) and the defaults of the space's empty NP and
+// Workers dimensions. The program runs over comm itself, or, for a
+// point on a Pc > 1 grid (NewRealTuned's), over comm's CartGrid
+// communicators at one plane group and one exchange per slab.
+func target(comm *mpi.Comm, n int, engine string, opt Options) tuning.Target[*SlabReal] {
 	return tuning.Target[*SlabReal]{
 		Engine:  engine,
 		N:       n,
@@ -185,7 +149,12 @@ func oneColumn(comm *mpi.Comm, n int, engine string, opt Options) tuning.Target[
 				o.Granularity = PerSlab
 			}
 			o.NP, o.Workers, o.SingleComm = pt.NP, pt.Workers, pt.Single
-			return newSlabReal(comm, n, o, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
+			commY, commZ := comm, (*mpi.Comm)(nil)
+			if pt.Pc > 1 {
+				commZ, commY = comm.CartGrid(pt.Pr, pt.Pc)
+				o.NP, o.Granularity = 1, PerSlab
+			}
+			return newSlabReal(commY, commZ, n, o, exchange.Pair{YZ: pt.Strategy, ZY: pt.StrategyZY})
 		},
 		Trial: (*SlabReal).runTrial,
 	}

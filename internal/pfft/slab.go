@@ -39,10 +39,10 @@ func ParseGranularity(s string) (Granularity, error) {
 	return PerSlab, fmt.Errorf("pfft: unknown granularity %q (want pencil or slab)", s)
 }
 
-// Options configures the one-column engine's pipeline. The slab
-// constructors (NewSlabReal and its siblings) pin NP 1, PerSlab and one
-// device — the synchronous algorithm of Fig 2 — and NewAsyncSlabReal
-// takes the options of the batched pipeline of Fig 4.
+// Options configures the engine's pipeline. The slab constructors
+// (NewSlabReal and its siblings) and NewPencilReal pin NP 1, PerSlab
+// and one device — the synchronous algorithm of Fig 2 — and
+// NewAsyncSlabReal takes the options of the batched pipeline of Fig 4.
 type Options struct {
 	// NP is the number of pencils each slab is divided into (Fig 3):
 	// plane groups, splitRange(N/P, NP) of the z-planes of the Fourier
@@ -138,12 +138,11 @@ type gpuCtx struct {
 	ps   Passes
 }
 
-// slabMetrics are the per-rank instrumentation handles of the
-// one-column engine: the disjoint wall sections of each transposing
-// transform (device pipeline, and the unit stages' pack, exchange and
-// unpack phases) and the bytes the pack kernels write out of the
-// device pipeline (the only transfer left, and only where the wire
-// packs: nothing is staged in).
+// slabMetrics are the per-rank instrumentation handles of the engine:
+// the disjoint wall sections of each transform (device pipeline, and
+// the stages' pack, exchange and unpack phases) and the bytes the pack
+// kernels write out of the device pipeline (the only transfer left,
+// and only where the wire packs: nothing is staged in).
 type slabMetrics struct {
 	pipeline *metrics.Histogram
 	ph       exchange.Phases
@@ -151,42 +150,54 @@ type slabMetrics struct {
 	kmax     *metrics.Gauge
 }
 
-// SlabReal is the one-column transform engine: the DNS transform pair
-// — real physical fields, conjugate-symmetric half-spectra (Nxh =
-// N/2+1 in x) in Fourier space — on the slab decomposition, run as the
-// batched asynchronous pipeline of Fig 4. The synchronous slab and the
-// paper's basic GPU algorithm of Fig 2 are its np = 1, one-exchange-
-// per-slab case (the slab constructors); NewAsyncSlabReal takes the
-// pencil count, granularity and devices of the batched pipeline. It
-// implements spectral.Transform. Not safe for concurrent use.
+// SlabReal is the transform engine: the DNS transform pair — real
+// physical fields, conjugate-symmetric half-spectra (Nxh = N/2+1 in x)
+// in Fourier space — run as the batched asynchronous pipeline of Fig 4
+// over a Pr×Pc process grid. The slab decomposition is its one-column
+// grid (Pc = 1), the solver's (it implements spectral.Transform there):
+// the synchronous slab and the paper's basic GPU algorithm of Fig 2 are
+// its np = 1, one-exchange-per-slab case (the slab constructors), and
+// NewAsyncSlabReal takes the pencil count, granularity and devices of
+// the batched pipeline. NewPencilReal builds it on a Pr×Pc grid, the
+// FFTK-style 2-D decomposition that lifts the slab's P ≤ N ceiling. Not
+// safe for concurrent use.
 //
-// The engine is compiled once: construction turns each of its four
-// region passes into a flat op program — one prebuilt compute kernel,
-// and where the wire packs a pack kernel and its events, per (plane
-// group, device) cell — and a transform replays those programs through
-// the streams. The per-call slabs reach the kernels through the four
-// and phys fields, so the steady state builds no closure and allocates
+// The engine is compiled once: construction turns each of its region
+// passes into a flat op program — one prebuilt compute kernel, and
+// where the wire packs a pack kernel and its events, per (plane group,
+// device) cell — and a transform replays those programs through the
+// streams. The per-call slabs reach the kernels through the four and
+// phys fields, so the steady state builds no closure and allocates
 // nothing.
 type SlabReal struct {
+	// comm is the row communicator (Pr ranks) the plane-group units
+	// exchange over; col, on a grid with Pc > 1, is the column stage
+	// over the Pc ranks of the column communicator, nil on one column.
 	comm *mpi.Comm
+	col  *exchange.Stage[complex128]
+	// l is the rank's pencil geometry (Pc = 1: the slab's, array for
+	// array), s the slab's on one column.
+	l    *transpose.PencilLayout
 	s    grid.Slab
 	n    int
-	nxh  int
 	np   int
 	gran Granularity
 
 	gpus []*gpuCtx
-	// groups are the np plane groups of the local slabs (Fig 3's
-	// pencils), splitRange(N/P, np) of the z-planes of four and the
-	// y-planes of mid alike; a group past N/P planes is empty. units are
-	// what one exchange carries: the groups under PerPencil, every plane
-	// under PerSlab.
+	// groups are the np plane groups of the local pencils (Fig 3's
+	// pencils), splitRange(N/Pr, np) of the z-planes of four and the
+	// y-planes of mid and x alike; a group past N/Pr planes is empty.
+	// units are what one row exchange carries: the groups under
+	// PerPencil, every plane under PerSlab.
 	groups, units []span
 	// lays[u] is the slab transpose over unit u's planes at the band
-	// (transpose.SlabLayout.Range): its exchange kernels, staged blocks
-	// and byte counts.
+	// (transpose.SlabLayout.Range) with Nxh := Wc: its exchange kernels,
+	// staged blocks and byte counts.
 	lays []transpose.SlabLayout
-	mid  []complex128 // [my][nz][nxh] intermediate slab
+	mid  []complex128 // B = [my][nz][wc], z complete
+	// x is X = [my][mz][nxh], x complete, padded to PadXLen for the
+	// column stage's publication; nil on one column, where B is X.
+	x []complex128
 	// four32 and mid32 are the single-precision wire's copies of four
 	// and mid (nil on the double-precision wire): a transposing cell
 	// narrows its planes into one, the exchange lands in the other, and
@@ -197,21 +208,25 @@ type SlabReal struct {
 	// exchange kernels address them through these fields.
 	four []complex128
 	phys []float64
-	// wire holds the staging buffers and the exchange stages, at the
-	// precision the exchange ships (Options.SingleComm).
+	// wire holds the staging buffers and the row exchange's unit
+	// stages, at the precision the exchange ships (Options.SingleComm).
 	wire wire
 
 	// team splits the exchange stages' pack, gather and unpack kernels
-	// across workers; it is shared by both transposing regions and
+	// across workers; it is shared by every transposing region and
 	// reused across steps.
 	team *par.Team
 
 	// The compiled regions by exchange direction: regT[d] runs in front
-	// of d's exchange and feeds it, regM[d] behind it. YZ: the y inverse
-	// on z-plane groups of four, then the z inverse and c2r per y-plane
-	// of mid. ZY: r2c and the z forward per y-plane of mid, then the y
-	// forward on z-plane groups of four.
-	regT, regM [2]region
+	// of d's row exchange and feeds it, regM[d] behind it. YZ: the y
+	// inverse on z-plane groups of four, then the z inverse and c2r per
+	// y-plane of mid. ZY: r2c and the z forward per y-plane of mid, then
+	// the y forward on z-plane groups of four. With Pc > 1 the z and x
+	// passes are apart, the column exchange between them: regM[YZ] and
+	// regT[ZY] run the z lines of mid only, and regX[d] the x lines of
+	// x's y-planes, behind the column exchange (YZ) or in front of it
+	// (ZY).
+	regT, regM, regX [2]region
 
 	met    *slabMetrics
 	closed bool
@@ -248,7 +263,7 @@ func NewSlabRealStrategy(comm *mpi.Comm, n, workers int, strat exchange.Strategy
 	if strat == exchange.Auto {
 		return NewAsyncSlabRealTuned(comm, n, slabOptions(workers), tuning.Config{})
 	}
-	return newSlabReal(comm, n, slabOptions(workers), exchange.Both(strat))
+	return newSlabReal(comm, nil, n, slabOptions(workers), exchange.Both(strat))
 }
 
 // NewSlabRealSingle builds the slab transform on the single-precision
@@ -276,7 +291,7 @@ func NewSlabRealAT(comm *mpi.Comm, n, workers, maxStale int, deadline time.Durat
 	}
 	opt := slabOptions(workers)
 	opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, maxStale, deadline
-	return newSlabReal(comm, n, opt, exchange.Both(exchange.AT))
+	return newSlabReal(comm, nil, n, opt, exchange.Both(exchange.AT))
 }
 
 // NewAsyncSlabReal constructs the batched pipeline of Fig 4 for an N³
@@ -290,19 +305,41 @@ func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *SlabReal {
 			Space: tuning.Space{PerSlab: []bool{opt.Granularity == PerSlab}},
 		})
 	}
-	return newSlabReal(comm, n, opt, exchange.Both(opt.Exchange))
+	return newSlabReal(comm, nil, n, opt, exchange.Both(opt.Exchange))
 }
 
-// newSlabReal is the one constructor: pair is pinned — both concrete,
-// or both AT (with opt's bound) — and opt.Exchange is not read. pair
-// and opt are identical on every rank, so the collective registration
-// order stays uniform.
-func newSlabReal(comm *mpi.Comm, n int, opt Options, pair exchange.Pair) *SlabReal {
+// NewPencilReal builds the transform at the slab constructors' options
+// (np 1, one exchange per slab, one device) over a process grid whose
+// row communicator commY has size Pr and column communicator commZ
+// size Pc (the caller typically obtains them from Comm.CartGrid). At
+// Pc = 1 it is the slab over commY, bit for bit. Both strategies of
+// pair must be concrete: trial resolution needs a communicator spanning
+// the whole grid, so tuned construction (and the choice of
+// decomposition) is NewRealTuned's. Collective over both
+// communicators: every rank must construct the transform at the same
+// point in each sub-communicator's collective order.
+func NewPencilReal(commY, commZ *mpi.Comm, n, workers int, pair exchange.Pair) *SlabReal {
+	return newSlabReal(commY, commZ, n, slabOptions(workers), pair)
+}
+
+// newSlabReal is the one constructor: the program over the row
+// communicator comm and the column communicator commZ (nil: one
+// column). pair is pinned — both concrete, or both AT (with opt's
+// bound) — and opt.Exchange is not read. pair and opt are identical on
+// every rank, so the collective registration order stays uniform.
+func newSlabReal(comm, commZ *mpi.Comm, n int, opt Options, pair exchange.Pair) *SlabReal {
 	if n%2 != 0 {
 		panic(fmt.Sprintf("pfft: N must be even, got %d", n))
 	}
 	if (pair.YZ == exchange.AT) != (pair.ZY == exchange.AT) || pair.YZ == exchange.Auto || pair.ZY == exchange.Auto {
 		panic(fmt.Sprintf("pfft: the engine needs concrete strategies or AT in both directions, got %s", pair))
+	}
+	pc, zRank := 1, 0
+	if commZ != nil {
+		pc, zRank = commZ.Size(), commZ.Rank()
+	}
+	if pc > 1 && (pair.YZ == exchange.AT || opt.SingleComm) {
+		panic("pfft: the asynchrony-tolerant exchange and the single-precision wire need one column (Pc = 1)")
 	}
 	if opt.NP == 0 {
 		opt.NP = 3
@@ -317,23 +354,28 @@ func newSlabReal(comm *mpi.Comm, n int, opt Options, pair exchange.Pair) *SlabRe
 	if opt.NP < 1 || opt.NP > nxh || opt.NP > n {
 		panic(fmt.Sprintf("pfft: invalid pencil count %d for N=%d", opt.NP, n))
 	}
-	s := grid.NewSlab(n, comm.Size(), comm.Rank())
 	a := &SlabReal{
-		comm:   comm,
-		s:      s,
-		n:      n,
-		nxh:    nxh,
-		np:     opt.NP,
-		gran:   opt.Granularity,
-		pair:   pair,
-		groups: splitRange(s.MZ(), opt.NP),
+		comm: comm,
+		n:    n,
+		np:   opt.NP,
+		gran: opt.Granularity,
+		pair: pair,
 	}
+	if pc == 1 {
+		a.s = grid.NewSlab(n, comm.Size(), comm.Rank())
+	}
+	l := transpose.NewPencilLayout(n, comm.Size(), pc, comm.Rank(), zRank)
+	a.l, a.groups = l, splitRange(l.Mz2, opt.NP)
 	a.units = a.groups
 	if a.gran == PerSlab {
-		a.units = []span{{0, s.MZ()}}
+		a.units = []span{{0, l.Mz2}}
 	}
 
-	reg, rank := comm.Metrics(), comm.Rank()
+	// Sub-communicators share the world registry, so metrics are
+	// labelled with the grid-global rank yG·Pc+zG (the parent comm's
+	// rank for CartGrid-derived communicators), not a sub-communicator
+	// rank that would collide across groups.
+	reg, rank := comm.Metrics(), comm.Rank()*pc+zRank
 	a.met = &slabMetrics{
 		pipeline: reg.HistogramRank("phase.pipeline", rank),
 		ph:       exchange.NewPhases(reg, rank),
@@ -341,8 +383,8 @@ func newSlabReal(comm *mpi.Comm, n int, opt Options, pair exchange.Pair) *SlabRe
 		kmax:     reg.GaugeRank("transform.kmax", rank),
 	}
 	a.team = par.NewTeam(opt.Workers)
-	a.mid = pool.GetComplex(s.MY() * n * nxh)
-	full := transpose.NewSlabLayout(nxh, n, s.MZ(), comm.Size())
+	a.mid = pool.GetComplex(l.BLen())
+	full := transpose.NewSlabLayout(l.Wc, n, l.Mz2, l.Pr)
 	for _, us := range a.units {
 		a.lays = append(a.lays, full.Range(us.lo, us.hi))
 	}
@@ -361,18 +403,26 @@ func newSlabReal(comm *mpi.Comm, n int, opt Options, pair exchange.Pair) *SlabRe
 	} else {
 		a.wire = newWire[complex128](a, bound)
 	}
+	if pc > 1 {
+		a.x = pool.GetComplex(l.PadXLen)
+		a.col = newColumnStage(commZ, a.team, a.met.ph, l, pair)
+	}
 
 	for g := 0; g < opt.NGPU; g++ {
 		dev := cuda.NewDevice(g)
 		dev.SetMetrics(reg, rank)
+		// A stream's ring holds the most entries one region enqueues
+		// on it, and Synchronize's marker: a compute op and its event
+		// per plane group on the compute stream; a wait, a pack and its
+		// event per group on the transfer stream.
 		ctx := &gpuCtx{
 			dev:     dev,
-			compute: dev.NewStream(fmt.Sprintf("gpu%d/compute", g)),
+			compute: dev.NewStream(fmt.Sprintf("gpu%d/compute", g), 2*opt.NP+1),
 			team:    par.NewTeam(opt.Workers),
-			ps:      newPasses(n, nxh, s.MZ(), opt.Workers),
+			ps:      newPasses(n, l.Wc, l.Mz2, opt.Workers),
 		}
 		if a.Single() {
-			ctx.transfer = dev.NewStream(fmt.Sprintf("gpu%d/transfer", g))
+			ctx.transfer = dev.NewStream(fmt.Sprintf("gpu%d/transfer", g), 3*opt.NP+1)
 		}
 		a.gpus = append(a.gpus, ctx)
 	}
@@ -418,8 +468,14 @@ func (a *SlabReal) strategy(d exchange.Dir) exchange.Strategy {
 	return a.pair.ZY
 }
 
-// Decomp reports the decomposition: the slab.
-func (a *SlabReal) Decomp() tuning.Decomp { return tuning.DecompSlab }
+// Decomp reports the decomposition: the slab on one column, the Pr×Pc
+// grid otherwise.
+func (a *SlabReal) Decomp() tuning.Decomp {
+	if a.col != nil {
+		return tuning.Pencil(a.l.Pr, a.l.Pc)
+	}
+	return tuning.DecompSlab
+}
 
 // Close releases the device worker goroutines, the worker teams, the
 // FFT plans and every arena-backed buffer. Idempotent.
@@ -435,26 +491,46 @@ func (a *SlabReal) Close() {
 	}
 	a.team.Close()
 	a.wire.close()
+	if a.col != nil {
+		a.col.Close()
+	}
 	pool.PutComplex(a.mid)
+	pool.PutComplex(a.x)
 	pool.PutComplex64(a.four32)
 	pool.PutComplex64(a.mid32)
-	a.mid, a.four32, a.mid32 = nil, nil, nil
+	a.mid, a.x, a.four32, a.mid32 = nil, nil, nil, nil
 }
 
 // Workers reports the per-rank worker-team size.
 func (a *SlabReal) Workers() int { return a.team.Size() }
 
-// Slab reports the decomposition geometry.
-func (a *SlabReal) Slab() grid.Slab { return a.s }
+// Slab reports the slab geometry. A Pr×Pc grid with Pc > 1 has none, so
+// no solver is built on one: it panics there.
+func (a *SlabReal) Slab() grid.Slab {
+	a.needSlab()
+	return a.s
+}
 
-// NXH is the stored x extent of the half-spectrum.
-func (a *SlabReal) NXH() int { return a.nxh }
+// NXH is the stored x extent of the half-spectrum; it panics on a grid
+// with Pc > 1, as Slab does.
+func (a *SlabReal) NXH() int {
+	a.needSlab()
+	return a.l.Nxh
+}
 
-// FourierLen is the complex element count of the local Fourier slab.
-func (a *SlabReal) FourierLen() int { return a.s.MZ() * a.n * a.nxh }
+func (a *SlabReal) needSlab() {
+	if a.col != nil {
+		panic(fmt.Sprintf("pfft: the transform runs on a %dx%d pencil grid, not a slab: the solver needs a one-column transform", a.l.Pr, a.l.Pc))
+	}
+}
 
-// PhysicalLen is the real element count of the local physical slab.
-func (a *SlabReal) PhysicalLen() int { return a.s.MY() * a.n * a.n }
+// FourierLen is the complex element count of the local Fourier pencil
+// C = [mz2][ny][wc] (the slab's [mz][ny][nxh] on one column).
+func (a *SlabReal) FourierLen() int { return a.l.CLen() }
+
+// PhysicalLen is the real element count of the local physical pencil
+// [my][mz][nx].
+func (a *SlabReal) PhysicalLen() int { return a.l.My * a.l.Mz * a.n }
 
 // Single reports whether the exchanges ship the single-precision wire.
 // The transposing cells carry a pack op (packOp) exactly there, where
@@ -494,45 +570,54 @@ type region struct {
 	units bool
 }
 
-// compile builds the four op programs for band: kb = band.Width(0,
-// nxh) is the width of every batch and of every row the exchanges
-// move. Every plan the kernels run is built here, one per worker and
-// device (the previous band's are released), so no plan construction
-// is left in the timed regions.
+// compile builds the op programs for band: kb = band.Width(XLo, XLo+Wc)
+// is the width of every batch and of every row the row exchanges move.
+// Every plan the kernels run is built here, one per worker and device
+// (the previous band's are released), so no plan construction is left
+// in the timed regions.
 //
 // A plane group is a valid Fig 3 pencil of each pass it runs: z-planes
-// of four are complete in y, y-planes of mid complete in z and x. So
-// every batch runs the band's full width kb of in-band columns, and the
-// z and x passes of a y-plane run back to back while it is in cache:
-// the cells run the bodies of Passes over their share of a group. The
-// band reaches every pass (see Passes) and every exchange through the
-// units' layouts: each pack and gather moves the kb columns of the
-// in-band kz rows, the YZ gathers storing +0 over the same columns of
-// the out-of-band rows of mid, which the z lines read. On the
-// single-precision wire the mirror region's cells widen their planes
-// before their pass.
+// of four are complete in y, y-planes of mid complete in z and, on one
+// column, in x, where the z and x passes of a y-plane run back to back
+// while it is in cache. So every batch runs the band's full width kb of
+// in-band columns: the cells run the bodies of Passes over their share
+// of a group. The band reaches every pass (see Passes) and every row
+// exchange through the units' layouts: each pack and gather moves the
+// kb columns of the in-band kz rows, the YZ gathers storing +0 over the
+// same columns of the out-of-band rows of mid, which the z lines read.
+// The column exchange moves whole pencils; the x lines never read the
+// bins past the band. On the single-precision wire the mirror region's
+// cells widen their planes before their pass.
 func (a *SlabReal) compile(band grid.Band) {
+	l := a.l
 	for _, ctx := range a.gpus {
-		ctx.ps.SetBand(band, 0, a.s.ZLo(), a.n)
+		ctx.ps.SetBand(band, l.XLo, l.YRank*l.Mz2, l.Mz)
 	}
 	kb := a.gpus[0].ps.KB
 	for u := range a.lays {
 		a.lays[u].SetBand(kb, band)
 	}
 	a.regT[exchange.YZ] = a.region(exchange.YZ, true, func(ps *Passes, w, lo, hi int) { ps.InvY(w, a.four, lo, hi) })
-	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *Passes, w, lo, hi int) {
-		if a.mid32 != nil {
-			ps.WidenB(a.mid, a.mid32, lo, hi)
-		}
-		ps.InvZX(w, a.phys, a.mid, lo, hi)
-	})
-	a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *Passes, w, lo, hi int) { ps.FwdXZ(w, a.mid, a.phys, lo, hi) })
 	a.regM[exchange.ZY] = a.region(exchange.ZY, false, func(ps *Passes, w, lo, hi int) {
 		if a.four32 != nil {
 			ps.WidenC(a.four, a.four32, lo, hi)
 		}
 		ps.FwdY(w, a.four, lo, hi)
 	})
+	if a.col == nil {
+		a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *Passes, w, lo, hi int) {
+			if a.mid32 != nil {
+				ps.WidenB(a.mid, a.mid32, lo, hi)
+			}
+			ps.InvZX(w, a.phys, a.mid, lo, hi)
+		})
+		a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *Passes, w, lo, hi int) { ps.FwdXZ(w, a.mid, a.phys, lo, hi) })
+		return
+	}
+	a.regM[exchange.YZ] = a.region(exchange.YZ, false, func(ps *Passes, w, lo, hi int) { ps.InvZ(w, a.mid, lo, hi) })
+	a.regX[exchange.YZ] = a.region(exchange.YZ, false, func(ps *Passes, w, lo, hi int) { ps.InvX(w, a.phys, a.x, lo, hi) })
+	a.regX[exchange.ZY] = a.region(exchange.ZY, false, func(ps *Passes, w, lo, hi int) { ps.FwdX(w, a.x, a.phys, lo, hi) })
+	a.regT[exchange.ZY] = a.region(exchange.ZY, true, func(ps *Passes, w, lo, hi int) { ps.FwdZ(w, a.mid, lo, hi) })
 }
 
 // region compiles one pass: a cell per (group, device) whose kernel
@@ -617,7 +702,7 @@ func (a *SlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 }
 
 // transform is one direction of Fig 4: the dashed transposing region,
-// its exchange, and the region behind it. Unit u of the exchange is
+// its row exchange, and the region behind it. Unit u of the exchange is
 // plane group u: under PerPencil it starts from inside the pipeline as
 // soon as the group is ready on every device, overlapping the later
 // groups' compute. Every strategy runs a unit through the unit's
@@ -627,15 +712,37 @@ func (a *SlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 // region packs nothing, from the planes the pack narrowed on the f32
 // wire — and Staged packs the planes into staged blocks, exchanges the
 // blocks and unpacks them. Under PerSlab the one exchange follows the
-// region.
+// region. With Pc > 1 the x region and the column exchange over the
+// whole pencil follow the inverse and precede the forward.
 //
 //psdns:hotpath
 func (a *SlabReal) transform(d exchange.Dir) {
+	if a.col != nil && d == exchange.ZY {
+		a.pipeline(&a.regX[d])
+		a.column(d, a.pair.ZY)
+	}
 	a.pipeline(&a.regT[d])
 	if !a.regT[d].units {
 		a.exchange(d, a.strategy(d))
 	}
 	a.pipeline(&a.regM[d])
+	if a.col != nil && d == exchange.YZ {
+		a.column(d, a.pair.YZ)
+		a.pipeline(&a.regX[d])
+	}
+}
+
+// column runs direction d's column exchange under st over the whole
+// pencil: YZ moves the z-complete B into the x-complete X, ZY moves X
+// into B. Collective over the column communicator.
+//
+//psdns:hotpath
+func (a *SlabReal) column(d exchange.Dir, st exchange.Strategy) {
+	if d == exchange.YZ {
+		a.col.Run(d, st, a.mid, a.x)
+	} else {
+		a.col.Run(d, st, a.x, a.mid)
+	}
 }
 
 // pipeline replays a region's op program with the Fig 4 launch order:
@@ -724,12 +831,14 @@ func (a *SlabReal) readyUnit(r *region, ip int) time.Duration {
 }
 
 // startUnit runs unit u's exchange under st to completion through the
-// unit's stage. An empty unit (a group past N/P planes) has nothing to
-// move, on every rank alike, and is skipped. Collective.
+// unit's stage. An empty unit (a group past N/Pr planes) and a column
+// group with no in-band column (kb = 0, Pc > 1) have nothing to move,
+// on every rank of the row communicator alike, and are skipped.
+// Collective.
 //
 //psdns:hotpath
 func (a *SlabReal) startUnit(d exchange.Dir, st exchange.Strategy, u int) {
-	if a.units[u].width() > 0 {
+	if a.units[u].width() > 0 && a.lays[u].KB > 0 {
 		a.wire.run(d, st, u)
 	}
 }
@@ -746,12 +855,19 @@ func (a *SlabReal) exchange(d exchange.Dir, st exchange.Strategy) {
 	}
 }
 
-// runTrial runs direction d's exchange under st on the trial slab
-// four, without FFT passes: the tuner's trial body (buffer contents
-// are irrelevant to the timing). Collective.
+// runTrial runs direction d's exchanges under st on the trial slab
+// four, in the transform's order and without FFT passes: the tuner's
+// trial body (buffer contents are irrelevant to the timing, and the
+// per-rank FFT work is the same on every decomposition). Collective.
 func (a *SlabReal) runTrial(d exchange.Dir, st exchange.Strategy, four []complex128) {
 	a.four = four
+	if a.col != nil && d == exchange.ZY {
+		a.column(d, st)
+	}
 	a.exchange(d, st)
+	if a.col != nil && d == exchange.YZ {
+		a.column(d, st)
+	}
 	a.four = nil
 }
 

@@ -2,9 +2,11 @@ package pfft
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cuda"
 	"repro/internal/exchange"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -153,5 +155,72 @@ func TestAsyncRecvOnlyUnderStaged(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ringDepth is the capacity of a stream's ring: how many entries the
+// host may enqueue ahead of the stream without blocking.
+func ringDepth(s *cuda.Stream) int { return reflect.ValueOf(s).Elem().FieldByName("ring").Cap() }
+
+// A stream's ring is sized to the program: the most entries one region
+// enqueues on it plus Synchronize's marker — 2·np + 1 on the compute
+// stream (a compute op and its event per plane group), 3·np + 1 on the
+// transfer stream (a wait, a pack and its event) — so a region is
+// enqueued without the host ever blocking, and, where the cells carry
+// every event (per-pencil exchanges on the f32 wire), no deeper. Pinned
+// at np 1 on one device and at the largest np, N/2+1, on two.
+func TestStreamRingsAreProgramSized(t *testing.T) {
+	const n = 16
+	for _, tc := range []struct {
+		opt               Options
+		compute, transfer int
+	}{
+		{Options{NP: 1, Granularity: PerSlab, NGPU: 1}, 3, 0},
+		{Options{NP: 1, Granularity: PerSlab, NGPU: 1, SingleComm: true}, 3, 4},
+		{Options{NP: n/2 + 1, Granularity: PerPencil, NGPU: 2, SingleComm: true}, 2*(n/2+1) + 1, 3*(n/2+1) + 1},
+	} {
+		if err := mpi.TryRun(2, func(c *mpi.Comm) {
+			a := newSlabReal(c, nil, n, tc.opt, exchange.Both(exchange.ChunkedFused))
+			defer a.Close()
+			// The most entries any compiled region enqueues on a stream
+			// of one device, counted from its cells.
+			most := [2]int{}
+			for _, r := range []*region{&a.regT[0], &a.regT[1], &a.regM[0], &a.regM[1]} {
+				for g := range a.gpus {
+					var on [2]int
+					for ip := 0; ip < a.np; ip++ {
+						c := &r.cells[ip*len(a.gpus)+g]
+						on[0]++
+						if c.computed != nil {
+							on[0]++
+						}
+						if r.packs {
+							on[1] += 2
+							if r.units {
+								on[1]++
+							}
+						}
+					}
+					most[0], most[1] = max(most[0], on[0]), max(most[1], on[1])
+				}
+			}
+			tight := tc.opt.SingleComm && tc.opt.Granularity == PerPencil
+			check := func(name string, s *cuda.Stream, want, most int) {
+				if got := ringDepth(s); got != want || got < most+1 || tight && got != most+1 {
+					panic(fmt.Sprintf("%s ring %d, want %d (most entries a region enqueues %d, +1)", name, got, want, most))
+				}
+			}
+			for g, ctx := range a.gpus {
+				check(fmt.Sprintf("gpu%d compute", g), ctx.compute, tc.compute, most[0])
+				if (ctx.transfer != nil) != (tc.transfer > 0) {
+					panic(fmt.Sprintf("gpu%d: transfer stream %v on SingleComm=%v", g, ctx.transfer != nil, tc.opt.SingleComm))
+				}
+				if ctx.transfer != nil {
+					check(fmt.Sprintf("gpu%d transfer", g), ctx.transfer, tc.transfer, most[1])
+				}
+			}
+		}); err != nil {
+			t.Fatalf("%+v: %v", tc.opt, err)
+		}
 	}
 }

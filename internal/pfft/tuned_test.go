@@ -121,7 +121,7 @@ func TestSlabRealTunedBitwiseIdentity(t *testing.T) {
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		ref := NewSlabRealStrategy(c, n, 2, exchange.Staged)
 		defer ref.Close()
-		tuned := NewRealTuned(c, n, 2, tuning.DecompSlab, tuning.Config{}).(*SlabReal)
+		tuned := NewRealTuned(c, n, 2, tuning.DecompSlab, tuning.Config{})
 		defer tuned.Close()
 		if tuned.Single() {
 			panic("default tune space searched precision")
@@ -174,7 +174,7 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 		cfg := tuning.Config{Cache: tuning.Open(dir)}
 		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
 
-		cold := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg).(*SlabReal)
+		cold := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg)
 		defer cold.Close()
 		after := trials.Value()
 		if after == 0 {
@@ -186,7 +186,7 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 			}
 		}
 
-		warm := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg).(*SlabReal)
+		warm := NewRealTuned(c, n, 2, tuning.DecompSlab, cfg)
 		defer warm.Close()
 		if got := trials.Value(); got != after {
 			panic(fmt.Sprintf("rank %d: warm construction ran %d trial exchanges, want 0", c.Rank(), got-after))
@@ -250,7 +250,7 @@ func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 			if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
 				cfg := tuning.Config{Cache: tuning.Open(dir)}
 				trials := c.Metrics().CounterRank("tune.trials", c.Rank())
-				f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg).(*SlabReal)
+				f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
 				defer f.Close()
 				if trials.Value() == 0 {
 					panic(fmt.Sprintf("rank %d: corrupt cache did not fall back to live trials", c.Rank()))
@@ -278,7 +278,7 @@ func TestSlabRealTunedPrecisionSearch(t *testing.T) {
 	const n, p = 24, 2
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
 		cfg := tuning.Config{Space: tuning.Space{Single: []bool{false, true}}}
-		f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg).(*SlabReal)
+		f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
 		defer f.Close()
 		pl, fl := f.PhysicalLen(), f.FourierLen()
 		physIn := make([]float64, pl)
@@ -328,5 +328,51 @@ func TestTunedWinnerCarriesOnlyItsStagedBlocks(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "NewStage allocates the pack and recv blocks only for stagedLen > 0") {
 			t.Errorf("%s: a Staged exchange on the chunked winner returned %v, want the no-blocks refusal", tc.d, err)
 		}
+	}
+}
+
+// A pencil point cached before the grid ran on the program carries no
+// plane-group dimensions (NP 0, no PerSlab): it replays, without a
+// trial, as the program at np 1, one exchange per slab, one device on
+// exactly its grid, strategies and workers — bit for bit the engine
+// NewPencilReal builds from them.
+func TestCachedPencilPointReplaysAsProgram(t *testing.T) {
+	const n, p = 16, 4
+	dir := t.TempDir()
+	data := fmt.Sprintf(`{"schema": 4, "entries": [{"key": {"engine": "pencil-2x2", "n": %d, "p": %d, "maxprocs": %d, "machine": %q}, "point": {"strategy": 3, "strategy_zy": 2, "per_slab": false, "np": 0, "workers": 2, "single": false, "pr": 2, "pc": 2}, "cost_seconds": 1}]}`,
+		n, p, runtime.GOMAXPROCS(0), hw.Fingerprint())
+	if err := os.WriteFile(filepath.Join(dir, "tuning.json"), []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	reg.SetOn(true)
+	if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
+		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
+		f := NewRealTuned(c, n, 1, tuning.Pencil(2, 2), tuning.Config{Cache: tuning.Open(dir)})
+		defer f.Close()
+		pair := exchange.Pair{YZ: exchange.ChunkedFused, ZY: exchange.Fused}
+		if got := trials.Value(); got != 0 ||
+			f.Decomp() != tuning.Pencil(2, 2) || f.StrategyPair() != pair || f.Workers() != 2 ||
+			f.NP() != 1 || f.gran != PerSlab || len(f.gpus) != 1 || f.Single() {
+			panic(fmt.Sprintf("rank %d: cached point replayed as %s %s workers=%d np=%d gran=%d devices=%d single=%v after %d trials",
+				c.Rank(), f.Decomp(), f.StrategyPair(), f.Workers(), f.NP(), f.gran, len(f.gpus), f.Single(), got))
+		}
+		row, col := c.CartGrid(2, 2)
+		ref := NewPencilReal(col, row, n, 2, pair)
+		defer ref.Close()
+		phys := make([]float64, f.PhysicalLen())
+		for i := range phys {
+			phys[i] = float64((c.Rank()*31+i)%17) * 0.5
+		}
+		a, b := make([]complex128, f.FourierLen()), make([]complex128, ref.FourierLen())
+		f.PhysicalToFourier(a, phys)
+		ref.PhysicalToFourier(b, phys)
+		for i := range a {
+			if !sameBits(a[i], b[i]) {
+				panic(fmt.Sprintf("rank %d: replayed engine differs from NewPencilReal at %d", c.Rank(), i))
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

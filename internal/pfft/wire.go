@@ -2,11 +2,13 @@ package pfft
 
 import (
 	"repro/internal/exchange"
+	"repro/internal/mpi"
+	"repro/internal/par"
 	"repro/internal/transpose"
 )
 
-// wire is the engine's transpose-exchange state at the precision the
-// exchange ships. The pipeline computes in complex128 throughout; only
+// wire is the engine's row transpose-exchange state at the precision
+// the exchange ships. The pipeline computes in complex128 throughout; only
 // what crosses between ranks is wire-typed: the slabs themselves on the
 // double-precision wire, the engine's four32/mid32 on the paper's
 // single-precision one, which the transposing cells narrow their planes
@@ -37,10 +39,10 @@ type wireBuf[T exchange.Elem] struct {
 	stages   []*exchange.Stage[T]
 }
 
-// newWire registers the unit stages. A unit stage carries staged pack
-// and recv blocks only when a pinned direction is Staged, sized as the
-// pencil grid's row stage sizes its own: P blocks of the unit's
-// whole-band planes, the unit's slab. Collective.
+// newWire registers the unit stages over the row communicator. A unit
+// stage carries staged pack and recv blocks only when a pinned
+// direction is Staged: Pr blocks of the unit's whole-band planes, the
+// unit's slab. Collective.
 func newWire[T exchange.Elem](a *SlabReal, bound *exchange.Bound) *wireBuf[T] {
 	wb := &wireBuf[T]{a: a}
 	// A wire of the slabs' own type publishes the slabs themselves.
@@ -51,7 +53,7 @@ func newWire[T exchange.Elem](a *SlabReal, bound *exchange.Bound) *wireBuf[T] {
 	}
 	wb.src, wb.dst = [2]*[]T{four, mid}, [2]*[]T{mid, four}
 	for u, us := range a.units {
-		slabLen, staged := us.width()*a.n*a.nxh, 0
+		slabLen, staged := us.width()*a.n*a.l.Wc, 0
 		if a.pair.YZ == exchange.Staged || a.pair.ZY == exchange.Staged {
 			staged = slabLen
 		}
@@ -85,5 +87,47 @@ func (wb *wireBuf[T]) takeStaleness() (max int, sum, slabs, calls int64) {
 func (wb *wireBuf[T]) close() {
 	for _, stage := range wb.stages {
 		stage.Close()
+	}
+}
+
+// newColumnStage registers the column exchange of a Pr×Pc grid over
+// commZ: one stage for the whole pencil, publishing the padded X forward
+// and the (shorter, per-rank varying) B inverse; PadXLen is identical
+// across the column group and divisible by Pc by construction. It
+// carries staged blocks, Pc of the widest column group's, only when a
+// pinned direction is Staged. Collective.
+func newColumnStage(commZ *mpi.Comm, team *par.Team, ph exchange.Phases, l *transpose.PencilLayout, pair exchange.Pair) *exchange.Stage[complex128] {
+	blocks := 0
+	if pair.YZ == exchange.Staged || pair.ZY == exchange.Staged {
+		blocks = l.Pc * l.BlockC
+	}
+	return exchange.NewStage(commZ, team, ph, blocks, l.PadXLen, nil, colKernels[complex128](l))
+}
+
+// colKernels describes the column exchange to a stage: YZ moves the
+// z-complete B into the x-complete X (the inverse transform's second
+// exchange), ZY moves X into B. Both sides split over iy.
+//
+//psdns:hotpath
+func colKernels[T exchange.Elem](l *transpose.PencilLayout) [2]exchange.Kernels[T] {
+	return [2]exchange.Kernels[T]{
+		exchange.YZ: {
+			PackUnits: l.My, DstUnits: l.My, PeerUnits: l.My,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackColInvRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackColInvRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherColInvRange(l, dst, srcs, lo, hi) },
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.PencilGatherColInvPeer(l, dst, src, peer, lo, hi)
+			},
+		},
+		exchange.ZY: {
+			PackUnits: l.My, DstUnits: l.My, PeerUnits: l.My,
+			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackColFwdRange(l, pack, src, lo, hi) },
+			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackColFwdRange(l, dst, recv, lo, hi) },
+			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherColFwdRange(l, dst, srcs, lo, hi) },
+			GatherPeer: func(dst, src []T, peer, lo, hi int) {
+				transpose.PencilGatherColFwdPeer(l, dst, src, peer, lo, hi)
+			},
+		},
 	}
 }

@@ -13,10 +13,10 @@ import (
 // after subtracting the time spent inside the distributed transforms,
 // i.e. the solver's own arithmetic (nonlinear products, integrating
 // factors, projections). Together with the phase histograms the
-// transform engines record (phase.fft/pack/a2a/unpack for the
-// synchronous slab, phase.pipeline/a2a/unpack for the asynchronous
-// pipeline), the leaf phases tile each step wall-to-wall, which is
-// what makes the printed breakdown sum to the measured wall time.
+// transform engine records (phase.pipeline for its regions' FFT
+// passes, phase.pack/a2a/unpack for its exchanges, at every np), the
+// leaf phases tile each step wall-to-wall, which is what makes the
+// printed breakdown sum to the measured wall time.
 type solverMetrics struct {
 	step    *metrics.Histogram
 	compute *metrics.Histogram

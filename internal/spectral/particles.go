@@ -169,15 +169,3 @@ func periodicDelta(d float64) float64 {
 	}
 	return d
 }
-
-// MeanKineticEnergy returns ½⟨|v|²⟩ over the particle set from the
-// last interpolated velocities.
-func (p *Particles) MeanKineticEnergy() float64 {
-	var acc float64
-	for i := range p.V {
-		for d := 0; d < 3; d++ {
-			acc += p.V[i][d] * p.V[i][d]
-		}
-	}
-	return acc / (2 * float64(len(p.V)))
-}

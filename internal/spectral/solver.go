@@ -71,10 +71,10 @@ type config struct {
 
 // Transform is the distributed 3D transform pair the solver advances
 // fields through, on the slab decomposition its state is laid out in.
-// pfft.SlabReal implements it in every configuration — the synchronous
-// slab (np = 1) and the batched asynchronous GPU pipeline alike — so
-// the full DNS runs on either. The pencil grid (pfft.Engine, Pc > 1)
-// has no slab geometry and does not implement it.
+// pfft.SlabReal implements it on one column in every configuration —
+// the synchronous slab (np = 1) and the batched asynchronous GPU
+// pipeline alike — so the full DNS runs on either. On a Pr×Pc grid
+// with Pc > 1 it has no slab geometry: Slab and NXH panic there.
 type Transform interface {
 	// FourierToPhysical converts [mz][ny][nxh] complex (code units)
 	// into [my][nz][nx] real, applying 1/N³; the input is scratch.

@@ -90,7 +90,7 @@ func (d Decomp) Valid(n, p int) bool {
 // Decompositions enumerates every distinct decomposition valid for an
 // n³ field over p ranks, slab first (when valid) and pencil grids with
 // Pc > 1 in ascending Pr. The P×1 grid is left out: it is valid exactly
-// when slab is, and it builds the same one-column engine, so listing it
+// when slab is, and it builds the same one-column program, so listing it
 // would make an autotuner construct and trial that engine twice. The
 // ordering is deterministic and identical on every rank, and
 // the resolve breaks ties toward earlier entries, so slab — the

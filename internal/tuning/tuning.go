@@ -21,10 +21,10 @@ package tuning
 import "repro/internal/exchange"
 
 // Point is one configuration in the whole-step tune space. Engines
-// search the sub-space meaningful to them (the pencil grid has no
-// plane groups, so it ignores NP and PerSlab; the slab pins them to one
-// group and one exchange); the unused dimensions keep their defaults
-// and ride along unchanged.
+// search the sub-space meaningful to them (a Pc > 1 grid runs at one
+// plane group and one exchange per slab, and its points carry NP 0 and
+// no PerSlab; the slab pins them to one group and one exchange); the
+// unused dimensions keep their defaults and ride along unchanged.
 type Point struct {
 	// Strategy is the transpose-exchange strategy for the yz
 	// (Fourier→physical) direction (always concrete: Auto is a
@@ -36,9 +36,9 @@ type Point struct {
 	// different access patterns, so their winners can differ.
 	StrategyZY exchange.Strategy `json:"strategy_zy"`
 	// PerSlab selects one whole-slab exchange over per-pencil
-	// exchanges (the one-column engine's Granularity).
+	// exchanges (the engine's Granularity).
 	PerSlab bool `json:"per_slab"`
-	// NP is the pencil count per slab (one-column engine only).
+	// NP is the pencil count per slab (one-column points only).
 	NP int `json:"np"`
 	// Workers is the per-rank worker-team size.
 	Workers int `json:"workers"`
