@@ -262,12 +262,7 @@ func main() {
 			// measure steps rather than setup and diagnostics.
 			c.Barrier()
 			metrics.Enable()
-			// The engine pins its strategy and band gauges and the
-			// solver its system gauge at construction, while the registry
-			// is still off; restate them now that it is on.
-			c.Metrics().GaugeRank("exchange.strategy", c.Rank()).Set(pinned.YZ.Code())
-			c.Metrics().GaugeRank("exchange.strategy.zy", c.Rank()).Set(pinned.ZY.Code())
-			c.Metrics().GaugeRank("transform.kmax", c.Rank()).Set(float64(solver.Kmax()))
+			restateGauges(c, pinned, solver.Kmax())
 			c.Metrics().GaugeRank("solver.system", c.Rank()).
 				Set(float64(spectral.SystemCode(solver.System().Name())))
 		}
@@ -456,6 +451,17 @@ func printPhaseBreakdown(snap metrics.Snapshot, steps int) {
 		"wall", wall.Value/float64(steps), 100*total/wall.Value)
 }
 
+// restateGauges sets the gauges the engine pins at construction, while
+// the registry is still off — its strategy pair and its band — on the
+// calling rank. Both run modes call it right after metrics.Enable (the
+// solver run also restates the solver's system gauge).
+func restateGauges(c *mpi.Comm, pair exchange.Pair, kmax int) {
+	reg, rank := c.Metrics(), c.Rank()
+	reg.GaugeRank("exchange.strategy", rank).Set(pair.YZ.Code())
+	reg.GaugeRank("exchange.strategy.zy", rank).Set(pair.ZY.Code())
+	reg.GaugeRank("transform.kmax", rank).Set(float64(kmax))
+}
+
 // runTransformDrive is the -decomp pencil/auto mode: build the tuned
 // real-field transform for the requested decomposition and drive
 // forward+inverse transform pairs, reporting per-step wall times (max
@@ -495,6 +501,7 @@ func runTransformDrive(dec tuning.Decomp, strategy exchange.Strategy, n, ranks, 
 		if metOn {
 			c.Barrier()
 			metrics.Enable()
+			restateGauges(c, tr.StrategyPair(), n/2) // the drive's transform is full band
 		}
 		for i := 0; i < steps; i++ {
 			timer.Begin()

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exchange"
+	"repro/internal/metrics"
 	"repro/internal/tuning"
 )
 
@@ -73,6 +75,32 @@ func TestCheckDecomp(t *testing.T) {
 			t.Errorf("checkDecomp(%s, %d, %d) = %v, want accepted", tc.dec, tc.n, tc.ranks, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("checkDecomp(%s, %d, %d) = %v, want error containing %q", tc.dec, tc.n, tc.ranks, err, tc.want)
+		}
+	}
+}
+
+// The drive enables the registry after its engine has set the strategy
+// and band gauges; every rank must still report the pinned strategies
+// and the full band, not the 0 the gauges held while recording was off.
+func TestTransformDriveRestatesGauges(t *testing.T) {
+	const n, ranks = 16, 4
+	defer metrics.Disable()
+	if err := runTransformDrive(tuning.Pencil(2, 2), exchange.ChunkedFused, n, ranks, 1, 1, "", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap := metrics.Default().Snapshot()
+	for r := range ranks {
+		for _, g := range []struct {
+			name string
+			want float64
+		}{
+			{"exchange.strategy", exchange.ChunkedFused.Code()},
+			{"exchange.strategy.zy", exchange.ChunkedFused.Code()},
+			{"transform.kmax", n / 2},
+		} {
+			if e, ok := snap.Get(g.name, r); !ok || e.Value != g.want {
+				t.Errorf("rank %d: %s = %v (present %v), want %v", r, g.name, e.Value, ok, g.want)
+			}
 		}
 	}
 }

@@ -163,10 +163,8 @@ func (s *Solver) CFL(dt float64) float64 {
 			}
 		}
 	}
-	v := []float64{umax}
-	mpi.AllreduceMax(s.comm, v)
 	dx := 2 * math.Pi / float64(s.cfg.N)
-	return v[0] * dt / dx
+	return s.reduceMax(umax) * dt / dx
 }
 
 // NonlinearEnergyTransfer returns Σ Re(û*·N̂)_math, the rate of energy

@@ -11,8 +11,11 @@
 // components are transformed to physical space (y, z, x order), the six
 // distinct products u_iu_j are formed there on unit-stride real data,
 // transformed back, and differentiated spectrally, giving the
-// divergence form ∇·(uu). Aliasing errors are controlled by 2/3-rule
-// truncation optionally combined with phase shifting (Rogallo 1981).
+// divergence form ∇·(uu). Each product is formed as soon as its factors
+// are there, over a component it no longer needs, so the velocity and
+// its products share three physical fields. Aliasing errors are
+// controlled by 2/3-rule truncation optionally combined with phase
+// shifting (Rogallo 1981).
 //
 // Fourier coefficients are stored in "code units": û_code = N³·û_math,
 // the natural convention when the forward transform is unnormalized and

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -116,5 +117,89 @@ func TestStageStorageIsBandCompact(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// physicalFields counts the distinct []float64 backing arrays of length
+// n reachable from v through the spectral package's own types: the walk
+// enters no transform (whatever implements Transform) and no other
+// package's values, so what it counts is what the solver and its
+// system hold.
+func physicalFields(v any, n int) int {
+	pkg := reflect.TypeOf(Solver{}).PkgPath()
+	transform := reflect.TypeOf((*Transform)(nil)).Elem()
+	seen, arrays := map[uintptr]bool{}, map[uintptr]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		if v.Kind() != reflect.Interface && v.Type().Implements(transform) {
+			return
+		}
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			if v.Type().PkgPath() != pkg {
+				return
+			}
+			for i := range v.NumField() {
+				walk(v.Field(i))
+			}
+		case reflect.Array:
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		case reflect.Slice:
+			if v.Type().Elem().Kind() == reflect.Float64 {
+				if v.Len() == n {
+					arrays[v.Pointer()] = true
+				}
+				return
+			}
+			for i := range v.Len() {
+				walk(v.Index(i))
+			}
+		}
+	}
+	walk(reflect.ValueOf(v))
+	return len(arrays)
+}
+
+// The nonlinear term needs three physical fields: each velocity
+// product is written over a component it no longer needs (prodInto),
+// so ns and forced-ns hold the three velocity components and nothing
+// else of the physical size, and rotating-scalar adds its scalar and
+// the scalar's product only when it carries scalars.
+func TestNonlinearHoldsThreePhysicalFields(t *testing.T) {
+	const n = 16
+	for _, tc := range []struct {
+		name    string
+		scalars []ScalarSpec
+		want    int
+	}{
+		{"ns", nil, 3},
+		{"forced-ns", nil, 3},
+		{"rotating-scalar", nil, 3},
+		{"rotating-scalar", []ScalarSpec{{Schmidt: 1, MeanGrad: 1}, {Schmidt: 0.7}}, 5},
+	} {
+		spec := SystemSpec{Nu: 0.01, Forcing: ForcingSpec{KF: 2, Eps: 0.05}, Scalars: tc.scalars, Omega: 2}
+		mpi.Run(2, func(c *mpi.Comm) {
+			sys, err := NewNamedSystem(tc.name, spec)
+			if err != nil {
+				panic(err)
+			}
+			s := New(c, n, WithNu(spec.Nu), WithDealias(Dealias23Shift), WithSystemInstance(sys))
+			defer s.Close()
+			if got := physicalFields(s, s.tr.PhysicalLen()); got != tc.want && c.Rank() == 0 {
+				t.Errorf("%s with %d scalars: solver and system hold %d physical fields, want %d", tc.name, len(tc.scalars), got, tc.want)
+			}
+		})
 	}
 }

@@ -33,8 +33,9 @@ func (s *Solver) TransverseGradientStats(c, d int) GradientStats {
 	return s.physMoments()
 }
 
-// gradientField places ∂u_c/∂x_d into s.prod: ŵ = i·k_d·û_c in
-// s.work, then one inverse transform.
+// gradientField places ∂u_c/∂x_d into s.physU[0], the solver's
+// physical scratch between steps: ŵ = i·k_d·û_c in s.work, then one
+// inverse transform.
 func (s *Solver) gradientField(c, d int) {
 	for r := s.walkRows(); r.next(); {
 		for ix, v := range s.Uh[c][r.off : r.off+s.nxh] {
@@ -42,15 +43,15 @@ func (s *Solver) gradientField(c, d int) {
 			s.work[r.off+ix] = mulIK(k, v)
 		}
 	}
-	s.tr.FourierToPhysical(s.prod, s.work)
+	s.tr.FourierToPhysical(s.physU[0], s.work)
 }
 
 // physMoments reduces the first four moments of the field currently
-// in s.prod over all ranks (collective).
+// in s.physU[0] over all ranks (collective).
 func (s *Solver) physMoments() GradientStats {
 	var m1, m2, m3, m4, mn, mx float64
 	mn, mx = math.Inf(1), math.Inf(-1)
-	for _, v := range s.prod {
+	for _, v := range s.physU[0] {
 		m1 += v
 		m2 += v * v
 		m3 += v * v * v
@@ -62,7 +63,7 @@ func (s *Solver) physMoments() GradientStats {
 			mx = v
 		}
 	}
-	sums := []float64{m1, m2, m3, m4, float64(len(s.prod))}
+	sums := []float64{m1, m2, m3, m4, float64(len(s.physU[0]))}
 	mpi.AllreduceSum(s.comm, sums)
 	neg := []float64{-mn}
 	mpi.AllreduceMax(s.comm, neg)
@@ -91,7 +92,7 @@ func (s *Solver) physMoments() GradientStats {
 // intermittent gradients; collective).
 func (s *Solver) VelocityMoments(c int) GradientStats {
 	copy(s.work, s.Uh[c])
-	s.tr.FourierToPhysical(s.prod, s.work)
+	s.tr.FourierToPhysical(s.physU[0], s.work)
 	return s.physMoments()
 }
 

@@ -1,15 +1,18 @@
 package spectral
 
-import (
-	"math/cmplx"
-
-	"repro/internal/mpi"
-)
+import "math/cmplx"
 
 // prodPairs enumerates the six distinct components of the symmetric
-// tensor u_iu_j formed in physical space each Runge–Kutta stage — the
-// variable counting behind the paper's D ≈ 25 memory estimate.
-var prodPairs = [6][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
+// tensor u_iu_j formed in physical space each Runge–Kutta stage, in the
+// order their forward transforms run. prodInto names the physU buffer
+// each product is written over: one whose component is not yet
+// computed (u_2, for the first two) or is read for the last time by
+// that product, so the velocity and its six products share three
+// physical fields.
+var (
+	prodPairs = [6][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
+	prodInto  = [6]int{2, 2, 0, 0, 1, 2}
+)
 
 // velocityProducts evaluates the divergence-form nonlinear term
 // N̂_i = −ik_j·FFT{u_iu_j} of the velocity (state[0:3], code units)
@@ -17,41 +20,87 @@ var prodPairs = [6][2]int{{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}}
 // the caller so systems can add body forces (Coriolis, buoyancy) before
 // projecting.
 // It performs 3 inverse and 6 forward distributed 3D transforms,
-// exactly the transform traffic the paper's timings account for. As a
-// side effect s.physU holds the (shifted, under Dealias23Shift)
-// physical-space velocity, which scalar advection reuses for free.
+// exactly the transform traffic the paper's timings account for:
+// velocityPhysical, then velocityFlux. Afterwards s.physU holds
+// products, not the velocity; a system that reuses the physical
+// velocity runs between the two phases.
 //
 //psdns:hotpath
 func (s *Solver) velocityProducts(state, rhs [][]complex128) {
-	shift := s.cfg.Dealias == Dealias23Shift
+	s.velocityPhysical(state, rhs)
+	s.velocityFlux(rhs)
+}
 
-	// To physical space, one component at a time.
+// velocityPhysical is the first phase of velocityProducts: it brings
+// each velocity component to s.physU[c] and, as soon as its factors
+// are there, transforms back the products u_0u_0 (after u_0) and
+// u_0u_1 (after u_1), both written over s.physU[2]. It leaves the
+// (shifted, under Dealias23Shift) physical-space velocity in s.physU,
+// which scalar advection reuses for free, and rhs[0:3] partial until
+// velocityFlux runs.
+//
+//psdns:hotpath
+func (s *Solver) velocityPhysical(state, rhs [][]complex128) {
 	for c := 0; c < 3; c++ {
-		copy(s.work, state[c])
-		if shift {
-			s.applyShift(s.work, +1)
+		s.toPhysical(s.physU[c], state[c])
+		if c < 2 {
+			s.productFlux(rhs, c)
 		}
-		s.tr.FourierToPhysical(s.physU[c], s.work)
 	}
+}
 
-	// Products back to Fourier space, accumulating the divergence. The
-	// pair order gives every rhs[c] its k_x term first, which is the
-	// term accumulateFlux stores rather than adds — no clearing pass.
-	for _, pair := range prodPairs {
-		i, j := pair[0], pair[1]
-		mulTo(s.prod, s.physU[i], s.physU[j])
-		s.tr.PhysicalToFourier(s.work, s.prod)
-		if shift {
-			s.applyShift(s.work, -1)
-		}
-		// Code-unit bookkeeping: the product of two physical fields,
-		// forward transformed, is N³·(û_i⋆û_j)_math — already in code
-		// units; no extra scaling needed.
-		if i == j {
-			s.accumulateFlux(rhs[i], j, nil, 0)
-		} else {
-			s.accumulateFlux(rhs[i], j, rhs[j], i)
-		}
+// velocityFlux is the second phase of velocityProducts: the four
+// products left, each written over a velocity component's buffer
+// (prodInto), so s.physU no longer holds the velocity afterwards.
+//
+//psdns:hotpath
+func (s *Solver) velocityFlux(rhs [][]complex128) {
+	for p := 2; p < len(prodPairs); p++ {
+		s.productFlux(rhs, p)
+	}
+}
+
+// toPhysical brings the spectral field f to physical space in dst,
+// phase-shifted under Dealias23Shift, through s.work.
+//
+//psdns:hotpath
+func (s *Solver) toPhysical(dst []float64, f []complex128) {
+	copy(s.work, f)
+	if s.cfg.Dealias == Dealias23Shift {
+		s.applyShift(s.work, +1)
+	}
+	s.tr.FourierToPhysical(dst, s.work)
+}
+
+// productFlux forms product p of prodPairs over s.physU[prodInto[p]],
+// transforms it forward and accumulates its divergence terms. The pair
+// order gives every rhs[c] its k_x term first, which is the term
+// accumulateFlux stores rather than adds — no clearing pass.
+//
+//psdns:hotpath
+func (s *Solver) productFlux(rhs [][]complex128, p int) {
+	i, j := prodPairs[p][0], prodPairs[p][1]
+	dst := s.physU[prodInto[p]]
+	mulTo(dst, s.physU[i], s.physU[j])
+	s.forward(dst)
+	// Code-unit bookkeeping: the product of two physical fields,
+	// forward transformed, is N³·(û_i⋆û_j)_math — already in code
+	// units; no extra scaling needed.
+	if i == j {
+		s.accumulateFlux(rhs[i], j, nil, 0)
+	} else {
+		s.accumulateFlux(rhs[i], j, rhs[j], i)
+	}
+}
+
+// forward transforms the physical field f into s.work and undoes the
+// phase shift under Dealias23Shift.
+//
+//psdns:hotpath
+func (s *Solver) forward(f []float64) {
+	s.tr.PhysicalToFourier(s.work, f)
+	if s.cfg.Dealias == Dealias23Shift {
+		s.applyShift(s.work, -1)
 	}
 }
 
@@ -204,7 +253,13 @@ func (s *Solver) DivergenceMax() float64 {
 			}
 		}
 	}
-	v := []float64{m / float64(n*n*n)} // code units → û_math
-	mpi.AllreduceMax(s.comm, v)
-	return v[0]
+	return s.reduceMax(m / float64(n*n*n)) // code units → û_math
+}
+
+// reduceMax returns the maximum of v over all ranks through the
+// solver's persistent plan (collective, allocation-free).
+func (s *Solver) reduceMax(v float64) float64 {
+	s.redBuf[0] = v
+	s.red.Max(s.redBuf[:])
+	return s.redBuf[0]
 }

@@ -26,6 +26,7 @@ type refStepper struct {
 	save, acc [][]complex128
 	rk1, rk2  [][]complex128
 	rk3, rku  [][]complex128
+	prod      []float64 // one product field at a time
 }
 
 func newRefStepper(s *Solver) *refStepper {
@@ -38,6 +39,7 @@ func newRefStepper(s *Solver) *refStepper {
 		return f
 	}
 	r.save, r.acc = bufs(), bufs()
+	r.prod = make([]float64, s.tr.PhysicalLen())
 	r.rk1, r.rk2, r.rk3, r.rku = bufs(), bufs(), bufs(), bufs()
 	s.nl = bufs()
 	band := grid.NewBand(s.cfg.N, s.kmax)
@@ -238,10 +240,10 @@ func (r *refStepper) velocityProducts(state, rhs [][]complex128) {
 	for _, pair := range prodPairs {
 		i, j := pair[0], pair[1]
 		ui, uj := s.physU[i], s.physU[j]
-		for m := range s.prod {
-			s.prod[m] = ui[m] * uj[m]
+		for m := range r.prod {
+			r.prod[m] = ui[m] * uj[m]
 		}
-		s.tr.PhysicalToFourier(s.work, s.prod)
+		s.tr.PhysicalToFourier(s.work, r.prod)
 		if shift {
 			r.applyShift(s.work, -1)
 		}
@@ -342,10 +344,10 @@ func (r *refStepper) scalarAdvection(y *RotatingScalarNS, state, rhs [][]complex
 	zero(rhs[c])
 	for comp := 0; comp < 3; comp++ {
 		u := s.physU[comp]
-		for m := range s.prod {
-			s.prod[m] = u[m] * y.physTh[m]
+		for m := range r.prod {
+			r.prod[m] = u[m] * y.physTh[m]
 		}
-		s.tr.PhysicalToFourier(s.work, s.prod)
+		s.tr.PhysicalToFourier(s.work, r.prod)
 		if shift {
 			r.applyShift(s.work, -1)
 		}

@@ -144,8 +144,7 @@ type Solver struct {
 	// sides and the stage buffers below are band fields (see bandRow):
 	// a right-hand side is +0 outside the band, so only the band is
 	// stored, and state is the one field set in the slab layout.
-	physU [3][]float64   // velocity in physical space
-	prod  []float64      // one product field at a time
+	physU [3][]float64   // velocity in physical space, then its products (prodInto)
 	nl    [][]complex128 // per-field right-hand side
 	work  []complex128
 	zeros []complex128 // one plane of +0 right-hand side (see stageSweep)
@@ -192,6 +191,12 @@ type Solver struct {
 	met    *solverMetrics
 	trSecs float64 // seconds inside transform calls this step
 
+	// The persistent 1-element max-reduction CFL and DivergenceMax run
+	// through (SuggestDt runs before every adaptive step), and the
+	// element it reduces in place.
+	red    *mpi.ReducePlan
+	redBuf [1]float64
+
 	// Asynchrony-tolerant stepping (WithAsyncTolerance): atSrc drains
 	// the transform's staleness window once per step; prevNl holds the
 	// previous step's first-stage nonlinear term for the first-order
@@ -217,18 +222,20 @@ type Solver struct {
 	closed bool
 }
 
-// Close releases the solver's collectively-registered resources: the
-// system's persistent plans (through an optional Close method, e.g.
-// the forced systems' band-energy ReducePlan) and, when the solver
-// constructed its own transform engine, that engine's exchange and
-// all-to-all plans. Collective — every rank must call it — and
-// idempotent. Solvers running on a caller-supplied transform leave
-// the engine open for the caller to close.
+// Close releases the solver's collectively-registered resources: its
+// diagnostics' reduction plan, the system's persistent plans (through
+// an optional Close method, e.g. the forced systems' band-energy
+// ReducePlan) and, when the solver constructed its own transform
+// engine, that engine's exchange and all-to-all plans. Collective —
+// every rank must call it — and idempotent. Solvers running on a
+// caller-supplied transform leave the engine open for the caller to
+// close.
 func (s *Solver) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
+	s.red.Free()
 	if c, ok := s.sys.(interface{ Close() }); ok {
 		c.Close()
 	}
@@ -306,7 +313,6 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		s.Uh[c] = s.state[c]
 		s.physU[c] = make([]float64, pl)
 	}
-	s.prod = make([]float64, pl)
 	s.work, s.zeros = make([]complex128, fl), make([]complex128, cfg.N*s.nxh)
 	slots := 1 // integrating-factor slots: dt, and dt/2 for RK4
 	if cfg.Scheme == RK4 {
@@ -356,6 +362,7 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 		c = hi
 	}
 
+	s.red = mpi.NewReducePlan(comm, 1)
 	sys.Setup(s)
 	comm.Metrics().GaugeRank("solver.system", comm.Rank()).Set(float64(SystemCode(sys.Name())))
 	return s

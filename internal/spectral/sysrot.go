@@ -14,15 +14,18 @@ package spectral
 //
 // Scalars ride the velocity transforms nearly free: the velocity's
 // physical-space fields are computed once per stage by
-// velocityProducts and reused for every scalar's advective flux, so
-// each scalar adds only 1 inverse + 3 forward transforms — the
-// companion-workload accounting of the paper's §3.3.
+// velocityPhysical and reused for every scalar's advective flux before
+// velocityFlux writes the last products over them, so each scalar adds
+// only 1 inverse + 3 forward transforms — the companion-workload
+// accounting of the paper's §3.3 — and two physical fields, the scalar
+// and its product.
 type RotatingScalarNS struct {
 	nu      float64
 	omega   float64
 	scalars []scalarField
 
 	physTh []float64 // one scalar in physical space (scratch)
+	prod   []float64 // one scalar product u_c·θ at a time (scratch)
 }
 
 // scalarField is the resolved per-scalar configuration.
@@ -53,10 +56,11 @@ func (y *RotatingScalarNS) Name() string { return "rotating-scalar" }
 // Fields implements System: velocity plus one field per scalar.
 func (y *RotatingScalarNS) Fields() int { return 3 + len(y.scalars) }
 
-// Setup implements System: binds the scalar's physical-space scratch.
+// Setup implements System: binds the scalars' physical-space scratch.
 func (y *RotatingScalarNS) Setup(s *Solver) {
 	if len(y.scalars) > 0 {
 		y.physTh = make([]float64, s.tr.PhysicalLen())
+		y.prod = make([]float64, s.tr.PhysicalLen())
 	}
 }
 
@@ -69,42 +73,38 @@ func (y *RotatingScalarNS) Diffusivity(c int) float64 {
 	return y.scalars[c-3].kappa
 }
 
-// Nonlinear implements System: velocity products, Coriolis (before
-// projection), projection, then each scalar's advection over the
-// physical velocity left behind by velocityProducts.
+// Nonlinear implements System: the velocity in physical space, each
+// scalar's advection over it, the velocity's remaining products, then
+// Coriolis (before projection) and the projection. The scalars touch
+// only their own right-hand sides, so running them between the two
+// velocity phases changes no bit of any field.
 //
 //psdns:hotpath
 func (y *RotatingScalarNS) Nonlinear(s *Solver, state, rhs [][]complex128) {
-	s.velocityProducts(state, rhs)
+	s.velocityPhysical(state, rhs)
+	for i := range y.scalars {
+		y.scalarAdvection(s, state, rhs, 3+i)
+	}
+	s.velocityFlux(rhs)
 	if y.omega != 0 {
 		s.addCoriolis(state, rhs, y.omega)
 	}
 	s.projectAndDealias(rhs)
-	for i := range y.scalars {
-		y.scalarAdvection(s, state, rhs, 3+i)
-	}
 }
 
 // scalarAdvection evaluates −ik·FFT{u·θ} − G·û_y (dealiased) for field
-// c into the band field rhs[c], reusing s.physU from the preceding
-// velocityProducts call (including its phase shift, so scalar products
-// are dealiased on the same shifted grid as the velocity's).
+// c into the band field rhs[c]. It must run after velocityPhysical and
+// before velocityFlux: it reads the velocity velocityPhysical leaves in
+// s.physU (with its phase shift, so scalar products are dealiased on
+// the same shifted grid as the velocity's), and forms each product in
+// y.prod.
 //
 //psdns:hotpath
 func (y *RotatingScalarNS) scalarAdvection(s *Solver, state, rhs [][]complex128, c int) {
-	shift := s.cfg.Dealias == Dealias23Shift
-	copy(s.work, state[c])
-	if shift {
-		s.applyShift(s.work, +1)
-	}
-	s.tr.FourierToPhysical(y.physTh, s.work)
-
+	s.toPhysical(y.physTh, state[c])
 	for comp := 0; comp < 3; comp++ {
-		mulTo(s.prod, s.physU[comp], y.physTh)
-		s.tr.PhysicalToFourier(s.work, s.prod)
-		if shift {
-			s.applyShift(s.work, -1)
-		}
+		mulTo(y.prod, s.physU[comp], y.physTh)
+		s.forward(y.prod)
 		s.accumulateFlux(rhs[c], comp, nil, 0)
 	}
 
