@@ -29,6 +29,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSeededDraws -fuzztime 10s ./internal/spectral
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime 10s ./internal/tuning
 	$(GO) test -run '^$$' -fuzz FuzzReadCheckpoint -fuzztime 10s -fuzzminimizetime 100x ./internal/spectral
+	$(GO) test -run '^$$' -fuzz FuzzPeekCheckpoint -fuzztime 10s ./internal/spectral
 
 # lint = gofmt (fail on unformatted files) + no Deprecated: marker
 # anywhere (superseded surface is deleted, not kept; benchmark/ and

@@ -764,8 +764,8 @@ var workloads = []workload{
 	{"slab_f32_fwd_inv_n128_p4", 10, 2, true, slabTransformSingle(128, 4)},
 	{"slab_tuned_n64_p4", 40, 8, true, slabTransformTuned(64, 4)},
 	{"pencil_fwd_inv_n64_p4", 40, 8, true, pencilTransform(64, 2, 2)},
-	{"pencil_fwd_inv_n64_p8", 20, 4, true, pencilTransform(64, 2, 4)},
-	{"pencil_fwd_inv_n128_p4", 10, 2, true, pencilTransform(128, 2, 2)},
+	{"pencil_fwd_inv_n64_p8", 20, 8, true, pencilTransform(64, 2, 4)},
+	{"pencil_fwd_inv_n128_p4", 10, 4, true, pencilTransform(128, 2, 2)},
 	{"async_fwd_inv_n64_p2", 40, 8, true, asyncBand(64, 2, 4, -1)},
 	{"async_band_fwd_inv_n64_p2", 40, 8, true, asyncBand(64, 2, 4, grid.DealiasKmax(64))},
 	{"slab_fwd_inv_n64_p2", 40, 8, true, slabBand(64, 2, -1)},

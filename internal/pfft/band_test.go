@@ -40,16 +40,17 @@ func slabWith(c *mpi.Comm, n, workers int, pair exchange.Pair, single bool) *Sla
 func testLayout(e *SlabReal) *transpose.PencilLayout { return e.l }
 
 // poisonEngine stores NaN over every element of the engine's own
-// buffers — B and, on a grid with Pc > 1, X; the single-precision
-// wire's narrowed slabs and, under Staged, its unit stages' staged
-// blocks — none of which a transform may read before writing. The
+// buffers — B; the single-precision wire's narrowed slabs and, under
+// Staged, its unit stages' staged blocks — none of which a transform
+// may read before writing. X, on a grid with Pc > 1, is the head of the
+// caller's Fourier slab, which checkBandOracle poisons. The
 // blocks are the stages' own, so they are poisoned the way a transform
 // fills them: by a ZY exchange of the NaN mid (or mid32), which packs
 // NaN into every block the band uses and lands it in the recv blocks
 // and a scratch Fourier slab (four32 on the f32 wire, which stays NaN).
 // Collective.
 func poisonEngine(f *SlabReal) {
-	bufs, bufs32 := [][]complex128{f.mid, f.x}, [][]complex64{f.four32, f.mid32}
+	bufs, bufs32 := [][]complex128{f.mid}, [][]complex64{f.four32, f.mid32}
 	defer func() {
 		if f.pair.ZY == exchange.Staged {
 			f.runTrial(exchange.ZY, exchange.Staged, make([]complex128, f.FourierLen()))
@@ -77,13 +78,14 @@ func poisonEngine(f *SlabReal) {
 //     inverse of F itself, whose out-of-band modes must not be read,
 //   - Truncate(N/2) afterwards restores F everywhere,
 //
-// all bit for bit. With poison, NaN is stored over the engine's buffers
-// (poisonEngine) before every truncated transform, over all of the
-// output spectrum before the forward and over the out-of-band modes of
-// the input spectrum before each inverse: a band exchange that left a
-// destination it should have written, or read what it should not, turns
-// the answer into NaN. Panics (inside a TryRun body) on the first
-// mismatch.
+// all bit for bit. The tail of the Fourier slab past C (Pc > 1, see
+// FourierLen) is no mode: +0 after a forward, never read by an inverse.
+// With poison, NaN is stored over the engine's buffers (poisonEngine)
+// before every truncated transform, over all of the output slab before
+// the forward and over the out-of-band modes and the tail of the input
+// slab before each inverse: a band exchange that left a destination it
+// should have written, or read what it should not, turns the answer
+// into NaN. Panics (inside a TryRun body) on the first mismatch.
 func checkBandOracle(f *SlabReal, kmaxes []int, poison bool) {
 	l := testLayout(f)
 	n := l.N
@@ -103,7 +105,7 @@ func checkBandOracle(f *SlabReal, kmaxes []int, poison bool) {
 		band := grid.NewBand(n, kmax)
 		inBand := func(i int) bool {
 			ix, iy, iz := i%l.Wc, i/l.Wc%n, i/l.Wc/n
-			return band.Has(l.XLo+ix) && band.Has(iy) && band.Has(l.YRank*l.Mz2+iz)
+			return i < l.CLen() && band.Has(l.XLo+ix) && band.Has(iy) && band.Has(l.YRank*l.Mz2+iz)
 		}
 		for i, v := range full {
 			masked[i] = 0

@@ -45,7 +45,16 @@
 //	                  [c2r x FFT per y-plane of X]                (Pc > 1)
 //
 // and the reverse for physical→Fourier. On one column B is X, so a
-// y-plane's z and x passes run back to back while it is in cache.
+// y-plane's z and x passes run back to back while it is in cache. On a
+// grid with Pc > 1, X has no storage of its own: it is the head of the
+// caller's Fourier buffer for the length of each call, since each
+// direction is done with one of C and X before it writes the other and
+// the exit barrier of the exchange between them orders that across
+// ranks. FourierLen is so the length a caller allocates, as FFTW-MPI's
+// alloc_local: max(CLen, PadXLen) there, CLen on one column; the tail
+// past C holds no mode (the inverse never reads it, the forward leaves
+// +0 there). A rank holds its physical pencil, that buffer, B and the
+// plans.
 //
 // Row exchange unit u is plane group u, and its exchange is the slab
 // transpose over the group's planes with Nxh := Wc: a
@@ -92,7 +101,8 @@
 //	slab intermediate:    [my][nz][nxh]  z and x complete
 //	slab physical:        [my][nz][nx]   real
 //	pencil physical:      [my][mz][nx]   real, x complete
-//	pencil X:             [my][mz][nxh]  x complete
+//	pencil X:             [my][mz][nxh]  x complete, the head of the
+//	                                     caller's Fourier buffer
 //	pencil B:             [my][nz][wc]   z complete
 //	pencil C (Fourier):   [mz2][ny][wc]  y complete
 //

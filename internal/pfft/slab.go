@@ -196,7 +196,10 @@ type SlabReal struct {
 	lays []transpose.SlabLayout
 	mid  []complex128 // B = [my][nz][wc], z complete
 	// x is X = [my][mz][nxh], x complete, padded to PadXLen for the
-	// column stage's publication; nil on one column, where B is X.
+	// column stage's publication. It has no storage of its own: for the
+	// duration of one call it is the head of the caller's Fourier slab,
+	// four[:PadXLen], as C and X are never live at once (bind). nil
+	// between calls and on one column, where B is X.
 	x []complex128
 	// four32 and mid32 are the single-precision wire's copies of four
 	// and mid (nil on the double-precision wire): a transposing cell
@@ -204,7 +207,7 @@ type SlabReal struct {
 	// the mirror region's cells widen their planes out of it.
 	four32, mid32 []complex64
 	// four and phys are the caller's Fourier and physical slabs for the
-	// duration of one transform call; the compiled kernels and the
+	// duration of one transform call (bind); the compiled kernels and the
 	// exchange kernels address them through these fields.
 	four []complex128
 	phys []float64
@@ -404,7 +407,6 @@ func newSlabReal(comm, commZ *mpi.Comm, n int, opt Options, pair exchange.Pair) 
 		a.wire = newWire[complex128](a, bound)
 	}
 	if pc > 1 {
-		a.x = pool.GetComplex(l.PadXLen)
 		a.col = newColumnStage(commZ, a.team, a.met.ph, l, pair)
 	}
 
@@ -478,7 +480,8 @@ func (a *SlabReal) Decomp() tuning.Decomp {
 }
 
 // Close releases the device worker goroutines, the worker teams, the
-// FFT plans and every arena-backed buffer. Idempotent.
+// FFT plans and every arena-backed buffer: B and the single-precision
+// wire's slabs (X is the caller's, see FourierLen). Idempotent.
 func (a *SlabReal) Close() {
 	if a.closed {
 		return
@@ -495,10 +498,9 @@ func (a *SlabReal) Close() {
 		a.col.Close()
 	}
 	pool.PutComplex(a.mid)
-	pool.PutComplex(a.x)
 	pool.PutComplex64(a.four32)
 	pool.PutComplex64(a.mid32)
-	a.mid, a.x, a.four32, a.mid32 = nil, nil, nil, nil
+	a.mid, a.four32, a.mid32 = nil, nil, nil
 }
 
 // Workers reports the per-rank worker-team size.
@@ -524,9 +526,19 @@ func (a *SlabReal) needSlab() {
 	}
 }
 
-// FourierLen is the complex element count of the local Fourier pencil
-// C = [mz2][ny][wc] (the slab's [mz][ny][nxh] on one column).
-func (a *SlabReal) FourierLen() int { return a.l.CLen() }
+// FourierLen is the length of the Fourier slab a caller allocates, as
+// FFTW-MPI's alloc_local: the local Fourier pencil C = [mz2][ny][wc]
+// (the slab's [mz][ny][nxh] on one column, where that is all it is). On
+// a grid with Pc > 1 the slab also carries X during each call, so it is
+// max(CLen, PadXLen): on a rank whose x share is narrower than Nxh/Pc, C
+// is followed by a tail that holds no mode, which the inverse never
+// reads and the forward leaves +0.
+func (a *SlabReal) FourierLen() int {
+	if a.col != nil {
+		return max(a.l.CLen(), a.l.PadXLen)
+	}
+	return a.l.CLen()
+}
 
 // PhysicalLen is the real element count of the local physical pencil
 // [my][mz][nx].
@@ -672,6 +684,24 @@ func (a *SlabReal) packOp(d exchange.Dir, u int, sp span, ps *Passes) cuda.Op {
 	}}
 }
 
+// bind points the compiled kernels and the exchanges at the caller's
+// slabs for one call, and bind(nil, nil) lets go of them after it. On a
+// grid with Pc > 1, X is four[:PadXLen]: each direction is done with one
+// of C and X before it writes the other, and the exit barrier of the
+// exchange between them orders that across ranks. The inverse last reads
+// C in the row exchange's gathers, and writes X only in the column
+// exchange behind that exchange's exit barrier; the forward last reads X
+// in the column exchange's gathers, and the row exchange writes C only
+// behind the column exchange's exit barrier.
+//
+//psdns:hotpath
+func (a *SlabReal) bind(four []complex128, phys []float64) {
+	a.four, a.phys, a.x = four, phys, nil
+	if a.col != nil && four != nil {
+		a.x = four[:a.l.PadXLen]
+	}
+}
+
 // FourierToPhysical runs the Fig 4 pipeline: the y region with its
 // exchange fused in, then the z+x region. four is consumed.
 //
@@ -681,9 +711,9 @@ func (a *SlabReal) FourierToPhysical(phys []float64, four []complex128) {
 		panic(fmt.Sprintf("pfft: F2P wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
-	a.four, a.phys = four, phys
+	a.bind(four, phys)
 	a.transform(exchange.YZ)
-	a.four, a.phys = nil, nil
+	a.bind(nil, nil)
 }
 
 // PhysicalToFourier runs the reverse pipeline: the x+z (r2c) region
@@ -696,9 +726,9 @@ func (a *SlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 		panic(fmt.Sprintf("pfft: P2F wants %d/%d, got %d/%d",
 			a.FourierLen(), a.PhysicalLen(), len(four), len(phys)))
 	}
-	a.four, a.phys = four, phys
+	a.bind(four, phys)
 	a.transform(exchange.ZY)
-	a.four, a.phys = nil, nil
+	a.bind(nil, nil)
 }
 
 // transform is one direction of Fig 4: the dashed transposing region,
@@ -713,13 +743,17 @@ func (a *SlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 // wire — and Staged packs the planes into staged blocks, exchanges the
 // blocks and unpacks them. Under PerSlab the one exchange follows the
 // region. With Pc > 1 the x region and the column exchange over the
-// whole pencil follow the inverse and precede the forward.
+// whole pencil follow the inverse and precede the forward, in X, the
+// head of four (bind); the forward stores +0 over four past C once the
+// column exchange is done with X.
 //
 //psdns:hotpath
 func (a *SlabReal) transform(d exchange.Dir) {
 	if a.col != nil && d == exchange.ZY {
 		a.pipeline(&a.regX[d])
 		a.column(d, a.pair.ZY)
+		// X is dead: what of it lies past C holds no mode.
+		clear(a.four[a.l.CLen():])
 	}
 	a.pipeline(&a.regT[d])
 	if !a.regT[d].units {
@@ -860,7 +894,7 @@ func (a *SlabReal) exchange(d exchange.Dir, st exchange.Strategy) {
 // trial body (buffer contents are irrelevant to the timing, and the
 // per-rank FFT work is the same on every decomposition). Collective.
 func (a *SlabReal) runTrial(d exchange.Dir, st exchange.Strategy, four []complex128) {
-	a.four = four
+	a.bind(four, nil)
 	if a.col != nil && d == exchange.ZY {
 		a.column(d, st)
 	}
@@ -868,13 +902,13 @@ func (a *SlabReal) runTrial(d exchange.Dir, st exchange.Strategy, four []complex
 	if a.col != nil && d == exchange.YZ {
 		a.column(d, st)
 	}
-	a.four = nil
+	a.bind(nil, nil)
 }
 
-// ExchangeYZ performs only the transpose-exchange of FourierToPhysical
-// on four, into the internal intermediate slab, under the pinned
-// strategy: the isolated exchange kernel the bench harness times per
-// strategy. Collective.
+// ExchangeYZ performs only the transpose-exchanges of FourierToPhysical
+// on four under the pinned strategy — into B, and on a grid with Pc > 1
+// on into X, the head of four: the isolated exchange kernel the bench
+// harness times per strategy. Collective.
 //
 //psdns:hotpath
 func (a *SlabReal) ExchangeYZ(four []complex128) {

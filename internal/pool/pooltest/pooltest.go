@@ -11,12 +11,34 @@ import (
 )
 
 // span is one backing array as the walk saw it, keyed by its end
-// address: the furthest any slice into it reaches, and the path and
-// capacity of the widest slice.
+// address: the furthest any slice into it reaches, its element kind,
+// and the path and capacity of the widest slice.
 type span struct {
 	reach uintptr
+	kind  reflect.Kind
 	path  string
 	cap   int
+}
+
+// Buffer is one float or complex backing array reachable from a value:
+// its element kind, and the path and capacity of its widest slice.
+type Buffer struct {
+	Kind reflect.Kind
+	Path string
+	Cap  int
+}
+
+// Buffers walks v as Overheld does and returns every []complex128,
+// []complex64 or []float64 backing array it reaches, once each, sorted
+// by path.
+func Buffers(v any) []Buffer {
+	w := walkFrom(v)
+	out := make([]Buffer, 0, len(w.arrays))
+	for _, s := range w.arrays {
+		out = append(out, Buffer{s.kind, s.path, s.cap})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
 }
 
 // Overheld walks everything reachable from v (through pointers,
@@ -26,8 +48,7 @@ type span struct {
 // and how many such backing arrays it saw in all. Views into a buffer
 // are fine as long as something holds the whole of it.
 func Overheld(v any) (bad []string, buffers int) {
-	w := walker{seen: map[visit]bool{}, arrays: map[uintptr]*span{}}
-	w.walk(reflect.ValueOf(v), reflect.TypeOf(v).String())
+	w := walkFrom(v)
 	for end, s := range w.arrays {
 		if s.reach != end {
 			bad = append(bad, fmt.Sprintf("%s: cap %d, %d B past every slice", s.path, s.cap, end-s.reach))
@@ -46,6 +67,12 @@ type visit struct {
 type walker struct {
 	seen   map[visit]bool
 	arrays map[uintptr]*span // by end address
+}
+
+func walkFrom(v any) *walker {
+	w := &walker{seen: map[visit]bool{}, arrays: map[uintptr]*span{}}
+	w.walk(reflect.ValueOf(v), reflect.TypeOf(v).String())
+	return w
 }
 
 func (w *walker) walk(v reflect.Value, path string) {
@@ -87,7 +114,7 @@ func (w *walker) walk(v reflect.Value, path string) {
 			end, reach := start+uintptr(v.Cap())*size, start+uintptr(v.Len())*size
 			s := w.arrays[end]
 			if s == nil {
-				s = &span{path: path, cap: v.Cap()}
+				s = &span{kind: v.Type().Elem().Kind(), path: path, cap: v.Cap()}
 				w.arrays[end] = s
 			}
 			if reach > s.reach {

@@ -153,9 +153,21 @@ type CheckpointInfo struct {
 	Fields int     // spectral fields stored (3 velocity + system extras)
 }
 
+// The bounds of a checkpoint header that describes a solver New can
+// build: N grid points per direction, N even and 4 ≤ N ≤ maxCkptN (2¹⁵,
+// past the paper's largest run, 18 432³); Ranks ≥ 1 dividing N, so
+// Ranks ≤ N; Fields = 3 in a version-1 file (always plain "ns")
+// and 3 ≤ Fields ≤ 3 + maxCkptScalars otherwise.
+const (
+	maxCkptN       = 1 << 15
+	maxCkptScalars = 64
+)
+
 // PeekCheckpoint reads the header of rank 0's file under dir without
 // touching the field data: the CRC is not checked (LoadCheckpoint does
-// that), only that the header describes a constructible solver.
+// that), only that the header describes a constructible solver — N,
+// Ranks and Fields within the bounds above, so cmd/postproc can hand them
+// to mpi.Run and New.
 func PeekCheckpoint(dir string) (CheckpointInfo, error) {
 	f, err := os.Open(ckptPath(dir, 0))
 	if err != nil {
@@ -166,8 +178,13 @@ func PeekCheckpoint(dir string) (CheckpointInfo, error) {
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	if hdr.N < 4 || hdr.N%2 != 0 || hdr.Ranks < 1 || hdr.N%hdr.Ranks != 0 || hdr.Fields < 3 {
-		return CheckpointInfo{}, fmt.Errorf("checkpoint: implausible header N=%d ranks=%d fields=%d (corrupted file)", hdr.N, hdr.Ranks, hdr.Fields)
+	maxFields := uint64(3 + maxCkptScalars)
+	if hdr.Version == 1 {
+		maxFields = 3
+	}
+	if hdr.N < 4 || hdr.N > maxCkptN || hdr.N%2 != 0 || hdr.Ranks < 1 || hdr.N%hdr.Ranks != 0 ||
+		hdr.Fields < 3 || hdr.Fields > maxFields {
+		return CheckpointInfo{}, fmt.Errorf("checkpoint: implausible version-%d header N=%d ranks=%d fields=%d (corrupted file)", hdr.Version, hdr.N, hdr.Ranks, hdr.Fields)
 	}
 	return CheckpointInfo{
 		N: int(hdr.N), Ranks: int(hdr.Ranks), Nu: hdr.Nu,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 
@@ -95,4 +96,65 @@ func checkCleanLoad(t *testing.T, s *Solver, data []byte) {
 			}
 		}
 	}
+}
+
+// ckptHead encodes a checkpoint's head as WriteCheckpointTo does: the
+// fixed header and, past version 1, the system name.
+func ckptHead(hdr ckptHeader, name string) []byte {
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, &hdr)
+	if hdr.Version != 1 {
+		binary.Write(&buf, binary.LittleEndian, uint32(len(name)))
+		buf.WriteString(name)
+	}
+	return buf.Bytes()
+}
+
+// FuzzPeekCheckpoint feeds arbitrary bytes, as rank 0's file, to
+// PeekCheckpoint. Each input yields an error, or an info a solver can be
+// built from — N even in [4, maxCkptN], Ranks ≥ 1 dividing N, 3 fields
+// in a version-1 file and at most 3 + maxCkptScalars otherwise — that
+// says what readCkptHead reads. Nothing is built from it: the peek is
+// tested alone. Seeds: a version-1 head and a version-2 one as a
+// solver writes them, and the headers
+// TestPeekCheckpointRejectsImplausibleHeader rejects.
+func FuzzPeekCheckpoint(f *testing.F) {
+	v1 := ckptHeader{Magic: ckptMagic, Version: 1, N: 16, Ranks: 2, Step: 3, Time: 0.012, Nu: 0.02, Fields: 3}
+	v2 := v1
+	v2.Version, v2.Fields = ckptVersion, 5
+	f.Add(ckptHead(v1, ""))
+	f.Add(ckptHead(v2, "rotating-scalar"))
+	for _, bad := range []ckptHeader{
+		{Magic: ckptMagic, Version: 1, N: 1 << 63, Ranks: 1, Fields: 3},
+		{Magic: ckptMagic, Version: 1, N: 1 << 20, Ranks: 1 << 20, Fields: 3},
+		{Magic: ckptMagic, Version: 1, N: 16, Ranks: 2, Fields: 1 << 40},
+	} {
+		f.Add(ckptHead(bad, ""))
+	}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(ckptPath(dir, 0), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		info, err := PeekCheckpoint(dir)
+		if err != nil {
+			return
+		}
+		hdr, name, herr := readCkptHead(bytes.NewReader(data))
+		if herr != nil {
+			t.Fatalf("peeked %+v from a head readCkptHead rejects: %v", info, herr)
+		}
+		maxFields := 3 + maxCkptScalars
+		if hdr.Version == 1 {
+			maxFields = 3
+		}
+		if info.N < 4 || info.N > maxCkptN || info.N%2 != 0 || info.Ranks < 1 || info.N%info.Ranks != 0 ||
+			info.Fields < 3 || info.Fields > maxFields {
+			t.Fatalf("peeked a header no solver could have written: %+v (version %d)", info, hdr.Version)
+		}
+		if uint64(info.N) != hdr.N || uint64(info.Ranks) != hdr.Ranks || uint64(info.Fields) != hdr.Fields ||
+			math.Float64bits(info.Nu) != math.Float64bits(hdr.Nu) || info.System != name {
+			t.Fatalf("peeked %+v, the head says %+v, system %q", info, hdr, name)
+		}
+	})
 }

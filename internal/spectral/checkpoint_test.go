@@ -367,18 +367,31 @@ func TestCheckpointV1Compat(t *testing.T) {
 
 // The peek validates what a driver is about to construct a solver
 // from: a header no solver could have written is an error, as is a
-// directory with no rank-0 file.
+// directory with no rank-0 file. Each header below is rejected: no
+// ranks; an N past an int (2⁶³ read back as a negative N); an N and a
+// rank count of 2²⁰, which cmd/postproc would pass to mpi.Run; and a
+// version-1 file, always plain "ns", claiming 2⁴⁰ fields.
 func TestPeekCheckpointRejectsImplausibleHeader(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := PeekCheckpoint(dir); err == nil {
 		t.Error("empty directory peeked without error")
 	}
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, &ckptHeader{Magic: ckptMagic, Version: 1, N: 16, Ranks: 0, Fields: 3})
-	if err := os.WriteFile(ckptPath(dir, 0), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PeekCheckpoint(dir); err == nil || !strings.Contains(err.Error(), "implausible") {
-		t.Errorf("zero-rank header not rejected: %v", err)
+	for _, tc := range []struct {
+		what string
+		hdr  ckptHeader
+	}{
+		{"zero-rank", ckptHeader{Magic: ckptMagic, Version: 1, N: 16, Ranks: 0, Fields: 3}},
+		{"N = 2⁶³", ckptHeader{Magic: ckptMagic, Version: 1, N: 1 << 63, Ranks: 1, Fields: 3}},
+		{"N = ranks = 2²⁰", ckptHeader{Magic: ckptMagic, Version: 1, N: 1 << 20, Ranks: 1 << 20, Fields: 3}},
+		{"version-1 with 2⁴⁰ fields", ckptHeader{Magic: ckptMagic, Version: 1, N: 16, Ranks: 2, Fields: 1 << 40}},
+	} {
+		var buf bytes.Buffer
+		binary.Write(&buf, binary.LittleEndian, &tc.hdr)
+		if err := os.WriteFile(ckptPath(dir, 0), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := PeekCheckpoint(dir); err == nil || !strings.Contains(err.Error(), "implausible") {
+			t.Errorf("%s header not rejected: %+v, %v", tc.what, info, err)
+		}
 	}
 }

@@ -95,6 +95,8 @@ type Transform interface {
 	Truncate(kmax int)
 	Slab() grid.Slab
 	NXH() int
+	// FourierLen is the allocation length of a Fourier buffer: C's
+	// length on the one column the solver runs.
 	FourierLen() int
 	PhysicalLen() int
 }
