@@ -134,9 +134,10 @@ func WithExchangeStrategy(s ExchangeStrategy) AsyncOption {
 // never waits past the hard bound). Stale slabs are site-matched —
 // accepted only when they carry the same quantity from a whole
 // number of steps earlier — so a bound below the engine's per-step
-// exchange count behaves synchronously. Pair with the solver's
-// WithAsyncTolerance so the stepper corrects for the staleness it
-// absorbs.
+// exchange count behaves synchronously. This is the one place a run
+// asks for asynchrony tolerance: a solver handed the engine
+// (WithTransform) labels every transform call with its site and
+// corrects for the staleness the engine absorbs.
 func WithBoundedStaleness(maxStale int, deadline time.Duration) AsyncOption {
 	return func(o *AsyncOptions) {
 		o.Exchange = exchange.AT
@@ -203,12 +204,14 @@ func NewTunedAsync(c *Comm, n int, cacheDir string, space *TuneSpace, opts ...As
 // NewSlabTransform is the synchronous slab transform, the Fig 2
 // baseline: the one slab engine at np = 1, one exchange per slab, one
 // device.
-func NewSlabTransform(c *Comm, n int) *pfft.SlabReal { return pfft.NewSlabReal(c, n) }
+func NewSlabTransform(c *Comm, n int) *pfft.SlabReal {
+	return pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
+}
 
 // NewThreadedSlabTransform is the hybrid MPI+OpenMP-style transform
 // with a worker team per rank.
 func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
-	return pfft.NewSlabRealWorkers(c, n, threads)
+	return pfft.NewSlabRealStrategy(c, n, threads, exchange.Auto)
 }
 
 // RealTransform is the distributed real-field transform pair on any

@@ -1,10 +1,6 @@
 package repro
 
-import (
-	"time"
-
-	"repro/internal/spectral"
-)
+import "repro/internal/spectral"
 
 // --- Solver ---------------------------------------------------------------
 
@@ -110,6 +106,9 @@ func WithDealias(d spectral.Dealias) SolverOption { return spectral.WithDealias(
 
 // WithTransform runs the solver on a caller-chosen transform engine
 // (e.g. NewAsync's pipeline) instead of the synchronous slab default.
+// An engine built WithBoundedStaleness makes the solver
+// asynchrony-tolerant: it labels every transform call with its site
+// and corrects the nonlinear term for the staleness the engine absorbs.
 func WithTransform(tr Transform) SolverOption { return spectral.WithTransform(tr) }
 
 // WithSystem selects a registered equation set by name; construction
@@ -143,22 +142,6 @@ func WithScalarGradient(g float64) SolverOption { return spectral.WithScalarGrad
 // WithRotation sets the frame rotation rate Ω about ẑ (selects
 // "rotating-scalar" unless a system is named explicitly).
 func WithRotation(omega float64) SolverOption { return spectral.WithRotation(omega) }
-
-// WithAsyncTolerance enables asynchrony-tolerant stepping with the
-// given staleness bound (in exchange epochs): the transposes run
-// through bounded exchanges that let a rank proceed on peers' latest
-// published slabs when they lag by at most maxStale epochs, and the
-// stepper applies a staleness-weighted first-order correction to the
-// nonlinear term. Trades bounded accuracy for immunity to stragglers;
-// with no stragglers the result is bitwise identical to the
-// synchronous scheme.
-func WithAsyncTolerance(maxStale int) SolverOption { return spectral.WithAsyncTolerance(maxStale) }
-
-// WithAsyncDeadline bounds how long an asynchrony-tolerant exchange
-// still waits for peers that are within the staleness bound before
-// gathering their stale slabs (d ≤ 0 never waits past the hard
-// bound). Only meaningful together with WithAsyncTolerance.
-func WithAsyncDeadline(d time.Duration) SolverOption { return spectral.WithAsyncDeadline(d) }
 
 // --- Constructor ----------------------------------------------------------
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cuda"
+	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/hw"
 	"repro/internal/mpi"
@@ -241,7 +242,7 @@ func BenchmarkDistributed3DFFT(b *testing.B) {
 	const n, ranks = 32, 2
 	b.Run("sync", func(b *testing.B) {
 		benchTransform(b, func(c *mpi.Comm) spectral.Transform {
-			return pfft.NewSlabReal(c, n)
+			return pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		}, n, ranks)
 	})
 	b.Run("asyncPencil", func(b *testing.B) {
@@ -375,7 +376,7 @@ func BenchmarkThreadedTransform(b *testing.B) {
 	for _, threads := range []int{1, 4} {
 		b.Run(fmt.Sprintf("threads%d", threads), func(b *testing.B) {
 			benchTransform(b, func(c *mpi.Comm) spectral.Transform {
-				return pfft.NewSlabRealWorkers(c, n, threads)
+				return pfft.NewSlabRealStrategy(c, n, threads, exchange.Auto)
 			}, n, ranks)
 		})
 	}

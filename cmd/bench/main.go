@@ -276,15 +276,24 @@ type workload struct {
 // process-wide measurement, which at steady state is zero anyway).
 func slabTransform(n, p int) func(iters, workers int) sample {
 	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
-		return pfft.NewSlabRealWorkers(c, n, workers)
+		return pfft.NewSlabRealStrategy(c, n, workers, exchange.Auto)
 	})
+}
+
+// slabOptions are the slab's options (np 1, one exchange per slab, one
+// device) at a team of workers, for the wire variants NewAsyncSlabReal
+// builds.
+func slabOptions(workers int) pfft.Options {
+	return pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1, Workers: workers}
 }
 
 // slabTransformSingle is slabTransform on the single-precision-wire
 // engine: FFTs in float64, transpose-exchanges through complex64.
 func slabTransformSingle(n, p int) func(iters, workers int) sample {
 	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {
-		return pfft.NewSlabRealSingle(c, n, workers)
+		opt := slabOptions(workers)
+		opt.SingleComm = true
+		return pfft.NewAsyncSlabReal(c, n, opt)
 	})
 }
 
@@ -388,7 +397,7 @@ func transformPair(p int, build func(c *mpi.Comm, workers int) pairEngine) func(
 // and time regressions just like the plain NS step.
 func dnsStep(n, p int, opts ...spectral.Option) func(iters, workers int) sample {
 	return dnsStepOn(func(c *mpi.Comm, workers int) stepEngine {
-		return pfft.NewSlabRealWorkers(c, n, workers)
+		return pfft.NewSlabRealStrategy(c, n, workers, exchange.Auto)
 	}, n, p, opts...)
 }
 
@@ -458,14 +467,15 @@ func dnsStepAT(n, p, maxStale int) func(iters, workers int) sample {
 	return func(iters, workers int) sample {
 		var s sample
 		mpi.Run(p, func(c *mpi.Comm) {
-			tr := pfft.NewSlabRealAT(c, n, workers, maxStale, 2*time.Second)
+			opt := slabOptions(workers)
+			opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, maxStale, 2*time.Second
+			tr := pfft.NewAsyncSlabReal(c, n, opt)
 			defer tr.Close()
 			sol := spectral.New(c, n,
 				spectral.WithNu(0.01),
 				spectral.WithScheme(spectral.RK2),
 				spectral.WithDealias(spectral.Dealias23),
 				spectral.WithTransform(tr),
-				spectral.WithAsyncTolerance(maxStale),
 			)
 			defer sol.Close()
 			sol.SetRandomIsotropic(3, 0.5, 1)
@@ -563,12 +573,12 @@ func exchangeYZ(n, p int, st exchange.Strategy) func(iters, workers int) sample 
 	return func(iters, workers int) sample {
 		var s sample
 		mpi.Run(p, func(c *mpi.Comm) {
-			var f *pfft.SlabReal
+			opt := slabOptions(workers)
+			opt.Exchange = st
 			if st == exchange.AT {
-				f = pfft.NewSlabRealAT(c, n, workers, 1, 2*time.Second)
-			} else {
-				f = pfft.NewSlabRealStrategy(c, n, workers, st)
+				opt.ATMaxStale, opt.ATDeadline = 1, 2*time.Second
 			}
+			f := pfft.NewAsyncSlabReal(c, n, opt)
 			defer f.Close()
 			four := make([]complex128, f.FourierLen())
 			for i := range four {
@@ -694,7 +704,7 @@ func (t copyTransform) PhysicalToFourier(four []complex128, phys []float64) {
 func solverArithmetic(n, p int, op func(*spectral.Solver, float64), passes func(c, b, r float64) float64) func(iters, workers int) sample {
 	var band int // set by rank 0, the rank timeLoop times
 	run := solverOp(func(c *mpi.Comm, workers int) stepEngine {
-		return copyTransform{pfft.NewSlabRealWorkers(c, n, workers), 1 / (float64(n) * float64(n) * float64(n))}
+		return copyTransform{pfft.NewSlabRealStrategy(c, n, workers, exchange.Auto), 1 / (float64(n) * float64(n) * float64(n))}
 	}, func(s *spectral.Solver, dt float64) {
 		if s.Comm().Rank() == 0 {
 			band = s.BandLen()

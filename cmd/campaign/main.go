@@ -28,6 +28,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
@@ -229,7 +230,7 @@ func buildSolver(c *mpi.Comm, cfg Config, st Stage) *spectral.Solver {
 		if threads == 0 {
 			threads = 2
 		}
-		opts = append(opts, spectral.WithTransform(pfft.NewSlabRealWorkers(c, st.N, threads)))
+		opts = append(opts, spectral.WithTransform(pfft.NewSlabRealStrategy(c, st.N, threads, exchange.Auto)))
 	}
 	s := spectral.New(c, st.N, opts...)
 	s.OwnTransform() // any engine above was built for this solver alone

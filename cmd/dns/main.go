@@ -42,15 +42,15 @@ func main() {
 		nu       = flag.Float64("nu", 0.01, "kinematic viscosity")
 		scheme   = flag.String("scheme", "rk2", "time scheme: rk2 or rk4")
 		engine   = flag.String("engine", "sync", "transform engine: sync or async")
-		np       = flag.Int("np", 3, "pencils per slab (async engine)")
-		gran     = flag.String("gran", "slab", "all-to-all granularity: pencil or slab (async)")
+		np       = flag.Int("np", 3, "pencils per slab (needs -engine async)")
+		gran     = flag.String("gran", "slab", "all-to-all granularity: pencil or slab (needs -engine async)")
 		exch     = flag.String("exchange", "auto", "transpose-exchange strategy: auto, staged, fused, chunked or at (auto microbenchmarks at startup and pins the winner; at needs -at-stale)")
 		decomp   = flag.String("decomp", "slab", "field decomposition of the one transform engine: slab (the ranks x 1 grid), a PRxPC pencil grid such as 2x4, or auto (times every grid that fits N and ranks and pins the fastest); non-slab selects the transform drive loop — one forward+inverse transform pair per step — which also runs at ranks > N, past the slab scaling wall")
 		autotune = flag.Bool("autotune", false, "whole-step autotuning: search exchange strategy and engine knobs together at startup and pin the collectively-agreed winner")
 		tuneDir  = flag.String("tunecache", "", "persist autotuner decisions as JSON under this directory (implies -autotune; a warm cache skips the startup trials)")
 		atStale  = flag.Int("at-stale", -1, "asynchrony-tolerant stepping: bounded-staleness exchanges with this staleness bound in exchange epochs (-1 = off; implies -exchange at)")
-		atDL     = flag.Duration("at-deadline", 50*time.Millisecond, "asynchrony-tolerant stepping: soft wait for peers within the staleness bound (0 = never wait past the hard bound)")
-		ngpu     = flag.Int("ngpu", 1, "devices per rank (async engine)")
+		atDL     = flag.Duration("at-deadline", 50*time.Millisecond, "asynchrony-tolerant stepping: soft wait for peers within the staleness bound (0 = never wait past the hard bound; needs -at-stale)")
+		ngpu     = flag.Int("ngpu", 1, "devices per rank (needs -engine async)")
 		workers  = flag.Int("workers", 1, "worker-team size per rank (FFT batch + pack/unpack parallelism; results identical for any value)")
 		system   = flag.String("system", "", "equation set by registered name (default: inferred from the physics flags)")
 		forced   = flag.Bool("forced", false, "sustain stationary turbulence (stochastic large-scale forcing)")
@@ -134,6 +134,11 @@ func main() {
 	if strategy == exchange.AT && *atStale < 0 {
 		log.Fatalf("-exchange at needs a staleness bound: set -at-stale (0 waits for every peer, k lets peers lag k exchange epochs)")
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkEngineFlags(set, async, strategy == exchange.AT); err != nil {
+		log.Fatal(err)
+	}
 	if *tuneDir != "" {
 		*autotune = true
 	}
@@ -209,9 +214,6 @@ func main() {
 		}
 		if *system != "" {
 			opts = append(opts, spectral.WithSystem(*system))
-		}
-		if strategy == exchange.AT {
-			opts = append(opts, spectral.WithAsyncTolerance(*atStale), spectral.WithAsyncDeadline(*atDL))
 		}
 		var tune tuning.Config
 		if *tuneDir != "" {
@@ -409,6 +411,22 @@ func checkWatchdog(on bool, opDeadline, deadlockAfter time.Duration) error {
 		return fmt.Errorf("-op-deadline %v needs the watchdog: drop -watchdog=false or -op-deadline", opDeadline)
 	case deadlockAfter != 0:
 		return fmt.Errorf("-deadlock-after %v needs the watchdog: drop -watchdog=false or -deadlock-after", deadlockAfter)
+	}
+	return nil
+}
+
+// checkEngineFlags rejects an engine flag the run would ignore: set
+// holds the flags given on the command line (flag.Visit). The soft
+// deadline only bounds the asynchrony-tolerant exchange, and -np,
+// -gran and -ngpu only configure the batched pipeline.
+func checkEngineFlags(set map[string]bool, async, at bool) error {
+	if set["at-deadline"] && !at {
+		return fmt.Errorf("-at-deadline needs the asynchrony-tolerant exchange: set -at-stale (or -exchange at) or drop -at-deadline")
+	}
+	for _, name := range []string{"np", "gran", "ngpu"} {
+		if set[name] && !async {
+			return fmt.Errorf("-%s configures the batched pipeline: add -engine async or drop -%s", name, name)
+		}
 	}
 	return nil
 }

@@ -56,6 +56,39 @@ func TestCheckWatchdog(t *testing.T) {
 	}
 }
 
+// Engine flags the run would ignore are rejected: the AT deadline
+// without the asynchrony-tolerant exchange, the batched pipeline's
+// knobs without -engine async.
+func TestCheckEngineFlags(t *testing.T) {
+	for _, tc := range []struct {
+		set       []string
+		async, at bool
+		want      string // substring of the error; "" = accepted
+	}{
+		{nil, false, false, ""},
+		{[]string{"at-stale", "at-deadline"}, false, true, ""},
+		{[]string{"exchange", "at-deadline"}, true, true, ""},
+		{[]string{"at-deadline"}, false, false, "-at-deadline needs the asynchrony-tolerant exchange"},
+		{[]string{"engine", "np", "gran", "ngpu"}, true, false, ""},
+		{[]string{"np"}, false, false, "-np configures the batched pipeline"},
+		{[]string{"gran"}, false, true, "-gran configures the batched pipeline"},
+		{[]string{"ngpu"}, false, false, "-ngpu configures the batched pipeline"},
+		{[]string{"at-deadline", "np"}, false, false, "-at-deadline needs"},
+	} {
+		set := map[string]bool{}
+		for _, name := range tc.set {
+			set[name] = true
+		}
+		err := checkEngineFlags(set, tc.async, tc.at)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("checkEngineFlags(%v, %v, %v) = %v, want accepted", tc.set, tc.async, tc.at, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("checkEngineFlags(%v, %v, %v) = %v, want error containing %q", tc.set, tc.async, tc.at, err, tc.want)
+		}
+	}
+}
+
 func TestCheckDecomp(t *testing.T) {
 	for _, tc := range []struct {
 		dec      tuning.Decomp

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
@@ -21,7 +22,7 @@ func runBoth(t *testing.T, n, p int, opt pfft.Options) (maxDiff, roundTrip float
 	var mu sync.Mutex
 	var worstDiff, worstRT float64
 	mpi.Run(p, func(c *mpi.Comm) {
-		ref := pfft.NewSlabReal(c, n)
+		ref := pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		async := pfft.NewAsyncSlabReal(c, n, opt)
 		defer async.Close()
 
@@ -152,7 +153,7 @@ func TestAsyncManyRanks(t *testing.T) {
 // direction makes one exchange.
 func TestSyncGPUBaseline(t *testing.T) {
 	if err := mpi.RunWith(2, metrics.NewRegistry(), func(c *mpi.Comm) {
-		sg := pfft.NewSlabReal(c, 16)
+		sg := pfft.NewSlabRealStrategy(c, 16, 1, exchange.Auto)
 		defer sg.Close()
 		if sg.NP() != 1 {
 			panic(fmt.Sprintf("sync baseline np=%d", sg.NP()))

@@ -21,7 +21,7 @@ func TestSingleCommAccuracy(t *testing.T) {
 	n, p := 16, 2
 	for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 		mpi.Run(p, func(c *mpi.Comm) {
-			ref := pfft.NewSlabReal(c, n)
+			ref := pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
 			sgl := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: gran, SingleComm: true})
 			defer sgl.Close()
 
@@ -134,7 +134,7 @@ func TestSingleCommHalvesWireBytes(t *testing.T) {
 // The batched pipeline's single-precision wire is the slab's: one
 // engine, the same narrow and widen bodies (pfft.Passes) around the
 // same slab kernels, so pfft.Options{NP: 3, SingleComm} and
-// pfft.NewSlabRealSingle (np 1) agree bit for bit through a
+// the slab's options with SingleComm (np 1) agree bit for bit through a
 // forward+inverse pair — staged and chunked, at the full and the 2/3
 // band, on 1, 2 and 4 ranks.
 func TestSingleCommMatchesSlabSingle(t *testing.T) {
@@ -143,7 +143,7 @@ func TestSingleCommMatchesSlabSingle(t *testing.T) {
 		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
 			for _, st := range []exchange.Strategy{exchange.Staged, exchange.ChunkedFused} {
 				if err := mpi.TryRun(p, func(c *mpi.Comm) {
-					ref := pfft.NewSlabRealSingle(c, n, 1)
+					ref := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1, SingleComm: true})
 					defer ref.Close()
 					a := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Exchange: st, SingleComm: true})
 					defer a.Close()

@@ -48,47 +48,6 @@ func (s Slab) ZOwner(iz int) int { return iz / s.MZ() }
 // YOwner reports which rank owns global y index iy in physical space.
 func (s Slab) YOwner(iy int) int { return iy / s.MY() }
 
-// PencilBatch describes how one rank's slab is divided into np pencils
-// that are cycled through GPU memory (Fig 3): pencil ip covers y
-// indices [ip·nyp, (ip+1)·nyp) of the local x-y slab.
-type PencilBatch struct {
-	Slab Slab
-	NP   int // pencils per slab
-}
-
-// NewPencilBatch validates np | N.
-func NewPencilBatch(s Slab, np int) PencilBatch {
-	if np < 1 || s.N%np != 0 {
-		panic(fmt.Sprintf("grid: pencil batch requires np|N, got N=%d np=%d", s.N, np))
-	}
-	return PencilBatch{Slab: s, NP: np}
-}
-
-// NYP is the y extent of one pencil, N/np.
-func (b PencilBatch) NYP() int { return b.Slab.N / b.NP }
-
-// Words is the number of complex words in one pencil of one variable:
-// nxh × nyp × mz, where nxh is the x extent of the stored spectrum.
-func (b PencilBatch) Words(nxh int) int { return nxh * b.NYP() * b.Slab.MZ() }
-
-// GPUSlice further splits a pencil vertically across ngpu devices
-// (Fig 5), returning the y sub-range [lo,hi) of the pencil handled by
-// device g.
-func (b PencilBatch) GPUSlice(ip, g, ngpu int) (lo, hi int) {
-	if g < 0 || g >= ngpu {
-		panic(fmt.Sprintf("grid: gpu %d out of %d", g, ngpu))
-	}
-	nyp := b.NYP()
-	per := nyp / ngpu
-	rem := nyp % ngpu
-	lo = ip*nyp + g*per + min(g, rem)
-	hi = lo + per
-	if g < rem {
-		hi++
-	}
-	return lo, hi
-}
-
 // Wavenumber maps a storage index i on an N-point grid to its signed
 // wavenumber: 0,1,…,N/2,−N/2+1,…,−1.
 func Wavenumber(i, n int) int {
@@ -98,18 +57,10 @@ func Wavenumber(i, n int) int {
 	return i - n
 }
 
-// MaxRealizableK is the highest wavenumber magnitude representable per
-// direction, N/2.
-func MaxRealizableK(n int) int { return n / 2 }
-
-// DealiasCutoff is the 2/3-rule truncation radius: modes with any
-// |k| > N/3 are zeroed when forming nonlinear products. The modes kept
-// are those with every |k_i| ≤ DealiasKmax(n).
-func DealiasCutoff(n int) float64 { return float64(n) / 3.0 }
-
-// DealiasKmax is the 2/3-rule band as an integer: the largest |k_i| a
-// dealiased run retains, ⌊N/3⌋ (an integer k exceeds N/3 exactly when
-// it exceeds ⌊N/3⌋). The solver's mask, the random initial spectrum
+// DealiasKmax is the 2/3-rule band as an integer: modes with any
+// |k_i| > N/3 are zeroed when forming nonlinear products, so the
+// largest |k_i| a dealiased run retains is ⌊N/3⌋ (an integer k exceeds
+// N/3 exactly when it exceeds ⌊N/3⌋). The solver's mask, the random initial spectrum
 // and the band the solver hands its transform engine all come from
 // here.
 func DealiasKmax(n int) int { return n / 3 }

@@ -59,45 +59,6 @@ func TestSlabPanicsOnIndivisible(t *testing.T) {
 	NewSlab(10, 3, 0)
 }
 
-func TestPencilBatchGeometry(t *testing.T) {
-	s := NewSlab(16, 4, 1)
-	b := NewPencilBatch(s, 4)
-	if b.NYP() != 4 {
-		t.Errorf("nyp %d", b.NYP())
-	}
-	// Words for nxh = 9 (N/2+1): 9*4*4.
-	if b.Words(9) != 144 {
-		t.Errorf("words %d", b.Words(9))
-	}
-}
-
-func TestGPUSliceCoversPencil(t *testing.T) {
-	s := NewSlab(18, 3, 0)
-	b := NewPencilBatch(s, 2) // nyp = 9
-	for _, ngpu := range []int{1, 2, 3, 4} {
-		for ip := 0; ip < b.NP; ip++ {
-			covered := map[int]bool{}
-			prevHi := ip * b.NYP()
-			for g := 0; g < ngpu; g++ {
-				lo, hi := b.GPUSlice(ip, g, ngpu)
-				if lo != prevHi {
-					t.Errorf("ngpu=%d ip=%d g=%d: gap lo=%d prevHi=%d", ngpu, ip, g, lo, prevHi)
-				}
-				for i := lo; i < hi; i++ {
-					if covered[i] {
-						t.Errorf("overlap at %d", i)
-					}
-					covered[i] = true
-				}
-				prevHi = hi
-			}
-			if prevHi != (ip+1)*b.NYP() {
-				t.Errorf("ngpu=%d ip=%d: coverage ends at %d", ngpu, ip, prevHi)
-			}
-		}
-	}
-}
-
 func TestWavenumberMapping(t *testing.T) {
 	n := 8
 	want := []int{0, 1, 2, 3, 4, -3, -2, -1}
@@ -105,9 +66,6 @@ func TestWavenumberMapping(t *testing.T) {
 		if k := Wavenumber(i, n); k != w {
 			t.Errorf("Wavenumber(%d,%d)=%d want %d", i, n, k, w)
 		}
-	}
-	if MaxRealizableK(8) != 4 {
-		t.Error("max k")
 	}
 }
 
@@ -124,37 +82,31 @@ func TestWavenumberRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestDealiasCutoff(t *testing.T) {
-	if DealiasCutoff(18432) != 6144 {
-		t.Errorf("cutoff %g", DealiasCutoff(18432))
+// The 2/3 rule as an integer band, the paper's N = 18432 included: k
+// is kept exactly when k ≤ N/3.
+func TestDealiasKmax(t *testing.T) {
+	for _, c := range []struct{ n, kmax int }{{12, 4}, {16, 5}, {48, 16}, {64, 21}, {18432, 6144}} {
+		if got := DealiasKmax(c.n); got != c.kmax {
+			t.Errorf("DealiasKmax(%d) = %d, want %d", c.n, got, c.kmax)
+		}
+		for k := 0; k <= c.n/2; k++ {
+			if (float64(k) <= float64(c.n)/3) != (k <= c.kmax) {
+				t.Errorf("N=%d k=%d: float and integer cutoffs disagree", c.n, k)
+			}
+		}
 	}
 }
 
 func TestPaperGeometry18432(t *testing.T) {
 	// The paper's production case: N=18432, 3072 nodes, 2 ranks/node ⇒
-	// P=6144, mz=3; 4 pencils per slab ⇒ nyp=4608 (Fig 6's nxp analog).
+	// P=6144, mz=3.
 	s := NewSlab(18432, 6144, 0)
 	if s.MZ() != 3 {
 		t.Errorf("mz=%d want 3", s.MZ())
 	}
-	b := NewPencilBatch(s, 4)
-	if b.NYP() != 4608 {
-		t.Errorf("nyp=%d want 4608", b.NYP())
-	}
 }
 
 func TestDealiasKmaxAndBand(t *testing.T) {
-	for _, c := range []struct{ n, kmax int }{{12, 4}, {16, 5}, {48, 16}, {64, 21}} {
-		if got := DealiasKmax(c.n); got != c.kmax {
-			t.Errorf("DealiasKmax(%d) = %d, want %d", c.n, got, c.kmax)
-		}
-		// ⌊N/3⌋ is the float rule: k is kept exactly when k ≤ N/3.
-		for k := 0; k <= c.n/2; k++ {
-			if (float64(k) <= DealiasCutoff(c.n)) != (k <= c.kmax) {
-				t.Errorf("N=%d k=%d: float and integer cutoffs disagree", c.n, k)
-			}
-		}
-	}
 	const n = 16
 	for _, kmax := range []int{-3, -1, 8, 9, 100} {
 		if b := NewBand(n, kmax); b.Kmax != n/2 {

@@ -40,9 +40,9 @@ func TestSlabRealATZeroDelayBitwiseIdentity(t *testing.T) {
 				ref.FourierToPhysical(refPhys, fourScratch)
 
 				for _, w := range []int{1, 2} {
-					f := NewSlabRealAT(c, n, w, 1, 2*time.Second)
+					f := slabAT(c, n, w, 1, 2*time.Second)
 					if f.Strategy() != exchange.AT {
-						panic("NewSlabRealAT did not pin the at strategy")
+						panic("the AT options did not pin the at strategy")
 					}
 					four := make([]complex128, fl)
 					phys := make([]float64, pl)

@@ -27,12 +27,28 @@ func sameBits(a, b complex128) bool {
 // one mode, the 2/3 rule, everything but the Nyquist planes, full.
 func bandKmaxes(n int) []int { return []int{0, 1, grid.DealiasKmax(n), n/2 - 1, n / 2} }
 
-// slabWith builds the one-column engine at the slab constructors'
+// slabWith builds the one-column engine at the slab's
 // options with pair pinned, on the single-precision wire if single.
 func slabWith(c *mpi.Comm, n, workers int, pair exchange.Pair, single bool) *SlabReal {
 	opt := slabOptions(workers)
 	opt.SingleComm = single
 	return newSlabReal(c, nil, n, opt, pair)
+}
+
+// slabAT is the slab (np 1, one exchange per slab, one device) on the
+// asynchrony-tolerant exchange with the given bound and deadline.
+func slabAT(c *mpi.Comm, n, workers, maxStale int, deadline time.Duration) *SlabReal {
+	opt := slabOptions(workers)
+	opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, maxStale, deadline
+	return NewAsyncSlabReal(c, n, opt)
+}
+
+// slabSingle is the slab on the single-precision wire, its exchange
+// strategies autotuned over the complex64 path.
+func slabSingle(c *mpi.Comm, n, workers int) *SlabReal {
+	opt := slabOptions(workers)
+	opt.SingleComm = true
+	return NewAsyncSlabReal(c, n, opt)
 }
 
 // testLayout is e's local geometry as a pencil layout: the slab's is
@@ -197,7 +213,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 			run(p, "slab f32 wire", func(c *mpi.Comm) *SlabReal {
 				return slabWith(c, n, 2, exchange.Both(exchange.ChunkedFused), true)
 			})
-			run(p, "slab AT stale=0", func(c *mpi.Comm) *SlabReal { return NewSlabRealAT(c, n, 2, 0, 2*time.Second) })
+			run(p, "slab AT stale=0", func(c *mpi.Comm) *SlabReal { return slabAT(c, n, 2, 0, 2*time.Second) })
 		}
 		for _, p := range []int{1, 2, 4} {
 			for _, np := range []int{1, 3, 4, 5} {
@@ -259,7 +275,7 @@ func FuzzTruncateBand(f *testing.F) {
 			case wire == "f32":
 				e = slabWith(c, n, workers, exchange.Both(st), true)
 			case wire == "at":
-				e = NewSlabRealAT(c, n, workers, 0, 2*time.Second)
+				e = slabAT(c, n, workers, 0, 2*time.Second)
 			case pc == 1:
 				e = NewSlabRealStrategy(c, n, workers, st)
 			default:
@@ -459,7 +475,7 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 					return slabWith(c, n, 1, exchange.Both(exchange.Fused), true)
 				}},
 				{"at", p, 1, 16, func(c *mpi.Comm, n int) *SlabReal {
-					return NewSlabRealAT(c, n, 1, 0, time.Second)
+					return slabAT(c, n, 1, 0, time.Second)
 				}},
 			}
 			if p == 4 {

@@ -9,8 +9,12 @@
 // The slab decomposition the new GPU code adopts is the one-column grid
 // (Pc = 1), the solver's (spectral.Transform). The synchronous slab and
 // the basic GPU algorithm of Fig 2 are its np = 1, one-exchange-per-slab
-// case (NewSlabReal and its siblings); NewAsyncSlabReal takes the
-// pencil count, granularity and devices of the batched pipeline. On a
+// case (NewSlabRealStrategy); NewAsyncSlabReal takes the pencil count,
+// granularity and devices of the batched pipeline, and the wire options:
+// SingleComm, and Exchange: exchange.AT with its staleness bound and
+// deadline — the one place asynchrony tolerance is asked for (a solver
+// handed an AT engine stamps its site labels and corrects for the
+// staleness it drains). On a
 // grid with Pc > 1 (NewPencilReal) a second, column exchange lifts the
 // slab's P ≤ N ceiling: the FFTK-style 2-D decomposition, the only
 // option at P > N. Every grid and every configuration is bitwise

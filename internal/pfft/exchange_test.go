@@ -106,7 +106,7 @@ func TestSlabRealAutotunePinsConcreteStrategy(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.SetOn(true)
 	if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
-		f := NewSlabRealWorkers(c, n, 2)
+		f := NewSlabRealStrategy(c, n, 2, exchange.Auto)
 		defer f.Close()
 		st := f.Strategy()
 		if st == exchange.Auto {
@@ -194,7 +194,7 @@ func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
 	}{
 		{"slab fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
 		{"slab chunked", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
-		{"slab at", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealAT(c, n, 1, 0, time.Second) }, false},
+		{"slab at", 2, func(c *mpi.Comm) *SlabReal { return slabAT(c, n, 1, 0, time.Second) }, false},
 		{"pencil 2x2 chunked", 4, pencil(exchange.Both(exchange.ChunkedFused)), false},
 		{"slab staged", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
 		{"slab staged/fused", 2, func(c *mpi.Comm) *SlabReal {

@@ -31,7 +31,7 @@ func TestEngineBuffersExactLength(t *testing.T) {
 	engines := []engine{
 		{"slab/fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused) }},
 		{"slab/staged", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.Staged) }},
-		{"slab/f32", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealSingle(c, n, 2) }},
+		{"slab/f32", 2, func(c *mpi.Comm) *SlabReal { return slabSingle(c, n, 2) }},
 		{"pencil2x2/staged", 4, func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(2, 2)
 			return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))

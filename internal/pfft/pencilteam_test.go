@@ -30,7 +30,7 @@ func slabGlobalReference(t *testing.T, n int) (refFour []complex128, refPhys []f
 	t.Helper()
 	var mu sync.Mutex
 	if err := mpi.TryRun(1, func(c *mpi.Comm) {
-		f := NewSlabRealWorkers(c, n, 1)
+		f := NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		defer f.Close()
 		phys := make([]float64, f.PhysicalLen())
 		for iy := 0; iy < n; iy++ {

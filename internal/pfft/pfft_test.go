@@ -15,7 +15,7 @@ import (
 func TestSlabRealRoundTrip(t *testing.T) {
 	n, p := 8, 2
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabReal(c, n)
+		f := NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 9))
 		phys := make([]float64, f.PhysicalLen())
 		for i := range phys {
@@ -42,7 +42,7 @@ func TestSlabRealRoundTrip(t *testing.T) {
 func TestSlabRealMatchesComplexTransform(t *testing.T) {
 	const n, p = 8, 2
 	checkAgainstOracle(t, "slab P=2", naiveOracle(n), p, 1e-12, func(c *mpi.Comm) *SlabReal {
-		return NewSlabReal(c, n)
+		return NewSlabRealStrategy(c, n, 1, exchange.Auto)
 	})
 }
 
@@ -53,7 +53,7 @@ func TestSlabRealMatchesComplexTransform(t *testing.T) {
 func TestSlabParsevalAcrossRanks(t *testing.T) {
 	n, p := 8, 4
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabReal(c, n)
+		f := NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		defer f.Close()
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 17))
 		phys := make([]float64, f.PhysicalLen())
@@ -129,7 +129,7 @@ func TestSlabAndPencilAgree(t *testing.T) {
 	ref := make([]complex128, len(global))
 	fft.NewPlan3D(n, n, n).Forward(ref, global)
 
-	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) *SlabReal { return NewSlabReal(c, n) })
+	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Auto) })
 	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) *SlabReal {
 		row, col := c.CartGrid(2, 2)
 		return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))

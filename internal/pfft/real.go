@@ -14,7 +14,7 @@ import (
 //
 //   - d slab (the zero value): strategy × workers × wire-precision
 //     search under the "slab" cache key (NewAsyncSlabRealTuned at the
-//     slab constructors' options). The cached point
+//     slab's options). The cached point
 //     pins every searched dimension, including the worker-team size;
 //     workers is only the default substituted into an empty Workers
 //     dimension.
@@ -89,7 +89,7 @@ func pinSlab(cfg *tuning.Config) {
 // dimension but the strategies pinned.
 //
 // Options at the slab's — np 1, one exchange per slab, one device —
-// are the slab constructors' search: the space's NP and PerSlab
+// are the slab's search: the space's NP and PerSlab
 // dimensions are pinned to them and the winner is stored under the
 // "slab" cache key, so a slab winner never replays on the batched
 // pipeline. The engine is slab-decomposed: a space that lists a pencil

@@ -39,10 +39,11 @@ func ParseGranularity(s string) (Granularity, error) {
 	return PerSlab, fmt.Errorf("pfft: unknown granularity %q (want pencil or slab)", s)
 }
 
-// Options configures the engine's pipeline. The slab constructors
-// (NewSlabReal and its siblings) and NewPencilReal pin NP 1, PerSlab
-// and one device — the synchronous algorithm of Fig 2 — and
-// NewAsyncSlabReal takes the options of the batched pipeline of Fig 4.
+// Options configures the engine's pipeline. NewSlabRealStrategy and
+// NewPencilReal pin NP 1, PerSlab and one device — the synchronous
+// algorithm of Fig 2 — and NewAsyncSlabReal takes the options of the
+// batched pipeline of Fig 4, the single-precision wire and the
+// asynchrony-tolerant exchange included.
 type Options struct {
 	// NP is the number of pencils each slab is divided into (Fig 3):
 	// plane groups, splitRange(N/P, NP) of the z-planes of the Fourier
@@ -91,8 +92,8 @@ type Options struct {
 	ATDeadline time.Duration
 }
 
-// slabOptions are the options of the slab constructors: one plane
-// group, one exchange per slab, one device.
+// slabOptions are the slab's options: one plane group, one exchange
+// per slab, one device.
 func slabOptions(workers int) Options {
 	return Options{NP: 1, Granularity: PerSlab, NGPU: 1, Workers: workers}
 }
@@ -156,7 +157,7 @@ type slabMetrics struct {
 // over a Pr×Pc process grid. The slab decomposition is its one-column
 // grid (Pc = 1), the solver's (it implements spectral.Transform there):
 // the synchronous slab and the paper's basic GPU algorithm of Fig 2 are
-// its np = 1, one-exchange-per-slab case (the slab constructors), and
+// its np = 1, one-exchange-per-slab case (NewSlabRealStrategy), and
 // NewAsyncSlabReal takes the pencil count, granularity and devices of
 // the batched pipeline. NewPencilReal builds it on a Pr×Pc grid, the
 // FFTK-style 2-D decomposition that lifts the slab's P ≤ N ceiling. Not
@@ -240,22 +241,6 @@ type SlabReal struct {
 	pair exchange.Pair
 }
 
-// NewSlabReal builds the DNS transform for an N³ real field (even N)
-// on the slab decomposition with a single worker per rank.
-func NewSlabReal(comm *mpi.Comm, n int) *SlabReal {
-	return NewSlabRealWorkers(comm, n, 1)
-}
-
-// NewSlabRealWorkers builds the slab transform with a team of workers
-// per rank (workers ≥ 1) — the paper's hybrid MPI+OpenMP layer —
-// autotuning the transpose-exchange strategy at plan time. Collective:
-// every rank must construct the transform at the same point in its
-// collective order (the stages' persistent plans register state across
-// ranks, and the autotuner runs collective trials).
-func NewSlabRealWorkers(comm *mpi.Comm, n, workers int) *SlabReal {
-	return NewSlabRealStrategy(comm, n, workers, exchange.Auto)
-}
-
 // NewSlabRealStrategy builds the slab transform with an explicit
 // transpose-exchange strategy. exchange.Auto times every concrete
 // strategy per direction at the actual (N, P, workers) — the
@@ -267,34 +252,6 @@ func NewSlabRealStrategy(comm *mpi.Comm, n, workers int, strat exchange.Strategy
 		return NewAsyncSlabRealTuned(comm, n, slabOptions(workers), tuning.Config{})
 	}
 	return newSlabReal(comm, nil, n, slabOptions(workers), exchange.Both(strat))
-}
-
-// NewSlabRealSingle builds the slab transform on the single-precision
-// wire: FFT stages compute in float64, but every transpose-exchange
-// narrows the moving slab to complex64 first — half the bytes through
-// pack/exchange/unpack for ~1e-7 relative rounding per transform, the
-// paper's production wire format. The exchange strategies are autotuned
-// over the complex64 path at plan time. Collective.
-func NewSlabRealSingle(comm *mpi.Comm, n, workers int) *SlabReal {
-	return NewAsyncSlabRealTuned(comm, n, slabOptions(workers), tuning.Config{Space: tuning.Space{Single: []bool{true}}})
-}
-
-// NewSlabRealAT builds the slab transform on the asynchrony-tolerant
-// exchange: each transpose direction runs through its own bounded plan
-// with the given staleness bound (in that plan's exchange epochs) and
-// per-plan deadline, so a straggling rank delays its peers by at most
-// the deadline once they are within maxStale epochs — and a stale slab
-// is always the same direction's (and, with SetATSite, the same
-// quantity's) publication from an earlier cycle. The observed staleness
-// is drained with TakeStaleness by scheme-correcting callers.
-// Collective.
-func NewSlabRealAT(comm *mpi.Comm, n, workers, maxStale int, deadline time.Duration) *SlabReal {
-	if maxStale < 0 {
-		panic(fmt.Sprintf("pfft: negative staleness bound %d", maxStale))
-	}
-	opt := slabOptions(workers)
-	opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, maxStale, deadline
-	return newSlabReal(comm, nil, n, opt, exchange.Both(exchange.AT))
 }
 
 // NewAsyncSlabReal constructs the batched pipeline of Fig 4 for an N³
@@ -311,7 +268,7 @@ func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *SlabReal {
 	return newSlabReal(comm, nil, n, opt, exchange.Both(opt.Exchange))
 }
 
-// NewPencilReal builds the transform at the slab constructors' options
+// NewPencilReal builds the transform at the slab's options
 // (np 1, one exchange per slab, one device) over a process grid whose
 // row communicator commY has size Pr and column communicator commZ
 // size Pc (the caller typically obtains them from Comm.CartGrid). At

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/mpi"
 )
 
@@ -15,8 +16,8 @@ func TestThreadedMatchesSerialExactly(t *testing.T) {
 	n, p := 16, 2
 	for _, threads := range []int{8} {
 		mpi.Run(p, func(c *mpi.Comm) {
-			ref := NewSlabReal(c, n)
-			thr := NewSlabRealWorkers(c, n, threads)
+			ref := NewSlabRealStrategy(c, n, 1, exchange.Auto)
+			thr := NewSlabRealStrategy(c, n, threads, exchange.Auto)
 			if thr.Workers() != threads {
 				t.Fatalf("team size %d", thr.Workers())
 			}
@@ -56,7 +57,7 @@ func TestThreadedHybridConfigurationsAgree(t *testing.T) {
 	spectra := map[string][]complex128{}
 	run := func(label string, ranks, threads int) {
 		mpi.Run(ranks, func(c *mpi.Comm) {
-			f := NewSlabRealWorkers(c, n, threads)
+			f := NewSlabRealStrategy(c, n, threads, exchange.Auto)
 			// Build the same global field on every layout.
 			phys := make([]float64, f.PhysicalLen())
 			my := f.Slab().MY()

@@ -26,12 +26,12 @@ import (
 func TestSlabRealSingleAccuracy(t *testing.T) {
 	const n, p = 32, 4
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		ref := NewSlabRealWorkers(c, n, 2)
+		ref := NewSlabRealStrategy(c, n, 2, exchange.Auto)
 		defer ref.Close()
-		f32 := NewSlabRealSingle(c, n, 2)
+		f32 := slabSingle(c, n, 2)
 		defer f32.Close()
 		if !f32.Single() {
-			panic("NewSlabRealSingle engine does not report Single()")
+			panic("the SingleComm engine does not report Single()")
 		}
 		fl, pl := ref.FourierLen(), ref.PhysicalLen()
 
@@ -81,7 +81,7 @@ func TestSlabRealSingleAccuracy(t *testing.T) {
 func TestSlabRealSingleSteadyStateZeroAllocs(t *testing.T) {
 	const n, p, runs = 32, 4, 10
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		f := NewSlabRealSingle(c, n, 2)
+		f := slabSingle(c, n, 2)
 		defer f.Close()
 		four := make([]complex128, f.FourierLen())
 		phys := make([]float64, f.PhysicalLen())

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/mpi"
 )
 
@@ -15,7 +16,7 @@ import (
 func TestSlabRealWorkersBitwiseIdentity(t *testing.T) {
 	const n, p = 16, 2
 	mpi.Run(p, func(c *mpi.Comm) {
-		ref := NewSlabRealWorkers(c, n, 1)
+		ref := NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		defer ref.Close()
 		fl, pl := ref.FourierLen(), ref.PhysicalLen()
 
@@ -35,7 +36,7 @@ func TestSlabRealWorkersBitwiseIdentity(t *testing.T) {
 		ref.FourierToPhysical(refPhys, fourScratch)
 
 		for _, w := range []int{1, 2, 4, 7} {
-			f := NewSlabRealWorkers(c, n, w)
+			f := NewSlabRealStrategy(c, n, w, exchange.Auto)
 			four := make([]complex128, fl)
 			phys := make([]float64, pl)
 			copy(phys, physIn)
@@ -69,7 +70,7 @@ func TestSlabRealSteadyStateZeroAllocs(t *testing.T) {
 	}
 	const n, p, runs = 64, 4, 10
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabRealWorkers(c, n, 1)
+		f := NewSlabRealStrategy(c, n, 1, exchange.Auto)
 		defer f.Close()
 		four := make([]complex128, f.FourierLen())
 		phys := make([]float64, f.PhysicalLen())
@@ -110,7 +111,7 @@ func TestSlabRealSteadyStateZeroAllocs(t *testing.T) {
 func TestSlabRealWorkersRoundTrip(t *testing.T) {
 	const n, p, w = 8, 2, 3
 	mpi.Run(p, func(c *mpi.Comm) {
-		f := NewSlabRealWorkers(c, n, w)
+		f := NewSlabRealStrategy(c, n, w, exchange.Auto)
 		defer f.Close()
 		phys := make([]float64, f.PhysicalLen())
 		orig := make([]float64, f.PhysicalLen())

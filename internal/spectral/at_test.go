@@ -11,6 +11,16 @@ import (
 	"repro/internal/pfft"
 )
 
+// slabAT is the slab engine (np 1, one exchange per slab, one device)
+// on the asynchrony-tolerant exchange: the one place a run asks for
+// asynchrony tolerance.
+func slabAT(c *mpi.Comm, n, maxStale int, deadline time.Duration) *pfft.SlabReal {
+	return pfft.NewAsyncSlabReal(c, n, pfft.Options{
+		NP: 1, Granularity: pfft.PerSlab, NGPU: 1,
+		Exchange: exchange.AT, ATMaxStale: maxStale, ATDeadline: deadline,
+	})
+}
+
 // With no stragglers an asynchrony-tolerant solver must be bitwise
 // identical to the synchronous one: every bounded exchange completes
 // inside its generous deadline, no stale slab is ever gathered, the
@@ -28,7 +38,7 @@ func TestSolverATZeroDelayBitwiseIdentity(t *testing.T) {
 					ref := New(c, n, opts...)
 					ref.SetRandomIsotropic(3, 0.5, 9)
 					at := New(c, n, append(opts[:len(opts):len(opts)],
-						WithAsyncTolerance(1), WithAsyncDeadline(2*time.Second))...)
+						WithTransform(slabAT(c, n, 1, 2*time.Second)))...)
 					at.SetRandomIsotropic(3, 0.5, 9)
 					for i := 0; i < steps; i++ {
 						ref.Step(0.004)
@@ -71,8 +81,7 @@ func TestSolverATZeroDelayBitwiseIdentityCoreEngine(t *testing.T) {
 					WithTransform(pfft.NewAsyncSlabReal(c, n, pfft.Options{
 						NP: 2, Granularity: pfft.PerSlab, Exchange: exchange.AT,
 						ATMaxStale: 1, ATDeadline: 2 * time.Second,
-					})),
-					WithAsyncTolerance(1))...)
+					})))...)
 				at.SetRandomIsotropic(3, 0.5, 13)
 				for i := 0; i < 3; i++ {
 					ref.Step(0.004)
@@ -132,7 +141,7 @@ func TestSolverATGracefulDegradationUnderStraggler(t *testing.T) {
 	atU := make([]complex128, 0)
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, n, append(opts[:len(opts):len(opts)],
-			WithAsyncTolerance(12), WithAsyncDeadline(0))...)
+			WithTransform(slabAT(c, n, 12, 0)))...)
 		s.SetRandomIsotropic(3, 0.5, 21)
 		for i := 0; i < steps; i++ {
 			if c.Rank() == p-1 {
@@ -175,6 +184,70 @@ func TestSolverATGracefulDegradationUnderStraggler(t *testing.T) {
 	}
 	if den > 0 && math.Sqrt(num/den) > 0.25 {
 		t.Errorf("field deviation %g exceeds graceful-degradation bound", math.Sqrt(num/den))
+	}
+}
+
+// siteCounter counts the site labels a solver stamps on its engine.
+type siteCounter struct {
+	*pfft.SlabReal
+	sites int
+}
+
+func (c *siteCounter) SetATSite(site uint32) {
+	c.sites++
+	c.SlabReal.SetATSite(site)
+}
+
+// Asynchrony tolerance is asked for once, on the engine: a solver
+// handed an AT engine, with no AT setting of its own, labels every
+// transform call with its site and corrects for the staleness the
+// engine absorbs under a straggler. Unlabelled, a bounded exchange
+// falls back to plain epoch lag and may substitute a peer's slab of a
+// different field or stage; uncorrected, the stale slabs go straight
+// into the nonlinear term.
+func TestSolverATFromEngineAlone(t *testing.T) {
+	const (
+		n     = 16
+		p     = 4
+		steps = 8
+		// RK2 on plain NS makes nine transform calls per stage.
+		callsPerStep = 18
+	)
+	for _, tc := range []struct {
+		name string
+		opt  pfft.Options
+	}{
+		{"slab/np1", pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1}},
+		{"batched/np2", pfft.Options{NP: 2, Granularity: pfft.PerPencil, NGPU: 1}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			var sites, corrections int
+			mpi.Run(p, func(c *mpi.Comm) {
+				opt := tc.opt
+				opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, 12, 0
+				tr := &siteCounter{SlabReal: pfft.NewAsyncSlabReal(c, n, opt)}
+				defer tr.Close()
+				s := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23), WithTransform(tr))
+				defer s.Close()
+				s.SetRandomIsotropic(3, 0.5, 21)
+				for i := 0; i < steps; i++ {
+					if c.Rank() == p-1 {
+						time.Sleep(3 * time.Millisecond)
+					}
+					s.Step(0.004)
+				}
+				if c.Rank() == 0 {
+					sites, corrections = tr.sites, s.ATCorrections()
+				}
+			})
+			if sites != steps*callsPerStep {
+				t.Errorf("rank 0 stamped %d site labels over %d steps, want %d (one per transform call)", sites, steps, steps*callsPerStep)
+			}
+			if corrections == 0 {
+				t.Errorf("rank 0 applied no staleness corrections under a straggler")
+			}
+		})
 	}
 }
 
@@ -231,6 +304,10 @@ func (f *scriptedStaleness) TakeStaleness() (int, int64, int64, int64) {
 	return int(f.sum), f.sum, f.sum, f.calls
 }
 
+// StrategyPair reports the asynchrony-tolerant exchange, which is what
+// arms the solver's correction.
+func (f *scriptedStaleness) StrategyPair() exchange.Pair { return exchange.Both(exchange.AT) }
+
 // The bounded-staleness model the feature is built on, checked
 // quantitatively with a scripted staleness pattern: lagging half of
 // every field by k whole steps produces an error that scales first
@@ -250,7 +327,7 @@ func TestSolverATFirstOrderStalenessErrorAndCorrection(t *testing.T) {
 	run := func(lag int, correct bool) []complex128 {
 		var out []complex128
 		mpi.Run(p, func(c *mpi.Comm) {
-			tr := Transform(pfft.NewSlabReal(c, n))
+			tr := Transform(pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto))
 			var sys System = newNavierStokes(SystemSpec{Nu: cfg.Nu})
 			if lag > 0 {
 				sys = &laggedSystem{System: sys, lagEvals: 2 * lag} // RK2: 2 evaluations per step
@@ -261,7 +338,7 @@ func TestSolverATFirstOrderStalenessErrorAndCorrection(t *testing.T) {
 				// the drained weight w = sum/(calls·(P−1)) matches.
 				tr = &scriptedStaleness{Transform: tr, sum: int64(lag), calls: 2}
 			}
-			s := newSolver(c, cfg, tr, sys, correct)
+			s := newSolver(c, cfg, tr, sys)
 			s.SetRandomIsotropic(3, 0.5, 33)
 			for i := 0; i < steps; i++ {
 				s.Step(dt)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 )
@@ -48,7 +49,7 @@ func TestNonlinearTransformOrder(t *testing.T) {
 			if err != nil {
 				panic(err)
 			}
-			eng := pfft.NewSlabReal(c, n)
+			eng := pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
 			defer eng.Close()
 			tr := &orderTransform{Transform: eng}
 			s := New(c, n, WithNu(spec.Nu), WithDealias(Dealias23Shift), WithSystemInstance(sys), WithTransform(tr))

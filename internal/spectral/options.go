@@ -2,8 +2,8 @@ package spectral
 
 import (
 	"fmt"
-	"time"
 
+	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 )
@@ -19,21 +19,7 @@ type solverOptions struct {
 	sys     System
 	sysName string
 	spec    SystemSpec
-
-	// Asynchrony tolerance: atStale < 0 (the default) keeps every
-	// exchange synchronous; atStale ≥ 0 runs the transposes through
-	// bounded-staleness exchanges and enables the staleness-weighted
-	// nonlinear correction in the stepper.
-	atStale    int
-	atDeadline time.Duration
 }
-
-// DefaultATDeadline is the soft wait used by asynchrony-tolerant
-// exchanges when WithAsyncDeadline is not given: a rank whose peers
-// are within the staleness bound still grants them this long to
-// publish the current epoch before gathering stale slabs. Generous
-// against scheduling jitter, small against a genuinely hung peer.
-const DefaultATDeadline = 50 * time.Millisecond
 
 // WithNu sets the kinematic viscosity.
 func WithNu(nu float64) Option {
@@ -56,6 +42,18 @@ func WithDealias(d Dealias) Option {
 // dealiasing band (Transform.Truncate) and Close restores the full
 // transform, so solvers sharing one engine must share one Dealias
 // setting.
+//
+// Asynchrony tolerance is the engine's. On an engine whose pinned
+// exchange is exchange.AT (pfft.Options{Exchange: exchange.AT,
+// ATMaxStale: k, ATDeadline: d}) a rank proceeds on peers' slabs up to
+// k epochs old, and the solver applies the Kumari–Donzis first-order
+// staleness correction to the nonlinear term. It also labels every
+// transform call with its within-step index, so a stale slab is only
+// ever the same quantity from whole steps earlier. For plain NS under
+// RK2 a step runs six exchanges on the forward plan and twelve on the
+// inverse; a bound below a plan's per-step count admits no stale data
+// on it, so k ≈ 6·stages tolerates about one step of lag. k = 0 is
+// bitwise the synchronous run.
 func WithTransform(tr Transform) Option {
 	return func(o *solverOptions) { o.tr = tr }
 }
@@ -125,52 +123,6 @@ func WithRotation(omega float64) Option {
 	return func(o *solverOptions) { o.spec.Omega = omega }
 }
 
-// WithAsyncTolerance enables asynchrony-tolerant stepping with the
-// given staleness bound (in exchange epochs, not time steps): the
-// distributed transposes run through bounded exchanges
-// (mpi.ExchangePlan.DoBounded) that let a rank proceed on peers'
-// latest published slabs once they lag by at most maxStale epochs,
-// and the stepper applies a staleness-weighted first-order correction
-// to the nonlinear term (the Kumari–Donzis asynchrony-tolerant
-// scheme). maxStale = 0 still waits for every peer — useful to keep
-// the AT machinery on a bitwise-synchronous path; negative bounds
-// panic at construction.
-//
-// Stale data is only ever accepted in whole-step quanta: the solver
-// labels every exchange with its within-step call index, and a
-// bounded exchange substitutes a peer's old slab only when it carries
-// the same label — the same quantity from k whole steps earlier,
-// never a different field or stage in the wrong layout. Each plan
-// runs several exchanges per step (for plain NS under RK2, six on the
-// forward plan and twelve on the inverse), so a bound smaller than a
-// plan's per-step exchange count never admits stale data on that
-// plan; to tolerate about one step of lag, set maxStale to the
-// scheme's per-step exchange count (≈ 6·stages for NS).
-//
-// With no WithTransform the solver builds its slab transform with
-// pfft.NewSlabRealAT. A caller-supplied transform must itself be
-// asynchrony-tolerant (pfft.NewSlabRealAT, or pfft.NewAsyncSlabReal
-// with Exchange: exchange.AT) — construction panics if it cannot
-// report staleness.
-func WithAsyncTolerance(maxStale int) Option {
-	return func(o *solverOptions) {
-		if maxStale < 0 {
-			panic(fmt.Sprintf("spectral: negative staleness bound %d", maxStale))
-		}
-		o.atStale = maxStale
-	}
-}
-
-// WithAsyncDeadline bounds the soft wait of asynchrony-tolerant
-// exchanges: once peers are within the staleness bound, a rank still
-// waits up to d for them to publish the current epoch before
-// gathering stale slabs (d ≤ 0 never waits past the hard bound).
-// Without WithAsyncTolerance this option has no effect. The default
-// is DefaultATDeadline.
-func WithAsyncDeadline(d time.Duration) Option {
-	return func(o *solverOptions) { o.atDeadline = d }
-}
-
 // New allocates a solver for an n³ grid with functional options — the
 // only constructor. The equation set is chosen by
 // WithSystem/WithSystemInstance, or inferred from the physics options:
@@ -183,7 +135,7 @@ func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
 	if n < 4 || n%2 != 0 {
 		panic(fmt.Sprintf("spectral: N must be even and ≥4, got %d", n))
 	}
-	o := &solverOptions{atStale: -1, atDeadline: DefaultATDeadline}
+	o := &solverOptions{}
 	o.cfg.N = n
 	for _, opt := range opts {
 		opt(o)
@@ -211,14 +163,10 @@ func New(comm *mpi.Comm, n int, opts ...Option) *Solver {
 	tr := o.tr
 	ownTr := false
 	if tr == nil {
-		if o.atStale >= 0 {
-			tr = pfft.NewSlabRealAT(comm, n, 1, o.atStale, o.atDeadline)
-		} else {
-			tr = pfft.NewSlabReal(comm, n)
-		}
+		tr = pfft.NewSlabRealStrategy(comm, n, 1, exchange.Auto)
 		ownTr = true
 	}
-	s := newSolver(comm, o.cfg, tr, sys, o.atStale >= 0)
+	s := newSolver(comm, o.cfg, tr, sys)
 	s.ownTr = ownTr
 	return s
 }

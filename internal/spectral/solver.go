@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/exchange"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 )
@@ -199,7 +200,7 @@ type Solver struct {
 	red    *mpi.ReducePlan
 	redBuf [1]float64
 
-	// Asynchrony-tolerant stepping (WithAsyncTolerance): atSrc drains
+	// Asynchrony-tolerant stepping (an AT engine): atSrc drains
 	// the transform's staleness window once per step; prevNl holds the
 	// previous step's first-stage nonlinear term for the first-order
 	// staleness correction. atSteps counts the steps a nonzero
@@ -257,22 +258,25 @@ func (s *Solver) Close() {
 // shared across solvers must stay caller-owned.
 func (s *Solver) OwnTransform() { s.ownTr = true }
 
-// stalenessReporter is the staleness-accounting contract an
-// asynchrony-tolerant transform engine exposes (pfft.SlabReal
-// implements it): drain the window of bounded
-// exchanges since the previous call, reporting the maximum per-slab
-// age, the summed age, the count of stale slabs gathered and the
-// count of bounded exchange calls. Ages are in same-site cycles —
-// with the solver's per-step site labeling, whole time steps.
+// stalenessReporter is the staleness-accounting contract of the
+// transform engine (pfft.SlabReal implements it): the exchange
+// strategies it pinned, asynchrony-tolerant when both are exchange.AT,
+// and the drain of the window of bounded exchanges since the previous
+// call, reporting the maximum per-slab age, the summed age, the count
+// of stale slabs gathered and the count of bounded exchange calls.
+// Ages are in same-site cycles — with the solver's per-step site
+// labeling, whole time steps.
 type stalenessReporter interface {
+	StrategyPair() exchange.Pair
 	TakeStaleness() (max int, sum, slabs, calls int64)
 }
 
-// newSolver is the construction path behind New. at arms the
-// asynchrony-tolerant correction: the transform must then report
-// staleness (see stalenessReporter) and the stepper gains the prevNl
-// storage the first-order correction extrapolates from.
-func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *Solver {
+// newSolver is the construction path behind New. An engine whose
+// pinned exchange is asynchrony-tolerant (see stalenessReporter) arms
+// the staleness correction: the stepper gains the prevNl storage the
+// first-order correction extrapolates from, and every transform call
+// is stamped with its within-step site.
+func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System) *Solver {
 	if cfg.Nu < 0 {
 		panic(fmt.Sprintf("spectral: negative viscosity %g", cfg.Nu))
 	}
@@ -323,11 +327,7 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System, at bool) *S
 	} else {
 		s.save, s.acc = fields(s.BandLen()), fields(s.BandLen())
 	}
-	if at {
-		src, ok := tr.(stalenessReporter)
-		if !ok {
-			panic(fmt.Sprintf("spectral: WithAsyncTolerance needs an asynchrony-tolerant transform (pfft.NewSlabRealAT, or pfft.Options with exchange.AT); %T cannot report staleness", tr))
-		}
+	if src, ok := tr.(stalenessReporter); ok && src.StrategyPair() == exchange.Both(exchange.AT) {
 		s.atCorr = true
 		s.atSrc = src
 		s.atPrevNl = fields(s.BandLen())
@@ -838,9 +838,9 @@ func (s *Solver) atCorrect() {
 }
 
 // ATCorrections reports how many steps received a nonzero
-// asynchrony-tolerant staleness correction on this rank (zero when
-// WithAsyncTolerance is off or no exchange ever gathered stale
-// slabs).
+// asynchrony-tolerant staleness correction on this rank (zero on an
+// engine whose exchange is not exchange.AT, or when no exchange ever
+// gathered stale slabs).
 func (s *Solver) ATCorrections() int { return s.atSteps }
 
 // stepShift derives a deterministic pseudo-random phase shift for the

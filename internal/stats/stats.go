@@ -120,18 +120,3 @@ func (t *StepTimer) MeanMax() float64 { return t.agg.Mean() }
 
 // Steps reports how many steps were recorded.
 func (t *StepTimer) Steps() int { return t.agg.N() }
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: geomean of empty slice")
-	}
-	var acc float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic(fmt.Sprintf("stats: geomean of non-positive value %g", x))
-		}
-		acc += math.Log(x)
-	}
-	return math.Exp(acc / float64(len(xs)))
-}

@@ -98,15 +98,6 @@ func TestPercentilePanics(t *testing.T) {
 	Percentile(nil, 50)
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Errorf("geomean %g", g)
-	}
-	if g := GeoMean([]float64{8}); math.Abs(g-8) > 1e-12 {
-		t.Errorf("geomean single %g", g)
-	}
-}
-
 func TestStepTimerMaxOverRanks(t *testing.T) {
 	// Rank 1 sleeps longer; every rank must see rank 1's time.
 	mpi.Run(2, func(c *mpi.Comm) {
