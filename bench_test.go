@@ -167,13 +167,13 @@ func BenchmarkFFT1D(b *testing.B) {
 
 func BenchmarkRealFFT1D(b *testing.B) {
 	n := 1024
-	p := fft.NewRealPlan(n)
+	p := fft.NewRealBatch(n, 1, 1, n, 1, n/2+1)
 	x := make([]float64, n)
 	rng := rand.New(rand.NewSource(2))
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	y := make([]complex128, p.HalfLen())
+	y := make([]complex128, n/2+1)
 	b.SetBytes(int64(8 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

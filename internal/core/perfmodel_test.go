@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pfft"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -276,4 +277,15 @@ func TestFormattersProduceTables(t *testing.T) {
 	if !strings.Contains(f9, "MPI only") {
 		t.Errorf("Fig 9 formatting:\n%s", f9)
 	}
+}
+
+// ClassTime is the total busy seconds of one class of spans.
+func ClassTime(spans []sched.Span, class string) float64 {
+	var t float64
+	for _, s := range spans {
+		if s.Class == class {
+			t += s.End - s.Start
+		}
+	}
+	return t
 }

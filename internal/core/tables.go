@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/pfft"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -213,15 +212,4 @@ func MPITimeShare(r StepResult) float64 {
 		}
 	}
 	return net / r.Time
-}
-
-// Spans re-exported helper: total busy seconds of one class.
-func ClassTime(spans []sched.Span, class string) float64 {
-	var t float64
-	for _, s := range spans {
-		if s.Class == class {
-			t += s.End - s.Start
-		}
-	}
-	return t
 }

@@ -83,9 +83,6 @@ func NewContiguousBatch(n, howmany int) *Batch {
 // Len reports the transform length.
 func (b *Batch) Len() int { return b.p.Len() }
 
-// HowMany reports the number of transforms per execution.
-func (b *Batch) HowMany() int { return b.howmany }
-
 // Forward runs all forward transforms. dst and src may alias.
 func (b *Batch) Forward(dst, src []complex128) { b.exec(dst, src, Forward) }
 

@@ -2,45 +2,6 @@ package fft
 
 import "fmt"
 
-// Plan2D transforms contiguous row-major n1×n0 complex arrays (n0 is
-// the fastest-varying dimension) along both axes. It exists for
-// single-process validation of the distributed transforms.
-type Plan2D struct {
-	n0, n1 int
-	rows   *Batch
-	cols   *Batch
-}
-
-// NewPlan2D creates a 2D plan for arrays indexed a[i1*n0+i0].
-func NewPlan2D(n0, n1 int) *Plan2D {
-	return &Plan2D{
-		n0:   n0,
-		n1:   n1,
-		rows: NewBatch(n0, n1, 1, n0, 1, n0),
-		cols: NewBatch(n1, n0, n0, 1, n0, 1),
-	}
-}
-
-// Forward computes the 2D forward DFT of src into dst (may alias).
-func (p *Plan2D) Forward(dst, src []complex128) {
-	p.check(dst, src)
-	p.rows.Forward(dst, src)
-	p.cols.Forward(dst, dst)
-}
-
-// Inverse computes the 2D inverse DFT (scaled by 1/(n0·n1)).
-func (p *Plan2D) Inverse(dst, src []complex128) {
-	p.check(dst, src)
-	p.rows.Inverse(dst, src)
-	p.cols.Inverse(dst, dst)
-}
-
-func (p *Plan2D) check(dst, src []complex128) {
-	if len(dst) != p.n0*p.n1 || len(src) != p.n0*p.n1 {
-		panic(fmt.Sprintf("fft: 2D plan %dx%d, got dst %d src %d", p.n0, p.n1, len(dst), len(src)))
-	}
-}
-
 // Plan3D transforms contiguous row-major n2×n1×n0 complex arrays along
 // all three axes; the reference implementation the distributed slab and
 // pencil FFTs are tested against.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/pool"
 )
 
@@ -266,9 +267,14 @@ func TestBatchFormsAllocFree(t *testing.T) {
 		}
 	}
 	realB.Release()
-	_, miss := pool.Stats()
+	misses := func() int64 {
+		reg := metrics.NewRegistry()
+		pool.PublishMetrics(reg)
+		return reg.Counter("pool.miss").Value()
+	}
+	miss := misses()
 	NewRealBatch(n, rhm, 1, n, 1, n/2+1).Release()
-	if _, m := pool.Stats(); m != miss {
+	if m := misses(); m != miss {
 		t.Errorf("a real batch built after Release missed the arena %d times, want 0", m-miss)
 	}
 }

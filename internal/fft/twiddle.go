@@ -104,9 +104,3 @@ func blueTablesFor(n int) *blueShared {
 	blueTables[n] = t
 	return t
 }
-
-// TwiddleCacheStats reports the cumulative shared-table hit/miss totals
-// (plain twiddle tables plus Bluestein chirp tables).
-func TwiddleCacheStats() (hit, miss int64) {
-	return twiddleHits.Load(), twiddleMisses.Load()
-}

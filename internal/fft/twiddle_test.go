@@ -76,3 +76,9 @@ func TestPlanCorrectAfterPoolCycling(t *testing.T) {
 		q.Release()
 	}
 }
+
+// TwiddleCacheStats reports the cumulative shared-table hit/miss totals
+// (plain twiddle tables plus Bluestein chirp tables).
+func TwiddleCacheStats() (hit, miss int64) {
+	return twiddleHits.Load(), twiddleMisses.Load()
+}

@@ -45,9 +45,6 @@ func (s Slab) YLo() int { return s.Rank * s.MY() }
 // ZOwner reports which rank owns global z index iz in Fourier space.
 func (s Slab) ZOwner(iz int) int { return iz / s.MZ() }
 
-// YOwner reports which rank owns global y index iy in physical space.
-func (s Slab) YOwner(iy int) int { return iy / s.MY() }
-
 // Wavenumber maps a storage index i on an N-point grid to its signed
 // wavenumber: 0,1,…,N/2,−N/2+1,…,−1.
 func Wavenumber(i, n int) int {
@@ -62,7 +59,10 @@ func Wavenumber(i, n int) int {
 // largest |k_i| a dealiased run retains is ⌊N/3⌋ (an integer k exceeds
 // N/3 exactly when it exceeds ⌊N/3⌋). The solver's mask, the random initial spectrum
 // and the band the solver hands its transform engine all come from
-// here.
+// here. The band is alias-free only when 3 ∤ N: a product of kept
+// modes reaches |p_i + q_i| ≤ 2·kmax, which aliases onto a kept mode
+// unless N > 3·kmax. When 3 | N the plane |k_i| = N/3 is kept, and a
+// pair with p_i + q_i = 2N/3 aliases onto −N/3.
 func DealiasKmax(n int) int { return n / 3 }
 
 // Band is the set of modes a band-limited transform retains on an

@@ -60,9 +60,6 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// On reports whether the registry is currently recording.
-func (r *Registry) On() bool { return r != nil && r.on.Load() }
-
 // SetOn enables or disables recording. Handles stay valid either way;
 // they simply drop observations while the registry is off.
 func (r *Registry) SetOn(on bool) {

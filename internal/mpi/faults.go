@@ -70,12 +70,6 @@ func MatchAll() FaultRule {
 	return FaultRule{Src: AnyRank, Dst: AnyRank, Tag: AnyTag}
 }
 
-// DropAll returns a rule that drops every message from src to dst with
-// the given tag.
-func DropAll(src, dst, tag int) FaultRule {
-	return FaultRule{Src: src, Dst: dst, Tag: tag, DropProb: 1}
-}
-
 func (r *FaultRule) matches(src, dst int, key matchKey, bytes int64) bool {
 	if r.Scope == ScopeP2P && key.coll {
 		return false

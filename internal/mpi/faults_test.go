@@ -171,3 +171,9 @@ func TestFaultScopeFilters(t *testing.T) {
 		t.Fatalf("scoped drop rule hit exempt traffic: %v", err)
 	}
 }
+
+// DropAll returns a rule that drops every message from src to dst with
+// the given tag.
+func DropAll(src, dst, tag int) FaultRule {
+	return FaultRule{Src: src, Dst: dst, Tag: tag, DropProb: 1}
+}

@@ -97,7 +97,7 @@ func TestPencilHoldsOneIntermediate(t *testing.T) {
 				if got, want := e.FourierLen(), max(l.CLen(), l.PadXLen); got != want {
 					t.Errorf("%s: FourierLen %d, want max(CLen %d, PadXLen %d)", tag, got, l.CLen(), l.PadXLen)
 				}
-				shortest := min(l.BLen(), l.CLen(), l.XSpecLen())
+				shortest := min(l.BLen(), l.CLen(), l.My*l.Mz*l.Nxh)
 				var pencils []string
 				for _, b := range pooltest.Buffers(e) {
 					stage := strings.Contains(b.Path, ".col.") || strings.Contains(b.Path, ".stages[")

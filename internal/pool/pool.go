@@ -118,9 +118,6 @@ func (a *Arena) PutComplex64(buf []complex64) { a.c64.put(buf) }
 // released by one rank can be reused by another.
 var def Arena
 
-// Default returns the process-wide arena.
-func Default() *Arena { return &def }
-
 // GetComplex checks a []complex128 of length n out of the default arena.
 func GetComplex(n int) []complex128 { return def.GetComplex(n) }
 
@@ -138,9 +135,6 @@ func GetComplex64(n int) []complex64 { return def.GetComplex64(n) }
 
 // PutComplex64 recycles buf into the default arena.
 func PutComplex64(buf []complex64) { def.PutComplex64(buf) }
-
-// Stats reports the cumulative hit/miss totals.
-func Stats() (hit, miss int64) { return hits.Load(), misses.Load() }
 
 // PublishMetrics copies the package totals into reg as the pool.hit
 // and pool.miss counters. Repeated calls overwrite, so the published

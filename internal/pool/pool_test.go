@@ -125,3 +125,6 @@ func TestSteadyStateGetPutAllocFree(t *testing.T) {
 		t.Fatalf("steady-state Get/Put allocates %.2f per run", avg)
 	}
 }
+
+// Stats reports the cumulative hit/miss totals.
+func Stats() (hit, miss int64) { return hits.Load(), misses.Load() }

@@ -71,8 +71,12 @@ func TestScheduleRespectsAllConstraintsProperty(t *testing.T) {
 		}
 		// 3) makespan ≥ both lower bounds: longest chain and busiest
 		// resource
-		for _, r := range res {
-			if r.Busy() > makespan+1e-9 {
+		busy := map[*Resource]float64{}
+		for _, tk := range tasks {
+			busy[tk.Res] += tk.Duration
+		}
+		for _, b := range busy {
+			if b > makespan+1e-9 {
 				return false
 			}
 		}

@@ -19,14 +19,10 @@ import (
 type Resource struct {
 	Name     string
 	nextFree float64
-	busy     float64 // accumulated busy time
 }
 
 // NewResource creates a named resource, idle at t=0.
 func NewResource(name string) *Resource { return &Resource{Name: name} }
-
-// Busy reports the total time the resource was occupied.
-func (r *Resource) Busy() float64 { return r.busy }
 
 // Task is one unit of work in the DAG.
 type Task struct {
@@ -115,7 +111,6 @@ func (s *Sim) Run() float64 {
 		t.start = bestReady
 		t.end = t.start + t.Duration
 		t.Res.nextFree = t.end
-		t.Res.busy += t.Duration
 		t.scheduled = true
 		if t.end > makespan {
 			makespan = t.end

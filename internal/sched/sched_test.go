@@ -124,17 +124,6 @@ func TestSpansSortedAndTotals(t *testing.T) {
 	}
 }
 
-func TestBusyAccounting(t *testing.T) {
-	s := NewSim()
-	r := NewResource("r")
-	s.NewTask("a", "", r, 2)
-	s.NewTask("b", "", r, 3)
-	s.Run()
-	if r.Busy() != 5 {
-		t.Errorf("busy %g want 5", r.Busy())
-	}
-}
-
 func TestZeroDurationTasks(t *testing.T) {
 	s := NewSim()
 	r := NewResource("r")

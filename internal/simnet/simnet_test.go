@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -291,4 +292,121 @@ func TestPencilCrossover18432(t *testing.T) {
 	if got := byP[18432].Slab; math.Abs(got-6.5049)/6.5049 > 0.005 {
 		t.Errorf("P=18432 slab %.4fs, EXPERIMENTS.md says 6.5049s", got)
 	}
+}
+
+// --- 2D pencil decomposition ----------------------------------------------
+//
+// The slab layout performs one all-to-all over all P ranks per
+// transpose; the pencil layout over a Pr×Pc process grid performs two
+// — a column exchange among the Pc ranks sharing a row group and a row
+// exchange among the Pr ranks sharing a column group. Each rank owns
+// 4·nv·N³/P bytes either way, so the sub-exchange messages are larger
+// (divided among pc or pr peers instead of P) but the transpose moves
+// every byte twice. Sub-exchanges run concurrently across groups and
+// share node bandwidth; the bandwidth lookup keeps the full node count
+// (adaptive-routing congestion is fabric-wide, not per-group).
+
+// P2PPencilCol is the P2P message size of the pencil column exchange
+// (completes z, splits x within a Pc-group): 4·nv·N³/(P·Pc) bytes.
+func P2PPencilCol(n, pr, pc, nv int) float64 {
+	own := 4 * float64(nv) * float64(n) * float64(n) * float64(n) / float64(pr*pc)
+	return own / float64(pc)
+}
+
+// P2PPencilRow is the P2P message size of the pencil row exchange
+// (completes y, re-splits z within a Pr-group): 4·nv·N³/(P·Pr) bytes.
+func P2PPencilRow(n, pr, pc, nv int) float64 {
+	own := 4 * float64(nv) * float64(n) * float64(n) * float64(n) / float64(pr*pc)
+	return own / float64(pr)
+}
+
+// PencilTime is the wall time of one pencil transpose: the column
+// exchange plus the row exchange, each through the Eq 3 model at its
+// own message size and sub-exchange fan-out.
+func (m *A2AModel) PencilTime(n, pr, pc, tpn, nodes, nv int) float64 {
+	return m.Time(P2PPencilCol(n, pr, pc, nv), pc, tpn, nodes) +
+		m.Time(P2PPencilRow(n, pr, pc, nv), pr, tpn, nodes)
+}
+
+// SlabTime is the corresponding single-exchange slab transpose time.
+func (m *A2AModel) SlabTime(n, p, tpn, nodes, nv int) float64 {
+	return m.Time(P2PSlab(n, p, nv), p, tpn, nodes)
+}
+
+// CrossoverRow is one line of the slab-vs-pencil scaling table: the
+// modeled transpose time of the slab layout (0 when no slab layout
+// exists — P > N or P ∤ N, the slab scaling wall) and of the fastest
+// valid pencil grid at the same rank count.
+type CrossoverRow struct {
+	P      int
+	Nodes  int
+	Slab   float64 // seconds; 0 = no valid slab layout
+	Pr, Pc int     // fastest pencil grid (0,0 = none valid)
+	Pencil float64 // seconds
+}
+
+// Crossover builds the slab-vs-pencil table for an n³ field at tpn
+// tasks per node over the given rank counts, picking for every P the
+// fastest valid pencil grid. Rows where Slab is zero but Pencil is not
+// are the regime the 2D decomposition exists for: rank counts past the
+// slab wall.
+func (m *A2AModel) Crossover(n, tpn, nv int, ps []int) []CrossoverRow {
+	var rows []CrossoverRow
+	for _, p := range ps {
+		nodes := (p + tpn - 1) / tpn
+		row := CrossoverRow{P: p, Nodes: nodes}
+		if p <= n && n%p == 0 {
+			row.Slab = m.SlabTime(n, p, tpn, nodes, nv)
+		}
+		for pr := 1; pr <= p; pr++ {
+			if p%pr != 0 {
+				continue
+			}
+			pc := p / pr
+			if n%pr != 0 || n%pc != 0 || pc > n/2+1 {
+				continue
+			}
+			t := m.PencilTime(n, pr, pc, tpn, nodes, nv)
+			if row.Pr == 0 || t < row.Pencil {
+				row.Pr, row.Pc, row.Pencil = pr, pc, t
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// StragglerScenario describes one asynchrony-tolerance trade-off
+// study: a production step of Exchanges collective transposes plus
+// Compute seconds of overlapped arithmetic, on which one straggling
+// node injects Delay seconds of excess every step (OS jitter, ECC
+// scrub, a slow GPU — the transient noise that at 3072 nodes is
+// almost never zero for all nodes simultaneously).
+type StragglerScenario struct {
+	N, Nodes, TPN, NV int
+	Exchanges         int     // collective transposes per step
+	Compute           float64 // per-step compute outside exchanges (s)
+	Delay             float64 // straggler excess per step (s)
+	MaxStale          int     // AT staleness bound in exchange epochs
+}
+
+// StepTimes returns the per-step wall time of the synchronous and the
+// asynchrony-tolerant schedule for the scenario. Synchronously, every
+// exchange is a barrier, so the straggler's delay lands on every
+// rank's critical path in full. With a staleness bound of k epochs,
+// peers run up to k exchanges ahead on the straggler's last published
+// slabs, so up to k exchange intervals of delay are absorbed by the
+// pipeline before anyone blocks; the remainder still serializes.
+func (m *A2AModel) StepTimes(sc StragglerScenario) (sync, at float64) {
+	if sc.Exchanges < 1 || sc.MaxStale < 0 {
+		panic(fmt.Sprintf("simnet: invalid scenario: %d exchanges, bound %d", sc.Exchanges, sc.MaxStale))
+	}
+	p := sc.TPN * sc.Nodes
+	tx := m.Time(P2PSlab(sc.N, p, sc.NV), p, sc.TPN, sc.Nodes)
+	step := float64(sc.Exchanges)*tx + sc.Compute
+	sync = step + sc.Delay
+	epoch := step / float64(sc.Exchanges)
+	hidden := math.Min(sc.Delay, float64(sc.MaxStale)*epoch)
+	at = step + sc.Delay - hidden
+	return sync, at
 }

@@ -107,28 +107,6 @@ func TestABCFlowDecayOnAsyncEngineMatches(t *testing.T) {
 	})
 }
 
-func TestHelicitySpectrumSumsToHelicity(t *testing.T) {
-	mpi.Run(2, func(c *mpi.Comm) {
-		s := New(c, 16, WithNu(0.02))
-		s.SetRandomIsotropic(3, 0.5, 91)
-		spec := s.HelicitySpectrum()
-		var sum float64
-		for _, v := range spec {
-			sum += v
-		}
-		hel := s.Helicity()
-		if math.Abs(sum-hel) > 1e-10*math.Abs(hel)+1e-14 {
-			t.Errorf("ΣH(k)=%g vs H=%g", sum, hel)
-		}
-		// The ABC field concentrates all helicity in shell 1.
-		s.SetABCFlow(1, 1, 1)
-		spec = s.HelicitySpectrum()
-		if math.Abs(spec[1]-s.Helicity()) > 1e-12 {
-			t.Errorf("ABC helicity not in shell 1: %v", spec[:3])
-		}
-	})
-}
-
 func TestTaylorGreenHasZeroHelicity(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))

@@ -204,7 +204,8 @@ func (c *siteCounter) SetATSite(site uint32) {
 // engine absorbs under a straggler. Unlabelled, a bounded exchange
 // falls back to plain epoch lag and may substitute a peer's slab of a
 // different field or stage; uncorrected, the stale slabs go straight
-// into the nonlinear term.
+// into the nonlinear term. A wrapper that embeds Transform (a tracing
+// or timing decorator) hides none of it.
 func TestSolverATFromEngineAlone(t *testing.T) {
 	const (
 		n     = 16
@@ -214,11 +215,13 @@ func TestSolverATFromEngineAlone(t *testing.T) {
 		callsPerStep = 18
 	)
 	for _, tc := range []struct {
-		name string
-		opt  pfft.Options
+		name    string
+		opt     pfft.Options
+		wrapped bool // hand the solver struct{ Transform }
 	}{
-		{"slab/np1", pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1}},
-		{"batched/np2", pfft.Options{NP: 2, Granularity: pfft.PerPencil, NGPU: 1}},
+		{"slab/np1", pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1}, false},
+		{"batched/np2", pfft.Options{NP: 2, Granularity: pfft.PerPencil, NGPU: 1}, false},
+		{"slab/np1/wrapped", pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1}, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -228,7 +231,11 @@ func TestSolverATFromEngineAlone(t *testing.T) {
 				opt.Exchange, opt.ATMaxStale, opt.ATDeadline = exchange.AT, 12, 0
 				tr := &siteCounter{SlabReal: pfft.NewAsyncSlabReal(c, n, opt)}
 				defer tr.Close()
-				s := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23), WithTransform(tr))
+				var handed Transform = tr
+				if tc.wrapped {
+					handed = struct{ Transform }{tr}
+				}
+				s := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23), WithTransform(handed))
 				defer s.Close()
 				s.SetRandomIsotropic(3, 0.5, 21)
 				for i := 0; i < steps; i++ {

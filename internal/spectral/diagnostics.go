@@ -69,25 +69,6 @@ func (s *Solver) Enstrophy() float64 {
 	return 0.5 * k2e
 }
 
-// dotSum returns Σ w(k)·Re(a·b̄)_math over the components of a and b
-// (collective).
-func (s *Solver) dotSum(a, b [][]complex128) float64 {
-	nxh, inv := s.nxh, s.modeNorm()
-	var sum float64
-	for r := s.walkRows(); r.next(); {
-		for ix := 0; ix < nxh; ix++ {
-			_, w := r.bin(ix)
-			for c := range a {
-				u, v := a[c][r.off+ix], b[c][r.off+ix]
-				sum += w * (real(u)*real(v) + imag(u)*imag(v)) * inv
-			}
-		}
-	}
-	out := []float64{sum}
-	mpi.AllreduceSum(s.comm, out)
-	return out[0]
-}
-
 // Spectrum returns the shell-summed spectrum ½Σ|f̂|² of the listed
 // fields for integer shells k, shell k collecting modes with |k| in
 // [k−½, k+½). With no argument it is the kinetic energy spectrum E(k)
@@ -165,27 +146,4 @@ func (s *Solver) CFL(dt float64) float64 {
 	}
 	dx := 2 * math.Pi / float64(s.cfg.N)
 	return s.reduceMax(umax) * dt / dx
-}
-
-// NonlinearEnergyTransfer returns Σ Re(û*·N̂)_math, the rate of energy
-// change due to the nonlinear term alone, summed over the band where
-// N̂ lives. For the projected, dealiased Galerkin-truncated system this
-// is zero to round-off — the invariant tested by the
-// energy-conservation tests (collective).
-func (s *Solver) NonlinearEnergyTransfer() float64 {
-	s.velocityProducts(s.state, s.nl)
-	s.projectAndDealias(s.nl)
-	sum, inv := 0.0, s.modeNorm()
-	for _, r := range s.rows {
-		for ix := 0; ix < s.kb; ix++ {
-			w := specWeight(ix, s.cfg.N)
-			for c := 0; c < 3; c++ {
-				u, v := s.Uh[c][r.off+ix], s.nl[c][r.boff+ix]
-				sum += w * (real(u)*real(v) + imag(u)*imag(v)) * inv
-			}
-		}
-	}
-	out := []float64{sum}
-	mpi.AllreduceSum(s.comm, out)
-	return out[0]
 }

@@ -37,12 +37,6 @@ var diagGolden = map[string][3]string{
 	"grad.longitudinal.Min":      {"c00c32ba9a4d9760", "c00c32ba9a4d9760", "c00c32ba9a4d9760"},
 	"grad.longitudinal.Skewness": {"3fb1510ea9804f47", "3fb1510ea9804f4e", "3fb1510ea9804f46"},
 	"grad.longitudinal.Variance": {"3ff1d0d9c6bc4b7b", "3ff1d0d9c6bc4b76", "3ff1d0d9c6bc4b77"},
-	"grad.transverse.Flatness":   {"400d0bcc331172e5", "400d0bcc33117302", "400d0bcc33117313"},
-	"grad.transverse.Max":        {"4018f9a263ede8a0", "4018f9a263ede8a0", "4018f9a263ede8a0"},
-	"grad.transverse.Mean":       {"3c6ef00000000000", "3c70880000000000", "3c71380000000000"},
-	"grad.transverse.Min":        {"c019ad4f19c24b4b", "c019ad4f19c24b4b", "c019ad4f19c24b4b"},
-	"grad.transverse.Skewness":   {"3f8f7ecb2063020f", "3f8f7ecb20630200", "3f8f7ecb2063020e"},
-	"grad.transverse.Variance":   {"3ffee260f4f7770d", "3ffee260f4f77712", "3ffee260f4f77708"},
 	"grad.velocity.Flatness":     {"40090b31c0865bc5", "40090b31c0865bf5", "40090b31c0865bea"},
 	"grad.velocity.Max":          {"400401e9c615580a", "400401e9c615580a", "400401e9c615580a"},
 	"grad.velocity.Mean":         {"bc5de00000000000", "0000000000000000", "bc4e000000000000"},
@@ -50,7 +44,6 @@ var diagGolden = map[string][3]string{
 	"grad.velocity.Skewness":     {"3fb22ace4350b24c", "3fb22ace4350b25d", "3fb22ace4350b261"},
 	"grad.velocity.Variance":     {"3fd5650040ae6465", "3fd5650040ae6454", "3fd5650040ae6456"},
 	"helicity":                   {"3fcc1ab60c362d60", "3fcc1ab60c362d5a", "3fcc1ab60c362d52"},
-	"helicity_spectrum":          {"97ba8cb1505f7c3b", "4c29ec4d3d3222f5", "bf89d91bac4e74d9"},
 	"ic.abc":                     {"949b1c6136941823", "949b1c6136941823", "949b1c6136941823"},
 	"ic.blob":                    {"b02d9fa2bf06d3d3", "3629b33013067c45", "bfbfd90f21de29ab"},
 	"ic.field_single_mode":       {"05ac155bea49f2ba", "05ac155bea49f2ba", "05ac155bea49f2ba"},
@@ -75,7 +68,6 @@ var diagGolden = map[string][3]string{
 	"stats.ReLambda":             {"4030617761d82704", "4030617761d82708", "4030617761d8270a"},
 	"stats.TaylorScale":          {"3fe23405f2a64211", "3fe23405f2a64214", "3fe23405f2a64216"},
 	"stats.URMS":                 {"3fe26df7d2f1c94c", "3fe26df7d2f1c94d", "3fe26df7d2f1c94e"},
-	"transfer_spectrum":          {"5bf5e10cb0330ac2", "d18f986301461068", "d3b33beff517e88d"},
 	"vorticity":                  {"48100ce297e147de", "48100ce297e147de", "48100ce297e147de"},
 	"vorticity_enstrophy":        {"401ec02e3c611626", "401ec02e3c611631", "401ec02e3c611636"},
 }
@@ -155,11 +147,8 @@ func diagnosticsDigest(p int) map[string]string {
 		scalar(c, "vorticity_enstrophy", s.VorticityEnstrophyCheck())
 		scalar(c, "divergence_max", s.DivergenceMax())
 		bundle(c, "grad.longitudinal", s.LongitudinalGradientStats(0))
-		bundle(c, "grad.transverse", s.TransverseGradientStats(1, 2))
 		bundle(c, "grad.velocity", s.VelocityMoments(0))
 		array(c, "spectrum", s.Spectrum())
-		array(c, "helicity_spectrum", s.HelicitySpectrum())
-		array(c, "transfer_spectrum", s.TransferSpectrum())
 		array(c, "longitudinal_correlation", s.LongitudinalCorrelation())
 		w := s.Vorticity()
 		gather(c, "vorticity", w[0], w[1], w[2])

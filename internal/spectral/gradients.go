@@ -26,13 +26,6 @@ func (s *Solver) LongitudinalGradientStats(c int) GradientStats {
 	return s.physMoments()
 }
 
-// TransverseGradientStats computes the moments of ∂u_c/∂x_d, c ≠ d
-// (collective).
-func (s *Solver) TransverseGradientStats(c, d int) GradientStats {
-	s.gradientField(c, d)
-	return s.physMoments()
-}
-
 // gradientField places ∂u_c/∂x_d into s.physU[0], the solver's
 // physical scratch between steps: ŵ = i·k_d·û_c in s.work, then one
 // inverse transform.
@@ -85,22 +78,4 @@ func (s *Solver) physMoments() GradientStats {
 		Min:      -neg[0],
 		Max:      pos[0],
 	}
-}
-
-// VelocityMoments returns the moments of the velocity component c
-// itself (useful as a near-Gaussian reference against the
-// intermittent gradients; collective).
-func (s *Solver) VelocityMoments(c int) GradientStats {
-	copy(s.work, s.Uh[c])
-	s.tr.FourierToPhysical(s.physU[0], s.work)
-	return s.physMoments()
-}
-
-// TaylorScaleFromGradients returns λ computed from its definition
-// λ² = ⟨u²⟩/⟨(∂u/∂x)²⟩, a cross-check on the spectral-space estimate
-// in Statistics (collective).
-func (s *Solver) TaylorScaleFromGradients() float64 {
-	g := s.LongitudinalGradientStats(0)
-	u := s.VelocityMoments(0)
-	return math.Sqrt(u.Variance / g.Variance)
 }

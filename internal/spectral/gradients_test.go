@@ -8,14 +8,14 @@ import (
 )
 
 func TestGradientOfSingleModeIsExact(t *testing.T) {
-	// u = a·sin(2x)·… for mode k=(2,0,0): ∂u/∂x has variance
-	// kx²·⟨u²⟩ and zero skewness (sinusoid).
+	// u = a·cos(2x+2y) for the solenoidal mode k=(2,2,0), a ⟂ k:
+	// ∂u/∂x has variance kx²·⟨u²⟩ and zero skewness (sinusoid).
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
 		amp := 0.4
-		s.SetSingleMode(2, 0, 0, [3]complex128{0, complex(amp, 0), 0})
-		u := s.VelocityMoments(1)
-		g := s.TransverseGradientStats(1, 0) // ∂v/∂x
+		s.SetSingleMode(2, 2, 0, [3]complex128{complex(amp, 0), complex(-amp, 0), 0})
+		u := s.VelocityMoments(0)
+		g := s.LongitudinalGradientStats(0) // ∂u/∂x
 		if math.Abs(g.Variance-4*u.Variance) > 1e-12 {
 			t.Errorf("gradient variance %g want %g", g.Variance, 4*u.Variance)
 		}
@@ -80,7 +80,8 @@ func TestTaylorScaleCrossCheck(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			s.Step(0.004)
 		}
-		lamG := s.TaylorScaleFromGradients()
+		// λ² = ⟨u²⟩/⟨(∂u/∂x)²⟩ from its definition.
+		lamG := math.Sqrt(s.VelocityMoments(0).Variance / s.LongitudinalGradientStats(0).Variance)
 		lamS := s.Statistics().TaylorScale
 		if rel := math.Abs(lamG-lamS) / lamS; rel > 0.25 {
 			t.Errorf("Taylor scales disagree: gradients %.4f spectral %.4f (rel %.2f)", lamG, lamS, rel)

@@ -131,28 +131,6 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 	return v
 }
 
-// SetFieldSingleMode initializes spectral field c (for scalar-carrying
-// systems, fields 3… are the scalars) with one Fourier mode, enforcing
-// conjugate symmetry on the kx ∈ {0, N/2} planes.
-func (s *Solver) SetFieldSingleMode(c, kx, ky, kz int, amp complex128) {
-	clear(s.state[c])
-	n3 := complex(s.codeScale(), 0)
-	put := func(rank, idx int, v complex128) {
-		if rank == s.slab.Rank {
-			s.state[c][idx] = v * n3
-		}
-	}
-	rank, idx := s.modeIndex(kx, ky, kz)
-	put(rank, idx, amp)
-	// On the kx ∈ {0, N/2} planes the half spectrum also stores the partner
-	// (−ky, −kz), unless the mode is its own partner.
-	if kx == 0 || kx == s.cfg.N/2 {
-		if pr, pi := s.modeIndex(kx, -ky, -kz); pr != rank || pi != idx {
-			put(pr, pi, complex(real(amp), -imag(amp)))
-		}
-	}
-}
-
 // SetFieldBlob initializes spectral field c with a smooth
 // low-wavenumber random field (one component of the solenoidal
 // velocity-IC construction, rank-count invariant), variance normalized
@@ -160,14 +138,4 @@ func (s *Solver) SetFieldSingleMode(c, kx, ky, kz int, amp complex128) {
 func (s *Solver) SetFieldBlob(c int, k0, v0 float64, seed int64) {
 	s.setRandom(k0, seed, s.state[c])
 	s.rescale(s.state[c:c+1], v0, s.FieldVariance(c))
-}
-
-// SetSingleMode places one solenoidal Fourier mode with the given
-// signed wavenumbers and amplitude (useful for exact-decay tests).
-// The amplitude vector must be perpendicular to k; kx must be ≥ 0.
-// Conjugate symmetry on the kx=0 plane is enforced automatically.
-func (s *Solver) SetSingleMode(kx, ky, kz int, amp [3]complex128) {
-	for c := 0; c < 3; c++ {
-		s.SetFieldSingleMode(c, kx, ky, kz, amp[c])
-	}
 }

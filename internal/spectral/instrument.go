@@ -3,7 +3,6 @@ package spectral
 import (
 	"time"
 
-	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
@@ -30,15 +29,6 @@ func newSolverMetrics(c *mpi.Comm) *solverMetrics {
 	}
 }
 
-// atSiteLabeler is implemented by asynchrony-tolerant transform
-// engines that accept quantity labels for their bounded exchanges
-// (pfft.SlabReal.SetATSite). The solver
-// labels every transform call with its within-step index so a stale
-// slab is only ever the same quantity from whole steps earlier.
-type atSiteLabeler interface {
-	SetATSite(site uint32)
-}
-
 // timedTransform wraps a Transform and accumulates the seconds spent
 // inside its calls into a solver-owned accumulator, so Step can
 // attribute its remaining wall time to compute. The accumulator is
@@ -50,15 +40,14 @@ type atSiteLabeler interface {
 // every rank, so call i of a step is always the same physical quantity
 // on every rank — exactly the collective-consistency SetSite requires.
 type timedTransform struct {
-	inner Transform
-	secs  *float64
-	lab   atSiteLabeler // nil unless the solver runs asynchrony-tolerant
-	site  *uint32       // solver-owned within-step call counter
+	Transform
+	secs *float64
+	site *uint32 // solver-owned within-step call counter; nil unless the solver runs asynchrony-tolerant
 }
 
 func (t *timedTransform) stamp() {
-	if t.lab != nil {
-		t.lab.SetATSite(*t.site)
+	if t.site != nil {
+		t.SetATSite(*t.site)
 		*t.site++
 	}
 }
@@ -66,19 +55,13 @@ func (t *timedTransform) stamp() {
 func (t *timedTransform) FourierToPhysical(phys []float64, four []complex128) {
 	t.stamp()
 	t0 := time.Now()
-	t.inner.FourierToPhysical(phys, four)
+	t.Transform.FourierToPhysical(phys, four)
 	*t.secs += time.Since(t0).Seconds()
 }
 
 func (t *timedTransform) PhysicalToFourier(four []complex128, phys []float64) {
 	t.stamp()
 	t0 := time.Now()
-	t.inner.PhysicalToFourier(four, phys)
+	t.Transform.PhysicalToFourier(four, phys)
 	*t.secs += time.Since(t0).Seconds()
 }
-
-func (t *timedTransform) Truncate(kmax int) { t.inner.Truncate(kmax) }
-func (t *timedTransform) Slab() grid.Slab   { return t.inner.Slab() }
-func (t *timedTransform) NXH() int          { return t.inner.NXH() }
-func (t *timedTransform) FourierLen() int   { return t.inner.FourierLen() }
-func (t *timedTransform) PhysicalLen() int  { return t.inner.PhysicalLen() }

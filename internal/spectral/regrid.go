@@ -103,38 +103,9 @@ func Regrid(dst, src *Solver) {
 	dst.step = src.step
 }
 
-// Vorticity computes ω̂ = ik×û into three freshly allocated arrays in
-// code units (local; no communication).
-func (s *Solver) Vorticity() [3][]complex128 {
-	var w [3][]complex128
-	for c := 0; c < 3; c++ {
-		w[c] = make([]complex128, s.tr.FourierLen())
-	}
-	for r := s.walkRows(); r.next(); {
-		ky, kz := r.ky, r.kz
-		for ix, kx := range s.kxs {
-			i := r.off + ix
-			u, v, ww := s.Uh[0][i], s.Uh[1][i], s.Uh[2][i]
-			// ω = i·k × u.
-			w[0][i] = mulIK(ky, ww) - mulIK(kz, v)
-			w[1][i] = mulIK(kz, u) - mulIK(kx, ww)
-			w[2][i] = mulIK(kx, v) - mulIK(ky, u)
-		}
-	}
-	return w
-}
-
 // mulIK returns i·k·v.
 func mulIK(k float64, v complex128) complex128 {
 	return complex(-k*imag(v), k*real(v))
-}
-
-// VorticityEnstrophyCheck returns ½⟨ω·ω⟩ computed from the explicit
-// vorticity field — it must equal Enstrophy() to round-off
-// (collective).
-func (s *Solver) VorticityEnstrophyCheck() float64 {
-	w := s.Vorticity()
-	return 0.5 * s.dotSum(w[:], w[:])
 }
 
 // SuggestDt returns the time step that attains the target advective

@@ -41,35 +41,6 @@ func (s *Solver) SliceZ(comp, iz int) []float64 {
 	return plane
 }
 
-// SliceY gathers the plane y = iy (owned by a single rank) to rank 0.
-func (s *Solver) SliceY(comp, iy int) []float64 {
-	n := s.cfg.N
-	if comp < 0 || comp > 2 || iy < 0 || iy >= n {
-		panic(fmt.Sprintf("spectral: invalid slice (comp=%d, iy=%d)", comp, iy))
-	}
-	copy(s.work, s.Uh[comp])
-	s.tr.FourierToPhysical(s.physU[comp], s.work)
-	owner := s.slab.YOwner(iy)
-	plane := make([]float64, n*n)
-	if s.slab.Rank == owner {
-		local := iy - s.slab.YLo()
-		copy(plane, s.physU[comp][local*n*n:(local+1)*n*n])
-		if owner != 0 {
-			mpi.Send(s.comm, 0, slicesTag, plane)
-		}
-	}
-	if s.slab.Rank == 0 && owner != 0 {
-		mpi.Recv(s.comm, owner, slicesTag, plane)
-	}
-	s.comm.Barrier()
-	if s.slab.Rank != 0 {
-		return nil
-	}
-	return plane
-}
-
-const slicesTag = 7001
-
 // WriteSlicePNG renders a row-major [ny][nx] plane as a PNG with a
 // symmetric blue–white–red colormap centred on zero, the conventional
 // rendering for velocity slices.

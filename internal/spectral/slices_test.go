@@ -35,30 +35,6 @@ func TestSliceZMatchesAnalyticTG(t *testing.T) {
 	})
 }
 
-func TestSliceYMatchesAnalyticTG(t *testing.T) {
-	n, p := 16, 4
-	for _, iy := range []int{0, 5, 15} { // different owning ranks
-		mpi.Run(p, func(c *mpi.Comm) {
-			s := New(c, n, WithNu(0))
-			s.SetTaylorGreen()
-			plane := s.SliceY(1, iy) // v component, layout [nz][nx]
-			if c.Rank() != 0 {
-				return
-			}
-			h := 2 * math.Pi / float64(n)
-			y := float64(iy) * h
-			for izz := 0; izz < n; izz++ {
-				for ix := 0; ix < n; ix++ {
-					want := -math.Cos(float64(ix)*h) * math.Sin(y) * math.Cos(float64(izz)*h)
-					if math.Abs(plane[izz*n+ix]-want) > 1e-12 {
-						t.Fatalf("iy=%d slice(%d,%d): %g want %g", iy, izz, ix, plane[izz*n+ix], want)
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestWriteSlicePNG(t *testing.T) {
 	n := 8
 	plane := make([]float64, n*n)

@@ -51,13 +51,18 @@ const (
 	// storing +0 over the rest of each right-hand side. The rule assumes
 	// band-limited factors, and a state the solver itself produced is —
 	// so stepping is bit for bit what it is on a full transform. State
-	// put outside the band by hand (writing Uh, SetFieldSingleMode beyond
-	// N/3, Regrid onto a smaller grid) is inert: it decays by its
-	// integrating factor and shows in the spectral diagnostics, but
-	// never enters a product.
+	// put outside the band by hand (writing Uh beyond N/3, Regrid onto
+	// a smaller grid) is inert: it decays by its integrating factor and
+	// shows in the spectral diagnostics, but never enters a product.
+	// The truncation is alias-free only when 3 ∤ N: when 3 | N the band
+	// keeps |k_i| = N/3, onto which a pair with p_i + q_i = 2N/3
+	// aliases (grid.DealiasKmax).
 	Dealias23
 	// Dealias23Shift combines 2/3 truncation with grid phase shifting,
-	// the Rogallo treatment referenced in §2.
+	// the Rogallo treatment referenced in §2. When 3 ∤ N the truncation
+	// alone is alias-free and the shift changes only rounding; when
+	// 3 | N it also removes the alias onto |k_i| = N/3 that Dealias23
+	// keeps, so the two modes differ beyond rounding.
 	Dealias23Shift
 )
 
@@ -100,6 +105,21 @@ type Transform interface {
 	// length on the one column the solver runs.
 	FourierLen() int
 	PhysicalLen() int
+	// StrategyPair reports the exchange strategies the engine pinned;
+	// exchange.Both(exchange.AT) arms the solver's staleness correction
+	// and site labels.
+	StrategyPair() exchange.Pair
+	// SetATSite labels the quantity the next bounded exchanges carry.
+	// The solver stamps every transform call with its within-step
+	// index, so a stale slab is only ever the same quantity from whole
+	// steps earlier.
+	SetATSite(site uint32)
+	// TakeStaleness drains the window of bounded exchanges since the
+	// previous call: the maximum per-slab age, the summed age, the
+	// count of stale slabs gathered and the count of bounded exchange
+	// calls. Ages are in same-site cycles — with the solver's site
+	// labels, whole time steps.
+	TakeStaleness() (max int, sum, slabs, calls int64)
 }
 
 // difGroup is a run of consecutive fields sharing one diffusion
@@ -200,19 +220,18 @@ type Solver struct {
 	red    *mpi.ReducePlan
 	redBuf [1]float64
 
-	// Asynchrony-tolerant stepping (an AT engine): atSrc drains
+	// Asynchrony-tolerant stepping (an AT engine): atCorrect drains
 	// the transform's staleness window once per step; prevNl holds the
 	// previous step's first-stage nonlinear term for the first-order
 	// staleness correction. atSteps counts the steps a nonzero
 	// correction was applied to (rank-local, diagnostic).
 	atCorr   bool
-	atSrc    stalenessReporter
 	atPrevNl [][]complex128
 	atHave   bool
 	atSteps  int
 	// atSite is the within-step transform call counter the
 	// timedTransform wrapper stamps onto every bounded exchange (see
-	// atSiteLabeler); reset at each step's entry so call i of every
+	// Transform.SetATSite); reset at each step's entry so call i of every
 	// step labels the same physical quantity, making an accepted stale
 	// slab's age a whole number of time steps.
 	atSite uint32
@@ -258,21 +277,8 @@ func (s *Solver) Close() {
 // shared across solvers must stay caller-owned.
 func (s *Solver) OwnTransform() { s.ownTr = true }
 
-// stalenessReporter is the staleness-accounting contract of the
-// transform engine (pfft.SlabReal implements it): the exchange
-// strategies it pinned, asynchrony-tolerant when both are exchange.AT,
-// and the drain of the window of bounded exchanges since the previous
-// call, reporting the maximum per-slab age, the summed age, the count
-// of stale slabs gathered and the count of bounded exchange calls.
-// Ages are in same-site cycles — with the solver's per-step site
-// labeling, whole time steps.
-type stalenessReporter interface {
-	StrategyPair() exchange.Pair
-	TakeStaleness() (max int, sum, slabs, calls int64)
-}
-
 // newSolver is the construction path behind New. An engine whose
-// pinned exchange is asynchrony-tolerant (see stalenessReporter) arms
+// pinned exchange is asynchrony-tolerant (Transform.StrategyPair) arms
 // the staleness correction: the stepper gains the prevNl storage the
 // first-order correction extrapolates from, and every transform call
 // is stamped with its within-step site.
@@ -295,7 +301,8 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System) *Solver {
 	}
 	// Wrap the engine so transform time is attributable; Transform()
 	// hands back the unwrapped engine.
-	s.tr = &timedTransform{inner: tr, secs: &s.trSecs}
+	tt := &timedTransform{Transform: tr, secs: &s.trSecs}
+	s.tr = tt
 	// The band every product is dealiased to is the band the engine
 	// needs to transform.
 	kmax := -1 // DealiasNone: every mode
@@ -327,17 +334,13 @@ func newSolver(comm *mpi.Comm, cfg config, tr Transform, sys System) *Solver {
 	} else {
 		s.save, s.acc = fields(s.BandLen()), fields(s.BandLen())
 	}
-	if src, ok := tr.(stalenessReporter); ok && src.StrategyPair() == exchange.Both(exchange.AT) {
+	if tr.StrategyPair() == exchange.Both(exchange.AT) {
 		s.atCorr = true
-		s.atSrc = src
 		s.atPrevNl = fields(s.BandLen())
-		// Engines that accept quantity labels get every transform call
-		// stamped with the within-step call index, so their bounded
-		// exchanges only substitute stale slabs of the same quantity.
-		if lab, ok := tr.(atSiteLabeler); ok {
-			tt := s.tr.(*timedTransform)
-			tt.lab, tt.site = lab, &s.atSite
-		}
+		// Every transform call is stamped with the within-step call
+		// index, so the bounded exchanges only substitute stale slabs
+		// of the same quantity.
+		tt.site = &s.atSite
 	}
 
 	n := cfg.N
@@ -411,7 +414,7 @@ func (s *Solver) SystemDiagnostics() []Diagnostic { return s.sys.Diagnostics(s) 
 // asynchronous pipeline benchmarks to drive the same data layout.
 func (s *Solver) Transform() Transform {
 	if t, ok := s.tr.(*timedTransform); ok {
-		return t.inner
+		return t.Transform
 	}
 	return s.tr
 }
@@ -810,7 +813,7 @@ func (s *Solver) atCorrect() {
 	if !s.atCorr {
 		return
 	}
-	_, sum, _, calls := s.atSrc.TakeStaleness()
+	_, sum, _, calls := s.tr.TakeStaleness()
 	w := 0.0
 	if ranks := s.comm.Size() - 1; sum > 0 && calls > 0 && ranks > 0 {
 		w = float64(sum) / (float64(calls) * float64(ranks))

@@ -2,6 +2,7 @@ package spectral
 
 import (
 	"math"
+	"math/cmplx"
 	"sync"
 	"testing"
 
@@ -289,29 +290,43 @@ func TestStatisticsConsistency(t *testing.T) {
 }
 
 func TestPhaseShiftDealiasCloseToTruncation(t *testing.T) {
-	// Phase shifting changes only the aliasing error; for a modest
-	// field the two dealiasing modes must agree closely over a short
-	// integration.
-	n := 16
-	run := func(d Dealias) float64 {
-		var e float64
-		mpi.Run(2, func(c *mpi.Comm) {
-			s := New(c, n, WithNu(0.03), WithScheme(RK2), WithDealias(d))
-			s.SetRandomIsotropic(2.5, 0.4, 13)
-			for i := 0; i < 4; i++ {
-				s.Step(0.004)
+	// When 3 ∤ N the 2/3 truncation at ⌊N/3⌋ is alias-free (N > 3·kmax),
+	// so the grid phase shift changes nothing but rounding: the two
+	// dealiasing modes must give the same fields to within a few ulps
+	// after 20 steps. N is not a multiple of 3 because then kmax = N/3
+	// and a pair with p_i + q_i = 2N/3 aliases onto the kept plane
+	// |k_i| = N/3, which only the shift removes.
+	for _, n := range []int{16, 32} {
+		for _, p := range []int{1, 2} {
+			var diff, scale float64
+			mpi.Run(p, func(c *mpi.Comm) {
+				run := func(d Dealias) *Solver {
+					s := New(c, n, WithNu(0.03), WithScheme(RK2), WithDealias(d))
+					s.SetRandomIsotropic(2.5, 0.4, 13)
+					for i := 0; i < 20; i++ {
+						s.Step(0.004)
+					}
+					return s
+				}
+				tr, sh := run(Dealias23), run(Dealias23Shift)
+				defer tr.Close()
+				defer sh.Close()
+				m := []float64{0, 0}
+				for comp := 0; comp < 3; comp++ {
+					for i, u := range tr.Uh[comp] {
+						m[0] = math.Max(m[0], cmplx.Abs(u-sh.Uh[comp][i]))
+						m[1] = math.Max(m[1], cmplx.Abs(u))
+					}
+				}
+				mpi.AllreduceMax(c, m)
+				if c.Rank() == 0 {
+					diff, scale = m[0], m[1]
+				}
+			})
+			if diff > 1e-14*scale {
+				t.Errorf("N=%d P=%d: truncation and shift differ by max|Δû| = %g, %g of max|û|", n, p, diff, diff/scale)
 			}
-			ee := s.Energy() // collective: every rank must call it
-			if c.Rank() == 0 {
-				e = ee
-			}
-		})
-		return e
-	}
-	eT := run(Dealias23)
-	eS := run(Dealias23Shift)
-	if rel := math.Abs(eT-eS) / eT; rel > 1e-4 {
-		t.Errorf("truncation vs shift energies differ: %g vs %g (rel %g)", eT, eS, rel)
+		}
 	}
 }
 

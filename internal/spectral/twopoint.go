@@ -74,61 +74,3 @@ func (s *Solver) StructureFunction2() []float64 {
 	}
 	return out
 }
-
-// StructureFunction3 returns S₃(r) = ⟨(δu)³⟩ for the longitudinal
-// increment, computed in physical space (one inverse transform plus
-// N/2 shifted products; collective). Kolmogorov's 4/5 law predicts
-// S₃ → −(4/5)·ε·r in an inertial range.
-func (s *Solver) StructureFunction3() []float64 {
-	n := s.cfg.N
-	copy(s.work, s.Uh[0])
-	s.tr.FourierToPhysical(s.physU[0], s.work)
-	u := s.physU[0]
-	my := s.slab.MY()
-	nr := n/2 + 1
-	sums := make([]float64, nr)
-	for iy := 0; iy < my; iy++ {
-		for iz := 0; iz < n; iz++ {
-			row := u[(iy*n+iz)*n : (iy*n+iz)*n+n]
-			for r := 1; r < nr; r++ {
-				var acc float64
-				for ix := 0; ix < n; ix++ {
-					d := row[(ix+r)%n] - row[ix]
-					acc += d * d * d
-				}
-				sums[r] += acc
-			}
-		}
-	}
-	mpi.AllreduceSum(s.comm, sums)
-	n3 := float64(n) * float64(n) * float64(n)
-	for r := range sums {
-		sums[r] /= n3
-	}
-	return sums
-}
-
-// TransferSpectrum returns T(k), the shell-summed rate of energy
-// transfer into wavenumber shell k by the nonlinear term. The net
-// transfer ΣT(k) vanishes for the dealiased Galerkin system
-// (collective; evaluates the nonlinear term: 9 transforms). The sum
-// runs over the band, where the nonlinear term lives.
-func (s *Solver) TransferSpectrum() []float64 {
-	s.velocityProducts(s.state, s.nl)
-	s.projectAndDealias(s.nl)
-	inv, spec := s.modeNorm(), s.newSpectrum()
-	for _, r := range s.rows {
-		ky, kz := s.kys[r.iy], s.kzs[r.iz]
-		for ix := 0; ix < s.kb; ix++ {
-			k2, w := float64(ix*ix)+(ky*ky+kz*kz), specWeight(ix, s.cfg.N)
-			var tr float64
-			for c := 0; c < 3; c++ {
-				u, f := s.Uh[c][r.off+ix], s.nl[c][r.boff+ix]
-				tr += real(u)*real(f) + imag(u)*imag(f)
-			}
-			spec[shell(k2)] += w * tr * inv
-		}
-	}
-	mpi.AllreduceSum(s.comm, spec)
-	return spec
-}

@@ -83,66 +83,6 @@ func TestStructureFunction2FromCorrelation(t *testing.T) {
 	})
 }
 
-func TestStructureFunction3CascadeDirection(t *testing.T) {
-	// The nonlinear cascade drives the increment skewness
-	// S₃/S₂^{3/2} downward toward its negative developed-turbulence
-	// value, regardless of the (finite-sample skewed) initial
-	// realization — the scale-space face of the 4/5 law's sign.
-	mpi.Run(2, func(c *mpi.Comm) {
-		s := New(c, 32, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23),
-			WithForcing(2, DefaultForcingEps))
-		s.SetRandomIsotropic(2.5, 0.6, 71)
-		r := 2
-		skew := func() float64 {
-			s2 := s.StructureFunction2()
-			s3 := s.StructureFunction3()
-			return s3[r] / math.Pow(s2[r], 1.5)
-		}
-		skew0 := skew()
-		var hist []float64
-		for i := 0; i < 45; i++ {
-			s.Step(0.004)
-			if i%15 == 14 {
-				v := skew() // collective on every rank
-				if c.Rank() == 0 {
-					hist = append(hist, v)
-				}
-			}
-		}
-		if c.Rank() == 0 {
-			prev := skew0
-			for i, v := range hist {
-				if v >= prev {
-					t.Errorf("skewness not decreasing at checkpoint %d: %v (start %g)", i, hist, skew0)
-				}
-				prev = v
-			}
-			if final := hist[len(hist)-1]; final > 0.05 {
-				t.Errorf("developed skewness %g, expected ≲ 0", final)
-			}
-		}
-	})
-}
-
-func TestTransferSpectrumSumsToZero(t *testing.T) {
-	mpi.Run(2, func(c *mpi.Comm) {
-		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
-		s.SetRandomIsotropic(3, 0.5, 73)
-		tr := s.TransferSpectrum()
-		var sum, absSum float64
-		for _, v := range tr {
-			sum += v
-			absSum += math.Abs(v)
-		}
-		if absSum == 0 {
-			t.Fatal("transfer spectrum identically zero")
-		}
-		if math.Abs(sum) > 1e-10*absSum {
-			t.Errorf("ΣT(k)=%g not ≈ 0 (Σ|T|=%g)", sum, absSum)
-		}
-	})
-}
-
 func TestIntegralScalePositiveAndBounded(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 32, WithNu(0.01))

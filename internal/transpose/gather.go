@@ -59,41 +59,6 @@ func GatherYZPeer[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi int) {
 	}
 }
 
-// GatherZYRange gathers z-planes [izLo,izHi) of the Fourier-side slab
-// dst=[Mz][Ny][Nxh] directly from every peer's physical-side slab
-// srcs[s]=[My][Nz][Nxh]. Equivalent to PackZYRange on every rank, the
-// all-to-all, and UnpackZYRange over the same planes. Distinct iz
-// ranges write disjoint dst elements.
-//
-//psdns:hotpath
-func GatherZYRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, izHi int) {
-	for s := 0; s < l.P; s++ {
-		GatherZYPeer(l, dst, srcs[s], me, s, izLo, izHi)
-	}
-}
-
-// GatherZYPeer gathers peer s's contribution to z-planes [izLo,izHi)
-// of the Fourier-side slab: src is rank s's physical-side slab, whose
-// y-planes of the range land in dst's y rows s·My+Lo… of the in-band
-// planes, KB elements each (see SlabLayout).
-//
-//psdns:hotpath
-func GatherZYPeer[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi int) {
-	nxh, ny, nz, kb, n := l.Nxh, l.Ny, l.Nz, l.KB, l.Planes(false)
-	zBase, yBase := me*l.Mz, s*l.My+l.Lo
-	for iy := 0; iy < n; iy++ {
-		srcOff := (iy*nz + zBase + izLo) * nxh
-		dstOff := (izLo*ny + yBase + iy) * nxh
-		for iz := izLo; iz < izHi; iz++ {
-			if l.Band.Has(zBase + iz) {
-				copy(dst[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
-			}
-			srcOff += nxh
-			dstOff += ny * nxh
-		}
-	}
-}
-
 // --- cache-blocked gather variants ---------------------------------------
 //
 // The plain peer gathers stream one side contiguously and stride the
@@ -156,8 +121,13 @@ func GatherYZPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi, 
 	}
 }
 
-// GatherZYRangeBlocked is GatherZYRange with cache-blocked peer
-// gathers. Bitwise-identical output; tiled traversal.
+// GatherZYRangeBlocked gathers z-planes [izLo,izHi) of the
+// Fourier-side slab dst=[Mz][Ny][Nxh] directly from every peer's
+// physical-side slab srcs[s]=[My][Nz][Nxh] with cache-blocked peer
+// gathers: equivalent to PackZYRange on every rank, the all-to-all,
+// and UnpackZYRange over the same planes. Distinct iz ranges write
+// disjoint dst elements. The tests keep the plain gather
+// (GatherZYRange) as its oracle.
 //
 //psdns:hotpath
 func GatherZYRangeBlocked[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, izHi, tile int) {
@@ -166,9 +136,13 @@ func GatherZYRangeBlocked[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, i
 	}
 }
 
-// GatherZYPeerBlocked is GatherZYPeer with the iy dimension tiled: for
-// each tile of y-rows the iz sweep writes contiguous runs of tile·Nxh
-// destination elements while the source advances contiguously in iz.
+// GatherZYPeerBlocked gathers peer s's contribution to z-planes
+// [izLo,izHi) of the Fourier-side slab: src is rank s's physical-side
+// slab, whose y-planes of the range land in dst's y rows s·My+Lo… of
+// the in-band planes, KB elements each (see SlabLayout). The iy
+// dimension is tiled: for each tile of y-rows the iz sweep writes
+// contiguous runs of tile·Nxh destination elements while the source
+// advances contiguously in iz.
 //
 //psdns:hotpath
 func GatherZYPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, izLo, izHi, tile int) {

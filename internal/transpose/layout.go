@@ -155,24 +155,6 @@ func Source[T any](l *SlabLayout, slab []T, yz bool) []T {
 	return slab[:0]
 }
 
-// Staged is the range's P staged blocks in direction yz, at the
-// current band, cut out of a whole-slab staging buffer (Total
-// elements) where the range's full-band blocks begin, so the disjoint
-// ranges of one slab share one buffer.
-//
-//psdns:hotpath
-func Staged[T any](l *SlabLayout, buf []T, yz bool) []T {
-	rows := l.Mz
-	if yz {
-		rows = l.My
-	}
-	if n := l.P * l.BlockLen(yz); n > 0 {
-		at := l.P * l.Lo * rows * l.Nxh
-		return buf[at : at+n]
-	}
-	return buf[:0]
-}
-
 func (l *SlabLayout) check(op string, dst, src int) {
 	if dst < l.Total || src < l.Total {
 		panic(fmt.Sprintf("transpose: %s needs %d elements, got dst %d src %d", op, l.Total, dst, src))

@@ -125,11 +125,10 @@ func NewPencilLayout(n, pr, pc, yRank, zRank int) *PencilLayout {
 	return l
 }
 
-// XSpecLen, BLen and CLen are the (unpadded) element counts of the
-// three exchange layouts.
-func (l *PencilLayout) XSpecLen() int { return l.My * l.Mz * l.Nxh }
-func (l *PencilLayout) BLen() int     { return l.My * l.N * l.Wc }
-func (l *PencilLayout) CLen() int     { return l.Mz2 * l.N * l.Wc }
+// BLen and CLen are the (unpadded) element counts of the B and C
+// exchange layouts; X holds My·Mz·Nxh.
+func (l *PencilLayout) BLen() int { return l.My * l.N * l.Wc }
+func (l *PencilLayout) CLen() int { return l.Mz2 * l.N * l.Wc }
 
 // --- column exchange (x-complete ↔ z-complete, within a column group) ----
 //

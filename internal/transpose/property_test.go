@@ -120,7 +120,7 @@ func TestPencilTransposeRoundTripProperty(t *testing.T) {
 		b := g.run(true, colPaths[rng.Intn(len(colPaths))], g.x, 0, n, sentinel)
 		back := g.run(false, colPaths[rng.Intn(len(colPaths))], b, 0, n, sentinel)
 		for zG, l := range g.lays {
-			for i := 0; i < l.XSpecLen(); i++ {
+			for i := 0; i < l.My*l.Mz*l.Nxh; i++ {
 				if back[zG][i] != g.x[zG][i] {
 					return false
 				}
