@@ -3,7 +3,10 @@
 // computing or moving data between CPU and GPU. Two modes:
 //
 //   - -mode real: measure the in-process runtime's all-to-all at small
-//     rank counts (wall-clock on this machine);
+//     rank counts (wall-clock on this machine). mpi.Alltoall runs the
+//     same publish → barrier → gather round as ExchangePlan.Do, the
+//     path every DNS transpose takes, with the gather copying each
+//     peer's block into the receive buffer;
 //   - -mode model: evaluate the calibrated Summit network model,
 //     regenerating the paper's Table 2.
 package main

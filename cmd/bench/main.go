@@ -13,8 +13,6 @@
 //   - step_forced_n64 / step_scalar_n64: one RK2 step of the
 //     stochastically forced system and of NS + two passive scalars
 //     with rotation (the registry's non-trivial equation sets);
-//   - mailbox_fanin_p8: point-to-point fan-in through the in-process
-//     runtime's mailboxes;
 //   - barrier_skew_p2 / barrier_skew_p4: a barrier between unequal
 //     shares of real work — every rank sweeps a 1 MiB array, rank 1
 //     thirty percent more of it, then all meet; ns/op on the slow rank.
@@ -496,35 +494,6 @@ func dnsStepAT(n, p, maxStale int) func(iters, workers int) sample {
 	}
 }
 
-// fanInTag is the message tag of the fan-in workload's point-to-point
-// traffic. Tags must be named constants (see the mpireq analyzer) so
-// call sites can't silently collide in the mailbox key space.
-const fanInTag = 7
-
-// mailboxFanIn drives p−1 tagged sends into rank 0 per op, the fan-in
-// pattern the runtime's per-key mailbox signalling exists for.
-func mailboxFanIn(p, words int) func(iters, workers int) sample {
-	return func(iters, _ int) sample {
-		var s sample
-		mpi.Run(p, func(c *mpi.Comm) {
-			buf := make([]float64, words)
-			if c.Rank() == 0 {
-				op := func() {
-					for src := 1; src < p; src++ {
-						mpi.Recv(c, src, fanInTag, buf)
-					}
-				}
-				s = timeLoop(iters, 2, op)
-			} else {
-				for i := 0; i < iters+2; i++ {
-					mpi.Send(c, 0, fanInTag, buf)
-				}
-			}
-		})
-		return s
-	}
-}
-
 // barrierSkew measures a barrier that ranks reach at different times
 // because they did different amounts of work, as the exchanges of a
 // step do: every rank sweeps a 1 MiB array (the work has to touch
@@ -758,7 +727,6 @@ var workloads = []workload{
 		spectral.WithForcing(2, 0.05), spectral.WithForcingNoise(0.5, 3))},
 	{"step_scalar_n64", 8, 2, true, dnsStep(64, 4,
 		spectral.WithRotation(2.0), spectral.WithScalars(2, 1.0, 0.7), spectral.WithScalarGradient(1.0))},
-	{"mailbox_fanin_p8", 2000, 400, false, mailboxFanIn(8, 128)},
 	{"barrier_skew_p2", 4000, 800, true, barrierSkew(2)},
 	{"barrier_skew_p4", 4000, 800, true, barrierSkew(4)},
 	{"pack_unpack_yz", 4000, 800, true, packUnpack(33, 64, 16, 4)},

@@ -43,14 +43,3 @@ func TestCompareGate(t *testing.T) {
 		t.Fatal("compare passed an allocs/op regression beyond the slack")
 	}
 }
-
-// TestFanInTagNamed is the regression companion to the mpireq raw-tag
-// fix: the fan-in workload's tag is a named constant and any future
-// raw literal is caught statically by psdnslint in CI. The assertion
-// here keeps the constant itself from being removed or shadowed.
-func TestFanInTagNamed(t *testing.T) {
-	const _ = fanInTag // must remain a compile-time constant
-	if fanInTag < 0 {
-		t.Fatal("fan-in tag must live in the user (non-negative) tag space")
-	}
-}

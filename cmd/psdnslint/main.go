@@ -1,5 +1,5 @@
 // Command psdnslint runs the internal/analysis suite (hotalloc,
-// poolpair, mpireq, lockorder, metricname, collsym, planfree)
+// poolpair, lockorder, metricname, collsym, planfree)
 // over Go packages.
 //
 // It speaks cmd/go's vettool protocol, so the canonical invocation is

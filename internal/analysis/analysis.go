@@ -1,4 +1,4 @@
-// Package analysis implements the psdnslint analyzer suite: seven
+// Package analysis implements the psdnslint analyzer suite: six
 // static analyzers that enforce the invariants the runtime design
 // depends on and that tests and the runtime watchdog only sample. Each
 // is kept because it catches a seeded mutation of the real tree (see
@@ -8,9 +8,8 @@
 //     with propagation one level into same-package callees;
 //   - poolpair:   pool checkouts are released on every path or happen
 //     at plan/constructor time;
-//   - mpireq:     mpi tags are named constants;
-//   - lockorder:  no mailbox entry points, channel sends, or nested
-//     cond.Wait while holding a mutex inside internal/mpi;
+//   - lockorder:  no channel sends or nested cond.Wait while holding a
+//     mutex inside internal/mpi;
 //   - metricname: metric names are constants following the
 //     subsystem.noun[.verb] convention, each registered as one kind;
 //   - collsym:    rank-dependent branches issue the same mpi
@@ -34,7 +33,7 @@
 // above that. The reason is mandatory; a bare directive suppresses
 // nothing and is itself reported, as is a directive naming an unknown
 // analyzer. Findings in _test.go files are never reported: tests
-// exercise raw tags, throwaway metric names and deliberate leaks.
+// exercise throwaway metric names, deliberate leaks and allocations.
 package analysis
 
 import (
@@ -84,7 +83,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full psdnslint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, PoolPair, MPIReq, LockOrder, MetricName, CollSym, PlanFree}
+	return []*Analyzer{HotAlloc, PoolPair, LockOrder, MetricName, CollSym, PlanFree}
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult

@@ -15,10 +15,6 @@ func TestPoolPair(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.PoolPair, "poolpair")
 }
 
-func TestMPIReq(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.MPIReq, "mpireq")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.LockOrder, "lockorder/mpi")
 }
@@ -39,5 +35,5 @@ func TestPlanFree(t *testing.T) {
 // real analyzer: multi-line statement coverage, unknown analyzer
 // names, and reason-less directives.
 func TestSuppressEdgeCases(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.MPIReq, "suppress")
+	analysistest.Run(t, analysistest.TestData(), analysis.HotAlloc, "suppress")
 }

@@ -28,8 +28,9 @@ var CollSym = &Analyzer{
 
 func runCollSym(pass *Pass) {
 	if pass.Pkg != nil && pass.Pkg.Name() == "mpi" {
-		// The runtime implements collectives from rank-asymmetric
-		// point-to-point by design.
+		// The runtime implements the collectives themselves, with
+		// rank-asymmetric arms by design (a Gather's root, a Split
+		// group's leader).
 		return
 	}
 	cs := newCollSummaries(pass)

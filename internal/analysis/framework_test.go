@@ -31,7 +31,7 @@ func TestAllowDirectiveParsing(t *testing.T) {
 //psdns:allow hotalloc one-time table build
 var x = 1
 
-//psdns:allow mpireq
+//psdns:allow lockorder
 var y = 2
 
 //psdns:allowance not a directive
@@ -49,7 +49,7 @@ var z = 3
 	if allows[0].analyzer != "hotalloc" || allows[0].reason != "one-time table build" {
 		t.Errorf("directive 0 = %+v", allows[0])
 	}
-	if allows[1].analyzer != "mpireq" || allows[1].reason != "" {
+	if allows[1].analyzer != "lockorder" || allows[1].reason != "" {
 		t.Errorf("directive 1 = %+v", allows[1])
 	}
 }

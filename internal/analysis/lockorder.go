@@ -11,8 +11,6 @@ import (
 // block or wake someone else. Concretely, while a mutex is held it is
 // a violation to
 //
-//   - call a mailbox entry point (put, get, abort) — they take the
-//     mailbox's own lock internally, nesting two mutexes;
 //   - send on a channel — the receiver may need the held lock;
 //   - call cond.Wait with a second mutex held — Wait releases only
 //     its own mutex, so the other one is held across the sleep.
@@ -21,7 +19,7 @@ import (
 // callbacks) and start with no locks held.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "no mailbox entry points, channel sends, or nested cond.Wait while holding a mutex in internal/mpi",
+	Doc:  "no channel sends or nested cond.Wait while holding a mutex in internal/mpi",
 	Run:  runLockOrder,
 }
 
@@ -182,15 +180,7 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, depth int) {
 	if !ok {
 		return
 	}
-	t := w.pass.Info.TypeOf(sel.X)
-	switch sel.Sel.Name {
-	case "put", "get", "abort":
-		if depth >= 1 && isNamed(t, "mpi", "mailbox") {
-			w.pass.Reportf(call.Pos(), "mailbox %s while holding a mutex can deadlock: it locks the mailbox internally", sel.Sel.Name)
-		}
-	case "Wait":
-		if depth >= 2 && isNamed(t, "sync", "Cond") {
-			w.pass.Reportf(call.Pos(), "cond.Wait while holding a second mutex: Wait only releases its own mutex")
-		}
+	if sel.Sel.Name == "Wait" && depth >= 2 && isNamed(w.pass.Info.TypeOf(sel.X), "sync", "Cond") {
+		w.pass.Reportf(call.Pos(), "cond.Wait while holding a second mutex: Wait only releases its own mutex")
 	}
 }

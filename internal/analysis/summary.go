@@ -16,7 +16,7 @@ import (
 
 // collectiveFuncs are the package-level mpi entry points that are
 // collective over the communicator: every rank must call them in the
-// same order or ranks deadlock in mismatched barriers/mailbox waits.
+// same order or ranks deadlock in mismatched barriers and waits.
 var collectiveFuncs = map[string]bool{
 	"Allgather": true, "Alltoall": true, "Alltoallv": true,
 	"AllreduceSum": true, "AllreduceMax": true, "Gather": true,

@@ -1,45 +1,21 @@
 // Package mpi (fixture) exercises the lockorder analyzer, which only
-// activates inside an mpi package: mailbox entry points, channel
-// sends, and nested cond.Wait under held mutexes.
+// activates inside an mpi package: channel sends and nested cond.Wait
+// under held mutexes.
 package mpi
 
 import "sync"
 
-type mailbox struct {
-	mu sync.Mutex
-	q  []int
-}
-
-// put and get are self-locking entry points, like the runtime's.
-func (m *mailbox) put(v int) {
-	m.mu.Lock()
-	m.q = append(m.q, v)
-	m.mu.Unlock()
-}
-
-func (m *mailbox) get() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v
-}
-
 type world struct {
 	mu    sync.Mutex
 	inner sync.Mutex
-	box   *mailbox
 	ch    chan int
 	cv    *sync.Cond
 }
 
-// nested calls mailbox entry points and sends with the world lock
-// held: both nest a second lock or block the holder.
+// nested sends with the world lock held: the receiver may need it.
 func (w *world) nested(v int) {
 	w.mu.Lock()
-	w.box.put(v)    // want `mailbox put while holding a mutex`
-	_ = w.box.get() // want `mailbox get while holding a mutex`
-	w.ch <- v       // want `channel send while holding a mutex`
+	w.ch <- v // want `channel send while holding a mutex`
 	w.mu.Unlock()
 }
 
@@ -57,10 +33,9 @@ func (w *world) nestedWait() {
 // it, the pattern the runtime's abort paths use.
 func (w *world) unlocked(v int) {
 	w.mu.Lock()
-	box := w.box
+	ch := w.ch
 	w.mu.Unlock()
-	box.put(v)
-	w.ch <- v
+	ch <- v
 }
 
 // ownWait holds exactly one mutex across Wait, which is the normal
@@ -77,7 +52,6 @@ func (w *world) deferredDelivery(v int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	go func() {
-		w.box.put(v)
 		w.ch <- v
 	}()
 }

@@ -1,6 +1,6 @@
 // Package mpi is a fixture stub with the runtime API shape the
-// analyzers match on: package name "mpi", point-to-point calls whose
-// tag parameter is named tag, and the persistent plans.
+// analyzers match on: package name "mpi", the one-shot collectives and
+// the persistent plans.
 package mpi
 
 type Comm struct{ rank int }
@@ -17,13 +17,8 @@ func (c *Comm) CartGrid(pr, pc int) (row, col *Comm) { return &Comm{}, &Comm{} }
 
 func Allgather(c *Comm, send, recv []float64) {}
 
-func Send(c *Comm, dst, tag int, buf []float64) {}
-func Recv(c *Comm, src, tag int, buf []float64) {}
-
 // ExchangePlan mirrors the persistent exchange plan: its Do and
-// DoBounded entry points are collectives that take no tag — DoBounded's
-// trailing int is a staleness bound, which the analyzer must not
-// mistake for a tag. NewExchangePlan is generic like the real
+// DoBounded entry points are collectives. NewExchangePlan is generic like the real
 // constructor, so fixtures spell its type argument, NewExchangePlan[T].
 type ExchangePlan struct{}
 

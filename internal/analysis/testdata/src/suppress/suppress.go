@@ -4,27 +4,33 @@
 // is itself reported.
 package suppress
 
-import "mpi"
-
-// The raw-tag finding lands on the continuation line holding the
-// literal; the directive above the statement's first line must cover
-// it.
-func multilineStatement(c *mpi.Comm, buf []float64) {
-	//psdns:allow mpireq fixture exercises statement-start suppression
-	mpi.Send(c, 1,
-		42,
-		buf)
+// The allocation finding lands on the continuation line holding the
+// make; the directive above the statement's first line must cover it.
+//
+//psdns:hotpath
+func multilineStatement(n int) []float64 {
+	//psdns:allow hotalloc fixture exercises statement-start suppression
+	return keep(n,
+		make([]float64, n))
 }
 
 // A typo'd analyzer name suppresses nothing and is reported.
-func wrongAnalyzerName(c *mpi.Comm, buf []float64) {
-	//psdns:allow mpireqq typo should be caught // want `psdns:allow names unknown analyzer "mpireqq"`
-	mpi.Send(c, 1, 43, buf) // want `raw tag literal 43`
+//
+//psdns:hotpath
+func wrongAnalyzerName(n int) []float64 {
+	//psdns:allow hotallocc typo should be caught // want `psdns:allow names unknown analyzer "hotallocc"`
+	return make([]float64, n) // want `call to make allocates`
 }
 
 // A known-analyzer directive with no reason is reported and
 // suppresses nothing.
-func missingReason(c *mpi.Comm, buf []float64) {
-	//psdns:allow mpireq // want `psdns:allow mpireq requires a non-empty reason`
-	mpi.Send(c, 1, 44, buf) // want `raw tag literal 44`
+//
+//psdns:hotpath
+func missingReason(n int) []float64 {
+	//psdns:allow hotalloc // want `psdns:allow hotalloc requires a non-empty reason`
+	return make([]float64, n) // want `call to make allocates`
 }
+
+// keep returns buf; it allocates nothing, so the hot functions' one
+// level of callee propagation finds nothing in it.
+func keep(n int, buf []float64) []float64 { return buf[:n] }

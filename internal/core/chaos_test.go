@@ -49,7 +49,7 @@ func TestTransformBitwiseCorrectUnderDelays(t *testing.T) {
 	const n, p = 16, 4
 	delayRule := mpi.FaultRule{
 		Src: mpi.AnyRank, Dst: mpi.AnyRank, Tag: mpi.AnyTag,
-		Scope: mpi.ScopeColl, Delay: 2 * time.Millisecond,
+		Delay: 2 * time.Millisecond,
 	}
 	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
 		for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
@@ -82,12 +82,11 @@ func TestTransformBitwiseCorrectUnderDelays(t *testing.T) {
 // comes back typed.
 func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	const n, p = 16, 2
-	// Drop only bulk engine slabs: small control collectives (and the
-	// P2P layer) stay functional so the failure is isolated to the
-	// transform's exchange.
+	// Drop only bulk engine slabs: small control collectives stay
+	// functional so the failure is isolated to the transform's exchange.
 	drop := mpi.FaultRule{
 		Src: 1, Dst: 0, Tag: mpi.AnyTag,
-		Scope: mpi.ScopeColl, MinBytes: 1024, DropProb: 1,
+		MinBytes: 1024, DropProb: 1,
 	}
 	stall := func(st exchange.Strategy) (*mpi.StallError, error) {
 		start := time.Now()
@@ -112,7 +111,7 @@ func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 	}
 	for _, pinned := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
 		st, err := stall(pinned)
-		if st.Rank != 0 || st.Op != "wait" || !st.Coll || st.Deadlock {
+		if st.Rank != 0 || st.Op != "wait" || st.Deadlock {
 			t.Fatalf("%s: StallError = %+v, want rank 0's deadline in a collective wait", pinned, st)
 		}
 		var re *mpi.RankError

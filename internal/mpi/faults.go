@@ -14,32 +14,19 @@ import (
 const (
 	// AnyRank matches every source or destination rank.
 	AnyRank = -1
-	// AnyTag matches every message tag (and every collective sequence
-	// number).
+	// AnyTag matches every collective sequence number.
 	AnyTag = math.MinInt
 )
 
-// Scope selects which traffic class a fault rule applies to.
-type Scope int
-
-const (
-	// ScopeAll applies to point-to-point and collective traffic.
-	ScopeAll Scope = iota
-	// ScopeP2P applies only to Send/Recv traffic.
-	ScopeP2P
-	// ScopeColl applies only to collective fragments.
-	ScopeColl
-)
-
 // FaultRule describes one class of injected message pathology. A
-// message matches when its (src, dst, tag, scope, size) pass every
-// filter; the first matching rule in Faults.Rules is applied. Note the
-// zero value of Src/Dst filters on rank 0 — use AnyRank (and AnyTag)
-// for wildcards, or start from MatchAll().
+// message is one collective's publication as one reader takes it; it
+// matches when its (src, dst, tag, size) pass every filter, and the
+// first matching rule in Faults.Rules is applied. Note the zero value
+// of Src/Dst filters on rank 0 — use AnyRank (and AnyTag) for
+// wildcards, or start from MatchAll().
 type FaultRule struct {
-	Src, Dst int   // rank filters; AnyRank matches every rank
-	Tag      int   // tag filter (user tag or collective seq); AnyTag matches all
-	Scope    Scope // point-to-point, collective, or both
+	Src, Dst int // rank filters; AnyRank matches every rank
+	Tag      int // collective sequence number filter; AnyTag matches all
 	// MinBytes restricts the rule to messages of at least this wire
 	// size, e.g. to target bulk all-to-all fragments while leaving
 	// small control collectives untouched.
@@ -47,8 +34,9 @@ type FaultRule struct {
 
 	// DropProb is the probability a matching message is silently lost.
 	DropProb float64
-	// DupProb is the probability a matching message is delivered twice
-	// (the duplicate arrives back to back).
+	// DupProb is the probability a matching message is delivered
+	// twice. It is counted and has no other effect: a published buffer
+	// read twice is the same read.
 	DupProb float64
 	// Delay is a fixed extra latency applied to matching messages.
 	Delay time.Duration
@@ -70,20 +58,14 @@ func MatchAll() FaultRule {
 	return FaultRule{Src: AnyRank, Dst: AnyRank, Tag: AnyTag}
 }
 
-func (r *FaultRule) matches(src, dst int, key matchKey, bytes int64) bool {
-	if r.Scope == ScopeP2P && key.coll {
-		return false
-	}
-	if r.Scope == ScopeColl && !key.coll {
-		return false
-	}
+func (r *FaultRule) matches(src, dst, tag int, bytes int64) bool {
 	if r.Src != AnyRank && r.Src != src {
 		return false
 	}
 	if r.Dst != AnyRank && r.Dst != dst {
 		return false
 	}
-	if r.Tag != AnyTag && r.Tag != key.tag {
+	if r.Tag != AnyTag && r.Tag != tag {
 		return false
 	}
 	if bytes < r.MinBytes {
@@ -94,19 +76,19 @@ func (r *FaultRule) matches(src, dst int, key matchKey, bytes int64) bool {
 
 // Faults is a deterministic fault-injection plan for one world: given
 // the same Seed and the same program, the same messages are dropped,
-// duplicated and delayed on every run. A message is a mailbox delivery
-// or one ExchangePlan.Do slab publication to one reader (see
-// ExchangePlan). Random draws are made from a dedicated stream per
-// (src,dst) pair, shared by that pair's mailbox and every plan, and
-// drawn on rank src's goroutine in its program order. Injected events
+// duplicated and delayed on every run. A message is one rank's
+// publication in a collective round — an ExchangePlan.Do or a one-shot
+// collective — as one reader takes it; its tag is the collective's
+// sequence number. Random draws are made from a dedicated stream per
+// (src,dst) pair, drawn on rank src's goroutine in its program order. Injected events
 // are counted into the world's metrics registry as mpi.fault.drop/dup/
 // delay, labelled by the sending rank.
 type Faults struct {
 	Seed  int64
 	Rules []FaultRule
 	// Crash schedules hard rank failures: rank → the 1-based index of
-	// the operation initiation (Send, Recv, Barrier or any collective
-	// on the world communicator) at which the rank panics with a
+	// the operation initiation (Barrier or any collective on the world
+	// communicator) at which the rank panics with a
 	// *CrashError. The abort cascade then wakes its peers, so the
 	// failure surfaces as an error instead of a hang.
 	Crash map[int]int
@@ -128,9 +110,8 @@ type faultState struct {
 	p     int
 	rules []FaultRule
 	crash map[int]int
-	// rngs[src*p+dst] is drawn only while rank src sends to dst —
-	// mailbox puts and plan publications alike, both on src's
-	// goroutine — so the streams need no locking and stay
+	// rngs[src*p+dst] is drawn only as rank src publishes to dst, on
+	// src's goroutine, so the streams need no locking and stay
 	// deterministic under goroutine interleaving.
 	rngs []*rand.Rand
 
@@ -194,10 +175,9 @@ func compileFaults(f *Faults, p int, reg *metrics.Registry) (*faultState, error)
 // crash schedules follow each rank into the sub-communicator (the
 // crash map is re-keyed to the sub-world's ranks; the operation index
 // counts per communicator because every Comm keeps its own counter),
-// while message rules stay with the parent world's mailboxes and
-// plans. Returns
-// nil when no group member has a scheduled crash, so rule-only fault
-// plans add no per-message overhead to sub-communicators.
+// while message rules stay with the parent world. Returns nil when no
+// group member has a scheduled crash, so rule-only fault plans add no
+// per-message overhead to sub-communicators.
 func (fs *faultState) forSubgroup(parentRanks []int) *faultState {
 	if fs == nil || fs.crash == nil {
 		return nil
@@ -226,11 +206,11 @@ func (fs *faultState) forSubgroup(parentRanks []int) *faultState {
 }
 
 // outcome draws this message's fate from the first matching rule.
-func (fs *faultState) outcome(src, dst int, key matchKey, bytes int64) (drop, dup bool, delay time.Duration) {
+func (fs *faultState) outcome(src, dst, tag int, bytes int64) (drop, dup bool, delay time.Duration) {
 	rng := fs.rngs[src*fs.p+dst]
 	for i := range fs.rules {
 		r := &fs.rules[i]
-		if !r.matches(src, dst, key, bytes) {
+		if !r.matches(src, dst, tag, bytes) {
 			continue
 		}
 		if r.DropProb > 0 && rng.Float64() < r.DropProb {
@@ -261,7 +241,7 @@ func (fs *faultState) outcome(src, dst int, key matchKey, bytes int64) (drop, du
 
 // maybeCrash advances the rank's operation counter and fires a
 // scheduled crash. Called at every operation initiation on the world
-// communicator (Send, Recv, Barrier, collectives).
+// communicator (Barrier, collectives).
 func (c *Comm) maybeCrash() {
 	f := c.w.faults
 	if f == nil || f.crash == nil {

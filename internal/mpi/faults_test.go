@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -33,90 +34,92 @@ func TestCrashScheduleSurfacesTypedError(t *testing.T) {
 	}
 }
 
-// dropCount runs a fixed send pattern under a probabilistic drop rule
-// and returns the total injected-drop count.
-func dropCount(t *testing.T, seed int64) float64 {
+// firstDrop runs Allgathers under a probabilistic drop rule on the
+// fragments rank 0 publishes to rank 1 until the first drop starves
+// rank 1, and returns the watchdog's stall and the drop count.
+func firstDrop(t *testing.T, seed int64) (*StallError, float64) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	err := RunWith(2, reg, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 100; i++ {
-				Send(c, 1, i, []byte{1})
-			}
+		all := make([]byte, 2)
+		for i := 0; i < 100; i++ {
+			Allgather(c, []byte{1}, all)
 		}
-		// Rank 1 never receives: surviving messages just sit in the
-		// queue, so drops cannot deadlock the run.
-	}, WithFaults(&Faults{
-		Seed:  seed,
-		Rules: []FaultRule{{Src: 0, Dst: 1, Tag: AnyTag, Scope: ScopeP2P, DropProb: 0.5}},
-	}))
-	if err != nil {
-		t.Fatal(err)
+	},
+		fastWatch(),
+		WithFaults(&Faults{
+			Seed:  seed,
+			Rules: []FaultRule{{Src: 0, Dst: 1, Tag: AnyTag, DropProb: 0.5}},
+		}))
+	var st *StallError
+	if !errors.As(err, &st) {
+		t.Fatalf("seed %d: error %T (%v) is not *StallError", seed, err, err)
 	}
 	e, ok := reg.Snapshot().SumOverRanks().Get("mpi.fault.drop", metrics.NoRank)
 	if !ok {
 		t.Fatal("no mpi.fault.drop counter recorded")
 	}
-	return e.Value
+	return st, e.Value
 }
 
 // TestDropDeterminism: the same seed must drop exactly the same
-// messages on every run; fault injection is reproducible by contract.
+// fragments on every run — fault injection is reproducible by
+// contract — and the draw is made per fragment: different seeds starve
+// the reader in different collectives.
 func TestDropDeterminism(t *testing.T) {
-	a := dropCount(t, 42)
-	b := dropCount(t, 42)
-	if a != b {
-		t.Fatalf("same seed produced different drop counts: %v vs %v", a, b)
+	tags := map[int]bool{}
+	for seed := int64(1); seed <= 4; seed++ {
+		a, na := firstDrop(t, seed)
+		b, nb := firstDrop(t, seed)
+		if a.Tag != b.Tag || na != nb {
+			t.Fatalf("seed %d: first drop in collective %d then %d (counts %v, %v)", seed, a.Tag, b.Tag, na, nb)
+		}
+		if a.Rank != 1 || a.Peer != 0 || a.Op != opWait || na != 1 {
+			t.Fatalf("seed %d: StallError %+v after %v drops, want rank 1 starved of rank 0's fragment by one drop", seed, a, na)
+		}
+		tags[a.Tag] = true
 	}
-	if a == 0 || a == 100 {
-		t.Fatalf("drop count %v not in (0,100): DropProb 0.5 is not being applied per message", a)
+	if len(tags) == 1 {
+		t.Fatalf("four seeds all dropped in collective %v: DropProb 0.5 is not drawn per fragment", tags)
 	}
 }
 
-// TestDelayedDeliveryIsNotADeadlock: a message held on a fault timer
+// TestDelayedDeliveryIsNotADeadlock: a fragment held on a fault delay
 // longer than the deadlock window must not trip the watchdog — the
-// pending counter marks the world as still having in-flight traffic.
+// pending counter marks the world as still having traffic in flight —
+// and the collective still delivers the right data.
 func TestDelayedDeliveryIsNotADeadlock(t *testing.T) {
-	got := make([]float64, 2)
 	err := TryRun(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			Send(c, 1, 5, []float64{3.5, 7.25})
-			return
+		got := make([]float64, 4)
+		Allgather(c, []float64{3.5, 7.25 * float64(c.Rank())}, got)
+		if got[0] != 3.5 || got[1] != 0 || got[2] != 3.5 || got[3] != 7.25 {
+			panic(fmt.Sprintf("delayed allgather corrupted: %v", got))
 		}
-		Recv(c, 0, 5, got)
 	},
 		WithWatchdog(Watchdog{DeadlockAfter: 100 * time.Millisecond, Poll: 5 * time.Millisecond}),
 		WithFaults(&Faults{Rules: []FaultRule{{
-			Src: AnyRank, Dst: AnyRank, Tag: AnyTag, Scope: ScopeP2P,
+			Src: AnyRank, Dst: AnyRank, Tag: AnyTag,
 			Delay: 300 * time.Millisecond, // 3× the deadlock window
 		}}}),
 	)
 	if err != nil {
 		t.Fatalf("delayed delivery was reported as a failure: %v", err)
 	}
-	if got[0] != 3.5 || got[1] != 7.25 {
-		t.Fatalf("delayed message corrupted: %v", got)
-	}
 }
 
-// TestDuplicateDelivery: DupProb 1 delivers every matching message
-// twice; both copies must be receivable and the dup counter must
-// record the event.
+// TestDuplicateDelivery: DupProb 1 delivers every matching fragment
+// twice. The dup counter records it and the collective's result is
+// unchanged: a published buffer read twice is the same read.
 func TestDuplicateDelivery(t *testing.T) {
 	reg := metrics.NewRegistry()
 	err := RunWith(2, reg, func(c *Comm) {
-		if c.Rank() == 0 {
-			Send(c, 1, 9, []int{11})
-			return
-		}
-		a, b := make([]int, 1), make([]int, 1)
-		Recv(c, 0, 9, a)
-		Recv(c, 0, 9, b) // the injected duplicate
-		if a[0] != 11 || b[0] != 11 {
+		all := make([]int, 2)
+		Allgather(c, []int{11 + c.Rank()}, all)
+		if all[0] != 11 || all[1] != 12 {
 			panic("duplicate payload mismatch")
 		}
 	}, WithFaults(&Faults{
-		Rules: []FaultRule{{Src: 0, Dst: 1, Tag: 9, Scope: ScopeP2P, DupProb: 1}},
+		Rules: []FaultRule{{Src: 0, Dst: 1, Tag: 1, DupProb: 1}},
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -142,33 +145,28 @@ func TestFaultValidation(t *testing.T) {
 	}
 }
 
-// TestFaultScopeFilters: a collective-only rule must leave
-// point-to-point traffic untouched, and MinBytes must exempt small
-// messages.
+// TestFaultScopeFilters: a rule's filters exempt the fragments they do
+// not match. Here a drop rule names collective 3 and fragments of at
+// least 1 KiB: a large Allgather at another sequence number and a small
+// one at sequence number 3 both survive it.
 func TestFaultScopeFilters(t *testing.T) {
 	err := TryRun(2, func(c *Comm) {
-		// Small control allgather survives the MinBytes=1024 drop rule.
-		all := make([]float64, 2)
-		Allgather(c, []float64{float64(c.Rank())}, all)
-		if all[0] != 0 || all[1] != 1 {
+		small := make([]float64, 2)
+		Allgather(c, []float64{float64(c.Rank())}, small) // seq 1: small
+		big := make([]float64, 2*256)
+		Allgather(c, make([]float64, 256), big)           // seq 2: 2 KiB, another seq
+		Allgather(c, []float64{float64(c.Rank())}, small) // seq 3: small
+		if small[0] != 0 || small[1] != 1 {
 			panic("allgather corrupted")
-		}
-		// P2P traffic is outside ScopeColl entirely.
-		buf := make([]byte, 4)
-		if c.Rank() == 0 {
-			Send(c, 1, 1, []byte{1, 2, 3, 4})
-		} else {
-			Recv(c, 0, 1, buf)
 		}
 	},
 		fastWatch(),
 		WithFaults(&Faults{Rules: []FaultRule{{
-			Src: AnyRank, Dst: AnyRank, Tag: AnyTag,
-			Scope: ScopeColl, MinBytes: 1024, DropProb: 1,
+			Src: AnyRank, Dst: AnyRank, Tag: 3, MinBytes: 1024, DropProb: 1,
 		}}}),
 	)
 	if err != nil {
-		t.Fatalf("scoped drop rule hit exempt traffic: %v", err)
+		t.Fatalf("filtered drop rule hit exempt traffic: %v", err)
 	}
 }
 

@@ -6,8 +6,8 @@ import "fmt"
 // zero-allocation counterpart of AllreduceSum/AllreduceMax, built on a
 // registered ExchangePlan. Per-step physics controllers (band forcing's
 // shell energies, injection-rate accounting) sit inside the solver's
-// hot loop, where the one-shot allreduce's fresh gather buffer and
-// mailbox traffic would show up as per-step allocations; a plan
+// hot loop, where the one-shot allreduce's fresh accumulator and
+// publication would show up as per-step allocations; a plan
 // registers everything once at construction and each Sum/Max then
 // publishes the caller's vector and folds every rank's into a
 // plan-owned buffer between the plan's two barriers, allocation-free.

@@ -12,22 +12,19 @@ import (
 func TestSplitInheritsWatchdog(t *testing.T) {
 	err := TryRun(4, func(c *Comm) {
 		row := c.Split(c.Rank()/2, c.Rank()%2)
-		defer func() { _ = row }()
-		buf := make([]int, 1)
 		if c.Rank() < 2 {
-			// Row 0 deadlocks on mismatched tags inside the sub-comm.
+			// Row 0 deadlocks on mismatched collectives inside the
+			// sub-comm.
 			if row.Rank() == 0 {
-				Recv(row, 1, 5, buf) // peer sends tag 6
+				row.Barrier()
 			} else {
-				Recv(row, 0, 7, buf) // peer never sends
+				Allgather(row, []int{1}, make([]int, 2))
 			}
 		} else {
 			// Row 1 stays healthy, then blocks in a parent-world
 			// barrier it can never pass (row 0 is stuck) — the abort
 			// cascade must wake it.
-			Send(row, 1-row.Rank(), 9, []int{1})
-			buf := make([]int, 1)
-			Recv(row, 1-row.Rank(), 9, buf)
+			AllreduceSum(row, []float64{1})
 			c.Barrier()
 		}
 	}, fastWatch())
@@ -35,8 +32,8 @@ func TestSplitInheritsWatchdog(t *testing.T) {
 	if !errors.As(err, &st) {
 		t.Fatalf("error %T (%v) is not *StallError", err, err)
 	}
-	if st.Op != opRecv {
-		t.Fatalf("StallError = %+v, want a recv stall inside the sub-communicator", st)
+	if st.Op != opBarrier || !st.Deadlock || st.Rank > 1 {
+		t.Fatalf("StallError = %+v, want a barrier deadlock inside row 0's sub-communicator", st)
 	}
 }
 
@@ -44,7 +41,7 @@ func TestSplitInheritsWatchdog(t *testing.T) {
 // operation count is per communicator, so ops issued only on the
 // sub-communicator still advance toward the scheduled crash.
 func TestSplitInheritsCrashSchedule(t *testing.T) {
-	// Rank 3 issues only three operations on the world communicator
+	// Rank 3 issues only two operations on the world communicator
 	// (inside Split itself), so a crash scheduled for operation 5 can
 	// only fire through the sub-communicator's inherited schedule.
 	err := TryRun(4, func(c *Comm) {
@@ -106,9 +103,8 @@ func TestRankExitCascadesIntoSubWorlds(t *testing.T) {
 		if c.Rank() == 3 {
 			return // never enters the exchanges below
 		}
-		buf := make([]int, 1)
 		if c.Rank() == 1 {
-			Recv(col, 1, 4, buf) // col group {1,3}: peer 3 exited
+			AllreduceSum(col, []float64{1}) // col group {1,3}: peer 3 exited
 		} else {
 			row.Barrier() // row group {0,1}: rank 1 is stuck above
 		}

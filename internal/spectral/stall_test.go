@@ -2,10 +2,12 @@ package spectral
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 )
@@ -21,7 +23,7 @@ func TestStepAnnotatesStall(t *testing.T) {
 	// the stall fires inside Step's transform waits.
 	drop := mpi.FaultRule{
 		Src: 1, Dst: 0, Tag: mpi.AnyTag,
-		Scope: mpi.ScopeColl, MinBytes: 1024, DropProb: 1,
+		MinBytes: 1024, DropProb: 1,
 	}
 	start := time.Now()
 	err := mpi.TryRun(p, func(c *mpi.Comm) {
@@ -140,5 +142,43 @@ func TestStallAnnotatedOnEveryEngine(t *testing.T) {
 			}
 			t.Logf("%v", se)
 		})
+	}
+}
+
+// TestEnergyBitwiseUnderDelayedAllreduce: a diagnostic's one-shot
+// allreduce is a collective round like any exchange, so message faults
+// reach it. Every fragment delayed and duplicated, Solver.Energy at
+// P = 2 still returns the bitwise value of a clean run, and each rank
+// counts the delay it drew for its peer inside that one call.
+func TestEnergyBitwiseUnderDelayedAllreduce(t *testing.T) {
+	const n, p = 16, 2
+	energy := func(opts ...mpi.RunOption) [p]float64 {
+		var got [p]float64
+		reg := metrics.NewRegistry()
+		err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
+			eng := pfft.NewSlabRealStrategy(c, n, 1, exchange.Fused)
+			defer eng.Close()
+			s := New(c, n, WithNu(0.05), WithTransform(eng))
+			s.SetTaylorGreen()
+			s.Step(0.005)
+			delays := reg.CounterRank("mpi.fault.delay", c.Rank())
+			before := delays.Value()
+			got[c.Rank()] = s.Energy()
+			if len(opts) > 0 && delays.Value()-before != 1 {
+				panic(fmt.Sprintf("rank %d drew %d delays in Energy, want 1", c.Rank(), delays.Value()-before))
+			}
+		}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	clean := energy()
+	faulty := energy(mpi.WithFaults(&mpi.Faults{Rules: []mpi.FaultRule{{
+		Src: mpi.AnyRank, Dst: mpi.AnyRank, Tag: mpi.AnyTag,
+		Delay: 2 * time.Millisecond, DupProb: 1,
+	}}}))
+	if faulty != clean || clean[0] != clean[1] {
+		t.Fatalf("energy per rank %v under delays, %v clean: want one bitwise value", faulty, clean)
 	}
 }

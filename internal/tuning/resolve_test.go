@@ -1,9 +1,12 @@
 package tuning
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/exchange"
+	"repro/internal/mpi"
 )
 
 // resolveIndex must minimize the max-over-ranks cost, so a strategy that is
@@ -40,5 +43,27 @@ func TestResolveTiesAndInvalid(t *testing.T) {
 	}
 	if got, cost := resolveIndex(2, [][]float64{{0, 1}, {1, -1}}); got != 0 || cost != -1 {
 		t.Fatalf("all-invalid table resolved to %d at cost %v, want 0 at -1", got, cost)
+	}
+}
+
+// TestTunerAgreementDropStallsReader: the tuner's agreement Allgather
+// (resolveTimes) is a collective round like any exchange, so a dropped
+// fragment of it starves its reader instead of handing it a stale
+// table, and the watchdog's deadline names that reader, the wait it is
+// in and the peer whose times never arrived.
+func TestTunerAgreementDropStallsReader(t *testing.T) {
+	err := mpi.TryRun(2, func(c *mpi.Comm) {
+		resolveTimes(c, []float64{1e-3, 2e-3, 3e-3})
+	},
+		mpi.WithFaults(&mpi.Faults{Rules: []mpi.FaultRule{{Src: 1, Dst: 0, Tag: mpi.AnyTag, DropProb: 1}}}),
+		mpi.WithWatchdog(mpi.Watchdog{Deadline: 150 * time.Millisecond, DeadlockAfter: time.Hour, Poll: 5 * time.Millisecond}),
+	)
+	var re *mpi.RankError
+	var st *mpi.StallError
+	if !errors.As(err, &re) || re.Rank != 0 || !errors.As(err, &st) {
+		t.Fatalf("error %T (%v), want rank 0's *RankError wrapping a *StallError", err, err)
+	}
+	if st.Rank != 0 || st.Op != "wait" || st.Peer != 1 || st.Deadlock {
+		t.Fatalf("StallError = %+v, want rank 0's deadline in a wait for peer 1", st)
 	}
 }

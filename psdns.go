@@ -73,19 +73,12 @@ type CrashError = mpi.CrashError
 type Watchdog = mpi.Watchdog
 
 // Faults is a deterministic fault-injection plan: seeded per-(src,dst,
-// tag) message drops, duplicates and delays, plus scheduled rank
-// crashes. Pass it through WithFaults.
+// collective) message drops, duplicates and delays, plus scheduled
+// rank crashes. Pass it through WithFaults.
 type Faults = mpi.Faults
 
 // FaultRule describes one class of injected message pathology.
 type FaultRule = mpi.FaultRule
-
-// Fault-rule traffic scopes.
-const (
-	FaultScopeAll  = mpi.ScopeAll
-	FaultScopeP2P  = mpi.ScopeP2P
-	FaultScopeColl = mpi.ScopeColl
-)
 
 // Wildcards for FaultRule rank and tag filters.
 const (

@@ -100,7 +100,7 @@ func TestPublicAPIRegridAndSlices(t *testing.T) {
 func TestPublicAPIChaos(t *testing.T) {
 	drop := repro.FaultRule{
 		Src: 1, Dst: 0, Tag: repro.AnyTag,
-		Scope: repro.FaultScopeColl, MinBytes: 1024, DropProb: 1,
+		MinBytes: 1024, DropProb: 1,
 	}
 	err := repro.TryRun(2, func(c *repro.Comm) {
 		// Pin the staged wire path: the default autotuner would run
