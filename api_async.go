@@ -31,9 +31,8 @@ const (
 )
 
 // ExchangeStrategy selects how the y↔z transpose-exchange moves data:
-// staged pack → all-to-all → unpack, a zero-copy fused gather reading
-// peer slabs in place, its chunked pairwise variant, or plan-time
-// autotuning between them.
+// a zero-copy fused gather reading peer slabs in place, its chunked
+// pairwise variant, or plan-time autotuning between them.
 type ExchangeStrategy = exchange.Strategy
 
 // Transpose-exchange strategies. ExchangeAuto (the zero value)
@@ -41,7 +40,6 @@ type ExchangeStrategy = exchange.Strategy
 // actual (N, P, workers) and pins the collectively-agreed winner.
 const (
 	ExchangeAuto    = exchange.Auto
-	ExchangeStaged  = exchange.Staged
 	ExchangeFused   = exchange.Fused
 	ExchangeChunked = exchange.ChunkedFused
 	// ExchangeAT is the asynchrony-tolerant fused gather: epoch-tagged
@@ -51,8 +49,8 @@ const (
 	ExchangeAT = exchange.AT
 )
 
-// ParseExchangeStrategy parses "auto", "staged", "fused" or "chunked"
-// (the -exchange flag vocabulary of cmd/dns).
+// ParseExchangeStrategy parses "auto", "fused", "chunked" or "at" (the
+// -exchange flag vocabulary of cmd/dns).
 func ParseExchangeStrategy(s string) (ExchangeStrategy, error) {
 	return exchange.Parse(s)
 }
@@ -113,7 +111,7 @@ func WithSingleComm() AsyncOption {
 }
 
 // WithWorkers sets the per-rank worker-team size (the paper's OpenMP
-// threads per rank): batched FFT loops and host pack/unpack kernels
+// threads per rank): batched FFT loops and host gather kernels
 // split across n persistent workers, with bitwise-identical results
 // for any n. Zero or one means serial.
 func WithWorkers(n int) AsyncOption {
@@ -121,8 +119,8 @@ func WithWorkers(n int) AsyncOption {
 }
 
 // WithExchangeStrategy pins the transpose-exchange strategy instead of
-// autotuning it at plan construction. Fused strategies are bitwise
-// identical to staged; only the data path differs.
+// autotuning it at plan construction. The fused and chunked gathers are
+// bitwise identical; only the data path differs.
 func WithExchangeStrategy(s ExchangeStrategy) AsyncOption {
 	return func(o *AsyncOptions) { o.Exchange = s }
 }

@@ -66,8 +66,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		opts []repro.AsyncOption
 		pack bool
 	}{
-		{"staged", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeStaged)}, false},
-		{"staged f32", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeStaged), repro.WithSingleComm()}, true},
+		{"fused", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeFused)}, false},
+		{"fused f32", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeFused), repro.WithSingleComm()}, true},
 		{"chunked", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeChunked)}, false},
 		{"chunked f32", []repro.AsyncOption{repro.WithExchangeStrategy(repro.ExchangeChunked), repro.WithSingleComm()}, true},
 	} {

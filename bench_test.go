@@ -181,17 +181,6 @@ func BenchmarkRealFFT1D(b *testing.B) {
 	}
 }
 
-func BenchmarkPackYZ(b *testing.B) {
-	nxh, ny, mz, p := 33, 64, 16, 4
-	src := make([]complex128, mz*ny*nxh)
-	dst := make([]complex128, mz*ny*nxh)
-	b.SetBytes(int64(16 * len(src)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		transpose.PackYZ(dst, src, nxh, ny, mz, p)
-	}
-}
-
 func BenchmarkAlltoallInProcess(b *testing.B) {
 	for _, p := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {

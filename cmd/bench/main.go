@@ -22,10 +22,9 @@
 //     spinning in the scheduler when the release comes). At P = 2 on two
 //     threads the ranks poll for each other; at P = 4 they outnumber
 //     the threads and park;
-//   - pack_unpack_yz: the host transpose pack/unpack kernel pair;
-//   - exchange_{staged,fused,chunked}_n{64,128}: the isolated y→z
-//     transpose-exchange at P=4 under each pinned strategy (staged
-//     pack → all-to-all → unpack vs the zero-copy fused gathers);
+//   - exchange_{fused,chunked}_n{64,128}: the isolated y→z
+//     transpose-exchange at P=4 under each pinned strategy (the
+//     zero-copy gather in one pass and in pairwise rounds);
 //   - step_at_n64 / exchange_at_n64: the asynchrony-tolerant step and
 //     isolated bounded exchange — the epoch-tagged DoBounded path plus
 //     the staleness-weighted correction, pinned allocation-free;
@@ -88,7 +87,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pfft"
 	"repro/internal/spectral"
-	"repro/internal/transpose"
 	"repro/internal/tuning"
 )
 
@@ -534,8 +532,7 @@ func barrierSkew(p int) func(iters, workers int) sample {
 }
 
 // exchangeYZ measures the isolated y→z transpose-exchange of one
-// Fourier slab under a pinned strategy: staged is the pack →
-// persistent all-to-all → unpack triple, fused and chunked go through
+// Fourier slab under a pinned strategy: every strategy goes through
 // the zero-copy ExchangePlan gather. Same measurement discipline as
 // slabTransform (rank 0 samples, peers run the collective loop).
 func exchangeYZ(n, p int, st exchange.Strategy) func(iters, workers int) sample {
@@ -567,22 +564,6 @@ func exchangeYZ(n, p int, st exchange.Strategy) func(iters, workers int) sample 
 			c.Barrier()
 		})
 		return s
-	}
-}
-
-func packUnpack(nxh, ny, mz, p int) func(iters, workers int) sample {
-	return func(iters, _ int) sample {
-		src := make([]complex128, mz*ny*nxh)
-		dst := make([]complex128, mz*ny*nxh)
-		back := make([]complex128, mz*ny*nxh)
-		for i := range src {
-			src[i] = complex(float64(i%11), 1)
-		}
-		my, nz := ny/p, mz*p
-		return timeLoop(iters, 2, func() {
-			transpose.PackYZ(dst, src, nxh, ny, mz, p)
-			transpose.UnpackYZ(back, dst, nxh, my, nz, p)
-		})
 	}
 }
 
@@ -729,11 +710,8 @@ var workloads = []workload{
 		spectral.WithRotation(2.0), spectral.WithScalars(2, 1.0, 0.7), spectral.WithScalarGradient(1.0))},
 	{"barrier_skew_p2", 4000, 800, true, barrierSkew(2)},
 	{"barrier_skew_p4", 4000, 800, true, barrierSkew(4)},
-	{"pack_unpack_yz", 4000, 800, true, packUnpack(33, 64, 16, 4)},
-	{"exchange_staged_n64", 400, 80, true, exchangeYZ(64, 4, exchange.Staged)},
 	{"exchange_fused_n64", 400, 80, true, exchangeYZ(64, 4, exchange.Fused)},
 	{"exchange_chunked_n64", 400, 80, true, exchangeYZ(64, 4, exchange.ChunkedFused)},
-	{"exchange_staged_n128", 60, 12, true, exchangeYZ(128, 4, exchange.Staged)},
 	{"exchange_fused_n128", 60, 12, true, exchangeYZ(128, 4, exchange.Fused)},
 	{"exchange_chunked_n128", 60, 12, true, exchangeYZ(128, 4, exchange.ChunkedFused)},
 	{"step_at_n64", 10, 2, true, dnsStepAT(64, 4, 1)},

@@ -44,7 +44,7 @@ func main() {
 		engine   = flag.String("engine", "sync", "transform engine: sync or async")
 		np       = flag.Int("np", 3, "pencils per slab (needs -engine async)")
 		gran     = flag.String("gran", "slab", "all-to-all granularity: pencil or slab (needs -engine async)")
-		exch     = flag.String("exchange", "auto", "transpose-exchange strategy: auto, staged, fused, chunked or at (auto microbenchmarks at startup and pins the winner; at needs -at-stale)")
+		exch     = flag.String("exchange", "auto", "transpose-exchange strategy: auto, fused, chunked or at (auto microbenchmarks at startup and pins the winner; at needs -at-stale)")
 		decomp   = flag.String("decomp", "slab", "field decomposition of the one transform engine: slab (the ranks x 1 grid), a PRxPC pencil grid such as 2x4, or auto (times every grid that fits N and ranks and pins the fastest); non-slab selects the transform drive loop — one forward+inverse transform pair per step — which also runs at ranks > N, past the slab scaling wall")
 		autotune = flag.Bool("autotune", false, "whole-step autotuning: search exchange strategy and engine knobs together at startup and pin the collectively-agreed winner")
 		tuneDir  = flag.String("tunecache", "", "persist autotuner decisions as JSON under this directory (implies -autotune; a warm cache skips the startup trials)")
@@ -433,11 +433,8 @@ func checkEngineFlags(set map[string]bool, async, at bool) error {
 
 // phaseLeaves are the disjoint wall sections of one time step: the
 // solver's own arithmetic plus the transform engine's phases
-// (pipeline/pack/a2a/unpack, on every grid).
-var phaseLeaves = []string{
-	"phase.pack", "phase.a2a", "phase.unpack",
-	"phase.pipeline", "phase.compute",
-}
+// (pipeline and exchange, on every grid).
+var phaseLeaves = []string{"phase.a2a", "phase.pipeline", "phase.compute"}
 
 // printPhaseBreakdown reports the per-phase step decomposition of the
 // slowest rank — the rank with the largest total step time, matching

@@ -82,7 +82,7 @@ func gatherSweep(n, p, reps int) {
 		}
 	}
 	dst := make([]complex128, l.Total)
-	bytes := float64(p) * float64(l.Block) * 16
+	bytes := float64(l.Total) * 16
 	fmt.Printf("fused y→z gather, N=%d P=%d (slab %d MiB, stride %d KiB, default tile %d):\n",
 		n, p, l.Total*16>>20, l.Nz*nxh*16>>10, transpose.DefaultGatherTile)
 	fmt.Printf("%-10s %12s %14s\n", "tile", "time (ms)", "rate (GB/s)")

@@ -49,7 +49,7 @@ func allocsPerPair(n, p, kmax int, opt pfft.Options) float64 {
 // precision.
 func TestAsyncSteadyStateZeroAllocs(t *testing.T) {
 	const n, p, np = 16, 2, 3
-	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+	for _, st := range exchange.Concrete {
 		for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 			for _, ngpu := range []int{1, 2} {
 				for _, single := range []bool{false, true} {

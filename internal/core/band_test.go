@@ -38,7 +38,7 @@ func exchangeUnits(m int, opt pfft.Options) [][2]int {
 // poisonThrough stores NaN over every buffer of a that a transform
 // writes, through the exported transform pair alone: at the full band
 // the inverse of a NaN spectrum and the forward of a NaN field run
-// through every intermediate slab, wire slab and staged block, then a
+// through every intermediate slab and wire slab, then a
 // is truncated back to kmax. A band transform that reads a destination
 // it has not written then turns its answer into NaN. Collective.
 func poisonThrough(a *pfft.SlabReal, kmax int) {
@@ -133,7 +133,7 @@ func checkMaskedFull(a *pfft.SlabReal, kmaxes []int) {
 // alone (pfft's same-named test poisons the engine's own buffers from
 // inside): pencil counts that leave whole pencils outside the band
 // (and, at two devices, sub-pencils of width one), both granularities
-// and wire precisions, a staged and a zero-copy strategy.
+// and wire precisions, the fused and the chunked gather.
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
 		kmaxes := []int{0, 1, grid.DealiasKmax(n), n/2 - 1, n / 2}
@@ -144,7 +144,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 						for _, single := range []bool{false, true} {
 							st := exchange.Fused
 							if (np+ngpu+p)%2 == 0 {
-								st = exchange.Staged
+								st = exchange.ChunkedFused
 							}
 							opt := pfft.Options{NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st, Workers: ngpu}
 							if err := mpi.TryRun(p, func(c *mpi.Comm) {

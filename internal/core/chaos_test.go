@@ -51,7 +51,7 @@ func TestTransformBitwiseCorrectUnderDelays(t *testing.T) {
 		Src: mpi.AnyRank, Dst: mpi.AnyRank, Tag: mpi.AnyTag,
 		Delay: 2 * time.Millisecond,
 	}
-	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+	for _, st := range exchange.Concrete {
 		for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 			opt := pfft.Options{NP: 3, Granularity: gran, Exchange: st}
 			clean := make([][]complex128, p)
@@ -109,7 +109,7 @@ func TestWaitDeadlineSurfacesStallError(t *testing.T) {
 		}
 		return se, err
 	}
-	for _, pinned := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+	for _, pinned := range exchange.Concrete {
 		st, err := stall(pinned)
 		if st.Rank != 0 || st.Op != "wait" || st.Deadlock {
 			t.Fatalf("%s: StallError = %+v, want rank 0's deadline in a collective wait", pinned, st)

@@ -15,13 +15,13 @@ import (
 // it has run: after a truncation to the 2/3 band and a round trip, and
 // again after Truncate(N/2) restores the full band and another round
 // trip, each float and complex buffer reachable from it — the pooled
-// slabs, the f32 wire slabs, the stages' staged blocks, the cells' FFT
-// plan scratch — is reached to its end by some slice, zero-copy and
-// staged, on both wires and both granularities. pfft's same-named test
-// walks freshly built engines.
+// slabs, the f32 wire slabs, the cells' FFT plan scratch — is reached
+// to its end by some slice, under every strategy, on both wires and
+// both granularities. pfft's same-named test walks freshly built
+// engines.
 func TestEngineBuffersExactLength(t *testing.T) {
 	const n, p = 24, 2
-	for _, st := range []exchange.Strategy{exchange.Fused, exchange.Staged} {
+	for _, st := range exchange.Concrete {
 		for _, single := range []bool{false, true} {
 			for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 				opt := pfft.Options{NP: 3, Granularity: gran, NGPU: 2, Workers: 2, SingleComm: single, Exchange: st}

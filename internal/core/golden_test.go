@@ -85,7 +85,7 @@ func TestEngineGoldenHashes(t *testing.T) {
 			if single {
 				want = g.single
 			}
-			for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+			for _, st := range exchange.Concrete {
 				for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 					for _, workers := range []int{1, 2} {
 						name := fmt.Sprintf("n%d_np%d_ngpu%d_single%v_%s_gran%d_w%d", g.n, g.np, g.ngpu, single, st, gran, workers)

@@ -104,7 +104,7 @@ func TestSingleCommDNSRunsStably(t *testing.T) {
 // comparison cannot hold as 0 = 0.
 func TestSingleCommHalvesWireBytes(t *testing.T) {
 	const n, p = 16, 2
-	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+	for _, st := range exchange.Concrete {
 		const counter = "exchange.bytes"
 		var charged [2]int64 // f64, f32
 		for i, single := range []bool{false, true} {
@@ -135,13 +135,13 @@ func TestSingleCommHalvesWireBytes(t *testing.T) {
 // engine, the same narrow and widen bodies (pfft.Passes) around the
 // same slab kernels, so pfft.Options{NP: 3, SingleComm} and
 // the slab's options with SingleComm (np 1) agree bit for bit through a
-// forward+inverse pair — staged and chunked, at the full and the 2/3
+// forward+inverse pair — fused and chunked, at the full and the 2/3
 // band, on 1, 2 and 4 ranks.
 func TestSingleCommMatchesSlabSingle(t *testing.T) {
 	const n = 16
 	for _, p := range []int{1, 2, 4} {
 		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
-			for _, st := range []exchange.Strategy{exchange.Staged, exchange.ChunkedFused} {
+			for _, st := range exchange.Concrete {
 				if err := mpi.TryRun(p, func(c *mpi.Comm) {
 					ref := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 1, Granularity: pfft.PerSlab, NGPU: 1, SingleComm: true})
 					defer ref.Close()

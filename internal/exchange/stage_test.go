@@ -2,7 +2,6 @@ package exchange
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -13,8 +12,8 @@ import (
 // blockKernels is the plain block all-to-all as a stage direction: rank
 // r's src block j lands in rank j's dst block r, each block's elements
 // reversed when rev is set (so the two directions of a stage are
-// distinguishable). Pack/Unpack/Gather split over the p blocks,
-// GatherPeer over the blk elements of one block.
+// distinguishable). Gather splits over the p blocks, GatherPeer over
+// the blk elements of one block.
 func blockKernels[T Elem](me, p, blk int, rev bool) Kernels[T] {
 	at := func(i int) int {
 		if rev {
@@ -23,15 +22,7 @@ func blockKernels[T Elem](me, p, blk int, rev bool) Kernels[T] {
 		return i
 	}
 	return Kernels[T]{
-		PackUnits: p, DstUnits: p, PeerUnits: blk,
-		Pack: func(pack, src []T, lo, hi int) {
-			copy(pack[lo*blk:hi*blk], src[lo*blk:hi*blk])
-		},
-		Unpack: func(dst, recv []T, lo, hi int) {
-			for i := lo * blk; i < hi*blk; i++ {
-				dst[i/blk*blk+at(i%blk)] = recv[i]
-			}
-		},
+		DstUnits: p, PeerUnits: blk,
 		Gather: func(dst []T, srcs [][]T, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				for i := 0; i < blk; i++ {
@@ -58,15 +49,13 @@ func testStage[T Elem](t *testing.T, conv func(float64) T) {
 			team := par.NewTeam(workers)
 			defer team.Close()
 			dirs := [2]Kernels[T]{YZ: blockKernels[T](me, p, blk, false), ZY: blockKernels[T](me, p, blk, true)}
-			sync := NewStage(c, team, Phases{}, p*blk, p*blk, nil, dirs)
+			sync := NewStage(c, team, nil, p*blk, nil, dirs)
 			defer sync.Close()
-			at := NewStage(c, team, Phases{}, 0, p*blk, &Bound{MaxStale: 1, Deadline: 2 * time.Second}, dirs)
+			at := NewStage(c, team, nil, p*blk, &Bound{MaxStale: 1, Deadline: 2 * time.Second}, dirs)
 			defer at.Close()
 
-			src := Alloc[T](p * blk)
-			dst := Alloc[T](p * blk)
-			defer Release(src)
-			defer Release(dst)
+			src := make([]T, p*blk)
+			dst := make([]T, p*blk)
 			for i := range src {
 				src[i] = conv(float64(1000*me + i))
 			}
@@ -105,26 +94,6 @@ func testStage[T Elem](t *testing.T, conv func(float64) T) {
 	}
 }
 
-// A stage built without staged blocks (stagedLen 0) runs the zero-copy
-// strategies and refuses Staged with a message naming the constructor
-// argument, on every rank alike, instead of dereferencing a nil plan.
-func TestStagedRunNeedsBlocks(t *testing.T) {
-	const p, blk = 2, 3
-	err := mpi.TryRun(p, func(c *mpi.Comm) {
-		team := par.NewTeam(1)
-		defer team.Close()
-		k := blockKernels[complex128](c.Rank(), p, blk, false)
-		s := NewStage(c, team, Phases{}, 0, p*blk, nil, [2]Kernels[complex128]{k, k})
-		defer s.Close()
-		src, dst := make([]complex128, p*blk), make([]complex128, p*blk)
-		s.Run(YZ, ChunkedFused, src, dst)
-		s.Run(ZY, Staged, src, dst)
-	})
-	if err == nil || !strings.Contains(err.Error(), "NewStage allocates the pack and recv blocks only for stagedLen > 0") {
-		t.Fatalf("Staged on a stage without blocks: %v", err)
-	}
-}
-
 func TestStageStrategiesAgree(t *testing.T) {
 	t.Run("complex128", func(t *testing.T) { testStage(t, func(x float64) complex128 { return complex(x, -x) }) })
 	t.Run("complex64", func(t *testing.T) {
@@ -154,7 +123,7 @@ func TestBoundedStageForwardsSite(t *testing.T) {
 		team := par.NewTeam(1)
 		defer team.Close()
 		k := blockKernels[complex128](me, p, blk, false)
-		s := NewStage(c, team, Phases{}, 0, p*blk, &Bound{MaxStale: 2}, [2]Kernels[complex128]{k, k})
+		s := NewStage(c, team, nil, p*blk, &Bound{MaxStale: 2}, [2]Kernels[complex128]{k, k})
 		defer s.Close()
 		src := make([]complex128, p*blk)
 		dst := make([]complex128, p*blk)

@@ -8,10 +8,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// The staged all-to-all is an ExchangePlan whose gather copies blocks
-// (exchange.Stage runs it under Staged): the registered send buffer is
-// published, and recv block s receives block me of rank s's buffer.
-// These tests pin that gather as the persistent all-to-all.
+// A block all-to-all is an ExchangePlan whose gather copies blocks: the
+// registered send buffer is published, and recv block s receives block
+// me of rank s's buffer. These tests pin that gather as the persistent
+// all-to-all.
 
 // blockCopy returns the block-copy gather of rank me into recv, bs
 // elements a block.

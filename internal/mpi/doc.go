@@ -51,9 +51,8 @@
 //   - Alltoallv charges Σ sendcounts minus sendcounts[self].
 //   - An ExchangePlan charges what its gather reads from remote slabs
 //     (SetWire; by default the off-diagonal blocks), under
-//     exchange.bytes and exchange.calls rather than mpi.a2a.*: the
-//     staged all-to-all of exchange.Stage and ReducePlan ((P−1)·n) are
-//     plan exchanges too.
+//     exchange.bytes and exchange.calls rather than mpi.a2a.*:
+//     ReducePlan ((P−1)·n) is a plan exchange too.
 //
 // Summing a counter over ranks therefore gives total traffic offered
 // to the interconnect, with no double counting and no phantom loopback

@@ -13,9 +13,8 @@ import (
 // the rank's current source slab and then runs a caller-supplied
 // gather that reads **directly from every peer's published slab**
 // (ranks are goroutines in one address space). What the exchange
-// moves is the gather's business: the staged all-to-all of
-// exchange.Stage copies registered blocks into a receive buffer,
-// ReducePlan folds every rank's vector, and the fused transpose lands
+// moves is the gather's business: ReducePlan folds every rank's
+// vector, and the fused transpose of exchange.Stage lands
 // strided rows straight in the destination layout — pack, wire copy
 // and unpack in one parallel pass (the in-process analogue of the
 // paper's §4 zero-copy strided kernels reading pinned host memory in
@@ -199,8 +198,8 @@ func (pl *ExchangePlan[T]) SetWire(elems int) { pl.wire = sliceBytes[T](elems) }
 // source slab, and once every rank has published, gather runs with
 // the full table of published slabs (indexed by rank) to perform the
 // local strided gathers. After Do returns on every rank, each rank's
-// destination holds exactly what the staged pack → all-to-all →
-// unpack triple would have produced — in one pass instead of three.
+// destination holds exactly what a pack → all-to-all → unpack triple
+// would have produced — in one pass instead of three.
 // Under message faults the gather first waits until every peer's slab
 // is visible to this rank (awaitFates).
 //

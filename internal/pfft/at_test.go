@@ -12,16 +12,16 @@ import (
 
 // With no injected delay and a generous deadline the asynchrony-
 // tolerant transform must be bitwise identical to the synchronous
-// staged reference: every bounded exchange completes inside the wait,
+// chunked reference: every bounded exchange completes inside the wait,
 // the gather runs on current-epoch slabs, and the fused gather kernels
-// are the exact ones the Fused strategy runs.
+// land exactly what the per-peer rounds land.
 func TestSlabRealATZeroDelayBitwiseIdentity(t *testing.T) {
 	const n = 28
 	for _, p := range []int{1, 2, 4} {
 		p := p
 		t.Run(fmt.Sprintf("p%d", p), func(t *testing.T) {
 			if err := mpi.TryRun(p, func(c *mpi.Comm) {
-				ref := NewSlabRealStrategy(c, n, 1, exchange.Staged)
+				ref := NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused)
 				defer ref.Close()
 				fl, pl := ref.FourierLen(), ref.PhysicalLen()
 

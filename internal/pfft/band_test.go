@@ -56,22 +56,12 @@ func slabSingle(c *mpi.Comm, n, workers int) *SlabReal {
 func testLayout(e *SlabReal) *transpose.PencilLayout { return e.l }
 
 // poisonEngine stores NaN over every element of the engine's own
-// buffers — B; the single-precision wire's narrowed slabs and, under
-// Staged, its unit stages' staged blocks — none of which a transform
-// may read before writing. X, on a grid with Pc > 1, is the head of the
-// caller's Fourier slab, which checkBandOracle poisons. The
-// blocks are the stages' own, so they are poisoned the way a transform
-// fills them: by a ZY exchange of the NaN mid (or mid32), which packs
-// NaN into every block the band uses and lands it in the recv blocks
-// and a scratch Fourier slab (four32 on the f32 wire, which stays NaN).
-// Collective.
+// buffers — B and the single-precision wire's narrowed slabs — none of
+// which a transform may read before writing. X, on a grid with Pc > 1,
+// is the head of the caller's Fourier slab, which checkBandOracle
+// poisons.
 func poisonEngine(f *SlabReal) {
 	bufs, bufs32 := [][]complex128{f.mid}, [][]complex64{f.four32, f.mid32}
-	defer func() {
-		if f.pair.ZY == exchange.Staged {
-			f.runTrial(exchange.ZY, exchange.Staged, make([]complex128, f.FourierLen()))
-		}
-	}()
 	for _, buf := range bufs {
 		for i := range buf {
 			buf[i] = cmplx.NaN()
@@ -180,8 +170,8 @@ func checkBandOracle(f *SlabReal, kmaxes []int, poison bool) {
 // single-precision wire and the asynchrony-tolerant exchange at
 // staleness 0 on the slab. The batched pipeline: pencil counts that
 // leave whole pencils outside the band (and, at two devices,
-// sub-pencils of width one), both granularities and wire precisions, a
-// staged and a zero-copy strategy.
+// sub-pencils of width one), both granularities and wire precisions,
+// the fused and the chunked gather.
 func TestTruncateMatchesMaskedFull(t *testing.T) {
 	for _, n := range []int{12, 16} {
 		run := func(p int, tag string, build func(c *mpi.Comm) *SlabReal) {
@@ -195,7 +185,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 		}
 		for _, p := range []int{1, 2, 4, 8} {
 			for _, d := range grids(n, p) {
-				for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+				for _, st := range exchange.Concrete {
 					for _, workers := range []int{1, 3} {
 						run(p, fmt.Sprintf("%s %s workers=%d", d, st, workers), func(c *mpi.Comm) *SlabReal {
 							if d.Pc == 1 {
@@ -222,7 +212,7 @@ func TestTruncateMatchesMaskedFull(t *testing.T) {
 						for _, single := range []bool{false, true} {
 							st := exchange.ChunkedFused
 							if (np+ngpu)%2 == 0 {
-								st = exchange.Staged
+								st = exchange.Fused
 							}
 							opt := Options{NP: np, Granularity: gran, NGPU: ngpu, SingleComm: single, Exchange: st, Workers: 1 + np%2}
 							run(p, fmt.Sprintf("%+v", opt), func(c *mpi.Comm) *SlabReal { return NewAsyncSlabReal(c, n, opt) })
@@ -264,7 +254,7 @@ func FuzzTruncateBand(f *testing.F) {
 		}
 		kmax := int(kSel)%(n/2+3) - 1
 		workers := 1 + int(w)%3
-		st := []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused}[int(w)/3%3]
+		st := exchange.Concrete[int(w)/3%len(exchange.Concrete)]
 		wire := "f64"
 		if pc == 1 {
 			wire = []string{"f64", "f32", "at"}[int(poison)>>1%3]
@@ -361,15 +351,12 @@ func checkBandGather[T exchange.Elem](c *mpi.Comm, n, kmax int) {
 	// B = [My][Nz][Wc] sits: its global kz and its column.
 	atC := func(i int) (kz, x int) { return me*l.Mz + i/wc/n, i % wc }
 	atB := func(i int) (kz, x int) { return i / wc % n, i % wc }
-	for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused, exchange.AT} {
-		staged, bound := 0, (*exchange.Bound)(nil)
-		switch st {
-		case exchange.Staged:
-			staged = l.Total
-		case exchange.AT:
+	for _, st := range []exchange.Strategy{exchange.Fused, exchange.ChunkedFused, exchange.AT} {
+		var bound *exchange.Bound
+		if st == exchange.AT {
 			bound = &exchange.Bound{Deadline: time.Second}
 		}
-		stage := exchange.NewStage(c, team, exchange.Phases{}, staged, l.Total, bound, exchange.SlabKernels[T](&l, me))
+		stage := exchange.NewStage(c, team, nil, l.Total, bound, exchange.SlabKernels[T](&l, me))
 		for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
 			srcAt, dstAt := atC, atB
 			if d == exchange.ZY {
@@ -416,7 +403,7 @@ func checkBandGather[T exchange.Elem](c *mpi.Comm, n, kmax int) {
 }
 
 // The band gathers against the full ones, kernel by kernel: the row
-// stage's pack/unpack, fused and chunked gathers and the bounded gather
+// stage's fused and chunked gathers and the bounded gather
 // move exactly the band and store exactly the zeros the receiving side
 // owes (checkBandGather), at both wire types, for every band of the
 // oracle and every rank count that divides N.
@@ -498,7 +485,7 @@ func TestExchangeBytesAreInBand(t *testing.T) {
 			for _, np := range []int{1, 3, 4, 5} {
 				for _, gran := range []Granularity{PerPencil, PerSlab} {
 					for _, single := range []bool{false, true} {
-						for _, st := range []exchange.Strategy{exchange.ChunkedFused, exchange.Staged} {
+						for _, st := range exchange.Concrete {
 							for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
 								opt := Options{NP: np, Granularity: gran, NGPU: 1 + (np+p)%2, SingleComm: single, Exchange: st}
 								if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
@@ -637,10 +624,6 @@ func checkAsyncBytes(c *mpi.Comm, n, kmax int, opt Options) {
 		yz, zy := int64(theirs*m)*kb*elem, int64((p-1)*mine*u.width())*kb*elem
 		if size := int64(u.width() * n * nxh); kmax < 0 && (yz != (size-size/int64(p))*elem || zy != yz) {
 			panic(fmt.Sprintf("full band: unit %v charges %d/%d, the whole unit's share is %d", u, yz, zy, (size-size/int64(p))*elem))
-		}
-		if opt.Exchange == exchange.Staged {
-			yz = int64((p-1)*u.width()*m) * kb * elem
-			zy = yz
 		}
 		want[exchange.YZ] += yz
 		want[exchange.ZY] += zy

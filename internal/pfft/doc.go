@@ -63,19 +63,17 @@
 // Row exchange unit u is plane group u, and its exchange is the slab
 // transpose over the group's planes with Nxh := Wc: a
 // transpose.SlabLayout Range under exchange.SlabKernels, one stage per
-// unit over the row communicator. Under the zero-copy strategies it
-// publishes the group's planes and every peer gathers them in place
-// into its destination: straight from the pencil on the
-// double-precision wire, which packs nothing and leaves the transfer
-// stream idle, from the planes a pack narrowed (the f32 bracket of
-// Passes, widened again by the cells behind the exchange) on the
-// single-precision wire. Staged runs the unit's stage with staged
-// blocks: it packs the group's planes into compact blocks, exchanges
-// the blocks and unpacks them. The column exchange is one stage over
-// the column communicator, run once per direction over the whole
-// pencil from the column kernels of internal/transpose. Every strategy
-// so runs through one exchange.Stage.Run and one mpi.ExchangePlan.Do,
-// where message fault injection reaches it. The row exchange's
+// unit over the row communicator. Every strategy publishes the group's
+// planes and every peer gathers them in place into its destination:
+// straight from the pencil on the double-precision wire, which packs
+// nothing and leaves the transfer stream idle, from the planes a pack
+// narrowed (the f32 bracket of Passes, widened again by the cells
+// behind the exchange) on the single-precision wire. The column
+// exchange is one stage over the column communicator, run once per
+// direction over the whole pencil from the column kernels of
+// internal/transpose. Every strategy so runs through one
+// exchange.Stage.Run and one mpi.ExchangePlan.Do, where message fault
+// injection reaches it. The row exchange's
 // granularity is selectable: PerPencil starts a group's exchange as
 // soon as it is ready, two groups behind the launch frontier,
 // overlapping the later groups' compute (configurations A and B of the

@@ -3,9 +3,7 @@ package pfft
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/exchange"
 	"repro/internal/grid"
@@ -13,8 +11,8 @@ import (
 	"repro/internal/mpi"
 )
 
-// Every concrete strategy pair must be bitwise identical to the staged
-// pack → all-to-all → unpack triple in both directions — for every rank
+// Every concrete strategy pair must be bitwise identical to the fused
+// gather at one worker in both directions — for every rank
 // count and team size (7 workers outnumber the units at P=7), on full
 // forward+inverse transforms, on either wire precision: narrowing is
 // deterministic, so the single-precision paths must agree exactly with
@@ -44,9 +42,10 @@ func TestSlabRealExchangeStrategiesBitwiseIdentity(t *testing.T) {
 
 // checkStrategiesBitwise is one rank of one case of
 // TestSlabRealExchangeStrategiesBitwiseIdentity: every strategy pair
-// and team size against staged/staged, all truncated to kmax.
+// and team size against fused/fused at one worker, all truncated to
+// kmax.
 func checkStrategiesBitwise(c *mpi.Comm, n, kmax int, single bool) {
-	ref := slabWith(c, n, 1, exchange.Both(exchange.Staged), single)
+	ref := slabWith(c, n, 1, exchange.Both(exchange.Fused), single)
 	defer ref.Close()
 	ref.Truncate(kmax)
 	fl, pl := ref.FourierLen(), ref.PhysicalLen()
@@ -173,56 +172,13 @@ func TestSlabRealFusedSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// Only Staged touches a stage's pack and recv blocks, so an engine
-// pinned to a zero-copy strategy or to AT is built without them and its
-// stages refuse a Staged exchange, while an engine with a Staged
-// direction carries them and runs Staged both ways. ZY runs first so a
-// pencil grid reaches its column stage before the row stage.
-func TestPinnedEnginesCarryNoStagedBlocks(t *testing.T) {
-	const n = 16
-	pencil := func(pair exchange.Pair) func(c *mpi.Comm) *SlabReal {
-		return func(c *mpi.Comm) *SlabReal {
-			row, col := c.CartGrid(2, 2)
-			return NewPencilReal(col, row, n, 1, pair)
-		}
-	}
-	for _, tc := range []struct {
-		name   string
-		p      int
-		build  func(c *mpi.Comm) *SlabReal
-		blocks bool
-	}{
-		{"slab fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Fused) }, false},
-		{"slab chunked", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }, false},
-		{"slab at", 2, func(c *mpi.Comm) *SlabReal { return slabAT(c, n, 1, 0, time.Second) }, false},
-		{"pencil 2x2 chunked", 4, pencil(exchange.Both(exchange.ChunkedFused)), false},
-		{"slab staged", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Staged) }, true},
-		{"slab staged/fused", 2, func(c *mpi.Comm) *SlabReal {
-			return slabWith(c, n, 1, exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}, false)
-		}, true},
-		{"pencil 2x2 staged/fused", 4, pencil(exchange.Pair{YZ: exchange.Staged, ZY: exchange.Fused}), true},
-	} {
-		err := mpi.TryRun(tc.p, func(c *mpi.Comm) {
-			f := tc.build(c)
-			defer f.Close()
-			four := make([]complex128, f.FourierLen())
-			for _, d := range []exchange.Dir{exchange.ZY, exchange.YZ} {
-				f.runTrial(d, exchange.Staged, four)
-			}
-		})
-		refused := err != nil && strings.Contains(err.Error(), "NewStage allocates the pack and recv blocks only for stagedLen > 0")
-		if tc.blocks && err != nil || !tc.blocks && !refused {
-			t.Errorf("%s (blocks expected: %v): a Staged exchange returned %v", tc.name, tc.blocks, err)
-		}
-	}
-}
-
 // The isolated ExchangeYZ hook (what the bench harness drives) must
-// produce the same physical-side layout for every strategy.
+// produce the same physical-side layout for every strategy and team
+// size.
 func TestExchangeYZStrategyIdentity(t *testing.T) {
 	const n, p = 28, 4
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		ref := NewSlabRealStrategy(c, n, 2, exchange.Staged)
+		ref := NewSlabRealStrategy(c, n, 1, exchange.Fused)
 		defer ref.Close()
 		fl := ref.FourierLen()
 		four := make([]complex128, fl)
@@ -234,7 +190,7 @@ func TestExchangeYZStrategyIdentity(t *testing.T) {
 		want := make([]complex128, len(ref.mid))
 		copy(want, ref.mid)
 
-		for _, st := range []exchange.Strategy{exchange.Fused, exchange.ChunkedFused} {
+		for _, st := range exchange.Concrete {
 			f := NewSlabRealStrategy(c, n, 2, st)
 			f.ExchangeYZ(four)
 			for i := range want {
@@ -246,64 +202,5 @@ func TestExchangeYZStrategyIdentity(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// A staged exchange moves the band's compact blocks: per direction,
-// every unit's exchange charges exchange.bytes (P−1)·w·My·KB elements
-// at the wire precision — w the unit's planes (none for a group past
-// N/P), KB the band's x width — not whole w·My·Nxh blocks. The slab is
-// the np = 1 case, its one unit the whole slab.
-func TestStagedChargesBandBlocks(t *testing.T) {
-	const n = 16
-	for _, p := range []int{1, 2, 4} {
-		for _, kmax := range []int{-1, grid.DealiasKmax(n)} {
-			for _, np := range []int{1, 3, 5} {
-				for _, gran := range []Granularity{PerPencil, PerSlab} {
-					for _, single := range []bool{false, true} {
-						opt := Options{NP: np, Granularity: gran, Exchange: exchange.Staged, SingleComm: single}
-						if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
-							checkStagedBytes(c, n, kmax, opt)
-						}); err != nil {
-							t.Fatalf("P=%d kmax=%d %+v: %v", p, kmax, opt, err)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// checkStagedBytes is one rank of TestStagedChargesBandBlocks.
-func checkStagedBytes(c *mpi.Comm, n, kmax int, opt Options) {
-	a := NewAsyncSlabReal(c, n, opt)
-	defer a.Close()
-	a.Truncate(kmax)
-	p, my := c.Size(), n/c.Size()
-	kb, elem := int64(grid.NewBand(n, kmax).Width(0, n/2+1)), int64(16)
-	if opt.SingleComm {
-		elem = 8
-	}
-	units := splitRange(my, opt.NP)
-	if opt.Granularity == PerSlab {
-		units = []span{{0, my}}
-	}
-	want := int64(0)
-	for _, u := range units {
-		want += int64((p-1)*u.width()*my) * kb * elem
-	}
-	ctr := c.Metrics().CounterRank("exchange.bytes", c.Rank())
-	four := make([]complex128, a.FourierLen())
-	phys := make([]float64, a.PhysicalLen())
-	for _, d := range []exchange.Dir{exchange.YZ, exchange.ZY} {
-		before := ctr.Value()
-		if d == exchange.YZ {
-			a.FourierToPhysical(phys, four)
-		} else {
-			a.PhysicalToFourier(four, phys)
-		}
-		if got := ctr.Value() - before; got != want {
-			panic(fmt.Sprintf("dir %d: exchange.bytes grew %d, the band's blocks are %d", d, got, want))
-		}
 	}
 }

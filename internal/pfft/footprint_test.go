@@ -15,12 +15,11 @@ import (
 )
 
 // Every buffer an engine holds costs only what it holds: each float and
-// complex buffer reachable from the engine — pooled slabs, staging and
-// wire blocks, FFT plan scratch — is reached to its end by some slice.
-// The slab under every kind of stage (plain, Staged blocks, the f32
-// wire); the batched pipeline zero-copy and staged, on both wires and
-// both granularities, at two devices and two workers; a 2×2 pencil
-// grid.
+// complex buffer reachable from the engine — pooled slabs, wire
+// slabs, FFT plan scratch — is reached to its end by some slice. The
+// slab under every strategy and on the f32 wire; the batched pipeline
+// under every strategy, on both wires and both granularities, at two
+// devices and two workers; a 2×2 pencil grid.
 func TestEngineBuffersExactLength(t *testing.T) {
 	const n = 24
 	type engine struct {
@@ -29,15 +28,15 @@ func TestEngineBuffersExactLength(t *testing.T) {
 		build func(c *mpi.Comm) *SlabReal
 	}
 	engines := []engine{
-		{"slab/fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused) }},
-		{"slab/staged", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.Staged) }},
+		{"slab/chunked", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.ChunkedFused) }},
+		{"slab/fused", 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 2, exchange.Fused) }},
 		{"slab/f32", 2, func(c *mpi.Comm) *SlabReal { return slabSingle(c, n, 2) }},
-		{"pencil2x2/staged", 4, func(c *mpi.Comm) *SlabReal {
+		{"pencil2x2/fused", 4, func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(2, 2)
-			return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
+			return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
 		}},
 	}
-	for _, st := range []exchange.Strategy{exchange.ChunkedFused, exchange.Staged} {
+	for _, st := range exchange.Concrete {
 		for _, single := range []bool{false, true} {
 			for _, gran := range []Granularity{PerPencil, PerSlab} {
 				opt := Options{NP: 3, Granularity: gran, NGPU: 2, Workers: 2, SingleComm: single, Exchange: st}
@@ -86,12 +85,10 @@ func buildPencilGrid(n, pr, pc int, st exchange.Strategy) []*SlabReal {
 // On a grid with Pc > 1 the engine holds one intermediate pencil, B: X
 // has no storage of its own and lives in the caller's Fourier slab, so
 // FourierLen is max(CLen, PadXLen) on every rank. The walk counts every
-// complex buffer at least as long as the rank's shortest pencil, outside
-// the exchange stages (whose staged blocks only a pinned Staged carries:
-// TestPinnedEnginesCarryNoStagedBlocks).
+// complex buffer at least as long as the rank's shortest pencil.
 func TestPencilHoldsOneIntermediate(t *testing.T) {
 	for _, g := range pencilGrids {
-		for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+		for _, st := range exchange.Concrete {
 			for r, e := range buildPencilGrid(g.n, g.pr, g.pc, st) {
 				l, tag := e.l, fmt.Sprintf("N=%d %dx%d %s rank %d", g.n, g.pr, g.pc, st, r)
 				if got, want := e.FourierLen(), max(l.CLen(), l.PadXLen); got != want {
@@ -120,7 +117,7 @@ func TestPencilHoldsOneIntermediate(t *testing.T) {
 // whole slab is a sum over the modes.
 func TestPencilFourierTailHoldsNoMode(t *testing.T) {
 	for _, g := range pencilGrids {
-		for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+		for _, st := range exchange.Concrete {
 			var tails atomic.Int64
 			if err := mpi.TryRun(g.pr*g.pc, func(c *mpi.Comm) {
 				row, col := c.CartGrid(g.pr, g.pc)

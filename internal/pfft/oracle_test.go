@@ -187,7 +187,7 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 			if n%p != 0 {
 				slabs = nil // no slab of N/P planes
 			}
-			for _, st := range []exchange.Strategy{exchange.Staged, exchange.Fused, exchange.ChunkedFused} {
+			for _, st := range exchange.Concrete {
 				for _, workers := range []int{1, 3} {
 					for _, d := range grids(n, p) {
 						if d.Pc == 1 {

@@ -148,7 +148,7 @@ func TestPencilSlabBitwiseIdentity(t *testing.T) {
 	const n = 16
 	refFour, refPhys := slabGlobalReference(t, n)
 	pairs := []exchange.Pair{
-		exchange.Both(exchange.Staged),
+		exchange.Both(exchange.Fused),
 		{YZ: exchange.ChunkedFused, ZY: exchange.Fused},
 	}
 	for _, p := range []int{1, 2, 4, 8} {
@@ -194,12 +194,11 @@ func TestPencilPastSlabWallBitwiseIdentity(t *testing.T) {
 }
 
 // The pencil steady state must stay allocation-free like every slab
-// strategy: plans, batches, bodies and staging buffers are all built
-// at construction.
+// strategy: plans, batches and bodies are all built at construction.
 func TestPencilRealSteadyStateZeroAllocs(t *testing.T) {
 	const n, runs = 32, 10
 	for _, pair := range []exchange.Pair{
-		exchange.Both(exchange.Staged),
+		exchange.Both(exchange.Fused),
 		exchange.Both(exchange.ChunkedFused),
 	} {
 		if err := mpi.TryRun(4, func(c *mpi.Comm) {
@@ -339,7 +338,7 @@ func TestPencilCrashInsideSubExchangeSurfacesTyped(t *testing.T) {
 	const n, p = 16, 4
 	err := mpi.TryRun(p, func(c *mpi.Comm) {
 		row, col := c.CartGrid(2, 2)
-		f := NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
+		f := NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
 		defer f.Close()
 		four := make([]complex128, f.FourierLen())
 		phys := make([]float64, f.PhysicalLen())

@@ -132,7 +132,7 @@ func TestSlabAndPencilAgree(t *testing.T) {
 	slab := forwardGlobal(t, n, 2, func(c *mpi.Comm) *SlabReal { return NewSlabRealStrategy(c, n, 1, exchange.Auto) })
 	pencil := forwardGlobal(t, n, 4, func(c *mpi.Comm) *SlabReal {
 		row, col := c.CartGrid(2, 2)
-		return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
+		return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
 	})
 	for i := range slab {
 		gz, gy, gx := i/nxh/n, i/nxh%n, i%nxh

@@ -62,14 +62,14 @@ func (w loggedWire) run(d exchange.Dir, st exchange.Strategy, u int) {
 // (the f32 wire, whose pack narrows) pack(ip, g) runs after
 // compute(ip, g) and unit ip's exchange starts after every device's
 // pack(ip); on the f64 wire no pack runs at all and unit ip starts
-// after every device's compute(ip), under Staged too. Under
+// after every device's compute(ip), under every strategy. Under
 // PerSlab the one unit waits for every cell of the slab, and a unit
 // past N/P planes is never started.
 func TestReplayOrderHoldsUnderScheduleJitter(t *testing.T) {
 	const n, p = 16, 2
 	for _, ngpu := range []int{1, 2} {
 		for _, np := range []int{1, 2, 5, 9} { // N/P = 8
-			for _, st := range []exchange.Strategy{exchange.Staged, exchange.ChunkedFused} {
+			for _, st := range exchange.Concrete {
 				for _, single := range []bool{false, true} {
 					for _, gran := range []Granularity{PerPencil, PerSlab} {
 						name := fmt.Sprintf("ngpu%d_np%d_%s_single%v_gran%d", ngpu, np, st, single, gran)

@@ -68,13 +68,11 @@ type Options struct {
 	// bytes, ~1e-7 relative rounding per transform).
 	SingleComm bool
 	// Exchange selects the transpose-exchange strategy of both
-	// directions: Staged packs each exchange unit into staged blocks,
-	// exchanges the blocks and unpacks them (the paper's staged
-	// variant), Fused and ChunkedFused gather each plane group straight
-	// from every peer's slab (or, on the single-precision wire, its
-	// narrowed copy) into the local destination layout (the zero-copy
-	// variant) — every one through an mpi.ExchangePlan — and Auto (the
-	// zero value) times all three per direction at plan time through
+	// directions: Fused and ChunkedFused gather each plane group
+	// straight from every peer's slab (or, on the single-precision
+	// wire, its narrowed copy) into the local destination layout (the
+	// paper's zero-copy variant) through an mpi.ExchangePlan, and Auto
+	// (the zero value) times both per direction at plan time through
 	// NewAsyncSlabRealTuned — a strategy-only search on this engine
 	// configuration, no cache — and pins the collectively-agreed
 	// winners. AT runs the fused gather through bounded-staleness plans
@@ -141,12 +139,12 @@ type gpuCtx struct {
 
 // slabMetrics are the per-rank instrumentation handles of the engine:
 // the disjoint wall sections of each transform (device pipeline, and
-// the stages' pack, exchange and unpack phases) and the bytes the pack
-// kernels write out of the device pipeline (the only transfer left,
-// and only where the wire packs: nothing is staged in).
+// the stages' exchange phase) and the bytes the pack kernels write out
+// of the device pipeline (the only transfer left, and only where the
+// wire packs: nothing is staged in).
 type slabMetrics struct {
 	pipeline *metrics.Histogram
-	ph       exchange.Phases
+	a2a      *metrics.Histogram
 	d2h      *metrics.Counter
 	kmax     *metrics.Gauge
 }
@@ -192,8 +190,8 @@ type SlabReal struct {
 	// PerPencil, every plane under PerSlab.
 	groups, units []span
 	// lays[u] is the slab transpose over unit u's planes at the band
-	// (transpose.SlabLayout.Range) with Nxh := Wc: its exchange kernels,
-	// staged blocks and byte counts.
+	// (transpose.SlabLayout.Range) with Nxh := Wc: its exchange kernels
+	// and byte counts.
 	lays []transpose.SlabLayout
 	mid  []complex128 // B = [my][nz][wc], z complete
 	// x is X = [my][mz][nxh], x complete, padded to PadXLen for the
@@ -338,7 +336,7 @@ func newSlabReal(comm, commZ *mpi.Comm, n int, opt Options, pair exchange.Pair) 
 	reg, rank := comm.Metrics(), comm.Rank()*pc+zRank
 	a.met = &slabMetrics{
 		pipeline: reg.HistogramRank("phase.pipeline", rank),
-		ph:       exchange.NewPhases(reg, rank),
+		a2a:      reg.HistogramRank("phase.a2a", rank),
 		d2h:      reg.CounterRank("gpu.d2h.bytes", rank),
 		kmax:     reg.GaugeRank("transform.kmax", rank),
 	}
@@ -364,7 +362,11 @@ func newSlabReal(comm, commZ *mpi.Comm, n int, opt Options, pair exchange.Pair) 
 		a.wire = newWire[complex128](a, bound)
 	}
 	if pc > 1 {
-		a.col = newColumnStage(commZ, a.team, a.met.ph, l, pair)
+		// The column exchange: one stage for the whole pencil,
+		// publishing the padded X forward and the (shorter, per-rank
+		// varying) B inverse; PadXLen is identical across the column
+		// group and divisible by Pc by construction.
+		a.col = exchange.NewStage(commZ, a.team, a.met.a2a, l.PadXLen, nil, colKernels[complex128](l))
 	}
 
 	for g := 0; g < opt.NGPU; g++ {
@@ -693,16 +695,14 @@ func (a *SlabReal) PhysicalToFourier(four []complex128, phys []float64) {
 // plane group u: under PerPencil it starts from inside the pipeline as
 // soon as the group is ready on every device, overlapping the later
 // groups' compute. Every strategy runs a unit through the unit's
-// exchange.Stage: the zero-copy ones publish the group's planes and
-// every peer gathers them in place into its destination slab —
-// straight from the slab on the double-precision wire, where the
-// region packs nothing, from the planes the pack narrowed on the f32
-// wire — and Staged packs the planes into staged blocks, exchanges the
-// blocks and unpacks them. Under PerSlab the one exchange follows the
-// region. With Pc > 1 the x region and the column exchange over the
-// whole pencil follow the inverse and precede the forward, in X, the
-// head of four (bind); the forward stores +0 over four past C once the
-// column exchange is done with X.
+// exchange.Stage: it publishes the group's planes and every peer
+// gathers them in place into its destination slab — straight from the
+// slab on the double-precision wire, where the region packs nothing,
+// from the planes the pack narrowed on the f32 wire. Under PerSlab the
+// one exchange follows the region. With Pc > 1 the x region and the
+// column exchange over the whole pencil follow the inverse and precede
+// the forward, in X, the head of four (bind); the forward stores +0
+// over four past C once the column exchange is done with X.
 //
 //psdns:hotpath
 func (a *SlabReal) transform(d exchange.Dir) {
@@ -743,8 +743,8 @@ func (a *SlabReal) column(d exchange.Dir, st exchange.Strategy) {
 // across the two streams. In a region with units, unit ip's exchange is
 // started from the host once group ip is ready on every device — two
 // groups behind the launch frontier, the (ip−2) rule of Fig 4. Time an
-// exchange spends there is the exchange stage's (phase.pack, phase.a2a,
-// phase.unpack), not the pipeline's.
+// exchange spends there is the exchange stage's (phase.a2a), not the
+// pipeline's.
 //
 //psdns:hotpath
 func (a *SlabReal) pipeline(r *region) {

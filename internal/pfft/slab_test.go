@@ -3,14 +3,12 @@ package pfft
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/cuda"
 	"repro/internal/exchange"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
-	"repro/internal/tuning"
 )
 
 func TestSplitRangeProperties(t *testing.T) {
@@ -47,28 +45,10 @@ func TestSplitRangeProperties(t *testing.T) {
 	}
 }
 
-// holdsStagingBlocks reports whether a's unit stages carry staged pack
-// and recv blocks: it runs a Staged exchange through them, which a
-// stage without blocks refuses before it communicates, on every rank
-// alike. Collective.
-func holdsStagingBlocks(a *SlabReal) (held bool) {
-	defer func() {
-		if e := recover(); e != nil {
-			if msg, _ := e.(string); !strings.Contains(msg, "without staged blocks") {
-				panic(e)
-			}
-			held = false
-		}
-	}()
-	a.runTrial(exchange.ZY, exchange.Staged, make([]complex128, a.FourierLen()))
-	return true
-}
-
 // A double-precision zero-copy engine moves nothing but its gathers:
-// each unit publishes its plane range of the slab itself, so no unit
-// stage holds staged blocks, the engine holds no narrowed buffer, no
-// transposing cell carries a
-// pack op, and no device has a transfer stream. Over a transform pair
+// each unit publishes its plane range of the slab itself, so the engine
+// holds no narrowed buffer, no transposing cell carries a pack op, and
+// no device has a transfer stream. Over a transform pair
 // the devices execute the compute ops alone — four regions of np cells
 // per device — and count no transfer or packed bytes. Every zero-copy
 // strategy, both granularities, one or two devices, and a pencil count
@@ -83,8 +63,8 @@ func TestZeroCopyEngineHoldsNoSendBuffer(t *testing.T) {
 					if err := mpi.RunWith(p, metrics.NewRegistry(), func(c *mpi.Comm) {
 						a := NewAsyncSlabReal(c, n, opt)
 						defer a.Close()
-						if blocks := holdsStagingBlocks(a); blocks || a.four32 != nil || a.mid32 != nil {
-							panic(fmt.Sprintf("wire buffers held: staged blocks %v, narrowed %d+%d", blocks, len(a.four32), len(a.mid32)))
+						if a.four32 != nil || a.mid32 != nil {
+							panic(fmt.Sprintf("wire buffers held: narrowed %d+%d", len(a.four32), len(a.mid32)))
 						}
 						for g, ctx := range a.gpus {
 							if ctx.transfer != nil {
@@ -120,41 +100,6 @@ func TestZeroCopyEngineHoldsNoSendBuffer(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The unit stages carry staged pack and recv blocks only when the
-// engine pins Staged, the one strategy that exchanges through them —
-// plain, f32-wire and tuned engines alike (the tuner builds its winner
-// from the point, not from a Staged trial engine).
-func TestAsyncRecvOnlyUnderStaged(t *testing.T) {
-	const n, p = 16, 2
-	chunked := tuning.Config{Space: tuning.Space{Strategies: []exchange.Strategy{exchange.ChunkedFused}}}
-	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		for _, tc := range []struct {
-			name   string
-			build  func() *SlabReal
-			blocks bool
-		}{
-			{"staged", func() *SlabReal { return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Staged}) }, true},
-			{"staged f32", func() *SlabReal {
-				return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Staged, SingleComm: true})
-			}, true},
-			{"chunked", func() *SlabReal { return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.ChunkedFused}) }, false},
-			{"fused f32", func() *SlabReal {
-				return NewAsyncSlabReal(c, n, Options{NP: 2, Exchange: exchange.Fused, SingleComm: true})
-			}, false},
-			{"tuned chunked", func() *SlabReal { return NewAsyncSlabRealTuned(c, n, Options{NP: 2}, chunked) }, false},
-		} {
-			a := tc.build()
-			blocks := holdsStagingBlocks(a)
-			a.Close()
-			if blocks != tc.blocks {
-				panic(fmt.Sprintf("%s engine (pins %s): staged blocks held %v, want %v", tc.name, a.Strategy(), blocks, tc.blocks))
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 

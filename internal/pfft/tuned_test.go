@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/exchange"
@@ -119,7 +118,7 @@ func TestSlabRealSingleSteadyStateZeroAllocs(t *testing.T) {
 func TestSlabRealTunedBitwiseIdentity(t *testing.T) {
 	const n, p = 24, 4
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		ref := NewSlabRealStrategy(c, n, 2, exchange.Staged)
+		ref := NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused)
 		defer ref.Close()
 		tuned := NewRealTuned(c, n, 2, tuning.DecompSlab, tuning.Config{})
 		defer tuned.Close()
@@ -303,31 +302,6 @@ func TestSlabRealTunedPrecisionSearch(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The tuner times every strategy on trial engines pinned Staged, then
-// builds the winner from its point: a winner that pins no Staged
-// direction carries no staged pack/recv blocks, on the slab and on a
-// pencil grid alike, so a Staged exchange on it is refused.
-func TestTunedWinnerCarriesOnlyItsStagedBlocks(t *testing.T) {
-	const n = 16
-	cfg := tuning.Config{Space: tuning.Space{Strategies: []exchange.Strategy{exchange.ChunkedFused}}}
-	for _, tc := range []struct {
-		d tuning.Decomp
-		p int
-	}{{tuning.DecompSlab, 2}, {tuning.Pencil(2, 2), 4}} {
-		err := mpi.TryRun(tc.p, func(c *mpi.Comm) {
-			f := NewRealTuned(c, n, 1, tc.d, cfg)
-			defer f.Close()
-			if f.StrategyPair() != exchange.Both(exchange.ChunkedFused) {
-				panic(fmt.Sprintf("winner %s outside the chunked-only space", f.StrategyPair()))
-			}
-			f.runTrial(exchange.YZ, exchange.Staged, make([]complex128, f.FourierLen()))
-		})
-		if err == nil || !strings.Contains(err.Error(), "NewStage allocates the pack and recv blocks only for stagedLen > 0") {
-			t.Errorf("%s: a Staged exchange on the chunked winner returned %v, want the no-blocks refusal", tc.d, err)
-		}
 	}
 }
 

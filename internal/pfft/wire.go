@@ -2,8 +2,6 @@ package pfft
 
 import (
 	"repro/internal/exchange"
-	"repro/internal/mpi"
-	"repro/internal/par"
 	"repro/internal/transpose"
 )
 
@@ -19,9 +17,8 @@ import (
 type wire interface {
 	// run runs unit u's exchange in direction d under st through the
 	// unit's stage: the unit's planes of d's source slab land in d's
-	// destination slab, packed into staged blocks and unpacked under
-	// Staged, gathered in place from every peer's published planes
-	// otherwise. Collective.
+	// destination slab, gathered in place from every peer's published
+	// planes. Collective.
 	run(d exchange.Dir, st exchange.Strategy, u int)
 	setSite(site uint32)
 	takeStaleness() (max int, sum, slabs, calls int64)
@@ -39,10 +36,8 @@ type wireBuf[T exchange.Elem] struct {
 	stages   []*exchange.Stage[T]
 }
 
-// newWire registers the unit stages over the row communicator. A unit
-// stage carries staged pack and recv blocks only when a pinned
-// direction is Staged: Pr blocks of the unit's whole-band planes, the
-// unit's slab. Collective.
+// newWire registers the unit stages over the row communicator, each
+// publishing the unit's slab. Collective.
 func newWire[T exchange.Elem](a *SlabReal, bound *exchange.Bound) *wireBuf[T] {
 	wb := &wireBuf[T]{a: a}
 	// A wire of the slabs' own type publishes the slabs themselves.
@@ -53,11 +48,7 @@ func newWire[T exchange.Elem](a *SlabReal, bound *exchange.Bound) *wireBuf[T] {
 	}
 	wb.src, wb.dst = [2]*[]T{four, mid}, [2]*[]T{mid, four}
 	for u, us := range a.units {
-		slabLen, staged := us.width()*a.n*a.l.Wc, 0
-		if a.pair.YZ == exchange.Staged || a.pair.ZY == exchange.Staged {
-			staged = slabLen
-		}
-		wb.stages = append(wb.stages, exchange.NewStage(a.comm, a.team, a.met.ph, staged, slabLen, bound,
+		wb.stages = append(wb.stages, exchange.NewStage(a.comm, a.team, a.met.a2a, us.width()*a.n*a.l.Wc, bound,
 			exchange.SlabKernels[T](&a.lays[u], a.comm.Rank())))
 	}
 	return wb
@@ -90,20 +81,6 @@ func (wb *wireBuf[T]) close() {
 	}
 }
 
-// newColumnStage registers the column exchange of a Pr×Pc grid over
-// commZ: one stage for the whole pencil, publishing the padded X forward
-// and the (shorter, per-rank varying) B inverse; PadXLen is identical
-// across the column group and divisible by Pc by construction. It
-// carries staged blocks, Pc of the widest column group's, only when a
-// pinned direction is Staged. Collective.
-func newColumnStage(commZ *mpi.Comm, team *par.Team, ph exchange.Phases, l *transpose.PencilLayout, pair exchange.Pair) *exchange.Stage[complex128] {
-	blocks := 0
-	if pair.YZ == exchange.Staged || pair.ZY == exchange.Staged {
-		blocks = l.Pc * l.BlockC
-	}
-	return exchange.NewStage(commZ, team, ph, blocks, l.PadXLen, nil, colKernels[complex128](l))
-}
-
 // colKernels describes the column exchange to a stage: YZ moves the
 // z-complete B into the x-complete X (the inverse transform's second
 // exchange), ZY moves X into B. Both sides split over iy.
@@ -112,18 +89,14 @@ func newColumnStage(commZ *mpi.Comm, team *par.Team, ph exchange.Phases, l *tran
 func colKernels[T exchange.Elem](l *transpose.PencilLayout) [2]exchange.Kernels[T] {
 	return [2]exchange.Kernels[T]{
 		exchange.YZ: {
-			PackUnits: l.My, DstUnits: l.My, PeerUnits: l.My,
-			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackColInvRange(l, pack, src, lo, hi) },
-			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackColInvRange(l, dst, recv, lo, hi) },
+			DstUnits: l.My, PeerUnits: l.My,
 			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherColInvRange(l, dst, srcs, lo, hi) },
 			GatherPeer: func(dst, src []T, peer, lo, hi int) {
 				transpose.PencilGatherColInvPeer(l, dst, src, peer, lo, hi)
 			},
 		},
 		exchange.ZY: {
-			PackUnits: l.My, DstUnits: l.My, PeerUnits: l.My,
-			Pack:   func(pack, src []T, lo, hi int) { transpose.PencilPackColFwdRange(l, pack, src, lo, hi) },
-			Unpack: func(dst, recv []T, lo, hi int) { transpose.PencilUnpackColFwdRange(l, dst, recv, lo, hi) },
+			DstUnits: l.My, PeerUnits: l.My,
 			Gather: func(dst []T, srcs [][]T, lo, hi int) { transpose.PencilGatherColFwdRange(l, dst, srcs, lo, hi) },
 			GatherPeer: func(dst, src []T, peer, lo, hi int) {
 				transpose.PencilGatherColFwdPeer(l, dst, src, peer, lo, hi)

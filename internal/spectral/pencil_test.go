@@ -17,7 +17,7 @@ func TestSolverOnPencilGridPanics(t *testing.T) {
 	const n = 16
 	err := mpi.TryRun(4, func(c *mpi.Comm) {
 		row, col := c.CartGrid(2, 2)
-		tr := pfft.NewPencilReal(col, row, n, 1, exchange.Both(exchange.Staged))
+		tr := pfft.NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
 		defer tr.Close()
 		spectral.New(c, n, spectral.WithTransform(tr)).Close()
 	})

@@ -27,11 +27,11 @@ func TestStepAnnotatesStall(t *testing.T) {
 	}
 	start := time.Now()
 	err := mpi.TryRun(p, func(c *mpi.Comm) {
-		// Pin the staged wire path: the default autotuner would run
-		// staged trials at construction and stall there under the
-		// 100%-drop rule, before Step gets to wrap the error.
+		// Pin the strategy: the default autotuner would run its trials
+		// at construction and stall there under the 100%-drop rule,
+		// before Step gets to wrap the error.
 		eng := pfft.NewAsyncSlabReal(c, n, pfft.Options{
-			NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.Staged,
+			NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.Fused,
 		})
 		defer eng.Close()
 		s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23), WithTransform(eng))
@@ -94,8 +94,7 @@ func (t *lateTransform) PhysicalToFourier(four []complex128, phys []float64) {
 // Deadline the only stall bound, a rank that waits past it inside any
 // engine's exchange raises the StallError from that wait, so Step
 // annotates it with its step and time — on the slab engine under every
-// strategy and on the batched engine under the staged all-to-all at
-// both granularities and under the chunked gather.
+// strategy and on the batched engine at both granularities.
 func TestStallAnnotatedOnEveryEngine(t *testing.T) {
 	const n, p, dt = 16, 2, 0.005
 	engines := []struct {
@@ -104,12 +103,8 @@ func TestStallAnnotatedOnEveryEngine(t *testing.T) {
 	}{
 		{"slab/fused", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.Fused) }},
 		{"slab/chunked", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.ChunkedFused) }},
-		{"slab/staged", func(c *mpi.Comm) Transform { return pfft.NewSlabRealStrategy(c, n, 1, exchange.Staged) }},
-		{"batched/staged/perpencil", func(c *mpi.Comm) Transform {
-			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.Staged})
-		}},
-		{"batched/staged/perslab", func(c *mpi.Comm) Transform {
-			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerSlab, Exchange: exchange.Staged})
+		{"batched/fused/perslab", func(c *mpi.Comm) Transform {
+			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerSlab, Exchange: exchange.Fused})
 		}},
 		{"batched/chunked", func(c *mpi.Comm) Transform {
 			return pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 3, Granularity: pfft.PerPencil, Exchange: exchange.ChunkedFused})

@@ -1,19 +1,19 @@
 package transpose
 
-// Fused transpose-exchange gather kernels: the zero-copy analogue of
-// the staged Pack/A2A/Unpack triple. Ranks in the in-process runtime
-// share one address space, so the destination-side kernel can perform
-// its strided gathers directly from every peer's source slab — the
-// software analogue of the paper's §4 zero-copy kernels whose SM
+// Fused transpose-exchange gather kernels. Ranks in the in-process
+// runtime share one address space, so the destination-side kernel can
+// perform its strided gathers directly from every peer's source slab —
+// the software analogue of the paper's §4 zero-copy kernels whose SM
 // threads read pinned host memory in place instead of bouncing data
-// through staging buffers. One parallel pass replaces three.
+// through staging buffers: one parallel pass instead of pack,
+// all-to-all and unpack.
 //
 // srcs[s] is rank s's published source slab (see mpi.ExchangePlan for
 // the publication protocol) from the layout's plane Lo on, the planes
 // its range moves (see SlabLayout); me is the gathering rank. Each kernel
 // writes only the dst elements owned by its outer-index range, so a
 // worker team can split a kernel over a partition of that range
-// without write conflicts, exactly as with the staged *Range kernels.
+// without write conflicts.
 //
 // The *Peer variants gather one source slab's contribution only; a
 // chunked-fused exchange calls them in pairwise-exchange order
@@ -22,9 +22,8 @@ package transpose
 
 // GatherYZRange gathers y-rows [iyLo,iyHi) of the physical-side slab
 // dst=[My][Nz][Nxh] directly from every peer's Fourier-side slab
-// srcs[s]=[Mz][Ny][Nxh]. Equivalent to PackYZRange on every rank,
-// the all-to-all, and UnpackYZRange over the same rows — fused into one
-// pass. Distinct iy ranges write disjoint dst elements.
+// srcs[s]=[Mz][Ny][Nxh] in one pass. Distinct iy ranges write disjoint
+// dst elements.
 //
 //psdns:hotpath
 func GatherYZRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, iyLo, iyHi int) {
@@ -124,9 +123,7 @@ func GatherYZPeerBlocked[T any](l *SlabLayout, dst, src []T, me, s, iyLo, iyHi, 
 // GatherZYRangeBlocked gathers z-planes [izLo,izHi) of the
 // Fourier-side slab dst=[Mz][Ny][Nxh] directly from every peer's
 // physical-side slab srcs[s]=[My][Nz][Nxh] with cache-blocked peer
-// gathers: equivalent to PackZYRange on every rank, the all-to-all,
-// and UnpackZYRange over the same planes. Distinct iz ranges write
-// disjoint dst elements. The tests keep the plain gather
+// gathers. Distinct iz ranges write disjoint dst elements. The tests keep the plain gather
 // (GatherZYRange) as its oracle.
 //
 //psdns:hotpath

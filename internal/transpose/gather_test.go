@@ -18,22 +18,53 @@ func buildFourierSlabs(l *SlabLayout) [][]complex128 {
 	return srcs
 }
 
-// The fused gather must be element-for-element identical to the
-// staged pack → block exchange → unpack triple, for every rank of
-// every tested world size — including P values that do not divide the
-// row count evenly across workers.
+// stagedTriple is rank me's destination slab of the whole-slab,
+// full-band transpose of srcs, computed the way an MPI code moves it
+// and with none of the gather kernels: every rank packs its slab into P
+// contiguous blocks (block d holds, row by row, the x rows rank d
+// receives), the all-to-all hands rank me block me of every rank, and
+// me unpacks block s into the rows that came from rank s. Under yz the
+// rows of block d are (iz, d·My+iy) of the Fourier side, landing at
+// (iy, s·Mz+iz) of the physical side; under zy they are (iy, d·Mz+iz)
+// of the physical side, landing at (iz, s·My+iy) of the Fourier side.
+func stagedTriple(l *SlabLayout, srcs [][]complex128, me int, yz bool) []complex128 {
+	outer, inner, srcRows, dstRows := l.Mz, l.My, l.Ny, l.Nz // yz: blocks [Mz][My]
+	if !yz {
+		outer, inner, srcRows, dstRows = l.My, l.Mz, l.Nz, l.Ny
+	}
+	row := func(buf []complex128, r int) []complex128 { return buf[r*l.Nxh : (r+1)*l.Nxh] }
+	blocks := make([][]complex128, l.P) // block me of every rank s
+	for s, src := range srcs {
+		blocks[s] = make([]complex128, outer*inner*l.Nxh)
+		for o := 0; o < outer; o++ {
+			for i := 0; i < inner; i++ {
+				copy(row(blocks[s], o*inner+i), row(src, o*srcRows+me*inner+i))
+			}
+		}
+	}
+	dst := make([]complex128, l.Total)
+	for s, blk := range blocks {
+		for o := 0; o < outer; o++ {
+			for i := 0; i < inner; i++ {
+				copy(row(dst, i*dstRows+s*outer+o), row(blk, o*inner+i))
+			}
+		}
+	}
+	return dst
+}
+
+// The fused gather must be element-for-element identical to the staged
+// pack → all-to-all → unpack triple, for every rank of every tested
+// world size — including P values that do not divide the row count
+// evenly across workers — and so must the per-peer gathers in
+// pairwise-exchange order over a ragged partition.
 func TestGatherYZMatchesStagedTriple(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		nxh, ny, mz := 5, 7*p, 3 // ny divisible by p by construction
 		l := NewSlabLayout(nxh, ny, mz, p)
 		srcs := buildFourierSlabs(&l)
-
-		// Staged reference: every rank packs, blocks are exchanged
-		// (block d of rank s becomes block s at rank d), every rank
-		// unpacks.
-		staged := slabExchange(&l, srcs, true)
 		for me := 0; me < p; me++ {
-			want := staged[me]
+			want := stagedTriple(&l, srcs, me, true)
 
 			got := make([]complex128, l.Total)
 			GatherYZRange(&l, got, srcs, me, 0, l.My)
@@ -75,9 +106,8 @@ func TestGatherZYMatchesStagedTriple(t *testing.T) {
 				srcs[s][i] = complex(float64(s*l.Total+i), -float64(s))
 			}
 		}
-		staged := slabExchange(&l, srcs, false)
 		for me := 0; me < p; me++ {
-			want := staged[me]
+			want := stagedTriple(&l, srcs, me, false)
 
 			got := make([]complex128, l.Total)
 			GatherZYRange(&l, got, srcs, me, 0, l.Mz)
@@ -162,9 +192,8 @@ func BenchmarkCopyStrided(b *testing.B) {
 
 // GatherZYRange gathers z-planes [izLo,izHi) of the Fourier-side slab
 // dst=[Mz][Ny][Nxh] directly from every peer's physical-side slab
-// srcs[s]=[My][Nz][Nxh]. Equivalent to PackZYRange on every rank, the
-// all-to-all, and UnpackZYRange over the same planes. Distinct iz
-// ranges write disjoint dst elements.
+// srcs[s]=[My][Nz][Nxh]. Distinct iz ranges write disjoint dst
+// elements.
 func GatherZYRange[T any](l *SlabLayout, dst []T, srcs [][]T, me, izLo, izHi int) {
 	for s := 0; s < l.P; s++ {
 		GatherZYPeer(l, dst, srcs[s], me, s, izLo, izHi)

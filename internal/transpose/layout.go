@@ -7,12 +7,11 @@ import (
 )
 
 // SlabLayout is the precomputed geometry of the slab y↔z transpose:
-// every stride, block size and bound the pack/unpack kernels need,
-// derived once at plan time instead of on every call. Plans (pfft,
-// core) hold one SlabLayout and the per-call kernels reduce to pure
-// copy loops; the *Range variants additionally restrict the outer loop
-// to a sub-interval of destination-disjoint indices so a worker team
-// can split one kernel across workers without write conflicts.
+// every stride, extent and bound the gather kernels need, derived once
+// at plan time instead of on every call. Plans (pfft, core) hold one
+// SlabLayout and the per-call kernels reduce to pure copy loops over a
+// sub-interval of destination-disjoint indices, so a worker team can
+// split one kernel across workers without write conflicts.
 //
 // Geometry (see the package comment): Fourier side [Mz][Ny][Nxh],
 // physical side [My][Nz][Nxh], with My = Ny/P and Nz = Mz·P.
@@ -23,10 +22,8 @@ import (
 // So one layout serves a whole-slab exchange and each plane group of a
 // per-pencil one, the paper's two granularities of one transpose. A
 // range publishes its source from plane Lo — every kernel's source
-// slab starts there — and its staged blocks are compact: block d holds
-// the range's planes, My (YZ) or Mz (ZY) rows each, KB elements a row
-// (BlockLen). Destination slabs are whole; a range writes only the rows
-// its planes land in.
+// slab starts there. Destination slabs are whole; a range writes only
+// the rows its planes land in.
 //
 // Within the range the kernels move the band of a band-limited
 // transform (SetBand; the full slab from NewSlabLayout): the first KB
@@ -39,7 +36,6 @@ type SlabLayout struct {
 	Nxh, Ny, Nz int
 	My, Mz      int
 	P           int
-	Block       int       // elements per whole-slab, full-band block: Mz·My·Nxh
 	Total       int       // elements per slab: Mz·Ny·Nxh = My·Nz·Nxh
 	KB          int       // in-band prefix of each x row
 	Band        grid.Band // of the global z axis, Nz long
@@ -57,7 +53,6 @@ func NewSlabLayout(nxh, ny, mz, p int) SlabLayout {
 	return SlabLayout{
 		Nxh: nxh, Ny: ny, Nz: mz * p,
 		My: my, Mz: mz, P: p,
-		Block: mz * my * nxh,
 		Total: mz * ny * nxh,
 		KB:    nxh,
 		Band:  grid.NewBand(mz*p, -1),
@@ -88,24 +83,12 @@ func (l *SlabLayout) SetBand(kb int, band grid.Band) {
 
 // Planes reports how many source planes the range moves in direction
 // yz (YZ: true): [Lo, Hi) clipped to the Mz z-planes (YZ) or the My
-// y-planes (ZY) of a rank's source slab. It is the pack kernels'
-// outer extent.
+// y-planes (ZY) of a rank's source slab.
 func (l *SlabLayout) Planes(yz bool) int {
 	if yz {
 		return max(0, min(l.Hi, l.Mz)-l.Lo)
 	}
 	return max(0, min(l.Hi, l.My)-l.Lo)
-}
-
-// BlockLen reports the elements of one staged block in direction yz
-// at the current band: the range's planes, My (YZ) or Mz (ZY) rows
-// each, KB elements a row. Over the whole slab at the full band it is
-// Block.
-func (l *SlabLayout) BlockLen(yz bool) int {
-	if yz {
-		return l.Planes(yz) * l.My * l.KB
-	}
-	return l.Planes(yz) * l.Mz * l.KB
 }
 
 // RemoteElems reports how many elements rank me's gathers read from
@@ -128,10 +111,10 @@ func (l *SlabLayout) RemoteElems(me int, yz bool) int {
 	return in * l.My * l.KB
 }
 
-// PackElems reports how many elements rank me's packs write over the
-// range in direction yz, its own block included: the KB columns of
-// every row of its in-band z-planes (YZ), of every in-band z row of
-// its y-planes (ZY).
+// PackElems reports how many elements rank me's source planes of the
+// range hold in direction yz — what the single-precision wire's
+// narrowing pack writes: the KB columns of every row of its in-band
+// z-planes (YZ), of every in-band z row of its y-planes (ZY).
 func (l *SlabLayout) PackElems(me int, yz bool) int {
 	if !yz {
 		return l.Planes(yz) * l.Band.Count(0, l.Nz) * l.KB
@@ -153,106 +136,4 @@ func Source[T any](l *SlabLayout, slab []T, yz bool) []T {
 		return slab[l.Lo*plane : (l.Lo+n)*plane]
 	}
 	return slab[:0]
-}
-
-func (l *SlabLayout) check(op string, dst, src int) {
-	if dst < l.Total || src < l.Total {
-		panic(fmt.Sprintf("transpose: %s needs %d elements, got dst %d src %d", op, l.Total, dst, src))
-	}
-}
-
-// PackYZRange packs z-planes [izLo,izHi) of the range — 0 is plane Lo
-// of rank me's Fourier-side slab, src starts there — into all P
-// destination blocks: the in-band ones, KB elements a row. Distinct iz
-// ranges write disjoint dst elements, so concurrent calls over a
-// partition of [0,Planes(true)) are safe.
-//
-//psdns:hotpath
-func PackYZRange[T any](l *SlabLayout, dst, src []T, me, izLo, izHi int) {
-	nxh, ny, my, kb, bs := l.Nxh, l.Ny, l.My, l.KB, l.BlockLen(true)
-	for d := 0; d < l.P; d++ {
-		blk := dst[d*bs : (d+1)*bs]
-		for iz := izLo; iz < izHi; iz++ {
-			if !l.Band.Has(me*l.Mz + l.Lo + iz) {
-				continue
-			}
-			for iy := 0; iy < my; iy++ {
-				srcOff := (iz*ny + d*my + iy) * nxh
-				dstOff := (iz*my + iy) * kb
-				copy(blk[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
-			}
-		}
-	}
-}
-
-// UnpackYZRange scatters received blocks into y-rows [iyLo,iyHi) of the
-// physical-side slab, the z rows the range's planes land in: KB
-// elements of each in-band row, +0 over the KB-prefix of the others.
-// Distinct iy ranges write disjoint dst elements.
-//
-//psdns:hotpath
-func UnpackYZRange[T any](l *SlabLayout, dst, src []T, iyLo, iyHi int) {
-	nxh, nz, my, mz, kb, n, bs := l.Nxh, l.Nz, l.My, l.Mz, l.KB, l.Planes(true), l.BlockLen(true)
-	for s := 0; s < l.P; s++ {
-		blk := src[s*bs : (s+1)*bs]
-		for iz := 0; iz < n; iz++ {
-			z := s*mz + l.Lo + iz
-			in := l.Band.Has(z)
-			for iy := iyLo; iy < iyHi; iy++ {
-				dstOff := (iy*nz + z) * nxh
-				if !in {
-					clear(dst[dstOff : dstOff+kb])
-					continue
-				}
-				srcOff := (iz*my + iy) * kb
-				copy(dst[dstOff:dstOff+kb], blk[srcOff:srcOff+kb])
-			}
-		}
-	}
-}
-
-// PackZYRange packs y-planes [iyLo,iyHi) of the range — 0 is plane Lo
-// of the physical-side slab, src starts there — into all P destination
-// blocks: the in-band z rows, KB elements each. Distinct iy ranges
-// write disjoint dst elements.
-//
-//psdns:hotpath
-func PackZYRange[T any](l *SlabLayout, dst, src []T, iyLo, iyHi int) {
-	nxh, nz, mz, kb, bs := l.Nxh, l.Nz, l.Mz, l.KB, l.BlockLen(false)
-	for d := 0; d < l.P; d++ {
-		blk := dst[d*bs : (d+1)*bs]
-		for iy := iyLo; iy < iyHi; iy++ {
-			for iz := 0; iz < mz; iz++ {
-				if !l.Band.Has(d*mz + iz) {
-					continue
-				}
-				srcOff := (iy*nz + d*mz + iz) * nxh
-				dstOff := (iy*mz + iz) * kb
-				copy(blk[dstOff:dstOff+kb], src[srcOff:srcOff+kb])
-			}
-		}
-	}
-}
-
-// UnpackZYRange scatters received blocks into rank me's z-planes
-// [izLo,izHi) of the Fourier-side slab — the in-band ones, KB elements
-// of each y row the range's planes land in. Distinct iz ranges write
-// disjoint dst elements.
-//
-//psdns:hotpath
-func UnpackZYRange[T any](l *SlabLayout, dst, src []T, me, izLo, izHi int) {
-	nxh, ny, my, mz, kb, n, bs := l.Nxh, l.Ny, l.My, l.Mz, l.KB, l.Planes(false), l.BlockLen(false)
-	for s := 0; s < l.P; s++ {
-		blk := src[s*bs : (s+1)*bs]
-		for iy := 0; iy < n; iy++ {
-			for iz := izLo; iz < izHi; iz++ {
-				if !l.Band.Has(me*mz + iz) {
-					continue
-				}
-				srcOff := (iy*mz + iz) * kb
-				dstOff := (iz*ny + s*my + l.Lo + iy) * nxh
-				copy(dst[dstOff:dstOff+kb], blk[srcOff:srcOff+kb])
-			}
-		}
-	}
 }

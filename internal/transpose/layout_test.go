@@ -9,85 +9,87 @@ import (
 )
 
 // Partitioned Range calls must reproduce the full-range kernels exactly
-// — the property the worker teams rely on when splitting one pack or
-// unpack across workers.
+// — the property the worker teams rely on when splitting one gather
+// across workers.
 func TestSlabRangePartitionEquivalence(t *testing.T) {
 	const nxh, ny, mz, p = 5, 12, 6, 4
 	l := NewSlabLayout(nxh, ny, mz, p)
 	rng := rand.New(rand.NewSource(42))
-	src := make([]complex128, l.Total)
-	for i := range src {
-		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	srcs := make([][]complex128, p)
+	for r := range srcs {
+		srcs[r] = make([]complex128, l.Total)
+		for i := range srcs[r] {
+			srcs[r][i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
 	}
 
-	type rangeFn func(l *SlabLayout, dst, src []complex128, lo, hi int)
-	onRank0 := func(fn func(l *SlabLayout, dst, src []complex128, me, lo, hi int)) rangeFn {
-		return func(l *SlabLayout, dst, src []complex128, lo, hi int) { fn(l, dst, src, 0, lo, hi) }
+	type rangeFn func(l *SlabLayout, dst []complex128, srcs [][]complex128, me, lo, hi int)
+	tiled := func(fn func(l *SlabLayout, dst []complex128, srcs [][]complex128, me, lo, hi, tile int)) rangeFn {
+		return func(l *SlabLayout, dst []complex128, srcs [][]complex128, me, lo, hi int) {
+			fn(l, dst, srcs, me, lo, hi, DefaultGatherTile)
+		}
 	}
 	cases := []struct {
 		name  string
 		outer int // iteration count of the partitionable loop
 		fn    rangeFn
 	}{
-		{"PackYZ", l.Mz, onRank0(PackYZRange[complex128])},
-		{"UnpackYZ", l.My, UnpackYZRange[complex128]},
-		{"PackZY", l.My, PackZYRange[complex128]},
-		{"UnpackZY", l.Mz, onRank0(UnpackZYRange[complex128])},
+		{"GatherYZ", l.My, GatherYZRange[complex128]},
+		{"GatherYZBlocked", l.My, tiled(GatherYZRangeBlocked[complex128])},
+		{"GatherZY", l.Mz, GatherZYRange[complex128]},
+		{"GatherZYBlocked", l.Mz, tiled(GatherZYRangeBlocked[complex128])},
 	}
 	for _, c := range cases {
-		want := make([]complex128, l.Total)
-		c.fn(&l, want, src, 0, c.outer)
-		for _, parts := range [][]int{{1, c.outer}, {2, 3, c.outer}, {c.outer - 1, c.outer}} {
-			got := make([]complex128, l.Total)
-			lo := 0
-			for _, hi := range parts {
-				if hi > c.outer {
-					hi = c.outer
+		for me := 0; me < p; me++ {
+			want := make([]complex128, l.Total)
+			c.fn(&l, want, srcs, me, 0, c.outer)
+			for _, parts := range [][]int{{1, c.outer}, {2, 3, c.outer}, {c.outer - 1, c.outer}} {
+				got := make([]complex128, l.Total)
+				lo := 0
+				for _, hi := range parts {
+					if hi > c.outer {
+						hi = c.outer
+					}
+					c.fn(&l, got, srcs, me, lo, hi)
+					lo = hi
 				}
-				c.fn(&l, got, src, lo, hi)
-				lo = hi
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: partition %v differs at %d", c.name, parts, i)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s rank %d: partition %v differs at %d", c.name, me, parts, i)
+					}
 				}
 			}
 		}
 	}
 }
 
-// The layout-based kernels must match a pack→unpack round trip: the
-// physical slab recovered from PackYZRange+UnpackYZRange must invert
-// through PackZYRange+UnpackZYRange.
+// The program's kernels invert each other: the physical slabs the
+// blocked y→z gather lands, gathered back by the blocked z→y gather,
+// are every rank's Fourier-side slab again.
 func TestSlabLayoutRoundTrip(t *testing.T) {
 	const nxh, ny, mz, p = 3, 8, 4, 2
 	l := NewSlabLayout(nxh, ny, mz, p)
-	src := make([]complex128, l.Total)
-	for i := range src {
-		src[i] = complex(float64(i), -float64(i))
+	srcs := buildFourierSlabs(&l)
+	phys := make([][]complex128, p)
+	for me := range phys {
+		phys[me] = make([]complex128, l.Total)
+		GatherYZRangeBlocked(&l, phys[me], srcs, me, 0, l.My, DefaultGatherTile)
 	}
-	packed := make([]complex128, l.Total)
-	phys := make([]complex128, l.Total)
-	packed2 := make([]complex128, l.Total)
-	back := make([]complex128, l.Total)
-	PackYZRange(&l, packed, src, 0, 0, l.Mz)
-	// In-process "exchange": with one rank per block the alltoall is the
-	// identity on block order for self-consistency of the layout.
-	UnpackYZRange(&l, phys, packed, 0, l.My)
-	PackZYRange(&l, packed2, phys, 0, l.My)
-	UnpackZYRange(&l, back, packed2, 0, 0, l.Mz)
-	for i := range back {
-		if back[i] != src[i] {
-			t.Fatalf("round trip differs at %d: %v vs %v", i, back[i], src[i])
+	for me, src := range srcs {
+		back := make([]complex128, l.Total)
+		GatherZYRangeBlocked(&l, back, phys, me, 0, l.Mz, DefaultGatherTile)
+		for i := range back {
+			if back[i] != src[i] {
+				t.Fatalf("rank %d: round trip differs at %d: %v vs %v", me, i, back[i], src[i])
+			}
 		}
 	}
 }
 
 // FuzzSlabLayout drives the slab kernels over fuzzed geometry, band,
 // gather tile, source plane range and wire type, in both directions:
-// the staged path (Pack*Range into compact blocks, the staged stage's
-// block copy, Unpack*Range), the blocked gather and the plain gather
-// must each land, bit for bit, exactly what the band and the range say
+// the blocked gather and the plain gather must each land, bit for bit,
+// exactly what the band and the range say
 // — in-band elements of the range's planes from their global source
 // position, +0 over the KB-prefix of YZ's out-of-band z rows of the
 // range — while every other destination element, the planes outside
@@ -161,31 +163,16 @@ func checkSlabLayout[T complex64 | complex128](t *testing.T, l *SlabLayout, tile
 			}
 			return buf
 		}
-		packs := make([][]T, l.P)
-		for r := range packs {
-			packs[r] = poisoned()
-			if yz {
-				PackYZRange(l, packs[r], pub[r], r, 0, l.Planes(yz))
-			} else {
-				PackZYRange(l, packs[r], pub[r], 0, l.Planes(yz))
-			}
-		}
-		bl := l.BlockLen(yz)
 		for me := 0; me < l.P; me++ {
-			staged, blocked, plain, recv := poisoned(), poisoned(), poisoned(), make([]T, l.Total)
-			for s, pack := range packs {
-				copy(recv[s*bl:(s+1)*bl], pack[me*bl:(me+1)*bl])
-			}
+			blocked, plain := poisoned(), poisoned()
 			if yz {
-				UnpackYZRange(l, staged, recv, 0, l.My)
 				GatherYZRangeBlocked(l, blocked, pub, me, 0, l.My, tile)
 				GatherYZRange(l, plain, pub, me, 0, l.My)
 			} else {
-				UnpackZYRange(l, staged, recv, me, 0, l.Mz)
 				GatherZYRangeBlocked(l, blocked, pub, me, 0, l.Mz, tile)
 				GatherZYRange(l, plain, pub, me, 0, l.Mz)
 			}
-			for i := range staged {
+			for i := range plain {
 				gz, gy, x := dstAt(me, i)
 				want := nan
 				switch {
@@ -195,7 +182,7 @@ func checkSlabLayout[T complex64 | complex128](t *testing.T, l *SlabLayout, tile
 				case x < l.KB && yz:
 					want = 0
 				}
-				for path, got := range map[string]T{"staged": staged[i], "blocked": blocked[i], "plain": plain[i]} {
+				for path, got := range map[string]T{"blocked": blocked[i], "plain": plain[i]} {
 					if !same(got, want) {
 						t.Fatalf("%+v tile %d yz=%v rank %d %s: dst[%d] (z %d, y %d, x %d) = %v, want %v",
 							*l, tile, yz, me, path, i, gz, gy, x, got, want)

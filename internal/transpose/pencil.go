@@ -10,8 +10,7 @@ package transpose
 //
 // The distributed transform then needs two transpose-exchanges instead
 // of the slab's one, each over a sub-communicator of the process grid
-// and each the same staged Pack/A2A/Unpack triple or fused zero-copy
-// gather. x stays the fastest axis of every layout, so both exchanges
+// and each a zero-copy gather. x stays the fastest axis of every layout, so both exchanges
 // move whole x-rows with copy and every FFT pass runs in plane form:
 //
 //   - the column exchange (within a column group of Pc ranks sharing
@@ -28,9 +27,7 @@ package transpose
 //
 // Nxh = N/2+1 is in general not divisible by Pc, so the x axis splits
 // unevenly: SplitSpan gives the first Nxh%Pc column groups one extra
-// element. Kernels take the per-group spans from the layout; the
-// staged pack blocks are padded to the widest span so the persistent
-// all-to-all keeps its even-block shape.
+// element. Kernels take the per-group spans from the layout.
 
 // Span is a half-open index range [Lo, Hi).
 type Span struct{ Lo, Hi int }
@@ -74,16 +71,9 @@ type PencilLayout struct {
 	My, Mz, Mz2 int
 	// XSpans is the uneven split of [0, Nxh) over the Pc column
 	// groups; Wc = XSpans[ZRank].Width() is this rank's x width in
-	// the z- and y-complete layouts, XLo its offset, WcMax the widest
-	// group's width.
+	// the z- and y-complete layouts, XLo its offset.
 	XSpans  []Span
 	Wc, XLo int
-	WcMax   int
-	// BlockC is the per-peer staged block size of the column exchange,
-	// padded to WcMax so the column all-to-all keeps even blocks
-	// despite the uneven x split; only the leading My·Mz·width(peer)
-	// elements of each block are meaningful.
-	BlockC int
 	// PadXLen is len(X) rounded up to a multiple of Pc: My·Mz·Nxh
 	// need not divide evenly by the column group size, and the fused
 	// exchange plans require a group-divisible published length. The
@@ -118,8 +108,6 @@ func NewPencilLayout(n, pr, pc, yRank, zRank int) *PencilLayout {
 	}
 	l.Wc = l.XSpans[zRank].Width()
 	l.XLo = l.XSpans[zRank].Lo
-	l.WcMax = l.XSpans[0].Width()
-	l.BlockC = l.My * l.Mz * l.WcMax
 	xlen := l.My * l.Mz * l.Nxh
 	l.PadXLen = (xlen + pc - 1) / pc * pc
 	return l
@@ -136,11 +124,8 @@ func (l *PencilLayout) CLen() int { return l.Mz2 * l.N * l.Wc }
 // Mz z-rows one peer exchanges with this rank, each a run of
 // consecutive x elements. Only the offsets and strides of the two
 // sides differ — X rows are Nxh apart; a w-wide rank's B rows are w
-// apart with peer s's z chunk starting at row s·Mz; the staged block
-// between two ranks is [My][Mz][w] with w the x width of the
-// z-complete side — so copyRuns is the one loop and each kernel names
-// its two geometries. Where both sides hold the Mz rows back to back
-// (B ↔ staged block) the plane moves as a single run. Distinct y
+// apart with peer s's z chunk starting at row s·Mz — so copyRuns is
+// the one loop and each kernel names its two geometries. Distinct y
 // ranges write disjoint destination elements, so a worker team may
 // split any kernel over a partition of [0, My).
 
@@ -160,32 +145,6 @@ func copyRuns[T any](dst []T, dOff, dUnit, dRow int, src []T, sOff, sUnit, sRow,
 	}
 }
 
-// PencilPackColFwdRange packs y-planes [iyLo,iyHi) of the x-complete
-// layout src=[My][Mz][Nxh] into per-destination blocks: block d holds
-// [My][Mz][Width(d)] — destination d's x span, row by row — padded to
-// BlockC.
-//
-//psdns:hotpath
-func PencilPackColFwdRange[T any](l *PencilLayout, pack, src []T, iyLo, iyHi int) {
-	for d, sp := range l.XSpans {
-		wd := sp.Width()
-		copyRuns(pack, d*l.BlockC, l.Mz*wd, wd, src, sp.Lo, l.Mz*l.Nxh, l.Nxh, wd, l.Mz, iyLo, iyHi)
-	}
-}
-
-// PencilUnpackColFwdRange unpacks received column blocks into y-planes
-// [iyLo,iyHi) of the z-complete layout dst=[My][Nz][Wc]: recv block s
-// ([My][Mz][Wc], padded to BlockC) is peer s's z chunk of this rank's
-// x span.
-//
-//psdns:hotpath
-func PencilUnpackColFwdRange[T any](l *PencilLayout, dst, recv []T, iyLo, iyHi int) {
-	run := l.Mz * l.Wc
-	for s := 0; s < l.Pc; s++ {
-		copyRuns(dst, s*run, l.N*l.Wc, 0, recv, s*l.BlockC, run, 0, run, 1, iyLo, iyHi)
-	}
-}
-
 // PencilGatherColFwdPeer gathers peer s's contribution to y-planes
 // [iyLo,iyHi) of the z-complete layout dst=[My][Nz][Wc] directly from
 // its x-complete layout src=[My][Mz][Nxh] (padded): peer s's z chunk
@@ -198,37 +157,12 @@ func PencilGatherColFwdPeer[T any](l *PencilLayout, dst, src []T, s, iyLo, iyHi 
 }
 
 // PencilGatherColFwdRange is PencilGatherColFwdPeer over every
-// column-group peer: the fused form of pack, all-to-all and unpack.
+// column-group peer.
 //
 //psdns:hotpath
 func PencilGatherColFwdRange[T any](l *PencilLayout, dst []T, srcs [][]T, iyLo, iyHi int) {
 	for s, src := range srcs {
 		PencilGatherColFwdPeer(l, dst, src, s, iyLo, iyHi)
-	}
-}
-
-// PencilPackColInvRange packs y-planes [iyLo,iyHi) of the z-complete
-// layout src=[My][Nz][Wc] into per-destination blocks: block d holds
-// [My][Mz][Wc] — destination d's z chunk — padded to BlockC.
-//
-//psdns:hotpath
-func PencilPackColInvRange[T any](l *PencilLayout, pack, src []T, iyLo, iyHi int) {
-	run := l.Mz * l.Wc
-	for d := 0; d < l.Pc; d++ {
-		copyRuns(pack, d*l.BlockC, run, 0, src, d*run, l.N*l.Wc, 0, run, 1, iyLo, iyHi)
-	}
-}
-
-// PencilUnpackColInvRange unpacks received column blocks into y-planes
-// [iyLo,iyHi) of the x-complete layout dst=[My][Mz][Nxh]: recv block s
-// ([My][Mz][Width(s)], padded to BlockC) is peer s's x span of this
-// rank's z chunk.
-//
-//psdns:hotpath
-func PencilUnpackColInvRange[T any](l *PencilLayout, dst, recv []T, iyLo, iyHi int) {
-	for s, sp := range l.XSpans {
-		ws := sp.Width()
-		copyRuns(dst, sp.Lo, l.Mz*l.Nxh, l.Nxh, recv, s*l.BlockC, l.Mz*ws, ws, ws, l.Mz, iyLo, iyHi)
 	}
 }
 

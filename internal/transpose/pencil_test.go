@@ -73,8 +73,8 @@ func (g colGroup) wantB(zG int) []complex128 {
 	return b
 }
 
-// The three ways a stage executes one direction of the column exchange.
-var colPaths = []string{"staged", "fused", "rounds"}
+// The two ways a stage executes one direction of the column exchange.
+var colPaths = []string{"fused", "rounds"}
 
 // run executes y-planes [lo,hi) of the column exchange on every rank of
 // the group along path — forward X → B, or inverse B → X — from srcs
@@ -82,7 +82,6 @@ var colPaths = []string{"staged", "fused", "rounds"}
 func (g colGroup) run(fwd bool, path string, srcs [][]complex128, lo, hi int, sentinel complex128) [][]complex128 {
 	pc := len(g.lays)
 	dsts := make([][]complex128, pc)
-	packs := make([][]complex128, pc)
 	for zG, l := range g.lays {
 		dsts[zG] = make([]complex128, l.BLen())
 		if !fwd {
@@ -91,27 +90,9 @@ func (g colGroup) run(fwd bool, path string, srcs [][]complex128, lo, hi int, se
 		for i := range dsts[zG] {
 			dsts[zG][i] = sentinel
 		}
-		if path == "staged" {
-			packs[zG] = make([]complex128, pc*l.BlockC)
-			if fwd {
-				PencilPackColFwdRange(l, packs[zG], srcs[zG], lo, hi)
-			} else {
-				PencilPackColInvRange(l, packs[zG], srcs[zG], lo, hi)
-			}
-		}
 	}
 	for zG, l := range g.lays {
 		switch path {
-		case "staged":
-			recv := make([]complex128, pc*l.BlockC)
-			for s := 0; s < pc; s++ {
-				copy(recv[s*l.BlockC:(s+1)*l.BlockC], packs[s][zG*l.BlockC:(zG+1)*l.BlockC])
-			}
-			if fwd {
-				PencilUnpackColFwdRange(l, dsts[zG], recv, lo, hi)
-			} else {
-				PencilUnpackColInvRange(l, dsts[zG], recv, lo, hi)
-			}
 		case "fused":
 			if fwd {
 				PencilGatherColFwdRange(l, dsts[zG], srcs, lo, hi)
@@ -148,10 +129,9 @@ func checkPlanes(t *testing.T, tag string, got, want []complex128, plane, count,
 	}
 }
 
-// The four column kernels of each direction must place every element
-// by its global coordinates for even and uneven x splits, and the
-// staged pack → all-to-all → unpack triple, the fused gather and the
-// per-peer rounds must agree; the inverse must recover X, so
+// The column kernels of each direction must place every element by its
+// global coordinates for even and uneven x splits, on the fused gather
+// and the per-peer rounds alike; the inverse must recover X, so
 // forward∘inverse is the identity.
 func TestPencilKernelsRouteAndAgree(t *testing.T) {
 	const n = 12
@@ -251,8 +231,8 @@ func TestNewPencilLayoutValidation(t *testing.T) {
 		t.Fatalf("layout dims = %+v", l)
 	}
 	// nxh=7 over pc=4: spans 2,2,2,1; rank z=3 owns the short span.
-	if l.Wc != 1 || l.XLo != 6 || l.WcMax != 2 {
-		t.Fatalf("x split = Wc %d XLo %d WcMax %d", l.Wc, l.XLo, l.WcMax)
+	if l.Wc != 1 || l.XLo != 6 || l.XSpans[0].Width() != 2 {
+		t.Fatalf("x split = Wc %d XLo %d spans %v", l.Wc, l.XLo, l.XSpans)
 	}
 	if l.PadXLen != (4*3*7+3)/4*4 {
 		t.Fatalf("PadXLen = %d", l.PadXLen)

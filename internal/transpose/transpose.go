@@ -1,10 +1,11 @@
-// Package transpose implements the pack and unpack kernels that
-// surround every MPI all-to-all in the DNS: the slab y↔z transposes of
-// the paper's 1D-decomposed GPU code (Fig 2/Fig 6), which are also the
-// row exchange of a Pr×Pc pencil grid, and that grid's column
-// exchange (pencil.go). Pack layouts are chosen so each destination
-// receives one contiguous block, the property the paper exploits by
-// fusing packing into a single strided device-to-host copy.
+// Package transpose implements the gather kernels of every
+// transpose-exchange in the DNS: the slab y↔z transposes of the
+// paper's 1D-decomposed GPU code (Fig 2/Fig 6; layout.go, gather.go),
+// which are also the row exchange of a Pr×Pc pencil grid, and that
+// grid's column exchange (pencil.go). Each kernel reads a peer's
+// published slab in place and writes the local destination layout —
+// the zero-copy variant of the paper's §4, with no pack or unpack
+// pass.
 package transpose
 
 // CopyStrided copies nrows rows of rowLen contiguous elements from src
@@ -57,27 +58,4 @@ func ZeroOutOfBand(plane []complex128, n, stride, w, kb, gapLo, gapHi int) {
 			clear(plane[off+kb : off+w])
 		}
 	}
-}
-
-// --- Slab transposes (1D decomposition) -------------------------------
-//
-// Fourier-side layout:  [mz][ny][nxh]  (x fastest, z-distributed)
-// Physical-side layout: [my][nz][nxh]  (x fastest, y-distributed)
-// with my = ny/p and nz = mz·p.
-
-// PackYZ packs the Fourier-side slab src=[mz][ny][nxh] into p
-// destination blocks of shape [mz][my][nxh]; block d carries y indices
-// [d·my,(d+1)·my). dst must have length mz·ny·nxh.
-func PackYZ[T any](dst, src []T, nxh, ny, mz, p int) {
-	l := NewSlabLayout(nxh, ny, mz, p)
-	l.check("PackYZ", len(dst), len(src))
-	PackYZRange(&l, dst, src, 0, 0, mz)
-}
-
-// UnpackYZ scatters the received blocks (block s = [mz][my][nxh] from
-// rank s) into the physical-side slab dst=[my][nz][nxh].
-func UnpackYZ[T any](dst, src []T, nxh, nz, my, p int) {
-	l := NewSlabLayout(nxh, my*p, nz/p, p)
-	l.check("UnpackYZ", len(dst), len(src))
-	UnpackYZRange(&l, dst, src, 0, my)
 }

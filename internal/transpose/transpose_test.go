@@ -10,43 +10,27 @@ func encode(ix, iy, iz int) complex128 {
 	return complex(float64(ix*1000000+iy*1000+iz), float64(ix+iy+iz))
 }
 
-// exchange emulates MPI_ALLTOALL across p local "ranks": send buffers
-// are p equal blocks; recv[r] gathers block r from every rank.
-func exchange(send [][]complex128, p, bs int) [][]complex128 {
-	recv := make([][]complex128, p)
-	for r := 0; r < p; r++ {
-		recv[r] = make([]complex128, p*bs)
-		for s := 0; s < p; s++ {
-			copy(recv[r][s*bs:(s+1)*bs], send[s][r*bs:(r+1)*bs])
-		}
-	}
-	return recv
-}
-
+// The slab transpose places every element at its global coordinates:
+// a y→z exchange of the Fourier-side slabs leaves rank r holding global
+// y rows r·My… of every z.
 func TestSlabTransposeGlobalPlacement(t *testing.T) {
 	nxh, ny, nz, p := 3, 8, 4, 2
 	mz, my := nz/p, ny/p
-	bs := mz * my * nxh
+	l := NewSlabLayout(nxh, ny, mz, p)
 
 	// Build each rank's Fourier-side slab [mz][ny][nxh].
-	send := make([][]complex128, p)
-	for r := 0; r < p; r++ {
-		slab := make([]complex128, mz*ny*nxh)
+	slabs := make([][]complex128, p)
+	for r := range slabs {
+		slabs[r] = make([]complex128, l.Total)
 		for iz := 0; iz < mz; iz++ {
 			for iy := 0; iy < ny; iy++ {
 				for ix := 0; ix < nxh; ix++ {
-					slab[(iz*ny+iy)*nxh+ix] = encode(ix, iy, r*mz+iz)
+					slabs[r][(iz*ny+iy)*nxh+ix] = encode(ix, iy, r*mz+iz)
 				}
 			}
 		}
-		packed := make([]complex128, len(slab))
-		PackYZ(packed, slab, nxh, ny, mz, p)
-		send[r] = packed
 	}
-	recv := exchange(send, p, bs)
-	for r := 0; r < p; r++ {
-		dst := make([]complex128, my*nz*nxh)
-		UnpackYZ(dst, recv[r], nxh, nz, my, p)
+	for r, dst := range slabExchange(&l, slabs, true) {
 		for iy := 0; iy < my; iy++ {
 			for iz := 0; iz < nz; iz++ {
 				for ix := 0; ix < nxh; ix++ {
@@ -61,27 +45,17 @@ func TestSlabTransposeGlobalPlacement(t *testing.T) {
 	}
 }
 
-// slabExchange runs the staged slab transpose of l across its P local
-// ranks: every rank packs its slab (Fourier side for yz, physical side
-// otherwise), the blocks are exchanged, every rank unpacks.
+// slabExchange runs the slab transpose of l across its P local ranks
+// as the plain gather: every rank reads every rank's slab (Fourier side
+// for yz, physical side otherwise) in place.
 func slabExchange(l *SlabLayout, srcs [][]complex128, yz bool) [][]complex128 {
-	send := make([][]complex128, l.P)
-	for r, src := range srcs {
-		send[r] = make([]complex128, l.Total)
-		if yz {
-			PackYZRange(l, send[r], src, r, 0, l.Mz)
-		} else {
-			PackZYRange(l, send[r], src, 0, l.My)
-		}
-	}
-	recv := exchange(send, l.P, l.Block)
 	out := make([][]complex128, l.P)
 	for r := range out {
 		out[r] = make([]complex128, l.Total)
 		if yz {
-			UnpackYZRange(l, out[r], recv[r], 0, l.My)
+			GatherYZRange(l, out[r], srcs, r, 0, l.My)
 		} else {
-			UnpackZYRange(l, out[r], recv[r], r, 0, l.Mz)
+			GatherZYRange(l, out[r], srcs, r, 0, l.Mz)
 		}
 	}
 	return out
@@ -165,30 +139,33 @@ func TestRowTransposeGlobalPlacement(t *testing.T) {
 	}
 }
 
-// The column exchange's staged path — pack, all-to-all, unpack —
-// forward then inverse restores X.
+// The column exchange forward then inverse restores X, on every path.
 func TestColTransposeRoundTrip(t *testing.T) {
 	const sentinel = complex(-1, -1)
 	for yG := 0; yG < 2; yG++ {
 		g := newColGroup(12, 2, 4, yG)
 		my := g.lays[0].My
-		b := g.run(true, "staged", g.x, 0, my, sentinel)
-		for zG, got := range g.run(false, "staged", b, 0, my, sentinel) {
-			l := g.lays[zG]
-			checkPlanes(t, "col round trip", got, g.x[zG], l.Mz*l.Nxh, my, 0, my, sentinel)
+		for _, path := range colPaths {
+			b := g.run(true, path, g.x, 0, my, sentinel)
+			for zG, got := range g.run(false, path, b, 0, my, sentinel) {
+				l := g.lays[zG]
+				checkPlanes(t, "col round trip "+path, got, g.x[zG], l.Mz*l.Nxh, my, 0, my, sentinel)
+			}
 		}
 	}
 }
 
-// The column exchange's staged path places every element of X at its
-// global coordinates in B.
+// The column exchange places every element of X at its global
+// coordinates in B, on every path.
 func TestColTransposeGlobalPlacement(t *testing.T) {
 	const sentinel = complex(-1, -1)
 	g := newColGroup(12, 3, 2, 1)
 	my := g.lays[0].My
-	for zG, got := range g.run(true, "staged", g.x, 0, my, sentinel) {
-		l := g.lays[zG]
-		checkPlanes(t, "col placement", got, g.wantB(zG), l.N*l.Wc, my, 0, my, sentinel)
+	for _, path := range colPaths {
+		for zG, got := range g.run(true, path, g.x, 0, my, sentinel) {
+			l := g.lays[zG]
+			checkPlanes(t, "col placement "+path, got, g.wantB(zG), l.N*l.Wc, my, 0, my, sentinel)
+		}
 	}
 }
 
@@ -207,15 +184,6 @@ func TestCopyStrided(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPackPanicsOnShortBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PackYZ(make([]complex128, 3), make([]complex128, 100), 2, 10, 5, 2)
 }
 
 func TestZeroOutOfBand(t *testing.T) {

@@ -19,8 +19,9 @@ import (
 // and a hit must be the file's entry for that key. The key is the
 // program's, not the file's: an even N from 2 to 512, 1 to 64 ranks,
 // one of the engine names the tuned constructors use. Seeds are the
-// files of cache_test.go — a stored point, each corruption of it — and
-// a pencil point on a 2×2 grid.
+// files of cache_test.go — a stored point, each corruption of it — a
+// slab point naming the retired strategy 1, and a pencil point on a
+// 2×2 grid.
 func FuzzCacheLookup(f *testing.F) {
 	file := func(key Key, pts ...Point) []byte {
 		cf := cacheFile{Schema: SchemaVersion}
@@ -55,7 +56,7 @@ func FuzzCacheLookup(f *testing.F) {
 	stale, _ := json.Marshal(cacheFile{Schema: SchemaVersion + 1, Entries: []cacheEntry{{Key: key, Point: pt}}})
 	seed(stale, key)
 	slab := Key{Engine: "slab", N: 64, P: 4, Maxprocs: 8, Machine: "fuzz"}
-	seed(file(slab, Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Staged, PerSlab: true, NP: 1, Workers: 2}), slab)
+	seed(file(slab, Point{Strategy: exchange.ChunkedFused, StrategyZY: 1, PerSlab: true, NP: 1, Workers: 2}), slab)
 	pencil := Key{Engine: "pencil-2x2", N: 16, P: 4, Maxprocs: 8, Machine: "fuzz"}
 	seed(file(pencil, Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused, Workers: 2, Pr: 2, Pc: 2}), pencil)
 

@@ -22,7 +22,7 @@ func TestCacheRoundtrip(t *testing.T) {
 	if _, ok := c.Lookup(key); ok {
 		t.Fatal("lookup hit on an empty cache")
 	}
-	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Staged, PerSlab: true, NP: 3, Workers: 2, Single: true}
+	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused, PerSlab: true, NP: 3, Workers: 2, Single: true}
 	c.Store(key, pt, 0.25)
 	// A fresh handle must see the persisted decision through the file.
 	got, ok := Open(dir).Lookup(key)
@@ -50,7 +50,7 @@ func TestCacheReplacesSameKey(t *testing.T) {
 	dir := t.TempDir()
 	c := Open(dir)
 	key := testKey()
-	c.Store(key, Point{Strategy: exchange.Staged, StrategyZY: exchange.Staged, Workers: 1}, 1.0)
+	c.Store(key, Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.ChunkedFused, Workers: 1}, 1.0)
 	c.Store(key, Point{Strategy: exchange.Fused, StrategyZY: exchange.Fused, Workers: 2}, 0.5)
 	got, ok := c.Lookup(key)
 	if !ok || got.Strategy != exchange.Fused || got.Workers != 2 {
@@ -143,7 +143,7 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 
 // The zero space searches exactly the concrete strategies per
 // direction at the engine defaults, yz strategies varying fastest,
-// Staged/Staged first — the ordering the resolve tie-break depends on.
+// Fused/Fused first — the ordering the resolve tie-break depends on.
 func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 	var s Space
 	pts := s.Points(3, 2)
@@ -163,8 +163,8 @@ func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 	}
 
 	s = Space{
-		Strategies:   []exchange.Strategy{exchange.Staged, exchange.Fused},
-		StrategiesZY: []exchange.Strategy{exchange.Staged},
+		Strategies:   []exchange.Strategy{exchange.Fused, exchange.ChunkedFused},
+		StrategiesZY: []exchange.Strategy{exchange.ChunkedFused},
 		PerSlab:      []bool{true, false},
 		Workers:      []int{1, 4},
 	}
@@ -174,18 +174,18 @@ func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 	}
 	// YZ strategy varies fastest, then PerSlab, then Workers.
 	want := []Point{
-		{Strategy: exchange.Staged, PerSlab: true, NP: 3, Workers: 1},
 		{Strategy: exchange.Fused, PerSlab: true, NP: 3, Workers: 1},
-		{Strategy: exchange.Staged, PerSlab: false, NP: 3, Workers: 1},
+		{Strategy: exchange.ChunkedFused, PerSlab: true, NP: 3, Workers: 1},
 		{Strategy: exchange.Fused, PerSlab: false, NP: 3, Workers: 1},
-		{Strategy: exchange.Staged, PerSlab: true, NP: 3, Workers: 4},
+		{Strategy: exchange.ChunkedFused, PerSlab: false, NP: 3, Workers: 1},
 		{Strategy: exchange.Fused, PerSlab: true, NP: 3, Workers: 4},
-		{Strategy: exchange.Staged, PerSlab: false, NP: 3, Workers: 4},
+		{Strategy: exchange.ChunkedFused, PerSlab: true, NP: 3, Workers: 4},
 		{Strategy: exchange.Fused, PerSlab: false, NP: 3, Workers: 4},
+		{Strategy: exchange.ChunkedFused, PerSlab: false, NP: 3, Workers: 4},
 	}
 	for i := range want {
 		w := want[i]
-		w.StrategyZY = exchange.Staged
+		w.StrategyZY = exchange.ChunkedFused
 		if pts[i] != w {
 			t.Fatalf("point %d = %+v, want %+v", i, pts[i], w)
 		}
@@ -193,7 +193,7 @@ func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 
 	// A decomposition axis multiplies the space, slab points first.
 	s = Space{
-		Strategies: []exchange.Strategy{exchange.Staged},
+		Strategies: []exchange.Strategy{exchange.Fused},
 		Decomps:    []Decomp{DecompSlab, Pencil(2, 4)},
 	}
 	pts = s.Points(3, 2)

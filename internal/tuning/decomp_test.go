@@ -140,7 +140,7 @@ func TestCacheSchema1Fallback(t *testing.T) {
 		if got, ok := Open(dir).Lookup(key); ok {
 			t.Fatalf("schema-%d cache hit with %+v; want a miss", schema, got)
 		}
-		pt := Point{Strategy: exchange.Staged, StrategyZY: exchange.ChunkedFused, Workers: 1}
+		pt := Point{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused, Workers: 1}
 		Open(dir).Store(key, pt, 0.1)
 		data, err = os.ReadFile(filepath.Join(dir, "tuning.json"))
 		if err != nil {
@@ -166,7 +166,7 @@ func TestCachePencilPointRoundtrip(t *testing.T) {
 	key := testKey()
 	key.P = 32
 	pt := Point{
-		Strategy: exchange.Fused, StrategyZY: exchange.Staged,
+		Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused,
 		Workers: 2, Pr: 4, Pc: 8,
 	}
 	Open(dir).Store(key, pt, 0.2)

@@ -60,14 +60,15 @@ type Target[E engine] struct {
 //   - Candidates: cfg.Space.Points(t.NP, t.Workers), through t.Collapse
 //     where set, duplicates dropped, space order kept.
 //   - Trial engines: one live engine per contiguous group of points
-//     that differ only in their strategies, built pinned Staged in
-//     both directions — Staged is the one strategy with buffers of its
-//     own, so that engine can run every strategy — and closed before
-//     the next group's is built.
-//   - Trials: each (direction, strategy) of a group is timed once,
-//     best of 3, barrier-fenced; a point scores its yz time plus its zy
-//     time, so the yz × zy cross product costs 2 × |strategies| trials
-//     per group, not |strategies|².
+//     that differ only in their strategies, built pinned Fused in both
+//     directions — every strategy is a zero-copy gather and none owns
+//     buffers of its own, so that engine can run every strategy — and
+//     closed before the next group's is built.
+//   - Trials: each (direction, strategy) of a group is timed best of
+//     3, barrier-fenced; a point scores its yz time plus its zy time,
+//     so the yz × zy cross product costs 2 × |strategies| × 3 trials
+//     per group (12 over the two concrete strategies), not
+//     |strategies|².
 //   - Resolve: max over ranks, argmin, ties to the earlier point (the
 //     space lists the safe defaults first); the winner is stored.
 //
@@ -128,9 +129,9 @@ func Tune[E engine](comm *mpi.Comm, cfg Config, t Target[E]) E {
 }
 
 // trialPoint is the engine a point's trials run on: the point with
-// both directions pinned Staged.
+// both directions pinned Fused.
 func trialPoint(pt Point) Point {
-	pt.Strategy, pt.StrategyZY = exchange.Staged, exchange.Staged
+	pt.Strategy, pt.StrategyZY = exchange.Fused, exchange.Fused
 	return pt
 }
 
@@ -182,9 +183,9 @@ func resolveTimes(c *mpi.Comm, mine []float64) (int, float64) {
 // every candidate was disqualified (the winner then defaults to index
 // 0).
 //
-// The argmin over a table that includes Staged is what makes the
-// tuner safe by construction: it can never pin a strategy that
-// measured slower than the staged baseline on the benchmarked plan.
+// Every candidate is an exact strategy, so the argmin changes only the
+// speed of the pinned engine, never its answer; ties go to the earlier
+// point, the space's conservative default.
 func resolveIndex(ncands int, perRank [][]float64) (int, float64) {
 	if ncands == 0 {
 		panic("tuning: resolve with no candidates")

@@ -108,7 +108,7 @@ func (s Space) withDefaults(np, workers int) Space {
 // Points enumerates the space in deterministic order, yz strategies
 // varying fastest, then zy strategies, with decompositions slowest.
 // The resolve breaks ties toward the earlier point, so listing the safe
-// defaults first (slab, Staged, double precision) keeps the tuner
+// defaults first (slab, Fused, double precision) keeps the tuner
 // conservative under a statistical wash. np and workers are the engine
 // defaults substituted into empty dimensions.
 func (s Space) Points(np, workers int) []Point {

@@ -103,13 +103,13 @@ func TestPublicAPIChaos(t *testing.T) {
 		MinBytes: 1024, DropProb: 1,
 	}
 	err := repro.TryRun(2, func(c *repro.Comm) {
-		// Pin the staged wire path: the default autotuner would run
-		// staged trials at construction and stall there under the
-		// 100%-drop rule, before Step gets to wrap the error.
+		// Pin the strategy: the default autotuner would run its
+		// trials at construction and stall there under the 100%-drop
+		// rule, before Step gets to wrap the error.
 		tr := repro.NewAsync(c, 16,
 			repro.WithNP(3),
 			repro.WithGranularity(repro.PerPencil),
-			repro.WithExchangeStrategy(repro.ExchangeStaged),
+			repro.WithExchangeStrategy(repro.ExchangeFused),
 		)
 		defer tr.Close()
 		s := repro.NewSolver(c, 16,
