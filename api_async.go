@@ -144,13 +144,12 @@ func WithBoundedStaleness(maxStale int, deadline time.Duration) AsyncOption {
 	}
 }
 
-// TuneSpace enumerates the candidate whole-step configurations the
-// autotuner searches: exchange strategies × transfer granularity ×
-// pencil counts × worker-team sizes × wire precision. Empty dimensions
-// default to numerics-preserving singletons (the engine's own
-// configuration), so the default search only changes the data path,
-// never the answer. Listing the precision dimension explicitly is how
-// single-precision exchanges enter the search.
+// TuneSpace enumerates the candidate configurations the autotuner
+// searches: the exchange strategy of each transpose direction and, for
+// NewTunedTransform, the decomposition. Empty dimensions default to
+// every concrete strategy and the slab. Every candidate is exact, so
+// the search only changes the data path, never the answer; the engine's
+// other options are the caller's and are never searched.
 type TuneSpace = tuning.Space
 
 // NewAsync builds the asynchronous engine for an N³ transform,
@@ -187,14 +186,14 @@ func tuneConfig(cacheDir string, space *TuneSpace) tuning.Config {
 	return cfg
 }
 
-// NewTunedAsync builds the asynchronous engine through the whole-step
-// autotuner, the opts giving the configuration the search starts from
-// (and keeps on every dimension the space does not list): every
-// candidate is timed with the collective barrier-fenced best-of-k
-// trial protocol and the max-over-ranks winner is constructed. A
-// non-empty cacheDir persists the winner so later constructions with
-// the same (N, P, GOMAXPROCS, machine) key skip the trials; a nil
-// space searches exchange strategies × both granularities. Collective.
+// NewTunedAsync builds the asynchronous engine at opts through the
+// autotuner: every strategy pair of the space is timed on that engine
+// with the collective barrier-fenced best-of-k trial protocol and the
+// max-over-ranks winner is constructed, with exactly the options
+// given. A non-empty cacheDir persists the winner so later
+// constructions with the same (options, N, P, GOMAXPROCS, machine) key
+// skip the trials; a nil space searches every concrete strategy per
+// direction. Collective.
 func NewTunedAsync(c *Comm, n int, cacheDir string, space *TuneSpace, opts ...AsyncOption) *AsyncTransform {
 	return pfft.NewAsyncSlabRealTuned(c, n, asyncOptions(opts), tuneConfig(cacheDir, space))
 }
@@ -221,14 +220,14 @@ func NewThreadedSlabTransform(c *Comm, n, threads int) *pfft.SlabReal {
 type RealTransform = *pfft.SlabReal
 
 // NewTunedTransform builds the real-field transform for decomposition
-// d through the whole-step autotuner: DecompSlab searches exchange
+// d through the autotuner: DecompSlab searches exchange
 // strategies on the slab engine, an explicit Pr×Pc grid searches them
 // on that pencil grid, and DecompAuto makes the decomposition itself a
 // tune dimension over every valid layout — the constructor that runs
 // at P > N, where no slab layout exists. A non-empty cacheDir persists
 // the winning configuration so later constructions with the same
-// (engine, N, P, GOMAXPROCS, machine) key skip the trials; a nil space
-// searches the numerics-preserving default. Collective.
+// (engine, workers, N, P, GOMAXPROCS, machine) key skip the trials; a
+// nil space searches every concrete strategy per direction. Collective.
 func NewTunedTransform(c *Comm, n, workers int, d Decomposition, cacheDir string, space *TuneSpace) RealTransform {
 	return pfft.NewRealTuned(c, n, workers, d, tuneConfig(cacheDir, space))
 }

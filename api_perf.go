@@ -32,7 +32,7 @@ func SummitCopyCost() CopyCost { return cuda.SummitCopyCost() }
 // PerfConfig describes one deployment for the step-time model.
 type PerfConfig = core.PerfConfig
 
-// StepResult is a simulated step (time, schedule spans, class totals).
+// StepResult is a simulated step (time, schedule spans).
 type StepResult = core.StepResult
 
 // DefaultPerf returns the calibrated configuration for a paper case.

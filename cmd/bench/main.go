@@ -32,7 +32,7 @@
 //     single-precision transpose-exchanges (complex64 wire format,
 //     half the exchanged bytes);
 //   - slab_tuned_n64_p4: the slab transform constructed through the
-//     whole-step autotuner (trials at construction, outside the timed
+//     strategy autotuner (trials at construction, outside the timed
 //     window), pinning the tuned configuration allocation-free;
 //   - pencil_fwd_inv_n64_p4 / p8, pencil_fwd_inv_n128_p4: the
 //     forward+inverse transform on 2×2 and 2×4 process grids (the last
@@ -294,8 +294,7 @@ func slabTransformSingle(n, p int) func(iters, workers int) sample {
 }
 
 // slabTransformTuned is slabTransform on an engine constructed through
-// the whole-step autotuner (default numerics-preserving space, no
-// cache). The trials run at construction, outside the timed window;
+// the strategy autotuner (default space, no cache). The trials run at construction, outside the timed window;
 // the row pins the tuned configuration's steady state.
 func slabTransformTuned(n, p int) func(iters, workers int) sample {
 	return transformPair(p, func(c *mpi.Comm, workers int) pairEngine {

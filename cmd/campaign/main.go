@@ -22,9 +22,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -65,6 +67,22 @@ type Config struct {
 	gran pfft.Granularity // Gran parsed by validate
 }
 
+// parseConfig decodes and validates a campaign config. An unknown key
+// is an error, not ignored: a misspelt option would otherwise run the
+// default.
+func parseConfig(raw []byte) (Config, error) {
+	var cfg Config
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cfg, fmt.Errorf("trailing data after the config object")
+	}
+	return cfg, cfg.validate()
+}
+
 func main() {
 	cfgPath := flag.String("config", "", "campaign JSON (required)")
 	flag.Parse()
@@ -76,11 +94,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cfg Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		log.Fatalf("config: %v", err)
-	}
-	if err := cfg.validate(); err != nil {
+	cfg, err := parseConfig(raw)
+	if err != nil {
 		log.Fatalf("config: %v", err)
 	}
 	fmt.Printf("campaign: %d stages on %d ranks, ν=%g, engine=%s\n",

@@ -34,4 +34,22 @@ func TestValidateRejectsUnknownNames(t *testing.T) {
 			t.Errorf("%s: err %v, engine %q, gran %v", tc.name, err, tc.cfg.Engine, tc.cfg.gran)
 		}
 	}
+
+	// The config file's keys are names too: a misspelt one is an
+	// error naming it, not a silent default.
+	for _, tc := range []struct{ raw, wantErr string }{
+		{`{"ranks": 2, "forcingShells": 2, "threads": 4, "stages": [{"n": 16, "steps": 1, "dt": 0.01}]}`, ""},
+		{`{"ranks": 2, "forcing_shells": 2, "stages": [{"n": 16, "steps": 1, "dt": 0.01}]}`, `unknown field "forcing_shells"`},
+		{`{"ranks": 2, "thread": 4, "stages": [{"n": 16, "steps": 1, "dt": 0.01}]}`, `unknown field "thread"`},
+		{`{"ranks": 2, "stages": [{"n": 16, "steps": 1, "dt": 0.01, "cfl_target": 0.4}]}`, `unknown field "cfl_target"`},
+		{`{"ranks": 2, "stages": [{"n": 16, "steps": 1, "dt": 0.01}]} {}`, "trailing data"},
+	} {
+		cfg, err := parseConfig([]byte(tc.raw))
+		switch {
+		case tc.wantErr == "" && (err != nil || cfg.ForcingShells != 2 || cfg.Threads != 4):
+			t.Errorf("parseConfig(%s) = %+v, %v; want forcingShells 2, threads 4", tc.raw, cfg, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("parseConfig(%s) error %v, want one containing %q", tc.raw, err, tc.wantErr)
+		}
+	}
 }

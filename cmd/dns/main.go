@@ -46,8 +46,7 @@ func main() {
 		gran     = flag.String("gran", "slab", "all-to-all granularity: pencil or slab (needs -engine async)")
 		exch     = flag.String("exchange", "auto", "transpose-exchange strategy: auto, fused, chunked or at (auto microbenchmarks at startup and pins the winner; at needs -at-stale)")
 		decomp   = flag.String("decomp", "slab", "field decomposition of the one transform engine: slab (the ranks x 1 grid), a PRxPC pencil grid such as 2x4, or auto (times every grid that fits N and ranks and pins the fastest); non-slab selects the transform drive loop — one forward+inverse transform pair per step — which also runs at ranks > N, past the slab scaling wall")
-		autotune = flag.Bool("autotune", false, "whole-step autotuning: search exchange strategy and engine knobs together at startup and pin the collectively-agreed winner")
-		tuneDir  = flag.String("tunecache", "", "persist autotuner decisions as JSON under this directory (implies -autotune; a warm cache skips the startup trials)")
+		tuneDir  = flag.String("tunecache", "", "persist the -exchange auto search as JSON under this directory (a warm cache skips the startup trials)")
 		atStale  = flag.Int("at-stale", -1, "asynchrony-tolerant stepping: bounded-staleness exchanges with this staleness bound in exchange epochs (-1 = off; implies -exchange at)")
 		atDL     = flag.Duration("at-deadline", 50*time.Millisecond, "asynchrony-tolerant stepping: soft wait for peers within the staleness bound (0 = never wait past the hard bound; needs -at-stale)")
 		ngpu     = flag.Int("ngpu", 1, "devices per rank (needs -engine async)")
@@ -136,14 +135,8 @@ func main() {
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkEngineFlags(set, async, strategy == exchange.AT); err != nil {
+	if err := checkEngineFlags(set, async, strategy); err != nil {
 		log.Fatal(err)
-	}
-	if *tuneDir != "" {
-		*autotune = true
-	}
-	if *autotune && strategy != exchange.Auto {
-		log.Fatalf("-autotune searches the strategy itself; it combines only with -exchange auto, not %s", strategy)
 	}
 
 	runOpts := []mpi.RunOption{mpi.WithWatchdog(mpi.Watchdog{
@@ -232,7 +225,7 @@ func main() {
 			opt.NP, opt.Granularity, opt.NGPU = *np, granularity, *ngpu
 		}
 		var tr *pfft.SlabReal
-		if *autotune {
+		if tune.Cache != nil {
 			tr = pfft.NewAsyncSlabRealTuned(c, *n, opt, tune)
 		} else {
 			tr = pfft.NewAsyncSlabReal(c, *n, opt)
@@ -417,16 +410,20 @@ func checkWatchdog(on bool, opDeadline, deadlockAfter time.Duration) error {
 
 // checkEngineFlags rejects an engine flag the run would ignore: set
 // holds the flags given on the command line (flag.Visit). The soft
-// deadline only bounds the asynchrony-tolerant exchange, and -np,
-// -gran and -ngpu only configure the batched pipeline.
-func checkEngineFlags(set map[string]bool, async, at bool) error {
-	if set["at-deadline"] && !at {
+// deadline only bounds the asynchrony-tolerant exchange, -np, -gran
+// and -ngpu only configure the batched pipeline, and -tunecache only
+// persists the -exchange auto search.
+func checkEngineFlags(set map[string]bool, async bool, strategy exchange.Strategy) error {
+	if set["at-deadline"] && strategy != exchange.AT {
 		return fmt.Errorf("-at-deadline needs the asynchrony-tolerant exchange: set -at-stale (or -exchange at) or drop -at-deadline")
 	}
 	for _, name := range []string{"np", "gran", "ngpu"} {
 		if set[name] && !async {
 			return fmt.Errorf("-%s configures the batched pipeline: add -engine async or drop -%s", name, name)
 		}
+	}
+	if set["tunecache"] && strategy != exchange.Auto {
+		return fmt.Errorf("-tunecache persists the -exchange auto search; it combines only with -exchange auto, not %s", strategy)
 	}
 	return nil
 }

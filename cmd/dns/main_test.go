@@ -61,30 +61,34 @@ func TestCheckWatchdog(t *testing.T) {
 // knobs without -engine async.
 func TestCheckEngineFlags(t *testing.T) {
 	for _, tc := range []struct {
-		set       []string
-		async, at bool
-		want      string // substring of the error; "" = accepted
+		set   []string
+		async bool
+		st    exchange.Strategy
+		want  string // substring of the error; "" = accepted
 	}{
-		{nil, false, false, ""},
-		{[]string{"at-stale", "at-deadline"}, false, true, ""},
-		{[]string{"exchange", "at-deadline"}, true, true, ""},
-		{[]string{"at-deadline"}, false, false, "-at-deadline needs the asynchrony-tolerant exchange"},
-		{[]string{"engine", "np", "gran", "ngpu"}, true, false, ""},
-		{[]string{"np"}, false, false, "-np configures the batched pipeline"},
-		{[]string{"gran"}, false, true, "-gran configures the batched pipeline"},
-		{[]string{"ngpu"}, false, false, "-ngpu configures the batched pipeline"},
-		{[]string{"at-deadline", "np"}, false, false, "-at-deadline needs"},
+		{nil, false, exchange.Auto, ""},
+		{[]string{"at-stale", "at-deadline"}, false, exchange.AT, ""},
+		{[]string{"exchange", "at-deadline"}, true, exchange.AT, ""},
+		{[]string{"at-deadline"}, false, exchange.Auto, "-at-deadline needs the asynchrony-tolerant exchange"},
+		{[]string{"engine", "np", "gran", "ngpu"}, true, exchange.Auto, ""},
+		{[]string{"np"}, false, exchange.Auto, "-np configures the batched pipeline"},
+		{[]string{"gran"}, false, exchange.AT, "-gran configures the batched pipeline"},
+		{[]string{"ngpu"}, false, exchange.Auto, "-ngpu configures the batched pipeline"},
+		{[]string{"at-deadline", "np"}, false, exchange.Auto, "-at-deadline needs"},
+		{[]string{"tunecache"}, true, exchange.Auto, ""},
+		{[]string{"tunecache", "exchange"}, false, exchange.Fused, "-tunecache persists the -exchange auto search"},
+		{[]string{"tunecache", "at-stale"}, true, exchange.AT, "combines only with -exchange auto, not at"},
 	} {
 		set := map[string]bool{}
 		for _, name := range tc.set {
 			set[name] = true
 		}
-		err := checkEngineFlags(set, tc.async, tc.at)
+		err := checkEngineFlags(set, tc.async, tc.st)
 		switch {
 		case tc.want == "" && err != nil:
-			t.Errorf("checkEngineFlags(%v, %v, %v) = %v, want accepted", tc.set, tc.async, tc.at, err)
+			t.Errorf("checkEngineFlags(%v, %v, %s) = %v, want accepted", tc.set, tc.async, tc.st, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("checkEngineFlags(%v, %v, %v) = %v, want error containing %q", tc.set, tc.async, tc.at, err, tc.want)
+			t.Errorf("checkEngineFlags(%v, %v, %s) = %v, want error containing %q", tc.set, tc.async, tc.st, err, tc.want)
 		}
 	}
 }

@@ -97,7 +97,7 @@ func SimulateGPU2DPencilStep(c PerfConfig) StepResult {
 		prevGroup = lastD2H
 	}
 	t := sim.Run()
-	return StepResult{Time: t, Spans: sim.Spans(), Totals: sim.ClassTotals()}
+	return StepResult{Time: t, Spans: sim.Spans()}
 }
 
 // DecompositionAblation compares the adopted 1D slab design against

@@ -12,8 +12,8 @@ import (
 	"repro/internal/tuning"
 )
 
-// The async whole-step tuner's default space (strategies × both
-// granularities) contains only float64 points, so a tuned engine must
+// The async tuner's default space (the concrete strategies of each
+// direction) contains only float64 points, so a tuned engine must
 // be bitwise-identical to a plain engine pinned to whatever the
 // trials select.
 func TestAsyncTunedBitwiseIdentity(t *testing.T) {

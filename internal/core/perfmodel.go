@@ -67,9 +67,8 @@ func DefaultPerf(n, nodes, tpn int, gran pfft.Granularity) PerfConfig {
 
 // StepResult is the outcome of one simulated RK2 step.
 type StepResult struct {
-	Time   float64 // seconds per step
-	Spans  []sched.Span
-	Totals map[string]float64 // busy seconds per activity class
+	Time  float64 // seconds per step
+	Spans []sched.Span
 }
 
 // ranks returns the total MPI rank count.
@@ -196,7 +195,7 @@ func SimulateGPUStep(c PerfConfig) StepResult {
 		prevGroup = gate
 	}
 	t := sim.Run()
-	return StepResult{Time: t, Spans: sim.Spans(), Totals: sim.ClassTotals()}
+	return StepResult{Time: t, Spans: sim.Spans()}
 }
 
 // SimulateMPIOnly predicts the standalone all-to-all kernel of §4.1
@@ -222,7 +221,7 @@ func SimulateMPIOnly(c PerfConfig) StepResult {
 		}
 	}
 	t := sim.Run()
-	return StepResult{Time: t, Spans: sim.Spans(), Totals: sim.ClassTotals()}
+	return StepResult{Time: t, Spans: sim.Spans()}
 }
 
 // CPUPerfConfig describes the synchronous pencil-decomposed CPU
@@ -296,5 +295,5 @@ func SimulateCPUStep(c CPUPerfConfig) StepResult {
 		prev = sim.NewTask(fmt.Sprintf("g%d fftz", g), "cpu", cpu, fftPass, dep()...)
 	}
 	t := sim.Run()
-	return StepResult{Time: t, Spans: sim.Spans(), Totals: sim.ClassTotals()}
+	return StepResult{Time: t, Spans: sim.Spans()}
 }

@@ -21,7 +21,9 @@
 // identical on the same field. NewRealTuned is the tuned constructor
 // over decompositions (a build closure, the engine's runTrial as the
 // exchange-only trial body, handed to tuning.Tune); NewAsyncSlabRealTuned
-// is the one-column pipeline's own.
+// is the one-column pipeline's own. Both search strategy pairs only:
+// pencil count, granularity, devices, workers and wire precision are
+// the caller's options and part of the tuning-cache key.
 //
 // The engine works each rank's pencil through in np plane groups on two
 // CUDA streams — one for compute, one for transfers — with events

@@ -96,6 +96,21 @@ func slabOptions(workers int) Options {
 	return Options{NP: 1, Granularity: PerSlab, NGPU: 1, Workers: workers}
 }
 
+// withDefaults fills the zero-means-default fields: NP 3, one device,
+// one worker.
+func (o Options) withDefaults() Options {
+	if o.NP == 0 {
+		o.NP = 3
+	}
+	if o.NGPU == 0 {
+		o.NGPU = 1
+	}
+	if o.Workers == 0 {
+		o.Workers = 1
+	}
+	return o
+}
+
 // span is a half-open index range.
 type span struct{ lo, hi int }
 
@@ -242,9 +257,9 @@ type SlabReal struct {
 // NewSlabRealStrategy builds the slab transform with an explicit
 // transpose-exchange strategy. exchange.Auto times every concrete
 // strategy per direction at the actual (N, P, workers) — the
-// NewRealTuned trial loop over the default space, with no cache — and
-// pins the collectively-agreed winners; a concrete strategy skips the
-// trials and pins that strategy on every rank. Collective.
+// NewAsyncSlabRealTuned search over the default space, with no cache —
+// and pins the collectively-agreed winners; a concrete strategy skips
+// the trials and pins that strategy on every rank. Collective.
 func NewSlabRealStrategy(comm *mpi.Comm, n, workers int, strat exchange.Strategy) *SlabReal {
 	if strat == exchange.Auto {
 		return NewAsyncSlabRealTuned(comm, n, slabOptions(workers), tuning.Config{})
@@ -256,12 +271,7 @@ func NewSlabRealStrategy(comm *mpi.Comm, n, workers int, strat exchange.Strategy
 // real transform over the ranks of comm.
 func NewAsyncSlabReal(comm *mpi.Comm, n int, opt Options) *SlabReal {
 	if opt.Exchange == exchange.Auto {
-		// Strategy-only search: every other dimension stays pinned to
-		// the option values (np, workers and precision by the tuner's
-		// own defaults, granularity here).
-		return NewAsyncSlabRealTuned(comm, n, opt, tuning.Config{
-			Space: tuning.Space{PerSlab: []bool{opt.Granularity == PerSlab}},
-		})
+		return NewAsyncSlabRealTuned(comm, n, opt, tuning.Config{})
 	}
 	return newSlabReal(comm, nil, n, opt, exchange.Both(opt.Exchange))
 }
@@ -299,15 +309,7 @@ func newSlabReal(comm, commZ *mpi.Comm, n int, opt Options, pair exchange.Pair) 
 	if pc > 1 && (pair.YZ == exchange.AT || opt.SingleComm) {
 		panic("pfft: the asynchrony-tolerant exchange and the single-precision wire need one column (Pc = 1)")
 	}
-	if opt.NP == 0 {
-		opt.NP = 3
-	}
-	if opt.NGPU == 0 {
-		opt.NGPU = 1
-	}
-	if opt.Workers == 0 {
-		opt.Workers = 1
-	}
+	opt = opt.withDefaults()
 	nxh := n/2 + 1
 	if opt.NP < 1 || opt.NP > nxh || opt.NP > n {
 		panic(fmt.Sprintf("pfft: invalid pencil count %d for N=%d", opt.NP, n))

@@ -219,24 +219,26 @@ func TestSlabRealTunedWarmCacheSkipsTrials(t *testing.T) {
 	}
 }
 
-// A corrupted cache file — unreadable, or well-formed but holding a
-// point out of range for the key — must fall back to live trials, not
-// crash or replay garbage, and leave a valid entry behind.
+// A corrupted cache file — unreadable, well-formed but holding a point
+// out of range for the key, or an entry whose key lost the engine's
+// worker team — must fall back to live trials, not crash or replay
+// garbage, and leave a valid entry behind.
 func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 	const n, p = 24, 2
 	// entry renders a schema-current cache file whose one entry, keyed
-	// for this run, holds the given point fields.
-	entry := func(point string) []byte {
-		return []byte(fmt.Sprintf(`{"schema": %d, "entries": [{"key": {"engine": "slab", "n": %d, "p": %d, "maxprocs": %d, "machine": %q}, "point": {%s}, "cost_seconds": 1}]}`,
-			tuning.SchemaVersion, n, p, runtime.GOMAXPROCS(0), hw.Fingerprint(), point))
+	// for this run at the given worker-team size, holds the given point
+	// fields.
+	entry := func(workers int, point string) []byte {
+		return []byte(fmt.Sprintf(`{"schema": %d, "entries": [{"key": {"engine": "slab", "n": %d, "p": %d, "np": 1, "per_slab": true, "ngpu": 1, "workers": %d, "single": false, "maxprocs": %d, "machine": %q}, "point": {%s}, "cost_seconds": 1}]}`,
+			tuning.SchemaVersion, n, p, workers, runtime.GOMAXPROCS(0), hw.Fingerprint(), point))
 	}
 	cases := map[string][]byte{
 		"garbage":       []byte("\x00 not json"),
-		"workers_zero":  entry(`"strategy": 2, "strategy_zy": 2, "workers": 0`),
-		"strategy_auto": entry(`"strategy": 0, "strategy_zy": 2, "workers": 1`),
-		"strategy_junk": entry(`"strategy": 4, "strategy_zy": 9, "workers": 1`),
-		"grid_not_p":    entry(`"strategy": 2, "strategy_zy": 2, "workers": 1, "pr": 3, "pc": 2`),
-		"pencil_point":  entry(`"strategy": 2, "strategy_zy": 2, "workers": 1, "pr": 1, "pc": 2`),
+		"workers_zero":  entry(0, `"strategy": 2, "strategy_zy": 2`),
+		"strategy_auto": entry(1, `"strategy": 0, "strategy_zy": 2`),
+		"strategy_junk": entry(1, `"strategy": 4, "strategy_zy": 9`),
+		"grid_not_p":    entry(1, `"strategy": 2, "strategy_zy": 2, "pr": 3, "pc": 2`),
+		"pencil_point":  entry(1, `"strategy": 2, "strategy_zy": 2, "pr": 1, "pc": 2`),
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -271,50 +273,15 @@ func TestSlabRealTunedCorruptCacheFallsBack(t *testing.T) {
 	}
 }
 
-// Searching the precision dimension explicitly may pick the f32 wire;
-// whatever wins must still satisfy the f32 accuracy bound.
-func TestSlabRealTunedPrecisionSearch(t *testing.T) {
-	const n, p = 24, 2
-	if err := mpi.TryRun(p, func(c *mpi.Comm) {
-		cfg := tuning.Config{Space: tuning.Space{Single: []bool{false, true}}}
-		f := NewRealTuned(c, n, 1, tuning.DecompSlab, cfg)
-		defer f.Close()
-		pl, fl := f.PhysicalLen(), f.FourierLen()
-		physIn := make([]float64, pl)
-		rng := rand.New(rand.NewSource(int64(17 + c.Rank())))
-		for i := range physIn {
-			physIn[i] = rng.NormFloat64()
-		}
-		four := make([]complex128, fl)
-		scratch := make([]float64, pl)
-		copy(scratch, physIn)
-		f.PhysicalToFourier(four, scratch)
-		out := make([]float64, pl)
-		f.FourierToPhysical(out, four)
-		var num, den float64
-		for i := range out {
-			d := out[i] - physIn[i]
-			num += d * d
-			den += physIn[i] * physIn[i]
-		}
-		if rms := math.Sqrt(num / den); rms > 1e-5 {
-			panic(fmt.Sprintf("rank %d: precision-searched round-trip rms %.3g (single=%v)", c.Rank(), rms, f.Single()))
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A pencil point cached before the grid ran on the program carries no
-// plane-group dimensions (NP 0, no PerSlab): it replays, without a
-// trial, as the program at np 1, one exchange per slab, one device on
-// exactly its grid, strategies and workers — bit for bit the engine
-// NewPencilReal builds from them.
+// A cached pencil point replays, without a trial, as the program at
+// np 1, one exchange per slab, one device on exactly its grid and
+// strategies, with the worker team of the caller and of the key —
+// bit for bit the engine NewPencilReal builds from them.
 func TestCachedPencilPointReplaysAsProgram(t *testing.T) {
 	const n, p = 16, 4
 	dir := t.TempDir()
-	data := fmt.Sprintf(`{"schema": 4, "entries": [{"key": {"engine": "pencil-2x2", "n": %d, "p": %d, "maxprocs": %d, "machine": %q}, "point": {"strategy": 3, "strategy_zy": 2, "per_slab": false, "np": 0, "workers": 2, "single": false, "pr": 2, "pc": 2}, "cost_seconds": 1}]}`,
-		n, p, runtime.GOMAXPROCS(0), hw.Fingerprint())
+	data := fmt.Sprintf(`{"schema": %d, "entries": [{"key": {"engine": "pencil-2x2", "n": %d, "p": %d, "np": 1, "per_slab": true, "ngpu": 1, "workers": 2, "single": false, "maxprocs": %d, "machine": %q}, "point": {"strategy": 3, "strategy_zy": 2, "pr": 2, "pc": 2}, "cost_seconds": 1}]}`,
+		tuning.SchemaVersion, n, p, runtime.GOMAXPROCS(0), hw.Fingerprint())
 	if err := os.WriteFile(filepath.Join(dir, "tuning.json"), []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +289,7 @@ func TestCachedPencilPointReplaysAsProgram(t *testing.T) {
 	reg.SetOn(true)
 	if err := mpi.RunWith(p, reg, func(c *mpi.Comm) {
 		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
-		f := NewRealTuned(c, n, 1, tuning.Pencil(2, 2), tuning.Config{Cache: tuning.Open(dir)})
+		f := NewRealTuned(c, n, 2, tuning.Pencil(2, 2), tuning.Config{Cache: tuning.Open(dir)})
 		defer f.Close()
 		pair := exchange.Pair{YZ: exchange.ChunkedFused, ZY: exchange.Fused}
 		if got := trials.Value(); got != 0 ||
@@ -348,5 +315,48 @@ func TestCachedPencilPointReplaysAsProgram(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A warm cache never overrides the caller's options: the options are
+// part of the key, so a build under other options tunes its own entry
+// and returns exactly the pencil count, granularity, worker team and
+// wire precision it was asked for, on the batched engine and on the
+// slab alike.
+func TestWarmCacheKeepsCallerOptions(t *testing.T) {
+	const n, p = 16, 2
+	type build struct {
+		np, workers int
+		gran        Granularity
+		single      bool
+	}
+	for _, tc := range []struct {
+		name          string
+		first, second build
+		slab          bool
+	}{
+		{"async", build{4, 1, PerPencil, false}, build{2, 2, PerPencil, false}, false},
+		{"async_gran_wire", build{2, 1, PerPencil, false}, build{2, 1, PerSlab, true}, false},
+		{"slab_workers", build{1, 1, PerSlab, false}, build{1, 2, PerSlab, false}, true},
+	} {
+		dir := t.TempDir()
+		if err := mpi.TryRun(p, func(c *mpi.Comm) {
+			cfg := tuning.Config{Cache: tuning.Open(dir)}
+			for _, b := range []build{tc.first, tc.second, tc.second} {
+				var f *SlabReal
+				if tc.slab {
+					f = NewRealTuned(c, n, b.workers, tuning.DecompSlab, cfg)
+				} else {
+					f = NewAsyncSlabRealTuned(c, n, Options{NP: b.np, Granularity: b.gran, Workers: b.workers, SingleComm: b.single}, cfg)
+				}
+				got := build{f.NP(), f.Workers(), f.gran, f.Single()}
+				f.Close()
+				if got != b {
+					panic(fmt.Sprintf("%s, rank %d: asked for %+v, built %+v", tc.name, c.Rank(), b, got))
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

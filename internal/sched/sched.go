@@ -144,12 +144,3 @@ func (s *Sim) Spans() []Span {
 	})
 	return out
 }
-
-// ClassTotals sums the busy time of spans per class (valid after Run).
-func (s *Sim) ClassTotals() map[string]float64 {
-	m := map[string]float64{}
-	for _, t := range s.tasks {
-		m[t.Class] += t.Duration
-	}
-	return m
-}

@@ -13,7 +13,7 @@ import (
 // i.e. the solver's own arithmetic (nonlinear products, integrating
 // factors, projections). Together with the phase histograms the
 // transform engine records (phase.pipeline for its regions' FFT
-// passes, phase.pack/a2a/unpack for its exchanges, at every np), the
+// passes, phase.a2a for its exchanges, at every np), the
 // leaf phases tile each step wall-to-wall, which is what makes the
 // printed breakdown sum to the measured wall time.
 type solverMetrics struct {

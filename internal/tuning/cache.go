@@ -15,25 +15,37 @@ import (
 // on the next Store), so a decision recorded under different semantics
 // — up to schema 2, timed under barriers that always parked, which
 // shifts every trial that exchanges; up to schema 3, a slab point
-// without the slab's one plane group and one exchange per slab — is
+// without the slab's one plane group and one exchange per slab; up to
+// schema 4, a point that pinned the pencil count and worker team its
+// first caller searched at, whatever a later caller asked for — is
 // never replayed.
-const SchemaVersion = 4
+const SchemaVersion = 5
 
 // DefaultDir is where tuned constructors persist their winners unless
 // pointed elsewhere.
 const DefaultDir = "artifacts/cache"
 
-// Key identifies one tuning decision: the engine that searched, the
-// problem and world geometry, and the machine the trials ran on.
-// Anything that can shift the trial timings must be in the key.
+// Key identifies one tuning decision: the engine that searched and the
+// options it was built with, the problem and world geometry, and the
+// machine the trials ran on. Anything that can shift the trial timings
+// must be in the key.
 type Key struct {
-	// Engine names the tuned constructor ("slab" or "async") — the two
-	// engines search different sub-spaces, so their winners must never
-	// substitute for each other.
+	// Engine names the decomposition sub-space the tuned constructor
+	// searched ("slab", "pencil-PRxPC" or "real"): a winner of one
+	// sub-space must never substitute for another's.
 	Engine string `json:"engine"`
 	// N is the transform size, P the world size.
 	N int `json:"n"`
 	P int `json:"p"`
+	// NP, PerSlab, NGPU, Workers and Single are the trial engine's
+	// pencil count, granularity, devices per rank, worker-team size
+	// and wire precision: the caller's options, which shape every
+	// exchange the trials time.
+	NP      int  `json:"np"`
+	PerSlab bool `json:"per_slab"`
+	NGPU    int  `json:"ngpu"`
+	Workers int  `json:"workers"`
+	Single  bool `json:"single"`
 	// Maxprocs is runtime.GOMAXPROCS(0) at trial time: the in-process
 	// ranks and worker teams share one scheduler, so the winning
 	// overlap strategy shifts with the processor budget.
@@ -103,17 +115,12 @@ func (c *Cache) Lookup(key Key) (Point, bool) {
 }
 
 // validFor reports whether an engine keyed by key can be constructed
-// from pt: concrete strategies in both directions, a worker team, a
-// decomposition that lays out N over P, and — for the batched engine,
-// the only one with pencils — a pencil count the slab can be cut into.
+// from pt: concrete strategies in both directions and a decomposition
+// that lays out N over P.
 func (pt Point) validFor(key Key) bool {
-	ok := slices.Contains(exchange.Concrete, pt.Strategy) &&
+	return slices.Contains(exchange.Concrete, pt.Strategy) &&
 		slices.Contains(exchange.Concrete, pt.StrategyZY) &&
-		pt.Workers >= 1 && pt.Decomp().Valid(key.N, key.P)
-	if key.Engine == "async" {
-		ok = ok && pt.NP >= 1 && pt.NP <= key.N/2+1
-	}
-	return ok
+		pt.Decomp().Valid(key.N, key.P)
 }
 
 // Store persists pt as the winner for key, replacing any previous
@@ -160,26 +167,16 @@ func (c *Cache) Store(key Key, pt Point, cost float64) {
 
 // --- collective cache protocol ------------------------------------------
 
-// Point broadcast encoding: [hit, strategyYZ, strategyZY, perSlab,
-// np, workers, single, pr, pc] as float64 slots through the world's
-// Allgather, rank 0's row being authoritative. The in-process ranks
+// Point broadcast encoding: [hit, strategyYZ, strategyZY, pr, pc] as
+// float64 slots through the world's Allgather, rank 0's row being
+// authoritative (an all-zero row is a miss). The in-process ranks
 // share one filesystem, but routing every decision through rank 0
 // keeps the protocol correct for any transport: ranks never each read
 // a file that a concurrent Store might be replacing.
-const encLen = 9
+const encLen = 5
 
-func encodePoint(pt Point, hit bool) [encLen]float64 {
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	return [encLen]float64{
-		b2f(hit), float64(pt.Strategy), float64(pt.StrategyZY),
-		b2f(pt.PerSlab), float64(pt.NP), float64(pt.Workers),
-		b2f(pt.Single), float64(pt.Pr), float64(pt.Pc),
-	}
+func encodePoint(pt Point) [encLen]float64 {
+	return [encLen]float64{1, float64(pt.Strategy), float64(pt.StrategyZY), float64(pt.Pr), float64(pt.Pc)}
 }
 
 func decodePoint(enc []float64) (Point, bool) {
@@ -189,12 +186,8 @@ func decodePoint(enc []float64) (Point, bool) {
 	return Point{
 		Strategy:   exchange.Strategy(int(enc[1])),
 		StrategyZY: exchange.Strategy(int(enc[2])),
-		PerSlab:    enc[3] != 0,
-		NP:         int(enc[4]),
-		Workers:    int(enc[5]),
-		Single:     enc[6] != 0,
-		Pr:         int(enc[7]),
-		Pc:         int(enc[8]),
+		Pr:         int(enc[3]),
+		Pc:         int(enc[4]),
 	}, true
 }
 
@@ -209,7 +202,7 @@ func (cfg Config) Lookup(c *mpi.Comm, key Key) (Point, bool) {
 	var mine [encLen]float64
 	if c.Rank() == 0 {
 		if pt, ok := cfg.Cache.Lookup(key); ok {
-			mine = encodePoint(pt, true)
+			mine = encodePoint(pt)
 		}
 	}
 	all := make([]float64, encLen*c.Size())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/exchange"
@@ -12,7 +13,7 @@ import (
 )
 
 func testKey() Key {
-	return Key{Engine: "slab", N: 64, P: 4, Maxprocs: 8, Machine: "linux-amd64-c8"}
+	return Key{Engine: "slab", N: 64, P: 4, NP: 3, NGPU: 1, Workers: 2, Maxprocs: 8, Machine: "linux-amd64-c8"}
 }
 
 func TestCacheRoundtrip(t *testing.T) {
@@ -22,7 +23,7 @@ func TestCacheRoundtrip(t *testing.T) {
 	if _, ok := c.Lookup(key); ok {
 		t.Fatal("lookup hit on an empty cache")
 	}
-	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused, PerSlab: true, NP: 3, Workers: 2, Single: true}
+	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused}
 	c.Store(key, pt, 0.25)
 	// A fresh handle must see the persisted decision through the file.
 	got, ok := Open(dir).Lookup(key)
@@ -32,14 +33,22 @@ func TestCacheRoundtrip(t *testing.T) {
 	if got != pt {
 		t.Fatalf("lookup = %+v, want %+v", got, pt)
 	}
-	// Any key component changing is a different decision.
-	for _, k := range []Key{
-		{Engine: "async", N: 64, P: 4, Maxprocs: 8, Machine: "linux-amd64-c8"},
-		{Engine: "slab", N: 128, P: 4, Maxprocs: 8, Machine: "linux-amd64-c8"},
-		{Engine: "slab", N: 64, P: 2, Maxprocs: 8, Machine: "linux-amd64-c8"},
-		{Engine: "slab", N: 64, P: 4, Maxprocs: 4, Machine: "linux-amd64-c8"},
-		{Engine: "slab", N: 64, P: 4, Maxprocs: 8, Machine: "other-c16"},
+	// Any key component changing is a different decision: the engine
+	// options included, since they shape every exchange a trial times.
+	for _, edit := range []func(*Key){
+		func(k *Key) { k.Engine = "real" },
+		func(k *Key) { k.N = 128 },
+		func(k *Key) { k.P = 2 },
+		func(k *Key) { k.NP = 4 },
+		func(k *Key) { k.PerSlab = true },
+		func(k *Key) { k.NGPU = 2 },
+		func(k *Key) { k.Workers = 1 },
+		func(k *Key) { k.Single = true },
+		func(k *Key) { k.Maxprocs = 4 },
+		func(k *Key) { k.Machine = "other-c16" },
 	} {
+		k := key
+		edit(&k)
 		if _, ok := Open(dir).Lookup(k); ok {
 			t.Fatalf("lookup hit for foreign key %+v", k)
 		}
@@ -50,10 +59,10 @@ func TestCacheReplacesSameKey(t *testing.T) {
 	dir := t.TempDir()
 	c := Open(dir)
 	key := testKey()
-	c.Store(key, Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.ChunkedFused, Workers: 1}, 1.0)
-	c.Store(key, Point{Strategy: exchange.Fused, StrategyZY: exchange.Fused, Workers: 2}, 0.5)
+	c.Store(key, Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.ChunkedFused}, 1.0)
+	c.Store(key, Point{Strategy: exchange.Fused, StrategyZY: exchange.Fused}, 0.5)
 	got, ok := c.Lookup(key)
-	if !ok || got.Strategy != exchange.Fused || got.Workers != 2 {
+	if !ok || got.Strategy != exchange.Fused || got.StrategyZY != exchange.Fused {
 		t.Fatalf("lookup = %+v ok=%v, want the replacing entry", got, ok)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "tuning.json"))
@@ -70,32 +79,31 @@ func TestCacheReplacesSameKey(t *testing.T) {
 }
 
 // Every way a cache file can be unreadable — or readable but holding a
-// point no engine could be built from — must degrade to a miss, and
-// the next Store must recover the file.
+// point no engine could be built from, or an entry whose key no longer
+// carries the engine options it was timed under — must degrade to a
+// miss, and the next Store must recover the file.
 func TestCacheCorruptionDegradesToMiss(t *testing.T) {
-	// The async key has every range check a point can fail, NP included.
 	key := testKey()
-	key.Engine = "async"
-	pt := Point{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused, NP: 3, Workers: 2}
-	// rewrite replaces the stored point of a well-formed file.
-	rewrite := func(edit func(*Point)) func(path string) {
+	pt := Point{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused}
+	// rewrite edits the stored entry of a well-formed file.
+	rewrite := func(edit func(*cacheEntry)) func(path string) {
 		return func(path string) {
 			data, _ := os.ReadFile(path)
 			var f cacheFile
 			json.Unmarshal(data, &f)
-			edit(&f.Entries[0].Point)
+			edit(&f.Entries[0])
 			out, _ := json.Marshal(f)
 			os.WriteFile(path, out, 0o644)
 		}
 	}
 	cases := map[string]func(path string){
-		"workers_zero":     rewrite(func(p *Point) { p.Workers = 0 }),
-		"strategy_auto":    rewrite(func(p *Point) { p.Strategy = exchange.Auto }),
-		"strategy_at":      rewrite(func(p *Point) { p.Strategy = exchange.AT }),
-		"strategy_zy_junk": rewrite(func(p *Point) { p.StrategyZY = 9 }),
-		"grid_not_p":       rewrite(func(p *Point) { p.Pr, p.Pc = 2, 4 }),
-		"np_zero":          rewrite(func(p *Point) { p.NP = 0 }),
-		"np_past_nxh":      rewrite(func(p *Point) { p.NP = key.N/2 + 2 }),
+		"strategy_auto":    rewrite(func(e *cacheEntry) { e.Point.Strategy = exchange.Auto }),
+		"strategy_at":      rewrite(func(e *cacheEntry) { e.Point.Strategy = exchange.AT }),
+		"strategy_zy_junk": rewrite(func(e *cacheEntry) { e.Point.StrategyZY = 9 }),
+		"grid_not_p":       rewrite(func(e *cacheEntry) { e.Point.Pr, e.Point.Pc = 2, 4 }),
+		"workers_zero":     rewrite(func(e *cacheEntry) { e.Key.Workers = 0 }),
+		"np_zero":          rewrite(func(e *cacheEntry) { e.Key.NP = 0 }),
+		"np_past_nxh":      rewrite(func(e *cacheEntry) { e.Key.NP = key.N/2 + 2 }),
 		"garbage": func(path string) {
 			os.WriteFile(path, []byte("\x00\xffnot json at all"), 0o644)
 		},
@@ -142,11 +150,11 @@ func TestNilCacheIsAlwaysMiss(t *testing.T) {
 }
 
 // The zero space searches exactly the concrete strategies per
-// direction at the engine defaults, yz strategies varying fastest,
-// Fused/Fused first — the ordering the resolve tie-break depends on.
+// direction on the slab, yz strategies varying fastest, Fused/Fused
+// first — the ordering the resolve tie-break depends on.
 func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 	var s Space
-	pts := s.Points(3, 2)
+	pts := s.Points()
 	nc := len(exchange.Concrete)
 	if len(pts) != nc*nc {
 		t.Fatalf("default space has %d points, want %d", len(pts), nc*nc)
@@ -155,53 +163,28 @@ func TestSpacePointsDefaultsAndOrder(t *testing.T) {
 		want := Point{
 			Strategy:   exchange.Concrete[i%nc],
 			StrategyZY: exchange.Concrete[i/nc],
-			NP:         3, Workers: 2,
 		}
 		if pt != want {
 			t.Fatalf("point %d = %+v, want %+v", i, pt, want)
 		}
 	}
 
+	// A decomposition axis multiplies the space, slab points first and
+	// yz strategies varying fastest within each decomposition.
 	s = Space{
 		Strategies:   []exchange.Strategy{exchange.Fused, exchange.ChunkedFused},
 		StrategiesZY: []exchange.Strategy{exchange.ChunkedFused},
-		PerSlab:      []bool{true, false},
-		Workers:      []int{1, 4},
+		Decomps:      []Decomp{DecompSlab, Pencil(2, 4)},
 	}
-	pts = s.Points(3, 2)
-	if len(pts) != 8 {
-		t.Fatalf("got %d points, want 8", len(pts))
-	}
-	// YZ strategy varies fastest, then PerSlab, then Workers.
+	pts = s.Points()
 	want := []Point{
-		{Strategy: exchange.Fused, PerSlab: true, NP: 3, Workers: 1},
-		{Strategy: exchange.ChunkedFused, PerSlab: true, NP: 3, Workers: 1},
-		{Strategy: exchange.Fused, PerSlab: false, NP: 3, Workers: 1},
-		{Strategy: exchange.ChunkedFused, PerSlab: false, NP: 3, Workers: 1},
-		{Strategy: exchange.Fused, PerSlab: true, NP: 3, Workers: 4},
-		{Strategy: exchange.ChunkedFused, PerSlab: true, NP: 3, Workers: 4},
-		{Strategy: exchange.Fused, PerSlab: false, NP: 3, Workers: 4},
-		{Strategy: exchange.ChunkedFused, PerSlab: false, NP: 3, Workers: 4},
+		{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused},
+		{Strategy: exchange.ChunkedFused, StrategyZY: exchange.ChunkedFused},
+		{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused, Pr: 2, Pc: 4},
+		{Strategy: exchange.ChunkedFused, StrategyZY: exchange.ChunkedFused, Pr: 2, Pc: 4},
 	}
-	for i := range want {
-		w := want[i]
-		w.StrategyZY = exchange.ChunkedFused
-		if pts[i] != w {
-			t.Fatalf("point %d = %+v, want %+v", i, pts[i], w)
-		}
-	}
-
-	// A decomposition axis multiplies the space, slab points first.
-	s = Space{
-		Strategies: []exchange.Strategy{exchange.Fused},
-		Decomps:    []Decomp{DecompSlab, Pencil(2, 4)},
-	}
-	pts = s.Points(3, 2)
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	if !pts[0].Decomp().IsSlab() || pts[1].Decomp() != Pencil(2, 4) {
-		t.Fatalf("decomp order = %v, %v; want slab, 2x4", pts[0].Decomp(), pts[1].Decomp())
+	if !slices.Equal(pts, want) {
+		t.Fatalf("points = %+v, want %+v", pts, want)
 	}
 }
 
@@ -212,7 +195,7 @@ func TestCollectiveLookupBroadcastsRank0(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
 	key.P = p
-	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused, NP: 2, Workers: 3}
+	pt := Point{Strategy: exchange.ChunkedFused, StrategyZY: exchange.Fused, Pr: 2, Pc: 2}
 	Open(dir).Store(key, pt, 0.1)
 	cfg := Config{Cache: Open(dir)}
 	if err := mpi.TryRun(p, func(c *mpi.Comm) {

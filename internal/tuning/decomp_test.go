@@ -108,12 +108,13 @@ func TestDecompositionsEnumeration(t *testing.T) {
 }
 
 // Cache files of an earlier schema read as all-miss — schema 1 lacks the
-// per-direction strategies and the decomposition, and both it and
-// schema 2 hold winners timed under barriers that always parked — and
+// per-direction strategies and the decomposition, both it and schema 2
+// hold winners timed under barriers that always parked, and schema 4
+// points pin the pencil count and workers of their first caller — and
 // the next Store rewrites the file at the current schema.
 func TestCacheSchema1Fallback(t *testing.T) {
 	key := testKey()
-	for _, schema := range []int{1, 2} {
+	for _, schema := range []int{1, 2, 4} {
 		dir := t.TempDir()
 		old := map[string]any{
 			"schema": schema,
@@ -140,7 +141,7 @@ func TestCacheSchema1Fallback(t *testing.T) {
 		if got, ok := Open(dir).Lookup(key); ok {
 			t.Fatalf("schema-%d cache hit with %+v; want a miss", schema, got)
 		}
-		pt := Point{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused, Workers: 1}
+		pt := Point{Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused}
 		Open(dir).Store(key, pt, 0.1)
 		data, err = os.ReadFile(filepath.Join(dir, "tuning.json"))
 		if err != nil {
@@ -167,14 +168,14 @@ func TestCachePencilPointRoundtrip(t *testing.T) {
 	key.P = 32
 	pt := Point{
 		Strategy: exchange.Fused, StrategyZY: exchange.ChunkedFused,
-		Workers: 2, Pr: 4, Pc: 8,
+		Pr: 4, Pc: 8,
 	}
 	Open(dir).Store(key, pt, 0.2)
 	got, ok := Open(dir).Lookup(key)
 	if !ok || got != pt {
 		t.Fatalf("lookup = %+v ok=%v, want %+v", got, ok, pt)
 	}
-	enc := encodePoint(pt, true)
+	enc := encodePoint(pt)
 	dec, ok := decodePoint(enc[:])
 	if !ok || dec != pt {
 		t.Fatalf("encode/decode = %+v ok=%v, want %+v", dec, ok, pt)

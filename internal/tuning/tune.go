@@ -24,25 +24,16 @@ type engine interface {
 	Close()
 }
 
-// Target is one tuned engine as the tuner sees it: the cache key's
-// engine name and transform size, the defaults substituted into the
-// space's empty NP and Workers dimensions, and three closures — the
-// engine's sub-space, its constructor and its trial body. Everything
-// else (cache, grouping, timing, resolve, the winner's construction) is
-// Tune's.
+// Target is one tuned engine as the tuner sees it: the cache key of
+// its options and two closures — its constructor and its trial body.
+// Everything else (cache, grouping, timing, resolve, the winner's
+// construction) is Tune's.
 type Target[E engine] struct {
-	// Engine names the tuned constructor in the cache key ("slab",
-	// "pencil-PRxPC", "real", "async"): engines that search different
-	// sub-spaces must never replay each other's winners.
-	Engine      string
-	N           int
-	NP, Workers int
-	// Collapse, when set, maps an enumerated point onto the engine's
-	// sub-space, zeroing the dimensions the engine does not have.
-	// Points that collapse onto an earlier one are dropped.
-	Collapse func(Point) Point
-	// Build constructs the engine pinned to every dimension of pt.
-	// Collective.
+	// Key names the engine and the options it is built with; Tune
+	// fills in P, Maxprocs and Machine.
+	Key Key
+	// Build constructs the engine pinned to pt's strategy pair and
+	// decomposition. Collective.
 	Build func(pt Point) E
 	// Trial runs direction d's exchanges under st on eng — no FFT
 	// passes — with four a pooled Fourier slab of eng.FourierLen()
@@ -54,42 +45,34 @@ type Target[E engine] struct {
 // point of cfg.Space that measures fastest across the ranks of comm,
 // through the same t.Build call a cache hit makes.
 //
-//   - Key and lookup: (engine, N, P, GOMAXPROCS, machine fingerprint),
-//     looked up collectively. A hit whose decomposition no candidate
-//     has is a miss, so a pencil winner never replays under a slab key.
-//   - Candidates: cfg.Space.Points(t.NP, t.Workers), through t.Collapse
-//     where set, duplicates dropped, space order kept.
-//   - Trial engines: one live engine per contiguous group of points
-//     that differ only in their strategies, built pinned Fused in both
-//     directions — every strategy is a zero-copy gather and none owns
-//     buffers of its own, so that engine can run every strategy — and
-//     closed before the next group's is built.
-//   - Trials: each (direction, strategy) of a group is timed best of
-//     3, barrier-fenced; a point scores its yz time plus its zy time,
-//     so the yz × zy cross product costs 2 × |strategies| × 3 trials
-//     per group (12 over the two concrete strategies), not
-//     |strategies|².
+//   - Key and lookup: t.Key with P, GOMAXPROCS and the machine
+//     fingerprint, looked up collectively. A hit whose decomposition no
+//     candidate has is a miss, so a pencil winner never replays under a
+//     slab key.
+//   - Candidates: cfg.Space.Points(), duplicates dropped, space order
+//     kept.
+//   - Trial engines: one live engine per decomposition, built pinned
+//     Fused in both directions — every strategy is a zero-copy gather
+//     and none owns buffers of its own, so that engine can run every
+//     strategy — and closed before the next one is built.
+//   - Trials: each (direction, strategy) of a decomposition is timed
+//     best of 3, barrier-fenced; a point scores its yz time plus its
+//     zy time, so the yz × zy cross product costs 2 × |strategies| × 3
+//     trials per decomposition (12 over the two concrete strategies),
+//     not |strategies|².
 //   - Resolve: max over ranks, argmin, ties to the earlier point (the
 //     space lists the safe defaults first); the winner is stored.
 //
 // Collective.
 func Tune[E engine](comm *mpi.Comm, cfg Config, t Target[E]) E {
 	var pts []Point
-	for _, pt := range cfg.Space.Points(t.NP, t.Workers) {
-		if t.Collapse != nil {
-			pt = t.Collapse(pt)
-		}
+	for _, pt := range cfg.Space.Points() {
 		if !slices.Contains(pts, pt) {
 			pts = append(pts, pt)
 		}
 	}
-	key := Key{
-		Engine:   t.Engine,
-		N:        t.N,
-		P:        comm.Size(),
-		Maxprocs: runtime.GOMAXPROCS(0),
-		Machine:  hw.Fingerprint(),
-	}
+	key := t.Key
+	key.P, key.Maxprocs, key.Machine = comm.Size(), runtime.GOMAXPROCS(0), hw.Fingerprint()
 	if pt, ok := cfg.Lookup(comm, key); ok && slices.ContainsFunc(pts, func(c Point) bool { return c.Decomp() == pt.Decomp() }) {
 		return t.Build(pt)
 	}

@@ -17,9 +17,9 @@ import (
 )
 
 // Every rank runs exactly 2 strategies × 2 directions × 3 repetitions
-// per trial engine on a cold cache — one engine for the slab's default
-// space, one per granularity for the batched engine's — and none on a
-// warm one.
+// on the one trial engine of a cold slab-decomposed search, at the
+// slab's options and at the batched engine's alike, and none on a warm
+// one.
 func TestTrialCountsPerRank(t *testing.T) {
 	const n, p = 16, 2
 	for _, tc := range []struct {
@@ -32,7 +32,7 @@ func TestTrialCountsPerRank(t *testing.T) {
 		}, 12},
 		{"async", func(c *mpi.Comm, cfg tuning.Config) interface{ Close() } {
 			return pfft.NewAsyncSlabRealTuned(c, n, pfft.Options{NP: 2}, cfg)
-		}, 24},
+		}, 12},
 	} {
 		dir := t.TempDir()
 		reg := metrics.NewRegistry()
@@ -63,12 +63,13 @@ func TestTrialCountsPerRank(t *testing.T) {
 // without trials.
 func TestRetiredStrategyCacheEntryRetunes(t *testing.T) {
 	const n, p = 16, 2
-	key := tuning.Key{Engine: "slab", N: n, P: p, Maxprocs: runtime.GOMAXPROCS(0), Machine: hw.Fingerprint()}
+	key := tuning.Key{Engine: "slab", N: n, P: p, NP: 1, PerSlab: true, NGPU: 1, Workers: 1, Maxprocs: runtime.GOMAXPROCS(0), Machine: hw.Fingerprint()}
 	for _, pair := range [][2]int{{1, 2}, {3, 1}} {
 		dir := t.TempDir()
-		file := fmt.Sprintf(`{"schema": %d, "entries": [{"key": {"engine": %q, "n": %d, "p": %d, "maxprocs": %d, "machine": %q},
-			"point": {"strategy": %d, "strategy_zy": %d, "per_slab": true, "np": 1, "workers": 1, "single": false},
-			"cost_seconds": 0.001}]}`, tuning.SchemaVersion, key.Engine, key.N, key.P, key.Maxprocs, key.Machine, pair[0], pair[1])
+		file := fmt.Sprintf(`{"schema": %d, "entries": [{"key": {"engine": %q, "n": %d, "p": %d,
+			"np": 1, "per_slab": true, "ngpu": 1, "workers": 1, "single": false, "maxprocs": %d, "machine": %q},
+			"point": {"strategy": %d, "strategy_zy": %d}, "cost_seconds": 0.001}]}`,
+			tuning.SchemaVersion, key.Engine, key.N, key.P, key.Maxprocs, key.Machine, pair[0], pair[1])
 		if err := os.WriteFile(filepath.Join(dir, "tuning.json"), []byte(file), 0o644); err != nil {
 			t.Fatal(err)
 		}

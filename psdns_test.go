@@ -156,22 +156,25 @@ func TestPublicAPIWatchdogDeadlock(t *testing.T) {
 	}
 }
 
-// TestNewTunedAsync: the tuned constructor keeps the option-given
-// configuration on the dimensions the space pins, agrees on a concrete
-// strategy, and rebuilds the same engine from a warm cache.
+// TestNewTunedAsync: the tuned constructor searches the space's
+// strategy pairs, agrees on a concrete strategy, keeps every option the
+// caller gave, and rebuilds the same engine from a warm cache.
 func TestNewTunedAsync(t *testing.T) {
 	dir := t.TempDir()
-	space := &repro.TuneSpace{PerSlab: []bool{false}}
+	space := &repro.TuneSpace{Strategies: []repro.ExchangeStrategy{repro.ExchangeChunked, repro.ExchangeFused}}
 	repro.Run(2, func(c *repro.Comm) {
-		cold := repro.NewTunedAsync(c, 16, dir, space, repro.WithNP(2))
+		opts := []repro.AsyncOption{repro.WithNP(2), repro.WithGranularity(repro.PerPencil), repro.WithWorkers(2)}
+		cold := repro.NewTunedAsync(c, 16, dir, space, opts...)
 		defer cold.Close()
-		warm := repro.NewTunedAsync(c, 16, dir, space, repro.WithNP(2))
+		warm := repro.NewTunedAsync(c, 16, dir, space, opts...)
 		defer warm.Close()
-		if st := cold.Strategy(); st == repro.ExchangeAuto || st == repro.ExchangeAT || warm.Strategy() != st {
-			t.Errorf("rank %d: cold pinned %v, warm %v", c.Rank(), st, warm.Strategy())
+		if st := cold.Strategy(); st == repro.ExchangeAuto || st == repro.ExchangeAT || warm.StrategyPair() != cold.StrategyPair() {
+			t.Errorf("rank %d: cold pinned %v, warm %v", c.Rank(), cold.StrategyPair(), warm.StrategyPair())
 		}
-		if cold.NP() != 2 || warm.NP() != 2 {
-			t.Errorf("rank %d: np %d/%d, want 2", c.Rank(), cold.NP(), warm.NP())
+		for _, tr := range []*repro.AsyncTransform{cold, warm} {
+			if tr.NP() != 2 || tr.Workers() != 2 || tr.Single() {
+				t.Errorf("rank %d: np %d, workers %d, single %v; want 2, 2, false", c.Rank(), tr.NP(), tr.Workers(), tr.Single())
+			}
 		}
 	})
 }
