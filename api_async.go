@@ -193,7 +193,9 @@ func tuneConfig(cacheDir string, space *TuneSpace) tuning.Config {
 // given. A non-empty cacheDir persists the winner so later
 // constructions with the same (options, N, P, GOMAXPROCS, machine) key
 // skip the trials; a nil space searches every concrete strategy per
-// direction. Collective.
+// direction. The tuner chooses the strategy, so opts that pin one
+// (WithExchangeStrategy with anything but ExchangeAuto, or
+// WithBoundedStaleness) panic. Collective.
 func NewTunedAsync(c *Comm, n int, cacheDir string, space *TuneSpace, opts ...AsyncOption) *AsyncTransform {
 	return pfft.NewAsyncSlabRealTuned(c, n, asyncOptions(opts), tuneConfig(cacheDir, space))
 }

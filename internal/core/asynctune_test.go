@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/exchange"
@@ -141,4 +142,35 @@ func TestAsyncTunedRejectsAT(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		pfft.NewAsyncSlabRealTuned(c, 8, pfft.Options{NP: 1, Exchange: exchange.AT}, tuning.Config{})
 	})
+}
+
+// The tuner chooses the strategy, so a pinned concrete strategy is
+// refused as AT is, naming itself and exchange.Auto, and an Auto request
+// still runs the trials.
+func TestAsyncTunedRejectsPinnedStrategy(t *testing.T) {
+	for _, st := range exchange.Concrete {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, st.String()) || !strings.Contains(msg, "exchange.Auto") {
+					t.Errorf("pinned %s: recovered %q, want a panic naming %s and exchange.Auto", st, msg, st)
+				}
+			}()
+			mpi.Run(1, func(c *mpi.Comm) {
+				pfft.NewAsyncSlabRealTuned(c, 8, pfft.Options{NP: 1, Exchange: st}, tuning.Config{})
+			})
+		}()
+	}
+	reg := metrics.NewRegistry()
+	reg.SetOn(true)
+	if err := mpi.RunWith(1, reg, func(c *mpi.Comm) {
+		trials := c.Metrics().CounterRank("tune.trials", c.Rank())
+		tr := pfft.NewAsyncSlabRealTuned(c, 8, pfft.Options{NP: 1, Exchange: exchange.Auto}, tuning.Config{})
+		defer tr.Close()
+		if trials.Value() == 0 || tr.Strategy() == exchange.Auto {
+			panic(fmt.Sprintf("auto request: %d trials, strategy %s; want trials and a concrete strategy", trials.Value(), tr.Strategy()))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

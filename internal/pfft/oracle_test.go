@@ -23,9 +23,9 @@ type oracle struct {
 	back []float64    // (1/N³) Σ_k spec·e^{+2πi k·x/N} over the full spectrum
 }
 
-func naiveOracle(n int) *oracle {
-	nxh := n/2 + 1
-	o := &oracle{n: n, phys: make([]float64, n*n*n), spec: make([]complex128, n*n*nxh), back: make([]float64, n*n*n)}
+// newOracle holds pencilField on the N³ grid, with room for its sums.
+func newOracle(n int) *oracle {
+	o := &oracle{n: n, phys: make([]float64, n*n*n), spec: make([]complex128, n*n*(n/2+1)), back: make([]float64, n*n*n)}
 	for gy := 0; gy < n; gy++ {
 		for gz := 0; gz < n; gz++ {
 			for gx := 0; gx < n; gx++ {
@@ -33,6 +33,12 @@ func naiveOracle(n int) *oracle {
 			}
 		}
 	}
+	return o
+}
+
+func naiveOracle(n int) *oracle {
+	nxh := n/2 + 1
+	o := newOracle(n)
 	w := make([]complex128, n) // e^{-2πi j/N}
 	for j := range w {
 		s, c := math.Sincos(-2 * math.Pi * float64(j) / float64(n))
@@ -220,6 +226,133 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 			f := NewPencilReal(col, row, n, 3, exchange.Both(exchange.ChunkedFused))
 			f.Truncate(kmax)
 			return f
+		})
+	}
+}
+
+// separableOracle is naiveOracle's field and sums at O(N⁴): the 3-D DFT
+// factors into one O(N) sum per axis and output, x first (keeping
+// kx ≤ N/2), then y, then z, and the inverse runs z, y, then x over the
+// half-spectrum completed by conjugate symmetry. Like naiveOracle it
+// shares no code with internal/fft, and it reaches the sizes whose
+// programs the benchmark runs (an 8-point leaf and a radix-4 stage at
+// N = 64).
+func separableOracle(n int) *oracle {
+	nxh := n/2 + 1
+	o := newOracle(n)
+	fw, bw := make([]complex128, n), make([]complex128, n) // e^{∓2πi j/N}
+	for j := range fw {
+		s, c := math.Sincos(2 * math.Pi * float64(j) / float64(n))
+		fw[j], bw[j] = complex(c, -s), complex(c, s)
+	}
+	// a[(y·N+z)·Nxh+kx] = Σ_x u·e^{-2πi kx·x/N}
+	a := make([]complex128, n*n*nxh)
+	for yz := 0; yz < n*n; yz++ {
+		for kx := 0; kx < nxh; kx++ {
+			var sum complex128
+			for x := 0; x < n; x++ {
+				sum += complex(o.phys[yz*n+x], 0) * fw[kx*x%n]
+			}
+			a[yz*nxh+kx] = sum
+		}
+	}
+	// b[(ky·N+z)·Nxh+kx] = Σ_y a·e^{-2πi ky·y/N}
+	b := make([]complex128, n*n*nxh)
+	for ky := 0; ky < n; ky++ {
+		for z := 0; z < n; z++ {
+			for kx := 0; kx < nxh; kx++ {
+				var sum complex128
+				for y := 0; y < n; y++ {
+					sum += a[(y*n+z)*nxh+kx] * fw[ky*y%n]
+				}
+				b[(ky*n+z)*nxh+kx] = sum
+			}
+		}
+	}
+	for kz := 0; kz < n; kz++ {
+		for ky := 0; ky < n; ky++ {
+			for kx := 0; kx < nxh; kx++ {
+				var sum complex128
+				for z := 0; z < n; z++ {
+					sum += b[(ky*n+z)*nxh+kx] * fw[kz*z%n]
+				}
+				o.spec[(kz*n+ky)*nxh+kx] = sum
+			}
+		}
+	}
+	// The inverse: a = Σ_kz spec·e^{+2πi kz·z/N} at (ky·N+z)·Nxh+kx, then
+	// b = Σ_ky a·e^{+2πi ky·y/N} at (y·N+z)·Nxh+kx, then the real sum
+	// over every kx, b(N−kx) = conj b(kx) past N/2, scaled by 1/N³.
+	for ky := 0; ky < n; ky++ {
+		for z := 0; z < n; z++ {
+			for kx := 0; kx < nxh; kx++ {
+				var sum complex128
+				for kz := 0; kz < n; kz++ {
+					sum += o.spec[(kz*n+ky)*nxh+kx] * bw[kz*z%n]
+				}
+				a[(ky*n+z)*nxh+kx] = sum
+			}
+		}
+	}
+	for y := 0; y < n; y++ {
+		for z := 0; z < n; z++ {
+			for kx := 0; kx < nxh; kx++ {
+				var sum complex128
+				for ky := 0; ky < n; ky++ {
+					sum += a[(ky*n+z)*nxh+kx] * bw[ky*y%n]
+				}
+				b[(y*n+z)*nxh+kx] = sum
+			}
+		}
+	}
+	for yz := 0; yz < n*n; yz++ {
+		for x := 0; x < n; x++ {
+			var sum complex128
+			for kx := 0; kx < n; kx++ {
+				v := b[yz*nxh+min(kx, n-kx)]
+				if kx >= nxh {
+					v = cmplx.Conj(v)
+				}
+				sum += v * bw[kx*x%n]
+			}
+			o.back[yz*n+x] = real(sum) / float64(n*n*n)
+		}
+	}
+	return o
+}
+
+// TestEngineMatchesSeparableDFT checks the programs the benchmark runs
+// against the separable oracle: N = 32, 48 (mixed radix) and 64 at
+// P = 2, as the slab at np 1 and on the 1×2 pencil grid, one strategy,
+// one worker. At N = 8 it is the O(N⁶) oracle's spectrum and inverse.
+func TestEngineMatchesSeparableDFT(t *testing.T) {
+	const n8 = 8
+	sep, naive := separableOracle(n8), naiveOracle(n8)
+	for i, v := range naive.spec {
+		if d := cmplx.Abs(sep.spec[i] - v); d > 1e-12 {
+			t.Fatalf("N=%d: separable spectrum differs from the naive sums at %d: %v vs %v", n8, i, sep.spec[i], v)
+		}
+	}
+	for i, v := range naive.back {
+		if d := math.Abs(sep.back[i] - v); d > 1e-12 {
+			t.Fatalf("N=%d: separable inverse differs from the naive sums at %d: %v vs %v", n8, i, sep.back[i], v)
+		}
+	}
+	const p = 2
+	for _, n := range []int{32, 48, 64} {
+		o := separableOracle(n)
+		for i, v := range o.back {
+			if math.Abs(v-o.phys[i]) > 1e-12 {
+				t.Fatalf("N=%d: separable inverse∘forward differs from the field at %d: %v vs %v", n, i, v, o.phys[i])
+			}
+		}
+		opt := Options{NP: 1, Granularity: PerSlab, NGPU: 1, Workers: 1, Exchange: exchange.Fused}
+		checkAgainstOracle(t, fmt.Sprintf("N=%d P=%d slab", n, p), o, p, 1e-12, func(c *mpi.Comm) *SlabReal {
+			return NewAsyncSlabReal(c, n, opt)
+		})
+		checkAgainstOracle(t, fmt.Sprintf("N=%d 1x2", n), o, p, 1e-12, func(c *mpi.Comm) *SlabReal {
+			row, col := c.CartGrid(1, 2)
+			return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
 		})
 	}
 }

@@ -62,12 +62,17 @@ func NewRealTuned(comm *mpi.Comm, n, workers int, d tuning.Decomp, cfg tuning.Co
 // winner with exactly those options. The options are part of the
 // "slab" cache key, so a warm cache builds the cached pair directly
 // with zero trial exchanges (the tune.trials counter stays flat) and
-// never replays a pair timed under other options. A space that lists a
-// pencil grid is a caller error (the decomposition dimension is
-// NewRealTuned's). Collective.
+// never replays a pair timed under other options. The tuner chooses the
+// strategy, so opt.Exchange must be exchange.Auto: a pinned strategy
+// (AT included) is a caller error, as is a space that lists a pencil
+// grid (the decomposition dimension is NewRealTuned's). Collective.
 func NewAsyncSlabRealTuned(comm *mpi.Comm, n int, opt Options, cfg tuning.Config) *SlabReal {
-	if opt.Exchange == exchange.AT {
-		panic("pfft: the asynchrony-tolerant exchange is never autotuned; pin Options explicitly")
+	switch opt.Exchange {
+	case exchange.Auto:
+	case exchange.AT:
+		panic("pfft: the asynchrony-tolerant exchange is never autotuned; pass exchange.Auto, or pin it with NewAsyncSlabReal")
+	default:
+		panic(fmt.Sprintf("pfft: exchange %s is pinned, but the tuner chooses the strategy; pass exchange.Auto, or pin it with NewAsyncSlabReal", opt.Exchange))
 	}
 	for _, d := range cfg.Space.Decomps {
 		if !d.IsSlab() {
