@@ -23,6 +23,7 @@ test:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBatchLayout -fuzztime 10s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzPlaneKernels -fuzztime 10s ./internal/fft
+	$(GO) test -run '^$$' -fuzz FuzzRealPassKernels -fuzztime 10s ./internal/fft
 	$(GO) test -run '^$$' -fuzz FuzzPencilColumnBijective -fuzztime 10s ./internal/transpose
 	$(GO) test -run '^$$' -fuzz FuzzSlabLayout -fuzztime 10s ./internal/transpose
 	$(GO) test -run '^$$' -fuzz FuzzTruncateBand -fuzztime 10s ./internal/pfft

@@ -30,15 +30,13 @@ func dft4(out, x []complex128, s int, dir Direction) {
 }
 
 // rows4leafGo and rows8leafGo are the plane-form leaf bodies over
-// columns t0 ≤ t < w: input q of column t is x[q·s + t], output k goes
-// to out[k·w + t]. rows4leaf and rows8leaf (vector_amd64.go,
-// vector_other.go) run them after the vector kernels, which the tests
-// compare with them.
-func rows4leafGo(out, x []complex128, s, w, t0 int, fwd bool) {
-	n := w - t0
-	x, out = x[t0:], out[t0:]
-	x0, x1, x2, x3 := x[:n], x[s:][:n], x[2*s:][:n], x[3*s:][:n]
-	o0, o1, o2, o3 := out[:n], out[w:][:n], out[2*w:][:n], out[3*w:][:n]
+// columns t < w: input q of column t is x[q·s + t], output k goes to
+// out[k·w + t]. rows4leaf and rows8leaf (vector_amd64.go,
+// vector_other.go) run them where no vector kernel serves the row, and
+// the tests compare those kernels with them.
+func rows4leafGo(out, x []complex128, s, w int, fwd bool) {
+	x0, x1, x2, x3 := x[:w], x[s:][:w], x[2*s:][:w], x[3*s:][:w]
+	o0, o1, o2, o3 := out[:w], out[w:][:w], out[2*w:][:w], out[3*w:][:w]
 	for t := range x0 {
 		o0[t], o1[t], o2[t], o3[t] = bf4(x0[t], x1[t], x2[t], x3[t], fwd)
 	}
@@ -57,13 +55,11 @@ func dft8(out, x []complex128, s int, dir Direction) {
 	out[3], out[7] = e3+t3, e3-t3
 }
 
-func rows8leafGo(out, x []complex128, s, w, t0 int, fwd bool, sgn float64) {
-	n := w - t0
-	x, out = x[t0:], out[t0:]
-	x0, x1, x2, x3 := x[:n], x[s:][:n], x[2*s:][:n], x[3*s:][:n]
-	x4, x5, x6, x7 := x[4*s:][:n], x[5*s:][:n], x[6*s:][:n], x[7*s:][:n]
-	y0, y1, y2, y3 := out[:n], out[w:][:n], out[2*w:][:n], out[3*w:][:n]
-	y4, y5, y6, y7 := out[4*w:][:n], out[5*w:][:n], out[6*w:][:n], out[7*w:][:n]
+func rows8leafGo(out, x []complex128, s, w int, fwd bool, sgn float64) {
+	x0, x1, x2, x3 := x[:w], x[s:][:w], x[2*s:][:w], x[3*s:][:w]
+	x4, x5, x6, x7 := x[4*s:][:w], x[5*s:][:w], x[6*s:][:w], x[7*s:][:w]
+	y0, y1, y2, y3 := out[:w], out[w:][:w], out[2*w:][:w], out[3*w:][:w]
+	y4, y5, y6, y7 := out[4*w:][:w], out[5*w:][:w], out[6*w:][:w], out[7*w:][:w]
 	for t := range x0 {
 		e0, e1, e2, e3 := bf4(x0[t], x2[t], x4[t], x6[t], fwd)
 		o0, o1, o2, o3 := bf4(x1[t], x3[t], x5[t], x7[t], fwd)

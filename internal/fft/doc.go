@@ -10,11 +10,14 @@
 // real batch packs its lines into such a plane whatever their layout.
 //
 // On amd64 CPUs with AVX2 the plane form's radix-4 stages, its unscaled
-// radix-2 and -3 stages and its 4- and 8-point leaf codelets run
-// assembly kernels over the even prefix of each row, two lines per
-// register (vector_amd64.s); an odd last column, other CPUs, other
-// architectures and race builds (the race detector does not see memory
-// that assembly touches) run the Go bodies. The choice is made once,
+// radix-2 and -3 stages and its 4- and 8-point leaf codelets, and the
+// real pass's pack, post-pass, pre-pass and unpack (unit real stride),
+// run assembly kernels over every column of a row, two lines per
+// register and an odd last column on half of one (vector_amd64.s);
+// other CPUs, other architectures and race builds (the race detector
+// does not see memory that assembly touches) run the Go bodies. The
+// pre-pass's out-of-band operand is a register of +0, the operand the
+// Go body's unfold(xk, 0, wc) computes with. The choice is made once,
 // from CPUID, and nothing can select it: a kernel performs, per element, the Go body's IEEE operations in
 // the same order — no fused multiply-add, which Go on amd64 never emits
 // either, and every ×0 term of a constant complex operand kept — so

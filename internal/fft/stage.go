@@ -107,18 +107,17 @@ func line2(out []complex128, ostep, orow int, in []complex128, istep, m int, tw 
 }
 
 // rows2Go, rows3Go and rows4Go are the plane-form stage bodies: for
-// each k1 < m, columns t0 ≤ t < w of the row group whose inputs are
+// each k1 < m, the w columns of the row group whose inputs are
 // in[q·istep + k1·w + t] and whose outputs go to out[q·ostep + k1·orow
 // + t]. rows2, rows3 and rows4 (vector_amd64.go, vector_other.go) run
-// them from t0 = 0 or after the vector kernels, and the tests compare
+// them where no vector kernel serves the row, and the tests compare
 // those kernels with them.
-func rows2Go(out []complex128, ostep, orow int, in []complex128, istep, m, w, t0 int, tw []complex128, sc complex128, scaled bool) {
-	n := w - t0
+func rows2Go(out []complex128, ostep, orow int, in []complex128, istep, m, w int, tw []complex128, sc complex128, scaled bool) {
 	for k1 := 0; k1 < m; k1++ {
 		w1 := tw[k1]
-		ib, ob := in[k1*w+t0:], out[k1*orow+t0:]
-		i0, i1 := ib[:n], ib[istep:][:n]
-		o0, o1 := ob[:n], ob[ostep:][:n]
+		ib, ob := in[k1*w:], out[k1*orow:]
+		i0, i1 := ib[:w], ib[istep:][:w]
+		o0, o1 := ob[:w], ob[ostep:][:w]
 		for t := range i0 {
 			a, b := i0[t], i1[t]*w1
 			x0, x1 := a+b, a-b
@@ -141,13 +140,12 @@ func line3(out []complex128, ostep, orow int, in []complex128, istep, m int, tw 
 	}
 }
 
-func rows3Go(out []complex128, ostep, orow int, in []complex128, istep, m, w, t0 int, tw []complex128, im float64, sc complex128, scaled bool) {
-	n := w - t0
+func rows3Go(out []complex128, ostep, orow int, in []complex128, istep, m, w int, tw []complex128, im float64, sc complex128, scaled bool) {
 	for k1 := 0; k1 < m; k1++ {
 		w1, w2 := tw[2*k1], tw[2*k1+1]
-		ib, ob := in[k1*w+t0:], out[k1*orow+t0:]
-		i0, i1, i2 := ib[:n], ib[istep:][:n], ib[2*istep:][:n]
-		o0, o1, o2 := ob[:n], ob[ostep:][:n], ob[2*ostep:][:n]
+		ib, ob := in[k1*w:], out[k1*orow:]
+		i0, i1, i2 := ib[:w], ib[istep:][:w], ib[2*istep:][:w]
+		o0, o1, o2 := ob[:w], ob[ostep:][:w], ob[2*ostep:][:w]
 		for t := range i0 {
 			x0, x1, x2 := bf3(i0[t], i1[t]*w1, i2[t]*w2, im)
 			if scaled {
@@ -169,13 +167,12 @@ func line4(out []complex128, ostep, orow int, in []complex128, istep, m int, tw 
 	}
 }
 
-func rows4Go(out []complex128, ostep, orow int, in []complex128, istep, m, w, t0 int, tw []complex128, fwd bool, sc complex128, scaled bool) {
-	n := w - t0
+func rows4Go(out []complex128, ostep, orow int, in []complex128, istep, m, w int, tw []complex128, fwd bool, sc complex128, scaled bool) {
 	for k1 := 0; k1 < m; k1++ {
 		w1, w2, w3 := tw[3*k1], tw[3*k1+1], tw[3*k1+2]
-		ib, ob := in[k1*w+t0:], out[k1*orow+t0:]
-		i0, i1, i2, i3 := ib[:n], ib[istep:][:n], ib[2*istep:][:n], ib[3*istep:][:n]
-		o0, o1, o2, o3 := ob[:n], ob[ostep:][:n], ob[2*ostep:][:n], ob[3*ostep:][:n]
+		ib, ob := in[k1*w:], out[k1*orow:]
+		i0, i1, i2, i3 := ib[:w], ib[istep:][:w], ib[2*istep:][:w], ib[3*istep:][:w]
+		o0, o1, o2, o3 := ob[:w], ob[ostep:][:w], ob[2*ostep:][:w], ob[3*ostep:][:w]
 		for t := range i0 {
 			x0, x1, x2, x3 := bf4(i0[t], i1[t]*w1, i2[t]*w2, i3[t]*w3, fwd)
 			if scaled {

@@ -10,10 +10,12 @@ import (
 )
 
 // The plane-form kernels (rows2, rows3, rows4 and the 4- and 8-point
-// leaves) run vector code on the even prefix of each row where the CPU
-// has it (rows2 and rows3 only unscaled). These tests call each kernel and its Go body (from
-// column 0) on copies of one input and require the same bits at every
-// element of the output buffers, padding included.
+// leaves) and the real pass's pack, post-pass, pre-pass and unpack run
+// vector code on every column of a row where the CPU has it (rows2 and
+// rows3 only unscaled, pack and unpack only at unit real stride). These
+// tests call each kernel and its Go body on copies of one input and
+// require the same bits at every element of the output buffers, padding
+// included.
 
 // sameBits is bitsEqual with any NaN matching any NaN: Go leaves the
 // payload and sign of a NaN result unspecified, and its compiler may
@@ -52,6 +54,29 @@ func kernelValues(rng *rand.Rand, n int) []complex128 {
 	return v
 }
 
+// overwrite replaces the first floats of v (real, imaginary, real, …)
+// bit for bit with raw's 8-byte little-endian words.
+func overwrite(v []complex128, raw []byte) {
+	for i := 0; 8*i+8 <= len(raw) && i < 2*len(v); i++ {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if p := &v[i/2]; i%2 == 0 {
+			*p = complex(f, imag(*p))
+		} else {
+			*p = complex(real(*p), f)
+		}
+	}
+}
+
+// sentinels returns n finite values that no kernel writes: an element
+// written by one side alone differs.
+func sentinels(n int) []complex128 {
+	v := make([]complex128, n)
+	for i := range v {
+		v[i] = complex(float64(i)+0.25, -7)
+	}
+	return v
+}
+
 // kernelCase is one call of a plane kernel: radix r (2, 3, 4) for a
 // stage, leaf (4, 8) for a leaf codelet, on m row groups of w
 // columns. pad widens the input step, the output step and the output
@@ -84,11 +109,11 @@ func (c kernelCase) run(vector bool, out, in, tw []complex128, sc complex128) {
 		case c.leaf == 4 && vector:
 			rows4leaf(out, in, s, c.w, c.fwd)
 		case c.leaf == 4:
-			rows4leafGo(out, in, s, c.w, 0, c.fwd)
+			rows4leafGo(out, in, s, c.w, c.fwd)
 		case vector:
 			rows8leaf(out, in, s, c.w, c.fwd, sgn)
 		default:
-			rows8leafGo(out, in, s, c.w, 0, c.fwd, sgn)
+			rows8leafGo(out, in, s, c.w, c.fwd, sgn)
 		}
 		return
 	}
@@ -97,15 +122,15 @@ func (c kernelCase) run(vector bool, out, in, tw []complex128, sc complex128) {
 	case c.r == 2 && vector:
 		rows2(out, ostep, orow, in, istep, c.m, c.w, tw, sc, c.scaled)
 	case c.r == 2:
-		rows2Go(out, ostep, orow, in, istep, c.m, c.w, 0, tw, sc, c.scaled)
+		rows2Go(out, ostep, orow, in, istep, c.m, c.w, tw, sc, c.scaled)
 	case c.r == 3 && vector:
 		rows3(out, ostep, orow, in, istep, c.m, c.w, tw, sgn*sin3, sc, c.scaled)
 	case c.r == 3:
-		rows3Go(out, ostep, orow, in, istep, c.m, c.w, 0, tw, sgn*sin3, sc, c.scaled)
+		rows3Go(out, ostep, orow, in, istep, c.m, c.w, tw, sgn*sin3, sc, c.scaled)
 	case vector:
 		rows4(out, ostep, orow, in, istep, c.m, c.w, tw, c.fwd, sc, c.scaled)
 	default:
-		rows4Go(out, ostep, orow, in, istep, c.m, c.w, 0, tw, c.fwd, sc, c.scaled)
+		rows4Go(out, ostep, orow, in, istep, c.m, c.w, tw, c.fwd, sc, c.scaled)
 	}
 }
 
@@ -139,14 +164,7 @@ func (c kernelCase) check(t *testing.T, rng *rand.Rand, raw []byte) {
 	t.Helper()
 	nin, nout, ntw := c.lens()
 	in, tw := kernelValues(rng, nin), kernelValues(rng, ntw)
-	for i := 0; 8*i+8 <= len(raw) && i < 2*nin; i++ {
-		f := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		if v := &in[i/2]; i%2 == 0 {
-			*v = complex(f, imag(*v))
-		} else {
-			*v = complex(real(*v), f)
-		}
-	}
+	overwrite(in, raw)
 	for i := range tw {
 		if rng.Intn(2) == 0 {
 			tw[i] = complex(math.Cos(float64(i)), -math.Sin(float64(i)))
@@ -156,11 +174,7 @@ func (c kernelCase) check(t *testing.T, rng *rand.Rand, raw []byte) {
 	if rng.Intn(4) == 0 {
 		sc = complex(kernelValue(rng), kernelValue(rng))
 	}
-	// Finite sentinels: an element written by one side alone differs.
-	out := make([]complex128, nout)
-	for i := range out {
-		out[i] = complex(float64(i)+0.25, -7)
-	}
+	out := sentinels(nout)
 	if c.inPlace {
 		out, nout = in, nin
 	}
@@ -178,9 +192,9 @@ func (c kernelCase) check(t *testing.T, rng *rand.Rand, raw []byte) {
 	}
 }
 
-// TestPlaneKernelsMatchGoBodies covers every vectorized kernel at
-// widths 1–70 (odd widths run the Go body on the last column), both
-// directions, scaled (radix 4) and unscaled stages, one to three row
+// TestPlaneKernelsMatchGoBodies covers every vectorized stage and leaf
+// kernel at widths 1–70 (odd widths run the kernel's one-column tail),
+// both directions, scaled (radix 4) and unscaled stages, one to three row
 // groups, and dense, padded and in-place layouts.
 func TestPlaneKernelsMatchGoBodies(t *testing.T) {
 	if !useAVX2 {
@@ -234,8 +248,135 @@ func FuzzPlaneKernels(f *testing.F) {
 	})
 }
 
+// goBodies runs f with every dispatcher on its Go body.
+func goBodies(f func()) {
+	defer func(v bool) { useAVX2 = v }(useAVX2)
+	useAVX2 = false
+	f()
+}
+
+// realCase is one tile of the real pass: h = n/2 rows of w lines, the
+// half-spectra at complex stride cs and line distance cd = cs·(h+1) +
+// pad, and real lines rd = 2h + pad apart.
+type realCase struct{ h, w, cs, pad int }
+
+func (c realCase) String() string {
+	return fmt.Sprintf("real pass h=%d w=%d cs=%d pad=%d", c.h, c.w, c.cs, c.pad)
+}
+
+// check runs each step of the tile on copies of one draw through the
+// dispatchers and through the Go bodies, and fails on the first element
+// whose bits differ: the pack, the unpack, and for every band kb in
+// [1, h+1] the post-pass (rows 0 and h, and rows 1 … min(kb, h)−1) and
+// the pre-pass (each of its band cases, and the cleared rows). The
+// spectrum's bins from kb on hold NaN, which a pre-pass that read them
+// would carry into its output. raw's words replace the first values of
+// the tile and of the spectrum bit for bit.
+func (c realCase) check(t *testing.T, p *RealPlan, rng *rand.Rand, raw []byte) {
+	t.Helper()
+	h, w, cs := c.h, c.w, c.cs
+	cd, rd := cs*(h+1)+c.pad, 2*h+c.pad
+	nz, nc, nr := h*w, (w-1)*cd+h*cs+1, (w-1)*rd+2*h
+	tile, spec := kernelValues(rng, nz), kernelValues(rng, nc)
+	samples := make([]float64, nr)
+	for i := range samples {
+		samples[i] = kernelValue(rng)
+	}
+	overwrite(tile, raw)
+	overwrite(spec, raw)
+	compare := func(step string, kb int, run func() []complex128) {
+		t.Helper()
+		var want []complex128
+		got := run()
+		goBodies(func() { want = run() })
+		for i := range got {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%v: %s at kb=%d: element %d: kernel %v, Go body %v", c, step, kb, i, got[i], want[i])
+			}
+		}
+	}
+	compare("pack", 0, func() []complex128 {
+		z := sentinels(nz + 3)
+		pack(z, w, h, samples, 1, rd)
+		return z
+	})
+	compare("unpack", 0, func() []complex128 {
+		d := make([]float64, nr+3)
+		for i := range d {
+			d[i] = float64(i) + 0.25
+		}
+		unpack(d, 1, rd, tile, w, h)
+		v := make([]complex128, len(d))
+		for i, f := range d {
+			v[i] = complex(f, 0)
+		}
+		return v
+	})
+	band := make([]complex128, nc)
+	for kb := 1; kb <= h+1; kb++ {
+		compare("post-pass", kb, func() []complex128 {
+			dst := sentinels(nc + 3)
+			p.postPass(dst, cs, cd, tile, kb, w)
+			return dst
+		})
+		copy(band, spec)
+		for l := 0; l < w; l++ {
+			for k := kb; k <= h; k++ {
+				band[l*cd+k*cs] = complex(math.NaN(), math.NaN())
+			}
+		}
+		compare("pre-pass", kb, func() []complex128 {
+			z := sentinels(nz + 3)
+			p.prePass(z, band, cs, cd, kb, w)
+			return z
+		})
+	}
+}
+
+// realHalves are the half lengths h = n/2 the real-pass tests run: the
+// engines' (24 and 32 at N = 48 and 64), the smallest, and a wide one.
+var realHalves = []int{2, 4, 6, 8, 12, 16, 24, 32, 64}
+
+// TestRealPassKernelsMatchGoBodies covers the real pass's kernels at
+// every width 1–70 and every band for each h of realHalves, with dense
+// and padded half-spectra at unit and stride-2 bins.
+func TestRealPassKernelsMatchGoBodies(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no vector kernels on this CPU: the real pass runs its Go bodies")
+	}
+	rng := rand.New(rand.NewSource(51))
+	for _, h := range realHalves {
+		p := newRealPlan(2*h, 70)
+		for w := 1; w <= 70; w++ {
+			realCase{h: h, w: w, cs: 1 + w/2%2, pad: w % 3}.check(t, p, rng, nil)
+		}
+		p.Release()
+	}
+}
+
+// FuzzRealPassKernels draws a real tile's half length (from
+// realHalves), width, layout and inputs; raw's 8-byte words overwrite
+// the first values of the tile and the spectrum bit for bit. Seeds: the
+// f.Add calls.
+func FuzzRealPassKernels(f *testing.F) {
+	f.Add(uint8(6), uint8(21), uint8(0), int64(1), []byte{})
+	f.Add(uint8(7), uint8(32), uint8(1), int64(2), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add(uint8(0), uint8(0), uint8(2), int64(3), []byte{1, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(8), uint8(16), uint8(5), int64(4), []byte{})
+	f.Fuzz(func(t *testing.T, hi, w, layout uint8, seed int64, raw []byte) {
+		if !useAVX2 {
+			t.Skip("no vector kernels on this CPU")
+		}
+		c := realCase{h: realHalves[int(hi)%len(realHalves)], w: 1 + int(w)%70, cs: 1 + int(layout)&1, pad: int(layout>>1) % 4}
+		p := newRealPlan(2*c.h, c.w)
+		defer p.Release()
+		c.check(t, p, rand.New(rand.NewSource(seed)), raw)
+	})
+}
+
 // BenchmarkPlaneKernels times each plane kernel (vector) and its Go body
-// (go) in cache at the tile widths the engines run, reporting ns per
+// (go) in cache at the tile widths the engines run and two odd ones
+// (a tail column each), reporting ns per
 // line: one call transforms one stage (m = 4 row groups) or one leaf of
 // w lines, out of place so that repeated calls see the same normal
 // inputs (in place, the values would drift into subnormals or
@@ -243,7 +384,7 @@ func FuzzPlaneKernels(f *testing.F) {
 func BenchmarkPlaneKernels(b *testing.B) {
 	cases := []kernelCase{{r: 2, m: 4}, {r: 3, m: 4}, {r: 4, m: 4}, {r: 4, m: 4, scaled: true}, {leaf: 4}, {leaf: 8}}
 	for _, c := range cases {
-		for _, w := range []int{8, 16, 22, 32, 64} {
+		for _, w := range []int{8, 16, 17, 22, 32, 33, 64} {
 			c.w, c.fwd = w, true
 			rng := rand.New(rand.NewSource(1))
 			nin, nout, ntw := c.lens()
@@ -266,6 +407,61 @@ func BenchmarkPlaneKernels(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/w=%d/%s", name, w, form), func(b *testing.B) {
 					for b.Loop() {
 						c.run(vector, out, in, tw, complex(1.0/64, 0))
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/line")
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkRealPassKernels times each step of the real pass through its
+// kernel (vector) and its Go body (go) in cache on one N = 64 tile (h =
+// 32) under the solver's band kb = 22, at even and odd widths, reporting
+// ns per line. Run with -bench RealPassKernels -benchtime 20000x.
+func BenchmarkRealPassKernels(b *testing.B) {
+	const h, kb = 32, 22
+	p := newRealPlan(2*h, 33)
+	defer p.Release()
+	for _, w := range []int{8, 17, 24, 32, 33} {
+		rng := rand.New(rand.NewSource(1))
+		cd, rd := h+1, 2*h
+		z, tile, spec := make([]complex128, h*w), make([]complex128, h*w), make([]complex128, w*cd)
+		samples, out := make([]float64, w*rd), make([]float64, w*rd)
+		for i := range tile {
+			tile[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		for i := range spec {
+			spec[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		for i := range samples {
+			samples[i] = rng.NormFloat64()
+		}
+		steps := []struct {
+			name string
+			run  func()
+		}{
+			{"pack", func() { pack(z, w, h, samples, 1, rd) }},
+			{"post", func() { p.postPass(spec, 1, cd, tile, kb, w) }},
+			{"pre", func() { p.prePass(z, spec, 1, cd, kb, w) }},
+			{"unpack", func() { unpack(out, 1, rd, tile, w, h) }},
+		}
+		for _, step := range steps {
+			for _, vector := range []bool{false, true} {
+				form := "go"
+				if vector {
+					form = "vector"
+				}
+				b.Run(fmt.Sprintf("%s/w=%d/%s", step.name, w, form), func(b *testing.B) {
+					loop := func() {
+						for b.Loop() {
+							step.run()
+						}
+					}
+					if vector {
+						loop()
+					} else {
+						goBodies(loop)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*w), "ns/line")
 				})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/exchange"
+	"repro/internal/grid"
 	"repro/internal/mpi"
 )
 
@@ -96,9 +97,9 @@ func (o *oracle) invert() {
 }
 
 // masked is the oracle of the transform band-limited to |k_i| ≤ kmax:
-// the same field, its spectrum zeroed outside the band, and the naive
-// inverse of that.
-func (o *oracle) masked(kmax int) *oracle {
+// the same field, its spectrum zeroed outside the band, and the inverse
+// of that by invert ((*oracle).invert or (*oracle).invertSeparable).
+func (o *oracle) masked(kmax int, invert func(*oracle)) *oracle {
 	n, nxh := o.n, o.n/2+1
 	m := &oracle{n: n, phys: o.phys, spec: make([]complex128, len(o.spec)), back: make([]float64, len(o.back))}
 	out := func(i int) bool { return min(i, n-i) > kmax }
@@ -107,7 +108,7 @@ func (o *oracle) masked(kmax int) *oracle {
 			m.spec[i] = v
 		}
 	}
-	m.invert()
+	invert(m)
 	return m
 }
 
@@ -221,7 +222,7 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 		// One band-limited case per size, against the masked sums: the
 		// 2/3 band on a grid with both exchanges.
 		kmax := n / 3
-		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax), 4, 1e-12, func(c *mpi.Comm) *SlabReal {
+		checkAgainstOracle(t, fmt.Sprintf("N=%d 2x2 truncated to %d", n, kmax), o.masked(kmax, (*oracle).invert), 4, 1e-12, func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(2, 2)
 			f := NewPencilReal(col, row, n, 3, exchange.Both(exchange.ChunkedFused))
 			f.Truncate(kmax)
@@ -240,10 +241,10 @@ func TestEngineMatchesNaiveDFT(t *testing.T) {
 func separableOracle(n int) *oracle {
 	nxh := n/2 + 1
 	o := newOracle(n)
-	fw, bw := make([]complex128, n), make([]complex128, n) // e^{∓2πi j/N}
+	fw := make([]complex128, n) // e^{-2πi j/N}
 	for j := range fw {
 		s, c := math.Sincos(2 * math.Pi * float64(j) / float64(n))
-		fw[j], bw[j] = complex(c, -s), complex(c, s)
+		fw[j] = complex(c, -s)
 	}
 	// a[(y·N+z)·Nxh+kx] = Σ_x u·e^{-2πi kx·x/N}
 	a := make([]complex128, n*n*nxh)
@@ -280,9 +281,22 @@ func separableOracle(n int) *oracle {
 			}
 		}
 	}
-	// The inverse: a = Σ_kz spec·e^{+2πi kz·z/N} at (ky·N+z)·Nxh+kx, then
-	// b = Σ_ky a·e^{+2πi ky·y/N} at (y·N+z)·Nxh+kx, then the real sum
-	// over every kx, b(N−kx) = conj b(kx) past N/2, scaled by 1/N³.
+	o.invertSeparable()
+	return o
+}
+
+// invertSeparable fills back with the separable inverse of spec:
+// a = Σ_kz spec·e^{+2πi kz·z/N} at (ky·N+z)·Nxh+kx, then
+// b = Σ_ky a·e^{+2πi ky·y/N} at (y·N+z)·Nxh+kx, then the real sum over
+// every kx, b(N−kx) = conj b(kx) past N/2, scaled by 1/N³.
+func (o *oracle) invertSeparable() {
+	n, nxh := o.n, o.n/2+1
+	bw := make([]complex128, n) // e^{+2πi j/N}
+	for j := range bw {
+		s, c := math.Sincos(2 * math.Pi * float64(j) / float64(n))
+		bw[j] = complex(c, s)
+	}
+	a, b := make([]complex128, n*n*nxh), make([]complex128, n*n*nxh)
 	for ky := 0; ky < n; ky++ {
 		for z := 0; z < n; z++ {
 			for kx := 0; kx < nxh; kx++ {
@@ -318,13 +332,16 @@ func separableOracle(n int) *oracle {
 			o.back[yz*n+x] = real(sum) / float64(n*n*n)
 		}
 	}
-	return o
 }
 
 // TestEngineMatchesSeparableDFT checks the programs the benchmark runs
 // against the separable oracle: N = 32, 48 (mixed radix) and 64 at
 // P = 2, as the slab at np 1 and on the 1×2 pencil grid, one strategy,
-// one worker. At N = 8 it is the O(N⁶) oracle's spectrum and inverse.
+// one worker. At N = 48 and 64 both engines also run truncated to the
+// solver's band |k_i| ≤ ⌊N/3⌋ against the masked sums: the real x
+// pass's band-limited rows (kb < N/2 + 1, the pre-pass rows that read
+// one operand) and, at N = 48, the odd-width rows (band 17 wide). At
+// N = 8 it is the O(N⁶) oracle's spectrum and inverse.
 func TestEngineMatchesSeparableDFT(t *testing.T) {
 	const n8 = 8
 	sep, naive := separableOracle(n8), naiveOracle(n8)
@@ -353,6 +370,22 @@ func TestEngineMatchesSeparableDFT(t *testing.T) {
 		checkAgainstOracle(t, fmt.Sprintf("N=%d 1x2", n), o, p, 1e-12, func(c *mpi.Comm) *SlabReal {
 			row, col := c.CartGrid(1, 2)
 			return NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
+		})
+		if n == 32 {
+			continue
+		}
+		kmax := grid.DealiasKmax(n)
+		m := o.masked(kmax, (*oracle).invertSeparable)
+		checkAgainstOracle(t, fmt.Sprintf("N=%d P=%d slab truncated to %d", n, p, kmax), m, p, 1e-12, func(c *mpi.Comm) *SlabReal {
+			f := NewAsyncSlabReal(c, n, opt)
+			f.Truncate(kmax)
+			return f
+		})
+		checkAgainstOracle(t, fmt.Sprintf("N=%d 1x2 truncated to %d", n, kmax), m, p, 1e-12, func(c *mpi.Comm) *SlabReal {
+			row, col := c.CartGrid(1, 2)
+			f := NewPencilReal(col, row, n, 1, exchange.Both(exchange.Fused))
+			f.Truncate(kmax)
+			return f
 		})
 	}
 }

@@ -124,7 +124,7 @@ func (s *Solver) rawModeIC(ix, iy, gz int, k0 float64, seed int64) [3]complex128
 		ph := 2 * math.Pi * u[2*c]
 		v[c] = cmplx.Rect(amp*(0.5+u[2*c+1]), ph)
 	}
-	dot := (complex(kx, 0)*v[0] + complex(ky, 0)*v[1] + complex(kz, 0)*v[2]) / complex(k2, 0)
+	dot := divReal(complex(kx, 0)*v[0]+complex(ky, 0)*v[1]+complex(kz, 0)*v[2], k2)
 	v[0] -= complex(kx, 0) * dot
 	v[1] -= complex(ky, 0) * dot
 	v[2] -= complex(kz, 0) * dot

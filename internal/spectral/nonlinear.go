@@ -1,6 +1,9 @@
 package spectral
 
-import "math/cmplx"
+import (
+	"math"
+	"math/cmplx"
+)
 
 // prodPairs enumerates the six distinct components of the symmetric
 // tensor u_iu_j formed in physical space each Runge–Kutta stage, in the
@@ -208,12 +211,28 @@ func (s *Solver) projectAndDealias(rhs [][]complex128) {
 				continue
 			}
 			ckx := complex(kx, 0)
-			dot := (ckx*r0[ix] + cky*r1[ix] + ckz*r2[ix]) / complex(k2, 0)
+			dot := divReal(ckx*r0[ix]+cky*r1[ix]+ckz*r2[ix], k2)
 			r0[ix] -= ckx * dot
 			r1[ix] -= cky * dot
 			r2[ix] -= ckz * dot
 		}
 	}
+}
+
+// divReal returns n / complex(k2, 0) for k2 > 0, bit for bit, without
+// the runtime's complex division call. That division (Smith's
+// algorithm) takes ratio = 0/k2 = +0 and denominator k2 + ratio·0 = k2
+// here, so it computes e = (re + im·0)/k2 and f = (im − re·0)/k2, the
+// ×0 terms setting signs of zero and turning an infinite part into NaN.
+// Only when both come out NaN does it apply the C99 Annex G recovery
+// of infinities and zeros, so that case still calls it.
+func divReal(n complex128, k2 float64) complex128 {
+	e := (real(n) + imag(n)*0) / k2
+	f := (imag(n) - real(n)*0) / k2
+	if math.IsNaN(e) && math.IsNaN(f) {
+		return n / complex(k2, 0)
+	}
+	return complex(e, f)
 }
 
 // applyShift multiplies every in-band mode by exp(sign·i·k·Δ) for the

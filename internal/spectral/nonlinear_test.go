@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -61,5 +62,41 @@ func TestNonlinearTransformOrder(t *testing.T) {
 				t.Errorf("%s: one right-hand side transforms %s, want %s", tc.name, got, tc.want)
 			}
 		})
+	}
+}
+
+// divSpecials are values a projected mode's parts or its k² may take or
+// that the division must carry as the runtime does: signed zeros,
+// infinities, NaN, subnormals, values whose products overflow, and
+// small integers.
+var divSpecials = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308, -1.5e-310,
+	math.MaxFloat64, -math.MaxFloat64, 8.98846567431158e307, -1.3e308, 1, -1, 0.5,
+}
+
+// divReal is the runtime's n / complex(k2, 0), bit for bit (NaN
+// matching NaN), for every pair of parts from divSpecials and every
+// positive k² among them and the wavenumber sums the solver divides by.
+func TestDivRealMatchesComplexDivision(t *testing.T) {
+	same := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y)
+	}
+	k2s := []float64{2, 3, 1 << 20, 1e-300, 1e300}
+	for _, v := range divSpecials {
+		if v > 0 {
+			k2s = append(k2s, v)
+		}
+	}
+	for _, re := range divSpecials {
+		for _, im := range divSpecials {
+			for _, k2 := range k2s {
+				n := complex(re, im)
+				got, want := divReal(n, k2), n/complex(k2, 0)
+				if !same(real(got), real(want)) || !same(imag(got), imag(want)) {
+					t.Fatalf("divReal(%v, %v) = %v, the complex division gives %v", n, k2, got, want)
+				}
+			}
+		}
 	}
 }
