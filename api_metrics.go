@@ -50,7 +50,7 @@ func RunWithMetrics(p int, reg *MetricsRegistry, fn func(*Comm), opts ...RunOpti
 }
 
 // MetricsSnapshotNow publishes the FFT-layer, buffer-arena and
-// worker-team totals (fft.*, pool.hit/miss, par.workers.*) into the
+// worker-team totals (fft.*, pool.hit/miss/put, par.workers.*) into the
 // default registry and returns its snapshot — the one-call way to read
 // everything the runtime has recorded.
 func MetricsSnapshotNow() MetricsSnapshot {

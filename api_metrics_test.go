@@ -22,7 +22,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	reg := repro.NewMetricsRegistry()
 	var strategy repro.ExchangeStrategy
 	err := repro.RunWithMetrics(p, reg, func(c *repro.Comm) {
-		strategy = asyncStep(c)
+		if st := asyncStep(c); c.Rank() == 0 {
+			strategy = st
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +102,7 @@ func asyncStep(c *repro.Comm, opts ...repro.AsyncOption) repro.ExchangeStrategy 
 		repro.WithDealias(repro.Dealias23),
 		repro.WithTransform(tr),
 	)
+	defer s.Close()
 	s.SetTaylorGreen()
 	s.Step(0.004)
 	return tr.Strategy()

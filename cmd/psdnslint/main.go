@@ -1,6 +1,9 @@
 // Command psdnslint runs the internal/analysis suite (hotalloc,
-// poolpair, lockorder, metricname, collsym, planfree)
-// over Go packages.
+// lockorder, metricname) over Go packages: the invariants neither the
+// tests nor the runtime check at every site. Leaked plans, pool
+// checkouts kept across steady-state calls and rank-divergent
+// collective schedules are caught at run time instead (see
+// internal/analysis).
 //
 // It speaks cmd/go's vettool protocol, so the canonical invocation is
 //

@@ -1,22 +1,20 @@
-// Package analysis implements the psdnslint analyzer suite: six
+// Package analysis implements the psdnslint analyzer suite: three
 // static analyzers that enforce the invariants the runtime design
-// depends on and that tests and the runtime watchdog only sample. Each
-// is kept because it catches a seeded mutation of the real tree (see
-// DESIGN §7):
+// depends on and that neither the tests nor the runtime can check
+// for every site. Each is kept because it catches a seeded mutation
+// of the real tree (see DESIGN §7):
 //
 //   - hotalloc:   no heap allocations in //psdns:hotpath functions,
 //     with propagation one level into same-package callees;
-//   - poolpair:   pool checkouts are released on every path or happen
-//     at plan/constructor time;
 //   - lockorder:  no channel sends or nested cond.Wait while holding a
 //     mutex inside internal/mpi;
 //   - metricname: metric names are constants following the
-//     subsystem.noun[.verb] convention, each registered as one kind;
-//   - collsym:    rank-dependent branches issue the same mpi
-//     collective sequence on every arm (CFG + within-package
-//     summaries; see cfg.go and summary.go);
-//   - planfree:   constructed mpi plans reach Free/Close on all
-//     paths, with field-escaped plans checked at their owner's Close.
+//     subsystem.noun[.verb] convention, each registered as one kind.
+//
+// Leaked plans, pool checkouts held across steady-state calls and
+// rank-divergent collective schedules are caught at run time instead:
+// by mpi.Run's world-end plan ledger, by the pool's checkout count and
+// by the stall watchdog.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: the repository
@@ -83,7 +81,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full psdnslint suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{HotAlloc, PoolPair, LockOrder, MetricName, CollSym, PlanFree}
+	return []*Analyzer{HotAlloc, LockOrder, MetricName}
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult

@@ -11,24 +11,12 @@ func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.HotAlloc, "hotalloc")
 }
 
-func TestPoolPair(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.PoolPair, "poolpair")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.LockOrder, "lockorder/mpi")
 }
 
 func TestMetricName(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), analysis.MetricName, "metricname")
-}
-
-func TestCollSym(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.CollSym, "collsym")
-}
-
-func TestPlanFree(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), analysis.PlanFree, "planfree")
 }
 
 // TestSuppressEdgeCases drives the directive edge cases through a

@@ -23,6 +23,7 @@ func runBoth(t *testing.T, n, p int, opt pfft.Options) (maxDiff, roundTrip float
 	var worstDiff, worstRT float64
 	mpi.Run(p, func(c *mpi.Comm) {
 		ref := pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
+		defer ref.Close()
 		async := pfft.NewAsyncSlabReal(c, n, opt)
 		defer async.Close()
 

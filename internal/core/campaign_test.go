@@ -60,6 +60,7 @@ func TestProductionCampaignWorkflow(t *testing.T) {
 		defer trBig.Close()
 		scalar, grad := spectral.WithScalars(1), spectral.WithScalarGradient(1)
 		s3 := spectral.New(c, 32, opts(scalar, grad, spectral.WithTransform(trBig))...)
+		defer s3.Close()
 		spectral.Regrid(s3, s2)
 		if math.Abs(s3.Energy()-s2.Energy()) > 1e-9 {
 			t.Fatalf("regrid energy %g vs %g", s3.Energy(), s2.Energy())

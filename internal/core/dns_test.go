@@ -35,6 +35,7 @@ func TestDNSOnAsyncPipelineMatchesSync(t *testing.T) {
 				opts = append(opts, spectral.WithTransform(tr))
 			}
 			s := spectral.New(c, n, opts...)
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 77)
 			for i := 0; i < 3; i++ {
 				s.Step(0.004)

@@ -26,11 +26,7 @@ func TestEngineBuffersExactLength(t *testing.T) {
 			for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 				opt := pfft.Options{NP: 3, Granularity: gran, NGPU: 2, Workers: 2, SingleComm: single, Exchange: st}
 				for _, kmax := range []int{grid.DealiasKmax(n), n / 2} {
-					// The walk reaches the world through the engine's
-					// communicator, so it runs once the world is
-					// quiescent, not beside a peer's collectives.
-					built := make([]*pfft.SlabReal, p)
-					mpi.Run(p, func(c *mpi.Comm) {
+					pooltest.InWorld(p, func(c *mpi.Comm) *pfft.SlabReal {
 						a := pfft.NewAsyncSlabReal(c, n, opt)
 						four := make([]complex128, a.FourierLen())
 						phys := make([]float64, a.PhysicalLen())
@@ -39,19 +35,19 @@ func TestEngineBuffersExactLength(t *testing.T) {
 							a.FourierToPhysical(phys, four)
 							a.PhysicalToFourier(four, phys)
 						}
-						built[c.Rank()] = a
-					})
-					for r, a := range built {
-						tag := fmt.Sprintf("%+v kmax=%d rank %d", opt, kmax, r)
-						bad, bufs := pooltest.Overheld(a)
-						if bufs == 0 {
-							t.Errorf("%s: the walk found no buffer", tag)
+						return a
+					}, func(built []*pfft.SlabReal) {
+						for r, a := range built {
+							tag := fmt.Sprintf("%+v kmax=%d rank %d", opt, kmax, r)
+							bad, bufs := pooltest.Overheld(a)
+							if bufs == 0 {
+								t.Errorf("%s: the walk found no buffer", tag)
+							}
+							for _, b := range bad {
+								t.Errorf("%s: %s", tag, b)
+							}
 						}
-						for _, b := range bad {
-							t.Errorf("%s: %s", tag, b)
-						}
-						a.Close()
-					}
+					}, (*pfft.SlabReal).Close)
 				}
 			}
 		}

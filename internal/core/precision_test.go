@@ -22,6 +22,7 @@ func TestSingleCommAccuracy(t *testing.T) {
 	for _, gran := range []pfft.Granularity{pfft.PerPencil, pfft.PerSlab} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			ref := pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
+			defer ref.Close()
 			sgl := pfft.NewAsyncSlabReal(c, n, pfft.Options{NP: 4, Granularity: gran, SingleComm: true})
 			defer sgl.Close()
 
@@ -86,6 +87,7 @@ func TestSingleCommDNSRunsStably(t *testing.T) {
 		defer tr.Close()
 		s := spectral.New(c, 16, spectral.WithNu(0.02), spectral.WithScheme(spectral.RK2),
 			spectral.WithDealias(spectral.Dealias23), spectral.WithTransform(tr))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 13)
 		e0 := s.Energy()
 		for i := 0; i < 5; i++ {

@@ -105,7 +105,7 @@ func exchange[S any](c *Comm, rv *rendezvous, seq int, table []S, mine S, msgByt
 	}
 	// A finished round is progress: the deadlock detector's quiescence
 	// window restarts.
-	c.w.progress.Add(1)
+	c.w.progressed()
 }
 
 // drawFates draws, as this rank publishes, how its publication reaches

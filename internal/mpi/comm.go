@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,45 +39,31 @@ type world struct {
 	// barrier with metrics off costs one atomic load.
 	waits []waitMetrics
 
-	// watch is the stall watchdog's bookkeeping; nil on unmonitored
-	// worlds. Split sub-worlds run their own watchState under the
-	// parent's configuration (wd/wdOn below), so stalls inside
-	// sub-communicator exchanges are detected too.
+	// watch is the stall watchdog's bookkeeping, shared by the root
+	// world and every sub-communicator Split derives from it, so a rank
+	// blocked in any world of the family counts as blocked; nil on
+	// unmonitored worlds.
 	watch *watchState
-	// wd is the watchdog configuration this world runs under (already
-	// defaulted); wdOn records whether monitoring is enabled. Split
-	// copies both into sub-worlds.
-	wd   Watchdog
-	wdOn bool
 	// faults is the compiled fault-injection plan; nil when none.
 	faults *faultState
-
-	// progress counts finished collective rounds and bounded-exchange
-	// publications; the deadlock detector uses it as a quiescence
-	// marker.
-	progress atomic.Int64
 	// pending counts fault-delayed publications a reader is still
-	// waiting out.
+	// waiting out. Message faults reach the root world alone, so the
+	// watchdog reads the root's.
 	pending atomic.Int64
 
-	// fromParent maps a parent-world rank to this sub-world's rank for
-	// worlds created by Split; nil on the root world. It lets rankDone
-	// cascade a rank's exit into every sub-communicator the rank is a
-	// member of, so no sub-world's deadlock detector keeps waiting on a
-	// rank that can never re-enter it.
-	fromParent map[int]int
+	// toRoot maps this world's ranks to the root world's for worlds
+	// created by Split; nil on the root world. The watchdog keeps its
+	// per-rank accounting in root ranks.
+	toRoot []int
 
 	mu       sync.Mutex
 	children []*world // sub-communicators created by Split
 	aborted  bool
-	// plans maps a collective sequence number to the shared state of a
-	// persistent collective (see ExchangePlan); planBars maps the same
-	// sequence number to the plan's private barrier, kept separately so
-	// abortAll can wake it. Both entries are removed when the plan's
-	// last reference is Freed, so long-running worlds that build and
-	// tear down plans do not accumulate dead barriers.
-	plans    map[int]any
-	planBars map[int]*barrier
+	// plans is the ledger of live persistent collectives (see
+	// ExchangePlan), keyed by collective sequence number. An entry is
+	// removed when the plan's last reference is Freed; one still here
+	// when run returns is a leak (livePlans).
+	plans map[int]*planReg
 }
 
 func newWorld(p int, reg *metrics.Registry, f *faultState) *world {
@@ -106,9 +94,9 @@ func (w *world) abortAll() {
 	}
 	w.aborted = true
 	children := append([]*world(nil), w.children...)
-	planBars := make([]*barrier, 0, len(w.planBars))
-	for _, b := range w.planBars {
-		planBars = append(planBars, b)
+	planBars := make([]*barrier, 0, len(w.plans))
+	for _, reg := range w.plans {
+		planBars = append(planBars, reg.bar)
 	}
 	w.mu.Unlock()
 	w.barrier.abort()
@@ -127,63 +115,83 @@ func (w *world) isAborted() bool {
 	return w.aborted
 }
 
-// stopWatches stops this world's watchdog monitor and, recursively,
-// every descendant sub-world's. Called once by run after all ranks
-// have returned; Split sub-worlds have no teardown of their own, so
-// their monitors live until the whole run ends.
-func (w *world) stopWatches() {
-	if w.watch != nil {
-		close(w.watch.stop)
-		<-w.watch.done
-	}
-	w.mu.Lock()
-	children := append([]*world(nil), w.children...)
-	w.mu.Unlock()
-	for _, c := range children {
-		c.stopWatches()
+// planReg is one live persistent plan in its world's ledger: the
+// shared state every rank's handle points at, the plan's private
+// barrier (kept here so abortAll can wake it), how many ranks still
+// hold a handle, and the stack of the rank that built it, named only
+// if the plan leaks (site).
+type planReg struct {
+	sh   any
+	bar  *barrier
+	refs int
+	pcs  []uintptr
+}
+
+// planCallers records the stack above a plan constructor cheaply;
+// building a plan pays no symbolization.
+func planCallers() []uintptr {
+	pc := make([]uintptr, 16)
+	return pc[:runtime.Callers(3, pc)]
+}
+
+// site names the code that built the plan: the outermost plan
+// constructor of this package on the stack and its caller, with file
+// and line, as in "mpi.NewReducePlan from spectral.newSolver
+// (solver.go:370)".
+func (r *planReg) site() string {
+	frames := runtime.CallersFrames(r.pcs)
+	ctor := ""
+	for {
+		f, more := frames.Next()
+		name := f.Function[strings.LastIndex(f.Function, "/")+1:]
+		if i := strings.Index(name, "["); i >= 0 {
+			name = name[:i] // generic instantiation
+		}
+		if more && (strings.HasPrefix(name, "mpi.NewExchangePlan") || name == "mpi.newExchangePlan" || name == "mpi.NewReducePlan") {
+			ctor = name
+			continue
+		}
+		return fmt.Sprintf("%s from %s (%s:%d)", ctor, name, filepath.Base(f.File), f.Line)
 	}
 }
 
-// deepStallErr returns this world's stall verdict, or the first one
-// recorded by a descendant sub-world's watchdog: a stall detected
-// inside a sub-communicator exchange aborts the whole run, and the
-// parent's ranks then die of the bare cascade, so the sub-world holds
-// the only typed account of what happened.
-func (w *world) deepStallErr() *StallError {
-	if st := w.stallErr(); st != nil {
-		return st
-	}
-	w.mu.Lock()
-	children := append([]*world(nil), w.children...)
-	w.mu.Unlock()
-	for _, c := range children {
-		if st := c.deepStallErr(); st != nil {
-			return st
+// livePlans is the world-end ledger check: an error naming every plan
+// still registered in this world or any sub-communicator derived from
+// it, nil when every plan was Freed. A live plan at the end of a run
+// is a leak: the paper's persistent plans are built once and released
+// with the engine that owns them.
+func (w *world) livePlans() error {
+	var leaks []string
+	var walk func(*world)
+	walk = func(w *world) {
+		w.mu.Lock()
+		seqs := make([]int, 0, len(w.plans))
+		for seq := range w.plans {
+			seqs = append(seqs, seq)
+		}
+		sort.Ints(seqs)
+		for _, seq := range seqs {
+			leaks = append(leaks, fmt.Sprintf("%s, collective seq %d", w.plans[seq].site(), seq))
+		}
+		children := append([]*world(nil), w.children...)
+		w.mu.Unlock()
+		for _, c := range children {
+			walk(c)
 		}
 	}
-	return nil
+	walk(w)
+	if len(leaks) == 0 {
+		return nil
+	}
+	return fmt.Errorf("mpi: %d plan(s) never freed when the run ended: %s", len(leaks), strings.Join(leaks, "; "))
 }
 
-// rankDone records that one of this world's ranks has returned from
-// its rank function, here and transitively in every sub-communicator
-// the rank belongs to. A returned rank can never re-enter an exchange,
-// so leaving it "live" in a sub-world's watchState would let a
-// deadlock among the remaining members — e.g. pencil ranks blocked in
-// a row-group transpose whose peer exited — sit below the quiescence
-// detector forever.
-func (w *world) rankDone(rank int) {
-	if w == nil {
-		return
+// rootRank maps a rank of w to the root world's rank.
+func (w *world) rootRank(r int) int {
+	if w.toRoot == nil {
+		return r
 	}
-	w.watch.rankDone(rank)
-	w.mu.Lock()
-	kids := append([]*world(nil), w.children...)
-	w.mu.Unlock()
-	for _, ch := range kids {
-		if sub, ok := ch.fromParent[rank]; ok {
-			ch.rankDone(sub)
-		}
-	}
+	return w.toRoot[r]
 }
 
 // adoptChild registers a sub-communicator for cascading aborts.
@@ -333,8 +341,11 @@ func WithFaults(f *Faults) RunOption {
 // caller with the rank attached, so test failures point at the rank
 // that misbehaved rather than deadlocking. A detected deadlock or
 // stall likewise aborts the world and re-raises with the watchdog's
-// StallError message. Use TryRun to receive the failure as an error
-// instead of a panic.
+// StallError message. A run that otherwise succeeds fails when a plan
+// (ExchangePlan, ReducePlan) is still registered in the world or any
+// sub-communicator: fn must free every plan it builds, and close
+// every engine that holds one, before it returns. Use TryRun to
+// receive the failure as an error instead of a panic.
 func Run(p int, fn func(*Comm), opts ...RunOption) {
 	if err := run(p, fn, metrics.Default(), opts); err != nil {
 		panic(err.Error())
@@ -347,7 +358,10 @@ func Run(p int, fn func(*Comm), opts ...RunOption) {
 // calling process. A watchdog-detected deadlock or stall is raised by
 // the blocked rank it names, so it arrives as that rank's *RankError
 // wrapping a *StallError (the bare *StallError when that rank had left
-// the wait before the abort reached it). A clean run returns nil.
+// the wait before the abort reached it). A run that leaves a plan
+// registered returns an error naming each plan's constructor, its
+// call site and its collective sequence number (see Run); a clean run
+// returns nil.
 func TryRun(p int, fn func(*Comm), opts ...RunOption) error {
 	return run(p, fn, metrics.Default(), opts)
 }
@@ -375,8 +389,7 @@ func run(p int, fn func(*Comm), reg *metrics.Registry, opts []RunOption) error {
 	w := newWorld(p, cfg.reg, fs)
 	w.poll = p <= min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	if !cfg.wd.Off {
-		w.wd, w.wdOn = cfg.wd.withDefaults(), true
-		w.watch = newWatchState(w.wd, p)
+		w.watch = newWatchState(cfg.wd.withDefaults(), p)
 		go w.watch.monitor(w)
 	}
 	var wg sync.WaitGroup
@@ -385,7 +398,7 @@ func run(p int, fn func(*Comm), reg *metrics.Registry, opts []RunOption) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			defer w.rankDone(rank)
+			defer w.watch.rankDone(rank)
 			defer func() {
 				if e := recover(); e != nil {
 					panics[rank] = e
@@ -396,7 +409,10 @@ func run(p int, fn func(*Comm), reg *metrics.Registry, opts []RunOption) error {
 		}(r)
 	}
 	wg.Wait()
-	w.stopWatches()
+	if w.watch != nil {
+		close(w.watch.stop)
+		<-w.watch.done
+	}
 	// Report the primary panic, skipping ranks that died from the
 	// cascade itself.
 	for r, e := range panics {
@@ -404,10 +420,10 @@ func run(p int, fn func(*Comm), reg *metrics.Registry, opts []RunOption) error {
 			return &RankError{Rank: r, Err: panicErr(e)}
 		}
 	}
-	// No rank misbehaved on its own: a watchdog stall is the cause —
-	// possibly detected by a sub-communicator's watchdog, whose abort
-	// cascades up as bare errAborted panics on the parent's ranks.
-	if st := w.deepStallErr(); st != nil {
+	// No rank misbehaved on its own: a watchdog stall is the cause,
+	// raised on a rank that had left its wait before the abort reached
+	// it, so every rank died of the bare cascade.
+	if st, _ := w.watch.stalled(); st != nil {
 		return st
 	}
 	for r, e := range panics {
@@ -415,7 +431,7 @@ func run(p int, fn func(*Comm), reg *metrics.Registry, opts []RunOption) error {
 			return &RankError{Rank: r, Err: panicErr(e)}
 		}
 	}
-	return nil
+	return w.livePlans()
 }
 
 // panicErr converts a recovered panic value into an error, keeping
@@ -608,9 +624,10 @@ func (c *Comm) Barrier() {
 // the sub-world it has built and its members read it.
 //
 // Sub-communicators inherit the parent's robustness wiring: the abort
-// cascade, the watchdog configuration (each sub-world runs its own
-// monitor, so a stall inside a sub-communicator exchange surfaces as
-// a typed StallError), and the fault plan's crash schedules (a rank's
+// cascade, the watchdog (the whole family shares the root's monitor,
+// so a stall inside a sub-communicator exchange, or a deadlock whose
+// ranks wait in different communicators, surfaces as a typed
+// StallError), and the fault plan's crash schedules (a rank's
 // crash follows it into every communicator it joins; the operation
 // index counts per communicator, since each Comm keeps its own
 // counter). Message-level fault rules stay with the parent world: the
@@ -650,15 +667,11 @@ func (c *Comm) Split(color, key int) *Comm {
 		// 4-rank world on 2 threads is still oversubscribed.
 		nw = newWorld(len(group), c.w.reg, c.w.faults.forSubgroup(parentRanks))
 		nw.poll = c.w.poll
-		nw.fromParent = make(map[int]int, len(parentRanks))
+		nw.toRoot = make([]int, len(parentRanks))
 		for sub, pr := range parentRanks {
-			nw.fromParent[pr] = sub
+			nw.toRoot[sub] = c.w.rootRank(pr)
 		}
-		if c.w.wdOn {
-			nw.wd, nw.wdOn = c.w.wd, true
-			nw.watch = newWatchState(nw.wd, len(group))
-			go nw.watch.monitor(nw)
-		}
+		nw.watch = c.w.watch
 		c.w.adoptChild(nw) // cascade aborts into the sub-communicator
 	}
 	worlds := make([]*world, c.Size())

@@ -61,7 +61,7 @@
 //
 // # Failure model
 //
-// Two failure shapes surface through TryRun as typed errors:
+// Three failure shapes surface through TryRun as errors:
 //
 //   - A rank panic (its own bug, or an injected *CrashError) aborts
 //     the world — every blocked peer is woken, as with MPI_Abort — and
@@ -75,7 +75,17 @@
 //     that rank sees it unwind (the solver annotates it with its
 //     step). The watchdog is on by default with deadlock detection
 //     only; WithWatchdog sets the per-operation Deadline, the one
-//     bound on how long a rank may wait, or disables it.
+//     bound on how long a rank may wait, or disables it. One monitor
+//     watches a world and every sub-communicator Split derives from
+//     it, and a rank blocked in any of them counts as blocked, so a
+//     deadlock whose ranks wait in different communicators is
+//     declared too.
+//   - A run that ends with a plan still registered — in the world or
+//     any sub-communicator — fails with an error naming each plan's
+//     constructor, its call site and its collective sequence number.
+//     The rank function must free every plan it builds, and close
+//     every engine holding one, before it returns. The check applies
+//     only when the run has no other error to report.
 //
 // WithFaults injects deterministic message pathologies (drop,
 // duplicate, delay, rank crashes) for chaos testing; see Faults. The
@@ -83,8 +93,8 @@
 // collectives and every ExchangePlan.Do, the exchange path of every
 // transform strategy but the asynchrony-tolerant one.
 // Sub-communicators created by Split share the parent's abort
-// cascade, run their own watchdog under the parent's configuration,
-// and inherit the fault plan's crash schedules (re-keyed to the
-// sub-communicator's ranks, operation counts per communicator);
-// message-level fault rules apply to the parent world only.
+// cascade and watchdog, and inherit the fault plan's crash schedules
+// (re-keyed to the sub-communicator's ranks, operation counts per
+// communicator); message-level fault rules apply to the parent world
+// only.
 package mpi

@@ -73,8 +73,7 @@ type ExchangePlan[T any] struct {
 type exchShared[T any] struct {
 	srcs [][]T
 	rv   rendezvous
-	refs int
-	seq  int // collective sequence number keying w.plans / w.planBars
+	seq  int // collective sequence number keying w.plans
 
 	// Asynchrony-tolerant state (zero on synchronous plans). Each rank
 	// publishes by copying its slab into rings[rank][epoch%S] and then
@@ -137,11 +136,12 @@ func newExchangePlan[T any](c *Comm, slabLen int, at bool, maxStale int, deadlin
 		panic(errAborted)
 	}
 	if w.plans == nil {
-		w.plans = map[int]any{}
+		w.plans = map[int]*planReg{}
 	}
 	var sh *exchShared[T]
-	if v, ok := w.plans[seq]; ok {
-		sh = v.(*exchShared[T])
+	reg, ok := w.plans[seq]
+	if ok {
+		sh = reg.sh.(*exchShared[T])
 		if sh.at != at || (at && (sh.maxStale != maxStale || sh.deadline != deadline || sh.slabLen != slabLen)) {
 			w.mu.Unlock()
 			panic(fmt.Sprintf("mpi: rank %d: exchange plan seq %d mode disagrees with peers "+
@@ -165,13 +165,10 @@ func newExchangePlan[T any](c *Comm, slabLen int, at bool, maxStale int, deadlin
 			}
 			sh.epochs = make([]atomic.Int64, p)
 		}
-		w.plans[seq] = sh
-		if w.planBars == nil {
-			w.planBars = map[int]*barrier{}
-		}
-		w.planBars[seq] = sh.rv.bar
+		reg = &planReg{sh: sh, bar: sh.rv.bar, pcs: planCallers()}
+		w.plans[seq] = reg
 	}
-	sh.refs++
+	reg.refs++
 	w.mu.Unlock()
 	pl := &ExchangePlan[T]{
 		c: c, sh: sh,
@@ -226,9 +223,10 @@ func (pl *ExchangePlan[T]) Do(src []T, gather func(srcs [][]T)) {
 }
 
 // Free releases the plan (collective in effect: after every rank has
-// called Free the world drops its reference to the shared state and
-// its barrier, so the abort cascade stops waking it). The plan must
-// not be used afterwards.
+// called Free the world drops the plan from its ledger, and with it
+// the shared state and the barrier the abort cascade wakes). A plan
+// still in the ledger when the run ends fails the run (see Run). The
+// plan must not be used afterwards.
 func (pl *ExchangePlan[T]) Free() {
 	if pl.free {
 		return
@@ -236,10 +234,10 @@ func (pl *ExchangePlan[T]) Free() {
 	pl.free = true
 	w := pl.c.w
 	w.mu.Lock()
-	pl.sh.refs--
-	if pl.sh.refs == 0 {
+	reg := w.plans[pl.sh.seq]
+	reg.refs--
+	if reg.refs == 0 {
 		delete(w.plans, pl.sh.seq)
-		delete(w.planBars, pl.sh.seq)
 	}
 	w.mu.Unlock()
 }
@@ -324,7 +322,7 @@ func (pl *ExchangePlan[T]) DoBounded(src []T, gather func(srcs [][]T), maxStale 
 	copy(sh.rings[me][int(e%int64(slots))], src)
 	sh.sites[me][int(e%int64(slots))] = pl.site
 	sh.epochs[me].Store(e)
-	c.w.progress.Add(1)
+	c.w.progressed()
 
 	// Hard bound: no peer may be more than maxStale epochs behind, and
 	// epoch 1 always waits for every peer's first publication (there is
@@ -399,7 +397,7 @@ func (pl *ExchangePlan[T]) DoBounded(src []T, gather func(srcs [][]T), maxStale 
 	if enabled {
 		m.exch.gather.Observe(float64(time.Since(t0).Nanoseconds()))
 	}
-	c.w.progress.Add(1)
+	c.w.progressed()
 }
 
 // waitPeers blocks until every rank's published epoch is at least lo

@@ -178,9 +178,9 @@ func TestExchangePlanBoundedZeroAllocSteadyState(t *testing.T) {
 	})
 }
 
-// Freeing a plan must drop both its shared state and its barrier from
-// the world's registries: a long-running world that builds and tears
-// down plans keeps both maps bounded, and the abort cascade after a
+// Freeing a plan must drop it from the world's ledger, with its shared
+// state and its barrier: a long-running world that builds and tears
+// down plans keeps the ledger bounded, and the abort cascade after a
 // Free still works (it no longer wakes dead barriers).
 func TestPlanRegistriesBoundedAcrossFree(t *testing.T) {
 	const p, rounds = 2, 50
@@ -200,11 +200,11 @@ func TestPlanRegistriesBoundedAcrossFree(t *testing.T) {
 		}
 		c.Barrier() // every rank has Freed round `rounds` before we look
 		c.w.mu.Lock()
-		nb, np := len(c.w.planBars), len(c.w.plans)
+		np := len(c.w.plans)
 		c.w.mu.Unlock()
-		if nb != 0 || np != 0 {
-			panic(fmt.Sprintf("rank %d: after %d create/free rounds planBars=%d plans=%d, want 0/0",
-				c.Rank(), rounds, nb, np))
+		if np != 0 {
+			panic(fmt.Sprintf("rank %d: after %d create/free rounds plans=%d, want 0",
+				c.Rank(), rounds, np))
 		}
 	})
 }

@@ -105,3 +105,51 @@ func TestRunWithRecordsIntoExplicitRegistry(t *testing.T) {
 		t.Fatalf("summed a2a calls = %v, want %d", e.Value, p)
 	}
 }
+
+// TestWorldEndRejectsLivePlans: a plan still registered when the run
+// ends fails the run with an error naming its constructor, its call
+// site and its collective sequence number; freed, the run is clean;
+// and a run that already failed reports its own error, not the leak.
+func TestWorldEndRejectsLivePlans(t *testing.T) {
+	for _, tc := range []struct {
+		name, ctor string
+		build      func(c *Comm) (free func())
+	}{
+		{"exchange", "mpi.NewExchangePlan", func(c *Comm) func() {
+			pl := NewExchangePlan[int](c, c.Size())
+			return pl.Free
+		}},
+		{"reduce", "mpi.NewReducePlan", func(c *Comm) func() {
+			pl := NewReducePlan(c, 1)
+			return pl.Free
+		}},
+		{"sub-communicator", "mpi.NewExchangePlan", func(c *Comm) func() {
+			row, _ := c.CartGrid(2, 2)
+			pl := NewExchangePlan[int](row, row.Size())
+			return pl.Free
+		}},
+	} {
+		err := TryRun(4, func(c *Comm) { tc.build(c) })
+		if err == nil {
+			t.Fatalf("%s: a run leaving a plan registered returned nil", tc.name)
+		}
+		for _, want := range []string{tc.ctor, "TestWorldEndRejectsLivePlans", "tryrun_test.go:", "collective seq"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+			}
+		}
+		if err := TryRun(4, func(c *Comm) { tc.build(c)() }); err != nil {
+			t.Errorf("%s: freed plan: run returned %v", tc.name, err)
+		}
+		cause := errors.New("boom")
+		err = TryRun(4, func(c *Comm) {
+			tc.build(c)
+			if c.Rank() == 2 {
+				panic(cause)
+			}
+		})
+		if !errors.Is(err, cause) || strings.Contains(err.Error(), "never freed") {
+			t.Errorf("%s: failed run with a live plan returned %v, want rank 2's own panic", tc.name, err)
+		}
+	}
+}

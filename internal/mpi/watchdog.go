@@ -3,15 +3,18 @@ package mpi
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Watchdog configures the stall watchdog of a world. The watchdog
-// runs on its own monitor goroutine and watches two failure shapes the
-// abort cascade (RankError) is blind to:
+// Watchdog configures the stall watchdog of a world and of every
+// sub-communicator Split derives from it. The watchdog runs on one
+// monitor goroutine per run and watches two failure shapes the abort
+// cascade (RankError) is blind to:
 //
-//   - True deadlock: every live rank is blocked in a wait or barrier,
-//     no collective round has finished since the quiescent window
+//   - True deadlock: every live rank is blocked in a wait or barrier —
+//     of the world or of any of its sub-communicators — no collective
+//     round has finished since the quiescent window
 //     began, and no fault-delayed publication is still in flight. Nothing
 //     can ever make progress again, so the world is aborted after
 //     DeadlockAfter with a StallError (Deadlock=true).
@@ -101,8 +104,12 @@ func (e *StallError) Error() string {
 
 // blockedOp is one rank blocked in a wait or barrier since since.
 type blockedOp struct {
-	rank      int
-	op        string
+	w    *world // the world whose wait it is
+	rank int    // its rank in w
+	root int    // its rank in the root world
+	op   string
+	// peer is the rank waited for (-1 when none), tag the collective's
+	// sequence number.
 	peer, tag int
 	// bar is the barrier a parked rank waits in, nil for other waits;
 	// a stall report names its lowest missing rank as the peer, read
@@ -111,18 +118,27 @@ type blockedOp struct {
 	since time.Time
 }
 
-// watchState is the bookkeeping behind one world's watchdog: the set
-// of currently blocked operations, per-rank blocked counts, rank
-// liveness, and the quiescence window.
+// watchState is the bookkeeping behind the watchdog of one world and
+// every sub-communicator derived from it: the set of currently blocked
+// operations, per-rank blocked counts and liveness (in root ranks, so
+// a rank blocked in any world of the family counts as blocked), and
+// the quiescence window. One monitor polls it, whatever the number of
+// sub-communicators.
 type watchState struct {
 	cfg Watchdog
 
+	// progress counts finished collective rounds and bounded-exchange
+	// publications in any world of the family; the deadlock detector
+	// uses it as a quiescence marker.
+	progress atomic.Int64
+
 	mu      sync.Mutex
 	ops     map[*blockedOp]struct{}
-	rankOps []int // blocked ops per rank
+	rankOps []int // blocked ops per root rank
 	live    []bool
 	nlive   int
 	stall   *StallError
+	stallW  *world // the world the stalled rank waits in
 	// free recycles blockedOp tokens so steady-state enter/exit (which
 	// sits inside every barrier and wait of the watchdog-on-by-default
 	// world) does not allocate per blocked operation.
@@ -178,7 +194,7 @@ func (ws *watchState) enter(op blockedOp) *blockedOp {
 	}
 	*b = op
 	ws.ops[b] = struct{}{}
-	ws.rankOps[op.rank]++
+	ws.rankOps[op.root]++
 	ws.mu.Unlock()
 	return b
 }
@@ -191,7 +207,7 @@ const maxFreeOps = 1024
 func (ws *watchState) exit(b *blockedOp) {
 	ws.mu.Lock()
 	delete(ws.ops, b)
-	ws.rankOps[b.rank]--
+	ws.rankOps[b.root]--
 	// A stall verdict may hold a pointer into b (stallFrom copies, so
 	// only the ops map references it); safe to recycle once delisted.
 	if len(ws.free) < maxFreeOps {
@@ -215,15 +231,21 @@ func (ws *watchState) rankDone(rank int) {
 	ws.mu.Unlock()
 }
 
-func (ws *watchState) stalled() *StallError {
+// stalled returns the watchdog's verdict and the world the stalled
+// rank waits in, nil when there is none. Nil-safe.
+func (ws *watchState) stalled() (*StallError, *world) {
+	if ws == nil {
+		return nil, nil
+	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	return ws.stall
+	return ws.stall, ws.stallW
 }
 
-// monitor polls the blocked-op set until the world finishes or a stall
-// is declared. It runs on its own goroutine; run closes ws.stop after
-// all ranks return and waits on ws.done.
+// monitor polls the blocked-op set until the run finishes or a stall
+// is declared, and then aborts the root world w and with it every
+// sub-communicator. It runs on its own goroutine; run closes ws.stop
+// after all ranks return and waits on ws.done.
 func (ws *watchState) monitor(w *world) {
 	defer close(ws.done)
 	t := time.NewTicker(ws.cfg.Poll)
@@ -249,7 +271,7 @@ func (ws *watchState) monitor(w *world) {
 // check evaluates both detectors against the current blocked-op set
 // and records (and returns) a StallError if one fires.
 func (ws *watchState) check(w *world, now time.Time) *StallError {
-	prog := w.progress.Load()
+	prog := ws.progress.Load()
 	pending := w.pending.Load()
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -261,14 +283,15 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	oldest := ws.oldest()
 	if d := ws.cfg.Deadline; d > 0 && oldest != nil {
 		if wt := now.Sub(oldest.since); wt >= d {
-			ws.stall = stallFrom(oldest, wt, false)
+			ws.stall, ws.stallW = stallFrom(oldest, wt, false), oldest.w
 			return ws.stall
 		}
 	}
-	// Global quiescence: every live rank blocked, nothing delivered
-	// since the window began, nothing still in flight on a
-	// fault-injection delay. Under the one-goroutine-per-
-	// rank contract no future delivery is possible in that state.
+	// Global quiescence: every live rank blocked, in whichever world of
+	// the family, nothing delivered since the window began, nothing
+	// still in flight on a fault-injection delay. Under the
+	// one-goroutine-per-rank contract no future delivery is possible in
+	// that state.
 	allBlocked := ws.nlive > 0
 	for r, lv := range ws.live {
 		if lv && ws.rankOps[r] == 0 {
@@ -289,13 +312,48 @@ func (ws *watchState) check(w *world, now time.Time) *StallError {
 	if now.Sub(ws.quietAt) < ws.cfg.DeadlockAfter {
 		return nil
 	}
-	// Blame the longest-blocked op.
 	if oldest == nil {
 		ws.quiet = false // raced with the last exit; re-arm
 		return nil
 	}
-	ws.stall = stallFrom(oldest, now.Sub(oldest.since), true)
+	b := ws.blame(oldest)
+	ws.stall, ws.stallW = stallFrom(b, now.Sub(b.since), true), b.w
 	return ws.stall
+}
+
+// blame picks the op a deadlock is reported on: the longest-blocked op
+// of a communicator whose live members all wait in it, since a
+// deadlock closed inside one communicator is that communicator's, and
+// otherwise (a cycle through several) the longest-blocked op of all.
+// Runs once, when the deadlock is declared. Callers hold ws.mu.
+func (ws *watchState) blame(oldest *blockedOp) *blockedOp {
+	waiting := map[*world]map[int]bool{}
+	for b := range ws.ops {
+		if waiting[b.w] == nil {
+			waiting[b.w] = map[int]bool{}
+		}
+		waiting[b.w][b.rank] = true
+	}
+	closed := map[*world]bool{}
+	for w, in := range waiting {
+		closed[w] = true
+		for r := 0; r < w.size; r++ {
+			if ws.live[w.rootRank(r)] && !in[r] {
+				closed[w] = false
+				break
+			}
+		}
+	}
+	var best *blockedOp
+	for b := range ws.ops {
+		if closed[b.w] && (best == nil || b.since.Before(best.since)) {
+			best = b
+		}
+	}
+	if best == nil {
+		return oldest
+	}
+	return best
 }
 
 // oldest returns the longest-blocked op, nil when there is none.
@@ -330,6 +388,7 @@ func (w *world) watchEnter(op blockedOp) *blockedOp {
 	if w == nil || w.watch == nil {
 		return nil
 	}
+	op.w, op.root = w, w.rootRank(op.rank)
 	return w.watch.enter(op)
 }
 
@@ -340,18 +399,20 @@ func (w *world) watchExit(tok *blockedOp) {
 	w.watch.exit(tok)
 }
 
-func (w *world) stallErr() *StallError {
-	if w.watch == nil {
-		return nil
+// progressed marks a finished collective round or bounded-exchange
+// publication: the deadlock detector's quiescence window restarts.
+func (w *world) progressed() {
+	if w.watch != nil {
+		w.watch.progress.Add(1)
 	}
-	return w.watch.stalled()
 }
 
 // abortCause is what a wait of rank raises once the world is aborted:
-// the watchdog's *StallError when it names rank, so the stalled rank
-// unwinds with the typed cause, and errAborted on every other rank.
+// the watchdog's *StallError when it names rank in this world, so the
+// stalled rank unwinds with the typed cause, and errAborted on every
+// other rank.
 func (w *world) abortCause(rank int) error {
-	if st := w.stallErr(); st != nil && st.Rank == rank {
+	if st, sw := w.watch.stalled(); st != nil && sw == w && st.Rank == rank {
 		return st
 	}
 	return errAborted

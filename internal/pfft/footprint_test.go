@@ -47,21 +47,17 @@ func TestEngineBuffersExactLength(t *testing.T) {
 		}
 	}
 	for _, tc := range engines {
-		// The walk reaches the world through the engine's communicator,
-		// so it runs once the world is quiescent, not beside a peer's
-		// collectives.
-		built := make([]*SlabReal, tc.ranks)
-		mpi.Run(tc.ranks, func(c *mpi.Comm) { built[c.Rank()] = tc.build(c) })
-		for r, e := range built {
-			bad, bufs := pooltest.Overheld(e)
-			if bufs == 0 {
-				t.Errorf("%s rank %d: the walk found no buffer", tc.name, r)
+		pooltest.InWorld(tc.ranks, tc.build, func(built []*SlabReal) {
+			for r, e := range built {
+				bad, bufs := pooltest.Overheld(e)
+				if bufs == 0 {
+					t.Errorf("%s rank %d: the walk found no buffer", tc.name, r)
+				}
+				for _, b := range bad {
+					t.Errorf("%s rank %d: %s", tc.name, r, b)
+				}
 			}
-			for _, b := range bad {
-				t.Errorf("%s rank %d: %s", tc.name, r, b)
-			}
-			e.Close()
-		}
+		}, (*SlabReal).Close)
 	}
 }
 
@@ -71,15 +67,13 @@ func TestEngineBuffersExactLength(t *testing.T) {
 // splits 5/4/4).
 var pencilGrids = []struct{ n, pr, pc int }{{16, 2, 2}, {24, 2, 3}}
 
-// buildPencilGrid builds every rank's engine of a pencilGrids entry
-// under st, and returns them once the world is quiescent.
-func buildPencilGrid(n, pr, pc int, st exchange.Strategy) []*SlabReal {
-	built := make([]*SlabReal, pr*pc)
-	mpi.Run(pr*pc, func(c *mpi.Comm) {
+// withPencilGrid builds every rank's engine of a pencilGrids entry
+// under st and hands them to inspect once the world is quiescent.
+func withPencilGrid(n, pr, pc int, st exchange.Strategy, inspect func(built []*SlabReal)) {
+	pooltest.InWorld(pr*pc, func(c *mpi.Comm) *SlabReal {
 		row, col := c.CartGrid(pr, pc)
-		built[c.Rank()] = NewPencilReal(col, row, n, 1, exchange.Both(st))
-	})
-	return built
+		return NewPencilReal(col, row, n, 1, exchange.Both(st))
+	}, inspect, (*SlabReal).Close)
 }
 
 // On a grid with Pc > 1 the engine holds one intermediate pencil, B: X
@@ -89,24 +83,25 @@ func buildPencilGrid(n, pr, pc int, st exchange.Strategy) []*SlabReal {
 func TestPencilHoldsOneIntermediate(t *testing.T) {
 	for _, g := range pencilGrids {
 		for _, st := range exchange.Concrete {
-			for r, e := range buildPencilGrid(g.n, g.pr, g.pc, st) {
-				l, tag := e.l, fmt.Sprintf("N=%d %dx%d %s rank %d", g.n, g.pr, g.pc, st, r)
-				if got, want := e.FourierLen(), max(l.CLen(), l.PadXLen); got != want {
-					t.Errorf("%s: FourierLen %d, want max(CLen %d, PadXLen %d)", tag, got, l.CLen(), l.PadXLen)
-				}
-				shortest := min(l.BLen(), l.CLen(), l.My*l.Mz*l.Nxh)
-				var pencils []string
-				for _, b := range pooltest.Buffers(e) {
-					stage := strings.Contains(b.Path, ".col.") || strings.Contains(b.Path, ".stages[")
-					if b.Kind == reflect.Complex128 && b.Cap >= shortest && !stage {
-						pencils = append(pencils, fmt.Sprintf("%s (%d)", b.Path, b.Cap))
+			withPencilGrid(g.n, g.pr, g.pc, st, func(built []*SlabReal) {
+				for r, e := range built {
+					l, tag := e.l, fmt.Sprintf("N=%d %dx%d %s rank %d", g.n, g.pr, g.pc, st, r)
+					if got, want := e.FourierLen(), max(l.CLen(), l.PadXLen); got != want {
+						t.Errorf("%s: FourierLen %d, want max(CLen %d, PadXLen %d)", tag, got, l.CLen(), l.PadXLen)
+					}
+					shortest := min(l.BLen(), l.CLen(), l.My*l.Mz*l.Nxh)
+					var pencils []string
+					for _, b := range pooltest.Buffers(e) {
+						stage := strings.Contains(b.Path, ".col.") || strings.Contains(b.Path, ".stages[")
+						if b.Kind == reflect.Complex128 && b.Cap >= shortest && !stage {
+							pencils = append(pencils, fmt.Sprintf("%s (%d)", b.Path, b.Cap))
+						}
+					}
+					if len(pencils) != 1 || !strings.HasSuffix(pencils[0], fmt.Sprintf("(%d)", l.BLen())) {
+						t.Errorf("%s: the engine holds %v, want B alone (%d elements)", tag, pencils, l.BLen())
 					}
 				}
-				if len(pencils) != 1 || !strings.HasSuffix(pencils[0], fmt.Sprintf("(%d)", l.BLen())) {
-					t.Errorf("%s: the engine holds %v, want B alone (%d elements)", tag, pencils, l.BLen())
-				}
-				e.Close()
-			}
+			})
 		}
 	}
 }

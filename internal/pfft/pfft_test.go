@@ -16,6 +16,7 @@ func TestSlabRealRoundTrip(t *testing.T) {
 	n, p := 8, 2
 	mpi.Run(p, func(c *mpi.Comm) {
 		f := NewSlabRealStrategy(c, n, 1, exchange.Auto)
+		defer f.Close()
 		rng := rand.New(rand.NewSource(int64(c.Rank()) + 9))
 		phys := make([]float64, f.PhysicalLen())
 		for i := range phys {

@@ -17,7 +17,9 @@ func TestThreadedMatchesSerialExactly(t *testing.T) {
 	for _, threads := range []int{8} {
 		mpi.Run(p, func(c *mpi.Comm) {
 			ref := NewSlabRealStrategy(c, n, 1, exchange.Auto)
+			defer ref.Close()
 			thr := NewSlabRealStrategy(c, n, threads, exchange.Auto)
+			defer thr.Close()
 			if thr.Workers() != threads {
 				t.Fatalf("team size %d", thr.Workers())
 			}
@@ -58,6 +60,7 @@ func TestThreadedHybridConfigurationsAgree(t *testing.T) {
 	run := func(label string, ranks, threads int) {
 		mpi.Run(ranks, func(c *mpi.Comm) {
 			f := NewSlabRealStrategy(c, n, threads, exchange.Auto)
+			defer f.Close()
 			// Build the same global field on every layout.
 			phys := make([]float64, f.PhysicalLen())
 			my := f.Slab().MY()

@@ -21,10 +21,12 @@
 // kernel in this codebase does. Put recycles a slice; per-length
 // retention is bounded so a burst cannot pin memory forever.
 //
-// Hits and misses accumulate in package atomics (the same pattern as
-// internal/fft's counters) and PublishMetrics copies them into a
-// registry as pool.hit / pool.miss, so buffer-reuse efficiency is
-// observable rather than asserted.
+// Hits, misses and puts accumulate in package atomics (the same
+// pattern as internal/fft's counters) and PublishMetrics copies them
+// into a registry as pool.hit / pool.miss / pool.put, so buffer-reuse
+// efficiency is observable rather than asserted. hit + miss − put is
+// the number of buffers checked out: a steady-state method (a step, a
+// diagnostic) leaves it where it found it.
 package pool
 
 import (
@@ -41,6 +43,7 @@ const maxPerLen = 64
 var (
 	hits   atomic.Int64 // Gets served from a freelist
 	misses atomic.Int64 // Gets that fell through to make
+	puts   atomic.Int64 // buffers handed back
 )
 
 // freelist is one element type's stacks of free buffers, keyed by
@@ -75,6 +78,7 @@ func (f *freelist[T]) put(buf []T) {
 	if n == 0 {
 		return
 	}
+	puts.Add(1)
 	f.mu.Lock()
 	if f.free == nil {
 		f.free = make(map[int][][]T)
@@ -136,10 +140,12 @@ func GetComplex64(n int) []complex64 { return def.GetComplex64(n) }
 // PutComplex64 recycles buf into the default arena.
 func PutComplex64(buf []complex64) { def.PutComplex64(buf) }
 
-// PublishMetrics copies the package totals into reg as the pool.hit
-// and pool.miss counters. Repeated calls overwrite, so the published
-// values stay cumulative (same convention as fft.PublishMetrics).
+// PublishMetrics copies the package totals into reg as the pool.hit,
+// pool.miss and pool.put counters. Repeated calls overwrite, so the
+// published values stay cumulative (same convention as
+// fft.PublishMetrics).
 func PublishMetrics(reg *metrics.Registry) {
 	reg.Counter("pool.hit").Store(hits.Load())
 	reg.Counter("pool.miss").Store(misses.Load())
+	reg.Counter("pool.put").Store(puts.Load())
 }

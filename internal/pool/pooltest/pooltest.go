@@ -8,7 +8,42 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
+
+	"repro/internal/mpi"
 )
+
+// InWorld builds one value per rank on p ranks, hands them all to
+// inspect while the world is quiescent, and then releases each on its
+// rank, so the world ends with every plan freed. The walks above reach
+// the world through an engine's communicator; while inspect runs no
+// rank is inside the runtime (each waits on a channel), so nothing
+// writes what a walk reads: the watchdog monitor, with no rank
+// blocked, writes only a flag the walks skip. The ranks meet in a
+// barrier before they leave the runtime, so a build that deadlocks
+// holds every rank where the watchdog sees it and fails on it.
+// inspect runs on a goroutine of its own: report with t.Error, not
+// t.Fatal.
+func InWorld[T any](p int, build func(*mpi.Comm) T, inspect func(built []T), release func(T)) {
+	built := make([]T, p)
+	var ready sync.WaitGroup
+	ready.Add(p)
+	done := make(chan struct{})
+	go func() {
+		ready.Wait()
+		defer close(done)
+		inspect(built)
+	}()
+	mpi.Run(p, func(c *mpi.Comm) {
+		func() {
+			defer ready.Done()
+			built[c.Rank()] = build(c)
+			c.Barrier()
+		}()
+		<-done
+		release(built[c.Rank()])
+	})
+}
 
 // span is one backing array as the walk saw it, keyed by its end
 // address: the furthest any slice into it reaches, its element kind,

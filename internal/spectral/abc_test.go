@@ -13,6 +13,7 @@ func TestABCFlowFieldValues(t *testing.T) {
 	a, b, c := 1.0, 0.7, 0.4
 	mpi.Run(2, func(cm *mpi.Comm) {
 		s := New(cm, n, WithNu(0))
+		defer s.Close()
 		s.SetABCFlow(a, b, c)
 		s.syncPhysical()
 		h := 2 * math.Pi / float64(n)
@@ -44,6 +45,7 @@ func TestABCFlowIsBeltrami(t *testing.T) {
 	// ω = u for the unit-wavenumber ABC field: H = 2E and Ω = E.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		s.SetABCFlow(1, 0.8, 0.6)
 		e := s.Energy()
 		hel := s.Helicity()
@@ -70,6 +72,7 @@ func TestABCFlowExactNavierStokesDecay(t *testing.T) {
 	nu := 0.05
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(nu), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetABCFlow(1, 0.9, 0.8)
 		e0 := s.Energy()
 		dt := 0.01
@@ -95,6 +98,7 @@ func TestABCFlowDecayOnAsyncEngineMatches(t *testing.T) {
 	nu := 0.05
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(nu), WithScheme(RK4), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetABCFlow(0.5, 0.5, 0.5)
 		e0 := s.Energy()
 		for i := 0; i < 10; i++ {
@@ -110,6 +114,7 @@ func TestABCFlowDecayOnAsyncEngineMatches(t *testing.T) {
 func TestTaylorGreenHasZeroHelicity(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		s.SetTaylorGreen()
 		if h := s.Helicity(); math.Abs(h) > 1e-13 {
 			t.Errorf("TG helicity %g, want 0 (mirror-symmetric flow)", h)

@@ -36,9 +36,12 @@ func TestSolverATZeroDelayBitwiseIdentity(t *testing.T) {
 				mpi.Run(p, func(c *mpi.Comm) {
 					opts := []Option{WithNu(0.02), WithScheme(sch), WithDealias(Dealias23)}
 					ref := New(c, n, opts...)
+					defer ref.Close()
 					ref.SetRandomIsotropic(3, 0.5, 9)
 					at := New(c, n, append(opts[:len(opts):len(opts)],
 						WithTransform(slabAT(c, n, 1, 2*time.Second)))...)
+					at.OwnTransform()
+					defer at.Close()
 					at.SetRandomIsotropic(3, 0.5, 9)
 					for i := 0; i < steps; i++ {
 						ref.Step(0.004)
@@ -76,12 +79,16 @@ func TestSolverATZeroDelayBitwiseIdentityCoreEngine(t *testing.T) {
 					pfft.NewAsyncSlabReal(c, n, pfft.Options{
 						NP: 2, Granularity: pfft.PerSlab, Exchange: exchange.Fused,
 					})))...)
+				ref.OwnTransform()
+				defer ref.Close()
 				ref.SetRandomIsotropic(3, 0.5, 13)
 				at := New(c, n, append(base[:len(base):len(base)],
 					WithTransform(pfft.NewAsyncSlabReal(c, n, pfft.Options{
 						NP: 2, Granularity: pfft.PerSlab, Exchange: exchange.AT,
 						ATMaxStale: 1, ATDeadline: 2 * time.Second,
 					})))...)
+				at.OwnTransform()
+				defer at.Close()
 				at.SetRandomIsotropic(3, 0.5, 13)
 				for i := 0; i < 3; i++ {
 					ref.Step(0.004)
@@ -119,6 +126,7 @@ func TestSolverATGracefulDegradationUnderStraggler(t *testing.T) {
 	refU := make([]complex128, 0)
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, n, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 21)
 		for i := 0; i < steps; i++ {
 			s.Step(dt)
@@ -142,6 +150,8 @@ func TestSolverATGracefulDegradationUnderStraggler(t *testing.T) {
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, n, append(opts[:len(opts):len(opts)],
 			WithTransform(slabAT(c, n, 12, 0)))...)
+		s.OwnTransform()
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 21)
 		for i := 0; i < steps; i++ {
 			if c.Rank() == p-1 {
@@ -334,7 +344,9 @@ func TestSolverATFirstOrderStalenessErrorAndCorrection(t *testing.T) {
 	run := func(lag int, correct bool) []complex128 {
 		var out []complex128
 		mpi.Run(p, func(c *mpi.Comm) {
-			tr := Transform(pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto))
+			eng := pfft.NewSlabRealStrategy(c, n, 1, exchange.Auto)
+			defer eng.Close()
+			var tr Transform = eng
 			var sys System = newNavierStokes(SystemSpec{Nu: cfg.Nu})
 			if lag > 0 {
 				sys = &laggedSystem{System: sys, lagEvals: 2 * lag} // RK2: 2 evaluations per step
@@ -346,6 +358,7 @@ func TestSolverATFirstOrderStalenessErrorAndCorrection(t *testing.T) {
 				tr = &scriptedStaleness{Transform: tr, sum: int64(lag), calls: 2}
 			}
 			s := newSolver(c, cfg, tr, sys)
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 33)
 			for i := 0; i < steps; i++ {
 				s.Step(dt)

@@ -30,11 +30,24 @@ const ckptAllocBound = 64 << 10
 // headers (implausible name length, bad magic and version, a forcing
 // block the plain system lacks, truncations).
 func FuzzReadCheckpoint(f *testing.F) {
+	// The solvers outlive the fuzz: their world stays open, its one
+	// rank parked outside the runtime, until the fuzz is done, and
+	// closes them before it ends.
 	var plain, forced *Solver
-	mpi.Run(1, func(c *mpi.Comm) {
-		plain = New(c, 8, WithNu(0.02))
-		forced = New(c, 8, WithNu(0.02), WithForcing(2, 0.1), WithForcingNoise(0.5, 3))
-	})
+	built, done, ended := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ended)
+		mpi.Run(1, func(c *mpi.Comm) {
+			plain = New(c, 8, WithNu(0.02))
+			defer plain.Close()
+			forced = New(c, 8, WithNu(0.02), WithForcing(2, 0.1), WithForcingNoise(0.5, 3))
+			defer forced.Close()
+			close(built)
+			<-done
+		})
+	}()
+	<-built
+	f.Cleanup(func() { close(done); <-ended })
 	for _, s := range []*Solver{plain, forced} {
 		s.SetRandomIsotropic(2, 0.4, 5)
 		s.step, s.time = 3, 0.012

@@ -16,6 +16,7 @@ import (
 func TestCheckpointRoundTripInMemory(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 1)
 		for i := 0; i < 2; i++ {
 			s.Step(0.004)
@@ -25,6 +26,7 @@ func TestCheckpointRoundTripInMemory(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 		s2 := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer s2.Close()
 		if err := s2.ReadCheckpointFrom(&buf); err != nil {
 			t.Fatalf("read: %v", err)
 		}
@@ -50,6 +52,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	var straight []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 6; i++ {
 			s.Step(0.004)
@@ -61,6 +64,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 	var restarted []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 3; i++ {
 			s.Step(0.004)
@@ -69,6 +73,7 @@ func TestCheckpointRestartContinuesIdentically(t *testing.T) {
 			t.Errorf("save: %v", err)
 		}
 		s2 := New(c, n, opts...)
+		defer s2.Close()
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Errorf("load: %v", err)
 		}
@@ -97,6 +102,7 @@ func TestCheckpointWithScalars(t *testing.T) {
 		WithScalars(2, 1, 0.7), WithScalarGradient(2.5)}
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 8, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(2, 0.4, 3)
 		s.SetFieldBlob(3, 2, 0.3, 5)
 		s.SetFieldBlob(4, 2.5, 0.2, 6)
@@ -112,6 +118,7 @@ func TestCheckpointWithScalars(t *testing.T) {
 			t.Errorf("peek: %+v, want %+v", info, want)
 		}
 		s2 := New(c, 8, opts...)
+		defer s2.Close()
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -132,6 +139,7 @@ func TestCheckpointWithScalars(t *testing.T) {
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0.02))
+		defer s.Close()
 		s.SetRandomIsotropic(2, 0.4, 3)
 		var buf bytes.Buffer
 		if err := s.WriteCheckpointTo(&buf); err != nil {
@@ -140,6 +148,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		data := buf.Bytes()
 		data[len(data)/2] ^= 0xFF // flip a payload bit
 		s2 := New(c, 8, WithNu(0.02))
+		defer s2.Close()
 		err := s2.ReadCheckpointFrom(bytes.NewReader(data))
 		if err == nil || !strings.Contains(err.Error(), "crc") {
 			t.Errorf("corruption not detected: %v", err)
@@ -151,6 +160,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	var blob []byte
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0.02))
+		defer s.Close()
 		var buf bytes.Buffer
 		if err := s.WriteCheckpointTo(&buf); err != nil {
 			t.Fatal(err)
@@ -159,6 +169,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	})
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02))
+		defer s.Close()
 		err := s.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil || !strings.Contains(err.Error(), "N=8") {
 			t.Errorf("geometry mismatch not detected: %v", err)
@@ -167,6 +178,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 	// Wrong rank count.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0.02))
+		defer s.Close()
 		err := s.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil {
 			t.Error("rank-count mismatch not detected")
@@ -177,6 +189,7 @@ func TestCheckpointRejectsGeometryMismatch(t *testing.T) {
 func TestCheckpointRejectsBadMagic(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0.02))
+		defer s.Close()
 		err := s.ReadCheckpointFrom(bytes.NewReader(make([]byte, 128)))
 		if err == nil || !strings.Contains(err.Error(), "magic") {
 			t.Errorf("bad magic not detected: %v", err)
@@ -189,12 +202,14 @@ func TestCheckpointEnergyPreserved(t *testing.T) {
 	var e1, e2 float64
 	mpi.Run(4, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 77)
 		e := s.Energy()
 		if err := s.SaveCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
 		s2 := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer s2.Close()
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -227,6 +242,7 @@ func TestCheckpointForcedSystemRestartContinuesIdentically(t *testing.T) {
 	var straight []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 2*steps; i++ {
 			s.Step(0.004)
@@ -238,6 +254,7 @@ func TestCheckpointForcedSystemRestartContinuesIdentically(t *testing.T) {
 	var restarted []complex128
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < steps; i++ {
 			s.Step(0.004)
@@ -249,6 +266,7 @@ func TestCheckpointForcedSystemRestartContinuesIdentically(t *testing.T) {
 		// overwrite them with the checkpointed controller state.
 		s2 := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23),
 			WithForcing(3, 0.7), WithForcingNoise(0.1, 7))
+		defer s2.Close()
 		if err := s2.LoadCheckpoint(dir); err != nil {
 			t.Errorf("load: %v", err)
 		}
@@ -276,11 +294,13 @@ func TestCheckpointForcedSystemRestartContinuesIdentically(t *testing.T) {
 func TestCheckpointRejectsSystemMismatch(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		forced := New(c, 8, WithNu(0.02), WithForcing(2, 0.1))
+		defer forced.Close()
 		var buf bytes.Buffer
 		if err := forced.WriteCheckpointTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		plain := New(c, 8, WithNu(0.02))
+		defer plain.Close()
 		err := plain.ReadCheckpointFrom(bytes.NewReader(buf.Bytes()))
 		if err == nil || !strings.Contains(err.Error(), "forced-ns") {
 			t.Errorf("forced→ns not rejected: %v", err)
@@ -291,6 +311,7 @@ func TestCheckpointRejectsSystemMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		forced2 := New(c, 8, WithNu(0.02), WithForcing(2, 0.1))
+		defer forced2.Close()
 		err = forced2.ReadCheckpointFrom(bytes.NewReader(buf.Bytes()))
 		if err == nil || !strings.Contains(err.Error(), `"ns"`) {
 			t.Errorf("ns→forced not rejected: %v", err)
@@ -330,10 +351,12 @@ func writeCkptV1(s *Solver) []byte {
 func TestCheckpointV1Compat(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		src := New(c, 8, WithNu(0.02))
+		defer src.Close()
 		src.SetRandomIsotropic(2, 0.4, 5)
 		blob := writeCkptV1(src)
 
 		dst := New(c, 8, WithNu(0.02))
+		defer dst.Close()
 		if err := dst.ReadCheckpointFrom(bytes.NewReader(blob)); err != nil {
 			t.Fatalf("v1 read into ns: %v", err)
 		}
@@ -358,6 +381,7 @@ func TestCheckpointV1Compat(t *testing.T) {
 		}
 
 		forced := New(c, 8, WithNu(0.02), WithForcing(2, 0.1))
+		defer forced.Close()
 		err := forced.ReadCheckpointFrom(bytes.NewReader(blob))
 		if err == nil || !strings.Contains(err.Error(), "version-1") {
 			t.Errorf("v1 into forced-ns not rejected: %v", err)

@@ -134,6 +134,7 @@ func diagnosticsDigest(p int) map[string]string {
 
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, 16, base...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 424242)
 		gather(c, "ic.random", s.Uh[0], s.Uh[1], s.Uh[2])
 		s.Step(0.004)
@@ -163,6 +164,7 @@ func diagnosticsDigest(p int) map[string]string {
 		gather(c, "ic.single_mode_kx0", s.Uh[0], s.Uh[1], s.Uh[2])
 
 		r := New(c, 16, append(base, WithScalars(1, 0.7), WithRotation(0.5))...)
+		defer r.Close()
 		r.SetRandomIsotropic(3, 0.5, 5)
 		r.SetFieldBlob(3, 2.5, 1.0, 3)
 		gather(c, "ic.blob", r.state[3])
@@ -173,14 +175,17 @@ func diagnosticsDigest(p int) map[string]string {
 		gather(c, "ic.field_single_mode", r.state[3])
 
 		small := New(c, 16, base...)
+		defer small.Close()
 		small.SetRandomIsotropic(3, 0.5, 17)
 		big := New(c, 24, base...)
+		defer big.Close()
 		Regrid(big, small)
 		gather(c, "regrid.up", big.Uh[0], big.Uh[1], big.Uh[2])
 		Regrid(small, big)
 		gather(c, "regrid.down", small.Uh[0], small.Uh[1], small.Uh[2])
 
 		f := New(c, 16, append(base, WithForcing(2, 0.1), WithForcingNoise(0.5, 42))...)
+		defer f.Close()
 		f.SetRandomIsotropic(3, 0.5, 11)
 		for i := 0; i < 5; i++ {
 			f.Step(0.004)

@@ -63,6 +63,7 @@ func FuzzSeededDraws(f *testing.F) {
 func TestSetRandomZeroAllocs(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 16, WithScalars(1, 0.7))
+		defer s.Close()
 		if a := testing.AllocsPerRun(5, func() { s.setRandom(3, 99, s.Uh[:]...) }); a != 0 {
 			t.Errorf("setRandom (velocity) allocates %.1f per call", a)
 		}
@@ -99,6 +100,7 @@ func TestInitialConditionsRankCountInvariant(t *testing.T) {
 			slabs := make([][2][][]complex128, p) // rank → drawn/final → component
 			mpi.Run(p, func(c *mpi.Comm) {
 				s := New(c, 16, WithScalars(1, 0.7))
+				defer s.Close()
 				snap := func() [][]complex128 {
 					var out [][]complex128
 					for _, f := range tc.fields(s) {

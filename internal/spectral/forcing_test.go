@@ -17,11 +17,13 @@ func TestForcingFollowsRestoredKF(t *testing.T) {
 	base := []Option{WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23)}
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, append(base, WithForcing(2, 0.1), WithForcingNoise(0.5, 42))...)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 11)
 		if err := s.SaveCheckpoint(dir); err != nil {
 			t.Errorf("save: %v", err)
 		}
 		r := New(c, n, append(base, WithForcing(3, 0.7), WithForcingNoise(0.1, 7))...)
+		defer r.Close()
 		if err := r.LoadCheckpoint(dir); err != nil {
 			t.Errorf("load: %v", err)
 		}

@@ -12,6 +12,7 @@ func TestGradientOfSingleModeIsExact(t *testing.T) {
 	// ∂u/∂x has variance kx²·⟨u²⟩ and zero skewness (sinusoid).
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		amp := 0.4
 		s.SetSingleMode(2, 2, 0, [3]complex128{complex(amp, 0), complex(-amp, 0), 0})
 		u := s.VelocityMoments(0)
@@ -33,6 +34,7 @@ func TestGradientMeanIsZero(t *testing.T) {
 	// Periodic fields have exactly zero mean gradient.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 19)
 		for comp := 0; comp < 3; comp++ {
 			g := s.LongitudinalGradientStats(comp)
@@ -50,6 +52,7 @@ func TestDevelopedTurbulenceHasNegativeSkewness(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 32, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23),
 			WithForcing(2, DefaultForcingEps))
+		defer s.Close()
 		s.SetRandomIsotropic(2.5, 0.6, 4)
 		for i := 0; i < 40; i++ {
 			s.Step(0.004)
@@ -76,6 +79,7 @@ func TestTaylorScaleCrossCheck(t *testing.T) {
 	// isotropic fields within statistical isotropy error.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 32, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 8)
 		for i := 0; i < 5; i++ {
 			s.Step(0.004)
@@ -94,6 +98,7 @@ func TestGradientStatsRankIndependent(t *testing.T) {
 		var out GradientStats
 		mpi.Run(p, func(c *mpi.Comm) {
 			s := New(c, 16, WithNu(0.02))
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 31)
 			g := s.LongitudinalGradientStats(0)
 			if c.Rank() == 0 {

@@ -25,6 +25,7 @@ func setUniformFlow(s *Solver, u, v, w float64) {
 func TestParticlesUniformAdvectionExact(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0))
+		defer s.Close()
 		setUniformFlow(s, 0.3, -0.2, 0.1)
 		p := s.NewParticles(10, 5)
 		x0 := append([][3]float64(nil), p.X...)
@@ -60,6 +61,7 @@ func TestParticleVelocityInterpolationAtNodes(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		n := 8
 		s := New(c, n, WithNu(0))
+		defer s.Close()
 		s.SetTaylorGreen()
 		s.syncPhysical()
 		p := s.NewParticles(4, 1)
@@ -86,6 +88,7 @@ func TestParticlesAtTGStagnationPointStay(t *testing.T) {
 	// (sin(0)=0 for u; sin(0)=0 for v's y factor; w≡0).
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		s.SetTaylorGreen()
 		p := s.NewParticles(1, 1)
 		p.X[0] = [3]float64{0, 0, 0}
@@ -105,6 +108,7 @@ func TestParticlesRankCountIndependent(t *testing.T) {
 		ranks := ranks
 		mpi.Run(ranks, func(c *mpi.Comm) {
 			s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 83)
 			p := s.NewParticles(5, 7)
 			for i := 0; i < 3; i++ {
@@ -130,6 +134,7 @@ func TestParticleDispersionGrowsInTurbulence(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23),
 			WithForcing(2, DefaultForcingEps))
+		defer s.Close()
 		s.SetRandomIsotropic(2.5, 0.5, 89)
 		p := s.NewParticles(32, 11)
 		var prev float64

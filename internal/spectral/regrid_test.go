@@ -13,8 +13,10 @@ func TestRegridUpsamplePreservesField(t *testing.T) {
 	// strongly, energy, dissipation and the spectrum are preserved.
 	mpi.Run(2, func(c *mpi.Comm) {
 		small := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer small.Close()
 		small.SetRandomIsotropic(3, 0.5, 17)
 		big := New(c, 32, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer big.Close()
 		Regrid(big, small)
 		if math.Abs(big.Energy()-small.Energy()) > 1e-10 {
 			t.Errorf("energy changed: %g vs %g", big.Energy(), small.Energy())
@@ -41,8 +43,10 @@ func TestRegridPhysicalValuesMatchOnCommonPoints(t *testing.T) {
 	n1, n2, p := 8, 16, 2
 	mpi.Run(p, func(c *mpi.Comm) {
 		small := New(c, n1, WithNu(0))
+		defer small.Close()
 		small.SetTaylorGreen()
 		big := New(c, n2, WithNu(0))
+		defer big.Close()
 		Regrid(big, small)
 		// Evaluate both in physical space; gather z-slabs... simpler:
 		// compare via the analytic TG formula on the fine grid.
@@ -71,8 +75,10 @@ func TestRegridPhysicalValuesMatchOnCommonPoints(t *testing.T) {
 func TestRegridDownsampleTruncates(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		big := New(c, 32, WithNu(0.01))
+		defer big.Close()
 		big.SetRandomIsotropic(3, 0.5, 23)
 		small := New(c, 16, WithNu(0.01))
+		defer small.Close()
 		Regrid(small, big)
 		// Energy of the small grid equals the big grid's energy in the
 		// retained band |k_i| < 8.
@@ -100,8 +106,10 @@ func TestRegridDownsampleTruncates(t *testing.T) {
 func TestRegridSameSizeIsCopy(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		a := New(c, 16, WithNu(0.01))
+		defer a.Close()
 		a.SetRandomIsotropic(3, 0.5, 29)
 		b := New(c, 16, WithNu(0.01))
+		defer b.Close()
 		Regrid(b, a)
 		for cc := 0; cc < 3; cc++ {
 			for i := range a.Uh[cc] {
@@ -119,11 +127,13 @@ func TestRegridThenContinueIsStable(t *testing.T) {
 	// mode placement).
 	mpi.Run(2, func(c *mpi.Comm) {
 		small := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer small.Close()
 		small.SetRandomIsotropic(3, 0.5, 41)
 		for i := 0; i < 5; i++ {
 			small.Step(0.004)
 		}
 		big := New(c, 32, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer big.Close()
 		Regrid(big, small)
 		e0 := big.Energy()
 		for i := 0; i < 5; i++ {
@@ -142,6 +152,7 @@ func TestRegridThenContinueIsStable(t *testing.T) {
 func TestVorticityEnstrophyConsistency(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 47)
 		omega := s.Enstrophy()
 		check := s.VorticityEnstrophyCheck()
@@ -158,6 +169,7 @@ func TestVorticityOfTaylorGreen(t *testing.T) {
 	// spectral enstrophy instead of hand algebra.
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		s.SetTaylorGreen()
 		// k²=3 for every TG mode ⇒ Ω = k²·E = 3·0.125 = 0.375.
 		if math.Abs(s.Enstrophy()-0.375) > 1e-12 {
@@ -172,6 +184,7 @@ func TestVorticityOfTaylorGreen(t *testing.T) {
 func TestSuggestDt(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.01))
+		defer s.Close()
 		s.SetTaylorGreen() // u_max = 1
 		dt := s.SuggestDt(0.5)
 		// CFL = u_max·dt/Δx = dt/(2π/16) = 0.5 ⇒ dt = π/16.

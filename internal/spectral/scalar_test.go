@@ -17,6 +17,7 @@ func TestScalarPureDiffusionIsExact(t *testing.T) {
 	n := 16
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, WithNu(0.1), WithScheme(RK2), WithDealias(Dealias23), WithScalars(1, 2.5))
+		defer s.Close()
 		kappa := s.System().Diffusivity(3) // ν/Sc = 0.04
 		s.SetFieldSingleMode(3, 2, 1, -1, complex(0.5, 0.25))
 		v0 := s.FieldVariance(3)
@@ -40,6 +41,7 @@ func TestScalarAdvectionConservesVariance(t *testing.T) {
 	// time discretization error (O(dt²) per step for Heun).
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23), WithScalars(1, math.Inf(1)))
+		defer s.Close()
 		if kappa := s.System().Diffusivity(3); kappa != 0 {
 			t.Fatalf("Sc=+Inf gave κ=%g", kappa)
 		}
@@ -62,6 +64,7 @@ func TestScalarDecayBalancesDissipation(t *testing.T) {
 	// returns it. Check numerically over one small step.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.03), WithScheme(RK2), WithDealias(Dealias23), WithScalars(1, 0.6))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.4, 5)
 		s.SetFieldBlob(3, 3, 0.8, 9)
 		v0 := s.FieldVariance(3)
@@ -79,6 +82,7 @@ func TestScalarDecayBalancesDissipation(t *testing.T) {
 func TestScalarSpectrumSumsToHalfVariance(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02), WithScalars(1, 2))
+		defer s.Close()
 		s.SetFieldBlob(3, 3, 0.6, 13)
 		var sum float64
 		for _, e := range s.Spectrum(3) {
@@ -98,6 +102,7 @@ func TestScalarRankCountIndependence(t *testing.T) {
 		p := p
 		mpi.Run(p, func(c *mpi.Comm) {
 			s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23), WithScalars(1, 2.0/3.0))
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 21)
 			s.SetFieldBlob(3, 2.5, 0.7, 22)
 			for i := 0; i < 3; i++ {
@@ -121,6 +126,7 @@ func TestScalarRankCountIndependence(t *testing.T) {
 func TestScalarBlobDeterministic(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0.01), WithScalars(2))
+		defer s.Close()
 		s.SetFieldBlob(3, 2, 0.5, 99)
 		s.SetFieldBlob(4, 2, 0.5, 99)
 		a, b := s.Field(3), s.Field(4)

@@ -13,6 +13,7 @@ func TestSliceZMatchesAnalyticTG(t *testing.T) {
 	n, p := 16, 4
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, n, WithNu(0))
+		defer s.Close()
 		s.SetTaylorGreen()
 		iz := 3
 		plane := s.SliceZ(0, iz) // u component

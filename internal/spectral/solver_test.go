@@ -13,6 +13,7 @@ func TestTaylorGreenFieldInPhysicalSpace(t *testing.T) {
 	n, p := 16, 2
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, n, WithNu(0.1))
+		defer s.Close()
 		s.SetTaylorGreen()
 		// Transform to physical space and compare pointwise.
 		h := 2 * math.Pi / float64(n)
@@ -49,6 +50,7 @@ func TestTaylorGreenEnergy(t *testing.T) {
 	// ⟨u²⟩ = ⟨v²⟩ = 1/8 each ⇒ E = ½(1/8+1/8) = 1/8.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		s.SetTaylorGreen()
 		if e := s.Energy(); math.Abs(e-0.125) > 1e-12 {
 			t.Errorf("TG energy %g want 0.125", e)
@@ -63,6 +65,7 @@ func TestSingleModeViscousDecayIsExact(t *testing.T) {
 	nu := 0.05
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, n, WithNu(nu), WithScheme(RK2), WithDealias(DealiasNone))
+		defer s.Close()
 		amp := 1e-6
 		// k = (1,2,1); amplitude ⊥ k: a = (2,-1,0).
 		s.SetSingleMode(1, 2, 1, [3]complex128{complex(2*amp, 0), complex(-amp, 0), 0})
@@ -84,6 +87,7 @@ func TestSingleModeViscousDecayIsExact(t *testing.T) {
 func TestDivergenceFreeInvariant(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 42)
 		if d := s.DivergenceMax(); d > 1e-12 {
 			t.Fatalf("initial divergence %g", d)
@@ -102,6 +106,7 @@ func TestNonlinearTermConservesEnergy(t *testing.T) {
 	// the nonlinear term only transfers energy between scales.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 1.0, 7)
 		tr := s.NonlinearEnergyTransfer()
 		e := s.Energy()
@@ -115,6 +120,7 @@ func TestEnergyBalance(t *testing.T) {
 	// Unforced: dE/dt = −ε. Integrate a short step and compare.
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.05), WithScheme(RK4), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 11)
 		e0 := s.Energy()
 		eps0 := s.Dissipation()
@@ -138,6 +144,7 @@ func TestRankCountIndependence(t *testing.T) {
 		p := p
 		mpi.Run(p, func(c *mpi.Comm) {
 			s := New(c, n, WithNu(0.02), WithScheme(RK2), WithDealias(Dealias23))
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 99)
 			for i := 0; i < 3; i++ {
 				s.Step(0.005)
@@ -165,6 +172,7 @@ func TestRK4MoreAccurateThanRK2(t *testing.T) {
 		var e float64
 		mpi.Run(1, func(c *mpi.Comm) {
 			s := New(c, n, WithNu(0.05), WithScheme(scheme), WithDealias(Dealias23))
+			defer s.Close()
 			s.SetTaylorGreen()
 			for i := 0; i < steps; i++ {
 				s.Step(dt)
@@ -190,6 +198,7 @@ func TestRK2SecondOrderConvergence(t *testing.T) {
 		var e float64
 		mpi.Run(1, func(c *mpi.Comm) {
 			s := New(c, n, WithNu(0.05), WithScheme(RK2), WithDealias(Dealias23))
+			defer s.Close()
 			s.SetTaylorGreen()
 			for i := 0; i < steps; i++ {
 				s.Step(dt)
@@ -231,6 +240,7 @@ func TestForcingSustainsEnergy(t *testing.T) {
 func TestUnforcedDecays(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.08), WithScheme(RK2), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetRandomIsotropic(2, 0.5, 5)
 		e1 := s.Energy()
 		for i := 0; i < 10; i++ {
@@ -245,6 +255,7 @@ func TestUnforcedDecays(t *testing.T) {
 func TestSpectrumSingleShell(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		amp := 0.3
 		s.SetSingleMode(3, 0, 0, [3]complex128{0, complex(amp, 0), 0})
 		spec := s.Spectrum()
@@ -268,6 +279,7 @@ func TestSpectrumSingleShell(t *testing.T) {
 func TestStatisticsConsistency(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.03))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.6, 21)
 		st := s.Statistics()
 		if math.Abs(st.Energy-0.6) > 1e-9 {
@@ -333,6 +345,7 @@ func TestPhaseShiftDealiasCloseToTruncation(t *testing.T) {
 func TestCFLPositive(t *testing.T) {
 	mpi.Run(1, func(c *mpi.Comm) {
 		s := New(c, 8, WithNu(0.01))
+		defer s.Close()
 		s.SetTaylorGreen()
 		cfl := s.CFL(0.01)
 		// u_max = 1 for TG, Δx = 2π/8 ⇒ CFL = 0.01/(2π/8).

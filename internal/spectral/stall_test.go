@@ -154,6 +154,7 @@ func TestEnergyBitwiseUnderDelayedAllreduce(t *testing.T) {
 			eng := pfft.NewSlabRealStrategy(c, n, 1, exchange.Fused)
 			defer eng.Close()
 			s := New(c, n, WithNu(0.05), WithTransform(eng))
+			defer s.Close()
 			s.SetTaylorGreen()
 			s.Step(0.005)
 			delays := reg.CounterRank("mpi.fault.delay", c.Rank())

@@ -3,7 +3,9 @@ package spectral
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/mpi"
+	"repro/internal/pool"
 )
 
 // stepAllocs measures rank 0's steady-state heap allocations per Step
@@ -14,6 +16,7 @@ func stepAllocs(t *testing.T, sch Scheme, p, runs int) float64 {
 	var avg float64
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.01), WithScheme(sch), WithDealias(Dealias23))
+		defer s.Close()
 		s.SetTaylorGreen()
 		if a := measureStepAllocs(c, s, runs); c.Rank() == 0 {
 			avg = a
@@ -29,6 +32,7 @@ func stepAllocsOpts(t *testing.T, n, p, runs int, opts ...Option) float64 {
 	var avg float64
 	mpi.Run(p, func(c *mpi.Comm) {
 		s := New(c, n, opts...)
+		defer s.Close()
 		s.SetRandomIsotropic(2.5, 0.3, 17)
 		for f := 3; f < s.Fields(); f++ {
 			s.SetFieldBlob(f, 2.5, 0.5, int64(40+f))
@@ -153,6 +157,76 @@ func TestStepAdaptiveDtZeroAllocs(t *testing.T) {
 					t.Error("dt never changed: the tables were not refilled")
 				}
 			})
+		})
+	}
+}
+
+// poolCheckouts is the number of buffers checked out of the process's
+// arena: every Get minus every Put.
+func poolCheckouts() int64 {
+	reg := metrics.NewRegistry()
+	pool.PublishMetrics(reg)
+	return reg.Counter("pool.hit").Value() + reg.Counter("pool.miss").Value() - reg.Counter("pool.put").Value()
+}
+
+// A steady-state method hands back every pool buffer it checks out:
+// the arena's checkout count is the same after a repeated call to Step
+// or to any diagnostic as before it, on a plain and on a forced solver
+// carrying a scalar. Buffers belong to plans and engines, which check
+// them out once at construction; one kept by a method per call grows
+// the working set every step.
+func TestSteadyStateMethodsReturnPoolCheckouts(t *testing.T) {
+	const dt = 1e-3
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"ns", []Option{WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23)}},
+		{"forced-scalar", []Option{WithNu(0.01), WithScheme(RK4), WithDealias(Dealias23),
+			WithForcing(2, 0.1), WithForcingNoise(0.5, 3), WithScalars(1, 0.7)}},
+	} {
+		mpi.Run(2, func(c *mpi.Comm) {
+			s := New(c, 16, tc.opts...)
+			defer s.Close()
+			s.SetRandomIsotropic(2.5, 0.3, 17)
+			parts := s.NewParticles(8, 5)
+			last := s.Fields() - 1
+			for _, m := range []struct {
+				name string
+				call func()
+			}{
+				{"Step", func() { s.Step(dt) }},
+				{"StageSweep", func() { s.StageSweep(dt) }},
+				{"StepParticles", func() { s.StepParticles(parts, dt) }},
+				{"Energy", func() { s.Energy() }},
+				{"ComponentEnergy", func() { s.ComponentEnergy(0) }},
+				{"FieldVariance", func() { s.FieldVariance(last) }},
+				{"FieldDissipation", func() { s.FieldDissipation(last) }},
+				{"Dissipation", func() { s.Dissipation() }},
+				{"Enstrophy", func() { s.Enstrophy() }},
+				{"Spectrum", func() { s.Spectrum() }},
+				{"Statistics", func() { s.Statistics() }},
+				{"CFL", func() { s.CFL(dt) }},
+				{"SuggestDt", func() { s.SuggestDt(0.5) }},
+				{"DivergenceMax", func() { s.DivergenceMax() }},
+				{"LongitudinalGradientStats", func() { s.LongitudinalGradientStats(0) }},
+				{"LongitudinalCorrelation", func() { s.LongitudinalCorrelation() }},
+				{"IntegralScale", func() { s.IntegralScale() }},
+				{"StructureFunction2", func() { s.StructureFunction2() }},
+				{"SliceZ", func() { s.SliceZ(0, 0) }},
+				{"SystemDiagnostics", func() { s.SystemDiagnostics() }},
+			} {
+				m.call() // the first call may build what later calls reuse
+				c.Barrier()
+				before := poolCheckouts()
+				c.Barrier()
+				m.call()
+				c.Barrier()
+				if got := poolCheckouts(); got != before && c.Rank() == 0 {
+					t.Errorf("%s: %s keeps %d pool buffers checked out per call", tc.name, m.name, got-before)
+				}
+				c.Barrier()
+			}
 		})
 	}
 }

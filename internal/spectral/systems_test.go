@@ -31,6 +31,7 @@ func TestDecayingNSBitwiseGolden(t *testing.T) {
 			want := golden[scheme][p]
 			mpi.Run(p, func(c *mpi.Comm) {
 				s := New(c, 32, WithNu(0.02), WithScheme(scheme), WithDealias(Dealias23))
+				defer s.Close()
 				s.SetRandomIsotropic(3, 0.5, 424242)
 				e0 := s.Energy()
 				for i := 0; i < 5; i++ {
@@ -59,6 +60,7 @@ func TestDecayingNSBitwiseGoldenShift(t *testing.T) {
 		want := golden[p]
 		mpi.Run(p, func(c *mpi.Comm) {
 			s := New(c, 16, WithNu(0.01), WithScheme(RK2), WithDealias(Dealias23Shift))
+			defer s.Close()
 			s.SetRandomIsotropic(2.5, 0.4, 7)
 			for i := 0; i < 4; i++ {
 				s.Step(0.005)
@@ -111,6 +113,7 @@ func TestForcedNSStationaryBudget(t *testing.T) {
 				WithForcing(2, eps),
 				WithForcingNoise(1.0, 99),
 			)
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.3, 11)
 			dt := 0.01
 			// Transient: let the spectrum equilibrate.
@@ -157,6 +160,7 @@ func TestForcedNSRankCountIndependence(t *testing.T) {
 				WithForcing(2, 0.05),
 				WithForcingNoise(0.5, 7),
 			)
+			defer s.Close()
 			s.SetRandomIsotropic(2.5, 0.3, 5)
 			for i := 0; i < 10; i++ {
 				s.Step(0.005)
@@ -187,6 +191,7 @@ func TestScalarDissipationBudget(t *testing.T) {
 				WithDealias(Dealias23),
 				WithScalars(1, 0.7),
 			)
+			defer s.Close()
 			if got := s.Fields(); got != 4 {
 				t.Errorf("fields=%d, want 4", got)
 			}
@@ -226,6 +231,7 @@ func TestScalarMeanGradientProduction(t *testing.T) {
 			WithScalars(1, 1.0),
 			WithScalarGradient(2.0),
 		)
+		defer s.Close()
 		s.SetRandomIsotropic(2.5, 0.5, 3)
 		for i := 0; i < 20; i++ {
 			s.Step(0.005)
@@ -252,6 +258,7 @@ func TestRotationInviscidEnergyConservation(t *testing.T) {
 				WithDealias(Dealias23),
 				WithRotation(4.0),
 			)
+			defer s.Close()
 			s.SetRandomIsotropic(3, 0.5, 77)
 			e0 := s.Energy()
 			for i := 0; i < 10; i++ {
@@ -277,6 +284,7 @@ func TestRotationInviscidEnergyConservation(t *testing.T) {
 func TestRotationAnisotropyDiagnostic(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.01), WithDealias(Dealias23), WithRotation(2.0), WithScalars(1))
+		defer s.Close()
 		s.SetRandomIsotropic(2.5, 0.4, 13)
 		s.SetFieldBlob(3, 2.5, 0.5, 14)
 		for i := 0; i < 5; i++ {
@@ -310,6 +318,7 @@ func TestSystemGauge(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		c.Metrics().SetOn(true)
 		s := New(c, 16, WithNu(0.01), WithRotation(1.0))
+		defer s.Close()
 		_ = s
 		g := c.Metrics().GaugeRank("solver.system", c.Rank()).Value()
 		if int(g) != SystemCode("rotating-scalar") {

@@ -10,6 +10,7 @@ import (
 func TestCorrelationAtZeroIsVariance(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 61)
 		rr := s.LongitudinalCorrelation()
 		u := s.VelocityMoments(0)
@@ -23,6 +24,7 @@ func TestCorrelationOfSingleModeIsCosine(t *testing.T) {
 	// u ∝ cos-mode at kx=2: R(r) = ⟨u²⟩·cos(2·r·Δx).
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0))
+		defer s.Close()
 		s.SetSingleMode(2, 0, 0, [3]complex128{0, complex(0.3, 0), 0})
 		// The mode is in component 1; rotate it into component 0 by
 		// using a mode with u₀ amplitude: k=(0,2,0), amp in x.
@@ -53,6 +55,7 @@ func TestCorrelationOfSingleModeIsCosine(t *testing.T) {
 func TestStructureFunction2FromCorrelation(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 16, WithNu(0.02))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 67)
 		s2 := s.StructureFunction2()
 		if s2[0] != 0 {
@@ -86,6 +89,7 @@ func TestStructureFunction2FromCorrelation(t *testing.T) {
 func TestIntegralScalePositiveAndBounded(t *testing.T) {
 	mpi.Run(2, func(c *mpi.Comm) {
 		s := New(c, 32, WithNu(0.01))
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 79)
 		l := s.IntegralScale()
 		if l <= 0 || l >= math.Pi {

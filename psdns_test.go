@@ -23,6 +23,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 			repro.WithForcing(2, 0.05),
 			repro.WithTransform(tr),
 		)
+		defer s.Close()
 		s.SetRandomIsotropic(3, 0.5, 1)
 		e0 := s.Energy()
 		for i := 0; i < 3; i++ {
@@ -47,6 +48,7 @@ func TestPublicAPIEngines(t *testing.T) {
 			if tr.NXH() != 5 || tr.Slab().N != 8 {
 				t.Errorf("engine %d geometry wrong", i)
 			}
+			tr.(interface{ Close() }).Close()
 		}
 	})
 }
@@ -76,8 +78,10 @@ func TestPublicAPIPerformanceModel(t *testing.T) {
 func TestPublicAPIRegridAndSlices(t *testing.T) {
 	repro.Run(2, func(c *repro.Comm) {
 		small := repro.NewSolver(c, 8, repro.WithNu(0.01))
+		defer small.Close()
 		small.SetTaylorGreen()
 		big := repro.NewSolver(c, 16, repro.WithNu(0.01))
+		defer big.Close()
 		repro.Regrid(big, small)
 		if math.Abs(big.Energy()-0.125) > 1e-12 {
 			t.Errorf("regridded TG energy %g", big.Energy())
